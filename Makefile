@@ -1,10 +1,10 @@
 # Development targets. `make verify` is the PR gate: vet plus race-checked
 # tests over the packages whose correctness rests on the server's
-# serialized-loop invariants.
+# loop-serialization invariants.
 
 GO ?= go
 
-.PHONY: all build test race vet verify bench chaos chaos-sharded chaos-restart chaos-compact load-smoke lint-metrics
+.PHONY: all build test race vet verify bench chaos chaos-restart chaos-compact load-smoke lint-metrics
 
 all: verify
 
@@ -30,39 +30,27 @@ lint-metrics:
 verify: vet lint-metrics race
 
 # Soak the fault-injection tests: hung, partitioned, evicted, resumed and
-# duplicated connections, repeated under the race detector — once over the
-# plain protocol and once with wire batching forced on every harness server
-# and client (COSOFT_BATCH_LIMIT), so every failure scenario also runs
-# against the packed fan-out path.
+# duplicated connections, repeated under the race detector. Every harness
+# server is the product configuration (four shard loops, batching on, batching
+# clients with plain peers mixed in), so one pass covers cross-shard cleanup
+# and the packed fan-out path.
 chaos:
 	$(GO) test -race -run Chaos -count=3 ./...
-	COSOFT_BATCH_LIMIT=8 $(GO) test -race -run Chaos -count=3 ./...
-
-# The same soak with four state shards forced on every harness server, so
-# fault injection also exercises cross-shard cleanup (dropClient fan-out,
-# migrated pending events) under the race detector. CI runs this as a
-# second matrix leg.
-chaos-sharded:
-	COSOFT_SHARDS=4 $(MAKE) chaos
 
 # Kill-and-restart soak for the durable event log: a server with an always-sync
 # log is restarted repeatedly under live traffic while the clients ride through
 # on session resume; afterwards the log must hold every acknowledged event.
-# Runs race-checked, plain and with shards + batching forced.
 chaos-restart:
 	$(GO) test -race -run ChaosRestart -count=3 ./internal/server/
-	COSOFT_SHARDS=4 COSOFT_BATCH_LIMIT=8 $(GO) test -race -run ChaosRestart -count=3 ./internal/server/
 
 # Kill-and-restart soak with snapshots + compaction live underneath the
 # traffic: a tight snapshot cadence and tiny segments force continuous
 # snapshot writes and segment deletes while the server is killed repeatedly;
 # afterwards the directory must fsck clean, every client must still work
 # under its original identity, and the segment bytes left on disk must be
-# bounded below everything appended. Runs race-checked, plain and with
-# shards + batching forced.
+# bounded below everything appended.
 chaos-compact:
 	$(GO) test -race -run ChaosCompact -count=3 ./internal/server/
-	COSOFT_SHARDS=4 COSOFT_BATCH_LIMIT=8 $(GO) test -race -run ChaosCompact -count=3 ./internal/server/
 
 # Regenerates BENCH_obs.json (the metrics trajectory) along with the paper
 # benchmarks.

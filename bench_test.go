@@ -325,42 +325,14 @@ func BenchmarkEvent(b *testing.B) {
 		})
 	}
 
-	// The encode-once pair isolates the shared-body optimization: both
-	// variants batch (the PR 5 baseline), and differ only in whether the
-	// broadcast's Exec body is encoded once into a shared buffer or
-	// re-encoded per member. The trajectory rows record B/event and
-	// allocs/event alongside server.bytes_encoded, whose ~fanWidth-times
-	// drop is the optimization's signature.
-	for _, mode := range []string{"encode-once-off", "encode-once-on"} {
-		sopts := server.Options{BatchLimit: 64, DisableEncodeOnce: mode == "encode-once-off"}
-		b.Run(mode, func(b *testing.B) {
-			fanoutBench(b, "BenchmarkEvent/"+mode, sopts, true, false)
-		})
-	}
-
-	// The straggler-attribution pair isolates the per-member accounting the
-	// group health plane added to the ack hot path: both variants batch and
-	// run with metrics on (the realistic deployment), and differ only in
-	// whether each ExecAck charges its latency to the acking member's family
-	// entry. The entry pointer is cached per client at admission, so the on
-	// variant's cost is a handful of atomics per ack — the trajectory rows
-	// record the p50 RTT delta and the per-event allocation counts that gate
-	// the <5% overhead acceptance criterion.
-	for _, mode := range []string{"straggler-attr-off", "straggler-attr-on"} {
-		sopts := server.Options{BatchLimit: 64, DisableMemberAttribution: mode == "straggler-attr-off"}
-		b.Run(mode, func(b *testing.B) {
-			fanoutBench(b, "BenchmarkEvent/"+mode, sopts, true, false)
-		})
-	}
-
 	// The shards pair measures per-group parallelism: eight independent
-	// coupling groups driven concurrently, first against the classic single
-	// state loop and then with the group-scoped state partitioned across
-	// four shard loops. Groups never share locks, history or pending
-	// events, so on a multi-core host the sharded variant's throughput
-	// should approach min(4, GOMAXPROCS)× the single-loop row; the
-	// trajectory rows carry num_cpu so a one-core CI runner's flat result
-	// is not mistaken for a regression.
+	// coupling groups driven concurrently, first against a single shard loop
+	// and then with the group-scoped state partitioned across four. Groups
+	// never share locks, history or pending events, so on a multi-core host
+	// the four-shard variant's throughput should approach
+	// min(4, GOMAXPROCS)× the one-shard row; the trajectory rows carry
+	// num_cpu so a one-core CI runner's flat result is not mistaken for a
+	// regression.
 	for _, mode := range []string{"shards-1", "shards-4"} {
 		nshards := 1
 		if mode == "shards-4" {
@@ -796,7 +768,7 @@ func BenchmarkRestartReplay(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			srv := server.New(server.Options{EventLog: elog, ReplayTail: true})
+			srv := server.New(server.Options{EventLog: elog})
 			stats = srv.Stats()
 			srv.Close()
 			if err := elog.Close(); err != nil {
@@ -823,7 +795,7 @@ func BenchmarkRestartReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		srvPrep := server.New(server.Options{EventLog: elogPrep, ReplayTail: true})
+		srvPrep := server.New(server.Options{EventLog: elogPrep})
 		if err := srvPrep.Snapshot(); err != nil {
 			b.Fatal(err)
 		}
@@ -840,7 +812,7 @@ func BenchmarkRestartReplay(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			srv := server.New(server.Options{EventLog: elog, ReplayTail: true})
+			srv := server.New(server.Options{EventLog: elog})
 			stats = srv.Stats()
 			srv.Close()
 			if err := elog.Close(); err != nil {

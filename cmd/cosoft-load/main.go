@@ -17,7 +17,7 @@
 //
 //	cosoft-load [-groups 2] [-group-size 64] [-duration 5s] [-events 0]
 //	            [-rate 0] [-payload 24] [-batch-limit 32] [-batching]
-//	            [-shards 1] [-no-encode-once] [-no-member-attr]
+//	            [-shards 1]
 //	            [-faultnet "dup=0.01,delay=1ms,jitter=1ms"]
 //	            [-addr host:port] [-bench-out BENCH_obs.json] [-v]
 //
@@ -53,21 +53,19 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", "", "drive an external server at this address (empty = start an in-process server)")
-		groups       = flag.Int("groups", 2, "number of independent coupling groups")
-		groupSize    = flag.Int("group-size", 64, "members per group (origin included); every member is one TCP client")
-		duration     = flag.Duration("duration", 5*time.Second, "how long to generate load (ignored when -events > 0)")
-		events       = flag.Int("events", 0, "dispatch exactly this many events per group instead of running for -duration")
-		rate         = flag.Float64("rate", 0, "target events/sec per group (0 = as fast as floor control allows)")
-		payload      = flag.Int("payload", 24, "event payload size in bytes")
-		batchLimit   = flag.Int("batch-limit", 32, "in-process server batch limit (0 or 1 = batching disabled)")
-		batching     = flag.Bool("batching", true, "clients opt into the wire batch extension")
-		shards       = flag.Int("shards", 1, "in-process server shard count: per-coupling-group state loops (1 = classic single loop)")
-		noEncodeOnce = flag.Bool("no-encode-once", false, "in-process server re-encodes the Exec body per member (ablation)")
-		noMemberAttr = flag.Bool("no-member-attr", false, "in-process server skips per-member straggler attribution (ablation)")
-		faultSpec    = flag.String("faultnet", "", `faultnet profile for in-process server conns, e.g. "drop=0.01,dup=0.01,dropnth=0,delay=1ms,jitter=1ms,seed=1"`)
-		benchOut     = flag.String("bench-out", "", "append a row to this BENCH_obs.json trajectory (empty = report only)")
-		verbose      = flag.Bool("v", false, "log per-group progress")
+		addr       = flag.String("addr", "", "drive an external server at this address (empty = start an in-process server)")
+		groups     = flag.Int("groups", 2, "number of independent coupling groups")
+		groupSize  = flag.Int("group-size", 64, "members per group (origin included); every member is one TCP client")
+		duration   = flag.Duration("duration", 5*time.Second, "how long to generate load (ignored when -events > 0)")
+		events     = flag.Int("events", 0, "dispatch exactly this many events per group instead of running for -duration")
+		rate       = flag.Float64("rate", 0, "target events/sec per group (0 = as fast as floor control allows)")
+		payload    = flag.Int("payload", 24, "event payload size in bytes")
+		batchLimit = flag.Int("batch-limit", 32, "in-process server batch limit (1 = batching disabled)")
+		batching   = flag.Bool("batching", true, "clients opt into the wire batch extension")
+		shards     = flag.Int("shards", 1, "in-process server shard count: per-coupling-group state loops (0 = GOMAXPROCS)")
+		faultSpec  = flag.String("faultnet", "", `faultnet profile for in-process server conns, e.g. "drop=0.01,dup=0.01,dropnth=0,delay=1ms,jitter=1ms,seed=1"`)
+		benchOut   = flag.String("bench-out", "", "append a row to this BENCH_obs.json trajectory (empty = report only)")
+		verbose    = flag.Bool("v", false, "log per-group progress")
 	)
 	flag.Parse()
 	if *groups < 1 || *groupSize < 2 {
@@ -78,7 +76,6 @@ func main() {
 		addr: *addr, groups: *groups, groupSize: *groupSize,
 		duration: *duration, events: *events, rate: *rate, payload: *payload,
 		batchLimit: *batchLimit, batching: *batching, shards: *shards,
-		noEncodeOnce: *noEncodeOnce, noMemberAttr: *noMemberAttr,
 		faultSpec: *faultSpec, benchOut: *benchOut, verbose: *verbose,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "cosoft-load: %v\n", err)
@@ -87,21 +84,19 @@ func main() {
 }
 
 type config struct {
-	addr         string
-	groups       int
-	groupSize    int
-	duration     time.Duration
-	events       int
-	rate         float64
-	payload      int
-	batchLimit   int
-	batching     bool
-	shards       int
-	noEncodeOnce bool
-	noMemberAttr bool
-	faultSpec    string
-	benchOut     string
-	verbose      bool
+	addr       string
+	groups     int
+	groupSize  int
+	duration   time.Duration
+	events     int
+	rate       float64
+	payload    int
+	batchLimit int
+	batching   bool
+	shards     int
+	faultSpec  string
+	benchOut   string
+	verbose    bool
 }
 
 // groupResult is one group's share of the load: accepted events, floor
@@ -126,11 +121,9 @@ func run(cfg config) error {
 		}
 		reg = obs.NewRegistry()
 		srv = server.New(server.Options{
-			BatchLimit:               cfg.batchLimit,
-			Shards:                   cfg.shards,
-			DisableEncodeOnce:        cfg.noEncodeOnce,
-			DisableMemberAttribution: cfg.noMemberAttr,
-			Metrics:                  reg,
+			BatchLimit: cfg.batchLimit,
+			Shards:     cfg.shards,
+			Metrics:    reg,
 		})
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

@@ -23,11 +23,10 @@
 //
 //	cosoftd [-listen :7817] [-metrics-addr :9090] [-history 32]
 //	        [-ordered-locking] [-shards N] [-heartbeat 5s] [-event-deadline 10s]
-//	        [-outbox-limit 1024] [-batch-limit 32] [-no-encode-once]
-//	        [-no-member-attr] [-trace-buffer 4096]
+//	        [-outbox-limit 1024] [-batch-limit 32] [-trace-buffer 4096]
 //	        [-flight-depth 64] [-log-level info] [-v]
 //	        [-log-dir /var/lib/cosoft/log] [-log-sync interval]
-//	        [-log-segment-bytes 67108864] [-no-replay-tail]
+//	        [-log-segment-bytes 67108864]
 //	        [-log-snapshot-interval 1m] [-log-snapshot-bytes N]
 //
 // With -log-dir set, every state-mutating hop is appended to a durable
@@ -71,13 +70,11 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "HTTP address for the metrics/trace/expvar/pprof endpoints (empty = disabled)")
 	history := flag.Int("history", 0, "per-object historical-state depth (0 = default)")
 	ordered := flag.Bool("ordered-locking", false, "use deterministic-order group locking instead of the paper's sequential algorithm")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "number of per-coupling-group state loops (1 = classic single serialized loop)")
+	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "number of per-coupling-group state loops (default GOMAXPROCS)")
 	heartbeat := flag.Duration("heartbeat", 0, "liveness ping interval; silent clients are dropped after 3 intervals (0 = disabled)")
 	eventDeadline := flag.Duration("event-deadline", 0, "max wait for event acknowledgements before the group unlocks without the stragglers (0 = disabled)")
 	outboxLimit := flag.Int("outbox-limit", 0, "per-client outbox high-water mark; clients over it for more than a second are evicted (0 = unbounded)")
-	batchLimit := flag.Int("batch-limit", 0, "max envelopes packed into one Batch frame for batch-aware clients (0 or 1 = batching disabled)")
-	noEncodeOnce := flag.Bool("no-encode-once", false, "re-encode the Exec body per member on broadcast instead of sharing one encoded buffer (ablation; wire bytes are identical)")
-	noMemberAttr := flag.Bool("no-member-attr", false, "skip per-member straggler attribution on the ack path (ablation; /debug/groups reports topology only)")
+	batchLimit := flag.Int("batch-limit", 32, "max envelopes packed into one Batch frame for batch-aware clients (1 = batching disabled)")
 	traceBuffer := flag.Int("trace-buffer", obs.DefaultTraceBuffer, "causal-trace span ring size (0 = tracing disabled)")
 	flightDepth := flag.Int("flight-depth", obs.DefaultFlightDepth, "per-connection flight-recorder depth (0 = disabled)")
 	logLevel := flag.String("log-level", "", "structured log level: debug, info, warn or error (empty = logging disabled)")
@@ -87,7 +84,6 @@ func main() {
 	logSnapInterval := flag.Duration("log-snapshot-interval", 0, "with -log-dir: write a state snapshot and compact covered segments on this cadence (0 = disabled)")
 	logSnapBytes := flag.Int64("log-snapshot-bytes", 0, "with -log-dir: snapshot+compact once this many bytes were appended since the last snapshot (0 = disabled)")
 	logFsck := flag.Bool("log-fsck", false, "scan the -log-dir (or the positional argument) offline, report segment/record counts and CRC damage, and exit — nonzero on corruption")
-	noReplayTail := flag.Bool("no-replay-tail", false, "with -log-dir: do not replay the group event tail to late joiners at couple time")
 	verbose := flag.Bool("v", false, "log registrations and departures")
 	flag.Parse()
 
@@ -101,16 +97,14 @@ func main() {
 
 	metrics := obs.NewRegistry()
 	opts := server.Options{
-		HistoryDepth:             *history,
-		OrderedLocking:           *ordered,
-		Shards:                   *shards,
-		Heartbeat:                *heartbeat,
-		EventDeadline:            *eventDeadline,
-		OutboxLimit:              *outboxLimit,
-		BatchLimit:               *batchLimit,
-		Metrics:                  metrics,
-		DisableEncodeOnce:        *noEncodeOnce,
-		DisableMemberAttribution: *noMemberAttr,
+		HistoryDepth:   *history,
+		OrderedLocking: *ordered,
+		Shards:         *shards,
+		Heartbeat:      *heartbeat,
+		EventDeadline:  *eventDeadline,
+		OutboxLimit:    *outboxLimit,
+		BatchLimit:     *batchLimit,
+		Metrics:        metrics,
 	}
 	if *verbose {
 		logger := log.New(os.Stderr, "cosoftd: ", log.LstdFlags|log.Lmicroseconds)
@@ -154,7 +148,6 @@ func main() {
 		}
 		defer elog.Close()
 		opts.EventLog = elog
-		opts.ReplayTail = !*noReplayTail
 		opts.SnapshotInterval = *logSnapInterval
 		opts.SnapshotBytes = *logSnapBytes
 		fmt.Printf("cosoftd: durable event log in %s (sync=%s)\n", *logDir, sync)
@@ -203,7 +196,7 @@ func main() {
 	// registry's atomics remain readable.
 	snap := metrics.Snapshot()
 	fmt.Printf("cosoftd: served %d events (%d lock denials), %d copies\n",
-		snap.Counters["server.events"], snap.Counters["server.lock_failures"],
+		snap.Counters["server.events"], snap.Counters["lock.group_failures"],
 		snap.Counters["server.copies"])
 	if rtt := snap.Histograms["server.event_rtt_ns"]; rtt.Count > 0 {
 		fmt.Printf("cosoftd: event round trip p50=%.0fns p95=%.0fns p99=%.0fns max=%dns (outbox high water %d)\n",

@@ -3,8 +3,6 @@ package client
 import (
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -18,15 +16,10 @@ import (
 )
 
 // testServerOptions is the default option set for every test server in this
-// package. With COSOFT_SHARDS=<n> set, servers run that many state shards so
-// the whole client suite doubles as a sharding equivalence check (CI runs a
-// COSOFT_SHARDS=4 leg).
+// package: the product configuration, with the shard count pinned so
+// cross-shard migration coverage does not depend on the runner's core count.
 func testServerOptions() server.Options {
-	var opts server.Options
-	if n, _ := strconv.Atoi(os.Getenv("COSOFT_SHARDS")); n > 0 {
-		opts.Shards = n
-	}
-	return opts
+	return server.Options{Shards: 4}
 }
 
 // dial spins a private server and connects one client to it.
@@ -50,7 +43,7 @@ func dial(t *testing.T, spec string) (*Client, *server.Server) {
 	}
 	c, err := New(link.A, Options{
 		AppType: "unit", User: "u", Host: "h", Registry: reg,
-		RPCTimeout: 5 * time.Second,
+		RPCTimeout: 5 * time.Second, Batching: true,
 	})
 	if err != nil {
 		t.Fatal(err)

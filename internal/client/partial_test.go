@@ -13,7 +13,8 @@ import (
 	"cosoft/internal/wire"
 )
 
-// twoClients connects two clients with distinct specs to one server.
+// twoClients connects two clients with distinct specs to one server: the
+// first opts into the batch extension, the second is a plain peer.
 func twoClients(t *testing.T, specA, specB string) (*Client, *Client) {
 	t.Helper()
 	srv := server.New(testServerOptions())
@@ -22,7 +23,7 @@ func twoClients(t *testing.T, specA, specB string) (*Client, *Client) {
 		srv.Close()
 		wg.Wait()
 	})
-	mk := func(spec string) *Client {
+	mk := func(spec string, batching bool) *Client {
 		link := netsim.NewLink(0)
 		wg.Add(1)
 		go func() {
@@ -32,14 +33,14 @@ func twoClients(t *testing.T, specA, specB string) (*Client, *Client) {
 		reg := widget.NewRegistry()
 		widget.MustBuild(reg, "/", spec)
 		c, err := New(link.A, Options{AppType: "p", User: "u", Host: "h",
-			Registry: reg, RPCTimeout: 5 * time.Second})
+			Registry: reg, RPCTimeout: 5 * time.Second, Batching: batching})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(c.Close)
 		return c
 	}
-	return mk(specA), mk(specB)
+	return mk(specA, true), mk(specB, false)
 }
 
 func TestCoupleTreePartial(t *testing.T) {

@@ -34,12 +34,6 @@ type ReconnectOptions struct {
 	// re-declaration, re-coupling and the post-resume state pull have
 	// finished, with the first error encountered (nil on a clean resync).
 	OnResync func(err error)
-	// SkipStatePull suppresses the per-object CopyFrom from a surviving
-	// peer after resume. Set it when the server replays the group's durable
-	// event-log tail to late joiners (server Options.ReplayTail) — the
-	// catch-up then arrives as ordinary Execs and the blocking pull from a
-	// live peer is redundant.
-	SkipStatePull bool
 }
 
 // permanentError marks reconnect failures that retrying cannot fix.
@@ -259,20 +253,15 @@ func (c *Client) resync() {
 			fail(fmt.Errorf("re-couple %s -> %s: %w", l.From, l.To, err))
 		}
 	}
-	// With SkipStatePull the re-coupling above already triggered the
-	// server's log-tail replay: recent group events arrive as ordinary
-	// Execs, so no live peer needs to serve a blocking state capture.
-	if !c.opts.Reconnect.SkipStatePull {
-		for _, p := range paths {
-			for _, peer := range c.links.CO(c.Ref(p)) {
-				if peer.Instance == c.id {
-					continue
-				}
-				if err := c.callOK(wire.CopyFrom{From: peer, ToPath: p}); err != nil {
-					fail(fmt.Errorf("state pull for %s: %w", p, err))
-				}
-				break
+	for _, p := range paths {
+		for _, peer := range c.links.CO(c.Ref(p)) {
+			if peer.Instance == c.id {
+				continue
 			}
+			if err := c.callOK(wire.CopyFrom{From: peer, ToPath: p}); err != nil {
+				fail(fmt.Errorf("state pull for %s: %w", p, err))
+			}
+			break
 		}
 	}
 

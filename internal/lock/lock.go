@@ -204,16 +204,16 @@ func (t *Table) ReleaseInstance(id couple.InstanceID) []couple.ObjectRef {
 	return out
 }
 
-// Extract removes and returns every held entry whose ref is in refs or whose
-// owner is in owners (either set may be nil). It is the donor half of a
-// cross-shard group migration: the extracted entries are Installed into the
-// receiving shard's table so the merged group serializes on one table.
-func (t *Table) Extract(refs map[couple.ObjectRef]bool, owners map[Owner]bool) map[couple.ObjectRef]Owner {
+// Extract removes and returns every held entry whose owner is in owners. It
+// is the donor half of a cross-shard group migration: the locks of the
+// migrating events are Installed into the receiving shard's table, so an
+// event and the locks it holds always live on the same shard.
+func (t *Table) Extract(owners map[Owner]bool) map[couple.ObjectRef]Owner {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make(map[couple.ObjectRef]Owner)
 	for ref, cur := range t.held {
-		if refs[ref] || owners[cur] {
+		if owners[cur] {
 			delete(t.held, ref)
 			out[ref] = cur
 		}
@@ -221,10 +221,10 @@ func (t *Table) Extract(refs map[couple.ObjectRef]bool, owners map[Owner]bool) m
 	return out
 }
 
-// Install adds extracted entries to the table. Entries for refs already held
-// must not occur (the migration protocol guarantees the receiving shard has
-// processed no event on the migrating refs yet); an existing entry is
-// overwritten rather than merged.
+// Install adds extracted entries to the table. An existing entry for the
+// same ref is overwritten: it can only belong to an older event of a group
+// the ref has since left, whose unlock then finds a foreign owner and
+// releases nothing.
 func (t *Table) Install(m map[couple.ObjectRef]Owner) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

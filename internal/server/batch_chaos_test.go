@@ -12,10 +12,9 @@ import (
 )
 
 // Batch-mode chaos scenarios: the packed fan-out path under injected
-// faults. Beyond these, `make chaos` runs the entire chaos suite a second
-// time with COSOFT_BATCH_LIMIT set, so every pre-existing failure scenario
-// (hang, partition, eviction, reconnect, mid-event disconnect) also soaks
-// against a batching server with batch-aware clients.
+// faults. Every other chaos scenario (hang, partition, eviction, reconnect,
+// mid-event disconnect) also runs against a batching server with batch-aware
+// clients: that is the harness default.
 
 // TestChaosBatchedDupDelayPreservesEventOrder drives a sequence of events
 // through a batching server over a link that duplicates every frame and

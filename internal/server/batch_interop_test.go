@@ -62,8 +62,8 @@ func (s *snoopConn) rawFrameTypes(t *testing.T) []uint16 {
 
 // dialSnooped is harness.dial with the server side wrapped in a fault
 // injector and the client side wrapped in a byte recorder. The batch opt-in
-// is taken verbatim from copts (no COSOFT_BATCH_LIMIT override): interop
-// tests need a client that is genuinely legacy.
+// is taken verbatim from copts: interop tests need a client that is
+// genuinely legacy.
 func (h *harness) dialSnooped(appType, user, spec string, copts client.Options) (*client.Client, *faultnet.Conn, *snoopConn) {
 	h.t.Helper()
 	reg := widget.NewRegistry()
@@ -91,6 +91,7 @@ func (h *harness) dialSnooped(appType, user, spec string, copts client.Options) 
 	}
 	h.t.Cleanup(c.Close)
 	h.t.Cleanup(func() { fc.Close() })
+	h.onTeardown()
 	return c, fc, snoop
 }
 

@@ -39,7 +39,7 @@ func TestChaosCompactSoak(t *testing.T) {
 	specs := []struct{ user, val string }{{"u1", "a"}, {"u2", "b"}, {"u3", "c"}}
 	clients := make([]*client.Client, len(specs))
 	for i, sp := range specs {
-		clients[i] = d.dial("app", sp.user, `textfield x value=""`)
+		clients[i] = d.dial("app", sp.user, `textfield x value=""`, i > 0) // one plain peer
 		mustOK(t, clients[i].Declare("/x"))
 	}
 	for i := 1; i < len(clients); i++ {

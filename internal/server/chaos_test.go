@@ -45,9 +45,7 @@ func (h *harness) dialChaos(appType, user, spec string, copts client.Options, sc
 	if copts.RPCTimeout == 0 {
 		copts.RPCTimeout = 5 * time.Second
 	}
-	if envBatchLimit > 0 {
-		copts.Batching = true
-	}
+	copts.Batching = true
 	c, err := client.New(link.A, copts)
 	if err != nil {
 		h.t.Fatalf("dial %s: %v", appType, err)
@@ -56,6 +54,7 @@ func (h *harness) dialChaos(appType, user, spec string, copts client.Options, sc
 	// Runs before c.Close (LIFO): a still-faulty connection must not stall
 	// the orderly Deregister wait.
 	h.t.Cleanup(func() { fc.Close() })
+	h.onTeardown()
 	return c, fc
 }
 
@@ -83,7 +82,7 @@ func TestChaosHungMemberMidEvent(t *testing.T) {
 	h := newHarness(t, server.Options{EventDeadline: 150 * time.Millisecond})
 	spec := `textfield note value=""`
 	a := h.dial("editor", "alice", spec, client.Options{})
-	b := h.dial("editor", "bob", spec, client.Options{})
+	b := h.dialPlain("editor", "bob", spec, client.Options{})
 	c, fc := h.dialChaos("editor", "carol", spec, client.Options{}, faultnet.Schedule{})
 
 	mustOK(t, a.Declare("/note"))

@@ -20,9 +20,7 @@ package server
 
 import (
 	"fmt"
-	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -39,13 +37,6 @@ import (
 	"cosoft/internal/netsim"
 )
 
-// crashShards mirrors the external harness's COSOFT_SHARDS hook so the CI
-// sharded soak sweeps the crash points through the multi-loop server too.
-var crashShards = func() int {
-	n, _ := strconv.Atoi(os.Getenv("COSOFT_SHARDS"))
-	return n
-}()
-
 // crashRig is an in-package client harness (the white-box twin of the
 // server_test harness; a separate type because this file needs Server
 // internals for the state digest).
@@ -59,7 +50,7 @@ type crashRig struct {
 func newCrashRig(t *testing.T, opts Options) *crashRig {
 	t.Helper()
 	if opts.Shards == 0 {
-		opts.Shards = crashShards
+		opts.Shards = HarnessShards
 	}
 	return &crashRig{t: t, srv: New(opts), cl: make(map[string]*coclient.Client)}
 }

@@ -1,9 +1,9 @@
 package server_test
 
 // Durable-log end-to-end tests: server restarts that are invisible to
-// resuming clients, the session-token lifecycle across a restart, late-join
-// catch-up from the replayed log tail, and a chaos soak that kills and
-// restarts the server repeatedly under live traffic.
+// resuming clients, the session-token lifecycle across a restart, and a
+// chaos soak that kills and restarts the server repeatedly under live
+// traffic.
 
 import (
 	"net"
@@ -37,6 +37,8 @@ type durableServer struct {
 	srv  *server.Server
 	elog *eventlog.Log
 	wg   sync.WaitGroup
+
+	floorChecked sync.Once
 }
 
 func newDurableServer(t *testing.T, opts server.Options) *durableServer {
@@ -48,12 +50,8 @@ func newDurableServer(t *testing.T, opts server.Options) *durableServer {
 func newDurableLogServer(t *testing.T, opts server.Options, logOpts eventlog.Options) *durableServer {
 	t.Helper()
 	if opts.Shards == 0 {
-		opts.Shards = envShards
+		opts.Shards = server.HarnessShards
 	}
-	if opts.BatchLimit == 0 {
-		opts.BatchLimit = envBatchLimit
-	}
-	opts.ReplayTail = true
 	d := &durableServer{t: t, dir: t.TempDir(), opts: opts, logOpts: logOpts}
 	d.start()
 	t.Cleanup(func() {
@@ -104,14 +102,19 @@ func (d *durableServer) restart() {
 	d.start()
 }
 
+// current returns the running incarnation (nil between stop and start).
+func (d *durableServer) current() *server.Server {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.srv
+}
+
 // dialConn opens an in-process connection to the current incarnation. During
 // the instant between stop and start the old server still answers (and
 // immediately drops the conn), which is exactly the refused-dial window a
 // reconnecting client retries through.
 func (d *durableServer) dialConn() (net.Conn, error) {
-	d.mu.Lock()
-	srv := d.srv
-	d.mu.Unlock()
+	srv := d.current()
 	link := netsim.NewLink(0)
 	if srv == nil {
 		link.B.Close()
@@ -126,9 +129,8 @@ func (d *durableServer) dialConn() (net.Conn, error) {
 }
 
 // dial connects a reconnect-enabled client that resumes by session token
-// across restarts and relies on the server's log-tail replay instead of a
-// peer state pull.
-func (d *durableServer) dial(appType, user, spec string) *client.Client {
+// across restarts; batching says whether it opts into the batch extension.
+func (d *durableServer) dial(appType, user, spec string, batching bool) *client.Client {
 	d.t.Helper()
 	reg := widget.NewRegistry()
 	if spec != "" {
@@ -138,19 +140,26 @@ func (d *durableServer) dial(appType, user, spec string) *client.Client {
 	c, err := client.New(conn, client.Options{
 		AppType: appType, User: user, Host: "durable", Registry: reg,
 		RPCTimeout: 5 * time.Second,
-		Batching:   envBatchLimit > 0,
+		Batching:   batching,
 		Reconnect: &client.ReconnectOptions{
-			Dial:          d.dialConn,
-			MaxAttempts:   50,
-			BaseDelay:     2 * time.Millisecond,
-			MaxDelay:      50 * time.Millisecond,
-			SkipStatePull: true,
+			Dial:        d.dialConn,
+			MaxAttempts: 50,
+			BaseDelay:   2 * time.Millisecond,
+			MaxDelay:    50 * time.Millisecond,
 		},
 	})
 	if err != nil {
 		d.t.Fatalf("dial %s: %v", user, err)
 	}
 	d.t.Cleanup(c.Close)
+	// The floor-lock teardown check, ahead of the first client Close.
+	d.t.Cleanup(func() {
+		d.floorChecked.Do(func() {
+			if srv := d.current(); srv != nil {
+				checkFloorLock(d.t, srv)
+			}
+		})
+	})
 	return c
 }
 
@@ -223,11 +232,11 @@ func (rc *rawConn) resume(tok string) couple.InstanceID {
 
 // TestRestartResumeInvisible kills the server mid-session and restarts it
 // from the log: both clients resume by token, their declarations, coupling
-// and event flow intact — no re-registration, no state pull from a peer.
+// and event flow intact — no re-registration.
 func TestRestartResumeInvisible(t *testing.T) {
 	d := newDurableServer(t, server.Options{})
-	a := d.dial("editor", "alice", `textfield note value=""`)
-	b := d.dial("editor", "bob", `textfield note value=""`)
+	a := d.dial("editor", "alice", `textfield note value=""`, true)
+	b := d.dial("editor", "bob", `textfield note value=""`, true)
 	mustOK(t, a.Declare("/note"))
 	mustOK(t, b.Declare("/note"))
 	mustOK(t, a.Couple("/note", b.Ref("/note")))
@@ -303,55 +312,6 @@ func TestSessionTokenLifecycleAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestLateJoinReplaysLogTail: a client that couples into an active group
-// converges through replayed Exec events from the group's retained log tail,
-// with no CopyFrom state pull — including a joiner arriving only after a
-// server restart, whose tail was rebuilt purely from the log.
-func TestLateJoinReplaysLogTail(t *testing.T) {
-	d := newDurableServer(t, server.Options{})
-	a := d.dial("app", "u1", `textfield x value=""`)
-	b := d.dial("app", "u2", `textfield x value=""`)
-	mustOK(t, a.Declare("/x"))
-	mustOK(t, b.Declare("/x"))
-	mustOK(t, a.Couple("/x", b.Ref("/x")))
-	waitFor(t, "coupled", func() bool { return a.Coupled("/x") && b.Coupled("/x") })
-
-	for _, v := range []string{"v1", "v2", "v3"} {
-		v := v
-		waitFor(t, "dispatch "+v, func() bool {
-			return a.DispatchChecked(&widget.Event{
-				Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String(v)},
-			}) == nil
-		})
-	}
-	waitFor(t, "B converged live", func() bool {
-		return attrOf(t, b, "/x", widget.AttrValue).AsString() == "v3"
-	})
-
-	// C joins late: coupling alone must deliver the tail as ordinary Execs.
-	c := d.dial("app", "u3", `textfield x value=""`)
-	mustOK(t, c.Declare("/x"))
-	mustOK(t, c.Couple("/x", a.Ref("/x")))
-	waitFor(t, "late joiner caught up from log tail", func() bool {
-		return attrOf(t, c, "/x", widget.AttrValue).AsString() == "v3"
-	})
-
-	// Restart: the tail now exists only in the log. A joiner arriving after
-	// replay must still catch up the same way.
-	d.restart()
-	waitFor(t, "A resumed", func() bool {
-		return a.DispatchChecked(&widget.Event{
-			Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("v4")},
-		}) == nil
-	})
-	e := d.dial("app", "u4", `textfield x value=""`)
-	mustOK(t, e.Declare("/x"))
-	mustOK(t, e.Couple("/x", a.Ref("/x")))
-	waitFor(t, "post-restart joiner caught up from replayed tail", func() bool {
-		return attrOf(t, e, "/x", widget.AttrValue).AsString() == "v4"
-	})
-}
-
 // TestChaosRestartSoak (make chaos-restart) kills and restarts the server
 // repeatedly under live traffic. Clients ride through on session-token
 // resume; afterwards every client must still be functional under its
@@ -364,7 +324,7 @@ func TestChaosRestartSoak(t *testing.T) {
 	specs := []struct{ user, val string }{{"u1", "a"}, {"u2", "b"}, {"u3", "c"}}
 	clients := make([]*client.Client, len(specs))
 	for i, sp := range specs {
-		clients[i] = d.dial("app", sp.user, `textfield x value=""`)
+		clients[i] = d.dial("app", sp.user, `textfield x value=""`, i > 0) // one plain peer
 		mustOK(t, clients[i].Declare("/x"))
 	}
 	for i := 1; i < len(clients); i++ {

@@ -48,14 +48,12 @@ type pendingEvent struct {
 // "client.event_send" span); every hop recorded here descends from it.
 func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc obs.TraceContext) {
 	source := couple.ObjectRef{Instance: cl.id, Path: m.Path}
-	if s.sharded {
-		// Ownership recheck: the group may have migrated between the read
-		// goroutine's routing decision and this closure running. Forward to
-		// the current owner rather than touching the wrong shard's state.
-		if own := s.shardForRef(source); own != sh {
-			s.postShard(own, func() { s.handleEvent(own, cl, seq, m, tc) })
-			return
-		}
+	// Ownership recheck: the group may have migrated between the read
+	// goroutine's routing decision and this closure running. Forward to the
+	// current owner rather than touching the wrong shard's state.
+	if own := s.shardForRef(source); own != sh {
+		s.postShard(own, func() { s.handleEvent(own, cl, seq, m, tc) })
+		return
 	}
 	s.mEvents.Inc()
 	sh.mEvents.Inc()
@@ -79,16 +77,14 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 	}
 
 	// Event IDs interleave across shards: shard i allocates i+1, i+1+N,
-	// i+1+2N, … so IDs stay globally unique, the birth shard is recoverable
-	// as (id-1) mod N, and a single shard counts 1,2,3… exactly as the
-	// unsharded server did.
+	// i+1+2N, … so IDs stay globally unique and the birth shard is
+	// recoverable as (id-1) mod N.
 	sh.seq++
 	eventID := (sh.seq-1)*uint64(len(s.shards)) + uint64(sh.idx) + 1
 	owner := lock.Owner{Instance: cl.id, Seq: eventID}
 	ok, _ := s.lockGroup(sh.locks, actx, members, owner)
 	if !ok {
 		// Lock failed: the origin must undo the event's syntactic feedback.
-		s.mLockFails.Inc()
 		s.slog.Debug("event denied: group locked",
 			"inst", string(cl.id), "path", m.Path, "event", m.Name, "trace", tc.Trace)
 		cl.out.send(wire.Envelope{
@@ -106,17 +102,13 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 	// the replayable stream. The append runs on this shard's loop but the
 	// file I/O happens on the log's writer goroutine; concurrent shards
 	// group-commit into one write+fsync.
-	exec := wire.Exec{
+	s.logAppend(eventlog.KindEvent, cl.id, stateID(source), wire.Exec{
 		EventID:    eventID,
 		TargetPath: m.Path,
 		Name:       m.Name,
 		Args:       m.Args,
 		Origin:     source,
-	}
-	s.logAppend(eventlog.KindEvent, cl.id, stateID(source), exec)
-	if s.opts.ReplayTail {
-		sh.pushTail(source, exec)
-	}
+	})
 
 	pe := &pendingEvent{
 		origin:  cl.id,
@@ -133,11 +125,8 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 	// each member's outbox queues a reference and splices it in at flush, so
 	// the broadcast costs O(1) body encodes regardless of fan-out.
 	s.notifyLockChange(actx, members, true, source)
-	var se *wire.SharedExec
-	if !s.opts.DisableEncodeOnce {
-		se = wire.NewSharedExec(eventID, m.Name, m.Args, source)
-		s.mBytesEncoded.Add(uint64(se.TailLen()))
-	}
+	se := wire.NewSharedExec(eventID, m.Name, m.Args, source)
+	s.mBytesEncoded.Add(uint64(se.TailLen()))
 	fanout := 0
 	for _, member := range members {
 		target, connected := s.clientOf(member.Instance)
@@ -149,26 +138,11 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 			execTC = s.tr.Point(actx, "server.exec_send", "server",
 				string(member.Instance)+" "+member.Path)
 		}
-		if se != nil {
-			target.out.sendShared(wire.Envelope{Trace: execTC}, member.Path, se)
-		} else {
-			target.out.send(wire.Envelope{
-				Trace: execTC,
-				Msg: wire.Exec{
-					EventID:    eventID,
-					TargetPath: member.Path,
-					Name:       m.Name,
-					Args:       m.Args,
-					Origin:     source,
-				},
-			})
-		}
+		target.out.sendShared(wire.Envelope{Trace: execTC}, member.Path, se)
 		fanout++
 		pe.waiting[member.Instance]++
 	}
-	if se != nil {
-		se.Release()
-	}
+	se.Release()
 	s.mExecsSent.Add(uint64(fanout))
 	s.mFanout.Observe(int64(fanout))
 	cl.out.send(wire.Envelope{
@@ -219,25 +193,10 @@ func (s *Server) timeoutEvent(sh *shard, id uint64) {
 	s.finishEvent(sh, id, pe, true)
 }
 
-// handleBatchAck resolves a coalesced run of Exec acknowledgements. Each
-// entry carries its own event ID and apply-span context, so resolving the
-// run entry by entry is identical to receiving the same ExecAcks singly —
-// including the stale-ack tolerance: an entry for an event already resolved
-// by a deadline or disconnect is skipped without disturbing its batch-mates.
-// (Sharded servers split BatchAcks per birth shard in dispatchEnv and never
-// reach this path.)
-func (s *Server) handleBatchAck(sh *shard, cl *client, m wire.BatchAck) {
-	s.mAcksCoalesced.Add(uint64(len(m.Acks)))
-	now := s.ackClock()
-	for _, a := range m.Acks {
-		s.ackExec(sh, cl, a.EventID, a.Trace, now)
-	}
-}
-
 // ackClock reads the clock once for a coalesced run of acks, so per-member
 // latency attribution costs one clock read per BatchAck frame rather than one
-// per entry. Zero when attribution is off — ackExec then reads the clock
-// itself if metrics need it (and skips it entirely when they are disabled).
+// per entry. Zero when metrics are disabled — ackExec then never reads the
+// clock either.
 func (s *Server) ackClock() time.Time {
 	if s.mMember == nil {
 		return time.Time{}
@@ -270,8 +229,8 @@ func (s *Server) ackExec(sh *shard, cl *client, eventID uint64, tc obs.TraceCont
 	// now) to the acking member, and when the wait set just emptied, credit
 	// it as the event's last acker — the member the whole group blocked on.
 	// cl.health is the entry cached at admission, so this is lock-free; it
-	// is nil when attribution or metrics are disabled, and pe.start is zero
-	// then too, so the clock is never read on the disabled path.
+	// is nil when metrics are disabled, and pe.start is zero then too, so
+	// the clock is never read on the disabled path.
 	if e := cl.health; e != nil && !pe.start.IsZero() {
 		if now.IsZero() {
 			now = time.Now()
@@ -293,9 +252,6 @@ func (s *Server) ackExec(sh *shard, cl *client, eventID uint64, tc obs.TraceCont
 // sh's map: a migrated event leaves a forwarding entry in the router until
 // it resolves. Without an entry the miss is final (stale ack / stale timer).
 func (s *Server) forwardEventMiss(sh *shard, id uint64, op func(*shard)) {
-	if !s.sharded {
-		return
-	}
 	if idx, ok := s.router.eventShard(id); ok && s.shards[idx] != sh {
 		to := s.shards[idx]
 		s.postShard(to, func() { op(to) })

@@ -1,0 +1,23 @@
+package server
+
+import "cosoft/internal/couple"
+
+// Test-only views of shard placement and the lock tables for the external
+// server_test package.
+
+// HarnessShards is the shard count of every test server whose test does not
+// ask for one: the product topology, pinned so cross-shard migration
+// coverage does not depend on the runner's core count.
+const HarnessShards = 4
+
+// ShardOf returns the index of the shard that currently owns ref.
+func (s *Server) ShardOf(ref couple.ObjectRef) int { return s.shardForRef(ref).idx }
+
+// LocksHeld counts the lock entries across every shard's table.
+func (s *Server) LocksHeld() int {
+	n := 0
+	for _, sh := range s.shards {
+		n += sh.locks.Len()
+	}
+	return n
+}

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"cosoft/internal/couple"
 	"cosoft/internal/eventlog"
@@ -13,8 +12,9 @@ import (
 	"cosoft/internal/wire"
 )
 
-// handle dispatches one message from a registered client. It runs on the
-// state loop.
+// handle dispatches one control-plane message from a registered client. It
+// runs on the global loop; dispatchEnv routes Event, ExecAck and BatchAck
+// straight to the shard loops, so they never reach it.
 func (s *Server) handle(cl *client, env wire.Envelope) {
 	switch m := env.Msg.(type) {
 	case wire.Declare:
@@ -39,15 +39,6 @@ func (s *Server) handle(cl *client, env wire.Envelope) {
 		s.handleCouple(cl, env.Seq, m)
 	case wire.Decouple:
 		s.handleDecouple(cl, env.Seq, m)
-	case wire.Event:
-		// Reached only on a single-shard server: when sharded, dispatchEnv
-		// routes event traffic straight to the owning shard loop and handle
-		// never sees these three message types.
-		s.handleEvent(s.shards[0], cl, env.Seq, m, env.Trace)
-	case wire.ExecAck:
-		s.ackExec(s.shards[0], cl, m.EventID, env.Trace, time.Time{})
-	case wire.BatchAck:
-		s.handleBatchAck(s.shards[0], cl, m)
 	case wire.CopyTo:
 		s.handleCopyTo(cl, env.Seq, m)
 	case wire.CopyFrom:
@@ -134,10 +125,7 @@ func (s *Server) handleRetract(cl *client, seq uint64, m wire.Retract) {
 		s.notifyLink(members, l, false)
 	}
 	s.reg.RetractObject(cl.id, m.Path)
-	s.runOnShard(sh, func() {
-		sh.history.Forget(ref)
-		delete(sh.tails, ref)
-	})
+	s.postShard(sh, func() { sh.history.Forget(ref) })
 	s.router.dropRef(ref)
 	s.logAppend(eventlog.KindRetract, cl.id, "", m)
 	s.reply(cl, seq, nil)
@@ -174,24 +162,13 @@ func (s *Server) coupleRefs(cl *client, from, to couple.ObjectRef) error {
 		return fmt.Errorf("server: classes %q and %q are not compatible", classFrom, classTo)
 	}
 	l := couple.Link{From: from, To: to, Creator: cl.id}
-	// Snapshot the two pre-merge groups: after AddLink they are one group,
-	// and the late-join tail replay needs to know which members are new to
-	// which side's event stream.
-	var gFrom, gTo []couple.ObjectRef
-	if s.opts.ReplayTail {
-		gFrom = s.graph.Group(from)
-		gTo = s.graph.Group(to)
-	}
-	if s.sharded {
-		// Co-locate the two endpoint groups before the link merges them:
-		// every member of one coupling group serializes on one shard loop.
-		s.mergeShards(from, to)
-	}
+	// Co-locate the two endpoint groups before the link merges them: every
+	// member of one coupling group serializes on one shard loop.
+	s.mergeShards(from, to)
 	if err := s.graph.AddLink(l); err != nil {
 		return err
 	}
 	s.logAppend(eventlog.KindCouple, cl.id, stateID(from), wire.Couple{From: from, To: to})
-	s.replayTails(gFrom, gTo)
 	// Replicate the complete transitive closure: every instance owning a
 	// member of the merged group receives every link of the group, so that
 	// "objects already connected to o2 are added to the list of targets, and
@@ -381,7 +358,7 @@ func (s *Server) dropClient(cl *client, reason string) {
 	// and its locks and histories are dropped.
 	for _, sh := range s.shards {
 		sh := sh
-		s.runOnShard(sh, func() {
+		s.postShard(sh, func() {
 			for id, pe := range sh.pending {
 				if pe.origin == cl.id {
 					s.finishEvent(sh, id, pe, false)
@@ -396,11 +373,6 @@ func (s *Server) dropClient(cl *client, reason string) {
 			}
 			sh.locks.ReleaseInstance(cl.id)
 			sh.history.ForgetInstance(cl.id)
-			for ref := range sh.tails {
-				if ref.Instance == cl.id {
-					delete(sh.tails, ref)
-				}
-			}
 		})
 	}
 	// Resolve pending state fetches involving the instance.

@@ -52,8 +52,8 @@ type GroupHealth struct {
 	// acknowledgements.
 	PendingEvents int `json:"pending_events"`
 	// Straggler names the member with the highest ack-latency EWMA — the
-	// chronic critical path ("" until someone has acked, or when member
-	// attribution is disabled).
+	// chronic critical path ("" until someone has acked, or when metrics are
+	// disabled).
 	Straggler string `json:"straggler,omitempty"`
 	// Members holds one entry per distinct instance in the group, sorted by
 	// ack-latency EWMA descending (slowest first).
@@ -72,10 +72,8 @@ type LoopHealth struct {
 	// deepest backlog ever sampled.
 	QueueDepth     int64 `json:"queue_depth"`
 	QueueHighWater int64 `json:"queue_high_water"`
-	// Events counts events processed by this shard loop (0 for "global",
-	// whose event work is counted by the shards — except with one shard,
-	// where shard 0 shares the global loop and the split is the reverse:
-	// busy time accrues to "global" and events to "shard.0").
+	// Events counts events processed by this shard loop (0 for "global":
+	// event work runs on, and is counted by, the shard loops).
 	Events uint64 `json:"events"`
 	// PendingEvents counts this shard's events still awaiting acks (always
 	// 0 for "global": pending state lives on shards).
@@ -86,8 +84,9 @@ type LoopHealth struct {
 type HealthReport struct {
 	// UptimeNS is time since the server started.
 	UptimeNS int64 `json:"uptime_ns"`
-	// MemberAttribution reports whether the per-member family is active;
-	// when false every member's stats read zero by construction.
+	// MemberAttribution reports whether the per-member family is active
+	// (it is unless the server runs under obs.Disabled); when false every
+	// member's stats read zero by construction.
 	MemberAttribution bool `json:"member_attribution"`
 	// Loops lists the global loop first, then each shard loop.
 	Loops []LoopHealth `json:"loops"`

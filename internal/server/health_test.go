@@ -7,6 +7,7 @@ import (
 	"cosoft/internal/attr"
 	"cosoft/internal/client"
 	"cosoft/internal/faultnet"
+	"cosoft/internal/obs"
 	"cosoft/internal/server"
 	"cosoft/internal/widget"
 )
@@ -18,7 +19,7 @@ import (
 func TestHealthStragglerAttribution(t *testing.T) {
 	h := newHarness(t, server.Options{})
 	a := h.dial("editor", "alice", `textfield note value=""`, client.Options{})
-	b := h.dial("editor", "bob", `textfield note value=""`, client.Options{})
+	b := h.dialPlain("editor", "bob", `textfield note value=""`, client.Options{})
 	// Every Exec the server sends toward C is held back 25ms, so C's acks
 	// arrive a full delay after A's and B's.
 	c, _ := h.dialChaos("editor", "carol", `textfield note value=""`, client.Options{},
@@ -94,13 +95,13 @@ func TestHealthStragglerAttribution(t *testing.T) {
 		t.Errorf("straggler quantiles p50=%.0f p99=%.0f", slow.AckP50NS, slow.AckP99NS)
 	}
 
-	// Loop accounting: the global loop (which carries shard 0 when
-	// unsharded) must have accumulated busy time and sane utilization.
+	// Loop accounting: the global loop (registration, coupling) and the
+	// shard loops (events, acks) must each have accumulated busy time.
 	if len(rep.Loops) < 2 || rep.Loops[0].Name != "global" {
 		t.Fatalf("loops = %+v", rep.Loops)
 	}
 	gl := rep.Loops[0]
-	if envShards <= 1 && gl.BusyNS == 0 {
+	if gl.BusyNS == 0 {
 		t.Error("global loop busy_ns = 0 after traffic")
 	}
 	if gl.Utilization < 0 || gl.Utilization > 1 {
@@ -114,8 +115,8 @@ func TestHealthStragglerAttribution(t *testing.T) {
 	if shardEvents != events {
 		t.Errorf("shard events = %d, want %d", shardEvents, events)
 	}
-	if envShards > 1 && shardBusy == 0 {
-		t.Error("sharded loops busy_ns = 0 after traffic")
+	if shardBusy == 0 {
+		t.Error("shard loops busy_ns = 0 after traffic")
 	}
 }
 
@@ -152,10 +153,10 @@ func TestHealthTimeoutAttribution(t *testing.T) {
 	}
 }
 
-// TestHealthAttributionDisabled runs the same traffic with the ablation
-// switch set and asserts the family stays inert while topology still reports.
+// TestHealthAttributionDisabled runs the same traffic with metrics disabled
+// and asserts the family stays inert while topology still reports.
 func TestHealthAttributionDisabled(t *testing.T) {
-	h := newHarness(t, server.Options{DisableMemberAttribution: true})
+	h := newHarness(t, server.Options{Metrics: obs.Disabled})
 	a := h.dial("editor", "alice", `textfield note value=""`, client.Options{})
 	b := h.dial("editor", "bob", `textfield note value=""`, client.Options{})
 

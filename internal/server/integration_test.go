@@ -21,24 +21,6 @@ import (
 	"cosoft/internal/wire"
 )
 
-// envBatchLimit lets CI soak the whole suite in batched mode: when
-// COSOFT_BATCH_LIMIT=<n> is set, every harness server defaults to that
-// BatchLimit and every dialed client opts into the batch extension, so all
-// integration and chaos scenarios exercise the packed fan-out path.
-var envBatchLimit = func() int {
-	n, _ := strconv.Atoi(os.Getenv("COSOFT_BATCH_LIMIT"))
-	return n
-}()
-
-// envShards lets CI soak the whole suite in sharded mode: when
-// COSOFT_SHARDS=<n> is set, every harness server defaults to that shard
-// count, so all integration and chaos scenarios exercise the per-group
-// shard loops and cross-shard handoffs.
-var envShards = func() int {
-	n, _ := strconv.Atoi(os.Getenv("COSOFT_SHARDS"))
-	return n
-}()
-
 // envLogDir lets CI soak the whole suite with durability on: when
 // COSOFT_LOG_DIR=<dir> is set, every harness server appends to its own
 // event log under that directory, so every integration and chaos scenario
@@ -56,20 +38,24 @@ var envSnapshotBytes = func() int64 {
 	return n
 }()
 
-// harness runs one server and dials clients over in-process links.
+// harness runs one server and dials clients over in-process links. The
+// server is the product configuration (N shard loops, batching on) and every
+// dialed client opts into the batch extension; dialPlain and the raw clients
+// are the peers that did not, mixed into the larger groups as the
+// benchmark's probe member is.
 type harness struct {
 	t   *testing.T
 	srv *server.Server
 	wg  sync.WaitGroup
+	// floorChecked makes the teardown invariant check run once, ahead of the
+	// first client Close (see checkFloorLock).
+	floorChecked sync.Once
 }
 
 func newHarness(t *testing.T, opts server.Options) *harness {
 	t.Helper()
-	if opts.BatchLimit == 0 {
-		opts.BatchLimit = envBatchLimit
-	}
 	if opts.Shards == 0 {
-		opts.Shards = envShards
+		opts.Shards = server.HarnessShards
 	}
 	if envLogDir != "" && opts.EventLog == nil {
 		dir, err := os.MkdirTemp(envLogDir, "cosoft-log-*")
@@ -102,8 +88,47 @@ func newHarness(t *testing.T, opts server.Options) *harness {
 	return h
 }
 
-// dial connects a new client with its own widget registry built from spec.
+// checkFloorLock is the floor-lock invariant at teardown: once nothing is
+// pending, no coupling group may still report a lock holder — a lock without
+// a live pending event behind it would deny the group forever. Every dial
+// registers it after its client's Close, so (cleanups run last-in first-out)
+// it runs while the groups still exist. A test that ends with an ack
+// deliberately withheld never drains and is not judged.
+func checkFloorLock(t *testing.T, srv *server.Server) {
+	if t.Failed() {
+		return
+	}
+	deadline := time.Now().Add(time.Second)
+	for srv.Stats().PendingEvents != 0 {
+		if time.Now().After(deadline) {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, g := range srv.Health().Groups {
+		if g.LockHolder != "" && g.PendingEvents == 0 {
+			t.Errorf("group %v on shard %d: lock held by %s with no pending event",
+				g.Refs, g.Shard, g.LockHolder)
+		}
+	}
+}
+
+// onTeardown registers the floor-lock check; call it after registering the
+// new client's Close.
+func (h *harness) onTeardown() {
+	h.t.Cleanup(func() { h.floorChecked.Do(func() { checkFloorLock(h.t, h.srv) }) })
+}
+
+// dial connects a new batching client with its own widget registry built
+// from spec.
 func (h *harness) dial(appType, user, spec string, copts client.Options) *client.Client {
+	h.t.Helper()
+	copts.Batching = true
+	return h.dialPlain(appType, user, spec, copts)
+}
+
+// dialPlain is dial with the batch opt-in taken verbatim from copts.
+func (h *harness) dialPlain(appType, user, spec string, copts client.Options) *client.Client {
 	h.t.Helper()
 	reg := widget.NewRegistry()
 	if spec != "" {
@@ -122,14 +147,12 @@ func (h *harness) dial(appType, user, spec string, copts client.Options) *client
 	if copts.RPCTimeout == 0 {
 		copts.RPCTimeout = 5 * time.Second
 	}
-	if envBatchLimit > 0 {
-		copts.Batching = true
-	}
 	c, err := client.New(link.A, copts)
 	if err != nil {
 		h.t.Fatalf("dial %s: %v", appType, err)
 	}
 	h.t.Cleanup(c.Close)
+	h.onTeardown()
 	return c
 }
 
@@ -188,7 +211,7 @@ func TestTransitiveClosurePropagation(t *testing.T) {
 	spec := `scale s min=0 max=100`
 	a := h.dial("app", "u1", spec, client.Options{})
 	b := h.dial("app", "u2", spec, client.Options{})
-	c := h.dial("app", "u3", spec, client.Options{})
+	c := h.dialPlain("app", "u3", spec, client.Options{})
 	for _, cl := range []*client.Client{a, b, c} {
 		mustOK(t, cl.Declare("/s"))
 	}
@@ -575,6 +598,7 @@ func newRawClient(t *testing.T, h *harness, appType, user string) *rawClient {
 		close(rc.done)
 		rc.conn.Close()
 	})
+	h.onTeardown()
 	return rc
 }
 

@@ -1,5 +1,5 @@
-// Durable-log integration: append hooks, startup replay, and late-join tail
-// replay. Every state-mutating hop appends one record before its
+// Durable-log integration: append hooks and startup replay. Every
+// state-mutating hop appends one record before its
 // acknowledgement is enqueued; replaying those records through the same
 // mutations (without clients, notifications, or broadcasts) rebuilds the
 // server's databases after a crash or restart.
@@ -20,8 +20,6 @@
 package server
 
 import (
-	"sort"
-
 	"cosoft/internal/couple"
 	"cosoft/internal/eventlog"
 	"cosoft/internal/hist"
@@ -183,9 +181,7 @@ func (s *Server) replayRecord(rec eventlog.Record) {
 		ref := couple.ObjectRef{Instance: origin, Path: m.Path}
 		s.graph.RemoveObject(ref)
 		s.reg.RetractObject(origin, m.Path)
-		sh := s.shardForRef(ref)
-		sh.history.Forget(ref)
-		delete(sh.tails, ref)
+		s.shardForRef(ref).history.Forget(ref)
 		s.router.dropRef(ref)
 	case eventlog.KindCouple:
 		m, ok := rec.Env.Msg.(wire.Couple)
@@ -193,9 +189,7 @@ func (s *Server) replayRecord(rec eventlog.Record) {
 			warn("payload is not Couple")
 			return
 		}
-		if s.sharded {
-			s.replayMergeShards(m.From, m.To)
-		}
+		s.replayMergeShards(m.From, m.To)
 		if err := s.graph.AddLink(couple.Link{From: m.From, To: m.To, Creator: origin}); err != nil {
 			warn(err.Error())
 		}
@@ -217,13 +211,10 @@ func (s *Server) replayRecord(rec eventlog.Record) {
 		// Restore the birth shard's sequence so post-restart events get IDs
 		// strictly greater than every logged one. The event itself was
 		// fully resolved or died with its waiters — only the ID allocation
-		// and the late-join tail survive it.
+		// survives it.
 		sh := s.birthShard(m.EventID)
 		if q := (m.EventID-1)/uint64(len(s.shards)) + 1; q > sh.seq {
 			sh.seq = q
-		}
-		if s.opts.ReplayTail {
-			s.shardForRef(m.Origin).pushTail(m.Origin, m)
 		}
 	case eventlog.KindHist:
 		m, ok := rec.Env.Msg.(wire.CopyTo)
@@ -272,11 +263,6 @@ func (s *Server) replayDisconnect(id couple.InstanceID) {
 	for _, sh := range s.shards {
 		sh.locks.ReleaseInstance(id)
 		sh.history.ForgetInstance(id)
-		for ref := range sh.tails {
-			if ref.Instance == id {
-				delete(sh.tails, ref)
-			}
-		}
 	}
 	s.router.dropInstance(id)
 	s.reg.Deregister(id)
@@ -285,7 +271,7 @@ func (s *Server) replayDisconnect(id couple.InstanceID) {
 // replayMergeShards is mergeShards for replay time: no loops are running,
 // so the group state moves synchronously instead of via hold markers and
 // install channels. Locks and pending events do not exist during replay;
-// only histories, tails and routes migrate.
+// only histories and routes migrate.
 func (s *Server) replayMergeShards(from, to couple.ObjectRef) {
 	shFrom := s.shardForRef(from)
 	shTo := s.shardForRef(to)
@@ -304,58 +290,4 @@ func (s *Server) replayMergeShards(from, to couple.ObjectRef) {
 	}
 	s.router.setRoutes(refs, winner.idx)
 	winner.history.Install(loser.history.Extract(refset))
-	for ref := range refset {
-		if t, ok := loser.tails[ref]; ok {
-			winner.tails[ref] = t
-			delete(loser.tails, ref)
-		}
-	}
-}
-
-// replayTails catches a fresh couple link's two sides up on each other's
-// retained event tails: each side's members receive the other side's recent
-// committed events as ordinary Exec messages through their outboxes, so a
-// late joiner converges from the log tail instead of pulling CopyFrom state
-// from a live peer. gFrom and gTo are the pre-merge groups (nil when
-// ReplayTail is off); it runs on the global loop after AddLink, and the
-// sends hop onto the merged group's shard where the tails live.
-func (s *Server) replayTails(gFrom, gTo []couple.ObjectRef) {
-	if !s.opts.ReplayTail || len(gFrom) == 0 || len(gTo) == 0 {
-		return
-	}
-	sh := s.shardForRef(gFrom[0])
-	s.runOnShard(sh, func() {
-		s.sendTail(sh, gFrom, gTo)
-		s.sendTail(sh, gTo, gFrom)
-	})
-}
-
-// sendTail streams the sources' retained events, in event-ID order, to
-// every receiver. Acks for the replayed Execs hit the stale-ack tolerance
-// in ackExec (the events resolved long ago), so the catch-up path needs no
-// bookkeeping of its own.
-func (s *Server) sendTail(sh *shard, sources, receivers []couple.ObjectRef) {
-	var evs []wire.Exec
-	for _, ref := range sources {
-		for _, te := range sh.tails[ref] {
-			evs = append(evs, te.exec)
-		}
-	}
-	if len(evs) == 0 {
-		return
-	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].EventID < evs[j].EventID })
-	for _, member := range receivers {
-		target, ok := s.clientOf(member.Instance)
-		if !ok {
-			continue
-		}
-		for _, e := range evs {
-			if member == e.Origin {
-				continue
-			}
-			e.TargetPath = member.Path
-			target.out.send(wire.Envelope{Msg: e})
-		}
-	}
 }

@@ -28,7 +28,7 @@ func TestRetractMiddleNotifiesBothHalves(t *testing.T) {
 	h := newHarness(t, server.Options{})
 	a := h.dial("app", "u1", `textfield x`, client.Options{})
 	b := h.dial("app", "u2", `textfield x`, client.Options{})
-	c := h.dial("app", "u3", `textfield x`, client.Options{})
+	c := h.dialPlain("app", "u3", `textfield x`, client.Options{})
 	for _, cl := range []*client.Client{a, b, c} {
 		mustOK(t, cl.Declare("/x"))
 	}

@@ -6,11 +6,11 @@
 // and then the controller broadcasts these operations to all users", §2.1).
 //
 // Global state (registry, couple graph, sessions, client map) is mutated by
-// one goroutine fed through a request channel, so event ordering is the
-// arrival order at the loop — the serialization guarantee the floor-control
-// design relies on. Group-scoped state (locks, histories, pending events)
-// can additionally be partitioned across per-group shard loops (see
-// shard.go); with one shard the server is exactly the classic single loop.
+// one goroutine fed through a request channel. Group-scoped state (locks,
+// histories, pending events) is partitioned across per-group shard loops
+// (see shard.go), so event ordering within a coupling group is the arrival
+// order at its shard loop — the serialization guarantee the floor-control
+// design relies on.
 package server
 
 import (
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,8 +54,8 @@ type Options struct {
 	// Shards is the number of per-group state loops. Group-scoped state —
 	// the lock table, the historical-states database, and the pending-event
 	// wait sets — is partitioned across them by coupling group, so disjoint
-	// groups serialize on different cores (see shard.go). 0 or 1 selects the
-	// classic single serialized loop.
+	// groups serialize on different cores (see shard.go). 0 selects
+	// runtime.GOMAXPROCS(0); 1 is the same topology with a single shard loop.
 	Shards int
 	// Heartbeat is the liveness probe interval: the server pings every
 	// connection this often and declares an instance dead after
@@ -80,19 +81,11 @@ type Options struct {
 	OutboxGrace time.Duration
 	// BatchLimit caps how many queued envelopes one outbox flush may pack
 	// into a single wire.Batch frame for batch-aware clients (histogram
-	// server.batch_size). Values above wire.MaxBatch are clamped; 0 or 1
-	// disables packing and every envelope goes out as its own frame.
+	// server.batch_size). 0 selects 32; values above wire.MaxBatch are
+	// clamped; 1 disables packing and every envelope goes out as its own
+	// frame. Peers that did not negotiate the batch capability never see a
+	// Batch frame whatever the limit.
 	BatchLimit int
-	// DisableEncodeOnce re-encodes the Exec body per member on broadcast
-	// instead of sharing one pooled encoded body across the whole fan-out —
-	// the ablation/benchmark switch for the encode-once path. The bytes on
-	// the wire are identical either way.
-	DisableEncodeOnce bool
-	// DisableMemberAttribution turns off the per-member health family
-	// (server.member.*): ExecAck latency, last-acker and timeout attribution
-	// are skipped and /debug/groups reports topology without member stats —
-	// the ablation/benchmark switch for the straggler-attribution path.
-	DisableMemberAttribution bool
 	// EventLog is the durable per-group event log. When set, every
 	// state-mutating hop — registration, declaration, coupling, event
 	// broadcast commit, history snapshot, undo/redo, permission change,
@@ -102,11 +95,6 @@ type Options struct {
 	// caller owns the log's lifecycle: open it before New, close it after
 	// Close.
 	EventLog *eventlog.Log
-	// ReplayTail keeps a bounded per-group tail of committed events (the
-	// in-memory mirror of the log tail) and replays it to late joiners at
-	// couple time through the ordinary Exec dispatch path, instead of the
-	// joiner pulling CopyFrom state from a live peer.
-	ReplayTail bool
 	// SnapshotInterval is the cadence of the snapshot goroutine: every
 	// interval it folds the log's new records into an offline replica,
 	// writes a durable state snapshot at the covered offset, and compacts
@@ -151,12 +139,9 @@ type Server struct {
 	perms   *perm.Table
 
 	// shards own the group-scoped state (lock tables, histories, pending
-	// events). With Shards<=1 there is exactly one shard and it shares the
-	// global request channel — the classic single serialized loop. router is
-	// nil unless sharded.
-	shards  []*shard
-	router  *router
-	sharded bool
+	// events), each behind its own loop; router places refs on them.
+	shards []*shard
+	router *router
 
 	tr     *obs.Tracer
 	flight *obs.FlightRecorder
@@ -192,13 +177,12 @@ type Server struct {
 	// connections: the drops it provokes are a server shutdown, not client
 	// departures, and must not be logged as KindDisconnect — a restarted
 	// server replays the log and every instance present at shutdown must
-	// still be there, resumable, with its tails and declarations intact.
+	// still be there, resumable, with its declarations intact.
 	closing bool
 
 	// Metric handles resolved from Options.Metrics at construction (nil
 	// handles under obs.Disabled; every method is a nil-safe no-op).
 	mEvents        *obs.Counter   // server.events: Event messages processed
-	mLockFails     *obs.Counter   // server.lock_failures: events denied the group lock
 	mExecsSent     *obs.Counter   // server.execs_sent: Exec broadcasts
 	mCopies        *obs.Counter   // server.copies: completed state transfers
 	mEventRTT      *obs.Histogram // server.event_rtt_ns: Event arrival → last ExecAck → unlock
@@ -206,6 +190,7 @@ type Server struct {
 	mOutboxDepth   *obs.Gauge     // server.outbox_depth: queued envelopes across all outboxes
 	mClients       *obs.Gauge     // server.clients: connected instances
 	mLockAttempts  *obs.Counter   // lock.group_attempts (shared with the lock table)
+	mLockFails     *obs.Counter   // lock.group_failures (shared with the lock table): events denied the group lock
 	mLockUndone    *obs.Counter   // lock.undo_locked (shared with the lock table)
 	mEventTOs      *obs.Counter   // server.event_timeouts: events resolved by deadline
 	mEvictions     *obs.Counter   // server.evictions: clients dropped for backlog
@@ -225,7 +210,7 @@ type Server struct {
 
 	// mMember attributes event health to individual members: per-instance
 	// ack latency (histogram + EWMA), ack/last-acker/timeout counters. Nil
-	// when metrics are disabled or DisableMemberAttribution is set.
+	// when metrics are disabled.
 	mMember *obs.Family
 
 	// started anchors loop-utilization ratios in HealthReport.
@@ -233,6 +218,10 @@ type Server struct {
 
 	closeOnce sync.Once
 }
+
+// defaultBatchLimit is the Batch-frame packing cap a zero Options.BatchLimit
+// selects.
+const defaultBatchLimit = 32
 
 // Indices into the server.member family's counter schema.
 const (
@@ -246,7 +235,8 @@ const (
 type Stats struct {
 	// Events is the number of Event messages processed.
 	Events uint64
-	// LockFailures counts events rejected because the group lock failed.
+	// LockFailures counts events rejected because the group lock failed
+	// (lock.group_failures).
 	LockFailures uint64
 	// ExecsSent counts Exec broadcasts.
 	ExecsSent uint64
@@ -289,8 +279,7 @@ type Stats struct {
 	BatchSize     obs.Summary
 	// BytesEncoded counts every byte the server serialized on its send path:
 	// frame headers, per-member prefixes, plain bodies, and each shared
-	// broadcast body exactly once. With encode-once active it grows ~Nx
-	// slower at fan-out N than with per-member encoding.
+	// broadcast body exactly once.
 	BytesEncoded uint64
 	// BodyPoolHits/BodyPoolMisses count shared-body buffers reused from vs.
 	// missing in the process-wide pool. The pool is shared across servers in
@@ -320,7 +309,7 @@ type client struct {
 	out  *outbox
 	// health is this instance's entry in the server.member family, resolved
 	// once at admission so the ack hot path updates it without taking the
-	// family lock. Nil when member attribution is disabled.
+	// family lock. Nil when metrics are disabled.
 	health *obs.FamilyEntry
 	// name keys this connection in the flight recorder; it is the remote
 	// address until registration assigns the instance ID.
@@ -356,11 +345,9 @@ func New(opts Options) *Server {
 	}
 	s.wg.Add(1)
 	go s.loop()
-	if s.sharded {
-		for _, sh := range s.shards {
-			s.wg.Add(1)
-			go s.shardLoop(sh)
-		}
+	for _, sh := range s.shards {
+		s.wg.Add(1)
+		go s.shardLoop(sh)
 	}
 	if period := s.sweepPeriod(); period > 0 {
 		s.wg.Add(1)
@@ -392,7 +379,10 @@ func newServer(opts Options) *Server {
 	}
 	nshards := opts.Shards
 	if nshards < 1 {
-		nshards = 1
+		nshards = runtime.GOMAXPROCS(0)
+	}
+	if opts.BatchLimit == 0 {
+		opts.BatchLimit = defaultBatchLimit
 	}
 	s := &Server{
 		opts:         opts,
@@ -403,7 +393,7 @@ func newServer(opts Options) *Server {
 		reg:          registry.NewStore(),
 		graph:        couple.NewGraph(),
 		perms:        perm.NewTable(),
-		sharded:      nshards > 1,
+		router:       &router{n: nshards, obj: make(map[couple.ObjectRef]int), ev: make(map[uint64]int)},
 		reqs:         make(chan func(), 1024),
 		quit:         make(chan struct{}),
 		clients:      make(map[couple.InstanceID]*client),
@@ -412,7 +402,6 @@ func newServer(opts Options) *Server {
 		sessionTok:   make(map[couple.InstanceID]string),
 
 		mEvents:        metrics.Counter("server.events"),
-		mLockFails:     metrics.Counter("server.lock_failures"),
 		mExecsSent:     metrics.Counter("server.execs_sent"),
 		mCopies:        metrics.Counter("server.copies"),
 		mEventRTT:      metrics.Histogram("server.event_rtt_ns"),
@@ -420,6 +409,7 @@ func newServer(opts Options) *Server {
 		mOutboxDepth:   metrics.Gauge("server.outbox_depth"),
 		mClients:       metrics.Gauge("server.clients"),
 		mLockAttempts:  metrics.Counter("lock.group_attempts"),
+		mLockFails:     metrics.Counter("lock.group_failures"),
 		mLockUndone:    metrics.Counter("lock.undo_locked"),
 		mEventTOs:      metrics.Counter("server.event_timeouts"),
 		mEvictions:     metrics.Counter("server.evictions"),
@@ -439,46 +429,32 @@ func newServer(opts Options) *Server {
 
 		started: time.Now(),
 	}
-	if !opts.DisableMemberAttribution {
-		s.mMember = metrics.Family("server.member", obs.FamilySchema{
-			Counters: []string{"acks", "last_acks", "timeouts"},
-			Hist:     "ack_ns",
-			EWMA:     "ack_ewma_ns",
-			Label:    "member",
-		})
-	}
+	s.mMember = metrics.Family("server.member", obs.FamilySchema{
+		Counters: []string{"acks", "last_acks", "timeouts"},
+		Hist:     "ack_ns",
+		EWMA:     "ack_ewma_ns",
+		Label:    "member",
+	})
 	if !opts.foldReplica {
 		wire.InstrumentBodyPool(s.mPoolHits, s.mPoolMisses)
 	}
 	// Every shard's lock table shares the same metric handles, so the
 	// lock.* counters stay aggregate regardless of shard count.
-	lockFails := metrics.Counter("lock.group_failures")
 	for i := 0; i < nshards; i++ {
 		sh := &shard{
 			idx:     i,
+			reqs:    make(chan func(), 1024),
 			locks:   lock.NewTable(),
 			history: hist.NewDB(opts.HistoryDepth),
 			pending: make(map[uint64]*pendingEvent),
-			tails:   make(map[couple.ObjectRef][]tailEvent),
 			mEvents: metrics.Counter(fmt.Sprintf("server.shard.%d.events", i)),
 			mBusy:   metrics.Counter(fmt.Sprintf("server.shard.%d.busy_ns", i)),
 			mDepth:  metrics.Gauge(fmt.Sprintf("server.shard.%d.queue_depth", i)),
 		}
-		sh.locks.Instrument(s.mLockAttempts, lockFails, s.mLockUndone)
+		sh.locks.Instrument(s.mLockAttempts, s.mLockFails, s.mLockUndone)
 		sh.history.Instrument(s.mHistEvict)
 		sh.locks.TraceWith(opts.Tracer)
-		if s.sharded {
-			sh.reqs = make(chan func(), 1024)
-			sh.installCh = make(chan migrated, 1)
-		} else {
-			// The lone shard shares the global request channel: one loop,
-			// one serialization order, exactly the pre-shard server.
-			sh.reqs = s.reqs
-		}
 		s.shards = append(s.shards, sh)
-	}
-	if s.sharded {
-		s.router = &router{n: nshards, obj: make(map[couple.ObjectRef]int), ev: make(map[uint64]int)}
 	}
 	s.mShards.Set(int64(nshards))
 	return s
@@ -490,12 +466,10 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// loop runs every state mutation in one goroutine. Each dequeue samples the
-// channel depth and each closure is bracketed with busy-time accounting
-// (server.global.busy_ns / .queue_depth) — both no-ops under obs.Disabled,
-// where Start returns the zero time without reading the clock. With one
-// shard this loop also carries shard 0's traffic, so its time shows up here
-// rather than under server.shard.0.busy_ns.
+// loop runs every global-state mutation in one goroutine. Each dequeue
+// samples the channel depth and each closure is bracketed with busy-time
+// accounting (server.global.busy_ns / .queue_depth) — both no-ops under
+// obs.Disabled, where Start returns the zero time without reading the clock.
 func (s *Server) loop() {
 	defer s.wg.Done()
 	for {
@@ -592,13 +566,11 @@ func (s *Server) Close() {
 				pe.timer.Stop()
 			}
 		}
-		if sh.installCh == nil {
-			continue
-		}
 		// A migration bundle the receiver never installed (it exited first)
-		// still carries pending events with live timers.
+		// still carries pending events with live timers. A nil awaiting
+		// channel is never ready, so the default arm takes it.
 		select {
-		case m := <-sh.installCh:
+		case m := <-sh.awaiting:
 			for _, pe := range m.events {
 				if pe.timer != nil {
 					pe.timer.Stop()
@@ -647,13 +619,9 @@ func (s *Server) Stats() Stats {
 }
 
 // pendingCount sums still-pending events across shards. It runs on the
-// global loop; on a sharded server each shard reports its count under its
-// own serialization (shards never wait on the global loop, so the gather
-// cannot deadlock).
+// global loop; each shard reports its count under its own serialization
+// (shards never wait on the global loop, so the gather cannot deadlock).
 func (s *Server) pendingCount() int {
-	if !s.sharded {
-		return len(s.shards[0].pending)
-	}
 	counts := make(chan int, len(s.shards))
 	posted := 0
 	for _, sh := range s.shards {

@@ -7,29 +7,40 @@
 // other, but events of disjoint groups never share state, so they can run on
 // different loops.
 //
-// With one shard (the default for existing callers), shard 0 *is* the global
-// loop — same channel, same goroutine — so every request serializes in
-// exactly the order the single-loop server processed it, and the whole
-// existing suite doubles as the equivalence oracle for the sharded refactor.
+// Every server has this topology: one global loop, N ≥ 1 shard loops and a
+// router. With N = 1 every ref hashes to shard 0 and nothing ever migrates.
 //
 // Cross-shard operations are explicit two-shard handoffs. When a new couple
 // link joins two groups living on different shards, the smaller group
 // migrates to the larger one's shard before the link is installed:
 //
-//  1. The global loop queues a hold marker on the receiving shard. Every
-//     request routed there after the route flip lands behind the marker and
-//     is parked until the migrated state arrives.
+//  1. The global loop queues a hold marker on the receiving shard. Running
+//     the marker arms the migration's own install channel (shard.awaiting);
+//     every request dequeued while it is armed is parked. Requests routed
+//     there after the route flip necessarily land behind the marker.
 //  2. The routes of the migrating refs flip to the receiving shard.
-//  3. The donor shard extracts the group's locks, histories and pending
-//     events — everything queued ahead of the extraction still ran against
-//     the full state — and hands the bundle to the receiver on a dedicated
-//     install channel.
-//  4. The receiver installs the bundle, lifts the hold, and replays the
-//     parked requests in arrival order.
+//  3. The donor shard extracts the group's histories, its pending events
+//     (those whose source is a migrating ref) and the locks those events
+//     hold — everything queued ahead of the extraction still ran against
+//     the full state — and sends the bundle on the migration's channel.
+//  4. The receiver installs the bundle, disarms, and replays the parked
+//     requests in arrival order.
+//
+// The receiver listens on the install channel only after it has run the
+// marker (a nil channel is never ready), so an install cannot overtake its
+// marker whatever the scheduler does.
+//
+// Locks follow their event: a lock entry lives in the table of the shard its
+// owning pending event lives on, and is released there when the event
+// resolves. Step 3 moves the two together and nothing else moves either, so
+// there is never a lock without a live pending event behind it. A member that
+// was decoupled from the event's group and coupled across shards while the
+// event waited for acks leaves its lock entry behind with the event; its new
+// group starts unlocked on the receiving shard.
 //
 // No loop ever blocks waiting for another loop: the receiver keeps draining
-// its queue (into the parked list) while holding, the donor's handoff channel
-// is buffered, and the global loop's wait for the install is the only
+// its queue (into the parked list) while armed, the install channel is
+// buffered, and the global loop's wait for the install is the only
 // synchronous edge — shards never wait on the global loop, so the wait graph
 // stays acyclic.
 package server
@@ -47,27 +58,20 @@ import (
 )
 
 // shard owns the group-scoped state of the coupling groups routed to it. The
-// holding/held fields are loop-local: only the owning loop goroutine touches
+// awaiting/held fields are loop-local: only the owning loop goroutine touches
 // them.
 type shard struct {
 	idx  int
 	reqs chan func()
-	// installCh delivers the state bundle of an in-flight migration. One
-	// migration is in flight at a time (the global loop serializes them and
-	// waits for the install), so capacity 1 means the donor never blocks.
-	installCh chan migrated
-
-	holding bool     // parked behind an in-flight migration
-	held    []func() // requests parked while holding, in arrival order
+	// awaiting is the install channel of the migration this shard is parked
+	// behind; nil otherwise. One migration is in flight at a time (the global
+	// loop serializes them and waits for the install).
+	awaiting chan migrated
+	held     []func() // requests parked while awaiting, in arrival order
 
 	locks   *lock.Table
 	history *hist.DB
 	pending map[uint64]*pendingEvent
-	// tails keeps, per source object, the most recent committed events of
-	// its coupling group — the in-memory mirror of the durable log's tail,
-	// rebuilt by replay on restart. Late joiners receive the merged tail at
-	// couple time (Options.ReplayTail). Bounded by maxTailEvents per ref.
-	tails map[couple.ObjectRef][]tailEvent
 	// seq counts events born on this shard; the wire-visible event ID is
 	// (seq-1)*nshards + idx + 1, so IDs are unique across shards and reduce
 	// to the plain counter 1,2,3,… with one shard.
@@ -78,38 +82,16 @@ type shard struct {
 	mDepth  *obs.Gauge   // server.shard.<idx>.queue_depth: inbox depth, sampled per dequeue
 }
 
-// tailEvent is one committed event retained for late-join replay: the full
-// Exec as broadcast, keyed in shard.tails by its source object.
-type tailEvent struct {
-	exec wire.Exec
-}
-
-// maxTailEvents bounds the per-source late-join tail.
-const maxTailEvents = 32
-
-// pushTail retains one committed event in the source object's tail. Runs on
-// the owning shard's loop.
-func (sh *shard) pushTail(source couple.ObjectRef, exec wire.Exec) {
-	t := append(sh.tails[source], tailEvent{exec: exec})
-	if len(t) > maxTailEvents {
-		copy(t, t[1:])
-		t = t[:maxTailEvents]
-	}
-	sh.tails[source] = t
-}
-
 // migrated is the state bundle of one cross-shard group migration.
 type migrated struct {
 	locks   map[couple.ObjectRef]lock.Owner
 	history hist.Extracted
 	events  map[uint64]*pendingEvent
-	tails   map[couple.ObjectRef][]tailEvent
 	done    chan struct{} // closed by the receiver once installed
 }
 
-// router maps refs and migrated events to shards. It exists only on sharded
-// servers (nil with one shard; every method is nil-safe) and is read from
-// connection read loops, so it carries its own lock.
+// router maps refs and migrated events to shards. It is read from connection
+// read loops, so it carries its own lock.
 type router struct {
 	mu sync.RWMutex
 	n  int
@@ -146,18 +128,12 @@ func (r *router) setRoutes(refs []couple.ObjectRef, idx int) {
 }
 
 func (r *router) dropRef(ref couple.ObjectRef) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	delete(r.obj, ref)
 	r.mu.Unlock()
 }
 
 func (r *router) dropInstance(id couple.InstanceID) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	for ref := range r.obj {
 		if ref.Instance == id {
@@ -183,9 +159,6 @@ func (r *router) eventShard(id uint64) (int, bool) {
 }
 
 func (r *router) clearEvent(id uint64) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	delete(r.ev, id)
 	r.mu.Unlock()
@@ -204,9 +177,6 @@ func hashRef(ref couple.ObjectRef) uint32 {
 
 // shardForRef returns the shard owning ref's coupling group.
 func (s *Server) shardForRef(ref couple.ObjectRef) *shard {
-	if !s.sharded {
-		return s.shards[0]
-	}
 	return s.shards[s.router.refShard(ref)]
 }
 
@@ -215,8 +185,7 @@ func (s *Server) birthShard(eventID uint64) *shard {
 	return s.shards[int((eventID-1)%uint64(len(s.shards)))]
 }
 
-// postShard schedules fn on sh's loop. With one shard this is exactly post:
-// shard 0 shares the global request channel.
+// postShard schedules fn on sh's loop. It reports false after Close.
 func (s *Server) postShard(sh *shard, fn func()) bool {
 	select {
 	case <-s.quit:
@@ -231,21 +200,10 @@ func (s *Server) postShard(sh *shard, fn func()) bool {
 	}
 }
 
-// runOnShard executes fn under sh's serialization. It must be called from
-// the global loop. With one shard the global loop IS the shard loop, so fn
-// runs inline — preserving the single-loop execution order exactly.
-func (s *Server) runOnShard(sh *shard, fn func()) {
-	if !s.sharded {
-		fn()
-		return
-	}
-	s.postShard(sh, fn)
-}
-
-// shardLoop runs one shard's requests (sharded servers only). While a
-// migration into this shard is in flight, requests are parked rather than
-// run, and replayed in order once the migrated state is installed — the loop
-// itself never blocks, which keeps the cross-loop wait graph acyclic.
+// shardLoop runs one shard's requests. While a migration into this shard is
+// in flight, requests are parked rather than run, and replayed in order once
+// the migrated state is installed — the loop itself never blocks, which keeps
+// the cross-loop wait graph acyclic.
 //
 // Each dequeue samples the inbox depth and brackets the work with busy-time
 // accounting (server.shard.<i>.busy_ns / .queue_depth); the Gauge's
@@ -260,7 +218,7 @@ func (s *Server) shardLoop(sh *shard) {
 			t0 := sh.mBusy.Start()
 			sh.run(fn)
 			sh.mBusy.AddSince(t0)
-		case m := <-sh.installCh:
+		case m := <-sh.awaiting:
 			t0 := sh.mBusy.Start()
 			sh.install(m)
 			sh.mBusy.AddSince(t0)
@@ -269,7 +227,7 @@ func (s *Server) shardLoop(sh *shard) {
 				select {
 				case fn := <-sh.reqs:
 					sh.run(fn)
-				case m := <-sh.installCh:
+				case m := <-sh.awaiting:
 					sh.install(m)
 				default:
 					return
@@ -280,7 +238,7 @@ func (s *Server) shardLoop(sh *shard) {
 }
 
 func (sh *shard) run(fn func()) {
-	if sh.holding {
+	if sh.awaiting != nil {
 		sh.held = append(sh.held, fn)
 		return
 	}
@@ -295,10 +253,7 @@ func (sh *shard) install(m migrated) {
 	for id, pe := range m.events {
 		sh.pending[id] = pe
 	}
-	for ref, t := range m.tails {
-		sh.tails[ref] = t
-	}
-	sh.holding = false
+	sh.awaiting = nil
 	close(m.done)
 	held := sh.held
 	sh.held = nil
@@ -337,14 +292,15 @@ func (s *Server) migrateGroup(from, to *shard, refs []couple.ObjectRef) {
 		refset[ref] = true
 	}
 	done := make(chan struct{})
+	install := make(chan migrated, 1) // the donor's single send never blocks
 	// The hold marker's queue position is the correctness pivot: requests
 	// routed to the receiver after the flip necessarily enqueue behind it,
 	// so none of them can run before the migrated state is installed.
-	if !s.postShard(to, func() { to.holding = true }) {
+	if !s.postShard(to, func() { to.awaiting = install }) {
 		return // shutting down
 	}
 	s.router.setRoutes(refs, to.idx)
-	if s.postShard(from, func() { s.extractMigrated(from, to, refset, done) }) {
+	if s.postShard(from, func() { install <- s.extractMigrated(from, to, refset, done) }) {
 		select {
 		case <-done:
 		case <-s.quit:
@@ -354,10 +310,10 @@ func (s *Server) migrateGroup(from, to *shard, refs []couple.ObjectRef) {
 
 // extractMigrated runs on the donor shard: everything queued ahead of it
 // already ran against the full state, everything routed after the flip goes
-// to the receiver. Locks are extracted both by ref and by owning event, so a
-// migrating event's lock on a since-retracted object cannot strand on the
-// donor.
-func (s *Server) extractMigrated(from, to *shard, refs map[couple.ObjectRef]bool, done chan struct{}) {
+// to the receiver. Locks are extracted by owning event, never by ref: a lock
+// whose event stays (its member left the group while it waited) stays too,
+// or the event's unlock on this shard could not find it.
+func (s *Server) extractMigrated(from, to *shard, refs map[couple.ObjectRef]bool, done chan struct{}) migrated {
 	m := migrated{events: make(map[uint64]*pendingEvent), done: done}
 	owners := make(map[lock.Owner]bool)
 	var ids []uint64
@@ -370,31 +326,17 @@ func (s *Server) extractMigrated(from, to *shard, refs map[couple.ObjectRef]bool
 			ids = append(ids, id)
 		}
 	}
-	m.locks = from.locks.Extract(refs, owners)
+	m.locks = from.locks.Extract(owners)
 	m.history = from.history.Extract(refs)
-	m.tails = make(map[couple.ObjectRef][]tailEvent)
-	for ref := range refs {
-		if t, ok := from.tails[ref]; ok {
-			m.tails[ref] = t
-			delete(from.tails, ref)
-		}
-	}
 	s.router.setEventRoutes(ids, to.idx)
-	to.installCh <- m
+	return m
 }
 
-// dispatchEnv routes one decoded envelope from a connection read loop. On a
-// single-shard server everything goes to the global loop, exactly as before.
-// On a sharded server, Event/ExecAck/BatchAck traffic goes straight to the
-// owning shard; everything else (registration, coupling, copies, commands,
-// permissions) stays on the global loop.
+// dispatchEnv routes one decoded envelope from a connection read loop:
+// Event/ExecAck/BatchAck traffic goes straight to the owning shard;
+// everything else (registration, coupling, copies, commands, permissions)
+// goes to the global loop.
 func (s *Server) dispatchEnv(cl *client, env wire.Envelope) bool {
-	if !s.sharded {
-		return s.post(func() {
-			s.recordFlight(cl, "recv", env)
-			s.handle(cl, env)
-		})
-	}
 	switch m := env.Msg.(type) {
 	case wire.Event:
 		sh := s.shardForRef(couple.ObjectRef{Instance: cl.id, Path: m.Path})

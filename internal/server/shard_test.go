@@ -340,3 +340,57 @@ func TestShardRoutingEquivalence(t *testing.T) {
 		t.Errorf("PendingEvents = %d at quiescence, want 0", st4.PendingEvents)
 	}
 }
+
+// TestMigratedMemberLeavesNoStrandedLock is the regression test for the
+// stranded floor lock: event E from A holds the lock on member B and waits
+// for B's ack; meanwhile B is decoupled from A and coupled to C, whose group
+// lives on another shard, so B migrates while E stays. When B finally acks, E
+// must release B's lock wherever its entry is: B's new group must accept
+// events again and no shard's table may keep an entry once nothing is
+// pending. (The lock table used to move the entry with B, where E's unlock
+// never looked.)
+func TestMigratedMemberLeavesNoStrandedLock(t *testing.T) {
+	h := newHarness(t, server.Options{})
+	ref := func(rc *rawClient) couple.ObjectRef { return couple.ObjectRef{Instance: rc.id, Path: "/x"} }
+	declared := func(user string) *rawClient {
+		rc := newRawClient(t, h, "app", user)
+		rc.mustOK(wire.Declare{Path: "/x", Class: "textfield"})
+		return rc
+	}
+	a, b := declared("alice"), declared("bob")
+	a.mustOK(wire.Couple{From: ref(a), To: ref(b)})
+	// C must start on a different shard than the A–B group.
+	var c *rawClient
+	for i := 0; c == nil; i++ {
+		if i == 32 {
+			t.Fatal("no candidate hashed to another shard")
+		}
+		if cand := declared(fmt.Sprintf("carol%d", i)); h.srv.ShardOf(ref(cand)) != h.srv.ShardOf(ref(b)) {
+			c = cand
+		}
+	}
+
+	if res, ok := a.call(wire.Event{Path: "/x", Name: "changed", Args: []attr.Value{attr.String("e")}}).Msg.(wire.EventResult); !ok || !res.OK {
+		t.Fatalf("event E not accepted: %+v", res)
+	}
+	held := nextEvent[wire.Exec](b) // B withholds this ack: E stays pending
+	a.mustOK(wire.Decouple{From: ref(a), To: ref(b)})
+	// From C: on a size tie the From side stays put, so B is the one to move.
+	c.mustOK(wire.Couple{From: ref(c), To: ref(b)})
+	if h.srv.ShardOf(ref(b)) != h.srv.ShardOf(ref(c)) || h.srv.ShardOf(ref(b)) == h.srv.ShardOf(ref(a)) {
+		t.Fatal("B did not migrate away from E's shard")
+	}
+	b.send(wire.ExecAck{EventID: held.EventID})
+	waitFor(t, "E resolved", func() bool { return h.srv.Stats().PendingEvents == 0 })
+
+	// An event on B's new group locks B; it must be accepted.
+	waitFor(t, "event on B's new group accepted", func() bool {
+		res, ok := c.call(wire.Event{Path: "/x", Name: "changed", Args: []attr.Value{attr.String("f")}}).Msg.(wire.EventResult)
+		return ok && res.OK
+	})
+	b.send(wire.ExecAck{EventID: nextEvent[wire.Exec](b).EventID})
+	waitFor(t, "all events resolved", func() bool { return h.srv.Stats().PendingEvents == 0 })
+	if n := h.srv.LocksHeld(); n != 0 {
+		t.Errorf("%d lock entries left with nothing pending", n)
+	}
+}

@@ -17,8 +17,10 @@
 // objects, the couple links, the permission rules (insertion order — rule
 // order is semantic), the resumable sessions, the router's explicit route
 // overrides (they persist past decouple and are not derivable from the
-// graph), the per-object undo/redo history stacks, and the bounded per-object
-// late-join event tails.
+// graph), and the per-object undo/redo history stacks. Version 1 payloads
+// carried one more section (per-object late-join event tails) and are refused
+// like any unknown version: recovery falls back to an older snapshot or to
+// full replay.
 package server
 
 import (
@@ -36,11 +38,10 @@ import (
 	"cosoft/internal/perm"
 	"cosoft/internal/registry"
 	"cosoft/internal/widget"
-	"cosoft/internal/wire"
 )
 
 // stateVersion versions the snapshot payload layout.
-const stateVersion = 1
+const stateVersion = 2
 
 // newFoldServer builds the offline replica the snapshotter folds log records
 // into: same databases, same shard count, no goroutines, no measurement.
@@ -168,7 +169,6 @@ type snapState struct {
 	sessions  []snapSession
 	routes    []snapRoute
 	hists     []snapHist
-	tails     []snapTail
 }
 
 type snapInst struct {
@@ -190,11 +190,6 @@ type snapRoute struct {
 type snapHist struct {
 	ref        couple.ObjectRef
 	undo, redo []hist.Snapshot
-}
-
-type snapTail struct {
-	ref   couple.ObjectRef
-	execs []wire.Exec
 }
 
 // encodeState serializes the server's replayable state. It reads the
@@ -260,14 +255,12 @@ func (s *Server) encodeState() []byte {
 	}
 
 	var routes []snapRoute
-	if s.router != nil {
-		s.router.mu.RLock()
-		for ref, idx := range s.router.obj {
-			routes = append(routes, snapRoute{ref: ref, shard: idx})
-		}
-		s.router.mu.RUnlock()
-		sort.Slice(routes, func(i, j int) bool { return routes[i].ref.Less(routes[j].ref) })
+	s.router.mu.RLock()
+	for ref, idx := range s.router.obj {
+		routes = append(routes, snapRoute{ref: ref, shard: idx})
 	}
+	s.router.mu.RUnlock()
+	sort.Slice(routes, func(i, j int) bool { return routes[i].ref.Less(routes[j].ref) })
 	buf = binary.AppendUvarint(buf, uint64(len(routes)))
 	for _, rt := range routes {
 		buf = appendSnapRef(buf, rt.ref)
@@ -285,24 +278,6 @@ func (s *Server) encodeState() []byte {
 		buf = appendSnapRef(buf, ref)
 		buf = appendSnapStack(buf, undo)
 		buf = appendSnapStack(buf, redo)
-	}
-
-	var trefs []couple.ObjectRef
-	for _, sh := range s.shards {
-		for ref := range sh.tails {
-			trefs = append(trefs, ref)
-		}
-	}
-	sort.Slice(trefs, func(i, j int) bool { return trefs[i].Less(trefs[j]) })
-	buf = binary.AppendUvarint(buf, uint64(len(trefs)))
-	for _, ref := range trefs {
-		tail := s.shardForRef(ref).tails[ref]
-		buf = binary.AppendUvarint(buf, uint64(len(tail)))
-		buf = appendSnapRef(buf, ref)
-		for _, te := range tail {
-			env := wire.AppendEnvelope(nil, wire.Envelope{Msg: te.exec})
-			buf = appendSnapBytes(buf, env)
-		}
 	}
 	return buf
 }
@@ -519,24 +494,6 @@ func decodeState(payload []byte) (*snapState, error) {
 		h.redo = r.stack(h.ref)
 		st.hists = append(st.hists, h)
 	}
-	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
-		m := r.count()
-		tl := snapTail{ref: r.ref()}
-		for j := 0; j < m && r.err == nil; j++ {
-			env, err := wire.DecodeEnvelope(r.bytes())
-			if err != nil {
-				r.fail("tail envelope: " + err.Error())
-				break
-			}
-			exec, ok := env.Msg.(wire.Exec)
-			if !ok {
-				r.fail("tail envelope is not Exec")
-				break
-			}
-			tl.execs = append(tl.execs, exec)
-		}
-		st.tails = append(st.tails, tl)
-	}
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -590,10 +547,8 @@ func (s *Server) installState(st *snapState) {
 		for i, sh := range s.shards {
 			sh.seq = st.shardSeqs[i]
 		}
-		if s.sharded {
-			for _, rt := range st.routes {
-				s.router.setRoutes([]couple.ObjectRef{rt.ref}, rt.shard)
-			}
+		for _, rt := range st.routes {
+			s.router.setRoutes([]couple.ObjectRef{rt.ref}, rt.shard)
 		}
 	} else {
 		// Shard-count change across restart: stored sequences and routes are
@@ -614,26 +569,16 @@ func (s *Server) installState(st *snapState) {
 		for _, sh := range s.shards {
 			sh.seq = base
 		}
-		if s.sharded {
-			for _, group := range s.graph.Groups() {
-				refs := append([]couple.ObjectRef(nil), group...)
-				sort.Slice(refs, func(i, j int) bool { return refs[i].Less(refs[j]) })
-				target := int(hashRef(refs[0]) % uint32(len(s.shards)))
-				s.router.setRoutes(refs, target)
-			}
+		for _, group := range s.graph.Groups() {
+			refs := append([]couple.ObjectRef(nil), group...)
+			sort.Slice(refs, func(i, j int) bool { return refs[i].Less(refs[j]) })
+			target := int(hashRef(refs[0]) % uint32(len(s.shards)))
+			s.router.setRoutes(refs, target)
 		}
 	}
-	// Histories and tails place by shardForRef, which consults the routes
-	// installed above — so they land exactly where replay would put them.
+	// Histories place by shardForRef, which consults the routes installed
+	// above — so they land exactly where replay would put them.
 	for _, h := range st.hists {
 		s.shardForRef(h.ref).history.Restore(h.ref, h.undo, h.redo)
-	}
-	for _, tl := range st.tails {
-		sh := s.shardForRef(tl.ref)
-		tes := make([]tailEvent, 0, len(tl.execs))
-		for _, e := range tl.execs {
-			tes = append(tes, tailEvent{exec: e})
-		}
-		sh.tails[tl.ref] = tes
 	}
 }

@@ -12,7 +12,7 @@ package server
 //     requiring the replayed digest to ALWAYS equal the full-script shadow
 //     (snapshots sit beside the log; crashing one may only lose the
 //     shortcut, never an acked record);
-//   - a restart-equivalence check, sharded and unsharded, that a
+//   - a restart-equivalence check, at one and four shard loops, that a
 //     post-snapshot restart replays zero log records yet lands on the same
 //     digest as a live server driven with the whole script.
 
@@ -36,7 +36,7 @@ import (
 // foldDigest renders a fold replica's state directly (fold servers run no
 // loops, so the posting crashDigest would hang) and widens the crash digest
 // with every other input the snapshot codec must preserve: the registry ID
-// sequence, resumable sessions, route overrides and late-join event tails.
+// sequence, resumable sessions and route overrides.
 func foldDigest(s *Server) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "regseq %d\n", s.reg.Seq())
@@ -51,32 +51,18 @@ func foldDigest(s *Server) string {
 		fmt.Fprintf(&b, "session %s id=%s type=%s host=%s user=%s\n",
 			tok, rec.id, rec.appType, rec.host, rec.user)
 	}
-	if s.router != nil {
-		s.router.mu.RLock()
-		routes := make([]snapRoute, 0, len(s.router.obj))
-		for ref, idx := range s.router.obj {
-			routes = append(routes, snapRoute{ref: ref, shard: idx})
-		}
-		s.router.mu.RUnlock()
-		sort.Slice(routes, func(i, j int) bool { return routes[i].ref.Less(routes[j].ref) })
-		for _, rt := range routes {
-			fmt.Fprintf(&b, "route %s -> %d\n", rt.ref, rt.shard)
-		}
+	s.router.mu.RLock()
+	routes := make([]snapRoute, 0, len(s.router.obj))
+	for ref, idx := range s.router.obj {
+		routes = append(routes, snapRoute{ref: ref, shard: idx})
+	}
+	s.router.mu.RUnlock()
+	sort.Slice(routes, func(i, j int) bool { return routes[i].ref.Less(routes[j].ref) })
+	for _, rt := range routes {
+		fmt.Fprintf(&b, "route %s -> %d\n", rt.ref, rt.shard)
 	}
 	for i, sh := range s.shards {
 		renderShardState(&b, i, sh)
-		trefs := make([]couple.ObjectRef, 0, len(sh.tails))
-		for ref := range sh.tails {
-			trefs = append(trefs, ref)
-		}
-		sort.Slice(trefs, func(a, c int) bool { return trefs[a].Less(trefs[c]) })
-		for _, ref := range trefs {
-			fmt.Fprintf(&b, "tail %s [", ref)
-			for _, te := range sh.tails[ref] {
-				fmt.Fprintf(&b, " %x", wire.AppendEnvelope(nil, wire.Envelope{Msg: te.exec}))
-			}
-			fmt.Fprint(&b, " ]\n")
-		}
 	}
 	return b.String()
 }
@@ -187,7 +173,7 @@ func TestSnapshotCutEquivalence(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				recs := genRecords(rng)
 				cut := int(rawCut) % (len(recs) + 1)
-				opts := Options{Shards: shards, ReplayTail: true}
+				opts := Options{Shards: shards}
 
 				full := newFoldServer(opts)
 				for _, r := range recs {
@@ -301,10 +287,10 @@ func TestSnapshotCrashPointRecovery(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestartEquivalence restarts a snapshotted server, sharded and
-// unsharded, and requires the replay to start from the snapshot — zero log
-// records read — while landing on exactly the digest of a live server
-// driven with the whole script.
+// TestSnapshotRestartEquivalence restarts a snapshotted server, at one and
+// four shard loops, and requires the replay to start from the snapshot —
+// zero log records read — while landing on exactly the digest of a live
+// server driven with the whole script.
 func TestSnapshotRestartEquivalence(t *testing.T) {
 	ops := crashOps()
 	for _, shards := range []int{1, 4} {
@@ -356,5 +342,69 @@ func TestSnapshotRestartEquivalence(t *testing.T) {
 				t.Fatalf("snapshot restart diverged:\nreplayed state:\n%s\nshadow state:\n%s", got, want)
 			}
 		})
+	}
+}
+
+// TestSnapshotV1PayloadRefused feeds a version-1 payload (the layout that
+// still carried a late-join tail section) through recovery: it must be
+// refused like any unknown version and the restart must fall back to full
+// replay, landing on the same digest as a live server driven with the script.
+func TestSnapshotV1PayloadRefused(t *testing.T) {
+	ops := crashOps()
+	dir := t.TempDir()
+	elog, err := eventlog.Open(eventlog.Options{Dir: dir, Sync: eventlog.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := newCrashRig(t, Options{EventLog: elog})
+	for _, run := range ops {
+		run(rig)
+	}
+	rig.shutdown()
+	// A v1 snapshot of the whole log: today's sections, the old version tag,
+	// and an empty tail section.
+	fold := newFoldServer(Options{Shards: HarnessShards})
+	end, err := eventlog.ReplayDirFrom(dir, 0, func(rec eventlog.Record) error {
+		fold.replayRecord(rec)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := append(fold.encodeState(), 0)
+	v1[0] = 1
+	if _, err := decodeState(v1); err == nil || !strings.Contains(err.Error(), "unknown state version 1") {
+		t.Fatalf("decodeState(v1) = %v, want unknown-version error", err)
+	}
+	if err := elog.WriteSnapshot(end, v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := elog.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry()
+	elog2, err := eventlog.Open(eventlog.Options{Dir: dir, Sync: eventlog.SyncAlways, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered := newCrashRig(t, Options{EventLog: elog2})
+	got := crashDigest(recovered.srv)
+	recovered.shutdown()
+	if err := elog2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Snapshot().Counters["server.log.replayed"]; n == 0 {
+		t.Fatal("restart replayed no log records: the v1 snapshot was not refused")
+	}
+
+	shadow := newCrashRig(t, Options{})
+	for _, run := range ops {
+		run(shadow)
+	}
+	want := crashDigest(shadow.srv)
+	shadow.shutdown()
+	if got != want {
+		t.Fatalf("fallback replay diverged:\nreplayed state:\n%s\nshadow state:\n%s", got, want)
 	}
 }

@@ -27,7 +27,13 @@ func TestSoakConvergence(t *testing.T) {
 	h := newHarness(t, server.Options{})
 	cls := make([]*client.Client, clients)
 	for i := range cls {
-		cls[i] = h.dial("soak", fmt.Sprintf("u%d", i), `textfield pad value=""`, client.Options{})
+		// One plain peer among the batching clients, as in the benchmark's
+		// groups.
+		dial := h.dial
+		if i == 0 {
+			dial = h.dialPlain
+		}
+		cls[i] = dial("soak", fmt.Sprintf("u%d", i), `textfield pad value=""`, client.Options{})
 		mustOK(t, cls[i].Declare("/pad"))
 	}
 

@@ -137,10 +137,9 @@ func (s *Server) completeCopy(cl *client, seq uint64, from, to couple.ObjectRef,
 	s.requestState(cl, to, false,
 		func(old widget.TreeState) {
 			// The backup lands in the destination group's shard-owned
-			// history, so the write hops onto that shard's loop (inline on a
-			// single-shard server).
+			// history, so the write hops onto that shard's loop.
 			sh := s.shardForRef(to)
-			s.runOnShard(sh, func() {
+			s.postShard(sh, func() {
 				sh.history.Record(hist.Snapshot{Ref: to, State: old, Origin: cl.id, At: s.now()})
 				// The logged CopyTo carries the overwritten state: replaying
 				// it re-records exactly this backup.
@@ -230,7 +229,7 @@ func (s *Server) handleUndoRedo(cl *client, seq uint64, path string, undo bool) 
 		func(current widget.TreeState) {
 			// Undo/redo mutates the object's shard-owned history stacks.
 			sh := s.shardForRef(ref)
-			s.runOnShard(sh, func() {
+			s.postShard(sh, func() {
 				var snap hist.Snapshot
 				var err error
 				if undo {
