@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet verify bench chaos chaos-restart chaos-compact load-smoke lint-metrics
+.PHONY: all build test race vet verify allocs bench chaos chaos-restart chaos-compact load-smoke lint-metrics
 
 all: verify
 
@@ -27,7 +27,14 @@ race:
 lint-metrics:
 	$(GO) run ./internal/tools/metriclint
 
-verify: vet lint-metrics race
+# The allocation budgets of the event path: per-frame gates on wire.Conn and
+# the end-to-end budget per member-event over loopback TCP. They skip
+# themselves under the race detector (its bookkeeping allocates), so the race
+# legs never run them — this target does, uncached.
+allocs:
+	$(GO) test -count=1 -run AllocBudget ./internal/wire/ ./internal/server/
+
+verify: vet lint-metrics race allocs
 
 # Soak the fault-injection tests: hung, partitioned, evicted, resumed and
 # duplicated connections, repeated under the race detector. Every harness

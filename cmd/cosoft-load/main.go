@@ -17,7 +17,7 @@
 //
 //	cosoft-load [-groups 2] [-group-size 64] [-duration 5s] [-events 0]
 //	            [-rate 0] [-payload 24] [-batch-limit 32] [-batching]
-//	            [-shards 1]
+//	            [-shards 0]
 //	            [-faultnet "dup=0.01,delay=1ms,jitter=1ms"]
 //	            [-addr host:port] [-bench-out BENCH_obs.json] [-v]
 //
@@ -62,7 +62,7 @@ func main() {
 		payload    = flag.Int("payload", 24, "event payload size in bytes")
 		batchLimit = flag.Int("batch-limit", 32, "in-process server batch limit (1 = batching disabled)")
 		batching   = flag.Bool("batching", true, "clients opt into the wire batch extension")
-		shards     = flag.Int("shards", 1, "in-process server shard count: per-coupling-group state loops (0 = GOMAXPROCS)")
+		shards     = flag.Int("shards", 0, "in-process server shard count: per-coupling-group state loops (0 = GOMAXPROCS, what cosoftd runs)")
 		faultSpec  = flag.String("faultnet", "", `faultnet profile for in-process server conns, e.g. "drop=0.01,dup=0.01,dropnth=0,delay=1ms,jitter=1ms,seed=1"`)
 		benchOut   = flag.String("bench-out", "", "append a row to this BENCH_obs.json trajectory (empty = report only)")
 		verbose    = flag.Bool("v", false, "log per-group progress")
@@ -318,6 +318,7 @@ func run(cfg config) error {
 			name, bPerEvent, allocsPerEvent,
 			float64(stats.BytesEncoded)/float64(total.events),
 			stats.BodyPoolHits, stats.BodyPoolMisses)
+		extra["shards"] = float64(stats.Shards) // the effective count: -shards 0 resolves to GOMAXPROCS
 		extra["b_per_event"] = bPerEvent
 		extra["allocs_per_event"] = allocsPerEvent
 		extra["bytes_encoded"] = float64(stats.BytesEncoded)

@@ -203,6 +203,9 @@ func main() {
 			rtt.P50, rtt.P95, rtt.P99, rtt.Max,
 			snap.Gauges["server.outbox_depth"].HighWater)
 	}
+	if n := snap.Counters["server.log.append_errors"]; n > 0 {
+		fmt.Printf("cosoftd: %d event-log appends FAILED: those transitions were acknowledged but are not in the log\n", n)
+	}
 }
 
 // runFsck scans a durable event-log directory without opening it for

@@ -119,10 +119,13 @@ type Client struct {
 	token    string            // resumable session token; "" without Reconnect
 	closed   bool
 
-	inq   *inqueue
-	done  chan struct{}
-	rdone chan struct{} // closed when the read machinery stops for good
-	wg    sync.WaitGroup
+	inq *inqueue
+	// ackRun collects the acknowledgements of a packed run of Execs; it
+	// belongs to the dispatch loop and is reused from batch to batch.
+	ackRun []wire.BatchAckEntry
+	done   chan struct{}
+	rdone  chan struct{} // closed when the read machinery stops for good
+	wg     sync.WaitGroup
 
 	// Metric handles (nil-safe no-ops when Options.Metrics is nil).
 	mRPC  *obs.Histogram // client.rpc_ns: request/response round trips
@@ -471,7 +474,10 @@ func (c *Client) readConn(conn *wire.Conn) {
 // connection or the dispatch queue has failed.
 func (c *Client) handleIncoming(conn *wire.Conn, env wire.Envelope) bool {
 	if batch, ok := env.Msg.(wire.Batch); ok {
-		var rest []wire.Envelope
+		// Filter in place: the decoded Batch owns its Envelopes slice, and a
+		// run with nothing for the read loop (the usual SetLocks+Exec pair) is
+		// queued as the very envelope that was read.
+		rest := batch.Envelopes[:0]
 		for _, inner := range batch.Envelopes {
 			handled, err := c.routeLocal(conn, inner)
 			if err != nil {
@@ -481,7 +487,14 @@ func (c *Client) handleIncoming(conn *wire.Conn, env wire.Envelope) bool {
 				rest = append(rest, inner)
 			}
 		}
-		return len(rest) == 0 || c.inq.push(wire.Envelope{Msg: wire.Batch{Envelopes: rest}})
+		switch len(rest) {
+		case 0:
+			return true
+		case len(batch.Envelopes):
+			return c.inq.push(env)
+		}
+		clear(batch.Envelopes[len(rest):])
+		return c.inq.push(wire.Envelope{Msg: wire.Batch{Envelopes: rest}})
 	}
 	handled, err := c.routeLocal(conn, env)
 	if err != nil {
@@ -565,7 +578,7 @@ func (c *Client) dispatchOne(env wire.Envelope) {
 		h := c.cmds[m.Name]
 		c.mu.Unlock()
 		if h != nil {
-			c.guard("command handler "+m.Name, env.Trace.Trace, func() {
+			c.guard("command handler ", m.Name, env.Trace.Trace, func() {
 				h(m.From, m.Payload)
 			})
 		} else {
@@ -582,49 +595,60 @@ func (c *Client) dispatchOne(env wire.Envelope) {
 // its unlock bookkeeping see exactly what N single ExecAcks would have
 // delivered, in the same order — just in fewer frames.
 func (c *Client) dispatchBatch(batch wire.Batch) {
-	var run []wire.BatchAckEntry
-	flush := func() {
-		switch {
-		case len(run) == 0:
-		case len(run) == 1:
-			// A lone Exec acks exactly as the unbatched path would.
-			c.sendExecAck(run[0])
-		default:
-			if err := c.send(wire.Envelope{Msg: wire.BatchAck{Acks: run}}); err != nil {
-				c.logf("client %s: batch ack: %v", c.id, err)
-			}
-		}
-		run = nil
-	}
 	for _, env := range batch.Envelopes {
 		if m, ok := env.Msg.(wire.Exec); ok {
-			run = append(run, c.applyExec(env.Trace, m))
+			c.ackRun = append(c.ackRun, c.applyExec(env.Trace, m))
 			continue
 		}
 		// A non-Exec record interleaved in the run (a SetLocks between two
 		// events' Execs, a state application): flush the pending acks first
 		// so the server observes them in record order.
-		flush()
+		c.flushAcks()
 		c.dispatchOne(env)
 	}
-	flush()
+	c.flushAcks()
+}
+
+// flushAcks sends the acknowledgements dispatchBatch has collected — one
+// ExecAck for a lone Exec, exactly as the unbatched path would, one BatchAck
+// for a longer run — and empties the run. The frame is encoded before send
+// returns, so the run's backing array is free to be reused.
+func (c *Client) flushAcks() {
+	switch len(c.ackRun) {
+	case 0:
+		return
+	case 1:
+		c.sendExecAck(c.ackRun[0])
+	default:
+		if err := c.send(wire.Envelope{Msg: wire.BatchAck{Acks: c.ackRun}}); err != nil {
+			c.logf("client %s: batch ack: %v", c.id, err)
+		}
+	}
+	c.ackRun = c.ackRun[:0]
 }
 
 // guard runs an application callback, converting a panic into a logged
 // error so one faulty handler cannot kill the dispatch loop (or lose the
 // protocol acknowledgement its caller still owes the server). It reports
-// whether fn completed without panicking.
-func (c *Client) guard(what string, trace obs.TraceID, fn func()) (completed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			c.logf("client %s: panic in %s: %v", c.id, what, r)
-			c.slog.Error("panic in application callback",
-				"callback", what, "panic", fmt.Sprint(r), "trace", trace,
-				"stack", string(debug.Stack()))
-		}
-	}()
+// whether fn completed without panicking. The callback is named by kind and
+// name, joined only if it does panic.
+func (c *Client) guard(kind, name string, trace obs.TraceID, fn func()) (completed bool) {
+	defer c.recovered(kind, name, trace)
 	fn()
 	return true
+}
+
+// recovered is the deferred half of guard: it swallows a panic of the
+// callback (kind+name) and logs it. It must be deferred directly — recover
+// only works one frame below the panicking function's deferred call.
+func (c *Client) recovered(kind, name string, trace obs.TraceID) {
+	if r := recover(); r != nil {
+		what := kind + name
+		c.logf("client %s: panic in %s: %v", c.id, what, r)
+		c.slog.Error("panic in application callback",
+			"callback", what, "panic", fmt.Sprint(r), "trace", trace,
+			"stack", string(debug.Stack()))
+	}
 }
 
 // inqueue is the unbounded FIFO between the read loop and the dispatch
@@ -634,11 +658,20 @@ func (c *Client) guard(what string, trace obs.TraceID, fn func()) (completed boo
 // is the accepted cost; the server's outbox limit bounds it from the other
 // side by evicting clients that stop draining.
 type inqueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// q[head:] is the backlog. A popped slot is zeroed, and the backing
+	// array is reused from its start whenever the queue runs empty — which
+	// on the event path is after nearly every pop — so a steady stream
+	// neither reallocates nor keeps consumed envelopes reachable.
 	q      []wire.Envelope
+	head   int
 	closed bool
 }
+
+// maxIdleInqueue caps the capacity (in envelopes) an empty inqueue keeps, so
+// the backlog of one slow callback is not pinned for the life of the client.
+const maxIdleInqueue = 1024
 
 func newInqueue() *inqueue {
 	q := &inqueue{}
@@ -653,6 +686,14 @@ func (q *inqueue) push(env wire.Envelope) bool {
 	if q.closed {
 		return false
 	}
+	if len(q.q) == cap(q.q) && q.head >= len(q.q)/2 && q.head > 0 {
+		// Full with at least half of it consumed: slide the backlog down
+		// instead of growing (a consumer that keeps up, but never quite
+		// empties the queue, would otherwise grow it forever).
+		n := copy(q.q, q.q[q.head:])
+		clear(q.q[n:])
+		q.q, q.head = q.q[:n], 0
+	}
 	q.q = append(q.q, env)
 	q.cond.Signal()
 	return true
@@ -663,14 +704,21 @@ func (q *inqueue) push(env wire.Envelope) bool {
 func (q *inqueue) pop() (env wire.Envelope, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.q) == 0 && !q.closed {
+	for q.head == len(q.q) && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.q) == 0 {
+	if q.head == len(q.q) {
 		return wire.Envelope{}, false
 	}
-	env = q.q[0]
-	q.q = q.q[1:]
+	env = q.q[q.head]
+	q.q[q.head] = wire.Envelope{}
+	q.head++
+	if q.head == len(q.q) {
+		q.q, q.head = q.q[:0], 0
+		if cap(q.q) > maxIdleInqueue {
+			q.q = nil
+		}
+	}
 	return env, true
 }
 

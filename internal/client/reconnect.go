@@ -272,6 +272,6 @@ func (c *Client) resync() {
 		c.slog.Info("resynchronized after reconnect", "objects", len(paths))
 	}
 	if h := c.opts.Reconnect.OnResync; h != nil {
-		c.guard("resync callback", 0, func() { h(firstErr) })
+		c.guard("resync callback", "", 0, func() { h(firstErr) })
 	}
 }

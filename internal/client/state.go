@@ -39,7 +39,7 @@ func (c *Client) attachSemantics(ts *widget.TreeState, path string) {
 	if ok && s.Store != nil {
 		var payload []byte
 		var err error
-		if !c.guard("semantic store "+path, 0, func() { payload, err = s.Store() }) {
+		if !c.guard("semantic store ", path, 0, func() { payload, err = s.Store() }) {
 			err = errors.New("store hook panicked")
 		}
 		if err != nil {
@@ -63,7 +63,7 @@ func (c *Client) stripSemantics(ts *widget.TreeState, path string) {
 		c.mu.Unlock()
 		if ok && s.Load != nil {
 			var err error
-			if !c.guard("semantic load "+path, 0, func() { err = s.Load([]byte(v.AsString())) }) {
+			if !c.guard("semantic load ", path, 0, func() { err = s.Load([]byte(v.AsString())) }) {
 				err = errors.New("load hook panicked")
 			}
 			if err != nil {
@@ -118,7 +118,7 @@ func (c *Client) handleApplyState(m wire.ApplyState) {
 	}
 	c.markOrigin(m.Path, m.Origin)
 	if c.opts.OnStateApplied != nil {
-		c.guard("state-applied callback", 0, func() {
+		c.guard("state-applied callback", "", 0, func() {
 			c.opts.OnStateApplied(m.Path, m.Origin)
 		})
 	}

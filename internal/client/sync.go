@@ -139,37 +139,43 @@ func (c *Client) applyExec(tc obs.TraceContext, m wire.Exec) wire.BatchAckEntry 
 	if sp.Active() {
 		sp.SetNote(m.TargetPath + " " + m.Name)
 	}
+	c.reexecute(&sp, tc.Trace, m)
+	sp.End()
+	c.mExec.ObserveSince(t0)
+	return wire.BatchAckEntry{EventID: m.EventID, Trace: sp.Context()}
+}
+
+// reexecute delivers one remote event to the local widget tree. The delivery
+// runs application callbacks, so it is guarded like guard's callbacks are — a
+// panicking handler must not take down the dispatch loop, and the
+// acknowledgement must go out either way so the group unlocks — but as a
+// plain deferred call: the happy path allocates the widget.Event the
+// callbacks receive and nothing else.
+func (c *Client) reexecute(sp *obs.SpanHandle, trace obs.TraceID, m wire.Exec) {
+	defer c.recovered("remote event ", m.Name, trace)
 	e := &widget.Event{
 		Path:   m.TargetPath,
 		Name:   m.Name,
 		Args:   m.Args,
 		Remote: true,
 	}
-	// The re-execution (which runs application callbacks) is guarded: a
-	// panicking handler must not take down the dispatch loop, and the
-	// acknowledgement must go out either way so the group unlocks.
-	c.guard("remote event "+m.Name, tc.Trace, func() {
-		if _, err := c.reg.Deliver(e); err != nil {
-			// The object may be mid-destruction or the classes may disagree on
-			// arguments; the event is acknowledged regardless so the group
-			// unlocks.
-			if !errors.Is(err, widget.ErrNotFound) {
-				c.logf("client %s: exec %s: %v", c.id, e, err)
-				c.slog.Warn("exec failed",
-					"path", m.TargetPath, "event", m.Name, "error", err.Error(),
-					"trace", tc.Trace)
-			}
-			sp.SetNote("error")
-		} else {
-			c.markOrigin(e.Path, m.Origin.Instance)
-			if c.opts.OnRemoteEvent != nil {
-				c.opts.OnRemoteEvent(e)
-			}
+	if _, err := c.reg.Deliver(e); err != nil {
+		// The object may be mid-destruction or the classes may disagree on
+		// arguments; the event is acknowledged regardless so the group
+		// unlocks.
+		if !errors.Is(err, widget.ErrNotFound) {
+			c.logf("client %s: exec %s: %v", c.id, e, err)
+			c.slog.Warn("exec failed",
+				"path", m.TargetPath, "event", m.Name, "error", err.Error(),
+				"trace", trace)
 		}
-	})
-	sp.End()
-	c.mExec.ObserveSince(t0)
-	return wire.BatchAckEntry{EventID: m.EventID, Trace: sp.Context()}
+		sp.SetNote("error")
+		return
+	}
+	c.markOrigin(e.Path, m.Origin.Instance)
+	if c.opts.OnRemoteEvent != nil {
+		c.opts.OnRemoteEvent(e)
+	}
 }
 
 // markOrigin stamps the provenance attribute when congruence marking is on.

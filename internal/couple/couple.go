@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // InstanceID identifies a registered application instance.
@@ -55,6 +56,11 @@ type Graph struct {
 	// adj counts undirected edges between pairs, so duplicate links (from
 	// different creators) keep the pair connected until all are removed.
 	adj map[ObjectRef]map[ObjectRef]int
+	// gen counts changes to the relation: every mutator that adds or removes
+	// a link bumps it under mu, no reader does. Anything derived from the
+	// graph (the server's cached broadcast plans) is valid exactly as long as
+	// the generation it was derived at is still current.
+	gen atomic.Uint64
 }
 
 // NewGraph returns an empty couple graph.
@@ -82,6 +88,7 @@ func (g *Graph) AddLink(l Link) error {
 	g.links[l] = struct{}{}
 	g.bump(l.From, l.To, 1)
 	g.bump(l.To, l.From, 1)
+	g.gen.Add(1)
 	return nil
 }
 
@@ -99,6 +106,9 @@ func (g *Graph) RemoveLink(from, to ObjectRef) bool {
 			g.bump(l.To, l.From, -1)
 			removed = true
 		}
+	}
+	if removed {
+		g.gen.Add(1)
 	}
 	return removed
 }
@@ -118,6 +128,9 @@ func (g *Graph) RemoveObject(ref ObjectRef) []Link {
 			removed = append(removed, l)
 		}
 	}
+	if len(removed) > 0 {
+		g.gen.Add(1)
+	}
 	sortLinks(removed)
 	return removed
 }
@@ -136,6 +149,9 @@ func (g *Graph) RemoveInstance(id InstanceID) []Link {
 			g.bump(l.To, l.From, -1)
 			removed = append(removed, l)
 		}
+	}
+	if len(removed) > 0 {
+		g.gen.Add(1)
 	}
 	sortLinks(removed)
 	return removed
@@ -158,6 +174,13 @@ func (g *Graph) bump(a, b ObjectRef, delta int) {
 		}
 	}
 }
+
+// Generation returns the graph's change counter. It moves whenever a link is
+// added or removed and never otherwise, so a caller that derived something
+// from the graph (CO, Group, LinksOf) can tell with one atomic load whether
+// the derivation still holds. Read it before deriving: a change that lands in
+// between then invalidates the result instead of hiding behind it.
+func (g *Graph) Generation() uint64 { return g.gen.Load() }
 
 // CO returns the set of UI objects coupled with o — the transitive closure
 // of the couple relation, excluding o itself — in deterministic order.

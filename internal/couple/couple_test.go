@@ -258,3 +258,59 @@ func BenchmarkCOChain(b *testing.B) {
 		}
 	}
 }
+
+// TestGenerationTracksMutations pins the contract plan caches rest on: every
+// call that changes the relation moves the generation, and nothing else does
+// — not a mutator that found nothing to change, not a reader.
+func TestGenerationTracksMutations(t *testing.T) {
+	g := NewGraph()
+	a, b, c, d := ref("i1", "/x"), ref("i2", "/x"), ref("i3", "/x"), ref("i3", "/y")
+	mustMove := func(what string, mutate func()) {
+		t.Helper()
+		before := g.Generation()
+		mutate()
+		if g.Generation() == before {
+			t.Errorf("%s changed the graph but not its generation", what)
+		}
+	}
+	mustStay := func(what string, call func()) {
+		t.Helper()
+		before := g.Generation()
+		call()
+		if g.Generation() != before {
+			t.Errorf("%s moved the generation without changing the graph", what)
+		}
+	}
+	add := func(from, to ObjectRef) func() {
+		return func() {
+			if err := g.AddLink(Link{From: from, To: to, Creator: from.Instance}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	mustMove("AddLink", add(a, b))
+	mustStay("AddLink of an existing link", add(a, b))
+	mustStay("AddLink of a self link", func() { _ = g.AddLink(Link{From: a, To: a, Creator: "i1"}) })
+	mustMove("AddLink", add(b, c))
+	mustMove("AddLink", add(c, d))
+	mustMove("RemoveLink", func() { g.RemoveLink(a, b) })
+	mustStay("RemoveLink of a missing link", func() { g.RemoveLink(a, b) })
+	mustMove("RemoveObject", func() { g.RemoveObject(d) })
+	mustStay("RemoveObject of an uncoupled object", func() { g.RemoveObject(d) })
+	mustMove("RemoveInstance", func() { g.RemoveInstance("i3") })
+	mustStay("RemoveInstance of an uncoupled instance", func() { g.RemoveInstance("i3") })
+
+	add(a, b)()
+	mustStay("the readers", func() {
+		g.CO(a)
+		g.Group(a)
+		g.Coupled(a)
+		g.Links()
+		g.LinksOf(a)
+		g.InstanceLinks("i1")
+		g.Groups()
+		g.Len()
+		g.Generation()
+	})
+}

@@ -125,7 +125,7 @@ func (t *Table) TryLockGroup(refs []couple.ObjectRef, owner Owner) (ok bool, att
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.mAttempts.Inc()
-	var acquired []couple.ObjectRef
+	acquired := make([]couple.ObjectRef, 0, len(refs))
 	for _, ref := range refs {
 		if cur, held := t.held[ref]; held && cur != owner {
 			for _, a := range acquired {

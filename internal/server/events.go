@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sort"
 	"strings"
 	"time"
 
@@ -16,13 +15,18 @@ import (
 // acknowledged re-execution, at which point the group is unlocked ("They are
 // unlocked when the processing of this event is completed", §3.2).
 type pendingEvent struct {
-	origin  couple.InstanceID
-	source  couple.ObjectRef
-	members []couple.ObjectRef // CO(o): everyone except the source
-	owner   lock.Owner
+	origin couple.InstanceID
+	source couple.ObjectRef
+	// plan is the broadcast plan the event went out under: CO(o) as locked,
+	// and the instances notified. It is shared with other events and never
+	// written.
+	plan  *plan
+	owner lock.Owner
 	// waiting counts outstanding Exec acknowledgements per instance (an
-	// instance may hold several coupled members).
-	waiting map[couple.InstanceID]int
+	// instance may hold several coupled members), indexed like plan.insts;
+	// left is the number of instances still owing at least one.
+	waiting []int
+	left    int
 	// start is the Event's arrival time for the round-trip histogram; zero
 	// when latency measurement is disabled.
 	start time.Time
@@ -52,7 +56,7 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 	// goroutine's routing decision and this closure running. Forward to the
 	// current owner rather than touching the wrong shard's state.
 	if own := s.shardForRef(source); own != sh {
-		s.postShard(own, func() { s.handleEvent(own, cl, seq, m, tc) })
+		s.forwardEvent(own, cl, seq, m, tc)
 		return
 	}
 	s.mEvents.Inc()
@@ -63,14 +67,14 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 		arrival.SetNote(m.Path + " " + m.Name)
 	}
 	actx := arrival.Context()
-	members := s.graph.CO(source)
-	if len(members) == 0 {
+	p := s.planFor(sh, source)
+	if p == nil {
 		// Uncoupled object: nothing to synchronize; the local feedback
 		// stands.
 		cl.out.send(wire.Envelope{
 			RefSeq: seq,
 			Trace:  s.tr.Point(actx, "server.event_result", "server", "ok uncoupled"),
-			Msg:    wire.EventResult{OK: true},
+			Msg:    eventAccepted,
 		})
 		arrival.EndNote("uncoupled")
 		return
@@ -82,7 +86,7 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 	sh.seq++
 	eventID := (sh.seq-1)*uint64(len(s.shards)) + uint64(sh.idx) + 1
 	owner := lock.Owner{Instance: cl.id, Seq: eventID}
-	ok, _ := s.lockGroup(sh.locks, actx, members, owner)
+	ok, _ := s.lockGroup(sh.locks, actx, p.members, owner)
 	if !ok {
 		// Lock failed: the origin must undo the event's syntactic feedback.
 		s.slog.Debug("event denied: group locked",
@@ -90,7 +94,7 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 		cl.out.send(wire.Envelope{
 			RefSeq: seq,
 			Trace:  s.tr.Point(actx, "server.event_result", "server", "denied: group locked"),
-			Msg:    wire.EventResult{OK: false, Reason: "group locked"},
+			Msg:    eventDenied,
 		})
 		arrival.EndNote("lock denied")
 		return
@@ -101,21 +105,24 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 	// origin's EventResult — hears about it, so an acked event is always in
 	// the replayable stream. The append runs on this shard's loop but the
 	// file I/O happens on the log's writer goroutine; concurrent shards
-	// group-commit into one write+fsync.
-	s.logAppend(eventlog.KindEvent, cl.id, stateID(source), wire.Exec{
-		EventID:    eventID,
-		TargetPath: m.Path,
-		Name:       m.Name,
-		Args:       m.Args,
-		Origin:     source,
-	})
+	// group-commit into one write+fsync. (logAppend checks for a log itself;
+	// asking first keeps the record from being built and boxed without one.)
+	if s.elog != nil {
+		s.logAppend(eventlog.KindEvent, cl.id, stateID(source), wire.Exec{
+			EventID:    eventID,
+			TargetPath: m.Path,
+			Name:       m.Name,
+			Args:       m.Args,
+			Origin:     source,
+		})
+	}
 
 	pe := &pendingEvent{
 		origin:  cl.id,
 		source:  source,
-		members: members,
+		plan:    p,
 		owner:   owner,
-		waiting: make(map[couple.InstanceID]int),
+		waiting: make([]int, len(p.insts)),
 		start:   start,
 		tc:      actx,
 	}
@@ -124,23 +131,26 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 	// (Name, Args, Origin) is encoded once into a shared refcounted buffer;
 	// each member's outbox queues a reference and splices it in at flush, so
 	// the broadcast costs O(1) body encodes regardless of fan-out.
-	s.notifyLockChange(actx, members, true, source)
+	s.notifyLocks(p, actx, true)
 	se := wire.NewSharedExec(eventID, m.Name, m.Args, source)
 	s.mBytesEncoded.Add(uint64(se.TailLen()))
 	fanout := 0
-	for _, member := range members {
-		target, connected := s.clientOf(member.Instance)
+	for i := range p.insts {
+		pi := &p.insts[i]
+		target, connected := s.clientOf(pi.id)
 		if !connected {
 			continue
 		}
-		var execTC obs.TraceContext
-		if actx.Valid() {
-			execTC = s.tr.Point(actx, "server.exec_send", "server",
-				string(member.Instance)+" "+member.Path)
+		for _, path := range pi.paths {
+			var execTC obs.TraceContext
+			if actx.Valid() {
+				execTC = s.tr.Point(actx, "server.exec_send", "server", string(pi.id)+" "+path)
+			}
+			target.out.sendShared(wire.Envelope{Trace: execTC}, path, se)
 		}
-		target.out.sendShared(wire.Envelope{Trace: execTC}, member.Path, se)
-		fanout++
-		pe.waiting[member.Instance]++
+		pe.waiting[i] = len(pi.paths)
+		pe.left++
+		fanout += len(pi.paths)
 	}
 	se.Release()
 	s.mExecsSent.Add(uint64(fanout))
@@ -148,10 +158,10 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 	cl.out.send(wire.Envelope{
 		RefSeq: seq,
 		Trace:  s.tr.Point(actx, "server.event_result", "server", "ok"),
-		Msg:    wire.EventResult{OK: true},
+		Msg:    eventAccepted,
 	})
 	arrival.End()
-	if len(pe.waiting) == 0 {
+	if pe.left == 0 {
 		// All members belonged to disconnected instances.
 		s.unlockEvent(sh, pe, false)
 		return
@@ -167,24 +177,39 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 	}
 }
 
+// eventAccepted and eventDenied are the two verdicts handleEvent sends,
+// boxed once.
+var (
+	eventAccepted wire.Message = wire.EventResult{OK: true}
+	eventDenied   wire.Message = wire.EventResult{OK: false, Reason: "group locked"}
+)
+
+// forwardEvent re-posts an Event that reached a shard its group has since
+// migrated away from. It is a function of its own so that the closure's
+// captures do not make every handleEvent call's parameters escape.
+func (s *Server) forwardEvent(own *shard, cl *client, seq uint64, m wire.Event, tc obs.TraceContext) {
+	s.postShard(own, func() { s.handleEvent(own, cl, seq, m, tc) })
+}
+
 // timeoutEvent resolves an event whose deadline expired before every member
 // acknowledged: the stragglers are dropped from the wait set and the group
 // unlocks, so one hung member cannot wedge the whole coupling group.
 func (s *Server) timeoutEvent(sh *shard, id uint64) {
 	pe, ok := sh.pending[id]
 	if !ok {
-		s.forwardEventMiss(sh, id, func(to *shard) { s.timeoutEvent(to, id) })
+		if to, moved := s.eventOwner(sh, id); moved {
+			s.postShard(to, func() { s.timeoutEvent(to, id) })
+		}
 		return
 	}
-	stragglers := make([]string, 0, len(pe.waiting))
-	for inst := range pe.waiting {
+	stragglers := make([]string, 0, pe.left)
+	for _, inst := range pe.awaited() { // in plan order: sorted by instance ID
 		stragglers = append(stragglers, string(inst))
 		// Deadline drops are attributed per member: every instance still in
 		// the wait set when the deadline fires gets a timeout mark. This is
 		// a cold path, so the family lookup's lock is fine.
 		s.mMember.Get(string(inst)).Counter(memberTimeouts).Inc()
 	}
-	sort.Strings(stragglers)
 	s.mEventTOs.Inc()
 	s.tr.Point(pe.tc, "server.event_timeout", "server", strings.Join(stragglers, " "))
 	s.slog.Warn("event deadline expired",
@@ -193,10 +218,35 @@ func (s *Server) timeoutEvent(sh *shard, id uint64) {
 	s.finishEvent(sh, id, pe, true)
 }
 
-// ackClock reads the clock once for a coalesced run of acks, so per-member
-// latency attribution costs one clock read per BatchAck frame rather than one
-// per entry. Zero when metrics are disabled — ackExec then never reads the
-// clock either.
+// awaited lists the instances the event still waits on, in plan order
+// (sorted by instance ID).
+func (pe *pendingEvent) awaited() []couple.InstanceID {
+	var out []couple.InstanceID
+	for i, n := range pe.waiting {
+		if n > 0 {
+			out = append(out, pe.plan.insts[i].id)
+		}
+	}
+	return out
+}
+
+// dropWaiter stops the event waiting on inst — it disconnected, which acks by
+// absence — and reports whether that emptied the wait set.
+func (pe *pendingEvent) dropWaiter(inst couple.InstanceID) bool {
+	i, ok := pe.plan.pos[inst]
+	if !ok || pe.waiting[i] == 0 {
+		return false
+	}
+	pe.waiting[i] = 0
+	pe.left--
+	return pe.left == 0
+}
+
+// ackClock reads the clock once for a coalesced run of acks (dispatchEnv
+// stamps every entry of a BatchAck with it), so per-member latency
+// attribution costs one clock read per BatchAck frame rather than one per
+// entry. Zero when metrics are disabled — ackExec then never reads the clock
+// either.
 func (s *Server) ackClock() time.Time {
 	if s.mMember == nil {
 		return time.Time{}
@@ -204,26 +254,31 @@ func (s *Server) ackClock() time.Time {
 	return time.Now()
 }
 
-// ackExec is the shared ack-resolution core: decrement cl's outstanding
-// count for the event and unlock the group when the wait set empties. It
-// runs on the event's birth shard; if the event migrated with its group, the
-// ack is forwarded to the current owner. now is the batch-hoisted ack clock
-// (see ackClock); zero means read it here if attribution needs it.
-func (s *Server) ackExec(sh *shard, cl *client, eventID uint64, tc obs.TraceContext, now time.Time) {
-	pe, ok := sh.pending[eventID]
+// ackExec is the ack-resolution core: decrement the acking instance's
+// outstanding count for the event and unlock the group when the wait set
+// empties. It runs on the event's birth shard; if the event migrated with
+// its group, the ack is forwarded to the current owner. The hit path
+// allocates nothing: the request arrived by value and nothing here captures
+// it.
+func (s *Server) ackExec(sh *shard, a execAck) {
+	pe, ok := sh.pending[a.eventID]
 	if !ok {
 		// Stale ack (event already resolved by a deadline or disconnect) —
 		// unless the event migrated, in which case chase it.
-		s.forwardEventMiss(sh, eventID, func(to *shard) { s.ackExec(to, cl, eventID, tc, now) })
+		if to, moved := s.eventOwner(sh, a.eventID); moved {
+			s.postAck(to, a)
+		}
 		return
 	}
-	if pe.waiting[cl.id] == 0 {
+	cl := a.cl
+	i, ok := pe.plan.pos[cl.id]
+	if !ok || pe.waiting[i] == 0 {
 		return // ack from an instance we were not waiting for
 	}
-	s.tr.Point(tc, "server.exec_ack", "server", string(cl.id))
-	pe.waiting[cl.id]--
-	if pe.waiting[cl.id] == 0 {
-		delete(pe.waiting, cl.id)
+	s.tr.Point(a.tc, "server.exec_ack", "server", string(cl.id))
+	pe.waiting[i]--
+	if pe.waiting[i] == 0 {
+		pe.left--
 	}
 	// Straggler attribution: charge this ack's latency (Event arrival →
 	// now) to the acking member, and when the wait set just emptied, credit
@@ -232,6 +287,7 @@ func (s *Server) ackExec(sh *shard, cl *client, eventID uint64, tc obs.TraceCont
 	// is nil when metrics are disabled, and pe.start is zero then too, so
 	// the clock is never read on the disabled path.
 	if e := cl.health; e != nil && !pe.start.IsZero() {
+		now := a.now
 		if now.IsZero() {
 			now = time.Now()
 		}
@@ -239,23 +295,23 @@ func (s *Server) ackExec(sh *shard, cl *client, eventID uint64, tc obs.TraceCont
 		e.Hist().Observe(lat)
 		e.EWMA().Observe(float64(lat))
 		e.Counter(memberAcks).Inc()
-		if len(pe.waiting) == 0 {
+		if pe.left == 0 {
 			e.Counter(memberLastAcks).Inc()
 		}
 	}
-	if len(pe.waiting) == 0 {
-		s.finishEvent(sh, eventID, pe, false)
+	if pe.left == 0 {
+		s.finishEvent(sh, a.eventID, pe, false)
 	}
 }
 
-// forwardEventMiss re-posts an operation on a pending event that is not in
-// sh's map: a migrated event leaves a forwarding entry in the router until
-// it resolves. Without an entry the miss is final (stale ack / stale timer).
-func (s *Server) forwardEventMiss(sh *shard, id uint64, op func(*shard)) {
+// eventOwner resolves a miss on sh's pending map: a migrated event leaves a
+// forwarding entry in the router until it resolves, naming the shard that
+// holds it now. Without an entry the miss is final (stale ack / stale timer).
+func (s *Server) eventOwner(sh *shard, id uint64) (*shard, bool) {
 	if idx, ok := s.router.eventShard(id); ok && s.shards[idx] != sh {
-		to := s.shards[idx]
-		s.postShard(to, func() { op(to) })
+		return s.shards[idx], true
 	}
+	return nil, false
 }
 
 func (s *Server) finishEvent(sh *shard, id uint64, pe *pendingEvent, timedOut bool) {
@@ -270,9 +326,9 @@ func (s *Server) finishEvent(sh *shard, id uint64, pe *pendingEvent, timedOut bo
 }
 
 func (s *Server) unlockEvent(sh *shard, pe *pendingEvent, timedOut bool) {
-	sh.locks.UnlockGroup(pe.members, pe.owner)
+	sh.locks.UnlockGroup(pe.plan.members, pe.owner)
 	s.tr.Point(pe.tc, "server.unlock", "server", "")
-	s.notifyLockChange(pe.tc, pe.members, false, pe.source)
+	s.notifyLocks(pe.plan, pe.tc, false)
 	// Deadline-resolved events waited the full deadline by construction;
 	// folding them into the round-trip histogram would inject an outlier
 	// equal to the deadline per expiry, so they get their own histogram.

@@ -21,3 +21,7 @@ func (s *Server) LocksHeld() int {
 	}
 	return n
 }
+
+// UncachedCO is CO(ref) straight from the couple graph — what every cached
+// broadcast plan must agree with.
+func (s *Server) UncachedCO(ref couple.ObjectRef) []couple.ObjectRef { return s.graph.CO(ref) }

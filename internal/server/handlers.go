@@ -364,11 +364,8 @@ func (s *Server) dropClient(cl *client, reason string) {
 					s.finishEvent(sh, id, pe, false)
 					continue
 				}
-				if pe.waiting[cl.id] > 0 {
-					delete(pe.waiting, cl.id)
-					if len(pe.waiting) == 0 {
-						s.finishEvent(sh, id, pe, false)
-					}
+				if pe.dropWaiter(cl.id) {
+					s.finishEvent(sh, id, pe, false)
 				}
 			}
 			sh.locks.ReleaseInstance(cl.id)
@@ -385,24 +382,6 @@ func (s *Server) dropClient(cl *client, reason string) {
 	}
 	s.router.dropInstance(cl.id)
 	s.reg.Deregister(cl.id)
-}
-
-// notifyLockChange tells each instance owning locked members to disable or
-// re-enable those widgets. SetLocks envelopes carry the event's trace
-// context so member instances can attribute the disable/enable to the event.
-func (s *Server) notifyLockChange(tc obs.TraceContext, members []couple.ObjectRef, locked bool, skip couple.ObjectRef) {
-	perInstance := make(map[couple.InstanceID][]string)
-	for _, m := range members {
-		if m == skip {
-			continue
-		}
-		perInstance[m.Instance] = append(perInstance[m.Instance], m.Path)
-	}
-	for id, paths := range perInstance {
-		if c, ok := s.clientOf(id); ok {
-			c.out.send(wire.Envelope{Trace: tc, Msg: wire.SetLocks{Paths: paths, Locked: locked}})
-		}
-	}
 }
 
 // lockGroup applies the configured group-locking variant on the given

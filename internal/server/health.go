@@ -51,6 +51,9 @@ type GroupHealth struct {
 	// PendingEvents counts broadcast events of this group still awaiting
 	// acknowledgements.
 	PendingEvents int `json:"pending_events"`
+	// Waiting lists the instances those pending events still await an
+	// acknowledgement from, sorted — the members holding the floor right now.
+	Waiting []string `json:"waiting,omitempty"`
 	// Straggler names the member with the highest ack-latency EWMA — the
 	// chronic critical path ("" until someone has acked, or when metrics are
 	// disabled).
@@ -104,11 +107,16 @@ func (s *Server) Health() HealthReport {
 		MemberAttribution: s.mMember != nil,
 	}
 
-	// Per-shard pending snapshot: event counts keyed by source ref, taken
-	// on the owning loop so the maps are never read concurrently.
+	// Per-shard pending snapshot: event counts and awaited instances keyed by
+	// source ref, taken on the owning loop so the maps are never read
+	// concurrently.
+	type srcPending struct {
+		events  int
+		waiting []couple.InstanceID
+	}
 	type pendingSnap struct {
 		idx     int
-		bySrc   map[couple.ObjectRef]int
+		bySrc   map[couple.ObjectRef]srcPending
 		pending int
 	}
 	snaps := make(chan pendingSnap, len(s.shards))
@@ -116,9 +124,12 @@ func (s *Server) Health() HealthReport {
 	for _, sh := range s.shards {
 		sh := sh
 		if s.postShard(sh, func() {
-			ps := pendingSnap{idx: sh.idx, bySrc: make(map[couple.ObjectRef]int, len(sh.pending))}
+			ps := pendingSnap{idx: sh.idx, bySrc: make(map[couple.ObjectRef]srcPending, len(sh.pending))}
 			for _, pe := range sh.pending {
-				ps.bySrc[pe.source]++
+				sp := ps.bySrc[pe.source]
+				sp.events++
+				sp.waiting = append(sp.waiting, pe.awaited()...)
+				ps.bySrc[pe.source] = sp
 				ps.pending++
 			}
 			snaps <- ps
@@ -126,14 +137,17 @@ func (s *Server) Health() HealthReport {
 			posted++
 		}
 	}
-	pendingBySrc := make(map[couple.ObjectRef]int)
+	pendingBySrc := make(map[couple.ObjectRef]srcPending)
 	pendingByShard := make(map[int]int)
 	for i := 0; i < posted; i++ {
 		select {
 		case ps := <-snaps:
 			pendingByShard[ps.idx] = ps.pending
-			for src, n := range ps.bySrc {
-				pendingBySrc[src] += n
+			for src, sp := range ps.bySrc {
+				all := pendingBySrc[src]
+				all.events += sp.events
+				all.waiting = append(all.waiting, sp.waiting...)
+				pendingBySrc[src] = all
 			}
 		case <-s.quit:
 			i = posted // shutting down: report what we have
@@ -163,10 +177,17 @@ func (s *Server) Health() HealthReport {
 	for _, refs := range s.graph.Groups() {
 		g := GroupHealth{Shard: s.shardForRef(refs[0]).idx}
 		seen := make(map[couple.InstanceID]bool)
+		awaited := make(map[couple.InstanceID]bool)
 		sh := s.shards[g.Shard]
 		for _, ref := range refs {
 			g.Refs = append(g.Refs, ref.String())
-			g.PendingEvents += pendingBySrc[ref]
+			g.PendingEvents += pendingBySrc[ref].events
+			for _, inst := range pendingBySrc[ref].waiting {
+				if !awaited[inst] {
+					awaited[inst] = true
+					g.Waiting = append(g.Waiting, string(inst))
+				}
+			}
 			if g.LockHolder == "" {
 				// The lock table carries its own mutex, so holders can be
 				// read from here without entering the shard loop.
@@ -180,6 +201,7 @@ func (s *Server) Health() HealthReport {
 			seen[ref.Instance] = true
 			g.Members = append(g.Members, s.memberHealth(ref.Instance))
 		}
+		sort.Strings(g.Waiting)
 		sort.SliceStable(g.Members, func(i, j int) bool {
 			return g.Members[i].AckEWMANS > g.Members[j].AckEWMANS
 		})

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cosoft/internal/couple"
 	"cosoft/internal/obs"
 	"cosoft/internal/wire"
 )
@@ -255,4 +256,61 @@ func TestOutboxFlushClearsOverSinceMidFlush(t *testing.T) {
 		}
 	}
 	waitDrained(t, o, 0)
+}
+
+// TestOutboxDrainLeavesNoReferences: the two backing arrays an outbox swaps
+// between its queue and its writer must come back from every flush empty —
+// no slot still referencing a message or a shared body — and with every
+// shared body released.
+func TestOutboxDrainLeavesNoReferences(t *testing.T) {
+	const rounds, perRound = 6, 5
+	o, peer := outboxPair(t, true, 0, 8)
+	defer o.close()
+	received := make(chan int)
+	go func() {
+		defer close(received)
+		for {
+			env, err := peer.Read()
+			if err != nil {
+				return
+			}
+			n := 1
+			if b, ok := env.Msg.(wire.Batch); ok {
+				n = len(b.Envelopes)
+			}
+			received <- n
+		}
+	}()
+	for round := 0; round < rounds; round++ {
+		se := wire.NewSharedExec(uint64(round+1), "changed", nil, couple.ObjectRef{Instance: "a", Path: "/n"})
+		o.send(wire.Envelope{Msg: wire.SetLocks{Paths: []string{"/m"}, Locked: true}})
+		for i := 1; i < perRound; i++ {
+			o.sendShared(wire.Envelope{}, "/m", se)
+		}
+		se.Release()
+		for got := 0; got < perRound; {
+			select {
+			case n := <-received:
+				got += n
+			case <-time.After(5 * time.Second):
+				t.Fatalf("round %d: peer received %d of %d records", round, got, perRound)
+			}
+		}
+		waitDrained(t, o, 0)
+		o.mu.Lock()
+		for name, arr := range map[string][]wire.Outgoing{"queue": o.queue, "spare": o.spare} {
+			for i, rec := range arr[:cap(arr)] {
+				if rec.Shared != nil || rec.Env.Msg != nil || rec.Target != "" {
+					t.Errorf("round %d: %s slot %d still references %+v after the drain", round, name, i, rec)
+				}
+			}
+		}
+		o.mu.Unlock()
+		waitNoLiveBodies(t)
+	}
+	o.mu.Lock()
+	if o.queue == nil && o.spare == nil {
+		t.Error("no backing array survived the drains: the outbox is not recycling")
+	}
+	o.mu.Unlock()
 }

@@ -30,9 +30,10 @@ import (
 
 // logAppend appends one record to the durable event log, blocking until it
 // reaches the configured durability — callers place it before the
-// transition's acknowledgement is enqueued. A failed append is logged and
-// dropped: the server keeps serving (durability degrades, live consistency
-// does not). No-op when durability is off.
+// transition's acknowledgement is enqueued. A failed append is counted
+// (server.log.append_errors), logged and dropped: the server keeps serving
+// (durability degrades, live consistency does not). No-op when durability is
+// off.
 func (s *Server) logAppend(kind eventlog.Kind, origin couple.InstanceID, group string, msg wire.Message) {
 	if s.elog == nil {
 		return
@@ -44,6 +45,7 @@ func (s *Server) logAppend(kind eventlog.Kind, origin couple.InstanceID, group s
 		Env:    wire.Envelope{Msg: msg},
 	})
 	if err != nil {
+		s.mLogAppendErrs.Inc()
 		s.slog.Warn("event log append failed",
 			"kind", int(kind), "inst", string(origin), "err", err)
 	}

@@ -207,6 +207,7 @@ type Server struct {
 	mGlobalBusy    *obs.Counter   // server.global.busy_ns: time the global loop spent executing closures
 	mGlobalDepth   *obs.Gauge     // server.global.queue_depth: global request-channel depth, sampled per dequeue
 	mHistEvict     *obs.Counter   // server.hist_evictions: oldest undo snapshots dropped by the depth bound
+	mLogAppendErrs *obs.Counter   // server.log.append_errors: event-log appends that failed (the transition was acked regardless)
 
 	// mMember attributes event health to individual members: per-instance
 	// ack latency (histogram + EWMA), ack/last-acker/timeout counters. Nil
@@ -299,6 +300,10 @@ type Stats struct {
 	// on different shards).
 	Shards             int64
 	CrossShardHandoffs uint64
+	// LogAppendErrors counts durable-log appends that failed. The transition
+	// was applied and acknowledged anyway, so each one is an acked record the
+	// next restart will not replay.
+	LogAppendErrors uint64
 }
 
 // client is the server-side view of one connected instance.
@@ -426,6 +431,7 @@ func newServer(opts Options) *Server {
 		mGlobalBusy:    metrics.Counter("server.global.busy_ns"),
 		mGlobalDepth:   metrics.Gauge("server.global.queue_depth"),
 		mHistEvict:     metrics.Counter("server.hist_evictions"),
+		mLogAppendErrs: metrics.Counter("server.log.append_errors"),
 
 		started: time.Now(),
 	}
@@ -443,10 +449,11 @@ func newServer(opts Options) *Server {
 	for i := 0; i < nshards; i++ {
 		sh := &shard{
 			idx:     i,
-			reqs:    make(chan func(), 1024),
+			reqs:    make(chan shardReq, 1024),
 			locks:   lock.NewTable(),
 			history: hist.NewDB(opts.HistoryDepth),
 			pending: make(map[uint64]*pendingEvent),
+			plans:   make(map[couple.ObjectRef]*plan),
 			mEvents: metrics.Counter(fmt.Sprintf("server.shard.%d.events", i)),
 			mBusy:   metrics.Counter(fmt.Sprintf("server.shard.%d.busy_ns", i)),
 			mDepth:  metrics.Gauge(fmt.Sprintf("server.shard.%d.queue_depth", i)),
@@ -611,6 +618,7 @@ func (s *Server) Stats() Stats {
 			EventTimeoutWait:   s.mEventTOWait.Summary(),
 			Shards:             s.mShards.Value(),
 			CrossShardHandoffs: s.mHandoffs.Value(),
+			LogAppendErrors:    s.mLogAppendErrs.Value(),
 		}
 	}) {
 		return Stats{}
@@ -808,8 +816,10 @@ func (s *Server) outboxRecorder(cl *client) func(wire.Envelope) {
 }
 
 // recordFlight logs one envelope against cl's connection. cl.name is read
-// without synchronization: both the rename and every recorded envelope
-// happen on the state loop (or before the connection is shared).
+// without synchronization: it is renamed once, in admit, and the
+// connection's read goroutine waits for admit to finish before it reads its
+// next frame — so every later recorder (that goroutine for ack frames, the
+// loops for everything else) sees the final name.
 func (s *Server) recordFlight(cl *client, dir string, env wire.Envelope) {
 	if s.flight == nil {
 		return
@@ -871,9 +881,15 @@ func flightNote(m wire.Message) string {
 // backlog has stayed above it so the sweeper can evict the client instead
 // of buffering without bound.
 type outbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// queue collects records while the writer flushes the previous backlog
+	// out of the other backing array; the two swap on every drain (spare is
+	// the idle one), so steady traffic enqueues into memory it already owns.
+	// A flushed or dropped record is zeroed in place: neither array keeps a
+	// shared body or a message reachable past its flush.
 	queue  []wire.Outgoing
+	spare  []wire.Outgoing
 	closed bool
 	done   chan struct{}
 	depth  *obs.Gauge          // shared across outboxes: total server backlog
@@ -912,7 +928,7 @@ func newOutbox(c *wire.Conn, depth *obs.Gauge, limit, batchLimit int, batchSize 
 			// that queued up while the previous flush blocked becomes one
 			// flush, which is what gives flush-time packing a run to pack.
 			take := o.queue
-			o.queue = nil
+			o.queue, o.spare = o.spare, nil
 			o.inflight = len(take)
 			o.mu.Unlock()
 			err := o.flush(c, take)
@@ -922,12 +938,15 @@ func newOutbox(c *wire.Conn, depth *obs.Gauge, limit, batchLimit int, batchSize 
 				// the shared bodies of everything it took, so only the
 				// still-queued records hold references here.
 				o.depth.Add(-int64(o.inflight + len(o.queue)))
-				releaseOutgoing(o.queue)
+				dropOutgoing(o.queue)
 				o.inflight = 0
-				o.queue = nil
+				o.queue = o.queue[:0]
 				o.closed = true
 				o.mu.Unlock()
 				return
+			}
+			if cap(take) <= maxIdleOutbox {
+				o.spare = take[:0]
 			}
 			o.inflight = 0
 			if o.limit > 0 && len(o.queue) <= o.limit {
@@ -944,9 +963,10 @@ func newOutbox(c *wire.Conn, depth *obs.Gauge, limit, batchLimit int, batchSize 
 // otherwise (or when packing is disabled) every record goes out as its own
 // frame. Either way the records reach the wire in queue order, and shared
 // broadcast bodies are spliced in by reference rather than re-encoded. Every
-// record flush takes is released exactly once — after its frame is written,
-// or on the error path — so eviction or a broken connection can never leak
-// or double-release a shared body.
+// record flush takes is released and zeroed exactly once — after its frame
+// is written, or on the error path — so eviction or a broken connection can
+// never leak or double-release a shared body, and the slice goes back to the
+// outbox referencing nothing.
 func (o *outbox) flush(c *wire.Conn, recs []wire.Outgoing) error {
 	for len(recs) > 0 {
 		n := 1
@@ -973,9 +993,9 @@ func (o *outbox) flush(c *wire.Conn, recs []wire.Outgoing) error {
 			// would serve.
 			n /= 2
 		}
-		releaseOutgoing(recs[:n])
+		dropOutgoing(recs[:n])
 		if err != nil {
-			releaseOutgoing(recs[n:])
+			dropOutgoing(recs[n:])
 			return err
 		}
 		o.depth.Add(-int64(n))
@@ -993,15 +1013,21 @@ func (o *outbox) flush(c *wire.Conn, recs []wire.Outgoing) error {
 	return nil
 }
 
-// releaseOutgoing drops the shared-body reference of every record that holds
-// one, exactly once: released entries are nilled so overlapping error paths
-// cannot release twice.
-func releaseOutgoing(recs []wire.Outgoing) {
+// maxIdleOutbox caps the capacity (in records) of a backing array an outbox
+// keeps between drains, so the backlog of one stall is not pinned for the
+// life of the connection.
+const maxIdleOutbox = 1024
+
+// dropOutgoing disposes of records that were written or are being abandoned:
+// each shared-body reference is released exactly once and the slot is zeroed,
+// so overlapping error paths cannot release twice and the backing array holds
+// on to no message.
+func dropOutgoing(recs []wire.Outgoing) {
 	for i := range recs {
 		if recs[i].Shared != nil {
 			recs[i].Shared.Release()
-			recs[i].Shared = nil
 		}
+		recs[i] = wire.Outgoing{}
 	}
 }
 

@@ -62,16 +62,20 @@ import (
 // them.
 type shard struct {
 	idx  int
-	reqs chan func()
+	reqs chan shardReq
 	// awaiting is the install channel of the migration this shard is parked
 	// behind; nil otherwise. One migration is in flight at a time (the global
 	// loop serializes them and waits for the install).
 	awaiting chan migrated
-	held     []func() // requests parked while awaiting, in arrival order
+	held     []shardReq // requests parked while awaiting, in arrival order
 
 	locks   *lock.Table
 	history *hist.DB
 	pending map[uint64]*pendingEvent
+	// plans caches the broadcast plan of every source that dispatched since
+	// the couple graph last changed (generation planGen); see planFor.
+	plans   map[couple.ObjectRef]*plan
+	planGen uint64
 	// seq counts events born on this shard; the wire-visible event ID is
 	// (seq-1)*nshards + idx + 1, so IDs are unique across shards and reduce
 	// to the plain counter 1,2,3,… with one shard.
@@ -80,6 +84,24 @@ type shard struct {
 	mEvents *obs.Counter // per-shard event counter (server.shard.<idx>.events)
 	mBusy   *obs.Counter // server.shard.<idx>.busy_ns: time spent executing closures
 	mDepth  *obs.Gauge   // server.shard.<idx>.queue_depth: inbox depth, sampled per dequeue
+}
+
+// shardReq is one request to a shard loop: a closure, or — for the one
+// request that arrives once per member per event — an Exec acknowledgement
+// carried by value, so resolving an ack allocates nothing.
+type shardReq struct {
+	fn  func()
+	ack execAck // the request when fn is nil
+}
+
+// execAck is one member's acknowledgement of one Exec.
+type execAck struct {
+	cl      *client
+	eventID uint64
+	tc      obs.TraceContext // the member's apply span
+	// now is the ack clock read once for a coalesced run (see ackClock); zero
+	// means ackExec reads the clock itself if attribution needs it.
+	now time.Time
 }
 
 // migrated is the state bundle of one cross-shard group migration.
@@ -187,13 +209,22 @@ func (s *Server) birthShard(eventID uint64) *shard {
 
 // postShard schedules fn on sh's loop. It reports false after Close.
 func (s *Server) postShard(sh *shard, fn func()) bool {
+	return s.postShardReq(sh, shardReq{fn: fn})
+}
+
+// postAck queues one Exec acknowledgement on sh's loop.
+func (s *Server) postAck(sh *shard, a execAck) bool {
+	return s.postShardReq(sh, shardReq{ack: a})
+}
+
+func (s *Server) postShardReq(sh *shard, req shardReq) bool {
 	select {
 	case <-s.quit:
 		return false
 	default:
 	}
 	select {
-	case sh.reqs <- fn:
+	case sh.reqs <- req:
 		return true
 	case <-s.quit:
 		return false
@@ -213,22 +244,22 @@ func (s *Server) shardLoop(sh *shard) {
 	defer s.wg.Done()
 	for {
 		select {
-		case fn := <-sh.reqs:
+		case req := <-sh.reqs:
 			sh.mDepth.Set(int64(len(sh.reqs)))
 			t0 := sh.mBusy.Start()
-			sh.run(fn)
+			s.runShard(sh, req)
 			sh.mBusy.AddSince(t0)
 		case m := <-sh.awaiting:
 			t0 := sh.mBusy.Start()
-			sh.install(m)
+			s.install(sh, m)
 			sh.mBusy.AddSince(t0)
 		case <-s.quit:
 			for {
 				select {
-				case fn := <-sh.reqs:
-					sh.run(fn)
+				case req := <-sh.reqs:
+					s.runShard(sh, req)
 				case m := <-sh.awaiting:
-					sh.install(m)
+					s.install(sh, m)
 				default:
 					return
 				}
@@ -237,17 +268,21 @@ func (s *Server) shardLoop(sh *shard) {
 	}
 }
 
-func (sh *shard) run(fn func()) {
-	if sh.awaiting != nil {
-		sh.held = append(sh.held, fn)
-		return
+// runShard executes one request on sh's loop, or parks it while a migration
+// into sh is in flight.
+func (s *Server) runShard(sh *shard, req shardReq) {
+	switch {
+	case sh.awaiting != nil:
+		sh.held = append(sh.held, req)
+	case req.fn != nil:
+		req.fn()
+	default:
+		s.ackExec(sh, req.ack)
 	}
-	fn()
 }
 
-// install merges a migrated group into this shard and replays the parked
-// backlog.
-func (sh *shard) install(m migrated) {
+// install merges a migrated group into sh and replays the parked backlog.
+func (s *Server) install(sh *shard, m migrated) {
 	sh.locks.Install(m.locks)
 	sh.history.Install(m.history)
 	for id, pe := range m.events {
@@ -257,8 +292,8 @@ func (sh *shard) install(m migrated) {
 	close(m.done)
 	held := sh.held
 	sh.held = nil
-	for _, fn := range held {
-		fn()
+	for _, req := range held {
+		s.runShard(sh, req)
 	}
 }
 
@@ -345,35 +380,21 @@ func (s *Server) dispatchEnv(cl *client, env wire.Envelope) bool {
 			s.handleEvent(sh, cl, env.Seq, m, env.Trace)
 		})
 	case wire.ExecAck:
-		sh := s.birthShard(m.EventID)
-		return s.postShard(sh, func() {
-			s.recordFlight(cl, "recv", env)
-			s.ackExec(sh, cl, m.EventID, env.Trace, time.Time{})
-		})
+		s.recordFlight(cl, "recv", env)
+		return s.postAck(s.birthShard(m.EventID), execAck{cl: cl, eventID: m.EventID, tc: env.Trace})
 	case wire.BatchAck:
-		// Split the coalesced run by birth shard, preserving within-shard
-		// entry order — resolving entries shard by shard is identical to the
-		// same ExecAcks arriving singly.
+		// Each entry goes to its event's birth shard as its own request; a
+		// shard's queue is FIFO, so within a shard the entries resolve in
+		// entry order — identical to the same ExecAcks arriving singly.
 		s.recordFlight(cl, "recv", env)
 		s.mAcksCoalesced.Add(uint64(len(m.Acks)))
-		perShard := make(map[*shard][]wire.BatchAckEntry)
+		now := s.ackClock()
 		for _, a := range m.Acks {
-			sh := s.birthShard(a.EventID)
-			perShard[sh] = append(perShard[sh], a)
-		}
-		ok := true
-		for sh, acks := range perShard {
-			sh, acks := sh, acks
-			if !s.postShard(sh, func() {
-				now := s.ackClock()
-				for _, a := range acks {
-					s.ackExec(sh, cl, a.EventID, a.Trace, now)
-				}
-			}) {
-				ok = false
+			if !s.postAck(s.birthShard(a.EventID), execAck{cl: cl, eventID: a.EventID, tc: a.Trace, now: now}) {
+				return false
 			}
 		}
-		return ok
+		return true
 	}
 	return s.post(func() {
 		s.recordFlight(cl, "recv", env)

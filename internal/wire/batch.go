@@ -91,6 +91,13 @@ func decodeBatch(d *decoder) Batch {
 		d.fail("batch count")
 		return m
 	}
+	// A record is at least five bytes (type, seq, refSeq, body length), so a
+	// count the remaining bytes cannot hold is not worth an allocation.
+	if n > uint64(len(d.buf)/minBatchRecord) {
+		d.fail("batch count")
+		return m
+	}
+	m.Envelopes = make([]Envelope, 0, n)
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		env, ok := d.innerEnvelope()
 		if !ok {
@@ -101,7 +108,12 @@ func decodeBatch(d *decoder) Batch {
 	return m
 }
 
-// innerEnvelope decodes one Batch record.
+// minBatchRecord is the encoded size of the smallest Batch record: a type
+// word and three one-byte uvarints around an empty body.
+const minBatchRecord = 5
+
+// innerEnvelope decodes one Batch record. The record body is decoded out of
+// a view into the enclosing frame; the envelope keeps none of it.
 func (d *decoder) innerEnvelope() (Envelope, bool) {
 	raw := d.u16()
 	t := Type(raw &^ flagMask)
@@ -112,7 +124,7 @@ func (d *decoder) innerEnvelope() (Envelope, bool) {
 			Span:  obs.SpanID(d.uvarint()),
 		}
 	}
-	body := d.bytes()
+	body := d.view("bytes")
 	if d.err != nil {
 		return Envelope{}, false
 	}
@@ -124,7 +136,7 @@ func (d *decoder) innerEnvelope() (Envelope, bool) {
 		d.fail("nested batch ack")
 		return Envelope{}, false
 	}
-	msg, err := decodeMessage(t, body)
+	msg, err := decodeMessage(t, body, d.idents)
 	if err != nil {
 		d.err = err
 		return Envelope{}, false

@@ -176,18 +176,18 @@ func malformedBatchBodies() map[string][]byte {
 
 func TestBatchDecodeRejectsMalformed(t *testing.T) {
 	for name, body := range malformedBatchBodies() {
-		if _, err := decodeMessage(TBatch, body); err == nil {
+		if _, err := decodeMessage(TBatch, body, nil); err == nil {
 			t.Errorf("%s batch accepted", name)
 		}
 	}
 	// BatchAck rejections share the count rules.
-	if _, err := decodeMessage(TBatchAck, binary.AppendUvarint(nil, 0)); err == nil {
+	if _, err := decodeMessage(TBatchAck, binary.AppendUvarint(nil, 0), nil); err == nil {
 		t.Error("zero-count batch ack accepted")
 	}
-	if _, err := decodeMessage(TBatchAck, binary.AppendUvarint(nil, MaxBatch+1)); err == nil {
+	if _, err := decodeMessage(TBatchAck, binary.AppendUvarint(nil, MaxBatch+1), nil); err == nil {
 		t.Error("over-count batch ack accepted")
 	}
-	if _, err := decodeMessage(TBatchAck, binary.AppendUvarint(nil, 2)); err == nil {
+	if _, err := decodeMessage(TBatchAck, binary.AppendUvarint(nil, 2), nil); err == nil {
 		t.Error("truncated batch ack accepted")
 	}
 }

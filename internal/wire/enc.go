@@ -10,9 +10,13 @@ import (
 
 // decoder consumes a message body sequentially, latching the first error so
 // message decoders can read field after field and check once at the end.
+// Everything it returns is a copy: buf is a frame buffer its owner reuses.
 type decoder struct {
 	buf []byte
 	err error
+	// idents is the connection's identifier table (nil outside a Conn:
+	// identifiers are then copied like any other string).
+	idents *internTable
 }
 
 func (d *decoder) fail(what string) {
@@ -36,41 +40,44 @@ func (d *decoder) uvarint() uint64 {
 
 func (d *decoder) bool() bool { return d.uvarint() != 0 }
 
-func (d *decoder) string() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.buf)) {
-		d.fail("string")
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
-}
-
-func (d *decoder) bytes() []byte {
+// view consumes one length-prefixed field and returns it as a sub-slice of
+// the frame buffer — for the caller to copy or decode out of, never to keep.
+func (d *decoder) view(what string) []byte {
 	n := d.uvarint()
 	if d.err != nil {
 		return nil
 	}
 	if n > uint64(len(d.buf)) {
-		d.fail("bytes")
+		d.fail(what)
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, d.buf[:n])
+	b := d.buf[:n]
 	d.buf = d.buf[n:]
 	return b
 }
 
+func (d *decoder) string() string { return string(d.view("string")) }
+
+// ident decodes an identifier — an object path, event name, instance ID or
+// class name — through the connection's intern table.
+func (d *decoder) ident() string { return d.idents.get(d.view("string")) }
+
+func (d *decoder) bytes() []byte {
+	v := d.view("bytes")
+	if d.err != nil {
+		return nil
+	}
+	b := make([]byte, len(v))
+	copy(b, v)
+	return b
+}
+
 func (d *decoder) instanceID() couple.InstanceID {
-	return couple.InstanceID(d.string())
+	return couple.InstanceID(d.ident())
 }
 
 func (d *decoder) objectRef() couple.ObjectRef {
-	return couple.ObjectRef{Instance: d.instanceID(), Path: d.string()}
+	return couple.ObjectRef{Instance: d.instanceID(), Path: d.ident()}
 }
 
 func (d *decoder) link() couple.Link {
@@ -99,7 +106,8 @@ func (d *decoder) values() []attr.Value {
 	return vals
 }
 
-func (d *decoder) stringList() []string {
+// identList decodes a list of identifiers (the paths of a SetLocks).
+func (d *decoder) identList() []string {
 	n := d.uvarint()
 	if d.err != nil {
 		return nil
@@ -110,7 +118,7 @@ func (d *decoder) stringList() []string {
 	}
 	out := make([]string, n)
 	for i := range out {
-		out[i] = d.string()
+		out[i] = d.ident()
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -8,8 +9,9 @@ import (
 )
 
 // FuzzDecodeMessage asserts the message decoder never panics on arbitrary
-// bodies of every known type, and that accepted messages re-encode to an
-// equal message.
+// bodies of every known type, that accepted messages re-encode to an equal
+// message, and that an accepted message keeps no reference to the body it was
+// decoded from (with an intern table, as a Conn decodes).
 func FuzzDecodeMessage(f *testing.F) {
 	for _, m := range allMessages() {
 		f.Add(uint16(m.MsgType()), m.encode(nil))
@@ -21,11 +23,19 @@ func FuzzDecodeMessage(f *testing.F) {
 		f.Add(uint16(TBatch), body)
 	}
 	f.Fuzz(func(t *testing.T, rawType uint16, body []byte) {
-		m, err := decodeMessage(Type(rawType), body)
+		buf := append([]byte(nil), body...)
+		m, err := decodeMessage(Type(rawType), buf, &internTable{})
 		if err != nil {
 			return
 		}
-		again, err := decodeMessage(m.MsgType(), m.encode(nil))
+		encoded := m.encode(nil)
+		for i := range buf {
+			buf[i] ^= 0xFF
+		}
+		if !bytes.Equal(m.encode(nil), encoded) {
+			t.Fatalf("%s aliases the body it was decoded from", m.MsgType())
+		}
+		again, err := decodeMessage(m.MsgType(), m.encode(nil), nil)
 		if err != nil {
 			t.Fatalf("re-decode of accepted message failed: %v", err)
 		}
@@ -35,9 +45,11 @@ func FuzzDecodeMessage(f *testing.F) {
 	})
 }
 
-// FuzzConnRead asserts the framed reader never panics on arbitrary streams.
-// The corpus seeds both envelope encodings: the pre-trace layout and the
-// traceFlag layout with trace/span varints after refSeq.
+// FuzzConnRead asserts the framed reader never panics on arbitrary streams,
+// and that every envelope it does decode owns its bytes: reading the next
+// frame into the same buffer must not change what the previous envelope
+// encodes to. The corpus seeds both envelope encodings: the pre-trace layout
+// and the traceFlag layout with trace/span varints after refSeq.
 func FuzzConnRead(f *testing.F) {
 	env := Envelope{Seq: 3, Msg: OK{}}
 	var frame []byte
@@ -85,6 +97,19 @@ func FuzzConnRead(f *testing.F) {
 		mf := binary.LittleEndian.AppendUint32(nil, uint32(len(mb)))
 		f.Add(append(mf, mb...))
 	}
+	// Streams of two frames, so a second read overwrites the buffer the first
+	// envelope was decoded from: every message type followed by the batch
+	// above, and the batch followed by a plain frame.
+	for _, m := range allMessages() {
+		one := binary.LittleEndian.AppendUint16(nil, uint16(m.MsgType()))
+		one = binary.AppendUvarint(one, 1)
+		one = binary.AppendUvarint(one, 0)
+		one = m.encode(one)
+		two := binary.LittleEndian.AppendUint32(nil, uint32(len(one)))
+		two = append(two, one...)
+		f.Add(append(append(two, bframe...), bbody...))
+	}
+	f.Add(append(append(append([]byte(nil), bframe...), bbody...), tframe...))
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		a, b := Pipe()
 		defer a.Close()
@@ -98,10 +123,17 @@ func FuzzConnRead(f *testing.F) {
 				_ = writeRaw(a, raw)
 			}
 		}()
+		var prev Envelope
+		var prevBytes []byte
 		for {
-			if _, err := b.Read(); err != nil {
+			env, err := b.Read()
+			if prev.Msg != nil && !bytes.Equal(AppendEnvelope(nil, prev), prevBytes) {
+				t.Fatalf("%s changed when the next frame was read", prev.Msg.MsgType())
+			}
+			if err != nil {
 				return
 			}
+			prev, prevBytes = env, AppendEnvelope(nil, env)
 		}
 	})
 }

@@ -546,9 +546,11 @@ func (m Resume) encode(buf []byte) []byte       { return appendString(buf, m.Tok
 func (OK) encode(buf []byte) []byte    { return buf }
 func (m Err) encode(buf []byte) []byte { return appendString(buf, m.Text) }
 
-// decodeMessage decodes a message body by type tag.
-func decodeMessage(t Type, body []byte) (Message, error) {
-	d := &decoder{buf: body}
+// decodeMessage decodes a message body by type tag. The message owns
+// everything it references — body may be overwritten as soon as this returns
+// — except identifier strings, which come out of idents (nil: plain copies).
+func decodeMessage(t Type, body []byte, idents *internTable) (Message, error) {
+	d := &decoder{buf: body, idents: idents}
 	var m Message
 	switch t {
 	case TRegister:
@@ -558,9 +560,9 @@ func decodeMessage(t Type, body []byte) (Message, error) {
 	case TDeregister:
 		m = Deregister{}
 	case TDeclare:
-		m = Declare{Path: d.string(), Class: d.string()}
+		m = Declare{Path: d.ident(), Class: d.ident()}
 	case TRetract:
-		m = Retract{Path: d.string()}
+		m = Retract{Path: d.ident()}
 	case TCouple:
 		m = Couple{From: d.objectRef(), To: d.objectRef()}
 	case TDecouple:
@@ -570,28 +572,28 @@ func decodeMessage(t Type, body []byte) (Message, error) {
 	case TLinkRemoved:
 		m = LinkRemoved{Link: d.link()}
 	case TEvent:
-		m = Event{Path: d.string(), Name: d.string(), Args: d.values()}
+		m = Event{Path: d.ident(), Name: d.ident(), Args: d.values()}
 	case TExec:
-		m = Exec{EventID: d.uvarint(), TargetPath: d.string(), Name: d.string(),
+		m = Exec{EventID: d.uvarint(), TargetPath: d.ident(), Name: d.ident(),
 			Args: d.values(), Origin: d.objectRef()}
 	case TExecAck:
 		m = ExecAck{EventID: d.uvarint()}
 	case TEventResult:
 		m = EventResult{OK: d.bool(), Reason: d.string()}
 	case TSetLocks:
-		m = SetLocks{Paths: d.stringList(), Locked: d.bool()}
+		m = SetLocks{Paths: d.identList(), Locked: d.bool()}
 	case TCopyTo:
-		m = CopyTo{FromPath: d.string(), To: d.objectRef(),
+		m = CopyTo{FromPath: d.ident(), To: d.objectRef(),
 			State: d.treeState(), Destructive: d.bool()}
 	case TCopyFrom:
-		m = CopyFrom{From: d.objectRef(), ToPath: d.string(), Destructive: d.bool(), Shallow: d.bool()}
+		m = CopyFrom{From: d.objectRef(), ToPath: d.ident(), Destructive: d.bool(), Shallow: d.bool()}
 	case TRemoteCopy:
 		m = RemoteCopy{From: d.objectRef(), To: d.objectRef(), Destructive: d.bool()}
 	case TApplyState:
-		m = ApplyState{Path: d.string(), State: d.treeState(),
+		m = ApplyState{Path: d.ident(), State: d.treeState(),
 			Origin: d.instanceID(), Destructive: d.bool()}
 	case TStateRequest:
-		m = StateRequest{RequestID: d.uvarint(), Path: d.string(), RelevantOnly: d.bool(), Shallow: d.bool()}
+		m = StateRequest{RequestID: d.uvarint(), Path: d.ident(), RelevantOnly: d.bool(), Shallow: d.bool()}
 	case TStateReply:
 		m = StateReply{RequestID: d.uvarint(), OK: d.bool(), Reason: d.string(),
 			State: d.treeState()}
@@ -610,9 +612,9 @@ func decodeMessage(t Type, body []byte) (Message, error) {
 	case TCommandDeliver:
 		m = CommandDeliver{Name: d.string(), From: d.instanceID(), Payload: d.bytes()}
 	case TUndo:
-		m = Undo{Path: d.string()}
+		m = Undo{Path: d.ident()}
 	case TRedo:
-		m = Redo{Path: d.string()}
+		m = Redo{Path: d.ident()}
 	case TListInstances:
 		m = ListInstances{}
 	case TInstanceList:
@@ -631,7 +633,7 @@ func decodeMessage(t Type, body []byte) (Message, error) {
 				}
 				for j := uint64(0); j < k && d.err == nil; j++ {
 					info.Objects = append(info.Objects,
-						DeclaredObject{Path: d.string(), Class: d.string()})
+						DeclaredObject{Path: d.ident(), Class: d.ident()})
 				}
 				list.Instances = append(list.Instances, info)
 			}

@@ -39,6 +39,18 @@
 // of envelopes (each with its own type, correlation numbers, and optional
 // trace context) into one wire frame. Legacy peers never advertise the bit
 // and therefore keep receiving plain single-message frames.
+//
+// # Buffer ownership
+//
+// Read decodes every frame out of one per-Conn buffer that the next Read
+// overwrites, and a Batch record is decoded from a view into it. The rule
+// that makes this safe: a decoded Envelope never aliases the frame buffer.
+// Every decoder copies what it keeps — strings, byte payloads, attribute
+// values, widget states — so an Envelope stays valid for as long as its
+// holder likes, whatever the Conn reads next. Identifier strings (object
+// paths, event names, instance IDs, class names) are copied once per
+// connection and shared between the envelopes that repeat them (see
+// intern.go); payload values are never shared.
 package wire
 
 import (
@@ -89,9 +101,14 @@ type Envelope struct {
 	Msg Message
 }
 
-// maxConnScratch caps the capacity of the per-conn encode buffers retained
-// between writes, so one oversized frame does not pin its buffer forever.
+// maxConnScratch caps the capacity of the per-conn encode and frame buffers
+// retained between calls, so one oversized frame does not pin its buffer
+// forever.
 const maxConnScratch = 64 << 10
+
+// minFrameBuf is the smallest frame buffer a Conn allocates; event-path
+// frames (an Exec with a short payload, a two-record Batch) fit in it.
+const minFrameBuf = 512
 
 // Conn wraps a stream connection with framing and concurrent-safe writes.
 // Reads must be performed by a single goroutine.
@@ -99,6 +116,14 @@ type Conn struct {
 	wmu  sync.Mutex
 	rw   *bufio.ReadWriter
 	conn net.Conn
+
+	// rlen and rbuf hold the length prefix and the body of the frame being
+	// read, and idents the identifier strings already seen on this
+	// connection. All three belong to the single reading goroutine; frames
+	// above maxConnScratch get a one-off buffer instead of growing rbuf.
+	rlen   [4]byte
+	rbuf   []byte
+	idents internTable
 
 	// scratch is the reusable frame-encode buffer; scratch2 stages Batch
 	// record bodies (whose length prefixes the bytes). Both are guarded by
@@ -416,21 +441,37 @@ func (c *Conn) writeVectored(bufs net.Buffers) error {
 	return nil
 }
 
+// frameBuf returns the n-byte buffer the next frame body is read into: the
+// retained one when it is large enough, a grown one (doubling, so a stream of
+// slowly lengthening frames settles after a few) when the frame still fits
+// under the retention cap, and a one-off allocation for anything larger.
+func (c *Conn) frameBuf(n int) []byte {
+	if n <= cap(c.rbuf) {
+		return c.rbuf[:n]
+	}
+	if n > maxConnScratch {
+		return make([]byte, n)
+	}
+	c.rbuf = make([]byte, max(n, min(2*cap(c.rbuf), maxConnScratch), minFrameBuf))
+	return c.rbuf[:n]
+}
+
 // Read reads and decodes one envelope. It returns io.EOF (possibly wrapped)
-// when the peer closed cleanly between frames.
+// when the peer closed cleanly between frames. The frame is read into a
+// buffer the next Read reuses; the returned Envelope holds no reference to it
+// (see the package comment's ownership rule).
 func (c *Conn) Read() (Envelope, error) {
-	var lenbuf [4]byte
-	if _, err := io.ReadFull(c.rw, lenbuf[:]); err != nil {
+	if _, err := io.ReadFull(c.rw, c.rlen[:]); err != nil {
 		return Envelope{}, err
 	}
-	n := binary.LittleEndian.Uint32(lenbuf[:])
+	n := binary.LittleEndian.Uint32(c.rlen[:])
 	if n > MaxFrame {
 		return Envelope{}, ErrFrameTooLarge
 	}
 	if n < 4 {
 		return Envelope{}, fmt.Errorf("wire: frame too short (%d bytes)", n)
 	}
-	body := make([]byte, n)
+	body := c.frameBuf(int(n))
 	if _, err := io.ReadFull(c.rw, body); err != nil {
 		return Envelope{}, fmt.Errorf("wire: read frame body: %w", err)
 	}
@@ -467,7 +508,7 @@ func (c *Conn) Read() (Envelope, error) {
 		// The peer speaks the extension; replies to it may carry traces.
 		c.peerTrace.Store(true)
 	}
-	msg, err := decodeMessage(t, body)
+	msg, err := decodeMessage(t, body, &c.idents)
 	if err != nil {
 		return Envelope{}, err
 	}

@@ -265,7 +265,7 @@ func TestDecodeTrailingAndTruncated(t *testing.T) {
 	for _, m := range allMessages() {
 		body := m.encode(nil)
 		// Trailing byte must be rejected.
-		if _, err := decodeMessage(m.MsgType(), append(append([]byte{}, body...), 0)); err == nil {
+		if _, err := decodeMessage(m.MsgType(), append(append([]byte{}, body...), 0), nil); err == nil {
 			// Messages whose last field is variable-length may absorb one
 			// extra byte legally only if encoding is ambiguous — none are.
 			t.Errorf("%s: trailing byte accepted", m.MsgType())
@@ -273,7 +273,7 @@ func TestDecodeTrailingAndTruncated(t *testing.T) {
 		// Every strict prefix must error or decode to something different,
 		// and must never panic.
 		for cut := 0; cut < len(body); cut++ {
-			got, err := decodeMessage(m.MsgType(), body[:cut])
+			got, err := decodeMessage(m.MsgType(), body[:cut], nil)
 			if err == nil && messagesEqual(got, m) {
 				t.Errorf("%s: prefix %d decoded to identical message", m.MsgType(), cut)
 			}
