@@ -609,6 +609,77 @@ func fanoutBench(b *testing.B, bench string, sopts server.Options, batching, gat
 	})
 }
 
+// BenchmarkCoupleStar times what building a coupling group costs as the group
+// grows: one iteration couples a hub to k−1 members over loopback TCP, one
+// Couple RPC at a time, as a session's set-up does. ns/couple is the mean RPC;
+// notices/couple the LinkAdded the server enqueued per Couple — k on average
+// under delta replication (DESIGN §16), where re-sending the whole group to
+// every member made it grow with k². The teardown between iterations is not
+// timed.
+func BenchmarkCoupleStar(b *testing.B) {
+	for _, k := range []int{8, 32, 128} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv := server.New(server.Options{})
+			go srv.Serve(lis)
+			defer srv.Close()
+			defer lis.Close()
+			clients := make([]*cosoft.Client, k)
+			for i := range clients {
+				conn, err := net.Dial("tcp", lis.Addr().String())
+				if err != nil {
+					b.Fatal(err)
+				}
+				wreg := cosoft.NewRegistry()
+				cosoft.MustBuild(wreg, "/", `textfield hub value=""`)
+				clients[i], err = client.New(conn, client.Options{
+					AppType: "bench", User: fmt.Sprintf("m%d", i), Host: "bench", Registry: wreg,
+					RPCTimeout: 30 * time.Second, Batching: true,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer clients[i].Close()
+				if err := clients[i].Declare("/hub"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			hub, members := clients[0], clients[1:]
+			var notices uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				before := srv.Stats().LinkNotices
+				for _, m := range members {
+					if err := hub.Couple("/hub", m.Ref("/hub")); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				notices += srv.Stats().LinkNotices - before
+				for _, m := range members {
+					if err := hub.Decouple("/hub", m.Ref("/hub")); err != nil {
+						b.Fatal(err)
+					}
+				}
+				// A round trip per member drains the notices still queued
+				// for it, so the next build starts on idle connections.
+				for _, m := range members {
+					if _, err := m.Instances(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+			}
+			couples := float64(b.N * len(members))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/couples, "ns/couple")
+			b.ReportMetric(float64(notices)/couples, "notices/couple")
+		})
+	}
+}
+
 // discardConn is a net.Conn that swallows writes, so BenchmarkBroadcastEncode
 // can measure the server-side encode path alone.
 type discardConn struct{ net.Conn }

@@ -298,7 +298,7 @@ func run(cfg config) error {
 	allocsPerEvent := float64(ms1.Mallocs-ms0.Mallocs) / float64(total.events)
 
 	name := fmt.Sprintf("cosoft-load/g%dx%d", cfg.groups, cfg.groupSize)
-	fmt.Printf("%s: %d events in %.2fs (%.0f events/sec, %d floor rejections, setup %.2fs)\n",
+	fmt.Printf("%s: %d events in %.2fs (%.0f events/sec, %d floor rejections, setup %.3fs)\n",
 		name, total.events, loadTime.Seconds(), eps, total.rejections, setupTime.Seconds())
 	fmt.Printf("%s: dispatch RTT p50=%s p99=%s max=%s\n", name, p50, p99, quantile(1))
 	extra := map[string]float64{
@@ -310,10 +310,15 @@ func run(cfg config) error {
 		"p99_rtt_ns":     float64(p99.Nanoseconds()),
 		"shards":         float64(cfg.shards),
 		"num_cpu":        float64(runtime.NumCPU()),
+		"setup_s":        setupTime.Seconds(),
 	}
 	var stats server.Stats
 	if srv != nil {
 		stats = srv.Stats()
+		// No coupling changes once the load runs, so every link notice so
+		// far was part of building the topology.
+		fmt.Printf("%s: set-up cost %d link notices\n", name, stats.LinkNotices)
+		extra["link_notices"] = float64(stats.LinkNotices)
 		fmt.Printf("%s: B/event=%.0f allocs/event=%.1f bytes-encoded/event=%.0f pool hit/miss=%d/%d\n",
 			name, bPerEvent, allocsPerEvent,
 			float64(stats.BytesEncoded)/float64(total.events),

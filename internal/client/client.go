@@ -424,6 +424,7 @@ func (c *Client) supervise() {
 			return
 		}
 		c.slog.Warn("connection lost, reconnecting")
+		c.forgetFarLinks()
 		next, pre, err := c.redial()
 		if err != nil {
 			c.logf("client %s: reconnect: %v", c.id, err)
@@ -535,9 +536,40 @@ func (c *Client) routeLocal(conn *wire.Conn, env wire.Envelope) (bool, error) {
 		return true, nil
 	case wire.LinkRemoved:
 		c.links.RemoveLink(m.Link.From, m.Link.To)
+		c.pruneMirror(m.Link.From)
+		c.pruneMirror(m.Link.To)
 		return true, nil
 	}
 	return false, nil
+}
+
+// pruneMirror forgets the mirrored links of o's group once a removal has
+// left no local object in it. The server reports changes only to instances
+// with an object in the group, so from here on those links could go stale
+// unseen, and a later re-merge — which sends the far side as it then is, not
+// what to forget — would resurrect them as ghost members. Pruning keeps the
+// mirror exactly the links of the groups of this instance's own objects.
+func (c *Client) pruneMirror(o couple.ObjectRef) {
+	if c.links.Owns(o, c.id) {
+		return
+	}
+	_, links := c.links.GroupLinks(o)
+	for _, l := range links {
+		c.links.RemoveLink(l.From, l.To)
+	}
+}
+
+// forgetFarLinks drops, at a connection loss, the mirrored links that do not
+// touch this instance. Nothing reports what becomes of them while it is
+// gone, and it needs none of them to come back: resync re-creates the links
+// that do touch it, and each of those Couples is answered with the far side
+// of the group as it is then.
+func (c *Client) forgetFarLinks() {
+	for _, l := range c.links.Links() {
+		if l.From.Instance != c.id && l.To.Instance != c.id {
+			c.links.RemoveLink(l.From, l.To)
+		}
+	}
 }
 
 // dispatchLoop is the instance's UI thread for server-initiated work: remote
@@ -734,6 +766,10 @@ func (q *inqueue) close() {
 func (c *Client) Coupled(path string) bool {
 	return c.links.Coupled(c.Ref(path))
 }
+
+// Links returns the locally mirrored couple links — those of the groups this
+// instance's own objects are in — in deterministic order.
+func (c *Client) Links() []couple.Link { return c.links.Links() }
 
 // CO returns the locally mirrored coupling group of a local object,
 // excluding the object itself.

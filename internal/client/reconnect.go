@@ -206,11 +206,12 @@ func (c *Client) resume(raw net.Conn) (*wire.Conn, []wire.Envelope, error) {
 
 // resync restores the server's view of this instance after a resume: the
 // disconnect cost the server every declaration and couple link of the old
-// incarnation, while the local mirror kept them. Declarations are replayed,
-// links touching this instance are re-created (idempotent at the server's
-// mirrors), and every re-coupled object pulls a peer's current state via the
-// CopyFrom path, so local state converges with whatever the group did while
-// this client was gone.
+// incarnation, while the local mirror kept the links that touch this instance
+// (forgetFarLinks dropped the rest). Declarations are replayed, those links
+// are re-created — each Couple brings back the far side of its group as the
+// server has it now — and every re-coupled object pulls a peer's current
+// state via the CopyFrom path, so local state converges with whatever the
+// group did while this client was gone.
 func (c *Client) resync() {
 	defer c.wg.Done()
 	var firstErr error

@@ -53,9 +53,14 @@ func (l Link) String() string {
 type Graph struct {
 	mu    sync.RWMutex
 	links map[Link]struct{}
-	// adj counts undirected edges between pairs, so duplicate links (from
-	// different creators) keep the pair connected until all are removed.
-	adj map[ObjectRef]map[ObjectRef]int
+	// inc is the incidence index: inc[o] holds every link that has o as its
+	// source or destination, in no particular order, and objects without
+	// links have no entry. Each link is listed under both endpoints, so what
+	// touches an object — and from there its neighbours and its whole group
+	// — is found without looking at the rest of the relation. Duplicate
+	// links (from different creators) are separate entries and keep the pair
+	// connected until all are removed.
+	inc map[ObjectRef][]Link
 	// gen counts changes to the relation: every mutator that adds or removes
 	// a link bumps it under mu, no reader does. Anything derived from the
 	// graph (the server's cached broadcast plans) is valid exactly as long as
@@ -67,7 +72,7 @@ type Graph struct {
 func NewGraph() *Graph {
 	return &Graph{
 		links: make(map[Link]struct{}),
-		adj:   make(map[ObjectRef]map[ObjectRef]int),
+		inc:   make(map[ObjectRef][]Link),
 	}
 }
 
@@ -86,10 +91,19 @@ func (g *Graph) AddLink(l Link) error {
 		return nil
 	}
 	g.links[l] = struct{}{}
-	g.bump(l.From, l.To, 1)
-	g.bump(l.To, l.From, 1)
+	g.inc[l.From] = append(g.inc[l.From], l)
+	g.inc[l.To] = append(g.inc[l.To], l)
 	g.gen.Add(1)
 	return nil
+}
+
+// Has reports whether exactly this link (same source, destination and
+// creator) is in the relation, which is when AddLink would change nothing.
+func (g *Graph) Has(l Link) bool {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	_, ok := g.links[l]
+	return ok
 }
 
 // RemoveLink deletes a couple link regardless of creator. It reports whether
@@ -98,19 +112,23 @@ func (g *Graph) AddLink(l Link) error {
 func (g *Graph) RemoveLink(from, to ObjectRef) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	removed := false
-	for l := range g.links {
+	at := g.inc[from]
+	kept := at[:0]
+	for _, l := range at {
 		if l.From == from && l.To == to {
 			delete(g.links, l)
-			g.bump(l.From, l.To, -1)
-			g.bump(l.To, l.From, -1)
-			removed = true
+			g.unlist(to, l)
+		} else {
+			kept = append(kept, l)
 		}
 	}
-	if removed {
-		g.gen.Add(1)
+	if len(kept) == len(at) {
+		return false
 	}
-	return removed
+	clear(at[len(kept):])
+	g.setIncident(from, kept)
+	g.gen.Add(1)
+	return true
 }
 
 // RemoveObject deletes every link incident to ref — the automatic decoupling
@@ -119,13 +137,14 @@ func (g *Graph) RemoveLink(from, to ObjectRef) bool {
 func (g *Graph) RemoveObject(ref ObjectRef) []Link {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	var removed []Link
-	for l := range g.links {
-		if l.From == ref || l.To == ref {
-			delete(g.links, l)
-			g.bump(l.From, l.To, -1)
-			g.bump(l.To, l.From, -1)
-			removed = append(removed, l)
+	removed := g.inc[ref]
+	delete(g.inc, ref)
+	for _, l := range removed {
+		delete(g.links, l)
+		if l.From == ref {
+			g.unlist(l.To, l)
+		} else {
+			g.unlist(l.From, l)
 		}
 	}
 	if len(removed) > 0 {
@@ -145,8 +164,8 @@ func (g *Graph) RemoveInstance(id InstanceID) []Link {
 	for l := range g.links {
 		if l.From.Instance == id || l.To.Instance == id {
 			delete(g.links, l)
-			g.bump(l.From, l.To, -1)
-			g.bump(l.To, l.From, -1)
+			g.unlist(l.From, l)
+			g.unlist(l.To, l)
 			removed = append(removed, l)
 		}
 	}
@@ -157,22 +176,27 @@ func (g *Graph) RemoveInstance(id InstanceID) []Link {
 	return removed
 }
 
-func (g *Graph) bump(a, b ObjectRef, delta int) {
-	m := g.adj[a]
-	if m == nil {
-		if delta <= 0 {
+// unlist takes l out of o's incidence list. The caller holds mu.
+func (g *Graph) unlist(o ObjectRef, l Link) {
+	at := g.inc[o]
+	for i := range at {
+		if at[i] == l {
+			last := len(at) - 1
+			at[i], at[last] = at[last], Link{}
+			g.setIncident(o, at[:last])
 			return
 		}
-		m = make(map[ObjectRef]int)
-		g.adj[a] = m
 	}
-	m[b] += delta
-	if m[b] <= 0 {
-		delete(m, b)
-		if len(m) == 0 {
-			delete(g.adj, a)
-		}
+}
+
+// setIncident stores o's incidence list, dropping the entry once it is empty
+// so that inc lists exactly the coupled objects.
+func (g *Graph) setIncident(o ObjectRef, at []Link) {
+	if len(at) == 0 {
+		delete(g.inc, o)
+		return
 	}
+	g.inc[o] = at
 }
 
 // Generation returns the graph's change counter. It moves whenever a link is
@@ -201,31 +225,85 @@ func (g *Graph) CO(o ObjectRef) []ObjectRef {
 func (g *Graph) Group(o ObjectRef) []ObjectRef {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	seen := map[ObjectRef]bool{o: true}
+	return g.component(o, nil)
+}
+
+// GroupLinks returns o's coupling group as Group does, together with every
+// link between its members, both in deterministic order and from one walk of
+// the component. It is what an instance with an object in the group mirrors.
+func (g *Graph) GroupLinks(o ObjectRef) ([]ObjectRef, []Link) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	var links []Link
+	members := g.component(o, &links)
+	sortLinks(links)
+	return members, links
+}
+
+// Owns reports whether the instance owns a member of o's group, o included.
+// It looks at all of a member's neighbours before it walks on to any of them
+// and stops at the first hit, so for a group the instance is in — the usual
+// question — it costs about the distance, not the group.
+func (g *Graph) Owns(o ObjectRef, id InstanceID) bool {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	if o.Instance == id {
+		return true
+	}
+	seen := map[ObjectRef]struct{}{o: {}}
 	queue := []ObjectRef{o}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for next := range g.adj[cur] {
-			if !seen[next] {
-				seen[next] = true
+	for i := 0; i < len(queue); i++ {
+		at := g.inc[queue[i]]
+		for _, l := range at {
+			if l.From.Instance == id || l.To.Instance == id {
+				return true
+			}
+		}
+		for _, l := range at {
+			next := l.To
+			if next == queue[i] {
+				next = l.From
+			}
+			if _, ok := seen[next]; !ok {
+				seen[next] = struct{}{}
 				queue = append(queue, next)
 			}
 		}
 	}
-	out := make([]ObjectRef, 0, len(seen))
-	for ref := range seen {
-		out = append(out, ref)
+	return false
+}
+
+// component walks o's connected component breadth-first over the incidence
+// index and returns its members sorted. With links non-nil it also collects
+// the component's links, each once: a link is listed under both endpoints and
+// taken at its source. The caller holds mu.
+func (g *Graph) component(o ObjectRef, links *[]Link) []ObjectRef {
+	seen := map[ObjectRef]struct{}{o: {}}
+	members := []ObjectRef{o} // doubles as the walk's queue
+	for i := 0; i < len(members); i++ {
+		cur := members[i]
+		for _, l := range g.inc[cur] {
+			next := l.To
+			if next == cur {
+				next = l.From
+			} else if links != nil {
+				*links = append(*links, l)
+			}
+			if _, ok := seen[next]; !ok {
+				seen[next] = struct{}{}
+				members = append(members, next)
+			}
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	sort.Slice(members, func(i, j int) bool { return members[i].Less(members[j]) })
+	return members
 }
 
 // Coupled reports whether o participates in any couple link.
 func (g *Graph) Coupled(o ObjectRef) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.adj[o]) > 0
+	return len(g.inc[o]) > 0
 }
 
 // Links returns all current links in deterministic order.
@@ -244,12 +322,7 @@ func (g *Graph) Links() []Link {
 func (g *Graph) LinksOf(o ObjectRef) []Link {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	var out []Link
-	for l := range g.links {
-		if l.From == o || l.To == o {
-			out = append(out, l)
-		}
-	}
+	out := append([]Link(nil), g.inc[o]...)
 	sortLinks(out)
 	return out
 }
@@ -275,8 +348,8 @@ func (g *Graph) InstanceLinks(id InstanceID) []Link {
 // deterministic order.
 func (g *Graph) Groups() [][]ObjectRef {
 	g.mu.RLock()
-	objs := make([]ObjectRef, 0, len(g.adj))
-	for o := range g.adj {
+	objs := make([]ObjectRef, 0, len(g.inc))
+	for o := range g.inc {
 		objs = append(objs, o)
 	}
 	g.mu.RUnlock()

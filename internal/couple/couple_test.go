@@ -1,6 +1,7 @@
 package couple
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -313,4 +314,166 @@ func TestGenerationTracksMutations(t *testing.T) {
 		g.Len()
 		g.Generation()
 	})
+}
+
+// checkIndex holds the incidence index to a linear scan of the link set:
+// every link is listed exactly once under each endpoint and nowhere else, no
+// list is empty, and LinksOf, Coupled, GroupLinks and Owns — the readers that
+// go through the index — answer what the scan answers.
+func checkIndex(t *testing.T, g *Graph, objs []ObjectRef, when string) {
+	t.Helper()
+	all := g.Links()
+	listed := 0
+	for o, at := range g.inc {
+		if len(at) == 0 {
+			t.Fatalf("%s: %v has an empty incidence list", when, o)
+		}
+		for i, l := range at {
+			if _, ok := g.links[l]; !ok || (l.From != o && l.To != o) {
+				t.Fatalf("%s: %v lists %v, which is not a link touching it", when, o, l)
+			}
+			for _, other := range at[:i] {
+				if other == l {
+					t.Fatalf("%s: %v lists %v twice", when, o, l)
+				}
+			}
+		}
+		listed += len(at)
+	}
+	if listed != 2*len(all) {
+		t.Fatalf("%s: %d index entries for %d links, want two each", when, listed, len(all))
+	}
+	for _, o := range objs {
+		var scan []Link
+		for _, l := range all {
+			if l.From == o || l.To == o {
+				scan = append(scan, l)
+			}
+		}
+		if got := g.LinksOf(o); !reflect.DeepEqual(got, scan) && len(got)+len(scan) > 0 {
+			t.Fatalf("%s: LinksOf(%v) = %v, a scan finds %v", when, o, got, scan)
+		}
+		if g.Coupled(o) != (len(scan) > 0) {
+			t.Fatalf("%s: Coupled(%v) = %v with %d links", when, o, g.Coupled(o), len(scan))
+		}
+		members, links := g.GroupLinks(o)
+		if want := g.Group(o); !reflect.DeepEqual(members, want) {
+			t.Fatalf("%s: GroupLinks(%v) members = %v, Group says %v", when, o, members, want)
+		}
+		in := make(map[ObjectRef]bool, len(members))
+		owners := make(map[InstanceID]bool)
+		for _, m := range members {
+			in[m] = true
+			owners[m.Instance] = true
+		}
+		for _, id := range []InstanceID{"A", "B", "C", "T"} {
+			if g.Owns(o, id) != owners[id] {
+				t.Fatalf("%s: Owns(%v, %v) = %v, its group is %v", when, o, id, g.Owns(o, id), members)
+			}
+		}
+		scan = scan[:0]
+		for _, l := range all {
+			if in[l.From] != in[l.To] {
+				t.Fatalf("%s: %v crosses the boundary of %v's group %v", when, l, o, members)
+			}
+			if in[l.From] {
+				scan = append(scan, l)
+			}
+		}
+		if !reflect.DeepEqual(links, scan) && len(links)+len(scan) > 0 {
+			t.Fatalf("%s: GroupLinks(%v) links = %v, a scan finds %v", when, o, links, scan)
+		}
+	}
+}
+
+// TestIndexAgreesWithScan runs random mutator sequences — duplicate links
+// from different creators and links in both directions included — and checks
+// the index after every one.
+func TestIndexAgreesWithScan(t *testing.T) {
+	var objs []ObjectRef
+	for _, inst := range []string{"A", "B", "C"} {
+		for _, p := range []string{"/a", "/b", "/c"} {
+			objs = append(objs, ref(inst, p))
+		}
+	}
+	creators := []InstanceID{"A", "B", "C", "T"}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := NewGraph()
+		pick := func() ObjectRef { return objs[r.Intn(len(objs))] }
+		for step := 0; step < 60; step++ {
+			var when string
+			switch op := r.Intn(8); {
+			case op < 4:
+				l := Link{From: pick(), To: pick(), Creator: creators[r.Intn(len(creators))]}
+				had := g.Has(l)
+				err := g.AddLink(l)
+				if (err == nil) != (l.From != l.To) || (err == nil && !g.Has(l)) || (had && err != nil) {
+					t.Logf("seed %d step %d: AddLink(%v) = %v, had %v, has %v", seed, step, l, err, had, g.Has(l))
+					return false
+				}
+				when = fmt.Sprintf("seed %d step %d: AddLink(%v)", seed, step, l)
+			case op < 6:
+				a, b := pick(), pick()
+				g.RemoveLink(a, b)
+				when = fmt.Sprintf("seed %d step %d: RemoveLink(%v, %v)", seed, step, a, b)
+			case op < 7:
+				o := pick()
+				for _, l := range g.RemoveObject(o) {
+					if l.From != o && l.To != o {
+						t.Logf("seed %d step %d: RemoveObject(%v) returned %v", seed, step, o, l)
+						return false
+					}
+				}
+				when = fmt.Sprintf("seed %d step %d: RemoveObject(%v)", seed, step, o)
+			default:
+				id := creators[r.Intn(3)]
+				g.RemoveInstance(id)
+				when = fmt.Sprintf("seed %d step %d: RemoveInstance(%v)", seed, step, id)
+			}
+			checkIndex(t, g, objs, when)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestIndexKeepsParallelLinksApart pins the duplicate case by hand: two
+// links between one pair from different creators are two index entries, both
+// go with one RemoveLink, and removing one endpoint's object takes both out
+// of the other endpoint's list.
+func TestIndexKeepsParallelLinksApart(t *testing.T) {
+	a, b, c := ref("A", "/a"), ref("B", "/b"), ref("C", "/c")
+	objs := []ObjectRef{a, b, c}
+	build := func() *Graph {
+		g := NewGraph()
+		for _, l := range []Link{
+			{From: a, To: b, Creator: "A"}, {From: a, To: b, Creator: "T"},
+			{From: b, To: a, Creator: "B"}, {From: b, To: c, Creator: "B"},
+		} {
+			if err := g.AddLink(l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkIndex(t, g, objs, "after the build")
+		return g
+	}
+	g := build()
+	if !g.RemoveLink(a, b) || g.RemoveLink(a, b) {
+		t.Fatal("RemoveLink(a, b) must remove both creators' links at once")
+	}
+	checkIndex(t, g, objs, "after RemoveLink(a, b)")
+	if got := g.CO(a); !reflect.DeepEqual(got, []ObjectRef{b, c}) {
+		t.Errorf("the reverse link b->a must keep the group together, CO(a) = %v", got)
+	}
+	g = build()
+	if got := g.RemoveObject(a); len(got) != 3 {
+		t.Errorf("RemoveObject(a) removed %v, want the three links touching a", got)
+	}
+	checkIndex(t, g, objs, "after RemoveObject(a)")
+	if got := g.LinksOf(b); !reflect.DeepEqual(got, []Link{{From: b, To: c, Creator: "B"}}) {
+		t.Errorf("LinksOf(b) = %v after a went", got)
+	}
 }

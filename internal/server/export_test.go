@@ -25,3 +25,9 @@ func (s *Server) LocksHeld() int {
 // UncachedCO is CO(ref) straight from the couple graph — what every cached
 // broadcast plan must agree with.
 func (s *Server) UncachedCO(ref couple.ObjectRef) []couple.ObjectRef { return s.graph.CO(ref) }
+
+// GroupLinks is the couple graph's view of ref's group: what every instance
+// with an object in it must mirror.
+func (s *Server) GroupLinks(ref couple.ObjectRef) ([]couple.ObjectRef, []couple.Link) {
+	return s.graph.GroupLinks(ref)
+}

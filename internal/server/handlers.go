@@ -1,7 +1,9 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"cosoft/internal/couple"
@@ -120,10 +122,7 @@ func (s *Server) handleRetract(cl *client, seq uint64, m wire.Retract) {
 	// object, so the split halves would keep stale mirrored links.
 	members := s.graph.Group(ref)
 	sh := s.shardForRef(ref)
-	removed := s.graph.RemoveObject(ref)
-	for _, l := range removed {
-		s.notifyLink(members, l, false)
-	}
+	s.notifyLinks(instancesOf(members), s.graph.RemoveObject(ref), false)
 	s.reg.RetractObject(cl.id, m.Path)
 	s.postShard(sh, func() { sh.history.Forget(ref) })
 	s.router.dropRef(ref)
@@ -131,59 +130,90 @@ func (s *Server) handleRetract(cl *client, seq uint64, m wire.Retract) {
 	s.reply(cl, seq, nil)
 }
 
-func (s *Server) handleCouple(cl *client, seq uint64, m wire.Couple) {
-	if err := s.coupleRefs(cl, m.From, m.To); err != nil {
-		s.reply(cl, seq, err)
-		return
-	}
-	s.reply(cl, seq, nil)
-}
-
-// coupleRefs validates and installs a link created by cl. It implements
+// handleCouple validates and installs a link created by cl. It implements
 // both the local Couple primitive and RemoteCouple: the creator need not own
 // either endpoint (§3.3 "allow a third application instance to couple
 // objects in remote instances").
-func (s *Server) coupleRefs(cl *client, from, to couple.ObjectRef) error {
-	classFrom, err := s.checkDeclared(from)
+//
+// Every instance mirrors the links of the groups its own objects are in, so
+// a merge is replicated as a delta (DESIGN §16): an instance on one side of
+// the new link already holds that side and is sent the other side plus the
+// link itself — "objects already connected to o2 are added to the list of
+// targets, and objects already connected to o1 are added to the source"
+// (§3.2) — and an instance on both sides lacks only the link. AddLink is
+// idempotent and commutative at the mirrors, so a complete mirror plus what
+// the merge added is again complete.
+func (s *Server) handleCouple(cl *client, seq uint64, m wire.Couple) {
+	l := couple.Link{From: m.From, To: m.To, Creator: cl.id}
+	if err := s.checkCouple(cl, l); err != nil {
+		s.reply(cl, seq, err)
+		return
+	}
+	// The two groups as they are before the link merges them: what their
+	// instances' mirrors hold.
+	gFrom, linksFrom := s.graph.GroupLinks(l.From)
+	// A member that couples two endpoints some link already joins is
+	// resynchronizing after a server restart — it re-creates every link it
+	// knows, as itself — and is re-sent the group as it stands, which brings
+	// its mirror level with whatever it missed.
+	refresh := owns(gFrom, cl.id) && slices.ContainsFunc(linksFrom, func(gl couple.Link) bool {
+		return gl.From == l.From && gl.To == l.To || gl.From == l.To && gl.To == l.From
+	})
+	// A Couple whose exact link exists changes nothing and nobody else is
+	// told.
+	if !s.graph.Has(l) {
+		gTo, linksTo := s.graph.GroupLinks(l.To)
+		// Co-locate the two groups before the link merges them: every member
+		// of one coupling group serializes on one shard loop.
+		s.mergeShards(gFrom, gTo)
+		if err := s.graph.AddLink(l); err != nil {
+			s.reply(cl, seq, err)
+			return
+		}
+		s.logAppend(eventlog.KindCouple, cl.id, stateID(l.From), m)
+		// A link inside one group has every instance on both sides: the
+		// group hears about it once.
+		all := instancesOf(gFrom, gTo)
+		var fromOnly, toOnly []couple.InstanceID
+		for _, id := range all {
+			switch {
+			case !owns(gTo, id):
+				fromOnly = append(fromOnly, id)
+			case !owns(gFrom, id):
+				toOnly = append(toOnly, id)
+			}
+		}
+		s.notifyLinks(fromOnly, linksTo, true)
+		s.notifyLinks(toOnly, linksFrom, true)
+		s.notifyLinks(all, []couple.Link{l}, true)
+	}
+	if refresh {
+		s.notifyLinks([]couple.InstanceID{cl.id}, linksFrom, true)
+	}
+	// Every notice is queued before the OK: on the caller's connection a
+	// Couple call observes its own link in the mirror, and the other members'
+	// notices are on their way when the call returns.
+	s.reply(cl, seq, nil)
+}
+
+// checkCouple verifies that l's creator may couple its two endpoints.
+func (s *Server) checkCouple(cl *client, l couple.Link) error {
+	classFrom, err := s.checkDeclared(l.From)
 	if err != nil {
 		return err
 	}
-	classTo, err := s.checkDeclared(to)
+	classTo, err := s.checkDeclared(l.To)
 	if err != nil {
 		return err
 	}
-	if err := s.checkPerm(cl, from, perm.RightCouple); err != nil {
+	if err := s.checkPerm(cl, l.From, perm.RightCouple); err != nil {
 		return err
 	}
-	if err := s.checkPerm(cl, to, perm.RightCouple); err != nil {
+	if err := s.checkPerm(cl, l.To, perm.RightCouple); err != nil {
 		return err
 	}
 	if _, ok := s.checker.Direct(classFrom, classTo); !ok {
 		return fmt.Errorf("server: classes %q and %q are not compatible", classFrom, classTo)
-	}
-	l := couple.Link{From: from, To: to, Creator: cl.id}
-	// Co-locate the two endpoint groups before the link merges them: every
-	// member of one coupling group serializes on one shard loop.
-	s.mergeShards(from, to)
-	if err := s.graph.AddLink(l); err != nil {
-		return err
-	}
-	s.logAppend(eventlog.KindCouple, cl.id, stateID(from), wire.Couple{From: from, To: to})
-	// Replicate the complete transitive closure: every instance owning a
-	// member of the merged group receives every link of the group, so that
-	// "objects already connected to o2 are added to the list of targets, and
-	// objects already connected to o1 are added to the source" (§3.2).
-	// AddLink is idempotent at the mirrors, so re-sending known links is
-	// harmless.
-	members := s.graph.Group(l.From)
-	linkSet := make(map[couple.Link]struct{})
-	for _, m := range members {
-		for _, gl := range s.graph.LinksOf(m) {
-			linkSet[gl] = struct{}{}
-		}
-	}
-	for gl := range linkSet {
-		s.notifyLink(members, gl, true)
 	}
 	return nil
 }
@@ -211,26 +241,52 @@ func (s *Server) handleDecouple(cl *client, seq uint64, m wire.Decouple) {
 		s.reply(cl, seq, fmt.Errorf("server: no link between %s and %s", stateID(m.From), stateID(m.To)))
 		return
 	}
-	s.notifyLink(members, l, false)
+	s.notifyLinks(instancesOf(members), []couple.Link{l}, false)
 	s.logAppend(eventlog.KindDecouple, cl.id, stateID(l.From), wire.Decouple{From: l.From, To: l.To})
 	s.reply(cl, seq, nil)
 }
 
-func (s *Server) notifyLink(members []couple.ObjectRef, l couple.Link, added bool) {
-	seen := make(map[couple.InstanceID]bool)
-	for _, m := range members {
-		if seen[m.Instance] {
-			continue
-		}
-		seen[m.Instance] = true
-		if c, ok := s.clientOf(m.Instance); ok {
-			if added {
-				c.out.send(wire.Envelope{Msg: wire.LinkAdded{Link: l}})
-			} else {
-				c.out.send(wire.Envelope{Msg: wire.LinkRemoved{Link: l}})
-			}
+// notifyLinks tells each connected instance of instances that links were
+// added to (or removed from) a group it mirrors, in the order given.
+func (s *Server) notifyLinks(instances []couple.InstanceID, links []couple.Link, added bool) {
+	clients := make([]*client, 0, len(instances))
+	for _, id := range instances {
+		if c, ok := s.clientOf(id); ok {
+			clients = append(clients, c)
 		}
 	}
+	for _, l := range links {
+		var msg wire.Message = wire.LinkRemoved{Link: l}
+		if added {
+			msg = wire.LinkAdded{Link: l}
+		}
+		for _, c := range clients {
+			c.out.send(wire.Envelope{Msg: msg})
+		}
+	}
+	s.mLinkNotices.Add(uint64(len(clients) * len(links)))
+}
+
+// instancesOf returns the distinct instances owning a member of any of the
+// groups, sorted.
+func instancesOf(groups ...[]couple.ObjectRef) []couple.InstanceID {
+	var ids []couple.InstanceID
+	for _, refs := range groups {
+		for _, ref := range refs {
+			ids = append(ids, ref.Instance)
+		}
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+// owns reports whether id owns a member of the group refs, which is sorted
+// as couple.Graph returns it.
+func owns(refs []couple.ObjectRef, id couple.InstanceID) bool {
+	_, ok := slices.BinarySearchFunc(refs, id, func(ref couple.ObjectRef, id couple.InstanceID) int {
+		return cmp.Compare(ref.Instance, id)
+	})
+	return ok
 }
 
 func (s *Server) handleCommand(cl *client, seq uint64, m wire.Command) {
@@ -335,23 +391,29 @@ func (s *Server) dropClient(cl *client, reason string) {
 	s.mClients.Add(-1)
 
 	// Decouple everything the instance participated in, notifying survivors.
-	// The affected groups are snapshotted *before* the links are removed:
-	// computing them afterwards loses the members connected to a peer only
-	// through the departed instance (the chain A–B–C where B leaves: after
-	// removal A and C are in separate components, and each would miss the
-	// removal of the other's link), leaving stale mirrored links — the same
-	// ordering bug handleRetract fixed.
-	removed := s.graph.InstanceLinks(cl.id)
-	pre := make(map[couple.ObjectRef][]couple.ObjectRef)
-	for _, l := range removed {
-		if _, ok := pre[l.From]; !ok {
-			pre[l.From] = s.graph.Group(l.From)
+	// Each affected group is read *before* its links are removed: afterwards
+	// the members connected to a peer only through the departed instance sit
+	// in separate components (the chain A–B–C where B leaves), and each would
+	// miss the removal of the other's link and keep it mirrored — the same
+	// ordering bug handleRetract fixed. A group is walked once, and its
+	// notices are queued ahead of the removal, which no member can tell from
+	// the other order.
+	covered := make(map[couple.Link]bool)
+	for _, l := range s.graph.InstanceLinks(cl.id) {
+		if covered[l] {
+			continue
 		}
+		members, links := s.graph.GroupLinks(l.From)
+		removed := links[:0]
+		for _, gl := range links {
+			if gl.From.Instance == cl.id || gl.To.Instance == cl.id {
+				removed = append(removed, gl)
+				covered[gl] = true
+			}
+		}
+		s.notifyLinks(instancesOf(members), removed, false)
 	}
 	s.graph.RemoveInstance(cl.id)
-	for _, l := range removed {
-		s.notifyLink(pre[l.From], l, false)
-	}
 
 	// Resolve group-scoped state on every shard: events the instance
 	// originated are finished, events awaiting its ack are acked by absence,

@@ -53,6 +53,36 @@ func TestRetractMiddleNotifiesBothHalves(t *testing.T) {
 	assertCO(t, "c", c.CO("/x"), a.Ref("/x"))
 }
 
+// TestSplitPrunesFarHalfOfMirror is the ghost-member script: in the chain
+// X:a – Y:b1 – Z:b2, X decouples a–b1, then Y decouples b1–b2 — which X, no
+// longer in that group, is not told — and X couples a–b1 again. X's mirror
+// used to keep b1–b2 through the split, so the re-merge brought b2 back as a
+// member the server does not have. The mirror now drops, at the split, what
+// no local object reaches any more.
+func TestSplitPrunesFarHalfOfMirror(t *testing.T) {
+	h := newHarness(t, server.Options{})
+	x := h.dial("app", "x", `textfield a`, client.Options{})
+	y := h.dialPlain("app", "y", `textfield b1`, client.Options{})
+	z := h.dial("app", "z", `textfield b2`, client.Options{})
+	mustOK(t, x.Declare("/a"))
+	mustOK(t, y.Declare("/b1"))
+	mustOK(t, z.Declare("/b2"))
+	mustOK(t, x.Couple("/a", y.Ref("/b1")))
+	mustOK(t, y.Couple("/b1", z.Ref("/b2")))
+	waitFor(t, "the chain mirrored at x", func() bool { return len(x.CO("/a")) == 2 })
+
+	mustOK(t, x.Decouple("/a", y.Ref("/b1")))
+	if got := x.Links(); len(got) != 0 {
+		t.Errorf("x left the group but still mirrors %v", got)
+	}
+	mustOK(t, y.Decouple("/b1", z.Ref("/b2")))
+	mustOK(t, x.Couple("/a", y.Ref("/b1")))
+	assertCO(t, "x", x.CO("/a"), y.Ref("/b1"))
+	if got := h.srv.UncachedCO(x.Ref("/a")); len(got) != 1 || got[0] != y.Ref("/b1") {
+		t.Errorf("the server's CO(a) = %v, want [b1]", got)
+	}
+}
+
 func assertCO(t *testing.T, who string, got []couple.ObjectRef, want couple.ObjectRef) {
 	t.Helper()
 	if len(got) != 1 || got[0] != want {

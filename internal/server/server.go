@@ -208,6 +208,7 @@ type Server struct {
 	mGlobalDepth   *obs.Gauge     // server.global.queue_depth: global request-channel depth, sampled per dequeue
 	mHistEvict     *obs.Counter   // server.hist_evictions: oldest undo snapshots dropped by the depth bound
 	mLogAppendErrs *obs.Counter   // server.log.append_errors: event-log appends that failed (the transition was acked regardless)
+	mLinkNotices   *obs.Counter   // server.link_notices: LinkAdded + LinkRemoved envelopes enqueued
 
 	// mMember attributes event health to individual members: per-instance
 	// ack latency (histogram + EWMA), ack/last-acker/timeout counters. Nil
@@ -304,6 +305,9 @@ type Stats struct {
 	// was applied and acknowledged anyway, so each one is an acked record the
 	// next restart will not replay.
 	LogAppendErrors uint64
+	// LinkNotices counts the LinkAdded and LinkRemoved envelopes enqueued to
+	// keep the instances' mirrored coupling information current.
+	LinkNotices uint64
 }
 
 // client is the server-side view of one connected instance.
@@ -432,6 +436,7 @@ func newServer(opts Options) *Server {
 		mGlobalDepth:   metrics.Gauge("server.global.queue_depth"),
 		mHistEvict:     metrics.Counter("server.hist_evictions"),
 		mLogAppendErrs: metrics.Counter("server.log.append_errors"),
+		mLinkNotices:   metrics.Counter("server.link_notices"),
 
 		started: time.Now(),
 	}
@@ -619,6 +624,7 @@ func (s *Server) Stats() Stats {
 			Shards:             s.mShards.Value(),
 			CrossShardHandoffs: s.mHandoffs.Value(),
 			LogAppendErrors:    s.mLogAppendErrs.Value(),
+			LinkNotices:        s.mLinkNotices.Value(),
 		}
 	}) {
 		return Stats{}

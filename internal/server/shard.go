@@ -297,19 +297,16 @@ func (s *Server) install(sh *shard, m migrated) {
 	}
 }
 
-// mergeShards co-locates the two endpoint groups of a new couple link before
-// the link merges them: every member of one coupling group must serialize on
-// one shard loop. The smaller pre-merge group migrates to the larger one's
-// shard (ties keep the from side in place). It runs on the global loop,
-// before graph.AddLink.
-func (s *Server) mergeShards(from, to couple.ObjectRef) {
-	shFrom := s.shardForRef(from)
-	shTo := s.shardForRef(to)
+// mergeShards co-locates the two groups a new couple link is about to merge:
+// every member of one coupling group must serialize on one shard loop. The
+// smaller group migrates to the larger one's shard (ties keep the from side
+// in place). It runs on the global loop, before graph.AddLink.
+func (s *Server) mergeShards(gFrom, gTo []couple.ObjectRef) {
+	shFrom := s.shardForRef(gFrom[0])
+	shTo := s.shardForRef(gTo[0])
 	if shFrom == shTo {
-		return // same shard — includes the already-same-group case
+		return
 	}
-	gFrom := s.graph.Group(from)
-	gTo := s.graph.Group(to)
 	winner, loser, refs := shFrom, shTo, gTo
 	if len(gTo) > len(gFrom) {
 		winner, loser, refs = shTo, shFrom, gFrom
