@@ -38,9 +38,10 @@ verify: vet lint-metrics race allocs
 
 # Soak the fault-injection tests: hung, partitioned, evicted, resumed and
 # duplicated connections, repeated under the race detector. Every harness
-# server is the product configuration (four shard loops, batching on, batching
-# clients with plain peers mixed in), so one pass covers cross-shard cleanup
-# and the packed fan-out path.
+# server is the product configuration (four shard loops, batching on, an event
+# log that snapshots and compacts underneath, batching clients with plain
+# peers mixed in), so one pass covers cross-shard cleanup, the packed fan-out
+# path and append-before-ack.
 chaos:
 	$(GO) test -race -run Chaos -count=3 ./...
 
@@ -59,13 +60,14 @@ chaos-restart:
 chaos-compact:
 	$(GO) test -race -run ChaosCompact -count=3 ./internal/server/
 
-# Regenerates BENCH_obs.json (the metrics trajectory) along with the paper
-# benchmarks.
+# The paper's tables and the event-path benchmarks; every figure is reported
+# through b.ReportMetric and nothing is written. The numbers PRs are held to
+# come from the benchmark module in bench/ (BENCHMARK.json).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 # Exercises the cosoft-load generator end to end against an in-process
 # server — 64 clients in 2 groups for ~5 seconds — so the load harness
-# itself cannot rot. Reports only; no trajectory row is written.
+# itself cannot rot.
 load-smoke:
 	$(GO) run ./cmd/cosoft-load -groups 2 -group-size 32 -duration 5s

@@ -16,7 +16,6 @@ import (
 
 	"cosoft"
 	"cosoft/internal/attr"
-	"cosoft/internal/benchio"
 	"cosoft/internal/client"
 	"cosoft/internal/couple"
 	"cosoft/internal/eventlog"
@@ -249,8 +248,8 @@ func BenchmarkLockingVariants(b *testing.B) {
 // metrics-off variant (obs.Disabled, no tracer) must show no added
 // allocations over the seed event path — it additionally gates every
 // tracing call the event path grew at exactly zero allocations when
-// disabled — while the metrics-on and tracing-on variants append rows to
-// the BENCH_obs.json trajectory consumed by later performance PRs.
+// disabled — while the metrics-on and tracing-on variants report the
+// server's own round-trip percentiles.
 func BenchmarkEvent(b *testing.B) {
 	for _, mode := range []string{"metrics-off", "metrics-on", "tracing-on"} {
 		b.Run(mode, func(b *testing.B) {
@@ -298,7 +297,6 @@ func BenchmarkEvent(b *testing.B) {
 				stats := cl.Srv.Stats()
 				b.ReportMetric(stats.EventRTT.P50, "p50-rtt-ns")
 				b.ReportMetric(stats.EventRTT.P99, "p99-rtt-ns")
-				writeBenchTrajectory(b, "BenchmarkEvent/"+mode, reg, stats)
 			}
 		})
 	}
@@ -321,7 +319,7 @@ func BenchmarkEvent(b *testing.B) {
 			batching = true
 		}
 		b.Run(mode, func(b *testing.B) {
-			fanoutBench(b, "BenchmarkEvent/"+mode, sopts, batching, mode == "batched-on")
+			fanoutBench(b, sopts, batching, mode == "batched-on")
 		})
 	}
 
@@ -330,16 +328,15 @@ func BenchmarkEvent(b *testing.B) {
 	// and then with the group-scoped state partitioned across four. Groups
 	// never share locks, history or pending events, so on a multi-core host
 	// the four-shard variant's throughput should approach
-	// min(4, GOMAXPROCS)× the one-shard row; the trajectory rows carry
-	// num_cpu so a one-core CI runner's flat result is not mistaken for a
-	// regression.
+	// min(4, GOMAXPROCS)× the one-shard row; a one-core runner's flat result
+	// is not a regression.
 	for _, mode := range []string{"shards-1", "shards-4"} {
 		nshards := 1
 		if mode == "shards-4" {
 			nshards = 4
 		}
 		b.Run(mode, func(b *testing.B) {
-			multiGroupBench(b, "BenchmarkEvent/"+mode, nshards)
+			multiGroupBench(b, nshards)
 		})
 	}
 
@@ -347,12 +344,10 @@ func BenchmarkEvent(b *testing.B) {
 	// event hot path. off is the in-memory baseline; interval acks once the
 	// record's bytes are written, group-committing fsyncs on a timer — the
 	// recommended deployment; always fsyncs inside every acknowledgement, the
-	// full price of "an acked event survives kill -9". The trajectory rows
-	// carry the server.log.* counters so later PRs can watch bytes-per-event
-	// and fsyncs-per-event alongside the RTT deltas.
+	// full price of "an acked event survives kill -9".
 	for _, mode := range []string{"durable-off", "durable-interval", "durable-always"} {
 		b.Run(mode, func(b *testing.B) {
-			durableBench(b, "BenchmarkEvent/"+mode, mode)
+			durableBench(b, mode)
 		})
 	}
 }
@@ -361,7 +356,7 @@ func BenchmarkEvent(b *testing.B) {
 // topology over real loopback TCP (fsync latency only matters against real
 // I/O timing), with the server's event log in a fresh directory per
 // invocation so the harness's calibration reruns never replay a prior run.
-func durableBench(b *testing.B, bench, mode string) {
+func durableBench(b *testing.B, mode string) {
 	reg := obs.NewRegistry()
 	sopts := server.Options{Metrics: reg}
 	if mode != "durable-off" {
@@ -426,14 +421,13 @@ func durableBench(b *testing.B, bench, mode string) {
 	stats := srv.Stats()
 	b.ReportMetric(stats.EventRTT.P50, "p50-rtt-ns")
 	b.ReportMetric(stats.EventRTT.P99, "p99-rtt-ns")
-	writeBenchTrajectory(b, bench, reg, stats)
 }
 
 // multiGroupBench runs one BenchmarkEvent shards variant: groupCount
 // independent origin↔member pairs over real loopback TCP, every origin
 // dispatching its share of b.N events from its own goroutine so the server
 // sees all groups contending at once.
-func multiGroupBench(b *testing.B, bench string, shards int) {
+func multiGroupBench(b *testing.B, shards int) {
 	const groupCount = 8
 	var spec strings.Builder
 	for g := 0; g < groupCount; g++ {
@@ -508,11 +502,6 @@ func multiGroupBench(b *testing.B, bench string, shards int) {
 	stats := srv.Stats()
 	b.ReportMetric(stats.EventRTT.P50, "p50-rtt-ns")
 	b.ReportMetric(stats.EventRTT.P99, "p99-rtt-ns")
-	writeBenchTrajectory(b, bench, reg, stats, map[string]float64{
-		"shards":  float64(shards),
-		"groups":  groupCount,
-		"num_cpu": float64(runtime.NumCPU()),
-	})
 }
 
 // fanoutBench runs one BenchmarkEvent fan-out variant: one hub object on the
@@ -520,8 +509,8 @@ func multiGroupBench(b *testing.B, bench string, shards int) {
 // TCP. Besides the RTT metrics it measures whole-process B/event and
 // allocs/event across the timed loop (runtime.MemStats deltas — both client
 // processes included, so the numbers are comparable across variants, not
-// absolute server costs) and appends everything to the trajectory.
-func fanoutBench(b *testing.B, bench string, sopts server.Options, batching, gateCoalesced bool) {
+// absolute server costs).
+func fanoutBench(b *testing.B, sopts server.Options, batching, gateCoalesced bool) {
 	const fanWidth = 32
 	var spec strings.Builder
 	spec.WriteString("textfield hub value=\"\"\n")
@@ -599,14 +588,6 @@ func fanoutBench(b *testing.B, bench string, sopts server.Options, batching, gat
 	b.ReportMetric(float64(stats.AcksCoalesced), "acks-coalesced")
 	b.ReportMetric(bytesPerEvent, "B/event")
 	b.ReportMetric(allocsPerEvent, "allocs/event")
-	writeBenchTrajectory(b, bench, reg, stats, map[string]float64{
-		"b_per_event":         bytesPerEvent,
-		"allocs_per_event":    allocsPerEvent,
-		"bytes_encoded":       float64(stats.BytesEncoded),
-		"body_pool_hits":      float64(stats.BodyPoolHits),
-		"body_pool_misses":    float64(stats.BodyPoolMisses),
-		"bytes_enc_per_event": float64(stats.BytesEncoded) / float64(b.N),
-	})
 }
 
 // BenchmarkCoupleStar times what building a coupling group costs as the group
@@ -727,9 +708,7 @@ func BenchmarkBroadcastEncode(b *testing.B) {
 
 // BenchmarkReconnect measures one full recovery cycle of the fault-tolerance
 // layer: connection loss, backoff, session resume reclaiming the instance
-// ID, re-declaration, re-coupling and the CopyFrom state pull. The metric
-// snapshot (server.resumes, server.copies) is appended to the BENCH_obs.json
-// trajectory.
+// ID, re-declaration, re-coupling and the CopyFrom state pull.
 func BenchmarkReconnect(b *testing.B) {
 	reg := obs.NewRegistry()
 	srv := server.New(server.Options{Metrics: reg})
@@ -813,16 +792,15 @@ func BenchmarkReconnect(b *testing.B) {
 	if stats.Resumes < uint64(b.N) {
 		b.Fatalf("resumes = %d, want >= %d", stats.Resumes, b.N)
 	}
-	writeBenchTrajectory(b, "BenchmarkReconnect", reg, stats)
 }
 
 // BenchmarkRestartReplay prices a durable restart over a 50k-event log. The
 // from-zero variant replays every record on each Open+New; the from-snapshot
 // variant restarts the same directory after one snapshot+compaction cycle
 // and must replay zero log records — the snapshot covers the whole log, so
-// startup cost becomes O(state), not O(history). Both append rows to the
-// BENCH_obs.json trajectory; the from-snapshot row's server.log.replayed
-// counter staying at zero is the bounded-replay acceptance gate.
+// startup cost becomes O(state), not O(history). The from-snapshot variant's
+// server.log.replayed counter staying at zero is the bounded-replay
+// acceptance gate.
 func BenchmarkRestartReplay(b *testing.B) {
 	const events = 50_000
 	dir := b.TempDir()
@@ -832,7 +810,6 @@ func BenchmarkRestartReplay(b *testing.B) {
 	// the from-snapshot prep below compacts the shared directory.
 	b.Run("from-zero", func(b *testing.B) {
 		reg := obs.NewRegistry()
-		var stats cosoft.ServerStats
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			elog, err := eventlog.Open(eventlog.Options{Dir: dir, Metrics: reg})
@@ -840,7 +817,7 @@ func BenchmarkRestartReplay(b *testing.B) {
 				b.Fatal(err)
 			}
 			srv := server.New(server.Options{EventLog: elog})
-			stats = srv.Stats()
+			srv.Stats() // the restart is over once the server answers
 			srv.Close()
 			if err := elog.Close(); err != nil {
 				b.Fatal(err)
@@ -853,10 +830,7 @@ func BenchmarkRestartReplay(b *testing.B) {
 			b.Fatalf("from-zero replayed %d records over %d restarts; want >= %d per restart",
 				replayed, b.N, events)
 		}
-		writeBenchTrajectory(b, "BenchmarkRestartReplay/from-zero", reg, stats, map[string]float64{
-			"events":               events,
-			"replayed_per_restart": float64(replayed) / float64(b.N),
-		})
+		b.ReportMetric(float64(replayed)/float64(b.N), "replayed/restart")
 	})
 
 	b.Run("from-snapshot", func(b *testing.B) {
@@ -876,7 +850,6 @@ func BenchmarkRestartReplay(b *testing.B) {
 		}
 
 		reg := obs.NewRegistry()
-		var stats cosoft.ServerStats
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			elog, err := eventlog.Open(eventlog.Options{Dir: dir, Metrics: reg})
@@ -884,7 +857,7 @@ func BenchmarkRestartReplay(b *testing.B) {
 				b.Fatal(err)
 			}
 			srv := server.New(server.Options{EventLog: elog})
-			stats = srv.Stats()
+			srv.Stats() // the restart is over once the server answers
 			srv.Close()
 			if err := elog.Close(); err != nil {
 				b.Fatal(err)
@@ -898,10 +871,7 @@ func BenchmarkRestartReplay(b *testing.B) {
 		if replayed := counters["server.log.replayed"]; replayed != 0 {
 			b.Fatalf("from-snapshot restarts replayed %d log records; want 0 (snapshot covers the log)", replayed)
 		}
-		writeBenchTrajectory(b, "BenchmarkRestartReplay/from-snapshot", reg, stats, map[string]float64{
-			"events":               events,
-			"replayed_per_restart": 0,
-		})
+		b.ReportMetric(0, "replayed/restart")
 	})
 }
 
@@ -982,50 +952,5 @@ func gateDisabledFamilyAllocs(b *testing.B) {
 	})
 	if allocs != 0 {
 		b.Fatalf("disabled family path allocates %.1f times per ack", allocs)
-	}
-}
-
-// trajectoryWritten tracks which benchmarks already wrote a row in this
-// process, so calibration re-invocations update their row in place.
-var trajectoryWritten = map[string]bool{}
-
-// writeBenchTrajectory appends the benchmark's metric snapshot to the
-// BENCH_obs.json trajectory at the repo root, so the perf history of
-// successive PRs is diffable. The file is a JSON array of rows; a legacy
-// single-object file is absorbed as the first row. An optional extras map
-// adds derived per-op measurements (B/event, allocs/event, …) to the row.
-func writeBenchTrajectory(b *testing.B, bench string, reg *obs.Registry, stats cosoft.ServerStats, extras ...map[string]float64) {
-	row := struct {
-		Bench    string                 `json:"bench"`
-		N        int                    `json:"n"`
-		EventRTT cosoft.MetricsSummary  `json:"event_rtt_ns"`
-		Snapshot cosoft.MetricsSnapshot `json:"snapshot"`
-		Extra    map[string]float64     `json:"extra,omitempty"`
-	}{
-		Bench:    bench,
-		N:        b.N,
-		EventRTT: stats.EventRTT,
-		Snapshot: reg.Snapshot(),
-	}
-	for _, m := range extras {
-		if row.Extra == nil {
-			row.Extra = map[string]float64{}
-		}
-		for k, v := range m {
-			row.Extra[k] = v
-		}
-	}
-	// The harness invokes a benchmark several times while calibrating N;
-	// each invocation writes. The final (largest-N) invocation wins: a
-	// trailing row this same process wrote for the same benchmark is
-	// replaced, while rows from earlier sessions always stay — the file is
-	// an append-only trajectory across PRs.
-	replace := ""
-	if trajectoryWritten[bench] {
-		replace = bench
-	}
-	trajectoryWritten[bench] = true
-	if err := benchio.AppendRow("BENCH_obs.json", row, replace); err != nil {
-		b.Fatalf("write BENCH_obs.json: %v", err)
 	}
 }

@@ -19,13 +19,12 @@
 //	            [-rate 0] [-payload 24] [-batch-limit 32] [-batching]
 //	            [-shards 0]
 //	            [-faultnet "dup=0.01,delay=1ms,jitter=1ms"]
-//	            [-addr host:port] [-bench-out BENCH_obs.json] [-v]
+//	            [-addr host:port] [-v]
 //
 // The summary row reports per-group-aggregated p50/p99 dispatch RTT (origin
 // Event → server EventResult, the floor-acquisition latency every user
 // feels), events/sec, and — in-process — B/event, allocs/event and
-// bytes-encoded/event. With -bench-out the same numbers are appended to the
-// BENCH_obs.json trajectory next to the go-test benchmark rows.
+// bytes-encoded/event.
 package main
 
 import (
@@ -41,11 +40,9 @@ import (
 	"time"
 
 	"cosoft/internal/attr"
-	"cosoft/internal/benchio"
 	"cosoft/internal/client"
 	"cosoft/internal/experiments"
 	"cosoft/internal/faultnet"
-	"cosoft/internal/obs"
 	"cosoft/internal/server"
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
@@ -64,7 +61,6 @@ func main() {
 		batching   = flag.Bool("batching", true, "clients opt into the wire batch extension")
 		shards     = flag.Int("shards", 0, "in-process server shard count: per-coupling-group state loops (0 = GOMAXPROCS, what cosoftd runs)")
 		faultSpec  = flag.String("faultnet", "", `faultnet profile for in-process server conns, e.g. "drop=0.01,dup=0.01,dropnth=0,delay=1ms,jitter=1ms,seed=1"`)
-		benchOut   = flag.String("bench-out", "", "append a row to this BENCH_obs.json trajectory (empty = report only)")
 		verbose    = flag.Bool("v", false, "log per-group progress")
 	)
 	flag.Parse()
@@ -76,7 +72,7 @@ func main() {
 		addr: *addr, groups: *groups, groupSize: *groupSize,
 		duration: *duration, events: *events, rate: *rate, payload: *payload,
 		batchLimit: *batchLimit, batching: *batching, shards: *shards,
-		faultSpec: *faultSpec, benchOut: *benchOut, verbose: *verbose,
+		faultSpec: *faultSpec, verbose: *verbose,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "cosoft-load: %v\n", err)
 		os.Exit(1)
@@ -95,7 +91,6 @@ type config struct {
 	batching   bool
 	shards     int
 	faultSpec  string
-	benchOut   string
 	verbose    bool
 }
 
@@ -110,7 +105,6 @@ type groupResult struct {
 func run(cfg config) error {
 	var (
 		srv  *server.Server
-		reg  *obs.Registry
 		wg   sync.WaitGroup
 		dial func() (net.Conn, error)
 	)
@@ -119,11 +113,9 @@ func run(cfg config) error {
 		if err != nil {
 			return err
 		}
-		reg = obs.NewRegistry()
 		srv = server.New(server.Options{
 			BatchLimit: cfg.batchLimit,
 			Shards:     cfg.shards,
-			Metrics:    reg,
 		})
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -301,50 +293,17 @@ func run(cfg config) error {
 	fmt.Printf("%s: %d events in %.2fs (%.0f events/sec, %d floor rejections, setup %.3fs)\n",
 		name, total.events, loadTime.Seconds(), eps, total.rejections, setupTime.Seconds())
 	fmt.Printf("%s: dispatch RTT p50=%s p99=%s max=%s\n", name, p50, p99, quantile(1))
-	extra := map[string]float64{
-		"groups":         float64(cfg.groups),
-		"group_size":     float64(cfg.groupSize),
-		"events":         float64(total.events),
-		"events_per_sec": eps,
-		"p50_rtt_ns":     float64(p50.Nanoseconds()),
-		"p99_rtt_ns":     float64(p99.Nanoseconds()),
-		"shards":         float64(cfg.shards),
-		"num_cpu":        float64(runtime.NumCPU()),
-		"setup_s":        setupTime.Seconds(),
-	}
-	var stats server.Stats
 	if srv != nil {
-		stats = srv.Stats()
+		stats := srv.Stats()
 		// No coupling changes once the load runs, so every link notice so
 		// far was part of building the topology.
 		fmt.Printf("%s: set-up cost %d link notices\n", name, stats.LinkNotices)
-		extra["link_notices"] = float64(stats.LinkNotices)
 		fmt.Printf("%s: B/event=%.0f allocs/event=%.1f bytes-encoded/event=%.0f pool hit/miss=%d/%d\n",
 			name, bPerEvent, allocsPerEvent,
 			float64(stats.BytesEncoded)/float64(total.events),
 			stats.BodyPoolHits, stats.BodyPoolMisses)
-		extra["shards"] = float64(stats.Shards) // the effective count: -shards 0 resolves to GOMAXPROCS
-		extra["b_per_event"] = bPerEvent
-		extra["allocs_per_event"] = allocsPerEvent
-		extra["bytes_encoded"] = float64(stats.BytesEncoded)
-		extra["bytes_enc_per_event"] = float64(stats.BytesEncoded) / float64(total.events)
-		extra["body_pool_hits"] = float64(stats.BodyPoolHits)
-		extra["body_pool_misses"] = float64(stats.BodyPoolMisses)
 	}
-	if cfg.benchOut == "" {
-		return nil
-	}
-	row := struct {
-		Bench    string             `json:"bench"`
-		N        int                `json:"n"`
-		EventRTT obs.Summary        `json:"event_rtt_ns"`
-		Snapshot obs.Snapshot       `json:"snapshot"`
-		Extra    map[string]float64 `json:"extra"`
-	}{Bench: name, N: total.events, EventRTT: stats.EventRTT, Extra: extra}
-	if reg != nil {
-		row.Snapshot = reg.Snapshot()
-	}
-	return benchio.AppendRow(cfg.benchOut, row, "")
+	return nil
 }
 
 // parseFaultSpec parses the -faultnet profile: comma-separated key=value

@@ -16,7 +16,6 @@
 //	                  entries (?trace=<hex id> selects one trace,
 //	                  ?format=chrome emits Chrome trace-event JSON for
 //	                  chrome://tracing / Perfetto)
-//	/debug/vars       the same snapshot under expvar ("cosoft"), plus Go runtime vars
 //	/debug/pprof/     the standard pprof profiles
 //
 // Usage:
@@ -44,10 +43,8 @@ package main
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
-	"log"
 	"log/slog"
 	"net"
 	"net/http"
@@ -57,7 +54,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 
 	"cosoft/internal/eventlog"
@@ -67,7 +63,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", ":7817", "TCP address to listen on")
-	metricsAddr := flag.String("metrics-addr", "", "HTTP address for the metrics/trace/expvar/pprof endpoints (empty = disabled)")
+	metricsAddr := flag.String("metrics-addr", "", "HTTP address for the metrics/trace/pprof endpoints (empty = disabled)")
 	history := flag.Int("history", 0, "per-object historical-state depth (0 = default)")
 	ordered := flag.Bool("ordered-locking", false, "use deterministic-order group locking instead of the paper's sequential algorithm")
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "number of per-coupling-group state loops (default GOMAXPROCS)")
@@ -84,7 +80,7 @@ func main() {
 	logSnapInterval := flag.Duration("log-snapshot-interval", 0, "with -log-dir: write a state snapshot and compact covered segments on this cadence (0 = disabled)")
 	logSnapBytes := flag.Int64("log-snapshot-bytes", 0, "with -log-dir: snapshot+compact once this many bytes were appended since the last snapshot (0 = disabled)")
 	logFsck := flag.Bool("log-fsck", false, "scan the -log-dir (or the positional argument) offline, report segment/record counts and CRC damage, and exit — nonzero on corruption")
-	verbose := flag.Bool("v", false, "log registrations and departures")
+	verbose := flag.Bool("v", false, "log registrations and departures: shorthand for -log-level info")
 	flag.Parse()
 
 	if *logFsck {
@@ -106,9 +102,8 @@ func main() {
 		BatchLimit:     *batchLimit,
 		Metrics:        metrics,
 	}
-	if *verbose {
-		logger := log.New(os.Stderr, "cosoftd: ", log.LstdFlags|log.Lmicroseconds)
-		opts.Logf = logger.Printf
+	if *verbose && *logLevel == "" {
+		*logLevel = "info"
 	}
 	if *logLevel != "" {
 		lvl, err := parseLogLevel(*logLevel)
@@ -254,11 +249,6 @@ func parseLogLevel(s string) (slog.Level, error) {
 	return 0, fmt.Errorf("unknown log level %q (want debug, info, warn or error)", s)
 }
 
-// publishExpvarOnce guards the process-global expvar name: metricsMux is
-// called once per cosoftd process, but tests build several muxes and
-// expvar.Publish panics on duplicates.
-var publishExpvarOnce sync.Once
-
 // traceDump is the JSON shape of /debug/trace.
 type traceDump struct {
 	Spans  []obs.Span                   `json:"spans"`
@@ -267,14 +257,11 @@ type traceDump struct {
 
 // metricsMux builds the observability mux: the JSON snapshot (or Prometheus
 // exposition with ?format=prom), the group health plane, the causal trace
-// dump, expvar, and the pprof profiles (registered explicitly; we serve a
-// private mux, not http.DefaultServeMux). tr and fr may be nil, in which case
+// dump, and the pprof profiles (registered explicitly; we serve a private mux,
+// not http.DefaultServeMux). tr and fr may be nil, in which case
 // /debug/trace reports empty collections; srv may be nil, in which case
 // /debug/groups reports 503.
 func metricsMux(metrics *obs.Registry, tr *obs.Tracer, fr *obs.FlightRecorder, srv *server.Server) *http.ServeMux {
-	publishExpvarOnce.Do(func() {
-		expvar.Publish("cosoft", expvar.Func(func() any { return metrics.Snapshot() }))
-	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		prefix := r.URL.Query().Get("name")
@@ -335,7 +322,6 @@ func metricsMux(metrics *obs.Registry, tr *obs.Tracer, fr *obs.FlightRecorder, s
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -166,11 +166,19 @@ func TestDebugTraceChromeFormat(t *testing.T) {
 	}
 }
 
-func TestMetricsMuxBuildsTwiceWithoutPanic(t *testing.T) {
-	// expvar.Publish panics on duplicate names; the mux must guard it so
-	// tests (and any future multi-listener setup) can build several muxes.
-	metricsMux(obs.NewRegistry(), nil, nil, nil)
-	metricsMux(obs.NewRegistry(), nil, nil, nil)
+// The expvar exposition is gone: /metrics serves the same snapshot as JSON
+// and as Prometheus text.
+func TestDebugVarsNotServed(t *testing.T) {
+	srv := httptest.NewServer(metricsMux(obs.NewRegistry(), nil, nil, nil))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/debug/vars")
+	if err != nil {
+		t.Fatalf("GET: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/debug/vars: status %d, want 404", resp.StatusCode)
+	}
 }
 
 func TestDebugTraceNilTracerAndFlight(t *testing.T) {

@@ -181,7 +181,7 @@ type Log struct {
 	// In-flight snapshot/compaction ops; Close waits for them so a
 	// half-written .snap.tmp never outlives the log handle.
 	snapWG sync.WaitGroup
-	// snapMu serializes WriteSnapshot/Compact/Snapshots against each other
+	// snapMu serializes WriteSnapshot and Compact against each other
 	// (they share the snapshot file namespace; appends are unaffected).
 	snapMu sync.Mutex
 
@@ -325,22 +325,20 @@ func (l *Log) recover() error {
 	// Damage in a non-final segment is corruption, not a torn tail: the log
 	// only ever appends to the last segment, so refuse rather than silently
 	// dropping acknowledged records.
-	for _, base := range bases[:len(bases)-1] {
-		valid, total, err := scanSegment(segPath(l.dir, base))
-		if err != nil {
-			return err
-		}
-		if valid != total {
-			return fmt.Errorf("eventlog: segment %016x corrupt at offset %d (not the tail segment)", base, valid)
-		}
-	}
 	last := bases[len(bases)-1]
 	path := segPath(l.dir, last)
-	valid, total, err := scanSegment(path)
-	if err != nil {
-		return err
-	}
-	if valid != total {
+	var valid int64
+	for _, base := range bases {
+		var clean bool
+		if valid, clean, err = readSegment(segPath(l.dir, base), 0, nil); err != nil {
+			return err
+		}
+		if clean {
+			continue
+		}
+		if base != last {
+			return fmt.Errorf("eventlog: segment %016x corrupt at offset %d (not the tail segment)", base, valid)
+		}
 		if err := os.Truncate(path, valid); err != nil {
 			return fmt.Errorf("eventlog: truncate torn tail: %w", err)
 		}
@@ -356,42 +354,49 @@ func (l *Log) recover() error {
 	return nil
 }
 
-// scanSegment walks one segment's records, returning the byte offset of the
-// last record that checks out (valid) and the file size (total). valid <
-// total means a torn or corrupt tail starting at valid.
-func scanSegment(path string) (valid, total int64, err error) {
+// readSegment walks one segment's records from start bytes in, handing every
+// payload whose length and CRC check out to fn (nil: walk only). It returns
+// the offset just past the last such record and whether the walk ended
+// exactly at end of file: clean false means a torn or damaged record begins
+// at pos, and nothing behind it is read. An error from fn stops the walk at
+// the record it refused. The payload is only valid until fn returns.
+func readSegment(path string, start int64, fn func(payload []byte) error) (pos int64, clean bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, fmt.Errorf("eventlog: %w", err)
+		return start, false, fmt.Errorf("eventlog: %w", err)
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return 0, 0, fmt.Errorf("eventlog: %w", err)
+	if _, err := f.Seek(start, io.SeekStart); err != nil {
+		return start, false, fmt.Errorf("eventlog: %w", err)
 	}
-	total = st.Size()
+	pos = start
 	var hdr [recHeader]byte
 	buf := make([]byte, 0, 4096)
 	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return valid, total, nil // clean EOF or torn header
+		if n, err := io.ReadFull(f, hdr[:]); err != nil {
+			return pos, n == 0, nil // end of file, or a torn header
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		crc := binary.LittleEndian.Uint32(hdr[4:8])
 		if n == 0 || n > maxPayload {
-			return valid, total, nil
+			return pos, false, nil
 		}
 		if cap(buf) < int(n) {
 			buf = make([]byte, n)
 		}
 		buf = buf[:n]
 		if _, err := io.ReadFull(f, buf); err != nil {
-			return valid, total, nil
+			return pos, false, nil
 		}
 		if crc32.Checksum(buf, crcTable) != crc {
-			return valid, total, nil
+			return pos, false, nil
 		}
-		valid += recHeader + int64(n)
+		if fn != nil {
+			if err := fn(buf); err != nil {
+				return pos, false, err
+			}
+		}
+		pos += recHeader + int64(n)
 	}
 }
 
@@ -646,65 +651,66 @@ func (l *Log) crashBoundary() (partial int, fire bool) {
 	return 0, false
 }
 
-// Replay streams every durable record to fn in log order. It reads the
-// segment files directly (safe before the first Append; during live appends
-// it sees some prefix). A decode error in a record that passed its CRC is
-// reported to fn's caller via the returned error.
+// Replay is ReplayFrom offset zero.
 func (l *Log) Replay(fn func(Record) error) error {
-	return replayDir(l.dir, l.mReplayed, fn)
+	_, err := l.ReplayFrom(0, fn)
+	return err
 }
 
-// ReplayDir replays a log directory without opening it for appending (the
-// -log-fsck path and offline tooling).
+// ReplayFrom is ReplayDirFrom on the log's own directory, counting every
+// record it hands to fn in server.log.replayed. Safe before the first
+// Append; during live appends it sees some prefix.
+func (l *Log) ReplayFrom(from int64, fn func(Record) error) (int64, error) {
+	return ReplayDirFrom(l.dir, from, func(r Record) error {
+		l.mReplayed.Inc()
+		return fn(r)
+	})
+}
+
+// ReplayCounter returns server.log.replayed, for a reader that replays the
+// directory itself (ReplayDirFrom) and counts what it applied.
+func (l *Log) ReplayCounter() *obs.Counter { return l.mReplayed }
+
+// ReplayDir is ReplayDirFrom offset zero (offline tooling).
 func ReplayDir(dir string, fn func(Record) error) error {
-	return replayDir(dir, nil, fn)
+	_, err := ReplayDirFrom(dir, 0, fn)
+	return err
 }
 
-func replayDir(dir string, replayed *obs.Counter, fn func(Record) error) error {
+// ReplayDirFrom streams every durable record at byte offset >= from to fn in
+// log order, without opening the directory for append and without touching
+// any metrics sink, and returns the offset just past the last record fn
+// accepted. Segments wholly below from are skipped — with a snapshot at
+// from, restart replay reads only post-snapshot bytes. Replay stops at the
+// first torn or damaged record: everything behind it is unreadable, and a
+// later segment is never resynced into. A record that passed its CRC but
+// does not decode is an error, as is one fn refuses.
+func ReplayDirFrom(dir string, from int64, fn func(Record) error) (int64, error) {
 	bases, err := segments(dir)
 	if err != nil {
-		return err
+		return from, err
 	}
-	for _, base := range bases {
-		if err := replaySegment(segPath(dir, base), replayed, fn); err != nil {
-			return err
+	pos := from
+	for i, base := range bases {
+		if i+1 < len(bases) && bases[i+1] <= pos {
+			continue
 		}
-	}
-	return nil
-}
-
-func replaySegment(path string, replayed *obs.Counter, fn func(Record) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("eventlog: %w", err)
-	}
-	defer f.Close()
-	var hdr [recHeader]byte
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return nil
+		if base > pos {
+			return pos, fmt.Errorf("eventlog: replay offset %d precedes first available byte %d (compacted past it)", pos, base)
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > maxPayload {
-			return nil
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return nil
-		}
-		if crc32.Checksum(payload, crcTable) != crc {
-			return nil
-		}
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			return err
-		}
-		replayed.Inc()
-		if err := fn(rec); err != nil {
-			return err
+		next, clean, err := readSegment(segPath(dir, base), pos-base, func(payload []byte) error {
+			rec, err := decodeRecord(payload)
+			if err != nil {
+				return err
+			}
+			return fn(rec)
+		})
+		pos = base + next
+		if err != nil || !clean {
+			return pos, err
 		}
 	}
+	return pos, nil
 }
 
 // Close flushes, syncs (unless SyncNone) and closes the log. Pending appends
@@ -798,35 +804,34 @@ func Fsck(dir string) (FsckReport, error) {
 			return rep, nil
 		}
 		path := segPath(dir, base)
-		valid, total, err := scanSegment(path)
+		valid, clean, err := readSegment(path, 0, func([]byte) error {
+			rep.Records++
+			return nil
+		})
 		if err != nil {
 			return rep, err
 		}
-		prevEnd = base + total
-		n, err := countRecords(path, valid)
-		if err != nil {
-			return rep, err
-		}
-		rep.Records += n
+		prevEnd = base + valid
 		rep.Bytes += valid
-		if valid != total {
-			if i < len(bases)-1 {
-				rep.Corrupt = true
-				rep.Detail = fmt.Sprintf("segment %016x: damage at offset %d before the tail segment", base, valid)
-				return rep, nil
-			}
-			sync, err := resyncOffset(path, valid, total)
-			if err != nil {
-				return rep, err
-			}
-			if sync >= 0 {
-				rep.Corrupt = true
-				rep.Detail = fmt.Sprintf("segment %016x: damage at offset %d with intact records resuming at %d — interior corruption, not a crash tear", base, valid, sync)
-				return rep, nil
-			}
-			rep.TornTail = true
-			rep.Detail = fmt.Sprintf("segment %016x: torn tail at offset %d (%d trailing bytes)", base, valid, total-valid)
+		if clean {
+			continue
 		}
+		if i < len(bases)-1 {
+			rep.Corrupt = true
+			rep.Detail = fmt.Sprintf("segment %016x: damage at offset %d before the tail segment", base, valid)
+			return rep, nil
+		}
+		sync, trailing, err := resyncOffset(path, valid)
+		if err != nil {
+			return rep, err
+		}
+		if sync >= 0 {
+			rep.Corrupt = true
+			rep.Detail = fmt.Sprintf("segment %016x: damage at offset %d with intact records resuming at %d — interior corruption, not a crash tear", base, valid, sync)
+			return rep, nil
+		}
+		rep.TornTail = true
+		rep.Detail = fmt.Sprintf("segment %016x: torn tail at offset %d (%d trailing bytes)", base, valid, trailing)
 	}
 	if len(badSnaps) > 0 && rep.Detail == "" {
 		rep.Detail = fmt.Sprintf("%d snapshot file(s) unreadable (replay falls back to an older snapshot or offset zero)", len(badSnaps))
@@ -834,20 +839,25 @@ func Fsck(dir string) (FsckReport, error) {
 	return rep, nil
 }
 
-// resyncOffset scans the damaged region of a segment for an offset where a
-// well-formed record (sane length, matching CRC) begins, returning -1 when
-// none exists. A crash mid-write tears at most the one record being
+// resyncOffset scans the damaged region of a segment — everything from the
+// break at from to end of file — for an offset where a well-formed record
+// (sane length, matching CRC) begins, returning -1 when none exists, and the
+// size of the region. A crash mid-write tears at most the one record being
 // appended, so any record that parses behind the break proves the damage is
 // interior corruption rather than a torn tail.
-func resyncOffset(path string, from, total int64) (int64, error) {
+func resyncOffset(path string, from int64) (sync, trailing int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return -1, fmt.Errorf("eventlog: %w", err)
+		return -1, 0, fmt.Errorf("eventlog: %w", err)
 	}
 	defer f.Close()
-	region := make([]byte, total-from)
+	st, err := f.Stat()
+	if err != nil {
+		return -1, 0, fmt.Errorf("eventlog: %w", err)
+	}
+	region := make([]byte, st.Size()-from)
 	if _, err := f.ReadAt(region, from); err != nil {
-		return -1, fmt.Errorf("eventlog: %w", err)
+		return -1, 0, fmt.Errorf("eventlog: %w", err)
 	}
 	// The break itself is the torn record; a resync at offset zero would be
 	// the valid prefix again, so start one byte in.
@@ -858,32 +868,8 @@ func resyncOffset(path string, from, total int64) (int64, error) {
 		}
 		crc := binary.LittleEndian.Uint32(region[off+4 : off+8])
 		if crc32.Checksum(region[off+recHeader:off+recHeader+n], crcTable) == crc {
-			return from + off, nil
+			return from + off, int64(len(region)), nil
 		}
 	}
-	return -1, nil
-}
-
-// countRecords counts the records in the first valid bytes of a segment.
-func countRecords(path string, valid int64) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("eventlog: %w", err)
-	}
-	defer f.Close()
-	var hdr [recHeader]byte
-	var off int64
-	n := 0
-	for off < valid {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return n, nil
-		}
-		sz := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		if _, err := f.Seek(sz, io.SeekCurrent); err != nil {
-			return n, fmt.Errorf("eventlog: %w", err)
-		}
-		off += recHeader + sz
-		n++
-	}
-	return n, nil
+	return -1, int64(len(region)), nil
 }

@@ -470,3 +470,81 @@ func TestConcurrentAppend(t *testing.T) {
 		t.Fatalf("replayed %d records, want %d", len(got), writers*per)
 	}
 }
+
+// ReplayDir is ReplayDirFrom offset zero: on a clean directory, on one whose
+// tail segment ends in a torn record, and on one damaged in the middle of an
+// earlier segment, both visit the same records and stop at the same byte —
+// the first damage, with no resync into a later segment.
+func TestReplayDirIsReplayDirFromZero(t *testing.T) {
+	recs := append(sampleRecords(), sampleRecords()...)
+	size := func(rs []Record) (n int64) {
+		for _, r := range rs {
+			n += int64(len(encodeRecord(r)))
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, dir string, bases []int64)
+		want   int // records both readers visit
+	}{
+		{"clean", func(*testing.T, string, []int64) {}, len(recs)},
+		{"torn tail", func(t *testing.T, dir string, bases []int64) {
+			f, err := os.OpenFile(segPath(dir, bases[len(bases)-1]), os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.Write(encodeRecord(recs[0])[:recHeader+3]); err != nil {
+				t.Fatal(err)
+			}
+		}, len(recs)},
+		{"mid-segment damage", func(t *testing.T, dir string, bases []int64) {
+			// Flip a payload byte of the second record of the first segment:
+			// the rest of that segment and every later one go unread.
+			path := segPath(dir, bases[0])
+			buf, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf[size(recs[:1])+recHeader] ^= 0xff
+			if err := os.WriteFile(path, buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			// Two records per segment, so damage in the first segment has
+			// intact segments behind it.
+			l, err := Open(Options{Dir: dir, Sync: SyncAlways, SegmentBytes: size(recs[:2])})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustAppend(t, l, recs...)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			bases, err := segments(dir)
+			if err != nil || len(bases) < 3 {
+				t.Fatalf("segments = %v, %v; want at least 3", bases, err)
+			}
+			tc.damage(t, dir, bases)
+
+			viaDir := replayAll(t, dir)
+			var viaFrom []Record
+			end, err := ReplayDirFrom(dir, 0, func(r Record) error {
+				viaFrom = append(viaFrom, r)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRecords(t, viaDir, recs[:tc.want])
+			checkRecords(t, viaFrom, recs[:tc.want])
+			if want := size(recs[:tc.want]); end != want {
+				t.Fatalf("ReplayDirFrom stopped at byte %d, want %d", end, want)
+			}
+		})
+	}
+}

@@ -21,14 +21,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"cosoft/internal/obs"
 )
 
 const (
@@ -52,13 +48,14 @@ func snapPath(dir string, offset int64) string {
 // Dir returns the log directory (read-only access for offline fold replay).
 func (l *Log) Dir() string { return l.dir }
 
-// Snapshots returns the valid snapshots in the log directory, newest first.
-// Torn or CRC-damaged snapshot files are skipped: the caller falls back to
-// the next entry, then to a full replay from offset zero.
-func (l *Log) Snapshots() ([]SnapshotRef, error) {
-	l.snapMu.Lock()
-	defer l.snapMu.Unlock()
-	valid, _, err := snapshotInfos(l.dir)
+// Snapshots returns the valid snapshots in a log directory, newest first,
+// without opening it. Torn or CRC-damaged snapshot files are skipped: the
+// caller falls back to the next entry, then to a full replay from offset
+// zero. It takes no lock against a live log's WriteSnapshot and Compact: a
+// snapshot appears by rename and goes by unlink, so a concurrent reader sees
+// each file whole or not at all.
+func Snapshots(dir string) ([]SnapshotRef, error) {
+	valid, _, err := snapshotInfos(dir)
 	return valid, err
 }
 
@@ -224,96 +221,6 @@ func (l *Log) Compact() (int, error) {
 	}
 	l.mCompacted.Add(uint64(removed))
 	return removed, nil
-}
-
-// ReplayFrom streams every durable record at byte offset >= from to fn in
-// log order, returning the offset just past the last valid record. Segments
-// wholly below from are skipped — with a snapshot at from, restart replay
-// reads only post-snapshot bytes.
-func (l *Log) ReplayFrom(from int64, fn func(Record) error) (int64, error) {
-	return replayDirFrom(l.dir, from, l.mReplayed, fn)
-}
-
-// ReplayDirFrom replays a log directory from a byte offset without opening
-// it for append and without touching any metrics sink (the snapshot fold
-// path — fold reads must not inflate server.log.replayed).
-func ReplayDirFrom(dir string, from int64, fn func(Record) error) (int64, error) {
-	return replayDirFrom(dir, from, nil, fn)
-}
-
-func replayDirFrom(dir string, from int64, replayed *obs.Counter, fn func(Record) error) (int64, error) {
-	bases, err := segments(dir)
-	if err != nil {
-		return from, err
-	}
-	pos := from
-	for i, base := range bases {
-		end := int64(math.MaxInt64)
-		if i+1 < len(bases) {
-			end = bases[i+1]
-		}
-		if end <= pos {
-			continue
-		}
-		if base > pos {
-			return pos, fmt.Errorf("eventlog: replay offset %d precedes first available byte %d (compacted past it)", pos, base)
-		}
-		next, clean, err := replaySegmentFrom(segPath(dir, base), base, pos-base, replayed, fn)
-		pos = next
-		if err != nil {
-			return pos, err
-		}
-		if !clean {
-			// Torn or damaged record: everything behind it is unreadable, so
-			// stop here rather than resync into a later segment.
-			break
-		}
-	}
-	return pos, nil
-}
-
-// replaySegmentFrom replays one segment starting at start bytes in. clean
-// reports whether the scan ended at an exact record boundary at EOF (false
-// means a torn/invalid record stopped it).
-func replaySegmentFrom(path string, base, start int64, replayed *obs.Counter, fn func(Record) error) (pos int64, clean bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return base + start, false, fmt.Errorf("eventlog: %w", err)
-	}
-	defer f.Close()
-	if start > 0 {
-		if _, err := f.Seek(start, io.SeekStart); err != nil {
-			return base + start, false, fmt.Errorf("eventlog: %w", err)
-		}
-	}
-	pos = base + start
-	var hdr [recHeader]byte
-	for {
-		if n, err := io.ReadFull(f, hdr[:]); err != nil {
-			return pos, n == 0, nil
-		}
-		sz := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if sz == 0 || sz > maxPayload {
-			return pos, false, nil
-		}
-		payload := make([]byte, sz)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return pos, false, nil
-		}
-		if crc32.Checksum(payload, crcTable) != crc {
-			return pos, false, nil
-		}
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			return pos, false, err
-		}
-		replayed.Inc()
-		if err := fn(rec); err != nil {
-			return pos, false, err
-		}
-		pos += recHeader + int64(sz)
-	}
 }
 
 // encodeSnapshotFile frames one snapshot file image.

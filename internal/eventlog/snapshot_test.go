@@ -40,7 +40,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := l.WriteSnapshot(off, []byte("state-v1")); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
-	snaps, err := l.Snapshots()
+	snaps, err := Snapshots(l.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := l.WriteSnapshot(off2, []byte("state-v2")); err != nil {
 		t.Fatal(err)
 	}
-	snaps, err = l.Snapshots()
+	snaps, err = Snapshots(l.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	snaps, err = l2.Snapshots()
+	snaps, err = Snapshots(l2.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSnapshotFallbackOnDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	snaps, err := l2.Snapshots()
+	snaps, err := Snapshots(l2.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestCompactRetention(t *testing.T) {
 	if removed == 0 {
 		t.Fatal("Compact removed no segments; expected covered segments to go")
 	}
-	snaps, err := l.Snapshots()
+	snaps, err := Snapshots(l.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestSnapshotCrashPointSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("op %d: reopen: %v", op, err)
 		}
-		snaps, err := l2.Snapshots()
+		snaps, err := Snapshots(l2.Dir())
 		if err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
@@ -384,7 +384,7 @@ func TestCloseAbandonsInFlightSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	snaps, err := l2.Snapshots()
+	snaps, err := Snapshots(l2.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,9 @@ type Snapshot struct {
 	State widget.TreeState
 	// Origin is the instance whose copy operation caused the overwrite.
 	Origin couple.InstanceID
-	// At is the server time of the overwrite.
+	// At is the time of the overwrite where the recorder knows one. The
+	// server leaves it zero: a backup replayed from the event log could not
+	// reproduce it, and live state is the fold of the log.
 	At time.Time
 }
 

@@ -19,9 +19,6 @@ package server
 // ops[0:R] with R read back by Fsck, never an interior gap.
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -29,7 +26,6 @@ import (
 	"cosoft/internal/attr"
 	coclient "cosoft/internal/client"
 	"cosoft/internal/eventlog"
-	"cosoft/internal/hist"
 	"cosoft/internal/perm"
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
@@ -39,7 +35,7 @@ import (
 
 // crashRig is an in-package client harness (the white-box twin of the
 // server_test harness; a separate type because this file needs Server
-// internals for the state digest).
+// internals for the state digest, see state_test.go).
 type crashRig struct {
 	t   *testing.T
 	srv *Server
@@ -174,82 +170,6 @@ func crashOps() []func(r *crashRig) {
 	}
 }
 
-// renderGlobalState writes the digest lines for the global databases:
-// registration records with declared objects, couple links, permission
-// rules. It reads the databases directly — crashDigest posts it onto the
-// live global loop; foldDigest (snapshot_recovery_test.go) calls it on
-// loop-less fold replicas.
-func renderGlobalState(b *strings.Builder, s *Server) {
-	ids := s.reg.Instances()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		rec, err := s.reg.Lookup(id)
-		if err != nil {
-			continue
-		}
-		paths := make([]string, 0, len(rec.Objects))
-		for p := range rec.Objects {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		fmt.Fprintf(b, "inst %s type=%s host=%s user=%s objs=[", rec.ID, rec.AppType, rec.Host, rec.User)
-		for _, p := range paths {
-			fmt.Fprintf(b, " %s:%s", p, rec.Objects[p])
-		}
-		fmt.Fprint(b, " ]\n")
-	}
-	for _, l := range s.graph.Links() {
-		fmt.Fprintf(b, "link %s by %s\n", l, l.Creator)
-	}
-	for _, rule := range s.perms.Rules() {
-		fmt.Fprintf(b, "perm %s\n", rule)
-	}
-}
-
-// renderShardState writes the digest lines for one shard: its event-ID
-// sequence and history stacks.
-func renderShardState(b *strings.Builder, i int, sh *shard) {
-	fmt.Fprintf(b, "shard %d seq=%d\n", i, sh.seq)
-	for _, ref := range sh.history.Refs() {
-		undo, redo := sh.history.Stacks(ref)
-		fmt.Fprintf(b, "hist %s undo=%s redo=%s\n", ref, renderHistStack(undo), renderHistStack(redo))
-	}
-}
-
-func renderHistStack(list []hist.Snapshot) string {
-	var sb strings.Builder
-	for _, sn := range list {
-		fmt.Fprintf(&sb, "{%s|%v|%s}", sn.Ref, sn.State, sn.Origin) // At excluded: wall clock
-	}
-	return sb.String()
-}
-
-// crashDigest renders the replayable server databases — registration records
-// with declared objects, couple links, permission rules, per-shard event
-// sequences and history stacks — into a canonical string. Everything
-// excluded is deliberately not replayed: lock tables and pending events
-// (transient floor control), session tokens (random per run), connection
-// state, timestamps.
-func crashDigest(s *Server) string {
-	var b strings.Builder
-	done := make(chan struct{})
-	s.post(func() {
-		defer close(done)
-		renderGlobalState(&b, s)
-	})
-	<-done
-	for i, sh := range s.shards {
-		i, sh := i, sh
-		done := make(chan struct{})
-		s.postShard(sh, func() {
-			defer close(done)
-			renderShardState(&b, i, sh)
-		})
-		<-done
-	}
-	return b.String()
-}
-
 // TestCrashPointRecovery sweeps the crash point across every write and fsync
 // boundary the scripted session generates. For each boundary: run the script
 // (the server keeps serving after the log dies — durability degrades, live
@@ -299,7 +219,7 @@ func TestCrashPointRecovery(t *testing.T) {
 			t.Fatalf("boundary %d: reopen: %v", op, err)
 		}
 		recovered := newCrashRig(t, Options{EventLog: elog2})
-		got := crashDigest(recovered.srv)
+		got := liveDigest(recovered.srv)
 		recovered.shutdown()
 		if err := elog2.Close(); err != nil {
 			t.Fatalf("boundary %d: close reopened: %v", op, err)
@@ -310,7 +230,7 @@ func TestCrashPointRecovery(t *testing.T) {
 		for _, run := range ops[:rep.Records] {
 			run(shadow)
 		}
-		want := crashDigest(shadow.srv)
+		want := liveDigest(shadow.srv)
 		shadow.shutdown()
 
 		if got != want {

@@ -38,7 +38,7 @@ type durableServer struct {
 	elog *eventlog.Log
 	wg   sync.WaitGroup
 
-	floorChecked sync.Once
+	checked sync.Once
 }
 
 func newDurableServer(t *testing.T, opts server.Options) *durableServer {
@@ -152,11 +152,11 @@ func (d *durableServer) dial(appType, user, spec string, batching bool) *client.
 		d.t.Fatalf("dial %s: %v", user, err)
 	}
 	d.t.Cleanup(c.Close)
-	// The floor-lock teardown check, ahead of the first client Close.
+	// The teardown invariant checks, ahead of the first client Close.
 	d.t.Cleanup(func() {
-		d.floorChecked.Do(func() {
+		d.checked.Do(func() {
 			if srv := d.current(); srv != nil {
-				checkFloorLock(d.t, srv)
+				checkInvariants(d.t, srv)
 			}
 		})
 	})

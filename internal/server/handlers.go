@@ -20,20 +20,14 @@ import (
 func (s *Server) handle(cl *client, env wire.Envelope) {
 	switch m := env.Msg.(type) {
 	case wire.Declare:
-		err := s.reg.DeclareObject(cl.id, m.Path, m.Class)
-		if err == nil {
-			s.logAppend(eventlog.KindDeclare, cl.id, "", m)
-		}
-		s.reply(cl, env.Seq, err)
+		s.reply(cl, env.Seq, s.commit(s.record(eventlog.KindDeclare, cl, m)))
 	case wire.Retract:
 		s.handleRetract(cl, env.Seq, m)
 	case wire.Deregister:
 		// Deregistration invalidates any outstanding session token: an
 		// instance that left on purpose must not be resumable.
-		if tok, ok := s.sessionTok[cl.id]; ok {
-			delete(s.sessions, tok)
-			delete(s.sessionTok, cl.id)
-			s.logAppend(eventlog.KindTokenDrop, cl.id, "", m)
+		if _, ok := s.st.sessionTok[cl.id]; ok {
+			_ = s.commit(s.record(eventlog.KindTokenDrop, cl, m)) // dropping a token cannot fail
 		}
 		s.dropClient(cl, "deregistered")
 		s.reply(cl, env.Seq, nil)
@@ -59,14 +53,8 @@ func (s *Server) handle(cl *client, env wire.Envelope) {
 		s.handleUndoRedo(cl, env.Seq, m.Path, false)
 	case wire.ListInstances:
 		s.handleListInstances(cl, env.Seq)
-	case wire.GrantPerm:
-		s.perms.Grant(perm.Rule{User: m.User, State: m.State, Right: perm.Right(m.Right)})
-		s.logAppend(eventlog.KindPerm, cl.id, "", m)
-		s.reply(cl, env.Seq, nil)
-	case wire.RevokePerm:
-		s.perms.Revoke(perm.Rule{User: m.User, State: m.State, Right: perm.Right(m.Right)})
-		s.logAppend(eventlog.KindPerm, cl.id, "", m)
-		s.reply(cl, env.Seq, nil)
+	case wire.GrantPerm, wire.RevokePerm:
+		s.reply(cl, env.Seq, s.commit(s.record(eventlog.KindPerm, cl, m)))
 	case wire.Ping:
 		// Client-initiated probe: answer so it can measure liveness too.
 		cl.out.send(wire.Envelope{RefSeq: env.Seq, Msg: wire.Pong{Nonce: m.Nonce}})
@@ -77,6 +65,11 @@ func (s *Server) handle(cl *client, env wire.Envelope) {
 	default:
 		s.reply(cl, env.Seq, fmt.Errorf("server: unexpected message %s", env.Msg.MsgType()))
 	}
+}
+
+// record is the log record of a transition cl asked for.
+func (s *Server) record(kind eventlog.Kind, cl *client, msg wire.Message) eventlog.Record {
+	return eventlog.Record{Kind: kind, Origin: string(cl.id), Env: wire.Envelope{Msg: msg}}
 }
 
 // reply sends OK or Err correlated to the request.
@@ -99,7 +92,7 @@ func (s *Server) checkPerm(cl *client, ref couple.ObjectRef, right perm.Right) e
 	if ref.Instance == cl.id {
 		return nil
 	}
-	if !s.perms.Allowed(cl.user, stateID(ref), right) {
+	if !s.st.perms.Allowed(cl.user, stateID(ref), right) {
 		return fmt.Errorf("server: %w: user %q lacks %s on %s", errPerm, cl.user, right, stateID(ref))
 	}
 	return nil
@@ -108,7 +101,7 @@ func (s *Server) checkPerm(cl *client, ref couple.ObjectRef, right perm.Right) e
 // checkDeclared verifies the object is registered as couplable and returns
 // its class.
 func (s *Server) checkDeclared(ref couple.ObjectRef) (string, error) {
-	class, ok := s.reg.ObjectClass(ref)
+	class, ok := s.st.reg.ObjectClass(ref)
 	if !ok {
 		return "", fmt.Errorf("server: object %s not declared", stateID(ref))
 	}
@@ -120,12 +113,10 @@ func (s *Server) handleRetract(cl *client, seq uint64, m wire.Retract) {
 	// Collect the group *before* removal, as handleDecouple does: computing
 	// it afterwards loses the members connected only through the retracted
 	// object, so the split halves would keep stale mirrored links.
-	members := s.graph.Group(ref)
-	sh := s.shardForRef(ref)
-	s.notifyLinks(instancesOf(members), s.graph.RemoveObject(ref), false)
-	s.reg.RetractObject(cl.id, m.Path)
+	members := s.st.graph.Group(ref)
+	sh := s.shardForRef(ref) // before retract drops the route
+	s.notifyLinks(instancesOf(members), s.st.retract(ref), false)
 	s.postShard(sh, func() { sh.history.Forget(ref) })
-	s.router.dropRef(ref)
 	s.logAppend(eventlog.KindRetract, cl.id, "", m)
 	s.reply(cl, seq, nil)
 }
@@ -151,7 +142,7 @@ func (s *Server) handleCouple(cl *client, seq uint64, m wire.Couple) {
 	}
 	// The two groups as they are before the link merges them: what their
 	// instances' mirrors hold.
-	gFrom, linksFrom := s.graph.GroupLinks(l.From)
+	gFrom, linksFrom := s.st.graph.GroupLinks(l.From)
 	// A member that couples two endpoints some link already joins is
 	// resynchronizing after a server restart — it re-creates every link it
 	// knows, as itself — and is re-sent the group as it stands, which brings
@@ -161,12 +152,12 @@ func (s *Server) handleCouple(cl *client, seq uint64, m wire.Couple) {
 	})
 	// A Couple whose exact link exists changes nothing and nobody else is
 	// told.
-	if !s.graph.Has(l) {
-		gTo, linksTo := s.graph.GroupLinks(l.To)
+	if !s.st.graph.Has(l) {
+		gTo, linksTo := s.st.graph.GroupLinks(l.To)
 		// Co-locate the two groups before the link merges them: every member
 		// of one coupling group serializes on one shard loop.
 		s.mergeShards(gFrom, gTo)
-		if err := s.graph.AddLink(l); err != nil {
+		if err := s.st.graph.AddLink(l); err != nil {
 			s.reply(cl, seq, err)
 			return
 		}
@@ -228,19 +219,13 @@ func (s *Server) handleDecouple(cl *client, seq uint64, m wire.Decouple) {
 		return
 	}
 	// Collect the group *before* removal so both halves hear about it.
-	members := s.graph.Group(m.From)
-	// The notification must carry the direction the stored link actually
-	// has, or the members' replicated coupling info keeps a stale entry.
-	var l couple.Link
-	switch {
-	case s.graph.RemoveLink(m.From, m.To):
-		l = couple.Link{From: m.From, To: m.To, Creator: cl.id}
-	case s.graph.RemoveLink(m.To, m.From):
-		l = couple.Link{From: m.To, To: m.From, Creator: cl.id}
-	default:
-		s.reply(cl, seq, fmt.Errorf("server: no link between %s and %s", stateID(m.From), stateID(m.To)))
+	members := s.st.graph.Group(m.From)
+	l, err := s.st.decouple(m.From, m.To)
+	if err != nil {
+		s.reply(cl, seq, err)
 		return
 	}
+	l.Creator = cl.id
 	s.notifyLinks(instancesOf(members), []couple.Link{l}, false)
 	s.logAppend(eventlog.KindDecouple, cl.id, stateID(l.From), wire.Decouple{From: l.From, To: l.To})
 	s.reply(cl, seq, nil)
@@ -320,8 +305,8 @@ func (s *Server) handleCommand(cl *client, seq uint64, m wire.Command) {
 
 func (s *Server) handleListInstances(cl *client, seq uint64) {
 	var list wire.InstanceList
-	for _, id := range s.reg.Instances() {
-		rec, err := s.reg.Lookup(id)
+	for _, id := range s.st.reg.Instances() {
+		rec, err := s.st.reg.Lookup(id)
 		if err != nil {
 			continue
 		}
@@ -341,28 +326,19 @@ func (s *Server) handleListInstances(cl *client, seq uint64) {
 // registration record and sends it back. A reconnecting client presents the
 // token in a Resume handshake to reclaim the same instance ID.
 func (s *Server) handleSessionToken(cl *client, seq uint64) {
-	rec, err := s.reg.Lookup(cl.id)
-	if err != nil {
-		s.reply(cl, seq, err)
-		return
-	}
 	tok, err := mintToken()
 	if err != nil {
 		s.reply(cl, seq, err)
 		return
 	}
-	// One outstanding token per instance: re-minting replaces the previous
-	// token, so sessions is bounded by the number of registered instances
-	// and a superseded token can never resume the session.
-	if old, ok := s.sessionTok[cl.id]; ok {
-		delete(s.sessions, old)
-	}
-	s.sessionTok[cl.id] = tok
-	s.sessions[tok] = sessionRec{id: rec.ID, appType: rec.AppType, host: rec.Host, user: rec.User}
 	// The token is durable before the client holds it: a token the client
 	// could present after a server restart is always one replay can honor.
-	s.logAppend(eventlog.KindToken, cl.id, "", wire.SessionToken{Token: tok})
-	cl.out.send(wire.Envelope{RefSeq: seq, Msg: wire.SessionToken{Token: tok}})
+	msg := wire.SessionToken{Token: tok}
+	if err := s.commit(s.record(eventlog.KindToken, cl, msg)); err != nil {
+		s.reply(cl, seq, err)
+		return
+	}
+	cl.out.send(wire.Envelope{RefSeq: seq, Msg: msg})
 }
 
 // dropClient removes a disconnected or deregistering instance: its couple
@@ -383,7 +359,6 @@ func (s *Server) dropClient(cl *client, reason string) {
 	if !s.closing {
 		s.logAppend(eventlog.KindDisconnect, cl.id, "", wire.Err{Text: reason})
 	}
-	s.logf("server: %s leaving (%s)", cl.id, reason)
 	s.slog.Info("instance leaving", "inst", string(cl.id), "reason", reason)
 	s.cmu.Lock()
 	delete(s.clients, cl.id)
@@ -399,11 +374,11 @@ func (s *Server) dropClient(cl *client, reason string) {
 	// notices are queued ahead of the removal, which no member can tell from
 	// the other order.
 	covered := make(map[couple.Link]bool)
-	for _, l := range s.graph.InstanceLinks(cl.id) {
+	for _, l := range s.st.graph.InstanceLinks(cl.id) {
 		if covered[l] {
 			continue
 		}
-		members, links := s.graph.GroupLinks(l.From)
+		members, links := s.st.graph.GroupLinks(l.From)
 		removed := links[:0]
 		for _, gl := range links {
 			if gl.From.Instance == cl.id || gl.To.Instance == cl.id {
@@ -413,7 +388,7 @@ func (s *Server) dropClient(cl *client, reason string) {
 		}
 		s.notifyLinks(instancesOf(members), removed, false)
 	}
-	s.graph.RemoveInstance(cl.id)
+	s.st.dropInstance(cl.id)
 
 	// Resolve group-scoped state on every shard: events the instance
 	// originated are finished, events awaiting its ack are acked by absence,
@@ -442,8 +417,6 @@ func (s *Server) dropClient(cl *client, reason string) {
 			delete(s.pendingFetch, id)
 		}
 	}
-	s.router.dropInstance(cl.id)
-	s.reg.Deregister(cl.id)
 }
 
 // lockGroup applies the configured group-locking variant on the given

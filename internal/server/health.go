@@ -174,7 +174,7 @@ func (s *Server) Health() HealthReport {
 		})
 	}
 
-	for _, refs := range s.graph.Groups() {
+	for _, refs := range s.st.graph.Groups() {
 		g := GroupHealth{Shard: s.shardForRef(refs[0]).idx}
 		seen := make(map[couple.InstanceID]bool)
 		awaited := make(map[couple.InstanceID]bool)

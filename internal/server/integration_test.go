@@ -2,8 +2,6 @@ package server_test
 
 import (
 	"errors"
-	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -21,35 +19,21 @@ import (
 	"cosoft/internal/wire"
 )
 
-// envLogDir lets CI soak the whole suite with durability on: when
-// COSOFT_LOG_DIR=<dir> is set, every harness server appends to its own
-// event log under that directory, so every integration and chaos scenario
-// also exercises the append-before-ack path.
-var envLogDir = os.Getenv("COSOFT_LOG_DIR")
-
-// envSnapshotBytes lets CI soak the whole suite with snapshotting and
-// compaction on: when COSOFT_SNAPSHOT_BYTES=<n> is set alongside
-// COSOFT_LOG_DIR, every harness log rotates segments at n bytes and its
-// server snapshots + compacts on the same byte cadence, so every
-// integration and chaos scenario runs against a log that is continuously
-// snapshotted and compacted underneath it.
-var envSnapshotBytes = func() int64 {
-	n, _ := strconv.ParseInt(os.Getenv("COSOFT_SNAPSHOT_BYTES"), 10, 64)
-	return n
-}()
-
 // harness runs one server and dials clients over in-process links. The
-// server is the product configuration (N shard loops, batching on) and every
-// dialed client opts into the batch extension; dialPlain and the raw clients
-// are the peers that did not, mixed into the larger groups as the
-// benchmark's probe member is.
+// server is the product configuration with durability on — N shard loops,
+// batching, and an event log of its own whose segments are small enough and
+// whose snapshot cadence tight enough that the suite's scenarios run over a
+// log that rotates, snapshots and compacts underneath them — and every dialed
+// client opts into the batch extension; dialPlain and the raw clients are the
+// peers that did not, mixed into the larger groups as the benchmark's probe
+// member is.
 type harness struct {
 	t   *testing.T
 	srv *server.Server
 	wg  sync.WaitGroup
-	// floorChecked makes the teardown invariant check run once, ahead of the
-	// first client Close (see checkFloorLock).
-	floorChecked sync.Once
+	// checked makes the teardown invariant checks run once, ahead of the
+	// first client Close (see checkInvariants).
+	checked sync.Once
 }
 
 func newHarness(t *testing.T, opts server.Options) *harness {
@@ -57,27 +41,18 @@ func newHarness(t *testing.T, opts server.Options) *harness {
 	if opts.Shards == 0 {
 		opts.Shards = server.HarnessShards
 	}
-	if envLogDir != "" && opts.EventLog == nil {
-		dir, err := os.MkdirTemp(envLogDir, "cosoft-log-*")
-		if err != nil {
-			t.Fatalf("log dir under COSOFT_LOG_DIR: %v", err)
-		}
-		elog, err := eventlog.Open(eventlog.Options{Dir: dir, SegmentBytes: envSnapshotBytes})
+	if opts.EventLog == nil {
+		elog, err := eventlog.Open(eventlog.Options{Dir: t.TempDir(), SegmentBytes: 4096, Metrics: opts.Metrics})
 		if err != nil {
 			t.Fatalf("open event log: %v", err)
 		}
 		// Registered before the server cleanup below, so (LIFO) the server
 		// closes — and finishes its in-flight appends — before the log does.
-		t.Cleanup(func() {
-			elog.Close()
-			os.RemoveAll(dir)
-		})
+		t.Cleanup(func() { elog.Close() })
 		opts.EventLog = elog
-		if envSnapshotBytes > 0 {
-			opts.SnapshotBytes = envSnapshotBytes
-			if opts.SnapshotInterval == 0 {
-				opts.SnapshotInterval = 20 * time.Millisecond
-			}
+		opts.SnapshotBytes = 4096
+		if opts.SnapshotInterval == 0 {
+			opts.SnapshotInterval = 20 * time.Millisecond
 		}
 	}
 	h := &harness{t: t, srv: server.New(opts)}
@@ -88,13 +63,23 @@ func newHarness(t *testing.T, opts server.Options) *harness {
 	return h
 }
 
-// checkFloorLock is the floor-lock invariant at teardown: once nothing is
-// pending, no coupling group may still report a lock holder — a lock without
-// a live pending event behind it would deny the group forever. Every dial
-// registers it after its client's Close, so (cleanups run last-in first-out)
-// it runs while the groups still exist. A test that ends with an ack
-// deliberately withheld never drains and is not judged.
-func checkFloorLock(t *testing.T, srv *server.Server) {
+// checkInvariants runs at teardown, at quiescence and before the first
+// client Close: every dial registers it after its client's Close, so
+// (cleanups run last-in first-out) it runs while the groups still exist. A
+// test that ends with an ack deliberately withheld never drains and is not
+// judged.
+//
+// Floor lock: once nothing is pending, no coupling group may still report a
+// lock holder — a lock without a live pending event behind it would deny the
+// group forever.
+//
+// Live = fold(log): a fresh state restored from the server's log directory
+// must equal the live one (see Server.FoldDivergence). The loops may still be
+// finishing what the last reply did not wait for and the snapshotter may be
+// compacting under the reader, so a difference counts once it has outlasted
+// a deadline. A server whose log lost an append holds more than its log by
+// design and is not judged.
+func checkInvariants(t *testing.T, srv *server.Server) {
 	if t.Failed() {
 		return
 	}
@@ -111,12 +96,23 @@ func checkFloorLock(t *testing.T, srv *server.Server) {
 				g.Refs, g.Shard, g.LockHolder)
 		}
 	}
+	if srv.Stats().LogAppendErrors != 0 {
+		return
+	}
+	deadline = time.Now().Add(2 * time.Second)
+	for diff := srv.FoldDivergence(); diff != ""; diff = srv.FoldDivergence() {
+		if time.Now().After(deadline) {
+			t.Errorf("live state is not the fold of its log: %s", diff)
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
-// onTeardown registers the floor-lock check; call it after registering the
+// onTeardown registers the invariant checks; call it after registering the
 // new client's Close.
 func (h *harness) onTeardown() {
-	h.t.Cleanup(func() { h.floorChecked.Do(func() { checkFloorLock(h.t, h.srv) }) })
+	h.t.Cleanup(func() { h.checked.Do(func() { checkInvariants(h.t, h.srv) }) })
 }
 
 // dial connects a new batching client with its own widget registry built

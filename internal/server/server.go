@@ -28,11 +28,9 @@ import (
 	"cosoft/internal/compat"
 	"cosoft/internal/couple"
 	"cosoft/internal/eventlog"
-	"cosoft/internal/hist"
 	"cosoft/internal/lock"
 	"cosoft/internal/obs"
 	"cosoft/internal/perm"
-	"cosoft/internal/registry"
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
 )
@@ -121,25 +119,23 @@ type Options struct {
 	// Logger receives structured logs keyed by instance and trace IDs. Nil
 	// disables structured logging.
 	Logger *slog.Logger
-	// Logf receives diagnostic output; nil disables logging.
-	Logf func(format string, args ...any)
-
-	// foldReplica marks the snapshotter's offline fold server: it must not
-	// touch process-global instrumentation (the shared wire body pool) that
-	// the live server owns.
-	foldReplica bool
 }
 
 // Server is the central coupling server.
 type Server struct {
 	opts    Options
 	checker *compat.Checker
-	reg     *registry.Store
-	graph   *couple.Graph
-	perms   *perm.Table
+
+	// st holds every database the durable log rebuilds (see state.go); the
+	// rest of Server is the shell around it. Its global parts belong to the
+	// global loop, each shard's part to that shard's loop.
+	st *state
+	// graph is st.graph, which the event path reads on every event.
+	graph *couple.Graph
 
 	// shards own the group-scoped state (lock tables, histories, pending
-	// events), each behind its own loop; router places refs on them.
+	// events), each behind its own loop; st.routes places refs on them and
+	// router chases events that migrated.
 	shards []*shard
 	router *router
 
@@ -166,13 +162,8 @@ type Server struct {
 
 	// State below is owned by the global loop goroutine.
 	pendingFetch map[uint64]*fetch
-	sessions     map[string]sessionRec
-	// sessionTok maps an instance to its one outstanding session token, so
-	// re-minting replaces (and Deregister drops) the previous token instead
-	// of accreting entries in sessions without bound.
-	sessionTok  map[couple.InstanceID]string
-	nextFetchID uint64
-	nextPing    uint64
+	nextFetchID  uint64
+	nextPing     uint64
 	// closing is set (on the global loop) when Close begins tearing down
 	// connections: the drops it provokes are a server shutdown, not client
 	// departures, and must not be logged as KindDisconnect — a restarted
@@ -332,25 +323,27 @@ type client struct {
 // touch refreshes the liveness clock of the connection.
 func (c *client) touch() { c.lastSeen.Store(time.Now().UnixNano()) }
 
-// sessionRec is the durable half of a registration: enough to re-register
-// a reconnecting client under its original instance ID.
-type sessionRec struct {
-	id      couple.InstanceID
-	appType string
-	host    string
-	user    string
-}
-
 // New returns a started server. Call Close to stop it.
 func New(opts Options) *Server {
-	s := newServer(opts)
+	opts = opts.withDefaults()
+	st := newState(opts.Shards, opts.HistoryDepth, obs.LoggerOr(opts.Logger).With("component", "server"))
 	if opts.EventLog != nil {
-		// Replay the durable log before any loop goroutine starts: every
-		// database mutation below runs single-threaded against the freshly
-		// built shards, so recovery needs no posting or locking discipline.
-		s.elog = opts.EventLog
-		s.replayLog()
-		s.snap = newSnapshotter(s)
+		// Restore the durable state before any loop goroutine starts: it runs
+		// single-threaded against databases nothing else has seen yet, so
+		// recovery needs no posting or locking discipline.
+		off, n, err := st.restore(opts.EventLog.Dir(), opts.EventLog.ReplayCounter())
+		if err != nil {
+			st.log.Warn("event log replay stopped early", "records", n, "offset", off, "err", err)
+		}
+		if off > 0 {
+			st.log.Info("event log replayed", "records", n, "offset", off,
+				"instances", st.reg.Len(), "links", st.graph.Len())
+		}
+	}
+	s := newServer(opts, st)
+	wire.InstrumentBodyPool(s.mPoolHits, s.mPoolMisses)
+	if s.elog != nil {
+		s.snap = &snapshotter{s: s}
 	}
 	s.wg.Add(1)
 	go s.loop()
@@ -369,46 +362,47 @@ func New(opts Options) *Server {
 	return s
 }
 
-// newServer builds a stopped server: databases, shards and metric handles
-// only — no goroutines, no replay. The snapshot fold replica is built
-// through this same constructor, so snapshot state and live replay state
-// agree by construction.
-func newServer(opts Options) *Server {
+// withDefaults resolves the options a zero value leaves to the server.
+func (opts Options) withDefaults() Options {
 	if opts.Classes == nil {
 		opts.Classes = widget.NewClassRegistry()
 	}
 	if opts.Correspondences == nil {
 		opts.Correspondences = compat.NewCorrespondences()
 	}
+	if opts.Shards < 1 {
+		opts.Shards = runtime.GOMAXPROCS(0)
+	}
+	if opts.BatchLimit == 0 {
+		opts.BatchLimit = defaultBatchLimit
+	}
+	return opts
+}
+
+// newServer builds a stopped server around st, logging where st does: shards
+// and metric handles only — no goroutines. opts has its defaults resolved and
+// st has opts.Shards shards.
+func newServer(opts Options, st *state) *Server {
 	metrics := opts.Metrics
 	if metrics == nil {
 		// Default to an enabled private registry: Stats() reads through the
 		// same handles, and atomic counters cost next to nothing.
 		metrics = obs.NewRegistry()
 	}
-	nshards := opts.Shards
-	if nshards < 1 {
-		nshards = runtime.GOMAXPROCS(0)
-	}
-	if opts.BatchLimit == 0 {
-		opts.BatchLimit = defaultBatchLimit
-	}
 	s := &Server{
 		opts:         opts,
 		tr:           opts.Tracer,
 		flight:       opts.Flight,
-		slog:         obs.LoggerOr(opts.Logger).With("component", "server"),
+		slog:         st.log,
 		checker:      compat.NewChecker(opts.Classes, opts.Correspondences),
-		reg:          registry.NewStore(),
-		graph:        couple.NewGraph(),
-		perms:        perm.NewTable(),
-		router:       &router{n: nshards, obj: make(map[couple.ObjectRef]int), ev: make(map[uint64]int)},
+		st:           st,
+		graph:        st.graph,
+		router:       &router{ev: make(map[uint64]int)},
+		elog:         opts.EventLog,
 		reqs:         make(chan func(), 1024),
 		quit:         make(chan struct{}),
 		clients:      make(map[couple.InstanceID]*client),
 		pendingFetch: make(map[uint64]*fetch),
-		sessions:     make(map[string]sessionRec),
-		sessionTok:   make(map[couple.InstanceID]string),
 
 		mEvents:        metrics.Counter("server.events"),
 		mExecsSent:     metrics.Counter("server.execs_sent"),
@@ -446,36 +440,27 @@ func newServer(opts Options) *Server {
 		EWMA:     "ack_ewma_ns",
 		Label:    "member",
 	})
-	if !opts.foldReplica {
-		wire.InstrumentBodyPool(s.mPoolHits, s.mPoolMisses)
-	}
 	// Every shard's lock table shares the same metric handles, so the
 	// lock.* counters stay aggregate regardless of shard count.
-	for i := 0; i < nshards; i++ {
+	for i, part := range st.shards {
 		sh := &shard{
-			idx:     i,
-			reqs:    make(chan shardReq, 1024),
-			locks:   lock.NewTable(),
-			history: hist.NewDB(opts.HistoryDepth),
-			pending: make(map[uint64]*pendingEvent),
-			plans:   make(map[couple.ObjectRef]*plan),
-			mEvents: metrics.Counter(fmt.Sprintf("server.shard.%d.events", i)),
-			mBusy:   metrics.Counter(fmt.Sprintf("server.shard.%d.busy_ns", i)),
-			mDepth:  metrics.Gauge(fmt.Sprintf("server.shard.%d.queue_depth", i)),
+			idx:        i,
+			reqs:       make(chan shardReq, 1024),
+			shardState: part,
+			locks:      lock.NewTable(),
+			pending:    make(map[uint64]*pendingEvent),
+			plans:      make(map[couple.ObjectRef]*plan),
+			mEvents:    metrics.Counter(fmt.Sprintf("server.shard.%d.events", i)),
+			mBusy:      metrics.Counter(fmt.Sprintf("server.shard.%d.busy_ns", i)),
+			mDepth:     metrics.Gauge(fmt.Sprintf("server.shard.%d.queue_depth", i)),
 		}
 		sh.locks.Instrument(s.mLockAttempts, s.mLockFails, s.mLockUndone)
 		sh.history.Instrument(s.mHistEvict)
 		sh.locks.TraceWith(opts.Tracer)
 		s.shards = append(s.shards, sh)
 	}
-	s.mShards.Set(int64(nshards))
+	s.mShards.Set(int64(len(s.shards)))
 	return s
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.opts.Logf != nil {
-		s.opts.Logf(format, args...)
-	}
 }
 
 // loop runs every global-state mutation in one goroutine. Each dequeue
@@ -602,8 +587,8 @@ func (s *Server) Stats() Stats {
 			LockFailures:       s.mLockFails.Value(),
 			ExecsSent:          s.mExecsSent.Value(),
 			Copies:             s.mCopies.Value(),
-			Instances:          s.reg.Len(),
-			Links:              s.graph.Len(),
+			Instances:          s.st.reg.Len(),
+			Links:              s.st.graph.Len(),
 			EventRTT:           s.mEventRTT.Summary(),
 			Fanout:             s.mFanout.Summary(),
 			OutboxDepth:        s.mOutboxDepth.Value(),
@@ -667,7 +652,7 @@ func (s *Server) clientOf(id couple.InstanceID) (*client, bool) {
 
 // Permissions returns the server's permission table for administrative
 // setup before instances connect.
-func (s *Server) Permissions() *perm.Table { return s.perms }
+func (s *Server) Permissions() *perm.Table { return s.st.perms }
 
 // handleConn runs the read loop for one connection: the first message must
 // be Register (fresh instance) or Resume (reconnection presenting a session
@@ -722,13 +707,11 @@ func (s *Server) admitRegister(cl *client, env wire.Envelope, reg wire.Register)
 	cl.user = reg.User
 	registered := make(chan bool, 1)
 	if !s.post(func() {
-		cl.id = s.reg.NewID(reg.AppType)
-		rec := registry.Record{ID: cl.id, AppType: reg.AppType, Host: reg.Host, User: reg.User}
-		if err := s.reg.Register(rec); err != nil {
+		cl.id = s.st.reg.NewID(reg.AppType)
+		if s.commit(eventlog.Record{Kind: eventlog.KindRegister, Origin: string(cl.id), Env: wire.Envelope{Msg: reg}}) != nil {
 			registered <- false
 			return
 		}
-		s.logAppend(eventlog.KindRegister, cl.id, "", reg)
 		s.admit(cl, env)
 		registered <- true
 	}) {
@@ -737,7 +720,6 @@ func (s *Server) admitRegister(cl *client, env wire.Envelope, reg wire.Register)
 	if !<-registered {
 		return "server: registration failed"
 	}
-	s.logf("server: %s registered (user=%s host=%s)", cl.id, reg.User, reg.Host)
 	s.slog.Info("instance registered",
 		"inst", string(cl.id), "user", reg.User, "host", reg.Host, "app", reg.AppType)
 	return ""
@@ -751,35 +733,22 @@ func (s *Server) admitRegister(cl *client, env wire.Envelope, reg wire.Register)
 func (s *Server) admitResume(cl *client, env wire.Envelope, m wire.Resume) string {
 	result := make(chan string, 1)
 	if !s.post(func() {
-		sess, ok := s.sessions[m.Token]
+		sess, ok := s.st.sessions[m.Token]
 		if !ok {
 			result <- "server: unknown session token"
 			return
-		}
-		// Tokens are single-use: consume it now so a stale copy cannot later
-		// hijack the resumed session. The client re-mints after resuming.
-		delete(s.sessions, m.Token)
-		if s.sessionTok[sess.id] == m.Token {
-			delete(s.sessionTok, sess.id)
 		}
 		if old, connected := s.clientOf(sess.id); connected {
 			s.dropClient(old, "superseded by resume")
 			old.conn.Close()
 		}
-		// The registry may still hold the instance's record: after a server
-		// crash and log replay, the pre-crash incarnation was never seen
-		// disconnecting, so its record — declared objects and couple links
-		// included — survives as the session's ghost. Resume adopts it
-		// rather than re-registering, which is exactly what makes a kill -9
-		// restart invisible to the reconnecting client.
-		if _, err := s.reg.Lookup(sess.id); err != nil {
-			rec := registry.Record{ID: sess.id, AppType: sess.appType, Host: sess.host, User: sess.user}
-			if err := s.reg.Register(rec); err != nil {
-				result <- "server: resume failed: " + err.Error()
-				return
-			}
+		// The database half — the token is consumed, and the instance
+		// re-registered unless its record survives as a ghost of the
+		// pre-crash incarnation — is the logged transition itself.
+		if err := s.commit(eventlog.Record{Kind: eventlog.KindResume, Origin: string(sess.id), Env: wire.Envelope{Msg: m}}); err != nil {
+			result <- "server: resume failed: " + err.Error()
+			return
 		}
-		s.logAppend(eventlog.KindResume, sess.id, "", m)
 		cl.id = sess.id
 		cl.user = sess.user
 		s.mResumes.Inc()
@@ -791,7 +760,6 @@ func (s *Server) admitResume(cl *client, env wire.Envelope, m wire.Resume) strin
 	if errText := <-result; errText != "" {
 		return errText
 	}
-	s.logf("server: %s resumed (user=%s)", cl.id, cl.user)
 	s.slog.Info("instance resumed", "inst", string(cl.id), "user", cl.user)
 	return ""
 }
@@ -1193,6 +1161,3 @@ func mintToken() (string, error) {
 
 // errPerm tags permission failures.
 var errPerm = errors.New("permission denied")
-
-// now returns the server clock reading used for history timestamps.
-func (s *Server) now() time.Time { return time.Now() }

@@ -46,7 +46,6 @@
 package server
 
 import (
-	"hash/fnv"
 	"sync"
 	"time"
 
@@ -69,17 +68,15 @@ type shard struct {
 	awaiting chan migrated
 	held     []shardReq // requests parked while awaiting, in arrival order
 
+	// shardState is the shard's replayable part — its event-ID sequence and
+	// history — which lives in the server's state.
+	*shardState
 	locks   *lock.Table
-	history *hist.DB
 	pending map[uint64]*pendingEvent
 	// plans caches the broadcast plan of every source that dispatched since
 	// the couple graph last changed (generation planGen); see planFor.
 	plans   map[couple.ObjectRef]*plan
 	planGen uint64
-	// seq counts events born on this shard; the wire-visible event ID is
-	// (seq-1)*nshards + idx + 1, so IDs are unique across shards and reduce
-	// to the plain counter 1,2,3,… with one shard.
-	seq uint64
 
 	mEvents *obs.Counter // per-shard event counter (server.shard.<idx>.events)
 	mBusy   *obs.Counter // server.shard.<idx>.busy_ns: time spent executing closures
@@ -112,57 +109,14 @@ type migrated struct {
 	done    chan struct{} // closed by the receiver once installed
 }
 
-// router maps refs and migrated events to shards. It is read from connection
-// read loops, so it carries its own lock.
+// router forwards acks/timeouts of migrated pending events from their birth
+// shard (encoded in the event ID) to their current shard. Entries exist only
+// while a migrated event is pending, so unlike the ref routes (state.routes)
+// nothing here outlives the process. It is read from connection read loops,
+// so it carries its own lock.
 type router struct {
 	mu sync.RWMutex
-	n  int
-	// obj holds explicit route overrides created by migrations. Refs without
-	// an override route by hash, so the map stays small: only groups that
-	// ever crossed a shard boundary are listed.
-	obj map[couple.ObjectRef]int
-	// ev forwards acks/timeouts of migrated pending events from their birth
-	// shard (encoded in the event ID) to their current shard. Entries exist
-	// only while a migrated event is pending.
 	ev map[uint64]int
-}
-
-func (r *router) refShard(ref couple.ObjectRef) int {
-	r.mu.RLock()
-	i, ok := r.obj[ref]
-	r.mu.RUnlock()
-	if ok {
-		return i
-	}
-	return int(hashRef(ref) % uint32(r.n))
-}
-
-func (r *router) setRoutes(refs []couple.ObjectRef, idx int) {
-	r.mu.Lock()
-	for _, ref := range refs {
-		if int(hashRef(ref)%uint32(r.n)) == idx {
-			delete(r.obj, ref) // override would restate the hash
-		} else {
-			r.obj[ref] = idx
-		}
-	}
-	r.mu.Unlock()
-}
-
-func (r *router) dropRef(ref couple.ObjectRef) {
-	r.mu.Lock()
-	delete(r.obj, ref)
-	r.mu.Unlock()
-}
-
-func (r *router) dropInstance(id couple.InstanceID) {
-	r.mu.Lock()
-	for ref := range r.obj {
-		if ref.Instance == id {
-			delete(r.obj, ref)
-		}
-	}
-	r.mu.Unlock()
 }
 
 func (r *router) setEventRoutes(ids []uint64, idx int) {
@@ -186,20 +140,9 @@ func (r *router) clearEvent(id uint64) {
 	r.mu.Unlock()
 }
 
-// hashRef is the default ref→shard placement (FNV-1a over the global object
-// name). All members of a group must agree on a shard; migrations record
-// overrides when coupling breaks the hash placement.
-func hashRef(ref couple.ObjectRef) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(ref.Instance))
-	h.Write([]byte{0})
-	h.Write([]byte(ref.Path))
-	return h.Sum32()
-}
-
 // shardForRef returns the shard owning ref's coupling group.
 func (s *Server) shardForRef(ref couple.ObjectRef) *shard {
-	return s.shards[s.router.refShard(ref)]
+	return s.shards[s.st.routes.shard(ref)]
 }
 
 // birthShard decodes the shard an event ID was allocated on.
@@ -297,21 +240,12 @@ func (s *Server) install(sh *shard, m migrated) {
 	}
 }
 
-// mergeShards co-locates the two groups a new couple link is about to merge:
-// every member of one coupling group must serialize on one shard loop. The
-// smaller group migrates to the larger one's shard (ties keep the from side
-// in place). It runs on the global loop, before graph.AddLink.
+// mergeShards co-locates the two groups a new couple link is about to merge
+// (see state.colocate). It runs on the global loop, before graph.AddLink.
 func (s *Server) mergeShards(gFrom, gTo []couple.ObjectRef) {
-	shFrom := s.shardForRef(gFrom[0])
-	shTo := s.shardForRef(gTo[0])
-	if shFrom == shTo {
-		return
+	if from, to, refs := s.st.colocate(gFrom, gTo); refs != nil {
+		s.migrateGroup(s.shards[from], s.shards[to], refs)
 	}
-	winner, loser, refs := shFrom, shTo, gTo
-	if len(gTo) > len(gFrom) {
-		winner, loser, refs = shTo, shFrom, gFrom
-	}
-	s.migrateGroup(loser, winner, refs)
 }
 
 // migrateGroup moves the group made of refs from one shard to another. It
@@ -331,7 +265,7 @@ func (s *Server) migrateGroup(from, to *shard, refs []couple.ObjectRef) {
 	if !s.postShard(to, func() { to.awaiting = install }) {
 		return // shutting down
 	}
-	s.router.setRoutes(refs, to.idx)
+	s.st.routes.set(refs, to.idx)
 	if s.postShard(from, func() { install <- s.extractMigrated(from, to, refset, done) }) {
 		select {
 		case <-done:

@@ -20,7 +20,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -32,40 +31,6 @@ import (
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
 )
-
-// foldDigest renders a fold replica's state directly (fold servers run no
-// loops, so the posting crashDigest would hang) and widens the crash digest
-// with every other input the snapshot codec must preserve: the registry ID
-// sequence, resumable sessions and route overrides.
-func foldDigest(s *Server) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "regseq %d\n", s.reg.Seq())
-	renderGlobalState(&b, s)
-	toks := make([]string, 0, len(s.sessions))
-	for tok := range s.sessions {
-		toks = append(toks, tok)
-	}
-	sort.Strings(toks)
-	for _, tok := range toks {
-		rec := s.sessions[tok]
-		fmt.Fprintf(&b, "session %s id=%s type=%s host=%s user=%s\n",
-			tok, rec.id, rec.appType, rec.host, rec.user)
-	}
-	s.router.mu.RLock()
-	routes := make([]snapRoute, 0, len(s.router.obj))
-	for ref, idx := range s.router.obj {
-		routes = append(routes, snapRoute{ref: ref, shard: idx})
-	}
-	s.router.mu.RUnlock()
-	sort.Slice(routes, func(i, j int) bool { return routes[i].ref.Less(routes[j].ref) })
-	for _, rt := range routes {
-		fmt.Fprintf(&b, "route %s -> %d\n", rt.ref, rt.shard)
-	}
-	for i, sh := range s.shards {
-		renderShardState(&b, i, sh)
-	}
-	return b.String()
-}
 
 // genRecords derives a deterministic record script from rng: a weighted walk
 // over every replayable record kind, tracking registered instances and
@@ -173,34 +138,29 @@ func TestSnapshotCutEquivalence(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				recs := genRecords(rng)
 				cut := int(rawCut) % (len(recs) + 1)
-				opts := Options{Shards: shards}
-
-				full := newFoldServer(opts)
-				for _, r := range recs {
-					full.replayRecord(r)
+				fold := func(st *state, recs []eventlog.Record) *state {
+					for _, r := range recs {
+						_ = st.apply(r) // the script dangles on purpose
+					}
+					return st
 				}
 
-				base := newFoldServer(opts)
-				for _, r := range recs[:cut] {
-					base.replayRecord(r)
-				}
-				st, err := decodeState(base.encodeState())
+				full := fold(newState(shards, 0, nil), recs)
+
+				base := fold(newState(shards, 0, nil), recs[:cut])
+				restored, err := decodeState(base.encode(), shards, 0)
 				if err != nil {
 					t.Logf("seed %d cut %d/%d: decode: %v", seed, cut, len(recs), err)
 					return false
 				}
-				restored := newFoldServer(opts)
-				restored.installState(st)
-				for _, r := range recs[cut:] {
-					restored.replayRecord(r)
-				}
+				fold(restored, recs[cut:])
 
-				if got, want := foldDigest(restored), foldDigest(full); got != want {
+				if got, want := restored.digest(), full.digest(); got != want {
 					t.Logf("seed %d cut %d/%d:\nsnapshot+tail:\n%s\nfull replay:\n%s",
 						seed, cut, len(recs), got, want)
 					return false
 				}
-				if !bytes.Equal(restored.encodeState(), full.encodeState()) {
+				if !bytes.Equal(restored.encode(), full.encode()) {
 					t.Logf("seed %d cut %d/%d: digests match but canonical encodings differ", seed, cut, len(recs))
 					return false
 				}
@@ -262,7 +222,7 @@ func TestSnapshotCrashPointRecovery(t *testing.T) {
 			t.Fatalf("boundary %d: reopen: %v", op, err)
 		}
 		recovered := newCrashRig(t, Options{EventLog: elog2})
-		got := crashDigest(recovered.srv)
+		got := liveDigest(recovered.srv)
 		recovered.shutdown()
 		if err := elog2.Close(); err != nil {
 			t.Fatalf("boundary %d: close reopened: %v", op, err)
@@ -272,7 +232,7 @@ func TestSnapshotCrashPointRecovery(t *testing.T) {
 		for _, run := range ops {
 			run(shadow)
 		}
-		want := crashDigest(shadow.srv)
+		want := liveDigest(shadow.srv)
 		shadow.shutdown()
 
 		if got != want {
@@ -317,7 +277,7 @@ func TestSnapshotRestartEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			recovered := newCrashRig(t, Options{EventLog: elog2, Shards: shards})
-			got := crashDigest(recovered.srv)
+			got := liveDigest(recovered.srv)
 			recovered.shutdown()
 			if err := elog2.Close(); err != nil {
 				t.Fatal(err)
@@ -335,7 +295,7 @@ func TestSnapshotRestartEquivalence(t *testing.T) {
 			for _, run := range ops {
 				run(shadow)
 			}
-			want := crashDigest(shadow.srv)
+			want := liveDigest(shadow.srv)
 			shadow.shutdown()
 
 			if got != want {
@@ -363,17 +323,14 @@ func TestSnapshotV1PayloadRefused(t *testing.T) {
 	rig.shutdown()
 	// A v1 snapshot of the whole log: today's sections, the old version tag,
 	// and an empty tail section.
-	fold := newFoldServer(Options{Shards: HarnessShards})
-	end, err := eventlog.ReplayDirFrom(dir, 0, func(rec eventlog.Record) error {
-		fold.replayRecord(rec)
-		return nil
-	})
+	fold := newState(HarnessShards, 0, nil)
+	end, _, err := fold.restore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := append(fold.encodeState(), 0)
+	v1 := append(fold.encode(), 0)
 	v1[0] = 1
-	if _, err := decodeState(v1); err == nil || !strings.Contains(err.Error(), "unknown state version 1") {
+	if _, err := decodeState(v1, HarnessShards, 0); err == nil || !strings.Contains(err.Error(), "unknown state version 1") {
 		t.Fatalf("decodeState(v1) = %v, want unknown-version error", err)
 	}
 	if err := elog.WriteSnapshot(end, v1); err != nil {
@@ -389,7 +346,7 @@ func TestSnapshotV1PayloadRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	recovered := newCrashRig(t, Options{EventLog: elog2})
-	got := crashDigest(recovered.srv)
+	got := liveDigest(recovered.srv)
 	recovered.shutdown()
 	if err := elog2.Close(); err != nil {
 		t.Fatal(err)
@@ -402,7 +359,7 @@ func TestSnapshotV1PayloadRefused(t *testing.T) {
 	for _, run := range ops {
 		run(shadow)
 	}
-	want := crashDigest(shadow.srv)
+	want := liveDigest(shadow.srv)
 	shadow.shutdown()
 	if got != want {
 		t.Fatalf("fallback replay diverged:\nreplayed state:\n%s\nshadow state:\n%s", got, want)

@@ -137,12 +137,11 @@ func (s *Server) completeCopy(cl *client, seq uint64, from, to couple.ObjectRef,
 	s.requestState(cl, to, false,
 		func(old widget.TreeState) {
 			// The backup lands in the destination group's shard-owned
-			// history, so the write hops onto that shard's loop.
+			// history, so the write hops onto that shard's loop. The logged
+			// CopyTo carries the overwritten state: it is the backup.
 			sh := s.shardForRef(to)
 			s.postShard(sh, func() {
-				sh.history.Record(hist.Snapshot{Ref: to, State: old, Origin: cl.id, At: s.now()})
-				// The logged CopyTo carries the overwritten state: replaying
-				// it re-records exactly this backup.
+				sh.backup(to, old, cl.id)
 				s.logAppend(eventlog.KindHist, cl.id, stateID(to), wire.CopyTo{To: to, State: old})
 				target, ok := s.clientOf(to.Instance)
 				if !ok {
@@ -165,7 +164,7 @@ func (s *Server) completeCopy(cl *client, seq uint64, from, to couple.ObjectRef,
 }
 
 func mustClass(s *Server, ref couple.ObjectRef) string {
-	class, _ := s.reg.ObjectClass(ref)
+	class, _ := s.st.reg.ObjectClass(ref)
 	return class
 }
 
@@ -230,13 +229,7 @@ func (s *Server) handleUndoRedo(cl *client, seq uint64, path string, undo bool) 
 			// Undo/redo mutates the object's shard-owned history stacks.
 			sh := s.shardForRef(ref)
 			s.postShard(sh, func() {
-				var snap hist.Snapshot
-				var err error
-				if undo {
-					snap, err = sh.history.Undo(ref, current)
-				} else {
-					snap, err = sh.history.Redo(ref, current)
-				}
+				snap, err := sh.walk(undo, ref, current)
 				if err == nil {
 					// The logged CopyTo carries the pre-walk current state —
 					// the value the walk pushed on the opposite stack — so
