@@ -17,10 +17,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Race-check the coupling core: the server state loop, the lock table, and
-# the client runtime are the packages with real goroutine interleavings.
+# Race-check the coupling core: the server state loop, the lock table, the
+# client runtime and the test bed every suite runs on are the packages with
+# real goroutine interleavings.
 race:
-	$(GO) test -race ./internal/server/... ./internal/lock/... ./internal/client/...
+	$(GO) test -race ./internal/server/... ./internal/lock/... ./internal/client/... ./internal/testbed/...
 
 # Cross-checks the metric names registered in code against the README's
 # metric table, so the documented observability surface cannot drift.
@@ -60,9 +61,10 @@ chaos-restart:
 chaos-compact:
 	$(GO) test -race -run ChaosCompact -count=3 ./internal/server/
 
-# The paper's tables and the event-path benchmarks; every figure is reported
-# through b.ReportMetric and nothing is written. The numbers PRs are held to
-# come from the benchmark module in bench/ (BENCHMARK.json).
+# The paper's tables, the locking ablation and the micro-benchmarks bench/
+# does not cover; every figure is reported through b.ReportMetric and nothing
+# is written. The numbers PRs are held to come from the benchmark module in
+# bench/ (BENCHMARK.json).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 

@@ -8,9 +8,6 @@ package cosoft_test
 import (
 	"fmt"
 	"net"
-	"runtime"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -20,9 +17,9 @@ import (
 	"cosoft/internal/couple"
 	"cosoft/internal/eventlog"
 	"cosoft/internal/experiments"
-	"cosoft/internal/netsim"
 	"cosoft/internal/obs"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
 )
@@ -166,33 +163,6 @@ func BenchmarkHistory(b *testing.B) {
 	}
 }
 
-// BenchmarkCoupledEvent measures the end-to-end cost of one synchronized
-// high-level event between two coupled instances (the model's primitive
-// operation).
-func BenchmarkCoupledEvent(b *testing.B) {
-	cl, err := experiments.NewCluster(2, `textfield field value=""`, 0,
-		server.Options{}, client.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	if err := cl.DeclareAll("/field"); err != nil {
-		b.Fatal(err)
-	}
-	if err := cl.CoupleStar("/field"); err != nil {
-		b.Fatal(err)
-	}
-	vals := []attr.Value{attr.String("benchmark payload")}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := &widget.Event{Path: "/field", Name: widget.EventChanged, Args: vals}
-		if _, err := experiments.DispatchRetry(cl.Clients[0], ev); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkLocalEvent measures an uncoupled event for contrast — the "many
 // operations can be performed locally" path of the replicated architecture.
 func BenchmarkLocalEvent(b *testing.B) {
@@ -218,376 +188,25 @@ func BenchmarkLockingVariants(b *testing.B) {
 			name = "ordered"
 		}
 		b.Run(name, func(b *testing.B) {
-			cl, err := experiments.NewCluster(4, `textfield field value=""`, 0,
-				server.Options{OrderedLocking: ordered}, client.Options{})
-			if err != nil {
-				b.Fatal(err)
+			srv := server.New(server.Options{OrderedLocking: ordered})
+			bed := testbed.New(b, srv, testbed.Options{})
+			cl := make([]*client.Client, 4)
+			for i := range cl {
+				cl[i] = bed.Dial(testbed.Member{AppType: "bench", User: fmt.Sprintf("user%d", i), Spec: `textfield field value=""`, Plain: true})
 			}
-			defer cl.Close()
-			if err := cl.DeclareAll("/field"); err != nil {
-				b.Fatal(err)
-			}
-			if err := cl.CoupleStar("/field"); err != nil {
-				b.Fatal(err)
-			}
+			bed.Star("/field", cl...)
 			vals := []attr.Value{attr.String("x")}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ev := &widget.Event{Path: "/field", Name: widget.EventChanged, Args: vals}
-				if _, err := experiments.DispatchRetry(cl.Clients[i%4], ev); err != nil {
+				if _, err := experiments.DispatchRetry(cl[i%4], ev); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(cl.Srv.Stats().LockFailures), "lock-denials")
+			b.ReportMetric(float64(srv.Stats().LockFailures), "lock-denials")
 		})
 	}
-}
-
-// BenchmarkEvent is the observability gate for the event hot path: the
-// metrics-off variant (obs.Disabled, no tracer) must show no added
-// allocations over the seed event path — it additionally gates every
-// tracing call the event path grew at exactly zero allocations when
-// disabled — while the metrics-on and tracing-on variants report the
-// server's own round-trip percentiles.
-func BenchmarkEvent(b *testing.B) {
-	for _, mode := range []string{"metrics-off", "metrics-on", "tracing-on"} {
-		b.Run(mode, func(b *testing.B) {
-			var sink obs.Sink = obs.Disabled
-			var reg *obs.Registry
-			var sopts server.Options
-			var copts client.Options
-			if mode != "metrics-off" {
-				reg = obs.NewRegistry()
-				sink = reg
-			}
-			if mode == "tracing-on" {
-				tr := obs.NewTracer(0)
-				sopts.Tracer = tr
-				sopts.Flight = obs.NewFlightRecorder(0)
-				copts.Tracer = tr
-			}
-			sopts.Metrics = sink
-			cl, err := experiments.NewCluster(2, `textfield field value=""`, 0, sopts, copts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cl.Close()
-			if err := cl.DeclareAll("/field"); err != nil {
-				b.Fatal(err)
-			}
-			if err := cl.CoupleStar("/field"); err != nil {
-				b.Fatal(err)
-			}
-			vals := []attr.Value{attr.String("benchmark payload")}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ev := &widget.Event{Path: "/field", Name: widget.EventChanged, Args: vals}
-				if _, err := experiments.DispatchRetry(cl.Clients[0], ev); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if mode == "metrics-off" {
-				gateDisabledTracingAllocs(b)
-				gateDisabledFamilyAllocs(b)
-			}
-			if reg != nil {
-				stats := cl.Srv.Stats()
-				b.ReportMetric(stats.EventRTT.P50, "p50-rtt-ns")
-				b.ReportMetric(stats.EventRTT.P99, "p99-rtt-ns")
-			}
-		})
-	}
-
-	// The batched pair measures the wire-batching win on the Exec fan-out
-	// hot path. Both variants share a wider topology — one hub object on the
-	// origin coupled to fanWidth members on the peer instance, so every
-	// event produces a fanWidth-Exec run down a single connection — and
-	// differ only in whether the batch extension is negotiated: off sends
-	// each Exec (and each ExecAck back) as its own frame, on packs the run
-	// into Batch frames answered by coalesced BatchAcks. Unlike the variants
-	// above this pair runs over real loopback TCP, where every frame costs a
-	// syscall and a reader wakeup — the per-frame overhead batching exists
-	// to amortize; an in-process channel transport would hide it.
-	for _, mode := range []string{"batched-off", "batched-on"} {
-		var sopts server.Options
-		batching := false
-		if mode == "batched-on" {
-			sopts.BatchLimit = 64
-			batching = true
-		}
-		b.Run(mode, func(b *testing.B) {
-			fanoutBench(b, sopts, batching, mode == "batched-on")
-		})
-	}
-
-	// The shards pair measures per-group parallelism: eight independent
-	// coupling groups driven concurrently, first against a single shard loop
-	// and then with the group-scoped state partitioned across four. Groups
-	// never share locks, history or pending events, so on a multi-core host
-	// the four-shard variant's throughput should approach
-	// min(4, GOMAXPROCS)× the one-shard row; a one-core runner's flat result
-	// is not a regression.
-	for _, mode := range []string{"shards-1", "shards-4"} {
-		nshards := 1
-		if mode == "shards-4" {
-			nshards = 4
-		}
-		b.Run(mode, func(b *testing.B) {
-			multiGroupBench(b, nshards)
-		})
-	}
-
-	// The durable trio prices the append-before-ack event log on the coupled
-	// event hot path. off is the in-memory baseline; interval acks once the
-	// record's bytes are written, group-committing fsyncs on a timer — the
-	// recommended deployment; always fsyncs inside every acknowledgement, the
-	// full price of "an acked event survives kill -9".
-	for _, mode := range []string{"durable-off", "durable-interval", "durable-always"} {
-		b.Run(mode, func(b *testing.B) {
-			durableBench(b, mode)
-		})
-	}
-}
-
-// durableBench runs one BenchmarkEvent durable variant: the coupled-pair
-// topology over real loopback TCP (fsync latency only matters against real
-// I/O timing), with the server's event log in a fresh directory per
-// invocation so the harness's calibration reruns never replay a prior run.
-func durableBench(b *testing.B, mode string) {
-	reg := obs.NewRegistry()
-	sopts := server.Options{Metrics: reg}
-	if mode != "durable-off" {
-		sync := eventlog.SyncInterval
-		if mode == "durable-always" {
-			sync = eventlog.SyncAlways
-		}
-		elog, err := eventlog.Open(eventlog.Options{Dir: b.TempDir(), Sync: sync, Metrics: reg})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer elog.Close()
-		sopts.EventLog = elog
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := server.New(sopts)
-	go srv.Serve(lis)
-	defer srv.Close()
-	defer lis.Close()
-	mkClient := func(user string) *cosoft.Client {
-		conn, err := net.Dial("tcp", lis.Addr().String())
-		if err != nil {
-			b.Fatal(err)
-		}
-		wreg := cosoft.NewRegistry()
-		cosoft.MustBuild(wreg, "/", `textfield field value=""`)
-		c, err := client.New(conn, client.Options{
-			AppType: "bench", User: user, Host: "bench", Registry: wreg,
-			RPCTimeout: 30 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c
-	}
-	origin := mkClient("origin")
-	defer origin.Close()
-	member := mkClient("member")
-	defer member.Close()
-	if err := origin.Declare("/field"); err != nil {
-		b.Fatal(err)
-	}
-	if err := member.Declare("/field"); err != nil {
-		b.Fatal(err)
-	}
-	if err := origin.Couple("/field", member.Ref("/field")); err != nil {
-		b.Fatal(err)
-	}
-	vals := []attr.Value{attr.String("benchmark payload")}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := &widget.Event{Path: "/field", Name: widget.EventChanged, Args: vals}
-		if _, err := experiments.DispatchRetry(origin, ev); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	stats := srv.Stats()
-	b.ReportMetric(stats.EventRTT.P50, "p50-rtt-ns")
-	b.ReportMetric(stats.EventRTT.P99, "p99-rtt-ns")
-}
-
-// multiGroupBench runs one BenchmarkEvent shards variant: groupCount
-// independent origin↔member pairs over real loopback TCP, every origin
-// dispatching its share of b.N events from its own goroutine so the server
-// sees all groups contending at once.
-func multiGroupBench(b *testing.B, shards int) {
-	const groupCount = 8
-	var spec strings.Builder
-	for g := 0; g < groupCount; g++ {
-		fmt.Fprintf(&spec, "textfield g%d value=\"\"\n", g)
-	}
-	reg := obs.NewRegistry()
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := server.New(server.Options{Shards: shards, Metrics: reg})
-	go srv.Serve(lis)
-	defer srv.Close()
-	defer lis.Close()
-	mkClient := func(user string) *cosoft.Client {
-		conn, err := net.Dial("tcp", lis.Addr().String())
-		if err != nil {
-			b.Fatal(err)
-		}
-		wreg := cosoft.NewRegistry()
-		cosoft.MustBuild(wreg, "/", spec.String())
-		c, err := client.New(conn, client.Options{
-			AppType: "bench", User: user, Host: "bench", Registry: wreg,
-			RPCTimeout: 30 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c
-	}
-	origins := make([]*cosoft.Client, groupCount)
-	for g := 0; g < groupCount; g++ {
-		path := fmt.Sprintf("/g%d", g)
-		origins[g] = mkClient(fmt.Sprintf("origin%d", g))
-		defer origins[g].Close()
-		member := mkClient(fmt.Sprintf("member%d", g))
-		defer member.Close()
-		if err := origins[g].Declare(path); err != nil {
-			b.Fatal(err)
-		}
-		if err := member.Declare(path); err != nil {
-			b.Fatal(err)
-		}
-		if err := origins[g].Couple(path, member.Ref(path)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	vals := []attr.Value{attr.String("benchmark payload")}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for g := 0; g < groupCount; g++ {
-		n := b.N / groupCount
-		if g < b.N%groupCount {
-			n++
-		}
-		wg.Add(1)
-		go func(g, n int) {
-			defer wg.Done()
-			path := fmt.Sprintf("/g%d", g)
-			for i := 0; i < n; i++ {
-				ev := &widget.Event{Path: path, Name: widget.EventChanged, Args: vals}
-				if _, err := experiments.DispatchRetry(origins[g], ev); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(g, n)
-	}
-	wg.Wait()
-	b.StopTimer()
-	stats := srv.Stats()
-	b.ReportMetric(stats.EventRTT.P50, "p50-rtt-ns")
-	b.ReportMetric(stats.EventRTT.P99, "p99-rtt-ns")
-}
-
-// fanoutBench runs one BenchmarkEvent fan-out variant: one hub object on the
-// origin coupled to fanWidth members on a peer instance over real loopback
-// TCP. Besides the RTT metrics it measures whole-process B/event and
-// allocs/event across the timed loop (runtime.MemStats deltas — both client
-// processes included, so the numbers are comparable across variants, not
-// absolute server costs).
-func fanoutBench(b *testing.B, sopts server.Options, batching, gateCoalesced bool) {
-	const fanWidth = 32
-	var spec strings.Builder
-	spec.WriteString("textfield hub value=\"\"\n")
-	for i := 0; i < fanWidth; i++ {
-		fmt.Fprintf(&spec, "textfield m%d value=\"\"\n", i)
-	}
-	reg := obs.NewRegistry()
-	sopts.Metrics = reg
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := server.New(sopts)
-	go srv.Serve(lis)
-	defer srv.Close()
-	defer lis.Close()
-	mkClient := func(user string) *cosoft.Client {
-		conn, err := net.Dial("tcp", lis.Addr().String())
-		if err != nil {
-			b.Fatal(err)
-		}
-		wreg := cosoft.NewRegistry()
-		cosoft.MustBuild(wreg, "/", spec.String())
-		c, err := client.New(conn, client.Options{
-			AppType: "bench", User: user, Host: "bench", Registry: wreg,
-			RPCTimeout: 30 * time.Second, Batching: batching,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c
-	}
-	origin := mkClient("origin")
-	defer origin.Close()
-	peer := mkClient("peer")
-	defer peer.Close()
-	if err := origin.Declare("/hub"); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < fanWidth; i++ {
-		path := fmt.Sprintf("/m%d", i)
-		if err := peer.Declare(path); err != nil {
-			b.Fatal(err)
-		}
-		if err := origin.Couple("/hub", peer.Ref(path)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	vals := []attr.Value{attr.String("benchmark payload")}
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := &widget.Event{Path: "/hub", Name: widget.EventChanged, Args: vals}
-		if _, err := experiments.DispatchRetry(origin, ev); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&ms1)
-	stats := srv.Stats()
-	// Whether any single event's fan-out gets packed depends on how
-	// the writer goroutine races the state loop, so only a run long
-	// enough to average that out is gated (the framework's N=1
-	// discovery pass is not).
-	if gateCoalesced && b.N >= 50 && stats.AcksCoalesced == 0 {
-		b.Fatal("batched-on run never coalesced an ack")
-	}
-	bytesPerEvent := float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(b.N)
-	allocsPerEvent := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N)
-	b.ReportMetric(stats.EventRTT.P50, "p50-rtt-ns")
-	b.ReportMetric(stats.EventRTT.P99, "p99-rtt-ns")
-	b.ReportMetric(float64(stats.AcksCoalesced), "acks-coalesced")
-	b.ReportMetric(bytesPerEvent, "B/event")
-	b.ReportMetric(allocsPerEvent, "allocs/event")
 }
 
 // BenchmarkCoupleStar times what building a coupling group costs as the group
@@ -600,30 +219,12 @@ func fanoutBench(b *testing.B, sopts server.Options, batching, gateCoalesced boo
 func BenchmarkCoupleStar(b *testing.B) {
 	for _, k := range []int{8, 32, 128} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			lis, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
 			srv := server.New(server.Options{})
-			go srv.Serve(lis)
-			defer srv.Close()
-			defer lis.Close()
-			clients := make([]*cosoft.Client, k)
+			bed := testbed.New(b, srv, testbed.Options{TCP: true})
+			clients := make([]*client.Client, k)
 			for i := range clients {
-				conn, err := net.Dial("tcp", lis.Addr().String())
-				if err != nil {
-					b.Fatal(err)
-				}
-				wreg := cosoft.NewRegistry()
-				cosoft.MustBuild(wreg, "/", `textfield hub value=""`)
-				clients[i], err = client.New(conn, client.Options{
-					AppType: "bench", User: fmt.Sprintf("m%d", i), Host: "bench", Registry: wreg,
-					RPCTimeout: 30 * time.Second, Batching: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer clients[i].Close()
+				clients[i] = bed.Dial(testbed.Member{AppType: "bench", User: fmt.Sprintf("m%d", i), Spec: `textfield hub value=""`,
+					Options: client.Options{RPCTimeout: 30 * time.Second}})
 				if err := clients[i].Declare("/hub"); err != nil {
 					b.Fatal(err)
 				}
@@ -703,94 +304,6 @@ func BenchmarkBroadcastEncode(b *testing.B) {
 				b.Fatalf("leaked %d shared bodies", n)
 			}
 		})
-	}
-}
-
-// BenchmarkReconnect measures one full recovery cycle of the fault-tolerance
-// layer: connection loss, backoff, session resume reclaiming the instance
-// ID, re-declaration, re-coupling and the CopyFrom state pull.
-func BenchmarkReconnect(b *testing.B) {
-	reg := obs.NewRegistry()
-	srv := server.New(server.Options{Metrics: reg})
-	defer srv.Close()
-	serve := func(conn net.Conn) {
-		go srv.HandleConn(wire.NewConn(conn))
-	}
-
-	newClient := func(user string, rec *client.ReconnectOptions) *cosoft.Client {
-		wreg := cosoft.NewRegistry()
-		cosoft.MustBuild(wreg, "/", `textfield field value=""`)
-		link := netsim.NewLink(0)
-		serve(link.B)
-		c, err := client.New(link.A, client.Options{
-			AppType: "editor", User: user, Host: "bench", Registry: wreg,
-			RPCTimeout: 5 * time.Second, Reconnect: rec,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c
-	}
-
-	a := newClient("alice", nil)
-	defer a.Close()
-
-	var mu sync.Mutex
-	var cur net.Conn // b's live client-side conn; closing it forces a reconnect
-	resynced := make(chan error, 1)
-	rec := &client.ReconnectOptions{
-		Dial: func() (net.Conn, error) {
-			link := netsim.NewLink(0)
-			serve(link.B)
-			mu.Lock()
-			cur = link.A
-			mu.Unlock()
-			return link.A, nil
-		},
-		BaseDelay: time.Millisecond,
-		MaxDelay:  time.Millisecond,
-		Seed:      1,
-		OnResync:  func(err error) { resynced <- err },
-	}
-	wregB := cosoft.NewRegistry()
-	cosoft.MustBuild(wregB, "/", `textfield field value=""`)
-	linkB := netsim.NewLink(0)
-	serve(linkB.B)
-	cur = linkB.A
-	cb, err := client.New(linkB.A, client.Options{
-		AppType: "editor", User: "bob", Host: "bench", Registry: wregB,
-		RPCTimeout: 5 * time.Second, Reconnect: rec,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cb.Close()
-
-	if err := a.Declare("/field"); err != nil {
-		b.Fatal(err)
-	}
-	if err := cb.Declare("/field"); err != nil {
-		b.Fatal(err)
-	}
-	if err := cb.Couple("/field", a.Ref("/field")); err != nil {
-		b.Fatal(err)
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mu.Lock()
-		conn := cur
-		mu.Unlock()
-		conn.Close()
-		if err := <-resynced; err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	stats := srv.Stats()
-	if stats.Resumes < uint64(b.N) {
-		b.Fatalf("resumes = %d, want >= %d", stats.Resumes, b.N)
 	}
 }
 
@@ -911,46 +424,5 @@ func seedRestartLog(b *testing.B, dir string, events int) {
 	}
 	if err := elog.Close(); err != nil {
 		b.Fatal(err)
-	}
-}
-
-// gateDisabledTracingAllocs fails the benchmark if any tracing call shape
-// the event path uses allocates when tracing is disabled (nil tracer, nil
-// flight recorder) — the contract that keeps the metrics-off variant
-// byte-for-byte as cheap as the seed event path.
-func gateDisabledTracingAllocs(b *testing.B) {
-	var tr *obs.Tracer
-	var fr *obs.FlightRecorder
-	allocs := testing.AllocsPerRun(100, func() {
-		sp := tr.StartRoot("client.event_send", "inst")
-		child := tr.StartSpan(sp.Context(), "server.event_arrival", "server")
-		tr.Point(child.Context(), "server.exec_send", "server", "")
-		child.EndNote("ok")
-		sp.End()
-		fr.Record("conn", obs.FlightEntry{Type: "Event"})
-	})
-	if allocs != 0 {
-		b.Fatalf("disabled tracing path allocates %.1f times per event", allocs)
-	}
-}
-
-// gateDisabledFamilyAllocs fails the benchmark if the per-member attribution
-// call shape allocates when metrics are disabled: obs.Disabled hands out a
-// nil *Family, and every lookup and sub-metric update on it must no-op for
-// free — the contract that lets the ack path keep its attribution calls
-// unconditionally inline.
-func gateDisabledFamilyAllocs(b *testing.B) {
-	f := obs.Disabled.Family("server.member", obs.FamilySchema{
-		Counters: []string{"acks"}, Hist: "ack_ns", EWMA: "ack_ewma_ns",
-	})
-	allocs := testing.AllocsPerRun(100, func() {
-		e := f.Get("inst")
-		e.Hist().Observe(1)
-		e.EWMA().Observe(1)
-		e.Counter(0).Inc()
-		f.Peek("inst")
-	})
-	if allocs != 0 {
-		b.Fatalf("disabled family path allocates %.1f times per ack", allocs)
 	}
 }

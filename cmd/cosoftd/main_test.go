@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,11 +13,10 @@ import (
 	"cosoft/internal/attr"
 	"cosoft/internal/client"
 	"cosoft/internal/faultnet"
-	"cosoft/internal/netsim"
 	"cosoft/internal/obs"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
-	"cosoft/internal/wire"
 )
 
 func newTestMux(t *testing.T) (*obs.Registry, *obs.Tracer, *obs.FlightRecorder, *httptest.Server) {
@@ -209,33 +207,6 @@ func TestParseLogLevel(t *testing.T) {
 	}
 }
 
-// dialMember connects one client to srv over an in-process link, optionally
-// degraded by a faultnet schedule wrapped around the server side of the link
-// (so Execs toward the member are delayed, inflating its measured ack
-// latency).
-func dialMember(t *testing.T, srv *server.Server, user string, sched *faultnet.Schedule) *client.Client {
-	t.Helper()
-	reg := widget.NewRegistry()
-	widget.MustBuild(reg, "/", `textfield note value=""`)
-	link := netsim.NewLink(0)
-	var sc net.Conn = link.B
-	if sched != nil {
-		fc := faultnet.Wrap(link.B, *sched)
-		t.Cleanup(func() { fc.Close() })
-		sc = fc
-	}
-	go srv.HandleConn(wire.NewConn(sc))
-	c, err := client.New(link.A, client.Options{
-		AppType: "editor", User: user, Host: "testhost",
-		Registry: reg, RPCTimeout: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("dial %s: %v", user, err)
-	}
-	t.Cleanup(c.Close)
-	return c
-}
-
 // TestDebugGroupsEndToEnd drives a live 3-member coupling group with one
 // faultnet-delayed member through a real server, then checks that
 // /debug/groups attributes that member as the straggler and that
@@ -243,13 +214,18 @@ func dialMember(t *testing.T, srv *server.Server, user string, sched *faultnet.S
 func TestDebugGroupsEndToEnd(t *testing.T) {
 	metrics := obs.NewRegistry()
 	srv := server.New(server.Options{Metrics: metrics})
-	t.Cleanup(srv.Close)
+	bed := testbed.New(t, srv, testbed.Options{})
 	hsrv := httptest.NewServer(metricsMux(metrics, nil, nil, srv))
 	t.Cleanup(hsrv.Close)
 
-	a := dialMember(t, srv, "alice", nil)
-	b := dialMember(t, srv, "bob", nil)
-	c := dialMember(t, srv, "carol", &faultnet.Schedule{Delay: 20 * time.Millisecond})
+	// Carol's link is degraded at the server's end, so the Execs toward her
+	// are delayed and her measured ack latency inflates.
+	member := func(user string, sched *faultnet.Schedule) *client.Client {
+		return bed.Dial(testbed.Member{AppType: "editor", User: user, Spec: `textfield note value=""`, Plain: true, Fault: sched})
+	}
+	a := member("alice", nil)
+	b := member("bob", nil)
+	c := member("carol", &faultnet.Schedule{Delay: 20 * time.Millisecond})
 
 	for _, cl := range []*client.Client{a, b, c} {
 		if err := cl.Declare("/note"); err != nil {
@@ -262,25 +238,14 @@ func TestDebugGroupsEndToEnd(t *testing.T) {
 	if err := a.Couple("/note", c.Ref("/note")); err != nil {
 		t.Fatalf("couple: %v", err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !c.Coupled("/note") {
-		if time.Now().After(deadline) {
-			t.Fatal("coupling never reached carol")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	testbed.Wait(t, "coupling to reach carol", func() bool { return c.Coupled("/note") })
 	for i := 0; i < 3; i++ {
 		if err := a.Registry().Dispatch(&widget.Event{
 			Path: "/note", Name: widget.EventChanged, Args: []attr.Value{attr.String("v")},
 		}); err != nil {
 			t.Fatalf("dispatch: %v", err)
 		}
-		for srv.Stats().PendingEvents != 0 {
-			if time.Now().After(deadline) {
-				t.Fatal("event never resolved")
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
+		testbed.Wait(t, "the event to resolve", func() bool { return srv.Stats().PendingEvents == 0 })
 	}
 
 	var rep server.HealthReport

@@ -1,71 +1,50 @@
 package classroom
 
 import (
-	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"cosoft/internal/client"
-	"cosoft/internal/netsim"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
-	"cosoft/internal/wire"
 )
 
 type room struct {
-	t       *testing.T
-	srv     *server.Server
-	wg      sync.WaitGroup
-	teacher *Teacher
+	t        *testing.T
+	bed      *testbed.Bed
+	teacher  *Teacher
+	attached []interface{ Detach() }
 }
 
 func newRoom(t *testing.T) *room {
 	t.Helper()
-	r := &room{t: t, srv: server.New(server.Options{})}
+	r := &room{t: t}
+	// Registered before the bed, so the environments detach only after its
+	// teardown has judged the server with every one of them attached.
 	t.Cleanup(func() {
-		r.srv.Close()
-		r.wg.Wait()
+		for _, env := range r.attached {
+			env.Detach()
+		}
 	})
+	r.bed = testbed.New(t, server.New(server.Options{}), testbed.Options{})
 	r.teacher = NewTeacher()
-	if err := r.teacher.Attach(r.dial(), "teacher", client.Options{RPCTimeout: 5 * time.Second}); err != nil {
+	if err := r.teacher.Attach(r.bed.Conn(), "teacher", client.Options{RPCTimeout: 5 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(r.teacher.Detach)
+	r.attached = append(r.attached, r.teacher)
 	return r
-}
-
-func (r *room) dial() net.Conn {
-	link := netsim.NewLink(0)
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		r.srv.HandleConn(wire.NewConn(link.B))
-	}()
-	return link.A
 }
 
 func (r *room) addStudent(user, task string) *Student {
 	r.t.Helper()
 	s := NewStudent(task)
-	if err := s.Attach(r.dial(), user, client.Options{RPCTimeout: 5 * time.Second}); err != nil {
+	if err := s.Attach(r.bed.Conn(), user, client.Options{RPCTimeout: 5 * time.Second}); err != nil {
 		r.t.Fatal(err)
 	}
-	r.t.Cleanup(s.Detach)
+	r.attached = append(r.attached, s)
 	return s
-}
-
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
 }
 
 func attrStr(t *testing.T, reg *widget.Registry, path, name string) string {
@@ -83,7 +62,7 @@ func TestRaiseHandBuffersMessage(t *testing.T) {
 	if err := s.RaiseHand("I am stuck"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "inbox message", func() bool { return len(r.teacher.Inbox()) == 1 })
+	testbed.Wait(t, "inbox message", func() bool { return len(r.teacher.Inbox()) == 1 })
 	msg := r.teacher.Inbox()[0]
 	if msg.Text != "I am stuck" || msg.Auto || msg.From != s.Client().ID() {
 		t.Errorf("message = %+v", msg)
@@ -103,7 +82,7 @@ func TestRaiseHandButton(t *testing.T) {
 	if err := s.Registry().Dispatch(&widget.Event{Path: "/desk/raisehand", Name: widget.EventActivate}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "button-driven request", func() bool { return len(r.teacher.Inbox()) == 1 })
+	testbed.Wait(t, "button-driven request", func() bool { return len(r.teacher.Inbox()) == 1 })
 }
 
 func TestDemonGeneratesAutomaticMessage(t *testing.T) {
@@ -112,7 +91,7 @@ func TestDemonGeneratesAutomaticMessage(t *testing.T) {
 	if err := s.SetAnswer("is it a parabola?"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "demon message", func() bool { return len(r.teacher.Inbox()) == 1 })
+	testbed.Wait(t, "demon message", func() bool { return len(r.teacher.Inbox()) == 1 })
 	msg := r.teacher.Inbox()[0]
 	if !msg.Auto {
 		t.Error("demon message must be marked automatic")
@@ -141,7 +120,7 @@ func TestDemonGeneratesAutomaticMessage(t *testing.T) {
 	if err := s.SetAnswer("x^3"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "custom rule", func() bool { return len(r.teacher.Inbox()) == 2 })
+	testbed.Wait(t, "custom rule", func() bool { return len(r.teacher.Inbox()) == 2 })
 }
 
 func TestStudentsListing(t *testing.T) {
@@ -168,7 +147,7 @@ func TestJoinSessionCouplesTermAndDisplayRegenerates(t *testing.T) {
 	if err := r.teacher.JoinSession(s.Client().ID(), DefaultPairs()); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "coupled term", func() bool { return s.Client().Coupled("/desk/term") })
+	testbed.Wait(t, "coupled term", func() bool { return s.Client().Coupled("/desk/term") })
 
 	// The teacher writes a function term on the blackboard; the student's
 	// term field replicates, and the student's *local* function display
@@ -176,10 +155,10 @@ func TestJoinSessionCouplesTermAndDisplayRegenerates(t *testing.T) {
 	if err := r.teacher.SetTerm("2*x+1"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "student term", func() bool {
+	testbed.Wait(t, "student term", func() bool {
 		return attrStr(t, s.Registry(), "/desk/term", widget.AttrValue) == "2*x+1"
 	})
-	waitFor(t, "student display regenerated", func() bool {
+	testbed.Wait(t, "student display regenerated", func() bool {
 		w, err := s.Registry().Lookup("/desk/display")
 		return err == nil && len(w.Attr(widget.AttrStrokes).AsPointList()) == 64
 	})
@@ -194,7 +173,7 @@ func TestJoinSessionCouplesTermAndDisplayRegenerates(t *testing.T) {
 	if err := s.SetAnswer("slope 2, intercept 1"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "teacher notes", func() bool {
+	testbed.Wait(t, "teacher notes", func() bool {
 		return attrStr(t, r.teacher.Registry(), "/board/notes", widget.AttrValue) == "slope 2, intercept 1"
 	})
 
@@ -202,7 +181,7 @@ func TestJoinSessionCouplesTermAndDisplayRegenerates(t *testing.T) {
 	if err := r.teacher.EndSession(s.Client().ID(), DefaultPairs()); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "decoupled", func() bool { return !s.Client().Coupled("/desk/term") })
+	testbed.Wait(t, "decoupled", func() bool { return !s.Client().Coupled("/desk/term") })
 	if err := r.teacher.SetTerm("x^2"); err != nil {
 		t.Fatal(err)
 	}
@@ -258,18 +237,9 @@ func TestRenderTermInvalid(t *testing.T) {
 }
 
 func TestRaiseHandWithoutTeacher(t *testing.T) {
-	srv := server.New(server.Options{})
-	defer srv.Close()
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	link := netsim.NewLink(0)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		srv.HandleConn(wire.NewConn(link.B))
-	}()
+	bed := testbed.New(t, server.New(server.Options{}), testbed.Options{})
 	s := NewStudent("t")
-	if err := s.Attach(link.A, "solo", client.Options{RPCTimeout: 5 * time.Second}); err != nil {
+	if err := s.Attach(bed.Conn(), "solo", client.Options{RPCTimeout: 5 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
 	defer s.Detach()

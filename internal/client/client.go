@@ -97,8 +97,6 @@ type Options struct {
 	// Logger receives structured logs keyed by instance and trace IDs. Nil
 	// disables structured logging.
 	Logger *slog.Logger
-	// Logf receives diagnostic output; nil disables logging.
-	Logf func(format string, args ...any)
 }
 
 // Client connects one application instance to the coupling server.
@@ -206,7 +204,7 @@ func New(conn net.Conn, opts Options) (*Client, error) {
 	c.reg.OnDestroy(func(w *widget.Widget) {
 		// Automatic decoupling of destroyed objects (§3.2).
 		if err := c.callOK(wire.Retract{Path: w.Path()}); err != nil && !errors.Is(err, ErrClosed) {
-			c.logf("client %s: retract %s: %v", c.id, w.Path(), err)
+			c.slog.Warn("retract failed", "path", w.Path(), "error", err.Error())
 		}
 		c.mu.Lock()
 		delete(c.declared, w.Path())
@@ -257,12 +255,6 @@ func (c *Client) Registry() *widget.Registry { return c.reg }
 // Ref returns the global reference of a local object.
 func (c *Client) Ref(path string) couple.ObjectRef {
 	return couple.ObjectRef{Instance: c.id, Path: path}
-}
-
-func (c *Client) logf(format string, args ...any) {
-	if c.opts.Logf != nil {
-		c.opts.Logf(format, args...)
-	}
 }
 
 // Close deregisters and tears down the connection.
@@ -427,7 +419,6 @@ func (c *Client) supervise() {
 		c.forgetFarLinks()
 		next, pre, err := c.redial()
 		if err != nil {
-			c.logf("client %s: reconnect: %v", c.id, err)
 			c.slog.Error("reconnect failed", "error", err.Error())
 			return
 		}
@@ -531,7 +522,7 @@ func (c *Client) routeLocal(conn *wire.Conn, env wire.Envelope) (bool, error) {
 	// (the LinkAdded precedes the OK on the same connection).
 	case wire.LinkAdded:
 		if err := c.links.AddLink(m.Link); err != nil {
-			c.logf("client %s: mirror link: %v", c.id, err)
+			c.slog.Warn("mirror link failed", "error", err.Error())
 		}
 		return true, nil
 	case wire.LinkRemoved:
@@ -614,10 +605,10 @@ func (c *Client) dispatchOne(env wire.Envelope) {
 				h(m.From, m.Payload)
 			})
 		} else {
-			c.logf("client %s: no handler for command %q", c.id, m.Name)
+			c.slog.Debug("no handler for command", "command", m.Name)
 		}
 	default:
-		c.logf("client %s: unexpected server message %s", c.id, env.Msg.MsgType())
+		c.slog.Warn("unexpected server message", "type", env.Msg.MsgType().String())
 	}
 }
 
@@ -653,7 +644,7 @@ func (c *Client) flushAcks() {
 		c.sendExecAck(c.ackRun[0])
 	default:
 		if err := c.send(wire.Envelope{Msg: wire.BatchAck{Acks: c.ackRun}}); err != nil {
-			c.logf("client %s: batch ack: %v", c.id, err)
+			c.slog.Debug("batch ack not sent", "error", err.Error())
 		}
 	}
 	c.ackRun = c.ackRun[:0]
@@ -675,10 +666,8 @@ func (c *Client) guard(kind, name string, trace obs.TraceID, fn func()) (complet
 // only works one frame below the panicking function's deferred call.
 func (c *Client) recovered(kind, name string, trace obs.TraceID) {
 	if r := recover(); r != nil {
-		what := kind + name
-		c.logf("client %s: panic in %s: %v", c.id, what, r)
 		c.slog.Error("panic in application callback",
-			"callback", what, "panic", fmt.Sprint(r), "trace", trace,
+			"callback", kind+name, "panic", fmt.Sprint(r), "trace", trace,
 			"stack", string(debug.Stack()))
 	}
 }

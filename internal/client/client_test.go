@@ -2,7 +2,7 @@ package client
 
 import (
 	"errors"
-	"fmt"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -320,18 +320,13 @@ func TestCloseQuietShutdown(t *testing.T) {
 		defer wg.Done()
 		srv.HandleConn(wire.NewConn(link.B))
 	}()
-	var mu sync.Mutex
-	var logs []string
+	var logs lockedBuffer
 	reg := widget.NewRegistry()
 	widget.MustBuild(reg, "/", `textfield x`)
 	c, err := New(link.A, Options{
 		AppType: "unit", User: "u", Host: "h", Registry: reg,
 		RPCTimeout: 5 * time.Second,
-		Logf: func(format string, args ...any) {
-			mu.Lock()
-			logs = append(logs, fmt.Sprintf(format, args...))
-			mu.Unlock()
-		},
+		Logger:     slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelDebug})),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -345,11 +340,28 @@ func TestCloseQuietShutdown(t *testing.T) {
 	if n := srv.Stats().Instances; n != 0 {
 		t.Errorf("instances after close = %d, want 0", n)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, line := range logs {
+	for _, line := range strings.Split(logs.String(), "\n") {
 		if strings.Contains(line, "unexpected server message") {
 			t.Errorf("shutdown logged: %s", line)
 		}
 	}
+}
+
+// lockedBuffer is the slog sink of TestCloseQuietShutdown: the client logs
+// from its own goroutines.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }

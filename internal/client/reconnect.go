@@ -267,7 +267,6 @@ func (c *Client) resync() {
 	}
 
 	if firstErr != nil {
-		c.logf("client %s: resync: %v", c.id, firstErr)
 		c.slog.Warn("resync incomplete", "error", firstErr.Error())
 	} else {
 		c.slog.Info("resynchronized after reconnect", "objects", len(paths))

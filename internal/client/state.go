@@ -43,7 +43,7 @@ func (c *Client) attachSemantics(ts *widget.TreeState, path string) {
 			err = errors.New("store hook panicked")
 		}
 		if err != nil {
-			c.logf("client %s: semantic store for %s: %v", c.id, path, err)
+			c.slog.Warn("semantic store failed", "path", path, "error", err.Error())
 		} else {
 			ts.Attrs.Put(semanticAttr, attr.String(string(payload)))
 		}
@@ -67,7 +67,7 @@ func (c *Client) stripSemantics(ts *widget.TreeState, path string) {
 				err = errors.New("load hook panicked")
 			}
 			if err != nil {
-				c.logf("client %s: semantic load for %s: %v", c.id, path, err)
+				c.slog.Warn("semantic load failed", "path", path, "error", err.Error())
 			}
 		}
 	}
@@ -87,7 +87,7 @@ func (c *Client) handleStateRequest(m wire.StateRequest) {
 		reply.State = ts
 	}
 	if err := c.send(wire.Envelope{Msg: reply}); err != nil {
-		c.logf("client %s: state reply: %v", c.id, err)
+		c.slog.Debug("state reply not sent", "error", err.Error())
 	}
 }
 
@@ -99,7 +99,7 @@ func (c *Client) handleApplyState(m wire.ApplyState) {
 	c.stripSemantics(&state, m.Path)
 	w, err := c.reg.Lookup(m.Path)
 	if err != nil {
-		c.logf("client %s: apply state to %s: %v", c.id, m.Path, err)
+		c.slog.Warn("apply state failed", "path", m.Path, "error", err.Error())
 		return
 	}
 	switch {
@@ -107,12 +107,12 @@ func (c *Client) handleApplyState(m wire.ApplyState) {
 		w.ApplyState(state.Attrs)
 	case m.Destructive:
 		if _, _, err := compat.DestructiveMerge(c.reg, m.Path, state); err != nil {
-			c.logf("client %s: destructive merge into %s: %v", c.id, m.Path, err)
+			c.slog.Warn("destructive merge failed", "path", m.Path, "error", err.Error())
 			return
 		}
 	default:
 		if _, _, err := compat.FlexibleMatch(c.reg, m.Path, state); err != nil {
-			c.logf("client %s: flexible match into %s: %v", c.id, m.Path, err)
+			c.slog.Warn("flexible match failed", "path", m.Path, "error", err.Error())
 			return
 		}
 	}

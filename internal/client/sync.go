@@ -27,24 +27,24 @@ func (c *Client) handleLocalEvent(e *widget.Event) {
 	if !c.Coupled(e.Path) {
 		// Uncoupled objects behave exactly as in the single-user toolkit.
 		if _, err := c.reg.Deliver(e); err != nil {
-			c.logf("client %s: local event %s: %v", c.id, e, err)
+			c.slog.Debug("local event failed", "path", e.Path, "event", e.Name, "error", err.Error())
 		}
 		return
 	}
 	undo, err := c.reg.ApplyFeedback(e)
 	if err != nil {
-		c.logf("client %s: feedback %s: %v", c.id, e, err)
+		c.slog.Debug("event feedback failed", "path", e.Path, "event", e.Name, "error", err.Error())
 		return
 	}
 	res, err := c.eventRoundTrip(e)
 	if err != nil {
 		undo()
-		c.logf("client %s: event %s: %v", c.id, e, err)
+		c.slog.Warn("event failed", "path", e.Path, "event", e.Name, "error", err.Error())
 		return
 	}
 	if !res.OK {
 		undo()
-		c.logf("client %s: event %s rejected: %s", c.id, e, res.Reason)
+		c.slog.Debug("event rejected", "path", e.Path, "event", e.Name, "reason", res.Reason)
 		return
 	}
 	// Accepted: run the application callbacks locally, exactly as the
@@ -120,7 +120,7 @@ func (c *Client) handleExec(tc obs.TraceContext, m wire.Exec) {
 // context so the server's ack point descends from the re-execution.
 func (c *Client) sendExecAck(e wire.BatchAckEntry) {
 	if err := c.send(wire.Envelope{Trace: e.Trace, Msg: wire.ExecAck{EventID: e.EventID}}); err != nil {
-		c.logf("client %s: exec ack: %v", c.id, err)
+		c.slog.Debug("exec ack not sent", "error", err.Error())
 	}
 }
 
@@ -164,7 +164,6 @@ func (c *Client) reexecute(sp *obs.SpanHandle, trace obs.TraceID, m wire.Exec) {
 		// arguments; the event is acknowledged regardless so the group
 		// unlocks.
 		if !errors.Is(err, widget.ErrNotFound) {
-			c.logf("client %s: exec %s: %v", c.id, e, err)
 			c.slog.Warn("exec failed",
 				"path", m.TargetPath, "event", m.Name, "error", err.Error(),
 				"trace", trace)

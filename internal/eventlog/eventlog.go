@@ -212,7 +212,7 @@ type Log struct {
 	mAppends    *obs.Counter // server.log.appends: records appended
 	mBytes      *obs.Counter // server.log.bytes: record bytes written (incl. framing)
 	mFsyncs     *obs.Counter // server.log.fsyncs: fsync calls issued
-	mReplayed   *obs.Counter // server.log.replayed: records decoded by Replay
+	mReplayed   *obs.Counter // server.log.replayed: records a restore applied (ReplayCounter)
 	mTruncated  *obs.Counter // server.log.truncated_tail: torn tails discarded on open
 	mSnapshots  *obs.Counter // server.log.snapshots: snapshots durably written
 	mSnapBytes  *obs.Counter // server.log.snapshot_bytes: snapshot payload bytes written
@@ -649,22 +649,6 @@ func (l *Log) crashBoundary() (partial int, fire bool) {
 		return l.crashPartial, true
 	}
 	return 0, false
-}
-
-// Replay is ReplayFrom offset zero.
-func (l *Log) Replay(fn func(Record) error) error {
-	_, err := l.ReplayFrom(0, fn)
-	return err
-}
-
-// ReplayFrom is ReplayDirFrom on the log's own directory, counting every
-// record it hands to fn in server.log.replayed. Safe before the first
-// Append; during live appends it sees some prefix.
-func (l *Log) ReplayFrom(from int64, fn func(Record) error) (int64, error) {
-	return ReplayDirFrom(l.dir, from, func(r Record) error {
-		l.mReplayed.Inc()
-		return fn(r)
-	})
 }
 
 // ReplayCounter returns server.log.replayed, for a reader that replays the

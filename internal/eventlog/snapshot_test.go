@@ -126,7 +126,7 @@ func TestSnapshotFallbackOnDamage(t *testing.T) {
 		t.Fatalf("snapshots = %+v, want only the older valid one at %d", snaps, off1)
 	}
 	var n int
-	end, err := l2.ReplayFrom(off1, func(Record) error { n++; return nil })
+	end, err := ReplayDirFrom(l2.Dir(), off1, func(Record) error { n++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestSnapshotFallbackOnDamage(t *testing.T) {
 	}
 }
 
-// ReplayFrom skips segments wholly below the offset and starts mid-segment
+// ReplayDirFrom skips segments wholly below the offset and starts mid-segment
 // when the offset lands inside one.
 func TestReplayFromSkipsCoveredBytes(t *testing.T) {
 	dir := t.TempDir()
@@ -154,7 +154,7 @@ func TestReplayFromSkipsCoveredBytes(t *testing.T) {
 	// Reconstruct every record boundary (encodeRecord includes framing),
 	// then replay from each: counts must telescope down to zero.
 	bounds := []int64{0}
-	if _, err := l.ReplayFrom(0, func(r Record) error {
+	if _, err := ReplayDirFrom(l.Dir(), 0, func(r Record) error {
 		bounds = append(bounds, bounds[len(bounds)-1]+int64(len(encodeRecord(r))))
 		return nil
 	}); err != nil {
@@ -165,7 +165,7 @@ func TestReplayFromSkipsCoveredBytes(t *testing.T) {
 	}
 	for i, b := range bounds {
 		n := 0
-		got, err := l.ReplayFrom(b, func(Record) error { n++; return nil })
+		got, err := ReplayDirFrom(l.Dir(), b, func(Record) error { n++; return nil })
 		if err != nil {
 			t.Fatalf("ReplayFrom(%d): %v", b, err)
 		}
@@ -220,7 +220,7 @@ func TestCompactRetention(t *testing.T) {
 		t.Fatalf("first remaining segment %d starts past retained snapshot %d", bases[0], offs[2])
 	}
 	// Replay from the retained fallback snapshot still works.
-	if _, err := l.ReplayFrom(offs[2], func(Record) error { return nil }); err != nil {
+	if _, err := ReplayDirFrom(l.Dir(), offs[2], func(Record) error { return nil }); err != nil {
 		t.Fatalf("ReplayFrom(retained): %v", err)
 	}
 	// Appends continue fine after compaction, and the dir passes fsck.
@@ -302,7 +302,7 @@ func TestSnapshotCrashPointSweep(t *testing.T) {
 			from = snaps[0].Offset
 		}
 		n := 0
-		end, err := l2.ReplayFrom(from, func(Record) error { n++; return nil })
+		end, err := ReplayDirFrom(l2.Dir(), from, func(Record) error { n++; return nil })
 		if err != nil {
 			t.Fatalf("op %d: replay: %v", op, err)
 		}

@@ -8,6 +8,7 @@ import (
 	"cosoft/internal/attr"
 	"cosoft/internal/client"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 )
 
@@ -39,46 +40,38 @@ func LockingComparison(users, opsPerUser int) ([]LockingRow, error) {
 	return rows, nil
 }
 
-func runLockingVariant(variant string, users, opsPerUser int, ordered bool) (LockingRow, error) {
-	cl, err := NewCluster(users, fieldSpec, 0,
-		server.Options{OrderedLocking: ordered}, client.Options{})
-	if err != nil {
-		return LockingRow{}, err
-	}
-	defer cl.Close()
-	if err := cl.DeclareAll("/field"); err != nil {
-		return LockingRow{}, err
-	}
-	if err := cl.CoupleStar("/field"); err != nil {
-		return LockingRow{}, err
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, users)
-	start := time.Now()
-	for u := range cl.Clients {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			for i := 0; i < opsPerUser; i++ {
-				ev := &widget.Event{Path: "/field", Name: widget.EventChanged,
-					Args: []attr.Value{attr.String(fmt.Sprintf("u%d-%d", u, i))}}
-				if _, err := DispatchRetry(cl.Clients[u], ev); err != nil {
-					errs <- err
-					return
+func runLockingVariant(variant string, users, opsPerUser int, ordered bool) (row LockingRow, err error) {
+	err = testbed.Run(func(tb testbed.TB) {
+		srv, bed, cl := newBed(tb, users, fieldSpec, 0,
+			server.Options{OrderedLocking: ordered}, client.Options{})
+		bed.Star("/field", cl...)
+		var wg sync.WaitGroup
+		errs := make(chan error, users)
+		start := time.Now()
+		for u := range cl {
+			wg.Add(1)
+			go func(u int) {
+				defer wg.Done()
+				for i := 0; i < opsPerUser; i++ {
+					ev := &widget.Event{Path: "/field", Name: widget.EventChanged,
+						Args: []attr.Value{attr.String(fmt.Sprintf("u%d-%d", u, i))}}
+					if _, err := DispatchRetry(cl[u], ev); err != nil {
+						errs <- err
+						return
+					}
 				}
-			}
-		}(u)
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return LockingRow{}, err
-	}
-	return LockingRow{
-		Variant:    variant,
-		Users:      users,
-		OpsPerUser: opsPerUser,
-		Total:      time.Since(start),
-		Denials:    cl.Srv.Stats().LockFailures,
-	}, nil
+			}(u)
+		}
+		wg.Wait()
+		close(errs)
+		must(tb, <-errs)
+		row = LockingRow{
+			Variant:    variant,
+			Users:      users,
+			OpsPerUser: opsPerUser,
+			Total:      time.Since(start),
+			Denials:    srv.Stats().LockFailures,
+		}
+	})
+	return row, err
 }

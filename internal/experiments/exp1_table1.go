@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"cosoft/internal/attr"
 	"cosoft/internal/baseline/multiplex"
@@ -10,6 +9,7 @@ import (
 	"cosoft/internal/client"
 	"cosoft/internal/compat"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 )
 
@@ -175,119 +175,79 @@ func probeUIRepl() ([]Capability, error) {
 }
 
 // probeCosoft runs the scenarios against the full coupling implementation.
-func probeCosoft() ([]Capability, error) {
+func probeCosoft() (caps []Capability, err error) {
 	corr := compat.NewCorrespondences()
 	corr.Declare("textfield", "label", map[string]string{widget.AttrValue: widget.AttrLabel})
-	cl, err := NewCluster(3, `form f title="T"
+	err = testbed.Run(func(tb testbed.TB) {
+		srv, _, cl := newBed(tb, 3, `form f title="T"
   textfield shared value=""
   textfield private value=""
   label tag label=""`, 0,
-		server.Options{Correspondences: corr},
-		client.Options{Correspondences: corr})
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-	if err := cl.DeclareAll("/f"); err != nil {
-		return nil, err
-	}
-	a, b, c := cl.Clients[0], cl.Clients[1], cl.Clients[2]
+			server.Options{Correspondences: corr},
+			client.Options{Correspondences: corr})
+		declare(tb, "/f", cl)
+		a, b, c := cl[0], cl[1], cl[2]
 
-	// Partial coupling: couple only /f/shared between a and b; /f/private
-	// stays private.
-	if err := a.Couple("/f/shared", b.Ref("/f/shared")); err != nil {
-		return nil, err
-	}
-	if err := a.DispatchChecked(&widget.Event{Path: "/f/shared", Name: widget.EventChanged,
-		Args: []attr.Value{attr.String("both")}}); err != nil {
-		return nil, err
-	}
-	if err := a.DispatchChecked(&widget.Event{Path: "/f/private", Name: widget.EventChanged,
-		Args: []attr.Value{attr.String("mine")}}); err != nil {
-		return nil, err
-	}
-	if err := waitValue(b, "/f/shared", widget.AttrValue, "both"); err != nil {
-		return nil, err
-	}
-	wPriv, err := b.Registry().Lookup("/f/private")
-	if err != nil {
-		return nil, err
-	}
-	partial := wPriv.Attr(widget.AttrValue).AsString() == ""
+		// Partial coupling: couple only /f/shared between a and b; /f/private
+		// stays private.
+		must(tb, a.Couple("/f/shared", b.Ref("/f/shared")))
+		must(tb, a.DispatchChecked(&widget.Event{Path: "/f/shared", Name: widget.EventChanged,
+			Args: []attr.Value{attr.String("both")}}))
+		must(tb, a.DispatchChecked(&widget.Event{Path: "/f/private", Name: widget.EventChanged,
+			Args: []attr.Value{attr.String("mine")}}))
+		waitValue(tb, "/f/shared", widget.AttrValue, "both", b)
+		wPriv, err := b.Registry().Lookup("/f/private")
+		must(tb, err)
+		partial := wPriv.Attr(widget.AttrValue).AsString() == ""
 
-	// Heterogeneous: copy a textfield's state onto a label through the
-	// declared correspondence (different classes, different relevant
-	// attributes).
-	if err := a.CopyTo("/f/shared", c.Ref("/f/tag"), false); err != nil {
-		return nil, err
-	}
-	if err := waitValue(c, "/f/tag", widget.AttrLabel, "both"); err != nil {
-		return nil, err
-	}
-	heterogeneous := true
+		// Heterogeneous: copy a textfield's state onto a label through the
+		// declared correspondence (different classes, different relevant
+		// attributes).
+		must(tb, a.CopyTo("/f/shared", c.Ref("/f/tag"), false))
+		waitValue(tb, "/f/tag", widget.AttrLabel, "both", c)
+		heterogeneous := true
 
-	// Dynamic population: c joins the group at runtime, then leaves again.
-	if err := c.Couple("/f/shared", a.Ref("/f/shared")); err != nil {
-		return nil, err
-	}
-	if err := cl.WaitCoupled("/f/shared", 2); err != nil {
-		return nil, err
-	}
-	if err := c.Decouple("/f/shared", a.Ref("/f/shared")); err != nil {
-		return nil, err
-	}
-	dynamic := true
+		// Dynamic population: c joins the group at runtime, then leaves again.
+		must(tb, c.Couple("/f/shared", a.Ref("/f/shared")))
+		testbed.Wait(tb, "the group of /f/shared mirrored", func() bool {
+			for _, cli := range cl {
+				if len(cli.CO("/f/shared")) != 2 {
+					return false
+				}
+			}
+			return true
+		})
+		must(tb, c.Decouple("/f/shared", a.Ref("/f/shared")))
+		dynamic := true
 
-	// Periodic sync: b works decoupled, then re-synchronizes by state.
-	if err := a.Decouple("/f/shared", b.Ref("/f/shared")); err != nil {
-		return nil, err
-	}
-	if err := a.DispatchChecked(&widget.Event{Path: "/f/shared", Name: widget.EventChanged,
-		Args: []attr.Value{attr.String("diverged")}}); err != nil {
-		return nil, err
-	}
-	if err := b.CopyFrom(a.Ref("/f/shared"), "/f/shared", false); err != nil {
-		return nil, err
-	}
-	if err := waitValue(b, "/f/shared", widget.AttrValue, "diverged"); err != nil {
-		return nil, err
-	}
-	periodic := true
+		// Periodic sync: b works decoupled, then re-synchronizes by state.
+		must(tb, a.Decouple("/f/shared", b.Ref("/f/shared")))
+		must(tb, a.DispatchChecked(&widget.Event{Path: "/f/shared", Name: widget.EventChanged,
+			Args: []attr.Value{attr.String("diverged")}}))
+		must(tb, b.CopyFrom(a.Ref("/f/shared"), "/f/shared", false))
+		waitValue(tb, "/f/shared", widget.AttrValue, "diverged", b)
+		periodic := true
 
-	// Persistence after decoupling: b's object still exists with its state.
-	wShared, err := b.Registry().Lookup("/f/shared")
-	if err != nil {
-		return nil, err
-	}
-	persists := wShared.Attr(widget.AttrValue).AsString() == "diverged"
+		// Persistence after decoupling: b's object still exists with its state.
+		wShared, err := b.Registry().Lookup("/f/shared")
+		must(tb, err)
+		persists := wShared.Attr(widget.AttrValue).AsString() == "diverged"
 
-	// Local response: an event on an uncoupled object never touches the
-	// server.
-	before := cl.Srv.Stats().Events
-	if err := a.DispatchChecked(&widget.Event{Path: "/f/private", Name: widget.EventChanged,
-		Args: []attr.Value{attr.String("local only")}}); err != nil {
-		return nil, err
-	}
-	local := cl.Srv.Stats().Events == before
+		// Local response: an event on an uncoupled object never touches the
+		// server.
+		before := srv.Stats().Events
+		must(tb, a.DispatchChecked(&widget.Event{Path: "/f/private", Name: widget.EventChanged,
+			Args: []attr.Value{attr.String("local only")}}))
+		local := srv.Stats().Events == before
 
-	return []Capability{
-		{Name: "partial coupling", Held: partial, Note: "per-object couple links"},
-		{Name: "heterogeneous apps", Held: heterogeneous, Note: "correspondence relations"},
-		{Name: "dynamic population", Held: dynamic, Note: "runtime couple/decouple"},
-		{Name: "periodic (state) sync", Held: periodic, Note: "CopyTo/CopyFrom"},
-		{Name: "persists after decouple", Held: persists, Note: "objects keep last state"},
-		{Name: "local response", Held: local, Note: "uncoupled events local"},
-	}, nil
-}
-
-func waitValue(c *client.Client, path, attrName, want string) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		w, err := c.Registry().Lookup(path)
-		if err == nil && w.Attr(attrName).AsString() == want {
-			return nil
+		caps = []Capability{
+			{Name: "partial coupling", Held: partial, Note: "per-object couple links"},
+			{Name: "heterogeneous apps", Held: heterogeneous, Note: "correspondence relations"},
+			{Name: "dynamic population", Held: dynamic, Note: "runtime couple/decouple"},
+			{Name: "periodic (state) sync", Held: periodic, Note: "CopyTo/CopyFrom"},
+			{Name: "persists after decouple", Held: persists, Note: "objects keep last state"},
+			{Name: "local response", Held: local, Note: "uncoupled events local"},
 		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	return fmt.Errorf("experiments: %s did not reach %q", path, want)
+	})
+	return caps, err
 }

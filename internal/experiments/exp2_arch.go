@@ -10,6 +10,7 @@ import (
 	"cosoft/internal/baseline/uirepl"
 	"cosoft/internal/client"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 )
 
@@ -209,56 +210,49 @@ func measureUIRepl(users int, lat time.Duration, events int, sharedFraction floa
 // measureCosoft: all users' fields are coupled into one group; each user
 // acts on its own replica — local feedback is immediate, and the
 // DispatchChecked round trip measures the floor-control cost.
-func measureCosoft(users int, lat time.Duration, events int, sharedFraction float64) (ArchLatencyRow, error) {
-	cl, err := NewCluster(users, archSpec, lat, server.Options{}, client.Options{})
-	if err != nil {
-		return ArchLatencyRow{}, err
-	}
-	defer cl.Close()
-	if err := cl.DeclareAll("/app"); err != nil {
-		return ArchLatencyRow{}, err
-	}
-	if err := cl.CoupleStar("/app/field"); err != nil {
-		return ArchLatencyRow{}, err
-	}
-	baseline := cl.TotalMessages()
-	var wg sync.WaitGroup
-	waits := make([]time.Duration, users)
-	errs := make(chan error, users)
-	for u := range cl.Clients {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			for i := 0; i < events; i++ {
-				ev := &widget.Event{Path: pickPath(i, sharedFraction), Name: widget.EventChanged,
-					Args: []attr.Value{attr.String(fmt.Sprintf("u%d-%d", u, i))}}
-				start := time.Now()
-				// Private events run entirely locally; shared events pay the
-				// floor-control round trip, with contenders retrying exactly
-				// as a user whose widget re-enables.
-				if _, err := DispatchRetry(cl.Clients[u], ev); err != nil {
-					errs <- err
-					return
+func measureCosoft(users int, lat time.Duration, events int, sharedFraction float64) (row ArchLatencyRow, err error) {
+	err = testbed.Run(func(tb testbed.TB) {
+		_, bed, cl := newBed(tb, users, archSpec, lat, server.Options{}, client.Options{})
+		bed.Star("/app/field", cl...)
+		baseline, _ := bed.Traffic()
+		var wg sync.WaitGroup
+		waits := make([]time.Duration, users)
+		errs := make(chan error, users)
+		for u := range cl {
+			wg.Add(1)
+			go func(u int) {
+				defer wg.Done()
+				for i := 0; i < events; i++ {
+					ev := &widget.Event{Path: pickPath(i, sharedFraction), Name: widget.EventChanged,
+						Args: []attr.Value{attr.String(fmt.Sprintf("u%d-%d", u, i))}}
+					start := time.Now()
+					// Private events run entirely locally; shared events pay the
+					// floor-control round trip, with contenders retrying exactly
+					// as a user whose widget re-enables.
+					if _, err := DispatchRetry(cl[u], ev); err != nil {
+						errs <- err
+						return
+					}
+					waits[u] += time.Since(start)
 				}
-				waits[u] += time.Since(start)
-			}
-		}(u)
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return ArchLatencyRow{}, err
-	}
-	var total time.Duration
-	for _, w := range waits {
-		total += w
-	}
-	return ArchLatencyRow{
-		Architecture: "cosoft",
-		Users:        users,
-		Latency:      lat,
-		PerEvent:     total / time.Duration(users*events),
-		Events:       users * events,
-		Messages:     cl.TotalMessages() - baseline,
-	}, nil
+			}(u)
+		}
+		wg.Wait()
+		close(errs)
+		must(tb, <-errs)
+		var total time.Duration
+		for _, w := range waits {
+			total += w
+		}
+		frames, _ := bed.Traffic()
+		row = ArchLatencyRow{
+			Architecture: "cosoft",
+			Users:        users,
+			Latency:      lat,
+			PerEvent:     total / time.Duration(users*events),
+			Events:       users * events,
+			Messages:     frames - baseline,
+		}
+	})
+	return row, err
 }

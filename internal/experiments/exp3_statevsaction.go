@@ -8,6 +8,7 @@ import (
 	"cosoft/internal/client"
 	"cosoft/internal/replay"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 )
 
@@ -77,57 +78,42 @@ func StateVsAction(missed []int) ([]StateVsActionRow, error) {
 
 // runReplayStrategy sets up a fresh coupled pair, replays the log from A,
 // and waits until B holds the final value.
-func runReplayStrategy(log *replay.Log, final string) (time.Duration, int64, error) {
-	cl, err := NewCluster(2, fieldSpec, 0, server.Options{}, client.Options{})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer cl.Close()
-	if err := cl.DeclareAll("/field"); err != nil {
-		return 0, 0, err
-	}
-	if err := cl.CoupleStar("/field"); err != nil {
-		return 0, 0, err
-	}
-	a := cl.Clients[0]
-	before := cl.TotalMessages()
-	start := time.Now()
-	if _, err := log.Replay(func(e *widget.Event) error {
-		_, err := DispatchRetry(a, e)
-		return err
-	}); err != nil {
-		return 0, 0, err
-	}
-	if err := cl.WaitValue("/field", widget.AttrValue, final); err != nil {
-		return 0, 0, err
-	}
-	return time.Since(start), cl.TotalMessages() - before, nil
+func runReplayStrategy(log *replay.Log, final string) (took time.Duration, msgs int64, err error) {
+	err = testbed.Run(func(tb testbed.TB) {
+		_, bed, cl := newBed(tb, 2, fieldSpec, 0, server.Options{}, client.Options{})
+		bed.Star("/field", cl...)
+		before, _ := bed.Traffic()
+		start := time.Now()
+		_, err := log.Replay(func(e *widget.Event) error {
+			_, err := DispatchRetry(cl[0], e)
+			return err
+		})
+		must(tb, err)
+		waitValue(tb, "/field", widget.AttrValue, final, cl...)
+		took = time.Since(start)
+		msgs, _ = bed.Traffic()
+		msgs -= before
+	})
+	return took, msgs, err
 }
 
 // runStateCopyStrategy sets up a fresh pair where A already holds the final
 // state, then performs one CopyTo.
-func runStateCopyStrategy(final string) (time.Duration, int64, error) {
-	cl, err := NewCluster(2, fieldSpec, 0, server.Options{}, client.Options{})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer cl.Close()
-	if err := cl.DeclareAll("/field"); err != nil {
-		return 0, 0, err
-	}
-	a, b := cl.Clients[0], cl.Clients[1]
-	w, err := a.Registry().Lookup("/field")
-	if err != nil {
-		return 0, 0, err
-	}
-	w.SetAttr(widget.AttrValue, attr.String(final))
-	before := cl.TotalMessages()
-	start := time.Now()
-	if err := a.CopyTo("/field", b.Ref("/field"), false); err != nil {
-		return 0, 0, err
-	}
-	if err := waitValue(b, "/field", widget.AttrValue, final); err != nil {
-		return 0, 0, err
-	}
-	return time.Since(start), cl.TotalMessages() - before, nil
+func runStateCopyStrategy(final string) (took time.Duration, msgs int64, err error) {
+	err = testbed.Run(func(tb testbed.TB) {
+		_, bed, cl := newBed(tb, 2, fieldSpec, 0, server.Options{}, client.Options{})
+		declare(tb, "/field", cl)
+		a, b := cl[0], cl[1]
+		w, err := a.Registry().Lookup("/field")
+		must(tb, err)
+		w.SetAttr(widget.AttrValue, attr.String(final))
+		before, _ := bed.Traffic()
+		start := time.Now()
+		must(tb, a.CopyTo("/field", b.Ref("/field"), false))
+		waitValue(tb, "/field", widget.AttrValue, final, b)
+		took = time.Since(start)
+		msgs, _ = bed.Traffic()
+		msgs -= before
+	})
+	return took, msgs, err
 }

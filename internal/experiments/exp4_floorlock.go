@@ -8,6 +8,7 @@ import (
 	"cosoft/internal/attr"
 	"cosoft/internal/client"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 )
 
@@ -65,43 +66,35 @@ func FloorControl(textLen int, granularities []int) ([]FloorLockRow, error) {
 	return rows, nil
 }
 
-func runEditing(payload string, chars int, coupled bool) (time.Duration, int64, int, int, error) {
-	cl, err := NewCluster(2, `textarea doc text=""`, 0, server.Options{}, client.Options{})
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	defer cl.Close()
-	if err := cl.DeclareAll("/doc"); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if coupled {
-		if err := cl.CoupleStar("/doc"); err != nil {
-			return 0, 0, 0, 0, err
+func runEditing(payload string, chars int, coupled bool) (took time.Duration, msgs int64, events, rejections int, err error) {
+	err = testbed.Run(func(tb testbed.TB) {
+		_, bed, cl := newBed(tb, 2, `textarea doc text=""`, 0, server.Options{}, client.Options{})
+		if coupled {
+			bed.Star("/doc", cl...)
+		} else {
+			declare(tb, "/doc", cl)
 		}
-	}
-	a := cl.Clients[0]
-	before := cl.TotalMessages()
-	events, rejections := 0, 0
-	start := time.Now()
-	for pos := 0; pos < len(payload); pos += chars {
-		end := pos + chars
-		if end > len(payload) {
-			end = len(payload)
+		before, _ := bed.Traffic()
+		start := time.Now()
+		for pos := 0; pos < len(payload); pos += chars {
+			end := pos + chars
+			if end > len(payload) {
+				end = len(payload)
+			}
+			ev := &widget.Event{Path: "/doc", Name: widget.EventEdit, Args: []attr.Value{
+				attr.Int(int64(pos)), attr.Int(0), attr.String(payload[pos:end]),
+			}}
+			rej, err := DispatchRetry(cl[0], ev)
+			must(tb, err)
+			rejections += rej
+			events++
 		}
-		ev := &widget.Event{Path: "/doc", Name: widget.EventEdit, Args: []attr.Value{
-			attr.Int(int64(pos)), attr.Int(0), attr.String(payload[pos:end]),
-		}}
-		rej, err := DispatchRetry(a, ev)
-		if err != nil {
-			return 0, 0, 0, 0, err
+		if coupled {
+			waitValue(tb, "/doc", widget.AttrText, payload, cl...)
 		}
-		rejections += rej
-		events++
-	}
-	if coupled {
-		if err := cl.WaitValue("/doc", widget.AttrText, payload); err != nil {
-			return 0, 0, 0, 0, err
-		}
-	}
-	return time.Since(start), cl.TotalMessages() - before, events, rejections, nil
+		took = time.Since(start)
+		msgs, _ = bed.Traffic()
+		msgs -= before
+	})
+	return took, msgs, events, rejections, err
 }

@@ -8,6 +8,7 @@ import (
 	"cosoft/internal/classroom"
 	"cosoft/internal/client"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 )
 
@@ -51,104 +52,67 @@ func IndirectCoupling(points []int) ([]IndirectRow, error) {
 
 // runDirectCoupling couples the canvases and ships one draw event carrying
 // the full m-point rendering.
-func runDirectCoupling(m int) (time.Duration, int64, error) {
-	cl, err := NewCluster(2, `canvas display width=640 height=400`, 0,
-		server.Options{}, client.Options{})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer cl.Close()
-	if err := cl.DeclareAll("/display"); err != nil {
-		return 0, 0, err
-	}
-	if err := cl.CoupleStar("/display"); err != nil {
-		return 0, 0, err
-	}
-	stroke := make([]attr.Point, m)
-	for i := range stroke {
-		stroke[i] = attr.Point{X: int32(i), Y: int32(i % 400)}
-	}
-	before := cl.TotalBytes()
-	start := time.Now()
-	if err := cl.Clients[0].DispatchChecked(&widget.Event{
-		Path: "/display", Name: widget.EventDraw,
-		Args: []attr.Value{attr.PointList(stroke...)},
-	}); err != nil {
-		return 0, 0, err
-	}
-	// Wait until the student's canvas holds the stroke.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		w, err := cl.Clients[1].Registry().Lookup("/display")
-		if err != nil {
-			return 0, 0, err
+func runDirectCoupling(m int) (took time.Duration, bytes int64, err error) {
+	err = testbed.Run(func(tb testbed.TB) {
+		_, bed, cl := newBed(tb, 2, `canvas display width=640 height=400`, 0,
+			server.Options{}, client.Options{})
+		bed.Star("/display", cl...)
+		stroke := make([]attr.Point, m)
+		for i := range stroke {
+			stroke[i] = attr.Point{X: int32(i), Y: int32(i % 400)}
 		}
-		if len(w.Attr(widget.AttrStrokes).AsPointList()) == m {
-			break
-		}
-		if time.Now().After(deadline) {
-			return 0, 0, fmt.Errorf("direct coupling did not converge")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	return time.Since(start), cl.TotalBytes() - before, nil
+		_, before := bed.Traffic()
+		start := time.Now()
+		must(tb, cl[0].DispatchChecked(&widget.Event{
+			Path: "/display", Name: widget.EventDraw,
+			Args: []attr.Value{attr.PointList(stroke...)},
+		}))
+		waitStrokes(tb, cl[1], "/display", m)
+		took = time.Since(start)
+		_, bytes = bed.Traffic()
+		bytes -= before
+	})
+	return took, bytes, err
+}
+
+// waitStrokes waits until the canvas at path on c holds m points.
+func waitStrokes(tb testbed.TB, c *client.Client, path string, m int) {
+	testbed.Wait(tb, fmt.Sprintf("%d points on %s", m, path), func() bool {
+		w, err := c.Registry().Lookup(path)
+		must(tb, err)
+		return len(w.Attr(widget.AttrStrokes).AsPointList()) == m
+	})
 }
 
 // runIndirectCoupling couples only the term fields; the displays regenerate
 // locally from the replicated term.
-func runIndirectCoupling(m int) (time.Duration, int64, error) {
+func runIndirectCoupling(m int) (took time.Duration, bytes int64, err error) {
 	spec := `form env title="env"
   textfield term value="x"
   canvas display width=640 height=400`
-	cl, err := NewCluster(2, spec, 0, server.Options{}, client.Options{})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer cl.Close()
-	// Wire local regeneration in both environments, at the requested
-	// resolution.
-	for _, cli := range cl.Clients {
-		reg := cli.Registry()
-		w, err := reg.Lookup("/env/term")
-		if err != nil {
-			return 0, 0, err
+	err = testbed.Run(func(tb testbed.TB) {
+		_, bed, cl := newBed(tb, 2, spec, 0, server.Options{}, client.Options{})
+		// Wire local regeneration in both environments, at the requested
+		// resolution.
+		for _, cli := range cl {
+			reg := cli.Registry()
+			w, err := reg.Lookup("/env/term")
+			must(tb, err)
+			must(tb, w.AddCallback(widget.EventChanged, func(e *widget.Event) {
+				classroom.RenderTerm(reg, "/env/display", e.Args[0].AsString(), m)
+			}))
 		}
-		if err := w.AddCallback(widget.EventChanged, func(e *widget.Event) {
-			classroom.RenderTerm(reg, "/env/display", e.Args[0].AsString(), m)
-		}); err != nil {
-			return 0, 0, err
-		}
-	}
-	if err := cl.DeclareAll("/env"); err != nil {
-		return 0, 0, err
-	}
-	if err := cl.Clients[0].Couple("/env/term", cl.Clients[1].Ref("/env/term")); err != nil {
-		return 0, 0, err
-	}
-	if err := cl.WaitCoupled("/env/term", 1); err != nil {
-		return 0, 0, err
-	}
-	before := cl.TotalBytes()
-	start := time.Now()
-	if err := cl.Clients[0].DispatchChecked(&widget.Event{
-		Path: "/env/term", Name: widget.EventChanged,
-		Args: []attr.Value{attr.String("2*x^2 - 3*x + 1")},
-	}); err != nil {
-		return 0, 0, err
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		w, err := cl.Clients[1].Registry().Lookup("/env/display")
-		if err != nil {
-			return 0, 0, err
-		}
-		if len(w.Attr(widget.AttrStrokes).AsPointList()) == m {
-			break
-		}
-		if time.Now().After(deadline) {
-			return 0, 0, fmt.Errorf("indirect coupling did not converge")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	return time.Since(start), cl.TotalBytes() - before, nil
+		bed.Star("/env/term", cl...)
+		_, before := bed.Traffic()
+		start := time.Now()
+		must(tb, cl[0].DispatchChecked(&widget.Event{
+			Path: "/env/term", Name: widget.EventChanged,
+			Args: []attr.Value{attr.String("2*x^2 - 3*x + 1")},
+		}))
+		waitStrokes(tb, cl[1], "/env/display", m)
+		took = time.Since(start)
+		_, bytes = bed.Traffic()
+		bytes -= before
+	})
+	return took, bytes, err
 }

@@ -10,6 +10,7 @@ import (
 	"cosoft/internal/baseline/timestamp"
 	"cosoft/internal/client"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 )
 
@@ -52,45 +53,37 @@ const orderingSpec = `form f
   textfield private value=""`
 
 func runCentralized(row *OrderingRow) error {
-	cl, err := NewCluster(row.Users, orderingSpec, 0, server.Options{}, client.Options{})
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-	if err := cl.DeclareAll("/f"); err != nil {
-		return err
-	}
-	if err := cl.CoupleStar("/f/hot"); err != nil {
-		return err
-	}
-	var wg sync.WaitGroup
-	completed := make([]int, row.Users)
-	start := time.Now()
-	for u := range cl.Clients {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(u)))
-			for i := 0; i < row.OpsPerUser; i++ {
-				path := "/f/private"
-				if r.Float64() < row.HotShare {
-					path = "/f/hot"
+	return testbed.Run(func(tb testbed.TB) {
+		srv, bed, cl := newBed(tb, row.Users, orderingSpec, 0, server.Options{}, client.Options{})
+		bed.Star("/f/hot", cl...)
+		var wg sync.WaitGroup
+		completed := make([]int, row.Users)
+		start := time.Now()
+		for u := range cl {
+			wg.Add(1)
+			go func(u int) {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(int64(u)))
+				for i := 0; i < row.OpsPerUser; i++ {
+					path := "/f/private"
+					if r.Float64() < row.HotShare {
+						path = "/f/hot"
+					}
+					ev := &widget.Event{Path: path, Name: widget.EventChanged,
+						Args: []attr.Value{attr.String(fmt.Sprintf("u%d-%d", u, i))}}
+					if _, err := DispatchRetry(cl[u], ev); err == nil {
+						completed[u]++
+					}
 				}
-				ev := &widget.Event{Path: path, Name: widget.EventChanged,
-					Args: []attr.Value{attr.String(fmt.Sprintf("u%d-%d", u, i))}}
-				if _, err := DispatchRetry(cl.Clients[u], ev); err == nil {
-					completed[u]++
-				}
-			}
-		}(u)
-	}
-	wg.Wait()
-	row.CentralTime = time.Since(start)
-	for _, n := range completed {
-		row.CentralCompleted += n
-	}
-	row.CentralRejected = int64(cl.Srv.Stats().LockFailures)
-	return nil
+			}(u)
+		}
+		wg.Wait()
+		row.CentralTime = time.Since(start)
+		for _, n := range completed {
+			row.CentralCompleted += n
+		}
+		row.CentralRejected = int64(srv.Stats().LockFailures)
+	})
 }
 
 func runOptimistic(row *OrderingRow) error {

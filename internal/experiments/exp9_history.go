@@ -7,6 +7,7 @@ import (
 	"cosoft/internal/attr"
 	"cosoft/internal/client"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 )
 
@@ -35,65 +36,45 @@ func HistoryWalk(depths []int) ([]HistoryRow, error) {
 	return rows, nil
 }
 
-func runHistoryWalk(depth int) (HistoryRow, error) {
-	cl, err := NewCluster(2, fieldSpec, 0,
-		server.Options{HistoryDepth: depth + 1}, client.Options{})
-	if err != nil {
-		return HistoryRow{}, err
-	}
-	defer cl.Close()
-	if err := cl.DeclareAll("/field"); err != nil {
-		return HistoryRow{}, err
-	}
-	a, b := cl.Clients[0], cl.Clients[1]
+func runHistoryWalk(depth int) (row HistoryRow, err error) {
+	err = testbed.Run(func(tb testbed.TB) {
+		_, _, cl := newBed(tb, 2, fieldSpec, 0,
+			server.Options{HistoryDepth: depth + 1}, client.Options{})
+		declare(tb, "/field", cl)
+		a, b := cl[0], cl[1]
 
-	// b starts at "original"; a overwrites it depth times by state copies —
-	// each overwrite lands in the historical database.
-	if err := b.DispatchChecked(&widget.Event{Path: "/field", Name: widget.EventChanged,
-		Args: []attr.Value{attr.String("original")}}); err != nil {
-		return HistoryRow{}, err
-	}
-	row := HistoryRow{Depth: depth}
-	start := time.Now()
-	for i := 0; i < depth; i++ {
-		if err := a.DispatchChecked(&widget.Event{Path: "/field", Name: widget.EventChanged,
-			Args: []attr.Value{attr.String(fmt.Sprintf("v%d", i))}}); err != nil {
-			return HistoryRow{}, err
+		// b starts at "original"; a overwrites it depth times by state copies —
+		// each overwrite lands in the historical database.
+		must(tb, b.DispatchChecked(&widget.Event{Path: "/field", Name: widget.EventChanged,
+			Args: []attr.Value{attr.String("original")}}))
+		row = HistoryRow{Depth: depth}
+		start := time.Now()
+		for i := 0; i < depth; i++ {
+			must(tb, a.DispatchChecked(&widget.Event{Path: "/field", Name: widget.EventChanged,
+				Args: []attr.Value{attr.String(fmt.Sprintf("v%d", i))}}))
+			must(tb, a.CopyTo("/field", b.Ref("/field"), false))
 		}
-		if err := a.CopyTo("/field", b.Ref("/field"), false); err != nil {
-			return HistoryRow{}, err
-		}
-	}
-	final := fmt.Sprintf("v%d", depth-1)
-	if err := waitValue(b, "/field", widget.AttrValue, final); err != nil {
-		return HistoryRow{}, err
-	}
-	row.RecordTime = time.Since(start)
+		final := fmt.Sprintf("v%d", depth-1)
+		waitValue(tb, "/field", widget.AttrValue, final, b)
+		row.RecordTime = time.Since(start)
 
-	// Undo all the way back.
-	start = time.Now()
-	for i := 0; i < depth; i++ {
-		if err := b.Undo("/field"); err != nil {
-			return HistoryRow{}, err
+		// Undo all the way back.
+		start = time.Now()
+		for i := 0; i < depth; i++ {
+			must(tb, b.Undo("/field"))
 		}
-	}
-	if err := waitValue(b, "/field", widget.AttrValue, "original"); err != nil {
-		return HistoryRow{}, err
-	}
-	row.UndoAllTime = time.Since(start)
-	row.UndoCorrect = true
+		waitValue(tb, "/field", widget.AttrValue, "original", b)
+		row.UndoAllTime = time.Since(start)
+		row.UndoCorrect = true
 
-	// Redo all the way forward.
-	start = time.Now()
-	for i := 0; i < depth; i++ {
-		if err := b.Redo("/field"); err != nil {
-			return HistoryRow{}, err
+		// Redo all the way forward.
+		start = time.Now()
+		for i := 0; i < depth; i++ {
+			must(tb, b.Redo("/field"))
 		}
-	}
-	if err := waitValue(b, "/field", widget.AttrValue, final); err != nil {
-		return HistoryRow{}, err
-	}
-	row.RedoAllTime = time.Since(start)
-	row.RedoCorrect = true
-	return row, nil
+		waitValue(tb, "/field", widget.AttrValue, final, b)
+		row.RedoAllTime = time.Since(start)
+		row.RedoCorrect = true
+	})
+	return row, err
 }

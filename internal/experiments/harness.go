@@ -1,139 +1,68 @@
 // Package experiments implements the reproduction harness for every table
 // and figure of the paper's evaluation (see DESIGN.md §4 for the index).
 // Each experiment returns structured rows; cmd/experiments prints them and
-// the root-level benchmarks wrap them as testing.B benchmarks.
+// the root-level benchmarks wrap them as testing.B benchmarks. Every run
+// builds its server and instances on a test bed (internal/testbed), whose
+// teardown judges the server's invariants like any test's.
 package experiments
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"cosoft/internal/client"
-	"cosoft/internal/netsim"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
-	"cosoft/internal/wire"
 )
 
 // fieldSpec is the minimal one-textfield UI used by several experiments.
 const fieldSpec = `textfield field value=""`
 
-// Cluster is one coupling server plus N in-process clients, each with its
-// own widget registry built from the same spec, connected over instrumented
-// links.
-type Cluster struct {
-	Srv     *server.Server
-	Clients []*client.Client
-	Links   []*netsim.Link
-	wg      sync.WaitGroup
-}
-
-// NewCluster starts a server (with opts) and connects n clients whose
-// registries are built from spec. The links carry the given one-way latency.
-func NewCluster(n int, spec string, latency time.Duration, opts server.Options, copts client.Options) (*Cluster, error) {
-	c := &Cluster{Srv: server.New(opts)}
-	for i := 0; i < n; i++ {
-		link := netsim.NewLink(latency)
-		c.Links = append(c.Links, link)
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			c.Srv.HandleConn(wire.NewConn(link.B))
-		}()
-		reg := widget.NewRegistry()
-		if spec != "" {
-			if _, err := widget.Build(reg, "/", spec); err != nil {
-				c.Close()
-				return nil, err
-			}
-		}
-		o := copts
-		o.AppType = orDefault(o.AppType, "bench")
-		o.User = fmt.Sprintf("user%d", i)
-		o.Host = "local"
-		o.Registry = reg
-		if o.RPCTimeout == 0 {
-			o.RPCTimeout = 30 * time.Second
-		}
-		cli, err := client.New(link.A, o)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.Clients = append(c.Clients, cli)
+// newBed starts a server with opts on a bed whose in-process links carry the
+// given one-way latency, and dials n instances, each with its own widget
+// registry built from spec. They speak the plain protocol, as the paper's
+// instances did.
+func newBed(tb testbed.TB, n int, spec string, latency time.Duration, opts server.Options, copts client.Options) (*server.Server, *testbed.Bed, []*client.Client) {
+	srv := server.New(opts)
+	bed := testbed.New(tb, srv, testbed.Options{Latency: latency})
+	if copts.RPCTimeout == 0 {
+		copts.RPCTimeout = 30 * time.Second
 	}
-	return c, nil
-}
-
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
+	cl := make([]*client.Client, n)
+	for i := range cl {
+		cl[i] = bed.Dial(testbed.Member{AppType: "bench", User: fmt.Sprintf("user%d", i), Spec: spec, Plain: true, Options: copts})
 	}
-	return s
+	return srv, bed, cl
 }
 
-// DeclareAll declares the subtree at path on every client.
-func (c *Cluster) DeclareAll(path string) error {
-	for _, cli := range c.Clients {
-		if err := cli.DeclareTree(path); err != nil {
-			return err
-		}
+// declare declares the subtree at path on every instance of cl.
+func declare(tb testbed.TB, path string, cl []*client.Client) {
+	for _, c := range cl {
+		must(tb, c.DeclareTree(path))
 	}
-	return nil
 }
 
-// CoupleStar couples client 0's object at path with every other client's
-// object at the same path.
-func (c *Cluster) CoupleStar(path string) error {
-	for _, cli := range c.Clients[1:] {
-		if err := c.Clients[0].Couple(path, cli.Ref(path)); err != nil {
-			return err
-		}
-	}
-	return c.WaitCoupled(path, len(c.Clients)-1)
-}
-
-// WaitCoupled blocks until every client's mirror shows the expected group
-// size for the object at path.
-func (c *Cluster) WaitCoupled(path string, others int) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		ready := true
-		for _, cli := range c.Clients {
-			if len(cli.CO(path)) != others {
-				ready = false
-				break
-			}
-		}
-		if ready {
-			return nil
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	return fmt.Errorf("experiments: coupling of %s did not converge", path)
-}
-
-// WaitValue blocks until the widget at path on every client reports the
-// wanted attribute value.
-func (c *Cluster) WaitValue(path, attrName, want string) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		ready := true
-		for _, cli := range c.Clients {
-			w, err := cli.Registry().Lookup(path)
+// waitValue waits until the widget at path reports want for attrName on
+// every instance of cl.
+func waitValue(tb testbed.TB, path, attrName, want string, cl ...*client.Client) {
+	testbed.Wait(tb, fmt.Sprintf("%s %s=%q", path, attrName, want), func() bool {
+		for _, c := range cl {
+			w, err := c.Registry().Lookup(path)
 			if err != nil || w.Attr(attrName).AsString() != want {
-				ready = false
-				break
+				return false
 			}
 		}
-		if ready {
-			return nil
-		}
-		time.Sleep(100 * time.Microsecond)
+		return true
+	})
+}
+
+// must ends the run with err.
+func must(tb testbed.TB, err error) {
+	if err != nil {
+		tb.Fatalf("%w", err)
 	}
-	return fmt.Errorf("experiments: value %q on %s did not converge", want, path)
 }
 
 // DispatchRetry dispatches an event, retrying while the group lock is held
@@ -161,31 +90,4 @@ func errorsIsRejected(err error) bool {
 	// the group lock, or the local widget is currently disabled by a
 	// SetLocks from an in-flight event.
 	return errors.Is(err, client.ErrRejected) || errors.Is(err, widget.ErrDisabled)
-}
-
-// TotalMessages sums frames over all links, both directions.
-func (c *Cluster) TotalMessages() int64 {
-	var total int64
-	for _, l := range c.Links {
-		total += l.TotalMessages()
-	}
-	return total
-}
-
-// TotalBytes sums bytes over all links, both directions.
-func (c *Cluster) TotalBytes() int64 {
-	var total int64
-	for _, l := range c.Links {
-		total += l.TotalBytes()
-	}
-	return total
-}
-
-// Close tears everything down.
-func (c *Cluster) Close() {
-	for _, cli := range c.Clients {
-		cli.Close()
-	}
-	c.Srv.Close()
-	c.wg.Wait()
 }

@@ -201,12 +201,16 @@ func BenchmarkDisabledFamily(b *testing.B) {
 
 func TestDisabledFamilyZeroAlloc(t *testing.T) {
 	var f *Family
+	d := Disabled.Family("server.member", memberSchema())
 	allocs := testing.AllocsPerRun(200, func() {
 		e := f.Get("inst-1")
 		e.Counter(0).Inc()
 		e.Counter(1).Inc()
 		e.Hist().Observe(1)
 		e.EWMA().Observe(1)
+		f.Peek("inst-1")
+		d.Get("inst-1").Counter(0).Inc()
+		d.Peek("inst-1")
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled family path allocates %g/op, want 0", allocs)

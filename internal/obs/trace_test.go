@@ -89,6 +89,10 @@ func TestNilTracerZeroAlloc(t *testing.T) {
 		tr.Point(TraceContext{Trace: 1}, "p", "i", "")
 		_ = tr.NewTrace()
 		_ = tr.Spans()
+		root := tr.StartRoot("client.event_send", "inst")
+		child := tr.StartSpan(root.Context(), "server.event_arrival", "server")
+		child.EndNote("ok")
+		root.End()
 	})
 	if allocs != 0 {
 		t.Fatalf("nil tracer allocated %.1f times per op, want 0", allocs)

@@ -3,51 +3,22 @@ package repl
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"cosoft/internal/client"
 	"cosoft/internal/couple"
-	"cosoft/internal/netsim"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
-	"cosoft/internal/wire"
 )
 
-type fixture struct {
-	t   *testing.T
-	srv *server.Server
-	wg  sync.WaitGroup
-}
-
-func newFixture(t *testing.T) *fixture {
-	t.Helper()
-	f := &fixture{t: t, srv: server.New(server.Options{})}
-	t.Cleanup(func() {
-		f.srv.Close()
-		f.wg.Wait()
-	})
-	return f
-}
-
-func (f *fixture) dial(user string) *client.Client {
-	f.t.Helper()
-	link := netsim.NewLink(0)
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		f.srv.HandleConn(wire.NewConn(link.B))
-	}()
-	cli, err := client.New(link.A, client.Options{
-		AppType: "repl", User: user, Host: "h",
-		Registry: widget.NewRegistry(), RPCTimeout: 5 * time.Second,
-	})
-	if err != nil {
-		f.t.Fatal(err)
+// dialer returns a dial for instances of one fresh server's bed.
+func dialer(t *testing.T) func(user string) *client.Client {
+	bed := testbed.New(t, server.New(server.Options{}), testbed.Options{})
+	return func(user string) *client.Client {
+		return bed.Dial(testbed.Member{AppType: "repl", User: user, Plain: true})
 	}
-	f.t.Cleanup(cli.Close)
-	return cli
 }
 
 // run feeds a script and returns the combined output.
@@ -62,8 +33,8 @@ func run(t *testing.T, cli *client.Client, script string) string {
 }
 
 func TestBuildTreeGetEvent(t *testing.T) {
-	f := newFixture(t)
-	cli := f.dial("u1")
+	dial := dialer(t)
+	cli := dial("u1")
 	out := run(t, cli, `
 # comments and blank lines are skipped
 
@@ -97,8 +68,8 @@ get /note value
 }
 
 func TestErrorsAreReportedNotFatal(t *testing.T) {
-	f := newFixture(t)
-	cli := f.dial("u1")
+	dial := dialer(t)
+	cli := dial("u1")
 	out := run(t, cli, `
 bogus
 get /missing value
@@ -116,9 +87,9 @@ id
 }
 
 func TestCoupleFlowBetweenTwoREPLs(t *testing.T) {
-	f := newFixture(t)
-	a := f.dial("alice")
-	b := f.dial("bob")
+	dial := dialer(t)
+	a := dial("alice")
+	b := dial("bob")
 	run(t, a, `
 build / textfield pad value=""
 declare /pad
@@ -139,14 +110,10 @@ declare /pad
 	if !strings.Contains(out, "coupled /pad") || !strings.Contains(out, "coupled with") {
 		t.Fatalf("coupling output:\n%s", out)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
+	testbed.Wait(t, "shared at b", func() bool {
 		w, err := b.Registry().Lookup("/pad")
-		if err == nil && w.Attr(widget.AttrValue).AsString() == "shared" {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return err == nil && w.Attr(widget.AttrValue).AsString() == "shared"
+	})
 	// copyfrom + undo + inspect round trip.
 	out = run(t, b, strings.Join([]string{
 		"inspect " + string(a.ID()) + " /pad",
@@ -163,9 +130,9 @@ declare /pad
 }
 
 func TestSendCommand(t *testing.T) {
-	f := newFixture(t)
-	a := f.dial("alice")
-	b := f.dial("bob")
+	dial := dialer(t)
+	a := dial("alice")
+	b := dial("bob")
 	got := make(chan string, 2)
 	b.OnCommand("note", func(from couple.InstanceID, payload []byte) {
 		got <- string(from) + ":" + string(payload)

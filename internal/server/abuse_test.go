@@ -7,8 +7,8 @@ import (
 	"cosoft/internal/attr"
 	"cosoft/internal/client"
 	"cosoft/internal/couple"
-	"cosoft/internal/netsim"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
 )
@@ -17,17 +17,17 @@ import (
 // produces, and assert the server stays consistent and responsive.
 
 func TestSpoofedStateReplyIgnored(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("app", "u1", `textfield x value="target"`, client.Options{})
+	_, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: `textfield x value="target"`})
 	mustOK(t, a.Declare("/x"))
 	// The attacker replies to a StateRequest id that was never issued (and
 	// later, one issued to someone else).
-	rc := newRawClient(t, h, "app", "mallory")
-	if err := rc.conn.Write(wire.Envelope{Msg: wire.StateReply{RequestID: 999, OK: true}}); err != nil {
+	rc := bed.Raw(wire.Register{AppType: "app", User: "mallory"})
+	if err := rc.Send(wire.StateReply{RequestID: 999, OK: true}); err != nil {
 		t.Fatal(err)
 	}
 	// The server must still serve normal traffic afterwards.
-	rc.mustOK(wire.Declare{Path: "/y", Class: "textfield"})
+	rc.MustOK(wire.Declare{Path: "/y", Class: "textfield"})
 
 	// Now create a real fetch to a, and have mallory race a spoofed reply
 	// for a plausible id. The server only accepts replies from the fetch's
@@ -39,11 +39,11 @@ func TestSpoofedStateReplyIgnored(t *testing.T) {
 	}()
 	// Burst of spoofed replies over plausible request ids.
 	for id := uint64(1); id < 10; id++ {
-		if err := rc.conn.Write(wire.Envelope{Msg: wire.StateReply{
+		if err := rc.Send(wire.StateReply{
 			RequestID: id, OK: true,
 			State: widget.TreeState{Class: "textfield", Name: "x",
 				Attrs: attr.Set{widget.AttrValue: attr.String("EVIL")}},
-		}}); err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,31 +53,31 @@ func TestSpoofedStateReplyIgnored(t *testing.T) {
 }
 
 func TestStaleAndForeignExecAcks(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("app", "u1", `textfield x`, client.Options{})
-	b := h.dial("app", "u2", `textfield x`, client.Options{})
-	rc := newRawClient(t, h, "app", "u3")
+	srv, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: `textfield x`})
+	b := bed.Dial(testbed.Member{AppType: "app", User: "u2", Spec: `textfield x`})
+	rc := bed.Raw(wire.Register{AppType: "app", User: "u3"})
 	mustOK(t, a.Declare("/x"))
 	mustOK(t, b.Declare("/x"))
-	rc.mustOK(wire.Declare{Path: "/x", Class: "textfield"})
-	mustOK(t, a.Couple("/x", couple.ObjectRef{Instance: rc.id, Path: "/x"}))
+	rc.MustOK(wire.Declare{Path: "/x", Class: "textfield"})
+	mustOK(t, a.Couple("/x", couple.ObjectRef{Instance: rc.ID, Path: "/x"}))
 	mustOK(t, a.Couple("/x", b.Ref("/x")))
-	waitFor(t, "group", func() bool { return len(a.CO("/x")) == 2 })
+	testbed.Wait(t, "group", func() bool { return len(a.CO("/x")) == 2 })
 
 	mustOK(t, a.Registry().Dispatch(&widget.Event{
 		Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("v")},
 	}))
-	exec := nextEvent[wire.Exec](rc)
+	exec := testbed.Next[wire.Exec](rc)
 	// Acks for nonexistent events and duplicate acks must be harmless.
 	for _, id := range []uint64{0, 42, exec.EventID} {
-		if err := rc.conn.Write(wire.Envelope{Msg: wire.ExecAck{EventID: id}}); err != nil {
+		if err := rc.Send(wire.ExecAck{EventID: id}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// b's real ack plus rc's ack complete the event; extra duplicates after
 	// completion are ignored.
-	waitFor(t, "unlocked", func() bool {
-		_, held := h.srv.Stats(), false
+	testbed.Wait(t, "unlocked", func() bool {
+		_, held := srv.Stats(), false
 		// Probe by dispatching another event from a.
 		err := a.DispatchChecked(&widget.Event{
 			Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("w")},
@@ -85,45 +85,45 @@ func TestStaleAndForeignExecAcks(t *testing.T) {
 		if err == nil {
 			held = true
 			// Complete this second event too so the test can exit cleanly.
-			ex := nextEvent[wire.Exec](rc)
-			rc.conn.Write(wire.Envelope{Msg: wire.ExecAck{EventID: ex.EventID}}) //nolint:errcheck
+			ex := testbed.Next[wire.Exec](rc)
+			rc.Send(wire.ExecAck{EventID: ex.EventID}) //nolint:errcheck
 		}
 		return held
 	})
-	if err := rc.conn.Write(wire.Envelope{Msg: wire.ExecAck{EventID: exec.EventID}}); err != nil {
+	if err := rc.Send(wire.ExecAck{EventID: exec.EventID}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestUnexpectedMessageGetsError(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	rc := newRawClient(t, h, "app", "u1")
+	_, bed := newBed(t, server.Options{})
+	rc := bed.Raw(wire.Register{AppType: "app", User: "u1"})
 	// Registered is a server-to-client message; sending it to the server is
 	// a protocol violation answered with Err.
-	env := rc.call(wire.Registered{ID: "fake"})
+	env := rc.Call(wire.Registered{ID: "fake"})
 	if _, isErr := env.Msg.(wire.Err); !isErr {
 		t.Fatalf("expected Err, got %s", env.Msg.MsgType())
 	}
 	// The connection survives.
-	rc.mustOK(wire.Declare{Path: "/x", Class: "button"})
+	rc.MustOK(wire.Declare{Path: "/x", Class: "button"})
 }
 
 func TestDeregisterThenTrafficIsRejected(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	rc := newRawClient(t, h, "app", "u1")
-	rc.mustOK(wire.Declare{Path: "/x", Class: "button"})
-	rc.mustOK(wire.Deregister{})
+	_, bed := newBed(t, server.Options{})
+	rc := bed.Raw(wire.Register{AppType: "app", User: "u1"})
+	rc.MustOK(wire.Declare{Path: "/x", Class: "button"})
+	rc.MustOK(wire.Deregister{})
 	// After deregistering, declares fail because the registration record is
 	// gone.
-	env := rc.call(wire.Declare{Path: "/y", Class: "button"})
+	env := rc.Call(wire.Declare{Path: "/y", Class: "button"})
 	if _, isErr := env.Msg.(wire.Err); !isErr {
 		t.Fatalf("expected Err after deregister, got %s", env.Msg.MsgType())
 	}
 }
 
 func TestCoupleToDeadInstanceFails(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("app", "u1", `textfield x`, client.Options{})
+	_, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: `textfield x`})
 	mustOK(t, a.Declare("/x"))
 	ghost := couple.ObjectRef{Instance: "ghost-1", Path: "/x"}
 	if err := a.Couple("/x", ghost); err == nil {
@@ -140,15 +140,15 @@ func TestCoupleToDeadInstanceFails(t *testing.T) {
 func TestEventOnUndeclaredObjectStillLocal(t *testing.T) {
 	// An event on an object the client never declared (and never coupled)
 	// must run locally without server involvement.
-	h := newHarness(t, server.Options{})
-	a := h.dial("app", "u1", `textfield x`, client.Options{})
+	srv, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: `textfield x`})
 	mustOK(t, a.Registry().Dispatch(&widget.Event{
 		Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("local")},
 	}))
 	if got := attrOf(t, a, "/x", widget.AttrValue).AsString(); got != "local" {
 		t.Errorf("value = %q", got)
 	}
-	if h.srv.Stats().Events != 0 {
+	if srv.Stats().Events != 0 {
 		t.Error("server saw the event")
 	}
 }
@@ -178,11 +178,9 @@ func TestStatsAfterClose(t *testing.T) {
 func TestRegistrationAfterServerClosed(t *testing.T) {
 	srv := server.New(server.Options{})
 	srv.Close()
-	link := netsim.NewLink(0)
-	defer link.Close()
-	go srv.HandleConn(wire.NewConn(link.B))
+	bed := testbed.New(t, srv, testbed.Options{})
 	reg := widget.NewRegistry()
-	if _, err := client.New(link.A, client.Options{
+	if _, err := client.New(bed.Conn(), client.Options{
 		Registry: reg, RPCTimeout: 500 * time.Millisecond,
 	}); err == nil {
 		t.Fatal("registration against a closed server must fail")

@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"fmt"
-	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -12,6 +11,7 @@ import (
 	"cosoft/internal/couple"
 	"cosoft/internal/race"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
 )
@@ -25,47 +25,6 @@ import (
 // of headroom: one more allocation per member per event is within it, a map,
 // a closure and a body copy back on the per-member path are not.
 const eventPathAllocBudget = 19.5
-
-// plainMember is a group member on a bare wire.Conn that never opted into
-// batching: it acknowledges every Exec and reports each unlock notice.
-type plainMember struct {
-	id     couple.InstanceID
-	conn   *wire.Conn
-	unlock chan struct{}
-}
-
-func joinPlainMember(t *testing.T, addr, path string) *plainMember {
-	t.Helper()
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &plainMember{conn: wire.NewConn(raw), unlock: make(chan struct{}, 1)}
-	t.Cleanup(func() { p.conn.Close() })
-	p.id = connCall(t, p.conn, 1, wire.Register{AppType: "plain", User: "plain", Host: "h"}).Msg.(wire.Registered).ID
-	if _, ok := connCall(t, p.conn, 2, wire.Declare{Path: path, Class: "textfield"}).Msg.(wire.OK); !ok {
-		t.Fatal("plain member: declare refused")
-	}
-	go func() {
-		for {
-			env, err := p.conn.Read()
-			if err != nil {
-				return
-			}
-			switch m := env.Msg.(type) {
-			case wire.Exec:
-				if p.conn.Write(wire.Envelope{Msg: wire.ExecAck{EventID: m.EventID}}) != nil {
-					return
-				}
-			case wire.SetLocks:
-				if !m.Locked {
-					p.unlock <- struct{}{}
-				}
-			}
-		}
-	}()
-	return p
-}
 
 // TestEventPathAllocBudget holds the steady-state event path to its
 // allocation budget end to end: an origin, eight batching members and one
@@ -82,38 +41,35 @@ func TestEventPathAllocBudget(t *testing.T) {
 		events  = 300
 		path    = "/hub"
 	)
-	srv := server.New(server.Options{Shards: 2})
-	lis, err := netListen(t)
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan struct{})
-	go func() { defer close(served); _ = srv.Serve(lis) }()
-	t.Cleanup(func() {
-		srv.Close()
-		lis.Close()
-		<-served
-	})
-
+	bed := testbed.New(t, server.New(server.Options{Shards: 2}), testbed.Options{TCP: true})
 	dial := func(user string) *client.Client {
-		conn, err := netDial(lis.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := widget.NewRegistry()
-		widget.MustBuild(reg, "/", `textfield hub value=""`)
-		c, err := client.New(conn, client.Options{AppType: "bench", User: user, Host: "h",
-			Registry: reg, Batching: true, RPCTimeout: 5 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(c.Close)
+		c := bed.Dial(testbed.Member{AppType: "bench", User: user, Spec: `textfield hub value=""`, Options: client.Options{Host: "h"}})
 		mustOK(t, c.Declare(path))
 		return c
 	}
 	origin := dial("origin")
-	plain := joinPlainMember(t, lis.Addr().String(), path)
-	mustOK(t, origin.Couple(path, couple.ObjectRef{Instance: plain.id, Path: path}))
+	// The plain member never opted into batching: it acknowledges every Exec
+	// and reports each unlock notice.
+	plain := bed.Raw(wire.Register{AppType: "plain", User: "plain", Host: "h"})
+	if _, ok := plain.Call(wire.Declare{Path: path, Class: "textfield"}).Msg.(wire.OK); !ok {
+		t.Fatal("plain member: declare refused")
+	}
+	unlock := make(chan struct{}, 1)
+	go func() {
+		for env := range plain.Events {
+			switch m := env.Msg.(type) {
+			case wire.Exec:
+				if plain.Send(wire.ExecAck{EventID: m.EventID}) != nil {
+					return
+				}
+			case wire.SetLocks:
+				if !m.Locked {
+					unlock <- struct{}{}
+				}
+			}
+		}
+	}()
+	mustOK(t, origin.Couple(path, couple.ObjectRef{Instance: plain.ID, Path: path}))
 	for i := 0; i < members; i++ {
 		mustOK(t, origin.Couple(path, dial(fmt.Sprintf("m%d", i)).Ref(path)))
 	}
@@ -125,7 +81,7 @@ func TestEventPathAllocBudget(t *testing.T) {
 				t.Fatalf("event %d: %v", i, err)
 			}
 			select {
-			case <-plain.unlock:
+			case <-unlock:
 			case <-time.After(5 * time.Second):
 				t.Fatalf("event %d: no unlock notice", i)
 			}

@@ -5,15 +5,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"encoding/binary"
 
 	"cosoft/internal/client"
 	"cosoft/internal/couple"
 	"cosoft/internal/faultnet"
-	"cosoft/internal/netsim"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
 )
@@ -60,52 +59,25 @@ func (s *snoopConn) rawFrameTypes(t *testing.T) []uint16 {
 	return types
 }
 
-// dialSnooped is harness.dial with the server side wrapped in a fault
-// injector and the client side wrapped in a byte recorder. The batch opt-in
-// is taken verbatim from copts: interop tests need a client that is
-// genuinely legacy.
-func (h *harness) dialSnooped(appType, user, spec string, copts client.Options) (*client.Client, *faultnet.Conn, *snoopConn) {
-	h.t.Helper()
-	reg := widget.NewRegistry()
-	if spec != "" {
-		widget.MustBuild(reg, "/", spec)
-	}
-	link := netsim.NewLink(0)
-	fc := faultnet.Wrap(link.B, faultnet.Schedule{})
-	h.wg.Add(1)
-	go func() {
-		defer h.wg.Done()
-		h.srv.HandleConn(wire.NewConn(fc))
-	}()
-	snoop := &snoopConn{Conn: link.A}
-	copts.AppType = appType
-	copts.User = user
-	copts.Host = "testhost"
-	copts.Registry = reg
-	if copts.RPCTimeout == 0 {
-		copts.RPCTimeout = 5 * time.Second
-	}
-	c, err := client.New(snoop, copts)
-	if err != nil {
-		h.t.Fatalf("dial %s: %v", appType, err)
-	}
-	h.t.Cleanup(c.Close)
-	h.t.Cleanup(func() { fc.Close() })
-	h.onTeardown()
-	return c, fc, snoop
-}
-
 // TestBatchInteropLegacyPeerInMixedGroup puts one legacy client in a
 // three-member coupling group on a batching server: the batch-aware member
 // must receive its backlog as packed Batch frames while the legacy member
 // keeps receiving plain singles (and never even sees the capability bit),
 // and the event must resolve for everyone.
 func TestBatchInteropLegacyPeerInMixedGroup(t *testing.T) {
-	h := newHarness(t, server.Options{BatchLimit: 8})
+	srv, bed := newBed(t, server.Options{BatchLimit: 8})
 	spec := `textfield note value=""`
-	a, _, _ := h.dialSnooped("editor", "alice", spec, client.Options{Batching: true})
-	b, bFault, bSnoop := h.dialSnooped("editor", "bob", spec, client.Options{Batching: true})
-	c, _, cSnoop := h.dialSnooped("editor", "carol", spec, client.Options{}) // legacy: no opt-in
+	// Each member's server end is fault-wrapped and its client end recorded.
+	snooped := func(user string, plain bool) (*client.Client, *snoopConn) {
+		snoop := &snoopConn{}
+		c := bed.Dial(testbed.Member{AppType: "editor", User: user, Spec: spec, Plain: plain, Fault: &faultnet.Schedule{},
+			Wrap: func(conn net.Conn) net.Conn { snoop.Conn = conn; return snoop }})
+		return c, snoop
+	}
+	a, _ := snooped("alice", false)
+	b, bSnoop := snooped("bob", false)
+	c, cSnoop := snooped("carol", true) // legacy: no opt-in
+	bFault := bed.Fault(b)
 
 	var carolCommands atomic.Int32
 	c.OnCommand("filler", func(couple.InstanceID, []byte) { carolCommands.Add(1) })
@@ -115,7 +87,7 @@ func TestBatchInteropLegacyPeerInMixedGroup(t *testing.T) {
 	mustOK(t, c.Declare("/note"))
 	mustOK(t, a.Couple("/note", b.Ref("/note")))
 	mustOK(t, a.Couple("/note", c.Ref("/note")))
-	waitFor(t, "group mirrored", func() bool {
+	testbed.Wait(t, "group mirrored", func() bool {
 		return a.Coupled("/note") && b.Coupled("/note") && c.Coupled("/note")
 	})
 
@@ -130,19 +102,19 @@ func TestBatchInteropLegacyPeerInMixedGroup(t *testing.T) {
 		mustOK(t, a.SendCommand("filler", nil))
 	}
 	// Carol's copies arriving proves the state loop has queued bob's too.
-	waitFor(t, "legacy member applies the event", func() bool {
+	testbed.Wait(t, "legacy member applies the event", func() bool {
 		return attrOf(t, c, "/note", widget.AttrValue).AsString() == "batched"
 	})
-	waitFor(t, "legacy member got the filler", func() bool {
+	testbed.Wait(t, "legacy member got the filler", func() bool {
 		return carolCommands.Load() == filler
 	})
 	bFault.Restore()
 
-	waitFor(t, "batching member applies the event", func() bool {
+	testbed.Wait(t, "batching member applies the event", func() bool {
 		return attrOf(t, b, "/note", widget.AttrValue).AsString() == "batched"
 	})
-	waitFor(t, "event resolves", func() bool { return h.srv.Stats().PendingEvents == 0 })
-	waitFor(t, "group unlocked", func() bool {
+	testbed.Wait(t, "event resolves", func() bool { return srv.Stats().PendingEvents == 0 })
+	testbed.Wait(t, "group unlocked", func() bool {
 		return !disabled(t, b, "/note") && !disabled(t, c, "/note")
 	})
 
@@ -163,13 +135,13 @@ func TestBatchInteropLegacyPeerInMixedGroup(t *testing.T) {
 			t.Fatalf("frame to legacy member advertises the batch bit (raw type %#x)", raw)
 		}
 	}
-	if st := h.srv.Stats(); st.BatchSize.Count == 0 {
+	if st := srv.Stats(); st.BatchSize.Count == 0 {
 		t.Errorf("server.batch_size recorded no packed frames")
 	}
 
 	// The mixed group keeps working both ways after the packed flush.
 	dispatch(t, c, "/note", "from-legacy")
-	waitFor(t, "legacy-origin event converges", func() bool {
+	testbed.Wait(t, "legacy-origin event converges", func() bool {
 		return attrOf(t, a, "/note", widget.AttrValue).AsString() == "from-legacy" &&
 			attrOf(t, b, "/note", widget.AttrValue).AsString() == "from-legacy"
 	})

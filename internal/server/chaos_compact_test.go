@@ -23,6 +23,7 @@ import (
 	"cosoft/internal/eventlog"
 	"cosoft/internal/obs"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 )
 
@@ -32,7 +33,7 @@ func TestChaosCompactSoak(t *testing.T) {
 	// counters accumulate over the whole soak.
 	reg := obs.NewRegistry()
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn}))
-	d := newDurableLogServer(t,
+	d := newDurableLog(t,
 		server.Options{SnapshotInterval: 25 * time.Millisecond, SnapshotBytes: 4096, Logger: logger},
 		eventlog.Options{Sync: eventlog.SyncAlways, SegmentBytes: 4096, Metrics: reg})
 
@@ -45,7 +46,7 @@ func TestChaosCompactSoak(t *testing.T) {
 	for i := 1; i < len(clients); i++ {
 		mustOK(t, clients[0].Couple("/x", clients[i].Ref("/x")))
 	}
-	waitFor(t, "group formed", func() bool {
+	testbed.Wait(t, "group formed", func() bool {
 		for _, c := range clients {
 			if len(c.CO("/x")) != len(clients)-1 {
 				return false
@@ -97,7 +98,7 @@ func TestChaosCompactSoak(t *testing.T) {
 	for i, c := range clients {
 		i, c := i, c
 		var lastMsg string
-		waitFor(t, "client functional after soak", func() bool {
+		testbed.Wait(t, "client functional after soak", func() bool {
 			err := c.DispatchChecked(&widget.Event{
 				Path: "/x", Name: widget.EventChanged,
 				Args: []attr.Value{attr.String("final-" + specs[i].user)},

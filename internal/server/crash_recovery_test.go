@@ -19,89 +19,59 @@ package server
 // ops[0:R] with R read back by Fsck, never an interior gap.
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"cosoft/internal/attr"
 	coclient "cosoft/internal/client"
 	"cosoft/internal/eventlog"
 	"cosoft/internal/perm"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
-	"cosoft/internal/wire"
-
-	"cosoft/internal/netsim"
 )
 
-// crashRig is an in-package client harness (the white-box twin of the
-// server_test harness; a separate type because this file needs Server
-// internals for the state digest, see state_test.go).
-type crashRig struct {
+// crashScript is one run of the scripted session: a server on a test bed and
+// the clients the ops have dialed so far, by name.
+type crashScript struct {
 	t   *testing.T
 	srv *Server
-	wg  sync.WaitGroup
+	bed *testbed.Bed
 	cl  map[string]*coclient.Client
 }
 
-func newCrashRig(t *testing.T, opts Options) *crashRig {
+func newCrashScript(t *testing.T, opts Options) *crashScript {
 	t.Helper()
 	if opts.Shards == 0 {
 		opts.Shards = HarnessShards
 	}
-	return &crashRig{t: t, srv: New(opts), cl: make(map[string]*coclient.Client)}
+	srv := New(opts)
+	return &crashScript{t: t, srv: srv, bed: testbed.New(t, srv, testbed.Options{}), cl: make(map[string]*coclient.Client)}
 }
 
-func (r *crashRig) dial(name, user string) {
+func (r *crashScript) dial(name, user string) {
 	r.t.Helper()
-	reg := widget.NewRegistry()
-	widget.MustBuild(reg, "/", `textfield x value=""`)
-	link := netsim.NewLink(0)
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		r.srv.HandleConn(wire.NewConn(link.B))
-	}()
-	c, err := coclient.New(link.A, coclient.Options{
-		AppType: "app", User: user, Host: "crash", Registry: reg,
-		RPCTimeout: 5 * time.Second,
-	})
-	if err != nil {
-		r.t.Fatalf("dial %s: %v", name, err)
-	}
-	r.cl[name] = c
+	r.cl[name] = r.bed.Dial(testbed.Member{AppType: "app", User: user, Spec: `textfield x value=""`, Plain: true})
 }
 
-// shutdown closes the server first — its shutdown-provoked drops are not
-// logged — and only then the clients, so no Deregister can reach the log and
-// the record stream stays exactly the scripted operations.
-func (r *crashRig) shutdown() {
+// shutdown judges the server and closes it before the bed closes the
+// clients — its shutdown-provoked drops are not logged — so no Deregister can
+// reach the log and the record stream stays exactly the scripted operations.
+func (r *crashScript) shutdown() {
+	r.t.Helper()
+	if err := r.srv.CheckInvariants(); err != nil {
+		r.t.Fatal(err)
+	}
 	r.srv.Close()
-	for _, c := range r.cl {
-		c.Close()
-	}
-	r.wg.Wait()
+	r.bed.Close()
 }
 
-func (r *crashRig) mustOK(err error) {
+func (r *crashScript) mustOK(err error) {
 	r.t.Helper()
 	if err != nil {
 		r.t.Fatal(err)
 	}
 }
 
-func (r *crashRig) wait(what string, cond func() bool) {
-	r.t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	r.t.Fatalf("timed out waiting for %s", what)
-}
-
-func (r *crashRig) value(name string) string {
+func (r *crashScript) value(name string) string {
 	r.t.Helper()
 	w, err := r.cl[name].Registry().Lookup("/x")
 	if err != nil {
@@ -111,13 +81,14 @@ func (r *crashRig) value(name string) string {
 }
 
 // dispatchTo fires a changed event at origin and waits until every member in
-// peers mirrors the value — the quiesce point that makes the next operation's
-// server-side inputs (fetched states, group membership) deterministic.
-func (r *crashRig) dispatchTo(origin, val string, peers ...string) {
+// peers mirrors the value and the event has resolved — the quiesce point that
+// makes the next operation's server-side inputs (fetched states, group
+// membership, the floor) deterministic.
+func (r *crashScript) dispatchTo(origin, val string, peers ...string) {
 	r.t.Helper()
 	// The previous event's SetLocks re-enable notification is asynchronous;
 	// dispatching from a still-disabled widget would fail locally.
-	r.wait(origin+" re-enabled", func() bool {
+	testbed.Wait(r.t, origin+" re-enabled", func() bool {
 		w, err := r.cl[origin].Registry().Lookup("/x")
 		return err == nil && !w.Disabled()
 	})
@@ -126,45 +97,48 @@ func (r *crashRig) dispatchTo(origin, val string, peers ...string) {
 	}))
 	for _, p := range peers {
 		p := p
-		r.wait(p+" mirrors "+val, func() bool { return r.value(p) == val })
+		testbed.Wait(r.t, p+" mirrors "+val, func() bool { return r.value(p) == val })
 	}
+	// A member mirrors the value before its ack lands; the next op's event
+	// must not meet this one still holding the floor.
+	testbed.Wait(r.t, val+" resolved", func() bool { return r.srv.Stats().PendingEvents == 0 })
 }
 
 // crashOps is the scripted session. Each op appends exactly one log record
 // (kind in the comment) and leaves the system quiescent, so the durable
 // record count R maps back to the op prefix ops[0:R].
-func crashOps() []func(r *crashRig) {
-	return []func(r *crashRig){
-		func(r *crashRig) { r.dial("A", "u1") },                 // Register
-		func(r *crashRig) { r.dial("B", "u2") },                 // Register
-		func(r *crashRig) { r.mustOK(r.cl["A"].Declare("/x")) }, // Declare
-		func(r *crashRig) { r.mustOK(r.cl["B"].Declare("/x")) }, // Declare
-		func(r *crashRig) { // Couple
+func crashOps() []func(r *crashScript) {
+	return []func(r *crashScript){
+		func(r *crashScript) { r.dial("A", "u1") },                 // Register
+		func(r *crashScript) { r.dial("B", "u2") },                 // Register
+		func(r *crashScript) { r.mustOK(r.cl["A"].Declare("/x")) }, // Declare
+		func(r *crashScript) { r.mustOK(r.cl["B"].Declare("/x")) }, // Declare
+		func(r *crashScript) { // Couple
 			r.mustOK(r.cl["A"].Couple("/x", r.cl["B"].Ref("/x")))
-			r.wait("A coupled", func() bool { return r.cl["A"].Coupled("/x") })
-			r.wait("B coupled", func() bool { return r.cl["B"].Coupled("/x") })
+			testbed.Wait(r.t, "A coupled", func() bool { return r.cl["A"].Coupled("/x") })
+			testbed.Wait(r.t, "B coupled", func() bool { return r.cl["B"].Coupled("/x") })
 		},
-		func(r *crashRig) { r.dispatchTo("A", "one", "B") }, // Event
-		func(r *crashRig) { r.dispatchTo("B", "two", "A") }, // Event
-		func(r *crashRig) { // Hist (CopyTo backs up B's state)
+		func(r *crashScript) { r.dispatchTo("A", "one", "B") }, // Event
+		func(r *crashScript) { r.dispatchTo("B", "two", "A") }, // Event
+		func(r *crashScript) { // Hist (CopyTo backs up B's state)
 			r.mustOK(r.cl["A"].CopyTo("/x", r.cl["B"].Ref("/x"), false))
 		},
-		func(r *crashRig) { r.mustOK(r.cl["B"].Undo("/x")) },    // Undo
-		func(r *crashRig) { r.mustOK(r.cl["B"].Redo("/x")) },    // Redo
-		func(r *crashRig) { r.dial("C", "u3") },                 // Register
-		func(r *crashRig) { r.mustOK(r.cl["C"].Declare("/x")) }, // Declare
-		func(r *crashRig) { // Couple (second group merge; migrates when sharded)
+		func(r *crashScript) { r.mustOK(r.cl["B"].Undo("/x")) },    // Undo
+		func(r *crashScript) { r.mustOK(r.cl["B"].Redo("/x")) },    // Redo
+		func(r *crashScript) { r.dial("C", "u3") },                 // Register
+		func(r *crashScript) { r.mustOK(r.cl["C"].Declare("/x")) }, // Declare
+		func(r *crashScript) { // Couple (second group merge; migrates when sharded)
 			r.mustOK(r.cl["C"].Couple("/x", r.cl["A"].Ref("/x")))
-			r.wait("C sees group of 3", func() bool { return len(r.cl["C"].CO("/x")) == 2 })
+			testbed.Wait(r.t, "C sees group of 3", func() bool { return len(r.cl["C"].CO("/x")) == 2 })
 		},
-		func(r *crashRig) { r.dispatchTo("C", "three", "A", "B") }, // Event
-		func(r *crashRig) { // Decouple
+		func(r *crashScript) { r.dispatchTo("C", "three", "A", "B") }, // Event
+		func(r *crashScript) { // Decouple
 			r.mustOK(r.cl["A"].Decouple("/x", r.cl["B"].Ref("/x")))
 		},
-		func(r *crashRig) { // Perm
+		func(r *crashScript) { // Perm
 			r.mustOK(r.cl["A"].GrantPerm("u3", "*", uint8(perm.RightControl)))
 		},
-		func(r *crashRig) { // Retract (Destroy auto-retracts)
+		func(r *crashScript) { // Retract (Destroy auto-retracts)
 			r.mustOK(r.cl["C"].Registry().Destroy("/x"))
 		},
 	}
@@ -192,7 +166,7 @@ func TestCrashPointRecovery(t *testing.T) {
 		}
 		elog.CrashPoint(op, partial)
 
-		rig := newCrashRig(t, Options{EventLog: elog})
+		rig := newCrashScript(t, Options{EventLog: elog})
 		for _, run := range ops {
 			run(rig)
 		}
@@ -218,7 +192,7 @@ func TestCrashPointRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("boundary %d: reopen: %v", op, err)
 		}
-		recovered := newCrashRig(t, Options{EventLog: elog2})
+		recovered := newCrashScript(t, Options{EventLog: elog2})
 		got := liveDigest(recovered.srv)
 		recovered.shutdown()
 		if err := elog2.Close(); err != nil {
@@ -226,7 +200,7 @@ func TestCrashPointRecovery(t *testing.T) {
 		}
 
 		// Shadow: a plain in-memory server driven with the durable prefix.
-		shadow := newCrashRig(t, Options{})
+		shadow := newCrashScript(t, Options{})
 		for _, run := range ops[:rep.Records] {
 			run(shadow)
 		}

@@ -6,7 +6,6 @@ package server_test
 // traffic.
 
 import (
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,52 +15,51 @@ import (
 	"cosoft/internal/client"
 	"cosoft/internal/couple"
 	"cosoft/internal/eventlog"
-	"cosoft/internal/netsim"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
 )
 
-// durableServer runs a restartable durable server: each incarnation opens
-// the same log directory, replays it, and serves in-process connections.
-// Dial targets whichever incarnation is current, so reconnecting clients
-// ride through a restart.
-type durableServer struct {
+// durable is a server on a log directory that outlives it: restart stops the
+// incarnation and opens the next on the same directory, which replays it, and
+// the bed's reconnecting members ride through on session resume.
+type durable struct {
 	t       *testing.T
+	bed     *testbed.Bed
 	dir     string
 	opts    server.Options
 	logOpts eventlog.Options
 	inc     int
-
-	mu   sync.Mutex
-	srv  *server.Server
-	elog *eventlog.Log
-	wg   sync.WaitGroup
-
-	checked sync.Once
+	srv     *server.Server // nil between stop and start
+	elog    *eventlog.Log
 }
 
-func newDurableServer(t *testing.T, opts server.Options) *durableServer {
-	return newDurableLogServer(t, opts, eventlog.Options{Sync: eventlog.SyncAlways})
+func newDurable(t *testing.T, opts server.Options) *durable {
+	return newDurableLog(t, opts, eventlog.Options{Sync: eventlog.SyncAlways})
 }
 
-// newDurableLogServer is newDurableServer with explicit event-log options
-// (segment size, metrics sink, sync policy) that every incarnation reuses.
-func newDurableLogServer(t *testing.T, opts server.Options, logOpts eventlog.Options) *durableServer {
+// newDurableLog is newDurable with explicit event-log options (segment size,
+// metrics sink, sync policy) that every incarnation reuses.
+func newDurableLog(t *testing.T, opts server.Options, logOpts eventlog.Options) *durable {
 	t.Helper()
 	if opts.Shards == 0 {
 		opts.Shards = server.HarnessShards
 	}
-	d := &durableServer{t: t, dir: t.TempDir(), opts: opts, logOpts: logOpts}
-	d.start()
+	d := &durable{t: t, dir: t.TempDir(), opts: opts, logOpts: logOpts}
+	// Registered before the bed: the last log closes after the bed has
+	// closed the last server.
 	t.Cleanup(func() {
-		d.stop()
-		d.wg.Wait()
+		if d.elog != nil {
+			d.elog.Close()
+		}
 	})
+	d.start()
+	d.bed = testbed.New(t, d.srv, testbed.Options{Check: foldCheck})
 	return d
 }
 
-func (d *durableServer) start() {
+func (d *durable) start() {
 	d.t.Helper()
 	logOpts := d.logOpts
 	logOpts.Dir = d.dir
@@ -71,161 +69,62 @@ func (d *durableServer) start() {
 	}
 	opts := d.opts
 	opts.EventLog = elog
-	d.mu.Lock()
 	d.inc++
 	if opts.Logger != nil {
 		opts.Logger = opts.Logger.With("inc", d.inc)
 	}
-	d.srv = server.New(opts)
-	d.elog = elog
-	d.mu.Unlock()
-}
-
-// stop tears down the current incarnation: server first (its shutdown drops
-// are not logged — the instances did not leave, the server did), then the
-// log, which flushes and closes the segment files.
-func (d *durableServer) stop() {
-	d.mu.Lock()
-	srv, elog := d.srv, d.elog
-	d.srv, d.elog = nil, nil
-	d.mu.Unlock()
-	if srv != nil {
-		srv.Close()
-	}
-	if elog != nil {
-		elog.Close()
+	d.srv, d.elog = server.New(opts), elog
+	if d.bed != nil {
+		d.bed.Retarget(d.srv)
 	}
 }
 
-func (d *durableServer) restart() {
+// stop tears down the current incarnation: dials are refused from here on,
+// the server closes first (its shutdown drops are not logged — the instances
+// did not leave, the server did), then the log flushes and closes.
+func (d *durable) stop() {
+	d.bed.Retarget(nil)
+	if d.srv != nil {
+		d.srv.Close()
+		d.elog.Close()
+		d.srv, d.elog = nil, nil
+	}
+}
+
+func (d *durable) restart() {
 	d.stop()
 	d.start()
 }
 
-// current returns the running incarnation (nil between stop and start).
-func (d *durableServer) current() *server.Server {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.srv
-}
-
-// dialConn opens an in-process connection to the current incarnation. During
-// the instant between stop and start the old server still answers (and
-// immediately drops the conn), which is exactly the refused-dial window a
-// reconnecting client retries through.
-func (d *durableServer) dialConn() (net.Conn, error) {
-	srv := d.current()
-	link := netsim.NewLink(0)
-	if srv == nil {
-		link.B.Close()
-		return link.A, nil
-	}
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		srv.HandleConn(wire.NewConn(link.B))
-	}()
-	return link.A, nil
-}
-
 // dial connects a reconnect-enabled client that resumes by session token
 // across restarts; batching says whether it opts into the batch extension.
-func (d *durableServer) dial(appType, user, spec string, batching bool) *client.Client {
+func (d *durable) dial(appType, user, spec string, batching bool) *client.Client {
 	d.t.Helper()
-	reg := widget.NewRegistry()
-	if spec != "" {
-		widget.MustBuild(reg, "/", spec)
-	}
-	conn, _ := d.dialConn()
-	c, err := client.New(conn, client.Options{
-		AppType: appType, User: user, Host: "durable", Registry: reg,
-		RPCTimeout: 5 * time.Second,
-		Batching:   batching,
-		Reconnect: &client.ReconnectOptions{
-			Dial:        d.dialConn,
-			MaxAttempts: 50,
-			BaseDelay:   2 * time.Millisecond,
-			MaxDelay:    50 * time.Millisecond,
-		},
-	})
-	if err != nil {
-		d.t.Fatalf("dial %s: %v", user, err)
-	}
-	d.t.Cleanup(c.Close)
-	// The teardown invariant checks, ahead of the first client Close.
-	d.t.Cleanup(func() {
-		d.checked.Do(func() {
-			if srv := d.current(); srv != nil {
-				checkInvariants(d.t, srv)
-			}
-		})
-	})
-	return c
+	return d.bed.Dial(testbed.Member{AppType: appType, User: user, Spec: spec, Plain: !batching,
+		Reconnect: &client.ReconnectOptions{MaxAttempts: 50, BaseDelay: 2 * time.Millisecond, MaxDelay: 50 * time.Millisecond}})
 }
 
-// rawConn speaks the wire protocol directly against a durable server, for
-// token-lifecycle steps a full client would hide.
-type rawConn struct {
-	t    *testing.T
-	conn *wire.Conn
-	seq  uint64
-}
-
-func newRawConn(t *testing.T, d *durableServer) *rawConn {
+// mint has p mint a session token.
+func mint(t *testing.T, p *testbed.Peer) string {
 	t.Helper()
-	c, _ := d.dialConn()
-	conn := wire.NewConn(c)
-	// Unregistered (or refused) connections are not in the server's client
-	// map, so Close never reaches them; close from this side or the
-	// HandleConn goroutine outlives the test.
-	t.Cleanup(func() { conn.Close() })
-	return &rawConn{t: t, conn: conn}
-}
-
-// call writes msg and returns the next reply envelope (these flows have no
-// server-initiated traffic interleaved).
-func (rc *rawConn) call(msg wire.Message) wire.Message {
-	rc.t.Helper()
-	rc.seq++
-	if err := rc.conn.Write(wire.Envelope{Seq: rc.seq, Msg: msg}); err != nil {
-		rc.t.Fatalf("raw write %s: %v", msg.MsgType(), err)
-	}
-	env, err := rc.conn.Read()
-	if err != nil {
-		rc.t.Fatalf("raw read after %s: %v", msg.MsgType(), err)
-	}
-	return env.Msg
-}
-
-func (rc *rawConn) register(appType, user string) couple.InstanceID {
-	rc.t.Helper()
-	m, ok := rc.call(wire.Register{AppType: appType, User: user, Host: "raw"}).(wire.Registered)
+	m, ok := p.Call(wire.SessionToken{}).Msg.(wire.SessionToken)
 	if !ok {
-		rc.t.Fatal("registration refused")
-	}
-	return m.ID
-}
-
-func (rc *rawConn) token() string {
-	rc.t.Helper()
-	m, ok := rc.call(wire.SessionToken{}).(wire.SessionToken)
-	if !ok {
-		rc.t.Fatal("token mint refused")
+		t.Fatal("token mint refused")
 	}
 	return m.Token
 }
 
-// resume attempts a Resume handshake, returning the reclaimed ID or "" when
-// the server refused the token.
-func (rc *rawConn) resume(tok string) couple.InstanceID {
-	rc.t.Helper()
-	switch m := rc.call(wire.Resume{Token: tok}).(type) {
+// resumed is the ID p's Resume handshake reclaimed, "" when the server
+// refused the token.
+func resumed(t *testing.T, p *testbed.Peer) couple.InstanceID {
+	t.Helper()
+	switch m := p.Hello.Msg.(type) {
 	case wire.Registered:
 		return m.ID
 	case wire.Err:
 		return ""
 	default:
-		rc.t.Fatalf("unexpected resume reply %T", m)
+		t.Fatalf("unexpected resume reply %T", m)
 		return ""
 	}
 }
@@ -234,18 +133,18 @@ func (rc *rawConn) resume(tok string) couple.InstanceID {
 // from the log: both clients resume by token, their declarations, coupling
 // and event flow intact — no re-registration.
 func TestRestartResumeInvisible(t *testing.T) {
-	d := newDurableServer(t, server.Options{})
+	d := newDurable(t, server.Options{})
 	a := d.dial("editor", "alice", `textfield note value=""`, true)
 	b := d.dial("editor", "bob", `textfield note value=""`, true)
 	mustOK(t, a.Declare("/note"))
 	mustOK(t, b.Declare("/note"))
 	mustOK(t, a.Couple("/note", b.Ref("/note")))
-	waitFor(t, "coupled", func() bool { return a.Coupled("/note") && b.Coupled("/note") })
+	testbed.Wait(t, "coupled", func() bool { return a.Coupled("/note") && b.Coupled("/note") })
 
 	mustOK(t, a.Registry().Dispatch(&widget.Event{
 		Path: "/note", Name: widget.EventChanged, Args: []attr.Value{attr.String("before restart")},
 	}))
-	waitFor(t, "replicated before restart", func() bool {
+	testbed.Wait(t, "replicated before restart", func() bool {
 		return attrOf(t, b, "/note", widget.AttrValue).AsString() == "before restart"
 	})
 	idA, idB := a.ID(), b.ID()
@@ -253,12 +152,12 @@ func TestRestartResumeInvisible(t *testing.T) {
 	d.restart()
 
 	// Both clients must ride through: same IDs, coupling intact, events flow.
-	waitFor(t, "A dispatches after restart", func() bool {
+	testbed.Wait(t, "A dispatches after restart", func() bool {
 		return a.DispatchChecked(&widget.Event{
 			Path: "/note", Name: widget.EventChanged, Args: []attr.Value{attr.String("after restart")},
 		}) == nil
 	})
-	waitFor(t, "replicated after restart", func() bool {
+	testbed.Wait(t, "replicated after restart", func() bool {
 		return attrOf(t, b, "/note", widget.AttrValue).AsString() == "after restart"
 	})
 	if a.ID() != idA || b.ID() != idB {
@@ -270,18 +169,16 @@ func TestRestartResumeInvisible(t *testing.T) {
 // token is honored exactly once after replay, a resumed session can re-mint,
 // and a token dropped by Deregister before the crash is rejected after it.
 func TestSessionTokenLifecycleAcrossRestart(t *testing.T) {
-	d := newDurableServer(t, server.Options{})
+	d := newDurable(t, server.Options{})
 
 	// Mint a token, then "crash".
-	rc := newRawConn(t, d)
-	id := rc.register("app", "u1")
-	tok := rc.token()
+	rc := d.bed.Raw(wire.Register{AppType: "app", User: "u1"})
+	id, tok := rc.ID, mint(t, rc)
 
 	// A deregistered instance's token is revoked durably before the crash.
-	rcGone := newRawConn(t, d)
-	rcGone.register("app", "u2")
-	tokGone := rcGone.token()
-	rc2 := rcGone.call(wire.Deregister{})
+	rcGone := d.bed.Raw(wire.Register{AppType: "app", User: "u2"})
+	tokGone := mint(t, rcGone)
+	rc2 := rcGone.Call(wire.Deregister{}).Msg
 	if _, isErr := rc2.(wire.Err); isErr {
 		t.Fatalf("deregister failed: %v", rc2)
 	}
@@ -289,25 +186,22 @@ func TestSessionTokenLifecycleAcrossRestart(t *testing.T) {
 	d.restart()
 
 	// The pre-crash token is honored exactly once.
-	r1 := newRawConn(t, d)
-	if got := r1.resume(tok); got != id {
+	r1 := d.bed.Raw(wire.Resume{Token: tok})
+	if got := resumed(t, r1); got != id {
 		t.Fatalf("resume with pre-crash token: got %q, want %q", got, id)
 	}
-	r2 := newRawConn(t, d)
-	if got := r2.resume(tok); got != "" {
+	if got := resumed(t, d.bed.Raw(wire.Resume{Token: tok})); got != "" {
 		t.Fatalf("second resume with consumed token succeeded as %q", got)
 	}
 	// The token dropped by Deregister before the crash stays dead.
-	r3 := newRawConn(t, d)
-	if got := r3.resume(tokGone); got != "" {
+	if got := resumed(t, d.bed.Raw(wire.Resume{Token: tokGone})); got != "" {
 		t.Fatalf("deregistered token resumed as %q after restart", got)
 	}
 
 	// The resumed session re-mints and the new token survives the next crash.
-	tok2 := r1.token()
+	tok2 := mint(t, r1)
 	d.restart()
-	r4 := newRawConn(t, d)
-	if got := r4.resume(tok2); got != id {
+	if got := resumed(t, d.bed.Raw(wire.Resume{Token: tok2})); got != id {
 		t.Fatalf("resume with re-minted token: got %q, want %q", got, id)
 	}
 }
@@ -319,7 +213,7 @@ func TestSessionTokenLifecycleAcrossRestart(t *testing.T) {
 // durable log — zero acked events lost.
 func TestChaosRestartSoak(t *testing.T) {
 	const restarts = 4
-	d := newDurableServer(t, server.Options{})
+	d := newDurable(t, server.Options{})
 
 	specs := []struct{ user, val string }{{"u1", "a"}, {"u2", "b"}, {"u3", "c"}}
 	clients := make([]*client.Client, len(specs))
@@ -330,7 +224,7 @@ func TestChaosRestartSoak(t *testing.T) {
 	for i := 1; i < len(clients); i++ {
 		mustOK(t, clients[0].Couple("/x", clients[i].Ref("/x")))
 	}
-	waitFor(t, "group formed", func() bool {
+	testbed.Wait(t, "group formed", func() bool {
 		for _, c := range clients {
 			if len(c.CO("/x")) != len(clients)-1 {
 				return false
@@ -382,7 +276,7 @@ func TestChaosRestartSoak(t *testing.T) {
 	// Every client must still be alive under its original identity.
 	for i, c := range clients {
 		i, c := i, c
-		waitFor(t, "client functional after soak", func() bool {
+		testbed.Wait(t, "client functional after soak", func() bool {
 			return c.DispatchChecked(&widget.Event{
 				Path: "/x", Name: widget.EventChanged,
 				Args: []attr.Value{attr.String("final-" + specs[i].user)},

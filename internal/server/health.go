@@ -8,6 +8,8 @@
 package server
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 	"strconv"
 	"time"
@@ -233,6 +235,35 @@ func (s *Server) memberHealth(id couple.InstanceID) MemberHealth {
 	mh.AckP50NS = sum.P50
 	mh.AckP99NS = sum.P99
 	return mh
+}
+
+// CheckInvariants judges the floor lock once the server is quiescent: when no
+// event is pending, no coupling group may still report a lock holder — a lock
+// without a live pending event behind it would deny the group forever. It
+// waits up to a second for the pending events to drain; a server that does not
+// drain (an acknowledgement is deliberately withheld) is not judged, and
+// neither is a closed one. Every test bed calls it at teardown.
+func (s *Server) CheckInvariants() error {
+	deadline := time.Now().Add(time.Second)
+	for s.Stats().PendingEvents != 0 {
+		if time.Now().After(deadline) {
+			return nil
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-s.quit:
+		return nil
+	default:
+	}
+	var errs []error
+	for _, g := range s.Health().Groups {
+		if g.LockHolder != "" && g.PendingEvents == 0 {
+			errs = append(errs, fmt.Errorf("group %v on shard %d: lock held by %s with no pending event",
+				g.Refs, g.Shard, g.LockHolder))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 func utilization(busy uint64, uptimeNS float64) float64 {

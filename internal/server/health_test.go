@@ -5,10 +5,10 @@ import (
 	"time"
 
 	"cosoft/internal/attr"
-	"cosoft/internal/client"
 	"cosoft/internal/faultnet"
 	"cosoft/internal/obs"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 )
 
@@ -17,30 +17,29 @@ import (
 // member as the critical path: highest ack-latency EWMA (and therefore the
 // group's reported straggler) and the most last-acker credits.
 func TestHealthStragglerAttribution(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("editor", "alice", `textfield note value=""`, client.Options{})
-	b := h.dialPlain("editor", "bob", `textfield note value=""`, client.Options{})
+	srv, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: `textfield note value=""`})
+	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: `textfield note value=""`, Plain: true})
 	// Every Exec the server sends toward C is held back 25ms, so C's acks
 	// arrive a full delay after A's and B's.
-	c, _ := h.dialChaos("editor", "carol", `textfield note value=""`, client.Options{},
-		faultnet.Schedule{Delay: 25 * time.Millisecond})
+	c := bed.Dial(testbed.Member{AppType: "editor", User: "carol", Spec: `textfield note value=""`, Fault: &faultnet.Schedule{Delay: 25 * time.Millisecond}})
 
 	mustOK(t, a.Declare("/note"))
 	mustOK(t, b.Declare("/note"))
 	mustOK(t, c.Declare("/note"))
 	mustOK(t, a.Couple("/note", b.Ref("/note")))
 	mustOK(t, a.Couple("/note", c.Ref("/note")))
-	waitFor(t, "coupling mirrored at C", func() bool { return c.Coupled("/note") })
+	testbed.Wait(t, "coupling mirrored at C", func() bool { return c.Coupled("/note") })
 
 	const events = 5
 	for i := 0; i < events; i++ {
 		mustOK(t, a.Registry().Dispatch(&widget.Event{
 			Path: "/note", Name: widget.EventChanged, Args: []attr.Value{attr.String("v")},
 		}))
-		waitFor(t, "event resolved", func() bool { return h.srv.Stats().PendingEvents == 0 })
+		testbed.Wait(t, "event resolved", func() bool { return srv.Stats().PendingEvents == 0 })
 	}
 
-	rep := h.srv.Health()
+	rep := srv.Health()
 	if !rep.MemberAttribution {
 		t.Fatal("member attribution should be on by default")
 	}
@@ -123,22 +122,23 @@ func TestHealthStragglerAttribution(t *testing.T) {
 // TestHealthTimeoutAttribution wedges one member entirely so the event
 // deadline fires, and asserts the timeout is charged to that member.
 func TestHealthTimeoutAttribution(t *testing.T) {
-	h := newHarness(t, server.Options{EventDeadline: 30 * time.Millisecond})
-	a := h.dial("editor", "alice", `textfield note value=""`, client.Options{})
-	b, fc := h.dialChaos("editor", "bob", `textfield note value=""`, client.Options{}, faultnet.Schedule{})
+	srv, bed := newBed(t, server.Options{EventDeadline: 30 * time.Millisecond})
+	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: `textfield note value=""`})
+	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: `textfield note value=""`, Fault: &faultnet.Schedule{}})
+	fc := bed.Fault(b)
 
 	mustOK(t, a.Declare("/note"))
 	mustOK(t, b.Declare("/note"))
 	mustOK(t, a.Couple("/note", b.Ref("/note")))
-	waitFor(t, "coupling mirrored at B", func() bool { return b.Coupled("/note") })
+	testbed.Wait(t, "coupling mirrored at B", func() bool { return b.Coupled("/note") })
 
 	fc.Blackhole() // B never sees the Exec, so it can never ack
 	mustOK(t, a.Registry().Dispatch(&widget.Event{
 		Path: "/note", Name: widget.EventChanged, Args: []attr.Value{attr.String("v")},
 	}))
-	waitFor(t, "deadline resolution", func() bool { return h.srv.Stats().EventTimeouts == 1 })
+	testbed.Wait(t, "deadline resolution", func() bool { return srv.Stats().EventTimeouts == 1 })
 
-	rep := h.srv.Health()
+	rep := srv.Health()
 	if len(rep.Groups) != 1 {
 		t.Fatalf("groups = %+v", rep.Groups)
 	}
@@ -156,20 +156,20 @@ func TestHealthTimeoutAttribution(t *testing.T) {
 // TestHealthAttributionDisabled runs the same traffic with metrics disabled
 // and asserts the family stays inert while topology still reports.
 func TestHealthAttributionDisabled(t *testing.T) {
-	h := newHarness(t, server.Options{Metrics: obs.Disabled})
-	a := h.dial("editor", "alice", `textfield note value=""`, client.Options{})
-	b := h.dial("editor", "bob", `textfield note value=""`, client.Options{})
+	srv, bed := newBed(t, server.Options{Metrics: obs.Disabled})
+	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: `textfield note value=""`})
+	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: `textfield note value=""`})
 
 	mustOK(t, a.Declare("/note"))
 	mustOK(t, b.Declare("/note"))
 	mustOK(t, a.Couple("/note", b.Ref("/note")))
-	waitFor(t, "coupling mirrored at B", func() bool { return b.Coupled("/note") })
+	testbed.Wait(t, "coupling mirrored at B", func() bool { return b.Coupled("/note") })
 	mustOK(t, a.Registry().Dispatch(&widget.Event{
 		Path: "/note", Name: widget.EventChanged, Args: []attr.Value{attr.String("v")},
 	}))
-	waitFor(t, "event resolved", func() bool { return h.srv.Stats().PendingEvents == 0 })
+	testbed.Wait(t, "event resolved", func() bool { return srv.Stats().PendingEvents == 0 })
 
-	rep := h.srv.Health()
+	rep := srv.Health()
 	if rep.MemberAttribution {
 		t.Fatal("attribution should be disabled")
 	}

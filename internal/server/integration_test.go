@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -12,31 +13,22 @@ import (
 	"cosoft/internal/compat"
 	"cosoft/internal/couple"
 	"cosoft/internal/eventlog"
-	"cosoft/internal/netsim"
 	"cosoft/internal/perm"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
 )
 
-// harness runs one server and dials clients over in-process links. The
-// server is the product configuration with durability on — N shard loops,
-// batching, and an event log of its own whose segments are small enough and
-// whose snapshot cadence tight enough that the suite's scenarios run over a
-// log that rotates, snapshots and compacts underneath them — and every dialed
-// client opts into the batch extension; dialPlain and the raw clients are the
-// peers that did not, mixed into the larger groups as the benchmark's probe
-// member is.
-type harness struct {
-	t   *testing.T
-	srv *server.Server
-	wg  sync.WaitGroup
-	// checked makes the teardown invariant checks run once, ahead of the
-	// first client Close (see checkInvariants).
-	checked sync.Once
-}
-
-func newHarness(t *testing.T, opts server.Options) *harness {
+// newBed returns the server every test in the suite runs — the product
+// configuration with durability on: N shard loops, batching, and an event log
+// of its own whose segments are small enough and whose snapshot cadence tight
+// enough that the scenarios run over a log that rotates, snapshots and
+// compacts underneath them — on a test bed whose teardown also judges live =
+// fold(log). Members dialed onto the bed opt into the batch extension unless
+// they are the Plain peers mixed into the larger groups, as the benchmark's
+// probe member is.
+func newBed(t *testing.T, opts server.Options) (*server.Server, *testbed.Bed) {
 	t.Helper()
 	if opts.Shards == 0 {
 		opts.Shards = server.HarnessShards
@@ -46,8 +38,8 @@ func newHarness(t *testing.T, opts server.Options) *harness {
 		if err != nil {
 			t.Fatalf("open event log: %v", err)
 		}
-		// Registered before the server cleanup below, so (LIFO) the server
-		// closes — and finishes its in-flight appends — before the log does.
+		// Registered before the bed, so (LIFO) the server closes — and
+		// finishes its in-flight appends — before the log does.
 		t.Cleanup(func() { elog.Close() })
 		opts.EventLog = elog
 		opts.SnapshotBytes = 4096
@@ -55,114 +47,30 @@ func newHarness(t *testing.T, opts server.Options) *harness {
 			opts.SnapshotInterval = 20 * time.Millisecond
 		}
 	}
-	h := &harness{t: t, srv: server.New(opts)}
-	t.Cleanup(func() {
-		h.srv.Close()
-		h.wg.Wait()
-	})
-	return h
+	srv := server.New(opts)
+	return srv, testbed.New(t, srv, testbed.Options{Check: foldCheck})
 }
 
-// checkInvariants runs at teardown, at quiescence and before the first
-// client Close: every dial registers it after its client's Close, so
-// (cleanups run last-in first-out) it runs while the groups still exist. A
-// test that ends with an ack deliberately withheld never drains and is not
-// judged.
-//
-// Floor lock: once nothing is pending, no coupling group may still report a
-// lock holder — a lock without a live pending event behind it would deny the
-// group forever.
-//
-// Live = fold(log): a fresh state restored from the server's log directory
-// must equal the live one (see Server.FoldDivergence). The loops may still be
-// finishing what the last reply did not wait for and the snapshotter may be
-// compacting under the reader, so a difference counts once it has outlasted
-// a deadline. A server whose log lost an append holds more than its log by
-// design and is not judged.
-func checkInvariants(t *testing.T, srv *server.Server) {
-	if t.Failed() {
-		return
+// foldCheck is the suite's teardown invariant next to the floor lock, live =
+// fold(log): a fresh state restored from the server's log directory must equal
+// the live one (see Server.FoldDivergence). The loops may still be finishing
+// what the last reply did not wait for and the snapshotter may be compacting
+// under the reader, so a difference counts once it has outlasted a deadline. A
+// server that never drained its pending events is not judged, nor is one whose
+// log lost an append: it holds more than its log by design.
+func foldCheck(s testbed.Server) error {
+	srv := s.(*server.Server)
+	if st := srv.Stats(); st.PendingEvents != 0 || st.LogAppendErrors != 0 {
+		return nil
 	}
-	deadline := time.Now().Add(time.Second)
-	for srv.Stats().PendingEvents != 0 {
-		if time.Now().After(deadline) {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for _, g := range srv.Health().Groups {
-		if g.LockHolder != "" && g.PendingEvents == 0 {
-			t.Errorf("group %v on shard %d: lock held by %s with no pending event",
-				g.Refs, g.Shard, g.LockHolder)
-		}
-	}
-	if srv.Stats().LogAppendErrors != 0 {
-		return
-	}
-	deadline = time.Now().Add(2 * time.Second)
+	deadline := time.Now().Add(2 * time.Second)
 	for diff := srv.FoldDivergence(); diff != ""; diff = srv.FoldDivergence() {
 		if time.Now().After(deadline) {
-			t.Errorf("live state is not the fold of its log: %s", diff)
-			return
+			return fmt.Errorf("live state is not the fold of its log: %s", diff)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-// onTeardown registers the invariant checks; call it after registering the
-// new client's Close.
-func (h *harness) onTeardown() {
-	h.t.Cleanup(func() { h.checked.Do(func() { checkInvariants(h.t, h.srv) }) })
-}
-
-// dial connects a new batching client with its own widget registry built
-// from spec.
-func (h *harness) dial(appType, user, spec string, copts client.Options) *client.Client {
-	h.t.Helper()
-	copts.Batching = true
-	return h.dialPlain(appType, user, spec, copts)
-}
-
-// dialPlain is dial with the batch opt-in taken verbatim from copts.
-func (h *harness) dialPlain(appType, user, spec string, copts client.Options) *client.Client {
-	h.t.Helper()
-	reg := widget.NewRegistry()
-	if spec != "" {
-		widget.MustBuild(reg, "/", spec)
-	}
-	link := netsim.NewLink(0)
-	h.wg.Add(1)
-	go func() {
-		defer h.wg.Done()
-		h.srv.HandleConn(wire.NewConn(link.B))
-	}()
-	copts.AppType = appType
-	copts.User = user
-	copts.Host = "testhost"
-	copts.Registry = reg
-	if copts.RPCTimeout == 0 {
-		copts.RPCTimeout = 5 * time.Second
-	}
-	c, err := client.New(link.A, copts)
-	if err != nil {
-		h.t.Fatalf("dial %s: %v", appType, err)
-	}
-	h.t.Cleanup(c.Close)
-	h.onTeardown()
-	return c
-}
-
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
+	return nil
 }
 
 func attrOf(t *testing.T, c *client.Client, path, name string) attr.Value {
@@ -175,16 +83,16 @@ func attrOf(t *testing.T, c *client.Client, path, name string) attr.Value {
 }
 
 func TestCoupleAndEventPropagation(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("editor", "alice", `textfield note value=""`, client.Options{})
-	b := h.dial("editor", "bob", `textfield note value=""`, client.Options{})
+	srv, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: `textfield note value=""`})
+	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: `textfield note value=""`})
 
 	mustOK(t, a.Declare("/note"))
 	mustOK(t, b.Declare("/note"))
 	mustOK(t, a.Couple("/note", b.Ref("/note")))
 
-	waitFor(t, "coupling mirrored at A", func() bool { return a.Coupled("/note") })
-	waitFor(t, "coupling mirrored at B", func() bool { return b.Coupled("/note") })
+	testbed.Wait(t, "coupling mirrored at A", func() bool { return a.Coupled("/note") })
+	testbed.Wait(t, "coupling mirrored at B", func() bool { return b.Coupled("/note") })
 
 	mustOK(t, a.Registry().Dispatch(&widget.Event{
 		Path: "/note", Name: widget.EventChanged, Args: []attr.Value{attr.String("shared text")},
@@ -192,36 +100,36 @@ func TestCoupleAndEventPropagation(t *testing.T) {
 	if got := attrOf(t, a, "/note", widget.AttrValue).AsString(); got != "shared text" {
 		t.Errorf("origin value = %q", got)
 	}
-	waitFor(t, "value replicated to B", func() bool {
+	testbed.Wait(t, "value replicated to B", func() bool {
 		return attrOf(t, b, "/note", widget.AttrValue).AsString() == "shared text"
 	})
 
-	stats := h.srv.Stats()
+	stats := srv.Stats()
 	if stats.Events != 1 || stats.ExecsSent != 1 || stats.Links != 1 {
 		t.Errorf("stats = %+v", stats)
 	}
 }
 
 func TestTransitiveClosurePropagation(t *testing.T) {
-	h := newHarness(t, server.Options{})
+	_, bed := newBed(t, server.Options{})
 	spec := `scale s min=0 max=100`
-	a := h.dial("app", "u1", spec, client.Options{})
-	b := h.dial("app", "u2", spec, client.Options{})
-	c := h.dialPlain("app", "u3", spec, client.Options{})
+	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: spec})
+	b := bed.Dial(testbed.Member{AppType: "app", User: "u2", Spec: spec})
+	c := bed.Dial(testbed.Member{AppType: "app", User: "u3", Spec: spec, Plain: true})
 	for _, cl := range []*client.Client{a, b, c} {
 		mustOK(t, cl.Declare("/s"))
 	}
 	// Chain a—b—c: CO(a) must include c through the closure.
 	mustOK(t, a.Couple("/s", b.Ref("/s")))
 	mustOK(t, b.Couple("/s", c.Ref("/s")))
-	waitFor(t, "closure at A", func() bool { return len(a.CO("/s")) == 2 })
+	testbed.Wait(t, "closure at A", func() bool { return len(a.CO("/s")) == 2 })
 
 	mustOK(t, a.Registry().Dispatch(&widget.Event{
 		Path: "/s", Name: widget.EventMoved, Args: []attr.Value{attr.Int(42)},
 	}))
 	for name, cl := range map[string]*client.Client{"B": b, "C": c} {
 		cl := cl
-		waitFor(t, "position at "+name, func() bool {
+		testbed.Wait(t, "position at "+name, func() bool {
 			return attrOf(t, cl, "/s", widget.AttrPosition).AsInt() == 42
 		})
 	}
@@ -230,18 +138,18 @@ func TestTransitiveClosurePropagation(t *testing.T) {
 func TestHeterogeneousCouplingWithCorrespondence(t *testing.T) {
 	corr := compat.NewCorrespondences()
 	corr.Declare("textfield", "label", map[string]string{widget.AttrValue: widget.AttrLabel})
-	h := newHarness(t, server.Options{Correspondences: corr})
+	_, bed := newBed(t, server.Options{Correspondences: corr})
 	// Note: events across heterogeneous classes re-execute the *event*; a
 	// textfield 'changed' cannot re-execute on a label, so heterogeneous
 	// coupling is exercised through state copies here (as TORI does for
 	// result forms).
-	a := h.dial("editor", "alice", `textfield src value="hello"`, client.Options{Correspondences: corr})
-	b := h.dial("viewer", "bob", `label dst label=""`, client.Options{Correspondences: corr})
+	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: `textfield src value="hello"`, Options: client.Options{Correspondences: corr}})
+	b := bed.Dial(testbed.Member{AppType: "viewer", User: "bob", Spec: `label dst label=""`, Options: client.Options{Correspondences: corr}})
 	mustOK(t, a.Declare("/src"))
 	mustOK(t, b.Declare("/dst"))
 
 	mustOK(t, a.CopyTo("/src", b.Ref("/dst"), false))
-	waitFor(t, "translated state at B", func() bool {
+	testbed.Wait(t, "translated state at B", func() bool {
 		return attrOf(t, b, "/dst", widget.AttrLabel).AsString() == "hello"
 	})
 
@@ -250,9 +158,9 @@ func TestHeterogeneousCouplingWithCorrespondence(t *testing.T) {
 }
 
 func TestIncompatibleCouplingRejected(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("app", "u1", `textfield x`, client.Options{})
-	b := h.dial("app", "u2", `canvas c`, client.Options{})
+	_, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: `textfield x`})
+	b := bed.Dial(testbed.Member{AppType: "app", User: "u2", Spec: `canvas c`})
 	mustOK(t, a.Declare("/x"))
 	mustOK(t, b.Declare("/c"))
 	err := a.Couple("/x", b.Ref("/c"))
@@ -266,30 +174,30 @@ func TestIncompatibleCouplingRejected(t *testing.T) {
 }
 
 func TestCopyFromAndUndoRedo(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("app", "u1", `textfield x value="mine"`, client.Options{})
-	b := h.dial("app", "u2", `textfield x value="theirs"`, client.Options{})
+	_, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: `textfield x value="mine"`})
+	b := bed.Dial(testbed.Member{AppType: "app", User: "u2", Spec: `textfield x value="theirs"`})
 	mustOK(t, a.Declare("/x"))
 	mustOK(t, b.Declare("/x"))
 
 	// Active synchronization: A pulls B's state.
 	mustOK(t, a.CopyFrom(b.Ref("/x"), "/x", false))
-	waitFor(t, "pulled state", func() bool {
+	testbed.Wait(t, "pulled state", func() bool {
 		return attrOf(t, a, "/x", widget.AttrValue).AsString() == "theirs"
 	})
 
 	// The overwritten state is in the historical database: undo restores it.
 	mustOK(t, a.Undo("/x"))
-	waitFor(t, "undone state", func() bool {
+	testbed.Wait(t, "undone state", func() bool {
 		return attrOf(t, a, "/x", widget.AttrValue).AsString() == "mine"
 	})
 	mustOK(t, a.Redo("/x"))
-	waitFor(t, "redone state", func() bool {
+	testbed.Wait(t, "redone state", func() bool {
 		return attrOf(t, a, "/x", widget.AttrValue).AsString() == "theirs"
 	})
 	// Undo past the bottom fails cleanly.
 	mustOK(t, a.Undo("/x"))
-	waitFor(t, "second undo", func() bool {
+	testbed.Wait(t, "second undo", func() bool {
 		return attrOf(t, a, "/x", widget.AttrValue).AsString() == "mine"
 	})
 	if err := a.Undo("/x"); err == nil {
@@ -298,15 +206,15 @@ func TestCopyFromAndUndoRedo(t *testing.T) {
 }
 
 func TestRemoteCopyByThirdInstance(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("student", "s1", `textfield answer value="42"`, client.Options{})
-	b := h.dial("student", "s2", `textfield answer value=""`, client.Options{})
-	teacher := h.dial("teacher", "t", "", client.Options{})
+	_, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "student", User: "s1", Spec: `textfield answer value="42"`})
+	b := bed.Dial(testbed.Member{AppType: "student", User: "s2", Spec: `textfield answer value=""`})
+	teacher := bed.Dial(testbed.Member{AppType: "teacher", User: "t"})
 	mustOK(t, a.Declare("/answer"))
 	mustOK(t, b.Declare("/answer"))
 
 	mustOK(t, teacher.RemoteCopy(a.Ref("/answer"), b.Ref("/answer"), false))
-	waitFor(t, "state copied s1→s2", func() bool {
+	testbed.Wait(t, "state copied s1→s2", func() bool {
 		return attrOf(t, b, "/answer", widget.AttrValue).AsString() == "42"
 	})
 }
@@ -317,14 +225,14 @@ const queryFormSpec = `form query title="Query"
   button go label="Search"`
 
 func TestCoupleTreeWithInitialPush(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("tori", "u1", queryFormSpec, client.Options{})
+	_, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "tori", User: "u1", Spec: queryFormSpec})
 	// B's form has identical structure but different names and states.
 	bSpec := `form query title="Other"
   textfield writer value="old"
   menu operator items=[eq,substring] selection="substring"
   button submit label="Go"`
-	b := h.dial("tori", "u2", bSpec, client.Options{})
+	b := bed.Dial(testbed.Member{AppType: "tori", User: "u2", Spec: bSpec})
 	mustOK(t, a.DeclareTree("/query"))
 	mustOK(t, b.DeclareTree("/query"))
 
@@ -336,7 +244,7 @@ func TestCoupleTreeWithInitialPush(t *testing.T) {
 		t.Errorf("links created = %d, want 4", n)
 	}
 	// Initial push aligned the relevant state.
-	waitFor(t, "initial push", func() bool {
+	testbed.Wait(t, "initial push", func() bool {
 		return attrOf(t, b, "/query/writer", widget.AttrValue).AsString() == "" &&
 			attrOf(t, b, "/query/operator", widget.AttrSelection).AsString() == "eq"
 	})
@@ -344,7 +252,7 @@ func TestCoupleTreeWithInitialPush(t *testing.T) {
 	mustOK(t, a.Registry().Dispatch(&widget.Event{
 		Path: "/query/author", Name: widget.EventChanged, Args: []attr.Value{attr.String("knuth")},
 	}))
-	waitFor(t, "child event propagated", func() bool {
+	testbed.Wait(t, "child event propagated", func() bool {
 		return attrOf(t, b, "/query/writer", widget.AttrValue).AsString() == "knuth"
 	})
 
@@ -356,7 +264,7 @@ func TestCoupleTreeWithInitialPush(t *testing.T) {
 	if removed != 4 {
 		t.Errorf("links removed = %d, want 4", removed)
 	}
-	waitFor(t, "decoupled", func() bool { return !a.Coupled("/query/author") })
+	testbed.Wait(t, "decoupled", func() bool { return !a.Coupled("/query/author") })
 	// Objects persist after decoupling, with their last state.
 	if got := attrOf(t, b, "/query/writer", widget.AttrValue).AsString(); got != "knuth" {
 		t.Errorf("decoupled object state = %q", got)
@@ -364,21 +272,21 @@ func TestCoupleTreeWithInitialPush(t *testing.T) {
 }
 
 func TestDecoupleStopsPropagation(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("app", "u1", `toggle t`, client.Options{})
-	b := h.dial("app", "u2", `toggle t`, client.Options{})
+	_, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: `toggle t`})
+	b := bed.Dial(testbed.Member{AppType: "app", User: "u2", Spec: `toggle t`})
 	mustOK(t, a.Declare("/t"))
 	mustOK(t, b.Declare("/t"))
 	mustOK(t, a.Couple("/t", b.Ref("/t")))
-	waitFor(t, "coupled", func() bool { return b.Coupled("/t") })
+	testbed.Wait(t, "coupled", func() bool { return b.Coupled("/t") })
 
 	mustOK(t, a.Registry().Dispatch(&widget.Event{Path: "/t", Name: widget.EventToggled}))
-	waitFor(t, "toggle replicated", func() bool {
+	testbed.Wait(t, "toggle replicated", func() bool {
 		return attrOf(t, b, "/t", widget.AttrState).AsBool()
 	})
 
 	mustOK(t, a.Decouple("/t", b.Ref("/t")))
-	waitFor(t, "decoupled", func() bool { return !a.Coupled("/t") && !b.Coupled("/t") })
+	testbed.Wait(t, "decoupled", func() bool { return !a.Coupled("/t") && !b.Coupled("/t") })
 
 	mustOK(t, a.Registry().Dispatch(&widget.Event{Path: "/t", Name: widget.EventToggled}))
 	time.Sleep(20 * time.Millisecond)
@@ -391,38 +299,38 @@ func TestDecoupleStopsPropagation(t *testing.T) {
 }
 
 func TestDestroyAutoDecouples(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("app", "u1", `form f
-  textfield x`, client.Options{})
-	b := h.dial("app", "u2", `textfield x`, client.Options{})
+	_, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: `form f
+  textfield x`})
+	b := bed.Dial(testbed.Member{AppType: "app", User: "u2", Spec: `textfield x`})
 	mustOK(t, a.DeclareTree("/f"))
 	mustOK(t, b.Declare("/x"))
 	mustOK(t, a.Couple("/f/x", b.Ref("/x")))
-	waitFor(t, "coupled", func() bool { return b.Coupled("/x") })
+	testbed.Wait(t, "coupled", func() bool { return b.Coupled("/x") })
 
 	mustOK(t, a.Registry().Destroy("/f/x"))
-	waitFor(t, "auto-decoupled", func() bool { return !b.Coupled("/x") })
+	testbed.Wait(t, "auto-decoupled", func() bool { return !b.Coupled("/x") })
 }
 
 func TestDisconnectAutoDecouples(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("app", "u1", `textfield x`, client.Options{})
-	b := h.dial("app", "u2", `textfield x`, client.Options{})
+	srv, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: `textfield x`})
+	b := bed.Dial(testbed.Member{AppType: "app", User: "u2", Spec: `textfield x`})
 	mustOK(t, a.Declare("/x"))
 	mustOK(t, b.Declare("/x"))
 	mustOK(t, a.Couple("/x", b.Ref("/x")))
-	waitFor(t, "coupled", func() bool { return b.Coupled("/x") })
+	testbed.Wait(t, "coupled", func() bool { return b.Coupled("/x") })
 
 	a.Close()
-	waitFor(t, "auto-decoupled on disconnect", func() bool { return !b.Coupled("/x") })
-	waitFor(t, "deregistered", func() bool { return h.srv.Stats().Instances == 1 })
+	testbed.Wait(t, "auto-decoupled on disconnect", func() bool { return !b.Coupled("/x") })
+	testbed.Wait(t, "deregistered", func() bool { return srv.Stats().Instances == 1 })
 }
 
 func TestCommands(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("app", "u1", "", client.Options{})
-	b := h.dial("app", "u2", "", client.Options{})
-	c := h.dial("app", "u3", "", client.Options{})
+	_, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "app", User: "u1"})
+	b := bed.Dial(testbed.Member{AppType: "app", User: "u2"})
+	c := bed.Dial(testbed.Member{AppType: "app", User: "u3"})
 
 	type rcvd struct {
 		from    couple.InstanceID
@@ -442,14 +350,14 @@ func TestCommands(t *testing.T) {
 
 	// Broadcast reaches both.
 	mustOK(t, a.SendCommand("refresh", []byte("all")))
-	waitFor(t, "broadcast", func() bool {
+	testbed.Wait(t, "broadcast", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(got["b"]) == 1 && len(got["c"]) == 1
 	})
 	// Targeted reaches only b.
 	mustOK(t, a.SendCommand("refresh", []byte("only-b"), b.ID()))
-	waitFor(t, "targeted", func() bool {
+	testbed.Wait(t, "targeted", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(got["b"]) == 2 && len(got["c"]) == 1
@@ -466,9 +374,9 @@ func TestCommands(t *testing.T) {
 }
 
 func TestPermissions(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	teacher := h.dial("teacher", "teacher", `textfield board value="lesson"`, client.Options{})
-	student := h.dial("student", "student", `textfield desk value="hw"`, client.Options{})
+	_, bed := newBed(t, server.Options{})
+	teacher := bed.Dial(testbed.Member{AppType: "teacher", User: "teacher", Spec: `textfield board value="lesson"`})
+	student := bed.Dial(testbed.Member{AppType: "student", User: "student", Spec: `textfield desk value="hw"`})
 	mustOK(t, teacher.Declare("/board"))
 	mustOK(t, student.Declare("/desk"))
 
@@ -491,7 +399,7 @@ func TestPermissions(t *testing.T) {
 	}
 	// The teacher can do all three.
 	mustOK(t, teacher.CopyFrom(student.Ref("/desk"), "/board", false))
-	waitFor(t, "teacher pulled student state", func() bool {
+	testbed.Wait(t, "teacher pulled student state", func() bool {
 		return attrOf(t, teacher, "/board", widget.AttrValue).AsString() == "hw"
 	})
 	// Granting the student view access opens exactly that.
@@ -505,9 +413,9 @@ func TestPermissions(t *testing.T) {
 }
 
 func TestInstancesListing(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("tori", "u1", `textfield x`, client.Options{})
-	_ = h.dial("cosoft", "u2", "", client.Options{})
+	_, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "tori", User: "u1", Spec: `textfield x`})
+	_ = bed.Dial(testbed.Member{AppType: "cosoft", User: "u2"})
 	mustOK(t, a.Declare("/x"))
 	infos, err := a.Instances()
 	if err != nil {
@@ -528,149 +436,20 @@ func TestInstancesListing(t *testing.T) {
 	}
 }
 
-// rawClient speaks the wire protocol directly, to create protocol-level
-// conditions a real client never would (held acks, malformed traffic).
-type rawClient struct {
-	t    *testing.T
-	conn *wire.Conn
-	id   couple.InstanceID
-	seq  uint64
-	mu   sync.Mutex
-	// inbox of server-initiated messages; replies keyed by RefSeq.
-	events  chan wire.Envelope
-	replies map[uint64]chan wire.Envelope
-	done    chan struct{}
-}
-
-func newRawClient(t *testing.T, h *harness, appType, user string) *rawClient {
-	t.Helper()
-	link := netsim.NewLink(0)
-	h.wg.Add(1)
-	go func() {
-		defer h.wg.Done()
-		h.srv.HandleConn(wire.NewConn(link.B))
-	}()
-	rc := &rawClient{
-		t:       t,
-		conn:    wire.NewConn(link.A),
-		seq:     1,
-		events:  make(chan wire.Envelope, 64),
-		replies: make(map[uint64]chan wire.Envelope),
-		done:    make(chan struct{}),
-	}
-	if err := rc.conn.Write(wire.Envelope{Seq: 1, Msg: wire.Register{AppType: appType, User: user, Host: "raw"}}); err != nil {
-		t.Fatal(err)
-	}
-	env, err := rc.conn.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc.id = env.Msg.(wire.Registered).ID
-	go func() {
-		for {
-			env, err := rc.conn.Read()
-			if err != nil {
-				close(rc.events)
-				return
-			}
-			if env.RefSeq != 0 {
-				rc.mu.Lock()
-				ch := rc.replies[env.RefSeq]
-				delete(rc.replies, env.RefSeq)
-				rc.mu.Unlock()
-				if ch != nil {
-					ch <- env
-					continue
-				}
-			}
-			select {
-			case rc.events <- env:
-			case <-rc.done:
-				return
-			}
-		}
-	}()
-	t.Cleanup(func() {
-		close(rc.done)
-		rc.conn.Close()
-	})
-	h.onTeardown()
-	return rc
-}
-
-func (rc *rawClient) call(msg wire.Message) wire.Envelope {
-	rc.t.Helper()
-	rc.mu.Lock()
-	rc.seq++
-	seq := rc.seq
-	ch := make(chan wire.Envelope, 1)
-	rc.replies[seq] = ch
-	rc.mu.Unlock()
-	if err := rc.conn.Write(wire.Envelope{Seq: seq, Msg: msg}); err != nil {
-		rc.t.Fatalf("raw write: %v", err)
-	}
-	select {
-	case env := <-ch:
-		return env
-	case <-time.After(5 * time.Second):
-		rc.t.Fatalf("raw call %s timed out", msg.MsgType())
-		return wire.Envelope{}
-	}
-}
-
-// send fires an uncorrelated message (no reply expected). Safe concurrently
-// with call: wire.Conn serializes writers.
-func (rc *rawClient) send(msg wire.Message) {
-	rc.t.Helper()
-	if err := rc.conn.Write(wire.Envelope{Msg: msg}); err != nil {
-		rc.t.Errorf("raw send: %v", err)
-	}
-}
-
-func (rc *rawClient) mustOK(msg wire.Message) {
-	rc.t.Helper()
-	env := rc.call(msg)
-	if e, bad := env.Msg.(wire.Err); bad {
-		rc.t.Fatalf("raw %s: %s", msg.MsgType(), e.Text)
-	}
-}
-
-// nextEvent returns the next server-initiated message of the wanted type,
-// discarding others.
-func nextEvent[T wire.Message](rc *rawClient) T {
-	rc.t.Helper()
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case env, ok := <-rc.events:
-			if !ok {
-				rc.t.Fatal("raw connection closed")
-			}
-			if m, isWanted := env.Msg.(T); isWanted {
-				return m
-			}
-		case <-deadline:
-			var zero T
-			rc.t.Fatalf("timed out waiting for %T", zero)
-			return zero
-		}
-	}
-}
-
 func TestFloorControlLockRejection(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("app", "u1", `textfield x value="init"`, client.Options{})
+	srv, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: `textfield x value="init"`})
 	// The raw client holds its Exec ack, keeping the group locked.
-	rc := newRawClient(t, h, "app", "u2")
-	rc.mustOK(wire.Declare{Path: "/x", Class: "textfield"})
+	rc := bed.Raw(wire.Register{AppType: "app", User: "u2"})
+	rc.MustOK(wire.Declare{Path: "/x", Class: "textfield"})
 	mustOK(t, a.Declare("/x"))
-	mustOK(t, a.Couple("/x", couple.ObjectRef{Instance: rc.id, Path: "/x"}))
+	mustOK(t, a.Couple("/x", couple.ObjectRef{Instance: rc.ID, Path: "/x"}))
 
 	// A's event locks rc's object; rc never acks, so the lock stays held.
 	mustOK(t, a.Registry().Dispatch(&widget.Event{
 		Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("first")},
 	}))
-	exec := nextEvent[wire.Exec](rc)
+	exec := testbed.Next[wire.Exec](rc)
 	if exec.Name != widget.EventChanged || exec.TargetPath != "/x" {
 		t.Fatalf("exec = %+v", exec)
 	}
@@ -678,10 +457,10 @@ func TestFloorControlLockRejection(t *testing.T) {
 	// rc now fires its own event on the group: CO(rc:/x) = {a:/x}, which is
 	// NOT locked (the lock covers rc:/x only), so it succeeds — but an
 	// event from a THIRD member coupled to the locked object must fail.
-	third := h.dial("app", "u3", `textfield x`, client.Options{})
+	third := bed.Dial(testbed.Member{AppType: "app", User: "u3", Spec: `textfield x`})
 	mustOK(t, third.Declare("/x"))
-	mustOK(t, third.Couple("/x", couple.ObjectRef{Instance: rc.id, Path: "/x"}))
-	waitFor(t, "third coupled", func() bool { return len(third.CO("/x")) == 2 })
+	mustOK(t, third.Couple("/x", couple.ObjectRef{Instance: rc.ID, Path: "/x"}))
+	testbed.Wait(t, "third coupled", func() bool { return len(third.CO("/x")) == 2 })
 
 	err := third.DispatchChecked(&widget.Event{
 		Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("conflict")},
@@ -695,66 +474,66 @@ func TestFloorControlLockRejection(t *testing.T) {
 	}
 
 	// Now rc acks; the group unlocks and the third event goes through.
-	if err := rc.conn.Write(wire.Envelope{Msg: wire.ExecAck{EventID: exec.EventID}}); err != nil {
+	if err := rc.Send(wire.ExecAck{EventID: exec.EventID}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "lock released", func() bool {
+	testbed.Wait(t, "lock released", func() bool {
 		return third.DispatchChecked(&widget.Event{
 			Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("after unlock")},
 		}) == nil
 	})
-	stats := h.srv.Stats()
+	stats := srv.Stats()
 	if stats.LockFailures == 0 {
 		t.Error("expected recorded lock failures")
 	}
 }
 
 func TestSetLocksDisablesWidgets(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("app", "u1", `textfield x`, client.Options{})
-	b := h.dial("app", "u2", `textfield x`, client.Options{})
-	rc := newRawClient(t, h, "app", "u3")
-	rc.mustOK(wire.Declare{Path: "/x", Class: "textfield"})
+	_, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: `textfield x`})
+	b := bed.Dial(testbed.Member{AppType: "app", User: "u2", Spec: `textfield x`})
+	rc := bed.Raw(wire.Register{AppType: "app", User: "u3"})
+	rc.MustOK(wire.Declare{Path: "/x", Class: "textfield"})
 	mustOK(t, a.Declare("/x"))
 	mustOK(t, b.Declare("/x"))
 	mustOK(t, a.Couple("/x", b.Ref("/x")))
-	mustOK(t, a.Couple("/x", couple.ObjectRef{Instance: rc.id, Path: "/x"}))
-	waitFor(t, "group of three", func() bool { return len(a.CO("/x")) == 2 })
+	mustOK(t, a.Couple("/x", couple.ObjectRef{Instance: rc.ID, Path: "/x"}))
+	testbed.Wait(t, "group of three", func() bool { return len(a.CO("/x")) == 2 })
 
 	mustOK(t, a.Registry().Dispatch(&widget.Event{
 		Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("v")},
 	}))
-	exec := nextEvent[wire.Exec](rc)
+	exec := testbed.Next[wire.Exec](rc)
 	// While rc holds the ack, B's widget is disabled by SetLocks.
-	waitFor(t, "B disabled", func() bool {
+	testbed.Wait(t, "B disabled", func() bool {
 		w, err := b.Registry().Lookup("/x")
 		return err == nil && w.Disabled()
 	})
-	if err := rc.conn.Write(wire.Envelope{Msg: wire.ExecAck{EventID: exec.EventID}}); err != nil {
+	if err := rc.Send(wire.ExecAck{EventID: exec.EventID}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "B re-enabled", func() bool {
+	testbed.Wait(t, "B re-enabled", func() bool {
 		w, err := b.Registry().Lookup("/x")
 		return err == nil && !w.Disabled()
 	})
 }
 
 func TestRawClientDisconnectReleasesLocks(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("app", "u1", `textfield x`, client.Options{})
-	rc := newRawClient(t, h, "app", "u2")
-	rc.mustOK(wire.Declare{Path: "/x", Class: "textfield"})
+	srv, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: `textfield x`})
+	rc := bed.Raw(wire.Register{AppType: "app", User: "u2"})
+	rc.MustOK(wire.Declare{Path: "/x", Class: "textfield"})
 	mustOK(t, a.Declare("/x"))
-	mustOK(t, a.Couple("/x", couple.ObjectRef{Instance: rc.id, Path: "/x"}))
+	mustOK(t, a.Couple("/x", couple.ObjectRef{Instance: rc.ID, Path: "/x"}))
 	mustOK(t, a.Registry().Dispatch(&widget.Event{
 		Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("v")},
 	}))
-	nextEvent[wire.Exec](rc)
+	testbed.Next[wire.Exec](rc)
 	// rc vanishes without acking: the pending event must resolve and the
 	// coupling must dissolve.
-	rc.conn.Close()
-	waitFor(t, "link removed", func() bool { return !a.Coupled("/x") })
-	waitFor(t, "instance dropped", func() bool { return h.srv.Stats().Instances == 1 })
+	rc.Close()
+	testbed.Wait(t, "link removed", func() bool { return !a.Coupled("/x") })
+	testbed.Wait(t, "instance dropped", func() bool { return srv.Stats().Instances == 1 })
 	// New events on the now-uncoupled object run locally without error.
 	mustOK(t, a.Registry().Dispatch(&widget.Event{
 		Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("solo")},
@@ -762,72 +541,33 @@ func TestRawClientDisconnectReleasesLocks(t *testing.T) {
 }
 
 func TestMalformedFirstMessageRejected(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	link := netsim.NewLink(0)
-	h.wg.Add(1)
-	go func() {
-		defer h.wg.Done()
-		h.srv.HandleConn(wire.NewConn(link.B))
-	}()
-	conn := wire.NewConn(link.A)
-	defer conn.Close()
-	if err := conn.Write(wire.Envelope{Seq: 1, Msg: wire.Declare{Path: "/x", Class: "button"}}); err != nil {
-		t.Fatal(err)
-	}
-	env, err := conn.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, bed := newBed(t, server.Options{})
+	env := bed.Raw(wire.Declare{Path: "/x", Class: "button"}).Hello
 	if _, isErr := env.Msg.(wire.Err); !isErr {
 		t.Fatalf("expected Err, got %s", env.Msg.MsgType())
 	}
 }
 
 func TestServerOverTCP(t *testing.T) {
-	srv := server.New(server.Options{})
-	defer srv.Close()
-	lis, err := netListen(t)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(lis) //nolint:errcheck
-	defer lis.Close()
-
-	dial := func(user, spec string) *client.Client {
-		conn, err := netDial(lis.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := widget.NewRegistry()
-		widget.MustBuild(reg, "/", spec)
-		c, err := client.New(conn, client.Options{
-			AppType: "tcpapp", User: user, Host: "local", Registry: reg,
-			RPCTimeout: 5 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(c.Close)
-		return c
-	}
-	a := dial("u1", `textfield x`)
-	b := dial("u2", `textfield x`)
+	bed := testbed.New(t, server.New(server.Options{}), testbed.Options{TCP: true})
+	a := bed.Dial(testbed.Member{AppType: "tcpapp", User: "u1", Spec: `textfield x`, Plain: true})
+	b := bed.Dial(testbed.Member{AppType: "tcpapp", User: "u2", Spec: `textfield x`, Plain: true})
 	mustOK(t, a.Declare("/x"))
 	mustOK(t, b.Declare("/x"))
 	mustOK(t, a.Couple("/x", b.Ref("/x")))
-	waitFor(t, "coupled over TCP", func() bool { return b.Coupled("/x") })
+	testbed.Wait(t, "coupled over TCP", func() bool { return b.Coupled("/x") })
 	mustOK(t, a.Registry().Dispatch(&widget.Event{
 		Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("tcp")},
 	}))
-	waitFor(t, "replicated over TCP", func() bool {
+	testbed.Wait(t, "replicated over TCP", func() bool {
 		return attrOf(t, b, "/x", widget.AttrValue).AsString() == "tcp"
 	})
 }
 
 func TestSemanticStoreLoad(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("app", "u1", `textfield x value="ui"`, client.Options{})
-	b := h.dial("app", "u2", `textfield x`, client.Options{})
+	_, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: `textfield x value="ui"`})
+	b := bed.Dial(testbed.Member{AppType: "app", User: "u2", Spec: `textfield x`})
 	mustOK(t, a.Declare("/x"))
 	mustOK(t, b.Declare("/x"))
 
@@ -845,7 +585,7 @@ func TestSemanticStoreLoad(t *testing.T) {
 		},
 	})
 	mustOK(t, a.CopyTo("/x", b.Ref("/x"), false))
-	waitFor(t, "semantic data transferred", func() bool {
+	testbed.Wait(t, "semantic data transferred", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return loaded == "internal-model-v7"

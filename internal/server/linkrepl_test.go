@@ -8,10 +8,8 @@ package server_test
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"reflect"
-	"sync"
-	"sync/atomic"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -19,9 +17,8 @@ import (
 	"cosoft/internal/client"
 	"cosoft/internal/couple"
 	"cosoft/internal/eventlog"
-	"cosoft/internal/netsim"
 	"cosoft/internal/server"
-	"cosoft/internal/widget"
+	"cosoft/internal/testbed"
 	"cosoft/internal/wire"
 )
 
@@ -145,17 +142,11 @@ func (m *mirrorModel) resume(id couple.InstanceID, own *couple.Graph) {
 	}
 }
 
-// replPeer is one real client of a replication script. Its connections are
-// made here rather than by the harness so that each one can be cut from the
-// server's end.
+// replPeer is one real client of a replication script, with the objects it
+// has declared and not yet destroyed.
 type replPeer struct {
 	c     *client.Client
-	paths []string // declared and not yet destroyed
-
-	mu      sync.Mutex
-	srvSide net.Conn
-	hold    chan struct{} // non-nil while cut: redials wait for it to close
-	resyncs atomic.Int32
+	paths []string
 }
 
 func (p *replPeer) refs() []couple.ObjectRef {
@@ -166,76 +157,27 @@ func (p *replPeer) refs() []couple.ObjectRef {
 	return refs
 }
 
-func (h *harness) dialRepl(user string, batching bool, paths []string) *replPeer {
-	h.t.Helper()
-	p := &replPeer{paths: paths}
-	connect := func() (net.Conn, error) {
-		p.mu.Lock()
-		hold := p.hold
-		p.mu.Unlock()
-		if hold != nil {
-			<-hold
-		}
-		link := netsim.NewLink(0)
-		h.wg.Add(1)
-		go func() {
-			defer h.wg.Done()
-			h.srv.HandleConn(wire.NewConn(link.B))
-		}()
-		p.mu.Lock()
-		p.srvSide = link.B
-		p.mu.Unlock()
-		return link.A, nil
-	}
-	reg := widget.NewRegistry()
+// dialRepl connects a reconnecting peer, so that it can be cut from the
+// server's end, declaring a textfield at each of paths.
+func dialRepl(t *testing.T, bed *testbed.Bed, user string, batching bool, paths []string) *replPeer {
+	t.Helper()
+	var spec strings.Builder
 	for _, path := range paths {
-		widget.MustBuild(reg, "/", "textfield "+path[1:])
+		fmt.Fprintf(&spec, "textfield %s\n", path[1:])
 	}
-	conn, _ := connect()
-	c, err := client.New(conn, client.Options{
-		AppType: "repl", User: user, Host: "testhost", Registry: reg,
-		RPCTimeout: 5 * time.Second, Batching: batching,
+	c := bed.Dial(testbed.Member{AppType: "repl", User: user, Spec: spec.String(), Plain: !batching,
 		Reconnect: &client.ReconnectOptions{
-			Dial: connect, MaxAttempts: 50, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Seed: 1,
+			MaxAttempts: 50, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Seed: 1,
 			OnResync: func(err error) {
 				if err != nil {
-					h.t.Errorf("%s: resync: %v", user, err)
+					t.Errorf("%s: resync: %v", user, err)
 				}
-				p.resyncs.Add(1)
 			},
-		},
-	})
-	if err != nil {
-		h.t.Fatalf("dial %s: %v", user, err)
-	}
-	h.t.Cleanup(c.Close)
-	h.onTeardown()
-	p.c = c
+		}})
 	for _, path := range paths {
-		mustOK(h.t, c.Declare(path))
+		mustOK(t, c.Declare(path))
 	}
-	return p
-}
-
-// cut kills the peer's connection at the server, runs whileGone once the
-// server has dropped the instance — the peer hears nothing of what happens
-// then — and lets the client back in, returning when it has resumed its
-// session and finished resynchronizing.
-func (p *replPeer) cut(t *testing.T, srv *server.Server, whileGone func()) {
-	t.Helper()
-	before, instances := p.resyncs.Load(), srv.Stats().Instances
-	hold := make(chan struct{})
-	p.mu.Lock()
-	p.hold = hold
-	p.srvSide.Close()
-	p.mu.Unlock()
-	waitFor(t, fmt.Sprintf("the server to drop %s", p.c.ID()), func() bool { return srv.Stats().Instances < instances })
-	whileGone()
-	p.mu.Lock()
-	p.hold = nil
-	p.mu.Unlock()
-	close(hold)
-	waitFor(t, fmt.Sprintf("%s to resume and resync", p.c.ID()), func() bool { return p.resyncs.Load() > before })
+	return &replPeer{c: c, paths: paths}
 }
 
 // settleMirrors is the barrier before mirrors are read: a request's OK says
@@ -298,11 +240,11 @@ func checkMirrors(t *testing.T, srv *server.Server, model *mirrorModel, peers []
 func TestPropMirrorsMatchFullBroadcast(t *testing.T) {
 	script := func(t *testing.T, seed int64) {
 		r := rand.New(rand.NewSource(seed))
-		h := newHarness(t, server.Options{})
+		srv, bed := newBed(t, server.Options{})
 		model := newMirrorModel()
 		var peers []*replPeer
 		for i := 0; i < 5; i++ {
-			p := h.dialRepl(fmt.Sprintf("u%d", i), i%2 == 0, []string{"/a", "/b", "/c"})
+			p := dialRepl(t, bed, fmt.Sprintf("u%d", i), i%2 == 0, []string{"/a", "/b", "/c"})
 			model.join(p.c.ID())
 			peers = append(peers, p)
 		}
@@ -376,7 +318,11 @@ func TestPropMirrorsMatchFullBroadcast(t *testing.T) {
 				settleMirrors(t, peers)
 				id := p.c.ID()
 				var own *couple.Graph
-				p.cut(t, h.srv, func() {
+				// The peer is cut at the server and held out while its former
+				// groups change; it hears nothing of that until it resumes.
+				instances := srv.Stats().Instances
+				bed.Cut(p.c, func() {
+					testbed.Wait(t, fmt.Sprintf("the server to drop %s", id), func() bool { return srv.Stats().Instances < instances })
 					own = model.leave(id)
 					// Its former groups change while the peer cannot hear of it.
 					for n := r.Intn(3); n > 0; n-- {
@@ -392,10 +338,10 @@ func TestPropMirrorsMatchFullBroadcast(t *testing.T) {
 				})
 				model.resume(id, own)
 			default:
-				checkMirrors(t, h.srv, model, peers, when)
+				checkMirrors(t, srv, model, peers, when)
 			}
 		}
-		checkMirrors(t, h.srv, model, peers, fmt.Sprintf("seed %d at the end", seed))
+		checkMirrors(t, srv, model, peers, fmt.Sprintf("seed %d at the end", seed))
 	}
 	f := func(seed int64) bool {
 		return t.Run(fmt.Sprint(seed), func(t *testing.T) { script(t, seed) })
@@ -419,17 +365,13 @@ func star(t *testing.T, model *mirrorModel, hub *client.Client, spokes []*client
 // all — one per instance and link, which is what its mirrors must hold —
 // where it was k(k−1) per Couple.
 func TestCoupleNoticeBudget(t *testing.T) {
-	h := newHarness(t, server.Options{})
+	srv, bed := newBed(t, server.Options{})
 	model := newMirrorModel()
 	dial := func(n int) []*client.Client {
 		cs := make([]*client.Client, n)
 		for i := range cs {
 			user := fmt.Sprintf("u%d", len(model.mirrors))
-			if i%4 == 3 {
-				cs[i] = h.dialPlain("app", user, `textfield x`, client.Options{})
-			} else {
-				cs[i] = h.dial("app", user, `textfield x`, client.Options{})
-			}
+			cs[i] = bed.Dial(testbed.Member{AppType: "app", User: user, Spec: `textfield x`, Plain: i%4 == 3})
 			mustOK(t, cs[i].Declare("/x"))
 			model.join(cs[i].ID())
 		}
@@ -440,7 +382,7 @@ func TestCoupleNoticeBudget(t *testing.T) {
 	var sent uint64
 	var modelled int
 	spent := func() (uint64, int) {
-		now := h.srv.Stats().LinkNotices
+		now := srv.Stats().LinkNotices
 		got, was := now-sent, model.notices-modelled
 		sent, modelled = now, model.notices
 		return got, was
@@ -471,10 +413,10 @@ func TestCoupleNoticeBudget(t *testing.T) {
 }
 
 // drain returns the link notices rc has already received, without waiting.
-func drain(rc *rawClient) (added, removed []couple.Link) {
+func drain(rc *testbed.Peer) (added, removed []couple.Link) {
 	for {
 		select {
-		case env := <-rc.events:
+		case env := <-rc.Events:
 			switch m := env.Msg.(type) {
 			case wire.LinkAdded:
 				added = append(added, m.Link)
@@ -495,69 +437,69 @@ func drain(rc *rawClient) (added, removed []couple.Link) {
 // does a member's second link between two endpoints. On the caller's
 // connection the notices precede the OK.
 func TestCoupleDeltaCases(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	x, y, z := newRawClient(t, h, "app", "x"), newRawClient(t, h, "app", "y"), newRawClient(t, h, "app", "z")
-	teacher := newRawClient(t, h, "app", "teacher")
-	for rc, paths := range map[*rawClient][]string{x: {"/a", "/b"}, y: {"/c"}, z: {"/d"}} {
+	srv, bed := newBed(t, server.Options{})
+	x, y, z := bed.Raw(wire.Register{AppType: "app", User: "x"}), bed.Raw(wire.Register{AppType: "app", User: "y"}), bed.Raw(wire.Register{AppType: "app", User: "z"})
+	teacher := bed.Raw(wire.Register{AppType: "app", User: "teacher"})
+	for rc, paths := range map[*testbed.Peer][]string{x: {"/a", "/b"}, y: {"/c"}, z: {"/d"}} {
 		for _, p := range paths {
-			rc.mustOK(wire.Declare{Path: p, Class: "textfield"})
+			rc.MustOK(wire.Declare{Path: p, Class: "textfield"})
 		}
 	}
 	a, b, c, d := ref(x, "/a"), ref(x, "/b"), ref(y, "/c"), ref(z, "/d")
-	ac := couple.Link{From: a, To: c, Creator: x.id}
-	bd := couple.Link{From: b, To: d, Creator: teacher.id}
-	cd := couple.Link{From: c, To: d, Creator: y.id}
+	ac := couple.Link{From: a, To: c, Creator: x.ID}
+	bd := couple.Link{From: b, To: d, Creator: teacher.ID}
+	cd := couple.Link{From: c, To: d, Creator: y.ID}
 	// told checks what each connection received: the caller's notices must be
 	// in hand when its OK is, the others' after a round trip of their own.
-	told := func(step string, caller *rawClient, want map[*rawClient][]couple.Link) {
+	told := func(step string, caller *testbed.Peer, want map[*testbed.Peer][]couple.Link) {
 		t.Helper()
-		for _, rc := range []*rawClient{x, y, z, teacher} {
+		for _, rc := range []*testbed.Peer{x, y, z, teacher} {
 			if rc != caller {
-				rc.call(wire.Ping{Nonce: 1})
+				rc.Call(wire.Ping{Nonce: 1})
 			}
 			added, removed := drain(rc)
 			if !reflect.DeepEqual(added, want[rc]) || removed != nil {
-				t.Errorf("%s: %s was sent LinkAdded %v and LinkRemoved %v, want LinkAdded %v", step, rc.id, added, removed, want[rc])
+				t.Errorf("%s: %s was sent LinkAdded %v and LinkRemoved %v, want LinkAdded %v", step, rc.ID, added, removed, want[rc])
 			}
 		}
 	}
 
-	x.mustOK(wire.Couple{From: a, To: c})
-	told("x couples a–c", x, map[*rawClient][]couple.Link{x: {ac}, y: {ac}})
+	x.MustOK(wire.Couple{From: a, To: c})
+	told("x couples a–c", x, map[*testbed.Peer][]couple.Link{x: {ac}, y: {ac}})
 
 	// A third instance couples two objects that are not its own: it is told
 	// nothing, and x, already mirroring a–c, is not sent it again.
-	teacher.mustOK(wire.Couple{From: b, To: d})
-	told("the teacher couples b–d", teacher, map[*rawClient][]couple.Link{x: {bd}, z: {bd}})
+	teacher.MustOK(wire.Couple{From: b, To: d})
+	told("the teacher couples b–d", teacher, map[*testbed.Peer][]couple.Link{x: {bd}, z: {bd}})
 
 	// The merge: y is on the from side, z on the to side, x on both.
-	y.mustOK(wire.Couple{From: c, To: d})
-	told("y couples c–d", y, map[*rawClient][]couple.Link{y: {bd, cd}, z: {ac, cd}, x: {cd}})
+	y.MustOK(wire.Couple{From: c, To: d})
+	told("y couples c–d", y, map[*testbed.Peer][]couple.Link{y: {bd, cd}, z: {ac, cd}, x: {cd}})
 
-	links, logged := h.srv.Stats().Links, h.srv.Stats().LinkNotices
-	y.mustOK(wire.Couple{From: c, To: d})
-	told("y couples c–d again", y, map[*rawClient][]couple.Link{y: {ac, bd, cd}})
-	if st := h.srv.Stats(); st.Links != links || st.LinkNotices != logged+3 {
+	links, logged := srv.Stats().Links, srv.Stats().LinkNotices
+	y.MustOK(wire.Couple{From: c, To: d})
+	told("y couples c–d again", y, map[*testbed.Peer][]couple.Link{y: {ac, bd, cd}})
+	if st := srv.Stats(); st.Links != links || st.LinkNotices != logged+3 {
 		t.Errorf("a duplicate Couple left %d links and %d notices, want %d and %d", st.Links, st.LinkNotices, links, logged+3)
 	}
-	teacher.mustOK(wire.Couple{From: b, To: d})
+	teacher.MustOK(wire.Couple{From: b, To: d})
 	told("the teacher couples b–d again", teacher, nil)
 
 	// Same endpoints, another creator — what a member that did not create the
 	// link sends when it resynchronizes: a new link that joins nothing, which
 	// the group hears once, and the caller is re-sent the group as well.
-	cdz := couple.Link{From: c, To: d, Creator: z.id}
-	z.mustOK(wire.Couple{From: c, To: d})
-	told("z couples c–d as well", z, map[*rawClient][]couple.Link{x: {cdz}, y: {cdz}, z: {cdz, ac, bd, cd}})
+	cdz := couple.Link{From: c, To: d, Creator: z.ID}
+	z.MustOK(wire.Couple{From: c, To: d})
+	told("z couples c–d as well", z, map[*testbed.Peer][]couple.Link{x: {cdz}, y: {cdz}, z: {cdz, ac, bd, cd}})
 	// Either direction names the pair.
-	dcy := couple.Link{From: d, To: c, Creator: y.id}
-	y.mustOK(wire.Couple{From: d, To: c})
-	told("y couples d–c", y, map[*rawClient][]couple.Link{x: {dcy}, z: {dcy}, y: {dcy, ac, bd, cd, cdz}})
+	dcy := couple.Link{From: d, To: c, Creator: y.ID}
+	y.MustOK(wire.Couple{From: d, To: c})
+	told("y couples d–c", y, map[*testbed.Peer][]couple.Link{x: {dcy}, z: {dcy}, y: {dcy, ac, bd, cd, cdz}})
 	// A link that closes a cycle joins nothing either, but no link joined its
 	// endpoints before: nobody is resynchronizing, the group hears it once.
-	ab := couple.Link{From: a, To: b, Creator: x.id}
-	x.mustOK(wire.Couple{From: a, To: b})
-	told("x couples a–b", x, map[*rawClient][]couple.Link{x: {ab}, y: {ab}, z: {ab}})
+	ab := couple.Link{From: a, To: b, Creator: x.ID}
+	x.MustOK(wire.Couple{From: a, To: b})
+	told("x couples a–b", x, map[*testbed.Peer][]couple.Link{x: {ab}, y: {ab}, z: {ab}})
 }
 
 // TestDuplicateCoupleLogsOnce restarts a durable server under two coupled
@@ -565,7 +507,7 @@ func TestCoupleDeltaCases(t *testing.T) {
 // the first adds the member's own copy of the link (same endpoints, it as the
 // creator), every later one is a duplicate and must leave the log alone.
 func TestDuplicateCoupleLogsOnce(t *testing.T) {
-	d := newDurableServer(t, server.Options{})
+	d := newDurable(t, server.Options{})
 	a := d.dial("editor", "alice", `textfield note value=""`, true)
 	b := d.dial("editor", "bob", `textfield note value=""`, false)
 	mustOK(t, a.Declare("/note"))
@@ -580,7 +522,7 @@ func TestDuplicateCoupleLogsOnce(t *testing.T) {
 		d.restart()
 		for _, c := range []*client.Client{a, b} {
 			c := c
-			waitFor(t, "both creators' links mirrored after the restart", func() bool {
+			testbed.Wait(t, "both creators' links mirrored after the restart", func() bool {
 				return reflect.DeepEqual(c.Links(), want)
 			})
 		}
@@ -606,7 +548,7 @@ func TestDuplicateCoupleLogsOnce(t *testing.T) {
 // endpoints, which joins nothing, and it is the refresh that brings b the
 // rest of the group — c's link above all, which nobody creates again.
 func TestRestartRefreshesNonCreatorMirror(t *testing.T) {
-	d := newDurableServer(t, server.Options{})
+	d := newDurable(t, server.Options{})
 	a := d.dial("editor", "alice", `textfield note value=""`, true)
 	b := d.dial("editor", "bob", `textfield note value=""`, false)
 	c := d.dial("editor", "carol", `textfield note value=""`, true)
@@ -615,13 +557,13 @@ func TestRestartRefreshesNonCreatorMirror(t *testing.T) {
 	}
 	mustOK(t, a.Couple("/note", b.Ref("/note")))
 	mustOK(t, c.Couple("/note", a.Ref("/note")))
-	waitFor(t, "the chain mirrored", func() bool { return len(b.CO("/note")) == 2 })
+	testbed.Wait(t, "the chain mirrored", func() bool { return len(b.CO("/note")) == 2 })
 
 	d.restart()
 	for _, cl := range []*client.Client{a, b, c} {
 		cl := cl
-		waitFor(t, "every mirror level with the server after the restart", func() bool {
-			_, links := d.current().GroupLinks(cl.Ref("/note"))
+		testbed.Wait(t, "every mirror level with the server after the restart", func() bool {
+			_, links := d.srv.GroupLinks(cl.Ref("/note"))
 			return len(links) == 4 && reflect.DeepEqual(cl.Links(), links)
 		})
 	}

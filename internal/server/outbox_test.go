@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"cosoft/internal/couple"
 	"cosoft/internal/obs"
+	"cosoft/internal/testbed"
 	"cosoft/internal/wire"
 )
 
@@ -36,21 +38,15 @@ func outboxPair(t *testing.T, peerBatch bool, limit, batchLimit int) (*outbox, *
 	return o, peer
 }
 
-// waitDrained polls until the outbox writer has taken every queued envelope
+// waitDrained waits until the outbox writer has taken every queued envelope
 // into its in-flight slice and is (presumably) blocked writing it.
 func waitDrained(t *testing.T, o *outbox, inflight int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
+	testbed.Wait(t, fmt.Sprintf("the writer to take the backlog (inflight=%d)", inflight), func() bool {
 		o.mu.Lock()
-		ok := o.inflight == inflight && len(o.queue) == 0
-		o.mu.Unlock()
-		if ok {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("writer never took the backlog (want inflight=%d)", inflight)
+		defer o.mu.Unlock()
+		return o.inflight == inflight && len(o.queue) == 0
+	})
 }
 
 // TestOutboxBlockedWriterDrainsBacklogAsOneFlush is the regression test for
@@ -243,13 +239,7 @@ func TestOutboxFlushClearsOverSinceMidFlush(t *testing.T) {
 			t.Fatalf("read %d: %v", i, err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !o.overLimitSince().IsZero() {
-		if time.Now().After(deadline) {
-			t.Fatal("overSince not cleared while the flush was still draining")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	testbed.Wait(t, "overSince cleared while the flush is still draining", func() bool { return o.overLimitSince().IsZero() })
 	for i := 0; i < 2; i++ {
 		if _, err := peer.Read(); err != nil {
 			t.Fatalf("tail read %d: %v", i, err)

@@ -64,14 +64,14 @@ func newPlan(members []couple.ObjectRef) *plan {
 // trusted past it. Uncoupled sources are not cached, which bounds the cache
 // by the number of coupled objects rather than by what clients send.
 func (s *Server) planFor(sh *shard, source couple.ObjectRef) *plan {
-	if gen := s.graph.Generation(); gen != sh.planGen {
+	if gen := s.st.graph.Generation(); gen != sh.planGen {
 		clear(sh.plans)
 		sh.planGen = gen
 	}
 	if p, ok := sh.plans[source]; ok {
 		return p
 	}
-	members := s.graph.CO(source)
+	members := s.st.graph.CO(source)
 	if len(members) == 0 {
 		return nil
 	}

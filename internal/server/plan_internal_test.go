@@ -30,16 +30,16 @@ func TestPropCachedPlanMatchesGraph(t *testing.T) {
 			switch r.Intn(8) {
 			case 0, 1, 2, 3:
 				from, to := pick(), pick()
-				_ = s.graph.AddLink(couple.Link{From: from, To: to, Creator: from.Instance})
+				_ = s.st.graph.AddLink(couple.Link{From: from, To: to, Creator: from.Instance})
 			case 4, 5:
-				s.graph.RemoveLink(pick(), pick())
+				s.st.graph.RemoveLink(pick(), pick())
 			case 6:
-				s.graph.RemoveObject(pick())
+				s.st.graph.RemoveObject(pick())
 			default:
-				s.graph.RemoveInstance(pick().Instance)
+				s.st.graph.RemoveInstance(pick().Instance)
 			}
 			for _, o := range universe {
-				want := s.graph.CO(o)
+				want := s.st.graph.CO(o)
 				p := s.planFor(sh, o)
 				if p == nil {
 					if len(want) != 0 {

@@ -9,6 +9,7 @@ import (
 
 	"cosoft/internal/couple"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/wire"
 )
 
@@ -17,56 +18,57 @@ import (
 // cached before a change and used after it shows as a wrong frame somewhere.
 type planRig struct {
 	t      *testing.T
-	h      *harness
-	origin *rawClient
+	srv    *server.Server
+	bed    *testbed.Bed
+	origin *testbed.Peer
 	source couple.ObjectRef
 	// peers is every other raw client ever created, coupled or not: the ones
 	// outside the group must see nothing.
-	peers  []*rawClient
-	closed map[*rawClient]bool
+	peers  []*testbed.Peer
+	closed map[*testbed.Peer]bool
 	events int
 }
 
 func newPlanRig(t *testing.T) *planRig {
-	h := newHarness(t, server.Options{})
-	r := &planRig{t: t, h: h, closed: make(map[*rawClient]bool)}
-	r.origin = newRawClient(t, h, "app", "origin")
-	r.origin.mustOK(wire.Declare{Path: "/x", Class: "textfield"})
-	r.source = couple.ObjectRef{Instance: r.origin.id, Path: "/x"}
+	srv, bed := newBed(t, server.Options{})
+	r := &planRig{t: t, srv: srv, bed: bed, closed: make(map[*testbed.Peer]bool)}
+	r.origin = bed.Raw(wire.Register{AppType: "app", User: "origin"})
+	r.origin.MustOK(wire.Declare{Path: "/x", Class: "textfield"})
+	r.source = couple.ObjectRef{Instance: r.origin.ID, Path: "/x"}
 	return r
 }
 
 // peer registers one more raw client declaring the given textfields.
-func (r *planRig) peer(user string, paths ...string) *rawClient {
-	rc := newRawClient(r.t, r.h, "app", user)
+func (r *planRig) peer(user string, paths ...string) *testbed.Peer {
+	rc := r.bed.Raw(wire.Register{AppType: "app", User: user})
 	for _, p := range paths {
-		rc.mustOK(wire.Declare{Path: p, Class: "textfield"})
+		rc.MustOK(wire.Declare{Path: p, Class: "textfield"})
 	}
 	r.peers = append(r.peers, rc)
 	return rc
 }
 
-func ref(rc *rawClient, path string) couple.ObjectRef {
-	return couple.ObjectRef{Instance: rc.id, Path: path}
+func ref(rc *testbed.Peer, path string) couple.ObjectRef {
+	return couple.ObjectRef{Instance: rc.ID, Path: path}
 }
 
 // nextFanout returns the next Exec or SetLocks rc receives, skipping the
 // link notices coupling changes produce.
-func (r *planRig) nextFanout(rc *rawClient) wire.Message {
+func (r *planRig) nextFanout(rc *testbed.Peer) wire.Message {
 	r.t.Helper()
 	deadline := time.After(5 * time.Second)
 	for {
 		select {
-		case env, ok := <-rc.events:
+		case env, ok := <-rc.Events:
 			if !ok {
-				r.t.Fatalf("%s: connection closed while a frame was expected", rc.id)
+				r.t.Fatalf("%s: connection closed while a frame was expected", rc.ID)
 			}
 			switch env.Msg.(type) {
 			case wire.Exec, wire.SetLocks:
 				return env.Msg
 			}
 		case <-deadline:
-			r.t.Fatalf("%s: timed out waiting for a fan-out frame", rc.id)
+			r.t.Fatalf("%s: timed out waiting for a fan-out frame", rc.ID)
 		}
 	}
 }
@@ -74,15 +76,15 @@ func (r *planRig) nextFanout(rc *rawClient) wire.Message {
 // quiet fails if rc was sent an Exec or a SetLocks. A Ping round trip is the
 // barrier: its Pong leaves through the same outbox as anything the event
 // queued for rc before it.
-func (r *planRig) quiet(rc *rawClient, when string) {
+func (r *planRig) quiet(rc *testbed.Peer, when string) {
 	r.t.Helper()
-	rc.call(wire.Ping{Nonce: 1})
+	rc.Call(wire.Ping{Nonce: 1})
 	for {
 		select {
-		case env := <-rc.events:
+		case env := <-rc.Events:
 			switch env.Msg.(type) {
 			case wire.Exec, wire.SetLocks:
-				r.t.Errorf("%s is outside the group but was sent %s %+v %s", rc.id, env.Msg.MsgType(), env.Msg, when)
+				r.t.Errorf("%s is outside the group but was sent %s %+v %s", rc.ID, env.Msg.MsgType(), env.Msg, when)
 			}
 		default:
 			return
@@ -92,7 +94,7 @@ func (r *planRig) quiet(rc *rawClient, when string) {
 
 // waiting returns Health()'s wait set for the source's group.
 func (r *planRig) waiting() []string {
-	for _, g := range r.h.srv.Health().Groups {
+	for _, g := range r.srv.Health().Groups {
 		for _, s := range g.Refs {
 			if s == r.source.String() {
 				return g.Waiting
@@ -111,18 +113,18 @@ func (r *planRig) fire(step string) {
 	r.events++
 	name := fmt.Sprintf("ev%d", r.events)
 	want := make(map[couple.InstanceID][]string) // instance → its member paths, sorted
-	for _, m := range r.h.srv.UncachedCO(r.source) {
+	for _, m := range r.srv.UncachedCO(r.source) {
 		want[m.Instance] = append(want[m.Instance], m.Path)
 	}
-	res, ok := r.origin.call(wire.Event{Path: "/x", Name: name}).Msg.(wire.EventResult)
+	res, ok := r.origin.Call(wire.Event{Path: "/x", Name: name}).Msg.(wire.EventResult)
 	if !ok || !res.OK {
 		r.t.Fatalf("%s: event refused: %+v", step, res)
 	}
 
 	var waitSet []string
-	eventIDs := make(map[*rawClient][]uint64)
+	eventIDs := make(map[*testbed.Peer][]uint64)
 	for _, rc := range r.peers {
-		paths, member := want[rc.id]
+		paths, member := want[rc.ID]
 		if r.closed[rc] {
 			continue
 		}
@@ -130,14 +132,14 @@ func (r *planRig) fire(step string) {
 			r.quiet(rc, "after "+step)
 			continue
 		}
-		waitSet = append(waitSet, string(rc.id))
+		waitSet = append(waitSet, string(rc.ID))
 		if got := r.nextFanout(rc); !reflect.DeepEqual(got, wire.SetLocks{Paths: paths, Locked: true}) {
-			r.t.Errorf("%s: %s got %+v, want the lock notice for %v", step, rc.id, got, paths)
+			r.t.Errorf("%s: %s got %+v, want the lock notice for %v", step, rc.ID, got, paths)
 		}
 		for _, p := range paths {
 			ex, ok := r.nextFanout(rc).(wire.Exec)
 			if !ok || ex.TargetPath != p || ex.Name != name || ex.Origin != r.source {
-				r.t.Errorf("%s: %s got %+v, want Exec %s on %s", step, rc.id, ex, name, p)
+				r.t.Errorf("%s: %s got %+v, want Exec %s on %s", step, rc.ID, ex, name, p)
 			}
 			eventIDs[rc] = append(eventIDs[rc], ex.EventID)
 		}
@@ -149,22 +151,22 @@ func (r *planRig) fire(step string) {
 
 	for rc, ids := range eventIDs {
 		for _, id := range ids {
-			rc.send(wire.ExecAck{EventID: id})
+			rc.Send(wire.ExecAck{EventID: id})
 		}
 	}
 	for _, rc := range r.peers {
 		if r.closed[rc] {
 			continue
 		}
-		if paths, member := want[rc.id]; member {
+		if paths, member := want[rc.ID]; member {
 			if got := r.nextFanout(rc); !reflect.DeepEqual(got, wire.SetLocks{Paths: paths, Locked: false}) {
-				r.t.Errorf("%s: %s got %+v, want the unlock notice for %v", step, rc.id, got, paths)
+				r.t.Errorf("%s: %s got %+v, want the unlock notice for %v", step, rc.ID, got, paths)
 			}
 		} else {
 			r.quiet(rc, "after the unlock of "+step)
 		}
 	}
-	waitFor(r.t, "event resolved", func() bool { return r.h.srv.Stats().PendingEvents == 0 })
+	testbed.Wait(r.t, "event resolved", func() bool { return r.srv.Stats().PendingEvents == 0 })
 	if got := r.waiting(); len(got) != 0 {
 		r.t.Errorf("%s: Health() still reports %v awaited after the unlock", step, got)
 	}
@@ -179,53 +181,53 @@ func TestPlanCacheFollowsGraph(t *testing.T) {
 	r := newPlanRig(t)
 	m1 := r.peer("m1", "/x", "/y") // two members in one instance: two Execs, two acks, one notice
 	m2 := r.peer("m2", "/x")
-	r.origin.mustOK(wire.Couple{From: r.source, To: ref(m1, "/x")})
-	r.origin.mustOK(wire.Couple{From: r.source, To: ref(m1, "/y")})
-	r.origin.mustOK(wire.Couple{From: r.source, To: ref(m2, "/x")})
+	r.origin.MustOK(wire.Couple{From: r.source, To: ref(m1, "/x")})
+	r.origin.MustOK(wire.Couple{From: r.source, To: ref(m1, "/y")})
+	r.origin.MustOK(wire.Couple{From: r.source, To: ref(m2, "/x")})
 	r.fire("the first event")
 	r.fire("a second event on the cached plan")
 
 	m3 := r.peer("m3", "/x")
-	r.origin.mustOK(wire.Couple{From: r.source, To: ref(m3, "/x")})
+	r.origin.MustOK(wire.Couple{From: r.source, To: ref(m3, "/x")})
 	r.fire("(a) coupling a new member")
 
-	r.origin.mustOK(wire.Decouple{From: r.source, To: ref(m2, "/x")})
+	r.origin.MustOK(wire.Decouple{From: r.source, To: ref(m2, "/x")})
 	r.fire("(b) decoupling a member")
 
-	m1.mustOK(wire.Retract{Path: "/y"})
+	m1.MustOK(wire.Retract{Path: "/y"})
 	r.fire("(c) retracting a member object")
 
-	instances := r.h.srv.Stats().Instances
+	instances := r.srv.Stats().Instances
 	r.closed[m3] = true
-	m3.conn.Close()
-	waitFor(t, "the server to notice the dead connection", func() bool {
-		return r.h.srv.Stats().Instances == instances-1
+	m3.Close()
+	testbed.Wait(t, "the server to notice the dead connection", func() bool {
+		return r.srv.Stats().Instances == instances-1
 	})
 	r.fire("(d) a member's connection dying")
 
 	// (e) Build a larger group on another shard and couple the source into
 	// it: the smaller group — the source's — migrates, so the next event runs
 	// on a shard whose cache has never seen the source.
-	home := r.h.srv.ShardOf(r.source)
-	var far []*rawClient
+	home := r.srv.ShardOf(r.source)
+	var far []*testbed.Peer
 	for try := 0; len(far) == 0; try++ {
 		if try == 16 {
 			t.Fatal("no group landed on another shard in 16 tries")
 		}
 		path := fmt.Sprintf("/far%d", try)
-		var g []*rawClient
+		var g []*testbed.Peer
 		for i := 0; i < 4; i++ {
 			g = append(g, r.peer(fmt.Sprintf("far%d-%d", try, i), path))
 		}
 		for _, rc := range g[1:] {
-			g[0].mustOK(wire.Couple{From: ref(g[0], path), To: ref(rc, path)})
+			g[0].MustOK(wire.Couple{From: ref(g[0], path), To: ref(rc, path)})
 		}
-		if r.h.srv.ShardOf(ref(g[0], path)) != home {
+		if r.srv.ShardOf(ref(g[0], path)) != home {
 			far = g
-			r.origin.mustOK(wire.Couple{From: r.source, To: ref(g[0], path)})
+			r.origin.MustOK(wire.Couple{From: r.source, To: ref(g[0], path)})
 		}
 	}
-	if r.h.srv.ShardOf(r.source) == home {
+	if r.srv.ShardOf(r.source) == home {
 		t.Fatal("the source's group did not migrate")
 	}
 	r.fire("(e) a cross-shard couple migrating the group")

@@ -13,6 +13,7 @@ import (
 	"cosoft/internal/couple"
 	"cosoft/internal/obs"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 )
 
@@ -25,31 +26,31 @@ import (
 // group must then contain exactly the two live objects, not the retracted
 // one.
 func TestRetractMiddleNotifiesBothHalves(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("app", "u1", `textfield x`, client.Options{})
-	b := h.dial("app", "u2", `textfield x`, client.Options{})
-	c := h.dialPlain("app", "u3", `textfield x`, client.Options{})
+	_, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: `textfield x`})
+	b := bed.Dial(testbed.Member{AppType: "app", User: "u2", Spec: `textfield x`})
+	c := bed.Dial(testbed.Member{AppType: "app", User: "u3", Spec: `textfield x`, Plain: true})
 	for _, cl := range []*client.Client{a, b, c} {
 		mustOK(t, cl.Declare("/x"))
 	}
 	mustOK(t, a.Couple("/x", b.Ref("/x")))
 	mustOK(t, b.Couple("/x", c.Ref("/x")))
-	waitFor(t, "full chain mirrored at a", func() bool { return len(a.CO("/x")) == 2 })
-	waitFor(t, "full chain mirrored at c", func() bool { return len(c.CO("/x")) == 2 })
+	testbed.Wait(t, "full chain mirrored at a", func() bool { return len(a.CO("/x")) == 2 })
+	testbed.Wait(t, "full chain mirrored at c", func() bool { return len(c.CO("/x")) == 2 })
 
 	// Destroying the widget triggers the automatic Retract (§3.2).
 	if err := b.Registry().Destroy("/x"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "a decoupled", func() bool { return !a.Coupled("/x") })
-	waitFor(t, "c decoupled", func() bool { return !c.Coupled("/x") })
+	testbed.Wait(t, "a decoupled", func() bool { return !a.Coupled("/x") })
+	testbed.Wait(t, "c decoupled", func() bool { return !c.Coupled("/x") })
 
 	// Couple the two surviving halves directly. Any stale b-link left in a
 	// mirror would now resurface as a phantom group member.
 	mustOK(t, a.Couple("/x", c.Ref("/x")))
-	waitFor(t, "new link mirrored at a", func() bool { return a.Coupled("/x") })
+	testbed.Wait(t, "new link mirrored at a", func() bool { return a.Coupled("/x") })
 	assertCO(t, "a", a.CO("/x"), c.Ref("/x"))
-	waitFor(t, "new link mirrored at c", func() bool { return c.Coupled("/x") })
+	testbed.Wait(t, "new link mirrored at c", func() bool { return c.Coupled("/x") })
 	assertCO(t, "c", c.CO("/x"), a.Ref("/x"))
 }
 
@@ -60,16 +61,16 @@ func TestRetractMiddleNotifiesBothHalves(t *testing.T) {
 // member the server does not have. The mirror now drops, at the split, what
 // no local object reaches any more.
 func TestSplitPrunesFarHalfOfMirror(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	x := h.dial("app", "x", `textfield a`, client.Options{})
-	y := h.dialPlain("app", "y", `textfield b1`, client.Options{})
-	z := h.dial("app", "z", `textfield b2`, client.Options{})
+	srv, bed := newBed(t, server.Options{})
+	x := bed.Dial(testbed.Member{AppType: "app", User: "x", Spec: `textfield a`})
+	y := bed.Dial(testbed.Member{AppType: "app", User: "y", Spec: `textfield b1`, Plain: true})
+	z := bed.Dial(testbed.Member{AppType: "app", User: "z", Spec: `textfield b2`})
 	mustOK(t, x.Declare("/a"))
 	mustOK(t, y.Declare("/b1"))
 	mustOK(t, z.Declare("/b2"))
 	mustOK(t, x.Couple("/a", y.Ref("/b1")))
 	mustOK(t, y.Couple("/b1", z.Ref("/b2")))
-	waitFor(t, "the chain mirrored at x", func() bool { return len(x.CO("/a")) == 2 })
+	testbed.Wait(t, "the chain mirrored at x", func() bool { return len(x.CO("/a")) == 2 })
 
 	mustOK(t, x.Decouple("/a", y.Ref("/b1")))
 	if got := x.Links(); len(got) != 0 {
@@ -78,7 +79,7 @@ func TestSplitPrunesFarHalfOfMirror(t *testing.T) {
 	mustOK(t, y.Decouple("/b1", z.Ref("/b2")))
 	mustOK(t, x.Couple("/a", y.Ref("/b1")))
 	assertCO(t, "x", x.CO("/a"), y.Ref("/b1"))
-	if got := h.srv.UncachedCO(x.Ref("/a")); len(got) != 1 || got[0] != y.Ref("/b1") {
+	if got := srv.UncachedCO(x.Ref("/a")); len(got) != 1 || got[0] != y.Ref("/b1") {
 		t.Errorf("the server's CO(a) = %v, want [b1]", got)
 	}
 }
@@ -95,9 +96,9 @@ func assertCO(t *testing.T, who string, got []couple.ObjectRef, want couple.Obje
 // it used to deliver to the targets preceding the bad one and then report
 // failure to the sender.
 func TestCommandBadTargetDeliversNothing(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("app", "u1", "", client.Options{})
-	b := h.dial("app", "u2", "", client.Options{})
+	_, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "app", User: "u1"})
+	b := bed.Dial(testbed.Member{AppType: "app", User: "u2"})
 	got := make(chan string, 4)
 	b.OnCommand("ping", func(from couple.InstanceID, payload []byte) {
 		got <- string(payload)
@@ -120,20 +121,20 @@ func TestCommandBadTargetDeliversNothing(t *testing.T) {
 // checks the new observability fields: round-trip and fan-out histograms,
 // lock counters, and the outbox high-water mark.
 func TestStatsExposeLatencySummaries(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := h.dial("app", "u1", `textfield x`, client.Options{})
-	b := h.dial("app", "u2", `textfield x`, client.Options{})
+	srv, bed := newBed(t, server.Options{})
+	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: `textfield x`})
+	b := bed.Dial(testbed.Member{AppType: "app", User: "u2", Spec: `textfield x`})
 	mustOK(t, a.Declare("/x"))
 	mustOK(t, b.Declare("/x"))
 	mustOK(t, a.Couple("/x", b.Ref("/x")))
-	waitFor(t, "coupling mirrored", func() bool { return a.Coupled("/x") })
+	testbed.Wait(t, "coupling mirrored", func() bool { return a.Coupled("/x") })
 	mustOK(t, a.DispatchChecked(&widget.Event{
 		Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("v")},
 	}))
-	waitFor(t, "event round trip completed", func() bool {
-		return h.srv.Stats().EventRTT.Count == 1
+	testbed.Wait(t, "event round trip completed", func() bool {
+		return srv.Stats().EventRTT.Count == 1
 	})
-	stats := h.srv.Stats()
+	stats := srv.Stats()
 	if stats.EventRTT.P50 <= 0 || stats.EventRTT.P99 < stats.EventRTT.P50 {
 		t.Errorf("EventRTT = %+v", stats.EventRTT)
 	}
@@ -152,20 +153,20 @@ func TestStatsExposeLatencySummaries(t *testing.T) {
 // obs.Disabled: every handle is nil and Stats reports zeros, but the
 // protocol must behave identically.
 func TestDisabledMetricsKeepServerWorking(t *testing.T) {
-	h := newHarness(t, server.Options{Metrics: obs.Disabled})
-	a := h.dial("app", "u1", `textfield x`, client.Options{})
-	b := h.dial("app", "u2", `textfield x`, client.Options{})
+	srv, bed := newBed(t, server.Options{Metrics: obs.Disabled})
+	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: `textfield x`})
+	b := bed.Dial(testbed.Member{AppType: "app", User: "u2", Spec: `textfield x`})
 	mustOK(t, a.Declare("/x"))
 	mustOK(t, b.Declare("/x"))
 	mustOK(t, a.Couple("/x", b.Ref("/x")))
-	waitFor(t, "coupling mirrored", func() bool { return a.Coupled("/x") })
+	testbed.Wait(t, "coupling mirrored", func() bool { return a.Coupled("/x") })
 	mustOK(t, a.DispatchChecked(&widget.Event{
 		Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("v")},
 	}))
-	waitFor(t, "value replicated", func() bool {
+	testbed.Wait(t, "value replicated", func() bool {
 		return attrOf(t, b, "/x", widget.AttrValue).AsString() == "v"
 	})
-	if stats := h.srv.Stats(); stats.Events != 0 || stats.EventRTT.Count != 0 {
+	if stats := srv.Stats(); stats.Events != 0 || stats.EventRTT.Count != 0 {
 		t.Errorf("disabled metrics must read zero, got %+v", stats)
 	}
 }

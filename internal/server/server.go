@@ -130,8 +130,6 @@ type Server struct {
 	// rest of Server is the shell around it. Its global parts belong to the
 	// global loop, each shard's part to that shard's loop.
 	st *state
-	// graph is st.graph, which the event path reads on every event.
-	graph *couple.Graph
 
 	// shards own the group-scoped state (lock tables, histories, pending
 	// events), each behind its own loop; st.routes places refs on them and
@@ -396,7 +394,6 @@ func newServer(opts Options, st *state) *Server {
 		slog:         st.log,
 		checker:      compat.NewChecker(opts.Classes, opts.Correspondences),
 		st:           st,
-		graph:        st.graph,
 		router:       &router{ev: make(map[uint64]int)},
 		elog:         opts.EventLog,
 		reqs:         make(chan func(), 1024),

@@ -9,8 +9,8 @@ import (
 
 	"cosoft/internal/attr"
 	"cosoft/internal/couple"
-	"cosoft/internal/netsim"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/wire"
 )
 
@@ -21,79 +21,41 @@ import (
 // separate components, so each missed the removal of the other's link and
 // kept a stale mirrored entry forever.
 func TestDropClientNotifiesChainSurvivors(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	a := newRawClient(t, h, "app", "alice")
-	b := newRawClient(t, h, "app", "bob")
-	c := newRawClient(t, h, "app", "carol")
-	for _, rc := range []*rawClient{a, b, c} {
-		rc.mustOK(wire.Declare{Path: "/x", Class: "textfield"})
+	_, bed := newBed(t, server.Options{})
+	a := bed.Raw(wire.Register{AppType: "app", User: "alice"})
+	b := bed.Raw(wire.Register{AppType: "app", User: "bob"})
+	c := bed.Raw(wire.Register{AppType: "app", User: "carol"})
+	for _, rc := range []*testbed.Peer{a, b, c} {
+		rc.MustOK(wire.Declare{Path: "/x", Class: "textfield"})
 	}
-	refA := couple.ObjectRef{Instance: a.id, Path: "/x"}
-	refB := couple.ObjectRef{Instance: b.id, Path: "/x"}
-	refC := couple.ObjectRef{Instance: c.id, Path: "/x"}
-	a.mustOK(wire.Couple{From: refA, To: refB})
-	b.mustOK(wire.Couple{From: refB, To: refC})
+	refA := couple.ObjectRef{Instance: a.ID, Path: "/x"}
+	refB := couple.ObjectRef{Instance: b.ID, Path: "/x"}
+	refC := couple.ObjectRef{Instance: c.ID, Path: "/x"}
+	a.MustOK(wire.Couple{From: refA, To: refB})
+	b.MustOK(wire.Couple{From: refB, To: refC})
 	// Both ends of the chain must know both links before B leaves.
-	for _, rc := range []*rawClient{a, c} {
+	for _, rc := range []*testbed.Peer{a, c} {
 		seen := map[couple.Link]bool{}
 		for len(seen) < 2 {
-			seen[nextEvent[wire.LinkAdded](rc).Link] = true
+			seen[testbed.Next[wire.LinkAdded](rc).Link] = true
 		}
 	}
 
-	b.conn.Close()
+	b.Close()
 
 	// A and C each must see LinkRemoved for BOTH links of the chain, even
 	// though after B's removal they are no longer connected to each other.
 	want := map[couple.Link]bool{
-		{From: refA, To: refB, Creator: a.id}: true,
-		{From: refB, To: refC, Creator: b.id}: true,
+		{From: refA, To: refB, Creator: a.ID}: true,
+		{From: refB, To: refC, Creator: b.ID}: true,
 	}
-	for _, rc := range []*rawClient{a, c} {
+	for _, rc := range []*testbed.Peer{a, c} {
 		got := map[couple.Link]bool{}
 		for len(got) < 2 {
-			got[nextEvent[wire.LinkRemoved](rc).Link] = true
+			got[testbed.Next[wire.LinkRemoved](rc).Link] = true
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s saw removals %v, want %v", rc.id, got, want)
-		}
-	}
-}
-
-// resumeAttempt opens a fresh connection and presents token in a Resume
-// handshake, returning the server's first reply.
-func resumeAttempt(t *testing.T, h *harness, token string) (wire.Envelope, *wire.Conn) {
-	t.Helper()
-	link := netsim.NewLink(0)
-	h.wg.Add(1)
-	go func() {
-		defer h.wg.Done()
-		h.srv.HandleConn(wire.NewConn(link.B))
-	}()
-	conn := wire.NewConn(link.A)
-	if err := conn.Write(wire.Envelope{Seq: 1, Msg: wire.Resume{Token: token}}); err != nil {
-		t.Fatal(err)
-	}
-	env, err := conn.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return env, conn
-}
-
-// call performs one correlated request/reply on a bare resumed connection.
-func connCall(t *testing.T, conn *wire.Conn, seq uint64, msg wire.Message) wire.Envelope {
-	t.Helper()
-	if err := conn.Write(wire.Envelope{Seq: seq, Msg: msg}); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		env, err := conn.Read()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if env.RefSeq == seq {
-			return env
+			t.Errorf("%s saw removals %v, want %v", rc.ID, got, want)
 		}
 	}
 }
@@ -103,44 +65,41 @@ func connCall(t *testing.T, conn *wire.Conn, seq uint64, msg wire.Message) wire.
 // and Deregister drops the outstanding token — so the sessions map is
 // bounded and no stale token can hijack a session.
 func TestSessionTokenLifecycle(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	rc := newRawClient(t, h, "app", "alice")
+	_, bed := newBed(t, server.Options{})
+	rc := bed.Raw(wire.Register{AppType: "app", User: "alice"})
 
-	tok1 := rc.call(wire.SessionToken{}).Msg.(wire.SessionToken).Token
-	tok2 := rc.call(wire.SessionToken{}).Msg.(wire.SessionToken).Token
+	tok1 := rc.Call(wire.SessionToken{}).Msg.(wire.SessionToken).Token
+	tok2 := rc.Call(wire.SessionToken{}).Msg.(wire.SessionToken).Token
 
 	// Re-minting replaced tok1: it must not resume anything.
-	if env, conn := resumeAttempt(t, h, tok1); true {
-		conn.Close()
+	if env := bed.Raw(wire.Resume{Token: tok1}).Hello; true {
 		if _, isErr := env.Msg.(wire.Err); !isErr {
 			t.Fatalf("superseded token resumed: got %s", env.Msg.MsgType())
 		}
 	}
 
 	// The current token resumes the session (superseding rc's connection).
-	env, conn := resumeAttempt(t, h, tok2)
-	defer conn.Close()
+	resumed := bed.Raw(wire.Resume{Token: tok2})
+	env := resumed.Hello
 	reg, ok := env.Msg.(wire.Registered)
-	if !ok || reg.ID != rc.id {
-		t.Fatalf("resume with live token: got %v, want Registered{%s}", env.Msg, rc.id)
+	if !ok || reg.ID != rc.ID {
+		t.Fatalf("resume with live token: got %v, want Registered{%s}", env.Msg, rc.ID)
 	}
 
 	// Tokens are single-use: the consumed token must not resume again (that
 	// would hijack the live resumed session).
-	if env, conn := resumeAttempt(t, h, tok2); true {
-		conn.Close()
+	if env := bed.Raw(wire.Resume{Token: tok2}).Hello; true {
 		if _, isErr := env.Msg.(wire.Err); !isErr {
 			t.Fatalf("consumed token resumed again: got %s", env.Msg.MsgType())
 		}
 	}
 
 	// Deregister drops the outstanding token with the registration.
-	tok3 := connCall(t, conn, 2, wire.SessionToken{}).Msg.(wire.SessionToken).Token
-	if e, isErr := connCall(t, conn, 3, wire.Deregister{}).Msg.(wire.Err); isErr {
+	tok3 := resumed.Call(wire.SessionToken{}).Msg.(wire.SessionToken).Token
+	if e, isErr := resumed.Call(wire.Deregister{}).Msg.(wire.Err); isErr {
 		t.Fatalf("deregister: %s", e.Text)
 	}
-	if env, conn := resumeAttempt(t, h, tok3); true {
-		conn.Close()
+	if env := bed.Raw(wire.Resume{Token: tok3}).Hello; true {
 		if _, isErr := env.Msg.(wire.Err); !isErr {
 			t.Fatalf("token survived Deregister: got %s", env.Msg.MsgType())
 		}
@@ -151,24 +110,24 @@ func TestSessionTokenLifecycle(t *testing.T) {
 // event_timeout_wait histogram and never pollute the round-trip histogram
 // with deadline-sized outliers.
 func TestEventTimeoutHistogram(t *testing.T) {
-	h := newHarness(t, server.Options{EventDeadline: 40 * time.Millisecond})
-	origin := newRawClient(t, h, "app", "alice")
-	member := newRawClient(t, h, "app", "bob") // never acks its Execs
-	origin.mustOK(wire.Declare{Path: "/x", Class: "textfield"})
-	member.mustOK(wire.Declare{Path: "/x", Class: "textfield"})
-	origin.mustOK(wire.Couple{
-		From: couple.ObjectRef{Instance: origin.id, Path: "/x"},
-		To:   couple.ObjectRef{Instance: member.id, Path: "/x"},
+	srv, bed := newBed(t, server.Options{EventDeadline: 40 * time.Millisecond})
+	origin := bed.Raw(wire.Register{AppType: "app", User: "alice"})
+	member := bed.Raw(wire.Register{AppType: "app", User: "bob"}) // never acks its Execs
+	origin.MustOK(wire.Declare{Path: "/x", Class: "textfield"})
+	member.MustOK(wire.Declare{Path: "/x", Class: "textfield"})
+	origin.MustOK(wire.Couple{
+		From: couple.ObjectRef{Instance: origin.ID, Path: "/x"},
+		To:   couple.ObjectRef{Instance: member.ID, Path: "/x"},
 	})
 
-	res := origin.call(wire.Event{Path: "/x", Name: "changed", Args: []attr.Value{attr.String("v")}})
+	res := origin.Call(wire.Event{Path: "/x", Name: "changed", Args: []attr.Value{attr.String("v")}})
 	if r, ok := res.Msg.(wire.EventResult); !ok || !r.OK {
 		t.Fatalf("event not accepted: %v", res.Msg)
 	}
-	waitFor(t, "event deadline to fire", func() bool {
-		return h.srv.Stats().EventTimeouts >= 1
+	testbed.Wait(t, "event deadline to fire", func() bool {
+		return srv.Stats().EventTimeouts >= 1
 	})
-	st := h.srv.Stats()
+	st := srv.Stats()
 	if st.EventTimeoutWait.Count != 1 {
 		t.Errorf("EventTimeoutWait.Count = %d, want 1", st.EventTimeoutWait.Count)
 	}
@@ -180,21 +139,21 @@ func TestEventTimeoutHistogram(t *testing.T) {
 // participant is one raw client in the routing-equivalence trace, with an
 // ack pump that records the Exec names it re-executed, in arrival order.
 type participant struct {
-	rc  *rawClient
+	rc  *testbed.Peer
 	mu  sync.Mutex
 	got []string
 }
 
-func newParticipant(t *testing.T, h *harness, user string) *participant {
-	p := &participant{rc: newRawClient(t, h, "app", user)}
-	p.rc.mustOK(wire.Declare{Path: "/x", Class: "textfield"})
+func newParticipant(bed *testbed.Bed, user string) *participant {
+	p := &participant{rc: bed.Raw(wire.Register{AppType: "app", User: user})}
+	p.rc.MustOK(wire.Declare{Path: "/x", Class: "textfield"})
 	go func() {
-		for env := range p.rc.events {
+		for env := range p.rc.Events {
 			if ex, ok := env.Msg.(wire.Exec); ok {
 				p.mu.Lock()
 				p.got = append(p.got, ex.Name)
 				p.mu.Unlock()
-				p.rc.send(wire.ExecAck{EventID: ex.EventID})
+				p.rc.Send(wire.ExecAck{EventID: ex.EventID})
 			}
 		}
 	}()
@@ -214,26 +173,21 @@ func (p *participant) sequence() []string {
 }
 
 func (p *participant) ref() couple.ObjectRef {
-	return couple.ObjectRef{Instance: p.rc.id, Path: "/x"}
+	return couple.ObjectRef{Instance: p.rc.ID, Path: "/x"}
 }
 
 // sendEvent dispatches one named event, retrying while the group lock is
 // held by a still-unacknowledged predecessor.
 func (p *participant) sendEvent(t *testing.T, name string) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		env := p.rc.call(wire.Event{Path: "/x", Name: name})
+	testbed.Wait(t, "event "+name+" accepted", func() bool {
+		env := p.rc.Call(wire.Event{Path: "/x", Name: name})
 		res, ok := env.Msg.(wire.EventResult)
 		if !ok {
 			t.Fatalf("event %s: unexpected reply %s", name, env.Msg.MsgType())
 		}
-		if res.OK {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("event %s never accepted", name)
+		return res.OK
+	})
 }
 
 // runShardTrace drives the same multi-group trace against a server with the
@@ -244,15 +198,15 @@ func (p *participant) sendEvent(t *testing.T, name string) {
 func runShardTrace(t *testing.T, shards int) (map[string][]string, server.Stats) {
 	const groups = 8
 	const eventsPerPhase = 4
-	h := newHarness(t, server.Options{Shards: shards})
+	srv, bed := newBed(t, server.Options{Shards: shards})
 	origins := make([]*participant, groups)
 	members := make([]*participant, groups)
 	for g := 0; g < groups; g++ {
-		origins[g] = newParticipant(t, h, fmt.Sprintf("origin%d", g))
-		members[g] = newParticipant(t, h, fmt.Sprintf("member%d", g))
+		origins[g] = newParticipant(bed, fmt.Sprintf("origin%d", g))
+		members[g] = newParticipant(bed, fmt.Sprintf("member%d", g))
 	}
 	for g := 0; g < groups; g++ {
-		origins[g].rc.mustOK(wire.Couple{From: origins[g].ref(), To: members[g].ref()})
+		origins[g].rc.MustOK(wire.Couple{From: origins[g].ref(), To: members[g].ref()})
 	}
 
 	// Phase 1: every group streams events concurrently with the others.
@@ -270,7 +224,7 @@ func runShardTrace(t *testing.T, shards int) (map[string][]string, server.Stats)
 	wg.Wait()
 	for g := 0; g < groups; g++ {
 		g := g
-		waitFor(t, fmt.Sprintf("phase-1 execs at member%d", g), func() bool {
+		testbed.Wait(t, fmt.Sprintf("phase-1 execs at member%d", g), func() bool {
 			return members[g].count() >= eventsPerPhase
 		})
 	}
@@ -278,7 +232,7 @@ func runShardTrace(t *testing.T, shards int) (map[string][]string, server.Stats)
 	// Merge phase: pair up the groups. When sharded, any pair whose groups
 	// hash to different shards migrates — an explicit two-shard handoff.
 	for g := 0; g < groups; g += 2 {
-		origins[g].rc.mustOK(wire.Couple{From: origins[g].ref(), To: origins[g+1].ref()})
+		origins[g].rc.MustOK(wire.Couple{From: origins[g].ref(), To: origins[g+1].ref()})
 	}
 
 	// Phase 2: the left origin of each merged group streams events that now
@@ -297,7 +251,7 @@ func runShardTrace(t *testing.T, shards int) (map[string][]string, server.Stats)
 
 	sequences := make(map[string][]string)
 	collect := func(name string, p *participant, want int) {
-		waitFor(t, fmt.Sprintf("%d execs at %s", want, name), func() bool {
+		testbed.Wait(t, fmt.Sprintf("%d execs at %s", want, name), func() bool {
 			return p.count() >= want
 		})
 		sequences[name] = p.sequence()
@@ -314,10 +268,10 @@ func runShardTrace(t *testing.T, shards int) (map[string][]string, server.Stats)
 	// The last Exec being delivered does not mean its acks have landed back
 	// at the server yet; wait for quiescence so the caller's PendingEvents
 	// assertion is not racing the tail of the ack stream.
-	waitFor(t, "all events resolved", func() bool {
-		return h.srv.Stats().PendingEvents == 0
+	testbed.Wait(t, "all events resolved", func() bool {
+		return srv.Stats().PendingEvents == 0
 	})
-	return sequences, h.srv.Stats()
+	return sequences, srv.Stats()
 }
 
 // TestShardRoutingEquivalence is the shard-routing property test: the same
@@ -350,47 +304,47 @@ func TestShardRoutingEquivalence(t *testing.T) {
 // pending. (The lock table used to move the entry with B, where E's unlock
 // never looked.)
 func TestMigratedMemberLeavesNoStrandedLock(t *testing.T) {
-	h := newHarness(t, server.Options{})
-	ref := func(rc *rawClient) couple.ObjectRef { return couple.ObjectRef{Instance: rc.id, Path: "/x"} }
-	declared := func(user string) *rawClient {
-		rc := newRawClient(t, h, "app", user)
-		rc.mustOK(wire.Declare{Path: "/x", Class: "textfield"})
+	srv, bed := newBed(t, server.Options{})
+	ref := func(rc *testbed.Peer) couple.ObjectRef { return couple.ObjectRef{Instance: rc.ID, Path: "/x"} }
+	declared := func(user string) *testbed.Peer {
+		rc := bed.Raw(wire.Register{AppType: "app", User: user})
+		rc.MustOK(wire.Declare{Path: "/x", Class: "textfield"})
 		return rc
 	}
 	a, b := declared("alice"), declared("bob")
-	a.mustOK(wire.Couple{From: ref(a), To: ref(b)})
+	a.MustOK(wire.Couple{From: ref(a), To: ref(b)})
 	// C must start on a different shard than the A–B group.
-	var c *rawClient
+	var c *testbed.Peer
 	for i := 0; c == nil; i++ {
 		if i == 32 {
 			t.Fatal("no candidate hashed to another shard")
 		}
-		if cand := declared(fmt.Sprintf("carol%d", i)); h.srv.ShardOf(ref(cand)) != h.srv.ShardOf(ref(b)) {
+		if cand := declared(fmt.Sprintf("carol%d", i)); srv.ShardOf(ref(cand)) != srv.ShardOf(ref(b)) {
 			c = cand
 		}
 	}
 
-	if res, ok := a.call(wire.Event{Path: "/x", Name: "changed", Args: []attr.Value{attr.String("e")}}).Msg.(wire.EventResult); !ok || !res.OK {
+	if res, ok := a.Call(wire.Event{Path: "/x", Name: "changed", Args: []attr.Value{attr.String("e")}}).Msg.(wire.EventResult); !ok || !res.OK {
 		t.Fatalf("event E not accepted: %+v", res)
 	}
-	held := nextEvent[wire.Exec](b) // B withholds this ack: E stays pending
-	a.mustOK(wire.Decouple{From: ref(a), To: ref(b)})
+	held := testbed.Next[wire.Exec](b) // B withholds this ack: E stays pending
+	a.MustOK(wire.Decouple{From: ref(a), To: ref(b)})
 	// From C: on a size tie the From side stays put, so B is the one to move.
-	c.mustOK(wire.Couple{From: ref(c), To: ref(b)})
-	if h.srv.ShardOf(ref(b)) != h.srv.ShardOf(ref(c)) || h.srv.ShardOf(ref(b)) == h.srv.ShardOf(ref(a)) {
+	c.MustOK(wire.Couple{From: ref(c), To: ref(b)})
+	if srv.ShardOf(ref(b)) != srv.ShardOf(ref(c)) || srv.ShardOf(ref(b)) == srv.ShardOf(ref(a)) {
 		t.Fatal("B did not migrate away from E's shard")
 	}
-	b.send(wire.ExecAck{EventID: held.EventID})
-	waitFor(t, "E resolved", func() bool { return h.srv.Stats().PendingEvents == 0 })
+	b.Send(wire.ExecAck{EventID: held.EventID})
+	testbed.Wait(t, "E resolved", func() bool { return srv.Stats().PendingEvents == 0 })
 
 	// An event on B's new group locks B; it must be accepted.
-	waitFor(t, "event on B's new group accepted", func() bool {
-		res, ok := c.call(wire.Event{Path: "/x", Name: "changed", Args: []attr.Value{attr.String("f")}}).Msg.(wire.EventResult)
+	testbed.Wait(t, "event on B's new group accepted", func() bool {
+		res, ok := c.Call(wire.Event{Path: "/x", Name: "changed", Args: []attr.Value{attr.String("f")}}).Msg.(wire.EventResult)
 		return ok && res.OK
 	})
-	b.send(wire.ExecAck{EventID: nextEvent[wire.Exec](b).EventID})
-	waitFor(t, "all events resolved", func() bool { return h.srv.Stats().PendingEvents == 0 })
-	if n := h.srv.LocksHeld(); n != 0 {
+	b.Send(wire.ExecAck{EventID: testbed.Next[wire.Exec](b).EventID})
+	testbed.Wait(t, "all events resolved", func() bool { return srv.Stats().PendingEvents == 0 })
+	if n := srv.LocksHeld(); n != 0 {
 		t.Errorf("%d lock entries left with nothing pending", n)
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"testing"
 	"time"
 
-	"cosoft/internal/client"
 	"cosoft/internal/faultnet"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/wire"
 )
 
@@ -17,19 +17,20 @@ import (
 // wire.LiveSharedBodies above zero forever, a double release panics the
 // writer — and -race audits the release ordering against the state loop.
 func TestChaosEvictionMidBroadcastReleasesSharedBody(t *testing.T) {
-	h := newHarness(t, server.Options{
+	srv, bed := newBed(t, server.Options{
 		OutboxLimit:   8,
 		OutboxGrace:   60 * time.Millisecond,
 		EventDeadline: 200 * time.Millisecond,
 	})
 	spec := `textfield note value=""`
-	a := h.dial("editor", "alice", spec, client.Options{})
-	b, fc := h.dialChaos("editor", "bob", spec, client.Options{}, faultnet.Schedule{})
+	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: spec})
+	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec, Fault: &faultnet.Schedule{}})
+	fc := bed.Fault(b)
 
 	mustOK(t, a.Declare("/note"))
 	mustOK(t, b.Declare("/note"))
 	mustOK(t, a.Couple("/note", b.Ref("/note")))
-	waitFor(t, "coupling mirrored", func() bool { return a.Coupled("/note") && b.Coupled("/note") })
+	testbed.Wait(t, "coupling mirrored", func() bool { return a.Coupled("/note") && b.Coupled("/note") })
 
 	fc.Hang() // bob's receive window closes for good
 
@@ -41,11 +42,11 @@ func TestChaosEvictionMidBroadcastReleasesSharedBody(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		mustOK(t, a.SendCommand("noop", nil))
 	}
-	waitFor(t, "slow member evicted mid-broadcast", func() bool {
-		st := h.srv.Stats()
+	testbed.Wait(t, "slow member evicted mid-broadcast", func() bool {
+		st := srv.Stats()
 		return st.Evictions >= 1 && st.Instances == 1 && st.PendingEvents == 0
 	})
-	waitFor(t, "shared body released exactly once", func() bool {
+	testbed.Wait(t, "shared body released exactly once", func() bool {
 		return wire.LiveSharedBodies() == 0
 	})
 }

@@ -3,9 +3,9 @@ package server
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"cosoft/internal/couple"
+	"cosoft/internal/testbed"
 	"cosoft/internal/wire"
 )
 
@@ -13,14 +13,9 @@ import (
 // has been released — the quiescence invariant of the encode-once path.
 func waitNoLiveBodies(t *testing.T) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if wire.LiveSharedBodies() == 0 {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("LiveSharedBodies = %d at quiescence, want 0 (leaked shared body)", wire.LiveSharedBodies())
+	testbed.Wait(t, "every shared body released (LiveSharedBodies = 0 at quiescence)", func() bool {
+		return wire.LiveSharedBodies() == 0
+	})
 }
 
 // TestOutboxDeathReleasesSharedBodiesExactlyOnce is the regression test for

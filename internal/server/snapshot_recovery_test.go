@@ -194,7 +194,7 @@ func TestSnapshotCrashPointRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		rig := newCrashRig(t, Options{EventLog: elog})
+		rig := newCrashScript(t, Options{EventLog: elog})
 		for _, run := range ops {
 			run(rig)
 		}
@@ -221,14 +221,14 @@ func TestSnapshotCrashPointRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("boundary %d: reopen: %v", op, err)
 		}
-		recovered := newCrashRig(t, Options{EventLog: elog2})
+		recovered := newCrashScript(t, Options{EventLog: elog2})
 		got := liveDigest(recovered.srv)
 		recovered.shutdown()
 		if err := elog2.Close(); err != nil {
 			t.Fatalf("boundary %d: close reopened: %v", op, err)
 		}
 
-		shadow := newCrashRig(t, Options{})
+		shadow := newCrashScript(t, Options{})
 		for _, run := range ops {
 			run(shadow)
 		}
@@ -261,7 +261,7 @@ func TestSnapshotRestartEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rig := newCrashRig(t, Options{EventLog: elog, Shards: shards})
+			rig := newCrashScript(t, Options{EventLog: elog, Shards: shards})
 			for _, run := range ops {
 				run(rig)
 			}
@@ -276,7 +276,7 @@ func TestSnapshotRestartEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			recovered := newCrashRig(t, Options{EventLog: elog2, Shards: shards})
+			recovered := newCrashScript(t, Options{EventLog: elog2, Shards: shards})
 			got := liveDigest(recovered.srv)
 			recovered.shutdown()
 			if err := elog2.Close(); err != nil {
@@ -291,7 +291,7 @@ func TestSnapshotRestartEquivalence(t *testing.T) {
 				t.Fatalf("snapshot restart replayed %d log records; want 0 (snapshot covers the whole log)", n)
 			}
 
-			shadow := newCrashRig(t, Options{Shards: shards})
+			shadow := newCrashScript(t, Options{Shards: shards})
 			for _, run := range ops {
 				run(shadow)
 			}
@@ -316,7 +316,7 @@ func TestSnapshotV1PayloadRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig := newCrashRig(t, Options{EventLog: elog})
+	rig := newCrashScript(t, Options{EventLog: elog})
 	for _, run := range ops {
 		run(rig)
 	}
@@ -345,7 +345,7 @@ func TestSnapshotV1PayloadRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recovered := newCrashRig(t, Options{EventLog: elog2})
+	recovered := newCrashScript(t, Options{EventLog: elog2})
 	got := liveDigest(recovered.srv)
 	recovered.shutdown()
 	if err := elog2.Close(); err != nil {
@@ -355,7 +355,7 @@ func TestSnapshotV1PayloadRefused(t *testing.T) {
 		t.Fatal("restart replayed no log records: the v1 snapshot was not refused")
 	}
 
-	shadow := newCrashRig(t, Options{})
+	shadow := newCrashScript(t, Options{})
 	for _, run := range ops {
 		run(shadow)
 	}

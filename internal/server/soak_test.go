@@ -10,6 +10,7 @@ import (
 	"cosoft/internal/attr"
 	"cosoft/internal/client"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 )
 
@@ -24,16 +25,12 @@ func TestSoakConvergence(t *testing.T) {
 		clients = 6
 		rounds  = 40
 	)
-	h := newHarness(t, server.Options{})
+	_, bed := newBed(t, server.Options{})
 	cls := make([]*client.Client, clients)
 	for i := range cls {
 		// One plain peer among the batching clients, as in the benchmark's
 		// groups.
-		dial := h.dial
-		if i == 0 {
-			dial = h.dialPlain
-		}
-		cls[i] = dial("soak", fmt.Sprintf("u%d", i), `textfield pad value=""`, client.Options{})
+		cls[i] = bed.Dial(testbed.Member{AppType: "soak", User: fmt.Sprintf("u%d", i), Spec: `textfield pad value=""`, Plain: i == 0})
 		mustOK(t, cls[i].Declare("/pad"))
 	}
 

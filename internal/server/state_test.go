@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -21,7 +20,7 @@ import (
 	"cosoft/internal/couple"
 	"cosoft/internal/eventlog"
 	"cosoft/internal/hist"
-	"cosoft/internal/netsim"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
 )
@@ -275,96 +274,6 @@ func FuzzDecodeState(f *testing.F) {
 	})
 }
 
-// rawPeer speaks the wire protocol directly, so the test knows every payload
-// the server saw.
-type rawPeer struct {
-	t    *testing.T
-	conn *wire.Conn
-	seq  uint64
-	in   chan wire.Envelope
-}
-
-func dialRaw(t *testing.T, srv *Server, wg *sync.WaitGroup) *rawPeer {
-	t.Helper()
-	link := netsim.NewLink(0)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		srv.HandleConn(wire.NewConn(link.B))
-	}()
-	// Buffered past anything one step leaves unread, so the reader never
-	// stalls the server's writer.
-	p := &rawPeer{t: t, conn: wire.NewConn(link.A), in: make(chan wire.Envelope, 256)}
-	go func() {
-		defer close(p.in)
-		for {
-			env, err := p.conn.Read()
-			if err != nil {
-				return
-			}
-			p.in <- env
-		}
-	}()
-	return p
-}
-
-func (p *rawPeer) send(msg wire.Message) uint64 {
-	p.t.Helper()
-	p.seq++
-	if err := p.conn.Write(wire.Envelope{Seq: p.seq, Msg: msg}); err != nil {
-		p.t.Fatalf("write %s: %v", msg.MsgType(), err)
-	}
-	return p.seq
-}
-
-// next returns the first incoming envelope match accepts, dropping the
-// notices before it.
-func (p *rawPeer) next(what string, match func(wire.Envelope) bool) wire.Envelope {
-	p.t.Helper()
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case env, ok := <-p.in:
-			if !ok {
-				p.t.Fatalf("connection closed waiting for %s", what)
-			}
-			if match(env) {
-				return env
-			}
-		case <-deadline:
-			p.t.Fatalf("timed out waiting for %s", what)
-		}
-	}
-}
-
-// reply waits for the answer to request seq and requires it not be an Err.
-func (p *rawPeer) reply(seq uint64) wire.Message {
-	p.t.Helper()
-	env := p.next(fmt.Sprintf("the reply to request %d", seq), func(env wire.Envelope) bool { return env.RefSeq == seq })
-	if e, ok := env.Msg.(wire.Err); ok {
-		p.t.Fatalf("request %d refused: %s", seq, e.Text)
-	}
-	return env.Msg
-}
-
-func (p *rawPeer) call(msg wire.Message) wire.Message {
-	p.t.Helper()
-	return p.reply(p.send(msg))
-}
-
-// serveState answers the server's next StateRequest with state.
-func (p *rawPeer) serveState(state widget.TreeState) {
-	p.t.Helper()
-	env := p.next("a state request", func(env wire.Envelope) bool {
-		_, ok := env.Msg.(wire.StateRequest)
-		return ok
-	})
-	id := env.Msg.(wire.StateRequest).RequestID
-	if err := p.conn.Write(wire.Envelope{Msg: wire.StateReply{RequestID: id, OK: true, State: state}}); err != nil {
-		p.t.Fatal(err)
-	}
-}
-
 // Every eventlog.Kind has exactly one mutation site. Each step below drives a
 // live server through the wire into logging one or two kinds, and hands the
 // record the step stands for — written out here, not read back from any log —
@@ -372,22 +281,7 @@ func (p *rawPeer) serveState(state widget.TreeState) {
 // them the steps cover every kind there is.
 func TestEveryKindHasOneMutationSite(t *testing.T) {
 	srv := New(Options{Shards: HarnessShards})
-	var wg sync.WaitGroup
-	var dialed []*rawPeer
-	dial := func() *rawPeer {
-		p := dialRaw(t, srv, &wg)
-		dialed = append(dialed, p)
-		return p
-	}
-	defer func() {
-		srv.Close()
-		// A deregistered instance is no client of the server's any more, so
-		// Close does not reach its connection.
-		for _, p := range dialed {
-			p.conn.Close()
-		}
-		wg.Wait()
-	}()
+	bed := testbed.New(t, srv, testbed.Options{})
 	fresh := newState(HarnessShards, 0, nil)
 	seen := make(map[eventlog.Kind]bool)
 	step := func(what string, recs ...eventlog.Record) {
@@ -419,15 +313,15 @@ func TestEveryKindHasOneMutationSite(t *testing.T) {
 	}
 
 	// Register, Declare.
-	peers := make(map[couple.InstanceID]*rawPeer)
+	peers := make(map[couple.InstanceID]*testbed.Peer)
 	join := func(user string) couple.InstanceID {
-		p := dial()
 		reg := wire.Register{AppType: "app", Host: "raw", User: user}
-		id := p.call(reg).(wire.Registered).ID
+		p := bed.Raw(reg)
+		id := p.ID
 		peers[id] = p
 		step("register "+user, rec(eventlog.KindRegister, id, reg))
 		decl := wire.Declare{Path: "/x", Class: "textfield"}
-		p.call(decl)
+		p.MustOK(decl)
 		step("declare by "+user, rec(eventlog.KindDeclare, id, decl))
 		return id
 	}
@@ -438,73 +332,72 @@ func TestEveryKindHasOneMutationSite(t *testing.T) {
 	// for at least one of the pairs, with four of them.
 	for _, m := range []wire.Couple{{From: x(a), To: x(b)}, {From: x(c), To: x(a)}} {
 		creator := m.From.Instance
-		peers[creator].call(m)
+		peers[creator].MustOK(m)
 		step("couple", rec(eventlog.KindCouple, creator, m))
 	}
 
 	// Event: a dispatches, b and c re-execute and acknowledge.
-	seq := peers[a].send(wire.Event{Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("v")}})
+	peers[a].Send(wire.Event{Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("v")}})
 	var exec wire.Exec
 	for _, id := range []couple.InstanceID{b, c} {
-		env := peers[id].next("an Exec", func(env wire.Envelope) bool { _, ok := env.Msg.(wire.Exec); return ok })
-		exec = env.Msg.(wire.Exec)
-		peers[id].send(wire.ExecAck{EventID: exec.EventID})
+		exec = testbed.Next[wire.Exec](peers[id])
+		peers[id].Send(wire.ExecAck{EventID: exec.EventID})
 	}
-	if res := peers[a].reply(seq).(wire.EventResult); !res.OK {
+	if res := testbed.Next[wire.EventResult](peers[a]); !res.OK {
 		t.Fatalf("event denied: %s", res.Reason)
 	}
 	step("event", rec(eventlog.KindEvent, a, exec))
 
 	// Hist: a pushes its state onto b's object, whose old state is backed up.
-	seq = peers[a].send(wire.CopyTo{FromPath: "/x", To: x(b), State: text("pushed")})
-	peers[b].serveState(text("overwritten"))
-	peers[a].reply(seq)
+	peers[a].Send(wire.CopyTo{FromPath: "/x", To: x(b), State: text("pushed")})
+	peers[b].ServeState(text("overwritten"))
+	testbed.Next[wire.OK](peers[a])
 	step("copy", rec(eventlog.KindHist, a, wire.CopyTo{To: x(b), State: text("overwritten")}))
 
 	// Undo, Redo: b walks its history; each walk carries b's current state.
-	seq = peers[b].send(wire.Undo{Path: "/x"})
-	peers[b].serveState(text("pushed"))
-	peers[b].reply(seq)
+	peers[b].Send(wire.Undo{Path: "/x"})
+	peers[b].ServeState(text("pushed"))
+	testbed.Next[wire.OK](peers[b])
 	step("undo", rec(eventlog.KindUndo, b, wire.CopyTo{To: x(b), State: text("pushed")}))
-	seq = peers[b].send(wire.Redo{Path: "/x"})
-	peers[b].serveState(text("overwritten"))
-	peers[b].reply(seq)
+	peers[b].Send(wire.Redo{Path: "/x"})
+	peers[b].ServeState(text("overwritten"))
+	testbed.Next[wire.OK](peers[b])
 	step("redo", rec(eventlog.KindRedo, b, wire.CopyTo{To: x(b), State: text("overwritten")}))
 
 	// Decouple, named against the link's stored direction.
 	dec := wire.Decouple{From: x(a), To: x(c)}
-	peers[a].call(dec)
+	peers[a].MustOK(dec)
 	step("decouple", rec(eventlog.KindDecouple, a, dec))
 
 	// Token, Disconnect, Resume: b mints a token, drops off, and comes back
 	// as itself on a new connection.
-	tok := peers[b].call(wire.SessionToken{}).(wire.SessionToken)
+	tok := peers[b].Call(wire.SessionToken{}).Msg.(wire.SessionToken)
 	step("token", rec(eventlog.KindToken, b, tok))
-	peers[b].conn.Close()
+	peers[b].Close()
 	step("disconnect", rec(eventlog.KindDisconnect, b, wire.Err{Text: "connection closed"}))
-	peers[b] = dial()
-	if id := peers[b].call(wire.Resume{Token: tok.Token}).(wire.Registered).ID; id != b {
+	peers[b] = bed.Raw(wire.Resume{Token: tok.Token})
+	if id := peers[b].ID; id != b {
 		t.Fatalf("resumed as %s, want %s", id, b)
 	}
 	step("resume", rec(eventlog.KindResume, b, wire.Resume{Token: tok.Token}))
 
 	// TokenDrop: a deregistration revokes the token minted since and takes
 	// the instance with it.
-	tok = peers[b].call(wire.SessionToken{}).(wire.SessionToken)
+	tok = peers[b].Call(wire.SessionToken{}).Msg.(wire.SessionToken)
 	step("second token", rec(eventlog.KindToken, b, tok))
-	peers[b].call(wire.Deregister{})
+	peers[b].MustOK(wire.Deregister{})
 	step("deregister",
 		rec(eventlog.KindTokenDrop, b, wire.Deregister{}),
 		rec(eventlog.KindDisconnect, b, wire.Err{Text: "deregistered"}))
 
 	// Perm (last: the first rule closes the open table), Retract.
 	grant := wire.GrantPerm{User: "u3", State: "*", Right: 2}
-	peers[a].call(grant)
+	peers[a].MustOK(grant)
 	step("grant", rec(eventlog.KindPerm, a, grant))
 	revoke := wire.RevokePerm{User: "u3", State: "*", Right: 2}
-	peers[a].call(revoke)
+	peers[a].MustOK(revoke)
 	step("revoke", rec(eventlog.KindPerm, a, revoke))
-	peers[a].call(wire.Retract{Path: "/x"})
+	peers[a].MustOK(wire.Retract{Path: "/x"})
 	step("retract", rec(eventlog.KindRetract, a, wire.Retract{Path: "/x"}))
 
 	for k := eventlog.KindRegister; k <= eventlog.KindPerm; k++ {

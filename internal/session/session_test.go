@@ -2,51 +2,29 @@ package session
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 
 	"cosoft/internal/attr"
 	"cosoft/internal/client"
 	"cosoft/internal/couple"
-	"cosoft/internal/netsim"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
-	"cosoft/internal/wire"
 )
 
 type fixture struct {
 	t       *testing.T
-	srv     *server.Server
-	wg      sync.WaitGroup
 	clients []*client.Client
 }
 
 func newFixture(t *testing.T, n int) *fixture {
 	t.Helper()
-	f := &fixture{t: t, srv: server.New(server.Options{})}
-	t.Cleanup(func() {
-		f.srv.Close()
-		f.wg.Wait()
-	})
+	bed := testbed.New(t, server.New(server.Options{}), testbed.Options{})
+	f := &fixture{t: t}
 	for i := 0; i < n; i++ {
-		link := netsim.NewLink(0)
-		f.wg.Add(1)
-		go func() {
-			defer f.wg.Done()
-			f.srv.HandleConn(wire.NewConn(link.B))
-		}()
-		reg := widget.NewRegistry()
-		widget.MustBuild(reg, "/", `textfield pad value=""`)
-		cli, err := client.New(link.A, client.Options{
-			AppType: "pad", User: "u", Host: "h", Registry: reg,
-			RPCTimeout: 5 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(cli.Close)
+		cli := bed.Dial(testbed.Member{AppType: "pad", User: "u", Spec: `textfield pad value=""`, Plain: true})
 		if err := cli.Declare("/pad"); err != nil {
 			t.Fatal(err)
 		}
@@ -59,31 +37,18 @@ func (f *fixture) ref(i int) couple.ObjectRef { return f.clients[i].Ref("/pad") 
 
 func (f *fixture) waitGroupSize(i, others int) {
 	f.t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(f.clients[i].CO("/pad")) == others {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	f.t.Fatalf("client %d group size = %d, want %d", i, len(f.clients[i].CO("/pad")), others)
+	testbed.Wait(f.t, fmt.Sprintf("client %d group size %d", i, others), func() bool {
+		return len(f.clients[i].CO("/pad")) == others
+	})
 }
 
 func (f *fixture) typeAt(i int, text string) {
 	f.t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		err := f.clients[i].DispatchChecked(&widget.Event{
+	testbed.Wait(f.t, fmt.Sprintf("client %d to type %q", i, text), func() bool {
+		return f.clients[i].DispatchChecked(&widget.Event{
 			Path: "/pad", Name: widget.EventChanged, Args: []attr.Value{attr.String(text)},
-		})
-		if err == nil {
-			return
-		}
-		if time.Now().After(deadline) {
-			f.t.Fatal(err)
-		}
-		time.Sleep(time.Millisecond)
-	}
+		}) == nil
+	})
 }
 
 func (f *fixture) valueAt(i int) string {
@@ -96,14 +61,7 @@ func (f *fixture) valueAt(i int) string {
 
 func (f *fixture) waitValue(i int, want string) {
 	f.t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		if f.valueAt(i) == want {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	f.t.Fatalf("client %d value = %q, want %q", i, f.valueAt(i), want)
+	testbed.Wait(f.t, fmt.Sprintf("client %d value %q", i, want), func() bool { return f.valueAt(i) == want })
 }
 
 func TestCreateValidation(t *testing.T) {

@@ -8,6 +8,7 @@ package cosoft_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -18,8 +19,8 @@ import (
 	"cosoft/internal/experiments"
 	"cosoft/internal/obs"
 	"cosoft/internal/server"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
-	"cosoft/internal/wire"
 )
 
 // TestCausalChainAcrossThreeInstances couples one textfield across three
@@ -34,33 +35,31 @@ import (
 //	  └ server.unlock
 func TestCausalChainAcrossThreeInstances(t *testing.T) {
 	tr := obs.NewTracer(1024)
-	cluster, err := experiments.NewCluster(3, `textfield field value=""`, 0,
-		server.Options{Tracer: tr},
-		client.Options{Tracer: tr})
-	if err != nil {
-		t.Fatal(err)
+	bed := testbed.New(t, server.New(server.Options{Tracer: tr}), testbed.Options{})
+	cl := make([]*client.Client, 3)
+	for i := range cl {
+		cl[i] = bed.Dial(testbed.Member{AppType: "bench", User: fmt.Sprintf("user%d", i), Spec: `textfield field value=""`,
+			Plain: true, Options: client.Options{Tracer: tr}})
 	}
-	defer cluster.Close()
-	if err := cluster.DeclareAll("/field"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.CoupleStar("/field"); err != nil {
-		t.Fatal(err)
-	}
+	bed.Star("/field", cl...)
 
-	origin := cluster.Clients[0]
+	origin := cl[0]
 	ev := &widget.Event{Path: "/field", Name: widget.EventChanged,
 		Args: []attr.Value{attr.String("hello")}}
 	if err := origin.DispatchChecked(ev); err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.WaitValue("/field", "value", "hello"); err != nil {
-		t.Fatal(err)
+	for _, c := range cl {
+		waitValue(t, c, "hello")
 	}
 
 	// The ExecAcks and the unlock land after the origin's EventResult; poll
 	// until the whole chain (11 spans) is in the ring.
-	spans := waitForSpans(t, tr, 11)
+	var spans []obs.Span
+	testbed.Wait(t, "the whole chain (11 spans) in the ring", func() bool {
+		spans = tr.Spans()
+		return len(spans) >= 11
+	})
 
 	byName := make(map[string][]obs.Span)
 	for _, s := range spans {
@@ -125,7 +124,7 @@ func TestCausalChainAcrossThreeInstances(t *testing.T) {
 		applies[s.ID] = true
 		applyInsts[s.Inst] = true
 	}
-	for _, member := range cluster.Clients[1:] {
+	for _, member := range cl[1:] {
 		if !applyInsts[string(member.ID())] {
 			t.Errorf("no exec_apply span from member %s", member.ID())
 		}
@@ -144,19 +143,13 @@ func TestCausalChainAcrossThreeInstances(t *testing.T) {
 	}
 }
 
-func waitForSpans(t *testing.T, tr *obs.Tracer, want int) []obs.Span {
+// waitValue waits until cli's /field holds want.
+func waitValue(t *testing.T, cli *client.Client, want string) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		spans := tr.Spans()
-		if len(spans) >= want || time.Now().After(deadline) {
-			if len(spans) < want {
-				t.Fatalf("only %d spans recorded after 10s, want %d: %+v", len(spans), want, spans)
-			}
-			return spans
-		}
-		time.Sleep(time.Millisecond)
-	}
+	testbed.Wait(t, fmt.Sprintf("%s to see value %q", cli.ID(), want), func() bool {
+		w, err := cli.Registry().Lookup("/field")
+		return err == nil && w.Attr("value").AsString() == want
+	})
 }
 
 // snoopConn records every byte a legacy peer exchanges so the test can
@@ -212,34 +205,14 @@ func frameTypes(t *testing.T, buf []byte) []uint16 {
 // every raw frame it sees must have a clean type field (no 0x8000 flag).
 func TestLegacyPeerInteropWithTracedServer(t *testing.T) {
 	tr := obs.NewTracer(256)
-	srv := server.New(server.Options{Tracer: tr})
-	defer srv.Close()
-
-	dial := func(c net.Conn, name string, tracer *obs.Tracer) *client.Client {
-		reg := widget.NewRegistry()
-		if _, err := widget.Build(reg, "/", `textfield field value=""`); err != nil {
-			t.Fatal(err)
-		}
-		cli, err := client.New(c, client.Options{
-			AppType: "trace-test", User: name, Host: "local",
-			Registry: reg, RPCTimeout: 10 * time.Second, Tracer: tracer,
-		})
-		if err != nil {
-			t.Fatalf("dial %s: %v", name, err)
-		}
-		return cli
+	bed := testbed.New(t, server.New(server.Options{Tracer: tr}), testbed.Options{})
+	dial := func(name string, tracer *obs.Tracer, wrap func(net.Conn) net.Conn) *client.Client {
+		return bed.Dial(testbed.Member{AppType: "trace-test", User: name, Spec: `textfield field value=""`, Plain: true,
+			Wrap: wrap, Options: client.Options{RPCTimeout: 10 * time.Second, Tracer: tracer}})
 	}
-
-	tc, ts := net.Pipe()
-	go srv.HandleConn(wire.NewConn(ts))
-	traced := dial(tc, "traced", tr)
-	defer traced.Close()
-
-	lc, ls := net.Pipe()
-	snoop := &snoopConn{Conn: lc}
-	go srv.HandleConn(wire.NewConn(ls))
-	legacy := dial(snoop, "legacy", nil)
-	defer legacy.Close()
+	traced := dial("traced", tr, nil)
+	snoop := &snoopConn{}
+	legacy := dial("legacy", nil, func(c net.Conn) net.Conn { snoop.Conn = c; return snoop })
 
 	for _, cli := range []*client.Client{traced, legacy} {
 		if err := cli.DeclareTree("/field"); err != nil {
@@ -249,30 +222,8 @@ func TestLegacyPeerInteropWithTracedServer(t *testing.T) {
 	if err := traced.Couple("/field", legacy.Ref("/field")); err != nil {
 		t.Fatal(err)
 	}
-	waitGroupSize := func(cli *client.Client) {
-		deadline := time.Now().Add(10 * time.Second)
-		for len(cli.CO("/field")) != 1 {
-			if time.Now().After(deadline) {
-				t.Fatalf("coupling did not converge on %s", cli.ID())
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	waitGroupSize(traced)
-	waitGroupSize(legacy)
-
-	waitValue := func(cli *client.Client, want string) {
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			w, err := cli.Registry().Lookup("/field")
-			if err == nil && w.Attr("value").AsString() == want {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s never saw value %q", cli.ID(), want)
-			}
-			time.Sleep(time.Millisecond)
-		}
+	for _, cli := range []*client.Client{traced, legacy} {
+		testbed.Wait(t, fmt.Sprintf("coupling to converge on %s", cli.ID()), func() bool { return len(cli.CO("/field")) == 1 })
 	}
 
 	// Traced origin → the Exec to the legacy member rides a traced chain
@@ -285,13 +236,13 @@ func TestLegacyPeerInteropWithTracedServer(t *testing.T) {
 		}
 	}
 	dispatch(traced, "from-traced")
-	waitValue(legacy, "from-traced")
-	waitValue(traced, "from-traced")
+	waitValue(t, legacy, "from-traced")
+	waitValue(t, traced, "from-traced")
 
 	// Legacy origin → the chain is untraced end to end.
 	dispatch(legacy, "from-legacy")
-	waitValue(traced, "from-legacy")
-	waitValue(legacy, "from-legacy")
+	waitValue(t, traced, "from-legacy")
+	waitValue(t, legacy, "from-legacy")
 
 	// The traced chain really was traced (the server recorded spans) ...
 	if spans := tr.Spans(); len(spans) == 0 {
