@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"cosoft/internal/client"
@@ -343,12 +342,25 @@ func TestPropMirrorsMatchFullBroadcast(t *testing.T) {
 		}
 		checkMirrors(t, srv, model, peers, fmt.Sprintf("seed %d at the end", seed))
 	}
-	f := func(seed int64) bool {
-		return t.Run(fmt.Sprint(seed), func(t *testing.T) { script(t, seed) })
+	// The seeds are fixed, not drawn by quick.Check from the clock, so each
+	// script runs, and is named, the same on every run.
+	for _, seed := range mirrorSeeds {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { script(t, seed) })
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
+}
+
+// mirrorSeeds are 25 seeds once drawn at random for
+// TestPropMirrorsMatchFullBroadcast.
+var mirrorSeeds = []int64{
+	-1259670455702671925, -212541134892010761, -2992354744898627188,
+	-3216077752627738076, -3282967959127538410, -360445061237689495,
+	-3851626800939089632, -4792904869613998306, -5949412667249212136,
+	-655182557903792453, -7287634232911930876, -8628415572200321276,
+	-9022957536165412615, -9049468901838988058, 109516756408858575,
+	114038724562584643, 2251655342271178081, 2275918443827011896,
+	2710723903545412452, 5238338569023368557, 592652628890208037,
+	5945429715955425895, 6048992839965620078, 8109172900034158145,
+	8337179743106366534,
 }
 
 // star couples hub to every spoke in turn and keeps the oracle in step.
