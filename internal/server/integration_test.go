@@ -3,6 +3,7 @@ package server_test
 import (
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -549,9 +550,34 @@ func TestMalformedFirstMessageRejected(t *testing.T) {
 }
 
 func TestServerOverTCP(t *testing.T) {
-	bed := testbed.New(t, server.New(server.Options{}), testbed.Options{TCP: true})
-	a := bed.Dial(testbed.Member{AppType: "tcpapp", User: "u1", Spec: `textfield x`, Plain: true})
-	b := bed.Dial(testbed.Member{AppType: "tcpapp", User: "u2", Spec: `textfield x`, Plain: true})
+	srv := server.New(server.Options{})
+	defer srv.Close()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(lis) //nolint:errcheck
+	defer lis.Close()
+
+	dial := func(user, spec string) *client.Client {
+		conn, err := net.Dial("tcp", lis.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := widget.NewRegistry()
+		widget.MustBuild(reg, "/", spec)
+		c, err := client.New(conn, client.Options{
+			AppType: "tcpapp", User: user, Host: "local", Registry: reg,
+			RPCTimeout: 5 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		return c
+	}
+	a := dial("u1", `textfield x`)
+	b := dial("u2", `textfield x`)
 	mustOK(t, a.Declare("/x"))
 	mustOK(t, b.Declare("/x"))
 	mustOK(t, a.Couple("/x", b.Ref("/x")))

@@ -32,11 +32,11 @@ type TB interface {
 	Cleanup(func())
 }
 
-// Server is what the bed needs of a coupling server. A server that also has a
-// Close method is closed at teardown.
+// Server is what the bed needs of a coupling server; teardown closes it.
 type Server interface {
 	HandleConn(*wire.Conn)
 	CheckInvariants() error
+	Close()
 }
 
 // Options configures a bed.
@@ -364,8 +364,8 @@ func (b *Bed) shutdown() {
 	for _, c := range ends {
 		c.Close()
 	}
-	if s, ok := srv.(interface{ Close() }); ok {
-		s.Close()
+	if srv != nil {
+		srv.Close()
 	}
 	if b.lis != nil {
 		b.lis.Close()
