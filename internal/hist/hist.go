@@ -196,40 +196,6 @@ func (d *DB) ForgetInstance(id couple.InstanceID) {
 	}
 }
 
-// Extracted is an opaque bundle of per-object histories removed from one DB,
-// to be Installed into another (cross-shard group migration).
-type Extracted struct {
-	objects map[couple.ObjectRef]*entry
-}
-
-// Len returns the number of objects in the bundle.
-func (x Extracted) Len() int { return len(x.objects) }
-
-// Extract removes and returns the histories of every object in refs.
-func (d *DB) Extract(refs map[couple.ObjectRef]bool) Extracted {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[couple.ObjectRef]*entry)
-	for ref, e := range d.objects {
-		if refs[ref] {
-			delete(d.objects, ref)
-			out[ref] = e
-		}
-	}
-	return Extracted{objects: out}
-}
-
-// Install adds extracted histories to the store. An object present in both
-// keeps the installed history (the migration protocol guarantees the
-// receiving store has recorded nothing for the migrating refs).
-func (d *DB) Install(x Extracted) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for ref, e := range x.objects {
-		d.objects[ref] = e
-	}
-}
-
 // Len returns the number of objects with recorded history.
 func (d *DB) Len() int {
 	d.mu.Lock()

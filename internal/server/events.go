@@ -82,9 +82,9 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 
 	// Event IDs interleave across shards: shard i allocates i+1, i+1+N,
 	// i+1+2N, … so IDs stay globally unique and the birth shard is
-	// recoverable as (id-1) mod N.
-	sh.seq++
-	eventID := (sh.seq-1)*uint64(len(s.shards)) + uint64(sh.idx) + 1
+	// recoverable as (id-1) mod N. The sequence counts granted events only: a
+	// denied event's ID is never sent or logged, and the next event reuses it.
+	eventID := sh.seq*uint64(len(s.shards)) + uint64(sh.idx) + 1
 	owner := lock.Owner{Instance: cl.id, Seq: eventID}
 	ok, _ := s.lockGroup(sh.locks, actx, p.members, owner)
 	if !ok {
@@ -99,6 +99,7 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 		arrival.EndNote("lock denied")
 		return
 	}
+	sh.seq++
 
 	// The event is committed: the group lock is held and the broadcast is
 	// about to fan out. Make it durable before any member — including the

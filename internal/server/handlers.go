@@ -114,9 +114,8 @@ func (s *Server) handleRetract(cl *client, seq uint64, m wire.Retract) {
 	// it afterwards loses the members connected only through the retracted
 	// object, so the split halves would keep stale mirrored links.
 	members := s.st.graph.Group(ref)
-	sh := s.shardForRef(ref) // before retract drops the route
 	s.notifyLinks(instancesOf(members), s.st.retract(ref), false)
-	s.postShard(sh, func() { sh.history.Forget(ref) })
+	s.routes.dropRef(ref)
 	s.logAppend(eventlog.KindRetract, cl.id, "", m)
 	s.reply(cl, seq, nil)
 }
@@ -389,10 +388,11 @@ func (s *Server) dropClient(cl *client, reason string) {
 		s.notifyLinks(instancesOf(members), removed, false)
 	}
 	s.st.dropInstance(cl.id)
+	s.routes.dropInstance(cl.id)
 
 	// Resolve group-scoped state on every shard: events the instance
 	// originated are finished, events awaiting its ack are acked by absence,
-	// and its locks and histories are dropped.
+	// and its locks are dropped.
 	for _, sh := range s.shards {
 		sh := sh
 		s.postShard(sh, func() {
@@ -406,7 +406,6 @@ func (s *Server) dropClient(cl *client, reason string) {
 				}
 			}
 			sh.locks.ReleaseInstance(cl.id)
-			sh.history.ForgetInstance(cl.id)
 		})
 	}
 	// Resolve pending state fetches involving the instance.

@@ -39,7 +39,7 @@ func TestMigrationInstallCannotOvertakeMarker(t *testing.T) {
 
 	for round := 0; round < 20; round++ {
 		ref := couple.ObjectRef{Instance: "x-1", Path: fmt.Sprintf("/r%d", round)}
-		s.st.routes.set([]couple.ObjectRef{ref}, from.idx)
+		s.routes.set([]couple.ObjectRef{ref}, from.idx)
 
 		// Occupy the receiver, then start the migration on the global loop.
 		entered, release := make(chan struct{}), make(chan struct{})
@@ -54,7 +54,7 @@ func TestMigrationInstallCannotOvertakeMarker(t *testing.T) {
 		// extraction; once it has, a no-op behind the extraction on the donor
 		// proves the bundle is sent. (Two, in case the first slipped in
 		// between the flip and the post.)
-		for s.st.routes.shard(ref) != to.idx {
+		for s.routes.shard(ref) != to.idx {
 			time.Sleep(50 * time.Microsecond)
 		}
 		within("donor extraction", ran(from))

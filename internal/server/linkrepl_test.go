@@ -355,8 +355,8 @@ func TestPropMirrorsMatchFullBroadcast(t *testing.T) {
 	}
 }
 
-// mirrorSeeds are 25 seeds once drawn by quick.Check, kept as a regression
-// set beside the fresh ones.
+// mirrorSeeds are 50 seeds once drawn by quick.Check, in two draws of 25,
+// kept as a regression set beside the fresh ones.
 var mirrorSeeds = []int64{
 	-1259670455702671925, -212541134892010761, -2992354744898627188,
 	-3216077752627738076, -3282967959127538410, -360445061237689495,
@@ -367,6 +367,16 @@ var mirrorSeeds = []int64{
 	2710723903545412452, 5238338569023368557, 592652628890208037,
 	5945429715955425895, 6048992839965620078, 8109172900034158145,
 	8337179743106366534,
+
+	-1047943191893325637, -2395459449690902845, -2722202158427319232,
+	-2762457617710205598, -3437796475471892733, -449550445301326720,
+	-4712432233931001619, -5549663745572722302, -7778743382577087820,
+	-7822461056819112924, 1084148494771279652, 1487941694774237300,
+	1796160791486954199, 3205210826363598505, 3418028423528576441,
+	4425121576449160653, 4567114434255278014, 4850222383763446555,
+	5039856206104202318, 5292098608950294331, 6088242074794210126,
+	6220391455507564616, 7061055639457985421, 8929173882321306564,
+	9042505499938432067,
 }
 
 // star couples hub to every spoke in turn and keeps the oracle in step.

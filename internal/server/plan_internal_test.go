@@ -23,7 +23,7 @@ func TestPropCachedPlanMatchesGraph(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := newServer(Options{Shards: 1}.withDefaults(), newState(1, 0, nil)) // built, never started: only the graph and one shard cache are used
+		s := newServer(Options{Shards: 1}.withDefaults(), newState(0, nil)) // built, never started: only the graph and one shard cache are used
 		sh := s.shards[0]
 		pick := func() couple.ObjectRef { return universe[r.Intn(len(universe))] }
 		for step := 0; step < 60; step++ {

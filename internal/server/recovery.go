@@ -18,8 +18,8 @@ import (
 
 // commit performs a transition that is exactly its log record: the state
 // applies it, then the log makes it durable — callers place commit before the
-// transition's acknowledgement is enqueued. It runs on the loop that owns
-// what rec's kind touches. A record the state refuses is not logged, and the
+// transition's acknowledgement is enqueued. It runs on the global loop,
+// which owns the state. A record the state refuses is not logged, and the
 // refusal is the answer to the client.
 func (s *Server) commit(rec eventlog.Record) error {
 	if err := s.st.apply(rec); err != nil {

@@ -5,12 +5,12 @@
 // of events ("users send their requests for operations to the controller,
 // and then the controller broadcasts these operations to all users", §2.1).
 //
-// Global state (registry, couple graph, sessions, client map) is mutated by
-// one goroutine fed through a request channel. Group-scoped state (locks,
-// histories, pending events) is partitioned across per-group shard loops
-// (see shard.go), so event ordering within a coupling group is the arrival
-// order at its shard loop — the serialization guarantee the floor-control
-// design relies on.
+// Global state (registry, couple graph, sessions, histories, client map) is
+// mutated by one goroutine fed through a request channel. What an event
+// touches (locks, pending events, event IDs) is partitioned across per-group
+// shard loops (see shard.go), so event ordering within a coupling group is
+// the arrival order at its shard loop — the serialization guarantee the
+// floor-control design relies on.
 package server
 
 import (
@@ -49,11 +49,11 @@ type Options struct {
 	// OrderedLocking selects the deterministic-order group-locking variant
 	// instead of the paper's sequential algorithm (ablation switch).
 	OrderedLocking bool
-	// Shards is the number of per-group state loops. Group-scoped state —
-	// the lock table, the historical-states database, and the pending-event
-	// wait sets — is partitioned across them by coupling group, so disjoint
-	// groups serialize on different cores (see shard.go). 0 selects
-	// runtime.GOMAXPROCS(0); 1 is the same topology with a single shard loop.
+	// Shards is the number of per-group state loops. What an event touches —
+	// the lock table and the pending-event wait sets — is partitioned across
+	// them by coupling group, so disjoint groups serialize on different cores
+	// (see shard.go). 0 selects runtime.GOMAXPROCS(0); 1 is the same topology
+	// with a single shard loop.
 	Shards int
 	// Heartbeat is the liveness probe interval: the server pings every
 	// connection this often and declares an instance dead after
@@ -89,7 +89,7 @@ type Options struct {
 	// broadcast commit, history snapshot, undo/redo, permission change,
 	// session-token mint — appends a record before its acknowledgement is
 	// enqueued, and New replays the existing log to rebuild the registry,
-	// couple graph, histories and event-ID sequences before serving. The
+	// couple graph, histories and event-ID floor before serving. The
 	// caller owns the log's lifecycle: open it before New, close it after
 	// Close.
 	EventLog *eventlog.Log
@@ -127,14 +127,14 @@ type Server struct {
 	checker *compat.Checker
 
 	// st holds every database the durable log rebuilds (see state.go); the
-	// rest of Server is the shell around it. Its global parts belong to the
-	// global loop, each shard's part to that shard's loop.
+	// rest of Server is the shell around it. It belongs to the global loop.
 	st *state
 
-	// shards own the group-scoped state (lock tables, histories, pending
-	// events), each behind its own loop; st.routes places refs on them and
-	// router chases events that migrated.
+	// shards own what an event touches (lock tables, pending events, event
+	// IDs), each behind its own loop; routes places refs on them and router
+	// chases events that migrated.
 	shards []*shard
+	routes *routes
 	router *router
 
 	tr     *obs.Tracer
@@ -324,7 +324,7 @@ func (c *client) touch() { c.lastSeen.Store(time.Now().UnixNano()) }
 // New returns a started server. Call Close to stop it.
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
-	st := newState(opts.Shards, opts.HistoryDepth, obs.LoggerOr(opts.Logger).With("component", "server"))
+	st := newState(opts.HistoryDepth, obs.LoggerOr(opts.Logger).With("component", "server"))
 	if opts.EventLog != nil {
 		// Restore the durable state before any loop goroutine starts: it runs
 		// single-threaded against databases nothing else has seen yet, so
@@ -377,9 +377,9 @@ func (opts Options) withDefaults() Options {
 	return opts
 }
 
-// newServer builds a stopped server around st, logging where st does: shards
-// and metric handles only — no goroutines. opts has its defaults resolved and
-// st has opts.Shards shards.
+// newServer builds a stopped server around st, logging where st does: shards,
+// placement and metric handles only — no goroutines. opts has its defaults
+// resolved.
 func newServer(opts Options, st *state) *Server {
 	metrics := opts.Metrics
 	if metrics == nil {
@@ -394,6 +394,7 @@ func newServer(opts Options, st *state) *Server {
 		slog:         st.log,
 		checker:      compat.NewChecker(opts.Classes, opts.Correspondences),
 		st:           st,
+		routes:       &routes{n: opts.Shards, obj: make(map[couple.ObjectRef]int)},
 		router:       &router{ev: make(map[uint64]int)},
 		elog:         opts.EventLog,
 		reqs:         make(chan func(), 1024),
@@ -437,24 +438,34 @@ func newServer(opts Options, st *state) *Server {
 		EWMA:     "ack_ewma_ns",
 		Label:    "member",
 	})
-	// Every shard's lock table shares the same metric handles, so the
-	// lock.* counters stay aggregate regardless of shard count.
-	for i, part := range st.shards {
+	st.history.Instrument(s.mHistEvict)
+	// Every shard allocates past the restored floor: shard i's first ID is
+	// base·N + i + 1, above every logged one. Every shard's lock table shares
+	// the same metric handles, so the lock.* counters stay aggregate
+	// regardless of shard count.
+	n := uint64(opts.Shards)
+	base := (st.floor + n - 1) / n
+	for i := 0; i < opts.Shards; i++ {
 		sh := &shard{
-			idx:        i,
-			reqs:       make(chan shardReq, 1024),
-			shardState: part,
-			locks:      lock.NewTable(),
-			pending:    make(map[uint64]*pendingEvent),
-			plans:      make(map[couple.ObjectRef]*plan),
-			mEvents:    metrics.Counter(fmt.Sprintf("server.shard.%d.events", i)),
-			mBusy:      metrics.Counter(fmt.Sprintf("server.shard.%d.busy_ns", i)),
-			mDepth:     metrics.Gauge(fmt.Sprintf("server.shard.%d.queue_depth", i)),
+			idx:     i,
+			reqs:    make(chan shardReq, 1024),
+			seq:     base,
+			locks:   lock.NewTable(),
+			pending: make(map[uint64]*pendingEvent),
+			plans:   make(map[couple.ObjectRef]*plan),
+			mEvents: metrics.Counter(fmt.Sprintf("server.shard.%d.events", i)),
+			mBusy:   metrics.Counter(fmt.Sprintf("server.shard.%d.busy_ns", i)),
+			mDepth:  metrics.Gauge(fmt.Sprintf("server.shard.%d.queue_depth", i)),
 		}
 		sh.locks.Instrument(s.mLockAttempts, s.mLockFails, s.mLockUndone)
-		sh.history.Instrument(s.mHistEvict)
 		sh.locks.TraceWith(opts.Tracer)
 		s.shards = append(s.shards, sh)
+	}
+	// Placement is not logged. With no lock held and no event pending, every
+	// multi-member group the log restored starts on its first member's hash
+	// shard.
+	for _, group := range st.graph.Groups() {
+		s.routes.set(group, int(hashRef(group[0])%uint32(opts.Shards)))
 	}
 	s.mShards.Set(int64(len(s.shards)))
 	return s

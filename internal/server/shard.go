@@ -1,7 +1,8 @@
-// Sharded state loops: group-scoped server state (the lock table, the
-// historical-states database, and the pending-event wait sets) is partitioned
-// across N shard loops, routed by coupling group, while the registry, session
-// table, couple graph and client/outbox map stay on the global loop. The
+// Sharded state loops: what an event touches (the lock table, the
+// pending-event wait sets, the broadcast plans and the event-ID sequence) is
+// partitioned across N shard loops, routed by coupling group, while the
+// replayable state (registry, sessions, couple graph, permissions, history)
+// and the client/outbox map stay on the global loop. The
 // paper's floor lock makes the coupling group the natural unit of
 // serialization (§3.2): events of one group must serialize against each
 // other, but events of disjoint groups never share state, so they can run on
@@ -19,10 +20,10 @@
 //     every request dequeued while it is armed is parked. Requests routed
 //     there after the route flip necessarily land behind the marker.
 //  2. The routes of the migrating refs flip to the receiving shard.
-//  3. The donor shard extracts the group's histories, its pending events
-//     (those whose source is a migrating ref) and the locks those events
-//     hold — everything queued ahead of the extraction still ran against
-//     the full state — and sends the bundle on the migration's channel.
+//  3. The donor shard extracts the group's pending events (those whose
+//     source is a migrating ref) and the locks those events hold —
+//     everything queued ahead of the extraction still ran against the full
+//     state — and sends the bundle on the migration's channel.
 //  4. The receiver installs the bundle, disarms, and replays the parked
 //     requests in arrival order.
 //
@@ -46,11 +47,11 @@
 package server
 
 import (
+	"hash/fnv"
 	"sync"
 	"time"
 
 	"cosoft/internal/couple"
-	"cosoft/internal/hist"
 	"cosoft/internal/lock"
 	"cosoft/internal/obs"
 	"cosoft/internal/wire"
@@ -68,9 +69,10 @@ type shard struct {
 	awaiting chan migrated
 	held     []shardReq // requests parked while awaiting, in arrival order
 
-	// shardState is the shard's replayable part — its event-ID sequence and
-	// history — which lives in the server's state.
-	*shardState
+	// seq counts the events granted on the shard; the next one gets the ID
+	// seq·N + idx + 1 (see handleEvent). New starts it past the event-ID
+	// floor the log restored.
+	seq     uint64
 	locks   *lock.Table
 	pending map[uint64]*pendingEvent
 	// plans caches the broadcast plan of every source that dispatched since
@@ -103,16 +105,74 @@ type execAck struct {
 
 // migrated is the state bundle of one cross-shard group migration.
 type migrated struct {
-	locks   map[couple.ObjectRef]lock.Owner
-	history hist.Extracted
-	events  map[uint64]*pendingEvent
-	done    chan struct{} // closed by the receiver once installed
+	locks  map[couple.ObjectRef]lock.Owner
+	events map[uint64]*pendingEvent
+	done   chan struct{} // closed by the receiver once installed
+}
+
+// routes places refs on shards. It is read from connection read loops, so it
+// carries its own lock.
+type routes struct {
+	mu sync.RWMutex
+	n  int
+	// obj holds explicit overrides created by migrations. Refs without one
+	// route by hash, so the map stays small: only groups that crossed a shard
+	// boundary since start-up are listed.
+	obj map[couple.ObjectRef]int
+}
+
+// hashRef is the default ref→shard placement (FNV-1a over the global object
+// name). All members of a group must agree on a shard; migrations record
+// overrides when coupling breaks the hash placement.
+func hashRef(ref couple.ObjectRef) uint32 {
+	h := fnv.New32a()
+	h.Write([]byte(ref.Instance))
+	h.Write([]byte{0})
+	h.Write([]byte(ref.Path))
+	return h.Sum32()
+}
+
+func (r *routes) shard(ref couple.ObjectRef) int {
+	r.mu.RLock()
+	i, ok := r.obj[ref]
+	r.mu.RUnlock()
+	if ok {
+		return i
+	}
+	return int(hashRef(ref) % uint32(r.n))
+}
+
+func (r *routes) set(refs []couple.ObjectRef, idx int) {
+	r.mu.Lock()
+	for _, ref := range refs {
+		if int(hashRef(ref)%uint32(r.n)) == idx {
+			delete(r.obj, ref) // override would restate the hash
+		} else {
+			r.obj[ref] = idx
+		}
+	}
+	r.mu.Unlock()
+}
+
+func (r *routes) dropRef(ref couple.ObjectRef) {
+	r.mu.Lock()
+	delete(r.obj, ref)
+	r.mu.Unlock()
+}
+
+func (r *routes) dropInstance(id couple.InstanceID) {
+	r.mu.Lock()
+	for ref := range r.obj {
+		if ref.Instance == id {
+			delete(r.obj, ref)
+		}
+	}
+	r.mu.Unlock()
 }
 
 // router forwards acks/timeouts of migrated pending events from their birth
 // shard (encoded in the event ID) to their current shard. Entries exist only
-// while a migrated event is pending, so unlike the ref routes (state.routes)
-// nothing here outlives the process. It is read from connection read loops,
+// while a migrated event is pending. It is read from connection read loops,
 // so it carries its own lock.
 type router struct {
 	mu sync.RWMutex
@@ -142,7 +202,7 @@ func (r *router) clearEvent(id uint64) {
 
 // shardForRef returns the shard owning ref's coupling group.
 func (s *Server) shardForRef(ref couple.ObjectRef) *shard {
-	return s.shards[s.st.routes.shard(ref)]
+	return s.shards[s.routes.shard(ref)]
 }
 
 // birthShard decodes the shard an event ID was allocated on.
@@ -227,7 +287,6 @@ func (s *Server) runShard(sh *shard, req shardReq) {
 // install merges a migrated group into sh and replays the parked backlog.
 func (s *Server) install(sh *shard, m migrated) {
 	sh.locks.Install(m.locks)
-	sh.history.Install(m.history)
 	for id, pe := range m.events {
 		sh.pending[id] = pe
 	}
@@ -240,11 +299,18 @@ func (s *Server) install(sh *shard, m migrated) {
 	}
 }
 
-// mergeShards co-locates the two groups a new couple link is about to merge
-// (see state.colocate). It runs on the global loop, before graph.AddLink.
+// mergeShards co-locates the two groups a new couple link is about to merge:
+// every member of one coupling group lives on one shard, so when the two sit
+// on different shards the smaller group moves to the larger one's (ties keep
+// the from side in place). It runs on the global loop, before graph.AddLink.
 func (s *Server) mergeShards(gFrom, gTo []couple.ObjectRef) {
-	if from, to, refs := s.st.colocate(gFrom, gTo); refs != nil {
-		s.migrateGroup(s.shards[from], s.shards[to], refs)
+	from, to := s.routes.shard(gFrom[0]), s.routes.shard(gTo[0])
+	switch {
+	case from == to:
+	case len(gTo) > len(gFrom):
+		s.migrateGroup(s.shards[from], s.shards[to], gFrom)
+	default:
+		s.migrateGroup(s.shards[to], s.shards[from], gTo)
 	}
 }
 
@@ -265,7 +331,7 @@ func (s *Server) migrateGroup(from, to *shard, refs []couple.ObjectRef) {
 	if !s.postShard(to, func() { to.awaiting = install }) {
 		return // shutting down
 	}
-	s.st.routes.set(refs, to.idx)
+	s.routes.set(refs, to.idx)
 	if s.postShard(from, func() { install <- s.extractMigrated(from, to, refset, done) }) {
 		select {
 		case <-done:
@@ -293,7 +359,6 @@ func (s *Server) extractMigrated(from, to *shard, refs map[couple.ObjectRef]bool
 		}
 	}
 	m.locks = from.locks.Extract(owners)
-	m.history = from.history.Extract(refs)
 	s.router.setEventRoutes(ids, to.idx)
 	return m
 }

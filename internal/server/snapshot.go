@@ -45,7 +45,7 @@ func (sn *snapshotter) once(force bool) error {
 	defer sn.mu.Unlock()
 	dir := sn.s.elog.Dir()
 	if sn.fold == nil {
-		fold := newState(len(sn.s.shards), sn.s.opts.HistoryDepth, sn.s.slog.With("replica", "fold"))
+		fold := newState(sn.s.opts.HistoryDepth, sn.s.slog.With("replica", "fold"))
 		off, n, err := fold.restore(dir, nil)
 		if err != nil {
 			return err

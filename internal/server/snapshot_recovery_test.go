@@ -1,6 +1,6 @@
 package server
 
-// Snapshot equivalence harness. Three angles on the same invariant — a
+// Snapshot equivalence harness. Four angles on the same invariant — a
 // snapshot at offset N is *defined* as fold(records[0:N)), so snapshotting
 // must never change what a restart reconstructs:
 //
@@ -14,10 +14,13 @@ package server
 //     shortcut, never an acked record);
 //   - a restart-equivalence check, at one and four shard loops, that a
 //     post-snapshot restart replays zero log records yet lands on the same
-//     digest as a live server driven with the whole script.
+//     digest as a live server driven with the whole script;
+//   - a restart under another shard count, from a snapshot and from the log
+//     alone, whose placement and event IDs are derived at start-up.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -28,6 +31,7 @@ import (
 	"cosoft/internal/couple"
 	"cosoft/internal/eventlog"
 	"cosoft/internal/obs"
+	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
 )
@@ -129,7 +133,10 @@ func genRecords(rng *rand.Rand) []eventlog.Record {
 // TestSnapshotCutEquivalence is the quick property: for any generated record
 // script and any cut point, folding the prefix, round-tripping it through
 // the snapshot codec, and replaying the tail yields exactly the state of a
-// full replay from zero — same digest, same canonical encoding bytes.
+// full replay from zero — same digest, same canonical encoding bytes. The
+// prefix goes through the codec both as the version-3 payload encode writes
+// and as the version-2 payload a server of one or three shard loops wrote,
+// which deployed directories still hold.
 func TestSnapshotCutEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		shards := shards
@@ -145,24 +152,26 @@ func TestSnapshotCutEquivalence(t *testing.T) {
 					return st
 				}
 
-				full := fold(newState(shards, 0, nil), recs)
+				full := fold(newState(0, nil), recs)
 
-				base := fold(newState(shards, 0, nil), recs[:cut])
-				restored, err := decodeState(base.encode(), shards, 0)
-				if err != nil {
-					t.Logf("seed %d cut %d/%d: decode: %v", seed, cut, len(recs), err)
-					return false
-				}
-				fold(restored, recs[cut:])
+				base := fold(newState(0, nil), recs[:cut])
+				for _, payload := range [][]byte{base.encode(), encodeV2(base, shards)} {
+					restored, err := decodeState(payload, 0)
+					if err != nil {
+						t.Logf("seed %d cut %d/%d: decode v%d: %v", seed, cut, len(recs), payload[0], err)
+						return false
+					}
+					fold(restored, recs[cut:])
 
-				if got, want := restored.digest(), full.digest(); got != want {
-					t.Logf("seed %d cut %d/%d:\nsnapshot+tail:\n%s\nfull replay:\n%s",
-						seed, cut, len(recs), got, want)
-					return false
-				}
-				if !bytes.Equal(restored.encode(), full.encode()) {
-					t.Logf("seed %d cut %d/%d: digests match but canonical encodings differ", seed, cut, len(recs))
-					return false
+					if got, want := restored.digest(), full.digest(); got != want {
+						t.Logf("seed %d cut %d/%d:\nv%d snapshot+tail:\n%s\nfull replay:\n%s",
+							seed, cut, len(recs), payload[0], got, want)
+						return false
+					}
+					if !bytes.Equal(restored.encode(), full.encode()) {
+						t.Logf("seed %d cut %d/%d: v%d digests match but canonical encodings differ", seed, cut, len(recs), payload[0])
+						return false
+					}
 				}
 				return true
 			}
@@ -171,6 +180,42 @@ func TestSnapshotCutEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// encodeV2 writes st as the version-2 payload a server of n shard loops
+// wrote: the shard count, each shard's sequence — shard i allocated the IDs
+// i+1, i+1+n, …, so it stands at the count of those up to the floor — and a
+// route override per link, around the sections version 3 kept.
+func encodeV2(st *state, n int) []byte {
+	v3 := st.encode()
+	// The history section closes both layouts: a state that holds only st's
+	// history encodes to the empty state's header followed by that section.
+	h := newState(0, nil)
+	for _, ref := range st.history.Refs() {
+		undo, redo := st.history.Stacks(ref)
+		h.history.Restore(ref, undo, redo)
+	}
+	empty := newState(0, nil).encode()
+	history := h.encode()[len(empty)-1:]
+	head := binary.AppendUvarint(binary.AppendUvarint([]byte{stateVersion}, st.reg.Seq()), st.floor)
+
+	v2 := binary.AppendUvarint([]byte{2}, uint64(n))
+	v2 = binary.AppendUvarint(v2, st.reg.Seq())
+	for i := uint64(0); i < uint64(n); i++ {
+		var q uint64
+		if st.floor > i {
+			q = (st.floor-i-1)/uint64(n) + 1
+		}
+		v2 = binary.AppendUvarint(v2, q)
+	}
+	v2 = append(v2, v3[len(head):len(v3)-len(history)]...)
+	links := st.graph.Links()
+	v2 = binary.AppendUvarint(v2, uint64(len(links)))
+	for i, l := range links {
+		v2 = appendSnapRef(v2, l.From)
+		v2 = binary.AppendUvarint(v2, uint64(i%n))
+	}
+	return append(v2, history...)
 }
 
 // TestSnapshotCrashPointRecovery sweeps a crash across every snapshot-write,
@@ -323,14 +368,14 @@ func TestSnapshotV1PayloadRefused(t *testing.T) {
 	rig.shutdown()
 	// A v1 snapshot of the whole log: today's sections, the old version tag,
 	// and an empty tail section.
-	fold := newState(HarnessShards, 0, nil)
+	fold := newState(0, nil)
 	end, _, err := fold.restore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v1 := append(fold.encode(), 0)
 	v1[0] = 1
-	if _, err := decodeState(v1, HarnessShards, 0); err == nil || !strings.Contains(err.Error(), "unknown state version 1") {
+	if _, err := decodeState(v1, 0); err == nil || !strings.Contains(err.Error(), "unknown state version 1") {
 		t.Fatalf("decodeState(v1) = %v, want unknown-version error", err)
 	}
 	if err := elog.WriteSnapshot(end, v1); err != nil {
@@ -364,4 +409,166 @@ func TestSnapshotV1PayloadRefused(t *testing.T) {
 	if got != want {
 		t.Fatalf("fallback replay diverged:\nreplayed state:\n%s\nshadow state:\n%s", got, want)
 	}
+}
+
+// TestRestartUnderAnotherShardCount restarts a directory a three-shard server
+// wrote under one and under four shard loops, once from a snapshot and once
+// from the log alone. Placement and the event-ID floor are derived at
+// start-up, so every group comes back on one shard, the first event gets an
+// ID above every logged one, an undone copy can still be redone, and the
+// restarted server is the fold of its log.
+func TestRestartUnderAnotherShardCount(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, snapshot := range []bool{true, false} {
+			shards, snapshot := shards, snapshot
+			t.Run(fmt.Sprintf("shards-%d/snapshot-%v", shards, snapshot), func(t *testing.T) {
+				testRestartUnder(t, shards, snapshot)
+			})
+		}
+	}
+}
+
+func testRestartUnder(t *testing.T, shards int, snapshot bool) {
+	dir := t.TempDir()
+	start := func(shards int, metrics obs.Sink) (*Server, *testbed.Bed, *eventlog.Log) {
+		t.Helper()
+		elog, err := eventlog.Open(eventlog.Options{Dir: dir, Metrics: metrics})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(Options{EventLog: elog, Shards: shards})
+		return srv, testbed.New(t, srv, testbed.Options{}), elog
+	}
+	// stop judges the server and closes it before its peers, as
+	// crashScript.shutdown does, so no departure reaches the log.
+	stop := func(srv *Server, bed *testbed.Bed, elog *eventlog.Log) {
+		t.Helper()
+		testbed.Wait(t, "events resolved", func() bool { return srv.Stats().PendingEvents == 0 })
+		if diff := srv.FoldDivergence(); diff != "" {
+			t.Fatalf("live state is not the fold of its log: %s", diff)
+		}
+		if err := srv.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		bed.Close()
+		if err := elog.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	text := func(v string) widget.TreeState {
+		return widget.TreeState{Class: "textfield", Name: "x", Attrs: attr.Set{widget.AttrValue: attr.String(v)}}
+	}
+	x := func(p *testbed.Peer) couple.ObjectRef { return couple.ObjectRef{Instance: p.ID, Path: "/x"} }
+	applied := func(p *testbed.Peer) string {
+		return testbed.Next[wire.ApplyState](p).State.Attrs[widget.AttrValue].AsString()
+	}
+	// fire has origin dispatch one event, which every member acks, and
+	// returns its ID.
+	fire := func(srv *Server, origin *testbed.Peer, members ...*testbed.Peer) uint64 {
+		t.Helper()
+		origin.Send(wire.Event{Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("v")}})
+		var id uint64
+		for _, m := range members {
+			id = testbed.Next[wire.Exec](m).EventID
+			m.Send(wire.ExecAck{EventID: id})
+		}
+		if res := testbed.Next[wire.EventResult](origin); !res.OK {
+			t.Fatalf("event from %s denied: %s", origin.ID, res.Reason)
+		}
+		testbed.Wait(t, "event resolved", func() bool { return srv.Stats().PendingEvents == 0 })
+		return id
+	}
+
+	srv, bed, elog := start(3, nil)
+	peers := make([]*testbed.Peer, 5)
+	for i := range peers {
+		peers[i] = bed.Raw(wire.Register{AppType: "app", Host: "h", User: fmt.Sprintf("u%d", i)})
+		peers[i].MustOK(wire.Declare{Path: "/x", Class: "textfield"})
+	}
+	a, b, c, d, e := peers[0], peers[1], peers[2], peers[3], peers[4]
+	a.MustOK(wire.Couple{From: x(a), To: x(b)})
+	c.MustOK(wire.Couple{From: x(c), To: x(a)})
+	d.MustOK(wire.Couple{From: x(d), To: x(e)})
+	if srv.Stats().CrossShardHandoffs == 0 {
+		t.Fatal("no group crossed a shard: the script covers no migration")
+	}
+
+	// A copy onto b backs up "before"; undoing it parks "copied" on the redo
+	// stack.
+	a.Send(wire.CopyTo{FromPath: "/x", To: x(b), State: text("copied")})
+	b.ServeState(text("before"))
+	testbed.Next[wire.OK](a)
+	if v := applied(b); v != "copied" {
+		t.Fatalf("copy applied %q at b", v)
+	}
+	b.Send(wire.Undo{Path: "/x"})
+	b.ServeState(text("copied"))
+	if v := applied(b); v != "before" {
+		t.Fatalf("undo applied %q at b", v)
+	}
+	testbed.Next[wire.OK](b)
+
+	var logged uint64
+	for i := 0; i < 3; i++ {
+		logged = max(logged, fire(srv, a, b, c), fire(srv, d, e))
+	}
+	// The run ends on a denial: b's event meets c still locked by a's, so
+	// its ID is neither sent nor logged.
+	a.Send(wire.Event{Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("w")}})
+	held := testbed.Next[wire.Exec](c)
+	b.Send(wire.ExecAck{EventID: testbed.Next[wire.Exec](b).EventID})
+	if res := b.Call(wire.Event{Path: "/x", Name: widget.EventChanged}).Msg.(wire.EventResult); res.OK {
+		t.Fatal("b's event was granted while c was locked")
+	}
+	c.Send(wire.ExecAck{EventID: held.EventID})
+	testbed.Next[wire.EventResult](a)
+	logged = max(logged, held.EventID)
+	tokens := make([]string, len(peers))
+	for i, p := range peers {
+		tokens[i] = p.Call(wire.SessionToken{}).Msg.(wire.SessionToken).Token
+	}
+	if snapshot {
+		if err := srv.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop(srv, bed, elog)
+
+	reg := obs.NewRegistry()
+	srv, bed, elog = start(shards, reg)
+	if n := reg.Snapshot().Counters["server.log.replay_from_snapshot"]; (n > 0) != snapshot {
+		t.Fatalf("replay_from_snapshot=%d with snapshot=%v", n, snapshot)
+	}
+	for i, p := range peers {
+		peers[i] = bed.Raw(wire.Resume{Token: tokens[i]})
+		if peers[i].ID != p.ID {
+			t.Fatalf("resumed as %s, want %s", peers[i].ID, p.ID)
+		}
+	}
+	a, b, c, d, e = peers[0], peers[1], peers[2], peers[3], peers[4]
+	for _, g := range [][]*testbed.Peer{{a, b, c}, {d, e}} {
+		if n := len(srv.UncachedCO(x(g[0]))); n != len(g)-1 {
+			t.Fatalf("%s is coupled to %d objects after the restart, want %d", g[0].ID, n, len(g)-1)
+		}
+		for _, p := range g[1:] {
+			if got, want := srv.ShardOf(x(p)), srv.ShardOf(x(g[0])); got != want {
+				t.Fatalf("%s is on shard %d, its group's first member %s on %d", p.ID, got, g[0].ID, want)
+			}
+		}
+	}
+	if id := fire(srv, d, e); id <= logged {
+		t.Fatalf("first event after the restart got ID %d; the log holds %d", id, logged)
+	}
+	if id := fire(srv, a, b, c); id <= logged {
+		t.Fatalf("event after the restart got ID %d; the log holds %d", id, logged)
+	}
+
+	b.Send(wire.Redo{Path: "/x"})
+	b.ServeState(text("before"))
+	if v := applied(b); v != "copied" {
+		t.Fatalf("redo after the restart applied %q at b, want the undone copy", v)
+	}
+	testbed.Next[wire.OK](b)
+	stop(srv, bed, elog)
 }

@@ -1,46 +1,45 @@
 // The replayable state. The paper's server is its databases — "registration
 // records, access permissions, historical UI states and the lock table"
 // (§2.1) — and state holds the ones the durable log rebuilds: the registry,
-// the couple graph, the permission table, the resumable sessions, the route
-// overrides and, per shard, the event-ID sequence and the historical-states
-// database. It is the fold of the log, written once: the live server, its
-// start-up, the snapshotter's offline replica and the tests all go through
-// the same four entry points —
+// the couple graph, the permission table, the resumable sessions, the
+// historical-states database and the event-ID floor. It is the fold of the
+// log, written once: the live server, its start-up, the snapshotter's offline
+// replica and the tests all go through the same four entry points —
 //
 //	apply     one logged transition; the only place a replayed kind mutates
-//	encode    the version-2 snapshot payload of the state as it stands
-//	decodeState  that payload back into a fresh state, or an error
+//	encode    the version-3 snapshot payload of the state as it stands
+//	decodeState  that payload (or a version-2 one) back into a fresh state
 //	restore   newest decodable snapshot, then the log's tail
 //
 // — so a snapshot at offset N is fold(records[0:N)) by construction, and
 // snapshot-then-tail equals full replay. A live handler whose transition is
 // exactly the logged one calls Server.commit (apply, then append); one that
 // needs the mutation's result or the state before it for its notices calls
-// the method apply itself calls (retract, decouple, dropInstance, colocate,
-// backup, walk) and appends the record afterwards.
+// the method apply itself calls (retract, decouple, dropInstance, walk) and
+// appends the record afterwards.
 //
 // Deliberately outside: the lock table and the pending-event wait sets. A
 // logged event was committed (its group lock granted and broadcast begun) and
 // its waiters died with the crashed process — holding its lock after recovery
 // would wedge the group waiting for acknowledgements no one will send. Locks
 // are transient floor control; the log persists the decisions, not the floor.
-// Connections, outboxes, the transient forwarding of migrated events and
-// the metrics stay with the Server around it: nothing here starts a
-// goroutine, touches a socket or registers a metric.
+// Where a group serializes is outside too: shard placement and the per-shard
+// event-ID sequences belong to the Server, which derives them at start-up
+// from the graph and the floor. Connections, outboxes, the transient
+// forwarding of migrated events and the metrics stay with the Server around
+// it: nothing here starts a goroutine, touches a socket or registers a metric.
 //
-// Ownership is the caller's: on a live server the global parts are touched
-// only on the global loop and a shard's part only on that shard's loop; at
-// start-up and in the snapshotter's replica nothing else runs.
+// Ownership is the caller's: on a live server the state is mutated only on
+// the global loop; at start-up and in the snapshotter's replica nothing else
+// runs.
 package server
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
 	"sort"
-	"sync"
 	"time"
 
 	"cosoft/internal/couple"
@@ -68,8 +67,10 @@ type state struct {
 	// without bound.
 	sessions   map[string]sessionRec
 	sessionTok map[couple.InstanceID]string
-	routes     *routes
-	shards     []*shardState
+	history    *hist.DB
+	// floor is the largest event ID the log holds. Only the fold advances it:
+	// a live server's shards allocate their IDs past the floor it restored.
+	floor uint64
 }
 
 // sessionRec is the durable half of a registration: enough to re-register
@@ -81,29 +82,8 @@ type sessionRec struct {
 	user    string
 }
 
-// shardState is one shard's replayable part.
-type shardState struct {
-	// seq counts events born on the shard; the wire-visible event ID is
-	// (seq-1)*nshards + idx + 1, so IDs are unique across shards and reduce
-	// to the plain counter 1,2,3,… with one shard.
-	seq     uint64
-	history *hist.DB
-}
-
-// routes places refs on shards. It is read from connection read loops, so it
-// carries its own lock.
-type routes struct {
-	mu sync.RWMutex
-	n  int
-	// obj holds explicit overrides created by migrations. Refs without one
-	// route by hash, so the map stays small: only groups that ever crossed a
-	// shard boundary are listed. Overrides persist past decouple and are not
-	// derivable from the graph.
-	obj map[couple.ObjectRef]int
-}
-
-func newState(nshards, histDepth int, log *slog.Logger) *state {
-	st := &state{
+func newState(histDepth int, log *slog.Logger) *state {
+	return &state{
 		log:        obs.LoggerOr(log),
 		histDepth:  histDepth,
 		reg:        registry.NewStore(),
@@ -111,78 +91,8 @@ func newState(nshards, histDepth int, log *slog.Logger) *state {
 		perms:      perm.NewTable(),
 		sessions:   make(map[string]sessionRec),
 		sessionTok: make(map[couple.InstanceID]string),
-		routes:     &routes{n: nshards, obj: make(map[couple.ObjectRef]int)},
+		history:    hist.NewDB(histDepth),
 	}
-	for i := 0; i < nshards; i++ {
-		st.shards = append(st.shards, &shardState{history: hist.NewDB(histDepth)})
-	}
-	return st
-}
-
-// hashRef is the default ref→shard placement (FNV-1a over the global object
-// name). All members of a group must agree on a shard; migrations record
-// overrides when coupling breaks the hash placement.
-func hashRef(ref couple.ObjectRef) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(ref.Instance))
-	h.Write([]byte{0})
-	h.Write([]byte(ref.Path))
-	return h.Sum32()
-}
-
-func (r *routes) shard(ref couple.ObjectRef) int {
-	r.mu.RLock()
-	i, ok := r.obj[ref]
-	r.mu.RUnlock()
-	if ok {
-		return i
-	}
-	return int(hashRef(ref) % uint32(r.n))
-}
-
-func (r *routes) set(refs []couple.ObjectRef, idx int) {
-	r.mu.Lock()
-	for _, ref := range refs {
-		if int(hashRef(ref)%uint32(r.n)) == idx {
-			delete(r.obj, ref) // override would restate the hash
-		} else {
-			r.obj[ref] = idx
-		}
-	}
-	r.mu.Unlock()
-}
-
-func (r *routes) dropRef(ref couple.ObjectRef) {
-	r.mu.Lock()
-	delete(r.obj, ref)
-	r.mu.Unlock()
-}
-
-func (r *routes) dropInstance(id couple.InstanceID) {
-	r.mu.Lock()
-	for ref := range r.obj {
-		if ref.Instance == id {
-			delete(r.obj, ref)
-		}
-	}
-	r.mu.Unlock()
-}
-
-// overrides lists the explicit routes, sorted by ref.
-func (r *routes) overrides() []couple.ObjectRef {
-	r.mu.RLock()
-	refs := make([]couple.ObjectRef, 0, len(r.obj))
-	for ref := range r.obj {
-		refs = append(refs, ref)
-	}
-	r.mu.RUnlock()
-	sort.Slice(refs, func(i, j int) bool { return refs[i].Less(refs[j]) })
-	return refs
-}
-
-// shardFor returns the part of the shard owning ref's coupling group.
-func (st *state) shardFor(ref couple.ObjectRef) *shardState {
-	return st.shards[st.routes.shard(ref)]
 }
 
 // payload asserts the message type a record kind is logged with.
@@ -212,9 +122,6 @@ func (st *state) apply(rec eventlog.Record) error {
 		return st.reg.Register(registry.Record{ID: origin, AppType: m.AppType, Host: m.Host, User: m.User})
 	case eventlog.KindDisconnect:
 		st.dropInstance(origin)
-		for _, sh := range st.shards {
-			sh.history.ForgetInstance(origin)
-		}
 	case eventlog.KindToken:
 		m, err := payload[wire.SessionToken](rec)
 		if err != nil {
@@ -272,25 +179,11 @@ func (st *state) apply(rec eventlog.Record) error {
 		if err != nil {
 			return err
 		}
-		ref := couple.ObjectRef{Instance: origin, Path: m.Path}
-		sh := st.shardFor(ref) // before retract drops the route
-		st.retract(ref)
-		sh.history.Forget(ref)
+		st.retract(couple.ObjectRef{Instance: origin, Path: m.Path})
 	case eventlog.KindCouple:
 		m, err := payload[wire.Couple](rec)
 		if err != nil {
 			return err
-		}
-		// Nothing else runs during a fold, so the group state moves
-		// synchronously where a live server hands it from loop to loop
-		// (migrateGroup); locks and pending events do not exist here.
-		if from, to, refs := st.colocate(st.graph.Group(m.From), st.graph.Group(m.To)); refs != nil {
-			st.routes.set(refs, to)
-			refset := make(map[couple.ObjectRef]bool, len(refs))
-			for _, ref := range refs {
-				refset[ref] = true
-			}
-			st.shards[to].history.Install(st.shards[from].history.Extract(refset))
 		}
 		return st.graph.AddLink(couple.Link{From: m.From, To: m.To, Creator: origin})
 	case eventlog.KindDecouple:
@@ -305,21 +198,17 @@ func (st *state) apply(rec eventlog.Record) error {
 		if err != nil {
 			return err
 		}
-		// Restore the birth shard's sequence so later events get IDs strictly
-		// greater than every logged one. The event itself was fully resolved
-		// or died with its waiters — only the ID allocation survives it.
-		n := uint64(len(st.shards))
-		sh := st.shards[(m.EventID-1)%n]
-		if q := (m.EventID-1)/n + 1; q > sh.seq {
-			sh.seq = q
-		}
+		// Raise the floor so later events get IDs strictly greater than every
+		// logged one. The event itself was fully resolved or died with its
+		// waiters — only its ID survives it.
+		st.floor = max(st.floor, m.EventID)
 	case eventlog.KindHist:
 		// The logged CopyTo carries the overwritten state: the backup itself.
 		m, err := payload[wire.CopyTo](rec)
 		if err != nil {
 			return err
 		}
-		st.shardFor(m.To).backup(m.To, m.State, origin)
+		st.history.Record(hist.Snapshot{Ref: m.To, State: m.State, Origin: origin})
 	case eventlog.KindUndo, eventlog.KindRedo:
 		// The logged CopyTo carries the pre-walk current state — the value the
 		// walk pushes on the opposite stack — so replaying the walk reproduces
@@ -328,7 +217,7 @@ func (st *state) apply(rec eventlog.Record) error {
 		if err != nil {
 			return err
 		}
-		_, err = st.shardFor(m.To).walk(rec.Kind == eventlog.KindUndo, m.To, m.State)
+		_, err = st.walk(rec.Kind == eventlog.KindUndo, m.To, m.State)
 		return err
 	case eventlog.KindPerm:
 		switch m := rec.Env.Msg.(type) {
@@ -345,23 +234,20 @@ func (st *state) apply(rec eventlog.Record) error {
 	return nil
 }
 
-// dropInstance is the global half of a disconnect: the instance's couple
-// links (the automatic decoupling of §3.2), route overrides and registration
-// record go. Each shard's half is its history's ForgetInstance. Session
-// tokens deliberately survive: a disconnected instance may still resume.
+// dropInstance is a disconnect: the instance's couple links (the automatic
+// decoupling of §3.2), registration record and history go. Session tokens
+// deliberately survive: a disconnected instance may still resume.
 func (st *state) dropInstance(id couple.InstanceID) {
 	st.graph.RemoveInstance(id)
-	st.routes.dropInstance(id)
 	st.reg.Deregister(id)
+	st.history.ForgetInstance(id)
 }
 
-// retract is the global half of a retraction, returning the links that went
-// with the object. The shard's half is its history's Forget, on the shard
-// that owned ref before this dropped the route.
+// retract is a retraction, returning the links that went with the object.
 func (st *state) retract(ref couple.ObjectRef) []couple.Link {
 	removed := st.graph.RemoveObject(ref)
 	st.reg.RetractObject(ref.Instance, ref.Path)
-	st.routes.dropRef(ref)
+	st.history.Forget(ref)
 	return removed
 }
 
@@ -379,37 +265,13 @@ func (st *state) decouple(from, to couple.ObjectRef) (couple.Link, error) {
 	return couple.Link{}, fmt.Errorf("server: no link between %s and %s", stateID(from), stateID(to))
 }
 
-// colocate decides what a new couple link between the groups gFrom and gTo
-// must move first: every member of one coupling group lives on one shard, so
-// when the two sit on different shards the smaller group moves to the larger
-// one's (ties keep the from side in place). refs is nil when nothing moves.
-func (st *state) colocate(gFrom, gTo []couple.ObjectRef) (from, to int, refs []couple.ObjectRef) {
-	shFrom, shTo := st.routes.shard(gFrom[0]), st.routes.shard(gTo[0])
-	switch {
-	case shFrom == shTo:
-		return shFrom, shTo, nil
-	case len(gTo) > len(gFrom):
-		return shFrom, shTo, gFrom
-	}
-	return shTo, shFrom, gTo
-}
-
-// backup records the state a copy is about to overwrite at ref. A live
-// server calls it (and walk) on the shard it queued the request on, not
-// through apply: a group migration may have flipped ref's route since, and
-// everything queued ahead of the migration's extraction belongs to the shard
-// the group is leaving.
-func (sh *shardState) backup(ref couple.ObjectRef, old widget.TreeState, origin couple.InstanceID) {
-	sh.history.Record(hist.Snapshot{Ref: ref, State: old, Origin: origin})
-}
-
 // walk moves ref one step down (undo) or back up its history, pushing
 // current on the opposite stack, and returns the state to restore.
-func (sh *shardState) walk(undo bool, ref couple.ObjectRef, current widget.TreeState) (hist.Snapshot, error) {
+func (st *state) walk(undo bool, ref couple.ObjectRef, current widget.TreeState) (hist.Snapshot, error) {
 	if undo {
-		return sh.history.Undo(ref, current)
+		return st.history.Undo(ref, current)
 	}
-	return sh.history.Redo(ref, current)
+	return st.history.Redo(ref, current)
 }
 
 // restore rebuilds the state from a log directory: the newest snapshot that
@@ -427,7 +289,7 @@ func (st *state) restore(dir string, replayed *obs.Counter) (off int64, n int, e
 		return 0, 0, err
 	}
 	for _, ref := range snaps {
-		dec, derr := decodeState(ref.Payload, len(st.shards), st.histDepth)
+		dec, derr := decodeState(ref.Payload, st.histDepth)
 		if derr != nil {
 			st.log.Warn("snapshot undecodable; falling back", "offset", ref.Offset, "err", derr)
 			continue
@@ -448,25 +310,23 @@ func (st *state) restore(dir string, replayed *obs.Counter) (off int64, n int, e
 	return off, n, err
 }
 
-// stateVersion versions the snapshot payload layout.
-const stateVersion = 2
+// stateVersion versions the snapshot payload layout. decodeState also reads
+// version 2, which carried the shard count, per-shard event sequences and
+// route overrides.
+const stateVersion = 3
 
 // encode serializes the state into a snapshot payload (opaque bytes to the
-// eventlog). In order: the format version, the shard count, the registry
-// ID-allocator sequence, the per-shard event-ID sequences, the registration
-// records with their declared objects, the couple links, the permission rules
-// (insertion order — rule order is semantic), the resumable sessions, the
-// route overrides, and the per-object undo/redo history stacks; every
-// unordered collection goes out sorted, so equal states encode to equal
-// bytes. The caller must own the state quiescently — it is only ever called
-// on the snapshotter's replica, never the live server's.
+// eventlog). In order: the format version, the registry ID-allocator
+// sequence, the event-ID floor, the registration records with their declared
+// objects, the couple links, the permission rules (insertion order — rule
+// order is semantic), the resumable sessions, and the per-object undo/redo
+// history stacks; every unordered collection goes out sorted, so equal states
+// encode to equal bytes. The caller must own the state quiescently — it is
+// only ever called on the snapshotter's replica, never the live server's.
 func (st *state) encode() []byte {
 	buf := []byte{stateVersion}
-	buf = binary.AppendUvarint(buf, uint64(len(st.shards)))
 	buf = binary.AppendUvarint(buf, st.reg.Seq())
-	for _, sh := range st.shards {
-		buf = binary.AppendUvarint(buf, sh.seq)
-	}
+	buf = binary.AppendUvarint(buf, st.floor)
 
 	ids := st.reg.Instances() // sorted
 	buf = binary.AppendUvarint(buf, uint64(len(ids)))
@@ -519,21 +379,10 @@ func (st *state) encode() []byte {
 		buf = appendSnapStr(buf, rec.user)
 	}
 
-	routed := st.routes.overrides()
-	buf = binary.AppendUvarint(buf, uint64(len(routed)))
-	for _, ref := range routed {
-		buf = appendSnapRef(buf, ref)
-		buf = binary.AppendUvarint(buf, uint64(st.routes.shard(ref)))
-	}
-
-	var hrefs []couple.ObjectRef
-	for _, sh := range st.shards {
-		hrefs = append(hrefs, sh.history.Refs()...)
-	}
-	sort.Slice(hrefs, func(i, j int) bool { return hrefs[i].Less(hrefs[j]) })
+	hrefs := st.history.Refs() // sorted
 	buf = binary.AppendUvarint(buf, uint64(len(hrefs)))
 	for _, ref := range hrefs {
-		undo, redo := st.shardFor(ref).history.Stacks(ref)
+		undo, redo := st.history.Stacks(ref)
 		buf = appendSnapRef(buf, ref)
 		buf = appendSnapStack(buf, undo)
 		buf = appendSnapStack(buf, redo)
@@ -674,35 +523,40 @@ func (r *stateReader) stack(ref couple.ObjectRef) []hist.Snapshot {
 	return snaps
 }
 
-// decodeState parses a snapshot payload straight into a fresh state of
-// nshards shards. It is all-or-nothing: a malformed payload, an unknown
-// version (version 1 carried one more section, per-object late-join event
-// tails) or anything a database refuses rejects the whole payload, and the
-// caller falls back to an older snapshot or to full replay. When the payload
-// was written under a different shard count, per-shard sequences are re-based
-// conservatively past the largest possible allocated event ID and every
-// multi-member group is re-colocated, so event IDs stay unique and groups
-// stay single-shard under any -shards change across a restart.
-func decodeState(payload []byte, nshards, histDepth int) (*state, error) {
+// decodeState parses a snapshot payload straight into a fresh state. It is
+// all-or-nothing: a malformed payload, an unknown version (version 1 carried
+// one more section, per-object late-join event tails) or anything a database
+// refuses rejects the whole payload, and the caller falls back to an older
+// snapshot or to full replay. A version-2 payload still decodes, since
+// deployed directories hold one on top of a compacted prefix: its shard
+// count and per-shard sequences fold into the floor, and its route overrides
+// are read and dropped.
+func decodeState(payload []byte, histDepth int) (*state, error) {
 	if len(payload) < 1 {
 		return nil, errors.New("server: snapshot: empty payload")
 	}
-	if payload[0] != stateVersion {
-		return nil, fmt.Errorf("server: snapshot: unknown state version %d", payload[0])
+	version := payload[0]
+	if version != 2 && version != stateVersion {
+		return nil, fmt.Errorf("server: snapshot: unknown state version %d", version)
 	}
 	r := &stateReader{b: payload[1:]}
-	st := newState(nshards, histDepth, nil)
-	stored := r.count()
-	if r.err == nil && stored < 1 {
-		r.fail("implausible shard count")
-	}
-	st.reg.SetSeq(r.uv())
-	if r.err != nil {
-		return nil, r.err
-	}
-	seqs := make([]uint64, stored)
-	for i := range seqs {
-		seqs[i] = r.uv()
+	st := newState(histDepth, nil)
+	if version == 2 {
+		// Shard i of n allocated the IDs i+1, i+1+n, …: its sequence q says
+		// the largest it logged was (q-1)·n + i + 1.
+		n := r.count()
+		if r.err == nil && n < 1 {
+			r.fail("implausible shard count")
+		}
+		st.reg.SetSeq(r.uv())
+		for i := 0; i < n && r.err == nil; i++ {
+			if q := r.uv(); q > 0 {
+				st.floor = max(st.floor, (q-1)*uint64(n)+uint64(i)+1)
+			}
+		}
+	} else {
+		st.reg.SetSeq(r.uv())
+		st.floor = r.uv()
 	}
 	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
 		in := registry.Record{ID: couple.InstanceID(r.str()), AppType: r.str(), Host: r.str(), User: r.str()}
@@ -741,51 +595,17 @@ func decodeState(payload []byte, nshards, histDepth int) (*state, error) {
 		st.sessions[tok] = rec
 		st.sessionTok[rec.id] = tok
 	}
-	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
-		ref, idx := r.ref(), r.uv()
-		switch {
-		case r.err != nil:
-		case idx >= uint64(stored):
-			r.fail("route shard out of range")
-		case stored == nshards:
-			st.routes.set([]couple.ObjectRef{ref}, int(idx))
+	if version == 2 {
+		for i, n := 0, r.count(); i < n && r.err == nil; i++ {
+			r.ref()
+			r.uv()
 		}
 	}
-	if stored == nshards {
-		for i, sh := range st.shards {
-			sh.seq = seqs[i]
-		}
-	} else {
-		// Shard-count change across restart: stored sequences and routes are
-		// meaningless here. Re-base every shard's sequence past the largest
-		// event ID the stored sequences could have allocated, and re-colocate
-		// each coupling group on its first member's hash shard.
-		var maxID uint64
-		for i, q := range seqs {
-			if q == 0 {
-				continue
-			}
-			if id := (q-1)*uint64(stored) + uint64(i) + 1; id > maxID {
-				maxID = id
-			}
-		}
-		base := (maxID + uint64(nshards) - 1) / uint64(nshards)
-		for _, sh := range st.shards {
-			sh.seq = base
-		}
-		for _, group := range st.graph.Groups() {
-			refs := append([]couple.ObjectRef(nil), group...)
-			sort.Slice(refs, func(i, j int) bool { return refs[i].Less(refs[j]) })
-			st.routes.set(refs, int(hashRef(refs[0])%uint32(nshards)))
-		}
-	}
-	// Histories place by shardFor, which consults the routes installed
-	// above — so they land exactly where replay would put them.
 	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
 		ref := r.ref()
 		undo, redo := r.stack(ref), r.stack(ref)
 		if r.err == nil {
-			st.shardFor(ref).history.Restore(ref, undo, redo)
+			st.history.Restore(ref, undo, redo)
 		}
 	}
 	if r.err != nil {

@@ -1,9 +1,9 @@
 package server
 
 // Tests of the replayable state on its own: the digest every recovery test
-// compares, the pinned version-2 payload, a directory written by the commit
-// before state existed, the decoder under fuzz, and the rule that every record
-// kind mutates in exactly one place.
+// compares, the pinned version-2 and version-3 payloads, a directory written
+// by the commit before state existed, the decoder under fuzz, and the rule
+// that every record kind mutates in exactly one place.
 
 import (
 	"bytes"
@@ -25,23 +25,20 @@ import (
 	"cosoft/internal/wire"
 )
 
-// digest renders everything the state holds — the registry ID sequence,
-// registration records with declared objects, couple links, permission rules,
-// resumable sessions, route overrides, per-shard event sequences and history
-// stacks — into a canonical string. A history snapshot's At is left out: it
-// is wall-clock provenance that only pre-state snapshots still carry. The
-// caller must own the state quiescently; liveDigest reads a running server's.
-func (st *state) digest() string {
-	var b strings.Builder
-	st.digestGlobal(&b)
-	for i, sh := range st.shards {
-		sh.digest(&b, i)
-	}
-	return b.String()
-}
+// digest renders everything the state holds — the registry ID sequence, the
+// event-ID floor, registration records with declared objects, couple links,
+// permission rules, resumable sessions and history stacks — into a canonical
+// string. A history snapshot's At is left out: it is wall-clock provenance
+// that only pre-state snapshots still carry. The caller must own the state
+// quiescently; liveDigest reads a running server's.
+func (st *state) digest() string { return st.digestWith(st.floor) }
 
-func (st *state) digestGlobal(b *strings.Builder) {
-	fmt.Fprintf(b, "regseq %d\n", st.reg.Seq())
+// digestWith is digest with the floor given: a running server's is not
+// st.floor alone (see liveDigest).
+func (st *state) digestWith(floor uint64) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "regseq %d\n", st.reg.Seq())
+	fmt.Fprintf(&b, "floor %d\n", floor)
 	for _, id := range st.reg.Instances() {
 		rec, err := st.reg.Lookup(id)
 		if err != nil {
@@ -52,17 +49,17 @@ func (st *state) digestGlobal(b *strings.Builder) {
 			paths = append(paths, p)
 		}
 		sort.Strings(paths)
-		fmt.Fprintf(b, "inst %s type=%s host=%s user=%s objs=[", rec.ID, rec.AppType, rec.Host, rec.User)
+		fmt.Fprintf(&b, "inst %s type=%s host=%s user=%s objs=[", rec.ID, rec.AppType, rec.Host, rec.User)
 		for _, p := range paths {
-			fmt.Fprintf(b, " %s:%s", p, rec.Objects[p])
+			fmt.Fprintf(&b, " %s:%s", p, rec.Objects[p])
 		}
-		fmt.Fprint(b, " ]\n")
+		fmt.Fprint(&b, " ]\n")
 	}
 	for _, l := range st.graph.Links() {
-		fmt.Fprintf(b, "link %s by %s\n", l, l.Creator)
+		fmt.Fprintf(&b, "link %s by %s\n", l, l.Creator)
 	}
 	for _, rule := range st.perms.Rules() {
-		fmt.Fprintf(b, "perm %s\n", rule)
+		fmt.Fprintf(&b, "perm %s\n", rule)
 	}
 	toks := make([]string, 0, len(st.sessions))
 	for tok := range st.sessions {
@@ -71,16 +68,9 @@ func (st *state) digestGlobal(b *strings.Builder) {
 	sort.Strings(toks)
 	for _, tok := range toks {
 		rec := st.sessions[tok]
-		fmt.Fprintf(b, "session %s id=%s type=%s host=%s user=%s\n",
+		fmt.Fprintf(&b, "session %s id=%s type=%s host=%s user=%s\n",
 			tok, rec.id, rec.appType, rec.host, rec.user)
 	}
-	for _, ref := range st.routes.overrides() {
-		fmt.Fprintf(b, "route %s -> %d\n", ref, st.routes.shard(ref))
-	}
-}
-
-func (sh *shardState) digest(b *strings.Builder, i int) {
-	fmt.Fprintf(b, "shard %d seq=%d\n", i, sh.seq)
 	stack := func(list []hist.Snapshot) string {
 		var sb strings.Builder
 		for _, sn := range list {
@@ -88,40 +78,41 @@ func (sh *shardState) digest(b *strings.Builder, i int) {
 		}
 		return sb.String()
 	}
-	for _, ref := range sh.history.Refs() {
-		undo, redo := sh.history.Stacks(ref)
-		fmt.Fprintf(b, "hist %s undo=%s redo=%s\n", ref, stack(undo), stack(redo))
-	}
-}
-
-// liveDigest is digest for a running server: each part is read on the loop
-// that owns it. It returns "" once the server is closed.
-func liveDigest(s *Server) string {
-	var b strings.Builder
-	on := func(post func(func()) bool, render func()) bool {
-		done := make(chan struct{})
-		if !post(func() { defer close(done); render() }) {
-			return false
-		}
-		<-done
-		return true
-	}
-	if !on(s.post, func() { s.st.digestGlobal(&b) }) {
-		return ""
-	}
-	for i, sh := range s.shards {
-		i, sh := i, sh
-		if !on(func(fn func()) bool { return s.postShard(sh, fn) }, func() { sh.digest(&b, i) }) {
-			return ""
-		}
+	for _, ref := range st.history.Refs() {
+		undo, redo := st.history.Stacks(ref)
+		fmt.Fprintf(&b, "hist %s undo=%s redo=%s\n", ref, stack(undo), stack(redo))
 	}
 	return b.String()
 }
 
-// goldenRecords is the script behind testdata/state-v2.*: it leaves something
-// in every section of the payload, including a redo stack, route overrides, a
-// consumed token (tok-b), a dropped one (tok-c) and the session of an instance
-// that disconnected (tok-d).
+// liveDigest is digest for a running server, read on the loops that own each
+// part. Its floor is the one the log restored, raised to the last ID a shard
+// granted since: every granted event is logged, so that is the largest ID
+// the log holds. It returns "" once the server is closed.
+func liveDigest(s *Server) string {
+	n := uint64(len(s.shards))
+	floor := s.st.floor
+	base := (floor + n - 1) / n // where New started every shard
+	for _, sh := range s.shards {
+		seq := make(chan uint64, 1)
+		if !s.postShard(sh, func() { seq <- sh.seq }) {
+			return ""
+		}
+		if q := <-seq; q > base {
+			floor = max(floor, (q-1)*n+uint64(sh.idx)+1)
+		}
+	}
+	out := make(chan string, 1)
+	if !s.post(func() { out <- s.st.digestWith(floor) }) {
+		return ""
+	}
+	return <-out
+}
+
+// goldenRecords is the script behind testdata/state-v*: it leaves something
+// in every section of the payload, including a redo stack, a consumed token
+// (tok-b), a dropped one (tok-c) and the session of an instance that
+// disconnected (tok-d).
 func goldenRecords() []eventlog.Record {
 	var recs []eventlog.Record
 	rec := func(kind eventlog.Kind, origin string, msg wire.Message) {
@@ -169,54 +160,57 @@ func goldenRecords() []eventlog.Record {
 	return recs
 }
 
-// goldenPayload reads the version-2 payload the commit before state.go
-// encoded for goldenRecords, and the digest its own replica rendered.
-func goldenPayload(t testing.TB) (payload []byte, digest string) {
+// golden reads a pinned payload: state-v2.hex is what the commit before
+// state.go encoded for goldenRecords, state-v3.hex what it encodes to now.
+func golden(t testing.TB, name string) []byte {
 	t.Helper()
-	hx, err := os.ReadFile(filepath.Join("testdata", "state-v2.hex"))
+	hx, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err = hex.DecodeString(strings.Join(strings.Fields(string(hx)), ""))
+	payload, err := hex.DecodeString(strings.Join(strings.Fields(string(hx)), ""))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return payload
+}
+
+// The durable format moves only by its version: the parent's version-2
+// payload and the version-3 one both decode and digest as scripted, and both
+// encode to the version-3 bytes, as does the script folded from nothing.
+func TestGoldenStatePayload(t *testing.T) {
+	v3 := golden(t, "state-v3.hex")
 	want, err := os.ReadFile(filepath.Join("testdata", "state-v2.digest"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return payload, string(want)
-}
-
-// The durable format must not move: the parent's payload decodes, digests as
-// scripted and re-encodes byte-identically, and the script folded from
-// nothing encodes to the very same bytes.
-func TestGoldenStatePayload(t *testing.T) {
-	payload, want := goldenPayload(t)
-	st, err := decodeState(payload, HarnessShards, 0)
-	if err != nil {
-		t.Fatalf("golden payload refused: %v", err)
+	for _, payload := range [][]byte{golden(t, "state-v2.hex"), v3} {
+		st, err := decodeState(payload, 0)
+		if err != nil {
+			t.Fatalf("golden version-%d payload refused: %v", payload[0], err)
+		}
+		if got := st.digest(); got != string(want) {
+			t.Fatalf("golden version-%d payload decodes to\n%s\nwant\n%s", payload[0], got, want)
+		}
+		if got := st.encode(); !bytes.Equal(got, v3) {
+			t.Fatalf("version-%d payload re-encodes to\n%x\nwant\n%x", payload[0], got, v3)
+		}
 	}
-	if got := st.digest(); got != want {
-		t.Fatalf("golden payload decodes to\n%s\nwant\n%s", got, want)
-	}
-	if got := st.encode(); !bytes.Equal(got, payload) {
-		t.Fatalf("re-encoded payload differs:\n%x\nwant\n%x", got, payload)
-	}
-	folded := newState(HarnessShards, 0, nil)
+	folded := newState(0, nil)
 	for _, rec := range goldenRecords() {
 		if err := folded.apply(rec); err != nil {
 			t.Fatalf("golden record of kind %d refused: %v", rec.Kind, err)
 		}
 	}
-	if got := folded.encode(); !bytes.Equal(got, payload) {
-		t.Fatalf("folding the script encodes\n%x\nwant\n%x\ndigest:\n%s", got, payload, folded.digest())
+	if got := folded.encode(); !bytes.Equal(got, v3) {
+		t.Fatalf("folding the script encodes\n%x\nwant\n%x\ndigest:\n%s", got, v3, folded.digest())
 	}
 }
 
 // testdata/parent-log is a directory the parent commit's server wrote —
 // a snapshot, a compacted prefix and a tail behind the snapshot — and
-// parent-log.digest what the parent itself restored from it.
+// parent-log.digest what the parent itself restored from it, with its route
+// overrides left out and its shard sequences folded into the floor.
 func TestRestoreParentDirectory(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "parent-log.digest"))
 	if err != nil {
@@ -227,7 +221,7 @@ func TestRestoreParentDirectory(t *testing.T) {
 	if err != nil || rep.Corrupt || rep.TornTail {
 		t.Fatalf("fsck: %+v, %v", rep, err)
 	}
-	st := newState(HarnessShards, 0, nil)
+	st := newState(0, nil)
 	off, n, err := st.restore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -245,26 +239,26 @@ func TestRestoreParentDirectory(t *testing.T) {
 // accepts is a fixed point: it re-encodes to a payload that decodes to the
 // same digest.
 func FuzzDecodeState(f *testing.F) {
-	payload, _ := goldenPayload(f)
-	for n := 0; n <= len(payload); n += 7 {
-		f.Add(payload[:n])
+	for _, payload := range [][]byte{golden(f, "state-v2.hex"), golden(f, "state-v3.hex")} {
+		for n := 0; n <= len(payload); n += 7 {
+			f.Add(payload[:n])
+		}
+		f.Add(payload)
+		if payload[0] == 2 {
+			f.Add([]byte{2, 0xff, 0xff, 0xff, 0xff, 0x0f})                // a shard count the payload cannot hold
+			f.Add([]byte{2, 1, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // an instance count likewise
+		}
 	}
-	f.Add(payload)
-	f.Add([]byte{stateVersion, 0xff, 0xff, 0xff, 0xff, 0x0f})                // a shard count the payload cannot hold
-	f.Add([]byte{stateVersion, 1, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // an instance count likewise
 	f.Fuzz(func(t *testing.T, p []byte) {
-		st, err := decodeState(p, HarnessShards, 0)
+		st, err := decodeState(p, 0)
 		if err != nil {
 			return
 		}
-		held := st.reg.Len() + st.graph.Len() + st.perms.Len() + len(st.sessions) + len(st.routes.overrides())
-		for _, sh := range st.shards {
-			held += sh.history.Len()
-		}
+		held := st.reg.Len() + st.graph.Len() + st.perms.Len() + len(st.sessions) + st.history.Len()
 		if held > len(p) {
 			t.Fatalf("%d-byte payload decoded into %d entries", len(p), held)
 		}
-		again, err := decodeState(st.encode(), HarnessShards, 0)
+		again, err := decodeState(st.encode(), 0)
 		if err != nil {
 			t.Fatalf("re-encoded payload refused: %v", err)
 		}
@@ -282,7 +276,7 @@ func FuzzDecodeState(f *testing.F) {
 func TestEveryKindHasOneMutationSite(t *testing.T) {
 	srv := New(Options{Shards: HarnessShards})
 	bed := testbed.New(t, srv, testbed.Options{})
-	fresh := newState(HarnessShards, 0, nil)
+	fresh := newState(0, nil)
 	seen := make(map[eventlog.Kind]bool)
 	step := func(what string, recs ...eventlog.Record) {
 		t.Helper()
@@ -292,8 +286,9 @@ func TestEveryKindHasOneMutationSite(t *testing.T) {
 				t.Fatalf("%s: apply refused kind %d: %v", what, rec.Kind, err)
 			}
 		}
-		// A disconnect's per-shard half is queued, not done, when the global
-		// half is; give the loops a moment before calling it a difference.
+		// A peer's close reaches the server's read loop, and its drop the
+		// global loop, after the step returns; give them a moment before
+		// calling it a difference.
 		want := fresh.digest()
 		var got string
 		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {

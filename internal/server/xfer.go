@@ -136,27 +136,25 @@ func (s *Server) completeCopy(cl *client, seq uint64, from, to couple.ObjectRef,
 	}
 	s.requestState(cl, to, false,
 		func(old widget.TreeState) {
-			// The backup lands in the destination group's shard-owned
-			// history, so the write hops onto that shard's loop. The logged
-			// CopyTo carries the overwritten state: it is the backup.
-			sh := s.shardForRef(to)
-			s.postShard(sh, func() {
-				sh.backup(to, old, cl.id)
-				s.logAppend(eventlog.KindHist, cl.id, stateID(to), wire.CopyTo{To: to, State: old})
-				target, ok := s.clientOf(to.Instance)
-				if !ok {
-					s.reply(cl, seq, fmt.Errorf("server: instance %s disconnected", to.Instance))
-					return
-				}
-				target.out.send(wire.Envelope{Msg: wire.ApplyState{
-					Path:        to.Path,
-					State:       state,
-					Origin:      cl.id,
-					Destructive: destructive,
-				}})
-				s.mCopies.Inc()
-				s.reply(cl, seq, nil)
-			})
+			// The logged CopyTo carries the overwritten state: it is the
+			// backup.
+			if err := s.commit(s.record(eventlog.KindHist, cl, wire.CopyTo{To: to, State: old})); err != nil {
+				s.reply(cl, seq, err)
+				return
+			}
+			target, ok := s.clientOf(to.Instance)
+			if !ok {
+				s.reply(cl, seq, fmt.Errorf("server: instance %s disconnected", to.Instance))
+				return
+			}
+			target.out.send(wire.Envelope{Msg: wire.ApplyState{
+				Path:        to.Path,
+				State:       state,
+				Origin:      cl.id,
+				Destructive: destructive,
+			}})
+			s.mCopies.Inc()
+			s.reply(cl, seq, nil)
 		},
 		func(reason string) {
 			s.reply(cl, seq, fmt.Errorf("server: backing up %s: %s", stateID(to), reason))
@@ -226,36 +224,30 @@ func (s *Server) handleUndoRedo(cl *client, seq uint64, path string, undo bool) 
 	}
 	s.requestState(cl, ref, false,
 		func(current widget.TreeState) {
-			// Undo/redo mutates the object's shard-owned history stacks.
-			sh := s.shardForRef(ref)
-			s.postShard(sh, func() {
-				snap, err := sh.walk(undo, ref, current)
-				if err == nil {
-					// The logged CopyTo carries the pre-walk current state —
-					// the value the walk pushed on the opposite stack — so
-					// replaying the walk reproduces both stacks.
-					kind := eventlog.KindRedo
-					if undo {
-						kind = eventlog.KindUndo
-					}
-					s.logAppend(kind, cl.id, stateID(ref), wire.CopyTo{To: ref, State: current})
-				}
-				if err != nil {
-					if errors.Is(err, hist.ErrEmpty) {
-						s.reply(cl, seq, fmt.Errorf("server: no state to restore for %s", stateID(ref)))
-						return
-					}
-					s.reply(cl, seq, err)
-					return
-				}
-				cl.out.send(wire.Envelope{Msg: wire.ApplyState{
-					Path:        path,
-					State:       snap.State,
-					Origin:      snap.Origin,
-					Destructive: true,
-				}})
-				s.reply(cl, seq, nil)
-			})
+			snap, err := s.st.walk(undo, ref, current)
+			if errors.Is(err, hist.ErrEmpty) {
+				s.reply(cl, seq, fmt.Errorf("server: no state to restore for %s", stateID(ref)))
+				return
+			}
+			if err != nil {
+				s.reply(cl, seq, err)
+				return
+			}
+			// The logged CopyTo carries the pre-walk current state — the value
+			// the walk pushed on the opposite stack — so replaying the walk
+			// reproduces both stacks.
+			kind := eventlog.KindRedo
+			if undo {
+				kind = eventlog.KindUndo
+			}
+			s.logAppend(kind, cl.id, stateID(ref), wire.CopyTo{To: ref, State: current})
+			cl.out.send(wire.Envelope{Msg: wire.ApplyState{
+				Path:        path,
+				State:       snap.State,
+				Origin:      snap.Origin,
+				Destructive: true,
+			}})
+			s.reply(cl, seq, nil)
 		},
 		func(reason string) {
 			s.reply(cl, seq, fmt.Errorf("server: reading current state of %s: %s", stateID(ref), reason))
