@@ -5,12 +5,15 @@
 //
 // Records are group-interleaved: each carries the coupling-group key it
 // mutates, so one log serializes all shards' appends while replay can still
-// attribute every record to its group. Appends are a lock-free handoff — the
-// calling loop encodes the record, hands the bytes to a dedicated writer
-// goroutine over a channel, and blocks only until its durability level is
-// reached (write for `interval`/`none`, write+fsync for `always`). The writer
-// drains whatever accumulated while the previous write was in flight into a
-// single write (+ a single fsync), so concurrent shard loops group-commit.
+// attribute every record to its group. An append never does I/O: the
+// appender encodes its record straight into the log's fill buffer, framing,
+// length and CRC included, and one writer goroutine swaps that buffer out on
+// every drain, so whatever accumulated while the previous write was in
+// flight goes out as a single write (+ a single fsync under `always`) and
+// every appender group-commits. Append blocks until its record reaches its
+// durability level (written for `interval`/`none`, written and fsynced for
+// `always`); a Lane, one per shard loop, never waits, and learns from the
+// writer how far its records are durable.
 //
 // On-disk framing, repeated per record inside segments named by base offset
 // (`%016x.seg`):
@@ -36,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"cosoft/internal/couple"
 	"cosoft/internal/obs"
 	"cosoft/internal/wire"
 )
@@ -159,24 +163,43 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// pending is one append handed to the writer goroutine.
-type pending struct {
-	data []byte
-	done chan error
-}
+// maxIdleFill caps the capacity of a drained fill buffer the writer keeps for
+// reuse, so the backlog of one stall is not pinned for the life of the log.
+const maxIdleFill = 1 << 20
 
-// Log is an open event log. Append is safe from any goroutine; all file I/O
-// happens on the writer goroutine.
+// Log is an open event log. Append and NewLane are safe from any goroutine;
+// all file I/O happens on the writer goroutine.
+//
+// Backpressure: the fill buffer has no byte cap, and no appender ever waits
+// for room in it. Its backlog is bounded by the callers instead. A shard loop
+// appends an event's record only while the event holds its group's floor
+// lock, and the lock is held until the commit is reported, so a lane never
+// has more than one record per coupling group outstanding. Every other
+// appender waits in Append for its own record. That cannot deadlock: the
+// writer never waits on an appender (a lane's wake-up is a send on a
+// one-slot channel that is dropped when the slot is full, and Append's is a
+// condition broadcast), appenders hold the mutex only to encode, and the
+// writer holds it only to swap buffers and publish, never across I/O.
 type Log struct {
 	opts Options
 	dir  string
 
-	appendCh chan pending
-	quit     chan struct{}
-	wg       sync.WaitGroup
+	kick chan struct{} // one slot: the fill buffer holds records to write
+	quit chan struct{}
+	wg   sync.WaitGroup
 
+	// mu guards the append side: the closed flag, the failure, the fill
+	// buffer and the lanes' counters. It also serves snapBegin.
 	mu     sync.Mutex
 	closed bool
+	// failed is the first write, fsync or rotation error, or ErrCrashed. A
+	// failed write may leave a torn record that replay stops at, so nothing
+	// written behind it would replay: every later append is refused with it.
+	failed  error
+	fill    []byte    // framed records appended since the last drain
+	spare   []byte    // the buffer the last drain wrote, reused as the next fill
+	lanes   []*Lane   // every lane; the first is Append's, shared by every blocking caller
+	durable sync.Cond // broadcast after every drain; Append waits on it (L is &mu)
 
 	// In-flight snapshot/compaction ops; Close waits for them so a
 	// half-written .snap.tmp never outlives the log handle.
@@ -208,8 +231,10 @@ type Log struct {
 	snapCrashOps     int
 	snapCrashFired   bool
 	snapGate         <-chan struct{}
+	writeGate        <-chan struct{}
 
 	mAppends    *obs.Counter // server.log.appends: records appended
+	mWrites     *obs.Counter // server.log.writes: group-commit writes that reached the file
 	mBytes      *obs.Counter // server.log.bytes: record bytes written (incl. framing)
 	mFsyncs     *obs.Counter // server.log.fsyncs: fsync calls issued
 	mReplayed   *obs.Counter // server.log.replayed: records a restore applied (ReplayCounter)
@@ -240,9 +265,10 @@ func Open(opts Options) (*Log, error) {
 	l := &Log{
 		opts:        opts,
 		dir:         opts.Dir,
-		appendCh:    make(chan pending, 256),
+		kick:        make(chan struct{}, 1),
 		quit:        make(chan struct{}),
 		mAppends:    metrics.Counter("server.log.appends"),
+		mWrites:     metrics.Counter("server.log.writes"),
 		mBytes:      metrics.Counter("server.log.bytes"),
 		mFsyncs:     metrics.Counter("server.log.fsyncs"),
 		mReplayed:   metrics.Counter("server.log.replayed"),
@@ -252,6 +278,8 @@ func Open(opts Options) (*Log, error) {
 		mCompacted:  metrics.Counter("server.log.compacted_segments"),
 		mReplaySnap: metrics.Counter("server.log.replay_from_snapshot"),
 	}
+	l.lanes = []*Lane{{l: l}}
+	l.durable.L = &l.mu
 	if err := l.recover(); err != nil {
 		return nil, err
 	}
@@ -412,17 +440,48 @@ func (l *Log) openSegment(base int64) error {
 }
 
 // encodeRecord frames one record for disk.
-func encodeRecord(r Record) []byte {
-	payload := []byte{byte(r.Kind)}
-	payload = binary.AppendUvarint(payload, uint64(len(r.Origin)))
-	payload = append(payload, r.Origin...)
-	payload = binary.AppendUvarint(payload, uint64(len(r.Group)))
-	payload = append(payload, r.Group...)
-	payload = wire.AppendEnvelope(payload, r.Env)
-	buf := make([]byte, recHeader, recHeader+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
-	return append(buf, payload...)
+func encodeRecord(r Record) []byte { return appendRecord(nil, r) }
+
+// appendRecord frames r onto buf.
+func appendRecord(buf []byte, r Record) []byte {
+	start := len(buf)
+	buf = append(buf, make([]byte, recHeader)...)
+	buf = append(buf, byte(r.Kind))
+	buf = appendString(buf, r.Origin)
+	buf = appendString(buf, r.Group)
+	buf = wire.AppendEnvelope(buf, r.Env)
+	return seal(buf, start)
+}
+
+// appendEventRecord frames the KindEvent record of src's event, broadcast as
+// se, onto buf: origin src.Instance, group "instance:path" written from the
+// ref's two parts, and as the envelope the Exec se materializes for src.Path,
+// written as its head and encoded-once tail. The bytes are appendRecord's for
+// that Record; building them allocates nothing once buf has room.
+func appendEventRecord(buf []byte, src couple.ObjectRef, se *wire.SharedExec) []byte {
+	start := len(buf)
+	buf = append(buf, make([]byte, recHeader)...)
+	buf = append(buf, byte(KindEvent))
+	buf = appendString(buf, string(src.Instance))
+	buf = binary.AppendUvarint(buf, uint64(len(src.Instance)+1+len(src.Path)))
+	buf = append(buf, string(src.Instance)...)
+	buf = append(buf, ':')
+	buf = append(buf, src.Path...)
+	buf = se.AppendEnvelope(buf, src.Path)
+	return seal(buf, start)
+}
+
+func appendString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
+}
+
+// seal fills in the length and CRC of the record framed at buf[start:].
+func seal(buf []byte, start int) []byte {
+	payload := buf[start+recHeader:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
+	return buf
 }
 
 // decodeRecord parses one payload (after length+CRC validation).
@@ -455,24 +514,100 @@ func decodeRecord(payload []byte) (Record, error) {
 }
 
 // Append makes r durable per the sync policy and returns. Safe from any
-// goroutine; the bytes are encoded by the caller and written by the writer
-// goroutine, which group-commits everything that accumulated while the
-// previous write was in flight.
+// goroutine: the record is encoded into the fill buffer and written by the
+// writer goroutine, which group-commits everything that accumulated while
+// the previous write was in flight. On a closed log it returns ErrClosed, on
+// a failed one the failure.
 func (l *Log) Append(r Record) error {
-	p := pending{data: encodeRecord(r), done: make(chan error, 1)}
-	select {
-	case l.appendCh <- p:
-	case <-l.quit:
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.refusal(); err != nil {
+		return err
+	}
+	l.fill = appendRecord(l.fill, r)
+	ln := l.lanes[0]
+	n := l.queue(ln)
+	for ln.done < n {
+		l.durable.Wait()
+	}
+	if n > ln.ok {
+		return l.failed
+	}
+	return nil
+}
+
+// Lane is an append path that never waits, for one appending goroutine (a
+// shard loop). Its records are numbered from 1 in append order and reach the
+// file in that order; after every drain that carried one of them the writer
+// signals Ready, and Committed then says how far they are durable.
+type Lane struct {
+	l     *Log
+	ready chan struct{} // one slot; nil on Append's lane, whose callers wait on l.durable
+
+	// Guarded by l.mu.
+	appended uint64 // records appended through the lane
+	drained  uint64 // the drain in progress took records through this one
+	done     uint64 // the writer is finished with records through this one
+	ok       uint64 // records through this one are durable (ok ≤ done)
+}
+
+// NewLane returns a new lane of the log; it lives as long as the log.
+func (l *Log) NewLane() *Lane {
+	ln := &Lane{l: l, ready: make(chan struct{}, 1)}
+	l.mu.Lock()
+	l.lanes = append(l.lanes, ln)
+	l.mu.Unlock()
+	return ln
+}
+
+// Ready is signalled, through one slot, after the writer has finished with
+// records of the lane.
+func (ln *Lane) Ready() <-chan struct{} { return ln.ready }
+
+// AppendEvent queues the KindEvent record of src's event, broadcast as se —
+// the bytes Append writes for Record{KindEvent, src.Instance,
+// "instance:path", the Exec se materializes for src.Path} — and returns its
+// number on the lane, or, with nothing queued, the error a closed or failed
+// log refuses every append with. It allocates nothing once the fill buffer
+// has grown to the backlog.
+func (ln *Lane) AppendEvent(src couple.ObjectRef, se *wire.SharedExec) (uint64, error) {
+	l := ln.l
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.refusal(); err != nil {
+		return 0, err
+	}
+	l.fill = appendEventRecord(l.fill, src, se)
+	return l.queue(ln), nil
+}
+
+// Committed reports the writer's progress on the lane: it is finished with
+// records 1…done, records 1…durable of them are durable, and the rest failed
+// with err.
+func (ln *Lane) Committed() (done, durable uint64, err error) {
+	ln.l.mu.Lock()
+	defer ln.l.mu.Unlock()
+	return ln.done, ln.ok, ln.l.failed
+}
+
+// refusal is the error a new append gets at once: the log is closed or has
+// failed. l.mu is held.
+func (l *Log) refusal() error {
+	if l.closed {
 		return ErrClosed
 	}
+	return l.failed
+}
+
+// queue counts the record just encoded into fill as ln's next, wakes the
+// writer and returns the record's number. l.mu is held.
+func (l *Log) queue(ln *Lane) uint64 {
+	ln.appended++
 	select {
-	case err := <-p.done:
-		return err
-	case <-l.quit:
-		// The writer drains the channel before exiting, so done always gets
-		// an answer; prefer it over racing the quit signal.
-		return <-p.done
+	case l.kick <- struct{}{}:
+	default:
 	}
+	return ln.appended
 }
 
 // writer is the single goroutine touching the segment files.
@@ -487,19 +622,8 @@ func (l *Log) writer() {
 	}
 	for {
 		select {
-		case p := <-l.appendCh:
-			batch := []pending{p}
-			// Group commit: everything queued while we were off-loop joins
-			// this write and shares its fsync.
-			for drained := false; !drained; {
-				select {
-				case q := <-l.appendCh:
-					batch = append(batch, q)
-				default:
-					drained = true
-				}
-			}
-			l.commit(batch)
+		case <-l.kick:
+			l.drain()
 		case <-tick:
 			if l.dirty && !l.isCrashed() {
 				if err := l.sync(); err == nil {
@@ -507,62 +631,88 @@ func (l *Log) writer() {
 				}
 			}
 		case <-l.quit:
-			for {
-				select {
-				case p := <-l.appendCh:
-					l.commit([]pending{p})
-				default:
-					if l.dirty && !l.isCrashed() && l.opts.Sync != SyncNone {
-						if l.sync() == nil {
-							l.dirty = false
-						}
-					}
-					return
+			// Close refuses appends before it signals quit, so this drain
+			// takes the last of them.
+			l.drain()
+			if l.dirty && !l.isCrashed() && l.opts.Sync != SyncNone {
+				if l.sync() == nil {
+					l.dirty = false
 				}
-			}
-		}
-	}
-}
-
-// commit writes one group-committed batch and answers every waiter.
-func (l *Log) commit(batch []pending) {
-	if l.isCrashed() {
-		for _, p := range batch {
-			p.done <- ErrCrashed
-		}
-		return
-	}
-	var total int
-	for _, p := range batch {
-		total += len(p.data)
-	}
-	if l.segSize > 0 && l.segSize+int64(total) > l.opts.SegmentBytes {
-		if err := l.rotate(); err != nil {
-			for _, p := range batch {
-				p.done <- err
 			}
 			return
 		}
 	}
-	buf := make([]byte, 0, total)
-	for _, p := range batch {
-		buf = append(buf, p.data...)
+}
+
+// drain is one group commit: it swaps the fill buffer out, writes it, and
+// publishes the outcome to every lane that had a record in it.
+func (l *Log) drain() {
+	l.mu.Lock()
+	buf, err := l.fill, l.failed
+	l.fill, l.spare = l.spare, nil
+	recs := 0
+	for _, ln := range l.lanes {
+		recs += int(ln.appended - ln.drained)
+		ln.drained = ln.appended
 	}
-	err := l.write(buf)
-	if err == nil {
-		l.segSize += int64(total)
-		l.dirty = true
-		l.mAppends.Add(uint64(len(batch)))
-		l.mBytes.Add(uint64(total))
-		if l.opts.Sync == SyncAlways {
-			if err = l.sync(); err == nil {
-				l.dirty = false
+	l.mu.Unlock()
+
+	if err == nil && recs > 0 {
+		err = l.commit(buf, recs)
+	}
+
+	l.mu.Lock()
+	if l.failed == nil {
+		l.failed = err
+	}
+	for _, ln := range l.lanes {
+		if ln.done == ln.drained {
+			continue // none of its records in this drain
+		}
+		ln.done = ln.drained
+		if err == nil {
+			ln.ok = ln.drained
+		}
+		if ln.ready != nil {
+			select {
+			case ln.ready <- struct{}{}:
+			default:
 			}
 		}
 	}
-	for _, p := range batch {
-		p.done <- err
+	l.durable.Broadcast()
+	if cap(buf) <= maxIdleFill {
+		l.spare = buf[:0]
 	}
+	l.mu.Unlock()
+}
+
+// commit writes one drain of recs records, rotating first if it would
+// overflow the segment, and fsyncs it under SyncAlways.
+func (l *Log) commit(buf []byte, recs int) error {
+	if l.isCrashed() {
+		return ErrCrashed
+	}
+	if l.segSize > 0 && l.segSize+int64(len(buf)) > l.opts.SegmentBytes {
+		if err := l.rotate(); err != nil {
+			return err
+		}
+	}
+	if err := l.write(buf); err != nil {
+		return err
+	}
+	l.segSize += int64(len(buf))
+	l.dirty = true
+	l.mAppends.Add(uint64(recs))
+	l.mBytes.Add(uint64(len(buf)))
+	l.mWrites.Inc()
+	if l.opts.Sync == SyncAlways {
+		if err := l.sync(); err != nil {
+			return err
+		}
+		l.dirty = false
+	}
+	return nil
 }
 
 // rotate seals the current segment and opens the next one, named by the
@@ -583,6 +733,12 @@ func (l *Log) rotate() error {
 // write is one counted I/O boundary: an armed crash point abandons it with
 // only the configured partial byte count reaching the file.
 func (l *Log) write(buf []byte) error {
+	if gate := l.heldWrites(); gate != nil {
+		select {
+		case <-gate:
+		case <-l.quit:
+		}
+	}
 	if partial, fire := l.crashBoundary(); fire {
 		if partial > len(buf) {
 			partial = len(buf)
@@ -621,6 +777,22 @@ func (l *Log) CrashPoint(op, partial int) {
 	l.crashOps = 0
 	l.crashed = false
 	l.crashMu.Unlock()
+}
+
+// WriteGate arms the write-hold hook: every segment write waits until ch is
+// closed (or the log closes) before it reaches the file, as a write stalled
+// on a slow disk would, while appends keep accumulating in the fill buffer.
+// A nil ch disarms it. Test-only.
+func (l *Log) WriteGate(ch <-chan struct{}) {
+	l.crashMu.Lock()
+	l.writeGate = ch
+	l.crashMu.Unlock()
+}
+
+func (l *Log) heldWrites() <-chan struct{} {
+	l.crashMu.Lock()
+	defer l.crashMu.Unlock()
+	return l.writeGate
 }
 
 // CrashFired reports whether the armed crash point was reached.

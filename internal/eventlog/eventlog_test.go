@@ -1,10 +1,15 @@
 package eventlog
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"cosoft/internal/attr"
@@ -546,5 +551,228 @@ func TestReplayDirIsReplayDirFromZero(t *testing.T) {
 				t.Fatalf("ReplayDirFrom stopped at byte %d, want %d", end, want)
 			}
 		})
+	}
+}
+
+// An append on a closed log is refused with ErrClosed at once. The append
+// used to race the writer's exit: its send to a buffered channel could win
+// over the quit signal after the writer had gone, and it then waited forever
+// for an answer.
+func TestAppendAfterClose(t *testing.T) {
+	l, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := sampleRecords()[0]
+	for i := 0; i < 1000; i++ {
+		errc := make(chan error, 1)
+		go func() { errc <- l.Append(r) }()
+		select {
+		case err := <-errc:
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("append %d after Close: %v, want ErrClosed", i, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("append %d after Close still waiting after 2s", i)
+		}
+	}
+	se := wire.NewSharedExec(1, "changed", nil, couple.ObjectRef{Instance: "a-1", Path: "/x"})
+	defer se.Release()
+	if _, err := l.NewLane().AppendEvent(couple.ObjectRef{Instance: "a-1", Path: "/x"}, se); !errors.Is(err, ErrClosed) {
+		t.Fatalf("lane append after Close: %v, want ErrClosed", err)
+	}
+}
+
+// An event's record written from the broadcast's shared body is byte for
+// byte the record Append writes for the materialized Exec, for any payload
+// and wherever it lands in the fill buffer.
+func TestEventRecordBytes(t *testing.T) {
+	f := func(inst, path, name string, id uint64, ints []int64, strs []string, flag bool, pad uint8) bool {
+		src := couple.ObjectRef{Instance: couple.InstanceID(inst), Path: path}
+		args := []attr.Value{attr.Bool(flag)}
+		for _, n := range ints {
+			args = append(args, attr.Int(n))
+		}
+		for _, s := range strs {
+			args = append(args, attr.String(s))
+		}
+		args = append(args, attr.StringList(strs...))
+		se := wire.NewSharedExec(id, name, args, src)
+		defer se.Release()
+		want := encodeRecord(Record{Kind: KindEvent, Origin: inst, Group: inst + ":" + path,
+			Env: wire.Envelope{Msg: se.Exec(path)}})
+		prefix := bytes.Repeat([]byte{0xa5}, int(pad))
+		got := appendEventRecord(prefix, src, se)
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Logf("got  %x\nwant %x", got[len(prefix):], want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A lane never waits: its records queue, the writer signals Ready after each
+// drain, and Committed says how far they are durable. They replay in lane
+// order, interleaved with Append's records in the order the appends came.
+func TestLaneCommits(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := l.NewLane()
+	src := couple.ObjectRef{Instance: "editor-1", Path: "/field"}
+	var want []Record
+	for id := uint64(1); id <= 5; id++ {
+		se := wire.NewSharedExec(id, "changed", []attr.Value{attr.Int(int64(id))}, src)
+		n, err := ln.AppendEvent(src, se)
+		want = append(want, Record{Kind: KindEvent, Origin: "editor-1", Group: "editor-1:/field", Env: wire.Envelope{Msg: se.Exec(src.Path)}})
+		se.Release()
+		if err != nil || n != id {
+			t.Fatalf("append %d: record %d, %v", id, n, err)
+		}
+		if id == 3 {
+			r := rec(KindDeclare, "editor-1", "", wire.Declare{Path: "/other", Class: "text"})
+			mustAppend(t, l, r)
+			want = append(want, r)
+		}
+	}
+	waitCommitted(t, ln, 5)
+	if done, durable, err := ln.Committed(); done != 5 || durable != 5 || err != nil {
+		t.Fatalf("committed = %d, %d, %v; want 5, 5, nil", done, durable, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := replayAll(t, dir)
+	checkRecords(t, got, want)
+	for i := range got {
+		if !bytes.Equal(encodeRecord(got[i]), encodeRecord(want[i])) {
+			t.Fatalf("record %d replays as %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// A held write holds the lane's report, and a failed one fails the lane's
+// records and refuses every later append.
+func TestLaneHeldAndFailedWrites(t *testing.T) {
+	l, err := Open(Options{Dir: t.TempDir(), Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ln := l.NewLane()
+	src := couple.ObjectRef{Instance: "editor-1", Path: "/field"}
+	se := wire.NewSharedExec(1, "changed", nil, src)
+	defer se.Release()
+
+	gate := make(chan struct{})
+	l.WriteGate(gate)
+	if _, err := ln.AppendEvent(src, se); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ln.Ready():
+		t.Fatal("the lane heard of a write the gate holds")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate)
+	waitCommitted(t, ln, 1)
+
+	l.CrashPoint(1, 0)
+	if _, err := ln.AppendEvent(src, se); err != nil {
+		t.Fatal(err)
+	}
+	waitCommitted(t, ln, 2)
+	if done, durable, err := ln.Committed(); done != 2 || durable != 1 || !errors.Is(err, ErrCrashed) {
+		t.Fatalf("committed = %d, %d, %v; want 2, 1, ErrCrashed", done, durable, err)
+	}
+	if _, err := ln.AppendEvent(src, se); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("lane append after the failure: %v, want ErrCrashed", err)
+	}
+	if err := l.Append(sampleRecords()[0]); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("append after the failure: %v, want ErrCrashed", err)
+	}
+}
+
+// Lanes and blocking appenders running at once each keep their own order,
+// and everything they were told is durable replays.
+func TestConcurrentLanes(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, Sync: SyncInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lanes, per = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < lanes; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			ln := l.NewLane()
+			src := couple.ObjectRef{Instance: couple.InstanceID(fmt.Sprintf("lane-%d", w)), Path: "/x"}
+			for i := uint64(1); i <= per; i++ {
+				se := wire.NewSharedExec(i, "changed", nil, src)
+				_, err := ln.AppendEvent(src, se)
+				se.Release()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			waitCommitted(t, ln, per)
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per/10; i++ {
+				if err := l.Append(rec(KindDeclare, fmt.Sprintf("blocking-%d", w), "", wire.Declare{Path: "/y", Class: "text"})); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	next := make(map[string]uint64)
+	n := 0
+	for _, r := range replayAll(t, dir) {
+		n++
+		if r.Kind != KindEvent {
+			continue
+		}
+		id := r.Env.Msg.(wire.Exec).EventID
+		if want := next[r.Origin] + 1; id != want {
+			t.Fatalf("%s: record %d replays where %d belongs", r.Origin, id, want)
+		}
+		next[r.Origin] = id
+	}
+	if want := lanes*per + lanes*per/10; n != want {
+		t.Fatalf("replayed %d records, want %d", n, want)
+	}
+}
+
+// waitCommitted waits until the writer is finished with ln's records 1…n.
+func waitCommitted(t *testing.T, ln *Lane, n uint64) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for {
+		if done, _, _ := ln.Committed(); done >= n {
+			return
+		}
+		select {
+		case <-ln.Ready():
+		case <-deadline:
+			t.Errorf("the lane's record %d was never committed", n)
+			return
+		}
 	}
 }

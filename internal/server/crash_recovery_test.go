@@ -19,6 +19,7 @@ package server
 // ops[0:R] with R read back by Fsck, never an interior gap.
 
 import (
+	"strings"
 	"testing"
 
 	"cosoft/internal/attr"
@@ -92,9 +93,19 @@ func (r *crashScript) dispatchTo(origin, val string, peers ...string) {
 		w, err := r.cl[origin].Registry().Lookup("/x")
 		return err == nil && !w.Disabled()
 	})
-	r.mustOK(r.cl[origin].DispatchChecked(&widget.Event{
+	err := r.cl[origin].DispatchChecked(&widget.Event{
 		Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String(val)},
-	}))
+	})
+	if err != nil && r.srv.elog != nil && r.srv.elog.CrashFired() {
+		// The log died under the event: it is refused, and no member hears
+		// of it.
+		if !strings.Contains(err.Error(), "event log append failed") {
+			r.t.Fatalf("event %s refused for another reason: %v", val, err)
+		}
+		peers = nil
+	} else {
+		r.mustOK(err)
+	}
 	for _, p := range peers {
 		p := p
 		testbed.Wait(r.t, p+" mirrors "+val, func() bool { return r.value(p) == val })
@@ -146,8 +157,9 @@ func crashOps() []func(r *crashScript) {
 
 // TestCrashPointRecovery sweeps the crash point across every write and fsync
 // boundary the scripted session generates. For each boundary: run the script
-// (the server keeps serving after the log dies — durability degrades, live
-// consistency does not), reopen the log directory (truncating any torn
+// (the server keeps serving after the log dies: its events are refused,
+// its control-plane operations acknowledged unlogged), reopen the log
+// directory (truncating any torn
 // tail), replay it into a fresh server, and require its digest to equal a
 // shadow server driven live with exactly the durable op prefix.
 func TestCrashPointRecovery(t *testing.T) {

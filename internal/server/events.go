@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cosoft/internal/couple"
-	"cosoft/internal/eventlog"
 	"cosoft/internal/lock"
 	"cosoft/internal/obs"
 	"cosoft/internal/wire"
@@ -15,8 +14,7 @@ import (
 // acknowledged re-execution, at which point the group is unlocked ("They are
 // unlocked when the processing of this event is completed", §3.2).
 type pendingEvent struct {
-	origin couple.InstanceID
-	source couple.ObjectRef
+	source couple.ObjectRef // its Instance is the event's origin
 	// plan is the broadcast plan the event went out under: CO(o) as locked,
 	// and the instances notified. It is shared with other events and never
 	// written.
@@ -34,12 +32,39 @@ type pendingEvent struct {
 	// unlock spans recorded when the round trip completes (zero when the
 	// event was not traced).
 	tc obs.TraceContext
-	// timer fires the event deadline (nil when deadlines are disabled). It
-	// is stopped when the event resolves normally.
+	// timer fires the event deadline (nil when deadlines are disabled, and
+	// until the event is broadcast). It is stopped when the event resolves
+	// normally.
 	timer *time.Timer
+	// se is the broadcast's encode-once Exec while the event is committing:
+	// granted, its log record on the way to disk, nothing sent yet. The
+	// continuation (broadcast) sends se to the members, answers the origin's
+	// connection from on its request refSeq, and clears se.
+	se     *wire.SharedExec
+	from   *client
+	refSeq uint64
 	// migrated marks an event carried to another shard by a group
 	// migration; its router forwarding entry is cleared on resolution.
 	migrated bool
+	// originLeft marks a committing event whose origin disconnected: it is
+	// resolved as soon as it has been broadcast, as dropClient resolves an
+	// event that was already out.
+	originLeft bool
+}
+
+// committing reports whether the event's log record is still on its way.
+func (pe *pendingEvent) committing() bool { return pe.se != nil }
+
+// abandon drops what an unresolved event holds outside the server at
+// shutdown: its deadline timer and its shared body.
+func (pe *pendingEvent) abandon() {
+	if pe.timer != nil {
+		pe.timer.Stop()
+	}
+	if pe.se != nil {
+		pe.se.Release()
+		pe.se = nil
+	}
 }
 
 // handleEvent implements the multiple-execution algorithm of §3.2. The
@@ -101,39 +126,65 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 	}
 	sh.seq++
 
-	// The event is committed: the group lock is held and the broadcast is
-	// about to fan out. Make it durable before any member — including the
-	// origin's EventResult — hears about it, so an acked event is always in
-	// the replayable stream. The append runs on this shard's loop but the
-	// file I/O happens on the log's writer goroutine; concurrent shards
-	// group-commit into one write+fsync. (logAppend checks for a log itself;
-	// asking first keeps the record from being built and boxed without one.)
-	if s.elog != nil {
-		s.logAppend(eventlog.KindEvent, cl.id, stateID(source), wire.Exec{
-			EventID:    eventID,
-			TargetPath: m.Path,
-			Name:       m.Name,
-			Args:       m.Args,
-			Origin:     source,
-		})
-	}
-
+	// The event is granted: the group lock is held. The member-independent
+	// suffix of the Exec body (Name, Args, Origin) is encoded once into a
+	// shared refcounted buffer, which both the log record and every member's
+	// frame splice in. The event is pending from here on, so the health
+	// plane and the invariants see it while it commits.
 	pe := &pendingEvent{
-		origin:  cl.id,
 		source:  source,
 		plan:    p,
 		owner:   owner,
 		waiting: make([]int, len(p.insts)),
 		start:   start,
 		tc:      actx,
+		se:      wire.NewSharedExec(eventID, m.Name, m.Args, source),
+		from:    cl,
+		refSeq:  seq,
 	}
-	// Disable the locked objects at their instances, then broadcast the
-	// event for re-execution. The member-independent suffix of the Exec body
-	// (Name, Args, Origin) is encoded once into a shared refcounted buffer;
-	// each member's outbox queues a reference and splices it in at flush, so
-	// the broadcast costs O(1) body encodes regardless of fan-out.
+	sh.pending[eventID] = pe
+	// Nothing about the event leaves the server before its record is
+	// durable, so an acked event is always in the replayable stream. The
+	// record goes onto the shard's lane and the loop moves on; the writer's
+	// report brings the event back to broadcast (see commitsDone), on
+	// whichever shard owns it by then. Without a log, or when the log
+	// refuses the append at once, the continuation runs here.
+	if sh.lane == nil {
+		s.broadcast(sh, eventID, pe, nil)
+	} else if n, err := sh.lane.AppendEvent(source, pe.se); err != nil {
+		s.broadcast(sh, eventID, pe, err)
+	} else {
+		sh.commits = append(sh.commits, logCommit{n: n, id: eventID})
+	}
+	arrival.End()
+}
+
+// broadcast is a granted event's continuation once the fate of its log
+// record is known (err is the append's error), on the shard that owns the
+// event now. A refused record refuses the event: it unlocks, the origin
+// undoes its feedback, and no member hears of it. Otherwise the locked
+// objects are disabled at their instances and the event goes out for
+// re-execution under the plan its lock was taken with: each member's outbox
+// queues a reference to the shared body and splices it in at flush, so the
+// broadcast costs O(1) body encodes regardless of fan-out.
+func (s *Server) broadcast(sh *shard, eventID uint64, pe *pendingEvent, err error) {
+	se, cl, p, actx := pe.se, pe.from, pe.plan, pe.tc
+	pe.se = nil
+	if err != nil {
+		se.Release()
+		s.dropPending(sh, eventID, pe)
+		sh.locks.UnlockGroup(p.members, pe.owner)
+		s.mLogAppendErrs.Inc()
+		s.slog.Warn("event refused: log append failed",
+			"event_id", eventID, "inst", string(cl.id), "path", pe.source.Path, "err", err, "trace", actx.Trace)
+		cl.out.send(wire.Envelope{
+			RefSeq: pe.refSeq,
+			Trace:  s.tr.Point(actx, "server.event_result", "server", "refused: log append failed"),
+			Msg:    eventUnlogged,
+		})
+		return
+	}
 	s.notifyLocks(p, actx, true)
-	se := wire.NewSharedExec(eventID, m.Name, m.Args, source)
 	s.mBytesEncoded.Add(uint64(se.TailLen()))
 	fanout := 0
 	for i := range p.insts {
@@ -157,19 +208,18 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 	s.mExecsSent.Add(uint64(fanout))
 	s.mFanout.Observe(int64(fanout))
 	cl.out.send(wire.Envelope{
-		RefSeq: seq,
+		RefSeq: pe.refSeq,
 		Trace:  s.tr.Point(actx, "server.event_result", "server", "ok"),
 		Msg:    eventAccepted,
 	})
-	arrival.End()
-	if pe.left == 0 {
-		// All members belonged to disconnected instances.
-		s.unlockEvent(sh, pe, false)
+	if pe.left == 0 || pe.originLeft {
+		// All members belonged to disconnected instances, or the origin left
+		// while the event committed.
+		s.finishEvent(sh, eventID, pe, false)
 		return
 	}
-	sh.pending[eventID] = pe
 	if d := s.opts.EventDeadline; d > 0 {
-		// AfterFunc posts back to the birth shard's loop; post refuses after
+		// AfterFunc posts back to the owning shard's loop; post refuses after
 		// Close, so a late firing is harmless, and if the event migrated the
 		// miss-forward in timeoutEvent chases it.
 		pe.timer = time.AfterFunc(d, func() {
@@ -178,12 +228,45 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 	}
 }
 
-// eventAccepted and eventDenied are the two verdicts handleEvent sends,
-// boxed once.
+// eventAccepted, eventDenied and eventUnlogged are the verdicts an event
+// gets, boxed once.
 var (
 	eventAccepted wire.Message = wire.EventResult{OK: true}
 	eventDenied   wire.Message = wire.EventResult{OK: false, Reason: "group locked"}
+	eventUnlogged wire.Message = wire.EventResult{OK: false, Reason: "event log append failed"}
 )
+
+// logCommit is one event whose record is on the shard's lane: the record's
+// number there, and the event's ID.
+type logCommit struct{ n, id uint64 }
+
+// commitsDone runs on sh's loop when the writer signals its lane: every
+// event whose record the writer is finished with leaves the queue, oldest
+// first, and goes on to broadcast with its record's outcome.
+func (s *Server) commitsDone(sh *shard) {
+	done, durable, err := sh.lane.Committed()
+	k := 0
+	for ; k < len(sh.commits) && sh.commits[k].n <= done; k++ {
+		c := sh.commits[k]
+		var cerr error
+		if c.n > durable {
+			cerr = err
+		}
+		s.committed(sh, c.id, cerr)
+	}
+	sh.commits = sh.commits[:copy(sh.commits, sh.commits[k:])]
+}
+
+// committed hands event id its record's outcome on sh, where it was born. An
+// event that migrated with its group while it committed is chased to its
+// owner, the way an ack is.
+func (s *Server) committed(sh *shard, id uint64, err error) {
+	if pe, ok := sh.pending[id]; ok {
+		s.broadcast(sh, id, pe, err)
+	} else if to, moved := s.eventOwner(sh, id); moved {
+		s.postShard(to, func() { s.committed(to, id, err) })
+	}
+}
 
 // forwardEvent re-posts an Event that reached a shard its group has since
 // migrated away from. It is a function of its own so that the closure's
@@ -214,7 +297,7 @@ func (s *Server) timeoutEvent(sh *shard, id uint64) {
 	s.mEventTOs.Inc()
 	s.tr.Point(pe.tc, "server.event_timeout", "server", strings.Join(stragglers, " "))
 	s.slog.Warn("event deadline expired",
-		"event_id", id, "origin", string(pe.origin), "path", pe.source.Path,
+		"event_id", id, "origin", string(pe.source.Instance), "path", pe.source.Path,
 		"stragglers", strings.Join(stragglers, " "), "trace", pe.tc.Trace)
 	s.finishEvent(sh, id, pe, true)
 }
@@ -316,6 +399,13 @@ func (s *Server) eventOwner(sh *shard, id uint64) (*shard, bool) {
 }
 
 func (s *Server) finishEvent(sh *shard, id uint64, pe *pendingEvent, timedOut bool) {
+	s.dropPending(sh, id, pe)
+	s.unlockEvent(sh, pe, timedOut)
+}
+
+// dropPending forgets a resolved event: its wait set, its deadline and the
+// forwarding entry of a migrated one.
+func (s *Server) dropPending(sh *shard, id uint64, pe *pendingEvent) {
 	delete(sh.pending, id)
 	if pe.timer != nil {
 		pe.timer.Stop()
@@ -323,7 +413,6 @@ func (s *Server) finishEvent(sh *shard, id uint64, pe *pendingEvent, timedOut bo
 	if pe.migrated {
 		s.router.clearEvent(id)
 	}
-	s.unlockEvent(sh, pe, timedOut)
 }
 
 func (s *Server) unlockEvent(sh *shard, pe *pendingEvent, timedOut bool) {

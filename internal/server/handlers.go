@@ -72,6 +72,13 @@ func (s *Server) record(kind eventlog.Kind, cl *client, msg wire.Message) eventl
 	return eventlog.Record{Kind: kind, Origin: string(cl.id), Env: wire.Envelope{Msg: msg}}
 }
 
+// groupRecord is record keyed by the coupling group of ref.
+func (s *Server) groupRecord(kind eventlog.Kind, cl *client, ref couple.ObjectRef, msg wire.Message) eventlog.Record {
+	rec := s.record(kind, cl, msg)
+	rec.Group = stateID(ref)
+	return rec
+}
+
 // reply sends OK or Err correlated to the request.
 func (s *Server) reply(cl *client, seq uint64, err error) {
 	if err != nil {
@@ -116,7 +123,7 @@ func (s *Server) handleRetract(cl *client, seq uint64, m wire.Retract) {
 	members := s.st.graph.Group(ref)
 	s.notifyLinks(instancesOf(members), s.st.retract(ref), false)
 	s.routes.dropRef(ref)
-	s.logAppend(eventlog.KindRetract, cl.id, "", m)
+	s.logRecord(s.record(eventlog.KindRetract, cl, m))
 	s.reply(cl, seq, nil)
 }
 
@@ -160,7 +167,7 @@ func (s *Server) handleCouple(cl *client, seq uint64, m wire.Couple) {
 			s.reply(cl, seq, err)
 			return
 		}
-		s.logAppend(eventlog.KindCouple, cl.id, stateID(l.From), m)
+		s.logRecord(s.groupRecord(eventlog.KindCouple, cl, l.From, m))
 		// A link inside one group has every instance on both sides: the
 		// group hears about it once.
 		all := instancesOf(gFrom, gTo)
@@ -226,7 +233,7 @@ func (s *Server) handleDecouple(cl *client, seq uint64, m wire.Decouple) {
 	}
 	l.Creator = cl.id
 	s.notifyLinks(instancesOf(members), []couple.Link{l}, false)
-	s.logAppend(eventlog.KindDecouple, cl.id, stateID(l.From), wire.Decouple{From: l.From, To: l.To})
+	s.logRecord(s.groupRecord(eventlog.KindDecouple, cl, l.From, wire.Decouple{From: l.From, To: l.To}))
 	s.reply(cl, seq, nil)
 }
 
@@ -356,7 +363,7 @@ func (s *Server) dropClient(cl *client, reason string) {
 	// provoked by Close itself are not departures — nothing is logged, so
 	// a restart finds every instance still registered and resumable.
 	if !s.closing {
-		s.logAppend(eventlog.KindDisconnect, cl.id, "", wire.Err{Text: reason})
+		s.logRecord(s.record(eventlog.KindDisconnect, cl, wire.Err{Text: reason}))
 	}
 	s.slog.Info("instance leaving", "inst", string(cl.id), "reason", reason)
 	s.cmu.Lock()
@@ -391,21 +398,25 @@ func (s *Server) dropClient(cl *client, reason string) {
 	s.routes.dropInstance(cl.id)
 
 	// Resolve group-scoped state on every shard: events the instance
-	// originated are finished, events awaiting its ack are acked by absence,
-	// and its locks are dropped.
+	// originated are finished, and events awaiting its ack are acked by
+	// absence. Locks follow their event, so that releases every lock the
+	// instance held — except a committing event's: its record may already be
+	// durable, so it keeps its floor until its commit lands, and is finished
+	// as soon as it has gone out. Nothing was sent for it yet, so it waits
+	// for no one.
 	for _, sh := range s.shards {
 		sh := sh
 		s.postShard(sh, func() {
 			for id, pe := range sh.pending {
-				if pe.origin == cl.id {
-					s.finishEvent(sh, id, pe, false)
-					continue
-				}
-				if pe.dropWaiter(cl.id) {
+				switch {
+				case pe.committing():
+					if pe.source.Instance == cl.id {
+						pe.originLeft = true
+					}
+				case pe.source.Instance == cl.id || pe.dropWaiter(cl.id):
 					s.finishEvent(sh, id, pe, false)
 				}
 			}
-			sh.locks.ReleaseInstance(cl.id)
 		})
 	}
 	// Resolve pending state fetches involving the instance.

@@ -141,9 +141,11 @@ type Server struct {
 	flight *obs.FlightRecorder
 	slog   *slog.Logger
 
-	// elog is the durable event log (nil when durability is off). Appends
-	// block the calling loop until the record reaches the configured
-	// durability, so an acked transition is always replayable.
+	// elog is the durable event log (nil when durability is off). The global
+	// loop's appends block until the record reaches the configured
+	// durability; a shard loop appends an event's record through its lane and
+	// holds the event until the commit is reported. Either way an acked
+	// transition is replayable.
 	elog *eventlog.Log
 	// snap folds the log into an offline replica and writes periodic state
 	// snapshots + compacts old segments (nil when durability is off).
@@ -196,7 +198,7 @@ type Server struct {
 	mGlobalBusy    *obs.Counter   // server.global.busy_ns: time the global loop spent executing closures
 	mGlobalDepth   *obs.Gauge     // server.global.queue_depth: global request-channel depth, sampled per dequeue
 	mHistEvict     *obs.Counter   // server.hist_evictions: oldest undo snapshots dropped by the depth bound
-	mLogAppendErrs *obs.Counter   // server.log.append_errors: event-log appends that failed (the transition was acked regardless)
+	mLogAppendErrs *obs.Counter   // server.log.append_errors: event-log appends that failed (an event is refused, a control-plane transition acked regardless)
 	mLinkNotices   *obs.Counter   // server.link_notices: LinkAdded + LinkRemoved envelopes enqueued
 
 	// mMember attributes event health to individual members: per-instance
@@ -290,9 +292,10 @@ type Stats struct {
 	// on different shards).
 	Shards             int64
 	CrossShardHandoffs uint64
-	// LogAppendErrors counts durable-log appends that failed. The transition
-	// was applied and acknowledged anyway, so each one is an acked record the
-	// next restart will not replay.
+	// LogAppendErrors counts durable-log appends that failed. A failed event
+	// append refused the event; a failed control-plane append was applied
+	// and acknowledged anyway, so each of those is an acked record the next
+	// restart will not replay.
 	LogAppendErrors uint64
 	// LinkNotices counts the LinkAdded and LinkRemoved envelopes enqueued to
 	// keep the instances' mirrored coupling information current.
@@ -457,6 +460,10 @@ func newServer(opts Options, st *state) *Server {
 			mBusy:   metrics.Counter(fmt.Sprintf("server.shard.%d.busy_ns", i)),
 			mDepth:  metrics.Gauge(fmt.Sprintf("server.shard.%d.queue_depth", i)),
 		}
+		if s.elog != nil {
+			sh.lane = s.elog.NewLane()
+			sh.onCommit = func() { s.commitsDone(sh) }
+		}
 		sh.locks.Instrument(s.mLockAttempts, s.mLockFails, s.mLockUndone)
 		sh.locks.TraceWith(opts.Tracer)
 		s.shards = append(s.shards, sh)
@@ -561,25 +568,22 @@ func (s *Server) Close() {
 	})
 	s.wg.Wait()
 	// Every loop has exited (wg.Wait is the happens-before edge), so the
-	// pending maps are quiescent. Stop the deadline timers of unresolved
-	// events — a timer left running would outlive the server, and its late
-	// firing only posts (post refuses after quit), so stopping here is safe
-	// and sufficient.
+	// pending maps are quiescent. Abandon the unresolved events: stop their
+	// deadline timers — a timer left running would outlive the server, and
+	// its late firing only posts (post refuses after quit), so stopping here
+	// is safe and sufficient — and release the shared bodies of those still
+	// committing, which nothing was sent and nothing will send.
 	for _, sh := range s.shards {
 		for _, pe := range sh.pending {
-			if pe.timer != nil {
-				pe.timer.Stop()
-			}
+			pe.abandon()
 		}
 		// A migration bundle the receiver never installed (it exited first)
-		// still carries pending events with live timers. A nil awaiting
-		// channel is never ready, so the default arm takes it.
+		// still carries pending events. A nil awaiting channel is never
+		// ready, so the default arm takes it.
 		select {
 		case m := <-sh.awaiting:
 			for _, pe := range m.events {
-				if pe.timer != nil {
-					pe.timer.Stop()
-				}
+				pe.abandon()
 			}
 		default:
 		}

@@ -43,7 +43,10 @@
 // its queue (into the parked list) while armed, the install channel is
 // buffered, and the global loop's wait for the install is the only
 // synchronous edge — shards never wait on the global loop, so the wait graph
-// stays acyclic.
+// stays acyclic. Nor does a shard wait on the event log: it queues an event's
+// record on its lane and hears of the commit on the lane's ready channel,
+// while the event, holding its group's floor, waits in the pending map (see
+// broadcast).
 package server
 
 import (
@@ -52,6 +55,7 @@ import (
 	"time"
 
 	"cosoft/internal/couple"
+	"cosoft/internal/eventlog"
 	"cosoft/internal/lock"
 	"cosoft/internal/obs"
 	"cosoft/internal/wire"
@@ -79,6 +83,15 @@ type shard struct {
 	// the couple graph last changed (generation planGen); see planFor.
 	plans   map[couple.ObjectRef]*plan
 	planGen uint64
+
+	// lane is the shard's append path into the event log (nil without one),
+	// and commits the events born here whose records it carries and whose
+	// outcome has not arrived yet, oldest first. onCommit runs commitsDone
+	// as a request, so a report is parked like any other while a migration
+	// into the shard is in flight.
+	lane     *eventlog.Lane
+	commits  []logCommit
+	onCommit func()
 
 	mEvents *obs.Counter // per-shard event counter (server.shard.<idx>.events)
 	mBusy   *obs.Counter // server.shard.<idx>.busy_ns: time spent executing closures
@@ -245,12 +258,20 @@ func (s *Server) postShardReq(sh *shard, req shardReq) bool {
 // under obs.Disabled, whose Start never reads the clock.
 func (s *Server) shardLoop(sh *shard) {
 	defer s.wg.Done()
+	var committed <-chan struct{} // never ready without a log
+	if sh.lane != nil {
+		committed = sh.lane.Ready()
+	}
 	for {
 		select {
 		case req := <-sh.reqs:
 			sh.mDepth.Set(int64(len(sh.reqs)))
 			t0 := sh.mBusy.Start()
 			s.runShard(sh, req)
+			sh.mBusy.AddSince(t0)
+		case <-committed:
+			t0 := sh.mBusy.Start()
+			s.runShard(sh, shardReq{fn: sh.onCommit})
 			sh.mBusy.AddSince(t0)
 		case m := <-sh.awaiting:
 			t0 := sh.mBusy.Start()

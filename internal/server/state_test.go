@@ -2,18 +2,22 @@ package server
 
 // Tests of the replayable state on its own: the digest every recovery test
 // compares, the pinned version-2 and version-3 payloads, a directory written
-// by the commit before state existed, the decoder under fuzz, and the rule
-// that every record kind mutates in exactly one place.
+// by the commit before state existed, the decoder under fuzz, the rule that
+// every record kind mutates in exactly one place, and the rule that event
+// records commute with every other record.
 
 import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"cosoft/internal/attr"
@@ -403,4 +407,130 @@ func TestEveryKindHasOneMutationSite(t *testing.T) {
 	if got := fresh.apply(eventlog.Record{Kind: eventlog.KindPerm + 1}); got == nil {
 		t.Error("apply accepted a kind past the last one: the walk above misses a new kind")
 	}
+}
+
+// Event records commute with every record in the fold: apply(KindEvent) only
+// raises the floor to the max, so a log whose event records are moved to any
+// positions — which is all an event record that lands late among the other
+// loops' records amounts to — folds to the same state. The logs are the
+// golden script and one recorded from the crash-recovery script's session.
+// The check can tell records that do not commute apart: swapping a link's
+// Couple and Decouple in the crash script's log changes the fold. (In the
+// golden script the link's instance disconnects later, which takes the link
+// with it either way.)
+func TestEventRecordsCommute(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		recs []eventlog.Record
+		swap bool
+	}{
+		{"golden", goldenRecords(), false},
+		{"crash script", recordedCrashScript(t), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			events := 0
+			for _, rec := range tc.recs {
+				if rec.Kind == eventlog.KindEvent {
+					events++
+				}
+			}
+			if events == 0 {
+				t.Fatal("the log holds no event record to move")
+			}
+			want := foldDigest(tc.recs)
+			moved := func(seed uint64) bool {
+				if got := foldDigest(moveEvents(tc.recs, seed)); got != want {
+					t.Logf("seed %d folds to\n%s\nwant\n%s", seed, got, want)
+					return false
+				}
+				return true
+			}
+			if err := quick.Check(moved, &quick.Config{MaxCount: 200}); err != nil {
+				t.Fatal(err)
+			}
+			if tc.swap && foldDigest(swapLinkPair(t, tc.recs)) == want {
+				t.Fatal("swapping a link's Couple and Decouple folds to the same state: the digest cannot tell an order that matters")
+			}
+		})
+	}
+}
+
+// foldDigest folds recs into a fresh state, skipping what apply refuses as
+// restore does.
+func foldDigest(recs []eventlog.Record) string {
+	st := newState(0, nil)
+	for _, rec := range recs {
+		_ = st.apply(rec)
+	}
+	return st.digest()
+}
+
+// moveEvents returns recs with every KindEvent record reinserted at a
+// position drawn from seed; the other records keep their order.
+func moveEvents(recs []eventlog.Record, seed uint64) []eventlog.Record {
+	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+	var out, events []eventlog.Record
+	for _, rec := range recs {
+		if rec.Kind == eventlog.KindEvent {
+			events = append(events, rec)
+		} else {
+			out = append(out, rec)
+		}
+	}
+	for _, ev := range events {
+		out = slices.Insert(out, rng.IntN(len(out)+1), ev)
+	}
+	return out
+}
+
+// swapLinkPair returns recs with the first Decouple and the Couple of the
+// same link exchanged.
+func swapLinkPair(t *testing.T, recs []eventlog.Record) []eventlog.Record {
+	t.Helper()
+	out := slices.Clone(recs)
+	for d, rec := range out {
+		if rec.Kind != eventlog.KindDecouple {
+			continue
+		}
+		dec := rec.Env.Msg.(wire.Decouple)
+		for c := d - 1; c >= 0; c-- {
+			if out[c].Kind != eventlog.KindCouple {
+				continue
+			}
+			cp := out[c].Env.Msg.(wire.Couple)
+			if cp.From == dec.From && cp.To == dec.To || cp.From == dec.To && cp.To == dec.From {
+				out[c], out[d] = out[d], out[c]
+				return out
+			}
+		}
+	}
+	t.Fatal("the log holds no Couple and Decouple of one link")
+	return nil
+}
+
+// recordedCrashScript runs the crash-recovery script against a logged server
+// and returns the records its log holds.
+func recordedCrashScript(t *testing.T) []eventlog.Record {
+	t.Helper()
+	dir := t.TempDir()
+	elog, err := eventlog.Open(eventlog.Options{Dir: dir, Sync: eventlog.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := newCrashScript(t, Options{EventLog: elog})
+	for _, run := range crashOps() {
+		run(rig)
+	}
+	rig.shutdown()
+	if err := elog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var recs []eventlog.Record
+	if err := eventlog.ReplayDir(dir, func(rec eventlog.Record) error {
+		recs = append(recs, rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }

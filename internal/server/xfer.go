@@ -240,7 +240,7 @@ func (s *Server) handleUndoRedo(cl *client, seq uint64, path string, undo bool) 
 			if undo {
 				kind = eventlog.KindUndo
 			}
-			s.logAppend(kind, cl.id, stateID(ref), wire.CopyTo{To: ref, State: current})
+			s.logRecord(s.groupRecord(kind, cl, ref, wire.CopyTo{To: ref, State: current}))
 			cl.out.send(wire.Envelope{Msg: wire.ApplyState{
 				Path:        path,
 				State:       snap.State,

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -157,6 +158,22 @@ func (se *SharedExec) tail() []byte { return se.body.buf }
 func (se *SharedExec) appendHead(buf []byte, targetPath string) []byte {
 	buf = appendUvarint(buf, se.eventID)
 	return appendString(buf, targetPath)
+}
+
+// AppendEnvelope appends the envelope of the member Exec for targetPath —
+// no sequence numbers, no trace context — in AppendEnvelope's layout, writing
+// the head and splicing in the encoded-once tail. The bytes equal
+// AppendEnvelope(buf, Envelope{Msg: se.Exec(targetPath)}), but the Exec is
+// neither materialized nor boxed and its arguments are not encoded again:
+// the event log writes an event's record with it. Valid only while a
+// reference is held.
+func (se *SharedExec) AppendEnvelope(buf []byte, targetPath string) []byte {
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(TExec))
+	buf = appendUvarint(buf, 0) // seq
+	buf = appendUvarint(buf, 0) // refSeq
+	buf = appendUvarint(buf, uint64(se.headLen(targetPath)+se.TailLen()))
+	buf = se.appendHead(buf, targetPath)
+	return append(buf, se.tail()...)
 }
 
 // headLen is the encoded size of appendHead's output for targetPath.
