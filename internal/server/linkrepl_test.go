@@ -355,7 +355,7 @@ func TestPropMirrorsMatchFullBroadcast(t *testing.T) {
 	}
 }
 
-// mirrorSeeds are 50 seeds once drawn by quick.Check, in two draws of 25,
+// mirrorSeeds are 75 seeds once drawn by quick.Check, in three draws of 25,
 // kept as a regression set beside the fresh ones.
 var mirrorSeeds = []int64{
 	-1259670455702671925, -212541134892010761, -2992354744898627188,
@@ -377,6 +377,16 @@ var mirrorSeeds = []int64{
 	5039856206104202318, 5292098608950294331, 6088242074794210126,
 	6220391455507564616, 7061055639457985421, 8929173882321306564,
 	9042505499938432067,
+
+	-1024209282330026722, -1179843486470950645, -1954062555188677453,
+	-2093776886830322167, -2433879592195899856, -2715248601064234343,
+	-3095559879466524791, -3216553786126496038, -3485825840370059679,
+	-4596907372623448647, -5532968576532741471, -5748150340588144624,
+	-6106984914179293704, 1045573944623045575, 1938317299033842557,
+	2421330786212632344, 2777593184774240572, 4959291770532066541,
+	5150103943966636195, 5359472762377503848, 5693359390726492189,
+	6602305138809614357, 7269430529955898114, 7885865012698226950,
+	8374127867276862423,
 }
 
 // star couples hub to every spoke in turn and keeps the oracle in step.
