@@ -110,6 +110,7 @@ type Client struct {
 	conn     *wire.Conn // current connection; replaced on reconnect
 	nextSeq  uint64
 	waiters  map[uint64]chan wire.Envelope
+	free     []*replySlot // reply slots of finished calls, for the next ones
 	links    *couple.Graph
 	cmds     map[string]CommandHandler
 	sem      map[string]Semantics
@@ -317,37 +318,124 @@ func (c *Client) callCtx(msg wire.Message, tc obs.TraceContext) (wire.Envelope, 
 	}
 	c.nextSeq++
 	seq := c.nextSeq
-	ch := make(chan wire.Envelope, 1)
-	c.waiters[seq] = ch
+	slot := c.takeSlot()
+	c.waiters[seq] = slot.reply
 	c.mu.Unlock()
 
 	t0 := c.mRPC.Start()
 	if err := c.send(wire.Envelope{Seq: seq, Trace: tc, Msg: msg}); err != nil {
-		c.dropWaiter(seq)
+		c.withdraw(seq, slot)
 		return wire.Envelope{}, fmt.Errorf("client: send %s: %w", msg.MsgType(), err)
 	}
-	timer := time.NewTimer(c.opts.RPCTimeout)
-	defer timer.Stop()
-	select {
-	case env, ok := <-ch:
-		if !ok {
-			// The waiter was failed: either the client closed or the
-			// connection dropped mid-request (the reply is gone for good —
-			// requests do not survive a reconnect).
-			if c.isClosed() {
-				return wire.Envelope{}, ErrClosed
+	armed := slot.arm(c.opts.RPCTimeout)
+	for {
+		select {
+		case env, ok := <-slot.reply:
+			if !ok {
+				// The waiter was failed: either the client closed or the
+				// connection dropped mid-request (the reply is gone for good —
+				// requests do not survive a reconnect). A closed channel is
+				// never reused, so the slot is dropped.
+				slot.disarm()
+				if c.isClosed() {
+					return wire.Envelope{}, ErrClosed
+				}
+				return wire.Envelope{}, fmt.Errorf("%w: %s", ErrDisconnected, msg.MsgType())
 			}
-			return wire.Envelope{}, fmt.Errorf("%w: %s", ErrDisconnected, msg.MsgType())
+			slot.disarm()
+			c.putSlot(slot)
+			c.mRPC.ObserveSince(t0)
+			return env, nil
+		case at := <-slot.timer.C:
+			if at.Before(armed) {
+				// The tick of the slot's previous call, which fired too late
+				// for its Stop and may have crowded out this call's own: wait
+				// out this call's deadline again.
+				slot.timer.Reset(time.Until(armed.Add(c.opts.RPCTimeout)))
+				continue
+			}
+			c.withdraw(seq, slot)
+			return wire.Envelope{}, fmt.Errorf("%w: %s", ErrTimeout, msg.MsgType())
+		case <-c.done:
+			slot.disarm()
+			c.withdraw(seq, slot)
+			return wire.Envelope{}, ErrClosed
 		}
-		c.mRPC.ObserveSince(t0)
-		return env, nil
-	case <-timer.C:
-		c.dropWaiter(seq)
-		return wire.Envelope{}, fmt.Errorf("%w: %s", ErrTimeout, msg.MsgType())
-	case <-c.done:
-		c.dropWaiter(seq)
-		return wire.Envelope{}, ErrClosed
 	}
+}
+
+// replySlot is what one RPC waits with: the channel the read loop routes its
+// reply to and the timer that bounds the wait. callCtx takes a slot from the
+// client's free list and returns it once the reply has arrived, so a steady
+// stream of calls allocates neither. A slot goes back only clean — its
+// channel empty and open, its timer stopped — and a stale tick its timer
+// could not take back is told apart by the time it carries.
+type replySlot struct {
+	reply chan wire.Envelope
+	timer *time.Timer
+}
+
+// maxFreeSlots bounds the free list: calls beyond this many at once get a
+// slot of their own, which is dropped when they return.
+const maxFreeSlots = 8
+
+// takeSlot pops a slot off the free list, or makes one with its timer
+// stopped. The caller holds c.mu.
+func (c *Client) takeSlot() *replySlot {
+	if n := len(c.free); n > 0 {
+		s := c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+		return s
+	}
+	s := &replySlot{reply: make(chan wire.Envelope, 1), timer: time.NewTimer(time.Hour)}
+	s.timer.Stop()
+	return s
+}
+
+// putSlot returns a clean slot to the free list.
+func (c *Client) putSlot(s *replySlot) {
+	c.mu.Lock()
+	if len(c.free) < maxFreeSlots {
+		c.free = append(c.free, s)
+	}
+	c.mu.Unlock()
+}
+
+// arm starts the slot's timer and returns the moment it was armed: a tick
+// carrying an earlier time belongs to a previous call.
+func (s *replySlot) arm(d time.Duration) time.Time {
+	now := time.Now()
+	s.timer.Reset(d)
+	return now
+}
+
+// disarm stops the slot's timer and takes back a tick that already fired.
+func (s *replySlot) disarm() {
+	if !s.timer.Stop() {
+		select {
+		case <-s.timer.C:
+		default:
+		}
+	}
+}
+
+// withdraw gives up an RPC whose reply has not been received and returns its
+// slot, clean, to the free list. If the read loop already took the waiter out
+// of the map, the reply is on its way into the slot: it is drained first, so
+// the slot's next call cannot receive it. If failWaiters or Close took it,
+// the channel is closed and the slot is dropped.
+func (c *Client) withdraw(seq uint64, s *replySlot) {
+	c.mu.Lock()
+	_, waiting := c.waiters[seq]
+	delete(c.waiters, seq)
+	c.mu.Unlock()
+	if !waiting {
+		if _, open := <-s.reply; !open {
+			return
+		}
+	}
+	c.putSlot(s)
 }
 
 // callOK sends a request expecting a plain OK.

@@ -355,7 +355,7 @@ func TestPropMirrorsMatchFullBroadcast(t *testing.T) {
 	}
 }
 
-// mirrorSeeds are 75 seeds once drawn by quick.Check, in three draws of 25,
+// mirrorSeeds are 100 seeds once drawn by quick.Check, in four draws of 25,
 // kept as a regression set beside the fresh ones.
 var mirrorSeeds = []int64{
 	-1259670455702671925, -212541134892010761, -2992354744898627188,
@@ -387,6 +387,16 @@ var mirrorSeeds = []int64{
 	5150103943966636195, 5359472762377503848, 5693359390726492189,
 	6602305138809614357, 7269430529955898114, 7885865012698226950,
 	8374127867276862423,
+
+	-1707566492888646408, -1848795333968475916, -2230936123066778842,
+	-2722893054325785488, -2799181676624445050, -2825503105693808563,
+	-3218625641856873007, -6122004213854657446, -6820577717372395709,
+	-7434500677157146508, -7753372670825863018, 1098596089473840260,
+	1198997285016988941, 1208485205466198421, 1940629241961092674,
+	2657166260478615450, 3506792111857382252, 4206955937519869870,
+	4234126567753870931, 5205247211340489811, 5276856033666605666,
+	5918153937482904544, 6090351656867434383, 9024532786536012874,
+	9116704827407217621,
 }
 
 // star couples hub to every spoke in turn and keeps the oracle in step.

@@ -412,34 +412,46 @@ func TestEveryKindHasOneMutationSite(t *testing.T) {
 // Event records commute with every record in the fold: apply(KindEvent) only
 // raises the floor to the max, so a log whose event records are moved to any
 // positions — which is all an event record that lands late among the other
-// loops' records amounts to — folds to the same state. The logs are the
-// golden script and one recorded from the crash-recovery script's session.
-// The check can tell records that do not commute apart: swapping a link's
-// Couple and Decouple in the crash script's log changes the fold. (In the
-// golden script the link's instance disconnects later, which takes the link
-// with it either way.)
+// loops' records amounts to — folds to the same state. History records
+// (Hist, Undo, Redo) commute with every record that names neither their
+// object nor its instance: the historical-states database is keyed by object,
+// and only the object's own history records, its Retract and its instance's
+// Disconnect touch that key (its Declare, and the instance's Register and
+// Resume, are held fixed too). So a log whose event records move anywhere and
+// whose history records move anywhere between those neighbours folds to the
+// same state. The logs are the golden script, the golden script with an
+// object that has history retracted, and one recorded from the
+// crash-recovery script's session. The check can tell records that do not
+// commute apart: swapping a link's Couple and Decouple in the crash script's
+// log changes the fold (in the golden script the link's instance disconnects
+// later, which takes the link with it either way), and so does moving a
+// history record past its object's Retract.
 func TestEventRecordsCommute(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		recs []eventlog.Record
-		swap bool
+		name       string
+		recs       []eventlog.Record
+		swap, past bool
 	}{
-		{"golden", goldenRecords(), false},
-		{"crash script", recordedCrashScript(t), true},
+		{"golden", goldenRecords(), false, false},
+		{"golden retracted", goldenRetracted(), false, true},
+		{"crash script", recordedCrashScript(t), true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			events := 0
+			events, history := 0, 0
 			for _, rec := range tc.recs {
-				if rec.Kind == eventlog.KindEvent {
+				switch rec.Kind {
+				case eventlog.KindEvent:
 					events++
+				case eventlog.KindHist, eventlog.KindUndo, eventlog.KindRedo:
+					history++
 				}
 			}
-			if events == 0 {
-				t.Fatal("the log holds no event record to move")
+			if events == 0 || history == 0 {
+				t.Fatalf("the log holds %d event and %d history records to move", events, history)
 			}
 			want := foldDigest(tc.recs)
 			moved := func(seed uint64) bool {
-				if got := foldDigest(moveEvents(tc.recs, seed)); got != want {
+				if got := foldDigest(moveRecords(tc.recs, seed)); got != want {
 					t.Logf("seed %d folds to\n%s\nwant\n%s", seed, got, want)
 					return false
 				}
@@ -451,8 +463,25 @@ func TestEventRecordsCommute(t *testing.T) {
 			if tc.swap && foldDigest(swapLinkPair(t, tc.recs)) == want {
 				t.Fatal("swapping a link's Couple and Decouple folds to the same state: the digest cannot tell an order that matters")
 			}
+			if tc.past && foldDigest(histPastRetract(t, tc.recs)) == want {
+				t.Fatal("moving a history record past its object's Retract folds to the same state: the digest cannot tell an order that matters")
+			}
 		})
 	}
+}
+
+// goldenRetracted is the golden script with a copy onto app-1's /x and then
+// its retraction, which forgets the history the copy backed up; a permission
+// rule and an event follow, so there is somewhere past the Retract to go.
+func goldenRetracted() []eventlog.Record {
+	x := couple.ObjectRef{Instance: "app-1", Path: "/x"}
+	backup := widget.TreeState{Class: "textfield", Name: "x", Attrs: attr.Set{widget.AttrValue: attr.String("gone")}}
+	return append(goldenRecords(),
+		eventlog.Record{Kind: eventlog.KindHist, Origin: "app-3", Env: wire.Envelope{Msg: wire.CopyTo{To: x, State: backup}}},
+		eventlog.Record{Kind: eventlog.KindRetract, Origin: "app-1", Env: wire.Envelope{Msg: wire.Retract{Path: "/x"}}},
+		eventlog.Record{Kind: eventlog.KindPerm, Origin: "app-1", Env: wire.Envelope{Msg: wire.GrantPerm{User: "u1", State: "*", Right: 1}}},
+		eventlog.Record{Kind: eventlog.KindEvent, Origin: "app-3", Env: wire.Envelope{Msg: wire.Exec{EventID: 11, TargetPath: "/x", Name: "changed"}}},
+	)
 }
 
 // foldDigest folds recs into a fresh state, skipping what apply refuses as
@@ -465,22 +494,116 @@ func foldDigest(recs []eventlog.Record) string {
 	return st.digest()
 }
 
-// moveEvents returns recs with every KindEvent record reinserted at a
-// position drawn from seed; the other records keep their order.
-func moveEvents(recs []eventlog.Record, seed uint64) []eventlog.Record {
+// moveRecords returns recs with every history record reinserted between the
+// nearest records around it that name its object or its instance, and then
+// every KindEvent record reinserted anywhere, at positions drawn from seed.
+// The other records keep their order.
+func moveRecords(recs []eventlog.Record, seed uint64) []eventlog.Record {
 	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-	var out, events []eventlog.Record
-	for _, rec := range recs {
+	owners := tokenOwners(recs)
+	out := slices.Clone(recs)
+	// Walk the history records in their original order: each is found by its
+	// original index, since earlier moves may have shifted it.
+	at := make([]int, len(out)) // at[i] is the original index of out[i]
+	for i := range at {
+		at[i] = i
+	}
+	for orig, rec := range recs {
+		ref, ok := histRef(rec)
+		if !ok {
+			continue
+		}
+		p := slices.Index(at, orig)
+		out, at = slices.Delete(out, p, p+1), slices.Delete(at, p, p+1)
+		lo, hi := p, p
+		for lo > 0 && !namesObject(out[lo-1], ref, owners) {
+			lo--
+		}
+		for hi < len(out) && !namesObject(out[hi], ref, owners) {
+			hi++
+		}
+		q := lo + rng.IntN(hi-lo+1)
+		out, at = slices.Insert(out, q, rec), slices.Insert(at, q, orig)
+	}
+	var rest, events []eventlog.Record
+	for _, rec := range out {
 		if rec.Kind == eventlog.KindEvent {
 			events = append(events, rec)
 		} else {
-			out = append(out, rec)
+			rest = append(rest, rec)
 		}
 	}
 	for _, ev := range events {
-		out = slices.Insert(out, rng.IntN(len(out)+1), ev)
+		rest = slices.Insert(rest, rng.IntN(len(rest)+1), ev)
 	}
-	return out
+	return rest
+}
+
+// histRef returns the object a history record is about.
+func histRef(rec eventlog.Record) (couple.ObjectRef, bool) {
+	switch rec.Kind {
+	case eventlog.KindHist, eventlog.KindUndo, eventlog.KindRedo:
+		return rec.Env.Msg.(wire.CopyTo).To, true
+	}
+	return couple.ObjectRef{}, false
+}
+
+// namesObject reports whether rec names ref or ref's instance: one of ref's
+// history records, its Declare or Retract, or its instance's Register,
+// Resume or Disconnect. owners maps a session token to the instance that
+// minted it, for the Resume records logged without an origin.
+func namesObject(rec eventlog.Record, ref couple.ObjectRef, owners map[string]couple.InstanceID) bool {
+	inst := couple.InstanceID(rec.Origin)
+	switch rec.Kind {
+	case eventlog.KindHist, eventlog.KindUndo, eventlog.KindRedo:
+		other, _ := histRef(rec)
+		return other == ref
+	case eventlog.KindDeclare:
+		return couple.ObjectRef{Instance: inst, Path: rec.Env.Msg.(wire.Declare).Path} == ref
+	case eventlog.KindRetract:
+		return couple.ObjectRef{Instance: inst, Path: rec.Env.Msg.(wire.Retract).Path} == ref
+	case eventlog.KindRegister, eventlog.KindDisconnect:
+		return inst == ref.Instance
+	case eventlog.KindResume:
+		if inst == "" {
+			inst = owners[rec.Env.Msg.(wire.Resume).Token]
+		}
+		return inst == ref.Instance
+	}
+	return false
+}
+
+// tokenOwners maps every session token recs mint to the instance minting it.
+func tokenOwners(recs []eventlog.Record) map[string]couple.InstanceID {
+	owners := make(map[string]couple.InstanceID)
+	for _, rec := range recs {
+		if rec.Kind == eventlog.KindToken {
+			owners[rec.Env.Msg.(wire.SessionToken).Token] = couple.InstanceID(rec.Origin)
+		}
+	}
+	return owners
+}
+
+// histPastRetract returns recs with the last history record of a retracted
+// object moved to just past that object's Retract.
+func histPastRetract(t *testing.T, recs []eventlog.Record) []eventlog.Record {
+	t.Helper()
+	out := slices.Clone(recs)
+	for r := len(out) - 1; r >= 0; r-- {
+		if out[r].Kind != eventlog.KindRetract {
+			continue
+		}
+		ref := couple.ObjectRef{Instance: couple.InstanceID(out[r].Origin), Path: out[r].Env.Msg.(wire.Retract).Path}
+		for h := r - 1; h >= 0; h-- {
+			if other, ok := histRef(out[h]); ok && other == ref {
+				rec := out[h]
+				out = slices.Delete(out, h, h+1)
+				return slices.Insert(out, r, rec) // r is now just past the Retract
+			}
+		}
+	}
+	t.Fatal("the log holds no history record of an object it retracts")
+	return nil
 }
 
 // swapLinkPair returns recs with the first Decouple and the Couple of the

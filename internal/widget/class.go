@@ -52,9 +52,15 @@ const (
 )
 
 // FeedbackFunc applies the built-in syntactic feedback of an event to a
-// widget and returns a function that undoes it. It returns an error when the
-// event arguments do not fit the class.
-type FeedbackFunc func(w *Widget, e *Event) (undo func(), err error)
+// widget, overwriting one attribute, and reports that attribute's name and
+// the value it held before: restoring it undoes the feedback. It returns an
+// error, and changes nothing, when the event arguments do not fit the class;
+// a feedback that changed nothing reports an empty name.
+//
+// Reporting what to restore instead of returning an undo closure keeps the
+// remote re-execution of an event free of allocations: only the origin,
+// whose feedback a denied lock takes back, builds an undo (ApplyFeedback).
+type FeedbackFunc func(w *Widget, e *Event) (name string, old attr.Value, err error)
 
 // Class describes a pre-defined UI object type: its default attributes, the
 // subset of attributes that are *relevant* for coupling (made identical when
@@ -249,54 +255,54 @@ func standardClasses() []*Class {
 	}
 }
 
-func textfieldFeedback(w *Widget, e *Event) (func(), error) {
+func textfieldFeedback(w *Widget, e *Event) (string, attr.Value, error) {
 	if len(e.Args) != 1 || e.Args[0].Kind() != attr.KindString {
-		return nil, fmt.Errorf("widget: %s wants one string arg", EventChanged)
+		return "", attr.Value{}, fmt.Errorf("widget: %s wants one string arg", EventChanged)
 	}
 	old := w.attrs.Get(AttrValue)
 	w.setAttr(AttrValue, e.Args[0])
-	return func() { w.setAttr(AttrValue, old) }, nil
+	return AttrValue, old, nil
 }
 
 // textareaFeedback splices text: args are [pos int, deleteCount int,
 // insert string].
-func textareaFeedback(w *Widget, e *Event) (func(), error) {
+func textareaFeedback(w *Widget, e *Event) (string, attr.Value, error) {
 	if len(e.Args) != 3 ||
 		e.Args[0].Kind() != attr.KindInt ||
 		e.Args[1].Kind() != attr.KindInt ||
 		e.Args[2].Kind() != attr.KindString {
-		return nil, fmt.Errorf("widget: %s wants (int, int, string) args", EventEdit)
+		return "", attr.Value{}, fmt.Errorf("widget: %s wants (int, int, string) args", EventEdit)
 	}
 	text := w.attrs.Get(AttrText).AsString()
 	pos := int(e.Args[0].AsInt())
 	del := int(e.Args[1].AsInt())
 	ins := e.Args[2].AsString()
 	if pos < 0 || pos > len(text) || del < 0 || pos+del > len(text) {
-		return nil, fmt.Errorf("widget: edit splice (%d,%d) out of range for %d bytes", pos, del, len(text))
+		return "", attr.Value{}, fmt.Errorf("widget: edit splice (%d,%d) out of range for %d bytes", pos, del, len(text))
 	}
 	old := w.attrs.Get(AttrText)
 	w.setAttr(AttrText, attr.String(text[:pos]+ins+text[pos+del:]))
-	return func() { w.setAttr(AttrText, old) }, nil
+	return AttrText, old, nil
 }
 
-func toggleFeedback(w *Widget, e *Event) (func(), error) {
+func toggleFeedback(w *Widget, e *Event) (string, attr.Value, error) {
 	old := w.attrs.Get(AttrState)
 	w.setAttr(AttrState, attr.Bool(!old.AsBool()))
-	return func() { w.setAttr(AttrState, old) }, nil
+	return AttrState, old, nil
 }
 
-func selectFeedback(w *Widget, e *Event) (func(), error) {
+func selectFeedback(w *Widget, e *Event) (string, attr.Value, error) {
 	if len(e.Args) != 1 || e.Args[0].Kind() != attr.KindString {
-		return nil, fmt.Errorf("widget: %s wants one string arg", EventSelect)
+		return "", attr.Value{}, fmt.Errorf("widget: %s wants one string arg", EventSelect)
 	}
 	old := w.attrs.Get(AttrSelection)
 	w.setAttr(AttrSelection, e.Args[0])
-	return func() { w.setAttr(AttrSelection, old) }, nil
+	return AttrSelection, old, nil
 }
 
-func scaleFeedback(w *Widget, e *Event) (func(), error) {
+func scaleFeedback(w *Widget, e *Event) (string, attr.Value, error) {
 	if len(e.Args) != 1 || e.Args[0].Kind() != attr.KindInt {
-		return nil, fmt.Errorf("widget: %s wants one int arg", EventMoved)
+		return "", attr.Value{}, fmt.Errorf("widget: %s wants one int arg", EventMoved)
 	}
 	pos := e.Args[0].AsInt()
 	if min := w.attrs.Get(AttrMin).AsInt(); pos < min {
@@ -307,25 +313,25 @@ func scaleFeedback(w *Widget, e *Event) (func(), error) {
 	}
 	old := w.attrs.Get(AttrPosition)
 	w.setAttr(AttrPosition, attr.Int(pos))
-	return func() { w.setAttr(AttrPosition, old) }, nil
+	return AttrPosition, old, nil
 }
 
 // canvasFeedback appends a stroke (a point list) to the strokes attribute.
-func canvasFeedback(w *Widget, e *Event) (func(), error) {
+func canvasFeedback(w *Widget, e *Event) (string, attr.Value, error) {
 	if len(e.Args) != 1 || e.Args[0].Kind() != attr.KindPointList {
-		return nil, fmt.Errorf("widget: %s wants one point-list arg", EventDraw)
+		return "", attr.Value{}, fmt.Errorf("widget: %s wants one point-list arg", EventDraw)
 	}
 	old := w.attrs.Get(AttrStrokes)
 	pts := append(old.AsPointList(), e.Args[0].AsPointList()...)
 	w.setAttr(AttrStrokes, attr.PointList(pts...))
-	return func() { w.setAttr(AttrStrokes, old) }, nil
+	return AttrStrokes, old, nil
 }
 
 // radioFeedback is selectFeedback restricted to the declared items: a
 // radio group rejects selections outside its item list.
-func radioFeedback(w *Widget, e *Event) (func(), error) {
+func radioFeedback(w *Widget, e *Event) (string, attr.Value, error) {
 	if len(e.Args) != 1 || e.Args[0].Kind() != attr.KindString {
-		return nil, fmt.Errorf("widget: %s wants one string arg", EventSelect)
+		return "", attr.Value{}, fmt.Errorf("widget: %s wants one string arg", EventSelect)
 	}
 	sel := e.Args[0].AsString()
 	found := false
@@ -336,19 +342,19 @@ func radioFeedback(w *Widget, e *Event) (func(), error) {
 		}
 	}
 	if !found {
-		return nil, fmt.Errorf("widget: %q is not an item of %s", sel, w.Path())
+		return "", attr.Value{}, fmt.Errorf("widget: %q is not an item of %s", sel, w.Path())
 	}
 	old := w.attrs.Get(AttrSelection)
 	w.setAttr(AttrSelection, e.Args[0])
-	return func() { w.setAttr(AttrSelection, old) }, nil
+	return AttrSelection, old, nil
 }
 
 // spinboxFeedback steps the numeric value by the int argument, clamped to
 // [min, max]. The value attribute stays a string (it is a text entry in the
 // original toolkit) but must parse as an integer.
-func spinboxFeedback(w *Widget, e *Event) (func(), error) {
+func spinboxFeedback(w *Widget, e *Event) (string, attr.Value, error) {
 	if len(e.Args) != 1 || e.Args[0].Kind() != attr.KindInt {
-		return nil, fmt.Errorf("widget: %s wants one int arg", EventSpun)
+		return "", attr.Value{}, fmt.Errorf("widget: %s wants one int arg", EventSpun)
 	}
 	cur, err := strconv.ParseInt(w.attrs.Get(AttrValue).AsString(), 10, 64)
 	if err != nil {
@@ -363,5 +369,5 @@ func spinboxFeedback(w *Widget, e *Event) (func(), error) {
 	}
 	old := w.attrs.Get(AttrValue)
 	w.setAttr(AttrValue, attr.String(strconv.FormatInt(next, 10)))
-	return func() { w.setAttr(AttrValue, old) }, nil
+	return AttrValue, old, nil
 }

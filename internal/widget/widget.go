@@ -465,15 +465,16 @@ func (r *Registry) Dispatch(e *Event) error {
 }
 
 // Deliver applies the event's built-in feedback and runs its callbacks
-// locally, returning the undo function for the feedback. It rejects events
-// on disabled or destroyed objects.
+// locally. It rejects events on disabled or destroyed objects. Nothing takes
+// back a delivered event, so Deliver builds no undo: the undo it returns is
+// always nil (the result is kept for source compatibility), and a remote
+// re-execution, which goes through here, allocates nothing for its feedback.
 func (r *Registry) Deliver(e *Event) (undo func(), err error) {
-	undo, err = r.ApplyFeedback(e)
-	if err != nil {
+	if _, _, _, err := r.feedback(e); err != nil {
 		return nil, err
 	}
 	r.RunCallbacks(e)
-	return undo, nil
+	return nil, nil
 }
 
 // ApplyFeedback applies only the built-in syntactic feedback of the event
@@ -482,42 +483,57 @@ func (r *Registry) Deliver(e *Event) (undo func(), err error) {
 // multiple-execution algorithm of §3.2, including "undo syntactic built-in
 // feedback of the event e" when locking fails.
 func (r *Registry) ApplyFeedback(e *Event) (undo func(), err error) {
-	r.mu.Lock()
-	w, ok := r.byPath[e.Path]
-	if !ok {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, e.Path)
-	}
-	if w.dead {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrDestroyed, e.Path)
-	}
-	if w.disabled && !e.Remote {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrDisabled, e.Path)
-	}
-	if !w.class.EmitsEvent(e.Name) {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("widget: class %q does not emit %q", w.class.Name, e.Name)
-	}
-	if w.class.Feedback == nil {
-		r.mu.Unlock()
-		return func() {}, nil
-	}
-	rawUndo, err := w.class.Feedback(w, e)
-	r.mu.Unlock()
-	r.flushNotifications()
+	w, name, old, err := r.feedback(e)
 	if err != nil {
 		return nil, err
 	}
-	// The undo closure produced by the feedback func mutates attributes and
-	// therefore needs the lock and a notification flush of its own.
+	if w == nil || name == "" {
+		return func() {}, nil
+	}
+	// Restoring the attribute mutates the widget, so the undo takes the lock
+	// and flushes the change notification like any other mutation.
 	return func() {
 		r.mu.Lock()
-		rawUndo()
+		w.setAttr(name, old)
 		r.mu.Unlock()
 		r.flushNotifications()
 	}, nil
+}
+
+// feedback checks that the event may run and applies its class's feedback,
+// returning the widget and the attribute it overwrote with its old value; w
+// is nil when the class has no feedback.
+func (r *Registry) feedback(e *Event) (w *Widget, name string, old attr.Value, err error) {
+	r.mu.Lock()
+	w, err = r.target(e)
+	if err != nil || w.class.Feedback == nil {
+		r.mu.Unlock()
+		return nil, "", attr.Value{}, err
+	}
+	name, old, err = w.class.Feedback(w, e)
+	r.mu.Unlock()
+	r.flushNotifications()
+	if err != nil {
+		return nil, "", attr.Value{}, err
+	}
+	return w, name, old, nil
+}
+
+// target returns the widget e occurs on, or why e may not run there. The
+// caller holds the registry lock.
+func (r *Registry) target(e *Event) (*Widget, error) {
+	w, ok := r.byPath[e.Path]
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, e.Path)
+	case w.dead:
+		return nil, fmt.Errorf("%w: %q", ErrDestroyed, e.Path)
+	case w.disabled && !e.Remote:
+		return nil, fmt.Errorf("%w: %q", ErrDisabled, e.Path)
+	case !w.class.EmitsEvent(e.Name):
+		return nil, fmt.Errorf("widget: class %q does not emit %q", w.class.Name, e.Name)
+	}
+	return w, nil
 }
 
 // RunCallbacks invokes the application callbacks registered for the event.

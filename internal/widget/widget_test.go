@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cosoft/internal/attr"
+	"cosoft/internal/race"
 )
 
 func TestCreateLookupPath(t *testing.T) {
@@ -198,6 +199,48 @@ func TestUndoFeedback(t *testing.T) {
 	undo()
 	if w.Attr(AttrValue).AsString() != "before" {
 		t.Error("undo did not restore")
+	}
+}
+
+// TestDeliverAllocBudget gates the remote re-execution of an event: Deliver
+// of a textfield change that really changes the value allocates nothing —
+// no undo is built for an event nothing takes back — and with one callback
+// attached only the callback snapshot RunCallbacks takes.
+func TestDeliverAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts include the race detector's own; `make allocs` runs this without -race")
+	}
+	r := NewRegistry()
+	w := r.MustCreate("/", "t", "textfield", nil)
+	events := [2]*Event{
+		{Path: "/t", Name: EventChanged, Args: []attr.Value{attr.String("one")}, Remote: true},
+		{Path: "/t", Name: EventChanged, Args: []attr.Value{attr.String("two")}, Remote: true},
+	}
+	for _, tc := range []struct {
+		name string
+		want float64
+	}{
+		{"without callbacks", 0},
+		{"with a callback", 1},
+	} {
+		if tc.want > 0 {
+			if err := w.AddCallback(EventChanged, func(*Event) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		got := testing.AllocsPerRun(200, func() {
+			i++
+			if _, err := r.Deliver(events[i%2]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.want {
+			t.Errorf("Deliver %s allocates %.1f times per event, budget %.0f", tc.name, got, tc.want)
+		}
+		if v := w.Attr(AttrValue).AsString(); v != "one" && v != "two" {
+			t.Fatalf("feedback not applied: value %q", v)
+		}
 	}
 }
 

@@ -136,7 +136,7 @@ func (d *decoder) innerEnvelope() (Envelope, bool) {
 		d.fail("nested batch ack")
 		return Envelope{}, false
 	}
-	msg, err := decodeMessage(t, body, d.idents)
+	msg, err := decodeMessage(t, body, d.idents, d.notices)
 	if err != nil {
 		d.err = err
 		return Envelope{}, false

@@ -14,9 +14,11 @@ import (
 type decoder struct {
 	buf []byte
 	err error
-	// idents is the connection's identifier table (nil outside a Conn:
-	// identifiers are then copied like any other string).
-	idents *internTable
+	// idents is the connection's identifier table and notices its memo of
+	// decoded notices (both nil outside a Conn: identifiers are then copied
+	// like any other string, and every notice is decoded afresh).
+	idents  *internTable
+	notices *noticeMemo
 }
 
 func (d *decoder) fail(what string) {

@@ -11,9 +11,19 @@ import (
 // FuzzDecodeMessage asserts the message decoder never panics on arbitrary
 // bodies of every known type, that accepted messages re-encode to an equal
 // message, and that an accepted message keeps no reference to the body it was
-// decoded from (with an intern table, as a Conn decodes).
+// decoded from (with an intern table and a notice memo, as a Conn decodes).
+// Every body is decoded twice through the same tables, so a notice's second
+// decode comes out of the memo; and once more after it was scribbled over,
+// when the memo must agree with a decode that has none.
 func FuzzDecodeMessage(f *testing.F) {
 	for _, m := range allMessages() {
+		f.Add(uint16(m.MsgType()), m.encode(nil))
+	}
+	for _, m := range []Message{
+		SetLocks{Paths: []string{"/hub"}, Locked: true},
+		SetLocks{Paths: []string{"/hub"}, Locked: false},
+		EventResult{OK: false, Reason: "group locked"},
+	} {
 		f.Add(uint16(m.MsgType()), m.encode(nil))
 	}
 	// Hand-built malformed Batch bodies: truncated record, zero record
@@ -24,18 +34,28 @@ func FuzzDecodeMessage(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, rawType uint16, body []byte) {
 		buf := append([]byte(nil), body...)
-		m, err := decodeMessage(Type(rawType), buf, &internTable{})
+		idents, notices := &internTable{}, &noticeMemo{}
+		m, err := decodeMessage(Type(rawType), buf, idents, notices)
 		if err != nil {
 			return
 		}
 		encoded := m.encode(nil)
+		repeat, err := decodeMessage(Type(rawType), buf, idents, notices)
+		if err != nil || !messagesEqual(m, repeat) {
+			t.Fatalf("%s decoded differently the second time: %#v vs %#v (%v)", m.MsgType(), m, repeat, err)
+		}
 		for i := range buf {
 			buf[i] ^= 0xFF
 		}
-		if !bytes.Equal(m.encode(nil), encoded) {
+		if !bytes.Equal(m.encode(nil), encoded) || !bytes.Equal(repeat.encode(nil), encoded) {
 			t.Fatalf("%s aliases the body it was decoded from", m.MsgType())
 		}
-		again, err := decodeMessage(m.MsgType(), m.encode(nil), nil)
+		memo, errM := decodeMessage(Type(rawType), buf, idents, notices)
+		plain, errP := decodeMessage(Type(rawType), buf, nil, nil)
+		if (errM == nil) != (errP == nil) || errM == nil && !messagesEqual(memo, plain) {
+			t.Fatalf("the memo changed the decode of a new body: %#v (%v) vs %#v (%v)", memo, errM, plain, errP)
+		}
+		again, err := decodeMessage(m.MsgType(), m.encode(nil), nil, nil)
 		if err != nil {
 			t.Fatalf("re-decode of accepted message failed: %v", err)
 		}
@@ -110,6 +130,9 @@ func FuzzConnRead(f *testing.F) {
 		f.Add(append(append(two, bframe...), bbody...))
 	}
 	f.Add(append(append(append([]byte(nil), bframe...), bbody...), tframe...))
+	// A stream of repeated notices, alone and in Batches, as a member and an
+	// origin read them event after event.
+	f.Add(framesOf(noticeStream()...))
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		a, b := Pipe()
 		defer a.Close()
@@ -123,19 +146,65 @@ func FuzzConnRead(f *testing.F) {
 				_ = writeRaw(a, raw)
 			}
 		}()
-		var prev Envelope
-		var prevBytes []byte
+		// Every envelope read so far must still encode as it did — a
+		// repeated notice is shared with the envelope that first carried it —
+		// and each must equal its frame read on a Conn that read nothing else.
+		var seen []Envelope
+		var seenBytes [][]byte
+		rest := stream
 		for {
 			env, err := b.Read()
-			if prev.Msg != nil && !bytes.Equal(AppendEnvelope(nil, prev), prevBytes) {
-				t.Fatalf("%s changed when the next frame was read", prev.Msg.MsgType())
+			for i, prev := range seen {
+				if !bytes.Equal(AppendEnvelope(nil, prev), seenBytes[i]) {
+					t.Fatalf("%s changed when a later frame was read", prev.Msg.MsgType())
+				}
 			}
 			if err != nil {
 				return
 			}
-			prev, prevBytes = env, AppendEnvelope(nil, env)
+			n := 4 + int(binary.LittleEndian.Uint32(rest))
+			fresh, err := readFresh(rest[:n])
+			if err != nil || !envelopesEqual(env, fresh) {
+				t.Fatalf("%s read as %#v after earlier frames, %#v on a fresh Conn (%v)", env.Msg.MsgType(), env, fresh, err)
+			}
+			rest = rest[n:]
+			seen, seenBytes = append(seen, env), append(seenBytes, AppendEnvelope(nil, env))
 		}
 	})
+}
+
+// noticeStream is the notices of three events as one member and one origin
+// read them: lock, Exec and unlock notices, alone and packed, and verdicts.
+func noticeStream() []Envelope {
+	lock := Envelope{Msg: SetLocks{Paths: []string{"/hub"}, Locked: true}}
+	unlock := Envelope{Msg: SetLocks{Paths: []string{"/hub"}, Locked: false}}
+	exec := Envelope{Msg: Exec{EventID: 1, TargetPath: "/hub", Name: "changed"}}
+	return []Envelope{
+		lock, exec, unlock,
+		{Msg: Batch{Envelopes: []Envelope{lock, exec}}}, unlock,
+		{Msg: Batch{Envelopes: []Envelope{unlock, lock, exec}}}, unlock,
+		{RefSeq: 1, Msg: EventResult{OK: true}},
+		{RefSeq: 2, Msg: EventResult{OK: true}},
+		{RefSeq: 3, Msg: EventResult{Reason: "group locked"}},
+		{RefSeq: 4, Msg: EventResult{OK: true}},
+	}
+}
+
+// framesOf encodes envs as the frames a Conn writes, back to back.
+func framesOf(envs ...Envelope) []byte {
+	sink := &sinkConn{}
+	c := NewConn(sink)
+	for _, env := range envs {
+		if err := c.Write(env); err != nil {
+			panic(err)
+		}
+	}
+	return sink.bytes()
+}
+
+// readFresh decodes one frame on a Conn that has read nothing before it.
+func readFresh(frame []byte) (Envelope, error) {
+	return NewConn(&loopConn{sinkConn: sinkConn{buf: append([]byte(nil), frame...)}}).Read()
 }
 
 // writeRaw injects unframed bytes by writing a frame whose body is the raw

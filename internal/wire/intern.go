@@ -7,7 +7,8 @@ package wire
 // after a connection's first event they cost a map probe instead of an
 // allocation each. Only identifiers are interned — object paths, event
 // names, instance IDs, class names; payload values, free-form text and
-// tokens never are.
+// tokens never are. The lock notices and verdicts built from them are
+// remembered whole (noticeMemo, below).
 
 const (
 	// maxInternEntries bounds the table. When a new identifier finds it full
@@ -44,4 +45,64 @@ func (t *internTable) get(b []byte) string {
 	s := string(b)
 	t.m[s] = s
 	return s
+}
+
+// Whole notices repeat too: every event sends each member the same lock and
+// unlock notice (a SetLocks of its own paths) and its origin the same verdict
+// (an EventResult). A Conn remembers the notices it has decoded, keyed by
+// their type and body bytes, and hands the same value out again when the same
+// body arrives, so a repeated notice costs a byte compare instead of a boxed
+// message and its path slice. Sharing is safe because decoded messages are
+// read-only (see the package comment).
+
+const (
+	// maxNoticeEntries bounds the memo the way maxInternEntries bounds the
+	// identifier table: a new notice that finds it full empties it. A member
+	// sees two notices per group it is in, an origin one verdict per outcome.
+	maxNoticeEntries = 16
+	// maxNoticeLen is the longest notice body worth keeping.
+	maxNoticeLen = 128
+)
+
+// noticeMemo is one connection's memo of decoded notices. Like internTable it
+// belongs to the connection's reading goroutine; the zero value is ready to
+// use.
+type noticeMemo struct {
+	entries []notice
+}
+
+// notice is one memoized decode: the body it came from and its value.
+type notice struct {
+	t    Type
+	body string
+	msg  Message
+}
+
+// memoized reports whether messages of type t go through the memo.
+func memoized(t Type) bool { return t == TSetLocks || t == TEventResult }
+
+// get returns the value an earlier decode of the same type and body produced,
+// or nil. A nil memo remembers nothing.
+func (m *noticeMemo) get(t Type, body []byte) Message {
+	if m == nil || !memoized(t) {
+		return nil
+	}
+	for i := range m.entries {
+		if e := &m.entries[i]; e.t == t && e.body == string(body) { // no allocation: a compared conversion is elided
+			return e.msg
+		}
+	}
+	return nil
+}
+
+// put remembers msg as the decode of body.
+func (m *noticeMemo) put(t Type, body []byte, msg Message) {
+	if m == nil || !memoized(t) || len(body) > maxNoticeLen {
+		return
+	}
+	if len(m.entries) >= maxNoticeEntries {
+		clear(m.entries)
+		m.entries = m.entries[:0]
+	}
+	m.entries = append(m.entries, notice{t: t, body: string(body), msg: msg})
 }

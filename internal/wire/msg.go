@@ -549,8 +549,12 @@ func (m Err) encode(buf []byte) []byte { return appendString(buf, m.Text) }
 // decodeMessage decodes a message body by type tag. The message owns
 // everything it references — body may be overwritten as soon as this returns
 // — except identifier strings, which come out of idents (nil: plain copies).
-func decodeMessage(t Type, body []byte, idents *internTable) (Message, error) {
-	d := &decoder{buf: body, idents: idents}
+// A notice whose body notices has seen before is the value decoded then.
+func decodeMessage(t Type, body []byte, idents *internTable, notices *noticeMemo) (Message, error) {
+	if m := notices.get(t, body); m != nil {
+		return m, nil
+	}
+	d := &decoder{buf: body, idents: idents, notices: notices}
 	var m Message
 	switch t {
 	case TRegister:
@@ -667,6 +671,7 @@ func decodeMessage(t Type, body []byte, idents *internTable) (Message, error) {
 	if err := d.done(); err != nil {
 		return nil, fmt.Errorf("%s: %w", t, err)
 	}
+	notices.put(t, body, m)
 	return m, nil
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -45,10 +46,11 @@ func (l *loopConn) reset() {
 	l.mu.Unlock()
 }
 
-// survivesNextRead is the buffer-ownership check: env is written and read
-// back, the frame buffer it was decoded from is scribbled over, a second,
-// longer and different frame is read through the same Conn, and the first
-// decoded envelope must still encode to the bytes env encodes to.
+// survivesNextRead is the buffer-ownership check: env is written twice and
+// read back (a repeated notice the second time comes out of the Conn's
+// memo), the frame buffer they were decoded from is scribbled over, a third,
+// longer and different frame is read through the same Conn, and both decoded
+// envelopes must still encode to the bytes env encodes to.
 func survivesNextRead(env Envelope) error {
 	want := AppendEnvelope(nil, env)
 	c := NewConn(&loopConn{})
@@ -56,14 +58,17 @@ func survivesNextRead(env Envelope) error {
 	other := Envelope{Seq: 99, Msg: Exec{EventID: 1, TargetPath: strings.Repeat("Z", len(want)+16),
 		Name: "other", Args: []attr.Value{attr.String(strings.Repeat("z", 64))},
 		Origin: couple.ObjectRef{Instance: "other", Path: "/other"}}}
-	for _, e := range []Envelope{env, other} {
+	for _, e := range []Envelope{env, env, other} {
 		if err := c.Write(e); err != nil {
 			return err
 		}
 	}
-	got, err := c.Read()
-	if err != nil {
-		return err
+	var got [2]Envelope
+	for i := range got {
+		var err error
+		if got[i], err = c.Read(); err != nil {
+			return err
+		}
 	}
 	frame := c.rbuf[:cap(c.rbuf)]
 	for i := range frame {
@@ -72,8 +77,10 @@ func survivesNextRead(env Envelope) error {
 	if _, err := c.Read(); err != nil {
 		return err
 	}
-	if have := AppendEnvelope(nil, got); !bytes.Equal(have, want) {
-		return fmt.Errorf("%s changed under the next read:\n have %x\n want %x", env.Msg.MsgType(), have, want)
+	for i, g := range got {
+		if have := AppendEnvelope(nil, g); !bytes.Equal(have, want) {
+			return fmt.Errorf("%s (read %d) changed under the next read:\n have %x\n want %x", env.Msg.MsgType(), i+1, have, want)
+		}
 	}
 	return nil
 }
@@ -93,7 +100,8 @@ func nests(m Message) bool {
 
 // TestDecodedEnvelopeOwnsItsBytes holds every message type to the package's
 // ownership rule — a decoded Envelope never aliases the frame buffer — read
-// as a frame of its own and as a record of a Batch.
+// as a frame of its own and as a record of a Batch, each twice in a row so
+// that a notice's second read is a repeat.
 func TestDecodedEnvelopeOwnsItsBytes(t *testing.T) {
 	for _, m := range allMessages() {
 		if err := survivesNextRead(Envelope{Seq: 3, Trace: obs.TraceContext{Trace: 1, Span: 2}, Msg: m}); err != nil {
@@ -193,11 +201,150 @@ func TestInternTablePerConn(t *testing.T) {
 	}
 }
 
+// TestNoticeMemoBounded feeds one connection ten thousand distinct notices,
+// and some too long to keep: the memo never exceeds its bound, keeps nothing
+// over the length cap, and every notice still decodes to itself.
+func TestNoticeMemoBounded(t *testing.T) {
+	lc := &loopConn{}
+	c := NewConn(lc)
+	long := strings.Repeat("p", maxNoticeLen)
+	for i := 0; i < 10000; i++ {
+		lc.reset()
+		want := SetLocks{Paths: []string{fmt.Sprintf("/obj/%d", i)}, Locked: i%2 == 0}
+		if i%3 == 0 {
+			want.Paths = append(want.Paths, long)
+		}
+		if err := c.Write(Envelope{Msg: want}); err != nil {
+			t.Fatal(err)
+		}
+		env, err := c.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !messagesEqual(env.Msg, want) {
+			t.Fatalf("notice %d decoded as %+v, want %+v", i, env.Msg, want)
+		}
+		if n := len(c.notices.entries); n > maxNoticeEntries {
+			t.Fatalf("notice memo holds %d entries after %d notices, bound %d", n, i+1, maxNoticeEntries)
+		}
+		for _, e := range c.notices.entries {
+			if len(e.body) > maxNoticeLen {
+				t.Fatalf("a notice body of %d bytes was memoized, cap %d", len(e.body), maxNoticeLen)
+			}
+		}
+	}
+}
+
+// TestNoticeMemoPerConn checks that a repeated notice is decoded once per
+// connection and then shared, path slice included, that a notice of the same
+// paths with the other Locked value is not, and that two connections share
+// nothing.
+func TestNoticeMemoPerConn(t *testing.T) {
+	read := func(c *Conn, lc *loopConn, m Message) Message {
+		t.Helper()
+		lc.reset()
+		if err := c.Write(Envelope{Msg: m}); err != nil {
+			t.Fatal(err)
+		}
+		env, err := c.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env.Msg
+	}
+	lock := SetLocks{Paths: []string{"/hub", "/hub/field"}, Locked: true}
+	unlock := SetLocks{Paths: lock.Paths, Locked: false}
+	lcA, lcB := &loopConn{}, &loopConn{}
+	a, b := NewConn(lcA), NewConn(lcB)
+	first := read(a, lcA, lock).(SetLocks)
+	opposite := read(a, lcA, unlock).(SetLocks)
+	second := read(a, lcA, lock).(SetLocks)
+	if &first.Paths[0] != &second.Paths[0] {
+		t.Error("a repeated notice was decoded again instead of shared")
+	}
+	if !second.Locked || opposite.Locked || &opposite.Paths[0] == &first.Paths[0] {
+		t.Errorf("the lock and unlock notice of the same paths were confused: %+v, %+v", second, opposite)
+	}
+	if b.notices.entries != nil {
+		t.Error("a connection that read nothing has a notice memo")
+	}
+	if other := read(b, lcB, lock).(SetLocks); &other.Paths[0] == &first.Paths[0] {
+		t.Error("two connections share a memoized notice")
+	}
+	ok1, ok2 := read(a, lcA, EventResult{OK: true}), read(a, lcA, EventResult{OK: true})
+	denied := read(a, lcA, EventResult{Reason: "group locked"}).(EventResult)
+	if ok1 != ok2 || denied.OK || denied.Reason != "group locked" {
+		t.Errorf("verdicts decoded as %+v, %+v, %+v", ok1, ok2, denied)
+	}
+	if got := len(a.notices.entries); got != 4 { // lock, unlock and two verdicts
+		t.Errorf("connection memoized %d notices, want 4", got)
+	}
+}
+
+// Property: however notices repeat — lone or packed with an Exec into a
+// Batch, the same paths locked and unlocked, different path lists, granted
+// and denied verdicts — reading a run of them on one Conn yields exactly what
+// reading each frame on a Conn of its own yields. The runs are long enough
+// that the memo fills and starts over.
+func TestPropNoticeMemoMatchesFreshConn(t *testing.T) {
+	pool := []string{"/hub", "/a", "/b/c", "/d"}
+	reasons := []string{"", "group locked", "permission denied: /a"}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		notice := func() Envelope {
+			if r.Intn(3) == 0 {
+				reason := reasons[r.Intn(len(reasons))]
+				return Envelope{RefSeq: uint64(r.Intn(4)), Msg: EventResult{OK: reason == "" && r.Intn(4) > 0, Reason: reason}}
+			}
+			var paths []string
+			for _, p := range pool {
+				if r.Intn(2) == 0 {
+					paths = append(paths, p)
+				}
+			}
+			return Envelope{Msg: SetLocks{Paths: paths, Locked: r.Intn(2) == 0}}
+		}
+		envs := make([]Envelope, 20+r.Intn(60))
+		for i := range envs {
+			env := notice()
+			if r.Intn(3) == 0 {
+				recs := []Envelope{env, {Msg: Exec{EventID: uint64(i), TargetPath: "/hub", Name: "changed"}}}
+				if r.Intn(2) == 0 {
+					recs = append(recs, notice())
+				}
+				env = Envelope{Msg: Batch{Envelopes: recs}}
+			}
+			envs[i] = env
+		}
+		stream := framesOf(envs...)
+		c := NewConn(&loopConn{sinkConn: sinkConn{buf: append([]byte(nil), stream...)}})
+		for i := range envs {
+			got, err := c.Read()
+			if err != nil {
+				t.Logf("seed %d, frame %d: %v", seed, i, err)
+				return false
+			}
+			n := 4 + int(binary.LittleEndian.Uint32(stream))
+			fresh, err := readFresh(stream[:n])
+			stream = stream[n:]
+			if err != nil || !envelopesEqual(got, fresh) {
+				t.Logf("seed %d, frame %d: read %+v after earlier frames, %+v on a fresh Conn (%v)", seed, i, got.Msg, fresh.Msg, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestReadPathAllocBudget gates the steady-state allocations of the frames
 // the event path reads and writes. A Batch[SetLocks, Exec] costs the values a
-// caller keeps — the boxed Batch and its record slice, the boxed SetLocks and
-// its path slice, the boxed Exec, its argument slice and the payload string —
-// and nothing for the frame body, the record bodies or the identifiers.
+// caller keeps of what is new in it — the boxed Batch and its record slice,
+// the boxed Exec, its argument slice and the payload string — and nothing for
+// the frame body, the record bodies, the identifiers or the repeated lock
+// notice; a lone lock notice or verdict costs nothing at all.
 func TestReadPathAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts include the race detector's own; `make allocs` runs this without -race")
@@ -212,8 +359,9 @@ func TestReadPathAllocBudget(t *testing.T) {
 		frame Envelope
 		want  float64
 	}{
-		{"Batch[SetLocks,Exec]", Envelope{Msg: Batch{Envelopes: []Envelope{locks, exec}}}, 7},
-		{"SetLocks", locks, 2},
+		{"Batch[SetLocks,Exec]", Envelope{Msg: Batch{Envelopes: []Envelope{locks, exec}}}, 5},
+		{"SetLocks", locks, 0},
+		{"EventResult", Envelope{RefSeq: 9, Msg: EventResult{OK: true}}, 0},
 	} {
 		lc := &loopConn{}
 		c := NewConn(lc)

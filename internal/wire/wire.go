@@ -49,8 +49,13 @@
 // values, widget states — so an Envelope stays valid for as long as its
 // holder likes, whatever the Conn reads next. Identifier strings (object
 // paths, event names, instance IDs, class names) are copied once per
-// connection and shared between the envelopes that repeat them (see
-// intern.go); payload values are never shared.
+// connection and shared between the envelopes that repeat them, and so are
+// whole lock notices and verdicts: a SetLocks or EventResult whose body a
+// Conn has decoded before is the very value it returned then, Paths slice
+// included (see intern.go). Decoded messages are therefore read-only: a
+// holder may keep one as long as it likes but must not write to it, since an
+// earlier or later Read may have returned the same value. Payload values are
+// never shared.
 package wire
 
 import (
@@ -118,12 +123,14 @@ type Conn struct {
 	conn net.Conn
 
 	// rlen and rbuf hold the length prefix and the body of the frame being
-	// read, and idents the identifier strings already seen on this
-	// connection. All three belong to the single reading goroutine; frames
-	// above maxConnScratch get a one-off buffer instead of growing rbuf.
-	rlen   [4]byte
-	rbuf   []byte
-	idents internTable
+	// read, idents the identifier strings already seen on this connection and
+	// notices the lock notices and verdicts already decoded on it. All four
+	// belong to the single reading goroutine; frames above maxConnScratch get
+	// a one-off buffer instead of growing rbuf.
+	rlen    [4]byte
+	rbuf    []byte
+	idents  internTable
+	notices noticeMemo
 
 	// scratch is the reusable frame-encode buffer; scratch2 stages Batch
 	// record bodies (whose length prefixes the bytes). Both are guarded by
@@ -508,7 +515,7 @@ func (c *Conn) Read() (Envelope, error) {
 		// The peer speaks the extension; replies to it may carry traces.
 		c.peerTrace.Store(true)
 	}
-	msg, err := decodeMessage(t, body, &c.idents)
+	msg, err := decodeMessage(t, body, &c.idents, &c.notices)
 	if err != nil {
 		return Envelope{}, err
 	}
