@@ -119,8 +119,12 @@ type Client struct {
 	closed   bool
 
 	inq *inqueue
-	// ackRun collects the acknowledgements of a packed run of Execs; it
-	// belongs to the dispatch loop and is reused from batch to batch.
+	// frame collects the records of the frame being read that are for the
+	// dispatch loop; it belongs to the read loop, which queues it as one unit
+	// once the frame's last record is routed.
+	frame []wire.Envelope
+	// ackRun collects the acknowledgements of the Execs applied since the last
+	// flush; it belongs to the dispatch loop and is reused from run to run.
 	ackRun []wire.BatchAckEntry
 	done   chan struct{}
 	rdone  chan struct{} // closed when the read machinery stops for good
@@ -514,10 +518,11 @@ func (c *Client) supervise() {
 		c.conn = next
 		c.mu.Unlock()
 		conn = next
-		// Traffic the server flushed around the handshake reply (stashed by
+		// Traffic the server flushed ahead of the handshake reply (stashed by
 		// resume) is routed before the read loop takes over, preserving the
-		// server's send order. A routing failure means the fresh connection
-		// already died; the read loop below notices immediately and redials.
+		// server's send order; records packed after the reply are still in
+		// the Conn. A routing failure means the fresh connection already
+		// died; the read loop below notices immediately and redials.
 		for _, env := range pre {
 			if !c.handleIncoming(conn, env) {
 				break
@@ -532,11 +537,9 @@ func (c *Client) supervise() {
 }
 
 // readConn routes replies to waiters and server-initiated traffic to the
-// dispatch queue, until conn fails. Batch frames are unpacked here: records
-// the read loop handles inline (replies, liveness, link mirroring) are
-// routed one by one, and the remaining run is queued as a single Batch so
-// the dispatch side can coalesce the acknowledgements of adjacent Execs.
+// dispatch queue, until conn fails.
 func (c *Client) readConn(conn *wire.Conn) {
+	defer c.dropFrame()
 	for {
 		env, err := conn.Read()
 		if err != nil {
@@ -548,39 +551,36 @@ func (c *Client) readConn(conn *wire.Conn) {
 	}
 }
 
-// handleIncoming routes one received envelope exactly as the read loop
-// does: batches are unpacked with inline-handled records routed one by one,
-// everything else goes to the dispatch queue. It reports false when the
+// handleIncoming routes one received record exactly as the read loop does.
+// Records the read loop handles inline (replies, liveness, link mirroring)
+// are routed at once; the others of one frame are queued together once its
+// last record is in, so the dispatch loop finds a packed run of Execs whole
+// and answers it with one coalesced ack. It reports false when the
 // connection or the dispatch queue has failed.
 func (c *Client) handleIncoming(conn *wire.Conn, env wire.Envelope) bool {
-	if batch, ok := env.Msg.(wire.Batch); ok {
-		// Filter in place: the decoded Batch owns its Envelopes slice, and a
-		// run with nothing for the read loop (the usual SetLocks+Exec pair) is
-		// queued as the very envelope that was read.
-		rest := batch.Envelopes[:0]
-		for _, inner := range batch.Envelopes {
-			handled, err := c.routeLocal(conn, inner)
-			if err != nil {
-				return false
-			}
-			if !handled {
-				rest = append(rest, inner)
-			}
-		}
-		switch len(rest) {
-		case 0:
-			return true
-		case len(batch.Envelopes):
-			return c.inq.push(env)
-		}
-		clear(batch.Envelopes[len(rest):])
-		return c.inq.push(wire.Envelope{Msg: wire.Batch{Envelopes: rest}})
-	}
 	handled, err := c.routeLocal(conn, env)
 	if err != nil {
 		return false
 	}
-	return handled || c.inq.push(env)
+	if !handled {
+		c.frame = append(c.frame, env)
+	}
+	if conn.Pending() || len(c.frame) == 0 {
+		return true
+	}
+	ok := c.inq.push(c.frame...)
+	c.dropFrame()
+	return ok
+}
+
+// dropFrame empties the read loop's frame slice, dropping an array a long
+// frame grew past maxIdleInqueue.
+func (c *Client) dropFrame() {
+	clear(c.frame)
+	c.frame = c.frame[:0]
+	if cap(c.frame) > maxIdleInqueue {
+		c.frame = nil
+	}
 }
 
 // routeLocal handles the message kinds the read loop consumes inline,
@@ -654,26 +654,54 @@ func (c *Client) forgetFarLinks() {
 // dispatchLoop is the instance's UI thread for server-initiated work: remote
 // event re-execution, state application, lock toggling, state requests and
 // command delivery.
+//
+// Every Exec, lone or packed, takes one path: it is applied and its
+// acknowledgement joins the pending run, which is flushed as soon as the
+// queue runs empty or before any other record is dispatched. So the server
+// observes acknowledgements in record order, a packed run of Execs is
+// answered by one BatchAck, and a lone Exec by one ExecAck straight after
+// its apply. Each entry keeps its own apply-span context, so the server's
+// per-event causal chains and its unlock bookkeeping see exactly what single
+// ExecAcks would have delivered.
 func (c *Client) dispatchLoop() {
 	defer c.wg.Done()
 	for {
-		env, ok := c.inq.pop()
+		env, last, ok := c.inq.pop()
 		if !ok {
 			return
 		}
-		if batch, ok := env.Msg.(wire.Batch); ok {
-			c.dispatchBatch(batch)
+		if m, isExec := env.Msg.(wire.Exec); isExec {
+			c.ackRun = append(c.ackRun, c.applyExec(env.Trace, m))
+			if last {
+				c.flushAcks()
+			}
 			continue
 		}
+		c.flushAcks()
 		c.dispatchOne(env)
 	}
 }
 
-// dispatchOne processes a single server-initiated envelope.
+// flushAcks sends the pending acknowledgements (see wire.Conn.WriteAcks) and
+// empties the run. The frame is encoded before WriteAcks returns, so the
+// run's backing array is free to be reused.
+func (c *Client) flushAcks() {
+	if len(c.ackRun) == 0 {
+		return
+	}
+	c.mu.Lock()
+	conn := c.conn
+	c.mu.Unlock()
+	if err := conn.WriteAcks(c.ackRun); err != nil {
+		c.slog.Debug("exec ack not sent", "error", err.Error())
+	}
+	c.ackRun = c.ackRun[:0]
+}
+
+// dispatchOne processes a single server-initiated envelope other than an
+// Exec.
 func (c *Client) dispatchOne(env wire.Envelope) {
 	switch m := env.Msg.(type) {
-	case wire.Exec:
-		c.handleExec(env.Trace, m)
 	case wire.SetLocks:
 		for _, path := range m.Paths {
 			if w, err := c.reg.Lookup(path); err == nil {
@@ -698,44 +726,6 @@ func (c *Client) dispatchOne(env wire.Envelope) {
 	default:
 		c.slog.Warn("unexpected server message", "type", env.Msg.MsgType().String())
 	}
-}
-
-// dispatchBatch processes a packed run in record order, coalescing the
-// acknowledgements of adjacent Execs into one BatchAck. Each entry keeps
-// its own apply-span context, so the server's per-event causal chains and
-// its unlock bookkeeping see exactly what N single ExecAcks would have
-// delivered, in the same order — just in fewer frames.
-func (c *Client) dispatchBatch(batch wire.Batch) {
-	for _, env := range batch.Envelopes {
-		if m, ok := env.Msg.(wire.Exec); ok {
-			c.ackRun = append(c.ackRun, c.applyExec(env.Trace, m))
-			continue
-		}
-		// A non-Exec record interleaved in the run (a SetLocks between two
-		// events' Execs, a state application): flush the pending acks first
-		// so the server observes them in record order.
-		c.flushAcks()
-		c.dispatchOne(env)
-	}
-	c.flushAcks()
-}
-
-// flushAcks sends the acknowledgements dispatchBatch has collected — one
-// ExecAck for a lone Exec, exactly as the unbatched path would, one BatchAck
-// for a longer run — and empties the run. The frame is encoded before send
-// returns, so the run's backing array is free to be reused.
-func (c *Client) flushAcks() {
-	switch len(c.ackRun) {
-	case 0:
-		return
-	case 1:
-		c.sendExecAck(c.ackRun[0])
-	default:
-		if err := c.send(wire.Envelope{Msg: wire.BatchAck{Acks: c.ackRun}}); err != nil {
-			c.slog.Debug("batch ack not sent", "error", err.Error())
-		}
-	}
-	c.ackRun = c.ackRun[:0]
 }
 
 // guard runs an application callback, converting a panic into a logged
@@ -788,14 +778,16 @@ func newInqueue() *inqueue {
 	return q
 }
 
-// push appends one envelope; it reports false once the queue is closed.
-func (q *inqueue) push(env wire.Envelope) bool {
+// push appends envs as one unit — one lock, one wakeup — so the consumer
+// never finds the queue empty part-way through them; it reports false once
+// the queue is closed.
+func (q *inqueue) push(envs ...wire.Envelope) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return false
 	}
-	if len(q.q) == cap(q.q) && q.head >= len(q.q)/2 && q.head > 0 {
+	if len(q.q)+len(envs) > cap(q.q) && q.head >= len(q.q)/2 && q.head > 0 {
 		// Full with at least half of it consumed: slide the backlog down
 		// instead of growing (a consumer that keeps up, but never quite
 		// empties the queue, would otherwise grow it forever).
@@ -803,21 +795,21 @@ func (q *inqueue) push(env wire.Envelope) bool {
 		clear(q.q[n:])
 		q.q, q.head = q.q[:n], 0
 	}
-	q.q = append(q.q, env)
+	q.q = append(q.q, envs...)
 	q.cond.Signal()
 	return true
 }
 
-// pop blocks for the next envelope; ok is false once the queue is closed
-// and drained.
-func (q *inqueue) pop() (env wire.Envelope, ok bool) {
+// pop blocks for the next envelope; last reports that it emptied the queue,
+// and ok is false once the queue is closed and drained.
+func (q *inqueue) pop() (env wire.Envelope, last, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.head == len(q.q) && !q.closed {
 		q.cond.Wait()
 	}
 	if q.head == len(q.q) {
-		return wire.Envelope{}, false
+		return wire.Envelope{}, false, false
 	}
 	env = q.q[q.head]
 	q.q[q.head] = wire.Envelope{}
@@ -827,8 +819,9 @@ func (q *inqueue) pop() (env wire.Envelope, ok bool) {
 		if cap(q.q) > maxIdleInqueue {
 			q.q = nil
 		}
+		return env, true, true
 	}
-	return env, true
+	return env, false, true
 }
 
 func (q *inqueue) close() {

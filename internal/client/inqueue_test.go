@@ -8,7 +8,8 @@ import (
 
 // TestInqueueDrainLeavesNoReferences: once everything pushed has been popped,
 // no slot of the backing array still references a message, and the next push
-// reuses the array from its start.
+// reuses the array from its start. Only the pop that empties the queue says
+// it was the last.
 func TestInqueueDrainLeavesNoReferences(t *testing.T) {
 	q := newInqueue()
 	const n = 40
@@ -20,9 +21,9 @@ func TestInqueueDrainLeavesNoReferences(t *testing.T) {
 			}
 		}
 		for i := uint64(0); i < n; i++ {
-			env, ok := q.pop()
-			if !ok || env.Seq != i {
-				t.Fatalf("pop %d = %+v, %v", i, env, ok)
+			env, last, ok := q.pop()
+			if !ok || env.Seq != i || last != (i == n-1) {
+				t.Fatalf("pop %d = %+v, last %v, ok %v", i, env, last, ok)
 			}
 		}
 		if q.head != 0 || len(q.q) != 0 {
@@ -53,7 +54,7 @@ func TestInqueueSteadyBacklogStaysBounded(t *testing.T) {
 	}
 	for i := uint64(backlog); i < 10000; i++ {
 		q.push(wire.Envelope{Seq: i})
-		env, _ := q.pop()
+		env, _, _ := q.pop()
 		if env.Seq != next {
 			t.Fatalf("popped seq %d, want %d", env.Seq, next)
 		}
@@ -61,6 +62,26 @@ func TestInqueueSteadyBacklogStaysBounded(t *testing.T) {
 	}
 	if c := cap(q.q); c > 4*(backlog+1) {
 		t.Errorf("a backlog of %d grew the queue to %d slots", backlog, c)
+	}
+}
+
+// TestInqueuePushesAFrameAsOneUnit: the records of one frame pushed together
+// are popped in order behind what was queued before them, none but the final
+// one emptying the queue — so the dispatch loop never flushes an ack run
+// part-way through a packed frame.
+func TestInqueuePushesAFrameAsOneUnit(t *testing.T) {
+	q := newInqueue()
+	next := uint64(0)
+	for round := uint64(0); round < 50; round++ {
+		q.push(wire.Envelope{Seq: 3 * round})
+		q.push(wire.Envelope{Seq: 3*round + 1}, wire.Envelope{Seq: 3*round + 2})
+		for i := 0; i < 3; i++ {
+			env, last, ok := q.pop()
+			if !ok || env.Seq != next || last != (i == 2) {
+				t.Fatalf("round %d pop %d = seq %d, last %v, ok %v; want seq %d", round, i, env.Seq, last, ok, next)
+			}
+			next++
+		}
 	}
 }
 

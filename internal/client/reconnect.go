@@ -92,7 +92,7 @@ func (r *ReconnectOptions) jitterSeeds() (uint64, uint64) {
 
 // redial dials and resumes the session with full-jitter exponential
 // backoff, returning the fresh connection plus any envelopes the server
-// flushed around the handshake reply. It runs on the supervise goroutine.
+// flushed ahead of the handshake reply. It runs on the supervise goroutine.
 func (c *Client) redial() (*wire.Conn, []wire.Envelope, error) {
 	r := c.opts.Reconnect
 	rng := rand.New(rand.NewPCG(r.jitterSeeds()))
@@ -132,11 +132,11 @@ func (c *Client) redial() (*wire.Conn, []wire.Envelope, error) {
 // server can start flushing group traffic the moment it admits the session:
 // the Registered reply may arrive packed in a Batch with notifications or
 // replayed events, or even after them when a shard loop's broadcast wins
-// the race with the admitting state loop. Every envelope that is not the
-// reply is stashed and returned for the read loop to route once the resume
-// is accepted — abandoning the connection here would orphan a session whose
-// single-use token the admission already consumed, permanently stranding
-// the client.
+// the race with the admitting state loop. Every record read before the reply
+// is stashed and returned for the read loop to route once the resume is
+// accepted, and records packed after it stay in the Conn for the read loop —
+// abandoning the connection here would orphan a session whose single-use
+// token the admission already consumed, permanently stranding the client.
 func (c *Client) resume(raw net.Conn) (*wire.Conn, []wire.Envelope, error) {
 	conn := wire.NewConn(raw)
 	if c.tr != nil {
@@ -181,25 +181,19 @@ func (c *Client) resume(raw net.Conn) (*wire.Conn, []wire.Envelope, error) {
 			}
 			return nil, nil, err
 		}
-		envs := []wire.Envelope{env}
-		if b, ok := env.Msg.(wire.Batch); ok {
-			envs = b.Envelopes
-		}
-		for i, e := range envs {
-			switch m := e.Msg.(type) {
-			case wire.Registered:
-				if m.ID != c.id {
-					conn.Close()
-					return nil, nil, &permanentError{fmt.Sprintf(
-						"client: resume returned foreign ID %s (have %s)", m.ID, c.id)}
-				}
-				return conn, append(pre, envs[i+1:]...), nil
-			case wire.Err:
+		switch m := env.Msg.(type) {
+		case wire.Registered:
+			if m.ID != c.id {
 				conn.Close()
-				return nil, nil, &permanentError{"client: resume refused: " + m.Text}
-			default:
-				pre = append(pre, e)
+				return nil, nil, &permanentError{fmt.Sprintf(
+					"client: resume returned foreign ID %s (have %s)", m.ID, c.id)}
 			}
+			return conn, pre, nil
+		case wire.Err:
+			conn.Close()
+			return nil, nil, &permanentError{"client: resume refused: " + m.Text}
+		default:
+			pre = append(pre, env)
 		}
 	}
 }

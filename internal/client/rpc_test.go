@@ -225,3 +225,54 @@ func TestCallAllocBudget(t *testing.T) {
 		t.Errorf("a round trip allocates %.1f times, want 0", got)
 	}
 }
+
+// TestAckAllocBudget gates the dispatch loop's acknowledgement path as it
+// runs after every applied Exec: the entry joins the ack run and the run is
+// flushed onto the connection — a lone ExecAck, or a run of them, to a plain
+// and to a batch-aware peer. None of it allocates: the acknowledgements are
+// encoded straight from the run, with no message boxed.
+func TestAckAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts include the race detector's own; `make allocs` runs this without -race")
+	}
+	// The stand-in registers the client, then drains the pipe without
+	// decoding, so that only the client's side of the ack is counted.
+	a, b := net.Pipe()
+	go func() {
+		srv := wire.NewConn(b)
+		env, err := srv.Read()
+		if err != nil || srv.Write(wire.Envelope{RefSeq: env.Seq, Msg: wire.Registered{ID: "fake-1"}}) != nil {
+			return
+		}
+		buf := make([]byte, 4096)
+		for {
+			if _, err := b.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	c, err := New(a, Options{Registry: widget.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		b.Close() // the stand-in answers no Deregister: Close fails it at once
+		c.Close()
+	})
+	entry := wire.BatchAckEntry{EventID: 1 << 20}
+	for _, batching := range []bool{false, true} {
+		if batching {
+			c.conn.EnableBatch()
+		}
+		for _, n := range []int{1, 2} {
+			if got := testing.AllocsPerRun(200, func() {
+				for i := 0; i < n; i++ {
+					c.ackRun = append(c.ackRun, entry)
+				}
+				c.flushAcks()
+			}); got > 0 {
+				t.Errorf("acknowledging %d Execs (batching %v) allocates %.1f times, want 0", n, batching, got)
+			}
+		}
+	}
+}

@@ -110,26 +110,13 @@ func (c *Client) DispatchChecked(e *widget.Event) error {
 	return nil
 }
 
-// handleExec re-executes a remote event on the local member of the coupling
-// group and acknowledges it immediately — the unbatched path.
-func (c *Client) handleExec(tc obs.TraceContext, m wire.Exec) {
-	c.sendExecAck(c.applyExec(tc, m))
-}
-
-// sendExecAck acknowledges a single applied Exec, carrying the apply-span
-// context so the server's ack point descends from the re-execution.
-func (c *Client) sendExecAck(e wire.BatchAckEntry) {
-	if err := c.send(wire.Envelope{Trace: e.Trace, Msg: wire.ExecAck{EventID: e.EventID}}); err != nil {
-		c.slog.Debug("exec ack not sent", "error", err.Error())
-	}
-}
-
 // applyExec re-executes a remote event on the local member of the coupling
 // group: "this event packed with some parameters is sent to the server.
 // Then the server broadcasts this message to the application instances where
 // it is unpacked and re-executed" (§3.2). It returns the acknowledgement the
-// caller owes the server; the caller sends it singly or folds it into a
-// coalesced BatchAck, but must send it either way so the group unlocks.
+// caller owes the server, carrying the apply-span context so the server's
+// ack point descends from the re-execution; dispatchLoop must send it so the
+// group unlocks.
 func (c *Client) applyExec(tc obs.TraceContext, m wire.Exec) wire.BatchAckEntry {
 	t0 := c.mExec.Start()
 	// The re-execution span descends from the server's "server.exec_send"

@@ -355,7 +355,7 @@ func TestPropMirrorsMatchFullBroadcast(t *testing.T) {
 	}
 }
 
-// mirrorSeeds are 100 seeds once drawn by quick.Check, in four draws of 25,
+// mirrorSeeds are 125 seeds once drawn by quick.Check, in five draws of 25,
 // kept as a regression set beside the fresh ones.
 var mirrorSeeds = []int64{
 	-1259670455702671925, -212541134892010761, -2992354744898627188,
@@ -397,6 +397,16 @@ var mirrorSeeds = []int64{
 	4234126567753870931, 5205247211340489811, 5276856033666605666,
 	5918153937482904544, 6090351656867434383, 9024532786536012874,
 	9116704827407217621,
+
+	-2725552722441517026, -2820908855147186594, -3734193842746273435,
+	-3948764739101754185, -4297688897191890028, -4626724297740751063,
+	-68780112727210501, -7008700464064130055, -7758221451544239574,
+	-7838294285901624455, 103675564230996026, 1058805633253466915,
+	110588141537552864, 1197042136328980971, 1751084643239986918,
+	2185829393690109169, 3447134104239082564, 3476737011569204363,
+	4057324867327682691, 4069768339557456069, 4929188699761339430,
+	6127769067167781624, 656227224301876320, 6813552217433126940,
+	7318090048050209101,
 }
 
 // star couples hub to every spoke in turn and keeps the oracle in step.

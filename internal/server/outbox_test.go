@@ -17,11 +17,20 @@ import (
 // returns the peer-side conn to read frames from. When peerBatch is set, the
 // peer opts into the batch extension and speaks one frame first so the
 // outbox's conn latches the capability before anything is queued (mirroring
-// the real handshake, where the client's Hello precedes all fan-out).
+// the real handshake, where the client's Hello precedes all fan-out). The
+// cleanup closes the pipe before it waits for the outbox writer, which a
+// failed test may have left blocked writing frames nobody reads.
 func outboxPair(t *testing.T, peerBatch bool, limit, batchLimit int) (*outbox, *wire.Conn) {
 	t.Helper()
 	rawA, rawB := net.Pipe()
-	t.Cleanup(func() { rawA.Close(); rawB.Close() })
+	var o *outbox
+	t.Cleanup(func() {
+		rawA.Close()
+		rawB.Close()
+		if o != nil {
+			o.close()
+		}
+	})
 	c, peer := wire.NewConn(rawA), wire.NewConn(rawB)
 	if peerBatch {
 		peer.EnableBatch()
@@ -34,8 +43,24 @@ func outboxPair(t *testing.T, peerBatch bool, limit, batchLimit int) (*outbox, *
 		}
 	}
 	reg := obs.NewRegistry()
-	o := newOutbox(c, reg.Gauge("depth"), limit, batchLimit, reg.Histogram("batch"), nil)
+	o = newOutbox(c, reg.Gauge("depth"), limit, batchLimit, reg.Histogram("batch"), nil)
 	return o, peer
+}
+
+// readFrame reads the records of the next frame the outbox wrote: one Read,
+// then one more for as long as the peer's Conn has records of that frame
+// pending.
+func readFrame(t *testing.T, peer *wire.Conn) []wire.Envelope {
+	t.Helper()
+	var frame []wire.Envelope
+	for more := true; more; more = peer.Pending() {
+		env, err := peer.Read()
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		frame = append(frame, env)
+	}
+	return frame
 }
 
 // waitDrained waits until the outbox writer has taken every queued envelope
@@ -56,7 +81,6 @@ func waitDrained(t *testing.T, o *outbox, inflight int) {
 func TestOutboxBlockedWriterDrainsBacklogAsOneFlush(t *testing.T) {
 	const queued = 5
 	o, peer := outboxPair(t, true, 0, 8)
-	defer o.close()
 
 	// First envelope: the writer takes it and blocks in Write (net.Pipe has
 	// no buffer), leaving the queue empty.
@@ -68,26 +92,16 @@ func TestOutboxBlockedWriterDrainsBacklogAsOneFlush(t *testing.T) {
 	}
 
 	// Unblock: the first frame is the single Exec the writer was holding.
-	env, err := peer.Read()
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if m, ok := env.Msg.(wire.Exec); !ok || m.EventID != 100 {
-		t.Fatalf("first frame = %T %+v, want the blocked single Exec", env.Msg, env.Msg)
+	first := readFrame(t, peer)
+	if m, ok := first[0].Msg.(wire.Exec); len(first) != 1 || !ok || m.EventID != 100 {
+		t.Fatalf("first frame = %+v, want the blocked single Exec", first)
 	}
 	// The entire backlog follows as one Batch frame, in queue order.
-	env, err = peer.Read()
-	if err != nil {
-		t.Fatalf("read: %v", err)
+	batch := readFrame(t, peer)
+	if len(batch) != queued {
+		t.Fatalf("second frame carries %d records, want one Batch of the whole backlog (%d)", len(batch), queued)
 	}
-	batch, ok := env.Msg.(wire.Batch)
-	if !ok {
-		t.Fatalf("second frame = %T, want one Batch for the whole backlog", env.Msg)
-	}
-	if len(batch.Envelopes) != queued {
-		t.Fatalf("batch carries %d envelopes, want %d", len(batch.Envelopes), queued)
-	}
-	for i, inner := range batch.Envelopes {
+	for i, inner := range batch {
 		m, ok := inner.Msg.(wire.Exec)
 		if !ok || m.EventID != 100+uint64(i)+1 {
 			t.Fatalf("batch[%d] = %T %+v, want Exec in queue order", i, inner.Msg, inner.Msg)
@@ -102,19 +116,15 @@ func TestOutboxBlockedWriterDrainsBacklogAsOneFlush(t *testing.T) {
 func TestOutboxLegacyPeerGetsSingles(t *testing.T) {
 	const queued = 4
 	o, peer := outboxPair(t, false, 0, 8)
-	defer o.close()
 
 	for i := uint64(0); i < queued; i++ {
 		o.send(wire.Envelope{Msg: wire.Exec{EventID: 200 + i}})
 	}
 	for i := uint64(0); i < queued; i++ {
-		env, err := peer.Read()
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		m, ok := env.Msg.(wire.Exec)
-		if !ok {
-			t.Fatalf("frame %d = %T, want a single Exec for a legacy peer", i, env.Msg)
+		frame := readFrame(t, peer)
+		m, ok := frame[0].Msg.(wire.Exec)
+		if len(frame) != 1 || !ok {
+			t.Fatalf("frame %d = %+v, want a single Exec for a legacy peer", i, frame)
 		}
 		if m.EventID != 200+i {
 			t.Fatalf("frame %d EventID = %d, want %d (queue order)", i, m.EventID, 200+i)
@@ -128,40 +138,28 @@ func TestOutboxLegacyPeerGetsSingles(t *testing.T) {
 func TestOutboxBatchLimitSplitsLongRuns(t *testing.T) {
 	const limit, queued = 3, 7
 	o, peer := outboxPair(t, true, 0, limit)
-	defer o.close()
 
 	o.send(wire.Envelope{Msg: wire.Exec{EventID: 300}})
 	waitDrained(t, o, 1)
 	for i := uint64(1); i <= queued; i++ {
 		o.send(wire.Envelope{Msg: wire.Exec{EventID: 300 + i}})
 	}
-	if env, err := peer.Read(); err != nil {
-		t.Fatalf("read: %v", err)
-	} else if _, ok := env.Msg.(wire.Exec); !ok {
-		t.Fatalf("first frame = %T, want the blocked single Exec", env.Msg)
+	if first := readFrame(t, peer); len(first) != 1 {
+		t.Fatalf("first frame = %+v, want the blocked single Exec", first)
+	} else if _, ok := first[0].Msg.(wire.Exec); !ok {
+		t.Fatalf("first frame = %T, want the blocked single Exec", first[0].Msg)
 	}
+	// Full runs go out as Batch frames of limit records; a run of one is not
+	// worth an envelope and goes out plain.
 	next := uint64(301)
-	for sizes := []int{limit, limit, 1}; len(sizes) > 0; sizes = sizes[1:] {
-		env, err := peer.Read()
-		if err != nil {
-			t.Fatalf("read: %v", err)
+	for _, size := range []int{limit, limit, 1} {
+		frame := readFrame(t, peer)
+		if len(frame) != size {
+			t.Fatalf("frame of %d records, want %d", len(frame), size)
 		}
-		batch, isBatch := env.Msg.(wire.Batch)
-		if sizes[0] == 1 {
-			// A run of one is not worth an envelope: it goes out plain.
-			m, ok := env.Msg.(wire.Exec)
-			if !ok || m.EventID != next {
-				t.Fatalf("tail frame = %T %+v, want single Exec %d", env.Msg, env.Msg, next)
-			}
-			next++
-			continue
-		}
-		if !isBatch || len(batch.Envelopes) != sizes[0] {
-			t.Fatalf("frame = %T (%d records), want Batch of %d", env.Msg, len(batch.Envelopes), sizes[0])
-		}
-		for _, inner := range batch.Envelopes {
-			if m := inner.Msg.(wire.Exec); m.EventID != next {
-				t.Fatalf("EventID = %d, want %d", m.EventID, next)
+		for _, rec := range frame {
+			if m, ok := rec.Msg.(wire.Exec); !ok || m.EventID != next {
+				t.Fatalf("record = %T %+v, want Exec %d", rec.Msg, rec.Msg, next)
 			}
 			next++
 		}
@@ -175,7 +173,6 @@ func TestOutboxBatchLimitSplitsLongRuns(t *testing.T) {
 // be — instead of being treated as a broken connection.
 func TestOutboxOversizedBatchFallsBackToSingles(t *testing.T) {
 	o, peer := outboxPair(t, true, 0, 8)
-	defer o.close()
 
 	// Each envelope fits comfortably in a frame of its own; packed together
 	// their one Batch body would overflow MaxFrame.
@@ -219,7 +216,6 @@ func TestOutboxOversizedBatchFallsBackToSingles(t *testing.T) {
 // though the writer is still blocked on a later chunk of the same flush.
 func TestOutboxFlushClearsOverSinceMidFlush(t *testing.T) {
 	o, peer := outboxPair(t, false, 2, 8)
-	defer o.close()
 
 	o.send(wire.Envelope{Msg: wire.Exec{EventID: 500}})
 	waitDrained(t, o, 1)
@@ -255,20 +251,14 @@ func TestOutboxFlushClearsOverSinceMidFlush(t *testing.T) {
 func TestOutboxDrainLeavesNoReferences(t *testing.T) {
 	const rounds, perRound = 6, 5
 	o, peer := outboxPair(t, true, 0, 8)
-	defer o.close()
 	received := make(chan int)
 	go func() {
 		defer close(received)
 		for {
-			env, err := peer.Read()
-			if err != nil {
+			if _, err := peer.Read(); err != nil {
 				return
 			}
-			n := 1
-			if b, ok := env.Msg.(wire.Batch); ok {
-				n = len(b.Envelopes)
-			}
-			received <- n
+			received <- 1
 		}
 	}()
 	for round := 0; round < rounds; round++ {

@@ -851,8 +851,6 @@ func flightNote(m wire.Message) string {
 		return m.Name + " from " + string(m.From)
 	case wire.Err:
 		return m.Text
-	case wire.Batch:
-		return fmt.Sprintf("%d envelopes", len(m.Envelopes))
 	case wire.BatchAck:
 		return fmt.Sprintf("%d acks", len(m.Acks))
 	default:

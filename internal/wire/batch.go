@@ -2,6 +2,8 @@ package wire
 
 import (
 	"encoding/binary"
+	"fmt"
+	"slices"
 
 	"cosoft/internal/obs"
 )
@@ -17,6 +19,9 @@ const MaxBatch = 4096
 // envelopes that would otherwise have arrived as individual frames, in the
 // same order. Batch frames may only be sent once BatchAware reports true;
 // a Batch may not nest another Batch or a BatchAck.
+//
+// Batch is framing, and only a writer ever holds one: Read never returns a
+// Batch but hands out its records one per call (see Conn.Pending).
 //
 // Record layout, repeated Count times after a leading uvarint count:
 //
@@ -77,35 +82,35 @@ func (m BatchAck) encode(buf []byte) []byte {
 	return buf
 }
 
-func decodeBatch(d *decoder) Batch {
-	var m Batch
+// decodeRun decodes the records of a Batch frame body into run (which must be
+// empty), all or nothing: on error run comes back empty, with no slot still
+// referencing a record decoded before the fault.
+func decodeRun(run []Envelope, body []byte, idents *internTable, notices *noticeMemo) ([]Envelope, error) {
+	d := decoder{buf: body, idents: idents, notices: notices}
 	n := d.uvarint()
-	if d.err != nil {
-		return m
-	}
-	if n == 0 {
+	switch {
+	case d.err != nil:
+	case n == 0:
 		d.fail("empty batch")
-		return m
-	}
-	if n > MaxBatch {
+	case n > MaxBatch || n > uint64(len(d.buf)/minBatchRecord):
+		// A record is at least five bytes (type, seq, refSeq, body length), so
+		// a count the remaining bytes cannot hold is not worth an allocation.
 		d.fail("batch count")
-		return m
-	}
-	// A record is at least five bytes (type, seq, refSeq, body length), so a
-	// count the remaining bytes cannot hold is not worth an allocation.
-	if n > uint64(len(d.buf)/minBatchRecord) {
-		d.fail("batch count")
-		return m
-	}
-	m.Envelopes = make([]Envelope, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		env, ok := d.innerEnvelope()
-		if !ok {
-			break
+	default:
+		run = slices.Grow(run, int(n))
+		for i := uint64(0); i < n; i++ {
+			env, ok := d.innerEnvelope()
+			if !ok {
+				break
+			}
+			run = append(run, env)
 		}
-		m.Envelopes = append(m.Envelopes, env)
 	}
-	return m
+	if err := d.done(); err != nil {
+		clear(run)
+		return run[:0], fmt.Errorf("%s: %w", TBatch, err)
+	}
+	return run, nil
 }
 
 // minBatchRecord is the encoded size of the smallest Batch record: a type
@@ -128,10 +133,8 @@ func (d *decoder) innerEnvelope() (Envelope, bool) {
 	if d.err != nil {
 		return Envelope{}, false
 	}
-	if t == TBatch {
-		d.fail("nested batch")
-		return Envelope{}, false
-	}
+	// A nested Batch is refused by decodeMessage, which knows no such
+	// message; a BatchAck it would decode.
 	if t == TBatchAck {
 		d.fail("nested batch ack")
 		return Envelope{}, false

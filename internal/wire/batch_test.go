@@ -19,6 +19,32 @@ func envelopesEqual(a, b Envelope) bool {
 		messagesEqual(a.Msg, b.Msg)
 }
 
+// records is what reading the frame env is written as yields: a Batch's
+// records, or env itself.
+func records(env Envelope) []Envelope {
+	if b, ok := env.Msg.(Batch); ok {
+		return b.Envelopes
+	}
+	return []Envelope{env}
+}
+
+// readFrame reads the records of one frame: one Read, then one more for as
+// long as Pending reports that the frame has records left.
+func readFrame(c *Conn) ([]Envelope, error) {
+	env, err := c.Read()
+	if err != nil {
+		return nil, err
+	}
+	frame := []Envelope{env}
+	for c.Pending() {
+		if env, err = c.Read(); err != nil {
+			return nil, err
+		}
+		frame = append(frame, env)
+	}
+	return frame, nil
+}
+
 // appendBatchRecord hand-builds one Batch record in the wire byte layout,
 // independent of the encoder, for frame-pinning tests and fuzz seeds.
 func appendBatchRecord(buf []byte, t Type, seq, refSeq uint64, tc obs.TraceContext, body []byte) []byte {
@@ -37,10 +63,21 @@ func appendBatchRecord(buf []byte, t Type, seq, refSeq uint64, tc obs.TraceConte
 	return append(buf, body...)
 }
 
-// Property: a random run of envelopes packed into one Batch frame decodes
-// to exactly the envelopes the same run produces when sent singly over a
-// trace-enabled connection — same order, same correlation numbers, same
-// trace contexts (zero stays zero, non-zero survives exactly).
+// batchFrame frames a hand-built Batch body: length prefix, type word and
+// zero correlation numbers.
+func batchFrame(body []byte) []byte {
+	head := binary.LittleEndian.AppendUint16(nil, uint16(TBatch))
+	head = binary.AppendUvarint(head, 0) // seq
+	head = binary.AppendUvarint(head, 0) // refSeq
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(head)+len(body)))
+	return append(append(frame, head...), body...)
+}
+
+// Property: N Reads of a random run of envelopes packed into one Batch frame
+// return exactly what N Reads of the same run sent singly over a
+// trace-enabled connection return — same messages, same correlation numbers,
+// same trace contexts (zero stays zero, non-zero survives exactly), same
+// order — and Pending holds from the first of them until the last.
 func TestPropBatchRoundTripMatchesSingles(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -66,29 +103,29 @@ func TestPropBatchRoundTripMatchesSingles(t *testing.T) {
 			}
 		}
 		got := <-singles
-		if len(got) != n {
+		if len(got) != n || sb.Pending() {
 			return false
 		}
 
-		// Batched path: the same run in one frame.
+		// Batched path: the same run in one frame, read record by record.
 		ba, bb := Pipe()
 		defer ba.Close()
 		defer bb.Close()
 		ba.EnableBatch()
-		batched := readN(bb, 1)
+		batched := make(chan []Envelope, 1)
+		go func() {
+			frame, _ := readFrame(bb)
+			batched <- frame
+		}()
 		if err := ba.Write(Envelope{Msg: Batch{Envelopes: envs}}); err != nil {
 			return false
 		}
-		frames := <-batched
-		if len(frames) != 1 {
-			return false
-		}
-		batch, ok := frames[0].Msg.(Batch)
-		if !ok || len(batch.Envelopes) != n {
+		frame := <-batched
+		if len(frame) != n || bb.Pending() {
 			return false
 		}
 		for i := range got {
-			if !envelopesEqual(batch.Envelopes[i], got[i]) {
+			if !envelopesEqual(frame[i], got[i]) {
 				return false
 			}
 		}
@@ -99,8 +136,8 @@ func TestPropBatchRoundTripMatchesSingles(t *testing.T) {
 	}
 }
 
-// TestBatchFrameBytesDecode hand-builds a Batch frame and asserts the
-// decoder unpacks it — the record byte layout pinned independently of the
+// TestBatchFrameBytesDecode hand-builds a Batch frame and asserts the reader
+// hands out its records — the record byte layout pinned independently of the
 // encoder.
 func TestBatchFrameBytesDecode(t *testing.T) {
 	a, b := Pipe()
@@ -109,48 +146,43 @@ func TestBatchFrameBytesDecode(t *testing.T) {
 
 	exec := Exec{EventID: 12, TargetPath: "/f", Name: "changed",
 		Args: []attr.Value{attr.String("v")}}
-	var body []byte
-	body = binary.LittleEndian.AppendUint16(body, uint16(TBatch))
-	body = binary.AppendUvarint(body, 0) // seq
-	body = binary.AppendUvarint(body, 0) // refSeq
-	body = binary.AppendUvarint(body, 2) // record count
+	body := binary.AppendUvarint(nil, 2) // record count
 	body = appendBatchRecord(body, TSetLocks, 0, 0, obs.TraceContext{},
 		SetLocks{Paths: []string{"/f"}, Locked: true}.encode(nil))
 	body = appendBatchRecord(body, TExec, 0, 0,
 		obs.TraceContext{Trace: 777, Span: 888}, exec.encode(nil))
-	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
-	frame = append(frame, body...)
 
-	got := readN(b, 1)
-	if err := writeRaw(a, frame); err != nil {
+	got := make(chan []Envelope, 1)
+	go func() {
+		frame, _ := readFrame(b)
+		got <- frame
+	}()
+	if err := writeRaw(a, batchFrame(body)); err != nil {
 		t.Fatal(err)
 	}
 	envs := <-got
-	if len(envs) != 1 {
-		t.Fatal("batch frame rejected")
+	if len(envs) != 2 {
+		t.Fatalf("batch frame read as %d records, want 2", len(envs))
 	}
-	batch, ok := envs[0].Msg.(Batch)
-	if !ok || len(batch.Envelopes) != 2 {
-		t.Fatalf("decoded %+v", envs[0].Msg)
+	if sl, ok := envs[0].Msg.(SetLocks); !ok || !sl.Locked || len(sl.Paths) != 1 {
+		t.Fatalf("record 0 = %+v", envs[0].Msg)
 	}
-	if sl, ok := batch.Envelopes[0].Msg.(SetLocks); !ok || !sl.Locked || len(sl.Paths) != 1 {
-		t.Fatalf("record 0 = %+v", batch.Envelopes[0].Msg)
-	}
-	if batch.Envelopes[0].Trace.Valid() {
-		t.Fatalf("untraced record decoded trace %+v", batch.Envelopes[0].Trace)
+	if envs[0].Trace.Valid() {
+		t.Fatalf("untraced record decoded trace %+v", envs[0].Trace)
 	}
 	want := obs.TraceContext{Trace: 777, Span: 888}
-	if batch.Envelopes[1].Trace != want {
-		t.Fatalf("record 1 trace = %+v, want %+v", batch.Envelopes[1].Trace, want)
+	if envs[1].Trace != want {
+		t.Fatalf("record 1 trace = %+v, want %+v", envs[1].Trace, want)
 	}
-	if ex, ok := batch.Envelopes[1].Msg.(Exec); !ok || ex.EventID != 12 || ex.TargetPath != "/f" {
-		t.Fatalf("record 1 = %+v", batch.Envelopes[1].Msg)
+	if ex, ok := envs[1].Msg.(Exec); !ok || ex.EventID != 12 || ex.TargetPath != "/f" {
+		t.Fatalf("record 1 = %+v", envs[1].Msg)
 	}
 }
 
 // malformedBatchBodies builds the rejection corpus: zero record count, a
-// count far over the cap, a truncated record, a nested batch, and a nested
-// batch ack.
+// count far over the cap, a truncated record, a nested batch, a nested batch
+// ack, a record cut short, a corrupt record after two good ones, and a
+// trailing byte after the last record.
 func malformedBatchBodies() map[string][]byte {
 	okRecord := appendBatchRecord(nil, TExecAck, 0, 0, obs.TraceContext{},
 		ExecAck{EventID: 1}.encode(nil))
@@ -164,6 +196,11 @@ func malformedBatchBodies() map[string][]byte {
 		BatchAck{Acks: []BatchAckEntry{{EventID: 1}}}.encode(nil))
 	shortRecord := binary.AppendUvarint(nil, 1)
 	shortRecord = append(shortRecord, 0xff) // not even a full type field
+	lateCorrupt := binary.AppendUvarint(nil, 3)
+	lateCorrupt = append(append(lateCorrupt, okRecord...), okRecord...)
+	lateCorrupt = appendBatchRecord(lateCorrupt, TExec, 0, 0, obs.TraceContext{}, []byte{1, 2})
+	trailing := binary.AppendUvarint(nil, 1)
+	trailing = append(append(trailing, okRecord...), 0)
 	return map[string][]byte{
 		"zero-count":   binary.AppendUvarint(nil, 0),
 		"over-count":   binary.AppendUvarint(nil, MaxBatch+1),
@@ -171,14 +208,42 @@ func malformedBatchBodies() map[string][]byte {
 		"nested":       nested,
 		"nested-ack":   nestedAck,
 		"short-record": shortRecord,
+		"late-corrupt": lateCorrupt,
+		"trailing":     trailing,
 	}
 }
 
+// TestBatchDecodeRejectsMalformed: a malformed record anywhere in a Batch
+// frame fails that frame's first Read, none of its records is delivered or
+// left pending or referenced by the Conn, and the next frame reads as it
+// would have on its own.
 func TestBatchDecodeRejectsMalformed(t *testing.T) {
 	for name, body := range malformedBatchBodies() {
-		if _, err := decodeMessage(TBatch, body, nil, nil); err == nil {
-			t.Errorf("%s batch accepted", name)
+		lc := &loopConn{}
+		c := NewConn(lc)
+		lc.Write(batchFrame(body))
+		if err := c.Write(Envelope{Seq: 9, Msg: OK{}}); err != nil {
+			t.Fatal(err)
 		}
+		if env, err := c.Read(); err == nil {
+			t.Errorf("%s batch accepted: first record %+v", name, env)
+			continue
+		}
+		if c.Pending() {
+			t.Errorf("%s batch left records pending after its failed Read", name)
+		}
+		for i, env := range c.run[:cap(c.run)] {
+			if env != (Envelope{}) {
+				t.Errorf("%s batch left run slot %d holding %+v", name, i, env)
+			}
+		}
+		if env, err := c.Read(); err != nil || env.Seq != 9 || env.Msg != (OK{}) {
+			t.Errorf("%s batch: the next frame read as %+v, %v", name, env, err)
+		}
+	}
+	// A Batch is framing, never a message body.
+	if _, err := decodeMessage(TBatch, Batch{Envelopes: []Envelope{{Msg: OK{}}}}.encode(nil), nil, nil); err == nil {
+		t.Error("decodeMessage decoded a Batch body")
 	}
 	// BatchAck rejections share the count rules.
 	if _, err := decodeMessage(TBatchAck, binary.AppendUvarint(nil, 0), nil, nil); err == nil {
@@ -189,6 +254,40 @@ func TestBatchDecodeRejectsMalformed(t *testing.T) {
 	}
 	if _, err := decodeMessage(TBatchAck, binary.AppendUvarint(nil, 2), nil, nil); err == nil {
 		t.Error("truncated batch ack accepted")
+	}
+}
+
+// TestBatchRunShedsLongFrame: draining a MaxBatch-record frame leaves no run
+// array over maxIdleRun records behind, while the array of a short frame is
+// kept for the next one.
+func TestBatchRunShedsLongFrame(t *testing.T) {
+	long := make([]Envelope, MaxBatch)
+	for i := range long {
+		long[i] = Envelope{Seq: uint64(i), Msg: ExecAck{EventID: uint64(i)}}
+	}
+	c := NewConn(&loopConn{})
+	for _, env := range []Envelope{{Msg: Batch{Envelopes: long[:2]}}, {Msg: Batch{Envelopes: long}}} {
+		if err := c.Write(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if frame, err := readFrame(c); err != nil || len(frame) != 2 {
+		t.Fatalf("short frame read as %d records, %v", len(frame), err)
+	}
+	if cap(c.run) == 0 {
+		t.Error("a short frame's run array was dropped instead of kept")
+	}
+	frame, err := readFrame(c)
+	if err != nil || len(frame) != MaxBatch {
+		t.Fatalf("long frame read as %d records, %v", len(frame), err)
+	}
+	for i, env := range frame {
+		if env.Seq != uint64(i) {
+			t.Fatalf("record %d has seq %d", i, env.Seq)
+		}
+	}
+	if c := cap(c.run); c > maxIdleRun {
+		t.Errorf("a drained Conn keeps a %d-record run array, cap %d", c, maxIdleRun)
 	}
 }
 
@@ -212,7 +311,7 @@ func TestBatchAutoDetectFromPeer(t *testing.T) {
 	if !srv.BatchAware() {
 		t.Fatal("server conn did not detect batch-aware peer")
 	}
-	cliGot := readN(cli, 1)
+	cliGot := readN(cli, 2)
 	batch := Batch{Envelopes: []Envelope{
 		{Msg: Exec{EventID: 4, TargetPath: "/x", Name: "changed"}},
 		{Msg: Exec{EventID: 5, TargetPath: "/y", Name: "changed"}},
@@ -221,12 +320,61 @@ func TestBatchAutoDetectFromPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	envs := <-cliGot
-	if len(envs) != 1 {
-		t.Fatal("batched reply rejected")
+	if len(envs) != 2 {
+		t.Fatalf("batched reply read as %d records, want 2", len(envs))
 	}
-	got, ok := envs[0].Msg.(Batch)
-	if !ok || len(got.Envelopes) != 2 {
-		t.Fatalf("decoded %+v", envs[0].Msg)
+	for i, env := range envs {
+		if ex, ok := env.Msg.(Exec); !ok || ex.EventID != uint64(4+i) {
+			t.Fatalf("record %d = %+v", i, env.Msg)
+		}
+	}
+}
+
+// TestWriteAcksMatchesWrite pins WriteAcks to the frames Write puts on the
+// wire for the same acknowledgements: a lone entry is an ExecAck with the
+// entry's trace in its header, a longer run one BatchAck to a batch-aware
+// peer and one ExecAck per entry to any other, whatever the trace
+// negotiation.
+func TestWriteAcksMatchesWrite(t *testing.T) {
+	run := []BatchAckEntry{
+		{EventID: 1 << 20, Trace: obs.TraceContext{Trace: 7, Span: 8}},
+		{EventID: 3},
+		{EventID: 1<<20 + 1, Trace: obs.TraceContext{Trace: 9, Span: 10}},
+	}
+	for _, batching := range []bool{false, true} {
+		for _, tracing := range []bool{false, true} {
+			for _, acks := range [][]BatchAckEntry{run[:1], run[1:2], run} {
+				viaWrite, viaAcks := &sinkConn{}, &sinkConn{}
+				w, a := NewConn(viaWrite), NewConn(viaAcks)
+				for _, c := range []*Conn{w, a} {
+					if batching {
+						c.EnableBatch()
+					}
+					if tracing {
+						c.EnableTrace()
+					}
+				}
+				var envs []Envelope
+				if len(acks) > 1 && batching {
+					envs = []Envelope{{Msg: BatchAck{Acks: acks}}}
+				} else {
+					for _, e := range acks {
+						envs = append(envs, Envelope{Trace: e.Trace, Msg: ExecAck{EventID: e.EventID}})
+					}
+				}
+				for _, env := range envs {
+					if err := w.Write(env); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := a.WriteAcks(acks); err != nil {
+					t.Fatal(err)
+				}
+				if want, got := viaWrite.bytes(), viaAcks.bytes(); string(want) != string(got) {
+					t.Errorf("batching %v, tracing %v, %d acks: WriteAcks wrote\n %x\nWrite wrote\n %x", batching, tracing, len(acks), got, want)
+				}
+			}
+		}
 	}
 }
 

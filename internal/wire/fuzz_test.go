@@ -26,9 +26,8 @@ func FuzzDecodeMessage(f *testing.F) {
 	} {
 		f.Add(uint16(m.MsgType()), m.encode(nil))
 	}
-	// Hand-built malformed Batch bodies: truncated record, zero record
-	// count, over-cap count, nested batch — all must be rejected, never
-	// panic.
+	// Batch bodies, hand-built and malformed: a Batch is framing Read
+	// unpacks, so no body of that type may decode as a message.
 	for _, body := range malformedBatchBodies() {
 		f.Add(uint16(TBatch), body)
 	}
@@ -38,6 +37,9 @@ func FuzzDecodeMessage(f *testing.F) {
 		m, err := decodeMessage(Type(rawType), buf, idents, notices)
 		if err != nil {
 			return
+		}
+		if Type(rawType) == TBatch {
+			t.Fatalf("a Batch body decoded as %#v", m)
 		}
 		encoded := m.encode(nil)
 		repeat, err := decodeMessage(Type(rawType), buf, idents, notices)
@@ -66,10 +68,13 @@ func FuzzDecodeMessage(f *testing.F) {
 }
 
 // FuzzConnRead asserts the framed reader never panics on arbitrary streams,
-// and that every envelope it does decode owns its bytes: reading the next
-// frame into the same buffer must not change what the previous envelope
-// encodes to. The corpus seeds both envelope encodings: the pre-trace layout
-// and the traceFlag layout with trace/span varints after refSeq.
+// that every envelope it does decode owns its bytes — reading the rest of its
+// Batch and the next frame must not change what it encodes to — and that a
+// frame is read all or nothing: a Read fails only on a frame's first record,
+// leaving none pending, and a frame's records are exactly what the frame
+// reads as on a Conn of its own. The corpus seeds both envelope encodings:
+// the pre-trace layout and the traceFlag layout with trace/span varints after
+// refSeq.
 func FuzzConnRead(f *testing.F) {
 	env := Envelope{Seq: 3, Msg: OK{}}
 	var frame []byte
@@ -110,12 +115,7 @@ func FuzzConnRead(f *testing.F) {
 	bframe := binary.LittleEndian.AppendUint32(nil, uint32(len(bbody)))
 	f.Add(append(bframe, bbody...))
 	for _, body := range malformedBatchBodies() {
-		mb := binary.LittleEndian.AppendUint16(nil, uint16(TBatch))
-		mb = binary.AppendUvarint(mb, 0)
-		mb = binary.AppendUvarint(mb, 0)
-		mb = append(mb, body...)
-		mf := binary.LittleEndian.AppendUint32(nil, uint32(len(mb)))
-		f.Add(append(mf, mb...))
+		f.Add(batchFrame(body))
 	}
 	// Streams of two frames, so a second read overwrites the buffer the first
 	// envelope was decoded from: every message type followed by the batch
@@ -148,27 +148,39 @@ func FuzzConnRead(f *testing.F) {
 		}()
 		// Every envelope read so far must still encode as it did — a
 		// repeated notice is shared with the envelope that first carried it —
-		// and each must equal its frame read on a Conn that read nothing else.
-		var seen []Envelope
+		// and each frame's records must equal that frame read on a Conn that
+		// read nothing else.
+		var seen, frame []Envelope
 		var seenBytes [][]byte
 		rest := stream
 		for {
 			env, err := b.Read()
 			for i, prev := range seen {
 				if !bytes.Equal(AppendEnvelope(nil, prev), seenBytes[i]) {
-					t.Fatalf("%s changed when a later frame was read", prev.Msg.MsgType())
+					t.Fatalf("%s changed when a later record was read", prev.Msg.MsgType())
 				}
 			}
 			if err != nil {
+				if len(frame) != 0 || b.Pending() {
+					t.Fatalf("a Read failed part-way through a frame (%d records in, pending %v): %v", len(frame), b.Pending(), err)
+				}
 				return
+			}
+			seen, seenBytes = append(seen, env), append(seenBytes, AppendEnvelope(nil, env))
+			if frame = append(frame, env); b.Pending() {
+				continue
 			}
 			n := 4 + int(binary.LittleEndian.Uint32(rest))
 			fresh, err := readFresh(rest[:n])
-			if err != nil || !envelopesEqual(env, fresh) {
-				t.Fatalf("%s read as %#v after earlier frames, %#v on a fresh Conn (%v)", env.Msg.MsgType(), env, fresh, err)
+			if err != nil || len(fresh) != len(frame) {
+				t.Fatalf("a frame read as %d records after earlier frames, %d on a fresh Conn (%v)", len(frame), len(fresh), err)
 			}
-			rest = rest[n:]
-			seen, seenBytes = append(seen, env), append(seenBytes, AppendEnvelope(nil, env))
+			for i := range frame {
+				if !envelopesEqual(frame[i], fresh[i]) {
+					t.Fatalf("%s read as %#v after earlier frames, %#v on a fresh Conn", frame[i].Msg.MsgType(), frame[i], fresh[i])
+				}
+			}
+			rest, frame = rest[n:], frame[:0]
 		}
 	})
 }
@@ -202,9 +214,10 @@ func framesOf(envs ...Envelope) []byte {
 	return sink.bytes()
 }
 
-// readFresh decodes one frame on a Conn that has read nothing before it.
-func readFresh(frame []byte) (Envelope, error) {
-	return NewConn(&loopConn{sinkConn: sinkConn{buf: append([]byte(nil), frame...)}}).Read()
+// readFresh reads the records of one frame on a Conn that has read nothing
+// before it.
+func readFresh(frame []byte) ([]Envelope, error) {
+	return readFrame(NewConn(&loopConn{sinkConn: sinkConn{buf: append([]byte(nil), frame...)}}))
 }
 
 // writeRaw injects unframed bytes by writing a frame whose body is the raw

@@ -657,8 +657,6 @@ func decodeMessage(t Type, body []byte, idents *internTable, notices *noticeMemo
 		m = SessionToken{Token: d.string()}
 	case TResume:
 		m = Resume{Token: d.string()}
-	case TBatch:
-		m = decodeBatch(d)
 	case TBatchAck:
 		m = decodeBatchAck(d)
 	case TOK:

@@ -47,15 +47,21 @@ func (l *loopConn) reset() {
 }
 
 // survivesNextRead is the buffer-ownership check: env is written twice and
-// read back (a repeated notice the second time comes out of the Conn's
-// memo), the frame buffer they were decoded from is scribbled over, a third,
-// longer and different frame is read through the same Conn, and both decoded
-// envelopes must still encode to the bytes env encodes to.
+// its records read back (a repeated notice the second time comes out of the
+// Conn's memo; a Batch's second frame is decoded into the run array the
+// first one's records were handed out of), the frame buffer and the run
+// array are scribbled over, a third, longer and different frame is read
+// through the same Conn, and every record read must still encode to the
+// bytes its original encodes to.
 func survivesNextRead(env Envelope) error {
-	want := AppendEnvelope(nil, env)
+	recs := records(env)
+	want := make([][]byte, len(recs))
+	for i, rec := range recs {
+		want[i] = AppendEnvelope(nil, rec)
+	}
 	c := NewConn(&loopConn{})
 	c.EnableTrace()
-	other := Envelope{Seq: 99, Msg: Exec{EventID: 1, TargetPath: strings.Repeat("Z", len(want)+16),
+	other := Envelope{Seq: 99, Msg: Exec{EventID: 1, TargetPath: strings.Repeat("Z", len(AppendEnvelope(nil, env))+16),
 		Name: "other", Args: []attr.Value{attr.String(strings.Repeat("z", 64))},
 		Origin: couple.ObjectRef{Instance: "other", Path: "/other"}}}
 	for _, e := range []Envelope{env, env, other} {
@@ -63,7 +69,7 @@ func survivesNextRead(env Envelope) error {
 			return err
 		}
 	}
-	var got [2]Envelope
+	got := make([]Envelope, 2*len(recs))
 	for i := range got {
 		var err error
 		if got[i], err = c.Read(); err != nil {
@@ -74,12 +80,16 @@ func survivesNextRead(env Envelope) error {
 	for i := range frame {
 		frame[i] = 0x5A
 	}
+	run := c.run[:cap(c.run)]
+	for i := range run {
+		run[i] = Envelope{Seq: 0x5A, Msg: Err{Text: "scribbled"}}
+	}
 	if _, err := c.Read(); err != nil {
 		return err
 	}
 	for i, g := range got {
-		if have := AppendEnvelope(nil, g); !bytes.Equal(have, want) {
-			return fmt.Errorf("%s (read %d) changed under the next read:\n have %x\n want %x", env.Msg.MsgType(), i+1, have, want)
+		if have := AppendEnvelope(nil, g); !bytes.Equal(have, want[i%len(recs)]) {
+			return fmt.Errorf("%s (record %d) changed under the next read:\n have %x\n want %x", env.Msg.MsgType(), i+1, have, want[i%len(recs)])
 		}
 	}
 	return nil
@@ -319,7 +329,7 @@ func TestPropNoticeMemoMatchesFreshConn(t *testing.T) {
 		stream := framesOf(envs...)
 		c := NewConn(&loopConn{sinkConn: sinkConn{buf: append([]byte(nil), stream...)}})
 		for i := range envs {
-			got, err := c.Read()
+			got, err := readFrame(c)
 			if err != nil {
 				t.Logf("seed %d, frame %d: %v", seed, i, err)
 				return false
@@ -327,9 +337,15 @@ func TestPropNoticeMemoMatchesFreshConn(t *testing.T) {
 			n := 4 + int(binary.LittleEndian.Uint32(stream))
 			fresh, err := readFresh(stream[:n])
 			stream = stream[n:]
-			if err != nil || !envelopesEqual(got, fresh) {
-				t.Logf("seed %d, frame %d: read %+v after earlier frames, %+v on a fresh Conn (%v)", seed, i, got.Msg, fresh.Msg, err)
+			if err != nil || len(got) != len(fresh) {
+				t.Logf("seed %d, frame %d: %d records after earlier frames, %d on a fresh Conn (%v)", seed, i, len(got), len(fresh), err)
 				return false
+			}
+			for j := range got {
+				if !envelopesEqual(got[j], fresh[j]) {
+					t.Logf("seed %d, frame %d, record %d: read %+v after earlier frames, %+v on a fresh Conn", seed, i, j, got[j].Msg, fresh[j].Msg)
+					return false
+				}
 			}
 		}
 		return true
@@ -340,11 +356,13 @@ func TestPropNoticeMemoMatchesFreshConn(t *testing.T) {
 }
 
 // TestReadPathAllocBudget gates the steady-state allocations of the frames
-// the event path reads and writes. A Batch[SetLocks, Exec] costs the values a
-// caller keeps of what is new in it — the boxed Batch and its record slice,
-// the boxed Exec, its argument slice and the payload string — and nothing for
-// the frame body, the record bodies, the identifiers or the repeated lock
-// notice; a lone lock notice or verdict costs nothing at all.
+// the event path reads and writes. A Batch[SetLocks, Exec], read across its
+// two Reads, costs the values a caller keeps of what is new in it — the boxed
+// Exec, its argument slice and the payload string — and nothing for the
+// frame body, the run array, the record bodies, the identifiers or the
+// repeated lock notice; a lone lock notice or verdict costs nothing at all.
+// Acknowledging applied Execs (WriteAcks, lone or as a run, to a batching or
+// a plain peer) costs nothing either.
 func TestReadPathAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts include the race detector's own; `make allocs` runs this without -race")
@@ -359,7 +377,7 @@ func TestReadPathAllocBudget(t *testing.T) {
 		frame Envelope
 		want  float64
 	}{
-		{"Batch[SetLocks,Exec]", Envelope{Msg: Batch{Envelopes: []Envelope{locks, exec}}}, 5},
+		{"Batch[SetLocks,Exec]", Envelope{Msg: Batch{Envelopes: []Envelope{locks, exec}}}, 3},
 		{"SetLocks", locks, 0},
 		{"EventResult", Envelope{RefSeq: 9, Msg: EventResult{OK: true}}, 0},
 	} {
@@ -370,28 +388,38 @@ func TestReadPathAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := c.Read(); err != nil {
+		if _, err := readFrame(c); err != nil {
 			t.Fatal(err)
 		}
 		got := testing.AllocsPerRun(runs, func() {
-			if _, err := c.Read(); err != nil {
-				t.Fatal(err)
+			for more := true; more; more = c.Pending() {
+				if _, err := c.Read(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
+		t.Logf("Conn.Read of %s: %.1f allocations per frame", tc.name, got)
 		if got > tc.want {
 			t.Errorf("Conn.Read of %s allocates %.1f times per frame, budget %.0f", tc.name, got, tc.want)
 		}
 	}
 
-	lc := &loopConn{}
-	c := NewConn(lc)
-	ack := Envelope{Msg: ExecAck{EventID: 1 << 20}}
-	if got := testing.AllocsPerRun(runs, func() {
-		lc.reset()
-		if err := c.Write(ack); err != nil {
-			t.Fatal(err)
+	acks := []BatchAckEntry{{EventID: 1 << 20, Trace: obs.TraceContext{Trace: 1 << 40, Span: 1 << 41}}, {EventID: 1<<20 + 1}}
+	for _, batching := range []bool{false, true} {
+		lc := &loopConn{}
+		c := NewConn(lc)
+		if batching {
+			c.EnableBatch()
 		}
-	}); got != 0 {
-		t.Errorf("Conn.Write of ExecAck allocates %.1f times per frame, want 0", got)
+		for _, run := range [][]BatchAckEntry{acks[:1], acks} {
+			if got := testing.AllocsPerRun(runs, func() {
+				lc.reset()
+				if err := c.WriteAcks(run); err != nil {
+					t.Fatal(err)
+				}
+			}); got != 0 {
+				t.Errorf("WriteAcks of %d acks (batching %v) allocates %.1f times, want 0", len(run), batching, got)
+			}
+		}
 	}
 }

@@ -37,14 +37,25 @@
 // about the frame layout — it is pure capability advertisement. Only once
 // BatchAware reports true may a side send a Batch frame, which packs a run
 // of envelopes (each with its own type, correlation numbers, and optional
-// trace context) into one wire frame. Legacy peers never advertise the bit
-// and therefore keep receiving plain single-message frames.
+// trace context) into one wire frame, and a BatchAck, which answers a run of
+// Execs in one frame (WriteAcks). Legacy peers never advertise the bit and
+// therefore keep receiving, and sending, plain single-message frames.
+//
+// A Batch is framing, not a message: Read decodes a packed frame all or
+// nothing — one malformed record fails the frame's first Read and none of
+// its records is delivered — and then returns its records one per call,
+// exactly as if each had arrived as a frame of its own. Pending reports
+// whether records of the current frame are still to come, which is all a
+// reader needs to treat a frame's records as one unit.
 //
 // # Buffer ownership
 //
 // Read decodes every frame out of one per-Conn buffer that the next Read
-// overwrites, and a Batch record is decoded from a view into it. The rule
-// that makes this safe: a decoded Envelope never aliases the frame buffer.
+// overwrites, and a Batch record is decoded from a view into it; the
+// decoded records wait in a run array the Conn reuses for the next packed
+// frame. The rule that makes this safe: a decoded Envelope never aliases the
+// frame buffer, and Read returns it by value, so it outlives both the rest of
+// its run and the next frame.
 // Every decoder copies what it keeps — strings, byte payloads, attribute
 // values, widget states — so an Envelope stays valid for as long as its
 // holder likes, whatever the Conn reads next. Identifier strings (object
@@ -115,6 +126,11 @@ const maxConnScratch = 64 << 10
 // frames (an Exec with a short payload, a two-record Batch) fit in it.
 const minFrameBuf = 512
 
+// maxIdleRun caps the capacity (in records) of the run array a Conn keeps
+// once a packed frame is drained, so one long frame does not pin its records'
+// array for the life of the connection.
+const maxIdleRun = 256
+
 // Conn wraps a stream connection with framing and concurrent-safe writes.
 // Reads must be performed by a single goroutine.
 type Conn struct {
@@ -131,6 +147,12 @@ type Conn struct {
 	rbuf    []byte
 	idents  internTable
 	notices noticeMemo
+	// run holds the decoded records of the last Batch frame and next the
+	// index of the one Read returns next; also the reading goroutine's. A
+	// handed-out slot is zeroed, and a drained array over maxIdleRun records
+	// is dropped.
+	run  []Envelope
+	next int
 
 	// scratch is the reusable frame-encode buffer; scratch2 stages Batch
 	// record bodies (whose length prefixes the bytes). Both are guarded by
@@ -269,18 +291,78 @@ func (c *Conn) Write(env Envelope) error {
 	frame = appendFrameHeader(frame, raw, traced, env)
 	frame = env.Msg.encode(frame)
 	keepScratch(&c.scratch, frame)
-	n := len(frame) - 4
+	if err := endFrame(frame, 0); err != nil {
+		return err
+	}
+	return c.writeFrames(frame, 1)
+}
+
+// WriteAcks acknowledges a run of applied Execs, in entry order, without
+// boxing a message: a lone entry as the frame Write(Envelope{Trace: e.Trace,
+// Msg: ExecAck{EventID: e.EventID}}) puts on the wire, a longer run as the
+// frame of Write(Envelope{Msg: BatchAck{Acks: acks}}) — split every MaxBatch
+// entries — once BatchAware reports true, and as one ExecAck frame per entry
+// to a peer that has not negotiated batching. All of it goes out in one
+// flush; an empty run writes nothing.
+func (c *Conn) WriteAcks(acks []BatchAckEntry) error {
+	if len(acks) == 0 {
+		return nil
+	}
+	chunk := 1
+	if c.BatchAware() {
+		chunk = MaxBatch
+	}
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	buf := c.scratch[:0]
+	frames := 0
+	var err error
+	for len(acks) > 0 && err == nil {
+		run := acks[:min(chunk, len(acks))]
+		acks = acks[len(run):]
+		start := len(buf)
+		buf = append(buf, 0, 0, 0, 0)
+		if len(run) == 1 {
+			raw, traced := c.outFlags(TExecAck, run[0].Trace)
+			buf = appendFrameHeader(buf, raw, traced, Envelope{Trace: run[0].Trace})
+			buf = ExecAck{EventID: run[0].EventID}.encode(buf)
+		} else {
+			raw, traced := c.outFlags(TBatchAck, obs.TraceContext{})
+			buf = appendFrameHeader(buf, raw, traced, Envelope{})
+			buf = BatchAck{Acks: run}.encode(buf)
+		}
+		err = endFrame(buf, start)
+		frames++
+	}
+	keepScratch(&c.scratch, buf)
+	if err != nil {
+		return err
+	}
+	return c.writeFrames(buf, frames)
+}
+
+// endFrame patches the length prefix of the frame that starts at
+// buf[start:] and runs to the end of buf.
+func endFrame(buf []byte, start int) error {
+	n := len(buf) - start - 4
 	if n > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	binary.LittleEndian.PutUint32(frame[:4], uint32(n))
-	if _, err := c.rw.Write(frame); err != nil {
+	binary.LittleEndian.PutUint32(buf[start:], uint32(n))
+	return nil
+}
+
+// writeFrames sends buf, which holds the given number of complete frames, in
+// one flush and counts what was encoded (everything but the length
+// prefixes). Callers hold wmu.
+func (c *Conn) writeFrames(buf []byte, frames int) error {
+	if _, err := c.rw.Write(buf); err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	if err := c.rw.Flush(); err != nil {
 		return fmt.Errorf("wire: flush: %w", err)
 	}
-	c.encoded.Add(uint64(n))
+	c.encoded.Add(uint64(len(buf) - 4*frames))
 	return nil
 }
 
@@ -463,11 +545,16 @@ func (c *Conn) frameBuf(n int) []byte {
 	return c.rbuf[:n]
 }
 
-// Read reads and decodes one envelope. It returns io.EOF (possibly wrapped)
-// when the peer closed cleanly between frames. The frame is read into a
-// buffer the next Read reuses; the returned Envelope holds no reference to it
-// (see the package comment's ownership rule).
+// Read reads and decodes one envelope: the next record of the current Batch
+// frame while Pending reports true, else the next frame's message or, for a
+// Batch frame, its first record. It returns io.EOF (possibly wrapped) when
+// the peer closed cleanly between frames. The frame is read into a buffer the
+// next Read reuses; the returned Envelope holds no reference to it (see the
+// package comment's ownership rule).
 func (c *Conn) Read() (Envelope, error) {
+	if c.Pending() {
+		return c.nextRecord(), nil
+	}
 	if _, err := io.ReadFull(c.rw, c.rlen[:]); err != nil {
 		return Envelope{}, err
 	}
@@ -515,11 +602,42 @@ func (c *Conn) Read() (Envelope, error) {
 		// The peer speaks the extension; replies to it may carry traces.
 		c.peerTrace.Store(true)
 	}
+	if t == TBatch {
+		// The outer envelope of a packed frame carries nothing of its own:
+		// every record has its own correlation numbers and trace context.
+		run, err := decodeRun(c.run, body, &c.idents, &c.notices)
+		c.run = run
+		if err != nil {
+			return Envelope{}, err
+		}
+		return c.nextRecord(), nil
+	}
 	msg, err := decodeMessage(t, body, &c.idents, &c.notices)
 	if err != nil {
 		return Envelope{}, err
 	}
 	return Envelope{Seq: seq, RefSeq: refSeq, Trace: tc, Msg: msg}, nil
+}
+
+// Pending reports whether records of the Batch frame the last Read came from
+// are still to be returned: while it does, the next Read returns the next of
+// them without touching the connection.
+func (c *Conn) Pending() bool { return c.next < len(c.run) }
+
+// nextRecord hands out the next record of the current run and zeroes its
+// slot. Once the run is drained the array is kept for the next packed frame,
+// unless a long frame grew it past maxIdleRun.
+func (c *Conn) nextRecord() Envelope {
+	env := c.run[c.next]
+	c.run[c.next] = Envelope{}
+	c.next++
+	if c.next == len(c.run) {
+		c.run, c.next = c.run[:0], 0
+		if cap(c.run) > maxIdleRun {
+			c.run = nil
+		}
+	}
+	return env
 }
 
 // Pipe returns a connected pair of Conns backed by net.Pipe, for in-process

@@ -126,14 +126,6 @@ func normalize(m Message) Message {
 			v.Paths = nil
 		}
 		return v
-	case Batch:
-		envs := make([]Envelope, len(v.Envelopes))
-		for i, e := range v.Envelopes {
-			e.Msg = normalize(e.Msg)
-			envs[i] = e
-		}
-		v.Envelopes = envs
-		return v
 	case CopyTo:
 		v.State = normalizeTS(v.State)
 		return v
@@ -169,17 +161,21 @@ func TestMessageRoundTripOverPipe(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i, want := range msgs {
-			env, err := b.Read()
-			if err != nil {
-				t.Errorf("read %d: %v", i, err)
-				return
+		for i, m := range msgs {
+			// A Batch reads as its records, each with its own correlation
+			// numbers; anything else as itself.
+			for j, want := range records(Envelope{Seq: uint64(i + 1), RefSeq: uint64(i), Msg: m}) {
+				env, err := b.Read()
+				if err != nil {
+					t.Errorf("read %d.%d: %v", i, j, err)
+					return
+				}
+				if !envelopesEqual(env, want) {
+					t.Errorf("msg %d.%d (%s): got %#v, want %#v", i, j, want.Msg.MsgType(), env, want)
+				}
 			}
-			if env.Seq != uint64(i+1) || env.RefSeq != uint64(i) {
-				t.Errorf("msg %d: seq=%d refSeq=%d", i, env.Seq, env.RefSeq)
-			}
-			if !messagesEqual(env.Msg, want) {
-				t.Errorf("msg %d (%s): got %#v, want %#v", i, want.MsgType(), env.Msg, want)
+			if b.Pending() {
+				t.Errorf("msg %d (%s): records left over", i, m.MsgType())
 			}
 		}
 	}()
@@ -263,6 +259,9 @@ func TestCorruptFrames(t *testing.T) {
 
 func TestDecodeTrailingAndTruncated(t *testing.T) {
 	for _, m := range allMessages() {
+		if m.MsgType() == TBatch {
+			continue // framing, not a message: TestBatchDecodeRejectsMalformed
+		}
 		body := m.encode(nil)
 		// Trailing byte must be rejected.
 		if _, err := decodeMessage(m.MsgType(), append(append([]byte{}, body...), 0), nil, nil); err == nil {
