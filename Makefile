@@ -28,13 +28,15 @@ race:
 lint-metrics:
 	$(GO) run ./internal/tools/metriclint
 
-# The allocation budgets of the event path: per-frame gates on wire.Conn, the
-# remote re-execution of an event (widget Deliver), a steady-state client RPC
-# round trip, and the end-to-end budget per member-event over loopback TCP.
-# They skip themselves under the race detector (its bookkeeping allocates), so
-# the race legs never run them — this target does, uncached.
+# The allocation budgets of the event path: per-frame gates on wire.Conn and
+# the broadcast's shared Exec, a group's floor lock (lock.TryLockGroup plus
+# UnlockGroup), the remote re-execution of an event (widget Deliver), a
+# steady-state client RPC round trip and ack flush, and the end-to-end budget
+# per member-event over loopback TCP. They skip themselves under the race
+# detector (its bookkeeping allocates), so the race legs never run them — this
+# target does, uncached.
 allocs:
-	$(GO) test -count=1 -run AllocBudget ./internal/wire/ ./internal/widget/ ./internal/client/ ./internal/server/
+	$(GO) test -count=1 -run AllocBudget ./internal/wire/ ./internal/lock/ ./internal/widget/ ./internal/client/ ./internal/server/
 
 verify: vet lint-metrics race allocs
 

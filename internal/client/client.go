@@ -122,7 +122,7 @@ type Client struct {
 	// frame collects the records of the frame being read that are for the
 	// dispatch loop; it belongs to the read loop, which queues it as one unit
 	// once the frame's last record is routed.
-	frame []wire.Envelope
+	frame []wire.Record
 	// ackRun collects the acknowledgements of the Execs applied since the last
 	// flush; it belongs to the dispatch loop and is reused from run to run.
 	ackRun []wire.BatchAckEntry
@@ -329,7 +329,7 @@ func (c *Client) callCtx(msg wire.Message, tc obs.TraceContext) (wire.Envelope, 
 	t0 := c.mRPC.Start()
 	if err := c.send(wire.Envelope{Seq: seq, Trace: tc, Msg: msg}); err != nil {
 		c.withdraw(seq, slot)
-		return wire.Envelope{}, fmt.Errorf("client: send %s: %w", msg.MsgType(), err)
+		return wire.Envelope{}, c.sendError(msg, err)
 	}
 	armed := slot.arm(c.opts.RPCTimeout)
 	for {
@@ -365,6 +365,21 @@ func (c *Client) callCtx(msg wire.Message, tc obs.TraceContext) (wire.Envelope, 
 			c.withdraw(seq, slot)
 			return wire.Envelope{}, ErrClosed
 		}
+	}
+}
+
+// sendError reports a request that never left: a frame too large to send as
+// itself, and a transport that failed under the write as the loss it is — the
+// same ErrDisconnected (or, once Close has begun, ErrClosed) a request cut
+// while waiting for its reply reports.
+func (c *Client) sendError(msg wire.Message, err error) error {
+	switch {
+	case errors.Is(err, wire.ErrFrameTooLarge):
+		return fmt.Errorf("client: send %s: %w", msg.MsgType(), err)
+	case c.isClosed():
+		return ErrClosed
+	default:
+		return fmt.Errorf("%w: send %s: %w", ErrDisconnected, msg.MsgType(), err)
 	}
 }
 
@@ -523,8 +538,8 @@ func (c *Client) supervise() {
 		// server's send order; records packed after the reply are still in
 		// the Conn. A routing failure means the fresh connection already
 		// died; the read loop below notices immediately and redials.
-		for _, env := range pre {
-			if !c.handleIncoming(conn, env) {
+		for i := range pre {
+			if !c.handleIncoming(conn, &pre[i]) {
 				break
 			}
 		}
@@ -540,12 +555,9 @@ func (c *Client) supervise() {
 // dispatch queue, until conn fails.
 func (c *Client) readConn(conn *wire.Conn) {
 	defer c.dropFrame()
-	for {
-		env, err := conn.Read()
-		if err != nil {
-			return
-		}
-		if !c.handleIncoming(conn, env) {
+	var rec wire.Record
+	for conn.Next(&rec) == nil {
+		if !c.handleIncoming(conn, &rec) {
 			return
 		}
 	}
@@ -557,13 +569,13 @@ func (c *Client) readConn(conn *wire.Conn) {
 // last record is in, so the dispatch loop finds a packed run of Execs whole
 // and answers it with one coalesced ack. It reports false when the
 // connection or the dispatch queue has failed.
-func (c *Client) handleIncoming(conn *wire.Conn, env wire.Envelope) bool {
-	handled, err := c.routeLocal(conn, env)
+func (c *Client) handleIncoming(conn *wire.Conn, rec *wire.Record) bool {
+	handled, err := c.routeLocal(conn, rec)
 	if err != nil {
 		return false
 	}
 	if !handled {
-		c.frame = append(c.frame, env)
+		c.frame = append(c.frame, *rec)
 	}
 	if conn.Pending() || len(c.frame) == 0 {
 		return true
@@ -584,22 +596,22 @@ func (c *Client) dropFrame() {
 }
 
 // routeLocal handles the message kinds the read loop consumes inline,
-// reporting whether env was consumed. A non-nil error means the connection
+// reporting whether rec was consumed. A non-nil error means the connection
 // failed.
-func (c *Client) routeLocal(conn *wire.Conn, env wire.Envelope) (bool, error) {
-	if env.RefSeq != 0 {
+func (c *Client) routeLocal(conn *wire.Conn, rec *wire.Record) (bool, error) {
+	if rec.RefSeq != 0 {
 		c.mu.Lock()
-		ch, ok := c.waiters[env.RefSeq]
+		ch, ok := c.waiters[rec.RefSeq]
 		if ok {
-			delete(c.waiters, env.RefSeq)
+			delete(c.waiters, rec.RefSeq)
 		}
 		c.mu.Unlock()
 		if ok {
-			ch <- env
+			ch <- rec.Box()
 		}
 		return true, nil
 	}
-	switch m := env.Msg.(type) {
+	switch m := rec.Msg.(type) {
 	case wire.Ping:
 		// Answer liveness probes from the read loop: a slow application
 		// callback in the dispatch queue must not make a healthy client
@@ -666,19 +678,19 @@ func (c *Client) forgetFarLinks() {
 func (c *Client) dispatchLoop() {
 	defer c.wg.Done()
 	for {
-		env, last, ok := c.inq.pop()
+		rec, last, ok := c.inq.pop()
 		if !ok {
 			return
 		}
-		if m, isExec := env.Msg.(wire.Exec); isExec {
-			c.ackRun = append(c.ackRun, c.applyExec(env.Trace, m))
+		if rec.Type == wire.TExec {
+			c.ackRun = append(c.ackRun, c.applyExec(rec.Trace, rec.Exec))
 			if last {
 				c.flushAcks()
 			}
 			continue
 		}
 		c.flushAcks()
-		c.dispatchOne(env)
+		c.dispatchOne(&rec)
 	}
 }
 
@@ -698,10 +710,9 @@ func (c *Client) flushAcks() {
 	c.ackRun = c.ackRun[:0]
 }
 
-// dispatchOne processes a single server-initiated envelope other than an
-// Exec.
-func (c *Client) dispatchOne(env wire.Envelope) {
-	switch m := env.Msg.(type) {
+// dispatchOne processes a single server-initiated record other than an Exec.
+func (c *Client) dispatchOne(rec *wire.Record) {
+	switch m := rec.Msg.(type) {
 	case wire.SetLocks:
 		for _, path := range m.Paths {
 			if w, err := c.reg.Lookup(path); err == nil {
@@ -717,14 +728,14 @@ func (c *Client) dispatchOne(env wire.Envelope) {
 		h := c.cmds[m.Name]
 		c.mu.Unlock()
 		if h != nil {
-			c.guard("command handler ", m.Name, env.Trace.Trace, func() {
+			c.guard("command handler ", m.Name, rec.Trace.Trace, func() {
 				h(m.From, m.Payload)
 			})
 		} else {
 			c.slog.Debug("no handler for command", "command", m.Name)
 		}
 	default:
-		c.slog.Warn("unexpected server message", "type", env.Msg.MsgType().String())
+		c.slog.Warn("unexpected server message", "type", rec.Type.String())
 	}
 }
 
@@ -751,24 +762,24 @@ func (c *Client) recovered(kind, name string, trace obs.TraceID) {
 }
 
 // inqueue is the unbounded FIFO between the read loop and the dispatch
-// loop. It must not apply back-pressure: a blocked push for envelope N
-// would also block reading envelope N+1, which may be the RPC reply a
-// dispatch-side handler is waiting on — a deadlock, not a slowdown. Memory
-// is the accepted cost; the server's outbox limit bounds it from the other
-// side by evicting clients that stop draining.
+// loop. It must not apply back-pressure: a blocked push for record N would
+// also block reading record N+1, which may be the RPC reply a dispatch-side
+// handler is waiting on — a deadlock, not a slowdown. Memory is the accepted
+// cost; the server's outbox limit bounds it from the other side by evicting
+// clients that stop draining.
 type inqueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	// q[head:] is the backlog. A popped slot is zeroed, and the backing
 	// array is reused from its start whenever the queue runs empty — which
 	// on the event path is after nearly every pop — so a steady stream
-	// neither reallocates nor keeps consumed envelopes reachable.
-	q      []wire.Envelope
+	// neither reallocates nor keeps consumed records reachable.
+	q      []wire.Record
 	head   int
 	closed bool
 }
 
-// maxIdleInqueue caps the capacity (in envelopes) an empty inqueue keeps, so
+// maxIdleInqueue caps the capacity (in records) an empty inqueue keeps, so
 // the backlog of one slow callback is not pinned for the life of the client.
 const maxIdleInqueue = 1024
 
@@ -778,16 +789,16 @@ func newInqueue() *inqueue {
 	return q
 }
 
-// push appends envs as one unit — one lock, one wakeup — so the consumer
+// push appends recs as one unit — one lock, one wakeup — so the consumer
 // never finds the queue empty part-way through them; it reports false once
 // the queue is closed.
-func (q *inqueue) push(envs ...wire.Envelope) bool {
+func (q *inqueue) push(recs ...wire.Record) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return false
 	}
-	if len(q.q)+len(envs) > cap(q.q) && q.head >= len(q.q)/2 && q.head > 0 {
+	if len(q.q)+len(recs) > cap(q.q) && q.head >= len(q.q)/2 && q.head > 0 {
 		// Full with at least half of it consumed: slide the backlog down
 		// instead of growing (a consumer that keeps up, but never quite
 		// empties the queue, would otherwise grow it forever).
@@ -795,33 +806,33 @@ func (q *inqueue) push(envs ...wire.Envelope) bool {
 		clear(q.q[n:])
 		q.q, q.head = q.q[:n], 0
 	}
-	q.q = append(q.q, envs...)
+	q.q = append(q.q, recs...)
 	q.cond.Signal()
 	return true
 }
 
-// pop blocks for the next envelope; last reports that it emptied the queue,
+// pop blocks for the next record; last reports that it emptied the queue,
 // and ok is false once the queue is closed and drained.
-func (q *inqueue) pop() (env wire.Envelope, last, ok bool) {
+func (q *inqueue) pop() (rec wire.Record, last, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.head == len(q.q) && !q.closed {
 		q.cond.Wait()
 	}
 	if q.head == len(q.q) {
-		return wire.Envelope{}, false, false
+		return wire.Record{}, false, false
 	}
-	env = q.q[q.head]
-	q.q[q.head] = wire.Envelope{}
+	rec = q.q[q.head]
+	q.q[q.head] = wire.Record{}
 	q.head++
 	if q.head == len(q.q) {
 		q.q, q.head = q.q[:0], 0
 		if cap(q.q) > maxIdleInqueue {
 			q.q = nil
 		}
-		return env, true, true
+		return rec, true, true
 	}
-	return env, false, true
+	return rec, false, true
 }
 
 func (q *inqueue) close() {

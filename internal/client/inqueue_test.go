@@ -1,6 +1,7 @@
 package client
 
 import (
+	"reflect"
 	"testing"
 
 	"cosoft/internal/wire"
@@ -16,22 +17,24 @@ func TestInqueueDrainLeavesNoReferences(t *testing.T) {
 	firstCap := 0
 	for round := 0; round < 3; round++ {
 		for i := uint64(0); i < n; i++ {
-			if !q.push(wire.Envelope{Seq: i, Msg: wire.ExecAck{EventID: i}}) {
+			rec := wire.Record{Envelope: wire.Envelope{Seq: i, Msg: wire.Pong{Nonce: i}}, Type: wire.TExec,
+				Exec: wire.Exec{EventID: i, Name: "changed"}}
+			if !q.push(rec) {
 				t.Fatal("push on an open queue refused")
 			}
 		}
 		for i := uint64(0); i < n; i++ {
-			env, last, ok := q.pop()
-			if !ok || env.Seq != i || last != (i == n-1) {
-				t.Fatalf("pop %d = %+v, last %v, ok %v", i, env, last, ok)
+			rec, last, ok := q.pop()
+			if !ok || rec.Seq != i || rec.Exec.EventID != i || last != (i == n-1) {
+				t.Fatalf("pop %d = %+v, last %v, ok %v", i, rec, last, ok)
 			}
 		}
 		if q.head != 0 || len(q.q) != 0 {
 			t.Fatalf("drained queue sits at head=%d len=%d, want 0/0", q.head, len(q.q))
 		}
-		for i, env := range q.q[:cap(q.q)] {
-			if env != (wire.Envelope{}) {
-				t.Fatalf("slot %d still holds %+v after the drain", i, env)
+		for i, rec := range q.q[:cap(q.q)] {
+			if !reflect.ValueOf(rec).IsZero() {
+				t.Fatalf("slot %d still holds %+v after the drain", i, rec)
 			}
 		}
 		if round == 0 {
@@ -50,13 +53,13 @@ func TestInqueueSteadyBacklogStaysBounded(t *testing.T) {
 	const backlog = 3
 	next := uint64(0)
 	for i := uint64(0); i < backlog; i++ {
-		q.push(wire.Envelope{Seq: i})
+		q.push(seqRecord(i))
 	}
 	for i := uint64(backlog); i < 10000; i++ {
-		q.push(wire.Envelope{Seq: i})
-		env, _, _ := q.pop()
-		if env.Seq != next {
-			t.Fatalf("popped seq %d, want %d", env.Seq, next)
+		q.push(seqRecord(i))
+		rec, _, _ := q.pop()
+		if rec.Seq != next {
+			t.Fatalf("popped seq %d, want %d", rec.Seq, next)
 		}
 		next++
 	}
@@ -73,12 +76,12 @@ func TestInqueuePushesAFrameAsOneUnit(t *testing.T) {
 	q := newInqueue()
 	next := uint64(0)
 	for round := uint64(0); round < 50; round++ {
-		q.push(wire.Envelope{Seq: 3 * round})
-		q.push(wire.Envelope{Seq: 3*round + 1}, wire.Envelope{Seq: 3*round + 2})
+		q.push(seqRecord(3 * round))
+		q.push(seqRecord(3*round+1), seqRecord(3*round+2))
 		for i := 0; i < 3; i++ {
-			env, last, ok := q.pop()
-			if !ok || env.Seq != next || last != (i == 2) {
-				t.Fatalf("round %d pop %d = seq %d, last %v, ok %v; want seq %d", round, i, env.Seq, last, ok, next)
+			rec, last, ok := q.pop()
+			if !ok || rec.Seq != next || last != (i == 2) {
+				t.Fatalf("round %d pop %d = seq %d, last %v, ok %v; want seq %d", round, i, rec.Seq, last, ok, next)
 			}
 			next++
 		}
@@ -90,7 +93,7 @@ func TestInqueuePushesAFrameAsOneUnit(t *testing.T) {
 func TestInqueueShedsBurstCapacity(t *testing.T) {
 	q := newInqueue()
 	for i := 0; i < 4*maxIdleInqueue; i++ {
-		q.push(wire.Envelope{Seq: uint64(i)})
+		q.push(seqRecord(uint64(i)))
 	}
 	for i := 0; i < 4*maxIdleInqueue; i++ {
 		q.pop()
@@ -98,4 +101,9 @@ func TestInqueueShedsBurstCapacity(t *testing.T) {
 	if c := cap(q.q); c > maxIdleInqueue {
 		t.Errorf("empty queue keeps %d slots after a burst, cap %d", c, maxIdleInqueue)
 	}
+}
+
+// seqRecord is a record told apart by its sequence number alone.
+func seqRecord(seq uint64) wire.Record {
+	return wire.Record{Envelope: wire.Envelope{Seq: seq}}
 }

@@ -91,9 +91,9 @@ func (r *ReconnectOptions) jitterSeeds() (uint64, uint64) {
 }
 
 // redial dials and resumes the session with full-jitter exponential
-// backoff, returning the fresh connection plus any envelopes the server
+// backoff, returning the fresh connection plus any records the server
 // flushed ahead of the handshake reply. It runs on the supervise goroutine.
-func (c *Client) redial() (*wire.Conn, []wire.Envelope, error) {
+func (c *Client) redial() (*wire.Conn, []wire.Record, error) {
 	r := c.opts.Reconnect
 	rng := rand.New(rand.NewPCG(r.jitterSeeds()))
 	var lastErr error
@@ -137,7 +137,7 @@ func (c *Client) redial() (*wire.Conn, []wire.Envelope, error) {
 // accepted, and records packed after it stay in the Conn for the read loop —
 // abandoning the connection here would orphan a session whose single-use
 // token the admission already consumed, permanently stranding the client.
-func (c *Client) resume(raw net.Conn) (*wire.Conn, []wire.Envelope, error) {
+func (c *Client) resume(raw net.Conn) (*wire.Conn, []wire.Record, error) {
 	conn := wire.NewConn(raw)
 	if c.tr != nil {
 		conn.EnableTrace()
@@ -168,10 +168,10 @@ func (c *Client) resume(raw net.Conn) (*wire.Conn, []wire.Envelope, error) {
 		case <-watchDone:
 		}
 	}()
-	var pre []wire.Envelope
+	var pre []wire.Record
 	for {
-		env, err := conn.Read()
-		if err != nil {
+		var rec wire.Record
+		if err := conn.Next(&rec); err != nil {
 			conn.Close()
 			if closing.Load() {
 				return nil, nil, ErrClosed
@@ -181,7 +181,7 @@ func (c *Client) resume(raw net.Conn) (*wire.Conn, []wire.Envelope, error) {
 			}
 			return nil, nil, err
 		}
-		switch m := env.Msg.(type) {
+		switch m := rec.Msg.(type) {
 		case wire.Registered:
 			if m.ID != c.id {
 				conn.Close()
@@ -193,7 +193,7 @@ func (c *Client) resume(raw net.Conn) (*wire.Conn, []wire.Envelope, error) {
 			conn.Close()
 			return nil, nil, &permanentError{"client: resume refused: " + m.Text}
 		default:
-			pre = append(pre, env)
+			pre = append(pre, rec)
 		}
 	}
 }

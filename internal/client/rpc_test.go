@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -171,6 +172,79 @@ func TestRPCSlotsDropClosedChannels(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// failingWrites is a client's end of a connection whose writes fail once
+// broken is set, running onFail first when one is set, while its reads go on
+// blocking as before — a connection cut under a request's write.
+type failingWrites struct {
+	net.Conn
+	broken atomic.Bool
+	onFail func()
+}
+
+func (f *failingWrites) Write(p []byte) (int, error) {
+	if !f.broken.Load() {
+		return f.Conn.Write(p)
+	}
+	if f.onFail != nil {
+		f.onFail()
+	}
+	return 0, errors.New("connection reset by peer")
+}
+
+// TestRequestCutInItsWriteReportsDisconnected: a request whose frame cannot
+// be written reports the loss as ErrDisconnected, exactly as a request cut
+// while it waits for its reply does, so a caller retrying on that error
+// catches both; once Close has begun it reports ErrClosed. A frame too large
+// to send is not a loss and says so. Every such call hands its slot back.
+func TestRequestCutInItsWriteReportsDisconnected(t *testing.T) {
+	a, b := net.Pipe()
+	conn := &failingWrites{Conn: a}
+	go func() {
+		srv := wire.NewConn(b)
+		env, err := srv.Read()
+		if err != nil || srv.Write(wire.Envelope{RefSeq: env.Seq, Msg: wire.Registered{ID: "fake-1"}}) != nil {
+			return
+		}
+		for {
+			if _, err := srv.Read(); err != nil {
+				return
+			}
+		}
+	}()
+	c, err := New(conn, Options{Registry: widget.NewRegistry(), RPCTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		b.Close()
+		c.Close()
+	})
+	setClosed := func(closed bool) {
+		c.mu.Lock()
+		c.closed = closed
+		c.mu.Unlock()
+	}
+
+	// The Conn's buffered writer keeps the first write error and fails every
+	// later write with it, so the transport is reached only once.
+	conn.onFail = func() { setClosed(true) } // Close begins while the frame is written
+	conn.broken.Store(true)
+	if _, err := c.call(wire.Ping{Nonce: 1}); !errors.Is(err, ErrClosed) {
+		t.Errorf("a request cut in its write by Close failed with %v, want ErrClosed", err)
+	}
+	setClosed(false)
+	if _, err := c.call(wire.Ping{Nonce: 2}); !errors.Is(err, ErrDisconnected) {
+		t.Errorf("a request cut in its write failed with %v, want ErrDisconnected", err)
+	}
+	big := wire.Command{Name: "big", Payload: make([]byte, wire.MaxFrame)}
+	if _, err := c.call(big); !errors.Is(err, wire.ErrFrameTooLarge) || errors.Is(err, ErrDisconnected) {
+		t.Errorf("an oversized request failed with %v, want ErrFrameTooLarge alone", err)
+	}
+	if err := c.checkFreeSlots(); err != nil {
+		t.Error(err)
 	}
 }
 

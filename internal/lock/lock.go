@@ -26,6 +26,9 @@ type Owner struct {
 type Table struct {
 	mu   sync.Mutex
 	held map[couple.ObjectRef]Owner
+	// undo is TryLockGroup's list of the refs it acquired, kept empty between
+	// calls so a group acquisition allocates nothing; guarded by mu.
+	undo []couple.ObjectRef
 
 	// Metric handles (nil-safe; see Instrument).
 	mAttempts *obs.Counter
@@ -125,7 +128,7 @@ func (t *Table) TryLockGroup(refs []couple.ObjectRef, owner Owner) (ok bool, att
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.mAttempts.Inc()
-	acquired := make([]couple.ObjectRef, 0, len(refs))
+	acquired := t.undo[:0]
 	for _, ref := range refs {
 		if cur, held := t.held[ref]; held && cur != owner {
 			for _, a := range acquired {
@@ -133,6 +136,7 @@ func (t *Table) TryLockGroup(refs []couple.ObjectRef, owner Owner) (ok bool, att
 			}
 			t.mFailures.Inc()
 			t.mUndone.Add(uint64(len(acquired)))
+			t.keepUndo(acquired)
 			return false, len(acquired)
 		}
 		if _, held := t.held[ref]; !held {
@@ -140,7 +144,22 @@ func (t *Table) TryLockGroup(refs []couple.ObjectRef, owner Owner) (ok bool, att
 			acquired = append(acquired, ref)
 		}
 	}
+	t.keepUndo(acquired)
 	return true, len(acquired)
+}
+
+// maxIdleUndo caps the capacity (in refs) of the undo list a table keeps
+// between acquisitions, so one huge group does not pin its list.
+const maxIdleUndo = 1024
+
+// keepUndo empties acquired and keeps its array for the next acquisition,
+// unless a huge group grew it past maxIdleUndo. Callers hold mu.
+func (t *Table) keepUndo(acquired []couple.ObjectRef) {
+	clear(acquired)
+	if cap(acquired) > maxIdleUndo {
+		acquired = nil
+	}
+	t.undo = acquired[:0]
 }
 
 // TryLockGroupOrdered is the ablation variant: it sorts the refs into the

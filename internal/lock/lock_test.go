@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"cosoft/internal/couple"
 	"cosoft/internal/obs"
+	"cosoft/internal/race"
 )
 
 func ref(inst, path string) couple.ObjectRef {
@@ -223,6 +225,29 @@ func BenchmarkTryLockGroup(b *testing.B) {
 			b.Fatal("lock failed")
 		}
 		tbl.UnlockGroup(refs, o)
+	}
+}
+
+// TestLockGroupAllocBudget gates the floor lock of one event in steady state:
+// locking and unlocking a 31-member group — g4x32's — reuses the table's undo
+// list and allocates nothing.
+func TestLockGroupAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts include the race detector's own; `make allocs` runs this without -race")
+	}
+	tbl := NewTable()
+	refs := make([]couple.ObjectRef, 31)
+	for i := range refs {
+		refs[i] = ref(fmt.Sprintf("m%d", i), "/hub")
+	}
+	o := Owner{Instance: "m0", Seq: 1}
+	if got := testing.AllocsPerRun(200, func() {
+		if ok, _ := tbl.TryLockGroup(refs, o); !ok {
+			t.Fatal("lock failed")
+		}
+		tbl.UnlockGroup(refs, o)
+	}); got != 0 {
+		t.Errorf("locking and unlocking a group of %d allocates %.2f times, want 0", len(refs), got)
 	}
 }
 

@@ -20,16 +20,18 @@ import (
 // eventPathAllocBudget is the ceiling on heap allocations per member-event
 // (one event reaching one member: its share of the server's lock notice,
 // Exec, ack resolution and unlock notice, plus the member's own decode,
-// re-execution and ack) in the topology below. It measured 6.5, run after
+// re-execution and ack) in the topology below. It measured 4.0, run after
 // run, when the budget was set (49.7 before the event path stopped
 // re-deriving and re-allocating per event, 15.6 before a connection kept its
 // decoded notices, remote re-execution stopped building undo closures and
 // RPC reply slots were reused, 9.0 before a packed frame's records were read
 // one at a time out of a reused run array and acks were written without a
-// boxed message), so the ceiling carries a quarter of headroom: one more
-// allocation per member per event is within it, a map, a closure and a body
-// copy back on the per-member path are not.
-const eventPathAllocBudget = 8.125
+// boxed message, 6.5 before the Exec, the Event and the ExecAck were read by
+// value and the server's pending events, undo lists and shared bodies were
+// recycled), so the ceiling carries a quarter of headroom: one more
+// allocation per member per event is within it, a boxed message and a closure
+// back on the per-member path are not.
+const eventPathAllocBudget = 5.0
 
 // eventLogAllocBudget is the ceiling on what the event log adds per event to
 // the same topology: the logged run's allocations per event minus the
@@ -60,7 +62,7 @@ func TestEventPathAllocBudget(t *testing.T) {
 
 // TestLoggedEventPathAllocBudget is the logged twin: the same topology behind
 // an event log with the interval sync policy (cosoftd's default). It measured
-// the same 6.5 per member-event, so the same headroom rule gives it the same
+// the same 4.0 per member-event, so the same headroom rule gives it the same
 // budget; and what the log itself adds per event over an unlogged run
 // measured alongside is held to eventLogAllocBudget.
 func TestLoggedEventPathAllocBudget(t *testing.T) {

@@ -55,6 +55,48 @@ type pendingEvent struct {
 // committing reports whether the event's log record is still on its way.
 func (pe *pendingEvent) committing() bool { return pe.se != nil }
 
+const (
+	// maxFreePending bounds a shard's free list of resolved events. A shard
+	// has at most one event pending per group it serves, so a few dozen cover
+	// the groups that dispatch at once.
+	maxFreePending = 64
+	// maxFreeWaitSet is the largest wait set, in instances, a recycled event
+	// keeps, so one huge group does not pin its wait set.
+	maxFreeWaitSet = 1024
+)
+
+// newPending takes an event off sh's free list, or makes one, with a wait set
+// of n instances. Every field is zero and every count in the wait set too:
+// recycle zeroes an event when it takes it back.
+func (sh *shard) newPending(n int) *pendingEvent {
+	k := len(sh.free)
+	if k == 0 {
+		return &pendingEvent{waiting: make([]int, n)}
+	}
+	pe := sh.free[k-1]
+	sh.free[k-1] = nil
+	sh.free = sh.free[:k-1]
+	if cap(pe.waiting) < n {
+		pe.waiting = make([]int, n)
+	} else {
+		pe.waiting = pe.waiting[:n]
+	}
+	return pe
+}
+
+// recycle takes back a resolved event, one no pending map, migration bundle
+// or commit report can reach any more, and zeroes it for newPending. Only the
+// wait set's array survives, cleared: every count beyond its length already
+// is zero, since each event writes only within its own wait set.
+func (sh *shard) recycle(pe *pendingEvent) {
+	if len(sh.free) == maxFreePending || cap(pe.waiting) > maxFreeWaitSet {
+		return
+	}
+	clear(pe.waiting)
+	*pe = pendingEvent{waiting: pe.waiting[:0]}
+	sh.free = append(sh.free, pe)
+}
+
 // abandon drops what an unresolved event holds outside the server at
 // shutdown: its deadline timer and its shared body.
 func (pe *pendingEvent) abandon() {
@@ -73,15 +115,16 @@ func (pe *pendingEvent) abandon() {
 // and tells the origin whether to keep or undo its feedback. It runs on sh's
 // loop — the shard owning the source object's coupling group.
 //
-// tc is the trace context the Event envelope carried (the origin's
+// ev.tc is the trace context the Event envelope carried (the origin's
 // "client.event_send" span); every hop recorded here descends from it.
-func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc obs.TraceContext) {
+func (s *Server) handleEvent(sh *shard, ev eventReq) {
+	cl, seq, m, tc := ev.cl, ev.seq, &ev.m, ev.tc
 	source := couple.ObjectRef{Instance: cl.id, Path: m.Path}
 	// Ownership recheck: the group may have migrated between the read
-	// goroutine's routing decision and this closure running. Forward to the
-	// current owner rather than touching the wrong shard's state.
+	// goroutine's routing decision and this request running. Forward it to
+	// the current owner rather than touching the wrong shard's state.
 	if own := s.shardForRef(source); own != sh {
-		s.forwardEvent(own, cl, seq, m, tc)
+		s.postShardReq(own, shardReq{event: ev})
 		return
 	}
 	s.mEvents.Inc()
@@ -131,17 +174,10 @@ func (s *Server) handleEvent(sh *shard, cl *client, seq uint64, m wire.Event, tc
 	// shared refcounted buffer, which both the log record and every member's
 	// frame splice in. The event is pending from here on, so the health
 	// plane and the invariants see it while it commits.
-	pe := &pendingEvent{
-		source:  source,
-		plan:    p,
-		owner:   owner,
-		waiting: make([]int, len(p.insts)),
-		start:   start,
-		tc:      actx,
-		se:      wire.NewSharedExec(eventID, m.Name, m.Args, source),
-		from:    cl,
-		refSeq:  seq,
-	}
+	pe := sh.newPending(len(p.insts))
+	pe.source, pe.plan, pe.owner, pe.start, pe.tc = source, p, owner, start, actx
+	pe.se = wire.NewSharedExec(eventID, m.Name, m.Args, source)
+	pe.from, pe.refSeq = cl, seq
 	sh.pending[eventID] = pe
 	// Nothing about the event leaves the server before its record is
 	// durable, so an acked event is always in the replayable stream. The
@@ -182,6 +218,7 @@ func (s *Server) broadcast(sh *shard, eventID uint64, pe *pendingEvent, err erro
 			Trace:  s.tr.Point(actx, "server.event_result", "server", "refused: log append failed"),
 			Msg:    eventUnlogged,
 		})
+		sh.recycle(pe)
 		return
 	}
 	s.notifyLocks(p, actx, true)
@@ -268,13 +305,6 @@ func (s *Server) committed(sh *shard, id uint64, err error) {
 	}
 }
 
-// forwardEvent re-posts an Event that reached a shard its group has since
-// migrated away from. It is a function of its own so that the closure's
-// captures do not make every handleEvent call's parameters escape.
-func (s *Server) forwardEvent(own *shard, cl *client, seq uint64, m wire.Event, tc obs.TraceContext) {
-	s.postShard(own, func() { s.handleEvent(own, cl, seq, m, tc) })
-}
-
 // timeoutEvent resolves an event whose deadline expired before every member
 // acknowledged: the stragglers are dropped from the wait set and the group
 // unlocks, so one hung member cannot wedge the whole coupling group.
@@ -326,7 +356,7 @@ func (pe *pendingEvent) dropWaiter(inst couple.InstanceID) bool {
 	return pe.left == 0
 }
 
-// ackClock reads the clock once for a coalesced run of acks (dispatchEnv
+// ackClock reads the clock once for a coalesced run of acks (dispatch
 // stamps every entry of a BatchAck with it), so per-member latency
 // attribution costs one clock read per BatchAck frame rather than one per
 // entry. Zero when metrics are disabled — ackExec then never reads the clock
@@ -401,6 +431,7 @@ func (s *Server) eventOwner(sh *shard, id uint64) (*shard, bool) {
 func (s *Server) finishEvent(sh *shard, id uint64, pe *pendingEvent, timedOut bool) {
 	s.dropPending(sh, id, pe)
 	s.unlockEvent(sh, pe, timedOut)
+	sh.recycle(pe)
 }
 
 // dropPending forgets a resolved event: its wait set, its deadline and the

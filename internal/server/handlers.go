@@ -15,7 +15,7 @@ import (
 )
 
 // handle dispatches one control-plane message from a registered client. It
-// runs on the global loop; dispatchEnv routes Event, ExecAck and BatchAck
+// runs on the global loop; dispatch routes Event, ExecAck and BatchAck
 // straight to the shard loops, so they never reach it.
 func (s *Server) handle(cl *client, env wire.Envelope) {
 	switch m := env.Msg.(type) {

@@ -355,7 +355,7 @@ func TestPropMirrorsMatchFullBroadcast(t *testing.T) {
 	}
 }
 
-// mirrorSeeds are 125 seeds once drawn by quick.Check, in five draws of 25,
+// mirrorSeeds are 150 seeds once drawn by quick.Check, in six draws of 25,
 // kept as a regression set beside the fresh ones.
 var mirrorSeeds = []int64{
 	-1259670455702671925, -212541134892010761, -2992354744898627188,
@@ -407,6 +407,16 @@ var mirrorSeeds = []int64{
 	4057324867327682691, 4069768339557456069, 4929188699761339430,
 	6127769067167781624, 656227224301876320, 6813552217433126940,
 	7318090048050209101,
+
+	-21073000619949415, -2322859318676452798, -2637016625193312234,
+	-3130966988078335979, -3458265101616194935, -370174330146306658,
+	-4561953980104669388, -4832106247133947880, -5158918487083070266,
+	-725664160253835969, -7822173902899884586, -8824242345378068366,
+	2091401855749926201, 2446883622109027167, 372726562371599601,
+	3884783199789473652, 4539298393592054606, 509633625543246575,
+	5985378965873647051, 652586272144651160, 6659399213929208729,
+	7308441812148439215, 7554512694055968451, 7625411534829087208,
+	8352171734824885358,
 }
 
 // star couples hub to every spoke in turn and keeps the oracle in step.

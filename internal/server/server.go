@@ -668,7 +668,7 @@ func (s *Server) Permissions() *perm.Table { return s.st.perms }
 
 // handleConn runs the read loop for one connection: the first message must
 // be Register (fresh instance) or Resume (reconnection presenting a session
-// token); afterwards messages are posted to the state loop.
+// token); afterwards each record is dispatched to the loop that handles it.
 func (s *Server) handleConn(c *wire.Conn) {
 	c.CountEncodedBytes(s.mBytesEncoded)
 	env, err := c.Read()
@@ -697,13 +697,10 @@ func (s *Server) handleConn(c *wire.Conn) {
 		return
 	}
 
-	for {
-		env, err := c.Read()
-		if err != nil {
-			break
-		}
+	var rec wire.Record
+	for c.Next(&rec) == nil {
 		cl.touch()
-		if !s.dispatchEnv(cl, env) {
+		if !s.dispatch(cl, &rec) {
 			break
 		}
 	}

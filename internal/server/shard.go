@@ -79,6 +79,9 @@ type shard struct {
 	seq     uint64
 	locks   *lock.Table
 	pending map[uint64]*pendingEvent
+	// free holds events resolved here, wait sets and all, zeroed for the
+	// next events granted here (see newPending and recycle).
+	free []*pendingEvent
 	// plans caches the broadcast plan of every source that dispatched since
 	// the couple graph last changed (generation planGen); see planFor.
 	plans   map[couple.ObjectRef]*plan
@@ -98,12 +101,22 @@ type shard struct {
 	mDepth  *obs.Gauge   // server.shard.<idx>.queue_depth: inbox depth, sampled per dequeue
 }
 
-// shardReq is one request to a shard loop: a closure, or — for the one
-// request that arrives once per member per event — an Exec acknowledgement
-// carried by value, so resolving an ack allocates nothing.
+// shardReq is one request to a shard loop: a closure, or — for the requests
+// every event brings, its arrival and one acknowledgement per member — an
+// Event or an Exec acknowledgement carried by value, so neither allocates a
+// closure to reach the loop.
 type shardReq struct {
-	fn  func()
-	ack execAck // the request when fn is nil
+	fn    func()
+	event eventReq // the request when fn is nil and event.cl is set
+	ack   execAck  // the request otherwise
+}
+
+// eventReq is one Event as its origin's connection read it.
+type eventReq struct {
+	cl  *client
+	seq uint64
+	m   wire.Event
+	tc  obs.TraceContext // the origin's send span
 }
 
 // execAck is one member's acknowledgement of one Exec.
@@ -300,6 +313,8 @@ func (s *Server) runShard(sh *shard, req shardReq) {
 		sh.held = append(sh.held, req)
 	case req.fn != nil:
 		req.fn()
+	case req.event.cl != nil:
+		s.handleEvent(sh, req.event)
 	default:
 		s.ackExec(sh, req.ack)
 	}
@@ -384,37 +399,46 @@ func (s *Server) extractMigrated(from, to *shard, refs map[couple.ObjectRef]bool
 	return m
 }
 
-// dispatchEnv routes one decoded envelope from a connection read loop:
-// Event/ExecAck/BatchAck traffic goes straight to the owning shard;
-// everything else (registration, coupling, copies, commands, permissions)
-// goes to the global loop.
-func (s *Server) dispatchEnv(cl *client, env wire.Envelope) bool {
-	switch m := env.Msg.(type) {
-	case wire.Event:
-		sh := s.shardForRef(couple.ObjectRef{Instance: cl.id, Path: m.Path})
-		return s.postShard(sh, func() {
-			s.recordFlight(cl, "recv", env)
-			s.handleEvent(sh, cl, env.Seq, m, env.Trace)
-		})
-	case wire.ExecAck:
-		s.recordFlight(cl, "recv", env)
-		return s.postAck(s.birthShard(m.EventID), execAck{cl: cl, eventID: m.EventID, tc: env.Trace})
-	case wire.BatchAck:
+// dispatch routes one record from a connection read loop: Event, ExecAck and
+// BatchAck traffic goes straight to the owning shard, an Event or an ExecAck
+// by value as the record holds it; everything else (registration, coupling,
+// copies, commands, permissions) goes to the global loop.
+func (s *Server) dispatch(cl *client, rec *wire.Record) bool {
+	switch rec.Type {
+	case wire.TEvent:
+		s.recordRecv(cl, rec)
+		sh := s.shardForRef(couple.ObjectRef{Instance: cl.id, Path: rec.Event.Path})
+		return s.postShardReq(sh, shardReq{event: eventReq{cl: cl, seq: rec.Seq, m: rec.Event, tc: rec.Trace}})
+	case wire.TExecAck:
+		s.recordRecv(cl, rec)
+		id := rec.ExecAck.EventID
+		return s.postAck(s.birthShard(id), execAck{cl: cl, eventID: id, tc: rec.Trace})
+	case wire.TBatchAck:
 		// Each entry goes to its event's birth shard as its own request; a
 		// shard's queue is FIFO, so within a shard the entries resolve in
 		// entry order — identical to the same ExecAcks arriving singly.
-		s.recordFlight(cl, "recv", env)
-		s.mAcksCoalesced.Add(uint64(len(m.Acks)))
+		s.recordRecv(cl, rec)
+		acks := rec.Msg.(wire.BatchAck).Acks
+		s.mAcksCoalesced.Add(uint64(len(acks)))
 		now := s.ackClock()
-		for _, a := range m.Acks {
+		for _, a := range acks {
 			if !s.postAck(s.birthShard(a.EventID), execAck{cl: cl, eventID: a.EventID, tc: a.Trace, now: now}) {
 				return false
 			}
 		}
 		return true
 	}
+	env := rec.Box()
 	return s.post(func() {
 		s.recordFlight(cl, "recv", env)
 		s.handle(cl, env)
 	})
+}
+
+// recordRecv logs a record the read loop hands to a shard, boxing it only
+// when the flight recorder is on.
+func (s *Server) recordRecv(cl *client, rec *wire.Record) {
+	if s.flight != nil {
+		s.recordFlight(cl, "recv", rec.Box())
+	}
 }

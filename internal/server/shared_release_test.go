@@ -22,7 +22,7 @@ func waitNoLiveBodies(t *testing.T) {
 // the eviction decref bug class: when a connection dies (the eviction path
 // kills it out from under the writer) while shared-body records are both
 // in flight and still queued, every reference must be dropped exactly once.
-// A double release panics in bodyBuf.unref, a leak trips the liveBodies
+// A double release panics in SharedExec.Release, a leak trips the liveBodies
 // oracle — and -race checks the release ordering.
 func TestOutboxDeathReleasesSharedBodiesExactlyOnce(t *testing.T) {
 	o, peer := outboxPair(t, false, 0, 8)

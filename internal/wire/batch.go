@@ -20,7 +20,7 @@ const MaxBatch = 4096
 // same order. Batch frames may only be sent once BatchAware reports true;
 // a Batch may not nest another Batch or a BatchAck.
 //
-// Batch is framing, and only a writer ever holds one: Read never returns a
+// Batch is framing, and only a writer ever holds one: Next never returns a
 // Batch but hands out its records one per call (see Conn.Pending).
 //
 // Record layout, repeated Count times after a leading uvarint count:
@@ -85,7 +85,7 @@ func (m BatchAck) encode(buf []byte) []byte {
 // decodeRun decodes the records of a Batch frame body into run (which must be
 // empty), all or nothing: on error run comes back empty, with no slot still
 // referencing a record decoded before the fault.
-func decodeRun(run []Envelope, body []byte, idents *internTable, notices *noticeMemo) ([]Envelope, error) {
+func decodeRun(run []Record, body []byte, idents *internTable, notices *noticeMemo) ([]Record, error) {
 	d := decoder{buf: body, idents: idents, notices: notices}
 	n := d.uvarint()
 	switch {
@@ -99,11 +99,10 @@ func decodeRun(run []Envelope, body []byte, idents *internTable, notices *notice
 	default:
 		run = slices.Grow(run, int(n))
 		for i := uint64(0); i < n; i++ {
-			env, ok := d.innerEnvelope()
-			if !ok {
+			run = append(run, Record{})
+			if !d.innerRecord(&run[i]) {
 				break
 			}
-			run = append(run, env)
 		}
 	}
 	if err := d.done(); err != nil {
@@ -117,35 +116,34 @@ func decodeRun(run []Envelope, body []byte, idents *internTable, notices *notice
 // word and three one-byte uvarints around an empty body.
 const minBatchRecord = 5
 
-// innerEnvelope decodes one Batch record. The record body is decoded out of
-// a view into the enclosing frame; the envelope keeps none of it.
-func (d *decoder) innerEnvelope() (Envelope, bool) {
+// innerRecord decodes one Batch record into rec, which must be zero. The
+// record body is decoded out of a view into the enclosing frame; the record
+// keeps none of it.
+func (d *decoder) innerRecord(rec *Record) bool {
 	raw := d.u16()
 	t := Type(raw &^ flagMask)
-	env := Envelope{Seq: d.uvarint(), RefSeq: d.uvarint()}
+	rec.Seq, rec.RefSeq = d.uvarint(), d.uvarint()
 	if raw&traceFlag != 0 {
-		env.Trace = obs.TraceContext{
+		rec.Trace = obs.TraceContext{
 			Trace: obs.TraceID(d.uvarint()),
 			Span:  obs.SpanID(d.uvarint()),
 		}
 	}
 	body := d.view("bytes")
 	if d.err != nil {
-		return Envelope{}, false
+		return false
 	}
-	// A nested Batch is refused by decodeMessage, which knows no such
+	// A nested Batch is refused by decodeRecord, which knows no such
 	// message; a BatchAck it would decode.
 	if t == TBatchAck {
 		d.fail("nested batch ack")
-		return Envelope{}, false
+		return false
 	}
-	msg, err := decodeMessage(t, body, d.idents, d.notices)
-	if err != nil {
+	if err := decodeRecord(rec, t, body, d.idents, d.notices); err != nil {
 		d.err = err
-		return Envelope{}, false
+		return false
 	}
-	env.Msg = msg
-	return env, true
+	return true
 }
 
 func decodeBatchAck(d *decoder) BatchAck {

@@ -2,13 +2,16 @@ package wire
 
 import (
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"cosoft/internal/attr"
+	"cosoft/internal/couple"
 	"cosoft/internal/obs"
 )
 
@@ -45,6 +48,72 @@ func readFrame(c *Conn) ([]Envelope, error) {
 	return frame, nil
 }
 
+// scribbledRecord is a Record with every field set, for checking that Next
+// overwrites all of them.
+func scribbledRecord() Record {
+	args := []attr.Value{attr.String("scribbled")}
+	return Record{
+		Envelope: Envelope{Seq: 0x5A, RefSeq: 0x5A, Trace: obs.TraceContext{Trace: 0x5A, Span: 0x5A}, Msg: Err{Text: "scribbled"}},
+		Type:     TErr,
+		Exec: Exec{EventID: 0x5A, TargetPath: "/scribbled", Name: "scribbled", Args: args,
+			Origin: couple.ObjectRef{Instance: "scribbled", Path: "/scribbled"}},
+		Event:   Event{Path: "/scribbled", Name: "scribbled", Args: args},
+		ExecAck: ExecAck{EventID: 0x5A},
+	}
+}
+
+// byValue reports whether a Record carries messages of type t in a field of
+// their own instead of in Msg.
+func byValue(t Type) bool { return t == TExec || t == TEvent || t == TExecAck }
+
+// recordMatches holds rec, filled by Next, to env, which Read returned for
+// the same bytes on a twin Conn: rec boxes to env, its Msg is nil exactly for
+// the three kinds a Record holds by value, and every field that does not hold
+// its message is zero — so nothing a previous use left in rec survives.
+func recordMatches(rec Record, env Envelope) error {
+	if rec.Type != env.Msg.MsgType() {
+		return fmt.Errorf("Next read a %s where Read read a %s", rec.Type, env.Msg.MsgType())
+	}
+	if (rec.Msg == nil) != byValue(rec.Type) {
+		return fmt.Errorf("Next read a %s with Msg %#v", rec.Type, rec.Msg)
+	}
+	if box := rec.Box(); !envelopesEqual(box, env) {
+		return fmt.Errorf("Next read %#v, Read %#v", box, env)
+	}
+	for t, field := range map[Type]any{TExec: rec.Exec, TEvent: rec.Event, TExecAck: rec.ExecAck} {
+		if t != rec.Type && !reflect.ValueOf(field).IsZero() {
+			return fmt.Errorf("a %s record still holds the %#v of an earlier one", rec.Type, field)
+		}
+	}
+	return nil
+}
+
+// nextMatchesRead reads stream to its end twice, once with Next into a
+// scribbled Record on one Conn and once with Read on a twin, and holds every
+// record to recordMatches. It returns how many records the stream held.
+func nextMatchesRead(stream []byte) (int, error) {
+	loop := func() *Conn { return NewConn(&loopConn{sinkConn: sinkConn{buf: append([]byte(nil), stream...)}}) }
+	c, twin := loop(), loop()
+	for n := 0; ; n++ {
+		rec := scribbledRecord()
+		err := c.Next(&rec)
+		env, twinErr := twin.Read()
+		switch {
+		case (err == nil) != (twinErr == nil):
+			return n, fmt.Errorf("record %d: Next failed with %v, Read with %v", n, err, twinErr)
+		case err != nil && !reflect.ValueOf(rec).IsZero():
+			return n, fmt.Errorf("record %d: a failed Next left %#v", n, rec)
+		case err != nil:
+			return n, nil
+		case c.Pending() != twin.Pending():
+			return n, fmt.Errorf("record %d: Pending %v after Next, %v after Read", n, c.Pending(), twin.Pending())
+		}
+		if err := recordMatches(rec, env); err != nil {
+			return n, fmt.Errorf("record %d: %w", n, err)
+		}
+	}
+}
+
 // appendBatchRecord hand-builds one Batch record in the wire byte layout,
 // independent of the encoder, for frame-pinning tests and fuzz seeds.
 func appendBatchRecord(buf []byte, t Type, seq, refSeq uint64, tc obs.TraceContext, body []byte) []byte {
@@ -77,7 +146,8 @@ func batchFrame(body []byte) []byte {
 // return exactly what N Reads of the same run sent singly over a
 // trace-enabled connection return — same messages, same correlation numbers,
 // same trace contexts (zero stays zero, non-zero survives exactly), same
-// order — and Pending holds from the first of them until the last.
+// order — and Pending holds from the first of them until the last. Next
+// agrees with Read on both streams, record for record (nextMatchesRead).
 func TestPropBatchRoundTripMatchesSingles(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -126,6 +196,13 @@ func TestPropBatchRoundTripMatchesSingles(t *testing.T) {
 		}
 		for i := range got {
 			if !envelopesEqual(frame[i], got[i]) {
+				return false
+			}
+		}
+
+		for _, stream := range [][]byte{framesOf(envs...), framesOf(Envelope{Msg: Batch{Envelopes: envs}})} {
+			if k, err := nextMatchesRead(stream); err != nil || k != n {
+				t.Logf("seed %d: Next read %d of %d records: %v", seed, k, n, err)
 				return false
 			}
 		}
@@ -232,9 +309,9 @@ func TestBatchDecodeRejectsMalformed(t *testing.T) {
 		if c.Pending() {
 			t.Errorf("%s batch left records pending after its failed Read", name)
 		}
-		for i, env := range c.run[:cap(c.run)] {
-			if env != (Envelope{}) {
-				t.Errorf("%s batch left run slot %d holding %+v", name, i, env)
+		for i, rec := range c.run[:cap(c.run)] {
+			if !reflect.ValueOf(rec).IsZero() {
+				t.Errorf("%s batch left run slot %d holding %+v", name, i, rec)
 			}
 		}
 		if env, err := c.Read(); err != nil || env.Seq != 9 || env.Msg != (OK{}) {

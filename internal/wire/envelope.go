@@ -29,12 +29,12 @@ func AppendEnvelope(buf []byte, env Envelope) []byte {
 // frame decoding rejects them.
 func DecodeEnvelope(buf []byte) (Envelope, error) {
 	d := &decoder{buf: buf}
-	env, ok := d.innerEnvelope()
-	if !ok {
+	var rec Record
+	if !d.innerRecord(&rec) {
 		return Envelope{}, d.err
 	}
 	if err := d.done(); err != nil {
 		return Envelope{}, err
 	}
-	return env, nil
+	return rec.Box(), nil
 }

@@ -3,10 +3,20 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"cosoft/internal/obs"
 )
+
+// decodeMessage decodes a message body as Read hands it out: boxed.
+func decodeMessage(t Type, body []byte, idents *internTable, notices *noticeMemo) (Message, error) {
+	var rec Record
+	if err := decodeRecord(&rec, t, body, idents, notices); err != nil {
+		return nil, err
+	}
+	return rec.Box().Msg, nil
+}
 
 // FuzzDecodeMessage asserts the message decoder never panics on arbitrary
 // bodies of every known type, that accepted messages re-encode to an equal
@@ -72,7 +82,10 @@ func FuzzDecodeMessage(f *testing.F) {
 // Batch and the next frame must not change what it encodes to — and that a
 // frame is read all or nothing: a Read fails only on a frame's first record,
 // leaving none pending, and a frame's records are exactly what the frame
-// reads as on a Conn of its own. The corpus seeds both envelope encodings:
+// reads as on a Conn of its own. Next on a twin Conn agrees with Read record
+// for record (recordMatches), overwriting a Record that held something else,
+// fails where Read fails leaving the Record zero, and its Records own their
+// bytes like the envelopes do. The corpus seeds both envelope encodings:
 // the pre-trace layout and the traceFlag layout with trace/span varints after
 // refSeq.
 func FuzzConnRead(f *testing.F) {
@@ -146,27 +159,46 @@ func FuzzConnRead(f *testing.F) {
 				_ = writeRaw(a, raw)
 			}
 		}()
-		// Every envelope read so far must still encode as it did — a
-		// repeated notice is shared with the envelope that first carried it —
+		// A twin Conn reads the same bytes with Next, into a Record that
+		// holds something else every time.
+		twin := NewConn(&loopConn{sinkConn: sinkConn{buf: append([]byte(nil), stream...)}})
+		// Every envelope and Record read so far must still encode as it did —
+		// a repeated notice is shared with the envelope that first carried it —
 		// and each frame's records must equal that frame read on a Conn that
 		// read nothing else.
 		var seen, frame []Envelope
+		var seenRecs []Record
 		var seenBytes [][]byte
 		rest := stream
 		for {
 			env, err := b.Read()
+			rec := scribbledRecord()
+			nextErr := twin.Next(&rec)
 			for i, prev := range seen {
 				if !bytes.Equal(AppendEnvelope(nil, prev), seenBytes[i]) {
 					t.Fatalf("%s changed when a later record was read", prev.Msg.MsgType())
 				}
+				if !bytes.Equal(AppendEnvelope(nil, seenRecs[i].Box()), seenBytes[i]) {
+					t.Fatalf("a %s Record changed when a later record was read", seenRecs[i].Type)
+				}
+			}
+			if (err == nil) != (nextErr == nil) {
+				t.Fatalf("Read failed with %v, Next on the same bytes with %v", err, nextErr)
 			}
 			if err != nil {
 				if len(frame) != 0 || b.Pending() {
 					t.Fatalf("a Read failed part-way through a frame (%d records in, pending %v): %v", len(frame), b.Pending(), err)
 				}
+				if !reflect.ValueOf(rec).IsZero() {
+					t.Fatalf("a failed Next left %#v", rec)
+				}
 				return
 			}
+			if err := recordMatches(rec, env); err != nil {
+				t.Fatal(err)
+			}
 			seen, seenBytes = append(seen, env), append(seenBytes, AppendEnvelope(nil, env))
+			seenRecs = append(seenRecs, rec)
 			if frame = append(frame, env); b.Pending() {
 				continue
 			}

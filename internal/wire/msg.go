@@ -546,13 +546,18 @@ func (m Resume) encode(buf []byte) []byte       { return appendString(buf, m.Tok
 func (OK) encode(buf []byte) []byte    { return buf }
 func (m Err) encode(buf []byte) []byte { return appendString(buf, m.Text) }
 
-// decodeMessage decodes a message body by type tag. The message owns
-// everything it references — body may be overwritten as soon as this returns
-// — except identifier strings, which come out of idents (nil: plain copies).
-// A notice whose body notices has seen before is the value decoded then.
-func decodeMessage(t Type, body []byte, idents *internTable, notices *noticeMemo) (Message, error) {
+// decodeRecord decodes a message body of type t into rec, whose envelope the
+// caller has filled and whose other fields are zero: an Exec, Event or
+// ExecAck into its own field of rec, any other message boxed into rec.Msg.
+// What rec holds owns everything it references — body may be overwritten as
+// soon as this returns — except identifier strings, which come out of idents
+// (nil: plain copies). A notice whose body notices has seen before is the
+// value decoded then.
+func decodeRecord(rec *Record, t Type, body []byte, idents *internTable, notices *noticeMemo) error {
+	rec.Type = t
 	if m := notices.get(t, body); m != nil {
-		return m, nil
+		rec.Msg = m
+		return nil
 	}
 	d := &decoder{buf: body, idents: idents, notices: notices}
 	var m Message
@@ -576,12 +581,12 @@ func decodeMessage(t Type, body []byte, idents *internTable, notices *noticeMemo
 	case TLinkRemoved:
 		m = LinkRemoved{Link: d.link()}
 	case TEvent:
-		m = Event{Path: d.ident(), Name: d.ident(), Args: d.values()}
+		rec.Event = Event{Path: d.ident(), Name: d.ident(), Args: d.values()}
 	case TExec:
-		m = Exec{EventID: d.uvarint(), TargetPath: d.ident(), Name: d.ident(),
+		rec.Exec = Exec{EventID: d.uvarint(), TargetPath: d.ident(), Name: d.ident(),
 			Args: d.values(), Origin: d.objectRef()}
 	case TExecAck:
-		m = ExecAck{EventID: d.uvarint()}
+		rec.ExecAck = ExecAck{EventID: d.uvarint()}
 	case TEventResult:
 		m = EventResult{OK: d.bool(), Reason: d.string()}
 	case TSetLocks:
@@ -664,13 +669,14 @@ func decodeMessage(t Type, body []byte, idents *internTable, notices *noticeMemo
 	case TErr:
 		m = Err{Text: d.string()}
 	default:
-		return nil, fmt.Errorf("wire: unknown message type %d", t)
+		return fmt.Errorf("wire: unknown message type %d", t)
 	}
 	if err := d.done(); err != nil {
-		return nil, fmt.Errorf("%s: %w", t, err)
+		return fmt.Errorf("%s: %w", t, err)
 	}
+	rec.Msg = m
 	notices.put(t, body, m)
-	return m, nil
+	return nil
 }
 
 func (d *decoder) byte() uint8 {

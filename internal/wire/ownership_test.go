@@ -46,13 +46,14 @@ func (l *loopConn) reset() {
 	l.mu.Unlock()
 }
 
-// survivesNextRead is the buffer-ownership check: env is written twice and
-// its records read back (a repeated notice the second time comes out of the
-// Conn's memo; a Batch's second frame is decoded into the run array the
-// first one's records were handed out of), the frame buffer and the run
-// array are scribbled over, a third, longer and different frame is read
-// through the same Conn, and every record read must still encode to the
-// bytes its original encodes to.
+// survivesNextRead is the buffer-ownership check: env is written four times
+// and its records read back, twice with Read and twice with Next (a repeated
+// notice comes out of the Conn's memo; a Batch's later frames are decoded
+// into the run array the first one's records were handed out of), the frame
+// buffer and the run array are scribbled over, a fifth, longer and different
+// frame is read through the same Conn with Next, and every record read — an
+// Exec's or Event's arguments held by value in a Record included — must
+// still encode to the bytes its original encodes to.
 func survivesNextRead(env Envelope) error {
 	recs := records(env)
 	want := make([][]byte, len(recs))
@@ -64,7 +65,7 @@ func survivesNextRead(env Envelope) error {
 	other := Envelope{Seq: 99, Msg: Exec{EventID: 1, TargetPath: strings.Repeat("Z", len(AppendEnvelope(nil, env))+16),
 		Name: "other", Args: []attr.Value{attr.String(strings.Repeat("z", 64))},
 		Origin: couple.ObjectRef{Instance: "other", Path: "/other"}}}
-	for _, e := range []Envelope{env, env, other} {
+	for _, e := range []Envelope{env, env, env, env, other} {
 		if err := c.Write(e); err != nil {
 			return err
 		}
@@ -76,16 +77,26 @@ func survivesNextRead(env Envelope) error {
 			return err
 		}
 	}
+	next := make([]Record, 2*len(recs))
+	for i := range next {
+		if err := c.Next(&next[i]); err != nil {
+			return err
+		}
+	}
 	frame := c.rbuf[:cap(c.rbuf)]
 	for i := range frame {
 		frame[i] = 0x5A
 	}
 	run := c.run[:cap(c.run)]
 	for i := range run {
-		run[i] = Envelope{Seq: 0x5A, Msg: Err{Text: "scribbled"}}
+		run[i] = scribbledRecord()
 	}
-	if _, err := c.Read(); err != nil {
+	var last Record
+	if err := c.Next(&last); err != nil {
 		return err
+	}
+	for i := range next {
+		got = append(got, next[i].Box())
 	}
 	for i, g := range got {
 		if have := AppendEnvelope(nil, g); !bytes.Equal(have, want[i%len(recs)]) {
@@ -357,29 +368,36 @@ func TestPropNoticeMemoMatchesFreshConn(t *testing.T) {
 
 // TestReadPathAllocBudget gates the steady-state allocations of the frames
 // the event path reads and writes. A Batch[SetLocks, Exec], read across its
-// two Reads, costs the values a caller keeps of what is new in it — the boxed
-// Exec, its argument slice and the payload string — and nothing for the
-// frame body, the run array, the record bodies, the identifiers or the
-// repeated lock notice; a lone lock notice or verdict costs nothing at all.
-// Acknowledging applied Execs (WriteAcks, lone or as a run, to a batching or
-// a plain peer) costs nothing either.
+// two calls, costs the values a caller keeps of what is new in it — with Read
+// the boxed Exec, its argument slice and the payload string, with Next only
+// the slice and the string — and nothing for the frame body, the run array,
+// the record bodies, the identifiers or the repeated lock notice; a lone lock
+// notice or verdict costs Read nothing at all. Next reads the server's share
+// of an event the same way: a lone Event costs its argument slice and payload
+// string, a lone ExecAck nothing. Acknowledging applied Execs (WriteAcks,
+// lone or as a run, to a batching or a plain peer) costs nothing either.
 func TestReadPathAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts include the race detector's own; `make allocs` runs this without -race")
 	}
 	const runs = 200
 	origin := couple.ObjectRef{Instance: "app-1", Path: "/hub"}
+	payload := []attr.Value{attr.String(strings.Repeat("v", 64))}
 	locks := Envelope{Msg: SetLocks{Paths: []string{"/hub"}, Locked: true}}
-	exec := Envelope{Msg: Exec{EventID: 1 << 20, TargetPath: "/hub", Name: "changed",
-		Args: []attr.Value{attr.String(strings.Repeat("v", 64))}, Origin: origin}}
+	exec := Envelope{Msg: Exec{EventID: 1 << 20, TargetPath: "/hub", Name: "changed", Args: payload, Origin: origin}}
+	packed := Envelope{Msg: Batch{Envelopes: []Envelope{locks, exec}}}
 	for _, tc := range []struct {
 		name  string
 		frame Envelope
+		next  bool // read with Next instead of Read
 		want  float64
 	}{
-		{"Batch[SetLocks,Exec]", Envelope{Msg: Batch{Envelopes: []Envelope{locks, exec}}}, 3},
-		{"SetLocks", locks, 0},
-		{"EventResult", Envelope{RefSeq: 9, Msg: EventResult{OK: true}}, 0},
+		{"Read of Batch[SetLocks,Exec]", packed, false, 3},
+		{"Read of SetLocks", locks, false, 0},
+		{"Read of EventResult", Envelope{RefSeq: 9, Msg: EventResult{OK: true}}, false, 0},
+		{"Next of Batch[SetLocks,Exec]", packed, true, 2},
+		{"Next of ExecAck", Envelope{Msg: ExecAck{EventID: 1 << 20}}, true, 0},
+		{"Next of Event", Envelope{Seq: 1 << 20, Msg: Event{Path: "/hub", Name: "changed", Args: payload}}, true, 2},
 	} {
 		lc := &loopConn{}
 		c := NewConn(lc)
@@ -391,16 +409,23 @@ func TestReadPathAllocBudget(t *testing.T) {
 		if _, err := readFrame(c); err != nil {
 			t.Fatal(err)
 		}
+		var rec Record
 		got := testing.AllocsPerRun(runs, func() {
 			for more := true; more; more = c.Pending() {
-				if _, err := c.Read(); err != nil {
+				var err error
+				if tc.next {
+					err = c.Next(&rec)
+				} else {
+					_, err = c.Read()
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 			}
 		})
-		t.Logf("Conn.Read of %s: %.1f allocations per frame", tc.name, got)
+		t.Logf("Conn.%s: %.1f allocations per frame", tc.name, got)
 		if got > tc.want {
-			t.Errorf("Conn.Read of %s allocates %.1f times per frame, budget %.0f", tc.name, got, tc.want)
+			t.Errorf("Conn.%s allocates %.1f times per frame, budget %.0f", tc.name, got, tc.want)
 		}
 	}
 

@@ -23,19 +23,12 @@ import (
 // Conn.Write of the materialized Exec would have produced, so the wire
 // format — and every legacy peer — is untouched.
 
-// maxPooledBody caps the capacity of buffers returned to the shared-body
-// pool, so one huge broadcast does not pin megabytes inside sync.Pool.
+// maxPooledBody caps the capacity of bodies returned to the shared-body pool,
+// so one huge broadcast does not pin megabytes inside sync.Pool.
 const maxPooledBody = 64 << 10
 
-// bodyBuf is a pooled, refcounted encode buffer. The buffer is reused only
-// after the last reference releases it, and release order is enforced: a
-// negative refcount (double release) or a ref of a released body panics,
-// because either would let two broadcasts scribble on the same bytes.
-type bodyBuf struct {
-	buf  []byte
-	refs atomic.Int32
-}
-
+// bodyPool holds released SharedExecs, body buffer and all, for the next
+// broadcast.
 var bodyPool sync.Pool
 
 // liveBodies counts shared bodies handed out and not yet fully released —
@@ -63,44 +56,10 @@ func InstrumentBodyPool(hits, misses *obs.Counter) {
 // outbox drained — it must be zero; tests use it as a leak detector.
 func LiveSharedBodies() int64 { return liveBodies.Load() }
 
-func newBodyBuf() *bodyBuf {
-	liveBodies.Add(1)
-	if v := bodyPool.Get(); v != nil {
-		poolHits.Load().Inc()
-		b := v.(*bodyBuf)
-		b.buf = b.buf[:0]
-		b.refs.Store(1)
-		return b
-	}
-	poolMisses.Load().Inc()
-	b := &bodyBuf{}
-	b.refs.Store(1)
-	return b
-}
-
-func (b *bodyBuf) ref() {
-	if b.refs.Add(1) <= 1 {
-		panic("wire: shared body referenced after release")
-	}
-}
-
-func (b *bodyBuf) unref() {
-	n := b.refs.Add(-1)
-	if n < 0 {
-		panic("wire: shared body over-released")
-	}
-	if n == 0 {
-		liveBodies.Add(-1)
-		if cap(b.buf) <= maxPooledBody {
-			bodyPool.Put(b)
-		}
-	}
-}
-
 // SharedExec is one broadcast's Exec payload encoded once. The
 // member-independent suffix of the Exec body — Name, Args, Origin — lives in
-// a pooled refcounted buffer shared by every member's outbox; only the event
-// ID and the member's TargetPath are encoded per member. (EventID is also
+// a refcounted buffer shared by every member's outbox; only the event ID and
+// the member's TargetPath are encoded per member. (EventID is also
 // member-independent, but it precedes TargetPath in the Exec body layout, so
 // it rides in the per-member head to keep the shared suffix contiguous.)
 //
@@ -109,23 +68,37 @@ func (b *bodyBuf) unref() {
 // Release exactly once — after the frame is written, or when the record is
 // dropped by a connection error, eviction, or a closed outbox. The creator
 // calls Release when it has finished enqueueing. When the last reference
-// releases, the buffer returns to the pool.
+// releases, the SharedExec itself, buffer and all, returns to a pool and the
+// next broadcast may be handed it, so no holder may touch one after its own
+// Release. Release order is enforced: a negative refcount (double release)
+// or a Ref of a released SharedExec panics, because either would let two
+// broadcasts scribble on the same bytes.
 type SharedExec struct {
 	eventID uint64
 	name    string
 	args    []attr.Value
 	origin  couple.ObjectRef
-	body    *bodyBuf
+	body    []byte
+	refs    atomic.Int32
 }
 
 // NewSharedExec encodes the shared suffix of the broadcast's Exec body and
 // returns it holding one (the creator's) reference.
 func NewSharedExec(eventID uint64, name string, args []attr.Value, origin couple.ObjectRef) *SharedExec {
-	b := newBodyBuf()
-	b.buf = appendString(b.buf, name)
-	b.buf = appendValues(b.buf, args)
-	b.buf = appendObjectRef(b.buf, origin)
-	return &SharedExec{eventID: eventID, name: name, args: args, origin: origin, body: b}
+	liveBodies.Add(1)
+	se, _ := bodyPool.Get().(*SharedExec)
+	if se != nil {
+		poolHits.Load().Inc()
+	} else {
+		poolMisses.Load().Inc()
+		se = &SharedExec{}
+	}
+	se.eventID, se.name, se.args, se.origin = eventID, name, args, origin
+	se.body = appendString(se.body[:0], name)
+	se.body = appendValues(se.body, args)
+	se.body = appendObjectRef(se.body, origin)
+	se.refs.Store(1)
+	return se
 }
 
 // Exec materializes the full message for one member — a struct copy sharing
@@ -138,20 +111,37 @@ func (se *SharedExec) Exec(targetPath string) Exec {
 
 // Ref takes one additional reference. Callers must hold a live reference
 // (the creator's, typically) while taking new ones.
-func (se *SharedExec) Ref() { se.body.ref() }
+func (se *SharedExec) Ref() {
+	if se.refs.Add(1) <= 1 {
+		panic("wire: shared body referenced after release")
+	}
+}
 
-// Release drops one reference; the last release returns the buffer to the
-// pool. Releasing more times than Ref+NewSharedExec granted panics.
-func (se *SharedExec) Release() { se.body.unref() }
+// Release drops one reference; the last release returns the SharedExec to
+// the pool. Releasing more times than Ref+NewSharedExec granted panics.
+func (se *SharedExec) Release() {
+	n := se.refs.Add(-1)
+	if n < 0 {
+		panic("wire: shared body over-released")
+	}
+	if n == 0 {
+		liveBodies.Add(-1)
+		if cap(se.body) <= maxPooledBody {
+			// Drop what the broadcast referenced, so the pool pins no payload.
+			se.name, se.args, se.origin = "", nil, couple.ObjectRef{}
+			bodyPool.Put(se)
+		}
+	}
+}
 
 // Refs reports the current reference count (for tests and diagnostics).
-func (se *SharedExec) Refs() int32 { return se.body.refs.Load() }
+func (se *SharedExec) Refs() int32 { return se.refs.Load() }
 
 // TailLen is the size of the shared (encoded-once) suffix in bytes.
-func (se *SharedExec) TailLen() int { return len(se.body.buf) }
+func (se *SharedExec) TailLen() int { return len(se.body) }
 
 // tail returns the shared suffix bytes. Valid only while a reference is held.
-func (se *SharedExec) tail() []byte { return se.body.buf }
+func (se *SharedExec) tail() []byte { return se.body }
 
 // appendHead appends the per-member head of the Exec body: the event ID and
 // the member's target path.

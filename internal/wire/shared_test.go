@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -13,6 +14,7 @@ import (
 	"cosoft/internal/attr"
 	"cosoft/internal/couple"
 	"cosoft/internal/obs"
+	"cosoft/internal/race"
 )
 
 // sinkConn is a net.Conn that records every byte written to it, so a test
@@ -205,6 +207,25 @@ func TestSharedWriteOversizeRejectedBeforeWire(t *testing.T) {
 	}
 	if got := sink.bytes(); len(got) != 0 {
 		t.Fatalf("%d bytes reached the wire despite rejection", len(got))
+	}
+}
+
+// TestSharedExecAllocBudget gates a broadcast's encode-once Exec in steady
+// state: NewSharedExec, an outbox's Ref and both Releases reuse a pooled
+// SharedExec, body buffer and all, and allocate nothing.
+func TestSharedExecAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts include the race detector's own; `make allocs` runs this without -race")
+	}
+	args := []attr.Value{attr.String(strings.Repeat("v", 64))}
+	origin := couple.ObjectRef{Instance: "app-1", Path: "/hub"}
+	if got := testing.AllocsPerRun(200, func() {
+		se := NewSharedExec(1<<20, "changed", args, origin)
+		se.Ref()
+		se.Release()
+		se.Release()
+	}); got != 0 {
+		t.Errorf("a broadcast's shared Exec allocates %.2f times, want 0", got)
 	}
 }
 

@@ -41,31 +41,43 @@
 // Execs in one frame (WriteAcks). Legacy peers never advertise the bit and
 // therefore keep receiving, and sending, plain single-message frames.
 //
-// A Batch is framing, not a message: Read decodes a packed frame all or
-// nothing — one malformed record fails the frame's first Read and none of
+// A Batch is framing, not a message: Next decodes a packed frame all or
+// nothing — one malformed record fails the frame's first Next and none of
 // its records is delivered — and then returns its records one per call,
 // exactly as if each had arrived as a frame of its own. Pending reports
 // whether records of the current frame are still to come, which is all a
 // reader needs to treat a frame's records as one unit.
 //
+// # Records
+//
+// Next fills a caller's Record: the Envelope of one message, except that the
+// three messages of the event path — the origin's Event, and the Exec and
+// ExecAck each member receives and returns — are decoded into fields of the
+// Record by value, with Msg nil, so the event path boxes none of them. Every
+// other message is boxed into Msg. Read is Next plus Record.Box, the one step
+// that boxes a by-value message into Msg, for readers that switch on the
+// message type; only Read (and Box) ever box an Exec, an Event or an ExecAck.
+//
 // # Buffer ownership
 //
-// Read decodes every frame out of one per-Conn buffer that the next Read
-// overwrites, and a Batch record is decoded from a view into it; the
-// decoded records wait in a run array the Conn reuses for the next packed
-// frame. The rule that makes this safe: a decoded Envelope never aliases the
-// frame buffer, and Read returns it by value, so it outlives both the rest of
-// its run and the next frame.
+// Next decodes every frame out of one per-Conn buffer that the next call
+// overwrites, and a Batch record is decoded from a view into it; the decoded
+// records wait in a run array of Records the Conn reuses for the next packed
+// frame. The rule that makes this safe: a decoded Record never aliases the
+// frame buffer or the run array, and Next copies it out whole, so it — and
+// the Envelope Read boxes from it — outlives both the rest of its run and the
+// next frame; a caller may reuse its Record for the next call, which
+// overwrites every field.
 // Every decoder copies what it keeps — strings, byte payloads, attribute
-// values, widget states — so an Envelope stays valid for as long as its
-// holder likes, whatever the Conn reads next. Identifier strings (object
+// values, widget states — so a Record or Envelope stays valid for as long as
+// its holder likes, whatever the Conn reads next. Identifier strings (object
 // paths, event names, instance IDs, class names) are copied once per
-// connection and shared between the envelopes that repeat them, and so are
+// connection and shared between the records that repeat them, and so are
 // whole lock notices and verdicts: a SetLocks or EventResult whose body a
 // Conn has decoded before is the very value it returned then, Paths slice
 // included (see intern.go). Decoded messages are therefore read-only: a
 // holder may keep one as long as it likes but must not write to it, since an
-// earlier or later Read may have returned the same value. Payload values are
+// earlier or later Next may have returned the same value. Payload values are
 // never shared.
 package wire
 
@@ -117,6 +129,33 @@ type Envelope struct {
 	Msg Message
 }
 
+// Record is one decoded message as Next hands it out: the envelope, with the
+// three messages of the event path — the Event, the Exec and the ExecAck —
+// held by value in their own fields rather than boxed into Msg, which is nil
+// for them. Type names the message whichever field holds it.
+type Record struct {
+	Envelope
+	Type    Type
+	Exec    Exec
+	Event   Event
+	ExecAck ExecAck
+}
+
+// Box returns the record as the Envelope Read returns: its message in Msg,
+// boxed there if the record held it by value, which allocates.
+func (r *Record) Box() Envelope {
+	env := r.Envelope
+	switch r.Type {
+	case TExec:
+		env.Msg = r.Exec
+	case TEvent:
+		env.Msg = r.Event
+	case TExecAck:
+		env.Msg = r.ExecAck
+	}
+	return env
+}
+
 // maxConnScratch caps the capacity of the per-conn encode and frame buffers
 // retained between calls, so one oversized frame does not pin its buffer
 // forever.
@@ -148,10 +187,10 @@ type Conn struct {
 	idents  internTable
 	notices noticeMemo
 	// run holds the decoded records of the last Batch frame and next the
-	// index of the one Read returns next; also the reading goroutine's. A
+	// index of the one Next returns next; also the reading goroutine's. A
 	// handed-out slot is zeroed, and a drained array over maxIdleRun records
 	// is dropped.
-	run  []Envelope
+	run  []Record
 	next int
 
 	// scratch is the reusable frame-encode buffer; scratch2 stages Batch
@@ -545,29 +584,33 @@ func (c *Conn) frameBuf(n int) []byte {
 	return c.rbuf[:n]
 }
 
-// Read reads and decodes one envelope: the next record of the current Batch
-// frame while Pending reports true, else the next frame's message or, for a
-// Batch frame, its first record. It returns io.EOF (possibly wrapped) when
-// the peer closed cleanly between frames. The frame is read into a buffer the
-// next Read reuses; the returned Envelope holds no reference to it (see the
+// Next reads and decodes one record into rec, overwriting every field of it:
+// the next record of the current Batch frame while Pending reports true, else
+// the next frame's message or, for a Batch frame, its first record. An Exec,
+// an Event or an ExecAck is decoded into its field of rec and nothing is
+// boxed for it. Next returns io.EOF (possibly wrapped) when the peer closed
+// cleanly between frames, and leaves rec zero on any error. The frame is read
+// into a buffer the next call reuses; rec holds no reference to it (see the
 // package comment's ownership rule).
-func (c *Conn) Read() (Envelope, error) {
+func (c *Conn) Next(rec *Record) error {
 	if c.Pending() {
-		return c.nextRecord(), nil
+		c.nextRecord(rec)
+		return nil
 	}
+	*rec = Record{}
 	if _, err := io.ReadFull(c.rw, c.rlen[:]); err != nil {
-		return Envelope{}, err
+		return err
 	}
 	n := binary.LittleEndian.Uint32(c.rlen[:])
 	if n > MaxFrame {
-		return Envelope{}, ErrFrameTooLarge
+		return ErrFrameTooLarge
 	}
 	if n < 4 {
-		return Envelope{}, fmt.Errorf("wire: frame too short (%d bytes)", n)
+		return fmt.Errorf("wire: frame too short (%d bytes)", n)
 	}
 	body := c.frameBuf(int(n))
 	if _, err := io.ReadFull(c.rw, body); err != nil {
-		return Envelope{}, fmt.Errorf("wire: read frame body: %w", err)
+		return fmt.Errorf("wire: read frame body: %w", err)
 	}
 	rawType := binary.LittleEndian.Uint16(body)
 	t := Type(rawType &^ flagMask)
@@ -578,24 +621,24 @@ func (c *Conn) Read() (Envelope, error) {
 	}
 	seq, sz := binary.Uvarint(body)
 	if sz <= 0 {
-		return Envelope{}, errors.New("wire: bad seq")
+		return errors.New("wire: bad seq")
 	}
 	body = body[sz:]
 	refSeq, sz := binary.Uvarint(body)
 	if sz <= 0 {
-		return Envelope{}, errors.New("wire: bad refSeq")
+		return errors.New("wire: bad refSeq")
 	}
 	body = body[sz:]
 	var tc obs.TraceContext
 	if rawType&traceFlag != 0 {
 		traceID, sz := binary.Uvarint(body)
 		if sz <= 0 {
-			return Envelope{}, errors.New("wire: bad trace id")
+			return errors.New("wire: bad trace id")
 		}
 		body = body[sz:]
 		spanID, sz := binary.Uvarint(body)
 		if sz <= 0 {
-			return Envelope{}, errors.New("wire: bad span id")
+			return errors.New("wire: bad span id")
 		}
 		body = body[sz:]
 		tc = obs.TraceContext{Trace: obs.TraceID(traceID), Span: obs.SpanID(spanID)}
@@ -608,28 +651,41 @@ func (c *Conn) Read() (Envelope, error) {
 		run, err := decodeRun(c.run, body, &c.idents, &c.notices)
 		c.run = run
 		if err != nil {
-			return Envelope{}, err
+			return err
 		}
-		return c.nextRecord(), nil
+		c.nextRecord(rec)
+		return nil
 	}
-	msg, err := decodeMessage(t, body, &c.idents, &c.notices)
-	if err != nil {
-		return Envelope{}, err
+	rec.Envelope = Envelope{Seq: seq, RefSeq: refSeq, Trace: tc}
+	if err := decodeRecord(rec, t, body, &c.idents, &c.notices); err != nil {
+		*rec = Record{}
+		return err
 	}
-	return Envelope{Seq: seq, RefSeq: refSeq, Trace: tc, Msg: msg}, nil
+	return nil
 }
 
-// Pending reports whether records of the Batch frame the last Read came from
-// are still to be returned: while it does, the next Read returns the next of
-// them without touching the connection.
+// Read is Next with the record boxed into an Envelope (see Record.Box), for
+// readers that switch on the message type: an Exec, Event or ExecAck read
+// this way costs its box.
+func (c *Conn) Read() (Envelope, error) {
+	var rec Record
+	if err := c.Next(&rec); err != nil {
+		return Envelope{}, err
+	}
+	return rec.Box(), nil
+}
+
+// Pending reports whether records of the Batch frame the last Next came from
+// are still to be returned: while it does, the next Next (or Read) returns the
+// next of them without touching the connection.
 func (c *Conn) Pending() bool { return c.next < len(c.run) }
 
-// nextRecord hands out the next record of the current run and zeroes its
-// slot. Once the run is drained the array is kept for the next packed frame,
-// unless a long frame grew it past maxIdleRun.
-func (c *Conn) nextRecord() Envelope {
-	env := c.run[c.next]
-	c.run[c.next] = Envelope{}
+// nextRecord hands out the next record of the current run into rec and
+// zeroes its slot. Once the run is drained the array is kept for the next
+// packed frame, unless a long frame grew it past maxIdleRun.
+func (c *Conn) nextRecord(rec *Record) {
+	*rec = c.run[c.next]
+	c.run[c.next] = Record{}
 	c.next++
 	if c.next == len(c.run) {
 		c.run, c.next = c.run[:0], 0
@@ -637,7 +693,6 @@ func (c *Conn) nextRecord() Envelope {
 			c.run = nil
 		}
 	}
-	return env
 }
 
 // Pipe returns a connected pair of Conns backed by net.Pipe, for in-process
