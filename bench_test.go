@@ -192,7 +192,7 @@ func BenchmarkLockingVariants(b *testing.B) {
 			bed := testbed.New(b, srv, testbed.Options{})
 			cl := make([]*client.Client, 4)
 			for i := range cl {
-				cl[i] = bed.Dial(testbed.Member{AppType: "bench", User: fmt.Sprintf("user%d", i), Spec: `textfield field value=""`, Plain: true})
+				cl[i] = bed.Dial(testbed.Member{AppType: "bench", User: fmt.Sprintf("user%d", i), Spec: `textfield field value=""`})
 			}
 			bed.Star("/field", cl...)
 			vals := []attr.Value{attr.String("x")}

@@ -16,8 +16,7 @@
 // Usage:
 //
 //	cosoft-load [-groups 2] [-group-size 64] [-duration 5s] [-events 0]
-//	            [-rate 0] [-payload 24] [-batch-limit 32] [-batching]
-//	            [-shards 0]
+//	            [-rate 0] [-payload 24] [-batch-limit 32] [-shards 0]
 //	            [-faultnet "dup=0.01,delay=1ms,jitter=1ms"]
 //	            [-addr host:port] [-v]
 //
@@ -57,8 +56,7 @@ func main() {
 		events     = flag.Int("events", 0, "dispatch exactly this many events per group instead of running for -duration")
 		rate       = flag.Float64("rate", 0, "target events/sec per group (0 = as fast as floor control allows)")
 		payload    = flag.Int("payload", 24, "event payload size in bytes")
-		batchLimit = flag.Int("batch-limit", 32, "in-process server batch limit (1 = batching disabled)")
-		batching   = flag.Bool("batching", true, "clients opt into the wire batch extension")
+		batchLimit = flag.Int("batch-limit", 32, "in-process server batch limit: envelopes packed into one frame (1 = one per frame)")
 		shards     = flag.Int("shards", 0, "in-process server shard count: per-coupling-group state loops (0 = GOMAXPROCS, what cosoftd runs)")
 		faultSpec  = flag.String("faultnet", "", `faultnet profile for in-process server conns, e.g. "drop=0.01,dup=0.01,dropnth=0,delay=1ms,jitter=1ms,seed=1"`)
 		verbose    = flag.Bool("v", false, "log per-group progress")
@@ -71,7 +69,7 @@ func main() {
 	if err := run(config{
 		addr: *addr, groups: *groups, groupSize: *groupSize,
 		duration: *duration, events: *events, rate: *rate, payload: *payload,
-		batchLimit: *batchLimit, batching: *batching, shards: *shards,
+		batchLimit: *batchLimit, shards: *shards,
 		faultSpec: *faultSpec, verbose: *verbose,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "cosoft-load: %v\n", err)
@@ -88,7 +86,6 @@ type config struct {
 	rate       float64
 	payload    int
 	batchLimit int
-	batching   bool
 	shards     int
 	faultSpec  string
 	verbose    bool
@@ -173,7 +170,6 @@ func run(cfg config) error {
 				User:       fmt.Sprintf("g%dm%d", g, m),
 				Registry:   wreg,
 				RPCTimeout: 30 * time.Second,
-				Batching:   cfg.batching,
 			})
 			if err != nil {
 				return fmt.Errorf("handshake group %d member %d: %w", g, m, err)

@@ -221,7 +221,7 @@ func TestDebugGroupsEndToEnd(t *testing.T) {
 	// Carol's link is degraded at the server's end, so the Execs toward her
 	// are delayed and her measured ack latency inflates.
 	member := func(user string, sched *faultnet.Schedule) *client.Client {
-		return bed.Dial(testbed.Member{AppType: "editor", User: user, Spec: `textfield note value=""`, Plain: true, Fault: sched})
+		return bed.Dial(testbed.Member{AppType: "editor", User: user, Spec: `textfield note value=""`, Fault: sched})
 	}
 	a := member("alice", nil)
 	b := member("bob", nil)

@@ -84,15 +84,14 @@ type Options struct {
 	// reconnection: a dropped connection permanently fails the client.
 	Reconnect *ReconnectOptions
 	// Tracer records causal spans for this instance's hops: event sends and
-	// remote re-executions. Setting it also opts the connection into the
-	// wire trace extension, so leave it nil when the server may predate the
-	// extension. Nil disables tracing at zero cost.
+	// remote re-executions; their frames carry the trace context, and the
+	// rest carry none. Nil disables tracing at zero cost.
 	Tracer *obs.Tracer
-	// Batching opts the connection into the wire batch extension: the
-	// server may pack runs of envelopes into single Batch frames, and the
-	// client answers a packed run of Execs with one coalesced BatchAck.
-	// Like Tracer it is announced from the first frame, so leave it false
-	// when the server may predate the extension.
+	// Batching does nothing: every client reads packed frames and answers a
+	// run of Execs with one coalesced BatchAck.
+	//
+	// Deprecated: kept only for the benchmark module, which sets it at
+	// bench/topo.go:247; delete it together with that line.
 	Batching bool
 	// Logger receives structured logs keyed by instance and trace IDs. Nil
 	// disables structured logging.
@@ -165,18 +164,6 @@ func New(conn net.Conn, opts Options) (*Client, error) {
 		mExec:    metrics.Histogram("client.exec_ns"),
 		tr:       opts.Tracer,
 		slog:     obs.LoggerOr(opts.Logger).With("component", "client"),
-	}
-	if opts.Tracer != nil {
-		// We are the connection initiator, so we opt into the wire trace
-		// extension before speaking; the server's conn auto-detects it from
-		// our first traced frame.
-		c.conn.EnableTrace()
-	}
-	if opts.Batching {
-		// Same negotiation shape for the batch extension: flagging every
-		// frame tells the server it may pack our fan-out before it sends us
-		// anything.
-		c.conn.EnableBatch()
 	}
 	// Handshake: Register must be answered by Registered before the loops
 	// start.

@@ -43,7 +43,7 @@ func dial(t *testing.T, spec string) (*Client, *server.Server) {
 	}
 	c, err := New(link.A, Options{
 		AppType: "unit", User: "u", Host: "h", Registry: reg,
-		RPCTimeout: 5 * time.Second, Batching: true,
+		RPCTimeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -46,7 +46,7 @@ func TestAckRunFollowsFrames(t *testing.T) {
 	}()
 	reg := widget.NewRegistry()
 	widget.MustBuild(reg, "/", `textfield x value=""`)
-	c, err := New(a, Options{Registry: reg, RPCTimeout: 5 * time.Second, Batching: true})
+	c, err := New(a, Options{Registry: reg, RPCTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

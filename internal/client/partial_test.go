@@ -13,8 +13,7 @@ import (
 	"cosoft/internal/wire"
 )
 
-// twoClients connects two clients with distinct specs to one server: the
-// first opts into the batch extension, the second is a plain peer.
+// twoClients connects two clients with distinct specs to one server.
 func twoClients(t *testing.T, specA, specB string) (*Client, *Client) {
 	t.Helper()
 	srv := server.New(testServerOptions())
@@ -23,7 +22,7 @@ func twoClients(t *testing.T, specA, specB string) (*Client, *Client) {
 		srv.Close()
 		wg.Wait()
 	})
-	mk := func(spec string, batching bool) *Client {
+	mk := func(spec string) *Client {
 		link := netsim.NewLink(0)
 		wg.Add(1)
 		go func() {
@@ -33,14 +32,14 @@ func twoClients(t *testing.T, specA, specB string) (*Client, *Client) {
 		reg := widget.NewRegistry()
 		widget.MustBuild(reg, "/", spec)
 		c, err := New(link.A, Options{AppType: "p", User: "u", Host: "h",
-			Registry: reg, RPCTimeout: 5 * time.Second, Batching: batching})
+			Registry: reg, RPCTimeout: 5 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(c.Close)
 		return c
 	}
-	return mk(specA, true), mk(specB, false)
+	return mk(specA), mk(specB)
 }
 
 func TestCoupleTreePartial(t *testing.T) {

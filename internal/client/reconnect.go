@@ -139,12 +139,6 @@ func (c *Client) redial() (*wire.Conn, []wire.Record, error) {
 // token the admission already consumed, permanently stranding the client.
 func (c *Client) resume(raw net.Conn) (*wire.Conn, []wire.Record, error) {
 	conn := wire.NewConn(raw)
-	if c.tr != nil {
-		conn.EnableTrace()
-	}
-	if c.opts.Batching {
-		conn.EnableBatch()
-	}
 	c.mu.Lock()
 	tok := c.token
 	c.mu.Unlock()

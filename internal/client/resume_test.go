@@ -89,7 +89,7 @@ func TestResumeReplyPackedWithGroupTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, err := New(first, Options{
-		Registry: reg, RPCTimeout: 5 * time.Second, Batching: true,
+		Registry: reg, RPCTimeout: 5 * time.Second,
 		OnRemoteEvent: func(*widget.Event) { applied.Add(1) },
 		Reconnect:     &ReconnectOptions{Dial: dial, Seed: 1, OnResync: func(err error) { resynced <- err }},
 	})

@@ -302,8 +302,8 @@ func TestCallAllocBudget(t *testing.T) {
 
 // TestAckAllocBudget gates the dispatch loop's acknowledgement path as it
 // runs after every applied Exec: the entry joins the ack run and the run is
-// flushed onto the connection — a lone ExecAck, or a run of them, to a plain
-// and to a batch-aware peer. None of it allocates: the acknowledgements are
+// flushed onto the connection — a lone ExecAck, or a run of them as one
+// BatchAck. None of it allocates: the acknowledgements are
 // encoded straight from the run, with no message boxed.
 func TestAckAllocBudget(t *testing.T) {
 	if race.Enabled {
@@ -334,19 +334,14 @@ func TestAckAllocBudget(t *testing.T) {
 		c.Close()
 	})
 	entry := wire.BatchAckEntry{EventID: 1 << 20}
-	for _, batching := range []bool{false, true} {
-		if batching {
-			c.conn.EnableBatch()
-		}
-		for _, n := range []int{1, 2} {
-			if got := testing.AllocsPerRun(200, func() {
-				for i := 0; i < n; i++ {
-					c.ackRun = append(c.ackRun, entry)
-				}
-				c.flushAcks()
-			}); got > 0 {
-				t.Errorf("acknowledging %d Execs (batching %v) allocates %.1f times, want 0", n, batching, got)
+	for _, n := range []int{1, 2} {
+		if got := testing.AllocsPerRun(200, func() {
+			for i := 0; i < n; i++ {
+				c.ackRun = append(c.ackRun, entry)
 			}
+			c.flushAcks()
+		}); got > 0 {
+			t.Errorf("acknowledging %d Execs allocates %.1f times, want 0", n, got)
 		}
 	}
 }

@@ -22,9 +22,13 @@ const fieldSpec = `textfield field value=""`
 
 // newBed starts a server with opts on a bed whose in-process links carry the
 // given one-way latency, and dials n instances, each with its own widget
-// registry built from spec. They speak the plain protocol, as the paper's
-// instances did.
+// registry built from spec. Unless opts sets a BatchLimit, the server sends
+// one message per frame, as the paper's instances received them, so the
+// bed's frame counts are the paper's message counts.
 func newBed(tb testbed.TB, n int, spec string, latency time.Duration, opts server.Options, copts client.Options) (*server.Server, *testbed.Bed, []*client.Client) {
+	if opts.BatchLimit == 0 {
+		opts.BatchLimit = 1
+	}
 	srv := server.New(opts)
 	bed := testbed.New(tb, srv, testbed.Options{Latency: latency})
 	if copts.RPCTimeout == 0 {
@@ -32,7 +36,7 @@ func newBed(tb testbed.TB, n int, spec string, latency time.Duration, opts serve
 	}
 	cl := make([]*client.Client, n)
 	for i := range cl {
-		cl[i] = bed.Dial(testbed.Member{AppType: "bench", User: fmt.Sprintf("user%d", i), Spec: spec, Plain: true, Options: copts})
+		cl[i] = bed.Dial(testbed.Member{AppType: "bench", User: fmt.Sprintf("user%d", i), Spec: spec, Options: copts})
 	}
 	return srv, bed, cl
 }

@@ -17,7 +17,7 @@ import (
 func dialer(t *testing.T) func(user string) *client.Client {
 	bed := testbed.New(t, server.New(server.Options{}), testbed.Options{})
 	return func(user string) *client.Client {
-		return bed.Dial(testbed.Member{AppType: "repl", User: user, Plain: true})
+		return bed.Dial(testbed.Member{AppType: "repl", User: user})
 	}
 }
 

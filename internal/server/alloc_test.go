@@ -28,7 +28,8 @@ import (
 // one at a time out of a reused run array and acks were written without a
 // boxed message, 6.5 before the Exec, the Event and the ExecAck were read by
 // value and the server's pending events, undo lists and shared bodies were
-// recycled), so the ceiling carries a quarter of headroom: one more
+// recycled). It measured 4.00–4.01 again once the raw member, too, received
+// packed frames. So the ceiling carries a quarter of headroom: one more
 // allocation per member per event is within it, a boxed message and a closure
 // back on the per-member path are not.
 const eventPathAllocBudget = 5.0
@@ -44,8 +45,8 @@ const eventPathAllocBudget = 5.0
 const eventLogAllocBudget = 0.5
 
 // TestEventPathAllocBudget holds the steady-state event path to its
-// allocation budget end to end: an origin, eight batching members and one
-// plain member over loopback TCP, the origin dispatching as soon as the plain
+// allocation budget end to end: an origin, eight client members and one raw
+// wire member over loopback TCP, the origin dispatching as soon as the raw
 // member sees the group unlocked (the benchmark's pacing), every process-wide
 // malloc of 300 events divided by the member-events they caused.
 func TestEventPathAllocBudget(t *testing.T) {
@@ -54,7 +55,7 @@ func TestEventPathAllocBudget(t *testing.T) {
 	}
 	perEvent := eventPathAllocs(t, nil)
 	perMember := perEvent / allocMembers
-	t.Logf("%.1f allocations per member-event", perMember)
+	t.Logf("%.2f allocations per member-event", perMember)
 	if perMember > eventPathAllocBudget {
 		t.Errorf("event path allocates %.1f times per member-event, budget %g", perMember, eventPathAllocBudget)
 	}
@@ -85,8 +86,8 @@ func TestLoggedEventPathAllocBudget(t *testing.T) {
 	}
 }
 
-// allocMembers is the member count of eventPathAllocs' group: eight batching
-// members and the plain one.
+// allocMembers is the member count of eventPathAllocs' group: eight client
+// members and the raw one.
 const allocMembers = 9
 
 // eventPathAllocs runs the budget topology on a fresh server (behind elog
@@ -106,18 +107,19 @@ func eventPathAllocs(t *testing.T, elog *eventlog.Log) float64 {
 		return c
 	}
 	origin := dial("origin")
-	// The plain member never opted into batching: it acknowledges every Exec
-	// and reports each unlock notice.
-	plain := bed.Raw(wire.Register{AppType: "plain", User: "plain", Host: "h"})
-	if _, ok := plain.Call(wire.Declare{Path: path, Class: "textfield"}).Msg.(wire.OK); !ok {
-		t.Fatal("plain member: declare refused")
+	// The raw member reads its packed frames record by record, as the
+	// benchmark's probe does: it acknowledges every Exec and reports each
+	// unlock notice.
+	raw := bed.Raw(wire.Register{AppType: "raw", User: "raw", Host: "h"})
+	if _, ok := raw.Call(wire.Declare{Path: path, Class: "textfield"}).Msg.(wire.OK); !ok {
+		t.Fatal("raw member: declare refused")
 	}
 	unlock := make(chan struct{}, 1)
 	go func() {
-		for env := range plain.Events {
+		for env := range raw.Events {
 			switch m := env.Msg.(type) {
 			case wire.Exec:
-				if plain.Send(wire.ExecAck{EventID: m.EventID}) != nil {
+				if raw.Send(wire.ExecAck{EventID: m.EventID}) != nil {
 					return
 				}
 			case wire.SetLocks:
@@ -127,7 +129,7 @@ func eventPathAllocs(t *testing.T, elog *eventlog.Log) float64 {
 			}
 		}
 	}()
-	mustOK(t, origin.Couple(path, couple.ObjectRef{Instance: plain.ID, Path: path}))
+	mustOK(t, origin.Couple(path, couple.ObjectRef{Instance: raw.ID, Path: path}))
 	for i := 0; i < allocMembers-1; i++ {
 		mustOK(t, origin.Couple(path, dial(fmt.Sprintf("m%d", i)).Ref(path)))
 	}

@@ -44,7 +44,7 @@ func TestChaosHungMemberMidEvent(t *testing.T) {
 	srv, bed := newBed(t, server.Options{EventDeadline: 150 * time.Millisecond})
 	spec := `textfield note value=""`
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: spec})
-	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec, Plain: true})
+	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec})
 	c := bed.Dial(testbed.Member{AppType: "editor", User: "carol", Spec: spec, Fault: &faultnet.Schedule{}})
 	fc := bed.Fault(c)
 

@@ -50,7 +50,7 @@ func newCrashScript(t *testing.T, opts Options) *crashScript {
 
 func (r *crashScript) dial(name, user string) {
 	r.t.Helper()
-	r.cl[name] = r.bed.Dial(testbed.Member{AppType: "app", User: user, Spec: `textfield x value=""`, Plain: true})
+	r.cl[name] = r.bed.Dial(testbed.Member{AppType: "app", User: user, Spec: `textfield x value=""`})
 }
 
 // shutdown judges the server and closes it before the bed closes the

@@ -97,10 +97,10 @@ func (d *durable) restart() {
 }
 
 // dial connects a reconnect-enabled client that resumes by session token
-// across restarts; batching says whether it opts into the batch extension.
-func (d *durable) dial(appType, user, spec string, batching bool) *client.Client {
+// across restarts.
+func (d *durable) dial(appType, user, spec string) *client.Client {
 	d.t.Helper()
-	return d.bed.Dial(testbed.Member{AppType: appType, User: user, Spec: spec, Plain: !batching,
+	return d.bed.Dial(testbed.Member{AppType: appType, User: user, Spec: spec,
 		Reconnect: &client.ReconnectOptions{MaxAttempts: 50, BaseDelay: 2 * time.Millisecond, MaxDelay: 50 * time.Millisecond}})
 }
 
@@ -134,8 +134,8 @@ func resumed(t *testing.T, p *testbed.Peer) couple.InstanceID {
 // and event flow intact — no re-registration.
 func TestRestartResumeInvisible(t *testing.T) {
 	d := newDurable(t, server.Options{})
-	a := d.dial("editor", "alice", `textfield note value=""`, true)
-	b := d.dial("editor", "bob", `textfield note value=""`, true)
+	a := d.dial("editor", "alice", `textfield note value=""`)
+	b := d.dial("editor", "bob", `textfield note value=""`)
 	mustOK(t, a.Declare("/note"))
 	mustOK(t, b.Declare("/note"))
 	mustOK(t, a.Couple("/note", b.Ref("/note")))
@@ -218,7 +218,7 @@ func TestChaosRestartSoak(t *testing.T) {
 	specs := []struct{ user, val string }{{"u1", "a"}, {"u2", "b"}, {"u3", "c"}}
 	clients := make([]*client.Client, len(specs))
 	for i, sp := range specs {
-		clients[i] = d.dial("app", sp.user, `textfield x value=""`, i > 0) // one plain peer
+		clients[i] = d.dial("app", sp.user, `textfield x value=""`)
 		mustOK(t, clients[i].Declare("/x"))
 	}
 	for i := 1; i < len(clients); i++ {

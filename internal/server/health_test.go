@@ -19,7 +19,7 @@ import (
 func TestHealthStragglerAttribution(t *testing.T) {
 	srv, bed := newBed(t, server.Options{})
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: `textfield note value=""`})
-	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: `textfield note value=""`, Plain: true})
+	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: `textfield note value=""`})
 	// Every Exec the server sends toward C is held back 25ms, so C's acks
 	// arrive a full delay after A's and B's.
 	c := bed.Dial(testbed.Member{AppType: "editor", User: "carol", Spec: `textfield note value=""`, Fault: &faultnet.Schedule{Delay: 25 * time.Millisecond}})

@@ -26,9 +26,7 @@ import (
 // of its own whose segments are small enough and whose snapshot cadence tight
 // enough that the scenarios run over a log that rotates, snapshots and
 // compacts underneath them — on a test bed whose teardown also judges live =
-// fold(log). Members dialed onto the bed opt into the batch extension unless
-// they are the Plain peers mixed into the larger groups, as the benchmark's
-// probe member is.
+// fold(log).
 func newBed(t *testing.T, opts server.Options) (*server.Server, *testbed.Bed) {
 	t.Helper()
 	if opts.Shards == 0 {
@@ -116,7 +114,7 @@ func TestTransitiveClosurePropagation(t *testing.T) {
 	spec := `scale s min=0 max=100`
 	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: spec})
 	b := bed.Dial(testbed.Member{AppType: "app", User: "u2", Spec: spec})
-	c := bed.Dial(testbed.Member{AppType: "app", User: "u3", Spec: spec, Plain: true})
+	c := bed.Dial(testbed.Member{AppType: "app", User: "u3", Spec: spec})
 	for _, cl := range []*client.Client{a, b, c} {
 		mustOK(t, cl.Declare("/s"))
 	}
@@ -213,7 +211,7 @@ func TestUndoRedoAcrossMigration(t *testing.T) {
 	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: `textfield x value="copied"`})
 	b := bed.Dial(testbed.Member{AppType: "app", User: "u2", Spec: `textfield x value="before"`})
 	c := bed.Dial(testbed.Member{AppType: "app", User: "u3", Spec: `textfield x value=""`})
-	d := bed.Dial(testbed.Member{AppType: "app", User: "u4", Spec: `textfield x value=""`, Plain: true})
+	d := bed.Dial(testbed.Member{AppType: "app", User: "u4", Spec: `textfield x value=""`})
 	for _, cl := range []*client.Client{a, b, c, d} {
 		mustOK(t, cl.Declare("/x"))
 	}

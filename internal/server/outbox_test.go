@@ -14,13 +14,10 @@ import (
 )
 
 // outboxPair builds an outbox writing into one end of an in-process pipe and
-// returns the peer-side conn to read frames from. When peerBatch is set, the
-// peer opts into the batch extension and speaks one frame first so the
-// outbox's conn latches the capability before anything is queued (mirroring
-// the real handshake, where the client's Hello precedes all fan-out). The
-// cleanup closes the pipe before it waits for the outbox writer, which a
-// failed test may have left blocked writing frames nobody reads.
-func outboxPair(t *testing.T, peerBatch bool, limit, batchLimit int) (*outbox, *wire.Conn) {
+// returns the peer-side conn to read frames from. The cleanup closes the pipe
+// before it waits for the outbox writer, which a failed test may have left
+// blocked writing frames nobody reads.
+func outboxPair(t *testing.T, limit, batchLimit int) (*outbox, *wire.Conn) {
 	t.Helper()
 	rawA, rawB := net.Pipe()
 	var o *outbox
@@ -32,16 +29,6 @@ func outboxPair(t *testing.T, peerBatch bool, limit, batchLimit int) (*outbox, *
 		}
 	})
 	c, peer := wire.NewConn(rawA), wire.NewConn(rawB)
-	if peerBatch {
-		peer.EnableBatch()
-		go func() { peer.Write(wire.Envelope{Seq: 1, Msg: wire.OK{}}) }()
-		if _, err := c.Read(); err != nil {
-			t.Fatalf("capability frame: %v", err)
-		}
-		if !c.BatchAware() {
-			t.Fatal("conn did not latch the peer's batch capability")
-		}
-	}
 	reg := obs.NewRegistry()
 	o = newOutbox(c, reg.Gauge("depth"), limit, batchLimit, reg.Histogram("batch"), nil)
 	return o, peer
@@ -77,10 +64,10 @@ func waitDrained(t *testing.T, o *outbox, inflight int) {
 // TestOutboxBlockedWriterDrainsBacklogAsOneFlush is the regression test for
 // the per-envelope wakeup bug: envelopes that queue while the writer is
 // blocked on a slow connection must be handed over as one slice on the next
-// wakeup, which for a batch-aware peer means one packed frame, not N.
+// wakeup, which means one packed frame, not N.
 func TestOutboxBlockedWriterDrainsBacklogAsOneFlush(t *testing.T) {
 	const queued = 5
-	o, peer := outboxPair(t, true, 0, 8)
+	o, peer := outboxPair(t, 0, 8)
 
 	// First envelope: the writer takes it and blocks in Write (net.Pipe has
 	// no buffer), leaving the queue empty.
@@ -110,34 +97,11 @@ func TestOutboxBlockedWriterDrainsBacklogAsOneFlush(t *testing.T) {
 	waitDrained(t, o, 0)
 }
 
-// TestOutboxLegacyPeerGetsSingles: with packing configured but the peer not
-// batch-aware, the same blocked-writer backlog still drains in one wakeup but
-// reaches the wire as individual frames in queue order.
-func TestOutboxLegacyPeerGetsSingles(t *testing.T) {
-	const queued = 4
-	o, peer := outboxPair(t, false, 0, 8)
-
-	for i := uint64(0); i < queued; i++ {
-		o.send(wire.Envelope{Msg: wire.Exec{EventID: 200 + i}})
-	}
-	for i := uint64(0); i < queued; i++ {
-		frame := readFrame(t, peer)
-		m, ok := frame[0].Msg.(wire.Exec)
-		if len(frame) != 1 || !ok {
-			t.Fatalf("frame %d = %+v, want a single Exec for a legacy peer", i, frame)
-		}
-		if m.EventID != 200+i {
-			t.Fatalf("frame %d EventID = %d, want %d (queue order)", i, m.EventID, 200+i)
-		}
-	}
-	waitDrained(t, o, 0)
-}
-
 // TestOutboxBatchLimitSplitsLongRuns: a backlog longer than the configured
 // limit is split into consecutive Batch frames of at most limit records.
 func TestOutboxBatchLimitSplitsLongRuns(t *testing.T) {
 	const limit, queued = 3, 7
-	o, peer := outboxPair(t, true, 0, limit)
+	o, peer := outboxPair(t, 0, limit)
 
 	o.send(wire.Envelope{Msg: wire.Exec{EventID: 300}})
 	waitDrained(t, o, 1)
@@ -172,7 +136,7 @@ func TestOutboxBatchLimitSplitsLongRuns(t *testing.T) {
 // wire.MaxFrame must still reach the peer — split down to singles if need
 // be — instead of being treated as a broken connection.
 func TestOutboxOversizedBatchFallsBackToSingles(t *testing.T) {
-	o, peer := outboxPair(t, true, 0, 8)
+	o, peer := outboxPair(t, 0, 8)
 
 	// Each envelope fits comfortably in a frame of its own; packed together
 	// their one Batch body would overflow MaxFrame.
@@ -215,7 +179,9 @@ func TestOutboxOversizedBatchFallsBackToSingles(t *testing.T) {
 // queued falls back to the limit the over-limit stopwatch clears, even
 // though the writer is still blocked on a later chunk of the same flush.
 func TestOutboxFlushClearsOverSinceMidFlush(t *testing.T) {
-	o, peer := outboxPair(t, false, 2, 8)
+	// Packing off, so every record of the follow-up flush is a chunk of
+	// its own.
+	o, peer := outboxPair(t, 2, 1)
 
 	o.send(wire.Envelope{Msg: wire.Exec{EventID: 500}})
 	waitDrained(t, o, 1)
@@ -250,7 +216,7 @@ func TestOutboxFlushClearsOverSinceMidFlush(t *testing.T) {
 // shared body released.
 func TestOutboxDrainLeavesNoReferences(t *testing.T) {
 	const rounds, perRound = 6, 5
-	o, peer := outboxPair(t, true, 0, 8)
+	o, peer := outboxPair(t, 0, 8)
 	received := make(chan int)
 	go func() {
 		defer close(received)

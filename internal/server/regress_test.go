@@ -29,7 +29,7 @@ func TestRetractMiddleNotifiesBothHalves(t *testing.T) {
 	_, bed := newBed(t, server.Options{})
 	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: `textfield x`})
 	b := bed.Dial(testbed.Member{AppType: "app", User: "u2", Spec: `textfield x`})
-	c := bed.Dial(testbed.Member{AppType: "app", User: "u3", Spec: `textfield x`, Plain: true})
+	c := bed.Dial(testbed.Member{AppType: "app", User: "u3", Spec: `textfield x`})
 	for _, cl := range []*client.Client{a, b, c} {
 		mustOK(t, cl.Declare("/x"))
 	}
@@ -63,7 +63,7 @@ func TestRetractMiddleNotifiesBothHalves(t *testing.T) {
 func TestSplitPrunesFarHalfOfMirror(t *testing.T) {
 	srv, bed := newBed(t, server.Options{})
 	x := bed.Dial(testbed.Member{AppType: "app", User: "x", Spec: `textfield a`})
-	y := bed.Dial(testbed.Member{AppType: "app", User: "y", Spec: `textfield b1`, Plain: true})
+	y := bed.Dial(testbed.Member{AppType: "app", User: "y", Spec: `textfield b1`})
 	z := bed.Dial(testbed.Member{AppType: "app", User: "z", Spec: `textfield b2`})
 	mustOK(t, x.Declare("/a"))
 	mustOK(t, y.Declare("/b1"))

@@ -78,11 +78,10 @@ type Options struct {
 	// client is evicted. Zero selects one second.
 	OutboxGrace time.Duration
 	// BatchLimit caps how many queued envelopes one outbox flush may pack
-	// into a single wire.Batch frame for batch-aware clients (histogram
-	// server.batch_size). 0 selects 32; values above wire.MaxBatch are
-	// clamped; 1 disables packing and every envelope goes out as its own
-	// frame. Peers that did not negotiate the batch capability never see a
-	// Batch frame whatever the limit.
+	// into a single wire.Batch frame (histogram server.batch_size); every
+	// connection reads packed frames. 0 selects 32; values above
+	// wire.MaxBatch are clamped; 1 disables packing and every envelope goes
+	// out as its own frame.
 	BatchLimit int
 	// EventLog is the durable per-group event log. When set, every
 	// state-mutating hop — registration, declaration, coupling, event
@@ -939,19 +938,18 @@ func newOutbox(c *wire.Conn, depth *obs.Gauge, limit, batchLimit int, batchSize 
 	return o
 }
 
-// flush writes one drained backlog. For a batch-aware peer, runs of queued
-// records are packed into Batch frames of up to batchLimit records each;
-// otherwise (or when packing is disabled) every record goes out as its own
-// frame. Either way the records reach the wire in queue order, and shared
-// broadcast bodies are spliced in by reference rather than re-encoded. Every
-// record flush takes is released and zeroed exactly once — after its frame
-// is written, or on the error path — so eviction or a broken connection can
-// never leak or double-release a shared body, and the slice goes back to the
-// outbox referencing nothing.
+// flush writes one drained backlog: runs of queued records are packed into
+// Batch frames of up to batchLimit records each, and with packing disabled
+// every record goes out as its own frame. Either way the records reach the
+// wire in queue order, and shared broadcast bodies are spliced in by
+// reference rather than re-encoded. Every record flush takes is released and
+// zeroed exactly once — after its frame is written, or on the error path — so
+// eviction or a broken connection can never leak or double-release a shared
+// body, and the slice goes back to the outbox referencing nothing.
 func (o *outbox) flush(c *wire.Conn, recs []wire.Outgoing) error {
 	for len(recs) > 0 {
 		n := 1
-		if o.batchLimit > 1 && len(recs) > 1 && c.BatchAware() {
+		if o.batchLimit > 1 && len(recs) > 1 {
 			n = min(len(recs), o.batchLimit)
 		}
 		var err error

@@ -25,7 +25,7 @@ func waitNoLiveBodies(t *testing.T) {
 // A double release panics in SharedExec.Release, a leak trips the liveBodies
 // oracle — and -race checks the release ordering.
 func TestOutboxDeathReleasesSharedBodiesExactlyOnce(t *testing.T) {
-	o, peer := outboxPair(t, false, 0, 8)
+	o, peer := outboxPair(t, 0, 8)
 	se := wire.NewSharedExec(7, "set", nil, couple.ObjectRef{Instance: "a", Path: "/n"})
 
 	// The writer takes the first record and blocks writing it (net.Pipe has

@@ -28,9 +28,7 @@ func TestSoakConvergence(t *testing.T) {
 	_, bed := newBed(t, server.Options{})
 	cls := make([]*client.Client, clients)
 	for i := range cls {
-		// One plain peer among the batching clients, as in the benchmark's
-		// groups.
-		cls[i] = bed.Dial(testbed.Member{AppType: "soak", User: fmt.Sprintf("u%d", i), Spec: `textfield pad value=""`, Plain: i == 0})
+		cls[i] = bed.Dial(testbed.Member{AppType: "soak", User: fmt.Sprintf("u%d", i), Spec: `textfield pad value=""`})
 		mustOK(t, cls[i].Declare("/pad"))
 	}
 

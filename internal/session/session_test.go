@@ -24,7 +24,7 @@ func newFixture(t *testing.T, n int) *fixture {
 	bed := testbed.New(t, server.New(server.Options{}), testbed.Options{})
 	f := &fixture{t: t}
 	for i := 0; i < n; i++ {
-		cli := bed.Dial(testbed.Member{AppType: "pad", User: "u", Spec: `textfield pad value=""`, Plain: true})
+		cli := bed.Dial(testbed.Member{AppType: "pad", User: "u", Spec: `textfield pad value=""`})
 		if err := cli.Declare("/pad"); err != nil {
 			t.Fatal(err)
 		}

@@ -56,9 +56,6 @@ type Member struct {
 	// Spec is built at "/" into a fresh widget registry, unless
 	// Options.Registry is set.
 	Spec string
-	// Plain leaves the wire batch extension off: the non-batching peers
-	// mixed into groups.
-	Plain bool
 	// Fault wraps the server's end of every connection of the member.
 	Fault *faultnet.Schedule
 	// Reconnect lets the client ride through lost connections; the bed
@@ -188,7 +185,7 @@ func (b *Bed) attach(mem *member) (net.Conn, error) {
 func (b *Bed) Dial(m Member) *client.Client {
 	b.tb.Helper()
 	opts := m.Options
-	opts.AppType, opts.User, opts.Batching = m.AppType, m.User, !m.Plain
+	opts.AppType, opts.User = m.AppType, m.User
 	if opts.Host == "" {
 		opts.Host = "testhost"
 	}

@@ -42,7 +42,7 @@ func TestCheckRunsOnceBeforeAnyClientClose(t *testing.T) {
 		return nil
 	}})
 	bed.Dial(testbed.Member{AppType: "app", User: "a", Spec: `textfield x`})
-	bed.Dial(testbed.Member{AppType: "app", User: "b", Plain: true, Fault: &faultnet.Schedule{}})
+	bed.Dial(testbed.Member{AppType: "app", User: "b", Fault: &faultnet.Schedule{}})
 	bed.Raw(wire.Register{AppType: "raw", User: "c"})
 	bed.Close()
 	bed.Close()

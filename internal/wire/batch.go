@@ -17,8 +17,7 @@ const MaxBatch = 4096
 // single wire frame. Each record keeps its own type, correlation numbers,
 // and (when present) trace context, so unpacking a Batch yields exactly the
 // envelopes that would otherwise have arrived as individual frames, in the
-// same order. Batch frames may only be sent once BatchAware reports true;
-// a Batch may not nest another Batch or a BatchAck.
+// same order. A Batch may not nest another Batch or a BatchAck.
 //
 // Batch is framing, and only a writer ever holds one: Next never returns a
 // Batch but hands out its records one per call (see Conn.Pending).
@@ -52,22 +51,7 @@ func (BatchAck) MsgType() Type { return TBatchAck }
 func (m Batch) encode(buf []byte) []byte {
 	buf = appendUvarint(buf, uint64(len(m.Envelopes)))
 	for _, env := range m.Envelopes {
-		t := uint16(env.Msg.MsgType())
-		// Inner records flag trace context by presence, independent of the
-		// connection's trace negotiation: a Batch only ever goes to a peer
-		// that negotiated batching, which postdates the trace extension.
-		traced := env.Trace.Trace != 0 || env.Trace.Span != 0
-		if traced {
-			t |= traceFlag
-		}
-		buf = binary.LittleEndian.AppendUint16(buf, t)
-		buf = appendUvarint(buf, env.Seq)
-		buf = appendUvarint(buf, env.RefSeq)
-		if traced {
-			buf = appendUvarint(buf, uint64(env.Trace.Trace))
-			buf = appendUvarint(buf, uint64(env.Trace.Span))
-		}
-		buf = appendBytes(buf, env.Msg.encode(nil))
+		buf = AppendEnvelope(buf, env)
 	}
 	return buf
 }
@@ -121,7 +105,7 @@ const minBatchRecord = 5
 // keeps none of it.
 func (d *decoder) innerRecord(rec *Record) bool {
 	raw := d.u16()
-	t := Type(raw &^ flagMask)
+	t := Type(raw &^ traceFlag)
 	rec.Seq, rec.RefSeq = d.uvarint(), d.uvarint()
 	if raw&traceFlag != 0 {
 		rec.Trace = obs.TraceContext{

@@ -3,9 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/rand"
-	"net"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -143,8 +141,8 @@ func batchFrame(body []byte) []byte {
 }
 
 // Property: N Reads of a random run of envelopes packed into one Batch frame
-// return exactly what N Reads of the same run sent singly over a
-// trace-enabled connection return — same messages, same correlation numbers,
+// return exactly what N Reads of the same run sent singly return — same
+// messages, same correlation numbers,
 // same trace contexts (zero stays zero, non-zero survives exactly), same
 // order — and Pending holds from the first of them until the last. Next
 // agrees with Read on both streams, record for record (nextMatchesRead).
@@ -165,7 +163,6 @@ func TestPropBatchRoundTripMatchesSingles(t *testing.T) {
 		sa, sb := Pipe()
 		defer sa.Close()
 		defer sb.Close()
-		sa.EnableTrace()
 		singles := readN(sb, n)
 		for _, env := range envs {
 			if err := sa.Write(env); err != nil {
@@ -181,7 +178,6 @@ func TestPropBatchRoundTripMatchesSingles(t *testing.T) {
 		ba, bb := Pipe()
 		defer ba.Close()
 		defer bb.Close()
-		ba.EnableBatch()
 		batched := make(chan []Envelope, 1)
 		go func() {
 			frame, _ := readFrame(bb)
@@ -368,126 +364,70 @@ func TestBatchRunShedsLongFrame(t *testing.T) {
 	}
 }
 
-// TestBatchAutoDetectFromPeer asserts the acceptor side of the capability
-// handshake: after reading one flagged frame, the acceptor may pack its own
-// frames, and the initiator unpacks them.
-func TestBatchAutoDetectFromPeer(t *testing.T) {
-	cli, srv := Pipe()
-	defer cli.Close()
-	defer srv.Close()
-	cli.EnableBatch()
-
-	if srv.BatchAware() {
-		t.Fatal("acceptor batch-aware before any frame")
-	}
-	srvGot := readN(srv, 1)
-	if err := cli.Write(Envelope{Seq: 1, Msg: Register{User: "u"}}); err != nil {
-		t.Fatal(err)
-	}
-	<-srvGot
-	if !srv.BatchAware() {
-		t.Fatal("server conn did not detect batch-aware peer")
-	}
-	cliGot := readN(cli, 2)
-	batch := Batch{Envelopes: []Envelope{
-		{Msg: Exec{EventID: 4, TargetPath: "/x", Name: "changed"}},
-		{Msg: Exec{EventID: 5, TargetPath: "/y", Name: "changed"}},
-	}}
-	if err := srv.Write(Envelope{Msg: batch}); err != nil {
-		t.Fatal(err)
-	}
-	envs := <-cliGot
-	if len(envs) != 2 {
-		t.Fatalf("batched reply read as %d records, want 2", len(envs))
-	}
-	for i, env := range envs {
-		if ex, ok := env.Msg.(Exec); !ok || ex.EventID != uint64(4+i) {
-			t.Fatalf("record %d = %+v", i, env.Msg)
-		}
-	}
-}
-
 // TestWriteAcksMatchesWrite pins WriteAcks to the frames Write puts on the
 // wire for the same acknowledgements: a lone entry is an ExecAck with the
-// entry's trace in its header, a longer run one BatchAck to a batch-aware
-// peer and one ExecAck per entry to any other, whatever the trace
-// negotiation.
+// entry's trace in its header, a longer run one BatchAck.
 func TestWriteAcksMatchesWrite(t *testing.T) {
 	run := []BatchAckEntry{
 		{EventID: 1 << 20, Trace: obs.TraceContext{Trace: 7, Span: 8}},
 		{EventID: 3},
 		{EventID: 1<<20 + 1, Trace: obs.TraceContext{Trace: 9, Span: 10}},
 	}
-	for _, batching := range []bool{false, true} {
-		for _, tracing := range []bool{false, true} {
-			for _, acks := range [][]BatchAckEntry{run[:1], run[1:2], run} {
-				viaWrite, viaAcks := &sinkConn{}, &sinkConn{}
-				w, a := NewConn(viaWrite), NewConn(viaAcks)
-				for _, c := range []*Conn{w, a} {
-					if batching {
-						c.EnableBatch()
-					}
-					if tracing {
-						c.EnableTrace()
-					}
-				}
-				var envs []Envelope
-				if len(acks) > 1 && batching {
-					envs = []Envelope{{Msg: BatchAck{Acks: acks}}}
-				} else {
-					for _, e := range acks {
-						envs = append(envs, Envelope{Trace: e.Trace, Msg: ExecAck{EventID: e.EventID}})
-					}
-				}
-				for _, env := range envs {
-					if err := w.Write(env); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := a.WriteAcks(acks); err != nil {
-					t.Fatal(err)
-				}
-				if want, got := viaWrite.bytes(), viaAcks.bytes(); string(want) != string(got) {
-					t.Errorf("batching %v, tracing %v, %d acks: WriteAcks wrote\n %x\nWrite wrote\n %x", batching, tracing, len(acks), got, want)
-				}
-			}
+	for _, acks := range [][]BatchAckEntry{run[:1], run[1:2], run} {
+		viaWrite, viaAcks := &sinkConn{}, &sinkConn{}
+		w, a := NewConn(viaWrite), NewConn(viaAcks)
+		env := Envelope{Msg: BatchAck{Acks: acks}}
+		if len(acks) == 1 {
+			env = Envelope{Trace: acks[0].Trace, Msg: ExecAck{EventID: acks[0].EventID}}
+		}
+		if err := w.Write(env); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.WriteAcks(acks); err != nil {
+			t.Fatal(err)
+		}
+		if want, got := viaWrite.bytes(), viaAcks.bytes(); string(want) != string(got) {
+			t.Errorf("%d acks: WriteAcks wrote\n %x\nWrite wrote\n %x", len(acks), got, want)
 		}
 	}
 }
 
-// TestBatchFlagSuppressedForLegacyConn pins the raw bytes: a connection that
-// never opted in emits frames without the batchFlag bit, and an opted-in
-// connection sets it (alongside traceFlag when that is negotiated too).
-func TestBatchFlagSuppressedForLegacyConn(t *testing.T) {
-	frameType := func(enableBatch, enableTrace bool) uint16 {
-		ca, cb := net.Pipe()
-		defer ca.Close()
-		defer cb.Close()
-		c := NewConn(ca)
-		if enableBatch {
-			c.EnableBatch()
-		}
-		if enableTrace {
-			c.EnableTrace()
-		}
-		go c.Write(Envelope{Seq: 1, Msg: OK{}}) //nolint:errcheck
-		var lenbuf [4]byte
-		if _, err := io.ReadFull(cb, lenbuf[:]); err != nil {
+// TestRetiredBatchBitRefused: the type field has one flag, traceFlag. A frame
+// that still sets 0x4000, the bit that once announced batching, names no
+// message type: Next fails on it with an error and no record, leaves nothing
+// pending, and the next frame reads as it would have on its own.
+func TestRetiredBatchBitRefused(t *testing.T) {
+	for _, typ := range []Type{TOK, TBatch} {
+		lc := &loopConn{}
+		c := NewConn(lc)
+		lc.Write(retiredBatchBitFrame(typ))
+		if err := c.Write(Envelope{Seq: 9, Msg: OK{}}); err != nil {
 			t.Fatal(err)
 		}
-		body := make([]byte, binary.LittleEndian.Uint32(lenbuf[:]))
-		if _, err := io.ReadFull(cb, body); err != nil {
-			t.Fatal(err)
+		rec := scribbledRecord()
+		if err := c.Next(&rec); err == nil || !reflect.ValueOf(rec).IsZero() || c.Pending() {
+			t.Errorf("a %s frame with 0x4000 set read as %+v, %v (pending %v), want an error and no record", typ, rec, err, c.Pending())
 		}
-		return binary.LittleEndian.Uint16(body)
+		if env, err := c.Read(); err != nil || env.Seq != 9 || env.Msg != (OK{}) {
+			t.Errorf("after a %s frame with 0x4000 set, the next frame read as %+v, %v", typ, env, err)
+		}
 	}
-	if raw := frameType(false, false); raw&flagMask != 0 {
-		t.Errorf("legacy frame type %#x carries extension flags", raw)
+}
+
+// retiredBatchBitFrame frames a well-formed message of type typ — a
+// two-record run for TBatch, an OK otherwise — with 0x4000 set in its type
+// field, as a sender that still announced batching wrote it.
+func retiredBatchBitFrame(typ Type) []byte {
+	var body []byte
+	if typ == TBatch {
+		body = Batch{Envelopes: []Envelope{
+			{Msg: Exec{EventID: 1, TargetPath: "/a", Name: "changed"}},
+			{Trace: obs.TraceContext{Trace: 5, Span: 6}, Msg: ExecAck{EventID: 1}},
+		}}.encode(nil)
 	}
-	if raw := frameType(true, false); raw&batchFlag == 0 || raw&traceFlag != 0 {
-		t.Errorf("batch-only frame type = %#x", raw)
-	}
-	if raw := frameType(true, true); raw&batchFlag == 0 || raw&traceFlag == 0 {
-		t.Errorf("batch+trace frame type = %#x", raw)
-	}
+	head := binary.LittleEndian.AppendUint16(nil, uint16(typ)|0x4000)
+	head = binary.AppendUvarint(head, 0) // seq
+	head = binary.AppendUvarint(head, 0) // refSeq
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(head)+len(body)))
+	return append(append(frame, head...), body...)
 }

@@ -1,7 +1,5 @@
 package wire
 
-import "encoding/binary"
-
 // AppendEnvelope appends one envelope in the Batch inner-record layout
 // ([u16 type(|traceFlag)][uvarint seq][uvarint refSeq][trace?][uvarint
 // bodyLen][body]). It is the standalone form of that framing, used wherever a
@@ -9,18 +7,7 @@ import "encoding/binary"
 // connection — the durable event log stores exactly these bytes, so a logged
 // record and a batch record share one parser.
 func AppendEnvelope(buf []byte, env Envelope) []byte {
-	t := uint16(env.Msg.MsgType())
-	traced := env.Trace.Trace != 0 || env.Trace.Span != 0
-	if traced {
-		t |= traceFlag
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, t)
-	buf = appendUvarint(buf, env.Seq)
-	buf = appendUvarint(buf, env.RefSeq)
-	if traced {
-		buf = appendUvarint(buf, uint64(env.Trace.Trace))
-		buf = appendUvarint(buf, uint64(env.Trace.Span))
-	}
+	buf = appendHeader(buf, env.Msg.MsgType(), &env)
 	return appendBytes(buf, env.Msg.encode(nil))
 }
 

@@ -115,20 +115,19 @@ func FuzzConnRead(f *testing.F) {
 	hframe := binary.LittleEndian.AppendUint32(nil, uint32(len(hbody)))
 	hframe = append(hframe, hbody...)
 	f.Add(hframe)
-	// Batch frames: a well-formed two-record batch (with the batchFlag
-	// capability bit set, as a batching sender would emit it) plus every
-	// malformed body from the rejection corpus, framed.
-	bbody := binary.LittleEndian.AppendUint16(nil, uint16(TBatch)|batchFlag)
-	bbody = binary.AppendUvarint(bbody, 0)
-	bbody = binary.AppendUvarint(bbody, 0)
-	bbody = Batch{Envelopes: []Envelope{
+	// Batch frames: a well-formed two-record batch plus every malformed body
+	// from the rejection corpus, framed.
+	bframe := batchFrame(Batch{Envelopes: []Envelope{
 		{Msg: Exec{EventID: 1, TargetPath: "/a", Name: "changed"}},
 		{Trace: obs.TraceContext{Trace: 5, Span: 6}, Msg: ExecAck{EventID: 1}},
-	}}.encode(bbody)
-	bframe := binary.LittleEndian.AppendUint32(nil, uint32(len(bbody)))
-	f.Add(append(bframe, bbody...))
+	}}.encode(nil))
+	f.Add(bframe)
 	for _, body := range malformedBatchBodies() {
 		f.Add(batchFrame(body))
+	}
+	// Frames that set the retired batch bit, which are refused.
+	for _, typ := range []Type{TOK, TBatch} {
+		f.Add(retiredBatchBitFrame(typ))
 	}
 	// Streams of two frames, so a second read overwrites the buffer the first
 	// envelope was decoded from: every message type followed by the batch
@@ -140,9 +139,9 @@ func FuzzConnRead(f *testing.F) {
 		one = m.encode(one)
 		two := binary.LittleEndian.AppendUint32(nil, uint32(len(one)))
 		two = append(two, one...)
-		f.Add(append(append(two, bframe...), bbody...))
+		f.Add(append(two, bframe...))
 	}
-	f.Add(append(append(append([]byte(nil), bframe...), bbody...), tframe...))
+	f.Add(append(append([]byte(nil), bframe...), tframe...))
 	// A stream of repeated notices, alone and in Batches, as a member and an
 	// origin read them event after event.
 	f.Add(framesOf(noticeStream()...))
@@ -261,21 +260,18 @@ func writeRaw(c *Conn, raw []byte) error {
 }
 
 // FuzzEnvelopeHeader proves the envelope header codec is a bijection in
-// both encodings: arbitrary (seq, refSeq, trace, span) values written by a
-// trace-enabled Conn decode back exactly, and the same envelope written
-// without the extension decodes with the trace dropped — never corrupting
-// the message body in either direction.
+// both encodings: arbitrary (seq, refSeq, trace, span) values decode back
+// exactly, a zero context as none and any other in the traceFlag layout —
+// never corrupting the message body.
 func FuzzEnvelopeHeader(f *testing.F) {
-	f.Add(uint64(1), uint64(0), uint64(0xbeef), uint64(0xcafe), true)
-	f.Add(uint64(0), uint64(7), uint64(0), uint64(0), false)
-	f.Add(^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), true)
-	f.Fuzz(func(t *testing.T, seq, refSeq, traceID, spanID uint64, traced bool) {
+	f.Add(uint64(1), uint64(0), uint64(0xbeef), uint64(0xcafe))
+	f.Add(uint64(0), uint64(7), uint64(0), uint64(0))
+	f.Add(uint64(0), uint64(7), uint64(0), uint64(3))
+	f.Add(^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0))
+	f.Fuzz(func(t *testing.T, seq, refSeq, traceID, spanID uint64) {
 		a, b := Pipe()
 		defer a.Close()
 		defer b.Close()
-		if traced {
-			a.EnableTrace()
-		}
 		env := Envelope{
 			Seq:    seq,
 			RefSeq: refSeq,
@@ -294,12 +290,8 @@ func FuzzEnvelopeHeader(f *testing.F) {
 		if got.Seq != seq || got.RefSeq != refSeq {
 			t.Fatalf("seq/refSeq = %d/%d, want %d/%d", got.Seq, got.RefSeq, seq, refSeq)
 		}
-		if traced && traceID != 0 {
-			if got.Trace != env.Trace {
-				t.Fatalf("trace = %+v, want %+v", got.Trace, env.Trace)
-			}
-		} else if got.Trace.Valid() {
-			t.Fatalf("untraced write decoded trace %+v", got.Trace)
+		if got.Trace != env.Trace {
+			t.Fatalf("trace = %+v, want %+v", got.Trace, env.Trace)
 		}
 		if ack, ok := got.Msg.(ExecAck); !ok || ack.EventID != 42 {
 			t.Fatalf("body corrupted: %+v", got.Msg)

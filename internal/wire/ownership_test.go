@@ -61,7 +61,6 @@ func survivesNextRead(env Envelope) error {
 		want[i] = AppendEnvelope(nil, rec)
 	}
 	c := NewConn(&loopConn{})
-	c.EnableTrace()
 	other := Envelope{Seq: 99, Msg: Exec{EventID: 1, TargetPath: strings.Repeat("Z", len(AppendEnvelope(nil, env))+16),
 		Name: "other", Args: []attr.Value{attr.String(strings.Repeat("z", 64))},
 		Origin: couple.ObjectRef{Instance: "other", Path: "/other"}}}
@@ -375,7 +374,7 @@ func TestPropNoticeMemoMatchesFreshConn(t *testing.T) {
 // notice or verdict costs Read nothing at all. Next reads the server's share
 // of an event the same way: a lone Event costs its argument slice and payload
 // string, a lone ExecAck nothing. Acknowledging applied Execs (WriteAcks,
-// lone or as a run, to a batching or a plain peer) costs nothing either.
+// lone or as a run) costs nothing either.
 func TestReadPathAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts include the race detector's own; `make allocs` runs this without -race")
@@ -430,21 +429,16 @@ func TestReadPathAllocBudget(t *testing.T) {
 	}
 
 	acks := []BatchAckEntry{{EventID: 1 << 20, Trace: obs.TraceContext{Trace: 1 << 40, Span: 1 << 41}}, {EventID: 1<<20 + 1}}
-	for _, batching := range []bool{false, true} {
-		lc := &loopConn{}
-		c := NewConn(lc)
-		if batching {
-			c.EnableBatch()
-		}
-		for _, run := range [][]BatchAckEntry{acks[:1], acks} {
-			if got := testing.AllocsPerRun(runs, func() {
-				lc.reset()
-				if err := c.WriteAcks(run); err != nil {
-					t.Fatal(err)
-				}
-			}); got != 0 {
-				t.Errorf("WriteAcks of %d acks (batching %v) allocates %.1f times, want 0", len(run), batching, got)
+	lc := &loopConn{}
+	c := NewConn(lc)
+	for _, run := range [][]BatchAckEntry{acks[:1], acks} {
+		if got := testing.AllocsPerRun(runs, func() {
+			lc.reset()
+			if err := c.WriteAcks(run); err != nil {
+				t.Fatal(err)
 			}
+		}); got != 0 {
+			t.Errorf("WriteAcks of %d acks allocates %.1f times, want 0", len(run), got)
 		}
 	}
 }

@@ -136,14 +136,13 @@ func TestPropRandomMessagesRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: on a trace-enabled connection, every random message round-trips
-// with and without trace context, and the received context matches what was
-// sent (zero stays zero, non-zero survives exactly).
+// Property: every random message round-trips with and without trace
+// context, and the received context matches what was sent (zero stays zero,
+// non-zero survives exactly).
 func TestPropRandomMessagesRoundTripTraced(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
-	a.EnableTrace()
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		want := randomMessage(r)

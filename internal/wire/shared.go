@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -21,7 +20,7 @@ import (
 // broadcast costs O(1) body encodes and zero body copies regardless of
 // fan-out. The bytes that reach each peer are identical to what a plain
 // Conn.Write of the materialized Exec would have produced, so the wire
-// format — and every legacy peer — is untouched.
+// format — and every reader — is untouched.
 
 // maxPooledBody caps the capacity of bodies returned to the shared-body pool,
 // so one huge broadcast does not pin megabytes inside sync.Pool.
@@ -158,9 +157,7 @@ func (se *SharedExec) appendHead(buf []byte, targetPath string) []byte {
 // the event log writes an event's record with it. Valid only while a
 // reference is held.
 func (se *SharedExec) AppendEnvelope(buf []byte, targetPath string) []byte {
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(TExec))
-	buf = appendUvarint(buf, 0) // seq
-	buf = appendUvarint(buf, 0) // refSeq
+	buf = appendHeader(buf, TExec, &Envelope{})
 	buf = appendUvarint(buf, uint64(se.headLen(targetPath)+se.TailLen()))
 	buf = se.appendHead(buf, targetPath)
 	return append(buf, se.tail()...)

@@ -80,8 +80,8 @@ func randomSharedExec(r *rand.Rand) (*SharedExec, []string) {
 }
 
 // randomEnvTrace picks a trace context: zero half the time, random IDs
-// otherwise, exercising both the flagged-with-zero-IDs and the
-// context-carrying encodings.
+// otherwise, exercising both the unflagged and the context-carrying
+// encodings.
 func randomEnvTrace(r *rand.Rand) obs.TraceContext {
 	if r.Intn(2) == 0 {
 		return obs.TraceContext{}
@@ -89,8 +89,7 @@ func randomEnvTrace(r *rand.Rand) obs.TraceContext {
 	return obs.TraceContext{Trace: obs.TraceID(r.Uint64() | 1), Span: obs.SpanID(r.Uint64())}
 }
 
-// Property: for every random broadcast and capability configuration, the
-// encode-once path — WriteOutgoing splicing the shared suffix with a
+// Property: for every random broadcast, the encode-once path — WriteOutgoing splicing the shared suffix with a
 // vectored write — puts byte-for-byte the same frames on the wire as the
 // legacy per-member Conn.Write of the materialized Exec, snooped at the raw
 // byte level below the Conn.
@@ -99,14 +98,6 @@ func TestPropSharedWriteByteIdentical(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		legacySink, sharedSink := &sinkConn{}, &sinkConn{}
 		legacy, shared := NewConn(legacySink), NewConn(sharedSink)
-		if r.Intn(2) == 0 {
-			legacy.EnableTrace()
-			shared.EnableTrace()
-		}
-		if r.Intn(2) == 0 {
-			legacy.EnableBatch()
-			shared.EnableBatch()
-		}
 		se, paths := randomSharedExec(r)
 		for _, p := range paths {
 			env := Envelope{Seq: r.Uint64() % 1000, Trace: randomEnvTrace(r), Msg: se.Exec(p)}
@@ -143,12 +134,6 @@ func TestPropSharedBatchByteIdentical(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		legacySink, sharedSink := &sinkConn{}, &sinkConn{}
 		legacy, shared := NewConn(legacySink), NewConn(sharedSink)
-		if r.Intn(2) == 0 {
-			legacy.EnableTrace()
-			shared.EnableTrace()
-		}
-		legacy.EnableBatch()
-		shared.EnableBatch()
 		se, paths := randomSharedExec(r)
 		var recs []Outgoing
 		for _, p := range paths {

@@ -25,11 +25,12 @@ func readN(c *Conn, n int) <-chan []Envelope {
 	return out
 }
 
+// TestTraceRoundTripWhenEnabled: an envelope's trace context reaches the
+// peer with the envelope.
 func TestTraceRoundTripWhenEnabled(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
-	a.EnableTrace()
 
 	tc := obs.TraceContext{Trace: 0xdeadbeef, Span: 0x1234}
 	got := readN(b, 1)
@@ -46,60 +47,40 @@ func TestTraceRoundTripWhenEnabled(t *testing.T) {
 	if envs[0].Seq != 7 {
 		t.Fatalf("seq = %d, want 7", envs[0].Seq)
 	}
-	if !b.TraceAware() {
-		t.Error("receiver did not latch peer trace awareness")
-	}
 }
 
-// TestTraceSuppressedForLegacyPeer asserts the legacy-compat invariant: a
-// connection that has neither opted in nor seen a traced frame emits frames
-// byte-identical to the pre-trace encoding, even when the envelope carries
-// trace context.
-func TestTraceSuppressedForLegacyPeer(t *testing.T) {
-	a, b := Pipe()
-	defer a.Close()
-	defer b.Close()
-	// No EnableTrace on a; b never writes. a must strip the trace.
-	got := readN(b, 1)
-	tc := obs.TraceContext{Trace: 42, Span: 43}
-	if err := a.Write(Envelope{Seq: 1, Trace: tc, Msg: OK{}}); err != nil {
-		t.Fatal(err)
-	}
-	envs := <-got
-	if len(envs) != 1 {
-		t.Fatal("read failed")
-	}
-	if envs[0].Trace.Valid() {
-		t.Fatalf("legacy-mode frame carried trace %+v", envs[0].Trace)
-	}
-}
-
-// TestTraceAutoDetectFromPeer asserts the acceptor side: after reading one
-// traced frame, replies on the same connection may carry traces.
-func TestTraceAutoDetectFromPeer(t *testing.T) {
-	cli, srv := Pipe()
-	defer cli.Close()
-	defer srv.Close()
-	cli.EnableTrace()
-
-	tc := obs.TraceContext{Trace: 9, Span: 10}
-	srvGot := readN(srv, 1)
-	if err := cli.Write(Envelope{Seq: 1, Trace: tc, Msg: Register{User: "u"}}); err != nil {
-		t.Fatal(err)
-	}
-	<-srvGot
-	if !srv.TraceAware() {
-		t.Fatal("server conn did not detect trace-aware peer")
-	}
-	// Server replies with trace; client must receive it.
-	reply := obs.TraceContext{Trace: 9, Span: 11}
-	cliGot := readN(cli, 1)
-	if err := srv.Write(Envelope{RefSeq: 1, Trace: reply, Msg: Registered{ID: "i1"}}); err != nil {
-		t.Fatal(err)
-	}
-	envs := <-cliGot
-	if len(envs) != 1 || envs[0].Trace != reply {
-		t.Fatalf("reply trace = %+v, want %+v", envs, reply)
+// TestTraceFlagByPresence pins the presence rule on every header writer: a
+// frame's header, and a packed record's, carries traceFlag exactly when its
+// envelope's context is non-zero, and a context-free frame has the bytes of
+// the pre-trace layout.
+func TestTraceFlagByPresence(t *testing.T) {
+	for _, tc := range []obs.TraceContext{{}, {Trace: 42, Span: 43}, {Span: 43}} {
+		env := Envelope{Seq: 1, Trace: tc, Msg: ExecAck{EventID: 12}}
+		want := tc != obs.TraceContext{}
+		sink := &sinkConn{}
+		c := NewConn(sink)
+		if err := c.Write(env); err != nil {
+			t.Fatal(err)
+		}
+		frame := sink.bytes()
+		flagged := func(header []byte) bool { return binary.LittleEndian.Uint16(header)&traceFlag != 0 }
+		if got := flagged(frame[4:]); got != want {
+			t.Errorf("context %+v: frame flagged %v, want %v", tc, got, want)
+		}
+		if got := flagged(AppendEnvelope(nil, env)); got != want {
+			t.Errorf("context %+v: record flagged %v, want %v", tc, got, want)
+		}
+		if !want {
+			legacy := binary.LittleEndian.AppendUint32(nil, 0)
+			legacy = binary.LittleEndian.AppendUint16(legacy, uint16(TExecAck))
+			legacy = binary.AppendUvarint(legacy, 1) // seq
+			legacy = binary.AppendUvarint(legacy, 0) // refSeq
+			legacy = ExecAck{EventID: 12}.encode(legacy)
+			binary.LittleEndian.PutUint32(legacy, uint32(len(legacy)-4))
+			if string(frame) != string(legacy) {
+				t.Errorf("a context-free frame is %x, the pre-trace layout %x", frame, legacy)
+			}
+		}
 	}
 }
 
@@ -134,9 +115,6 @@ func TestLegacyFrameBytesDecode(t *testing.T) {
 	ev, ok := env.Msg.(Event)
 	if !ok || ev.Path != "/f" || ev.Name != "changed" || env.Seq != 5 {
 		t.Fatalf("decoded %+v", env)
-	}
-	if b.TraceAware() {
-		t.Error("legacy frame must not latch trace awareness")
 	}
 }
 
@@ -203,14 +181,12 @@ func TestTracedFrameTruncatedHeader(t *testing.T) {
 	}
 }
 
-// TestConcurrentTracedWrites exercises the write path's atomics under
-// concurrency: mixed traced/untraced envelopes from many goroutines all
-// arrive intact.
+// TestConcurrentTracedWrites exercises the write path under concurrency:
+// mixed traced/untraced envelopes from many goroutines all arrive intact.
 func TestConcurrentTracedWrites(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
-	a.EnableTrace()
 
 	const n = 64
 	got := readN(b, n)

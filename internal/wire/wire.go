@@ -9,37 +9,28 @@
 // message number; replies carry the request's seq in refSeq so callers can
 // correlate responses without per-message bookkeeping fields.
 //
-// # Trace extension
+// # Trace context
 //
-// Frames may carry causal-trace context. The extension is signalled by the
-// traceFlag bit in the type field; when set, two uvarints — trace ID and
-// parent span ID — follow refSeq:
+// A header may carry causal-trace context. The traceFlag bit in the type
+// field marks it; when set, two uvarints — trace ID and parent span ID —
+// follow refSeq:
 //
 //	[u32 length][u16 type|traceFlag][uvarint seq][uvarint refSeq]
 //	[uvarint traceID][uvarint spanID][body]
 //
-// The encoding is backward compatible both ways: untraced frames are
-// byte-identical to the pre-trace protocol, and a Conn only emits flagged
-// frames to peers that have proven they understand them. A side that opted
-// in with EnableTrace (connection initiators, which speak first) flags every
-// frame it writes — context-free frames carry zero IDs — which announces
-// the capability to the acceptor from the first frame onward; an acceptor
-// latches that on Read and from then on flags the frames that carry
-// context. A legacy peer neither opts in nor sends flagged frames, so it
-// never sees the flag and a legacy stream decodes exactly as before.
+// The rule is presence: a header carries the flag exactly when its envelope
+// has a non-zero context, whether it heads a frame or a record packed in a
+// Batch, so a frame without context has the same bytes as one written
+// before tracing existed. Nothing is negotiated: every Conn reads flagged
+// and unflagged headers alike. The type field has no other flag; a frame
+// that sets another high bit decodes to an unknown type and is refused.
 //
-// # Batch extension
+// # Batch frames
 //
-// The batchFlag bit in the type field is negotiated exactly like traceFlag:
-// an initiator that opts in with EnableBatch flags every frame it writes,
-// announcing that it understands the Batch and BatchAck message types; an
-// acceptor latches the capability on Read. The flag itself changes nothing
-// about the frame layout — it is pure capability advertisement. Only once
-// BatchAware reports true may a side send a Batch frame, which packs a run
-// of envelopes (each with its own type, correlation numbers, and optional
-// trace context) into one wire frame, and a BatchAck, which answers a run of
-// Execs in one frame (WriteAcks). Legacy peers never advertise the bit and
-// therefore keep receiving, and sending, plain single-message frames.
+// A Batch frame packs a run of envelopes — each with its own type,
+// correlation numbers and optional trace context — into one wire frame, and
+// a BatchAck answers a run of Execs in one frame (WriteAcks). Every Conn
+// reads both, so a writer packs whenever it has a run to pack.
 //
 // A Batch is framing, not a message: Next decodes a packed frame all or
 // nothing — one malformed record fails the frame's first Next and none of
@@ -89,22 +80,13 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"cosoft/internal/obs"
 )
 
-// traceFlag marks a frame whose header carries trace context. It lives in
-// the type field's high bit, far above any assigned message type.
+// traceFlag marks a header that carries trace context. It lives in the type
+// field's high bit, far above any assigned message type.
 const traceFlag uint16 = 0x8000
-
-// batchFlag advertises the batch capability (see the package comment). Like
-// traceFlag it lives far above any assigned message type; unlike traceFlag
-// it never changes the layout of the frame that carries it.
-const batchFlag uint16 = 0x4000
-
-// flagMask covers every extension bit that may decorate the type field.
-const flagMask = traceFlag | batchFlag
 
 // MaxFrame is the largest accepted frame body. Larger length prefixes are
 // treated as protocol errors rather than allocation requests.
@@ -121,9 +103,8 @@ type Envelope struct {
 	// RefSeq echoes the Seq of the request this message replies to; 0 when
 	// the message is not a reply.
 	RefSeq uint64
-	// Trace is the causal-trace context the frame carried (zero when the
-	// sender attached none). On outgoing envelopes it is only encoded for
-	// trace-aware peers; see the package comment.
+	// Trace is the causal-trace context the header carried (zero when the
+	// sender attached none); see the package comment.
 	Trace obs.TraceContext
 	// Msg is the decoded payload.
 	Msg Message
@@ -211,18 +192,6 @@ type Conn struct {
 	// (frame headers and bodies, excluding shared-body suffixes it spliced
 	// in without encoding). Set it before the Conn is written concurrently.
 	encoded *obs.Counter
-
-	// sendTrace is the local opt-in (connection initiators call EnableTrace
-	// before speaking); peerTrace latches once the peer sends a traced
-	// frame. Either one licenses traced output.
-	sendTrace atomic.Bool
-	peerTrace atomic.Bool
-
-	// sendBatch/peerBatch mirror the trace pair for the batch capability:
-	// the local opt-in flags every outgoing frame with batchFlag, and the
-	// peer's flag latches on Read. Either one licenses Batch frames.
-	sendBatch atomic.Bool
-	peerBatch atomic.Bool
 }
 
 // bodyCut marks where a shared-body suffix splices into the contiguous
@@ -240,27 +209,12 @@ func NewConn(c net.Conn) *Conn {
 	}
 }
 
-// EnableTrace opts this side into the trace extension: every outgoing
-// envelope is encoded with the traceFlag (zero IDs when it carries no
-// context), announcing the capability to the peer. Only connection
-// initiators (who speak first) should call it; acceptors instead wait for
-// the peer to prove trace awareness, which Read latches automatically. Do
-// not enable when the remote peer may predate the extension.
-func (c *Conn) EnableTrace() { c.sendTrace.Store(true) }
-
-// TraceAware reports whether traced frames may be sent on this connection:
-// the local side opted in, or the peer has already sent one.
-func (c *Conn) TraceAware() bool { return c.sendTrace.Load() || c.peerTrace.Load() }
-
-// EnableBatch opts this side into the batch extension: every outgoing frame
-// carries the batchFlag capability bit, announcing that Batch frames are
-// understood. Like EnableTrace it is for connection initiators only; do not
-// enable when the remote peer may predate the extension.
-func (c *Conn) EnableBatch() { c.sendBatch.Store(true) }
-
-// BatchAware reports whether Batch frames may be sent on this connection:
-// the local side opted in, or the peer has advertised the capability.
-func (c *Conn) BatchAware() bool { return c.sendBatch.Load() || c.peerBatch.Load() }
+// EnableTrace does nothing: every header carries the trace context its
+// envelope has, on every connection.
+//
+// Deprecated: kept only for the benchmark module's probe, which calls it at
+// bench/probe.go:57; delete it together with that call.
+func (c *Conn) EnableTrace() {}
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.conn.Close() }
@@ -274,27 +228,18 @@ func (c *Conn) RemoteAddr() net.Addr { return c.conn.RemoteAddr() }
 // written concurrently; a nil counter (the default) disables counting.
 func (c *Conn) CountEncodedBytes(ctr *obs.Counter) { c.encoded = ctr }
 
-// outFlags computes the type field of an outgoing frame: the message type
-// decorated with the trace flag (an opted-in side flags every frame — even
-// context-free ones, whose IDs encode as two zero bytes — so the peer learns
-// the capability from the very first frame; a side that only detected the
-// peer flags just the frames that actually carry context) and the batch
-// capability bit.
-func (c *Conn) outFlags(t Type, tc obs.TraceContext) (raw uint16, traced bool) {
-	traced = c.sendTrace.Load() || (c.peerTrace.Load() && tc.Trace != 0)
-	raw = uint16(t)
+// appendHeader appends the header of an envelope whose message has type t:
+// the type word, the correlation numbers and the trace context. It writes
+// every header there is — a frame's, after its reserved length prefix, and
+// each record's in a Batch — so the presence rule lives here alone: the type
+// word carries traceFlag, and the trace and span IDs follow, exactly when
+// env.Trace is non-zero.
+func appendHeader(buf []byte, t Type, env *Envelope) []byte {
+	traced := env.Trace != obs.TraceContext{}
+	raw := uint16(t)
 	if traced {
 		raw |= traceFlag
 	}
-	if c.sendBatch.Load() {
-		raw |= batchFlag
-	}
-	return raw, traced
-}
-
-// appendFrameHeader appends the envelope header after the (already
-// reserved) length prefix: type word, correlation numbers, trace context.
-func appendFrameHeader(buf []byte, raw uint16, traced bool, env Envelope) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, raw)
 	buf = binary.AppendUvarint(buf, env.Seq)
 	buf = binary.AppendUvarint(buf, env.RefSeq)
@@ -322,12 +267,10 @@ func (c *Conn) Write(env Envelope) error {
 	if env.Msg == nil {
 		return errors.New("wire: nil message")
 	}
-	raw, traced := c.outFlags(env.Msg.MsgType(), env.Trace)
-
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	frame := append(c.scratch[:0], 0, 0, 0, 0) // length prefix, patched below
-	frame = appendFrameHeader(frame, raw, traced, env)
+	frame = appendHeader(frame, env.Msg.MsgType(), &env)
 	frame = env.Msg.encode(frame)
 	keepScratch(&c.scratch, frame)
 	if err := endFrame(frame, 0); err != nil {
@@ -339,17 +282,11 @@ func (c *Conn) Write(env Envelope) error {
 // WriteAcks acknowledges a run of applied Execs, in entry order, without
 // boxing a message: a lone entry as the frame Write(Envelope{Trace: e.Trace,
 // Msg: ExecAck{EventID: e.EventID}}) puts on the wire, a longer run as the
-// frame of Write(Envelope{Msg: BatchAck{Acks: acks}}) — split every MaxBatch
-// entries — once BatchAware reports true, and as one ExecAck frame per entry
-// to a peer that has not negotiated batching. All of it goes out in one
-// flush; an empty run writes nothing.
+// frame of Write(Envelope{Msg: BatchAck{Acks: acks}}), split every MaxBatch
+// entries. All of it goes out in one flush; an empty run writes nothing.
 func (c *Conn) WriteAcks(acks []BatchAckEntry) error {
 	if len(acks) == 0 {
 		return nil
-	}
-	chunk := 1
-	if c.BatchAware() {
-		chunk = MaxBatch
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -357,17 +294,15 @@ func (c *Conn) WriteAcks(acks []BatchAckEntry) error {
 	frames := 0
 	var err error
 	for len(acks) > 0 && err == nil {
-		run := acks[:min(chunk, len(acks))]
+		run := acks[:min(MaxBatch, len(acks))]
 		acks = acks[len(run):]
 		start := len(buf)
 		buf = append(buf, 0, 0, 0, 0)
 		if len(run) == 1 {
-			raw, traced := c.outFlags(TExecAck, run[0].Trace)
-			buf = appendFrameHeader(buf, raw, traced, Envelope{Trace: run[0].Trace})
+			buf = appendHeader(buf, TExecAck, &Envelope{Trace: run[0].Trace})
 			buf = ExecAck{EventID: run[0].EventID}.encode(buf)
 		} else {
-			raw, traced := c.outFlags(TBatchAck, obs.TraceContext{})
-			buf = appendFrameHeader(buf, raw, traced, Envelope{})
+			buf = appendHeader(buf, TBatchAck, &Envelope{})
 			buf = BatchAck{Acks: run}.encode(buf)
 		}
 		err = endFrame(buf, start)
@@ -414,12 +349,10 @@ func (c *Conn) WriteOutgoing(o Outgoing) error {
 	if o.Shared == nil {
 		return c.Write(o.Env)
 	}
-	raw, traced := c.outFlags(TExec, o.Env.Trace)
-
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	head := append(c.scratch[:0], 0, 0, 0, 0)
-	head = appendFrameHeader(head, raw, traced, o.Env)
+	head = appendHeader(head, TExec, &o.Env)
 	head = o.Shared.appendHead(head, o.Target)
 	keepScratch(&c.scratch, head)
 	tail := o.Shared.tail()
@@ -450,43 +383,29 @@ func (c *Conn) WriteBatch(recs []Outgoing) error {
 	if len(recs) > MaxBatch {
 		return errors.New("wire: batch too long")
 	}
-	// The outer envelope is fire-and-forget and never carries context of its
-	// own (each record keeps its own), matching the materialized form.
-	raw, traced := c.outFlags(TBatch, obs.TraceContext{})
-
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	buf := append(c.scratch[:0], 0, 0, 0, 0)
-	buf = appendFrameHeader(buf, raw, traced, Envelope{})
+	// The outer envelope is fire-and-forget and never carries context of its
+	// own (each record keeps its own), matching the materialized form.
+	buf = appendHeader(buf, TBatch, &Envelope{})
 	buf = binary.AppendUvarint(buf, uint64(len(recs)))
 	cuts := c.cuts[:0]
 	spliced := 0
 	for i := range recs {
 		env := &recs[i].Env
 		se := recs[i].Shared
-		var it uint16
+		var t Type
 		if se != nil {
-			it = uint16(TExec)
+			t = TExec
 		} else if env.Msg != nil {
-			it = uint16(env.Msg.MsgType())
+			t = env.Msg.MsgType()
 		} else {
 			keepScratch(&c.scratch, buf)
 			c.cuts = cuts[:0]
 			return errors.New("wire: nil message in batch")
 		}
-		// Inner records flag trace context by presence, independent of the
-		// connection's negotiation — exactly as Batch.encode does.
-		rt := env.Trace.Trace != 0 || env.Trace.Span != 0
-		if rt {
-			it |= traceFlag
-		}
-		buf = binary.LittleEndian.AppendUint16(buf, it)
-		buf = binary.AppendUvarint(buf, env.Seq)
-		buf = binary.AppendUvarint(buf, env.RefSeq)
-		if rt {
-			buf = binary.AppendUvarint(buf, uint64(env.Trace.Trace))
-			buf = binary.AppendUvarint(buf, uint64(env.Trace.Span))
-		}
+		buf = appendHeader(buf, t, env)
 		if se != nil {
 			target := recs[i].Target
 			buf = binary.AppendUvarint(buf, uint64(se.headLen(target)+se.TailLen()))
@@ -613,12 +532,8 @@ func (c *Conn) Next(rec *Record) error {
 		return fmt.Errorf("wire: read frame body: %w", err)
 	}
 	rawType := binary.LittleEndian.Uint16(body)
-	t := Type(rawType &^ flagMask)
+	t := Type(rawType &^ traceFlag)
 	body = body[2:]
-	if rawType&batchFlag != 0 {
-		// The peer advertises batch capability; replies may pack frames.
-		c.peerBatch.Store(true)
-	}
 	seq, sz := binary.Uvarint(body)
 	if sz <= 0 {
 		return errors.New("wire: bad seq")
@@ -642,8 +557,6 @@ func (c *Conn) Next(rec *Record) error {
 		}
 		body = body[sz:]
 		tc = obs.TraceContext{Trace: obs.TraceID(traceID), Span: obs.SpanID(spanID)}
-		// The peer speaks the extension; replies to it may carry traces.
-		c.peerTrace.Store(true)
 	}
 	if t == TBatch {
 		// The outer envelope of a packed frame carries nothing of its own:

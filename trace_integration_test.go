@@ -2,21 +2,14 @@ package cosoft_test
 
 // End-to-end coverage of the causal tracing layer: one coupled event driven
 // through three instances must leave the complete §3.2 chain in the span
-// ring, and a pre-trace ("legacy") peer must interoperate with a traced
-// server without ever seeing the wire extension.
+// ring.
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"net"
-	"sync"
 	"testing"
-	"time"
 
 	"cosoft/internal/attr"
 	"cosoft/internal/client"
-	"cosoft/internal/experiments"
 	"cosoft/internal/obs"
 	"cosoft/internal/server"
 	"cosoft/internal/testbed"
@@ -39,7 +32,7 @@ func TestCausalChainAcrossThreeInstances(t *testing.T) {
 	cl := make([]*client.Client, 3)
 	for i := range cl {
 		cl[i] = bed.Dial(testbed.Member{AppType: "bench", User: fmt.Sprintf("user%d", i), Spec: `textfield field value=""`,
-			Plain: true, Options: client.Options{Tracer: tr}})
+			Options: client.Options{Tracer: tr}})
 	}
 	bed.Star("/field", cl...)
 
@@ -150,120 +143,4 @@ func waitValue(t *testing.T, cli *client.Client, want string) {
 		w, err := cli.Registry().Lookup("/field")
 		return err == nil && w.Attr("value").AsString() == want
 	})
-}
-
-// snoopConn records every byte a legacy peer exchanges so the test can
-// re-parse the raw frames afterwards.
-type snoopConn struct {
-	net.Conn
-	mu   sync.Mutex
-	rbuf bytes.Buffer // server → peer
-	wbuf bytes.Buffer // peer → server
-}
-
-func (s *snoopConn) Read(p []byte) (int, error) {
-	n, err := s.Conn.Read(p)
-	s.mu.Lock()
-	s.rbuf.Write(p[:n])
-	s.mu.Unlock()
-	return n, err
-}
-
-func (s *snoopConn) Write(p []byte) (int, error) {
-	n, err := s.Conn.Write(p)
-	if n > 0 {
-		s.mu.Lock()
-		s.wbuf.Write(p[:n])
-		s.mu.Unlock()
-	}
-	return n, err
-}
-
-// frameTypes walks the wire framing ([u32 len][u16 type][body]) and returns
-// the raw (unmasked) type field of every complete frame.
-func frameTypes(t *testing.T, buf []byte) []uint16 {
-	t.Helper()
-	var types []uint16
-	for len(buf) >= 4 {
-		n := binary.LittleEndian.Uint32(buf)
-		if len(buf) < 4+int(n) {
-			break // trailing partial frame
-		}
-		if n < 2 {
-			t.Fatalf("frame body of %d bytes", n)
-		}
-		types = append(types, binary.LittleEndian.Uint16(buf[4:]))
-		buf = buf[4+int(n):]
-	}
-	return types
-}
-
-// TestLegacyPeerInteropWithTracedServer connects a pre-trace peer (no
-// Tracer, so it never opts into the wire extension) to a server with tracing
-// enabled, alongside a traced peer whose events ARE traced server-side. The
-// legacy peer registers, couples, and exchanges events in both directions;
-// every raw frame it sees must have a clean type field (no 0x8000 flag).
-func TestLegacyPeerInteropWithTracedServer(t *testing.T) {
-	tr := obs.NewTracer(256)
-	bed := testbed.New(t, server.New(server.Options{Tracer: tr}), testbed.Options{})
-	dial := func(name string, tracer *obs.Tracer, wrap func(net.Conn) net.Conn) *client.Client {
-		return bed.Dial(testbed.Member{AppType: "trace-test", User: name, Spec: `textfield field value=""`, Plain: true,
-			Wrap: wrap, Options: client.Options{RPCTimeout: 10 * time.Second, Tracer: tracer}})
-	}
-	traced := dial("traced", tr, nil)
-	snoop := &snoopConn{}
-	legacy := dial("legacy", nil, func(c net.Conn) net.Conn { snoop.Conn = c; return snoop })
-
-	for _, cli := range []*client.Client{traced, legacy} {
-		if err := cli.DeclareTree("/field"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := traced.Couple("/field", legacy.Ref("/field")); err != nil {
-		t.Fatal(err)
-	}
-	for _, cli := range []*client.Client{traced, legacy} {
-		testbed.Wait(t, fmt.Sprintf("coupling to converge on %s", cli.ID()), func() bool { return len(cli.CO("/field")) == 1 })
-	}
-
-	// Traced origin → the Exec to the legacy member rides a traced chain
-	// server-side but must arrive in legacy framing.
-	dispatch := func(cli *client.Client, val string) {
-		ev := &widget.Event{Path: "/field", Name: widget.EventChanged,
-			Args: []attr.Value{attr.String(val)}}
-		if _, err := experiments.DispatchRetry(cli, ev); err != nil {
-			t.Fatalf("dispatch from %s: %v", cli.ID(), err)
-		}
-	}
-	dispatch(traced, "from-traced")
-	waitValue(t, legacy, "from-traced")
-	waitValue(t, traced, "from-traced")
-
-	// Legacy origin → the chain is untraced end to end.
-	dispatch(legacy, "from-legacy")
-	waitValue(t, traced, "from-legacy")
-	waitValue(t, legacy, "from-legacy")
-
-	// The traced chain really was traced (the server recorded spans) ...
-	if spans := tr.Spans(); len(spans) == 0 {
-		t.Error("traced peer's events recorded no spans")
-	}
-
-	// ... yet no frame in either direction of the legacy connection carried
-	// the trace flag.
-	snoop.mu.Lock()
-	recv := append([]byte(nil), snoop.rbuf.Bytes()...)
-	sent := append([]byte(nil), snoop.wbuf.Bytes()...)
-	snoop.mu.Unlock()
-	for dir, buf := range map[string][]byte{"recv": recv, "sent": sent} {
-		types := frameTypes(t, buf)
-		if len(types) == 0 {
-			t.Errorf("%s: no frames captured", dir)
-		}
-		for i, typ := range types {
-			if typ&0x8000 != 0 {
-				t.Errorf("%s frame %d: type %#04x carries the trace flag", dir, i, typ)
-			}
-		}
-	}
 }
