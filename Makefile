@@ -18,10 +18,11 @@ vet:
 	$(GO) vet ./...
 
 # Race-check the coupling core: the server state loop, the lock table, the
-# client runtime and the test bed every suite runs on are the packages with
-# real goroutine interleavings.
+# client runtime, the wire Conn (RPC callers, Pongs and acks write one Conn
+# side by side, under the lock that also keeps its write error) and the test
+# bed every suite runs on are the packages with real goroutine interleavings.
 race:
-	$(GO) test -race ./internal/server/... ./internal/lock/... ./internal/client/... ./internal/testbed/...
+	$(GO) test -race ./internal/server/... ./internal/lock/... ./internal/client/... ./internal/wire/... ./internal/testbed/...
 
 # Cross-checks the metric names registered in code against the README's
 # metric table, so the documented observability surface cannot drift.

@@ -16,41 +16,27 @@ import (
 // part of any widget class and never travels in relevant-state copies.
 const OriginAttr = "_origin"
 
-// handleLocalEvent is the toolkit interception hook: it implements the
-// origin side of the multiple-execution algorithm (§3.2).
-//
-// The event's built-in ("syntactic") feedback is applied immediately so the
-// user sees an instant response; the event is then offered to the server,
-// which locks the coupling group and broadcasts it. If the lock fails, the
-// feedback is undone — "undo syntactic built-in feedback of the event e".
+// handleLocalEvent is the toolkit interception hook: it dispatches the event
+// through DispatchChecked and logs what went wrong — at Warn when the round
+// trip to the server failed, at Debug when the event was rejected or failed
+// locally.
 func (c *Client) handleLocalEvent(e *widget.Event) {
-	if !c.Coupled(e.Path) {
-		// Uncoupled objects behave exactly as in the single-user toolkit.
-		if _, err := c.reg.Deliver(e); err != nil {
-			c.slog.Debug("local event failed", "path", e.Path, "event", e.Name, "error", err.Error())
-		}
+	err := c.DispatchChecked(e)
+	if err == nil {
 		return
 	}
-	undo, err := c.reg.ApplyFeedback(e)
-	if err != nil {
-		c.slog.Debug("event feedback failed", "path", e.Path, "event", e.Name, "error", err.Error())
-		return
+	log := c.slog.Debug
+	if errors.As(err, new(roundTripError)) {
+		log = c.slog.Warn
 	}
-	res, err := c.eventRoundTrip(e)
-	if err != nil {
-		undo()
-		c.slog.Warn("event failed", "path", e.Path, "event", e.Name, "error", err.Error())
-		return
-	}
-	if !res.OK {
-		undo()
-		c.slog.Debug("event rejected", "path", e.Path, "event", e.Name, "reason", res.Reason)
-		return
-	}
-	// Accepted: run the application callbacks locally, exactly as the
-	// coupled instances will when they receive the Exec broadcast.
-	c.reg.RunCallbacks(e)
+	log("event failed", "path", e.Path, "event", e.Name, "error", err.Error())
 }
+
+// roundTripError marks a DispatchChecked failure of the round trip itself,
+// as opposed to a rejection or a local failure.
+type roundTripError struct{ error }
+
+func (e roundTripError) Unwrap() error { return e.error }
 
 // eventRoundTrip offers one local event to the server and waits for the
 // verdict. It is the root of the event's causal trace: the
@@ -85,9 +71,19 @@ func (c *Client) eventRoundTrip(e *widget.Event) (wire.EventResult, error) {
 	return res, nil
 }
 
-// DispatchChecked dispatches a local event like widget.Registry.Dispatch but
-// reports rejection: callers that need to distinguish "executed" from
-// "group was locked" (benchmarks, tests) use this instead of the hook path.
+// DispatchChecked implements the origin side of the multiple-execution
+// algorithm (§3.2) and reports how it ended: callers that need to
+// distinguish "executed" from "group was locked" (benchmarks, tests) call it
+// directly, and the toolkit hook calls it for every local event.
+//
+// An uncoupled object behaves exactly as in the single-user toolkit. On a
+// coupled one the event's built-in ("syntactic") feedback is applied
+// immediately so the user sees an instant response; the event is then
+// offered to the server, which locks the coupling group and broadcasts it.
+// If the lock fails, the feedback is undone — "undo syntactic built-in
+// feedback of the event e" — and the error wraps ErrRejected. Once accepted,
+// the application callbacks run locally, exactly as the coupled instances
+// will run them when they receive the Exec broadcast.
 func (c *Client) DispatchChecked(e *widget.Event) error {
 	if !c.Coupled(e.Path) {
 		_, err := c.reg.Deliver(e)
@@ -100,7 +96,7 @@ func (c *Client) DispatchChecked(e *widget.Event) error {
 	res, err := c.eventRoundTrip(e)
 	if err != nil {
 		undo()
-		return err
+		return roundTripError{err}
 	}
 	if !res.OK {
 		undo()

@@ -92,38 +92,12 @@ func (t *Table) endAcquireSpan(sp obs.SpanHandle, ok bool, attempted, group int)
 	sp.EndNote(outcome + strconv.Itoa(attempted) + "/" + strconv.Itoa(group))
 }
 
-// TryLock attempts to lock one object for owner. It succeeds when the object
-// is free or already held by the same owner (re-entrant within one event).
-func (t *Table) TryLock(ref couple.ObjectRef, owner Owner) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tryLockLocked(ref, owner)
-}
-
-func (t *Table) tryLockLocked(ref couple.ObjectRef, owner Owner) bool {
-	if cur, ok := t.held[ref]; ok {
-		return cur == owner
-	}
-	t.held[ref] = owner
-	return true
-}
-
-// Unlock releases one object if held by owner, reporting whether it did.
-func (t *Table) Unlock(ref couple.ObjectRef, owner Owner) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if cur, ok := t.held[ref]; ok && cur == owner {
-		delete(t.held, ref)
-		return true
-	}
-	return false
-}
-
 // TryLockGroup locks all refs for owner, or none. This is the paper's
 // published algorithm (§3.2): objects are attempted *in the given order*;
 // on the first failure all locks acquired so far are undone ("undo locking")
 // and the call reports failure together with how many objects were locked
-// before the conflict (useful for instrumentation).
+// before the conflict (useful for instrumentation). A ref the owner already
+// holds stays held and is not counted (re-entrant within one event).
 func (t *Table) TryLockGroup(refs []couple.ObjectRef, owner Owner) (ok bool, attempted int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -188,39 +162,6 @@ func (t *Table) UnlockGroup(refs []couple.ObjectRef, owner Owner) int {
 		}
 	}
 	return n
-}
-
-// ReleaseOwner releases every lock held by owner (used when an instance
-// disconnects mid-event), returning the released refs in deterministic
-// order.
-func (t *Table) ReleaseOwner(owner Owner) []couple.ObjectRef {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []couple.ObjectRef
-	for ref, cur := range t.held {
-		if cur == owner {
-			delete(t.held, ref)
-			out = append(out, ref)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-// ReleaseInstance releases every lock whose owner belongs to the instance,
-// regardless of event sequence number.
-func (t *Table) ReleaseInstance(id couple.InstanceID) []couple.ObjectRef {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []couple.ObjectRef
-	for ref, cur := range t.held {
-		if cur.Instance == id {
-			delete(t.held, ref)
-			out = append(out, ref)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
 }
 
 // Extract removes and returns every held entry whose owner is in owners. It

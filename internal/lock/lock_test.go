@@ -3,7 +3,6 @@ package lock
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -17,33 +16,43 @@ func ref(inst, path string) couple.ObjectRef {
 	return couple.ObjectRef{Instance: couple.InstanceID(inst), Path: path}
 }
 
+// lockOne and unlockOne lock and release a group of one ref.
+func lockOne(tbl *Table, r couple.ObjectRef, o Owner) bool {
+	ok, _ := tbl.TryLockGroup([]couple.ObjectRef{r}, o)
+	return ok
+}
+
+func unlockOne(tbl *Table, r couple.ObjectRef, o Owner) bool {
+	return tbl.UnlockGroup([]couple.ObjectRef{r}, o) == 1
+}
+
 func TestTryLockUnlock(t *testing.T) {
 	tbl := NewTable()
 	a := ref("i1", "/a")
 	o1 := Owner{Instance: "i1", Seq: 1}
 	o2 := Owner{Instance: "i2", Seq: 1}
-	if !tbl.TryLock(a, o1) {
+	if !lockOne(tbl, a, o1) {
 		t.Fatal("first lock must succeed")
 	}
-	if !tbl.TryLock(a, o1) {
+	if !lockOne(tbl, a, o1) {
 		t.Fatal("re-entrant lock by same owner must succeed")
 	}
-	if tbl.TryLock(a, o2) {
+	if lockOne(tbl, a, o2) {
 		t.Fatal("conflicting lock must fail")
 	}
 	if got, ok := tbl.HeldBy(a); !ok || got != o1 {
 		t.Errorf("HeldBy = %v, %v", got, ok)
 	}
-	if tbl.Unlock(a, o2) {
+	if unlockOne(tbl, a, o2) {
 		t.Error("unlock by non-owner must fail")
 	}
-	if !tbl.Unlock(a, o1) {
+	if !unlockOne(tbl, a, o1) {
 		t.Error("unlock by owner must succeed")
 	}
-	if tbl.Unlock(a, o1) {
+	if unlockOne(tbl, a, o1) {
 		t.Error("double unlock must fail")
 	}
-	if !tbl.TryLock(a, o2) {
+	if !lockOne(tbl, a, o2) {
 		t.Error("lock after release must succeed")
 	}
 }
@@ -54,7 +63,7 @@ func TestTryLockGroupAllOrNothing(t *testing.T) {
 	o1 := Owner{Instance: "i1", Seq: 1}
 	o2 := Owner{Instance: "i2", Seq: 5}
 	// o2 pre-holds the middle object.
-	if !tbl.TryLock(refs[1], o2) {
+	if !lockOne(tbl, refs[1], o2) {
 		t.Fatal("setup lock failed")
 	}
 	ok, attempted := tbl.TryLockGroup(refs, o1)
@@ -68,7 +77,7 @@ func TestTryLockGroupAllOrNothing(t *testing.T) {
 	if _, held := tbl.HeldBy(refs[0]); held {
 		t.Error("failed group lock leaked a lock")
 	}
-	tbl.Unlock(refs[1], o2)
+	unlockOne(tbl, refs[1], o2)
 	ok, attempted = tbl.TryLockGroup(refs, o1)
 	if !ok || attempted != 3 {
 		t.Fatalf("group lock = %v, %d", ok, attempted)
@@ -88,7 +97,7 @@ func TestTryLockGroupReentrant(t *testing.T) {
 	tbl := NewTable()
 	a, b := ref("i1", "/a"), ref("i1", "/b")
 	o := Owner{Instance: "i1", Seq: 1}
-	if !tbl.TryLock(a, o) {
+	if !lockOne(tbl, a, o) {
 		t.Fatal("setup failed")
 	}
 	ok, attempted := tbl.TryLockGroup([]couple.ObjectRef{a, b}, o)
@@ -111,27 +120,6 @@ func TestTryLockGroupOrdered(t *testing.T) {
 	// Input slice must not be reordered.
 	if refs[0] != ref("i3", "/c") {
 		t.Error("caller slice was mutated")
-	}
-}
-
-func TestReleaseOwnerAndInstance(t *testing.T) {
-	tbl := NewTable()
-	o1 := Owner{Instance: "i1", Seq: 1}
-	o1b := Owner{Instance: "i1", Seq: 2}
-	o2 := Owner{Instance: "i2", Seq: 1}
-	tbl.TryLock(ref("x", "/1"), o1)
-	tbl.TryLock(ref("x", "/2"), o1b)
-	tbl.TryLock(ref("x", "/3"), o2)
-	got := tbl.ReleaseOwner(o1)
-	if !reflect.DeepEqual(got, []couple.ObjectRef{ref("x", "/1")}) {
-		t.Errorf("ReleaseOwner = %v", got)
-	}
-	got = tbl.ReleaseInstance("i1")
-	if !reflect.DeepEqual(got, []couple.ObjectRef{ref("x", "/2")}) {
-		t.Errorf("ReleaseInstance = %v", got)
-	}
-	if tbl.Len() != 1 {
-		t.Errorf("Len = %d", tbl.Len())
 	}
 }
 

@@ -172,7 +172,7 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 	// The event is granted: the group lock is held. The member-independent
 	// suffix of the Exec body (Name, Args, Origin) is encoded once into a
 	// shared refcounted buffer, which both the log record and every member's
-	// frame splice in. The event is pending from here on, so the health
+	// frame copy in. The event is pending from here on, so the health
 	// plane and the invariants see it while it commits.
 	pe := sh.newPending(len(p.insts))
 	pe.source, pe.plan, pe.owner, pe.start, pe.tc = source, p, owner, start, actx
@@ -201,7 +201,7 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 // undoes its feedback, and no member hears of it. Otherwise the locked
 // objects are disabled at their instances and the event goes out for
 // re-execution under the plan its lock was taken with: each member's outbox
-// queues a reference to the shared body and splices it in at flush, so the
+// queues a reference to the shared body and copies it in at flush, so the
 // broadcast costs O(1) body encodes regardless of fan-out.
 func (s *Server) broadcast(sh *shard, eventID uint64, pe *pendingEvent, err error) {
 	se, cl, p, actx := pe.se, pe.from, pe.plan, pe.tc

@@ -56,14 +56,11 @@ type Options struct {
 	// with a single shard loop.
 	Shards int
 	// Heartbeat is the liveness probe interval: the server pings every
-	// connection this often and declares an instance dead after
-	// LivenessTimeout of silence (its locks are released and its pending
-	// events resolved, so coupling groups never wedge on a vanished peer).
-	// Zero disables liveness tracking.
+	// connection this often and declares an instance dead after three
+	// intervals of silence (its locks are released and its pending events
+	// resolved, so coupling groups never wedge on a vanished peer). Zero
+	// disables liveness tracking.
 	Heartbeat time.Duration
-	// LivenessTimeout is the silence span after which a connection is
-	// declared dead. Zero selects 3×Heartbeat.
-	LivenessTimeout time.Duration
 	// EventDeadline bounds how long a broadcast event may wait for Exec
 	// acknowledgements. On expiry the remaining waiters are dropped from
 	// the wait set and the group unlocks (counter server.event_timeouts,
@@ -941,11 +938,11 @@ func newOutbox(c *wire.Conn, depth *obs.Gauge, limit, batchLimit int, batchSize 
 // flush writes one drained backlog: runs of queued records are packed into
 // Batch frames of up to batchLimit records each, and with packing disabled
 // every record goes out as its own frame. Either way the records reach the
-// wire in queue order, and shared broadcast bodies are spliced in by
-// reference rather than re-encoded. Every record flush takes is released and
-// zeroed exactly once — after its frame is written, or on the error path — so
-// eviction or a broken connection can never leak or double-release a shared
-// body, and the slice goes back to the outbox referencing nothing.
+// wire in queue order, and shared broadcast bodies are copied in rather than
+// re-encoded. Every record flush takes is released and zeroed exactly once —
+// after its frame is written, or on the error path — so eviction or a broken
+// connection can never leak or double-release a shared body, and the slice
+// goes back to the outbox referencing nothing.
 func (o *outbox) flush(c *wire.Conn, recs []wire.Outgoing) error {
 	for len(recs) > 0 {
 		n := 1
@@ -1078,15 +1075,6 @@ func (s *Server) sweepPeriod() time.Duration {
 	return period
 }
 
-// livenessTimeout returns the configured silence deadline, defaulting to
-// three heartbeat intervals.
-func (s *Server) livenessTimeout() time.Duration {
-	if s.opts.LivenessTimeout > 0 {
-		return s.opts.LivenessTimeout
-	}
-	return 3 * s.opts.Heartbeat
-}
-
 // outboxGrace returns how long a backlog may stay over OutboxLimit.
 func (s *Server) outboxGrace() time.Duration {
 	if s.opts.OutboxGrace > 0 {
@@ -1141,7 +1129,7 @@ func (s *Server) sweep() {
 			}
 		}
 		if s.opts.Heartbeat > 0 {
-			if silent := now.Sub(time.Unix(0, cl.lastSeen.Load())); silent > s.livenessTimeout() {
+			if silent := now.Sub(time.Unix(0, cl.lastSeen.Load())); silent > 3*s.opts.Heartbeat {
 				s.mLivenessTOs.Inc()
 				s.slog.Warn("client declared dead: liveness timeout",
 					"inst", string(cl.id), "silent_for", silent.String())

@@ -15,10 +15,10 @@ import (
 // prefix (frame header, correlation numbers, trace context, event ID and the
 // member's own target path) differs per connection. SharedExec encodes the
 // common suffix exactly once into a pooled, refcounted buffer; every member
-// outbox queues a reference and the flush path scatter-gathers
-// [header+prefix][shared suffix] onto the wire with net.Buffers, so the
-// broadcast costs O(1) body encodes and zero body copies regardless of
-// fan-out. The bytes that reach each peer are identical to what a plain
+// outbox queues a reference and the flush path writes [header+prefix] and
+// then copies the shared suffix in behind it, so the broadcast costs O(1)
+// body encodes regardless of fan-out and one memory copy of the suffix per
+// member. The bytes that reach each peer are identical to what a plain
 // Conn.Write of the materialized Exec would have produced, so the wire
 // format — and every reader — is untouched.
 
@@ -181,7 +181,7 @@ func uvarintLen(v uint64) int {
 // Outgoing is one queued outbound frame. A plain record carries the full
 // envelope in Env. A shared record (Shared non-nil) is one member's frame of
 // an encode-once broadcast: Target is the member's path, the per-member head
-// is encoded from it, and Shared's suffix is spliced in without copying.
+// is encoded from it, and Shared's suffix is copied in without encoding.
 // Env.Msg may be left nil on shared records — materializing the Exec boxes
 // it onto the heap, so the hot path skips it and only observability code
 // asks for Envelope() — but when set it must equal Shared.Exec(Target).

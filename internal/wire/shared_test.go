@@ -89,10 +89,10 @@ func randomEnvTrace(r *rand.Rand) obs.TraceContext {
 	return obs.TraceContext{Trace: obs.TraceID(r.Uint64() | 1), Span: obs.SpanID(r.Uint64())}
 }
 
-// Property: for every random broadcast, the encode-once path — WriteOutgoing splicing the shared suffix with a
-// vectored write — puts byte-for-byte the same frames on the wire as the
-// legacy per-member Conn.Write of the materialized Exec, snooped at the raw
-// byte level below the Conn.
+// Property: for every random broadcast, the encode-once path — WriteOutgoing
+// copying the shared suffix in behind the member's head — puts byte-for-byte
+// the same frames on the wire as the legacy per-member Conn.Write of the
+// materialized Exec, snooped at the raw byte level below the Conn.
 func TestPropSharedWriteByteIdentical(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -126,7 +126,7 @@ func TestPropSharedWriteByteIdentical(t *testing.T) {
 	}
 }
 
-// Property: the writev Batch form — WriteBatch over a run mixing shared-body
+// Property: the packed form — WriteBatch over a run mixing shared-body
 // Exec records with plain envelopes — is byte-identical to the legacy
 // Conn.Write of the materialized Batch message.
 func TestPropSharedBatchByteIdentical(t *testing.T) {

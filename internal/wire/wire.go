@@ -39,6 +39,18 @@
 // whether records of the current frame are still to come, which is all a
 // reader needs to treat a frame's records as one unit.
 //
+// # Writing
+//
+// Every write call — Write, WriteAcks, WriteOutgoing, WriteBatch — assembles
+// its frames whole in the Conn's scratch buffer and hands them to the
+// transport in one Write, so a transport that acts on each Write as a unit
+// (faultnet drops and duplicates per Write) only ever sees whole frames. A
+// shared-body Exec is its header and the member's head followed by the
+// broadcast's tail, copied in but not encoded again (see shared.go). The
+// first error of a transport Write sticks: every later write call returns it
+// without touching the transport, so a frame cut short is never followed by
+// another.
+//
 // # Records
 //
 // Next fills a caller's Record: the Envelope of one message, except that the
@@ -155,7 +167,7 @@ const maxIdleRun = 256
 // Reads must be performed by a single goroutine.
 type Conn struct {
 	wmu  sync.Mutex
-	rw   *bufio.ReadWriter
+	r    *bufio.Reader
 	conn net.Conn
 
 	// rlen and rbuf hold the length prefix and the body of the frame being
@@ -174,39 +186,24 @@ type Conn struct {
 	run  []Record
 	next int
 
-	// scratch is the reusable frame-encode buffer; scratch2 stages Batch
-	// record bodies (whose length prefixes the bytes). Both are guarded by
-	// wmu and shed oversized capacity after use.
+	// scratch is the buffer a write call assembles its frames in; scratch2
+	// stages Batch record bodies (whose length prefixes the bytes). Both shed
+	// oversized capacity after use. werr is the first transport write error,
+	// which every later write call returns (see the package comment). All
+	// three are guarded by wmu.
 	scratch  []byte
 	scratch2 []byte
-	// vec and cuts are the reusable vectored-write assembly for shared-body
-	// frames; vecw is the consumable copy WriteTo advances (a field so the
-	// header does not escape per write); coalesce flattens the assembly into
-	// one Write on transports without writev support (all guarded by wmu).
-	vec      net.Buffers
-	vecw     net.Buffers
-	cuts     []bodyCut
-	coalesce []byte
+	werr     error
 
 	// encoded, when non-nil, accumulates the bytes this Conn serialized
-	// (frame headers and bodies, excluding shared-body suffixes it spliced
+	// (frame headers and bodies, excluding shared-body suffixes it copied
 	// in without encoding). Set it before the Conn is written concurrently.
 	encoded *obs.Counter
 }
 
-// bodyCut marks where a shared-body suffix splices into the contiguous
-// scratch bytes of a frame under assembly.
-type bodyCut struct {
-	off  int    // scratch offset the tail is inserted at
-	tail []byte // the shared suffix bytes
-}
-
 // NewConn wraps a net.Conn. The caller retains responsibility for closing.
 func NewConn(c net.Conn) *Conn {
-	return &Conn{
-		rw:   bufio.NewReadWriter(bufio.NewReader(c), bufio.NewWriter(c)),
-		conn: c,
-	}
+	return &Conn{r: bufio.NewReader(c), conn: c}
 }
 
 // EnableTrace does nothing: every header carries the trace context its
@@ -223,7 +220,7 @@ func (c *Conn) Close() error { return c.conn.Close() }
 func (c *Conn) RemoteAddr() net.Addr { return c.conn.RemoteAddr() }
 
 // CountEncodedBytes routes the byte count of everything this Conn encodes
-// (frame headers and bodies; spliced-in shared suffixes are excluded, they
+// (frame headers and bodies; copied-in shared suffixes are excluded, they
 // were counted when first encoded) into ctr. Call before the Conn is
 // written concurrently; a nil counter (the default) disables counting.
 func (c *Conn) CountEncodedBytes(ctr *obs.Counter) { c.encoded = ctr }
@@ -276,14 +273,15 @@ func (c *Conn) Write(env Envelope) error {
 	if err := endFrame(frame, 0); err != nil {
 		return err
 	}
-	return c.writeFrames(frame, 1)
+	return c.send(frame, len(frame)-4)
 }
 
 // WriteAcks acknowledges a run of applied Execs, in entry order, without
 // boxing a message: a lone entry as the frame Write(Envelope{Trace: e.Trace,
 // Msg: ExecAck{EventID: e.EventID}}) puts on the wire, a longer run as the
 // frame of Write(Envelope{Msg: BatchAck{Acks: acks}}), split every MaxBatch
-// entries. All of it goes out in one flush; an empty run writes nothing.
+// entries. All of it goes out in one transport Write; an empty run writes
+// nothing.
 func (c *Conn) WriteAcks(acks []BatchAckEntry) error {
 	if len(acks) == 0 {
 		return nil
@@ -312,7 +310,7 @@ func (c *Conn) WriteAcks(acks []BatchAckEntry) error {
 	if err != nil {
 		return err
 	}
-	return c.writeFrames(buf, frames)
+	return c.send(buf, len(buf)-4*frames)
 }
 
 // endFrame patches the length prefix of the frame that starts at
@@ -326,56 +324,62 @@ func endFrame(buf []byte, start int) error {
 	return nil
 }
 
-// writeFrames sends buf, which holds the given number of complete frames, in
-// one flush and counts what was encoded (everything but the length
-// prefixes). Callers hold wmu.
-func (c *Conn) writeFrames(buf []byte, frames int) error {
-	if _, err := c.rw.Write(buf); err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
+// appendTail copies se's encoded-once tail onto the frame that starts at
+// buf[0]. A tail that would take the frame past MaxFrame is refused with
+// ErrFrameTooLarge before it is copied.
+func appendTail(buf []byte, se *SharedExec) ([]byte, error) {
+	if len(buf)-4+se.TailLen() > MaxFrame {
+		return buf, ErrFrameTooLarge
 	}
-	if err := c.rw.Flush(); err != nil {
-		return fmt.Errorf("wire: flush: %w", err)
+	return append(buf, se.tail()...), nil
+}
+
+// send hands buf, whole frames, to the transport in one Write and counts
+// the encoded bytes among them — everything but the length prefixes and the
+// copied-in shared tails. It is the one place a Conn writes to its
+// transport. The first error it meets is kept and returned by every later
+// call, which then leaves the transport alone. Callers hold wmu.
+func (c *Conn) send(buf []byte, encoded int) error {
+	if c.werr != nil {
+		return c.werr
 	}
-	c.encoded.Add(uint64(len(buf) - 4*frames))
+	if _, err := c.conn.Write(buf); err != nil {
+		c.werr = fmt.Errorf("wire: write frame: %w", err)
+		return c.werr
+	}
+	c.encoded.Add(uint64(encoded))
 	return nil
 }
 
 // WriteOutgoing sends one queued record. A record without a shared body is
-// a plain Write; one with a shared body is framed as [header+head][shared
-// suffix] and flushed with a vectored write, so the suffix bytes are neither
-// re-encoded nor copied. Either way the bytes on the wire are identical to
-// Write(o.Env).
+// a plain Write; one with a shared body is its header and the member's head
+// followed by the shared suffix, copied in without being encoded again.
+// Either way the bytes on the wire are identical to Write(o.Env).
 func (c *Conn) WriteOutgoing(o Outgoing) error {
 	if o.Shared == nil {
 		return c.Write(o.Env)
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	head := append(c.scratch[:0], 0, 0, 0, 0)
-	head = appendHeader(head, TExec, &o.Env)
-	head = o.Shared.appendHead(head, o.Target)
-	keepScratch(&c.scratch, head)
-	tail := o.Shared.tail()
-	n := len(head) - 4 + len(tail)
-	if n > MaxFrame {
-		return ErrFrameTooLarge
+	buf := append(c.scratch[:0], 0, 0, 0, 0)
+	buf = appendHeader(buf, TExec, &o.Env)
+	buf = o.Shared.appendHead(buf, o.Target)
+	buf, err := appendTail(buf, o.Shared)
+	if err == nil {
+		err = endFrame(buf, 0)
 	}
-	binary.LittleEndian.PutUint32(head[:4], uint32(n))
-	if err := c.writeVectored(append(c.vec[:0], head, tail)); err != nil {
+	keepScratch(&c.scratch, buf)
+	if err != nil {
 		return err
 	}
-	c.encoded.Add(uint64(len(head) - 4))
-	return nil
+	return c.send(buf, len(buf)-4-o.Shared.TailLen())
 }
 
 // WriteBatch packs a run of records into one Batch frame, byte-identical to
 // Write(Envelope{Msg: Batch{Envelopes: materialized}}) but with every shared
-// body suffix spliced in by reference: the contiguous parts (outer header,
-// record headers, per-member heads, plain bodies) are encoded into scratch
-// and the suffixes are scatter-gathered between them with net.Buffers. A
-// run whose packed body would exceed MaxFrame is rejected with
-// ErrFrameTooLarge before anything reaches the wire, so callers can split
-// and retry.
+// body suffix copied in rather than encoded again. A run whose packed body
+// would exceed MaxFrame is rejected with ErrFrameTooLarge before anything
+// reaches the wire, so callers can split and retry.
 func (c *Conn) WriteBatch(recs []Outgoing) error {
 	if len(recs) == 0 {
 		return errors.New("wire: empty batch")
@@ -390,102 +394,36 @@ func (c *Conn) WriteBatch(recs []Outgoing) error {
 	// own (each record keeps its own), matching the materialized form.
 	buf = appendHeader(buf, TBatch, &Envelope{})
 	buf = binary.AppendUvarint(buf, uint64(len(recs)))
-	cuts := c.cuts[:0]
-	spliced := 0
-	for i := range recs {
-		env := &recs[i].Env
-		se := recs[i].Shared
-		var t Type
-		if se != nil {
-			t = TExec
-		} else if env.Msg != nil {
-			t = env.Msg.MsgType()
-		} else {
-			keepScratch(&c.scratch, buf)
-			c.cuts = cuts[:0]
-			return errors.New("wire: nil message in batch")
-		}
-		buf = appendHeader(buf, t, env)
-		if se != nil {
+	copied := 0
+	var err error
+	for i := 0; i < len(recs) && err == nil; i++ {
+		env, se := &recs[i].Env, recs[i].Shared
+		switch {
+		case se != nil:
 			target := recs[i].Target
+			buf = appendHeader(buf, TExec, env)
 			buf = binary.AppendUvarint(buf, uint64(se.headLen(target)+se.TailLen()))
 			buf = se.appendHead(buf, target)
-			cuts = append(cuts, bodyCut{off: len(buf), tail: se.tail()})
-			spliced += se.TailLen()
-		} else {
+			buf, err = appendTail(buf, se)
+			copied += se.TailLen()
+		case env.Msg != nil:
 			body := env.Msg.encode(c.scratch2[:0])
 			keepScratch(&c.scratch2, body)
+			buf = appendHeader(buf, env.Msg.MsgType(), env)
 			buf = binary.AppendUvarint(buf, uint64(len(body)))
 			buf = append(buf, body...)
+		default:
+			err = errors.New("wire: nil message in batch")
 		}
+	}
+	if err == nil {
+		err = endFrame(buf, 0)
 	}
 	keepScratch(&c.scratch, buf)
-	c.cuts = cuts[:0]
-	n := len(buf) - 4 + spliced
-	if n > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	binary.LittleEndian.PutUint32(buf[:4], uint32(n))
-
-	// Assemble the vectored write: contiguous scratch runs interleaved with
-	// the shared suffixes, in wire order. buf is complete — no append moves
-	// it — so the sub-slices stay valid.
-	bufs := c.vec[:0]
-	prev := 0
-	for _, cut := range cuts {
-		bufs = append(bufs, buf[prev:cut.off], cut.tail)
-		prev = cut.off
-	}
-	if prev < len(buf) {
-		bufs = append(bufs, buf[prev:])
-	}
-	if err := c.writeVectored(bufs); err != nil {
+	if err != nil {
 		return err
 	}
-	c.encoded.Add(uint64(len(buf) - 4))
-	return nil
-}
-
-// vectoredConn reports whether conn supports true scatter-gather writes
-// (writev). On anything else net.Buffers.WriteTo degrades to one Write call
-// per span, which would break transports that treat each Write as one frame
-// — faultnet's per-write fault injection and similar test wrappers — by
-// letting a dropped or duplicated "frame" be half of a real one.
-func vectoredConn(conn net.Conn) bool {
-	switch conn.(type) {
-	case *net.TCPConn, *net.UnixConn:
-		return true
-	}
-	return false
-}
-
-// writeVectored flushes any buffered output, then writes the assembled
-// spans directly to the underlying connection: one vectored write (writev)
-// on TCP, or one coalesced Write on transports without writev so the
-// frame-per-Write invariant holds everywhere. Callers must hold wmu and
-// build bufs from c.vec[:0]; the backing array is retained for the next
-// frame while WriteTo consumes bufs itself.
-func (c *Conn) writeVectored(bufs net.Buffers) error {
-	c.vec = bufs[:0]
-	if err := c.rw.Flush(); err != nil {
-		return fmt.Errorf("wire: flush: %w", err)
-	}
-	if !vectoredConn(c.conn) {
-		flat := c.coalesce[:0]
-		for _, b := range bufs {
-			flat = append(flat, b...)
-		}
-		keepScratch(&c.coalesce, flat)
-		if _, err := c.conn.Write(flat); err != nil {
-			return fmt.Errorf("wire: write frame: %w", err)
-		}
-		return nil
-	}
-	c.vecw = bufs
-	if _, err := c.vecw.WriteTo(c.conn); err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
-	}
-	return nil
+	return c.send(buf, len(buf)-4-copied)
 }
 
 // frameBuf returns the n-byte buffer the next frame body is read into: the
@@ -517,7 +455,7 @@ func (c *Conn) Next(rec *Record) error {
 		return nil
 	}
 	*rec = Record{}
-	if _, err := io.ReadFull(c.rw, c.rlen[:]); err != nil {
+	if _, err := io.ReadFull(c.r, c.rlen[:]); err != nil {
 		return err
 	}
 	n := binary.LittleEndian.Uint32(c.rlen[:])
@@ -528,7 +466,7 @@ func (c *Conn) Next(rec *Record) error {
 		return fmt.Errorf("wire: frame too short (%d bytes)", n)
 	}
 	body := c.frameBuf(int(n))
-	if _, err := io.ReadFull(c.rw, body); err != nil {
+	if _, err := io.ReadFull(c.r, body); err != nil {
 		return fmt.Errorf("wire: read frame body: %w", err)
 	}
 	rawType := binary.LittleEndian.Uint16(body)
