@@ -29,8 +29,9 @@ race:
 lint-metrics:
 	$(GO) run ./internal/tools/metriclint
 
-# The allocation budgets of the event path: per-frame gates on wire.Conn and
-# the broadcast's shared Exec, a group's floor lock (lock.TryLockGroup plus
+# The allocation budgets of the event path: per-frame gates on wire.Conn, the
+# broadcast's shared Exec and the relay of an Event's payload (Next, Seal and
+# Release allocate nothing), a group's floor lock (lock.TryLockGroup plus
 # UnlockGroup), the remote re-execution of an event (widget Deliver), a
 # steady-state client RPC round trip and ack flush, and the end-to-end budget
 # per member-event over loopback TCP. They skip themselves under the race

@@ -14,6 +14,10 @@ const (
 	maxListLen   = 1 << 20 // 1M elements per list
 )
 
+// MaxValues caps the length of a value list (an event's arguments): a longer
+// count is corrupt input, not an allocation request.
+const MaxValues = 4096
+
 // ErrCorrupt is returned when decoding meets malformed input.
 var ErrCorrupt = errors.New("attr: corrupt encoding")
 
@@ -114,6 +118,88 @@ func DecodeValue(buf []byte) (Value, []byte, error) {
 	}
 }
 
+// SkipValue walks one encoded value without decoding it, returning the bytes
+// after it. It accepts exactly the input DecodeValue accepts, consumes the
+// same bytes, and allocates nothing unless it rejects.
+func SkipValue(buf []byte) ([]byte, error) {
+	if len(buf) == 0 {
+		return nil, fmt.Errorf("%w: empty buffer", ErrCorrupt)
+	}
+	kind := Kind(buf[0])
+	buf = buf[1:]
+	var n int
+	var err error
+	switch kind {
+	case KindInvalid:
+	case KindInt, KindBool:
+		_, buf, err = decodeVarint(buf)
+	case KindFloat:
+		if len(buf) < 8 {
+			return nil, fmt.Errorf("%w: short float", ErrCorrupt)
+		}
+		buf = buf[8:]
+	case KindString, KindColor:
+		_, buf, err = cutString(buf)
+	case KindStringList:
+		n, buf, err = decodeCount(buf, maxListLen)
+		for ; n > 0 && err == nil; n-- {
+			_, buf, err = cutString(buf)
+		}
+	case KindPointList:
+		n, buf, err = decodeCount(buf, maxListLen)
+		for ; n > 0 && err == nil; n-- {
+			if _, buf, err = decodeVarint(buf); err == nil {
+				_, buf, err = decodeVarint(buf)
+			}
+		}
+	default:
+		return nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, kind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// AppendValues appends a value list: its length, then each value.
+func AppendValues(buf []byte, vals []Value) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(vals)))
+	for _, v := range vals {
+		buf = AppendValue(buf, v)
+	}
+	return buf
+}
+
+// DecodeValues decodes a value list AppendValues wrote, returning the values
+// and the remaining bytes.
+func DecodeValues(buf []byte) ([]Value, []byte, error) {
+	n, rest, err := decodeCount(buf, MaxValues)
+	if err != nil {
+		return nil, nil, err
+	}
+	vals := make([]Value, n)
+	for i := range vals {
+		if vals[i], rest, err = DecodeValue(rest); err != nil {
+			return nil, nil, err
+		}
+	}
+	return vals, rest, nil
+}
+
+// SkipValues is SkipValue for a value list: it accepts exactly what
+// DecodeValues accepts, consumes the same bytes, and allocates nothing unless
+// it rejects.
+func SkipValues(buf []byte) ([]byte, error) {
+	n, rest, err := decodeCount(buf, MaxValues)
+	for ; n > 0 && err == nil; n-- {
+		rest, err = SkipValue(rest)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rest, nil
+}
+
 // AppendSet appends the binary encoding of an attribute set. Entries are
 // written in sorted name order so the encoding is deterministic.
 func AppendSet(buf []byte, s Set) []byte {
@@ -155,14 +241,20 @@ func appendString(buf []byte, s string) []byte {
 }
 
 func decodeString(buf []byte) (string, []byte, error) {
+	s, rest, err := cutString(buf)
+	return string(s), rest, err
+}
+
+// cutString splits one length-prefixed string off buf without copying it.
+func cutString(buf []byte) ([]byte, []byte, error) {
 	n, rest, err := decodeCount(buf, maxStringLen)
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
 	if len(rest) < n {
-		return "", nil, fmt.Errorf("%w: short string (%d < %d)", ErrCorrupt, len(rest), n)
+		return nil, nil, fmt.Errorf("%w: short string (%d < %d)", ErrCorrupt, len(rest), n)
 	}
-	return string(rest[:n]), rest[n:], nil
+	return rest[:n], rest[n:], nil
 }
 
 func decodeVarint(buf []byte) (int64, []byte, error) {

@@ -555,8 +555,10 @@ func (c *Client) readConn(conn *wire.Conn) {
 // are routed at once; the others of one frame are queued together once its
 // last record is in, so the dispatch loop finds a packed run of Execs whole
 // and answers it with one coalesced ack. It reports false when the
-// connection or the dispatch queue has failed.
+// connection or the dispatch queue has failed. Only the server relays an
+// Event's payload, so a stray Event's relay body is given back at once.
 func (c *Client) handleIncoming(conn *wire.Conn, rec *wire.Record) bool {
+	rec.Release()
 	handled, err := c.routeLocal(conn, rec)
 	if err != nil {
 		return false

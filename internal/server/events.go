@@ -117,6 +117,9 @@ func (pe *pendingEvent) abandon() {
 //
 // ev.tc is the trace context the Event envelope carried (the origin's
 // "client.event_send" span); every hop recorded here descends from it.
+// ev.body, the origin's payload sealed with the source ref, becomes the
+// broadcast's shared body if the event is granted; every other outcome
+// releases it.
 func (s *Server) handleEvent(sh *shard, ev eventReq) {
 	cl, seq, m, tc := ev.cl, ev.seq, &ev.m, ev.tc
 	source := couple.ObjectRef{Instance: cl.id, Path: m.Path}
@@ -124,7 +127,9 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 	// goroutine's routing decision and this request running. Forward it to
 	// the current owner rather than touching the wrong shard's state.
 	if own := s.shardForRef(source); own != sh {
-		s.postShardReq(own, shardReq{event: ev})
+		if !s.postShardReq(own, shardReq{event: ev}) {
+			ev.body.Release()
+		}
 		return
 	}
 	s.mEvents.Inc()
@@ -139,6 +144,7 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 	if p == nil {
 		// Uncoupled object: nothing to synchronize; the local feedback
 		// stands.
+		ev.body.Release()
 		cl.out.send(wire.Envelope{
 			RefSeq: seq,
 			Trace:  s.tr.Point(actx, "server.event_result", "server", "ok uncoupled"),
@@ -157,6 +163,7 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 	ok, _ := s.lockGroup(sh.locks, actx, p.members, owner)
 	if !ok {
 		// Lock failed: the origin must undo the event's syntactic feedback.
+		ev.body.Release()
 		s.slog.Debug("event denied: group locked",
 			"inst", string(cl.id), "path", m.Path, "event", m.Name, "trace", tc.Trace)
 		cl.out.send(wire.Envelope{
@@ -169,14 +176,16 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 	}
 	sh.seq++
 
-	// The event is granted: the group lock is held. The member-independent
-	// suffix of the Exec body (Name, Args, Origin) is encoded once into a
-	// shared refcounted buffer, which both the log record and every member's
-	// frame copy in. The event is pending from here on, so the health
-	// plane and the invariants see it while it commits.
+	// The event is granted: the group lock is held. The relay body already
+	// is the member-independent suffix of the Exec body (Name, Args, Origin);
+	// stamped with the event ID it is the broadcast's shared body, which both
+	// the log record and every member's frame copy in. The event is pending
+	// from here on, so the health plane and the invariants see it while it
+	// commits.
 	pe := sh.newPending(len(p.insts))
 	pe.source, pe.plan, pe.owner, pe.start, pe.tc = source, p, owner, start, actx
-	pe.se = wire.NewSharedExec(eventID, m.Name, m.Args, source)
+	ev.body.Stamp(eventID)
+	pe.se = ev.body
 	pe.from, pe.refSeq = cl, seq
 	sh.pending[eventID] = pe
 	// Nothing about the event leaves the server before its record is

@@ -583,6 +583,16 @@ func (s *Server) Close() {
 			}
 		default:
 		}
+		// Requests parked behind that migration, or posted as the loop
+		// exited, never run: give back the relay bodies they carry.
+		for i := range sh.held {
+			sh.held[i].drop()
+		}
+		sh.held = nil
+		for len(sh.reqs) > 0 {
+			req := <-sh.reqs
+			req.drop()
+		}
 	}
 }
 
@@ -699,6 +709,11 @@ func (s *Server) handleConn(c *wire.Conn) {
 		if !s.dispatch(cl, &rec) {
 			break
 		}
+	}
+	// The rest of a packed frame the loop stopped in is never dispatched:
+	// give back the relay bodies of the Events among it.
+	for c.Pending() && c.Next(&rec) == nil {
+		rec.Release()
 	}
 	// Connection gone: clean up on the loop.
 	s.post(func() { s.dropClient(cl, "connection closed") })

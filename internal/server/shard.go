@@ -111,12 +111,16 @@ type shardReq struct {
 	ack   execAck  // the request otherwise
 }
 
-// eventReq is one Event as its origin's connection read it.
+// eventReq is one Event as its origin's connection read it: its Path and
+// Name in m, and its Name and Args as the origin encoded them in body, the
+// relay body sealed with the source ref. The request owns body until
+// handleEvent grants the event or releases it.
 type eventReq struct {
-	cl  *client
-	seq uint64
-	m   wire.Event
-	tc  obs.TraceContext // the origin's send span
+	cl   *client
+	seq  uint64
+	m    wire.Event
+	body *wire.SharedExec
+	tc   obs.TraceContext // the origin's send span
 }
 
 // execAck is one member's acknowledgement of one Exec.
@@ -224,6 +228,14 @@ func (r *router) clearEvent(id uint64) {
 	r.mu.Lock()
 	delete(r.ev, id)
 	r.mu.Unlock()
+}
+
+// drop gives back what a request that will never run owns: an event's relay
+// body.
+func (req *shardReq) drop() {
+	if req.event.body != nil {
+		req.event.body.Release()
+	}
 }
 
 // shardForRef returns the shard owning ref's coupling group.
@@ -402,13 +414,20 @@ func (s *Server) extractMigrated(from, to *shard, refs map[couple.ObjectRef]bool
 // dispatch routes one record from a connection read loop: Event, ExecAck and
 // BatchAck traffic goes straight to the owning shard, an Event or an ExecAck
 // by value as the record holds it; everything else (registration, coupling,
-// copies, commands, permissions) goes to the global loop.
+// copies, commands, permissions) goes to the global loop. An Event's relay
+// body is sealed with its source ref here and travels with the request, or
+// is released if the shard refuses it.
 func (s *Server) dispatch(cl *client, rec *wire.Record) bool {
 	switch rec.Type {
 	case wire.TEvent:
 		s.recordRecv(cl, rec)
-		sh := s.shardForRef(couple.ObjectRef{Instance: cl.id, Path: rec.Event.Path})
-		return s.postShardReq(sh, shardReq{event: eventReq{cl: cl, seq: rec.Seq, m: rec.Event, tc: rec.Trace}})
+		source := couple.ObjectRef{Instance: cl.id, Path: rec.Event.Path}
+		rec.Relay.Seal(source)
+		if !s.postShardReq(s.shardForRef(source), shardReq{event: eventReq{cl: cl, seq: rec.Seq, m: rec.Event, body: rec.Relay, tc: rec.Trace}}) {
+			rec.Release()
+			return false
+		}
+		return true
 	case wire.TExecAck:
 		s.recordRecv(cl, rec)
 		id := rec.ExecAck.EventID

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"testing"
 
+	"cosoft/internal/attr"
 	"cosoft/internal/couple"
+	"cosoft/internal/obs"
 	"cosoft/internal/testbed"
+	"cosoft/internal/widget"
 	"cosoft/internal/wire"
 )
 
@@ -50,4 +53,130 @@ func TestOutboxDeathReleasesSharedBodiesExactlyOnce(t *testing.T) {
 	// never release.
 	o.sendShared(wire.Envelope{}, "/late", se)
 	waitNoLiveBodies(t)
+}
+
+// relayRig is a server of opts on a bed of raw peers, with a and b declaring
+// /a and coupled, and u declaring an uncoupled /u.
+func relayRig(t *testing.T, opts Options) (srv *Server, a, b, u *testbed.Peer) {
+	t.Helper()
+	srv = New(opts)
+	bed := testbed.New(t, srv, testbed.Options{})
+	peer := func(user, path string) *testbed.Peer {
+		p := bed.Raw(wire.Register{AppType: "app", User: user, Host: "h"})
+		p.MustOK(wire.Declare{Path: path, Class: "textfield"})
+		return p
+	}
+	a, b, u = peer("a", "/a"), peer("b", "/a"), peer("u", "/u")
+	a.MustOK(wire.Couple{From: ref(a, "/a"), To: ref(b, "/a")})
+	return srv, a, b, u
+}
+
+// An Event's relay body is released by every outcome that does not broadcast
+// it: a denied event (its group is locked by an event still waiting for its
+// ack) and an event on an uncoupled object.
+func TestDeniedAndUncoupledEventsReleaseRelay(t *testing.T) {
+	_, a, b, u := relayRig(t, Options{Shards: 1})
+	dispatch(a, "/a", "one")
+	exec := testbed.Next[wire.Exec](b) // and not acknowledged yet
+	if res := testbed.Next[wire.EventResult](a); !res.OK {
+		t.Fatalf("first event refused: %s", res.Reason)
+	}
+	dispatch(a, "/a", "two")
+	if res := testbed.Next[wire.EventResult](a); res.OK {
+		t.Fatal("an event on a locked group was accepted")
+	}
+	waitNoLiveBodies(t)
+	b.Send(wire.ExecAck{EventID: exec.EventID})
+	nextUnlock(t, b)
+
+	dispatch(u, "/u", "alone")
+	if res := testbed.Next[wire.EventResult](u); !res.OK {
+		t.Fatalf("uncoupled event refused: %s", res.Reason)
+	}
+	waitNoLiveBodies(t)
+}
+
+// An event that reaches a shard its group has left — a read goroutine routed
+// it before a migration flipped the route — is forwarded to the owner with
+// its relay body, broadcast from there, and released as usual.
+func TestForwardedEventReleasesRelay(t *testing.T) {
+	srv, a, b, _ := relayRig(t, Options{Shards: 2})
+	source := ref(a, "/a")
+	own := srv.shardForRef(source)
+	cl, ok := srv.clientOf(a.ID)
+	if !ok {
+		t.Fatal("origin not connected")
+	}
+	body := wire.NewSharedExec(0, widget.EventChanged, []attr.Value{attr.String("forwarded")}, source)
+	ev := eventReq{cl: cl, seq: 77, m: wire.Event{Path: "/a", Name: widget.EventChanged}, body: body}
+	if !srv.postShardReq(srv.shards[1-own.idx], shardReq{event: ev}) {
+		t.Fatal("server closed")
+	}
+	exec := testbed.Next[wire.Exec](b)
+	if len(exec.Args) != 1 || !exec.Args[0].Equal(attr.String("forwarded")) {
+		t.Fatalf("the member received %v", exec.Args)
+	}
+	if res := testbed.Next[wire.EventResult](a); !res.OK {
+		t.Fatalf("forwarded event refused: %s", res.Reason)
+	}
+	b.Send(wire.ExecAck{EventID: exec.EventID})
+	nextUnlock(t, b)
+	waitNoLiveBodies(t)
+}
+
+// Events still queued on a shard when the server closes — parked behind a
+// migration whose bundle never arrives — never run, and Close gives their
+// relay bodies back.
+func TestCloseReleasesQueuedEvents(t *testing.T) {
+	srv, a, _, _ := relayRig(t, Options{Shards: 1})
+	sh := srv.shards[0]
+	if !srv.postShard(sh, func() { sh.awaiting = make(chan migrated) }) {
+		t.Fatal("server closed")
+	}
+	dispatch(a, "/a", "parked")
+	dispatch(a, "/a", "parked too")
+	testbed.Wait(t, "two events parked", func() bool { return wire.LiveSharedBodies() == 2 })
+	srv.Close()
+	waitNoLiveBodies(t)
+}
+
+// An Event read through Read has its relay body released once its Args are
+// decoded, and one the server boxes for the flight recorder (and whose
+// broadcast the recorder materializes, member by member) still goes out and
+// is released as usual.
+func TestReadAndRecordedEventsReleaseRelay(t *testing.T) {
+	x, y := wire.Pipe()
+	defer x.Close()
+	defer y.Close()
+	sent := wire.Event{Path: "/a", Name: widget.EventChanged, Args: []attr.Value{attr.String("read")}}
+	go x.Write(wire.Envelope{Msg: sent}) //nolint:errcheck
+	env, err := y.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := env.Msg.(wire.Event); len(got.Args) != 1 || !got.Args[0].Equal(sent.Args[0]) {
+		t.Fatalf("Read returned %#v", got)
+	}
+	if n := wire.LiveSharedBodies(); n != 0 {
+		t.Fatalf("LiveSharedBodies = %d after Read, want 0", n)
+	}
+
+	flight := obs.NewFlightRecorder(0)
+	_, a, b, _ := relayRig(t, Options{Shards: 1, Flight: flight})
+	dispatch(a, "/a", "recorded")
+	exec := testbed.Next[wire.Exec](b)
+	b.Send(wire.ExecAck{EventID: exec.EventID})
+	nextUnlock(t, b)
+	waitNoLiveBodies(t)
+	recorded := func(conn couple.InstanceID, dir, typ, note string) bool {
+		for _, e := range flight.Snapshot()[string(conn)] {
+			if e.Dir == dir && e.Type == typ && e.Note == note {
+				return true
+			}
+		}
+		return false
+	}
+	if !recorded(a.ID, "recv", "Event", "/a "+widget.EventChanged) || !recorded(b.ID, "send", "Exec", "/a "+widget.EventChanged) {
+		t.Fatalf("flight recorder missed the event: %v", flight.Snapshot())
+	}
 }

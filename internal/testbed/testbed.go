@@ -399,6 +399,7 @@ type Peer struct {
 
 	tb      TB
 	conn    *wire.Conn
+	raw     net.Conn
 	events  chan wire.Envelope
 	done    chan struct{}
 	closed  sync.Once
@@ -418,6 +419,7 @@ func (b *Bed) Raw(hello wire.Message) *Peer {
 	p := &Peer{
 		tb:   b.tb,
 		conn: wire.NewConn(cli),
+		raw:  cli,
 		// Deep enough for everything a test leaves unread (a flood of
 		// commands, a group's link notices), so the reader never stalls the
 		// server's writer to this peer.
@@ -493,6 +495,14 @@ func (p *Peer) next() uint64 {
 // Events. Safe from any goroutine.
 func (p *Peer) Send(msg wire.Message) error {
 	return p.conn.Write(wire.Envelope{Seq: p.next(), Msg: msg})
+}
+
+// SendRaw writes frame beneath the framing layer, exactly as given, so a
+// test can send what no encoder produces: a malformed body, a non-canonical
+// encoding. Not safe alongside Send or Call.
+func (p *Peer) SendRaw(frame []byte) error {
+	_, err := p.raw.Write(frame)
+	return err
 }
 
 // Call writes msg and returns the server's answer, correlated by RefSeq with

@@ -68,7 +68,8 @@ func (m BatchAck) encode(buf []byte) []byte {
 
 // decodeRun decodes the records of a Batch frame body into run (which must be
 // empty), all or nothing: on error run comes back empty, with no slot still
-// referencing a record decoded before the fault.
+// referencing a record decoded before the fault, and the relay bodies of the
+// Events among those released.
 func decodeRun(run []Record, body []byte, idents *internTable, notices *noticeMemo) ([]Record, error) {
 	d := decoder{buf: body, idents: idents, notices: notices}
 	n := d.uvarint()
@@ -90,6 +91,9 @@ func decodeRun(run []Record, body []byte, idents *internTable, notices *noticeMe
 		}
 	}
 	if err := d.done(); err != nil {
+		for i := range run {
+			run[i].Release()
+		}
 		clear(run)
 		return run[:0], fmt.Errorf("%s: %w", TBatch, err)
 	}

@@ -106,7 +106,9 @@ func nextMatchesRead(stream []byte) (int, error) {
 		case c.Pending() != twin.Pending():
 			return n, fmt.Errorf("record %d: Pending %v after Next, %v after Read", n, c.Pending(), twin.Pending())
 		}
-		if err := recordMatches(rec, env); err != nil {
+		err = recordMatches(rec, env)
+		rec.Release()
+		if err != nil {
 			return n, fmt.Errorf("record %d: %w", n, err)
 		}
 	}

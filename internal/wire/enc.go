@@ -87,25 +87,29 @@ func (d *decoder) link() couple.Link {
 }
 
 func (d *decoder) values() []attr.Value {
-	n := d.uvarint()
 	if d.err != nil {
 		return nil
 	}
-	if n > 4096 {
-		d.fail("value count")
+	vals, rest, err := attr.DecodeValues(d.buf)
+	if err != nil {
+		d.err = err
 		return nil
 	}
-	vals := make([]attr.Value, n)
-	for i := range vals {
-		v, rest, err := attr.DecodeValue(d.buf)
-		if err != nil {
-			d.err = err
-			return nil
-		}
-		vals[i] = v
-		d.buf = rest
-	}
+	d.buf = rest
 	return vals
+}
+
+// skipValues consumes a value list as values would, decoding nothing.
+func (d *decoder) skipValues() {
+	if d.err != nil {
+		return
+	}
+	rest, err := attr.SkipValues(d.buf)
+	if err != nil {
+		d.err = err
+		return
+	}
+	d.buf = rest
 }
 
 // identList decodes a list of identifiers (the paths of a SetLocks).
@@ -163,14 +167,6 @@ func appendLink(buf []byte, l couple.Link) []byte {
 	buf = appendObjectRef(buf, l.From)
 	buf = appendObjectRef(buf, l.To)
 	return appendString(buf, string(l.Creator))
-}
-
-func appendValues(buf []byte, vals []attr.Value) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(vals)))
-	for _, v := range vals {
-		buf = attr.AppendValue(buf, v)
-	}
-	return buf
 }
 
 func appendStringList(buf []byte, ss []string) []byte {

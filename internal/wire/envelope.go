@@ -20,6 +20,7 @@ func DecodeEnvelope(buf []byte) (Envelope, error) {
 	if !d.innerRecord(&rec) {
 		return Envelope{}, d.err
 	}
+	defer rec.Release()
 	if err := d.done(); err != nil {
 		return Envelope{}, err
 	}

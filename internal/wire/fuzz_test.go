@@ -9,12 +9,14 @@ import (
 	"cosoft/internal/obs"
 )
 
-// decodeMessage decodes a message body as Read hands it out: boxed.
+// decodeMessage decodes a message body as Read hands it out: boxed, with an
+// Event's relay body released.
 func decodeMessage(t Type, body []byte, idents *internTable, notices *noticeMemo) (Message, error) {
 	var rec Record
 	if err := decodeRecord(&rec, t, body, idents, notices); err != nil {
 		return nil, err
 	}
+	defer rec.Release()
 	return rec.Box().Msg, nil
 }
 
@@ -168,6 +170,11 @@ func FuzzConnRead(f *testing.F) {
 		var seen, frame []Envelope
 		var seenRecs []Record
 		var seenBytes [][]byte
+		defer func() {
+			for i := range seenRecs {
+				seenRecs[i].Release()
+			}
+		}()
 		rest := stream
 		for {
 			env, err := b.Read()

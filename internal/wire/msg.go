@@ -421,14 +421,14 @@ func (m LinkRemoved) encode(buf []byte) []byte { return appendLink(buf, m.Link) 
 func (m Event) encode(buf []byte) []byte {
 	buf = appendString(buf, m.Path)
 	buf = appendString(buf, m.Name)
-	return appendValues(buf, m.Args)
+	return attr.AppendValues(buf, m.Args)
 }
 
 func (m Exec) encode(buf []byte) []byte {
 	buf = appendUvarint(buf, m.EventID)
 	buf = appendString(buf, m.TargetPath)
 	buf = appendString(buf, m.Name)
-	buf = appendValues(buf, m.Args)
+	buf = attr.AppendValues(buf, m.Args)
 	return appendObjectRef(buf, m.Origin)
 }
 
@@ -548,11 +548,12 @@ func (m Err) encode(buf []byte) []byte { return appendString(buf, m.Text) }
 
 // decodeRecord decodes a message body of type t into rec, whose envelope the
 // caller has filled and whose other fields are zero: an Exec, Event or
-// ExecAck into its own field of rec, any other message boxed into rec.Msg.
-// What rec holds owns everything it references — body may be overwritten as
-// soon as this returns — except identifier strings, which come out of idents
-// (nil: plain copies). A notice whose body notices has seen before is the
-// value decoded then.
+// ExecAck into its own field of rec, any other message boxed into rec.Msg. An
+// Event's Args are checked, not decoded: its Name and Args go, as encoded,
+// into the relay body rec.Relay, which rec's holder owns. What rec holds owns
+// everything it references — body may be overwritten as soon as this returns
+// — except identifier strings, which come out of idents (nil: plain copies).
+// A notice whose body notices has seen before is the value decoded then.
 func decodeRecord(rec *Record, t Type, body []byte, idents *internTable, notices *noticeMemo) error {
 	rec.Type = t
 	if m := notices.get(t, body); m != nil {
@@ -561,6 +562,7 @@ func decodeRecord(rec *Record, t Type, body []byte, idents *internTable, notices
 	}
 	d := &decoder{buf: body, idents: idents, notices: notices}
 	var m Message
+	var payload []byte // an Event's Name and Args, once checked
 	switch t {
 	case TRegister:
 		m = Register{AppType: d.string(), Host: d.string(), User: d.string()}
@@ -581,7 +583,10 @@ func decodeRecord(rec *Record, t Type, body []byte, idents *internTable, notices
 	case TLinkRemoved:
 		m = LinkRemoved{Link: d.link()}
 	case TEvent:
-		rec.Event = Event{Path: d.ident(), Name: d.ident(), Args: d.values()}
+		rec.Event.Path = d.ident()
+		payload = d.buf
+		rec.Event.Name = d.ident()
+		d.skipValues()
 	case TExec:
 		rec.Exec = Exec{EventID: d.uvarint(), TargetPath: d.ident(), Name: d.ident(),
 			Args: d.values(), Origin: d.objectRef()}
@@ -673,6 +678,11 @@ func decodeRecord(rec *Record, t Type, body []byte, idents *internTable, notices
 	}
 	if err := d.done(); err != nil {
 		return fmt.Errorf("%s: %w", t, err)
+	}
+	if t == TEvent {
+		// done left nothing after the Args, so payload ends where they do.
+		rec.Relay = relay(payload)
+		return nil
 	}
 	rec.Msg = m
 	notices.put(t, body, m)

@@ -9,18 +9,23 @@ import (
 	"cosoft/internal/obs"
 )
 
-// This file implements the encode-once broadcast path. A §3.2 event fans an
-// Exec out to every coupled member, and all of those frames share one large
-// body suffix — the event name, arguments and origin — while only a small
-// prefix (frame header, correlation numbers, trace context, event ID and the
-// member's own target path) differs per connection. SharedExec encodes the
-// common suffix exactly once into a pooled, refcounted buffer; every member
-// outbox queues a reference and the flush path writes [header+prefix] and
-// then copies the shared suffix in behind it, so the broadcast costs O(1)
-// body encodes regardless of fan-out and one memory copy of the suffix per
-// member. The bytes that reach each peer are identical to what a plain
-// Conn.Write of the materialized Exec would have produced, so the wire
-// format — and every reader — is untouched.
+// This file implements the relay of an event's payload. A §3.2 event fans an
+// Exec out to every coupled member, and all of those frames share one body
+// suffix — the event name, arguments and origin — while only a small prefix
+// (frame header, correlation numbers, trace context, event ID and the
+// member's own target path) differs per connection. The suffix is the
+// origin's own bytes: Next checks an Event's Name and Args against the rules
+// decoding enforces (attr.SkipValues) and copies them, once and undecoded,
+// into a pooled, refcounted SharedExec; the server seals it with the origin
+// ref, stamps it with the event ID the grant allocates, and every member
+// outbox queues a reference whose flush writes [header+prefix] and copies the
+// suffix in behind it. So the server neither decodes nor encodes an event's
+// arguments, and the broadcast costs one memory copy of the suffix per member.
+// For canonically encoded input the bytes that reach each peer are identical
+// to what a plain Conn.Write of the materialized Exec would have produced; a
+// non-canonical encoding the decoder accepts (a bool as varint 5, an overlong
+// length prefix) reaches the members as sent and decodes there to the values
+// a re-encode would have carried.
 
 // maxPooledBody caps the capacity of bodies returned to the shared-body pool,
 // so one huge broadcast does not pin megabytes inside sync.Pool.
@@ -55,35 +60,33 @@ func InstrumentBodyPool(hits, misses *obs.Counter) {
 // outbox drained — it must be zero; tests use it as a leak detector.
 func LiveSharedBodies() int64 { return liveBodies.Load() }
 
-// SharedExec is one broadcast's Exec payload encoded once. The
+// SharedExec is one broadcast's Exec payload, encoded once. The
 // member-independent suffix of the Exec body — Name, Args, Origin — lives in
 // a refcounted buffer shared by every member's outbox; only the event ID and
 // the member's TargetPath are encoded per member. (EventID is also
 // member-independent, but it precedes TargetPath in the Exec body layout, so
 // it rides in the per-member head to keep the shared suffix contiguous.)
 //
-// Lifecycle: NewSharedExec returns the creator's reference. Each outbox that
-// enqueues the broadcast takes one more with Ref, and releases it with
-// Release exactly once — after the frame is written, or when the record is
-// dropped by a connection error, eviction, or a closed outbox. The creator
-// calls Release when it has finished enqueueing. When the last reference
-// releases, the SharedExec itself, buffer and all, returns to a pool and the
-// next broadcast may be handed it, so no holder may touch one after its own
-// Release. Release order is enforced: a negative refcount (double release)
-// or a Ref of a released SharedExec panics, because either would let two
-// broadcasts scribble on the same bytes.
+// Lifecycle: Next hands an Event's relay body out holding one reference, for
+// its reader to Seal and Stamp; NewSharedExec returns a finished one holding
+// one reference. Each outbox that enqueues the broadcast takes one more with
+// Ref, and releases it with Release exactly once — after the frame is
+// written, or when the record is dropped by a connection error, eviction, or a
+// closed outbox. The creator calls Release when it has finished enqueueing.
+// When the last reference releases, the SharedExec itself, buffer and all,
+// returns to a pool and the next broadcast may be handed it, so no holder may
+// touch one after its own Release. Release order is enforced: a negative
+// refcount (double release) or a Ref of a released SharedExec panics, because
+// either would let two broadcasts scribble on the same bytes.
 type SharedExec struct {
 	eventID uint64
-	name    string
-	args    []attr.Value
-	origin  couple.ObjectRef
 	body    []byte
 	refs    atomic.Int32
 }
 
-// NewSharedExec encodes the shared suffix of the broadcast's Exec body and
-// returns it holding one (the creator's) reference.
-func NewSharedExec(eventID uint64, name string, args []attr.Value, origin couple.ObjectRef) *SharedExec {
+// newSharedExec takes a SharedExec with an empty body off the pool, or makes
+// one, holding one (the caller's) reference.
+func newSharedExec() *SharedExec {
 	liveBodies.Add(1)
 	se, _ := bodyPool.Get().(*SharedExec)
 	if se != nil {
@@ -92,20 +95,57 @@ func NewSharedExec(eventID uint64, name string, args []attr.Value, origin couple
 		poolMisses.Load().Inc()
 		se = &SharedExec{}
 	}
-	se.eventID, se.name, se.args, se.origin = eventID, name, args, origin
-	se.body = appendString(se.body[:0], name)
-	se.body = appendValues(se.body, args)
-	se.body = appendObjectRef(se.body, origin)
+	se.body = se.body[:0]
 	se.refs.Store(1)
 	return se
 }
 
-// Exec materializes the full message for one member — a struct copy sharing
-// the Args slice, no encoding. Encoding the result yields exactly
-// head(targetPath) + the shared suffix.
+// relay copies an Event's encoded Name and Args, already checked, into a new
+// shared body: the Event record's relay body.
+func relay(payload []byte) *SharedExec {
+	se := newSharedExec()
+	se.body = append(se.body, payload...)
+	return se
+}
+
+// NewSharedExec encodes name and args as an origin's Event carries them and
+// then builds the broadcast the way a relayed Event is built: sealed with the
+// origin, stamped with the event ID. It returns the creator's reference.
+func NewSharedExec(eventID uint64, name string, args []attr.Value, origin couple.ObjectRef) *SharedExec {
+	se := newSharedExec()
+	se.body = appendString(se.body, name)
+	se.body = attr.AppendValues(se.body, args)
+	se.Seal(origin)
+	se.Stamp(eventID)
+	return se
+}
+
+// Seal completes a relay body as the shared suffix by appending the origin
+// ref after the event's Name and Args. Call it once, before any Ref.
+func (se *SharedExec) Seal(origin couple.ObjectRef) {
+	se.body = appendObjectRef(se.body, origin)
+}
+
+// Stamp sets the event ID every member's head carries. Call it before any
+// Ref.
+func (se *SharedExec) Stamp(eventID uint64) { se.eventID = eventID }
+
+// Exec materializes the full message for one member by decoding the shared
+// suffix, which allocates: only observability paths (the flight recorder)
+// and tests call it. Encoding the result yields exactly head(targetPath) +
+// the shared suffix for canonically encoded arguments. Valid only while a
+// reference is held on a sealed body.
 func (se *SharedExec) Exec(targetPath string) Exec {
-	return Exec{EventID: se.eventID, TargetPath: targetPath, Name: se.name,
-		Args: se.args, Origin: se.origin}
+	d := decoder{buf: se.body}
+	return Exec{EventID: se.eventID, TargetPath: targetPath, Name: d.string(),
+		Args: d.values(), Origin: d.objectRef()}
+}
+
+// args decodes the event arguments out of the body, past the Name.
+func (se *SharedExec) args() []attr.Value {
+	d := decoder{buf: se.body}
+	d.view("string")
+	return d.values()
 }
 
 // Ref takes one additional reference. Callers must hold a live reference
@@ -117,7 +157,8 @@ func (se *SharedExec) Ref() {
 }
 
 // Release drops one reference; the last release returns the SharedExec to
-// the pool. Releasing more times than Ref+NewSharedExec granted panics.
+// the pool. Releasing more times than Ref and the creator's reference
+// granted panics.
 func (se *SharedExec) Release() {
 	n := se.refs.Add(-1)
 	if n < 0 {
@@ -126,8 +167,6 @@ func (se *SharedExec) Release() {
 	if n == 0 {
 		liveBodies.Add(-1)
 		if cap(se.body) <= maxPooledBody {
-			// Drop what the broadcast referenced, so the pool pins no payload.
-			se.name, se.args, se.origin = "", nil, couple.ObjectRef{}
 			bodyPool.Put(se)
 		}
 	}

@@ -228,3 +228,78 @@ func TestSharedExecRefcountPanics(t *testing.T) {
 	}()
 	se.Release()
 }
+
+// TestEventRelayAllocBudget gates the server's whole share of an event's
+// payload in steady state: Next of an Event frame checks the Args and copies
+// Name and Args into a pooled relay body, the read loop seals it with the
+// origin, and the broadcast's last Release recycles it, all without an
+// allocation.
+func TestEventRelayAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts include the race detector's own; `make allocs` runs this without -race")
+	}
+	const runs = 200
+	origin := couple.ObjectRef{Instance: "app-1", Path: "/hub"}
+	ev := Envelope{Seq: 1 << 20, Msg: Event{Path: "/hub", Name: "changed", Args: []attr.Value{attr.String(strings.Repeat("v", 64))}}}
+	c := NewConn(&loopConn{})
+	for i := 0; i < runs+2; i++ { // AllocsPerRun warms up with one extra call; one more fills the intern table
+		if err := c.Write(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Read(); err != nil {
+		t.Fatal(err)
+	}
+	var rec Record
+	if got := testing.AllocsPerRun(runs, func() {
+		if err := c.Next(&rec); err != nil {
+			t.Fatal(err)
+		}
+		rec.Relay.Seal(origin)
+		rec.Release()
+	}); got != 0 {
+		t.Errorf("relaying an Event's payload allocates %.2f times, want 0", got)
+	}
+}
+
+// Property: an Event read with Next, its relay body sealed with the origin and
+// stamped with an event ID, is the broadcast NewSharedExec builds from the
+// decoded event: the same shared suffix, and the same Exec for every member.
+func TestPropRelayMatchesNewSharedExec(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		want, paths := randomSharedExec(r)
+		defer want.Release()
+		exec := want.Exec(paths[0])
+		c := NewConn(&loopConn{})
+		if err := c.Write(Envelope{Msg: Event{Path: exec.Origin.Path, Name: exec.Name, Args: exec.Args}}); err != nil {
+			t.Log(err)
+			return false
+		}
+		var rec Record
+		if err := c.Next(&rec); err != nil {
+			t.Log(err)
+			return false
+		}
+		defer rec.Release()
+		rec.Relay.Seal(exec.Origin)
+		rec.Relay.Stamp(exec.EventID)
+		if !bytes.Equal(rec.Relay.tail(), want.tail()) {
+			t.Logf("relayed suffix %x, encoded %x", rec.Relay.tail(), want.tail())
+			return false
+		}
+		for _, p := range paths {
+			if got, want := rec.Relay.Exec(p), want.Exec(p); !messagesEqual(got, want) {
+				t.Logf("relayed %#v, encoded %#v", got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	if n := LiveSharedBodies(); n != 0 {
+		t.Fatalf("LiveSharedBodies = %d after all releases, want 0", n)
+	}
+}

@@ -57,9 +57,14 @@
 // three messages of the event path — the origin's Event, and the Exec and
 // ExecAck each member receives and returns — are decoded into fields of the
 // Record by value, with Msg nil, so the event path boxes none of them. Every
-// other message is boxed into Msg. Read is Next plus Record.Box, the one step
-// that boxes a by-value message into Msg, for readers that switch on the
-// message type; only Read (and Box) ever box an Exec, an Event or an ExecAck.
+// other message is boxed into Msg. An Event record holds its Path and Name
+// but not its Args: Next checks them against the rules decoding enforces and
+// copies the Event's Name and Args, as the origin encoded them, into a relay
+// body (Record.Relay, a SharedExec) that the server seals and broadcasts
+// without decoding (see shared.go). Read is Next plus Record.Box, the one
+// step that boxes a by-value message into Msg, for readers that switch on the
+// message type; only Read (and Box) ever box an Exec, an Event or an ExecAck,
+// and only they decode an Event's Args, out of its relay body.
 //
 // # Buffer ownership
 //
@@ -72,16 +77,23 @@
 // next frame; a caller may reuse its Record for the next call, which
 // overwrites every field.
 // Every decoder copies what it keeps — strings, byte payloads, attribute
-// values, widget states — so a Record or Envelope stays valid for as long as
-// its holder likes, whatever the Conn reads next. Identifier strings (object
-// paths, event names, instance IDs, class names) are copied once per
-// connection and shared between the records that repeat them, and so are
-// whole lock notices and verdicts: a SetLocks or EventResult whose body a
-// Conn has decoded before is the very value it returned then, Paths slice
-// included (see intern.go). Decoded messages are therefore read-only: a
-// holder may keep one as long as it likes but must not write to it, since an
-// earlier or later Next may have returned the same value. Payload values are
-// never shared.
+// values, widget states, an Event's relay body — so a Record or Envelope
+// stays valid for as long as its holder likes, whatever the Conn reads next.
+// Identifier strings (object paths, event names, instance IDs, class names)
+// are copied once per connection and shared between the records that repeat
+// them, and so are whole lock notices and verdicts: a SetLocks or EventResult
+// whose body a Conn has decoded before is the very value it returned then,
+// Paths slice included (see intern.go). Decoded messages are therefore
+// read-only: a holder may keep one as long as it likes but must not write to
+// it, since an earlier or later Next may have returned the same value.
+// Payload values are never shared.
+//
+// The one thing a Record owns outside itself is an Event's relay body, which
+// comes from a process-wide pool (LiveSharedBodies counts the ones out). The
+// caller of Next owns it from the moment Next returns and must pass it on or
+// give it back: the server hands it to the event's shard, which broadcasts it
+// or releases it; any other reader calls Record.Release. Box leaves it with
+// the record; Read and DecodeEnvelope release it before they return.
 package wire
 
 import (
@@ -125,28 +137,45 @@ type Envelope struct {
 // Record is one decoded message as Next hands it out: the envelope, with the
 // three messages of the event path — the Event, the Exec and the ExecAck —
 // held by value in their own fields rather than boxed into Msg, which is nil
-// for them. Type names the message whichever field holds it.
+// for them. Type names the message whichever field holds it. An Event's Args
+// stay nil: they are in Relay, the record's relay body, which its holder owns
+// (see the package comment); Relay is nil for every other message.
 type Record struct {
 	Envelope
 	Type    Type
 	Exec    Exec
 	Event   Event
 	ExecAck ExecAck
+	Relay   *SharedExec
 }
 
 // Box returns the record as the Envelope Read returns: its message in Msg,
-// boxed there if the record held it by value, which allocates.
+// boxed there if the record held it by value, which allocates. An Event's
+// Args are decoded out of its relay body, which stays with the record.
 func (r *Record) Box() Envelope {
 	env := r.Envelope
 	switch r.Type {
 	case TExec:
 		env.Msg = r.Exec
 	case TEvent:
-		env.Msg = r.Event
+		ev := r.Event
+		if r.Relay != nil {
+			ev.Args = r.Relay.args()
+		}
+		env.Msg = ev
 	case TExecAck:
 		env.Msg = r.ExecAck
 	}
 	return env
+}
+
+// Release gives back the relay body an Event record owns, if it still has
+// one; for any other record it does nothing.
+func (r *Record) Release() {
+	if r.Relay != nil {
+		r.Relay.Release()
+		r.Relay = nil
+	}
 }
 
 // maxConnScratch caps the capacity of the per-conn encode and frame buffers
@@ -445,10 +474,11 @@ func (c *Conn) frameBuf(n int) []byte {
 // the next record of the current Batch frame while Pending reports true, else
 // the next frame's message or, for a Batch frame, its first record. An Exec,
 // an Event or an ExecAck is decoded into its field of rec and nothing is
-// boxed for it. Next returns io.EOF (possibly wrapped) when the peer closed
-// cleanly between frames, and leaves rec zero on any error. The frame is read
-// into a buffer the next call reuses; rec holds no reference to it (see the
-// package comment's ownership rule).
+// boxed for it; an Event comes with its relay body, which the caller owns.
+// Next returns io.EOF (possibly wrapped) when the peer closed cleanly between
+// frames, and leaves rec zero on any error. The frame is read into a buffer
+// the next call reuses; rec holds no reference to it (see the package
+// comment's ownership rule).
 func (c *Conn) Next(rec *Record) error {
 	if c.Pending() {
 		c.nextRecord(rec)
@@ -517,13 +547,15 @@ func (c *Conn) Next(rec *Record) error {
 
 // Read is Next with the record boxed into an Envelope (see Record.Box), for
 // readers that switch on the message type: an Exec, Event or ExecAck read
-// this way costs its box.
+// this way costs its box, and an Event's relay body is released.
 func (c *Conn) Read() (Envelope, error) {
 	var rec Record
 	if err := c.Next(&rec); err != nil {
 		return Envelope{}, err
 	}
-	return rec.Box(), nil
+	env := rec.Box()
+	rec.Release()
+	return env, nil
 }
 
 // Pending reports whether records of the Batch frame the last Next came from
