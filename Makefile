@@ -53,7 +53,10 @@ chaos:
 
 # Kill-and-restart soak for the durable event log: a server with an always-sync
 # log is restarted repeatedly under live traffic while the clients ride through
-# on session resume; afterwards the log must hold every acknowledged event.
+# on session resume; afterwards no event ID may have been issued twice across
+# the restarts, and the log must hold a record of every acknowledged event
+# (records are written behind their events, but each restart closes the
+# server and then the log, which writes what is still queued).
 chaos-restart:
 	$(GO) test -race -run ChaosRestart -count=3 ./internal/server/
 

@@ -75,7 +75,7 @@ func main() {
 	flightDepth := flag.Int("flight-depth", obs.DefaultFlightDepth, "per-connection flight-recorder depth (0 = disabled)")
 	logLevel := flag.String("log-level", "", "structured log level: debug, info, warn or error (empty = logging disabled)")
 	logDir := flag.String("log-dir", "", "durable event-log directory; appends before acking and replays on start (empty = durability disabled)")
-	logSync := flag.String("log-sync", "interval", "event-log sync policy: always (fsync before every ack), interval, or none")
+	logSync := flag.String("log-sync", "interval", "event-log sync policy: always (fsync before every control-plane ack and every ID lease), interval, or none")
 	logSegBytes := flag.Int64("log-segment-bytes", 0, "event-log segment rotation size in bytes (0 = 64 MiB)")
 	logSnapInterval := flag.Duration("log-snapshot-interval", 0, "with -log-dir: write a state snapshot and compact covered segments on this cadence (0 = disabled)")
 	logSnapBytes := flag.Int64("log-snapshot-bytes", 0, "with -log-dir: snapshot+compact once this many bytes were appended since the last snapshot (0 = disabled)")

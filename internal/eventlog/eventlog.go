@@ -12,8 +12,8 @@
 // flight goes out as a single write (+ a single fsync under `always`) and
 // every appender group-commits. Append blocks until its record reaches its
 // durability level (written for `interval`/`none`, written and fsynced for
-// `always`); a Lane, one per shard loop, never waits, and learns from the
-// writer how far its records are durable.
+// `always`); AppendEvent, a shard loop's audit record of an event, never
+// waits and hears nothing back beyond an immediate refusal.
 //
 // On-disk framing, repeated per record inside segments named by base offset
 // (`%016x.seg`):
@@ -70,8 +70,9 @@ const (
 	// KindCouple / KindDecouple: couple-graph mutations.
 	KindCouple
 	KindDecouple
-	// KindEvent: a broadcast event committed (group lock granted). The
-	// envelope is the Exec form — event ID, name, args and source ref.
+	// KindEvent: a broadcast event (group lock granted), an audit entry
+	// written behind the event. The envelope is the Exec form — event ID,
+	// name, args and source ref.
 	KindEvent
 	// KindHist: a state-copy backup entered the historical-states database.
 	// The envelope is a CopyTo carrying the overwritten state.
@@ -82,6 +83,10 @@ const (
 	KindRedo
 	// KindPerm: an access-permission grant or revoke.
 	KindPerm
+	// KindLease: a shard leased event IDs up to a ceiling; no ID at or below
+	// it may be issued after a restart. The envelope is an Exec whose
+	// EventID is the ceiling.
+	KindLease
 )
 
 // Sync selects when appends are forced to stable storage.
@@ -91,8 +96,10 @@ const (
 	// SyncInterval fsyncs on a timer (Options.SyncEvery); an append returns
 	// once its bytes are written.
 	SyncInterval Sync = iota
-	// SyncAlways fsyncs before every append returns: an acked record is on
-	// stable storage before the client hears the ack.
+	// SyncAlways fsyncs before every Append returns: a control-plane record
+	// or an ID lease is on stable storage before anything it covers is
+	// acked. An event's own record (AppendEvent) is fsynced with the drain
+	// that writes it, behind the event.
 	SyncAlways
 	// SyncNone never fsyncs; durability is whatever the OS flushes.
 	SyncNone
@@ -167,17 +174,16 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // reuse, so the backlog of one stall is not pinned for the life of the log.
 const maxIdleFill = 1 << 20
 
-// Log is an open event log. Append and NewLane are safe from any goroutine;
-// all file I/O happens on the writer goroutine.
+// Log is an open event log. Append and AppendEvent are safe from any
+// goroutine; all file I/O happens on the writer goroutine.
 //
 // Backpressure: the fill buffer has no byte cap, and no appender ever waits
 // for room in it. Its backlog is bounded by the callers instead. A shard loop
-// appends an event's record only while the event holds its group's floor
-// lock, and the lock is held until the commit is reported, so a lane never
-// has more than one record per coupling group outstanding. Every other
-// appender waits in Append for its own record. That cannot deadlock: the
-// writer never waits on an appender (a lane's wake-up is a send on a
-// one-slot channel that is dropped when the slot is full, and Append's is a
+// appends event records only for IDs under a lease it took with the blocking
+// Append, one lease per block of IDs, so behind a stalled write its event
+// records never outnumber one block: its next lease waits for the write.
+// Every other appender waits in Append for its own record. That cannot
+// deadlock: the writer never waits on an appender (Append's wake-up is a
 // condition broadcast), appenders hold the mutex only to encode, and the
 // writer holds it only to swap buffers and publish, never across I/O.
 type Log struct {
@@ -189,17 +195,21 @@ type Log struct {
 	wg   sync.WaitGroup
 
 	// mu guards the append side: the closed flag, the failure, the fill
-	// buffer and the lanes' counters. It also serves snapBegin.
+	// buffer and the record counts. It also serves snapBegin.
 	mu     sync.Mutex
 	closed bool
 	// failed is the first write, fsync or rotation error, or ErrCrashed. A
 	// failed write may leave a torn record that replay stops at, so nothing
 	// written behind it would replay: every later append is refused with it.
-	failed  error
-	fill    []byte    // framed records appended since the last drain
-	spare   []byte    // the buffer the last drain wrote, reused as the next fill
-	lanes   []*Lane   // every lane; the first is Append's, shared by every blocking caller
-	durable sync.Cond // broadcast after every drain; Append waits on it (L is &mu)
+	failed error
+	fill   []byte // framed records appended since the last drain
+	spare  []byte // the buffer the last drain wrote, reused as the next fill
+	// Records are numbered from 1 in append order, which is file order.
+	appended uint64    // records appended
+	drained  uint64    // the drain in progress took records through this one
+	done     uint64    // the writer is finished with records through this one
+	ok       uint64    // records through this one are durable (ok ≤ done)
+	durable  sync.Cond // broadcast after every drain; Append waits on it (L is &mu)
 
 	// In-flight snapshot/compaction ops; Close waits for them so a
 	// half-written .snap.tmp never outlives the log handle.
@@ -278,7 +288,6 @@ func Open(opts Options) (*Log, error) {
 		mCompacted:  metrics.Counter("server.log.compacted_segments"),
 		mReplaySnap: metrics.Counter("server.log.replay_from_snapshot"),
 	}
-	l.lanes = []*Lane{{l: l}}
 	l.durable.L = &l.mu
 	if err := l.recover(); err != nil {
 		return nil, err
@@ -525,69 +534,32 @@ func (l *Log) Append(r Record) error {
 		return err
 	}
 	l.fill = appendRecord(l.fill, r)
-	ln := l.lanes[0]
-	n := l.queue(ln)
-	for ln.done < n {
+	n := l.queue()
+	for l.done < n {
 		l.durable.Wait()
 	}
-	if n > ln.ok {
+	if n > l.ok {
 		return l.failed
 	}
 	return nil
 }
 
-// Lane is an append path that never waits, for one appending goroutine (a
-// shard loop). Its records are numbered from 1 in append order and reach the
-// file in that order; after every drain that carried one of them the writer
-// signals Ready, and Committed then says how far they are durable.
-type Lane struct {
-	l     *Log
-	ready chan struct{} // one slot; nil on Append's lane, whose callers wait on l.durable
-
-	// Guarded by l.mu.
-	appended uint64 // records appended through the lane
-	drained  uint64 // the drain in progress took records through this one
-	done     uint64 // the writer is finished with records through this one
-	ok       uint64 // records through this one are durable (ok ≤ done)
-}
-
-// NewLane returns a new lane of the log; it lives as long as the log.
-func (l *Log) NewLane() *Lane {
-	ln := &Lane{l: l, ready: make(chan struct{}, 1)}
-	l.mu.Lock()
-	l.lanes = append(l.lanes, ln)
-	l.mu.Unlock()
-	return ln
-}
-
-// Ready is signalled, through one slot, after the writer has finished with
-// records of the lane.
-func (ln *Lane) Ready() <-chan struct{} { return ln.ready }
-
 // AppendEvent queues the KindEvent record of src's event, broadcast as se —
 // the bytes Append writes for Record{KindEvent, src.Instance,
-// "instance:path", the Exec se materializes for src.Path} — and returns its
-// number on the lane, or, with nothing queued, the error a closed or failed
-// log refuses every append with. It allocates nothing once the fill buffer
-// has grown to the backlog.
-func (ln *Lane) AppendEvent(src couple.ObjectRef, se *wire.SharedExec) (uint64, error) {
-	l := ln.l
+// "instance:path", the Exec se materializes for src.Path} — and returns at
+// once: nil once the record is queued behind every record appended before
+// it, or, with nothing queued, the error a closed or failed log refuses
+// every append with. The caller never learns when the record is durable. It
+// allocates nothing once the fill buffer has grown to the backlog.
+func (l *Log) AppendEvent(src couple.ObjectRef, se *wire.SharedExec) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.refusal(); err != nil {
-		return 0, err
+		return err
 	}
 	l.fill = appendEventRecord(l.fill, src, se)
-	return l.queue(ln), nil
-}
-
-// Committed reports the writer's progress on the lane: it is finished with
-// records 1…done, records 1…durable of them are durable, and the rest failed
-// with err.
-func (ln *Lane) Committed() (done, durable uint64, err error) {
-	ln.l.mu.Lock()
-	defer ln.l.mu.Unlock()
-	return ln.done, ln.ok, ln.l.failed
+	l.queue()
+	return nil
 }
 
 // refusal is the error a new append gets at once: the log is closed or has
@@ -599,15 +571,15 @@ func (l *Log) refusal() error {
 	return l.failed
 }
 
-// queue counts the record just encoded into fill as ln's next, wakes the
-// writer and returns the record's number. l.mu is held.
-func (l *Log) queue(ln *Lane) uint64 {
-	ln.appended++
+// queue counts the record just encoded into fill, wakes the writer and
+// returns the record's number. l.mu is held.
+func (l *Log) queue() uint64 {
+	l.appended++
 	select {
 	case l.kick <- struct{}{}:
 	default:
 	}
-	return ln.appended
+	return l.appended
 }
 
 // writer is the single goroutine touching the segment files.
@@ -645,16 +617,13 @@ func (l *Log) writer() {
 }
 
 // drain is one group commit: it swaps the fill buffer out, writes it, and
-// publishes the outcome to every lane that had a record in it.
+// publishes the outcome to the appenders waiting in Append.
 func (l *Log) drain() {
 	l.mu.Lock()
 	buf, err := l.fill, l.failed
 	l.fill, l.spare = l.spare, nil
-	recs := 0
-	for _, ln := range l.lanes {
-		recs += int(ln.appended - ln.drained)
-		ln.drained = ln.appended
-	}
+	recs := int(l.appended - l.drained)
+	l.drained = l.appended
 	l.mu.Unlock()
 
 	if err == nil && recs > 0 {
@@ -665,20 +634,9 @@ func (l *Log) drain() {
 	if l.failed == nil {
 		l.failed = err
 	}
-	for _, ln := range l.lanes {
-		if ln.done == ln.drained {
-			continue // none of its records in this drain
-		}
-		ln.done = ln.drained
-		if err == nil {
-			ln.ok = ln.drained
-		}
-		if ln.ready != nil {
-			select {
-			case ln.ready <- struct{}{}:
-			default:
-			}
-		}
+	l.done = l.drained
+	if err == nil {
+		l.ok = l.drained
 	}
 	l.durable.Broadcast()
 	if cap(buf) <= maxIdleFill {

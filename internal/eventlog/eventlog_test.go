@@ -581,8 +581,8 @@ func TestAppendAfterClose(t *testing.T) {
 	}
 	se := wire.NewSharedExec(1, "changed", nil, couple.ObjectRef{Instance: "a-1", Path: "/x"})
 	defer se.Release()
-	if _, err := l.NewLane().AppendEvent(couple.ObjectRef{Instance: "a-1", Path: "/x"}, se); !errors.Is(err, ErrClosed) {
-		t.Fatalf("lane append after Close: %v, want ErrClosed", err)
+	if err := l.AppendEvent(couple.ObjectRef{Instance: "a-1", Path: "/x"}, se); !errors.Is(err, ErrClosed) {
+		t.Fatalf("event append after Close: %v, want ErrClosed", err)
 	}
 }
 
@@ -617,35 +617,30 @@ func TestEventRecordBytes(t *testing.T) {
 	}
 }
 
-// A lane never waits: its records queue, the writer signals Ready after each
-// drain, and Committed says how far they are durable. They replay in lane
-// order, interleaved with Append's records in the order the appends came.
-func TestLaneCommits(t *testing.T) {
+// An event's record never waits: AppendEvent queues it behind every record
+// appended before it, and the records replay in append order, interleaved
+// with Append's records in the order the appends came.
+func TestAppendEventOrder(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(Options{Dir: dir, Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln := l.NewLane()
 	src := couple.ObjectRef{Instance: "editor-1", Path: "/field"}
 	var want []Record
 	for id := uint64(1); id <= 5; id++ {
 		se := wire.NewSharedExec(id, "changed", []attr.Value{attr.Int(int64(id))}, src)
-		n, err := ln.AppendEvent(src, se)
+		err := l.AppendEvent(src, se)
 		want = append(want, Record{Kind: KindEvent, Origin: "editor-1", Group: "editor-1:/field", Env: wire.Envelope{Msg: se.Exec(src.Path)}})
 		se.Release()
-		if err != nil || n != id {
-			t.Fatalf("append %d: record %d, %v", id, n, err)
+		if err != nil {
+			t.Fatalf("append %d: %v", id, err)
 		}
 		if id == 3 {
 			r := rec(KindDeclare, "editor-1", "", wire.Declare{Path: "/other", Class: "text"})
 			mustAppend(t, l, r)
 			want = append(want, r)
 		}
-	}
-	waitCommitted(t, ln, 5)
-	if done, durable, err := ln.Committed(); done != 5 || durable != 5 || err != nil {
-		t.Fatalf("committed = %d, %d, %v; want 5, 5, nil", done, durable, err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -659,74 +654,86 @@ func TestLaneCommits(t *testing.T) {
 	}
 }
 
-// A held write holds the lane's report, and a failed one fails the lane's
-// records and refuses every later append.
-func TestLaneHeldAndFailedWrites(t *testing.T) {
-	l, err := Open(Options{Dir: t.TempDir(), Sync: SyncAlways})
+// A held write does not hold AppendEvent: its records wait in the fill and
+// land once the write is let go. After a failed write every append is
+// refused at once, with the failure.
+func TestAppendEventRefusals(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	ln := l.NewLane()
 	src := couple.ObjectRef{Instance: "editor-1", Path: "/field"}
 	se := wire.NewSharedExec(1, "changed", nil, src)
 	defer se.Release()
 
 	gate := make(chan struct{})
 	l.WriteGate(gate)
-	if _, err := ln.AppendEvent(src, se); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		if err := l.AppendEvent(src, se); err != nil {
+			t.Fatal(err)
+		}
 	}
+	appended := make(chan error, 1)
+	go func() {
+		appended <- l.Append(rec(KindDeclare, "editor-1", "", wire.Declare{Path: "/other", Class: "text"}))
+	}()
 	select {
-	case <-ln.Ready():
-		t.Fatal("the lane heard of a write the gate holds")
+	case err := <-appended:
+		t.Fatalf("Append returned %v through a held write", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	close(gate)
-	waitCommitted(t, ln, 1)
-
-	l.CrashPoint(1, 0)
-	if _, err := ln.AppendEvent(src, se); err != nil {
+	if err := <-appended; err != nil {
 		t.Fatal(err)
 	}
-	waitCommitted(t, ln, 2)
-	if done, durable, err := ln.Committed(); done != 2 || durable != 1 || !errors.Is(err, ErrCrashed) {
-		t.Fatalf("committed = %d, %d, %v; want 2, 1, ErrCrashed", done, durable, err)
+	if n := len(replayAll(t, dir)); n != 4 {
+		t.Fatalf("%d records landed once the write was let go, want 4", n)
 	}
-	if _, err := ln.AppendEvent(src, se); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("lane append after the failure: %v, want ErrCrashed", err)
+
+	l.CrashPoint(1, 0)
+	if err := l.AppendEvent(src, se); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(sampleRecords()[0]); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("append through the failed write: %v, want ErrCrashed", err)
+	}
+	if err := l.AppendEvent(src, se); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("event append after the failure: %v, want ErrCrashed", err)
 	}
 	if err := l.Append(sampleRecords()[0]); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("append after the failure: %v, want ErrCrashed", err)
 	}
+	if n := len(replayAll(t, dir)); n != 4 {
+		t.Fatalf("%d records replay after the failed write, want the 4 before it", n)
+	}
 }
 
-// Lanes and blocking appenders running at once each keep their own order,
-// and everything they were told is durable replays.
-func TestConcurrentLanes(t *testing.T) {
+// Event appenders and blocking appenders running at once each keep their own
+// order, and everything appended before Close replays.
+func TestConcurrentAppendEvent(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(Options{Dir: dir, Sync: SyncInterval})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const lanes, per = 4, 200
+	const appenders, per = 4, 200
 	var wg sync.WaitGroup
-	for w := 0; w < lanes; w++ {
+	for w := 0; w < appenders; w++ {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			ln := l.NewLane()
-			src := couple.ObjectRef{Instance: couple.InstanceID(fmt.Sprintf("lane-%d", w)), Path: "/x"}
+			src := couple.ObjectRef{Instance: couple.InstanceID(fmt.Sprintf("events-%d", w)), Path: "/x"}
 			for i := uint64(1); i <= per; i++ {
 				se := wire.NewSharedExec(i, "changed", nil, src)
-				_, err := ln.AppendEvent(src, se)
+				err := l.AppendEvent(src, se)
 				se.Release()
 				if err != nil {
 					t.Error(err)
 					return
 				}
 			}
-			waitCommitted(t, ln, per)
 		}()
 		go func() {
 			defer wg.Done()
@@ -755,24 +762,7 @@ func TestConcurrentLanes(t *testing.T) {
 		}
 		next[r.Origin] = id
 	}
-	if want := lanes*per + lanes*per/10; n != want {
+	if want := appenders*per + appenders*per/10; n != want {
 		t.Fatalf("replayed %d records, want %d", n, want)
-	}
-}
-
-// waitCommitted waits until the writer is finished with ln's records 1…n.
-func waitCommitted(t *testing.T, ln *Lane, n uint64) {
-	t.Helper()
-	deadline := time.After(5 * time.Second)
-	for {
-		if done, _, _ := ln.Committed(); done >= n {
-			return
-		}
-		select {
-		case <-ln.Ready():
-		case <-deadline:
-			t.Errorf("the lane's record %d was never committed", n)
-			return
-		}
 	}
 }

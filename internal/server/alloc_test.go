@@ -40,10 +40,12 @@ const eventPathAllocBudget = 5.0
 // the same topology: the logged run's allocations per event minus the
 // unlogged run's. It measured between −0.08 and +0.09 over fifteen runs when
 // the budget was set (15.0 before an event's record was encoded into the
-// log's recycled fill buffer and its commit reported through the shard's
-// lane). The record is meant to cost nothing, so the ceiling sits halfway
-// to one allocation: a channel, a record buffer or a boxed Exec back on the
-// append path is over it, the noise of the difference is not.
+// log's recycled fill buffer), and between −0.04 and +0.10 over ten runs
+// once an event stopped waiting for its record and a shard leased its IDs
+// once per 65 536 of its events. The record is meant to cost nothing, so the
+// ceiling sits halfway to one allocation: a channel, a record buffer or a
+// boxed Exec back on the append path is over it, the noise of the difference
+// is not.
 const eventLogAllocBudget = 0.5
 
 // TestEventPathAllocBudget holds the steady-state event path to its

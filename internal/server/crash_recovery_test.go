@@ -10,13 +10,16 @@ package server
 // acknowledges state the replay cannot rebuild.
 //
 // The record⇄operation correspondence the harness relies on: every scripted
-// operation appends exactly one log record before its acknowledgement (the
-// clients do not enable Reconnect, so no token records interleave), and under
-// the `always` sync policy each record costs one write plus one fsync
-// boundary. A crash at a write boundary loses that record (torn or absent
-// tail); a crash at an fsync boundary leaves the record fully written — the
-// harness does not model page-cache loss — so the durable prefix is always
-// ops[0:R] with R read back by Fsck, never an interior gap.
+// operation appends exactly one log record (the clients do not enable
+// Reconnect, so no token records interleave), except that the first event on
+// a shard first appends its shard's ID lease, which is not an operation (see
+// durableOps). Records reach the file in operation order: a control-plane
+// record is durable before its acknowledgement, and an event's record is
+// queued before the event is acked, ahead of the next operation's. A crash at
+// a write boundary loses that write's records (torn or absent tail); a crash
+// at an fsync boundary leaves them fully written — the harness does not model
+// page-cache loss — so the durable prefix is always ops[0:R] with R read back
+// from the directory, never an interior gap.
 
 import (
 	"strings"
@@ -188,15 +191,12 @@ func TestCrashPointRecovery(t *testing.T) {
 			t.Fatalf("boundary %d: close: %v", op, err)
 		}
 
-		rep, err := eventlog.Fsck(dir)
-		if err != nil {
-			t.Fatalf("boundary %d: fsck: %v", op, err)
+		durable, leases := durableOps(t, dir)
+		if durable > len(ops) {
+			t.Fatalf("boundary %d: %d durable ops for %d ops", op, durable, len(ops))
 		}
-		if rep.Records > len(ops) {
-			t.Fatalf("boundary %d: %d durable records for %d ops", op, rep.Records, len(ops))
-		}
-		if !fired && rep.Records != len(ops) {
-			t.Fatalf("no crash, yet %d records for %d ops — an op logged more or less than one record", rep.Records, len(ops))
+		if !fired && (durable != len(ops) || leases == 0) {
+			t.Fatalf("no crash, yet %d durable ops for %d, and %d leases — an op logged more or less than one record", durable, len(ops), leases)
 		}
 
 		// Replay into a fresh server.
@@ -211,21 +211,63 @@ func TestCrashPointRecovery(t *testing.T) {
 			t.Fatalf("boundary %d: close reopened: %v", op, err)
 		}
 
-		// Shadow: a plain in-memory server driven with the durable prefix.
-		shadow := newCrashScript(t, Options{})
-		for _, run := range ops[:rep.Records] {
-			run(shadow)
-		}
-		want := liveDigest(shadow.srv)
-		shadow.shutdown()
-
+		want := shadowDigest(t, Options{}, ops[:durable])
 		if got != want {
 			t.Fatalf("boundary %d (partial=%d, fired=%v, durable=%d/%d):\nreplayed state:\n%s\nshadow state:\n%s",
-				op, partial, fired, rep.Records, len(ops), got, want)
+				op, partial, fired, durable, len(ops), got, want)
 		}
 		if !fired {
-			t.Logf("swept %d crash boundaries (%d ops, %d records)", op-1, len(ops), rep.Records)
+			t.Logf("swept %d crash boundaries (%d ops, %d leases)", op-1, len(ops), leases)
 			return
 		}
 	}
+}
+
+// durableOps reads back how many of the script's ops the log in dir holds,
+// and how many ID leases. Every op logs one record, but a lease is not an op:
+// it stands for the event it was taken for. A durable lease with no record of
+// its event behind it leaves the fold where the event would (an event record
+// only restates the floor the lease already raised), whether the event was
+// acked and its record lost or the event was refused because the lease's
+// fsync failed.
+func durableOps(t *testing.T, dir string) (ops, leases int) {
+	t.Helper()
+	leased := false
+	if err := eventlog.ReplayDir(dir, func(rec eventlog.Record) error {
+		leased = rec.Kind == eventlog.KindLease
+		if leased {
+			leases++
+		} else {
+			ops++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if leased {
+		ops++
+	}
+	return ops, leases
+}
+
+// shadowDigest drives a fresh server through ops and returns its live digest.
+// The shadow logs to a directory of its own, so its shards lease event IDs at
+// the events the scripted run leased them at.
+func shadowDigest(t *testing.T, opts Options, ops []func(*crashScript)) string {
+	t.Helper()
+	elog, err := eventlog.Open(eventlog.Options{Dir: t.TempDir(), Sync: eventlog.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.EventLog = elog
+	shadow := newCrashScript(t, opts)
+	for _, run := range ops {
+		run(shadow)
+	}
+	digest := liveDigest(shadow.srv)
+	shadow.shutdown()
+	if err := elog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return digest
 }

@@ -6,6 +6,7 @@ package server_test
 // traffic.
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -209,8 +210,9 @@ func TestSessionTokenLifecycleAcrossRestart(t *testing.T) {
 // TestChaosRestartSoak (make chaos-restart) kills and restarts the server
 // repeatedly under live traffic. Clients ride through on session-token
 // resume; afterwards every client must still be functional under its
-// original ID, and every event acknowledged to any client must be in the
-// durable log — zero acked events lost.
+// original ID, no event ID may be issued twice — a raw member of the group,
+// resumed by the test after every restart, records each Exec ID it is sent —
+// and every event acknowledged to any client must be in the log.
 func TestChaosRestartSoak(t *testing.T) {
 	const restarts = 4
 	d := newDurable(t, server.Options{})
@@ -224,14 +226,35 @@ func TestChaosRestartSoak(t *testing.T) {
 	for i := 1; i < len(clients); i++ {
 		mustOK(t, clients[0].Couple("/x", clients[i].Ref("/x")))
 	}
+	rec := d.bed.Raw(wire.Register{AppType: "raw", User: "rec", Host: "h"})
+	rec.MustOK(wire.Declare{Path: "/x", Class: "textfield"})
+	rec.MustOK(wire.Couple{From: couple.ObjectRef{Instance: rec.ID, Path: "/x"}, To: clients[0].Ref("/x")})
 	testbed.Wait(t, "group formed", func() bool {
 		for _, c := range clients {
-			if len(c.CO("/x")) != len(clients)-1 {
+			if len(c.CO("/x")) != len(clients) {
 				return false
 			}
 		}
 		return true
 	})
+	// record acknowledges every Exec the raw member is sent on this
+	// connection and files its ID under the server's incarnation.
+	var idMu sync.Mutex
+	execIDs := make([][]uint64, restarts+1)
+	record := func(p *testbed.Peer, inc int) {
+		go func() {
+			for env := range p.Events {
+				if m, ok := env.Msg.(wire.Exec); ok {
+					p.Send(wire.ExecAck{EventID: m.EventID})
+					idMu.Lock()
+					execIDs[inc] = append(execIDs[inc], m.EventID)
+					idMu.Unlock()
+				}
+			}
+		}()
+	}
+	tok := mint(t, rec)
+	record(rec, 0)
 	ids := make([]couple.InstanceID, len(clients))
 	for i, c := range clients {
 		ids[i] = c.ID()
@@ -268,6 +291,12 @@ func TestChaosRestartSoak(t *testing.T) {
 	for i := 0; i < restarts; i++ {
 		time.Sleep(120 * time.Millisecond)
 		d.restart()
+		rec = d.bed.Raw(wire.Resume{Token: tok})
+		if resumed(t, rec) == "" {
+			t.Fatalf("restart %d: the raw member's resume was refused", i+1)
+		}
+		tok = mint(t, rec)
+		record(rec, i+1)
 	}
 	time.Sleep(150 * time.Millisecond)
 	close(stop)
@@ -288,8 +317,32 @@ func TestChaosRestartSoak(t *testing.T) {
 		}
 	}
 
-	// Zero acked events lost: every acknowledged event has a log record.
+	// No event ID issued twice: every ID an incarnation issued exceeds every
+	// one its predecessors did.
 	d.stop()
+	idMu.Lock()
+	var last uint64
+	seen := 0
+	for inc, got := range execIDs {
+		if len(got) == 0 {
+			continue // the member resumed after the incarnation's traffic
+		}
+		seen++
+		for _, id := range got {
+			if id <= last {
+				t.Fatalf("incarnation %d issued event ID %d; an earlier one issued up to %d", inc, id, last)
+			}
+		}
+		last = slices.Max(got)
+	}
+	idMu.Unlock()
+	if seen < 2 {
+		t.Fatalf("the raw member recorded Execs under %d incarnations; the check needs two", seen)
+	}
+
+	// Zero acked events lost: every acknowledged event has a log record.
+	// Records are written behind their events, but each restart closes the
+	// server and then its log, and closing the log writes what is queued.
 	logged := uint64(0)
 	if err := eventlog.ReplayDir(d.dir, func(rec eventlog.Record) error {
 		if rec.Kind == eventlog.KindEvent {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cosoft/internal/couple"
+	"cosoft/internal/eventlog"
 	"cosoft/internal/lock"
 	"cosoft/internal/obs"
 	"cosoft/internal/wire"
@@ -32,28 +33,13 @@ type pendingEvent struct {
 	// unlock spans recorded when the round trip completes (zero when the
 	// event was not traced).
 	tc obs.TraceContext
-	// timer fires the event deadline (nil when deadlines are disabled, and
-	// until the event is broadcast). It is stopped when the event resolves
-	// normally.
+	// timer fires the event deadline (nil when deadlines are disabled). It
+	// is stopped when the event resolves normally.
 	timer *time.Timer
-	// se is the broadcast's encode-once Exec while the event is committing:
-	// granted, its log record on the way to disk, nothing sent yet. The
-	// continuation (broadcast) sends se to the members, answers the origin's
-	// connection from on its request refSeq, and clears se.
-	se     *wire.SharedExec
-	from   *client
-	refSeq uint64
 	// migrated marks an event carried to another shard by a group
 	// migration; its router forwarding entry is cleared on resolution.
 	migrated bool
-	// originLeft marks a committing event whose origin disconnected: it is
-	// resolved as soon as it has been broadcast, as dropClient resolves an
-	// event that was already out.
-	originLeft bool
 }
-
-// committing reports whether the event's log record is still on its way.
-func (pe *pendingEvent) committing() bool { return pe.se != nil }
 
 const (
 	// maxFreePending bounds a shard's free list of resolved events. A shard
@@ -84,10 +70,10 @@ func (sh *shard) newPending(n int) *pendingEvent {
 	return pe
 }
 
-// recycle takes back a resolved event, one no pending map, migration bundle
-// or commit report can reach any more, and zeroes it for newPending. Only the
-// wait set's array survives, cleared: every count beyond its length already
-// is zero, since each event writes only within its own wait set.
+// recycle takes back a resolved event, one no pending map or migration bundle
+// can reach any more, and zeroes it for newPending. Only the wait set's array
+// survives, cleared: every count beyond its length already is zero, since
+// each event writes only within its own wait set.
 func (sh *shard) recycle(pe *pendingEvent) {
 	if len(sh.free) == maxFreePending || cap(pe.waiting) > maxFreeWaitSet {
 		return
@@ -98,14 +84,10 @@ func (sh *shard) recycle(pe *pendingEvent) {
 }
 
 // abandon drops what an unresolved event holds outside the server at
-// shutdown: its deadline timer and its shared body.
+// shutdown: its deadline timer.
 func (pe *pendingEvent) abandon() {
 	if pe.timer != nil {
 		pe.timer.Stop()
-	}
-	if pe.se != nil {
-		pe.se.Release()
-		pe.se = nil
 	}
 }
 
@@ -174,62 +156,89 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 		arrival.EndNote("lock denied")
 		return
 	}
-	sh.seq++
 
 	// The event is granted: the group lock is held. The relay body already
 	// is the member-independent suffix of the Exec body (Name, Args, Origin);
 	// stamped with the event ID it is the broadcast's shared body, which both
-	// the log record and every member's frame copy in. The event is pending
-	// from here on, so the health plane and the invariants see it while it
-	// commits.
-	pe := sh.newPending(len(p.insts))
-	pe.source, pe.plan, pe.owner, pe.start, pe.tc = source, p, owner, start, actx
+	// the log record and every member's frame copy in. A log that refuses the
+	// event's lease or record refuses the event: it unlocks, the origin undoes
+	// its feedback, no member hears of it, and its ID stays unused.
 	ev.body.Stamp(eventID)
-	pe.se = ev.body
-	pe.from, pe.refSeq = cl, seq
-	sh.pending[eventID] = pe
-	// Nothing about the event leaves the server before its record is
-	// durable, so an acked event is always in the replayable stream. The
-	// record goes onto the shard's lane and the loop moves on; the writer's
-	// report brings the event back to broadcast (see commitsDone), on
-	// whichever shard owns it by then. Without a log, or when the log
-	// refuses the append at once, the continuation runs here.
-	if sh.lane == nil {
-		s.broadcast(sh, eventID, pe, nil)
-	} else if n, err := sh.lane.AppendEvent(source, pe.se); err != nil {
-		s.broadcast(sh, eventID, pe, err)
-	} else {
-		sh.commits = append(sh.commits, logCommit{n: n, id: eventID})
-	}
-	arrival.End()
-}
-
-// broadcast is a granted event's continuation once the fate of its log
-// record is known (err is the append's error), on the shard that owns the
-// event now. A refused record refuses the event: it unlocks, the origin
-// undoes its feedback, and no member hears of it. Otherwise the locked
-// objects are disabled at their instances and the event goes out for
-// re-execution under the plan its lock was taken with: each member's outbox
-// queues a reference to the shared body and copies it in at flush, so the
-// broadcast costs O(1) body encodes regardless of fan-out.
-func (s *Server) broadcast(sh *shard, eventID uint64, pe *pendingEvent, err error) {
-	se, cl, p, actx := pe.se, pe.from, pe.plan, pe.tc
-	pe.se = nil
-	if err != nil {
-		se.Release()
-		s.dropPending(sh, eventID, pe)
-		sh.locks.UnlockGroup(p.members, pe.owner)
+	if err := s.logEvent(sh, eventID, source, ev.body); err != nil {
+		ev.body.Release()
+		sh.locks.UnlockGroup(p.members, owner)
 		s.mLogAppendErrs.Inc()
 		s.slog.Warn("event refused: log append failed",
-			"event_id", eventID, "inst", string(cl.id), "path", pe.source.Path, "err", err, "trace", actx.Trace)
+			"event_id", eventID, "inst", string(cl.id), "path", m.Path, "err", err, "trace", tc.Trace)
 		cl.out.send(wire.Envelope{
-			RefSeq: pe.refSeq,
+			RefSeq: seq,
 			Trace:  s.tr.Point(actx, "server.event_result", "server", "refused: log append failed"),
 			Msg:    eventUnlogged,
 		})
-		sh.recycle(pe)
+		arrival.EndNote("log append failed")
 		return
 	}
+	sh.seq++
+	pe := sh.newPending(len(p.insts))
+	pe.source, pe.plan, pe.owner, pe.start, pe.tc = source, p, owner, start, actx
+	sh.pending[eventID] = pe
+	s.broadcast(pe, ev.body)
+	cl.out.send(wire.Envelope{
+		RefSeq: seq,
+		Trace:  s.tr.Point(actx, "server.event_result", "server", "ok"),
+		Msg:    eventAccepted,
+	})
+	arrival.End()
+	if pe.left == 0 {
+		// All members belonged to disconnected instances.
+		s.finishEvent(sh, eventID, pe, false)
+		return
+	}
+	if d := s.opts.EventDeadline; d > 0 {
+		// AfterFunc posts back to the owning shard's loop; post refuses after
+		// Close, so a late firing is harmless, and if the event migrated the
+		// miss-forward in timeoutEvent chases it.
+		pe.timer = time.AfterFunc(d, func() {
+			s.postShard(sh, func() { s.timeoutEvent(sh, eventID) })
+		})
+	}
+}
+
+// leaseBlock is how many of its own event IDs a shard leases at once, so it
+// waits on the log once per leaseBlock of its events.
+const leaseBlock = 1 << 16
+
+// logEvent makes sure event id can never be issued again and queues its
+// record. An ID at or above the shard's ceiling first takes a lease: a
+// KindLease record naming a ceiling leaseBlock of the shard's IDs further on,
+// appended with the blocking Append, so it is durable per the sync policy
+// before the ID goes out. A restart starts every shard above the highest
+// ceiling it replays, whatever became of the event records behind it. The
+// event's own record is an audit entry: AppendEvent queues it, and only an
+// immediate refusal (the log is closed or failed) comes back. Without a log
+// there is nothing to do.
+func (s *Server) logEvent(sh *shard, id uint64, src couple.ObjectRef, se *wire.SharedExec) error {
+	if s.elog == nil {
+		return nil
+	}
+	if id >= sh.ceiling {
+		ceiling := id + leaseBlock*uint64(len(s.shards))
+		if err := s.elog.Append(eventlog.Record{Kind: eventlog.KindLease, Env: wire.Envelope{Msg: wire.Exec{EventID: ceiling}}}); err != nil {
+			return err
+		}
+		sh.ceiling = ceiling
+	}
+	return s.elog.AppendEvent(src, se)
+}
+
+// broadcast sends a granted event out for re-execution under the plan its
+// lock was taken with: the locked objects are disabled at their instances,
+// and each member's outbox queues a reference to the shared body se and
+// copies it in at flush, so the broadcast costs O(1) body encodes regardless
+// of fan-out. It fills the event's wait set and gives up the caller's
+// reference to se.
+func (s *Server) broadcast(pe *pendingEvent, se *wire.SharedExec) {
+	p, actx := pe.plan, pe.tc
 	s.notifyLocks(p, actx, true)
 	s.mBytesEncoded.Add(uint64(se.TailLen()))
 	fanout := 0
@@ -253,25 +262,6 @@ func (s *Server) broadcast(sh *shard, eventID uint64, pe *pendingEvent, err erro
 	se.Release()
 	s.mExecsSent.Add(uint64(fanout))
 	s.mFanout.Observe(int64(fanout))
-	cl.out.send(wire.Envelope{
-		RefSeq: pe.refSeq,
-		Trace:  s.tr.Point(actx, "server.event_result", "server", "ok"),
-		Msg:    eventAccepted,
-	})
-	if pe.left == 0 || pe.originLeft {
-		// All members belonged to disconnected instances, or the origin left
-		// while the event committed.
-		s.finishEvent(sh, eventID, pe, false)
-		return
-	}
-	if d := s.opts.EventDeadline; d > 0 {
-		// AfterFunc posts back to the owning shard's loop; post refuses after
-		// Close, so a late firing is harmless, and if the event migrated the
-		// miss-forward in timeoutEvent chases it.
-		pe.timer = time.AfterFunc(d, func() {
-			s.postShard(sh, func() { s.timeoutEvent(sh, eventID) })
-		})
-	}
 }
 
 // eventAccepted, eventDenied and eventUnlogged are the verdicts an event
@@ -281,38 +271,6 @@ var (
 	eventDenied   wire.Message = wire.EventResult{OK: false, Reason: "group locked"}
 	eventUnlogged wire.Message = wire.EventResult{OK: false, Reason: "event log append failed"}
 )
-
-// logCommit is one event whose record is on the shard's lane: the record's
-// number there, and the event's ID.
-type logCommit struct{ n, id uint64 }
-
-// commitsDone runs on sh's loop when the writer signals its lane: every
-// event whose record the writer is finished with leaves the queue, oldest
-// first, and goes on to broadcast with its record's outcome.
-func (s *Server) commitsDone(sh *shard) {
-	done, durable, err := sh.lane.Committed()
-	k := 0
-	for ; k < len(sh.commits) && sh.commits[k].n <= done; k++ {
-		c := sh.commits[k]
-		var cerr error
-		if c.n > durable {
-			cerr = err
-		}
-		s.committed(sh, c.id, cerr)
-	}
-	sh.commits = sh.commits[:copy(sh.commits, sh.commits[k:])]
-}
-
-// committed hands event id its record's outcome on sh, where it was born. An
-// event that migrated with its group while it committed is chased to its
-// owner, the way an ack is.
-func (s *Server) committed(sh *shard, id uint64, err error) {
-	if pe, ok := sh.pending[id]; ok {
-		s.broadcast(sh, id, pe, err)
-	} else if to, moved := s.eventOwner(sh, id); moved {
-		s.postShard(to, func() { s.committed(to, id, err) })
-	}
-}
 
 // timeoutEvent resolves an event whose deadline expired before every member
 // acknowledged: the stragglers are dropped from the wait set and the group

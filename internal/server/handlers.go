@@ -400,20 +400,12 @@ func (s *Server) dropClient(cl *client, reason string) {
 	// Resolve group-scoped state on every shard: events the instance
 	// originated are finished, and events awaiting its ack are acked by
 	// absence. Locks follow their event, so that releases every lock the
-	// instance held — except a committing event's: its record may already be
-	// durable, so it keeps its floor until its commit lands, and is finished
-	// as soon as it has gone out. Nothing was sent for it yet, so it waits
-	// for no one.
+	// instance held.
 	for _, sh := range s.shards {
 		sh := sh
 		s.postShard(sh, func() {
 			for id, pe := range sh.pending {
-				switch {
-				case pe.committing():
-					if pe.source.Instance == cl.id {
-						pe.originLeft = true
-					}
-				case pe.source.Instance == cl.id || pe.dropWaiter(cl.id):
+				if pe.source.Instance == cl.id || pe.dropWaiter(cl.id) {
 					s.finishEvent(sh, id, pe, false)
 				}
 			}

@@ -2,25 +2,31 @@
 // before its acknowledgement is enqueued; state.restore folds those records
 // back into the server's databases after a crash or restart.
 //
-// Ordering: the log's order is the order appends reach its fill buffer. The
-// global loop's records (register, declare, couple, copy, …) are appended
-// with the blocking Append, so each is in the log before its
-// acknowledgement, and before any request that depends on it can reach a
-// shard loop. A shard loop's event record goes onto its lane and the loop
-// moves on, so event records land among other loops' records in whatever
-// order the appends happen to take. That order cannot matter: apply of an
-// event record only raises the event-ID floor to the max, so an event record
-// commutes with every record in the fold, and a late-landing event record
-// cannot change what replay rebuilds (TestEventRecordsCommute). What the
-// event causes stays behind its record: nothing about the event leaves the
-// server until the record is durable, and per-group order holds because the
-// event holds its group's floor meanwhile.
+// The guarantee, in two clauses. Every state a restart restores was durable,
+// under the configured sync policy, before the ack that exposed it: the
+// global loop's records (register, declare, couple, copy, …) go through the
+// blocking Append, so each is in the log before its acknowledgement and
+// before any request that depends on it can reach a shard loop. And no event
+// ID is issued twice: a shard grants IDs only below a ceiling it has leased
+// with a durable KindLease record (see logEvent), and a restart starts every
+// shard above the highest ceiling it replays.
 //
-// Failure policy: a failed event append refuses the event — the continuation
-// in broadcast unlocks the group, sends no Exec or SetLocks, and answers the
-// origin EventResult{OK: false}. A failed control-plane append is warned
-// about, counted and acknowledged anyway: the transition was already applied
-// to the live state, and refusing the client would not take it back.
+// An event's own record is an audit entry written behind the event: the
+// shard loop queues it and broadcasts at once, so event records land among
+// other loops' records in whatever order the appends happen to take, and a
+// crash may lose the records of events already acked. Neither can matter:
+// apply of an event record only raises the event-ID floor to the max, which
+// the lease before it already covers, so an event record commutes with
+// every record in the fold (TestEventRecordsCommute).
+//
+// Failure policy: a failed lease, or an event record the log refuses (it is
+// closed or has failed), refuses the event — it unlocks the group, sends no
+// Exec or SetLocks, and answers the origin EventResult{OK: false}; the
+// shard's sequence does not advance. The log fails closed, so every later
+// lease is refused too and the shard refuses events until a restart. A
+// failed control-plane append is warned about, counted and acknowledged
+// anyway: the transition was already applied to the live state, and refusing
+// the client would not take it back.
 package server
 
 import "cosoft/internal/eventlog"

@@ -15,14 +15,13 @@ import (
 // A shard recycles its resolved events, wait sets and all. On one shard,
 // events alternate between a nine-member group and a two-member group, so
 // each takes the event the other just gave back — resolved by acks, by a
-// member's disconnect, by a deadline, and by an origin that left while its
-// record committed. Every event must wait on exactly its own members,
-// unlock them once it resolves and not before, and leave no pending event,
-// no wait set, no deadline of its own and no stray lock behind.
+// member's disconnect and by a deadline. Every event must wait on exactly
+// its own members, unlock them once it resolves and not before, and leave no
+// pending event, no wait set, no deadline of its own and no stray lock
+// behind.
 func TestRecycledPendingEventCarriesNothingOver(t *testing.T) {
 	const deadline = time.Second // far beyond an acknowledged event's round trip
-	r := newCommitRig(t, Options{Shards: 1, EventDeadline: deadline})
-	sh := r.srv.shards[0]
+	r := newLogRig(t, Options{Shards: 1, EventDeadline: deadline})
 	peers := func(prefix, path string, n int) []*testbed.Peer {
 		ps := make([]*testbed.Peer, n)
 		for i := range ps {
@@ -64,7 +63,7 @@ func TestRecycledPendingEventCarriesNothingOver(t *testing.T) {
 		for _, m := range members {
 			nextUnlock(t, m)
 		}
-		r.waitEvents(sh, 0, 0)
+		testbed.Wait(t, "no event pending", func() bool { return r.srv.Stats().PendingEvents == 0 })
 		for _, g := range r.srv.Health().Groups {
 			if g.PendingEvents != 0 || len(g.Waiting) != 0 || g.LockHolder != "" {
 				t.Fatalf("group %v after its event: %d pending, waiting on %v, locked by %q", g.Refs, g.PendingEvents, g.Waiting, g.LockHolder)
@@ -111,39 +110,6 @@ func TestRecycledPendingEventCarriesNothingOver(t *testing.T) {
 	timeouts++
 	settle(two[1:])
 	byAcks(nine, "/nine")
-
-	// The origin leaves while its event's record commits: the event goes out
-	// once the record is durable and resolves at once (originLeft). The
-	// departure's own record waits behind the held write too, and once both
-	// are written the shard would hear of the two in either order, so the
-	// shard loop is parked until the departure arrives and runs it ahead of
-	// the commit report. A fresh origin then takes the old one's place.
-	r.hold()
-	dispatch(two[0], "/two", "v")
-	r.waitEvents(sh, 1, 1)
-	parked, left := make(chan struct{}), make(chan bool, 1)
-	r.srv.postShard(sh, func() {
-		close(parked)
-		select {
-		case departure := <-sh.reqs:
-			r.srv.runShard(sh, departure)
-		case <-r.srv.quit:
-		}
-		for _, pe := range sh.pending {
-			left <- pe.committing() && pe.originLeft
-		}
-		close(left)
-	})
-	<-parked
-	two[0].Close()
-	r.release()
-	if !<-left {
-		t.Fatal("the origin's departure did not reach its event while it committed")
-	}
-	testbed.Next[wire.Exec](two[1])
-	settle(two[1:])
-	two[0] = r.peer("h2", "/two")
-	r.group("/two", two...)
 
 	rounds()
 }

@@ -81,13 +81,14 @@ type Options struct {
 	// out as its own frame.
 	BatchLimit int
 	// EventLog is the durable per-group event log. When set, every
-	// state-mutating hop — registration, declaration, coupling, event
-	// broadcast commit, history snapshot, undo/redo, permission change,
-	// session-token mint — appends a record before its acknowledgement is
-	// enqueued, and New replays the existing log to rebuild the registry,
-	// couple graph, histories and event-ID floor before serving. The
-	// caller owns the log's lifecycle: open it before New, close it after
-	// Close.
+	// state-mutating hop — registration, declaration, coupling, history
+	// snapshot, undo/redo, permission change, session-token mint, event-ID
+	// lease — appends a record before its acknowledgement is enqueued, each
+	// broadcast event queues an audit record behind it, and New replays the
+	// existing log to rebuild the registry, couple graph, histories and
+	// event-ID floor before serving. The caller owns the log's lifecycle:
+	// open it before New, close it after Close, which writes what is still
+	// queued.
 	EventLog *eventlog.Log
 	// SnapshotInterval is the cadence of the snapshot goroutine: every
 	// interval it folds the log's new records into an offline replica,
@@ -139,9 +140,9 @@ type Server struct {
 
 	// elog is the durable event log (nil when durability is off). The global
 	// loop's appends block until the record reaches the configured
-	// durability; a shard loop appends an event's record through its lane and
-	// holds the event until the commit is reported. Either way an acked
-	// transition is replayable.
+	// durability, so an acked transition is replayable. A shard loop blocks
+	// on it only to lease event IDs; an event's own record is queued behind
+	// the event and never waited for (see logEvent).
 	elog *eventlog.Log
 	// snap folds the log into an offline replica and writes periodic state
 	// snapshots + compacts old segments (nil when durability is off).
@@ -288,10 +289,10 @@ type Stats struct {
 	// on different shards).
 	Shards             int64
 	CrossShardHandoffs uint64
-	// LogAppendErrors counts durable-log appends that failed. A failed event
-	// append refused the event; a failed control-plane append was applied
-	// and acknowledged anyway, so each of those is an acked record the next
-	// restart will not replay.
+	// LogAppendErrors counts durable-log appends that failed. A failed ID
+	// lease or a refused event record refused the event; a failed
+	// control-plane append was applied and acknowledged anyway, so each of
+	// those is an acked record the next restart will not replay.
 	LogAppendErrors uint64
 	// LinkNotices counts the LinkAdded and LinkRemoved envelopes enqueued to
 	// keep the instances' mirrored coupling information current.
@@ -456,10 +457,6 @@ func newServer(opts Options, st *state) *Server {
 			mBusy:   metrics.Counter(fmt.Sprintf("server.shard.%d.busy_ns", i)),
 			mDepth:  metrics.Gauge(fmt.Sprintf("server.shard.%d.queue_depth", i)),
 		}
-		if s.elog != nil {
-			sh.lane = s.elog.NewLane()
-			sh.onCommit = func() { s.commitsDone(sh) }
-		}
 		sh.locks.Instrument(s.mLockAttempts, s.mLockFails, s.mLockUndone)
 		sh.locks.TraceWith(opts.Tracer)
 		s.shards = append(s.shards, sh)
@@ -567,8 +564,7 @@ func (s *Server) Close() {
 	// pending maps are quiescent. Abandon the unresolved events: stop their
 	// deadline timers — a timer left running would outlive the server, and
 	// its late firing only posts (post refuses after quit), so stopping here
-	// is safe and sufficient — and release the shared bodies of those still
-	// committing, which nothing was sent and nothing will send.
+	// is safe and sufficient.
 	for _, sh := range s.shards {
 		for _, pe := range sh.pending {
 			pe.abandon()

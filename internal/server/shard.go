@@ -43,10 +43,9 @@
 // its queue (into the parked list) while armed, the install channel is
 // buffered, and the global loop's wait for the install is the only
 // synchronous edge — shards never wait on the global loop, so the wait graph
-// stays acyclic. Nor does a shard wait on the event log: it queues an event's
-// record on its lane and hears of the commit on the lane's ready channel,
-// while the event, holding its group's floor, waits in the pending map (see
-// broadcast).
+// stays acyclic. A shard waits on the event log only to lease event IDs,
+// once per leaseBlock of its events (see handleEvent); an event's own record
+// is queued behind it and never waited for.
 package server
 
 import (
@@ -55,7 +54,6 @@ import (
 	"time"
 
 	"cosoft/internal/couple"
-	"cosoft/internal/eventlog"
 	"cosoft/internal/lock"
 	"cosoft/internal/obs"
 	"cosoft/internal/wire"
@@ -75,8 +73,11 @@ type shard struct {
 
 	// seq counts the events granted on the shard; the next one gets the ID
 	// seq·N + idx + 1 (see handleEvent). New starts it past the event-ID
-	// floor the log restored.
+	// floor the log restored. ceiling is the shard's durable lease: with a
+	// log, no ID at or above it is granted before a lease record past it is
+	// durable.
 	seq     uint64
+	ceiling uint64
 	locks   *lock.Table
 	pending map[uint64]*pendingEvent
 	// free holds events resolved here, wait sets and all, zeroed for the
@@ -86,15 +87,6 @@ type shard struct {
 	// the couple graph last changed (generation planGen); see planFor.
 	plans   map[couple.ObjectRef]*plan
 	planGen uint64
-
-	// lane is the shard's append path into the event log (nil without one),
-	// and commits the events born here whose records it carries and whose
-	// outcome has not arrived yet, oldest first. onCommit runs commitsDone
-	// as a request, so a report is parked like any other while a migration
-	// into the shard is in flight.
-	lane     *eventlog.Lane
-	commits  []logCommit
-	onCommit func()
 
 	mEvents *obs.Counter // per-shard event counter (server.shard.<idx>.events)
 	mBusy   *obs.Counter // server.shard.<idx>.busy_ns: time spent executing closures
@@ -283,20 +275,12 @@ func (s *Server) postShardReq(sh *shard, req shardReq) bool {
 // under obs.Disabled, whose Start never reads the clock.
 func (s *Server) shardLoop(sh *shard) {
 	defer s.wg.Done()
-	var committed <-chan struct{} // never ready without a log
-	if sh.lane != nil {
-		committed = sh.lane.Ready()
-	}
 	for {
 		select {
 		case req := <-sh.reqs:
 			sh.mDepth.Set(int64(len(sh.reqs)))
 			t0 := sh.mBusy.Start()
 			s.runShard(sh, req)
-			sh.mBusy.AddSince(t0)
-		case <-committed:
-			t0 := sh.mBusy.Start()
-			s.runShard(sh, shardReq{fn: sh.onCommit})
 			sh.mBusy.AddSince(t0)
 		case m := <-sh.awaiting:
 			t0 := sh.mBusy.Start()

@@ -273,13 +273,7 @@ func TestSnapshotCrashPointRecovery(t *testing.T) {
 			t.Fatalf("boundary %d: close reopened: %v", op, err)
 		}
 
-		shadow := newCrashScript(t, Options{})
-		for _, run := range ops {
-			run(shadow)
-		}
-		want := liveDigest(shadow.srv)
-		shadow.shutdown()
-
+		want := shadowDigest(t, Options{}, ops)
 		if got != want {
 			t.Fatalf("boundary %d (partial=%d, fired=%v, snapshots=%d, segments=%d):\nreplayed state:\n%s\nshadow state:\n%s",
 				op, partial, fired, rep.Snapshots, rep.Segments, got, want)
@@ -336,13 +330,7 @@ func TestSnapshotRestartEquivalence(t *testing.T) {
 				t.Fatalf("snapshot restart replayed %d log records; want 0 (snapshot covers the whole log)", n)
 			}
 
-			shadow := newCrashScript(t, Options{Shards: shards})
-			for _, run := range ops {
-				run(shadow)
-			}
-			want := liveDigest(shadow.srv)
-			shadow.shutdown()
-
+			want := shadowDigest(t, Options{Shards: shards}, ops)
 			if got != want {
 				t.Fatalf("snapshot restart diverged:\nreplayed state:\n%s\nshadow state:\n%s", got, want)
 			}
@@ -400,12 +388,7 @@ func TestSnapshotV1PayloadRefused(t *testing.T) {
 		t.Fatal("restart replayed no log records: the v1 snapshot was not refused")
 	}
 
-	shadow := newCrashScript(t, Options{})
-	for _, run := range ops {
-		run(shadow)
-	}
-	want := liveDigest(shadow.srv)
-	shadow.shutdown()
+	want := shadowDigest(t, Options{}, ops)
 	if got != want {
 		t.Fatalf("fallback replay diverged:\nreplayed state:\n%s\nshadow state:\n%s", got, want)
 	}

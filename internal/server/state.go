@@ -68,8 +68,9 @@ type state struct {
 	sessions   map[string]sessionRec
 	sessionTok map[couple.InstanceID]string
 	history    *hist.DB
-	// floor is the largest event ID the log holds. Only the fold advances it:
-	// a live server's shards allocate their IDs past the floor it restored.
+	// floor is the largest event ID or lease ceiling the log holds. Only the
+	// fold advances it: a live server's shards allocate their IDs past the
+	// floor it restored.
 	floor uint64
 }
 
@@ -193,14 +194,14 @@ func (st *state) apply(rec eventlog.Record) error {
 		}
 		_, err = st.decouple(m.From, m.To)
 		return err
-	case eventlog.KindEvent:
+	case eventlog.KindEvent, eventlog.KindLease:
 		m, err := payload[wire.Exec](rec)
 		if err != nil {
 			return err
 		}
 		// Raise the floor so later events get IDs strictly greater than every
-		// logged one. The event itself was fully resolved or died with its
-		// waiters — only its ID survives it.
+		// logged or leased one. An event itself was fully resolved or died
+		// with its waiters — only its ID survives it.
 		st.floor = max(st.floor, m.EventID)
 	case eventlog.KindHist:
 		// The logged CopyTo carries the overwritten state: the backup itself.

@@ -90,21 +90,17 @@ func (st *state) digestWith(floor uint64) string {
 }
 
 // liveDigest is digest for a running server, read on the loops that own each
-// part. Its floor is the one the log restored, raised to the last ID a shard
-// granted since: every granted event is logged, so that is the largest ID
-// the log holds. It returns "" once the server is closed.
+// part. Its floor is the one the log restored, raised to the ceiling of every
+// lease a shard took since, as the fold raises it: every ID a shard grants
+// lies below its ceiling. It returns "" once the server is closed.
 func liveDigest(s *Server) string {
-	n := uint64(len(s.shards))
 	floor := s.st.floor
-	base := (floor + n - 1) / n // where New started every shard
 	for _, sh := range s.shards {
-		seq := make(chan uint64, 1)
-		if !s.postShard(sh, func() { seq <- sh.seq }) {
+		ceiling := make(chan uint64, 1)
+		if !s.postShard(sh, func() { ceiling <- sh.ceiling }) {
 			return ""
 		}
-		if q := <-seq; q > base {
-			floor = max(floor, (q-1)*n+uint64(sh.idx)+1)
-		}
+		floor = max(floor, <-ceiling)
 	}
 	out := make(chan string, 1)
 	if !s.post(func() { out <- s.st.digestWith(floor) }) {
@@ -276,9 +272,16 @@ func FuzzDecodeState(f *testing.F) {
 // live server through the wire into logging one or two kinds, and hands the
 // record the step stands for — written out here, not read back from any log —
 // to a fresh state's apply. The two must agree after every step, and between
-// them the steps cover every kind there is.
+// them the steps cover every kind there is. The server logs, so that its
+// shards lease event IDs.
 func TestEveryKindHasOneMutationSite(t *testing.T) {
-	srv := New(Options{Shards: HarnessShards})
+	elog, err := eventlog.Open(eventlog.Options{Dir: t.TempDir(), Sync: eventlog.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Registered before the bed, so the server closes before its log does.
+	t.Cleanup(func() { elog.Close() })
+	srv := New(Options{Shards: HarnessShards, EventLog: elog})
 	bed := testbed.New(t, srv, testbed.Options{})
 	fresh := newState(0, nil)
 	seen := make(map[eventlog.Kind]bool)
@@ -345,7 +348,9 @@ func TestEveryKindHasOneMutationSite(t *testing.T) {
 	if res := testbed.Next[wire.EventResult](peers[a]); !res.OK {
 		t.Fatalf("event denied: %s", res.Reason)
 	}
-	step("event", rec(eventlog.KindEvent, a, exec))
+	// The shard's first event takes its lease first.
+	lease := wire.Exec{EventID: exec.EventID + leaseBlock*HarnessShards}
+	step("event", rec(eventlog.KindLease, "", lease), rec(eventlog.KindEvent, a, exec))
 
 	// Hist: a pushes its state onto b's object, whose old state is backed up.
 	peers[a].Send(wire.CopyTo{FromPath: "/x", To: x(b), State: text("pushed")})
@@ -399,27 +404,28 @@ func TestEveryKindHasOneMutationSite(t *testing.T) {
 	peers[a].MustOK(wire.Retract{Path: "/x"})
 	step("retract", rec(eventlog.KindRetract, a, wire.Retract{Path: "/x"}))
 
-	for k := eventlog.KindRegister; k <= eventlog.KindPerm; k++ {
+	for k := eventlog.KindRegister; k <= eventlog.KindLease; k++ {
 		if !seen[k] {
 			t.Errorf("no step covers record kind %d", k)
 		}
 	}
-	if got := fresh.apply(eventlog.Record{Kind: eventlog.KindPerm + 1}); got == nil {
+	if got := fresh.apply(eventlog.Record{Kind: eventlog.KindLease + 1}); got == nil {
 		t.Error("apply accepted a kind past the last one: the walk above misses a new kind")
 	}
 }
 
-// Event records commute with every record in the fold: apply(KindEvent) only
-// raises the floor to the max, so a log whose event records are moved to any
-// positions — which is all an event record that lands late among the other
-// loops' records amounts to — folds to the same state. History records
+// Event and lease records commute with every record in the fold: apply of
+// either only raises the floor to the max, so a log whose event and lease
+// records are moved to any positions — which is all an event record that
+// lands late among the other loops' records amounts to — folds to the same
+// state. History records
 // (Hist, Undo, Redo) commute with every record that names neither their
 // object nor its instance: the historical-states database is keyed by object,
 // and only the object's own history records, its Retract and its instance's
 // Disconnect touch that key (its Declare, and the instance's Register and
-// Resume, are held fixed too). So a log whose event records move anywhere and
-// whose history records move anywhere between those neighbours folds to the
-// same state. The logs are the golden script, the golden script with an
+// Resume, are held fixed too). So a log whose event and lease records move
+// anywhere and whose history records move anywhere between those neighbours
+// folds to the same state. The logs are the golden script, the golden script with an
 // object that has history retracted, and one recorded from the
 // crash-recovery script's session. The check can tell records that do not
 // commute apart: swapping a link's Couple and Decouple in the crash script's
@@ -427,27 +433,32 @@ func TestEveryKindHasOneMutationSite(t *testing.T) {
 // later, which takes the link with it either way), and so does moving a
 // history record past its object's Retract.
 func TestEventRecordsCommute(t *testing.T) {
+	// The golden scripts predate leases; each gets one, with a ceiling below
+	// their last event IDs, so the floor still depends on the event records.
+	lease := eventlog.Record{Kind: eventlog.KindLease, Env: wire.Envelope{Msg: wire.Exec{EventID: 4}}}
 	for _, tc := range []struct {
 		name       string
 		recs       []eventlog.Record
 		swap, past bool
 	}{
-		{"golden", goldenRecords(), false, false},
-		{"golden retracted", goldenRetracted(), false, true},
+		{"golden", append(goldenRecords(), lease), false, false},
+		{"golden retracted", append(goldenRetracted(), lease), false, true},
 		{"crash script", recordedCrashScript(t), true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			events, history := 0, 0
+			events, leases, history := 0, 0, 0
 			for _, rec := range tc.recs {
 				switch rec.Kind {
 				case eventlog.KindEvent:
 					events++
+				case eventlog.KindLease:
+					leases++
 				case eventlog.KindHist, eventlog.KindUndo, eventlog.KindRedo:
 					history++
 				}
 			}
-			if events == 0 || history == 0 {
-				t.Fatalf("the log holds %d event and %d history records to move", events, history)
+			if events == 0 || leases == 0 || history == 0 {
+				t.Fatalf("the log holds %d event, %d lease and %d history records to move", events, leases, history)
 			}
 			want := foldDigest(tc.recs)
 			moved := func(seed uint64) bool {
@@ -496,7 +507,8 @@ func foldDigest(recs []eventlog.Record) string {
 
 // moveRecords returns recs with every history record reinserted between the
 // nearest records around it that name its object or its instance, and then
-// every KindEvent record reinserted anywhere, at positions drawn from seed.
+// every KindEvent and KindLease record reinserted anywhere, at positions
+// drawn from seed.
 // The other records keep their order.
 func moveRecords(recs []eventlog.Record, seed uint64) []eventlog.Record {
 	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
@@ -527,7 +539,7 @@ func moveRecords(recs []eventlog.Record, seed uint64) []eventlog.Record {
 	}
 	var rest, events []eventlog.Record
 	for _, rec := range out {
-		if rec.Kind == eventlog.KindEvent {
+		if rec.Kind == eventlog.KindEvent || rec.Kind == eventlog.KindLease {
 			events = append(events, rec)
 		} else {
 			rest = append(rest, rec)
