@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet verify allocs bench chaos chaos-restart chaos-compact load-smoke lint-metrics
+.PHONY: all build test fmt race vet verify allocs bench chaos chaos-restart chaos-compact load-smoke lint-metrics
 
 all: verify
 
@@ -16,6 +16,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Fails, listing the files, when gofmt would rewrite any Go file in the tree
+# (the bench module included).
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # Race-check the coupling core: the server state loop, the lock table, the
 # client runtime, the wire Conn (RPC callers, Pongs and acks write one Conn
@@ -40,7 +45,7 @@ lint-metrics:
 allocs:
 	$(GO) test -count=1 -run AllocBudget ./internal/wire/ ./internal/lock/ ./internal/widget/ ./internal/client/ ./internal/server/
 
-verify: vet lint-metrics race allocs
+verify: fmt vet lint-metrics race allocs
 
 # Soak the fault-injection tests: hung, partitioned, evicted, resumed and
 # duplicated connections, repeated under the race detector. Every harness

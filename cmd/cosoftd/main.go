@@ -68,7 +68,7 @@ func main() {
 	ordered := flag.Bool("ordered-locking", false, "use deterministic-order group locking instead of the paper's sequential algorithm")
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "number of per-coupling-group state loops (default GOMAXPROCS)")
 	heartbeat := flag.Duration("heartbeat", 0, "liveness ping interval; silent clients are dropped after 3 intervals (0 = disabled)")
-	eventDeadline := flag.Duration("event-deadline", 0, "max wait for event acknowledgements before the group unlocks without the stragglers (0 = disabled)")
+	eventDeadline := flag.Duration("event-deadline", 0, "max wait for event acknowledgements before the group unlocks without the stragglers; checked every quarter of it, so an event may expire up to a quarter late (0 = disabled)")
 	outboxLimit := flag.Int("outbox-limit", 0, "per-client outbox high-water mark; clients over it for more than a second are evicted (0 = unbounded)")
 	batchLimit := flag.Int("batch-limit", 32, "max envelopes packed into one Batch frame (1 = one envelope per frame)")
 	traceBuffer := flag.Int("trace-buffer", obs.DefaultTraceBuffer, "causal-trace span ring size (0 = tracing disabled)")

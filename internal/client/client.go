@@ -108,8 +108,8 @@ type Client struct {
 	mu       sync.Mutex
 	conn     *wire.Conn // current connection; replaced on reconnect
 	nextSeq  uint64
-	waiters  map[uint64]chan wire.Envelope
-	free     []*replySlot // reply slots of finished calls, for the next ones
+	waiters  map[uint64]waiter
+	free     []chan wire.Envelope // reply channels of finished calls, for the next ones
 	links    *couple.Graph
 	cmds     map[string]CommandHandler
 	sem      map[string]Semantics
@@ -152,7 +152,7 @@ func New(conn net.Conn, opts Options) (*Client, error) {
 		conn:     wire.NewConn(conn),
 		reg:      opts.Registry,
 		checker:  compat.NewChecker(opts.Registry.Classes(), opts.Correspondences),
-		waiters:  make(map[uint64]chan wire.Envelope),
+		waiters:  make(map[uint64]waiter),
 		links:    couple.NewGraph(),
 		cmds:     make(map[string]CommandHandler),
 		sem:      make(map[string]Semantics),
@@ -203,9 +203,10 @@ func New(conn net.Conn, opts Options) (*Client, error) {
 		c.mu.Unlock()
 	})
 
-	c.wg.Add(2)
+	c.wg.Add(3)
 	go c.supervise()
 	go c.dispatchLoop()
+	go c.sweepWaiters()
 
 	if opts.Reconnect != nil {
 		// Mint the resumable session token up front so it is in hand before
@@ -265,19 +266,16 @@ func (c *Client) Close() {
 	c.nextSeq++
 	seq := c.nextSeq
 	ack := make(chan wire.Envelope, 1)
-	c.waiters[seq] = ack
+	c.waiters[seq] = c.newWaiter(ack)
 	c.mu.Unlock()
 	// Best effort orderly exit; the server also handles abrupt closes. The
 	// wait is bounded: a dead or unresponsive server ends it via readLoop
-	// exit or the RPC timeout.
+	// exit or the RPC timeout the sweep delivers.
 	if err := conn.Write(wire.Envelope{Seq: seq, Msg: wire.Deregister{}}); err == nil {
-		timer := time.NewTimer(c.opts.RPCTimeout)
 		select {
 		case <-ack:
 		case <-c.rdone:
-		case <-timer.C:
 		}
-		timer.Stop()
 	}
 	c.dropWaiter(seq)
 	close(c.done)
@@ -286,12 +284,7 @@ func (c *Client) Close() {
 	c.reg.OnDestroy(nil)
 	c.wg.Wait()
 	// Fail anybody still waiting for replies.
-	c.mu.Lock()
-	for seq, ch := range c.waiters {
-		close(ch)
-		delete(c.waiters, seq)
-	}
-	c.mu.Unlock()
+	c.failWaiters()
 }
 
 // call sends a request and waits for its correlated reply.
@@ -309,50 +302,32 @@ func (c *Client) callCtx(msg wire.Message, tc obs.TraceContext) (wire.Envelope, 
 	}
 	c.nextSeq++
 	seq := c.nextSeq
-	slot := c.takeSlot()
-	c.waiters[seq] = slot.reply
+	reply := c.takeSlot()
+	c.waiters[seq] = c.newWaiter(reply)
 	c.mu.Unlock()
 
 	t0 := c.mRPC.Start()
 	if err := c.send(wire.Envelope{Seq: seq, Trace: tc, Msg: msg}); err != nil {
-		c.withdraw(seq, slot)
+		c.withdraw(seq, reply)
 		return wire.Envelope{}, c.sendError(msg, err)
 	}
-	armed := slot.arm(c.opts.RPCTimeout)
-	for {
-		select {
-		case env, ok := <-slot.reply:
-			if !ok {
-				// The waiter was failed: either the client closed or the
-				// connection dropped mid-request (the reply is gone for good —
-				// requests do not survive a reconnect). A closed channel is
-				// never reused, so the slot is dropped.
-				slot.disarm()
-				if c.isClosed() {
-					return wire.Envelope{}, ErrClosed
-				}
-				return wire.Envelope{}, fmt.Errorf("%w: %s", ErrDisconnected, msg.MsgType())
-			}
-			slot.disarm()
-			c.putSlot(slot)
-			c.mRPC.ObserveSince(t0)
-			return env, nil
-		case at := <-slot.timer.C:
-			if at.Before(armed) {
-				// The tick of the slot's previous call, which fired too late
-				// for its Stop and may have crowded out this call's own: wait
-				// out this call's deadline again.
-				slot.timer.Reset(time.Until(armed.Add(c.opts.RPCTimeout)))
-				continue
-			}
-			c.withdraw(seq, slot)
-			return wire.Envelope{}, fmt.Errorf("%w: %s", ErrTimeout, msg.MsgType())
-		case <-c.done:
-			slot.disarm()
-			c.withdraw(seq, slot)
+	env, ok := <-reply
+	switch {
+	case !ok:
+		// The waiter was failed: either the client closed or the connection
+		// dropped mid-request (the reply is gone for good — requests do not
+		// survive a reconnect). A closed channel is never reused.
+		if c.isClosed() {
 			return wire.Envelope{}, ErrClosed
 		}
+		return wire.Envelope{}, fmt.Errorf("%w: %s", ErrDisconnected, msg.MsgType())
+	case env.Msg == nil:
+		c.putSlot(reply)
+		return wire.Envelope{}, fmt.Errorf("%w: %s", ErrTimeout, msg.MsgType())
 	}
+	c.putSlot(reply)
+	c.mRPC.ObserveSince(t0)
+	return env, nil
 }
 
 // sendError reports a request that never left: a frame too large to send as
@@ -370,78 +345,91 @@ func (c *Client) sendError(msg wire.Message, err error) error {
 	}
 }
 
-// replySlot is what one RPC waits with: the channel the read loop routes its
-// reply to and the timer that bounds the wait. callCtx takes a slot from the
-// client's free list and returns it once the reply has arrived, so a steady
-// stream of calls allocates neither. A slot goes back only clean — its
-// channel empty and open, its timer stopped — and a stale tick its timer
-// could not take back is told apart by the time it carries.
-type replySlot struct {
-	reply chan wire.Envelope
-	timer *time.Timer
+// waiter is one request awaiting its reply: the channel the reply goes to and
+// the moment the sweep gives up on it. Whoever takes a waiter out of the map
+// delivers to its channel exactly once: the read loop the reply, the sweep a
+// zero Envelope for a timeout, failWaiters a close. So a channel that has
+// delivered once is empty again, and callCtx keeps it for the next call.
+type waiter struct {
+	reply    chan wire.Envelope
+	deadline time.Time
+}
+
+// newWaiter is a waiter on reply that times out after the RPC timeout.
+func (c *Client) newWaiter(reply chan wire.Envelope) waiter {
+	return waiter{reply: reply, deadline: time.Now().Add(c.opts.RPCTimeout)}
 }
 
 // maxFreeSlots bounds the free list: calls beyond this many at once get a
-// slot of their own, which is dropped when they return.
+// channel of their own, which is dropped when they return.
 const maxFreeSlots = 8
 
-// takeSlot pops a slot off the free list, or makes one with its timer
-// stopped. The caller holds c.mu.
-func (c *Client) takeSlot() *replySlot {
+// takeSlot pops a reply channel off the free list, or makes one. The caller
+// holds c.mu.
+func (c *Client) takeSlot() chan wire.Envelope {
 	if n := len(c.free); n > 0 {
-		s := c.free[n-1]
+		ch := c.free[n-1]
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
-		return s
+		return ch
 	}
-	s := &replySlot{reply: make(chan wire.Envelope, 1), timer: time.NewTimer(time.Hour)}
-	s.timer.Stop()
-	return s
+	return make(chan wire.Envelope, 1)
 }
 
-// putSlot returns a clean slot to the free list.
-func (c *Client) putSlot(s *replySlot) {
+// putSlot returns an empty, open reply channel to the free list.
+func (c *Client) putSlot(ch chan wire.Envelope) {
 	c.mu.Lock()
 	if len(c.free) < maxFreeSlots {
-		c.free = append(c.free, s)
+		c.free = append(c.free, ch)
 	}
 	c.mu.Unlock()
 }
 
-// arm starts the slot's timer and returns the moment it was armed: a tick
-// carrying an earlier time belongs to a previous call.
-func (s *replySlot) arm(d time.Duration) time.Time {
-	now := time.Now()
-	s.timer.Reset(d)
-	return now
-}
-
-// disarm stops the slot's timer and takes back a tick that already fired.
-func (s *replySlot) disarm() {
-	if !s.timer.Stop() {
-		select {
-		case <-s.timer.C:
-		default:
-		}
-	}
-}
-
-// withdraw gives up an RPC whose reply has not been received and returns its
-// slot, clean, to the free list. If the read loop already took the waiter out
-// of the map, the reply is on its way into the slot: it is drained first, so
-// the slot's next call cannot receive it. If failWaiters or Close took it,
-// the channel is closed and the slot is dropped.
-func (c *Client) withdraw(seq uint64, s *replySlot) {
+// withdraw gives up a request whose frame could not be sent. If its waiter is
+// still in the map, the channel is returned to the free list; if the read
+// loop, the sweep or failWaiters took it first, what it delivered is drained
+// so the next call cannot receive it, and a closed channel is dropped.
+func (c *Client) withdraw(seq uint64, reply chan wire.Envelope) {
 	c.mu.Lock()
 	_, waiting := c.waiters[seq]
 	delete(c.waiters, seq)
 	c.mu.Unlock()
 	if !waiting {
-		if _, open := <-s.reply; !open {
+		if _, open := <-reply; !open {
 			return
 		}
 	}
-	c.putSlot(s)
+	c.putSlot(reply)
+}
+
+// sweepWaiters times out overdue requests until the client closes. It runs
+// every quarter RPC timeout, so a request times out at most that much late.
+func (c *Client) sweepWaiters() {
+	defer c.wg.Done()
+	t := time.NewTicker(max(c.opts.RPCTimeout/4, 1))
+	defer t.Stop()
+	for {
+		select {
+		case now := <-t.C:
+			c.expireWaiters(now)
+		case <-c.done:
+			return
+		}
+	}
+}
+
+// expireWaiters takes every waiter whose deadline has passed out of the map
+// and hands it the zero Envelope that reports its timeout. The send cannot
+// block: the channel holds one envelope, and only the remover delivers.
+func (c *Client) expireWaiters(now time.Time) {
+	c.mu.Lock()
+	for seq, w := range c.waiters {
+		if now.After(w.deadline) {
+			delete(c.waiters, seq)
+			w.reply <- wire.Envelope{}
+		}
+	}
+	c.mu.Unlock()
 }
 
 // callOK sends a request expecting a plain OK.
@@ -485,8 +473,8 @@ func (c *Client) send(env wire.Envelope) error {
 // connection and will never arrive, even if a reconnect succeeds.
 func (c *Client) failWaiters() {
 	c.mu.Lock()
-	for seq, ch := range c.waiters {
-		close(ch)
+	for seq, w := range c.waiters {
+		close(w.reply)
 		delete(c.waiters, seq)
 	}
 	c.mu.Unlock()
@@ -590,13 +578,13 @@ func (c *Client) dropFrame() {
 func (c *Client) routeLocal(conn *wire.Conn, rec *wire.Record) (bool, error) {
 	if rec.RefSeq != 0 {
 		c.mu.Lock()
-		ch, ok := c.waiters[rec.RefSeq]
+		w, ok := c.waiters[rec.RefSeq]
 		if ok {
 			delete(c.waiters, rec.RefSeq)
 		}
 		c.mu.Unlock()
 		if ok {
-			ch <- rec.Box()
+			w.reply <- rec.Box()
 		}
 		return true, nil
 	}

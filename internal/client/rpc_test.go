@@ -63,9 +63,9 @@ func echo(srv *wire.Conn, req wire.Envelope) {
 func (c *Client) checkFreeSlots() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, s := range c.free {
+	for i, ch := range c.free {
 		select {
-		case env, open := <-s.reply:
+		case env, open := <-ch:
 			if !open {
 				return fmt.Errorf("free slot %d has a closed channel", i)
 			}
@@ -282,8 +282,8 @@ func TestRPCSlotsConcurrentCallers(t *testing.T) {
 }
 
 // TestCallAllocBudget gates a steady-state round trip: once a call has
-// returned its reply slot, the next call reuses the slot's channel and timer
-// and allocates nothing of its own (the request and reply here box nothing).
+// returned its reply slot, the next call reuses the slot's channel and
+// allocates nothing of its own (the request and reply here box nothing).
 func TestCallAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts include the race detector's own; `make allocs` runs this without -race")

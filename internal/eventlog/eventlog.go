@@ -162,6 +162,12 @@ var ErrCrashed = errors.New("eventlog: crash point fired")
 // ErrClosed is returned by appends on a closed log.
 var ErrClosed = errors.New("eventlog: closed")
 
+// ErrTooLarge refuses a record whose payload exceeds the largest one replay
+// reads back: replay would take it for a torn tail, and the next Open would
+// truncate the segment there, deleting every record behind it. Nothing is
+// written and the log keeps serving.
+var ErrTooLarge = errors.New("eventlog: record too large")
+
 const (
 	recHeader  = 8 // u32 length + u32 crc
 	maxPayload = wire.MaxFrame
@@ -526,14 +532,18 @@ func decodeRecord(payload []byte) (Record, error) {
 // goroutine: the record is encoded into the fill buffer and written by the
 // writer goroutine, which group-commits everything that accumulated while
 // the previous write was in flight. On a closed log it returns ErrClosed, on
-// a failed one the failure.
+// a failed one the failure, and for a record too large to replay ErrTooLarge.
 func (l *Log) Append(r Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.refusal(); err != nil {
 		return err
 	}
+	start := len(l.fill)
 	l.fill = appendRecord(l.fill, r)
+	if err := l.fits(start); err != nil {
+		return err
+	}
 	n := l.queue()
 	for l.done < n {
 		l.durable.Wait()
@@ -549,16 +559,32 @@ func (l *Log) Append(r Record) error {
 // "instance:path", the Exec se materializes for src.Path} — and returns at
 // once: nil once the record is queued behind every record appended before
 // it, or, with nothing queued, the error a closed or failed log refuses
-// every append with. The caller never learns when the record is durable. It
-// allocates nothing once the fill buffer has grown to the backlog.
+// every append with, or ErrTooLarge. The caller never learns when the record
+// is durable. It allocates nothing once the fill buffer has grown to the
+// backlog.
 func (l *Log) AppendEvent(src couple.ObjectRef, se *wire.SharedExec) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.refusal(); err != nil {
 		return err
 	}
+	start := len(l.fill)
 	l.fill = appendEventRecord(l.fill, src, se)
+	if err := l.fits(start); err != nil {
+		return err
+	}
 	l.queue()
+	return nil
+}
+
+// fits keeps the record just encoded at fill[start:] if replay can read it
+// back, and otherwise takes it out again and returns ErrTooLarge. l.mu is
+// held.
+func (l *Log) fits(start int) error {
+	if len(l.fill)-start-recHeader > maxPayload {
+		l.fill = l.fill[:start]
+		return ErrTooLarge
+	}
 	return nil
 }
 

@@ -766,3 +766,51 @@ func TestConcurrentAppendEvent(t *testing.T) {
 		t.Fatalf("replayed %d records, want %d", n, want)
 	}
 }
+
+// A record whose payload is larger than replay reads back would be taken for
+// a torn tail, and reopening the log would truncate the segment there with
+// every record behind it. Append and AppendEvent refuse such a record
+// instead: nothing is written and the log keeps serving, so the records
+// appended around it replay and a reopen truncates nothing.
+func TestOversizedRecordRefused(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := couple.ObjectRef{Instance: "editor-1", Path: "/field"}
+	// The argument of an Event that still fits in one frame.
+	big := []attr.Value{attr.String(strings.Repeat("x", wire.MaxFrame-30))}
+	before := rec(KindDeclare, "editor-1", "", wire.Declare{Path: "/field", Class: "text"})
+	after := rec(KindDeclare, "editor-1", "", wire.Declare{Path: "/other", Class: "text"})
+	if err := l.Append(before); err != nil {
+		t.Fatal(err)
+	}
+	oversized := rec(KindEvent, "editor-1", "editor-1:/field", wire.Exec{EventID: 1, TargetPath: "/field", Name: "changed", Args: big, Origin: src})
+	if err := l.Append(oversized); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Append of an oversized record: %v, want ErrTooLarge", err)
+	}
+	se := wire.NewSharedExec(2, "changed", big, src)
+	if err := l.AppendEvent(src, se); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("AppendEvent of an oversized record: %v, want ErrTooLarge", err)
+	}
+	se.Release()
+	if err := l.Append(after); err != nil {
+		t.Fatalf("append after a refused record: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkRecords(t, replayAll(t, dir), []Record{before, after})
+
+	reg := obs.NewRegistry()
+	l, err = Open(Options{Dir: dir, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if got := reg.Counter("server.log.truncated_tail").Value(); got != 0 {
+		t.Fatalf("reopen truncated %d torn tails, want 0", got)
+	}
+	checkRecords(t, replayAll(t, dir), []Record{before, after})
+}

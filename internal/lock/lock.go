@@ -201,6 +201,16 @@ func (t *Table) HeldBy(ref couple.ObjectRef) (Owner, bool) {
 	return o, ok
 }
 
+// Each calls fn on every held entry, with the table locked: fn must not call
+// back into it.
+func (t *Table) Each(fn func(couple.ObjectRef, Owner)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for ref, owner := range t.held {
+		fn(ref, owner)
+	}
+}
+
 // Len returns the number of currently held locks.
 func (t *Table) Len() int {
 	t.mu.Lock()

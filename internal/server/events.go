@@ -33,9 +33,9 @@ type pendingEvent struct {
 	// unlock spans recorded when the round trip completes (zero when the
 	// event was not traced).
 	tc obs.TraceContext
-	// timer fires the event deadline (nil when deadlines are disabled). It
-	// is stopped when the event resolves normally.
-	timer *time.Timer
+	// expires is when the event deadline passes (zero when deadlines are
+	// disabled); the sweep's expiry pass times the event out after it.
+	expires time.Time
 	// migrated marks an event carried to another shard by a group
 	// migration; its router forwarding entry is cleared on resolution.
 	migrated bool
@@ -81,14 +81,6 @@ func (sh *shard) recycle(pe *pendingEvent) {
 	clear(pe.waiting)
 	*pe = pendingEvent{waiting: pe.waiting[:0]}
 	sh.free = append(sh.free, pe)
-}
-
-// abandon drops what an unresolved event holds outside the server at
-// shutdown: its deadline timer.
-func (pe *pendingEvent) abandon() {
-	if pe.timer != nil {
-		pe.timer.Stop()
-	}
 }
 
 // handleEvent implements the multiple-execution algorithm of §3.2. The
@@ -181,6 +173,9 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 	sh.seq++
 	pe := sh.newPending(len(p.insts))
 	pe.source, pe.plan, pe.owner, pe.start, pe.tc = source, p, owner, start, actx
+	if d := s.opts.EventDeadline; d > 0 {
+		pe.expires = time.Now().Add(d)
+	}
 	sh.pending[eventID] = pe
 	s.broadcast(pe, ev.body)
 	cl.out.send(wire.Envelope{
@@ -192,15 +187,6 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 	if pe.left == 0 {
 		// All members belonged to disconnected instances.
 		s.finishEvent(sh, eventID, pe, false)
-		return
-	}
-	if d := s.opts.EventDeadline; d > 0 {
-		// AfterFunc posts back to the owning shard's loop; post refuses after
-		// Close, so a late firing is harmless, and if the event migrated the
-		// miss-forward in timeoutEvent chases it.
-		pe.timer = time.AfterFunc(d, func() {
-			s.postShard(sh, func() { s.timeoutEvent(sh, eventID) })
-		})
 	}
 }
 
@@ -272,17 +258,22 @@ var (
 	eventUnlogged wire.Message = wire.EventResult{OK: false, Reason: "event log append failed"}
 )
 
+// expireEvents is the sweep's expiry pass over one shard: every event pending
+// here whose deadline has passed times out, wherever it was born. An event
+// in a migration bundle is checked by the next pass after its install.
+func (s *Server) expireEvents(sh *shard) {
+	now := time.Now()
+	for id, pe := range sh.pending {
+		if !pe.expires.IsZero() && now.After(pe.expires) {
+			s.timeoutEvent(sh, id, pe)
+		}
+	}
+}
+
 // timeoutEvent resolves an event whose deadline expired before every member
 // acknowledged: the stragglers are dropped from the wait set and the group
 // unlocks, so one hung member cannot wedge the whole coupling group.
-func (s *Server) timeoutEvent(sh *shard, id uint64) {
-	pe, ok := sh.pending[id]
-	if !ok {
-		if to, moved := s.eventOwner(sh, id); moved {
-			s.postShard(to, func() { s.timeoutEvent(to, id) })
-		}
-		return
-	}
+func (s *Server) timeoutEvent(sh *shard, id uint64, pe *pendingEvent) {
 	stragglers := make([]string, 0, pe.left)
 	for _, inst := range pe.awaited() { // in plan order: sorted by instance ID
 		stragglers = append(stragglers, string(inst))
@@ -387,7 +378,7 @@ func (s *Server) ackExec(sh *shard, a execAck) {
 
 // eventOwner resolves a miss on sh's pending map: a migrated event leaves a
 // forwarding entry in the router until it resolves, naming the shard that
-// holds it now. Without an entry the miss is final (stale ack / stale timer).
+// holds it now. Without an entry the miss is final: the ack is stale.
 func (s *Server) eventOwner(sh *shard, id uint64) (*shard, bool) {
 	if idx, ok := s.router.eventShard(id); ok && s.shards[idx] != sh {
 		return s.shards[idx], true
@@ -401,13 +392,10 @@ func (s *Server) finishEvent(sh *shard, id uint64, pe *pendingEvent, timedOut bo
 	sh.recycle(pe)
 }
 
-// dropPending forgets a resolved event: its wait set, its deadline and the
-// forwarding entry of a migrated one.
+// dropPending forgets a resolved event: its wait set and the forwarding entry
+// of a migrated one.
 func (s *Server) dropPending(sh *shard, id uint64, pe *pendingEvent) {
 	delete(sh.pending, id)
-	if pe.timer != nil {
-		pe.timer.Stop()
-	}
 	if pe.migrated {
 		s.router.clearEvent(id)
 	}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"cosoft/internal/couple"
+	"cosoft/internal/lock"
 )
 
 // MemberHealth is one instance's event-path health. Stats are per instance,
@@ -237,32 +238,42 @@ func (s *Server) memberHealth(id couple.InstanceID) MemberHealth {
 	return mh
 }
 
-// CheckInvariants judges the floor lock once the server is quiescent: when no
-// event is pending, no coupling group may still report a lock holder — a lock
-// without a live pending event behind it would deny the group forever. It
-// waits up to a second for the pending events to drain; a server that does not
-// drain (an acknowledgement is deliberately withheld) is not judged, and
-// neither is a closed one. Every test bed calls it at teardown.
+// CheckInvariants judges the floor lock on every shard loop, between two of
+// its requests: every lock entry must be owned by an event pending on the same
+// shard — a lock without a live pending event behind it would deny its group
+// forever. A shard parked behind a migration is judged once the migrated
+// events and locks are installed. A closed server is not judged. Every test
+// bed calls it at teardown.
 func (s *Server) CheckInvariants() error {
-	deadline := time.Now().Add(time.Second)
-	for s.Stats().PendingEvents != 0 {
-		if time.Now().After(deadline) {
-			return nil
+	results := make(chan error, len(s.shards))
+	posted := 0
+	for _, sh := range s.shards {
+		if s.postShard(sh, func() { results <- sh.checkLocks() }) {
+			posted++
 		}
-		time.Sleep(time.Millisecond)
-	}
-	select {
-	case <-s.quit:
-		return nil
-	default:
 	}
 	var errs []error
-	for _, g := range s.Health().Groups {
-		if g.LockHolder != "" && g.PendingEvents == 0 {
-			errs = append(errs, fmt.Errorf("group %v on shard %d: lock held by %s with no pending event",
-				g.Refs, g.Shard, g.LockHolder))
+	for i := 0; i < posted; i++ {
+		select {
+		case err := <-results:
+			errs = append(errs, err)
+		case <-s.quit:
+			return nil
 		}
 	}
+	return errors.Join(errs...)
+}
+
+// checkLocks reports every lock entry on sh whose owner is not an event
+// pending on sh. It runs on sh's loop.
+func (sh *shard) checkLocks() error {
+	var errs []error
+	sh.locks.Each(func(ref couple.ObjectRef, owner lock.Owner) {
+		if pe, ok := sh.pending[owner.Seq]; !ok || pe.owner != owner {
+			errs = append(errs, fmt.Errorf("shard %d: %v locked by event %d of %s, which is not pending there",
+				sh.idx, ref, owner.Seq, owner.Instance))
+		}
+	})
 	return errors.Join(errs...)
 }
 

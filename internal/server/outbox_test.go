@@ -7,9 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"cosoft/internal/attr"
 	"cosoft/internal/couple"
 	"cosoft/internal/obs"
 	"cosoft/internal/testbed"
+	"cosoft/internal/widget"
 	"cosoft/internal/wire"
 )
 
@@ -259,4 +261,46 @@ func TestOutboxDrainLeavesNoReferences(t *testing.T) {
 		t.Error("no backing array survived the drains: the outbox is not recycling")
 	}
 	o.mu.Unlock()
+}
+
+// TestUnframeableExecDropsMember: an event whose Exec cannot be framed for one
+// member — its path is so much longer than the origin's that the Exec
+// outgrows MaxFrame, while the origin's Event and the event's log record fit —
+// must not wedge the group. The member's connection is closed, so the event
+// counts the member absent and resolves on the other member's ack, and the
+// group's next event is granted. The server used to close only the member's
+// outbox and wait for its ack for good: the group stayed locked.
+func TestUnframeableExecDropsMember(t *testing.T) {
+	r := newLogRig(t, Options{})
+	long := "/" + strings.Repeat("p", 200)
+	origin, member, other := r.peer("origin", "/x"), r.peer("member", long), r.peer("other", "/x")
+	origin.MustOK(wire.Couple{From: ref(origin, "/x"), To: ref(member, long)})
+	origin.MustOK(wire.Couple{From: ref(origin, "/x"), To: ref(other, "/x")})
+
+	big := attr.String(strings.Repeat("v", wire.MaxFrame-100))
+	res := origin.Call(wire.Event{Path: "/x", Name: widget.EventChanged, Args: []attr.Value{big}})
+	if res, ok := res.Msg.(wire.EventResult); !ok || !res.OK {
+		t.Fatalf("event with a %d-byte argument: %+v", wire.MaxFrame-100, res)
+	}
+	exec := testbed.Next[wire.Exec](other)
+	other.Send(wire.ExecAck{EventID: exec.EventID})
+	testbed.Wait(t, "the event to resolve without the member it cannot reach", func() bool {
+		return r.srv.Stats().PendingEvents == 0
+	})
+	testbed.Wait(t, "the member's connection to close", func() bool {
+		for {
+			select {
+			case env, open := <-member.Events:
+				if !open {
+					return true
+				}
+				if _, ok := env.Msg.(wire.Exec); ok {
+					t.Fatalf("the member got an Exec of %d bytes", wire.MaxFrame-100)
+				}
+			default:
+				return false
+			}
+		}
+	})
+	fire(t, origin, other, "/x", "next")
 }

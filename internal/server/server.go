@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -64,7 +65,9 @@ type Options struct {
 	// EventDeadline bounds how long a broadcast event may wait for Exec
 	// acknowledgements. On expiry the remaining waiters are dropped from
 	// the wait set and the group unlocks (counter server.event_timeouts,
-	// span server.event_timeout). Zero disables event deadlines.
+	// span server.event_timeout). The sweeper checks deadlines every quarter
+	// of it, so an event expires at most that much late. Zero disables event
+	// deadlines.
 	EventDeadline time.Duration
 	// OutboxLimit is the per-client outbox high-water mark: a client whose
 	// backlog stays above it for OutboxGrace is evicted (counter
@@ -560,27 +563,10 @@ func (s *Server) Close() {
 		close(s.quit)
 	})
 	s.wg.Wait()
-	// Every loop has exited (wg.Wait is the happens-before edge), so the
-	// pending maps are quiescent. Abandon the unresolved events: stop their
-	// deadline timers — a timer left running would outlive the server, and
-	// its late firing only posts (post refuses after quit), so stopping here
-	// is safe and sufficient.
+	// Every loop has exited (wg.Wait is the happens-before edge). Requests
+	// parked behind a migration the loop never installed, or posted as it
+	// exited, never run: give back the relay bodies they carry.
 	for _, sh := range s.shards {
-		for _, pe := range sh.pending {
-			pe.abandon()
-		}
-		// A migration bundle the receiver never installed (it exited first)
-		// still carries pending events. A nil awaiting channel is never
-		// ready, so the default arm takes it.
-		select {
-		case m := <-sh.awaiting:
-			for _, pe := range m.events {
-				pe.abandon()
-			}
-		default:
-		}
-		// Requests parked behind that migration, or posted as the loop
-		// exited, never run: give back the relay bodies they carry.
 		for i := range sh.held {
 			sh.held[i].drop()
 		}
@@ -922,15 +908,19 @@ func newOutbox(c *wire.Conn, depth *obs.Gauge, limit, batchLimit int, batchSize 
 			err := o.flush(c, take)
 			o.mu.Lock()
 			if err != nil {
-				// Connection broken; drop remaining output. flush released
-				// the shared bodies of everything it took, so only the
-				// still-queued records hold references here.
+				// Connection broken, or a record it cannot frame: drop the
+				// remaining output and close the connection, so the read
+				// loop's teardown drops the client and every event waiting
+				// on it counts it absent. flush released the shared bodies
+				// of everything it took, so only the still-queued records
+				// hold references here.
 				o.depth.Add(-int64(o.inflight + len(o.queue)))
 				dropOutgoing(o.queue)
 				o.inflight = 0
 				o.queue = o.queue[:0]
 				o.closed = true
 				o.mu.Unlock()
+				c.Close()
 				return
 			}
 			if cap(take) <= maxIdleOutbox {
@@ -1068,22 +1058,24 @@ func (o *outbox) close() {
 	<-o.done
 }
 
-// sweepPeriod returns how often the liveness/backpressure sweeper should
-// run, or zero when neither feature is enabled.
+// sweepPeriod returns how often the sweeper should run, or zero when no
+// deadline is configured: the heartbeat, half the outbox grace or a quarter
+// of the event deadline, whichever is shortest, and never under 1 ms.
 func (s *Server) sweepPeriod() time.Duration {
-	var period time.Duration
+	period := time.Duration(math.MaxInt64)
 	if s.opts.Heartbeat > 0 {
 		period = s.opts.Heartbeat
 	}
 	if s.opts.OutboxLimit > 0 {
-		if g := s.outboxGrace() / 2; period == 0 || g < period {
-			period = g
-		}
+		period = min(period, s.outboxGrace()/2)
 	}
-	if period > 0 && period < time.Millisecond {
-		period = time.Millisecond
+	if s.opts.EventDeadline > 0 {
+		period = min(period, s.opts.EventDeadline/4)
 	}
-	return period
+	if period == math.MaxInt64 {
+		return 0
+	}
+	return max(period, time.Millisecond)
 }
 
 // outboxGrace returns how long a backlog may stay over OutboxLimit.
@@ -1094,8 +1086,9 @@ func (s *Server) outboxGrace() time.Duration {
 	return time.Second
 }
 
-// sweeper periodically posts a liveness/backpressure sweep onto the state
-// loop until the server closes.
+// sweeper is the server's one clock for deadlines. Every period it posts an
+// expiry pass to every shard loop when event deadlines are on, and a
+// liveness/backpressure sweep to the state loop, until the server closes.
 func (s *Server) sweeper(period time.Duration) {
 	defer s.wg.Done()
 	t := time.NewTicker(period)
@@ -1103,6 +1096,11 @@ func (s *Server) sweeper(period time.Duration) {
 	for {
 		select {
 		case <-t.C:
+			if s.opts.EventDeadline > 0 {
+				for _, sh := range s.shards {
+					s.postShard(sh, func() { s.expireEvents(sh) })
+				}
+			}
 			if !s.post(func() { s.sweep() }) {
 				return
 			}
@@ -1114,9 +1112,10 @@ func (s *Server) sweeper(period time.Duration) {
 
 // sweep runs on the state loop: it evicts clients whose backlog has
 // exceeded OutboxLimit for longer than OutboxGrace, declares silent
-// clients dead after the liveness timeout, and pings the survivors.
-// Killing the connection lets the normal handleConn teardown release locks
-// and resolve pending events, so both failure paths share one cleanup.
+// clients dead after the liveness timeout, and pings the survivors — once
+// per period, so at least once per heartbeat. Killing the connection lets
+// the normal handleConn teardown release locks and resolve pending events,
+// so both failure paths share one cleanup.
 func (s *Server) sweep() {
 	now := time.Now()
 	// Snapshot under the read lock, then release it: dropClient re-takes

@@ -192,7 +192,7 @@ func (r *routes) dropInstance(id couple.InstanceID) {
 	r.mu.Unlock()
 }
 
-// router forwards acks/timeouts of migrated pending events from their birth
+// router forwards the acks of migrated pending events from their birth
 // shard (encoded in the event ID) to their current shard. Entries exist only
 // while a migrated event is pending. It is read from connection read loops,
 // so it carries its own lock.

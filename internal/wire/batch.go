@@ -108,15 +108,7 @@ const minBatchRecord = 5
 // record body is decoded out of a view into the enclosing frame; the record
 // keeps none of it.
 func (d *decoder) innerRecord(rec *Record) bool {
-	raw := d.u16()
-	t := Type(raw &^ traceFlag)
-	rec.Seq, rec.RefSeq = d.uvarint(), d.uvarint()
-	if raw&traceFlag != 0 {
-		rec.Trace = obs.TraceContext{
-			Trace: obs.TraceID(d.uvarint()),
-			Span:  obs.SpanID(d.uvarint()),
-		}
-	}
+	t := d.header(&rec.Envelope)
 	body := d.view("bytes")
 	if d.err != nil {
 		return false

@@ -276,6 +276,21 @@ func appendHeader(buf []byte, t Type, env *Envelope) []byte {
 	return buf
 }
 
+// header decodes a header appendHeader wrote into env's correlation numbers
+// and trace context and returns the message type. It reads every header
+// there is: a frame's, and each record's in a Batch.
+func (d *decoder) header(env *Envelope) Type {
+	raw := d.u16()
+	env.Seq, env.RefSeq = d.uvarint(), d.uvarint()
+	if raw&traceFlag != 0 {
+		env.Trace = obs.TraceContext{
+			Trace: obs.TraceID(d.uvarint()),
+			Span:  obs.SpanID(d.uvarint()),
+		}
+	}
+	return Type(raw &^ traceFlag)
+}
+
 // keepScratch retains buf as the conn's reusable encode buffer unless it
 // grew past the retention cap.
 func keepScratch(slot *[]byte, buf []byte) {
@@ -492,53 +507,29 @@ func (c *Conn) Next(rec *Record) error {
 	if n > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	if n < 4 {
-		return fmt.Errorf("wire: frame too short (%d bytes)", n)
-	}
 	body := c.frameBuf(int(n))
 	if _, err := io.ReadFull(c.r, body); err != nil {
 		return fmt.Errorf("wire: read frame body: %w", err)
 	}
-	rawType := binary.LittleEndian.Uint16(body)
-	t := Type(rawType &^ traceFlag)
-	body = body[2:]
-	seq, sz := binary.Uvarint(body)
-	if sz <= 0 {
-		return errors.New("wire: bad seq")
-	}
-	body = body[sz:]
-	refSeq, sz := binary.Uvarint(body)
-	if sz <= 0 {
-		return errors.New("wire: bad refSeq")
-	}
-	body = body[sz:]
-	var tc obs.TraceContext
-	if rawType&traceFlag != 0 {
-		traceID, sz := binary.Uvarint(body)
-		if sz <= 0 {
-			return errors.New("wire: bad trace id")
-		}
-		body = body[sz:]
-		spanID, sz := binary.Uvarint(body)
-		if sz <= 0 {
-			return errors.New("wire: bad span id")
-		}
-		body = body[sz:]
-		tc = obs.TraceContext{Trace: obs.TraceID(traceID), Span: obs.SpanID(spanID)}
+	d := decoder{buf: body}
+	t := d.header(&rec.Envelope)
+	if d.err != nil {
+		*rec = Record{}
+		return d.err
 	}
 	if t == TBatch {
 		// The outer envelope of a packed frame carries nothing of its own:
 		// every record has its own correlation numbers and trace context.
-		run, err := decodeRun(c.run, body, &c.idents, &c.notices)
+		run, err := decodeRun(c.run, d.buf, &c.idents, &c.notices)
 		c.run = run
 		if err != nil {
+			*rec = Record{}
 			return err
 		}
 		c.nextRecord(rec)
 		return nil
 	}
-	rec.Envelope = Envelope{Seq: seq, RefSeq: refSeq, Trace: tc}
-	if err := decodeRecord(rec, t, body, &c.idents, &c.notices); err != nil {
+	if err := decodeRecord(rec, t, d.buf, &c.idents, &c.notices); err != nil {
 		*rec = Record{}
 		return err
 	}
