@@ -24,8 +24,10 @@ fmt:
 
 # Race-check the coupling core: the server state loop, the lock table, the
 # client runtime, the wire Conn (RPC callers, Pongs and acks write one Conn
-# side by side, under the lock that also keeps its write error) and the test
-# bed every suite runs on are the packages with real goroutine interleavings.
+# side by side, under the lock that also keeps its write error and its unsent
+# tail; on the server a shard loop's attempts and the outbox writer's blocking
+# writes hand one Conn back and forth) and the test bed every suite runs on are
+# the packages with real goroutine interleavings.
 race:
 	$(GO) test -race ./internal/server/... ./internal/lock/... ./internal/client/... ./internal/wire/... ./internal/testbed/...
 
@@ -36,10 +38,11 @@ lint-metrics:
 
 # The allocation budgets of the event path: per-frame gates on wire.Conn, the
 # broadcast's shared Exec and the relay of an Event's payload (Next, Seal and
-# Release allocate nothing), a group's floor lock (lock.TryLockGroup plus
-# UnlockGroup), the remote re-execution of an event (widget Deliver), a
-# steady-state client RPC round trip and ack flush, and the end-to-end budget
-# per member-event over loopback TCP. They skip themselves under the race
+# Release allocate nothing), a shard loop's attempted write (none either), a
+# group's floor lock (lock.TryLockGroup plus UnlockGroup), the remote
+# re-execution of an event (widget Deliver), a steady-state client RPC round
+# trip and ack flush, and the end-to-end budget per member-event over
+# loopback TCP. They skip themselves under the race
 # detector (its bookkeeping allocates), so the race legs never run them — this
 # target does, uncached.
 allocs:

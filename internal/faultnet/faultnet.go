@@ -126,6 +126,12 @@ func (c *Conn) planWrite() writePlan {
 	for c.mode == modeHang && !c.closed {
 		c.cond.Wait()
 	}
+	return c.planLocked()
+}
+
+// planLocked judges one write under the schedule. Callers hold mu and have
+// waited out a hang.
+func (c *Conn) planLocked() writePlan {
 	p := writePlan{closed: c.closed}
 	if c.closed {
 		return p
@@ -179,6 +185,61 @@ func (c *Conn) Write(p []byte) (int, error) {
 		return n, err
 	}
 	if _, err := c.inner.Write(p); err != nil {
+		return n, err
+	}
+	return n, nil
+}
+
+// tryWriter is the non-blocking write a wire.Conn attempts with.
+type tryWriter interface {
+	TryWrite(p []byte) (int, error)
+}
+
+// NetConn returns c as the net.Conn to serve, the way its inner connection
+// would be served: when the inner connection has a TryWrite (netsim has one,
+// TCP has not) and the schedule delays no write, with a TryWrite that goes
+// through the schedule, so a wire.Conn attempts on it; otherwise c itself,
+// which has none, so a wire.Conn writes it only with blocking Writes.
+func (c *Conn) NetConn() net.Conn {
+	tw, ok := c.inner.(tryWriter)
+	if !ok || c.sched.Delay > 0 || c.sched.Jitter > 0 {
+		return c
+	}
+	return &tryConn{Conn: c, inner: tw}
+}
+
+// tryConn is a Conn whose inner connection can be attempted. It offers no
+// SyscallConn, which would let an attempt's bytes past the schedule.
+type tryConn struct {
+	*Conn
+	inner tryWriter
+}
+
+// TryWrite judges an attempt as Write judges a write, so a dropped or
+// duplicated attempt loses or repeats whole frames; the inner connection's
+// TryWrite takes the bytes. A hung connection's attempt takes nothing and
+// leaves the schedule unjudged: the caller's blocking Write then carries the
+// bytes through the schedule once the connection is restored.
+func (t *tryConn) TryWrite(p []byte) (int, error) {
+	c := t.Conn
+	c.mu.Lock()
+	if c.mode == modeHang && !c.closed {
+		c.mu.Unlock()
+		return 0, nil
+	}
+	plan := c.planLocked()
+	c.mu.Unlock()
+	if plan.closed {
+		return 0, net.ErrClosed
+	}
+	if plan.drop {
+		return len(p), nil
+	}
+	n, err := t.inner.TryWrite(p)
+	if err != nil || !plan.dup || n < len(p) {
+		return n, err
+	}
+	if _, err := t.inner.TryWrite(p); err != nil {
 		return n, err
 	}
 	return n, nil

@@ -4,8 +4,11 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
+
+	"cosoft/internal/netsim"
 )
 
 // pipePair returns a faultnet-wrapped side A and the raw side B of an
@@ -175,5 +178,56 @@ func TestReadPassesThroughEOF(t *testing.T) {
 	b.Close()
 	if _, err := fc.Read(make([]byte, 1)); err != io.EOF && err != io.ErrClosedPipe {
 		t.Fatalf("read after peer close: %v", err)
+	}
+}
+
+// TestTryWriteFollowsTheSchedule: over an inner connection that can be
+// attempted, attempts and Writes share one per-write schedule — every second
+// write is dropped, whichever way it came — while a hung connection's attempt
+// takes nothing and leaves the schedule unjudged, and no SyscallConn lets an
+// attempt's bytes past it. Over an inner connection that cannot be attempted,
+// or a schedule that delays writes, NetConn offers no TryWrite at all, so a
+// wire.Conn writes it as it would write the inner connection.
+func TestTryWriteFollowsTheSchedule(t *testing.T) {
+	l := netsim.NewLink(0)
+	fc := Wrap(l.A, Schedule{DropEveryNth: 2})
+	tc, ok := fc.NetConn().(tryWriter)
+	if !ok {
+		t.Fatal("NetConn over a netsim link offers no TryWrite")
+	}
+	got := drain(t, l.B)
+	for i := 0; i < 6; i++ {
+		write := fc.Write
+		if i%2 == 0 {
+			write = tc.TryWrite
+		}
+		if n, err := write([]byte{byte('a' + i)}); n != 1 || err != nil {
+			t.Fatalf("write %d: %d, %v", i, n, err)
+		}
+	}
+	fc.Hang()
+	if n, err := tc.TryWrite([]byte("h")); n != 0 || err != nil {
+		t.Fatalf("attempt on a hung connection took %d bytes (%v), want none", n, err)
+	}
+	fc.Restore()
+	if fc.Writes() != 6 {
+		t.Fatalf("schedule judged %d writes, want 6 (the hung attempt unjudged)", fc.Writes())
+	}
+	if _, ok := tc.(syscall.Conn); ok {
+		t.Fatal("faultnet's attempted connection offers SyscallConn")
+	}
+	fc.Close()
+	if s := string(<-got); s != "ace" {
+		t.Fatalf("delivered %q, want %q (every 2nd write dropped)", s, "ace")
+	}
+	pc, _ := pipePair(Schedule{})
+	defer pc.Close()
+	if _, ok := pc.NetConn().(tryWriter); ok {
+		t.Fatal("NetConn over net.Pipe offers a TryWrite")
+	}
+	dl := netsim.NewLink(0)
+	defer dl.A.Close()
+	if _, ok := Wrap(dl.A, Schedule{Delay: time.Millisecond}).NetConn().(tryWriter); ok {
+		t.Fatal("NetConn of a delaying schedule offers a TryWrite")
 	}
 }

@@ -165,6 +165,11 @@ func (c *conn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// TryWrite is Write: a link's queue is unbounded, so a write never blocks
+// and always takes everything. It is the non-blocking write a wire.Conn
+// attempts with.
+func (c *conn) TryWrite(p []byte) (int, error) { return c.Write(p) }
+
 func (c *conn) Close() error {
 	if c.closed.Swap(true) {
 		return nil

@@ -70,9 +70,13 @@ func (r *REPL) printHealth(rep server.HealthReport) {
 			if !m.Connected {
 				conn = " (disconnected)"
 			}
-			fmt.Fprintf(r.out, "  %s%s acks=%d last=%d timeouts=%d ewma=%v p50=%v p99=%v\n",
+			pushbacks := ""
+			if m.Pushbacks > 0 {
+				pushbacks = fmt.Sprintf(" pushbacks=%d", m.Pushbacks)
+			}
+			fmt.Fprintf(r.out, "  %s%s acks=%d last=%d timeouts=%d ewma=%v p50=%v p99=%v%s\n",
 				m.Instance, conn, m.Acks, m.LastAcks, m.Timeouts,
-				roundNS(m.AckEWMANS), roundNS(m.AckP50NS), roundNS(m.AckP99NS))
+				roundNS(m.AckEWMANS), roundNS(m.AckP50NS), roundNS(m.AckP99NS), pushbacks)
 		}
 	}
 }

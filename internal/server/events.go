@@ -119,7 +119,7 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 		// Uncoupled object: nothing to synchronize; the local feedback
 		// stands.
 		ev.body.Release()
-		cl.out.send(wire.Envelope{
+		sh.send(cl, wire.Envelope{
 			RefSeq: seq,
 			Trace:  s.tr.Point(actx, "server.event_result", "server", "ok uncoupled"),
 			Msg:    eventAccepted,
@@ -140,7 +140,7 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 		ev.body.Release()
 		s.slog.Debug("event denied: group locked",
 			"inst", string(cl.id), "path", m.Path, "event", m.Name, "trace", tc.Trace)
-		cl.out.send(wire.Envelope{
+		sh.send(cl, wire.Envelope{
 			RefSeq: seq,
 			Trace:  s.tr.Point(actx, "server.event_result", "server", "denied: group locked"),
 			Msg:    eventDenied,
@@ -162,7 +162,7 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 		s.mLogAppendErrs.Inc()
 		s.slog.Warn("event refused: log append failed",
 			"event_id", eventID, "inst", string(cl.id), "path", m.Path, "err", err, "trace", tc.Trace)
-		cl.out.send(wire.Envelope{
+		sh.send(cl, wire.Envelope{
 			RefSeq: seq,
 			Trace:  s.tr.Point(actx, "server.event_result", "server", "refused: log append failed"),
 			Msg:    eventUnlogged,
@@ -177,8 +177,8 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 		pe.expires = time.Now().Add(d)
 	}
 	sh.pending[eventID] = pe
-	s.broadcast(pe, ev.body)
-	cl.out.send(wire.Envelope{
+	s.broadcast(sh, pe, ev.body)
+	sh.send(cl, wire.Envelope{
 		RefSeq: seq,
 		Trace:  s.tr.Point(actx, "server.event_result", "server", "ok"),
 		Msg:    eventAccepted,
@@ -223,9 +223,9 @@ func (s *Server) logEvent(sh *shard, id uint64, src couple.ObjectRef, se *wire.S
 // copies it in at flush, so the broadcast costs O(1) body encodes regardless
 // of fan-out. It fills the event's wait set and gives up the caller's
 // reference to se.
-func (s *Server) broadcast(pe *pendingEvent, se *wire.SharedExec) {
+func (s *Server) broadcast(sh *shard, pe *pendingEvent, se *wire.SharedExec) {
 	p, actx := pe.plan, pe.tc
-	s.notifyLocks(p, actx, true)
+	s.notifyLocks(sh, p, actx, true)
 	s.mBytesEncoded.Add(uint64(se.TailLen()))
 	fanout := 0
 	for i := range p.insts {
@@ -239,7 +239,7 @@ func (s *Server) broadcast(pe *pendingEvent, se *wire.SharedExec) {
 			if actx.Valid() {
 				execTC = s.tr.Point(actx, "server.exec_send", "server", string(pi.id)+" "+path)
 			}
-			target.out.sendShared(wire.Envelope{Trace: execTC}, path, se)
+			sh.sendShared(target, wire.Envelope{Trace: execTC}, path, se)
 		}
 		pe.waiting[i] = len(pi.paths)
 		pe.left++
@@ -404,7 +404,7 @@ func (s *Server) dropPending(sh *shard, id uint64, pe *pendingEvent) {
 func (s *Server) unlockEvent(sh *shard, pe *pendingEvent, timedOut bool) {
 	sh.locks.UnlockGroup(pe.plan.members, pe.owner)
 	s.tr.Point(pe.tc, "server.unlock", "server", "")
-	s.notifyLocks(pe.plan, pe.tc, false)
+	s.notifyLocks(sh, pe.plan, pe.tc, false)
 	// Deadline-resolved events waited the full deadline by construction;
 	// folding them into the round-trip histogram would inject an outlier
 	// equal to the deadline per expiry, so they get their own histogram.

@@ -29,10 +29,13 @@ type MemberHealth struct {
 	// Acks counts ExecAcks received from the member; LastAcks counts the
 	// events where this member acked last — the member the group's unlock
 	// waited on. Timeouts counts events that hit their deadline while still
-	// waiting on this member.
-	Acks     uint64 `json:"acks"`
-	LastAcks uint64 `json:"last_acks"`
-	Timeouts uint64 `json:"timeouts"`
+	// waiting on this member. Pushbacks counts the shard loops' writes the
+	// member's socket did not take whole — a member falling behind shows
+	// here before OutboxLimit evicts it.
+	Acks      uint64 `json:"acks"`
+	LastAcks  uint64 `json:"last_acks"`
+	Timeouts  uint64 `json:"timeouts"`
+	Pushbacks uint64 `json:"pushbacks"`
 	// AckEWMANS is the exponentially weighted moving average of the
 	// member's ack latency (Event arrival → this member's ExecAck) in
 	// nanoseconds; AckP50NS/AckP99NS are quantiles over the same latency.
@@ -231,6 +234,7 @@ func (s *Server) memberHealth(id couple.InstanceID) MemberHealth {
 	mh.Acks = e.Counter(memberAcks).Value()
 	mh.LastAcks = e.Counter(memberLastAcks).Value()
 	mh.Timeouts = e.Counter(memberTimeouts).Value()
+	mh.Pushbacks = e.Counter(memberPushbacks).Value()
 	mh.AckEWMANS = e.EWMA().Value()
 	sum := e.Hist().Summary()
 	mh.AckP50NS = sum.P50

@@ -84,7 +84,7 @@ func (s *Server) planFor(sh *shard, source couple.ObjectRef) *plan {
 // notice, carrying the event's trace context so members can attribute the
 // disable/enable to the event. Clients are looked up per call: an instance
 // that disconnected since the plan was derived is simply skipped.
-func (s *Server) notifyLocks(p *plan, tc obs.TraceContext, locked bool) {
+func (s *Server) notifyLocks(sh *shard, p *plan, tc obs.TraceContext, locked bool) {
 	for i := range p.insts {
 		pi := &p.insts[i]
 		if c, ok := s.clientOf(pi.id); ok {
@@ -92,7 +92,7 @@ func (s *Server) notifyLocks(p *plan, tc obs.TraceContext, locked bool) {
 			if locked {
 				msg = pi.lock
 			}
-			c.out.send(wire.Envelope{Trace: tc, Msg: msg})
+			sh.send(c, wire.Envelope{Trace: tc, Msg: msg})
 		}
 	}
 }

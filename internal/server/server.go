@@ -218,9 +218,10 @@ const defaultBatchLimit = 32
 
 // Indices into the server.member family's counter schema.
 const (
-	memberAcks     = iota // ExecAcks received from the member
-	memberLastAcks        // times the member was the last acker (critical path)
-	memberTimeouts        // events that expired while waiting on the member
+	memberAcks      = iota // ExecAcks received from the member
+	memberLastAcks         // times the member was the last acker (critical path)
+	memberTimeouts         // events that expired while waiting on the member
+	memberPushbacks        // shard-loop attempts the member's socket did not take whole
 )
 
 // Stats is a snapshot of server counters. It stays a comparable struct
@@ -436,7 +437,7 @@ func newServer(opts Options, st *state) *Server {
 		started: time.Now(),
 	}
 	s.mMember = metrics.Family("server.member", obs.FamilySchema{
-		Counters: []string{"acks", "last_acks", "timeouts"},
+		Counters: []string{"acks", "last_acks", "timeouts", "pushbacks"},
 		Hist:     "ack_ns",
 		EWMA:     "ack_ewma_ns",
 		Label:    "member",
@@ -551,10 +552,24 @@ func (s *Server) Close() {
 		if s.post(func() {
 			s.closing = true
 			s.cmu.RLock()
+			// Every writer writes what is queued, within the outbox grace;
+			// then the connections close, which fails a write still blocked
+			// on a member that stopped reading instead of holding Close on
+			// it forever.
 			for _, c := range s.clients {
-				c.out.close()
-				c.conn.Close()
+				c.out.shut()
 			}
+			expired := make(chan struct{})
+			grace := time.AfterFunc(s.outboxGrace(), func() { close(expired) })
+			for _, c := range s.clients {
+				select {
+				case <-c.out.done:
+				case <-expired:
+				}
+				c.conn.Close()
+				<-c.out.done
+			}
+			grace.Stop()
 			s.cmu.RUnlock()
 			close(done)
 		}) {
@@ -848,28 +863,41 @@ func flightNote(m wire.Message) string {
 	}
 }
 
-// outbox decouples the state loop from connection back-pressure: the loop
-// enqueues, a writer goroutine drains. The queue never blocks the sender —
-// the server is the ordering authority and must never stall on a slow
-// client — but when a limit is configured the outbox remembers how long the
-// backlog has stayed above it so the sweeper can evict the client instead
-// of buffering without bound.
+// outbox decouples the loops from connection back-pressure. A shard loop
+// queues what one request sends and then flushes the outbox itself, with one
+// attempt (see attempt): a non-blocking write that never stalls the loop.
+// Everything else — what the global loop, the read goroutines and the
+// sweeper send, and whatever an attempt could not hand the kernel — a writer
+// goroutine drains, and it is the only code that ever blocks on the socket.
+// One flush has the Conn at a time (flushing). The queue never blocks the
+// sender — the server is the ordering authority and must never stall on a
+// slow client — but when a limit is configured the outbox remembers how long
+// the backlog has stayed above it so the sweeper can evict the client
+// instead of buffering without bound.
 type outbox struct {
 	mu   sync.Mutex
-	cond *sync.Cond
-	// queue collects records while the writer flushes the previous backlog
-	// out of the other backing array; the two swap on every drain (spare is
-	// the idle one), so steady traffic enqueues into memory it already owns.
-	// A flushed or dropped record is zeroed in place: neither array keeps a
+	cond *sync.Cond // wakes the writer; it is the only waiter
+	conn *wire.Conn
+	// queue collects records while a flush writes the previous backlog out
+	// of the other backing array; the two swap on every drain (spare is the
+	// idle one), so steady traffic enqueues into memory it already owns. A
+	// flushed or dropped record is zeroed in place: neither array keeps a
 	// shared body or a message reachable past its flush.
 	queue  []wire.Outgoing
 	spare  []wire.Outgoing
 	closed bool
-	done   chan struct{}
-	depth  *obs.Gauge          // shared across outboxes: total server backlog
-	onSend func(wire.Envelope) // flight-recorder hook; nil when disabled
-	limit  int                 // high-water mark; 0 = unbounded
-	// inflight counts envelopes handed to the writer but not yet written;
+	// flushing is set while a flush — the writer's, or a shard loop's
+	// attempt — has the Conn; the other side leaves the Conn alone until it
+	// clears. tail is set when an attempt left bytes the kernel did not take:
+	// the writer writes them before anything else, and no loop attempts
+	// until it has.
+	flushing bool
+	tail     bool
+	done     chan struct{}
+	depth    *obs.Gauge          // shared across outboxes: total server backlog
+	onSend   func(wire.Envelope) // flight-recorder hook; nil when disabled
+	limit    int                 // high-water mark; 0 = unbounded
+	// inflight counts envelopes a flush took but has not yet written;
 	// inflight+len(queue) is the true backlog the eviction limit measures.
 	inflight int
 	// batchLimit caps envelopes per packed Batch frame; <=1 disables packing.
@@ -884,56 +912,123 @@ func newOutbox(c *wire.Conn, depth *obs.Gauge, limit, batchLimit int, batchSize 
 	if batchLimit > wire.MaxBatch {
 		batchLimit = wire.MaxBatch
 	}
-	o := &outbox{done: make(chan struct{}), depth: depth, limit: limit,
+	o := &outbox{conn: c, done: make(chan struct{}), depth: depth, limit: limit,
 		batchLimit: batchLimit, batchSize: batchSize, onSend: onSend}
 	o.cond = sync.NewCond(&o.mu)
-	go func() {
-		defer close(o.done)
-		for {
-			o.mu.Lock()
-			for len(o.queue) == 0 && !o.closed {
-				o.cond.Wait()
-			}
-			if len(o.queue) == 0 && o.closed {
-				o.mu.Unlock()
-				return
-			}
-			// Hand the whole backlog to the writer in one slice: everything
-			// that queued up while the previous flush blocked becomes one
-			// flush, which is what gives flush-time packing a run to pack.
-			take := o.queue
-			o.queue, o.spare = o.spare, nil
-			o.inflight = len(take)
-			o.mu.Unlock()
-			err := o.flush(c, take)
-			o.mu.Lock()
-			if err != nil {
-				// Connection broken, or a record it cannot frame: drop the
-				// remaining output and close the connection, so the read
-				// loop's teardown drops the client and every event waiting
-				// on it counts it absent. flush released the shared bodies
-				// of everything it took, so only the still-queued records
-				// hold references here.
-				o.depth.Add(-int64(o.inflight + len(o.queue)))
-				dropOutgoing(o.queue)
-				o.inflight = 0
-				o.queue = o.queue[:0]
-				o.closed = true
-				o.mu.Unlock()
-				c.Close()
-				return
-			}
-			if cap(take) <= maxIdleOutbox {
-				o.spare = take[:0]
-			}
-			o.inflight = 0
-			if o.limit > 0 && len(o.queue) <= o.limit {
-				o.overSince = time.Time{}
-			}
-			o.mu.Unlock()
-		}
-	}()
+	go o.writer()
 	return o
+}
+
+// writer drains the outbox with blocking writes: the tail an attempt left
+// first (the Conn writes it ahead of the next frame), then everything queued
+// since, until the outbox closes with nothing left to write. It never takes
+// the Conn while a loop's attempt has it.
+func (o *outbox) writer() {
+	defer close(o.done)
+	c := o.conn
+	o.mu.Lock()
+	for {
+		for o.flushing || !o.closed && len(o.queue) == 0 && !o.tail {
+			o.cond.Wait()
+		}
+		if len(o.queue) == 0 && !o.tail {
+			o.mu.Unlock()
+			return
+		}
+		take := o.take()
+		o.mu.Unlock()
+		// The first blocking write of flush writes a pending tail first;
+		// Flush is left only a tail with nothing queued behind it. On an
+		// error flush still releases every record it took.
+		err := o.flush(c, take)
+		if err == nil {
+			err = c.Flush()
+		}
+		o.mu.Lock()
+		o.tail = false
+		if !o.settle(take, err) {
+			o.mu.Unlock()
+			c.Close()
+			return
+		}
+	}
+}
+
+// take hands the whole backlog to a flush in one slice: everything that
+// queued up while the previous flush ran becomes one flush, which is what
+// gives flush-time packing a run to pack. Callers hold mu.
+func (o *outbox) take() []wire.Outgoing {
+	take := o.queue
+	o.queue, o.spare = o.spare, nil
+	o.inflight = len(take)
+	o.flushing = true
+	return take
+}
+
+// settle ends the flush of take, which returned err, and reports whether the
+// outbox is still open. On an error — the connection broke, or a record it
+// cannot frame — it drops the remaining output and closes the outbox; the
+// caller then closes the connection, so the read loop's teardown drops the
+// client and every event waiting on it counts it absent. flush released the
+// shared bodies of everything it took, so only the still-queued records hold
+// references here. Callers hold mu.
+func (o *outbox) settle(take []wire.Outgoing, err error) bool {
+	o.flushing = false
+	if err != nil {
+		o.depth.Add(-int64(o.inflight + len(o.queue)))
+		dropOutgoing(o.queue)
+		o.inflight = 0
+		o.queue = o.queue[:0]
+		o.closed = true
+		o.tail = false
+		return false
+	}
+	if cap(take) <= maxIdleOutbox {
+		o.spare = take[:0]
+	}
+	o.inflight = 0
+	if o.limit > 0 && len(o.queue) <= o.limit {
+		o.overSince = time.Time{}
+	}
+	return true
+}
+
+// attempt is a shard loop's flush of what it queued while running one
+// request: when no flush has the Conn and no tail is pending, the loop
+// writes the backlog itself, as attempts (wire.Conn.BeginAttempt) — the same
+// packing and frames as the writer's flush, in at most one non-blocking
+// write per frame run — and wakes the writer only for a tail the kernel did
+// not take. Otherwise, or over a Conn that cannot attempt, it wakes the
+// writer as a send from anywhere else does. It reports whether the socket
+// pushed back: the attempt left a tail.
+func (o *outbox) attempt() bool {
+	o.mu.Lock()
+	if o.flushing || o.tail || o.closed || !o.conn.CanAttempt() || len(o.queue) == 0 {
+		if len(o.queue) > 0 {
+			o.cond.Signal()
+		}
+		o.mu.Unlock()
+		return false
+	}
+	take := o.take()
+	o.mu.Unlock()
+	c := o.conn
+	c.BeginAttempt()
+	err := o.flush(c, take)
+	tail := c.EndAttempt()
+	o.mu.Lock()
+	o.tail = tail
+	open := o.settle(take, err)
+	// The writer waits for this flush to end whenever it has work — records
+	// queued meanwhile, the tail, or a close to finish — and only then.
+	if len(o.queue) > 0 || o.tail || o.closed {
+		o.cond.Signal()
+	}
+	o.mu.Unlock()
+	if !open {
+		c.Close()
+	}
+	return tail
 }
 
 // flush writes one drained backlog: runs of queued records are packed into
@@ -1008,20 +1103,15 @@ func dropOutgoing(recs []wire.Outgoing) {
 	}
 }
 
+// send queues env and wakes the writer: the path of every send but a shard
+// loop's (see shard.send).
 func (o *outbox) send(env wire.Envelope) {
-	o.enqueue(wire.Outgoing{Env: env})
+	o.enqueue(wire.Outgoing{Env: env}, true)
 }
 
-// sendShared queues one member's frame of an encode-once broadcast: env
-// carries the correlation numbers and trace context (its Msg stays nil — the
-// Exec is never materialized on the hot path), target the member's path, se
-// the shared body suffix. The outbox takes its own reference — the caller
-// must still hold one, and releases it when done enqueueing.
-func (o *outbox) sendShared(env wire.Envelope, target string, se *wire.SharedExec) {
-	o.enqueue(wire.Outgoing{Env: env, Shared: se, Target: target})
-}
-
-func (o *outbox) enqueue(rec wire.Outgoing) {
+// enqueue queues rec and wakes the writer if wake is set, taking the
+// outbox's own reference to a shared body.
+func (o *outbox) enqueue(rec wire.Outgoing, wake bool) {
 	o.mu.Lock()
 	if !o.closed {
 		if rec.Shared != nil {
@@ -1032,7 +1122,9 @@ func (o *outbox) enqueue(rec wire.Outgoing) {
 		if o.limit > 0 && o.inflight+len(o.queue) > o.limit && o.overSince.IsZero() {
 			o.overSince = time.Now()
 		}
-		o.cond.Signal()
+		if wake {
+			o.cond.Signal()
+		}
 	}
 	o.mu.Unlock()
 	if o.onSend != nil {
@@ -1050,12 +1142,20 @@ func (o *outbox) overLimitSince() time.Time {
 	return o.overSince
 }
 
+// close closes the outbox and waits for the writer to write what is queued
+// and exit.
 func (o *outbox) close() {
+	o.shut()
+	<-o.done
+}
+
+// shut closes the outbox: it takes nothing more, and the writer exits once
+// it has written what is queued.
+func (o *outbox) shut() {
 	o.mu.Lock()
 	o.closed = true
-	o.cond.Broadcast()
+	o.cond.Signal()
 	o.mu.Unlock()
-	<-o.done
 }
 
 // sweepPeriod returns how often the sweeper should run, or zero when no

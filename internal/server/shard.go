@@ -87,6 +87,10 @@ type shard struct {
 	// the couple graph last changed (generation planGen); see planFor.
 	plans   map[couple.ObjectRef]*plan
 	planGen uint64
+	// touched lists the clients the loop queued frames for while running its
+	// current request; their outboxes are flushed once it is done (see
+	// flushTouched).
+	touched []*client
 
 	mEvents *obs.Counter // per-shard event counter (server.shard.<idx>.events)
 	mBusy   *obs.Counter // server.shard.<idx>.busy_ns: time spent executing closures
@@ -301,8 +305,52 @@ func (s *Server) shardLoop(sh *shard) {
 	}
 }
 
+// send queues env for cl from sh's loop without waking cl's writer: the loop
+// flushes cl's outbox itself once the request it is running is done.
+func (sh *shard) send(cl *client, env wire.Envelope) {
+	cl.out.enqueue(wire.Outgoing{Env: env}, false)
+	sh.touch(cl)
+}
+
+// sendShared queues one member's frame of an encode-once broadcast the way
+// send queues a frame: env carries the correlation numbers and trace context
+// (its Msg stays nil — the Exec is never materialized on the hot path),
+// target the member's path, se the shared body suffix. The outbox takes its
+// own reference — the caller must still hold one, and releases it when done
+// enqueueing.
+func (sh *shard) sendShared(cl *client, env wire.Envelope, target string, se *wire.SharedExec) {
+	cl.out.enqueue(wire.Outgoing{Env: env, Shared: se, Target: target}, false)
+	sh.touch(cl)
+}
+
+// touch lists cl among the clients the current request sent to, once. A
+// request touches its event's members and origin, so the list is short and
+// the scan cheap.
+func (sh *shard) touch(cl *client) {
+	for _, t := range sh.touched {
+		if t == cl {
+			return
+		}
+	}
+	sh.touched = append(sh.touched, cl)
+}
+
+// flushTouched flushes, after a request, the outbox of every client the
+// request sent to: the loop writes each with one attempt, or wakes its
+// writer (see outbox.attempt). A socket that did not take its attempt whole
+// counts as a push-back against the member (server.member.pushbacks).
+func (s *Server) flushTouched(sh *shard) {
+	for i, cl := range sh.touched {
+		if cl.out.attempt() && cl.health != nil {
+			cl.health.Counter(memberPushbacks).Inc()
+		}
+		sh.touched[i] = nil
+	}
+	sh.touched = sh.touched[:0]
+}
+
 // runShard executes one request on sh's loop, or parks it while a migration
-// into sh is in flight.
+// into sh is in flight, and then flushes what the request sent.
 func (s *Server) runShard(sh *shard, req shardReq) {
 	switch {
 	case sh.awaiting != nil:
@@ -314,6 +362,7 @@ func (s *Server) runShard(sh *shard, req shardReq) {
 	default:
 		s.ackExec(sh, req.ack)
 	}
+	s.flushTouched(sh)
 }
 
 // install merges a migrated group into sh and replays the parked backlog.

@@ -1,0 +1,218 @@
+package server_test
+
+import (
+	"errors"
+	"net"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"cosoft/internal/attr"
+	"cosoft/internal/client"
+	"cosoft/internal/obs"
+	"cosoft/internal/server"
+	"cosoft/internal/testbed"
+	"cosoft/internal/widget"
+	"cosoft/internal/wire"
+)
+
+// stallConn is a member's end of its connection that stops reading once
+// stall is closed, until the connection is closed.
+type stallConn struct {
+	net.Conn
+	stall  chan struct{}
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (c *stallConn) Read(p []byte) (int, error) {
+	select {
+	case <-c.stall:
+		<-c.closed
+		return 0, net.ErrClosed
+	default:
+		return c.Conn.Read(p)
+	}
+}
+
+func (c *stallConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// stallBed is one shard loop serving two coupling groups over loopback TCP:
+// group A, an origin and a member whose client stops reading on stall(), and
+// group B, an origin and a member that keep working.
+type stallBed struct {
+	srv        *server.Server
+	reg        *obs.Registry
+	a, stalled *client.Client
+	b, peer    *client.Client
+	conn       *stallConn
+}
+
+func newStallBed(t *testing.T, opts server.Options) *stallBed {
+	t.Helper()
+	opts.Shards = 1
+	sb := &stallBed{reg: obs.NewRegistry()}
+	opts.Metrics = sb.reg
+	sb.srv = server.New(opts)
+	bed := testbed.New(t, sb.srv, testbed.Options{TCP: true})
+	spec := `textfield note value=""`
+	dial := func(user string, wrap func(net.Conn) net.Conn) *client.Client {
+		c := bed.Dial(testbed.Member{AppType: "editor", User: user, Spec: spec, Wrap: wrap})
+		mustOK(t, c.Declare("/note"))
+		return c
+	}
+	sb.a = dial("a", nil)
+	sb.stalled = dial("stalled", func(c net.Conn) net.Conn {
+		sb.conn = &stallConn{Conn: c, stall: make(chan struct{}), closed: make(chan struct{})}
+		return sb.conn
+	})
+	sb.b = dial("b", nil)
+	sb.peer = dial("peer", nil)
+	mustOK(t, sb.a.Couple("/note", sb.stalled.Ref("/note")))
+	mustOK(t, sb.b.Couple("/note", sb.peer.Ref("/note")))
+	testbed.Wait(t, "both groups mirrored", func() bool {
+		return sb.stalled.Coupled("/note") && sb.peer.Coupled("/note")
+	})
+	// Closing the stalled end first ends its client's read loop, so the
+	// client's own Close does not wait out an RPC timeout for a reply it
+	// would never read.
+	t.Cleanup(func() { sb.conn.Close() })
+	return sb
+}
+
+// stall stops the stalled member reading and has group A's origin dispatch
+// 1 MiB events, so the member's socket fills, until the returned stop is
+// called; stop returns once the dispatcher has. Denials are expected: the
+// group stays locked until an event's deadline expires.
+func (sb *stallBed) stall(t *testing.T) (stop func()) {
+	close(sb.conn.stall)
+	quit, done := make(chan struct{}), make(chan struct{})
+	big := []attr.Value{attr.String(strings.Repeat("x", 1<<20))}
+	go func() {
+		defer close(done)
+		for {
+			err := sb.a.DispatchChecked(&widget.Event{Path: "/note", Name: widget.EventChanged, Args: big})
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			if errors.Is(err, client.ErrRejected) {
+				time.Sleep(time.Millisecond)
+			} else if err != nil {
+				t.Errorf("group A's origin: %v", err)
+				return
+			}
+		}
+	}()
+	var once sync.Once
+	stop = func() { once.Do(func() { close(quit); <-done }) }
+	t.Cleanup(stop)
+	return stop
+}
+
+// pushbacks reads the stalled member's server.member.pushbacks off the
+// metrics registry, which no loop serializes.
+func (sb *stallBed) pushbacks() uint64 {
+	e := sb.reg.Snapshot().Families["server.member"].Entries[string(sb.stalled.ID())]
+	return e.Counters["pushbacks"]
+}
+
+// promptB has group B run one event end to end — verdict at the origin and
+// re-execution at the member — and fails the test unless it does so within
+// a second.
+func (sb *stallBed) promptB(t *testing.T, value string) {
+	t.Helper()
+	const prompt = time.Second
+	start := time.Now()
+	for {
+		err := sb.b.DispatchChecked(&widget.Event{Path: "/note", Name: widget.EventChanged, Args: []attr.Value{attr.String(value)}})
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, client.ErrRejected) || time.Since(start) > prompt {
+			t.Fatalf("group B's event %s: %v after %v", value, err, time.Since(start))
+		}
+		time.Sleep(time.Millisecond) // the previous event's ack is still on its way
+	}
+	for !attrOf(t, sb.peer, "/note", "value").Equal(attr.String(value)) {
+		if time.Since(start) > prompt {
+			t.Fatalf("group B's event %s took over %v to reach its member", value, prompt)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestStalledMemberCannotDelayItsShard: a member that stops reading fills its
+// socket with its group's events. The shard loop's write to it must not wait
+// for the socket — group B, served by the same loop, keeps resolving its
+// events promptly — and the push-back shows against the member. Group A's
+// backlog then builds behind the member's writer until OutboxLimit and its
+// grace evict the member, and every shared body it held is given back.
+func TestStalledMemberCannotDelayItsShard(t *testing.T) {
+	const limit = 8
+	sb := newStallBed(t, server.Options{
+		EventDeadline: 20 * time.Millisecond,
+		OutboxLimit:   limit,
+		OutboxGrace:   200 * time.Millisecond,
+	})
+	sb.promptB(t, "before")
+	stop := sb.stall(t)
+
+	n := 0
+	next := func() string { n++; return strconv.Itoa(n) }
+	testbed.Wait(t, "the stalled member's socket to push back", func() bool {
+		sb.promptB(t, next())
+		return sb.pushbacks() > 0
+	})
+	var seen bool
+	for _, g := range sb.srv.Health().Groups {
+		for _, m := range g.Members {
+			seen = seen || m.Instance == string(sb.stalled.ID()) && m.Pushbacks > 0
+		}
+	}
+	if !seen {
+		t.Error("/debug/groups shows no push-back against the stalled member")
+	}
+	testbed.Wait(t, "the stalled member evicted", func() bool {
+		sb.promptB(t, next())
+		return sb.reg.Snapshot().Counters["server.evictions"] == 1
+	})
+	if hw := sb.reg.Snapshot().Gauges["server.outbox_depth"].HighWater; hw <= limit {
+		t.Errorf("outbox backlog peaked at %d records, want it to build past the limit %d", hw, limit)
+	}
+	stop()
+	testbed.Wait(t, "every event resolved and every shared body given back", func() bool {
+		return sb.srv.Stats().PendingEvents == 0 && wire.LiveSharedBodies() == 0
+	})
+	sb.promptB(t, "after")
+}
+
+// TestCloseReturnsWhileAMemberPushesBack: Server.Close returns while the
+// stalled member's writer is blocked on its tail and the shard loop is still
+// attempting writes; the member's connection closing is what fails the
+// blocked write.
+func TestCloseReturnsWhileAMemberPushesBack(t *testing.T) {
+	sb := newStallBed(t, server.Options{
+		EventDeadline: 20 * time.Millisecond,
+		OutboxGrace:   100 * time.Millisecond,
+	})
+	stop := sb.stall(t)
+	testbed.Wait(t, "the stalled member's socket to push back", func() bool { return sb.pushbacks() > 0 })
+	stop()
+	closed := make(chan struct{})
+	go func() {
+		sb.srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Server.Close did not return while a member pushed back")
+	}
+}

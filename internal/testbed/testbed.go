@@ -138,7 +138,7 @@ func (b *Bed) connect(sched *faultnet.Schedule) (cli, end net.Conn, fc *faultnet
 	}
 	if sched != nil {
 		fc = faultnet.Wrap(end, *sched)
-		end = fc
+		end = fc.NetConn()
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()

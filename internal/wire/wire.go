@@ -51,6 +51,16 @@
 // without touching the transport, so a frame cut short is never followed by
 // another.
 //
+// Between BeginAttempt and EndAttempt every write call is an attempt instead:
+// it assembles its frames the same way but hands them to the transport in at
+// most one non-blocking write — the transport's TryWrite, or a write on its
+// file descriptor when it is a syscall.Conn — and keeps whatever the transport
+// did not take as the Conn's tail. The next blocking write call, or Flush,
+// writes the tail first, in one Write of its own, so the bytes on the wire are
+// the ones blocking calls would have written, in the same order. While a tail
+// is pending an attempt queues its frames behind it without touching the
+// transport. An attempt's error sticks like any other.
+//
 // # Records
 //
 // Next fills a caller's Record: the Envelope of one message, except that the
@@ -104,6 +114,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 
 	"cosoft/internal/obs"
 )
@@ -223,6 +234,13 @@ type Conn struct {
 	scratch  []byte
 	scratch2 []byte
 	werr     error
+	// attempt is set between BeginAttempt and EndAttempt; tail holds the
+	// assembled bytes attempts left unsent, which the next blocking write
+	// sends first. Both are guarded by wmu. try is the transport's
+	// non-blocking write, nil when it has none; it never changes.
+	attempt bool
+	tail    []byte
+	try     TryWriter
 
 	// encoded, when non-nil, accumulates the bytes this Conn serialized
 	// (frame headers and bodies, excluding shared-body suffixes it copied
@@ -232,7 +250,7 @@ type Conn struct {
 
 // NewConn wraps a net.Conn. The caller retains responsibility for closing.
 func NewConn(c net.Conn) *Conn {
-	return &Conn{r: bufio.NewReader(c), conn: c}
+	return &Conn{r: bufio.NewReader(c), conn: c, try: tryWriterOf(c)}
 }
 
 // EnableTrace does nothing: every header carries the trace context its
@@ -378,21 +396,117 @@ func appendTail(buf []byte, se *SharedExec) ([]byte, error) {
 	return append(buf, se.tail()...), nil
 }
 
-// send hands buf, whole frames, to the transport in one Write and counts
-// the encoded bytes among them — everything but the length prefixes and the
-// copied-in shared tails. It is the one place a Conn writes to its
-// transport. The first error it meets is kept and returned by every later
-// call, which then leaves the transport alone. Callers hold wmu.
+// send hands buf, whole frames, to the transport and counts the encoded
+// bytes among them — everything but the length prefixes and the copied-in
+// shared tails. A blocking call writes the pending tail and then buf, one
+// Write each; an attempt makes at most one non-blocking write of buf and
+// keeps what the transport did not take (see the package comment). It is
+// the one place a Conn writes to its transport. The first error it meets is
+// kept and returned by every later call, which then leaves the transport
+// alone. Callers hold wmu.
 func (c *Conn) send(buf []byte, encoded int) error {
 	if c.werr != nil {
 		return c.werr
 	}
+	if c.attempt {
+		if len(c.tail) == 0 {
+			n, err := c.try.TryWrite(buf)
+			if err != nil {
+				return c.fail(err)
+			}
+			buf = buf[n:]
+		}
+		c.tail = append(c.tail, buf...)
+		c.encoded.Add(uint64(encoded))
+		return nil
+	}
+	if err := c.writeTail(); err != nil {
+		return err
+	}
 	if _, err := c.conn.Write(buf); err != nil {
-		c.werr = fmt.Errorf("wire: write frame: %w", err)
-		return c.werr
+		return c.fail(err)
 	}
 	c.encoded.Add(uint64(encoded))
 	return nil
+}
+
+// fail makes err the Conn's sticky write error and drops the tail, which can
+// never be written now. Callers hold wmu.
+func (c *Conn) fail(err error) error {
+	c.werr = fmt.Errorf("wire: write frame: %w", err)
+	c.tail = c.tail[:0]
+	return c.werr
+}
+
+// writeTail writes the tail attempts left pending, in one blocking Write.
+// Callers hold wmu.
+func (c *Conn) writeTail() error {
+	if len(c.tail) == 0 {
+		return nil
+	}
+	_, err := c.conn.Write(c.tail)
+	keepScratch(&c.tail, c.tail)
+	if err != nil {
+		return c.fail(err)
+	}
+	return nil
+}
+
+// TryWriter is a transport's non-blocking write: TryWrite writes as much of
+// p as the transport takes without blocking and returns how much that was. A
+// short count with a nil error means the rest would have blocked.
+type TryWriter interface {
+	TryWrite(p []byte) (int, error)
+}
+
+// tryWriterOf returns the non-blocking write of a transport: its TryWrite,
+// or a write on its file descriptor when it is a syscall.Conn; nil when it
+// offers neither, as net.Pipe does not.
+func tryWriterOf(c net.Conn) TryWriter {
+	switch c := c.(type) {
+	case TryWriter:
+		return c
+	case syscall.Conn:
+		return rawTryWriter(c)
+	}
+	return nil
+}
+
+// CanAttempt reports whether the transport offers a non-blocking write, so
+// that BeginAttempt switches the Conn to attempts.
+func (c *Conn) CanAttempt() bool { return c.try != nil }
+
+// BeginAttempt makes every write call an attempt until EndAttempt: at most
+// one non-blocking write, whatever it leaves unsent kept as the tail (see the
+// package comment). It reports false, and changes nothing, when the
+// transport cannot attempt (CanAttempt). An attempt never blocks on the
+// transport, though a write call still waits for one in progress.
+func (c *Conn) BeginAttempt() bool {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.attempt = c.try != nil
+	return c.attempt
+}
+
+// EndAttempt makes write calls blocking again and reports whether the
+// attempts left a tail for the next blocking write call, or Flush, to send.
+func (c *Conn) EndAttempt() bool {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.attempt = false
+	return len(c.tail) > 0
+}
+
+// Flush writes the tail attempts left pending, in one blocking Write; it
+// does nothing when none is. It returns the Conn's sticky write error, if
+// any.
+func (c *Conn) Flush() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.werr != nil {
+		return c.werr
+	}
+	return c.writeTail()
 }
 
 // WriteOutgoing sends one queued record. A record without a shared body is

@@ -73,10 +73,40 @@ func writeCalls(se *SharedExec) []writeCall {
 	}
 }
 
+// tryLog is a writeLog that can be attempted: each TryWrite takes the prefix
+// of what it is offered that take allows. stream holds every byte the
+// transport took, Writes and attempts alike, in order, and tries the bytes
+// each attempt took.
+type tryLog struct {
+	writeLog
+	take   func(n int) int
+	tries  [][]byte
+	stream []byte
+}
+
+func (w *tryLog) Write(p []byte) (int, error) {
+	n, err := w.writeLog.Write(p)
+	if err == nil {
+		w.stream = append(w.stream, p...)
+	}
+	return n, err
+}
+
+func (w *tryLog) TryWrite(p []byte) (int, error) {
+	if w.broken {
+		return 0, errCut
+	}
+	n := w.take(len(p))
+	w.tries = append(w.tries, append([]byte(nil), p[:n]...))
+	w.stream = append(w.stream, p[:n]...)
+	return n, nil
+}
+
 // TestEachWriteCallIsOneTransportWrite pins the write contract: every write
 // call reaches the transport as exactly one Write holding whole frames, so a
 // transport that drops or duplicates whole Writes (faultnet) never splits a
-// frame.
+// frame. An attempted call is one attempt instead, and a tail it leaves is
+// one more Write, which ends where the call's frames end.
 func TestEachWriteCallIsOneTransportWrite(t *testing.T) {
 	se := NewSharedExec(9, "changed", []attr.Value{attr.String("v")}, couple.ObjectRef{Instance: "a", Path: "/o"})
 	defer se.Release()
@@ -92,7 +122,46 @@ func TestEachWriteCallIsOneTransportWrite(t *testing.T) {
 		if got := wholeFrames(w.writes[0]); got != wc.frames {
 			t.Errorf("%s wrote %d whole frames, want %d (-1: a frame cut short)", wc.name, got, wc.frames)
 		}
+		size := len(w.writes[0])
+		for _, took := range []int{size, 0, 5} {
+			tl := &tryLog{take: func(n int) int { return min(took, n) }}
+			c := NewConn(tl)
+			if !c.BeginAttempt() {
+				t.Fatalf("a transport with TryWrite cannot attempt")
+			}
+			if err := wc.call(c); err != nil {
+				t.Fatalf("%s attempted: %v", wc.name, err)
+			}
+			tail := c.EndAttempt()
+			if len(tl.tries) != 1 || len(tl.writes) != 0 {
+				t.Errorf("%s attempted reached the transport in %d attempts and %d Writes, want 1 and 0", wc.name, len(tl.tries), len(tl.writes))
+			}
+			if tail != (took < size) {
+				t.Errorf("%s attempted, %d of %d bytes taken: tail pending = %v", wc.name, took, size, tail)
+			}
+			// The blocking call after it writes the tail first, then its own
+			// frames: one Write each.
+			if err := wc.call(c); err != nil {
+				t.Fatalf("%s after an attempt: %v", wc.name, err)
+			}
+			if want := 1 + btoi(tail); len(tl.writes) != want {
+				t.Errorf("%s after an attempt with tail %v reached the transport in %d Writes, want %d", wc.name, tail, len(tl.writes), want)
+			}
+			if tail && wholeFrames(append(tl.tries[0], tl.writes[0]...)) != wc.frames {
+				t.Errorf("%s: attempt and tail do not end at the call's last frame", wc.name)
+			}
+			if got := wholeFrames(tl.stream); got != 2*wc.frames {
+				t.Errorf("%s attempted then written: %d whole frames on the wire, want %d", wc.name, got, 2*wc.frames)
+			}
+		}
 	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestWriteErrorSticks: once a transport Write fails, every later write
