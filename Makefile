@@ -1,6 +1,6 @@
 # Development targets. `make verify` is the PR gate: vet plus race-checked
 # tests over the packages whose correctness rests on the server's
-# loop-serialization invariants.
+# serialization invariants (the global loop and the shard locks).
 
 GO ?= go
 
@@ -22,12 +22,14 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
-# Race-check the coupling core: the server state loop, the lock table, the
-# client runtime, the wire Conn (RPC callers, Pongs and acks write one Conn
-# side by side, under the lock that also keeps its write error and its unsent
-# tail; on the server a shard loop's attempts and the outbox writer's blocking
-# writes hand one Conn back and forth) and the test bed every suite runs on are
-# the packages with real goroutine interleavings.
+# Race-check the coupling core: the server (read goroutines run events and
+# acks under their shard's lock, and the global loop's migration takes two
+# shard locks against them), the lock table, the client runtime, the wire
+# Conn (RPC callers, Pongs and acks write one Conn side by side, under the
+# lock that also keeps its write error and its unsent tail; on the server a
+# shard-lock holder's attempts and the outbox writer's blocking writes hand
+# one Conn back and forth) and the test bed every suite runs on are the
+# packages with real goroutine interleavings.
 race:
 	$(GO) test -race ./internal/server/... ./internal/lock/... ./internal/client/... ./internal/wire/... ./internal/testbed/...
 
@@ -38,7 +40,7 @@ lint-metrics:
 
 # The allocation budgets of the event path: per-frame gates on wire.Conn, the
 # broadcast's shared Exec and the relay of an Event's payload (Next, Seal and
-# Release allocate nothing), a shard loop's attempted write (none either), a
+# Release allocate nothing), a shard's attempted write (none either), a
 # group's floor lock (lock.TryLockGroup plus UnlockGroup), the remote
 # re-execution of an event (widget Deliver), a steady-state client RPC round
 # trip and ack flush, and the end-to-end budget per member-event over

@@ -12,7 +12,7 @@
 // flight goes out as a single write (+ a single fsync under `always`) and
 // every appender group-commits. Append blocks until its record reaches its
 // durability level (written for `interval`/`none`, written and fsynced for
-// `always`); AppendEvent, a shard loop's audit record of an event, never
+// `always`); AppendEvent, a shard's audit record of an event, never
 // waits and hears nothing back beyond an immediate refusal.
 //
 // On-disk framing, repeated per record inside segments named by base offset
@@ -184,7 +184,7 @@ const maxIdleFill = 1 << 20
 // goroutine; all file I/O happens on the writer goroutine.
 //
 // Backpressure: the fill buffer has no byte cap, and no appender ever waits
-// for room in it. Its backlog is bounded by the callers instead. A shard loop
+// for room in it. Its backlog is bounded by the callers instead. A shard
 // appends event records only for IDs under a lease it took with the blocking
 // Append, one lease per block of IDs, so behind a stalled write its event
 // records never outnumber one block: its next lease waits for the write.

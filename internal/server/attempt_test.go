@@ -13,7 +13,7 @@ import (
 )
 
 // sendShared queues one member's frame of an encode-once broadcast and wakes
-// the writer, as a send from outside a shard loop would: the outbox tests
+// the writer, as a send from outside a shard lock would: the outbox tests
 // drive the writer path with it. The outbox takes its own reference to se.
 func (o *outbox) sendShared(env wire.Envelope, target string, se *wire.SharedExec) {
 	o.enqueue(wire.Outgoing{Env: env, Shared: se, Target: target}, true)
@@ -32,7 +32,7 @@ func (g *gateConn) TryWrite(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestOutboxCloseWaitsOutALoopAttempt: an outbox closed while a shard loop's
+// TestOutboxCloseWaitsOutALoopAttempt: an outbox closed while a shard's
 // attempt has its Conn closes once the attempt ends. The writer must not
 // take the Conn meanwhile, and the attempt's end must wake it to exit, or
 // close — and with it Server.Close — waits forever.

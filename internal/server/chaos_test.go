@@ -95,9 +95,8 @@ func TestChaosMidEventDisconnectUnwedgesGroup(t *testing.T) {
 	// connection is still up.
 	rc := bed.Raw(wire.Register{AppType: "zombie", Host: "h", User: "mallory"})
 	fakeID := rc.ID
-	if err := rc.Send(wire.Declare{Path: "/note", Class: "textfield"}); err != nil {
-		t.Fatalf("declare: %v", err)
-	}
+	// Wait for the OK: a Couple to the object must not overtake its Declare.
+	rc.MustOK(wire.Declare{Path: "/note", Class: "textfield"})
 	gotExec := make(chan struct{}, 8)
 	go func() {
 		// Swallow everything; never acknowledge.

@@ -86,8 +86,9 @@ func (sh *shard) recycle(pe *pendingEvent) {
 // handleEvent implements the multiple-execution algorithm of §3.2. The
 // originating client has already applied the event's built-in feedback
 // locally; the server locks CO(o), broadcasts Exec to every coupled member,
-// and tells the origin whether to keep or undo its feedback. It runs on sh's
-// loop — the shard owning the source object's coupling group.
+// and tells the origin whether to keep or undo its feedback. It runs under
+// sh's lock, sh being the shard owning the source object's coupling group
+// (see runEvent).
 //
 // ev.tc is the trace context the Event envelope carried (the origin's
 // "client.event_send" span); every hop recorded here descends from it.
@@ -97,15 +98,6 @@ func (sh *shard) recycle(pe *pendingEvent) {
 func (s *Server) handleEvent(sh *shard, ev eventReq) {
 	cl, seq, m, tc := ev.cl, ev.seq, &ev.m, ev.tc
 	source := couple.ObjectRef{Instance: cl.id, Path: m.Path}
-	// Ownership recheck: the group may have migrated between the read
-	// goroutine's routing decision and this request running. Forward it to
-	// the current owner rather than touching the wrong shard's state.
-	if own := s.shardForRef(source); own != sh {
-		if !s.postShardReq(own, shardReq{event: ev}) {
-			ev.body.Release()
-		}
-		return
-	}
 	s.mEvents.Inc()
 	sh.mEvents.Inc()
 	start := s.mEventRTT.Start()
@@ -258,15 +250,19 @@ var (
 	eventUnlogged wire.Message = wire.EventResult{OK: false, Reason: "event log append failed"}
 )
 
-// expireEvents is the sweep's expiry pass over one shard: every event pending
-// here whose deadline has passed times out, wherever it was born. An event
-// in a migration bundle is checked by the next pass after its install.
-func (s *Server) expireEvents(sh *shard) {
+// expireEvents is the sweep's expiry pass: under each shard's lock in turn,
+// every event pending there whose deadline has passed times out, wherever it
+// was born.
+func (s *Server) expireEvents() {
 	now := time.Now()
-	for id, pe := range sh.pending {
-		if !pe.expires.IsZero() && now.After(pe.expires) {
-			s.timeoutEvent(sh, id, pe)
+	for _, sh := range s.shards {
+		sh.lock()
+		for id, pe := range sh.pending {
+			if !pe.expires.IsZero() && now.After(pe.expires) {
+				s.timeoutEvent(sh, id, pe)
+			}
 		}
+		sh.unlock()
 	}
 }
 
@@ -328,24 +324,22 @@ func (s *Server) ackClock() time.Time {
 
 // ackExec is the ack-resolution core: decrement the acking instance's
 // outstanding count for the event and unlock the group when the wait set
-// empties. It runs on the event's birth shard; if the event migrated with
-// its group, the ack is forwarded to the current owner. The hit path
-// allocates nothing: the request arrived by value and nothing here captures
-// it.
-func (s *Server) ackExec(sh *shard, a execAck) {
+// empties. It runs under sh's lock, sh being the event's birth shard or a
+// shard its router entry named; if the event migrated from sh with its
+// group, it returns the shard holding it now, for runAck to chase it there.
+// The hit path allocates nothing: the request arrived by value and nothing
+// here captures it.
+func (s *Server) ackExec(sh *shard, a execAck) *shard {
 	pe, ok := sh.pending[a.eventID]
 	if !ok {
 		// Stale ack (event already resolved by a deadline or disconnect) —
 		// unless the event migrated, in which case chase it.
-		if to, moved := s.eventOwner(sh, a.eventID); moved {
-			s.postAck(to, a)
-		}
-		return
+		return s.eventOwner(sh, a.eventID)
 	}
 	cl := a.cl
 	i, ok := pe.plan.pos[cl.id]
 	if !ok || pe.waiting[i] == 0 {
-		return // ack from an instance we were not waiting for
+		return nil // ack from an instance we were not waiting for
 	}
 	s.tr.Point(a.tc, "server.exec_ack", "server", string(cl.id))
 	pe.waiting[i]--
@@ -374,16 +368,18 @@ func (s *Server) ackExec(sh *shard, a execAck) {
 	if pe.left == 0 {
 		s.finishEvent(sh, a.eventID, pe, false)
 	}
+	return nil
 }
 
 // eventOwner resolves a miss on sh's pending map: a migrated event leaves a
 // forwarding entry in the router until it resolves, naming the shard that
-// holds it now. Without an entry the miss is final: the ack is stale.
-func (s *Server) eventOwner(sh *shard, id uint64) (*shard, bool) {
+// holds it now. Without an entry, or with one naming sh, the miss is final:
+// the ack is stale, and eventOwner returns nil.
+func (s *Server) eventOwner(sh *shard, id uint64) *shard {
 	if idx, ok := s.router.eventShard(id); ok && s.shards[idx] != sh {
-		return s.shards[idx], true
+		return s.shards[idx]
 	}
-	return nil, false
+	return nil
 }
 
 func (s *Server) finishEvent(sh *shard, id uint64, pe *pendingEvent, timedOut bool) {

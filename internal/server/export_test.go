@@ -14,6 +14,14 @@ import (
 // coverage does not depend on the runner's core count.
 const HarnessShards = 4
 
+// withLock runs fn under sh's lock, as a read goroutine runs an event: what
+// fn sends is flushed before the lock is released.
+func (sh *shard) withLock(fn func()) {
+	sh.lock()
+	defer sh.unlock()
+	fn()
+}
+
 // ShardOf returns the index of the shard that currently owns ref.
 func (s *Server) ShardOf(ref couple.ObjectRef) int { return s.shardForRef(ref).idx }
 

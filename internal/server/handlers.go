@@ -15,8 +15,8 @@ import (
 )
 
 // handle dispatches one control-plane message from a registered client. It
-// runs on the global loop; dispatch routes Event, ExecAck and BatchAck
-// straight to the shard loops, so they never reach it.
+// runs on the global loop; dispatch runs Event, ExecAck and BatchAck under
+// their shard's lock on the read goroutine, so they never reach it.
 func (s *Server) handle(cl *client, env wire.Envelope) {
 	switch m := env.Msg.(type) {
 	case wire.Declare:
@@ -161,7 +161,7 @@ func (s *Server) handleCouple(cl *client, seq uint64, m wire.Couple) {
 	if !s.st.graph.Has(l) {
 		gTo, linksTo := s.st.graph.GroupLinks(l.To)
 		// Co-locate the two groups before the link merges them: every member
-		// of one coupling group serializes on one shard loop.
+		// of one coupling group serializes on one shard.
 		s.mergeShards(gFrom, gTo)
 		if err := s.st.graph.AddLink(l); err != nil {
 			s.reply(cl, seq, err)
@@ -397,19 +397,18 @@ func (s *Server) dropClient(cl *client, reason string) {
 	s.st.dropInstance(cl.id)
 	s.routes.dropInstance(cl.id)
 
-	// Resolve group-scoped state on every shard: events the instance
-	// originated are finished, and events awaiting its ack are acked by
-	// absence. Locks follow their event, so that releases every lock the
-	// instance held.
+	// Resolve group-scoped state on every shard, under each one's lock in
+	// turn: events the instance originated are finished, and events awaiting
+	// its ack are acked by absence. Locks follow their event, so that
+	// releases every lock the instance held.
 	for _, sh := range s.shards {
-		sh := sh
-		s.postShard(sh, func() {
-			for id, pe := range sh.pending {
-				if pe.source.Instance == cl.id || pe.dropWaiter(cl.id) {
-					s.finishEvent(sh, id, pe, false)
-				}
+		sh.lock()
+		for id, pe := range sh.pending {
+			if pe.source.Instance == cl.id || pe.dropWaiter(cl.id) {
+				s.finishEvent(sh, id, pe, false)
 			}
-		})
+		}
+		sh.unlock()
 	}
 	// Resolve pending state fetches involving the instance.
 	for id, f := range s.pendingFetch {

@@ -29,7 +29,7 @@ type MemberHealth struct {
 	// Acks counts ExecAcks received from the member; LastAcks counts the
 	// events where this member acked last — the member the group's unlock
 	// waited on. Timeouts counts events that hit their deadline while still
-	// waiting on this member. Pushbacks counts the shard loops' writes the
+	// waiting on this member. Pushbacks counts the shards' writes the
 	// member's socket did not take whole — a member falling behind shows
 	// here before OutboxLimit evicts it.
 	Acks      uint64 `json:"acks"`
@@ -49,7 +49,7 @@ type GroupHealth struct {
 	// Refs lists the group's member objects as "instance:path", in the
 	// graph's deterministic order.
 	Refs []string `json:"refs"`
-	// Shard is the index of the shard loop serializing this group's events.
+	// Shard is the index of the shard serializing this group's events.
 	Shard int `json:"shard"`
 	// LockHolder is the instance currently holding the group's floor lock
 	// ("" when unlocked).
@@ -69,20 +69,23 @@ type GroupHealth struct {
 	Members []MemberHealth `json:"members"`
 }
 
-// LoopHealth is one serialization loop's utilization numbers.
+// LoopHealth is the utilization of one serialization point: the global loop
+// or a shard's lock.
 type LoopHealth struct {
 	// Name is "global" or "shard.<i>".
 	Name string `json:"name"`
-	// BusyNS is the cumulative time the loop spent executing posted
-	// closures; Utilization is BusyNS over the server's uptime.
+	// BusyNS is the cumulative time the global loop spent executing posted
+	// closures, or a shard's lock was held; Utilization is BusyNS over the
+	// server's uptime.
 	BusyNS      uint64  `json:"busy_ns"`
 	Utilization float64 `json:"utilization"`
-	// QueueDepth is the inbox depth at the last dequeue; QueueHighWater the
-	// deepest backlog ever sampled.
+	// QueueDepth is the global loop's inbox depth at its last dequeue, or
+	// the number of goroutines waiting for a shard's lock; QueueHighWater the
+	// deepest backlog ever seen.
 	QueueDepth     int64 `json:"queue_depth"`
 	QueueHighWater int64 `json:"queue_high_water"`
-	// Events counts events processed by this shard loop (0 for "global":
-	// event work runs on, and is counted by, the shard loops).
+	// Events counts events processed by this shard (0 for "global": event
+	// work runs on, and is counted by, the shards).
 	Events uint64 `json:"events"`
 	// PendingEvents counts this shard's events still awaiting acks (always
 	// 0 for "global": pending state lives on shards).
@@ -97,7 +100,7 @@ type HealthReport struct {
 	// (it is unless the server runs under obs.Disabled); when false every
 	// member's stats read zero by construction.
 	MemberAttribution bool `json:"member_attribution"`
-	// Loops lists the global loop first, then each shard loop.
+	// Loops lists the global loop first, then each shard.
 	Loops []LoopHealth `json:"loops"`
 	// Groups lists every coupling group (two or more members).
 	Groups []GroupHealth `json:"groups"`
@@ -106,7 +109,7 @@ type HealthReport struct {
 // Health assembles the group health report. Callable from any goroutine: the
 // graph, lock tables, client map and metric handles are all individually
 // synchronized, and per-shard pending counts are gathered under each shard's
-// own serialization (the same non-blocking pattern as pendingCount).
+// lock in turn.
 func (s *Server) Health() HealthReport {
 	rep := HealthReport{
 		UptimeNS:          int64(time.Since(s.started)),
@@ -114,50 +117,23 @@ func (s *Server) Health() HealthReport {
 	}
 
 	// Per-shard pending snapshot: event counts and awaited instances keyed by
-	// source ref, taken on the owning loop so the maps are never read
-	// concurrently.
+	// source ref, taken under each shard's lock.
 	type srcPending struct {
 		events  int
 		waiting []couple.InstanceID
 	}
-	type pendingSnap struct {
-		idx     int
-		bySrc   map[couple.ObjectRef]srcPending
-		pending int
-	}
-	snaps := make(chan pendingSnap, len(s.shards))
-	posted := 0
-	for _, sh := range s.shards {
-		sh := sh
-		if s.postShard(sh, func() {
-			ps := pendingSnap{idx: sh.idx, bySrc: make(map[couple.ObjectRef]srcPending, len(sh.pending))}
-			for _, pe := range sh.pending {
-				sp := ps.bySrc[pe.source]
-				sp.events++
-				sp.waiting = append(sp.waiting, pe.awaited()...)
-				ps.bySrc[pe.source] = sp
-				ps.pending++
-			}
-			snaps <- ps
-		}) {
-			posted++
-		}
-	}
 	pendingBySrc := make(map[couple.ObjectRef]srcPending)
-	pendingByShard := make(map[int]int)
-	for i := 0; i < posted; i++ {
-		select {
-		case ps := <-snaps:
-			pendingByShard[ps.idx] = ps.pending
-			for src, sp := range ps.bySrc {
-				all := pendingBySrc[src]
-				all.events += sp.events
-				all.waiting = append(all.waiting, sp.waiting...)
-				pendingBySrc[src] = all
-			}
-		case <-s.quit:
-			i = posted // shutting down: report what we have
+	pendingByShard := make([]int, len(s.shards))
+	for _, sh := range s.shards {
+		sh.lock()
+		for _, pe := range sh.pending {
+			sp := pendingBySrc[pe.source]
+			sp.events++
+			sp.waiting = append(sp.waiting, pe.awaited()...)
+			pendingBySrc[pe.source] = sp
 		}
+		pendingByShard[sh.idx] = len(sh.pending)
+		sh.unlock()
 	}
 
 	uptime := float64(rep.UptimeNS)
@@ -196,7 +172,7 @@ func (s *Server) Health() HealthReport {
 			}
 			if g.LockHolder == "" {
 				// The lock table carries its own mutex, so holders can be
-				// read from here without entering the shard loop.
+				// read from here without taking the shard's lock.
 				if owner, held := sh.locks.HeldBy(ref); held {
 					g.LockHolder = string(owner.Instance)
 				}
@@ -242,34 +218,58 @@ func (s *Server) memberHealth(id couple.InstanceID) MemberHealth {
 	return mh
 }
 
-// CheckInvariants judges the floor lock on every shard loop, between two of
-// its requests: every lock entry must be owned by an event pending on the same
-// shard — a lock without a live pending event behind it would deny its group
-// forever. A shard parked behind a migration is judged once the migrated
-// events and locks are installed. A closed server is not judged. Every test
-// bed calls it at teardown.
+// CheckInvariants judges the shards under all their locks, taken in index
+// order (the migration's order, so the two cannot deadlock):
+//   - every lock entry is owned by an event pending on the same shard — a
+//     lock without a live pending event behind it would deny its group
+//     forever;
+//   - every router entry names an event pending on the shard it points to,
+//     or a late ack would chase an event that is gone;
+//   - no event on a shard's free list is pending anywhere, or the next event
+//     granted there would overwrite it;
+//   - no shard's plan cache is newer than the couple graph.
+//
+// Every test bed calls it at teardown.
 func (s *Server) CheckInvariants() error {
-	results := make(chan error, len(s.shards))
-	posted := 0
 	for _, sh := range s.shards {
-		if s.postShard(sh, func() { results <- sh.checkLocks() }) {
-			posted++
-		}
+		sh.lock()
 	}
+	defer func() {
+		for _, sh := range s.shards {
+			sh.unlock()
+		}
+	}()
 	var errs []error
-	for i := 0; i < posted; i++ {
-		select {
-		case err := <-results:
-			errs = append(errs, err)
-		case <-s.quit:
-			return nil
+	gen := s.st.graph.Generation()
+	pending := make(map[*pendingEvent]uint64) // event → its ID
+	for _, sh := range s.shards {
+		errs = append(errs, sh.checkLocks())
+		if sh.planGen > gen {
+			errs = append(errs, fmt.Errorf("shard %d: plans of graph generation %d, past the graph's %d", sh.idx, sh.planGen, gen))
+		}
+		for id, pe := range sh.pending {
+			pending[pe] = id
 		}
 	}
+	for _, sh := range s.shards {
+		for _, pe := range sh.free {
+			if id, ok := pending[pe]; ok {
+				errs = append(errs, fmt.Errorf("shard %d: event %d is on the free list and still pending", sh.idx, id))
+			}
+		}
+	}
+	s.router.mu.RLock()
+	for id, idx := range s.router.ev {
+		if _, ok := s.shards[idx].pending[id]; !ok {
+			errs = append(errs, fmt.Errorf("router sends acks of event %d to shard %d, where it is not pending", id, idx))
+		}
+	}
+	s.router.mu.RUnlock()
 	return errors.Join(errs...)
 }
 
 // checkLocks reports every lock entry on sh whose owner is not an event
-// pending on sh. It runs on sh's loop.
+// pending on sh. Its caller holds sh's lock.
 func (sh *shard) checkLocks() error {
 	var errs []error
 	sh.locks.Each(func(ref couple.ObjectRef, owner lock.Owner) {

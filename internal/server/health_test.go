@@ -95,7 +95,7 @@ func TestHealthStragglerAttribution(t *testing.T) {
 	}
 
 	// Loop accounting: the global loop (registration, coupling) and the
-	// shard loops (events, acks) must each have accumulated busy time.
+	// shard locks (events, acks) must each have accumulated busy time.
 	if len(rep.Loops) < 2 || rep.Loops[0].Name != "global" {
 		t.Fatalf("loops = %+v", rep.Loops)
 	}
@@ -115,7 +115,7 @@ func TestHealthStragglerAttribution(t *testing.T) {
 		t.Errorf("shard events = %d, want %d", shardEvents, events)
 	}
 	if shardBusy == 0 {
-		t.Error("shard loops busy_ns = 0 after traffic")
+		t.Error("shards busy_ns = 0 after traffic")
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 )
 
 // newBed returns the server every test in the suite runs — the product
-// configuration with durability on: N shard loops, batching, and an event log
+// configuration with durability on: N shards, batching, and an event log
 // of its own whose segments are small enough and whose snapshot cadence tight
 // enough that the scenarios run over a log that rotates, snapshots and
 // compacts underneath them — on a test bed whose teardown also judges live =

@@ -141,7 +141,7 @@ func nextUnlock(t *testing.T, p *testbed.Peer) {
 }
 
 // With the log's writes held after the shard's first lease, events of two
-// groups on one shard loop are granted, broadcast, acknowledged and unlocked
+// groups on one shard are granted, broadcast, acknowledged and unlocked
 // as if there were no log, and their records land once the write is let go.
 func TestHeldWriteDoesNotBlockShard(t *testing.T) {
 	r := newLogRig(t, Options{Shards: 1})
@@ -211,9 +211,9 @@ func TestFailedLeaseRefusesEvent(t *testing.T) {
 		t.Fatalf("%d Execs sent for the refused event", st.ExecsSent)
 	}
 	sh := r.srv.shards[0]
-	seq := make(chan [2]uint64, 1)
-	r.srv.postShard(sh, func() { seq <- [2]uint64{sh.seq, sh.ceiling} })
-	if got := <-seq; got != [2]uint64{0, 0} {
+	var got [2]uint64
+	sh.withLock(func() { got = [2]uint64{sh.seq, sh.ceiling} })
+	if got != [2]uint64{0, 0} {
 		t.Fatalf("shard sequence and ceiling %v after the refused lease, want [0 0]", got)
 	}
 	quiet(t, a2, "the member")

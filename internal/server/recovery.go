@@ -6,15 +6,15 @@
 // under the configured sync policy, before the ack that exposed it: the
 // global loop's records (register, declare, couple, copy, …) go through the
 // blocking Append, so each is in the log before its acknowledgement and
-// before any request that depends on it can reach a shard loop. And no event
+// before any request that depends on it can reach a shard. And no event
 // ID is issued twice: a shard grants IDs only below a ceiling it has leased
 // with a durable KindLease record (see logEvent), and a restart starts every
 // shard above the highest ceiling it replays.
 //
 // An event's own record is an audit entry written behind the event: the
-// shard loop queues it and broadcasts at once, so event records land among
-// other loops' records in whatever order the appends happen to take, and a
-// crash may lose the records of events already acked. Neither can matter:
+// shard's lock holder queues it and broadcasts at once, so event records land
+// among other goroutines' records in whatever order the appends happen to
+// take, and a crash may lose the records of events already acked. Neither can matter:
 // apply of an event record only raises the event-ID floor to the max, which
 // the lease before it already covers, so an event record commutes with
 // every record in the fold (TestEventRecordsCommute).
@@ -46,7 +46,7 @@ func (s *Server) commit(rec eventlog.Record) error {
 
 // logRecord appends one control-plane record to the durable event log,
 // blocking until it reaches the configured durability. It runs on the
-// global loop, never on a shard loop. A failed append is counted
+// global loop, never under a shard lock. A failed append is counted
 // (server.log.append_errors), logged and dropped: the server keeps serving
 // (durability degrades, live consistency does not). No-op when durability is
 // off.

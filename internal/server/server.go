@@ -8,9 +8,9 @@
 // Global state (registry, couple graph, sessions, histories, client map) is
 // mutated by one goroutine fed through a request channel. What an event
 // touches (locks, pending events, event IDs) is partitioned across per-group
-// shard loops (see shard.go), so event ordering within a coupling group is
-// the arrival order at its shard loop — the serialization guarantee the
-// floor-control design relies on.
+// shards, each behind its own lock (see shard.go), so event ordering within a
+// coupling group is the order its events take their shard's lock — the
+// serialization guarantee the floor-control design relies on.
 package server
 
 import (
@@ -50,11 +50,11 @@ type Options struct {
 	// OrderedLocking selects the deterministic-order group-locking variant
 	// instead of the paper's sequential algorithm (ablation switch).
 	OrderedLocking bool
-	// Shards is the number of per-group state loops. What an event touches —
-	// the lock table and the pending-event wait sets — is partitioned across
-	// them by coupling group, so disjoint groups serialize on different cores
-	// (see shard.go). 0 selects runtime.GOMAXPROCS(0); 1 is the same topology
-	// with a single shard loop.
+	// Shards is the number of per-group state shards. What an event touches
+	// — the lock table and the pending-event wait sets — is partitioned
+	// across them by coupling group, each behind its own lock, so disjoint
+	// groups run on different cores (see shard.go). 0 selects
+	// runtime.GOMAXPROCS(0); 1 is the same topology with a single shard.
 	Shards int
 	// Heartbeat is the liveness probe interval: the server pings every
 	// connection this often and declares an instance dead after three
@@ -131,7 +131,7 @@ type Server struct {
 	st *state
 
 	// shards own what an event touches (lock tables, pending events, event
-	// IDs), each behind its own loop; routes places refs on them and router
+	// IDs), each behind its own lock; routes places refs on them and router
 	// chases events that migrated.
 	shards []*shard
 	routes *routes
@@ -143,9 +143,9 @@ type Server struct {
 
 	// elog is the durable event log (nil when durability is off). The global
 	// loop's appends block until the record reaches the configured
-	// durability, so an acked transition is replayable. A shard loop blocks
-	// on it only to lease event IDs; an event's own record is queued behind
-	// the event and never waited for (see logEvent).
+	// durability, so an acked transition is replayable. A shard's lock
+	// holder blocks on it only to lease event IDs; an event's own record is
+	// queued behind the event and never waited for (see logEvent).
 	elog *eventlog.Log
 	// snap folds the log into an offline replica and writes periodic state
 	// snapshots + compacts old segments (nil when durability is off).
@@ -155,8 +155,9 @@ type Server struct {
 	quit chan struct{}
 	wg   sync.WaitGroup
 
-	// clients is written only on the global loop but read from shard loops
-	// and connection read goroutines, so it sits behind a read-mostly lock.
+	// clients is written only on the global loop but read by shard-lock
+	// holders and connection read goroutines, so it sits behind a
+	// read-mostly lock.
 	cmu     sync.RWMutex
 	clients map[couple.InstanceID]*client
 
@@ -221,7 +222,7 @@ const (
 	memberAcks      = iota // ExecAcks received from the member
 	memberLastAcks         // times the member was the last acker (critical path)
 	memberTimeouts         // events that expired while waiting on the member
-	memberPushbacks        // shard-loop attempts the member's socket did not take whole
+	memberPushbacks        // shard attempts the member's socket did not take whole
 )
 
 // Stats is a snapshot of server counters. It stays a comparable struct
@@ -349,10 +350,6 @@ func New(opts Options) *Server {
 	}
 	s.wg.Add(1)
 	go s.loop()
-	for _, sh := range s.shards {
-		s.wg.Add(1)
-		go s.shardLoop(sh)
-	}
 	if period := s.sweepPeriod(); period > 0 {
 		s.wg.Add(1)
 		go s.sweeper(period)
@@ -452,7 +449,6 @@ func newServer(opts Options, st *state) *Server {
 	for i := 0; i < opts.Shards; i++ {
 		sh := &shard{
 			idx:     i,
-			reqs:    make(chan shardReq, 1024),
 			seq:     base,
 			locks:   lock.NewTable(),
 			pending: make(map[uint64]*pendingEvent),
@@ -578,19 +574,6 @@ func (s *Server) Close() {
 		close(s.quit)
 	})
 	s.wg.Wait()
-	// Every loop has exited (wg.Wait is the happens-before edge). Requests
-	// parked behind a migration the loop never installed, or posted as it
-	// exited, never run: give back the relay bodies they carry.
-	for _, sh := range s.shards {
-		for i := range sh.held {
-			sh.held[i].drop()
-		}
-		sh.held = nil
-		for len(sh.reqs) > 0 {
-			req := <-sh.reqs
-			req.drop()
-		}
-	}
 }
 
 // Stats returns a consistent snapshot of the server counters.
@@ -632,26 +615,14 @@ func (s *Server) Stats() Stats {
 	return <-result
 }
 
-// pendingCount sums still-pending events across shards. It runs on the
-// global loop; each shard reports its count under its own serialization
-// (shards never wait on the global loop, so the gather cannot deadlock).
+// pendingCount sums still-pending events across shards, under each shard's
+// lock in turn.
 func (s *Server) pendingCount() int {
-	counts := make(chan int, len(s.shards))
-	posted := 0
-	for _, sh := range s.shards {
-		sh := sh
-		if s.postShard(sh, func() { counts <- len(sh.pending) }) {
-			posted++
-		}
-	}
 	total := 0
-	for i := 0; i < posted; i++ {
-		select {
-		case c := <-counts:
-			total += c
-		case <-s.quit:
-			return total
-		}
+	for _, sh := range s.shards {
+		sh.lock()
+		total += len(sh.pending)
+		sh.unlock()
 	}
 	return total
 }
@@ -784,7 +755,7 @@ func (s *Server) admitResume(cl *client, env wire.Envelope, m wire.Resume) strin
 // admit installs a freshly identified client and acknowledges the
 // handshake. It runs on the state loop.
 func (s *Server) admit(cl *client, env wire.Envelope) {
-	// Resolve the member's health entry once; shard loops then attribute
+	// Resolve the member's health entry once; shard-lock holders then attribute
 	// acks through the cached pointer without touching the family lock.
 	cl.health = s.mMember.Get(string(cl.id))
 	s.cmu.Lock()
@@ -809,8 +780,8 @@ func (s *Server) outboxRecorder(cl *client) func(wire.Envelope) {
 // recordFlight logs one envelope against cl's connection. cl.name is read
 // without synchronization: it is renamed once, in admit, and the
 // connection's read goroutine waits for admit to finish before it reads its
-// next frame — so every later recorder (that goroutine for ack frames, the
-// loops for everything else) sees the final name.
+// next frame — so every later recorder (that goroutine for its own events
+// and acks, the loops for everything else) sees the final name.
 func (s *Server) recordFlight(cl *client, dir string, env wire.Envelope) {
 	if s.flight == nil {
 		return
@@ -863,9 +834,9 @@ func flightNote(m wire.Message) string {
 	}
 }
 
-// outbox decouples the loops from connection back-pressure. A shard loop
-// queues what one request sends and then flushes the outbox itself, with one
-// attempt (see attempt): a non-blocking write that never stalls the loop.
+// outbox decouples the server from connection back-pressure. A shard-lock
+// holder queues what it sends and then flushes the outbox itself, with one
+// attempt (see attempt): a non-blocking write that never stalls the shard.
 // Everything else — what the global loop, the read goroutines and the
 // sweeper send, and whatever an attempt could not hand the kernel — a writer
 // goroutine drains, and it is the only code that ever blocks on the socket.
@@ -886,11 +857,11 @@ type outbox struct {
 	queue  []wire.Outgoing
 	spare  []wire.Outgoing
 	closed bool
-	// flushing is set while a flush — the writer's, or a shard loop's
-	// attempt — has the Conn; the other side leaves the Conn alone until it
-	// clears. tail is set when an attempt left bytes the kernel did not take:
-	// the writer writes them before anything else, and no loop attempts
-	// until it has.
+	// flushing is set while a flush — the writer's, or a shard-lock
+	// holder's attempt — has the Conn; the other side leaves the Conn alone
+	// until it clears. tail is set when an attempt left bytes the kernel did
+	// not take: the writer writes them before anything else, and nobody
+	// attempts until it has.
 	flushing bool
 	tail     bool
 	done     chan struct{}
@@ -922,7 +893,7 @@ func newOutbox(c *wire.Conn, depth *obs.Gauge, limit, batchLimit int, batchSize 
 // writer drains the outbox with blocking writes: the tail an attempt left
 // first (the Conn writes it ahead of the next frame), then everything queued
 // since, until the outbox closes with nothing left to write. It never takes
-// the Conn while a loop's attempt has it.
+// the Conn while an attempt has it.
 func (o *outbox) writer() {
 	defer close(o.done)
 	c := o.conn
@@ -993,12 +964,11 @@ func (o *outbox) settle(take []wire.Outgoing, err error) bool {
 	return true
 }
 
-// attempt is a shard loop's flush of what it queued while running one
-// request: when no flush has the Conn and no tail is pending, the loop
-// writes the backlog itself, as attempts (wire.Conn.BeginAttempt) — the same
-// packing and frames as the writer's flush, in at most one non-blocking
-// write per frame run — and wakes the writer only for a tail the kernel did
-// not take. Otherwise, or over a Conn that cannot attempt, it wakes the
+// attempt is a shard-lock holder's flush of what it queued: when no flush
+// has the Conn and no tail is pending, the holder writes the backlog itself,
+// as attempts (wire.Conn.BeginAttempt) — the same packing and frames as the
+// writer's flush, in at most one non-blocking write per frame run — and
+// wakes the writer only for a tail the kernel did not take. Otherwise, or over a Conn that cannot attempt, it wakes the
 // writer as a send from anywhere else does. It reports whether the socket
 // pushed back: the attempt left a tail.
 func (o *outbox) attempt() bool {
@@ -1103,8 +1073,8 @@ func dropOutgoing(recs []wire.Outgoing) {
 	}
 }
 
-// send queues env and wakes the writer: the path of every send but a shard
-// loop's (see shard.send).
+// send queues env and wakes the writer: the path of every send but a
+// shard-lock holder's (see shard.send).
 func (o *outbox) send(env wire.Envelope) {
 	o.enqueue(wire.Outgoing{Env: env}, true)
 }
@@ -1186,8 +1156,8 @@ func (s *Server) outboxGrace() time.Duration {
 	return time.Second
 }
 
-// sweeper is the server's one clock for deadlines. Every period it posts an
-// expiry pass to every shard loop when event deadlines are on, and a
+// sweeper is the server's one clock for deadlines. Every period it runs the
+// expiry pass over every shard when event deadlines are on, and posts a
 // liveness/backpressure sweep to the state loop, until the server closes.
 func (s *Server) sweeper(period time.Duration) {
 	defer s.wg.Done()
@@ -1197,9 +1167,7 @@ func (s *Server) sweeper(period time.Duration) {
 		select {
 		case <-t.C:
 			if s.opts.EventDeadline > 0 {
-				for _, sh := range s.shards {
-					s.postShard(sh, func() { s.expireEvents(sh) })
-				}
+				s.expireEvents()
 			}
 			if !s.post(func() { s.sweep() }) {
 				return

@@ -97,8 +97,8 @@ func TestDeniedAndUncoupledEventsReleaseRelay(t *testing.T) {
 }
 
 // An event that reaches a shard its group has left — a read goroutine routed
-// it before a migration flipped the route — is forwarded to the owner with
-// its relay body, broadcast from there, and released as usual.
+// it before a migration flipped the route — follows the route to the owner
+// with its relay body, is broadcast from there, and released as usual.
 func TestForwardedEventReleasesRelay(t *testing.T) {
 	srv, a, b, _ := relayRig(t, Options{Shards: 2})
 	source := ref(a, "/a")
@@ -109,9 +109,7 @@ func TestForwardedEventReleasesRelay(t *testing.T) {
 	}
 	body := wire.NewSharedExec(0, widget.EventChanged, []attr.Value{attr.String("forwarded")}, source)
 	ev := eventReq{cl: cl, seq: 77, m: wire.Event{Path: "/a", Name: widget.EventChanged}, body: body}
-	if !srv.postShardReq(srv.shards[1-own.idx], shardReq{event: ev}) {
-		t.Fatal("server closed")
-	}
+	srv.runEvent(srv.shards[1-own.idx], ev)
 	exec := testbed.Next[wire.Exec](b)
 	if len(exec.Args) != 1 || !exec.Args[0].Equal(attr.String("forwarded")) {
 		t.Fatalf("the member received %v", exec.Args)
@@ -121,22 +119,6 @@ func TestForwardedEventReleasesRelay(t *testing.T) {
 	}
 	b.Send(wire.ExecAck{EventID: exec.EventID})
 	nextUnlock(t, b)
-	waitNoLiveBodies(t)
-}
-
-// Events still queued on a shard when the server closes — parked behind a
-// migration whose bundle never arrives — never run, and Close gives their
-// relay bodies back.
-func TestCloseReleasesQueuedEvents(t *testing.T) {
-	srv, a, _, _ := relayRig(t, Options{Shards: 1})
-	sh := srv.shards[0]
-	if !srv.postShard(sh, func() { sh.awaiting = make(chan migrated) }) {
-		t.Fatal("server closed")
-	}
-	dispatch(a, "/a", "parked")
-	dispatch(a, "/a", "parked too")
-	testbed.Wait(t, "two events parked", func() bool { return wire.LiveSharedBodies() == 2 })
-	srv.Close()
 	waitNoLiveBodies(t)
 }
 

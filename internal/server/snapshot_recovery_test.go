@@ -12,7 +12,7 @@ package server
 //     requiring the replayed digest to ALWAYS equal the full-script shadow
 //     (snapshots sit beside the log; crashing one may only lose the
 //     shortcut, never an acked record);
-//   - a restart-equivalence check, at one and four shard loops, that a
+//   - a restart-equivalence check, at one and four shards, that a
 //     post-snapshot restart replays zero log records yet lands on the same
 //     digest as a live server driven with the whole script;
 //   - a restart under another shard count, from a snapshot and from the log
@@ -135,7 +135,7 @@ func genRecords(rng *rand.Rand) []eventlog.Record {
 // the snapshot codec, and replaying the tail yields exactly the state of a
 // full replay from zero — same digest, same canonical encoding bytes. The
 // prefix goes through the codec both as the version-3 payload encode writes
-// and as the version-2 payload a server of one or three shard loops wrote,
+// and as the version-2 payload a server of one or three shards wrote,
 // which deployed directories still hold.
 func TestSnapshotCutEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 3} {
@@ -182,7 +182,7 @@ func TestSnapshotCutEquivalence(t *testing.T) {
 	}
 }
 
-// encodeV2 writes st as the version-2 payload a server of n shard loops
+// encodeV2 writes st as the version-2 payload a server of n shards
 // wrote: the shard count, each shard's sequence — shard i allocated the IDs
 // i+1, i+1+n, …, so it stands at the count of those up to the floor — and a
 // route override per link, around the sections version 3 kept.
@@ -287,7 +287,7 @@ func TestSnapshotCrashPointRecovery(t *testing.T) {
 }
 
 // TestSnapshotRestartEquivalence restarts a snapshotted server, at one and
-// four shard loops, and requires the replay to start from the snapshot —
+// four shards, and requires the replay to start from the snapshot —
 // zero log records read — while landing on exactly the digest of a live
 // server driven with the whole script.
 func TestSnapshotRestartEquivalence(t *testing.T) {
@@ -395,7 +395,7 @@ func TestSnapshotV1PayloadRefused(t *testing.T) {
 }
 
 // TestRestartUnderAnotherShardCount restarts a directory a three-shard server
-// wrote under one and under four shard loops, once from a snapshot and once
+// wrote under one and under four shards, once from a snapshot and once
 // from the log alone. Placement and the event-ID floor are derived at
 // start-up, so every group comes back on one shard, the first event gets an
 // ID above every logged one, an undone copy can still be redone, and the

@@ -42,7 +42,7 @@ func (c *stallConn) Close() error {
 	return c.Conn.Close()
 }
 
-// stallBed is one shard loop serving two coupling groups over loopback TCP:
+// stallBed is one shard serving two coupling groups over loopback TCP:
 // group A, an origin and a member whose client stops reading on stall(), and
 // group B, an origin and a member that keep working.
 type stallBed struct {
@@ -149,8 +149,8 @@ func (sb *stallBed) promptB(t *testing.T, value string) {
 }
 
 // TestStalledMemberCannotDelayItsShard: a member that stops reading fills its
-// socket with its group's events. The shard loop's write to it must not wait
-// for the socket — group B, served by the same loop, keeps resolving its
+// socket with its group's events. The shard's write to it must not wait
+// for the socket — group B, served by the same shard, keeps resolving its
 // events promptly — and the push-back shows against the member. Group A's
 // backlog then builds behind the member's writer until OutboxLimit and its
 // grace evict the member, and every shared body it held is given back.
@@ -194,7 +194,7 @@ func TestStalledMemberCannotDelayItsShard(t *testing.T) {
 }
 
 // TestCloseReturnsWhileAMemberPushesBack: Server.Close returns while the
-// stalled member's writer is blocked on its tail and the shard loop is still
+// stalled member's writer is blocked on its tail and the shard is still
 // attempting writes; the member's connection closing is what fails the
 // blocked write.
 func TestCloseReturnsWhileAMemberPushesBack(t *testing.T) {

@@ -89,18 +89,14 @@ func (st *state) digestWith(floor uint64) string {
 	return b.String()
 }
 
-// liveDigest is digest for a running server, read on the loops that own each
-// part. Its floor is the one the log restored, raised to the ceiling of every
+// liveDigest is digest for a running server, each part read under the lock
+// or on the loop that owns it. Its floor is the one the log restored, raised to the ceiling of every
 // lease a shard took since, as the fold raises it: every ID a shard grants
 // lies below its ceiling. It returns "" once the server is closed.
 func liveDigest(s *Server) string {
 	floor := s.st.floor
 	for _, sh := range s.shards {
-		ceiling := make(chan uint64, 1)
-		if !s.postShard(sh, func() { ceiling <- sh.ceiling }) {
-			return ""
-		}
-		floor = max(floor, <-ceiling)
+		sh.withLock(func() { floor = max(floor, sh.ceiling) })
 	}
 	out := make(chan string, 1)
 	if !s.post(func() { out <- s.st.digestWith(floor) }) {
