@@ -1,6 +1,6 @@
 # Development targets. `make verify` is the PR gate: vet plus race-checked
 # tests over the packages whose correctness rests on the server's
-# serialization invariants (the global loop and the shard locks).
+# serialization invariants (the global lock and the shard locks).
 
 GO ?= go
 
@@ -23,13 +23,13 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # Race-check the coupling core: the server (read goroutines run events and
-# acks under their shard's lock, and the global loop's migration takes two
-# shard locks against them), the lock table, the client runtime, the wire
-# Conn (RPC callers, Pongs and acks write one Conn side by side, under the
-# lock that also keeps its write error and its unsent tail; on the server a
-# shard-lock holder's attempts and the outbox writer's blocking writes hand
-# one Conn back and forth) and the test bed every suite runs on are the
-# packages with real goroutine interleavings.
+# acks under their shard's lock and control-plane messages under the global
+# lock, whose holder's migration takes two shard locks against them), the
+# lock table, the client runtime, the wire Conn (RPC callers, Pongs and acks
+# write one Conn side by side, under the lock that also keeps its write error
+# and its unsent tail; on the server a lock holder's attempts and the outbox
+# writer's blocking writes hand one Conn back and forth) and the test bed
+# every suite runs on are the packages with real goroutine interleavings.
 race:
 	$(GO) test -race ./internal/server/... ./internal/lock/... ./internal/client/... ./internal/wire/... ./internal/testbed/...
 

@@ -187,8 +187,8 @@ func main() {
 	}
 	lis.Close()
 	srv.Close()
-	// The state loop is gone after Close (Stats() reports zeros), but the
-	// registry's atomics remain readable.
+	// Stats() reports zeros once the server is closed, but the registry's
+	// atomics remain readable.
 	snap := metrics.Snapshot()
 	fmt.Printf("cosoftd: served %d events (%d lock denials), %d copies\n",
 		snap.Counters["server.events"], snap.Counters["lock.group_failures"],

@@ -43,7 +43,8 @@ type CommandHandler func(from couple.InstanceID, payload []byte)
 type Semantics struct {
 	// Store packs the semantic data of the object for transfer.
 	Store func() ([]byte, error)
-	// Load unpacks transferred semantic data into the application.
+	// Load unpacks transferred semantic data into the application. It runs
+	// once the UI state the data rode with has landed.
 	Load func([]byte) error
 }
 

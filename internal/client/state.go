@@ -53,26 +53,32 @@ func (c *Client) attachSemantics(ts *widget.TreeState, path string) {
 	}
 }
 
-// stripSemantics removes and applies semantic payloads from an incoming
-// state.
-func (c *Client) stripSemantics(ts *widget.TreeState, path string) {
+// stripSemantics removes the semantic payloads from an incoming state and
+// appends each to loads as its path and payload.
+func (c *Client) stripSemantics(ts *widget.TreeState, path string, loads [][2]string) [][2]string {
 	if v := ts.Attrs.Get(semanticAttr); v.IsValid() {
 		ts.Attrs.Delete(semanticAttr)
-		c.mu.Lock()
-		s, ok := c.sem[path]
-		c.mu.Unlock()
-		if ok && s.Load != nil {
-			var err error
-			if !c.guard("semantic load ", path, 0, func() { err = s.Load([]byte(v.AsString())) }) {
-				err = errors.New("load hook panicked")
-			}
-			if err != nil {
-				c.slog.Warn("semantic load failed", "path", path, "error", err.Error())
-			}
-		}
+		loads = append(loads, [2]string{path, v.AsString()})
 	}
 	for i := range ts.Children {
-		c.stripSemantics(&ts.Children[i], widget.JoinPath(path, ts.Children[i].Name))
+		loads = c.stripSemantics(&ts.Children[i], widget.JoinPath(path, ts.Children[i].Name), loads)
+	}
+	return loads
+}
+
+// loadSemantic hands one stripped payload to path's Load hook, if any.
+func (c *Client) loadSemantic(path, payload string) {
+	c.mu.Lock()
+	s, ok := c.sem[path]
+	c.mu.Unlock()
+	if ok && s.Load != nil {
+		var err error
+		if !c.guard("semantic load ", path, 0, func() { err = s.Load([]byte(payload)) }) {
+			err = errors.New("load hook panicked")
+		}
+		if err != nil {
+			c.slog.Warn("semantic load failed", "path", path, "error", err.Error())
+		}
 	}
 }
 
@@ -91,30 +97,19 @@ func (c *Client) handleStateRequest(m wire.StateRequest) {
 	}
 }
 
-// handleApplyState lands an incoming UI state on a local object: primitive
-// states replace attributes; complex states merge destructively or flexibly
-// (§3.3).
+// handleApplyState lands an incoming UI state on a local object (see
+// landState) and then hands its semantic payloads to their Load hooks.
 func (c *Client) handleApplyState(m wire.ApplyState) {
 	state := m.State
-	c.stripSemantics(&state, m.Path)
-	w, err := c.reg.Lookup(m.Path)
+	loads := c.stripSemantics(&state, m.Path, nil)
+	err := c.landState(m.Path, state, m.Destructive)
+	// A Load hook, and whoever watches it, finds the widgets already updated.
+	for _, l := range loads {
+		c.loadSemantic(l[0], l[1])
+	}
 	if err != nil {
 		c.slog.Warn("apply state failed", "path", m.Path, "error", err.Error())
 		return
-	}
-	switch {
-	case len(state.Children) == 0 && len(w.Children()) == 0:
-		w.ApplyState(state.Attrs)
-	case m.Destructive:
-		if _, _, err := compat.DestructiveMerge(c.reg, m.Path, state); err != nil {
-			c.slog.Warn("destructive merge failed", "path", m.Path, "error", err.Error())
-			return
-		}
-	default:
-		if _, _, err := compat.FlexibleMatch(c.reg, m.Path, state); err != nil {
-			c.slog.Warn("flexible match failed", "path", m.Path, "error", err.Error())
-			return
-		}
 	}
 	c.markOrigin(m.Path, m.Origin)
 	if c.opts.OnStateApplied != nil {
@@ -122,6 +117,23 @@ func (c *Client) handleApplyState(m wire.ApplyState) {
 			c.opts.OnStateApplied(m.Path, m.Origin)
 		})
 	}
+}
+
+// landState applies state to the local object at path: primitive states
+// replace attributes; complex states merge destructively or flexibly (§3.3).
+func (c *Client) landState(path string, state widget.TreeState, destructive bool) error {
+	w, err := c.reg.Lookup(path)
+	switch {
+	case err != nil:
+		return err
+	case len(state.Children) == 0 && len(w.Children()) == 0:
+		w.ApplyState(state.Attrs)
+	case destructive:
+		_, _, err = compat.DestructiveMerge(c.reg, path, state)
+	default:
+		_, _, err = compat.FlexibleMatch(c.reg, path, state)
+	}
+	return err
 }
 
 // Declare announces one local widget as couplable.

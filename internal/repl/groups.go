@@ -13,7 +13,7 @@ import (
 // cmdGroups fetches the server's group health report and renders it: one
 // block per coupling group with topology, lock holder, pending events, the
 // attributed straggler, and per-member ack-latency stats (slowest member
-// first), preceded by the serialization loops' utilization.
+// first), preceded by the utilization of the serialization locks.
 func (r *REPL) cmdGroups(args []string, raw string) error {
 	if r.metricsBase == "" {
 		return fmt.Errorf("no metrics endpoint configured (start with -metrics-url)")

@@ -12,11 +12,25 @@ import (
 	"cosoft/internal/wire"
 )
 
+// send queues env and wakes the writer instead of attempting: the outbox
+// tests drive the writer path with it.
+func (o *outbox) send(env wire.Envelope) {
+	o.enqueue(wire.Outgoing{Env: env})
+	o.wake()
+}
+
 // sendShared queues one member's frame of an encode-once broadcast and wakes
-// the writer, as a send from outside a shard lock would: the outbox tests
-// drive the writer path with it. The outbox takes its own reference to se.
+// the writer, as send does. The outbox takes its own reference to se.
 func (o *outbox) sendShared(env wire.Envelope, target string, se *wire.SharedExec) {
-	o.enqueue(wire.Outgoing{Env: env, Shared: se, Target: target}, true)
+	o.enqueue(wire.Outgoing{Env: env, Shared: se, Target: target})
+	o.wake()
+}
+
+// wake signals the writer, as an attempt that cannot write does.
+func (o *outbox) wake() {
+	o.mu.Lock()
+	o.cond.Signal()
+	o.mu.Unlock()
 }
 
 // gateConn is a transport whose attempts wait, once they have started, for
@@ -54,7 +68,7 @@ func TestOutboxCloseWaitsOutALoopAttempt(t *testing.T) {
 		defer o.mu.Unlock()
 		return !o.flushing && len(o.queue) == 0
 	})
-	o.enqueue(wire.Outgoing{Env: wire.Envelope{Msg: wire.Ping{Nonce: 2}}}, false)
+	o.enqueue(wire.Outgoing{Env: wire.Envelope{Msg: wire.Ping{Nonce: 2}}})
 	attempted := make(chan bool)
 	go func() { attempted <- o.attempt() }()
 	<-g.entered
@@ -127,7 +141,7 @@ func TestOutboxTailWriteFailureReleasesSharedBodies(t *testing.T) {
 		defer o.mu.Unlock()
 		return !o.flushing && len(o.queue) == 0
 	})
-	o.enqueue(wire.Outgoing{Env: wire.Envelope{Msg: wire.Ping{Nonce: 2}}}, false)
+	o.enqueue(wire.Outgoing{Env: wire.Envelope{Msg: wire.Ping{Nonce: 2}}})
 	pushed := make(chan bool)
 	go func() { pushed <- o.attempt() }()
 	// While the attempt has the Conn the writer waits, so the shared record

@@ -111,7 +111,7 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 		// Uncoupled object: nothing to synchronize; the local feedback
 		// stands.
 		ev.body.Release()
-		sh.send(cl, wire.Envelope{
+		sh.out.send(cl, wire.Envelope{
 			RefSeq: seq,
 			Trace:  s.tr.Point(actx, "server.event_result", "server", "ok uncoupled"),
 			Msg:    eventAccepted,
@@ -132,7 +132,7 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 		ev.body.Release()
 		s.slog.Debug("event denied: group locked",
 			"inst", string(cl.id), "path", m.Path, "event", m.Name, "trace", tc.Trace)
-		sh.send(cl, wire.Envelope{
+		sh.out.send(cl, wire.Envelope{
 			RefSeq: seq,
 			Trace:  s.tr.Point(actx, "server.event_result", "server", "denied: group locked"),
 			Msg:    eventDenied,
@@ -154,7 +154,7 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 		s.mLogAppendErrs.Inc()
 		s.slog.Warn("event refused: log append failed",
 			"event_id", eventID, "inst", string(cl.id), "path", m.Path, "err", err, "trace", tc.Trace)
-		sh.send(cl, wire.Envelope{
+		sh.out.send(cl, wire.Envelope{
 			RefSeq: seq,
 			Trace:  s.tr.Point(actx, "server.event_result", "server", "refused: log append failed"),
 			Msg:    eventUnlogged,
@@ -170,7 +170,7 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 	}
 	sh.pending[eventID] = pe
 	s.broadcast(sh, pe, ev.body)
-	sh.send(cl, wire.Envelope{
+	sh.out.send(cl, wire.Envelope{
 		RefSeq: seq,
 		Trace:  s.tr.Point(actx, "server.event_result", "server", "ok"),
 		Msg:    eventAccepted,
@@ -231,7 +231,7 @@ func (s *Server) broadcast(sh *shard, pe *pendingEvent, se *wire.SharedExec) {
 			if actx.Valid() {
 				execTC = s.tr.Point(actx, "server.exec_send", "server", string(pi.id)+" "+path)
 			}
-			sh.sendShared(target, wire.Envelope{Trace: execTC}, path, se)
+			sh.out.sendShared(target, wire.Envelope{Trace: execTC}, path, se)
 		}
 		pe.waiting[i] = len(pi.paths)
 		pe.left++

@@ -22,6 +22,17 @@ func (sh *shard) withLock(fn func()) {
 	fn()
 }
 
+// withGlobal runs fn under gmu, as a read goroutine runs a control-plane
+// message: what fn sends is flushed before the lock is released. Once the
+// server is closing it runs nothing.
+func (s *Server) withGlobal(fn func()) {
+	s.gmu.lock()
+	defer s.gmu.unlock()
+	if !s.closing {
+		fn()
+	}
+}
+
 // ShardOf returns the index of the shard that currently owns ref.
 func (s *Server) ShardOf(ref couple.ObjectRef) int { return s.shardForRef(ref).idx }
 
@@ -45,8 +56,8 @@ func (s *Server) GroupLinks(ref couple.ObjectRef) ([]couple.ObjectRef, []couple.
 }
 
 // FoldDivergence checks the invariant live = fold(log): it restores a fresh
-// state from the server's log directory, reads the live state on the loops
-// that own it, and describes how the two differ — "" when they do not, when
+// state from the server's log directory, reads the live state under the
+// locks that own it, and describes how the two differ — "" when they do not, when
 // the server has no log, or once it is closed.
 func (s *Server) FoldDivergence() string {
 	if s.elog == nil {

@@ -14,9 +14,9 @@ import (
 	"cosoft/internal/wire"
 )
 
-// handle dispatches one control-plane message from a registered client. It
-// runs on the global loop; dispatch runs Event, ExecAck and BatchAck under
-// their shard's lock on the read goroutine, so they never reach it.
+// handle dispatches one control-plane message from a registered client. Its
+// caller holds gmu; dispatch runs Event, ExecAck and BatchAck under their
+// shard's lock and drops Pong, so they never reach it.
 func (s *Server) handle(cl *client, env wire.Envelope) {
 	switch m := env.Msg.(type) {
 	case wire.Declare:
@@ -57,9 +57,7 @@ func (s *Server) handle(cl *client, env wire.Envelope) {
 		s.reply(cl, env.Seq, s.commit(s.record(eventlog.KindPerm, cl, m)))
 	case wire.Ping:
 		// Client-initiated probe: answer so it can measure liveness too.
-		cl.out.send(wire.Envelope{RefSeq: env.Seq, Msg: wire.Pong{Nonce: m.Nonce}})
-	case wire.Pong:
-		// Liveness reply; lastSeen was already refreshed on arrival.
+		s.gmu.out.send(cl, wire.Envelope{RefSeq: env.Seq, Msg: wire.Pong{Nonce: m.Nonce}})
 	case wire.SessionToken:
 		s.handleSessionToken(cl, env.Seq)
 	default:
@@ -82,10 +80,10 @@ func (s *Server) groupRecord(kind eventlog.Kind, cl *client, ref couple.ObjectRe
 // reply sends OK or Err correlated to the request.
 func (s *Server) reply(cl *client, seq uint64, err error) {
 	if err != nil {
-		cl.out.send(wire.Envelope{RefSeq: seq, Msg: wire.Err{Text: err.Error()}})
+		s.gmu.out.send(cl, wire.Envelope{RefSeq: seq, Msg: wire.Err{Text: err.Error()}})
 		return
 	}
-	cl.out.send(wire.Envelope{RefSeq: seq, Msg: wire.OK{}})
+	s.gmu.out.send(cl, wire.Envelope{RefSeq: seq, Msg: wire.OK{}})
 }
 
 // stateID renders the permission identifier of an object.
@@ -252,7 +250,7 @@ func (s *Server) notifyLinks(instances []couple.InstanceID, links []couple.Link,
 			msg = wire.LinkAdded{Link: l}
 		}
 		for _, c := range clients {
-			c.out.send(wire.Envelope{Msg: msg})
+			s.gmu.out.send(c, wire.Envelope{Msg: msg})
 		}
 	}
 	s.mLinkNotices.Add(uint64(len(clients) * len(links)))
@@ -303,7 +301,7 @@ func (s *Server) handleCommand(cl *client, seq uint64, m wire.Command) {
 	deliver := wire.CommandDeliver{Name: m.Name, From: cl.id, Payload: m.Payload}
 	for _, id := range targets {
 		if c, ok := s.clientOf(id); ok {
-			c.out.send(wire.Envelope{Msg: deliver})
+			s.gmu.out.send(c, wire.Envelope{Msg: deliver})
 		}
 	}
 	s.reply(cl, seq, nil)
@@ -325,7 +323,7 @@ func (s *Server) handleListInstances(cl *client, seq uint64) {
 		})
 		list.Instances = append(list.Instances, info)
 	}
-	cl.out.send(wire.Envelope{RefSeq: seq, Msg: list})
+	s.gmu.out.send(cl, wire.Envelope{RefSeq: seq, Msg: list})
 }
 
 // handleSessionToken mints a resumable session token bound to cl's
@@ -344,7 +342,7 @@ func (s *Server) handleSessionToken(cl *client, seq uint64) {
 		s.reply(cl, seq, err)
 		return
 	}
-	cl.out.send(wire.Envelope{RefSeq: seq, Msg: msg})
+	s.gmu.out.send(cl, wire.Envelope{RefSeq: seq, Msg: msg})
 }
 
 // dropClient removes a disconnected or deregistering instance: its couple

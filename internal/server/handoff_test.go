@@ -49,10 +49,10 @@ func TestMigrationWaitsForBothShardLocks(t *testing.T) {
 
 		release := hold(t, busy)
 		migrated := make(chan struct{})
-		s.post(func() {
-			s.migrateGroup(from, to, []couple.ObjectRef{ref})
+		go func() {
+			s.withGlobal(func() { s.migrateGroup(from, to, []couple.ObjectRef{ref}) })
 			close(migrated)
-		})
+		}()
 		testbed.Wait(t, "the migration to wait for the held lock", func() bool { return busy.mDepth.Value() == 1 })
 		if got := s.routes.shard(ref); got != from.idx {
 			t.Fatalf("round %d: the route flipped to shard %d while shard %d was held", round, got, busy.idx)

@@ -69,19 +69,18 @@ type GroupHealth struct {
 	Members []MemberHealth `json:"members"`
 }
 
-// LoopHealth is the utilization of one serialization point: the global loop
-// or a shard's lock.
+// LoopHealth is the utilization of one serialization point: the global lock
+// (gmu) or a shard's lock. The name stays from when the global one was a
+// goroutine.
 type LoopHealth struct {
 	// Name is "global" or "shard.<i>".
 	Name string `json:"name"`
-	// BusyNS is the cumulative time the global loop spent executing posted
-	// closures, or a shard's lock was held; Utilization is BusyNS over the
-	// server's uptime.
+	// BusyNS is the cumulative time the lock was held; Utilization is BusyNS
+	// over the server's uptime.
 	BusyNS      uint64  `json:"busy_ns"`
 	Utilization float64 `json:"utilization"`
-	// QueueDepth is the global loop's inbox depth at its last dequeue, or
-	// the number of goroutines waiting for a shard's lock; QueueHighWater the
-	// deepest backlog ever seen.
+	// QueueDepth is the number of goroutines waiting for the lock;
+	// QueueHighWater the most ever seen waiting.
 	QueueDepth     int64 `json:"queue_depth"`
 	QueueHighWater int64 `json:"queue_high_water"`
 	// Events counts events processed by this shard (0 for "global": event
@@ -100,7 +99,7 @@ type HealthReport struct {
 	// (it is unless the server runs under obs.Disabled); when false every
 	// member's stats read zero by construction.
 	MemberAttribution bool `json:"member_attribution"`
-	// Loops lists the global loop first, then each shard.
+	// Loops lists the global lock first, then each shard's.
 	Loops []LoopHealth `json:"loops"`
 	// Groups lists every coupling group (two or more members).
 	Groups []GroupHealth `json:"groups"`
@@ -139,10 +138,10 @@ func (s *Server) Health() HealthReport {
 	uptime := float64(rep.UptimeNS)
 	rep.Loops = append(rep.Loops, LoopHealth{
 		Name:           "global",
-		BusyNS:         s.mGlobalBusy.Value(),
-		Utilization:    utilization(s.mGlobalBusy.Value(), uptime),
-		QueueDepth:     s.mGlobalDepth.Value(),
-		QueueHighWater: s.mGlobalDepth.HighWater(),
+		BusyNS:         s.gmu.mBusy.Value(),
+		Utilization:    utilization(s.gmu.mBusy.Value(), uptime),
+		QueueDepth:     s.gmu.mDepth.Value(),
+		QueueHighWater: s.gmu.mDepth.HighWater(),
 	})
 	for _, sh := range s.shards {
 		rep.Loops = append(rep.Loops, LoopHealth{

@@ -94,14 +94,14 @@ func TestHealthStragglerAttribution(t *testing.T) {
 		t.Errorf("straggler quantiles p50=%.0f p99=%.0f", slow.AckP50NS, slow.AckP99NS)
 	}
 
-	// Loop accounting: the global loop (registration, coupling) and the
+	// Lock accounting: the global lock (registration, coupling) and the
 	// shard locks (events, acks) must each have accumulated busy time.
 	if len(rep.Loops) < 2 || rep.Loops[0].Name != "global" {
 		t.Fatalf("loops = %+v", rep.Loops)
 	}
 	gl := rep.Loops[0]
 	if gl.BusyNS == 0 {
-		t.Error("global loop busy_ns = 0 after traffic")
+		t.Error("global lock busy_ns = 0 after traffic")
 	}
 	if gl.Utilization < 0 || gl.Utilization > 1 {
 		t.Errorf("global utilization = %g", gl.Utilization)

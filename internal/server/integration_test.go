@@ -52,7 +52,7 @@ func newBed(t *testing.T, opts server.Options) (*server.Server, *testbed.Bed) {
 
 // foldCheck is the suite's teardown invariant next to the floor lock, live =
 // fold(log): a fresh state restored from the server's log directory must equal
-// the live one (see Server.FoldDivergence). The loops may still be finishing
+// the live one (see Server.FoldDivergence). Lock holders may still be finishing
 // what the last reply did not wait for and the snapshotter may be compacting
 // under the reader, so a difference counts once it has outlasted a deadline. A
 // server that never drained its pending events is not judged, nor is one whose

@@ -92,7 +92,7 @@ func (s *Server) notifyLocks(sh *shard, p *plan, tc obs.TraceContext, locked boo
 			if locked {
 				msg = pi.lock
 			}
-			sh.send(c, wire.Envelope{Trace: tc, Msg: msg})
+			sh.out.send(c, wire.Envelope{Trace: tc, Msg: msg})
 		}
 	}
 }

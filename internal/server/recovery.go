@@ -3,10 +3,13 @@
 // back into the server's databases after a crash or restart.
 //
 // The guarantee, in two clauses. Every state a restart restores was durable,
-// under the configured sync policy, before the ack that exposed it: the
-// global loop's records (register, declare, couple, copy, …) go through the
+// under the configured sync policy, before the ack that exposed it: a gmu
+// holder's records (register, declare, couple, copy, …) go through the
 // blocking Append, so each is in the log before its acknowledgement and
-// before any request that depends on it can reach a shard. And no event
+// before any request that depends on it can reach a shard. A control-plane
+// message is appended on the read goroutine that decoded it, so its
+// connection's later records wait behind the append — under the always sync
+// policy, behind its fsync. And no event
 // ID is issued twice: a shard grants IDs only below a ceiling it has leased
 // with a durable KindLease record (see logEvent), and a restart starts every
 // shard above the highest ceiling it replays.
@@ -33,8 +36,8 @@ import "cosoft/internal/eventlog"
 
 // commit performs a transition that is exactly its log record: the state
 // applies it, then the log makes it durable — callers place commit before the
-// transition's acknowledgement is enqueued. It runs on the global loop,
-// which owns the state. A record the state refuses is not logged, and the
+// transition's acknowledgement is enqueued. Its caller holds gmu, which owns
+// the state. A record the state refuses is not logged, and the
 // refusal is the answer to the client.
 func (s *Server) commit(rec eventlog.Record) error {
 	if err := s.st.apply(rec); err != nil {
@@ -45,8 +48,8 @@ func (s *Server) commit(rec eventlog.Record) error {
 }
 
 // logRecord appends one control-plane record to the durable event log,
-// blocking until it reaches the configured durability. It runs on the
-// global loop, never under a shard lock. A failed append is counted
+// blocking until it reaches the configured durability. Its caller holds gmu
+// and no shard lock. A failed append is counted
 // (server.log.append_errors), logged and dropped: the server keeps serving
 // (durability degrades, live consistency does not). No-op when durability is
 // off.

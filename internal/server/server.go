@@ -6,11 +6,16 @@
 // and then the controller broadcasts these operations to all users", §2.1).
 //
 // Global state (registry, couple graph, sessions, histories, client map) is
-// mutated by one goroutine fed through a request channel. What an event
-// touches (locks, pending events, event IDs) is partitioned across per-group
-// shards, each behind its own lock (see shard.go), so event ordering within a
-// coupling group is the order its events take their shard's lock — the
-// serialization guarantee the floor-control design relies on.
+// mutated only under one lock, gmu, held by the goroutine that needs it: the
+// read goroutine that decoded a control-plane message, a handshake, a
+// connection's teardown, the sweeper, Stats and Close. No goroutine serves
+// it. What an event touches (locks, pending events, event IDs) is
+// partitioned across per-group shards, each behind its own lock (see
+// shard.go), so event ordering within a coupling group is the order its
+// events take their shard's lock — the serialization guarantee the
+// floor-control design relies on. Every record a connection sends runs on
+// its read goroutine before the next is read, so a connection's messages
+// take effect in the order it sent them.
 package server
 
 import (
@@ -127,7 +132,7 @@ type Server struct {
 	checker *compat.Checker
 
 	// st holds every database the durable log rebuilds (see state.go); the
-	// rest of Server is the shell around it. It belongs to the global loop.
+	// rest of Server is the shell around it. It is held under gmu.
 	st *state
 
 	// shards own what an event touches (lock tables, pending events, event
@@ -141,8 +146,8 @@ type Server struct {
 	flight *obs.FlightRecorder
 	slog   *slog.Logger
 
-	// elog is the durable event log (nil when durability is off). The global
-	// loop's appends block until the record reaches the configured
+	// elog is the durable event log (nil when durability is off). A gmu
+	// holder's appends block until the record reaches the configured
 	// durability, so an acked transition is replayable. A shard's lock
 	// holder blocks on it only to lease event IDs; an event's own record is
 	// queued behind the event and never waited for (see logEvent).
@@ -151,25 +156,30 @@ type Server struct {
 	// snapshots + compacts old segments (nil when durability is off).
 	snap *snapshotter
 
-	reqs chan func()
 	quit chan struct{}
 	wg   sync.WaitGroup
 
-	// clients is written only on the global loop but read by shard-lock
-	// holders and connection read goroutines, so it sits behind a
-	// read-mostly lock.
+	// gmu serializes the global state: its holder owns st, pendingFetch,
+	// nextFetchID, nextPing and closing, and is the only writer of clients.
+	// The lock order is global → shard → leaf: a gmu holder may take shard
+	// locks (a migration, a departure's cleanup, Stats), and no shard-lock
+	// holder ever takes gmu.
+	gmu serial
+
+	// clients is written only under gmu but read by shard-lock holders and
+	// connection read goroutines, so it sits behind a read-mostly lock.
 	cmu     sync.RWMutex
 	clients map[couple.InstanceID]*client
 
-	// State below is owned by the global loop goroutine.
 	pendingFetch map[uint64]*fetch
 	nextFetchID  uint64
 	nextPing     uint64
-	// closing is set (on the global loop) when Close begins tearing down
-	// connections: the drops it provokes are a server shutdown, not client
-	// departures, and must not be logged as KindDisconnect — a restarted
-	// server replays the log and every instance present at shutdown must
-	// still be there, resumable, with its declarations intact.
+	// closing is set when Close begins tearing down connections: from then
+	// on a gmu holder serves nothing more, and the drops Close provokes are a
+	// server shutdown, not client departures, so they must not be logged as
+	// KindDisconnect — a restarted server replays the log and every instance
+	// present at shutdown must still be there, resumable, with its
+	// declarations intact.
 	closing bool
 
 	// Metric handles resolved from Options.Metrics at construction (nil
@@ -196,8 +206,6 @@ type Server struct {
 	mShards        *obs.Gauge     // server.shards: configured shard count
 	mHandoffs      *obs.Counter   // server.cross_shard_handoffs: group migrations between shards
 	mEventTOWait   *obs.Histogram // server.event_timeout_wait_ns: wait span of deadline-resolved events
-	mGlobalBusy    *obs.Counter   // server.global.busy_ns: time the global loop spent executing closures
-	mGlobalDepth   *obs.Gauge     // server.global.queue_depth: global request-channel depth, sampled per dequeue
 	mHistEvict     *obs.Counter   // server.hist_evictions: oldest undo snapshots dropped by the depth bound
 	mLogAppendErrs *obs.Counter   // server.log.append_errors: event-log appends that failed (an event is refused, a control-plane transition acked regardless)
 	mLinkNotices   *obs.Counter   // server.link_notices: LinkAdded + LinkRemoved envelopes enqueued
@@ -207,7 +215,7 @@ type Server struct {
 	// when metrics are disabled.
 	mMember *obs.Family
 
-	// started anchors loop-utilization ratios in HealthReport.
+	// started anchors lock-utilization ratios in HealthReport.
 	started time.Time
 
 	closeOnce sync.Once
@@ -222,7 +230,7 @@ const (
 	memberAcks      = iota // ExecAcks received from the member
 	memberLastAcks         // times the member was the last acker (critical path)
 	memberTimeouts         // events that expired while waiting on the member
-	memberPushbacks        // shard attempts the member's socket did not take whole
+	memberPushbacks        // lock holders' attempts the member's socket did not take whole
 )
 
 // Stats is a snapshot of server counters. It stays a comparable struct
@@ -331,9 +339,9 @@ func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	st := newState(opts.HistoryDepth, obs.LoggerOr(opts.Logger).With("component", "server"))
 	if opts.EventLog != nil {
-		// Restore the durable state before any loop goroutine starts: it runs
+		// Restore the durable state before any goroutine starts: it runs
 		// single-threaded against databases nothing else has seen yet, so
-		// recovery needs no posting or locking discipline.
+		// recovery needs no locking discipline.
 		off, n, err := st.restore(opts.EventLog.Dir(), opts.EventLog.ReplayCounter())
 		if err != nil {
 			st.log.Warn("event log replay stopped early", "records", n, "offset", off, "err", err)
@@ -348,8 +356,6 @@ func New(opts Options) *Server {
 	if s.elog != nil {
 		s.snap = &snapshotter{s: s}
 	}
-	s.wg.Add(1)
-	go s.loop()
 	if period := s.sweepPeriod(); period > 0 {
 		s.wg.Add(1)
 		go s.sweeper(period)
@@ -398,10 +404,13 @@ func newServer(opts Options, st *state) *Server {
 		routes:       &routes{n: opts.Shards, obj: make(map[couple.ObjectRef]int)},
 		router:       &router{ev: make(map[uint64]int)},
 		elog:         opts.EventLog,
-		reqs:         make(chan func(), 1024),
 		quit:         make(chan struct{}),
 		clients:      make(map[couple.InstanceID]*client),
 		pendingFetch: make(map[uint64]*fetch),
+		gmu: serial{
+			mBusy:  metrics.Counter("server.global.busy_ns"),
+			mDepth: metrics.Gauge("server.global.queue_depth"),
+		},
 
 		mEvents:        metrics.Counter("server.events"),
 		mExecsSent:     metrics.Counter("server.execs_sent"),
@@ -425,8 +434,6 @@ func newServer(opts Options, st *state) *Server {
 		mShards:        metrics.Gauge("server.shards"),
 		mHandoffs:      metrics.Counter("server.cross_shard_handoffs"),
 		mEventTOWait:   metrics.Histogram("server.event_timeout_wait_ns"),
-		mGlobalBusy:    metrics.Counter("server.global.busy_ns"),
-		mGlobalDepth:   metrics.Gauge("server.global.queue_depth"),
 		mHistEvict:     metrics.Counter("server.hist_evictions"),
 		mLogAppendErrs: metrics.Counter("server.log.append_errors"),
 		mLinkNotices:   metrics.Counter("server.link_notices"),
@@ -448,14 +455,16 @@ func newServer(opts Options, st *state) *Server {
 	base := (st.floor + n - 1) / n
 	for i := 0; i < opts.Shards; i++ {
 		sh := &shard{
+			serial: serial{
+				mBusy:  metrics.Counter(fmt.Sprintf("server.shard.%d.busy_ns", i)),
+				mDepth: metrics.Gauge(fmt.Sprintf("server.shard.%d.queue_depth", i)),
+			},
 			idx:     i,
 			seq:     base,
 			locks:   lock.NewTable(),
 			pending: make(map[uint64]*pendingEvent),
 			plans:   make(map[couple.ObjectRef]*plan),
 			mEvents: metrics.Counter(fmt.Sprintf("server.shard.%d.events", i)),
-			mBusy:   metrics.Counter(fmt.Sprintf("server.shard.%d.busy_ns", i)),
-			mDepth:  metrics.Gauge(fmt.Sprintf("server.shard.%d.queue_depth", i)),
 		}
 		sh.locks.Instrument(s.mLockAttempts, s.mLockFails, s.mLockUndone)
 		sh.locks.TraceWith(opts.Tracer)
@@ -469,48 +478,6 @@ func newServer(opts Options, st *state) *Server {
 	}
 	s.mShards.Set(int64(len(s.shards)))
 	return s
-}
-
-// loop runs every global-state mutation in one goroutine. Each dequeue
-// samples the channel depth and each closure is bracketed with busy-time
-// accounting (server.global.busy_ns / .queue_depth) — both no-ops under
-// obs.Disabled, where Start returns the zero time without reading the clock.
-func (s *Server) loop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case fn := <-s.reqs:
-			s.mGlobalDepth.Set(int64(len(s.reqs)))
-			t0 := s.mGlobalBusy.Start()
-			fn()
-			s.mGlobalBusy.AddSince(t0)
-		case <-s.quit:
-			// Drain anything already queued, then stop.
-			for {
-				select {
-				case fn := <-s.reqs:
-					fn()
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// post schedules fn on the state loop. It reports false after Close.
-func (s *Server) post(fn func()) bool {
-	select {
-	case <-s.quit:
-		return false
-	default:
-	}
-	select {
-	case s.reqs <- fn:
-		return true
-	case <-s.quit:
-		return false
-	}
 }
 
 // Serve accepts connections from l until the listener fails or the server is
@@ -543,76 +510,70 @@ func (s *Server) HandleConn(c *wire.Conn) {
 // Close stops the server. Connected clients see their connections closed.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
-		// Ask the loop to close all client connections, then stop it.
-		done := make(chan struct{})
-		if s.post(func() {
-			s.closing = true
-			s.cmu.RLock()
-			// Every writer writes what is queued, within the outbox grace;
-			// then the connections close, which fails a write still blocked
-			// on a member that stopped reading instead of holding Close on
-			// it forever.
-			for _, c := range s.clients {
-				c.out.shut()
-			}
-			expired := make(chan struct{})
-			grace := time.AfterFunc(s.outboxGrace(), func() { close(expired) })
-			for _, c := range s.clients {
-				select {
-				case <-c.out.done:
-				case <-expired:
-				}
-				c.conn.Close()
-				<-c.out.done
-			}
-			grace.Stop()
-			s.cmu.RUnlock()
-			close(done)
-		}) {
-			<-done
+		s.gmu.lock()
+		s.closing = true
+		s.cmu.RLock()
+		// Every writer writes what is queued, within the outbox grace; then
+		// the connections close, which fails a write still blocked on a
+		// member that stopped reading instead of holding Close on it forever.
+		for _, c := range s.clients {
+			c.out.shut()
 		}
+		expired := make(chan struct{})
+		grace := time.AfterFunc(s.outboxGrace(), func() { close(expired) })
+		for _, c := range s.clients {
+			select {
+			case <-c.out.done:
+			case <-expired:
+			}
+			c.conn.Close()
+			<-c.out.done
+		}
+		grace.Stop()
+		s.cmu.RUnlock()
+		s.gmu.unlock()
 		close(s.quit)
 	})
 	s.wg.Wait()
 }
 
-// Stats returns a consistent snapshot of the server counters.
+// Stats returns a consistent snapshot of the server counters, or zeros once
+// the server is closing.
 func (s *Server) Stats() Stats {
-	result := make(chan Stats, 1)
-	if !s.post(func() {
-		result <- Stats{
-			Events:             s.mEvents.Value(),
-			LockFailures:       s.mLockFails.Value(),
-			ExecsSent:          s.mExecsSent.Value(),
-			Copies:             s.mCopies.Value(),
-			Instances:          s.st.reg.Len(),
-			Links:              s.st.graph.Len(),
-			EventRTT:           s.mEventRTT.Summary(),
-			Fanout:             s.mFanout.Summary(),
-			OutboxDepth:        s.mOutboxDepth.Value(),
-			OutboxHighWater:    s.mOutboxDepth.HighWater(),
-			LockAttempts:       s.mLockAttempts.Value(),
-			LockUndone:         s.mLockUndone.Value(),
-			EventTimeouts:      s.mEventTOs.Value(),
-			Evictions:          s.mEvictions.Value(),
-			LivenessTimeouts:   s.mLivenessTOs.Value(),
-			Resumes:            s.mResumes.Value(),
-			AcksCoalesced:      s.mAcksCoalesced.Value(),
-			BatchSize:          s.mBatchSize.Summary(),
-			BytesEncoded:       s.mBytesEncoded.Value(),
-			BodyPoolHits:       s.mPoolHits.Value(),
-			BodyPoolMisses:     s.mPoolMisses.Value(),
-			PendingEvents:      s.pendingCount(),
-			EventTimeoutWait:   s.mEventTOWait.Summary(),
-			Shards:             s.mShards.Value(),
-			CrossShardHandoffs: s.mHandoffs.Value(),
-			LogAppendErrors:    s.mLogAppendErrs.Value(),
-			LinkNotices:        s.mLinkNotices.Value(),
-		}
-	}) {
+	s.gmu.lock()
+	defer s.gmu.unlock()
+	if s.closing {
 		return Stats{}
 	}
-	return <-result
+	return Stats{
+		Events:             s.mEvents.Value(),
+		LockFailures:       s.mLockFails.Value(),
+		ExecsSent:          s.mExecsSent.Value(),
+		Copies:             s.mCopies.Value(),
+		Instances:          s.st.reg.Len(),
+		Links:              s.st.graph.Len(),
+		EventRTT:           s.mEventRTT.Summary(),
+		Fanout:             s.mFanout.Summary(),
+		OutboxDepth:        s.mOutboxDepth.Value(),
+		OutboxHighWater:    s.mOutboxDepth.HighWater(),
+		LockAttempts:       s.mLockAttempts.Value(),
+		LockUndone:         s.mLockUndone.Value(),
+		EventTimeouts:      s.mEventTOs.Value(),
+		Evictions:          s.mEvictions.Value(),
+		LivenessTimeouts:   s.mLivenessTOs.Value(),
+		Resumes:            s.mResumes.Value(),
+		AcksCoalesced:      s.mAcksCoalesced.Value(),
+		BatchSize:          s.mBatchSize.Summary(),
+		BytesEncoded:       s.mBytesEncoded.Value(),
+		BodyPoolHits:       s.mPoolHits.Value(),
+		BodyPoolMisses:     s.mPoolMisses.Value(),
+		PendingEvents:      s.pendingCount(),
+		EventTimeoutWait:   s.mEventTOWait.Summary(),
+		Shards:             s.mShards.Value(),
+		CrossShardHandoffs: s.mHandoffs.Value(),
+		LogAppendErrors:    s.mLogAppendErrs.Value(),
+		LinkNotices:        s.mLinkNotices.Value(),
+	}
 }
 
 // pendingCount sums still-pending events across shards, under each shard's
@@ -642,7 +603,8 @@ func (s *Server) Permissions() *perm.Table { return s.st.perms }
 
 // handleConn runs the read loop for one connection: the first message must
 // be Register (fresh instance) or Resume (reconnection presenting a session
-// token); afterwards each record is dispatched to the loop that handles it.
+// token); afterwards each record runs here, under the lock of the state it
+// touches, before the next is read.
 func (s *Server) handleConn(c *wire.Conn) {
 	c.CountEncodedBytes(s.mBytesEncoded)
 	env, err := c.Read()
@@ -683,77 +645,70 @@ func (s *Server) handleConn(c *wire.Conn) {
 	for c.Pending() && c.Next(&rec) == nil {
 		rec.Release()
 	}
-	// Connection gone: clean up on the loop.
-	s.post(func() { s.dropClient(cl, "connection closed") })
+	// Connection gone: clean up, unless Close is tearing everything down.
+	s.gmu.lock()
+	if !s.closing {
+		s.dropClient(cl, "connection closed")
+	}
+	s.gmu.unlock()
 	cl.out.close()
 	c.Close()
 }
 
-// admitRegister performs the fresh-registration handshake on the state
-// loop, returning an error text for the client ("" on success).
+// admitRegister performs the fresh-registration handshake under gmu,
+// returning an error text for the client ("" on success).
 func (s *Server) admitRegister(cl *client, env wire.Envelope, reg wire.Register) string {
 	cl.user = reg.User
-	registered := make(chan bool, 1)
-	if !s.post(func() {
-		cl.id = s.st.reg.NewID(reg.AppType)
-		if s.commit(eventlog.Record{Kind: eventlog.KindRegister, Origin: string(cl.id), Env: wire.Envelope{Msg: reg}}) != nil {
-			registered <- false
-			return
-		}
-		s.admit(cl, env)
-		registered <- true
-	}) {
+	s.gmu.lock()
+	defer s.gmu.unlock()
+	if s.closing {
 		return "server: shutting down"
 	}
-	if !<-registered {
+	cl.id = s.st.reg.NewID(reg.AppType)
+	if s.commit(eventlog.Record{Kind: eventlog.KindRegister, Origin: string(cl.id), Env: wire.Envelope{Msg: reg}}) != nil {
 		return "server: registration failed"
 	}
+	s.admit(cl, env)
 	s.slog.Info("instance registered",
 		"inst", string(cl.id), "user", reg.User, "host", reg.Host, "app", reg.AppType)
 	return ""
 }
 
-// admitResume reclaims a session by token on the state loop: any still-open
-// previous connection for the instance is superseded (dropped exactly as a
-// disconnect would), and the new connection re-registers under the original
-// instance ID. The client is expected to re-declare its objects, re-create
-// its couple links, and resynchronize state afterwards.
+// admitResume reclaims a session by token under gmu: any still-open previous
+// connection for the instance is superseded (dropped exactly as a disconnect
+// would), and the new connection re-registers under the original instance
+// ID. The client is expected to re-declare its objects, re-create its couple
+// links, and resynchronize state afterwards.
 func (s *Server) admitResume(cl *client, env wire.Envelope, m wire.Resume) string {
-	result := make(chan string, 1)
-	if !s.post(func() {
-		sess, ok := s.st.sessions[m.Token]
-		if !ok {
-			result <- "server: unknown session token"
-			return
-		}
-		if old, connected := s.clientOf(sess.id); connected {
-			s.dropClient(old, "superseded by resume")
-			old.conn.Close()
-		}
-		// The database half — the token is consumed, and the instance
-		// re-registered unless its record survives as a ghost of the
-		// pre-crash incarnation — is the logged transition itself.
-		if err := s.commit(eventlog.Record{Kind: eventlog.KindResume, Origin: string(sess.id), Env: wire.Envelope{Msg: m}}); err != nil {
-			result <- "server: resume failed: " + err.Error()
-			return
-		}
-		cl.id = sess.id
-		cl.user = sess.user
-		s.mResumes.Inc()
-		s.admit(cl, env)
-		result <- ""
-	}) {
+	s.gmu.lock()
+	defer s.gmu.unlock()
+	if s.closing {
 		return "server: shutting down"
 	}
-	if errText := <-result; errText != "" {
-		return errText
+	sess, ok := s.st.sessions[m.Token]
+	if !ok {
+		return "server: unknown session token"
 	}
+	if old, connected := s.clientOf(sess.id); connected {
+		s.dropClient(old, "superseded by resume")
+		old.conn.Close()
+	}
+	// The database half — the token is consumed, and the instance
+	// re-registered unless its record survives as a ghost of the pre-crash
+	// incarnation — is the logged transition itself.
+	if err := s.commit(eventlog.Record{Kind: eventlog.KindResume, Origin: string(sess.id), Env: wire.Envelope{Msg: m}}); err != nil {
+		return "server: resume failed: " + err.Error()
+	}
+	cl.id = sess.id
+	cl.user = sess.user
+	s.mResumes.Inc()
+	s.admit(cl, env)
 	s.slog.Info("instance resumed", "inst", string(cl.id), "user", cl.user)
 	return ""
 }
 
 // admit installs a freshly identified client and acknowledges the
-// handshake. It runs on the state loop.
+// handshake. Its caller holds gmu.
 func (s *Server) admit(cl *client, env wire.Envelope) {
 	// Resolve the member's health entry once; shard-lock holders then attribute
 	// acks through the cached pointer without touching the family lock.
@@ -765,7 +720,7 @@ func (s *Server) admit(cl *client, env wire.Envelope) {
 	cl.name = string(cl.id)
 	cl.touch()
 	s.recordFlight(cl, "recv", env)
-	cl.out.send(wire.Envelope{RefSeq: env.Seq, Msg: wire.Registered{ID: cl.id}})
+	s.gmu.out.send(cl, wire.Envelope{RefSeq: env.Seq, Msg: wire.Registered{ID: cl.id}})
 }
 
 // outboxRecorder returns the outbox send hook that feeds the flight
@@ -779,9 +734,9 @@ func (s *Server) outboxRecorder(cl *client) func(wire.Envelope) {
 
 // recordFlight logs one envelope against cl's connection. cl.name is read
 // without synchronization: it is renamed once, in admit, and the
-// connection's read goroutine waits for admit to finish before it reads its
-// next frame — so every later recorder (that goroutine for its own events
-// and acks, the loops for everything else) sees the final name.
+// connection's read goroutine runs admit before it reads its next frame —
+// so every later recorder (that goroutine for its own records, other lock
+// holders for what they send it) sees the final name.
 func (s *Server) recordFlight(cl *client, dir string, env wire.Envelope) {
 	if s.flight == nil {
 		return
@@ -834,17 +789,16 @@ func flightNote(m wire.Message) string {
 	}
 }
 
-// outbox decouples the server from connection back-pressure. A shard-lock
-// holder queues what it sends and then flushes the outbox itself, with one
-// attempt (see attempt): a non-blocking write that never stalls the shard.
-// Everything else — what the global loop, the read goroutines and the
-// sweeper send, and whatever an attempt could not hand the kernel — a writer
-// goroutine drains, and it is the only code that ever blocks on the socket.
-// One flush has the Conn at a time (flushing). The queue never blocks the
-// sender — the server is the ordering authority and must never stall on a
-// slow client — but when a limit is configured the outbox remembers how long
-// the backlog has stayed above it so the sweeper can evict the client
-// instead of buffering without bound.
+// outbox decouples the server from connection back-pressure. A lock holder
+// queues what it sends and then flushes the outbox itself, with one attempt
+// (see attempt): a non-blocking write that never stalls the lock. Whatever
+// an attempt could not hand the kernel a writer goroutine drains, and it is
+// the only code that ever blocks on the socket. One flush has the Conn at a
+// time (flushing). The queue never blocks the sender — the server is the
+// ordering authority and must never stall on a slow client — but when a
+// limit is configured the outbox remembers how long the backlog has stayed
+// above it so the sweeper can evict the client instead of buffering without
+// bound.
 type outbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond // wakes the writer; it is the only waiter
@@ -857,8 +811,8 @@ type outbox struct {
 	queue  []wire.Outgoing
 	spare  []wire.Outgoing
 	closed bool
-	// flushing is set while a flush — the writer's, or a shard-lock
-	// holder's attempt — has the Conn; the other side leaves the Conn alone
+	// flushing is set while a flush — the writer's, or a lock holder's
+	// attempt — has the Conn; the other side leaves the Conn alone
 	// until it clears. tail is set when an attempt left bytes the kernel did
 	// not take: the writer writes them before anything else, and nobody
 	// attempts until it has.
@@ -964,13 +918,13 @@ func (o *outbox) settle(take []wire.Outgoing, err error) bool {
 	return true
 }
 
-// attempt is a shard-lock holder's flush of what it queued: when no flush
-// has the Conn and no tail is pending, the holder writes the backlog itself,
-// as attempts (wire.Conn.BeginAttempt) — the same packing and frames as the
+// attempt is a lock holder's flush of what it queued: when no flush has the
+// Conn and no tail is pending, the holder writes the backlog itself, as
+// attempts (wire.Conn.BeginAttempt) — the same packing and frames as the
 // writer's flush, in at most one non-blocking write per frame run — and
-// wakes the writer only for a tail the kernel did not take. Otherwise, or over a Conn that cannot attempt, it wakes the
-// writer as a send from anywhere else does. It reports whether the socket
-// pushed back: the attempt left a tail.
+// wakes the writer only for a tail the kernel did not take. Otherwise, or
+// over a Conn that cannot attempt, it wakes the writer to write the backlog.
+// It reports whether the socket pushed back: the attempt left a tail.
 func (o *outbox) attempt() bool {
 	o.mu.Lock()
 	if o.flushing || o.tail || o.closed || !o.conn.CanAttempt() || len(o.queue) == 0 {
@@ -1073,15 +1027,10 @@ func dropOutgoing(recs []wire.Outgoing) {
 	}
 }
 
-// send queues env and wakes the writer: the path of every send but a
-// shard-lock holder's (see shard.send).
-func (o *outbox) send(env wire.Envelope) {
-	o.enqueue(wire.Outgoing{Env: env}, true)
-}
-
-// enqueue queues rec and wakes the writer if wake is set, taking the
-// outbox's own reference to a shared body.
-func (o *outbox) enqueue(rec wire.Outgoing, wake bool) {
+// enqueue queues rec, taking the outbox's own reference to a shared body. It
+// does not wake the writer: the sender flushes the outbox itself (see
+// outgoing).
+func (o *outbox) enqueue(rec wire.Outgoing) {
 	o.mu.Lock()
 	if !o.closed {
 		if rec.Shared != nil {
@@ -1091,9 +1040,6 @@ func (o *outbox) enqueue(rec wire.Outgoing, wake bool) {
 		o.depth.Add(1)
 		if o.limit > 0 && o.inflight+len(o.queue) > o.limit && o.overSince.IsZero() {
 			o.overSince = time.Now()
-		}
-		if wake {
-			o.cond.Signal()
 		}
 	}
 	o.mu.Unlock()
@@ -1157,8 +1103,8 @@ func (s *Server) outboxGrace() time.Duration {
 }
 
 // sweeper is the server's one clock for deadlines. Every period it runs the
-// expiry pass over every shard when event deadlines are on, and posts a
-// liveness/backpressure sweep to the state loop, until the server closes.
+// expiry pass over every shard when event deadlines are on, and the
+// liveness/backpressure sweep under gmu, until the server closes.
 func (s *Server) sweeper(period time.Duration) {
 	defer s.wg.Done()
 	t := time.NewTicker(period)
@@ -1169,7 +1115,7 @@ func (s *Server) sweeper(period time.Duration) {
 			if s.opts.EventDeadline > 0 {
 				s.expireEvents()
 			}
-			if !s.post(func() { s.sweep() }) {
+			if !s.sweep() {
 				return
 			}
 		case <-s.quit:
@@ -1178,13 +1124,19 @@ func (s *Server) sweeper(period time.Duration) {
 	}
 }
 
-// sweep runs on the state loop: it evicts clients whose backlog has
-// exceeded OutboxLimit for longer than OutboxGrace, declares silent
-// clients dead after the liveness timeout, and pings the survivors — once
-// per period, so at least once per heartbeat. Killing the connection lets
-// the normal handleConn teardown release locks and resolve pending events,
-// so both failure paths share one cleanup.
-func (s *Server) sweep() {
+// sweep takes gmu and evicts clients whose backlog has exceeded OutboxLimit
+// for longer than OutboxGrace, declares silent clients dead after the
+// liveness timeout, and pings the survivors — once per period, so at least
+// once per heartbeat. Killing the connection lets the normal handleConn
+// teardown release locks and resolve pending events, so both failure paths
+// share one cleanup. It reports false, and does nothing, once the server is
+// closing.
+func (s *Server) sweep() bool {
+	s.gmu.lock()
+	defer s.gmu.unlock()
+	if s.closing {
+		return false
+	}
 	now := time.Now()
 	// Snapshot under the read lock, then release it: dropClient re-takes
 	// the write lock.
@@ -1216,9 +1168,10 @@ func (s *Server) sweep() {
 				continue
 			}
 			s.nextPing++
-			cl.out.send(wire.Envelope{Msg: wire.Ping{Nonce: s.nextPing}})
+			s.gmu.out.send(cl, wire.Envelope{Msg: wire.Ping{Nonce: s.nextPing}})
 		}
 	}
+	return true
 }
 
 // mintToken returns a fresh random session token.

@@ -2,24 +2,25 @@
 // pending-event wait sets, the broadcast plans and the event-ID sequence) is
 // partitioned across N shards, routed by coupling group, while the
 // replayable state (registry, sessions, couple graph, permissions, history)
-// and the client/outbox map stay on the global loop. The paper's floor lock
+// and the client/outbox map stay global, under gmu. The paper's floor lock
 // makes the coupling group the natural unit of serialization (§3.2): events
 // of one group must serialize against each other, but events of disjoint
 // groups never share state, so they can run side by side.
 //
-// A shard is its state behind one mutex, not a goroutine. The read goroutine
-// that decoded an Event or an acknowledgement takes its shard's lock, runs
-// it, flushes what it sent and unlocks; the sweeper, the global loop and the
-// health plane take the same lock for their passes. Every server has this
-// topology: one global loop, N ≥ 1 shards and a router. With N = 1 every ref
-// hashes to shard 0 and nothing ever migrates.
+// A shard is its state behind one mutex, not a goroutine, as the global state
+// is behind gmu. The read goroutine that decoded an Event or an
+// acknowledgement takes its shard's lock, runs it, flushes what it sent and
+// unlocks; the sweeper, gmu holders and the health plane take the same lock
+// for their passes. Every server has this topology: one global lock, N ≥ 1
+// shards and a router. With N = 1 every ref hashes to shard 0 and nothing
+// ever migrates.
 //
 // When a new couple link joins two groups living on different shards, the
 // smaller group migrates to the larger one's shard before the link is
-// installed, in one step on the global loop: it locks both shards in index
-// order, moves the group's pending events and the locks those events hold,
-// flips the routes and the router entries, and unlocks. No holder of either
-// lock ever sees the group half-moved. An Event whose group moved while its
+// installed, in one step under gmu: it locks both shards in index order,
+// moves the group's pending events and the locks those events hold, flips
+// the routes and the router entries, and unlocks. No holder of either lock
+// ever sees the group half-moved. An Event whose group moved while its
 // read goroutine waited finds the route changed under the lock and follows
 // it; an acknowledgement of a migrated event follows its router entry.
 //
@@ -34,6 +35,7 @@ package server
 
 import (
 	"hash/fnv"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,18 +47,19 @@ import (
 
 // shard owns the group-scoped state of the coupling groups routed to it.
 type shard struct {
-	// mu serializes the shard: its holder owns every field below. The lock
-	// order:
+	// serial's mu serializes the shard: its holder owns every field below.
+	// The lock order is global → shard → leaf:
+	//   - a gmu holder may take shard locks, but a shard-lock holder never
+	//     takes gmu;
 	//   - a goroutine holds one shard lock at a time, except the migration
 	//     (two) and CheckInvariants (all), which take them in index order;
-	//   - a holder never posts to the global loop or waits on it: an Event
-	//     whose group moved and an ack chasing a migrated event are run again
-	//     by their read goroutine after it unlocks;
+	//   - an Event whose group moved and an ack chasing a migrated event are
+	//     run again by their read goroutine after it unlocks;
 	//   - under it a holder takes only leaf locks (routes, router, the client
 	//     map's read lock, an outbox's, a lock table's, the couple graph's),
 	//     and its one blocking call is the lease Append, once per leaseBlock
 	//     of the shard's events (see logEvent).
-	mu  sync.Mutex
+	serial
 	idx int
 
 	// seq counts the events granted on the shard; the next one gets the ID
@@ -75,15 +78,87 @@ type shard struct {
 	// the couple graph last changed (generation planGen); see planFor.
 	plans   map[couple.ObjectRef]*plan
 	planGen uint64
-	// touched lists the clients the holder queued frames for; their outboxes
-	// are flushed before it unlocks (see flushTouched).
-	touched []*client
-	// since is when the holder took mu (zero when busy time is not counted).
-	since time.Time
 
 	mEvents *obs.Counter // per-shard event counter (server.shard.<idx>.events)
-	mBusy   *obs.Counter // server.shard.<idx>.busy_ns: time spent holding mu
-	mDepth  *obs.Gauge   // server.shard.<idx>.queue_depth: goroutines waiting for mu
+}
+
+// serial is one serialization point — a shard's state, or the global state
+// (Server.gmu) — behind one mutex. Its holder queues what it sends on out and
+// flushes it before it unlocks.
+type serial struct {
+	mu sync.Mutex
+	// since is when the holder took mu (zero when busy time is not counted).
+	since  time.Time
+	out    outgoing
+	mBusy  *obs.Counter // server.shard.<idx>.busy_ns or server.global.busy_ns: time spent holding mu
+	mDepth *obs.Gauge   // server.shard.<idx>.queue_depth or server.global.queue_depth: goroutines waiting for mu
+}
+
+// lock takes the lock. Only a failed TryLock touches the queue_depth gauge,
+// so an uncontended lock costs what the mutex costs; the time held is charged
+// to busy_ns (a no-op under obs.Disabled, whose Start never reads the clock).
+func (l *serial) lock() {
+	if !l.mu.TryLock() {
+		l.mDepth.Add(1)
+		l.mu.Lock()
+		l.mDepth.Add(-1)
+	}
+	l.since = l.mBusy.Start()
+}
+
+// unlock flushes what the holder sent (see outgoing.flush) and releases the
+// lock.
+func (l *serial) unlock() {
+	l.out.flush()
+	l.mBusy.AddSince(l.since)
+	l.mu.Unlock()
+}
+
+// outgoing is what one lock holder — of a shard, or of gmu — sent: the
+// clients it queued frames for. The holder flushes their outboxes before it
+// unlocks, each with one attempt (see outbox.attempt).
+type outgoing []*client
+
+// send queues env for cl without waking cl's writer: the holder flushes cl's
+// outbox itself before it unlocks.
+func (g *outgoing) send(cl *client, env wire.Envelope) {
+	cl.out.enqueue(wire.Outgoing{Env: env})
+	g.touch(cl)
+}
+
+// sendShared queues one member's frame of an encode-once broadcast the way
+// send queues a frame: env carries the correlation numbers and trace context
+// (its Msg stays nil — the Exec is never materialized on the hot path),
+// target the member's path, se the shared body suffix. The outbox takes its
+// own reference — the caller must still hold one, and releases it when done
+// enqueueing.
+func (g *outgoing) sendShared(cl *client, env wire.Envelope, target string, se *wire.SharedExec) {
+	cl.out.enqueue(wire.Outgoing{Env: env, Shared: se, Target: target})
+	g.touch(cl)
+}
+
+// touch lists cl among the clients the holder sent to, once. An event sends
+// to its group and a control-plane message to a group or, for a sweep or a
+// broadcast command, to every client once, so the scan stays cheap at the
+// scale a server serves (hundreds of clients).
+func (g *outgoing) touch(cl *client) {
+	if !slices.Contains(*g, cl) {
+		*g = append(*g, cl)
+	}
+}
+
+// flush flushes the outbox of every client the holder sent to: it writes
+// each with one attempt, or wakes its writer (see outbox.attempt). A socket
+// that did not take its attempt whole counts as a push-back against the
+// member (server.member.pushbacks).
+func (g *outgoing) flush() {
+	for _, cl := range *g {
+		if cl.out.attempt() && cl.health != nil {
+			cl.health.Counter(memberPushbacks).Inc()
+		}
+	}
+	clear(*g)
+	*g = (*g)[:0]
 }
 
 // eventReq is one Event as its origin's connection read it: its Path and
@@ -208,68 +283,6 @@ func (s *Server) birthShard(eventID uint64) *shard {
 	return s.shards[int((eventID-1)%uint64(len(s.shards)))]
 }
 
-// lock takes sh's lock. Only a failed TryLock touches the queue_depth gauge,
-// so an uncontended lock costs what the mutex costs; the time held is charged
-// to busy_ns (a no-op under obs.Disabled, whose Start never reads the clock).
-func (sh *shard) lock() {
-	if !sh.mu.TryLock() {
-		sh.mDepth.Add(1)
-		sh.mu.Lock()
-		sh.mDepth.Add(-1)
-	}
-	sh.since = sh.mBusy.Start()
-}
-
-// unlock flushes what the holder sent (see flushTouched) and releases sh.
-func (sh *shard) unlock() {
-	sh.flushTouched()
-	sh.mBusy.AddSince(sh.since)
-	sh.mu.Unlock()
-}
-
-// send queues env for cl under sh's lock without waking cl's writer: the
-// holder flushes cl's outbox itself before it unlocks.
-func (sh *shard) send(cl *client, env wire.Envelope) {
-	cl.out.enqueue(wire.Outgoing{Env: env}, false)
-	sh.touch(cl)
-}
-
-// sendShared queues one member's frame of an encode-once broadcast the way
-// send queues a frame: env carries the correlation numbers and trace context
-// (its Msg stays nil — the Exec is never materialized on the hot path),
-// target the member's path, se the shared body suffix. The outbox takes its
-// own reference — the caller must still hold one, and releases it when done
-// enqueueing.
-func (sh *shard) sendShared(cl *client, env wire.Envelope, target string, se *wire.SharedExec) {
-	cl.out.enqueue(wire.Outgoing{Env: env, Shared: se, Target: target}, false)
-	sh.touch(cl)
-}
-
-// touch lists cl among the clients the holder sent to, once. An event touches
-// its members and origin, so the list is short and the scan cheap.
-func (sh *shard) touch(cl *client) {
-	for _, t := range sh.touched {
-		if t == cl {
-			return
-		}
-	}
-	sh.touched = append(sh.touched, cl)
-}
-
-// flushTouched flushes the outbox of every client the holder sent to: it
-// writes each with one attempt, or wakes its writer (see outbox.attempt). A
-// socket that did not take its attempt whole counts as a push-back against
-// the member (server.member.pushbacks).
-func (sh *shard) flushTouched() {
-	for i, cl := range sh.touched {
-		if cl.out.attempt() && cl.health != nil {
-			cl.health.Counter(memberPushbacks).Inc()
-		}
-		sh.touched[i] = nil
-	}
-	sh.touched = sh.touched[:0]
-}
-
 // runEvent runs ev under the lock of the shard owning its group, starting at
 // sh, where the read goroutine routed it. A migration may move the group
 // while the goroutine waits for the lock, so the route is read again under
@@ -303,7 +316,8 @@ func (s *Server) runAck(a execAck) {
 // mergeShards co-locates the two groups a new couple link is about to merge:
 // every member of one coupling group lives on one shard, so when the two sit
 // on different shards the smaller group moves to the larger one's (ties keep
-// the from side in place). It runs on the global loop, before graph.AddLink.
+// the from side in place). Its caller holds gmu, and calls it before
+// graph.AddLink.
 func (s *Server) mergeShards(gFrom, gTo []couple.ObjectRef) {
 	from, to := s.routes.shard(gFrom[0]), s.routes.shard(gTo[0])
 	switch {
@@ -317,8 +331,8 @@ func (s *Server) mergeShards(gFrom, gTo []couple.ObjectRef) {
 
 // migrateGroup moves the group made of refs from one shard to another in one
 // step: it holds both shards' locks, taken in index order, while the group's
-// pending events and their locks move and the routes flip. It runs on the
-// global loop.
+// pending events and their locks move and the routes flip. Its caller holds
+// gmu.
 func (s *Server) migrateGroup(from, to *shard, refs []couple.ObjectRef) {
 	s.mHandoffs.Inc()
 	first, second := from, to
@@ -358,12 +372,12 @@ func (s *Server) moveEvents(from, to *shard, refs []couple.ObjectRef) {
 	s.router.setEventRoutes(ids, to.idx)
 }
 
-// dispatch routes one record from a connection read loop: Event, ExecAck and
-// BatchAck traffic runs here, under the owning shard's lock, an Event or an
-// ExecAck by value as the record holds it; everything else (registration,
-// coupling, copies, commands, permissions) goes to the global loop. An
-// Event's relay body is sealed with its source ref here and travels with the
-// request.
+// dispatch runs one record on the connection's read goroutine: Event, ExecAck
+// and BatchAck traffic under the owning shard's lock, an Event or an ExecAck
+// by value as the record holds it; everything else (coupling, copies,
+// commands, permissions) under gmu. An Event's relay body is
+// sealed with its source ref here and travels with the request. It reports
+// false once the server is closing.
 func (s *Server) dispatch(cl *client, rec *wire.Record) bool {
 	switch rec.Type {
 	case wire.TEvent:
@@ -387,12 +401,20 @@ func (s *Server) dispatch(cl *client, rec *wire.Record) bool {
 			s.runAck(execAck{cl: cl, eventID: a.EventID, tc: a.Trace, now: now})
 		}
 		return true
+	case wire.TPong:
+		// A liveness reply: the read loop already refreshed lastSeen.
+		s.recordRecv(cl, rec)
+		return true
 	}
 	env := rec.Box()
-	return s.post(func() {
-		s.recordFlight(cl, "recv", env)
-		s.handle(cl, env)
-	})
+	s.gmu.lock()
+	defer s.gmu.unlock()
+	if s.closing {
+		return false
+	}
+	s.recordFlight(cl, "recv", env)
+	s.handle(cl, env)
+	return true
 }
 
 // recordRecv logs a record the read loop hands to a shard, boxing it only

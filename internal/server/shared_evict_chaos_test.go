@@ -15,7 +15,7 @@ import (
 // then floods the backlog until the sweeper evicts the member. The eviction
 // must drop the queued shared-body references exactly once: a leak keeps
 // wire.LiveSharedBodies above zero forever, a double release panics the
-// writer — and -race audits the release ordering against the state loop.
+// writer — and -race audits the release ordering against the lock holders.
 func TestChaosEvictionMidBroadcastReleasesSharedBody(t *testing.T) {
 	srv, bed := newBed(t, server.Options{
 		OutboxLimit:   8,

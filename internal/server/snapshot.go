@@ -2,8 +2,8 @@
 // restart replay begins at the snapshot's log offset instead of zero and the
 // eventlog compactor can delete everything older.
 //
-// Consistency without stalls: instead of freezing the live loops to copy
-// their state, the snapshot goroutine keeps an offline replica — a second
+// Consistency without stalls: instead of freezing the live locks to copy
+// the state behind them, the snapshot goroutine keeps an offline replica — a second
 // state, restored from the log directory exactly as a restarting server
 // would and advanced only by applying the records appended since. A snapshot
 // at offset N is therefore *defined* as fold(records[0:N)), and the live

@@ -29,8 +29,8 @@
 // forwarding of migrated events and the metrics stay with the Server around
 // it: nothing here starts a goroutine, touches a socket or registers a metric.
 //
-// Ownership is the caller's: on a live server the state is mutated only on
-// the global loop; at start-up and in the snapshotter's replica nothing else
+// Ownership is the caller's: on a live server the state is mutated only
+// under gmu; at start-up and in the snapshotter's replica nothing else
 // runs.
 package server
 

@@ -89,20 +89,21 @@ func (st *state) digestWith(floor uint64) string {
 	return b.String()
 }
 
-// liveDigest is digest for a running server, each part read under the lock
-// or on the loop that owns it. Its floor is the one the log restored, raised to the ceiling of every
-// lease a shard took since, as the fold raises it: every ID a shard grants
-// lies below its ceiling. It returns "" once the server is closed.
+// liveDigest is digest for a running server, read under gmu and, for each
+// shard's lease, that shard's lock. Its floor is the one the log restored,
+// raised to the ceiling of every lease a shard took since, as the fold raises
+// it: every ID a shard grants lies below its ceiling. It returns "" once the
+// server is closed.
 func liveDigest(s *Server) string {
-	floor := s.st.floor
-	for _, sh := range s.shards {
-		sh.withLock(func() { floor = max(floor, sh.ceiling) })
-	}
-	out := make(chan string, 1)
-	if !s.post(func() { out <- s.st.digestWith(floor) }) {
-		return ""
-	}
-	return <-out
+	var out string
+	s.withGlobal(func() {
+		floor := s.st.floor
+		for _, sh := range s.shards {
+			sh.withLock(func() { floor = max(floor, sh.ceiling) })
+		}
+		out = s.st.digestWith(floor)
+	})
+	return out
 }
 
 // goldenRecords is the script behind testdata/state-v*: it leaves something
@@ -289,8 +290,8 @@ func TestEveryKindHasOneMutationSite(t *testing.T) {
 				t.Fatalf("%s: apply refused kind %d: %v", what, rec.Kind, err)
 			}
 		}
-		// A peer's close reaches the server's read loop, and its drop the
-		// global loop, after the step returns; give them a moment before
+		// A peer's close reaches the server's read loop, and its drop takes
+		// the global lock, after the step returns; give them a moment before
 		// calling it a difference.
 		want := fresh.digest()
 		var got string

@@ -22,7 +22,9 @@ type fetch struct {
 }
 
 // requestState sends a StateRequest to the owner of ref and registers the
-// continuation. It runs on the state loop.
+// continuation. Its caller holds gmu, and the continuations run under it
+// too: a reply arrives as a control-plane message, and a failure comes
+// from here or from dropClient.
 func (s *Server) requestState(requester *client, ref couple.ObjectRef, relevantOnly bool,
 	onReply func(widget.TreeState), onFail func(string)) {
 	s.requestStateOpt(requester, ref, relevantOnly, false, onReply, onFail)
@@ -44,7 +46,7 @@ func (s *Server) requestStateOpt(requester *client, ref couple.ObjectRef, releva
 		onReply:   onReply,
 		onFail:    onFail,
 	}
-	target.out.send(wire.Envelope{Msg: wire.StateRequest{
+	s.gmu.out.send(target, wire.Envelope{Msg: wire.StateRequest{
 		RequestID:    id,
 		Path:         ref.Path,
 		RelevantOnly: relevantOnly,
@@ -83,10 +85,10 @@ func (s *Server) handleFetchState(cl *client, seq uint64, m wire.FetchState) {
 	}
 	s.requestState(cl, m.Ref, m.RelevantOnly,
 		func(state widget.TreeState) {
-			cl.out.send(wire.Envelope{RefSeq: seq, Msg: wire.StateReply{OK: true, State: state}})
+			s.gmu.out.send(cl, wire.Envelope{RefSeq: seq, Msg: wire.StateReply{OK: true, State: state}})
 		},
 		func(reason string) {
-			cl.out.send(wire.Envelope{RefSeq: seq, Msg: wire.StateReply{OK: false, Reason: reason}})
+			s.gmu.out.send(cl, wire.Envelope{RefSeq: seq, Msg: wire.StateReply{OK: false, Reason: reason}})
 		})
 }
 
@@ -147,7 +149,7 @@ func (s *Server) completeCopy(cl *client, seq uint64, from, to couple.ObjectRef,
 				s.reply(cl, seq, fmt.Errorf("server: instance %s disconnected", to.Instance))
 				return
 			}
-			target.out.send(wire.Envelope{Msg: wire.ApplyState{
+			s.gmu.out.send(target, wire.Envelope{Msg: wire.ApplyState{
 				Path:        to.Path,
 				State:       state,
 				Origin:      cl.id,
@@ -241,7 +243,7 @@ func (s *Server) handleUndoRedo(cl *client, seq uint64, path string, undo bool) 
 				kind = eventlog.KindUndo
 			}
 			s.logRecord(s.groupRecord(kind, cl, ref, wire.CopyTo{To: ref, State: current}))
-			cl.out.send(wire.Envelope{Msg: wire.ApplyState{
+			s.gmu.out.send(cl, wire.Envelope{Msg: wire.ApplyState{
 				Path:        path,
 				State:       snap.State,
 				Origin:      snap.Origin,
