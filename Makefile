@@ -54,7 +54,7 @@ verify: fmt vet lint-metrics race allocs
 
 # Soak the fault-injection tests: hung, partitioned, evicted, resumed and
 # duplicated connections, repeated under the race detector. Every harness
-# server is the product configuration (four shard loops, batching on, an event
+# server is the product configuration (four shards, batching on, an event
 # log that snapshots and compacts underneath, the clients cosoft.Dial ships),
 # so one pass covers cross-shard cleanup, the packed fan-out path and
 # append-before-ack.

@@ -199,7 +199,7 @@ func main() {
 			snap.Gauges["server.outbox_depth"].HighWater)
 	}
 	if n := snap.Counters["server.log.append_errors"]; n > 0 {
-		fmt.Printf("cosoftd: %d event-log appends FAILED: those events were refused; those control-plane transitions were acknowledged but are not in the log\n", n)
+		fmt.Printf("cosoftd: %d event-log appends FAILED: the events and requests that needed them were refused\n", n)
 	}
 }
 

@@ -56,18 +56,19 @@ func NewStore() *Store {
 	return &Store{records: make(map[couple.InstanceID]Record)}
 }
 
-// NewID allocates a fresh unique instance identifier derived from the
-// application type.
-func (s *Store) NewID(appType string) couple.InstanceID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextSeq++
-	return couple.InstanceID(fmt.Sprintf("%s-%d", appType, s.nextSeq))
+// NextID returns the identifier, derived from the application type, that the
+// next registration takes. It only reads: the allocator moves past the ID
+// when the registration is recorded (RestoreSeq), so a registration that is
+// refused spends nothing.
+func (s *Store) NextID(appType string) couple.InstanceID {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return couple.InstanceID(fmt.Sprintf("%s-%d", appType, s.nextSeq+1))
 }
 
 // RestoreSeq advances the ID allocator past an identifier recovered from a
 // durable log, so IDs minted after a restart never collide with pre-crash
-// ones. IDs not shaped like NewID's output ("type-N") are ignored.
+// ones. IDs not shaped like NextID's output ("type-N") are ignored.
 func (s *Store) RestoreSeq(id couple.InstanceID) {
 	i := strings.LastIndexByte(string(id), '-')
 	if i < 0 {

@@ -37,15 +37,19 @@ func TestRegisterLookupDeregister(t *testing.T) {
 	}
 }
 
-func TestNewIDUnique(t *testing.T) {
+func TestNextIDUnique(t *testing.T) {
 	s := NewStore()
 	seen := make(map[couple.InstanceID]bool)
 	for i := 0; i < 100; i++ {
-		id := s.NewID("app")
+		id := s.NextID("app")
 		if seen[id] {
 			t.Fatalf("duplicate id %q", id)
 		}
 		seen[id] = true
+		if again := s.NextID("app"); again != id {
+			t.Fatalf("NextID moved the allocator: %q then %q", id, again)
+		}
+		s.RestoreSeq(id) // the registration is recorded
 	}
 }
 

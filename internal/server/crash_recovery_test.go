@@ -3,11 +3,13 @@ package server
 // Crash-point recovery harness: a scripted session runs against a durable
 // server whose event log is armed to "crash" — abandon an I/O operation
 // mid-flight and fail every later append — at one exact write or fsync
-// boundary. The log directory is then reopened and replayed into a fresh
-// server, whose databases must equal those of a shadow server driven live
-// with exactly the operations the log managed to make durable. Sweeping the
-// crash point across every boundary of the script proves no append site
-// acknowledges state the replay cannot rebuild.
+// boundary. The script stops at the first operation the dead log refuses.
+// The log directory is then reopened and replayed into a fresh server, whose
+// databases must equal those of a shadow server driven live with exactly the
+// operations the log managed to make durable, and those of the crashed
+// server as it stood when the script stopped. Sweeping the crash point
+// across every boundary of the script proves no append site acknowledges
+// state the replay cannot rebuild, and none holds state the log refused.
 //
 // The record⇄operation correspondence the harness relies on: every scripted
 // operation appends exactly one log record (the clients do not enable
@@ -22,8 +24,10 @@ package server
 // from the directory, never an interior gap.
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"cosoft/internal/attr"
 	coclient "cosoft/internal/client"
@@ -42,6 +46,10 @@ type crashScript struct {
 	cl  map[string]*coclient.Client
 }
 
+// crashOp is one scripted operation. It returns the server's refusal, if any;
+// every other failure fails the test.
+type crashOp func(r *crashScript) error
+
 func newCrashScript(t *testing.T, opts Options) *crashScript {
 	t.Helper()
 	if opts.Shards == 0 {
@@ -51,28 +59,53 @@ func newCrashScript(t *testing.T, opts Options) *crashScript {
 	return &crashScript{t: t, srv: srv, bed: testbed.New(t, srv, testbed.Options{}), cl: make(map[string]*coclient.Client)}
 }
 
-func (r *crashScript) dial(name, user string) {
+// dial registers a client, returning the refusal of its registration: the
+// bed's own Dial fails the test on one.
+func (r *crashScript) dial(name, user string) error {
 	r.t.Helper()
-	r.cl[name] = r.bed.Dial(testbed.Member{AppType: "app", User: user, Spec: `textfield x value=""`})
+	reg := widget.NewRegistry()
+	if _, err := widget.Build(reg, "/", `textfield x value=""`); err != nil {
+		r.t.Fatal(err)
+	}
+	c, err := coclient.New(r.bed.Conn(), coclient.Options{
+		AppType: "app", User: user, Host: "testhost", Registry: reg, RPCTimeout: 5 * time.Second,
+	})
+	if err != nil {
+		return err
+	}
+	r.cl[name] = c
+	return nil
 }
 
-// shutdown judges the server and closes it before the bed closes the
-// clients — its shutdown-provoked drops are not logged — so no Deregister can
-// reach the log and the record stream stays exactly the scripted operations.
+// run drives ops in order and returns how many the server acknowledged. A
+// refusal must be the dead log's, and the first one ends the script: the
+// refused op changed nothing, and the log refuses every op behind it too.
+func (r *crashScript) run(ops []crashOp) int {
+	r.t.Helper()
+	for i, op := range ops {
+		if err := op(r); err != nil {
+			if r.srv.elog == nil || !r.srv.elog.CrashFired() || !strings.Contains(err.Error(), "event log append failed") {
+				r.t.Fatalf("op %d: %v", i, err)
+			}
+			return i
+		}
+	}
+	return len(ops)
+}
+
+// shutdown judges the server and closes it before the clients — its
+// shutdown-provoked drops are not logged — so no Deregister can reach the log
+// and the record stream stays exactly the scripted operations.
 func (r *crashScript) shutdown() {
 	r.t.Helper()
 	if err := r.srv.CheckInvariants(); err != nil {
 		r.t.Fatal(err)
 	}
 	r.srv.Close()
-	r.bed.Close()
-}
-
-func (r *crashScript) mustOK(err error) {
-	r.t.Helper()
-	if err != nil {
-		r.t.Fatal(err)
+	for _, c := range r.cl {
+		c.Close()
 	}
+	r.bed.Close()
 }
 
 func (r *crashScript) value(name string) string {
@@ -88,7 +121,7 @@ func (r *crashScript) value(name string) string {
 // peers mirrors the value and the event has resolved — the quiesce point that
 // makes the next operation's server-side inputs (fetched states, group
 // membership, the floor) deterministic.
-func (r *crashScript) dispatchTo(origin, val string, peers ...string) {
+func (r *crashScript) dispatchTo(origin, val string, peers ...string) error {
 	r.t.Helper()
 	// The previous event's SetLocks re-enable notification is asynchronous;
 	// dispatching from a still-disabled widget would fail locally.
@@ -99,15 +132,8 @@ func (r *crashScript) dispatchTo(origin, val string, peers ...string) {
 	err := r.cl[origin].DispatchChecked(&widget.Event{
 		Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String(val)},
 	})
-	if err != nil && r.srv.elog != nil && r.srv.elog.CrashFired() {
-		// The log died under the event: it is refused, and no member hears
-		// of it.
-		if !strings.Contains(err.Error(), "event log append failed") {
-			r.t.Fatalf("event %s refused for another reason: %v", val, err)
-		}
-		peers = nil
-	} else {
-		r.mustOK(err)
+	if err != nil {
+		return err
 	}
 	for _, p := range peers {
 		p := p
@@ -116,62 +142,87 @@ func (r *crashScript) dispatchTo(origin, val string, peers ...string) {
 	// A member mirrors the value before its ack lands; the next op's event
 	// must not meet this one still holding the floor.
 	testbed.Wait(r.t, val+" resolved", func() bool { return r.srv.Stats().PendingEvents == 0 })
+	return nil
+}
+
+// retract destroys name's /x, which retracts it. The client only logs a
+// refused Retract, so the refusal is read off the server's count of refused
+// appends.
+func (r *crashScript) retract(name string) error {
+	r.t.Helper()
+	refused := r.srv.mLogAppendErrs.Value()
+	if err := r.cl[name].Registry().Destroy("/x"); err != nil {
+		r.t.Fatal(err)
+	}
+	if r.srv.mLogAppendErrs.Value() != refused {
+		return errors.New("retract refused: event log append failed")
+	}
+	return nil
 }
 
 // crashOps is the scripted session. Each op appends exactly one log record
 // (kind in the comment) and leaves the system quiescent, so the durable
 // record count R maps back to the op prefix ops[0:R].
-func crashOps() []func(r *crashScript) {
-	return []func(r *crashScript){
-		func(r *crashScript) { r.dial("A", "u1") },                 // Register
-		func(r *crashScript) { r.dial("B", "u2") },                 // Register
-		func(r *crashScript) { r.mustOK(r.cl["A"].Declare("/x")) }, // Declare
-		func(r *crashScript) { r.mustOK(r.cl["B"].Declare("/x")) }, // Declare
-		func(r *crashScript) { // Couple
-			r.mustOK(r.cl["A"].Couple("/x", r.cl["B"].Ref("/x")))
+func crashOps() []crashOp {
+	return []crashOp{
+		func(r *crashScript) error { return r.dial("A", "u1") },       // Register
+		func(r *crashScript) error { return r.dial("B", "u2") },       // Register
+		func(r *crashScript) error { return r.cl["A"].Declare("/x") }, // Declare
+		func(r *crashScript) error { return r.cl["B"].Declare("/x") }, // Declare
+		func(r *crashScript) error { // Couple
+			if err := r.cl["A"].Couple("/x", r.cl["B"].Ref("/x")); err != nil {
+				return err
+			}
 			testbed.Wait(r.t, "A coupled", func() bool { return r.cl["A"].Coupled("/x") })
 			testbed.Wait(r.t, "B coupled", func() bool { return r.cl["B"].Coupled("/x") })
+			return nil
 		},
-		func(r *crashScript) { r.dispatchTo("A", "one", "B") }, // Event
-		func(r *crashScript) { r.dispatchTo("B", "two", "A") }, // Event
-		func(r *crashScript) { // Hist (CopyTo backs up B's state)
-			r.mustOK(r.cl["A"].CopyTo("/x", r.cl["B"].Ref("/x"), false))
+		func(r *crashScript) error { return r.dispatchTo("A", "one", "B") }, // Event
+		func(r *crashScript) error { return r.dispatchTo("B", "two", "A") }, // Event
+		func(r *crashScript) error { // Hist (CopyTo backs up B's state)
+			return r.cl["A"].CopyTo("/x", r.cl["B"].Ref("/x"), false)
 		},
-		func(r *crashScript) { r.mustOK(r.cl["B"].Undo("/x")) },    // Undo
-		func(r *crashScript) { r.mustOK(r.cl["B"].Redo("/x")) },    // Redo
-		func(r *crashScript) { r.dial("C", "u3") },                 // Register
-		func(r *crashScript) { r.mustOK(r.cl["C"].Declare("/x")) }, // Declare
-		func(r *crashScript) { // Couple (second group merge; migrates when sharded)
-			r.mustOK(r.cl["C"].Couple("/x", r.cl["A"].Ref("/x")))
+		func(r *crashScript) error { return r.cl["B"].Undo("/x") },    // Undo
+		func(r *crashScript) error { return r.cl["B"].Redo("/x") },    // Redo
+		func(r *crashScript) error { return r.dial("C", "u3") },       // Register
+		func(r *crashScript) error { return r.cl["C"].Declare("/x") }, // Declare
+		func(r *crashScript) error { // Couple (second group merge; migrates when sharded)
+			if err := r.cl["C"].Couple("/x", r.cl["A"].Ref("/x")); err != nil {
+				return err
+			}
 			testbed.Wait(r.t, "C sees group of 3", func() bool { return len(r.cl["C"].CO("/x")) == 2 })
+			return nil
 		},
-		func(r *crashScript) { r.dispatchTo("C", "three", "A", "B") }, // Event
-		func(r *crashScript) { // Decouple
-			r.mustOK(r.cl["A"].Decouple("/x", r.cl["B"].Ref("/x")))
+		func(r *crashScript) error { return r.dispatchTo("C", "three", "A", "B") }, // Event
+		func(r *crashScript) error { // Decouple
+			return r.cl["A"].Decouple("/x", r.cl["B"].Ref("/x"))
 		},
-		func(r *crashScript) { // Perm
-			r.mustOK(r.cl["A"].GrantPerm("u3", "*", uint8(perm.RightControl)))
+		func(r *crashScript) error { // Perm
+			return r.cl["A"].GrantPerm("u3", "*", uint8(perm.RightControl))
 		},
-		func(r *crashScript) { // Retract (Destroy auto-retracts)
-			r.mustOK(r.cl["C"].Registry().Destroy("/x"))
-		},
+		func(r *crashScript) error { return r.retract("C") }, // Retract
 	}
 }
 
 // TestCrashPointRecovery sweeps the crash point across every write and fsync
 // boundary the scripted session generates. For each boundary: run the script
-// (the server keeps serving after the log dies: its events are refused,
-// its control-plane operations acknowledged unlogged), reopen the log
-// directory (truncating any torn
-// tail), replay it into a fresh server, and require its digest to equal a
-// shadow server driven live with exactly the durable op prefix.
+// until the dead log refuses an op, read the crashed server's state, reopen
+// the log directory (truncating any torn tail), replay it into a fresh
+// server, and require its digest to equal a shadow server driven live with
+// exactly the durable op prefix — and to equal the crashed server's, so what
+// was acknowledged is what was durable. The one gap is a crash at an fsync:
+// the write before it already put the refused op's record in the file, so a
+// restart finds an op the server refused, as it may after any failed fsync.
+// There the crashed server must equal a shadow of the acknowledged ops.
 func TestCrashPointRecovery(t *testing.T) {
 	ops := crashOps()
 	for op := 1; ; op++ {
 		// Alternate a clean abandon (nothing reaches the file) with a torn
-		// partial write, so both tail signatures are recovered from.
+		// partial write, so both tail signatures are recovered from. They
+		// alternate in pairs: boundaries alternate between a write and its
+		// fsync, where partial means nothing.
 		partial := 0
-		if op%2 == 0 {
+		if op/2%2 == 1 {
 			partial = 5
 		}
 		dir := t.TempDir()
@@ -182,9 +233,8 @@ func TestCrashPointRecovery(t *testing.T) {
 		elog.CrashPoint(op, partial)
 
 		rig := newCrashScript(t, Options{EventLog: elog})
-		for _, run := range ops {
-			run(rig)
-		}
+		acked := rig.run(ops)
+		live := liveDigest(rig.srv)
 		rig.shutdown()
 		fired := elog.CrashFired()
 		if err := elog.Close(); err != nil && !fired {
@@ -215,6 +265,16 @@ func TestCrashPointRecovery(t *testing.T) {
 		if got != want {
 			t.Fatalf("boundary %d (partial=%d, fired=%v, durable=%d/%d):\nreplayed state:\n%s\nshadow state:\n%s",
 				op, partial, fired, durable, len(ops), got, want)
+		}
+		if live != got {
+			if durable != acked+1 {
+				t.Fatalf("boundary %d (partial=%d, acked=%d, durable=%d/%d): the crashed server holds\n%s\nreplay rebuilt\n%s",
+					op, partial, acked, durable, len(ops), live, got)
+			}
+			if acks := shadowDigest(t, Options{}, ops[:acked]); live != acks {
+				t.Fatalf("boundary %d (partial=%d, acked=%d): the crashed server holds\n%s\na shadow of the acknowledged ops\n%s",
+					op, partial, acked, live, acks)
+			}
 		}
 		if !fired {
 			t.Logf("swept %d crash boundaries (%d ops, %d leases)", op-1, len(ops), leases)
@@ -253,7 +313,7 @@ func durableOps(t *testing.T, dir string) (ops, leases int) {
 // shadowDigest drives a fresh server through ops and returns its live digest.
 // The shadow logs to a directory of its own, so its shards lease event IDs at
 // the events the scripted run leased them at.
-func shadowDigest(t *testing.T, opts Options, ops []func(*crashScript)) string {
+func shadowDigest(t *testing.T, opts Options, ops []crashOp) string {
 	t.Helper()
 	elog, err := eventlog.Open(eventlog.Options{Dir: t.TempDir(), Sync: eventlog.SyncNone})
 	if err != nil {
@@ -261,9 +321,7 @@ func shadowDigest(t *testing.T, opts Options, ops []func(*crashScript)) string {
 	}
 	opts.EventLog = elog
 	shadow := newCrashScript(t, opts)
-	for _, run := range ops {
-		run(shadow)
-	}
+	shadow.run(ops)
 	digest := liveDigest(shadow.srv)
 	shadow.shutdown()
 	if err := elog.Close(); err != nil {

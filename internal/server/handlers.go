@@ -16,8 +16,14 @@ import (
 
 // handle dispatches one control-plane message from a registered client. Its
 // caller holds gmu; dispatch runs Event, ExecAck and BatchAck under their
-// shard's lock and drops Pong, so they never reach it.
+// shard's lock and drops Pong, so they never reach it. A connection whose
+// instance has left (deregistered, or dropped with requests still in flight)
+// is refused: nothing it asks for can be validated against its registration.
 func (s *Server) handle(cl *client, env wire.Envelope) {
+	if cur, _ := s.clientOf(cl.id); cur != cl {
+		s.reply(cl, env.Seq, fmt.Errorf("server: instance %s has left", cl.id))
+		return
+	}
 	switch m := env.Msg.(type) {
 	case wire.Declare:
 		s.reply(cl, env.Seq, s.commit(s.record(eventlog.KindDeclare, cl, m)))
@@ -26,11 +32,14 @@ func (s *Server) handle(cl *client, env wire.Envelope) {
 	case wire.Deregister:
 		// Deregistration invalidates any outstanding session token: an
 		// instance that left on purpose must not be resumable.
+		var err error
 		if _, ok := s.st.sessionTok[cl.id]; ok {
-			_ = s.commit(s.record(eventlog.KindTokenDrop, cl, m)) // dropping a token cannot fail
+			err = s.commit(s.record(eventlog.KindTokenDrop, cl, m))
 		}
-		s.dropClient(cl, "deregistered")
-		s.reply(cl, env.Seq, nil)
+		if err == nil {
+			err = s.dropClient(cl, "deregistered")
+		}
+		s.reply(cl, env.Seq, err)
 	case wire.Couple:
 		s.handleCouple(cl, env.Seq, m)
 	case wire.Decouple:
@@ -115,13 +124,17 @@ func (s *Server) checkDeclared(ref couple.ObjectRef) (string, error) {
 
 func (s *Server) handleRetract(cl *client, seq uint64, m wire.Retract) {
 	ref := couple.ObjectRef{Instance: cl.id, Path: m.Path}
-	// Collect the group *before* removal, as handleDecouple does: computing
-	// it afterwards loses the members connected only through the retracted
-	// object, so the split halves would keep stale mirrored links.
-	members := s.st.graph.Group(ref)
-	s.notifyLinks(instancesOf(members), s.st.retract(ref), false)
+	// Read the group and the object's links *before* removal, as
+	// handleDecouple does: computing the group afterwards loses the members
+	// connected only through the retracted object, so the split halves would
+	// keep stale mirrored links.
+	members, links := s.st.graph.Group(ref), s.st.graph.LinksOf(ref)
+	if err := s.commit(s.record(eventlog.KindRetract, cl, m)); err != nil {
+		s.reply(cl, seq, err)
+		return
+	}
+	s.notifyLinks(instancesOf(members), links, false)
 	s.routes.dropRef(ref)
-	s.logRecord(s.record(eventlog.KindRetract, cl, m))
 	s.reply(cl, seq, nil)
 }
 
@@ -159,13 +172,13 @@ func (s *Server) handleCouple(cl *client, seq uint64, m wire.Couple) {
 	if !s.st.graph.Has(l) {
 		gTo, linksTo := s.st.graph.GroupLinks(l.To)
 		// Co-locate the two groups before the link merges them: every member
-		// of one coupling group serializes on one shard.
+		// of one coupling group serializes on one shard. Placement is not
+		// state: a link the log refuses leaves two groups sharing a shard.
 		s.mergeShards(gFrom, gTo)
-		if err := s.st.graph.AddLink(l); err != nil {
+		if err := s.commit(s.groupRecord(eventlog.KindCouple, cl, l.From, m)); err != nil {
 			s.reply(cl, seq, err)
 			return
 		}
-		s.logRecord(s.groupRecord(eventlog.KindCouple, cl, l.From, m))
 		// A link inside one group has every instance on both sides: the
 		// group hears about it once.
 		all := instancesOf(gFrom, gTo)
@@ -191,8 +204,12 @@ func (s *Server) handleCouple(cl *client, seq uint64, m wire.Couple) {
 	s.reply(cl, seq, nil)
 }
 
-// checkCouple verifies that l's creator may couple its two endpoints.
+// checkCouple verifies that l's creator may couple its two endpoints, which
+// are two objects.
 func (s *Server) checkCouple(cl *client, l couple.Link) error {
+	if l.From == l.To {
+		return fmt.Errorf("server: cannot couple %s to itself", stateID(l.From))
+	}
 	classFrom, err := s.checkDeclared(l.From)
 	if err != nil {
 		return err
@@ -222,17 +239,35 @@ func (s *Server) handleDecouple(cl *client, seq uint64, m wire.Decouple) {
 		s.reply(cl, seq, err)
 		return
 	}
+	l, ok := storedLink(s.st.graph, m.From, m.To)
+	if !ok {
+		s.reply(cl, seq, fmt.Errorf("server: no link between %s and %s", stateID(m.From), stateID(m.To)))
+		return
+	}
 	// Collect the group *before* removal so both halves hear about it.
 	members := s.st.graph.Group(m.From)
-	l, err := s.st.decouple(m.From, m.To)
-	if err != nil {
+	if err := s.commit(s.groupRecord(eventlog.KindDecouple, cl, l.From, wire.Decouple{From: l.From, To: l.To})); err != nil {
 		s.reply(cl, seq, err)
 		return
 	}
 	l.Creator = cl.id
 	s.notifyLinks(instancesOf(members), []couple.Link{l}, false)
-	s.logRecord(s.groupRecord(eventlog.KindDecouple, cl, l.From, wire.Decouple{From: l.From, To: l.To}))
 	s.reply(cl, seq, nil)
+}
+
+// storedLink returns the link between from and to in its stored direction,
+// from → to first as apply's Decouple: a notice or a record naming the other
+// would leave the members' mirrors, or a replay, with a stale entry.
+func storedLink(g *couple.Graph, from, to couple.ObjectRef) (l couple.Link, ok bool) {
+	for _, gl := range g.LinksOf(from) {
+		switch {
+		case gl.From == from && gl.To == to:
+			return couple.Link{From: from, To: to}, true
+		case gl.From == to && gl.To == from:
+			l, ok = couple.Link{From: to, To: from}, true
+		}
+	}
+	return l, ok
 }
 
 // notifyLinks tells each connected instance of instances that links were
@@ -345,23 +380,20 @@ func (s *Server) handleSessionToken(cl *client, seq uint64) {
 	s.gmu.out.send(cl, wire.Envelope{RefSeq: seq, Msg: msg})
 }
 
-// dropClient removes a disconnected or deregistering instance: its couple
-// links are removed (the automatic decoupling of §3.2), its locks are
-// released, pending work is resolved, and its records are dropped.
-func (s *Server) dropClient(cl *client, reason string) {
+// dropClient removes a disconnected or deregistering instance: its departure
+// is committed — its couple links go (the automatic decoupling of §3.2), the
+// survivors are told, its record and history go, its session token stays —
+// and its connection's state goes: the client map entry, its pending events
+// and locks, its pending fetches. A departure the log refuses is returned and
+// leaves the instance registered, linked and resumable, as a restart would
+// find it. Its caller holds gmu and has checked the server is not closing:
+// a drop provoked by Close is not a departure.
+func (s *Server) dropClient(cl *client, reason string) error {
 	// Identity check, not just key presence: after a Resume takeover the
 	// instance ID maps to the NEW client, and the superseded connection's
 	// deferred drop must not tear that one down.
 	if cur, ok := s.clientOf(cl.id); !ok || cur != cl {
-		return // already dropped or superseded
-	}
-	// Durable before any database mutation below: replay prunes the
-	// instance the same way. Session tokens deliberately survive (resume
-	// works across a disconnect); only Deregister revokes them. Drops
-	// provoked by Close itself are not departures — nothing is logged, so
-	// a restart finds every instance still registered and resumable.
-	if !s.closing {
-		s.logRecord(s.record(eventlog.KindDisconnect, cl, wire.Err{Text: reason}))
+		return nil // already dropped or superseded
 	}
 	s.slog.Info("instance leaving", "inst", string(cl.id), "reason", reason)
 	s.cmu.Lock()
@@ -369,14 +401,12 @@ func (s *Server) dropClient(cl *client, reason string) {
 	s.cmu.Unlock()
 	s.mClients.Add(-1)
 
-	// Decouple everything the instance participated in, notifying survivors.
 	// Each affected group is read *before* its links are removed: afterwards
 	// the members connected to a peer only through the departed instance sit
 	// in separate components (the chain A–B–C where B leaves), and each would
 	// miss the removal of the other's link and keep it mirrored — the same
-	// ordering bug handleRetract fixed. A group is walked once, and its
-	// notices are queued ahead of the removal, which no member can tell from
-	// the other order.
+	// ordering bug handleRetract fixed. A group is walked once.
+	var notices []func()
 	covered := make(map[couple.Link]bool)
 	for _, l := range s.st.graph.InstanceLinks(cl.id) {
 		if covered[l] {
@@ -390,10 +420,15 @@ func (s *Server) dropClient(cl *client, reason string) {
 				covered[gl] = true
 			}
 		}
-		s.notifyLinks(instancesOf(members), removed, false)
+		notices = append(notices, func() { s.notifyLinks(instancesOf(members), removed, false) })
 	}
-	s.st.dropInstance(cl.id)
-	s.routes.dropInstance(cl.id)
+	err := s.commit(s.record(eventlog.KindDisconnect, cl, wire.Err{Text: reason}))
+	if err == nil {
+		for _, notify := range notices {
+			notify()
+		}
+		s.routes.dropInstance(cl.id)
+	}
 
 	// Resolve group-scoped state on every shard, under each one's lock in
 	// turn: events the instance originated are finished, and events awaiting
@@ -416,6 +451,7 @@ func (s *Server) dropClient(cl *client, reason string) {
 			delete(s.pendingFetch, id)
 		}
 	}
+	return err
 }
 
 // lockGroup applies the configured group-locking variant on the given

@@ -1,18 +1,19 @@
-// Durable-log integration: every state-mutating hop appends one record
-// before its acknowledgement is enqueued; state.restore folds those records
-// back into the server's databases after a crash or restart.
+// Durable-log integration: every transition of the replayable state is one
+// log record, durable before the state changes; state.restore folds those
+// records back into the server's databases after a crash or restart.
 //
-// The guarantee, in two clauses. Every state a restart restores was durable,
-// under the configured sync policy, before the ack that exposed it: a gmu
-// holder's records (register, declare, couple, copy, …) go through the
-// blocking Append, so each is in the log before its acknowledgement and
-// before any request that depends on it can reach a shard. A control-plane
-// message is appended on the read goroutine that decoded it, so its
-// connection's later records wait behind the append — under the always sync
-// policy, behind its fsync. And no event
-// ID is issued twice: a shard grants IDs only below a ceiling it has leased
-// with a durable KindLease record (see logEvent), and a restart starts every
-// shard above the highest ceiling it replays.
+// A control-plane transition takes one path, commit: its handler validates
+// it with read-only checks and reads what its notices need, the blocking
+// Append makes the record durable under the sync policy, and only then does
+// state.apply — which restore, the snapshotter's replica and the test shadow
+// run too — change the live state. So a transition is live only if its
+// record is in the log, whatever the log refuses. A gmu holder appends, so a
+// record is in the log before its acknowledgement and before any request
+// that depends on it can reach a shard; a connection's later records wait
+// behind the append (under the always policy, behind its fsync). And no
+// event ID is issued twice: a shard grants IDs only below a ceiling it has
+// leased with a durable KindLease record (see logEvent), and a restart
+// starts every shard above the highest ceiling it replays.
 //
 // An event's own record is an audit entry written behind the event: the
 // shard's lock holder queues it and broadcasts at once, so event records land
@@ -22,44 +23,37 @@
 // the lease before it already covers, so an event record commutes with
 // every record in the fold (TestEventRecordsCommute).
 //
-// Failure policy: a failed lease, or an event record the log refuses (it is
-// closed or has failed), refuses the event — it unlocks the group, sends no
-// Exec or SetLocks, and answers the origin EventResult{OK: false}; the
-// shard's sequence does not advance. The log fails closed, so every later
-// lease is refused too and the shard refuses events until a restart. A
-// failed control-plane append is warned about, counted and acknowledged
-// anyway: the transition was already applied to the live state, and refusing
-// the client would not take it back.
+// Failure policy, one for every durable write: a record the log refuses (it
+// is closed or failed, or the record is too large) refuses the request that
+// needed it. A control-plane request is answered with the error and changes
+// nothing; an event unlocks its group, sends no Exec, and answers the origin
+// EventResult{OK: false}. The log fails closed, so every later request that
+// writes is refused too, until a restart. A departure whose record is
+// refused leaves the instance registered, linked and resumable.
 package server
 
-import "cosoft/internal/eventlog"
+import (
+	"fmt"
 
-// commit performs a transition that is exactly its log record: the state
-// applies it, then the log makes it durable — callers place commit before the
-// transition's acknowledgement is enqueued. Its caller holds gmu, which owns
-// the state. A record the state refuses is not logged, and the
-// refusal is the answer to the client.
+	"cosoft/internal/eventlog"
+)
+
+// commit performs a validated control-plane transition, which is exactly its
+// log record: the log makes it durable, then the state applies it. Its caller
+// holds gmu and no shard lock, and queues its notices and acknowledgement
+// only once commit returns nil. A record the log refuses is counted
+// (server.log.append_errors), changes nothing, and is the client's answer.
+// Without a log commit is apply.
 func (s *Server) commit(rec eventlog.Record) error {
-	if err := s.st.apply(rec); err != nil {
-		return err
+	if s.elog != nil {
+		if err := s.elog.Append(rec); err != nil {
+			s.mLogAppendErrs.Inc()
+			s.slog.Warn("request refused: log append failed",
+				"kind", int(rec.Kind), "inst", rec.Origin, "err", err)
+			return fmt.Errorf("server: event log append failed: %w", err)
+		}
 	}
-	s.logRecord(rec)
-	return nil
-}
-
-// logRecord appends one control-plane record to the durable event log,
-// blocking until it reaches the configured durability. Its caller holds gmu
-// and no shard lock. A failed append is counted
-// (server.log.append_errors), logged and dropped: the server keeps serving
-// (durability degrades, live consistency does not). No-op when durability is
-// off.
-func (s *Server) logRecord(rec eventlog.Record) {
-	if s.elog == nil {
-		return
-	}
-	if err := s.elog.Append(rec); err != nil {
-		s.mLogAppendErrs.Inc()
-		s.slog.Warn("event log append failed",
-			"kind", int(rec.Kind), "inst", rec.Origin, "err", err)
-	}
+	// Validation leaves apply nothing to refuse; if it did, restore would
+	// skip the record the same way, so live = fold holds regardless.
+	return s.st.apply(rec)
 }

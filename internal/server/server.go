@@ -207,7 +207,7 @@ type Server struct {
 	mHandoffs      *obs.Counter   // server.cross_shard_handoffs: group migrations between shards
 	mEventTOWait   *obs.Histogram // server.event_timeout_wait_ns: wait span of deadline-resolved events
 	mHistEvict     *obs.Counter   // server.hist_evictions: oldest undo snapshots dropped by the depth bound
-	mLogAppendErrs *obs.Counter   // server.log.append_errors: event-log appends that failed (an event is refused, a control-plane transition acked regardless)
+	mLogAppendErrs *obs.Counter   // server.log.append_errors: event-log appends that failed, each refusing its event or request
 	mLinkNotices   *obs.Counter   // server.link_notices: LinkAdded + LinkRemoved envelopes enqueued
 
 	// mMember attributes event health to individual members: per-instance
@@ -302,10 +302,9 @@ type Stats struct {
 	// on different shards).
 	Shards             int64
 	CrossShardHandoffs uint64
-	// LogAppendErrors counts durable-log appends that failed. A failed ID
-	// lease or a refused event record refused the event; a failed
-	// control-plane append was applied and acknowledged anyway, so each of
-	// those is an acked record the next restart will not replay.
+	// LogAppendErrors counts durable-log appends that failed. Each refused
+	// what needed it: a failed ID lease or event record its event, a failed
+	// control-plane record its request, which changed nothing.
 	LogAppendErrors uint64
 	// LinkNotices counts the LinkAdded and LinkRemoved envelopes enqueued to
 	// keep the instances' mirrored coupling information current.
@@ -664,9 +663,9 @@ func (s *Server) admitRegister(cl *client, env wire.Envelope, reg wire.Register)
 	if s.closing {
 		return "server: shutting down"
 	}
-	cl.id = s.st.reg.NewID(reg.AppType)
-	if s.commit(eventlog.Record{Kind: eventlog.KindRegister, Origin: string(cl.id), Env: wire.Envelope{Msg: reg}}) != nil {
-		return "server: registration failed"
+	cl.id = s.st.reg.NextID(reg.AppType)
+	if err := s.commit(eventlog.Record{Kind: eventlog.KindRegister, Origin: string(cl.id), Env: wire.Envelope{Msg: reg}}); err != nil {
+		return "server: registration failed: " + err.Error()
 	}
 	s.admit(cl, env)
 	s.slog.Info("instance registered",

@@ -316,8 +316,8 @@ func (s *Server) runAck(a execAck) {
 // mergeShards co-locates the two groups a new couple link is about to merge:
 // every member of one coupling group lives on one shard, so when the two sit
 // on different shards the smaller group moves to the larger one's (ties keep
-// the from side in place). Its caller holds gmu, and calls it before
-// graph.AddLink.
+// the from side in place). Its caller holds gmu, and calls it before the
+// link is committed.
 func (s *Server) mergeShards(gFrom, gTo []couple.ObjectRef) {
 	from, to := s.routes.shard(gFrom[0]), s.routes.shard(gTo[0])
 	switch {

@@ -240,9 +240,7 @@ func TestSnapshotCrashPointRecovery(t *testing.T) {
 		}
 
 		rig := newCrashScript(t, Options{EventLog: elog})
-		for _, run := range ops {
-			run(rig)
-		}
+		rig.run(ops)
 		elog.SnapCrashPoint(op, partial)
 		snapErr := rig.srv.Snapshot()
 		rig.shutdown()
@@ -301,10 +299,10 @@ func TestSnapshotRestartEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			rig := newCrashScript(t, Options{EventLog: elog, Shards: shards})
-			for _, run := range ops {
-				run(rig)
+			rig.run(ops)
+			if err := rig.srv.Snapshot(); err != nil {
+				t.Fatal(err)
 			}
-			rig.mustOK(rig.srv.Snapshot())
 			rig.shutdown()
 			if err := elog.Close(); err != nil {
 				t.Fatal(err)
@@ -350,9 +348,7 @@ func TestSnapshotV1PayloadRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	rig := newCrashScript(t, Options{EventLog: elog})
-	for _, run := range ops {
-		run(rig)
-	}
+	rig.run(ops)
 	rig.shutdown()
 	// A v1 snapshot of the whole log: today's sections, the old version tag,
 	// and an empty tail section.

@@ -12,11 +12,9 @@
 //	restore   newest decodable snapshot, then the log's tail
 //
 // — so a snapshot at offset N is fold(records[0:N)) by construction, and
-// snapshot-then-tail equals full replay. A live handler whose transition is
-// exactly the logged one calls Server.commit (apply, then append); one that
-// needs the mutation's result or the state before it for its notices calls
-// the method apply itself calls (retract, decouple, dropInstance, walk) and
-// appends the record afterwards.
+// snapshot-then-tail equals full replay. The live server reaches apply only
+// through Server.commit, once the record is in the log; what a handler's
+// notices need it reads from the state before that.
 //
 // Deliberately outside: the lock table and the pending-event wait sets. A
 // logged event was committed (its group lock granted and broadcast begun) and
@@ -122,7 +120,12 @@ func (st *state) apply(rec eventlog.Record) error {
 		st.reg.RestoreSeq(origin)
 		return st.reg.Register(registry.Record{ID: origin, AppType: m.AppType, Host: m.Host, User: m.User})
 	case eventlog.KindDisconnect:
-		st.dropInstance(origin)
+		// The instance's couple links (the automatic decoupling of §3.2),
+		// registration record and history go. Its session token deliberately
+		// survives: a disconnected instance may still resume.
+		st.graph.RemoveInstance(origin)
+		st.reg.Deregister(origin)
+		st.history.ForgetInstance(origin)
 	case eventlog.KindToken:
 		m, err := payload[wire.SessionToken](rec)
 		if err != nil {
@@ -180,7 +183,10 @@ func (st *state) apply(rec eventlog.Record) error {
 		if err != nil {
 			return err
 		}
-		st.retract(couple.ObjectRef{Instance: origin, Path: m.Path})
+		ref := couple.ObjectRef{Instance: origin, Path: m.Path}
+		st.graph.RemoveObject(ref)
+		st.reg.RetractObject(origin, m.Path)
+		st.history.Forget(ref)
 	case eventlog.KindCouple:
 		m, err := payload[wire.Couple](rec)
 		if err != nil {
@@ -192,8 +198,11 @@ func (st *state) apply(rec eventlog.Record) error {
 		if err != nil {
 			return err
 		}
-		_, err = st.decouple(m.From, m.To)
-		return err
+		// The record names the link in its stored direction; either
+		// direction goes, as the live handler found it.
+		if !st.graph.RemoveLink(m.From, m.To) && !st.graph.RemoveLink(m.To, m.From) {
+			return fmt.Errorf("server: no link between %s and %s", stateID(m.From), stateID(m.To))
+		}
 	case eventlog.KindEvent, eventlog.KindLease:
 		m, err := payload[wire.Exec](rec)
 		if err != nil {
@@ -218,7 +227,11 @@ func (st *state) apply(rec eventlog.Record) error {
 		if err != nil {
 			return err
 		}
-		_, err = st.walk(rec.Kind == eventlog.KindUndo, m.To, m.State)
+		if rec.Kind == eventlog.KindUndo {
+			_, err = st.history.Undo(m.To, m.State)
+		} else {
+			_, err = st.history.Redo(m.To, m.State)
+		}
 		return err
 	case eventlog.KindPerm:
 		switch m := rec.Env.Msg.(type) {
@@ -233,46 +246,6 @@ func (st *state) apply(rec eventlog.Record) error {
 		return fmt.Errorf("server: unknown record kind %d", rec.Kind)
 	}
 	return nil
-}
-
-// dropInstance is a disconnect: the instance's couple links (the automatic
-// decoupling of §3.2), registration record and history go. Session tokens
-// deliberately survive: a disconnected instance may still resume.
-func (st *state) dropInstance(id couple.InstanceID) {
-	st.graph.RemoveInstance(id)
-	st.reg.Deregister(id)
-	st.history.ForgetInstance(id)
-}
-
-// retract is a retraction, returning the links that went with the object.
-func (st *state) retract(ref couple.ObjectRef) []couple.Link {
-	removed := st.graph.RemoveObject(ref)
-	st.reg.RetractObject(ref.Instance, ref.Path)
-	st.history.Forget(ref)
-	return removed
-}
-
-// decouple removes the link between from and to, whichever way it is stored,
-// and returns it in its stored direction: a notice or a log record naming
-// the other one would leave the members' replicated coupling info — or a
-// replay — with a stale entry.
-func (st *state) decouple(from, to couple.ObjectRef) (couple.Link, error) {
-	switch {
-	case st.graph.RemoveLink(from, to):
-		return couple.Link{From: from, To: to}, nil
-	case st.graph.RemoveLink(to, from):
-		return couple.Link{From: to, To: from}, nil
-	}
-	return couple.Link{}, fmt.Errorf("server: no link between %s and %s", stateID(from), stateID(to))
-}
-
-// walk moves ref one step down (undo) or back up its history, pushing
-// current on the opposite stack, and returns the state to restore.
-func (st *state) walk(undo bool, ref couple.ObjectRef, current widget.TreeState) (hist.Snapshot, error) {
-	if undo {
-		return st.history.Undo(ref, current)
-	}
-	return st.history.Redo(ref, current)
 }
 
 // restore rebuilds the state from a log directory: the newest snapshot that

@@ -414,48 +414,74 @@ func TestEveryKindHasOneMutationSite(t *testing.T) {
 // Event and lease records commute with every record in the fold: apply of
 // either only raises the floor to the max, so a log whose event and lease
 // records are moved to any positions — which is all an event record that
-// lands late among the other loops' records amounts to — folds to the same
-// state. History records
-// (Hist, Undo, Redo) commute with every record that names neither their
-// object nor its instance: the historical-states database is keyed by object,
-// and only the object's own history records, its Retract and its instance's
-// Disconnect touch that key (its Declare, and the instance's Register and
-// Resume, are held fixed too). So a log whose event and lease records move
-// anywhere and whose history records move anywhere between those neighbours
-// folds to the same state. The logs are the golden script, the golden script with an
-// object that has history retracted, and one recorded from the
-// crash-recovery script's session. The check can tell records that do not
-// commute apart: swapping a link's Couple and Decouple in the crash script's
-// log changes the fold (in the golden script the link's instance disconnects
-// later, which takes the link with it either way), and so does moving a
-// history record past its object's Retract.
+// lands late among the other goroutines' records amounts to — folds to the
+// same state. The records of one object and of one instance are the rest of
+// the ordering rule: a history record (Hist, Undo, Redo), a Declare, a Couple
+// or a Decouple commutes with every record that names none of its objects and
+// is not a Register, Resume or Disconnect of an instance owning one of them.
+// So each of those moves anywhere between the nearest such barriers around
+// it: the Couples, Decouples and Declares of different groups move freely
+// past each other (see barrier for the one exception). The logs are the
+// golden script, the golden script with an object that has history
+// retracted, the golden script with an instance that leaves, resumes and
+// declares again, and one recorded from the crash-recovery script's session.
+// The check can tell records that do not commute apart: moving a record past
+// a barrier of each kind changes the fold.
 func TestEventRecordsCommute(t *testing.T) {
 	// The golden scripts predate leases; each gets one, with a ceiling below
 	// their last event IDs, so the floor still depends on the event records.
 	lease := eventlog.Record{Kind: eventlog.KindLease, Env: wire.Envelope{Msg: wire.Exec{EventID: 4}}}
+	instance := func(kind eventlog.Kind) func(m, r eventlog.Record, owners map[string]couple.InstanceID) bool {
+		return func(m, r eventlog.Record, owners map[string]couple.InstanceID) bool {
+			return r.Kind == kind && (barrier(m, r, owners) || barrier(r, m, owners))
+		}
+	}
+	// The crossings each log must tell from its own order: a record of kind
+	// moved just past the first later barrier it has of the other kind.
+	type crossing struct {
+		kind    eventlog.Kind
+		barrier func(m, r eventlog.Record, owners map[string]couple.InstanceID) bool
+	}
+	sameLink := func(m, r eventlog.Record, _ map[string]couple.InstanceID) bool {
+		a, b := objectsOf(m), objectsOf(r)
+		return r.Kind == eventlog.KindDecouple && len(a) == 2 && len(b) == 2 &&
+			(a[0] == b[0] && a[1] == b[1] || a[0] == b[1] && a[1] == b[0])
+	}
 	for _, tc := range []struct {
-		name       string
-		recs       []eventlog.Record
-		swap, past bool
+		name      string
+		recs      []eventlog.Record
+		crossings []crossing
 	}{
-		{"golden", append(goldenRecords(), lease), false, false},
-		{"golden retracted", append(goldenRetracted(), lease), false, true},
-		{"crash script", recordedCrashScript(t), true, false},
+		{"golden", append(goldenRecords(), lease), []crossing{
+			{eventlog.KindRegister, instance(eventlog.KindDeclare)},
+			{eventlog.KindCouple, instance(eventlog.KindDisconnect)},
+			{eventlog.KindDeclare, instance(eventlog.KindRetract)},
+		}},
+		{"golden retracted", append(goldenRetracted(), lease), []crossing{
+			{eventlog.KindHist, instance(eventlog.KindRetract)},
+		}},
+		{"golden resumed", append(goldenResumed(), lease), []crossing{
+			{eventlog.KindResume, instance(eventlog.KindDeclare)},
+		}},
+		{"crash script", recordedCrashScript(t), []crossing{
+			{eventlog.KindCouple, sameLink},
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			events, leases, history := 0, 0, 0
+			events, leases, movers := 0, 0, map[eventlog.Kind]int{}
 			for _, rec := range tc.recs {
 				switch rec.Kind {
 				case eventlog.KindEvent:
 					events++
 				case eventlog.KindLease:
 					leases++
-				case eventlog.KindHist, eventlog.KindUndo, eventlog.KindRedo:
-					history++
+				}
+				if _, ok := movable(rec); ok {
+					movers[rec.Kind]++
 				}
 			}
-			if events == 0 || leases == 0 || history == 0 {
-				t.Fatalf("the log holds %d event, %d lease and %d history records to move", events, leases, history)
+			if events == 0 || leases == 0 || len(movers) < 3 {
+				t.Fatalf("the log holds %d event and %d lease records and movers of kinds %v", events, leases, movers)
 			}
 			want := foldDigest(tc.recs)
 			moved := func(seed uint64) bool {
@@ -468,11 +494,10 @@ func TestEventRecordsCommute(t *testing.T) {
 			if err := quick.Check(moved, &quick.Config{MaxCount: 200}); err != nil {
 				t.Fatal(err)
 			}
-			if tc.swap && foldDigest(swapLinkPair(t, tc.recs)) == want {
-				t.Fatal("swapping a link's Couple and Decouple folds to the same state: the digest cannot tell an order that matters")
-			}
-			if tc.past && foldDigest(histPastRetract(t, tc.recs)) == want {
-				t.Fatal("moving a history record past its object's Retract folds to the same state: the digest cannot tell an order that matters")
+			for _, c := range tc.crossings {
+				if foldDigest(movePast(t, tc.recs, c.kind, c.barrier)) == want {
+					t.Errorf("moving a record of kind %d past its barrier folds to the same state: the digest cannot tell an order that matters", c.kind)
+				}
 			}
 		})
 	}
@@ -492,6 +517,24 @@ func goldenRetracted() []eventlog.Record {
 	)
 }
 
+// goldenResumed is the golden script with app-1 leaving, resuming with its
+// token — as a fresh registration, since it left — declaring an object and
+// coupling it into app-3's group; a permission rule follows, so there is
+// somewhere past the Couple to go.
+func goldenResumed() []eventlog.Record {
+	w := couple.ObjectRef{Instance: "app-1", Path: "/w"}
+	rec := func(kind eventlog.Kind, origin string, msg wire.Message) eventlog.Record {
+		return eventlog.Record{Kind: kind, Origin: origin, Env: wire.Envelope{Msg: msg}}
+	}
+	return append(goldenRecords(),
+		rec(eventlog.KindDisconnect, "app-1", wire.Err{Text: "connection closed"}),
+		rec(eventlog.KindResume, "", wire.Resume{Token: "tok-a"}),
+		rec(eventlog.KindDeclare, "app-1", wire.Declare{Path: "/w", Class: "textfield"}),
+		rec(eventlog.KindCouple, "app-1", wire.Couple{From: w, To: couple.ObjectRef{Instance: "app-3", Path: "/x"}}),
+		rec(eventlog.KindPerm, "app-3", wire.GrantPerm{User: "u1", State: "*", Right: 1}),
+	)
+}
+
 // foldDigest folds recs into a fresh state, skipping what apply refuses as
 // restore does.
 func foldDigest(recs []eventlog.Record) string {
@@ -502,33 +545,31 @@ func foldDigest(recs []eventlog.Record) string {
 	return st.digest()
 }
 
-// moveRecords returns recs with every history record reinserted between the
-// nearest records around it that name its object or its instance, and then
-// every KindEvent and KindLease record reinserted anywhere, at positions
-// drawn from seed.
+// moveRecords returns recs with every movable record reinserted between the
+// nearest records around it that are its barriers, and then every KindEvent
+// and KindLease record reinserted anywhere, at positions drawn from seed.
 // The other records keep their order.
 func moveRecords(recs []eventlog.Record, seed uint64) []eventlog.Record {
 	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 	owners := tokenOwners(recs)
 	out := slices.Clone(recs)
-	// Walk the history records in their original order: each is found by its
+	// Walk the movable records in their original order: each is found by its
 	// original index, since earlier moves may have shifted it.
 	at := make([]int, len(out)) // at[i] is the original index of out[i]
 	for i := range at {
 		at[i] = i
 	}
 	for orig, rec := range recs {
-		ref, ok := histRef(rec)
-		if !ok {
+		if _, ok := movable(rec); !ok {
 			continue
 		}
 		p := slices.Index(at, orig)
 		out, at = slices.Delete(out, p, p+1), slices.Delete(at, p, p+1)
 		lo, hi := p, p
-		for lo > 0 && !namesObject(out[lo-1], ref, owners) {
+		for lo > 0 && !barrier(rec, out[lo-1], owners) {
 			lo--
 		}
-		for hi < len(out) && !namesObject(out[hi], ref, owners) {
+		for hi < len(out) && !barrier(rec, out[hi], owners) {
 			hi++
 		}
 		q := lo + rng.IntN(hi-lo+1)
@@ -548,39 +589,65 @@ func moveRecords(recs []eventlog.Record, seed uint64) []eventlog.Record {
 	return rest
 }
 
-// histRef returns the object a history record is about.
-func histRef(rec eventlog.Record) (couple.ObjectRef, bool) {
+// movable returns the objects of a record moveRecords moves: a history
+// record's object, a Declare's, or a Couple's or Decouple's two endpoints.
+func movable(rec eventlog.Record) ([]couple.ObjectRef, bool) {
 	switch rec.Kind {
-	case eventlog.KindHist, eventlog.KindUndo, eventlog.KindRedo:
-		return rec.Env.Msg.(wire.CopyTo).To, true
+	case eventlog.KindHist, eventlog.KindUndo, eventlog.KindRedo,
+		eventlog.KindDeclare, eventlog.KindCouple, eventlog.KindDecouple:
+		return objectsOf(rec), true
 	}
-	return couple.ObjectRef{}, false
+	return nil, false
 }
 
-// namesObject reports whether rec names ref or ref's instance: one of ref's
-// history records, its Declare or Retract, or its instance's Register,
-// Resume or Disconnect. owners maps a session token to the instance that
-// minted it, for the Resume records logged without an origin.
-func namesObject(rec eventlog.Record, ref couple.ObjectRef, owners map[string]couple.InstanceID) bool {
+// objectsOf returns the objects rec names: a movable record's, or a
+// Retract's.
+func objectsOf(rec eventlog.Record) []couple.ObjectRef {
 	inst := couple.InstanceID(rec.Origin)
-	switch rec.Kind {
-	case eventlog.KindHist, eventlog.KindUndo, eventlog.KindRedo:
-		other, _ := histRef(rec)
-		return other == ref
-	case eventlog.KindDeclare:
-		return couple.ObjectRef{Instance: inst, Path: rec.Env.Msg.(wire.Declare).Path} == ref
-	case eventlog.KindRetract:
-		return couple.ObjectRef{Instance: inst, Path: rec.Env.Msg.(wire.Retract).Path} == ref
-	case eventlog.KindRegister, eventlog.KindDisconnect:
-		return inst == ref.Instance
-	case eventlog.KindResume:
-		if inst == "" {
-			inst = owners[rec.Env.Msg.(wire.Resume).Token]
-		}
-		return inst == ref.Instance
+	switch m := rec.Env.Msg.(type) {
+	case wire.CopyTo:
+		return []couple.ObjectRef{m.To}
+	case wire.Declare:
+		return []couple.ObjectRef{{Instance: inst, Path: m.Path}}
+	case wire.Retract:
+		return []couple.ObjectRef{{Instance: inst, Path: m.Path}}
+	case wire.Couple:
+		return []couple.ObjectRef{m.From, m.To}
+	case wire.Decouple:
+		return []couple.ObjectRef{m.From, m.To}
 	}
-	return false
+	return nil
 }
+
+// barrier reports whether the movable record rec may not move past other:
+// other is a Register, Resume or Disconnect of an instance owning one of
+// rec's objects, or other names one of rec's objects — the records of one
+// object, and of one group as far as a Couple or Decouple can tell. The
+// exception is a history record and a Couple or Decouple, which commute
+// whatever they name: one is kept in the historical-states database, the
+// other in the couple graph. owners maps a session token to the instance
+// that minted it, for the Resume records logged without an origin.
+func barrier(rec, other eventlog.Record, owners map[string]couple.InstanceID) bool {
+	refs, _ := movable(rec)
+	switch other.Kind {
+	case eventlog.KindRegister, eventlog.KindResume, eventlog.KindDisconnect:
+		inst := couple.InstanceID(other.Origin)
+		if m, ok := other.Env.Msg.(wire.Resume); ok && inst == "" {
+			inst = owners[m.Token]
+		}
+		return slices.ContainsFunc(refs, func(ref couple.ObjectRef) bool { return ref.Instance == inst })
+	}
+	if isHistory(rec.Kind) && isLink(other.Kind) || isLink(rec.Kind) && isHistory(other.Kind) {
+		return false
+	}
+	return slices.ContainsFunc(objectsOf(other), func(ref couple.ObjectRef) bool { return slices.Contains(refs, ref) })
+}
+
+func isHistory(k eventlog.Kind) bool {
+	return k == eventlog.KindHist || k == eventlog.KindUndo || k == eventlog.KindRedo
+}
+
+func isLink(k eventlog.Kind) bool { return k == eventlog.KindCouple || k == eventlog.KindDecouple }
 
 // tokenOwners maps every session token recs mint to the instance minting it.
 func tokenOwners(recs []eventlog.Record) map[string]couple.InstanceID {
@@ -593,50 +660,24 @@ func tokenOwners(recs []eventlog.Record) map[string]couple.InstanceID {
 	return owners
 }
 
-// histPastRetract returns recs with the last history record of a retracted
-// object moved to just past that object's Retract.
-func histPastRetract(t *testing.T, recs []eventlog.Record) []eventlog.Record {
+// movePast returns recs with the first record of kind that has a later
+// record is(m, r) picks moved to just past the first such record.
+func movePast(t *testing.T, recs []eventlog.Record, kind eventlog.Kind,
+	is func(m, r eventlog.Record, owners map[string]couple.InstanceID) bool) []eventlog.Record {
 	t.Helper()
-	out := slices.Clone(recs)
-	for r := len(out) - 1; r >= 0; r-- {
-		if out[r].Kind != eventlog.KindRetract {
+	owners := tokenOwners(recs)
+	for m, rec := range recs {
+		if rec.Kind != kind {
 			continue
 		}
-		ref := couple.ObjectRef{Instance: couple.InstanceID(out[r].Origin), Path: out[r].Env.Msg.(wire.Retract).Path}
-		for h := r - 1; h >= 0; h-- {
-			if other, ok := histRef(out[h]); ok && other == ref {
-				rec := out[h]
-				out = slices.Delete(out, h, h+1)
-				return slices.Insert(out, r, rec) // r is now just past the Retract
+		for r := m + 1; r < len(recs); r++ {
+			if is(rec, recs[r], owners) {
+				out := slices.Delete(slices.Clone(recs), m, m+1)
+				return slices.Insert(out, r, rec) // r is now just past the barrier
 			}
 		}
 	}
-	t.Fatal("the log holds no history record of an object it retracts")
-	return nil
-}
-
-// swapLinkPair returns recs with the first Decouple and the Couple of the
-// same link exchanged.
-func swapLinkPair(t *testing.T, recs []eventlog.Record) []eventlog.Record {
-	t.Helper()
-	out := slices.Clone(recs)
-	for d, rec := range out {
-		if rec.Kind != eventlog.KindDecouple {
-			continue
-		}
-		dec := rec.Env.Msg.(wire.Decouple)
-		for c := d - 1; c >= 0; c-- {
-			if out[c].Kind != eventlog.KindCouple {
-				continue
-			}
-			cp := out[c].Env.Msg.(wire.Couple)
-			if cp.From == dec.From && cp.To == dec.To || cp.From == dec.To && cp.To == dec.From {
-				out[c], out[d] = out[d], out[c]
-				return out
-			}
-		}
-	}
-	t.Fatal("the log holds no Couple and Decouple of one link")
+	t.Fatalf("the log holds no record of kind %d with a later barrier", kind)
 	return nil
 }
 
@@ -650,9 +691,7 @@ func recordedCrashScript(t *testing.T) []eventlog.Record {
 		t.Fatal(err)
 	}
 	rig := newCrashScript(t, Options{EventLog: elog})
-	for _, run := range crashOps() {
-		run(rig)
-	}
+	rig.run(crashOps())
 	rig.shutdown()
 	if err := elog.Close(); err != nil {
 		t.Fatal(err)

@@ -1,13 +1,11 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 
 	"cosoft/internal/compat"
 	"cosoft/internal/couple"
 	"cosoft/internal/eventlog"
-	"cosoft/internal/hist"
 	"cosoft/internal/perm"
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
@@ -21,17 +19,11 @@ type fetch struct {
 	onFail    func(reason string)
 }
 
-// requestState sends a StateRequest to the owner of ref and registers the
-// continuation. Its caller holds gmu, and the continuations run under it
-// too: a reply arrives as a control-plane message, and a failure comes
-// from here or from dropClient.
-func (s *Server) requestState(requester *client, ref couple.ObjectRef, relevantOnly bool,
-	onReply func(widget.TreeState), onFail func(string)) {
-	s.requestStateOpt(requester, ref, relevantOnly, false, onReply, onFail)
-}
-
-// requestStateOpt additionally controls shallow capture.
-func (s *Server) requestStateOpt(requester *client, ref couple.ObjectRef, relevantOnly, shallow bool,
+// requestState sends a StateRequest (shallow: the object's own state only)
+// to the owner of ref and registers the continuation. Its caller holds gmu,
+// and the continuations run under it too: a reply arrives as a control-plane
+// message, and a failure comes from here or from dropClient.
+func (s *Server) requestState(requester *client, ref couple.ObjectRef, relevantOnly, shallow bool,
 	onReply func(widget.TreeState), onFail func(string)) {
 	target, ok := s.clientOf(ref.Instance)
 	if !ok {
@@ -83,7 +75,7 @@ func (s *Server) handleFetchState(cl *client, seq uint64, m wire.FetchState) {
 		s.reply(cl, seq, err)
 		return
 	}
-	s.requestState(cl, m.Ref, m.RelevantOnly,
+	s.requestState(cl, m.Ref, m.RelevantOnly, false,
 		func(state widget.TreeState) {
 			s.gmu.out.send(cl, wire.Envelope{RefSeq: seq, Msg: wire.StateReply{OK: true, State: state}})
 		},
@@ -130,23 +122,20 @@ func (s *Server) completeCopy(cl *client, seq uint64, from, to couple.ObjectRef,
 			s.reply(cl, seq, fmt.Errorf("server: cross-class copy of complex objects is not supported"))
 			return
 		}
-		state = widget.TreeState{
-			Class: mustClass(s, to),
-			Name:  state.Name,
-			Attrs: compat.TranslateState(state.Attrs, mapping),
-		}
+		class, _ := s.st.reg.ObjectClass(to)
+		state = widget.TreeState{Class: class, Name: state.Name, Attrs: compat.TranslateState(state.Attrs, mapping)}
 	}
-	s.requestState(cl, to, false,
+	s.requestState(cl, to, false, false,
 		func(old widget.TreeState) {
+			target, ok := s.clientOf(to.Instance)
+			if !ok {
+				s.reply(cl, seq, fmt.Errorf("server: instance %s disconnected", to.Instance))
+				return
+			}
 			// The logged CopyTo carries the overwritten state: it is the
 			// backup.
 			if err := s.commit(s.record(eventlog.KindHist, cl, wire.CopyTo{To: to, State: old})); err != nil {
 				s.reply(cl, seq, err)
-				return
-			}
-			target, ok := s.clientOf(to.Instance)
-			if !ok {
-				s.reply(cl, seq, fmt.Errorf("server: instance %s disconnected", to.Instance))
 				return
 			}
 			s.gmu.out.send(target, wire.Envelope{Msg: wire.ApplyState{
@@ -161,11 +150,6 @@ func (s *Server) completeCopy(cl *client, seq uint64, from, to couple.ObjectRef,
 		func(reason string) {
 			s.reply(cl, seq, fmt.Errorf("server: backing up %s: %s", stateID(to), reason))
 		})
-}
-
-func mustClass(s *Server, ref couple.ObjectRef) string {
-	class, _ := s.st.reg.ObjectClass(ref)
-	return class
 }
 
 // handleCopyTo implements passive synchronization: the sender pushes its own
@@ -191,7 +175,7 @@ func (s *Server) handleCopyFrom(cl *client, seq uint64, m wire.CopyFrom) {
 		s.reply(cl, seq, err)
 		return
 	}
-	s.requestStateOpt(cl, m.From, true, m.Shallow,
+	s.requestState(cl, m.From, true, m.Shallow,
 		func(state widget.TreeState) {
 			s.completeCopy(cl, seq, m.From, to, state, mapping, m.Destructive)
 		},
@@ -208,7 +192,7 @@ func (s *Server) handleRemoteCopy(cl *client, seq uint64, m wire.RemoteCopy) {
 		s.reply(cl, seq, err)
 		return
 	}
-	s.requestState(cl, m.From, true,
+	s.requestState(cl, m.From, true, false,
 		func(state widget.TreeState) {
 			s.completeCopy(cl, seq, m.From, m.To, state, mapping, m.Destructive)
 		},
@@ -224,25 +208,27 @@ func (s *Server) handleUndoRedo(cl *client, seq uint64, path string, undo bool) 
 		s.reply(cl, seq, err)
 		return
 	}
-	s.requestState(cl, ref, false,
+	s.requestState(cl, ref, false, false,
 		func(current widget.TreeState) {
-			snap, err := s.st.walk(undo, ref, current)
-			if errors.Is(err, hist.ErrEmpty) {
+			// The state to restore is the top of the stack the walk pops,
+			// read as the history stands when the current state arrives.
+			undos, redos := s.st.history.Stacks(ref)
+			kind, stack := eventlog.KindRedo, redos
+			if undo {
+				kind, stack = eventlog.KindUndo, undos
+			}
+			if len(stack) == 0 {
 				s.reply(cl, seq, fmt.Errorf("server: no state to restore for %s", stateID(ref)))
 				return
 			}
-			if err != nil {
+			snap := stack[len(stack)-1]
+			// The logged CopyTo carries the pre-walk current state — the value
+			// the walk pushes on the opposite stack — so replaying the walk
+			// reproduces both stacks.
+			if err := s.commit(s.groupRecord(kind, cl, ref, wire.CopyTo{To: ref, State: current})); err != nil {
 				s.reply(cl, seq, err)
 				return
 			}
-			// The logged CopyTo carries the pre-walk current state — the value
-			// the walk pushed on the opposite stack — so replaying the walk
-			// reproduces both stacks.
-			kind := eventlog.KindRedo
-			if undo {
-				kind = eventlog.KindUndo
-			}
-			s.logRecord(s.groupRecord(kind, cl, ref, wire.CopyTo{To: ref, State: current}))
 			s.gmu.out.send(cl, wire.Envelope{Msg: wire.ApplyState{
 				Path:        path,
 				State:       snap.State,
