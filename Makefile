@@ -24,7 +24,7 @@ fmt:
 
 # Race-check the coupling core: the server (read goroutines run events and
 # acks under their shard's lock and control-plane messages under the global
-# lock, whose holder's migration takes two shard locks against them), the
+# lock, and every shard takes a group's floor in the one lock table), the
 # lock table, the client runtime, the wire Conn (RPC callers, Pongs and acks
 # write one Conn side by side, under the lock that also keeps its write error
 # and its unsent tail; on the server a lock holder's attempts and the outbox
@@ -56,8 +56,8 @@ verify: fmt vet lint-metrics race allocs
 # duplicated connections, repeated under the race detector. Every harness
 # server is the product configuration (four shards, batching on, an event
 # log that snapshots and compacts underneath, the clients cosoft.Dial ships),
-# so one pass covers cross-shard cleanup, the packed fan-out path and
-# append-before-ack.
+# so one pass covers a departure's cleanup on every shard, the packed fan-out
+# path and append-before-ack.
 chaos:
 	$(GO) test -race -run Chaos -count=3 ./...
 

@@ -57,7 +57,7 @@ func main() {
 		rate       = flag.Float64("rate", 0, "target events/sec per group (0 = as fast as floor control allows)")
 		payload    = flag.Int("payload", 24, "event payload size in bytes")
 		batchLimit = flag.Int("batch-limit", 32, "in-process server batch limit: envelopes packed into one frame (1 = one per frame)")
-		shards     = flag.Int("shards", 0, "in-process server shard count: per-coupling-group state shards (0 = GOMAXPROCS, what cosoftd runs)")
+		shards     = flag.Int("shards", 0, "in-process server shard count: event-state shards, striped by source object (0 = GOMAXPROCS, what cosoftd runs)")
 		faultSpec  = flag.String("faultnet", "", `faultnet profile for in-process server conns, e.g. "drop=0.01,dup=0.01,dropnth=0,delay=1ms,jitter=1ms,seed=1"`)
 		verbose    = flag.Bool("v", false, "log per-group progress")
 	)

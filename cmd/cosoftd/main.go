@@ -66,7 +66,7 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "HTTP address for the metrics/trace/pprof endpoints (empty = disabled)")
 	history := flag.Int("history", 0, "per-object historical-state depth (0 = default)")
 	ordered := flag.Bool("ordered-locking", false, "use deterministic-order group locking instead of the paper's sequential algorithm")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "number of per-coupling-group state shards (default GOMAXPROCS)")
+	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "number of event-state shards, striped by source object; every shard shares one lock table (default GOMAXPROCS)")
 	heartbeat := flag.Duration("heartbeat", 0, "liveness ping interval; silent clients are dropped after 3 intervals (0 = disabled)")
 	eventDeadline := flag.Duration("event-deadline", 0, "max wait for event acknowledgements before the group unlocks without the stragglers; checked every quarter of it, so an event may expire up to a quarter late (0 = disabled)")
 	outboxLimit := flag.Int("outbox-limit", 0, "per-client outbox high-water mark; clients over it for more than a second are evicted (0 = unbounded)")

@@ -199,11 +199,11 @@ func runTORI(quick bool) error {
 		return err
 	}
 	w := tw()
-	fmt.Fprintln(w, "db rows\tusers\tre-execute (N evals)\tshare (1 eval + N-1 xfers)\tresult bytes\tdivergent query ok")
+	fmt.Fprintln(w, "db rows\tusers\tre-execute (N evals)\trows scanned\tshare (1 eval + N-1 xfers)\tresult bytes\tdivergent query ok")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%d\t%v\t%v\t%d\t%v\n",
+		fmt.Fprintf(w, "%d\t%d\t%v\t%d\t%v\t%d\t%v\n",
 			r.DBRows, r.Users,
-			r.ReexecTime.Round(time.Microsecond), r.ShareTime.Round(time.Microsecond),
+			r.ReexecTime.Round(time.Microsecond), r.ReexecScanned, r.ShareTime.Round(time.Microsecond),
 			r.ResultBytes, yn(r.DivergentOK))
 	}
 	return w.Flush()

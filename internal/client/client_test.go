@@ -17,7 +17,7 @@ import (
 
 // testServerOptions is the default option set for every test server in this
 // package: the product configuration, with the shard count pinned so
-// cross-shard migration coverage does not depend on the runner's core count.
+// cross-shard coverage does not depend on the runner's core count.
 func testServerOptions() server.Options {
 	return server.Options{Shards: 4}
 }

@@ -672,7 +672,11 @@ func (l *Log) drain() {
 }
 
 // commit writes one drain of recs records, rotating first if it would
-// overflow the segment, and fsyncs it under SyncAlways.
+// overflow the segment, and fsyncs it under SyncAlways. A drain whose write
+// or fsync fails is cut back off the segment before the log fails closed,
+// so a restart never replays a record its appender was refused; the fsync
+// is never retried, since a failed one may have dropped the dirty pages it
+// reported on. Only a failing truncate leaves the records behind.
 func (l *Log) commit(buf []byte, recs int) error {
 	if l.isCrashed() {
 		return ErrCrashed
@@ -683,20 +687,29 @@ func (l *Log) commit(buf []byte, recs int) error {
 		}
 	}
 	if err := l.write(buf); err != nil {
-		return err
+		return l.cutBack(err)
+	}
+	if l.opts.Sync == SyncAlways {
+		if err := l.sync(); err != nil {
+			return l.cutBack(err)
+		}
+	} else {
+		l.dirty = true
 	}
 	l.segSize += int64(len(buf))
-	l.dirty = true
 	l.mAppends.Add(uint64(recs))
 	l.mBytes.Add(uint64(len(buf)))
 	l.mWrites.Inc()
-	if l.opts.Sync == SyncAlways {
-		if err := l.sync(); err != nil {
-			return err
-		}
-		l.dirty = false
-	}
 	return nil
+}
+
+// cutBack truncates the segment to where the failed drain began and returns
+// the drain's error, joined with the truncate's if that failed too.
+func (l *Log) cutBack(err error) error {
+	if terr := l.file.Truncate(l.segSize); terr != nil {
+		return errors.Join(err, fmt.Errorf("eventlog: truncate after a failed drain: %w", terr))
+	}
+	return err
 }
 
 // rotate seals the current segment and opens the next one, named by the

@@ -17,8 +17,12 @@ import (
 type TORIRow struct {
 	DBRows int
 	Users  int
-	// ReexecTime is the total compute cost of N independent evaluations.
+	// ReexecTime is the total compute cost of N independent evaluations,
+	// the fastest of reexecReps rounds.
 	ReexecTime time.Duration
+	// ReexecScanned is the database rows the N evaluations of one round
+	// examined: the cost ReexecTime measures, counted exactly.
+	ReexecScanned int64
 	// ShareTime is one evaluation plus serializing the result set N-1
 	// times (the transfer the share-results design would pay).
 	ShareTime time.Duration
@@ -29,6 +33,11 @@ type TORIRow struct {
 	// share-results design cannot express this.
 	DivergentOK bool
 }
+
+// reexecReps is how many rounds of re-execution TORIQueryCoupling times:
+// the fastest stands for the size, so a round a GC pause or a cold cache
+// slowed does not.
+const reexecReps = 5
 
 // TORIQueryCoupling sweeps database sizes for a fixed population.
 func TORIQueryCoupling(dbRows []int, users int) ([]TORIRow, error) {
@@ -61,14 +70,21 @@ func TORIQueryCoupling(dbRows []int, users int) ([]TORIRow, error) {
 			}
 		}
 
-		// Re-execution: every environment evaluates.
-		start := time.Now()
-		for _, app := range apps {
-			if err := app.Submit(); err != nil {
-				return nil, err
+		// Re-execution: every environment evaluates, reexecReps rounds.
+		for rep := 0; rep < reexecReps; rep++ {
+			start := time.Now()
+			for _, app := range apps {
+				if err := app.Submit(); err != nil {
+					return nil, err
+				}
+			}
+			if took := time.Since(start); rep == 0 || took < row.ReexecTime {
+				row.ReexecTime = took
 			}
 		}
-		row.ReexecTime = time.Since(start)
+		for _, app := range apps {
+			row.ReexecScanned += app.RowsScanned() / reexecReps
+		}
 
 		// Share-results: evaluate once, then serialize the result set for
 		// each of the other users (the minimum a result-shipping design
@@ -77,7 +93,7 @@ func TORIQueryCoupling(dbRows []int, users int) ([]TORIRow, error) {
 		q := db.Query{Table: "pubs",
 			Where: []db.Predicate{{Column: "title", Op: db.OpSubstring, Value: "Systems"}},
 			Limit: 100}
-		start = time.Now()
+		start := time.Now()
 		res, err := apps[0].Database().Run(q)
 		if err != nil {
 			return nil, err

@@ -175,7 +175,12 @@ func TestTORIShapes(t *testing.T) {
 		}
 	}
 	// Re-execution cost grows with the database size (the paper concedes
-	// share-results wins on pure evaluation cost for expensive queries).
+	// share-results wins on pure evaluation cost for expensive queries):
+	// counted in rows scanned, and in time.
+	if rows[1].ReexecScanned <= rows[0].ReexecScanned {
+		t.Errorf("re-execution must scan more of a larger db: %d vs %d rows",
+			rows[1].ReexecScanned, rows[0].ReexecScanned)
+	}
 	if rows[1].ReexecTime <= rows[0].ReexecTime {
 		t.Errorf("re-execution must scale with db size: %v vs %v",
 			rows[1].ReexecTime, rows[0].ReexecTime)

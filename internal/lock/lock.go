@@ -138,10 +138,10 @@ func (t *Table) keepUndo(acquired []couple.ObjectRef) {
 
 // TryLockGroupOrdered is the ablation variant: it sorts the refs into the
 // global total order before attempting, so two competing groups always probe
-// their shared prefix in the same order. Under the server's serialized state
-// loop both variants are atomic; the ordered variant exists to quantify the
-// ordering cost and to stay safe if locking were ever performed
-// incrementally.
+// their shared prefix in the same order. Both variants are atomic, since a
+// group acquisition holds the table's mutex from its first probe to its
+// last; the ordered variant exists to quantify the ordering cost and to stay
+// safe if locking were ever performed incrementally.
 func (t *Table) TryLockGroupOrdered(refs []couple.ObjectRef, owner Owner) (ok bool, attempted int) {
 	sorted := make([]couple.ObjectRef, len(refs))
 	copy(sorted, refs)
@@ -162,35 +162,6 @@ func (t *Table) UnlockGroup(refs []couple.ObjectRef, owner Owner) int {
 		}
 	}
 	return n
-}
-
-// Extract removes and returns every held entry whose owner is in owners. It
-// is the donor half of a cross-shard group migration: the locks of the
-// migrating events are Installed into the receiving shard's table, so an
-// event and the locks it holds always live on the same shard.
-func (t *Table) Extract(owners map[Owner]bool) map[couple.ObjectRef]Owner {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[couple.ObjectRef]Owner)
-	for ref, cur := range t.held {
-		if owners[cur] {
-			delete(t.held, ref)
-			out[ref] = cur
-		}
-	}
-	return out
-}
-
-// Install adds extracted entries to the table. An existing entry for the
-// same ref is overwritten: it can only belong to an older event of a group
-// the ref has since left, whose unlock then finds a foreign owner and
-// releases nothing.
-func (t *Table) Install(m map[couple.ObjectRef]Owner) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for ref, owner := range m {
-		t.held[ref] = owner
-	}
 }
 
 // HeldBy returns the current owner of ref, if locked.

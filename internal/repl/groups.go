@@ -56,7 +56,7 @@ func (r *REPL) printHealth(rep server.HealthReport) {
 		return
 	}
 	for _, g := range rep.Groups {
-		fmt.Fprintf(r.out, "group [%s] shard %d\n", strings.Join(g.Refs, " "), g.Shard)
+		fmt.Fprintf(r.out, "group [%s]\n", strings.Join(g.Refs, " "))
 		status := "unlocked"
 		if g.LockHolder != "" {
 			status = "locked by " + g.LockHolder

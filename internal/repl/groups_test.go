@@ -37,7 +37,6 @@ func TestGroupsCommandPrintsStragglerAndLoops(t *testing.T) {
 		},
 		Groups: []server.GroupHealth{{
 			Refs:          []string{"inst-a:/note", "inst-b:/note", "inst-c:/note"},
-			Shard:         0,
 			LockHolder:    "inst-a",
 			PendingEvents: 1,
 			Straggler:     "inst-c",
@@ -58,7 +57,7 @@ func TestGroupsCommandPrintsStragglerAndLoops(t *testing.T) {
 		"uptime 2.5s, member attribution on",
 		"loop global: 10.0% busy, queue 1 (high water 4)",
 		"loop shard.0: 0.0% busy, queue 0 (high water 0), events 7 (1 pending)",
-		"group [inst-a:/note inst-b:/note inst-c:/note] shard 0",
+		"group [inst-a:/note inst-b:/note inst-c:/note]",
 		"locked by inst-a, 1 pending events",
 		"straggler: inst-c",
 		"inst-c acks=7 last=7 timeouts=0 ewma=25ms p50=25ms p99=26ms",

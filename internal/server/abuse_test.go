@@ -153,19 +153,6 @@ func TestEventOnUndeclaredObjectStillLocal(t *testing.T) {
 	}
 }
 
-func TestServerPermissionsPreconfigured(t *testing.T) {
-	// The Permissions() accessor allows administrative setup before any
-	// instance connects.
-	srv := server.New(server.Options{})
-	defer srv.Close()
-	if srv.Permissions() == nil {
-		t.Fatal("Permissions nil")
-	}
-	if srv.Permissions().Len() != 0 {
-		t.Fatal("fresh table not empty")
-	}
-}
-
 func TestStatsAfterClose(t *testing.T) {
 	srv := server.New(server.Options{})
 	srv.Close()

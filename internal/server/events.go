@@ -36,9 +36,6 @@ type pendingEvent struct {
 	// expires is when the event deadline passes (zero when deadlines are
 	// disabled); the sweep's expiry pass times the event out after it.
 	expires time.Time
-	// migrated marks an event carried to another shard by a group
-	// migration; its router forwarding entry is cleared on resolution.
-	migrated bool
 }
 
 const (
@@ -70,10 +67,10 @@ func (sh *shard) newPending(n int) *pendingEvent {
 	return pe
 }
 
-// recycle takes back a resolved event, one no pending map or migration bundle
-// can reach any more, and zeroes it for newPending. Only the wait set's array
-// survives, cleared: every count beyond its length already is zero, since
-// each event writes only within its own wait set.
+// recycle takes back a resolved event, one no pending map can reach any
+// more, and zeroes it for newPending. Only the wait set's array survives,
+// cleared: every count beyond its length already is zero, since each event
+// writes only within its own wait set.
 func (sh *shard) recycle(pe *pendingEvent) {
 	if len(sh.free) == maxFreePending || cap(pe.waiting) > maxFreeWaitSet {
 		return
@@ -87,8 +84,7 @@ func (sh *shard) recycle(pe *pendingEvent) {
 // originating client has already applied the event's built-in feedback
 // locally; the server locks CO(o), broadcasts Exec to every coupled member,
 // and tells the origin whether to keep or undo its feedback. It runs under
-// sh's lock, sh being the shard owning the source object's coupling group
-// (see runEvent).
+// sh's lock, sh being the shard the source ref hashes to (see dispatch).
 //
 // ev.tc is the trace context the Event envelope carried (the origin's
 // "client.event_send" span); every hop recorded here descends from it.
@@ -126,7 +122,7 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 	// denied event's ID is never sent or logged, and the next event reuses it.
 	eventID := sh.seq*uint64(len(s.shards)) + uint64(sh.idx) + 1
 	owner := lock.Owner{Instance: cl.id, Seq: eventID}
-	ok, _ := s.lockGroup(sh.locks, actx, p.members, owner)
+	ok, _ := s.lockGroup(actx, p.members, owner)
 	if !ok {
 		// Lock failed: the origin must undo the event's syntactic feedback.
 		ev.body.Release()
@@ -150,7 +146,7 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 	ev.body.Stamp(eventID)
 	if err := s.logEvent(sh, eventID, source, ev.body); err != nil {
 		ev.body.Release()
-		sh.locks.UnlockGroup(p.members, owner)
+		s.locks.UnlockGroup(p.members, owner)
 		s.mLogAppendErrs.Inc()
 		s.slog.Warn("event refused: log append failed",
 			"event_id", eventID, "inst", string(cl.id), "path", m.Path, "err", err, "trace", tc.Trace)
@@ -324,22 +320,18 @@ func (s *Server) ackClock() time.Time {
 
 // ackExec is the ack-resolution core: decrement the acking instance's
 // outstanding count for the event and unlock the group when the wait set
-// empties. It runs under sh's lock, sh being the event's birth shard or a
-// shard its router entry named; if the event migrated from sh with its
-// group, it returns the shard holding it now, for runAck to chase it there.
-// The hit path allocates nothing: the request arrived by value and nothing
-// here captures it.
-func (s *Server) ackExec(sh *shard, a execAck) *shard {
+// empties. It runs under sh's lock, sh being the event's birth shard. The
+// hit path allocates nothing: the request arrived by value and nothing here
+// captures it.
+func (s *Server) ackExec(sh *shard, a execAck) {
 	pe, ok := sh.pending[a.eventID]
 	if !ok {
-		// Stale ack (event already resolved by a deadline or disconnect) —
-		// unless the event migrated, in which case chase it.
-		return s.eventOwner(sh, a.eventID)
+		return // stale ack: the event already resolved by a deadline or disconnect
 	}
 	cl := a.cl
 	i, ok := pe.plan.pos[cl.id]
 	if !ok || pe.waiting[i] == 0 {
-		return nil // ack from an instance we were not waiting for
+		return // ack from an instance we were not waiting for
 	}
 	s.tr.Point(a.tc, "server.exec_ack", "server", string(cl.id))
 	pe.waiting[i]--
@@ -368,39 +360,23 @@ func (s *Server) ackExec(sh *shard, a execAck) *shard {
 	if pe.left == 0 {
 		s.finishEvent(sh, a.eventID, pe, false)
 	}
-	return nil
-}
-
-// eventOwner resolves a miss on sh's pending map: a migrated event leaves a
-// forwarding entry in the router until it resolves, naming the shard that
-// holds it now. Without an entry, or with one naming sh, the miss is final:
-// the ack is stale, and eventOwner returns nil.
-func (s *Server) eventOwner(sh *shard, id uint64) *shard {
-	if idx, ok := s.router.eventShard(id); ok && s.shards[idx] != sh {
-		return s.shards[idx]
-	}
-	return nil
 }
 
 func (s *Server) finishEvent(sh *shard, id uint64, pe *pendingEvent, timedOut bool) {
-	s.dropPending(sh, id, pe)
+	delete(sh.pending, id)
 	s.unlockEvent(sh, pe, timedOut)
 	sh.recycle(pe)
 }
 
-// dropPending forgets a resolved event: its wait set and the forwarding entry
-// of a migrated one.
-func (s *Server) dropPending(sh *shard, id uint64, pe *pendingEvent) {
-	delete(sh.pending, id)
-	if pe.migrated {
-		s.router.clearEvent(id)
-	}
-}
-
+// unlockEvent re-enables the event's group at its members, then releases its
+// floor. The order matters across shards: once UnlockGroup returns, an event
+// of the same group may be granted on another shard and queue its lock
+// notices and Execs, and they must land behind these unlock notices on every
+// member's outbox.
 func (s *Server) unlockEvent(sh *shard, pe *pendingEvent, timedOut bool) {
-	sh.locks.UnlockGroup(pe.plan.members, pe.owner)
 	s.tr.Point(pe.tc, "server.unlock", "server", "")
 	s.notifyLocks(sh, pe.plan, pe.tc, false)
+	s.locks.UnlockGroup(pe.plan.members, pe.owner)
 	// Deadline-resolved events waited the full deadline by construction;
 	// folding them into the round-trip histogram would inject an outlier
 	// equal to the deadline per expiry, so they get their own histogram.

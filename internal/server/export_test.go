@@ -6,12 +6,12 @@ import (
 	"cosoft/internal/couple"
 )
 
-// Test-only views of shard placement and the lock tables for the external
+// Test-only views of the lock table and the couple graph for the external
 // server_test package.
 
 // HarnessShards is the shard count of every test server whose test does not
-// ask for one: the product topology, pinned so cross-shard migration
-// coverage does not depend on the runner's core count.
+// ask for one: the product topology, pinned so cross-shard coverage does not
+// depend on the runner's core count.
 const HarnessShards = 4
 
 // withLock runs fn under sh's lock, as a read goroutine runs an event: what
@@ -33,17 +33,8 @@ func (s *Server) withGlobal(fn func()) {
 	}
 }
 
-// ShardOf returns the index of the shard that currently owns ref.
-func (s *Server) ShardOf(ref couple.ObjectRef) int { return s.shardForRef(ref).idx }
-
-// LocksHeld counts the lock entries across every shard's table.
-func (s *Server) LocksHeld() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.locks.Len()
-	}
-	return n
-}
+// LocksHeld counts the lock table's entries.
+func (s *Server) LocksHeld() int { return s.locks.Len() }
 
 // UncachedCO is CO(ref) straight from the couple graph — what every cached
 // broadcast plan must agree with.

@@ -134,7 +134,6 @@ func (s *Server) handleRetract(cl *client, seq uint64, m wire.Retract) {
 		return
 	}
 	s.notifyLinks(instancesOf(members), links, false)
-	s.routes.dropRef(ref)
 	s.reply(cl, seq, nil)
 }
 
@@ -171,10 +170,6 @@ func (s *Server) handleCouple(cl *client, seq uint64, m wire.Couple) {
 	// told.
 	if !s.st.graph.Has(l) {
 		gTo, linksTo := s.st.graph.GroupLinks(l.To)
-		// Co-locate the two groups before the link merges them: every member
-		// of one coupling group serializes on one shard. Placement is not
-		// state: a link the log refuses leaves two groups sharing a shard.
-		s.mergeShards(gFrom, gTo)
 		if err := s.commit(s.groupRecord(eventlog.KindCouple, cl, l.From, m)); err != nil {
 			s.reply(cl, seq, err)
 			return
@@ -427,13 +422,12 @@ func (s *Server) dropClient(cl *client, reason string) error {
 		for _, notify := range notices {
 			notify()
 		}
-		s.routes.dropInstance(cl.id)
 	}
 
 	// Resolve group-scoped state on every shard, under each one's lock in
 	// turn: events the instance originated are finished, and events awaiting
-	// its ack are acked by absence. Locks follow their event, so that
-	// releases every lock the instance held.
+	// its ack are acked by absence. A lock is released only by finishing its
+	// event, so that releases every lock the instance's events held.
 	for _, sh := range s.shards {
 		sh.lock()
 		for id, pe := range sh.pending {
@@ -454,11 +448,11 @@ func (s *Server) dropClient(cl *client, reason string) error {
 	return err
 }
 
-// lockGroup applies the configured group-locking variant on the given
-// shard's table, recording a "lock.acquire" span under tc when tracing.
-func (s *Server) lockGroup(t *lock.Table, tc obs.TraceContext, refs []couple.ObjectRef, owner lock.Owner) (bool, int) {
+// lockGroup applies the configured group-locking variant on the lock table,
+// recording a "lock.acquire" span under tc when tracing.
+func (s *Server) lockGroup(tc obs.TraceContext, refs []couple.ObjectRef, owner lock.Owner) (bool, int) {
 	if s.opts.OrderedLocking {
-		return t.TryLockGroupOrderedCtx(tc, refs, owner)
+		return s.locks.TryLockGroupOrderedCtx(tc, refs, owner)
 	}
-	return t.TryLockGroupCtx(tc, refs, owner)
+	return s.locks.TryLockGroupCtx(tc, refs, owner)
 }

@@ -1,6 +1,6 @@
 // The group health plane: a structured, JSON-ready report of per-group
 // topology and per-member event health, built from the couple graph, the
-// shard lock tables and pending maps, and the server.member metric family.
+// lock table, the shards' pending maps and the server.member metric family.
 // cosoftd serves it at /debug/groups and cosoft-repl renders it as the
 // `groups` command — the evidence surface for "which member is the chronic
 // critical path?", the question the §3.2 floor lock makes matter: every
@@ -49,8 +49,6 @@ type GroupHealth struct {
 	// Refs lists the group's member objects as "instance:path", in the
 	// graph's deterministic order.
 	Refs []string `json:"refs"`
-	// Shard is the index of the shard serializing this group's events.
-	Shard int `json:"shard"`
 	// LockHolder is the instance currently holding the group's floor lock
 	// ("" when unlocked).
 	LockHolder string `json:"lock_holder,omitempty"`
@@ -106,7 +104,7 @@ type HealthReport struct {
 }
 
 // Health assembles the group health report. Callable from any goroutine: the
-// graph, lock tables, client map and metric handles are all individually
+// graph, lock table, client map and metric handles are all individually
 // synchronized, and per-shard pending counts are gathered under each shard's
 // lock in turn.
 func (s *Server) Health() HealthReport {
@@ -156,10 +154,9 @@ func (s *Server) Health() HealthReport {
 	}
 
 	for _, refs := range s.st.graph.Groups() {
-		g := GroupHealth{Shard: s.shardForRef(refs[0]).idx}
+		var g GroupHealth
 		seen := make(map[couple.InstanceID]bool)
 		awaited := make(map[couple.InstanceID]bool)
-		sh := s.shards[g.Shard]
 		for _, ref := range refs {
 			g.Refs = append(g.Refs, ref.String())
 			g.PendingEvents += pendingBySrc[ref].events
@@ -171,8 +168,8 @@ func (s *Server) Health() HealthReport {
 			}
 			if g.LockHolder == "" {
 				// The lock table carries its own mutex, so holders can be
-				// read from here without taking the shard's lock.
-				if owner, held := sh.locks.HeldBy(ref); held {
+				// read from here without taking a shard's lock.
+				if owner, held := s.locks.HeldBy(ref); held {
 					g.LockHolder = string(owner.Instance)
 				}
 			}
@@ -218,12 +215,10 @@ func (s *Server) memberHealth(id couple.InstanceID) MemberHealth {
 }
 
 // CheckInvariants judges the shards under all their locks, taken in index
-// order (the migration's order, so the two cannot deadlock):
-//   - every lock entry is owned by an event pending on the same shard — a
+// order:
+//   - every lock entry is owned by an event pending on its birth shard — a
 //     lock without a live pending event behind it would deny its group
 //     forever;
-//   - every router entry names an event pending on the shard it points to,
-//     or a late ack would chase an event that is gone;
 //   - no event on a shard's free list is pending anywhere, or the next event
 //     granted there would overwrite it;
 //   - no shard's plan cache is newer than the couple graph.
@@ -239,10 +234,14 @@ func (s *Server) CheckInvariants() error {
 		}
 	}()
 	var errs []error
+	s.locks.Each(func(ref couple.ObjectRef, owner lock.Owner) {
+		if pe, ok := s.birthShard(owner.Seq).pending[owner.Seq]; !ok || pe.owner != owner {
+			errs = append(errs, fmt.Errorf("%v locked by event %d of %s, which is not pending", ref, owner.Seq, owner.Instance))
+		}
+	})
 	gen := s.st.graph.Generation()
 	pending := make(map[*pendingEvent]uint64) // event → its ID
 	for _, sh := range s.shards {
-		errs = append(errs, sh.checkLocks())
 		if sh.planGen > gen {
 			errs = append(errs, fmt.Errorf("shard %d: plans of graph generation %d, past the graph's %d", sh.idx, sh.planGen, gen))
 		}
@@ -257,26 +256,6 @@ func (s *Server) CheckInvariants() error {
 			}
 		}
 	}
-	s.router.mu.RLock()
-	for id, idx := range s.router.ev {
-		if _, ok := s.shards[idx].pending[id]; !ok {
-			errs = append(errs, fmt.Errorf("router sends acks of event %d to shard %d, where it is not pending", id, idx))
-		}
-	}
-	s.router.mu.RUnlock()
-	return errors.Join(errs...)
-}
-
-// checkLocks reports every lock entry on sh whose owner is not an event
-// pending on sh. Its caller holds sh's lock.
-func (sh *shard) checkLocks() error {
-	var errs []error
-	sh.locks.Each(func(ref couple.ObjectRef, owner lock.Owner) {
-		if pe, ok := sh.pending[owner.Seq]; !ok || pe.owner != owner {
-			errs = append(errs, fmt.Errorf("shard %d: %v locked by event %d of %s, which is not pending there",
-				sh.idx, ref, owner.Seq, owner.Instance))
-		}
-	})
 	return errors.Join(errs...)
 }
 

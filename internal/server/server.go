@@ -9,13 +9,13 @@
 // mutated only under one lock, gmu, held by the goroutine that needs it: the
 // read goroutine that decoded a control-plane message, a handshake, a
 // connection's teardown, the sweeper, Stats and Close. No goroutine serves
-// it. What an event touches (locks, pending events, event IDs) is
-// partitioned across per-group shards, each behind its own lock (see
-// shard.go), so event ordering within a coupling group is the order its
-// events take their shard's lock — the serialization guarantee the
-// floor-control design relies on. Every record a connection sends runs on
-// its read goroutine before the next is read, so a connection's messages
-// take effect in the order it sent them.
+// it. What an event touches besides the floor (pending events, event IDs)
+// is striped across shards, each behind its own lock (see shard.go); the
+// floor is one lock table shared by all of them, so event ordering within a
+// coupling group is the order its events take its floor — the
+// serialization guarantee the floor-control design relies on. Every record a
+// connection sends runs on its read goroutine before the next is read, so a
+// connection's messages take effect in the order it sent them.
 package server
 
 import (
@@ -36,7 +36,6 @@ import (
 	"cosoft/internal/eventlog"
 	"cosoft/internal/lock"
 	"cosoft/internal/obs"
-	"cosoft/internal/perm"
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
 )
@@ -55,11 +54,11 @@ type Options struct {
 	// OrderedLocking selects the deterministic-order group-locking variant
 	// instead of the paper's sequential algorithm (ablation switch).
 	OrderedLocking bool
-	// Shards is the number of per-group state shards. What an event touches
-	// — the lock table and the pending-event wait sets — is partitioned
-	// across them by coupling group, each behind its own lock, so disjoint
-	// groups run on different cores (see shard.go). 0 selects
-	// runtime.GOMAXPROCS(0); 1 is the same topology with a single shard.
+	// Shards is the number of event-state shards. The pending-event wait
+	// sets and event IDs are striped across them by source object, each
+	// behind its own lock, so events run on different cores up to the one
+	// lock table (see shard.go). 0 selects runtime.GOMAXPROCS(0); 1 is the
+	// same topology with a single shard.
 	Shards int
 	// Heartbeat is the liveness probe interval: the server pings every
 	// connection this often and declares an instance dead after three
@@ -135,12 +134,11 @@ type Server struct {
 	// rest of Server is the shell around it. It is held under gmu.
 	st *state
 
-	// shards own what an event touches (lock tables, pending events, event
-	// IDs), each behind its own lock; routes places refs on them and router
-	// chases events that migrated.
+	// locks is the lock table, the floor of every coupling group; it carries
+	// its own mutex and every shard shares it. shards own the rest of what an
+	// event touches (pending events, event IDs), each behind its own lock.
+	locks  *lock.Table
 	shards []*shard
-	routes *routes
-	router *router
 
 	tr     *obs.Tracer
 	flight *obs.FlightRecorder
@@ -162,8 +160,8 @@ type Server struct {
 	// gmu serializes the global state: its holder owns st, pendingFetch,
 	// nextFetchID, nextPing and closing, and is the only writer of clients.
 	// The lock order is global → shard → leaf: a gmu holder may take shard
-	// locks (a migration, a departure's cleanup, Stats), and no shard-lock
-	// holder ever takes gmu.
+	// locks (a departure's cleanup, Stats), and no shard-lock holder ever
+	// takes gmu.
 	gmu serial
 
 	// clients is written only under gmu but read by shard-lock holders and
@@ -204,7 +202,6 @@ type Server struct {
 	mPoolHits      *obs.Counter   // wire.body_pool_hits: shared-body buffers reused from the pool
 	mPoolMisses    *obs.Counter   // wire.body_pool_misses: shared-body buffers freshly allocated
 	mShards        *obs.Gauge     // server.shards: configured shard count
-	mHandoffs      *obs.Counter   // server.cross_shard_handoffs: group migrations between shards
 	mEventTOWait   *obs.Histogram // server.event_timeout_wait_ns: wait span of deadline-resolved events
 	mHistEvict     *obs.Counter   // server.hist_evictions: oldest undo snapshots dropped by the depth bound
 	mLogAppendErrs *obs.Counter   // server.log.append_errors: event-log appends that failed, each refusing its event or request
@@ -297,11 +294,8 @@ type Stats struct {
 	// EventRTT so a single straggler cannot inject a deadline-sized p99
 	// outlier into the round-trip numbers.
 	EventTimeoutWait obs.Summary
-	// Shards is the configured shard count; CrossShardHandoffs counts group
-	// migrations between shards (a couple link joining two groups that lived
-	// on different shards).
-	Shards             int64
-	CrossShardHandoffs uint64
+	// Shards is the configured shard count.
+	Shards int64
 	// LogAppendErrors counts durable-log appends that failed. Each refused
 	// what needed it: a failed ID lease or event record its event, a failed
 	// control-plane record its request, which changed nothing.
@@ -400,8 +394,7 @@ func newServer(opts Options, st *state) *Server {
 		slog:         st.log,
 		checker:      compat.NewChecker(opts.Classes, opts.Correspondences),
 		st:           st,
-		routes:       &routes{n: opts.Shards, obj: make(map[couple.ObjectRef]int)},
-		router:       &router{ev: make(map[uint64]int)},
+		locks:        lock.NewTable(),
 		elog:         opts.EventLog,
 		quit:         make(chan struct{}),
 		clients:      make(map[couple.InstanceID]*client),
@@ -431,7 +424,6 @@ func newServer(opts Options, st *state) *Server {
 		mPoolHits:      metrics.Counter("wire.body_pool_hits"),
 		mPoolMisses:    metrics.Counter("wire.body_pool_misses"),
 		mShards:        metrics.Gauge("server.shards"),
-		mHandoffs:      metrics.Counter("server.cross_shard_handoffs"),
 		mEventTOWait:   metrics.Histogram("server.event_timeout_wait_ns"),
 		mHistEvict:     metrics.Counter("server.hist_evictions"),
 		mLogAppendErrs: metrics.Counter("server.log.append_errors"),
@@ -446,10 +438,10 @@ func newServer(opts Options, st *state) *Server {
 		Label:    "member",
 	})
 	st.history.Instrument(s.mHistEvict)
+	s.locks.Instrument(s.mLockAttempts, s.mLockFails, s.mLockUndone)
+	s.locks.TraceWith(opts.Tracer)
 	// Every shard allocates past the restored floor: shard i's first ID is
-	// base·N + i + 1, above every logged one. Every shard's lock table shares
-	// the same metric handles, so the lock.* counters stay aggregate
-	// regardless of shard count.
+	// base·N + i + 1, above every logged one.
 	n := uint64(opts.Shards)
 	base := (st.floor + n - 1) / n
 	for i := 0; i < opts.Shards; i++ {
@@ -460,20 +452,11 @@ func newServer(opts Options, st *state) *Server {
 			},
 			idx:     i,
 			seq:     base,
-			locks:   lock.NewTable(),
 			pending: make(map[uint64]*pendingEvent),
 			plans:   make(map[couple.ObjectRef]*plan),
 			mEvents: metrics.Counter(fmt.Sprintf("server.shard.%d.events", i)),
 		}
-		sh.locks.Instrument(s.mLockAttempts, s.mLockFails, s.mLockUndone)
-		sh.locks.TraceWith(opts.Tracer)
 		s.shards = append(s.shards, sh)
-	}
-	// Placement is not logged. With no lock held and no event pending, every
-	// multi-member group the log restored starts on its first member's hash
-	// shard.
-	for _, group := range st.graph.Groups() {
-		s.routes.set(group, int(hashRef(group[0])%uint32(opts.Shards)))
 	}
 	s.mShards.Set(int64(len(s.shards)))
 	return s
@@ -545,33 +528,32 @@ func (s *Server) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		Events:             s.mEvents.Value(),
-		LockFailures:       s.mLockFails.Value(),
-		ExecsSent:          s.mExecsSent.Value(),
-		Copies:             s.mCopies.Value(),
-		Instances:          s.st.reg.Len(),
-		Links:              s.st.graph.Len(),
-		EventRTT:           s.mEventRTT.Summary(),
-		Fanout:             s.mFanout.Summary(),
-		OutboxDepth:        s.mOutboxDepth.Value(),
-		OutboxHighWater:    s.mOutboxDepth.HighWater(),
-		LockAttempts:       s.mLockAttempts.Value(),
-		LockUndone:         s.mLockUndone.Value(),
-		EventTimeouts:      s.mEventTOs.Value(),
-		Evictions:          s.mEvictions.Value(),
-		LivenessTimeouts:   s.mLivenessTOs.Value(),
-		Resumes:            s.mResumes.Value(),
-		AcksCoalesced:      s.mAcksCoalesced.Value(),
-		BatchSize:          s.mBatchSize.Summary(),
-		BytesEncoded:       s.mBytesEncoded.Value(),
-		BodyPoolHits:       s.mPoolHits.Value(),
-		BodyPoolMisses:     s.mPoolMisses.Value(),
-		PendingEvents:      s.pendingCount(),
-		EventTimeoutWait:   s.mEventTOWait.Summary(),
-		Shards:             s.mShards.Value(),
-		CrossShardHandoffs: s.mHandoffs.Value(),
-		LogAppendErrors:    s.mLogAppendErrs.Value(),
-		LinkNotices:        s.mLinkNotices.Value(),
+		Events:           s.mEvents.Value(),
+		LockFailures:     s.mLockFails.Value(),
+		ExecsSent:        s.mExecsSent.Value(),
+		Copies:           s.mCopies.Value(),
+		Instances:        s.st.reg.Len(),
+		Links:            s.st.graph.Len(),
+		EventRTT:         s.mEventRTT.Summary(),
+		Fanout:           s.mFanout.Summary(),
+		OutboxDepth:      s.mOutboxDepth.Value(),
+		OutboxHighWater:  s.mOutboxDepth.HighWater(),
+		LockAttempts:     s.mLockAttempts.Value(),
+		LockUndone:       s.mLockUndone.Value(),
+		EventTimeouts:    s.mEventTOs.Value(),
+		Evictions:        s.mEvictions.Value(),
+		LivenessTimeouts: s.mLivenessTOs.Value(),
+		Resumes:          s.mResumes.Value(),
+		AcksCoalesced:    s.mAcksCoalesced.Value(),
+		BatchSize:        s.mBatchSize.Summary(),
+		BytesEncoded:     s.mBytesEncoded.Value(),
+		BodyPoolHits:     s.mPoolHits.Value(),
+		BodyPoolMisses:   s.mPoolMisses.Value(),
+		PendingEvents:    s.pendingCount(),
+		EventTimeoutWait: s.mEventTOWait.Summary(),
+		Shards:           s.mShards.Value(),
+		LogAppendErrors:  s.mLogAppendErrs.Value(),
+		LinkNotices:      s.mLinkNotices.Value(),
 	}
 }
 
@@ -595,10 +577,6 @@ func (s *Server) clientOf(id couple.InstanceID) (*client, bool) {
 	s.cmu.RUnlock()
 	return c, ok
 }
-
-// Permissions returns the server's permission table for administrative
-// setup before instances connect.
-func (s *Server) Permissions() *perm.Table { return s.st.perms }
 
 // handleConn runs the read loop for one connection: the first message must
 // be Register (fresh instance) or Resume (reconnection presenting a session

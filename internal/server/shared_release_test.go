@@ -96,32 +96,6 @@ func TestDeniedAndUncoupledEventsReleaseRelay(t *testing.T) {
 	waitNoLiveBodies(t)
 }
 
-// An event that reaches a shard its group has left — a read goroutine routed
-// it before a migration flipped the route — follows the route to the owner
-// with its relay body, is broadcast from there, and released as usual.
-func TestForwardedEventReleasesRelay(t *testing.T) {
-	srv, a, b, _ := relayRig(t, Options{Shards: 2})
-	source := ref(a, "/a")
-	own := srv.shardForRef(source)
-	cl, ok := srv.clientOf(a.ID)
-	if !ok {
-		t.Fatal("origin not connected")
-	}
-	body := wire.NewSharedExec(0, widget.EventChanged, []attr.Value{attr.String("forwarded")}, source)
-	ev := eventReq{cl: cl, seq: 77, m: wire.Event{Path: "/a", Name: widget.EventChanged}, body: body}
-	srv.runEvent(srv.shards[1-own.idx], ev)
-	exec := testbed.Next[wire.Exec](b)
-	if len(exec.Args) != 1 || !exec.Args[0].Equal(attr.String("forwarded")) {
-		t.Fatalf("the member received %v", exec.Args)
-	}
-	if res := testbed.Next[wire.EventResult](a); !res.OK {
-		t.Fatalf("forwarded event refused: %s", res.Reason)
-	}
-	b.Send(wire.ExecAck{EventID: exec.EventID})
-	nextUnlock(t, b)
-	waitNoLiveBodies(t)
-}
-
 // An Event read through Read has its relay body released once its Args are
 // decoded, and one the server boxes for the flight recorder (and whose
 // broadcast the recorder materializes, member by member) still goes out and

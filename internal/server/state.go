@@ -21,11 +21,9 @@
 // its waiters died with the crashed process — holding its lock after recovery
 // would wedge the group waiting for acknowledgements no one will send. Locks
 // are transient floor control; the log persists the decisions, not the floor.
-// Where a group serializes is outside too: shard placement and the per-shard
-// event-ID sequences belong to the Server, which derives them at start-up
-// from the graph and the floor. Connections, outboxes, the transient
-// forwarding of migrated events and the metrics stay with the Server around
-// it: nothing here starts a goroutine, touches a socket or registers a metric.
+// The per-shard event-ID sequences are outside too: they belong to the
+// Server, which derives them at start-up from the floor. Connections,
+// outboxes and the metrics stay with the Server around it: nothing here starts a goroutine, touches a socket or registers a metric.
 //
 // Ownership is the caller's: on a live server the state is mutated only
 // under gmu; at start-up and in the snapshotter's replica nothing else

@@ -52,8 +52,9 @@ type App struct {
 	database *db.DB
 	desc     FormDesc
 
-	queriesRun atomic.Int64
-	rowsFound  atomic.Int64
+	queriesRun  atomic.Int64
+	rowsFound   atomic.Int64
+	rowsScanned atomic.Int64
 }
 
 // Paths of the generated UI objects.
@@ -257,6 +258,7 @@ func (a *App) runQuery() {
 		return
 	}
 	a.rowsFound.Add(int64(len(res.Rows)))
+	a.rowsScanned.Add(int64(res.Scanned))
 	items := make([]string, len(res.Rows))
 	for i, row := range res.Rows {
 		items[i] = strings.Join(row, " | ")
@@ -332,3 +334,7 @@ func (a *App) QueriesRun() int64 { return a.queriesRun.Load() }
 
 // RowsFound returns the cumulative result rows produced in this environment.
 func (a *App) RowsFound() int64 { return a.rowsFound.Load() }
+
+// RowsScanned returns the cumulative database rows the evaluations in this
+// environment examined (db.Result.Scanned): their cost, free of timing noise.
+func (a *App) RowsScanned() int64 { return a.rowsScanned.Load() }
