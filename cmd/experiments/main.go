@@ -111,10 +111,10 @@ func runArch(quick bool) error {
 		return err
 	}
 	w := tw()
-	fmt.Fprintln(w, "architecture\tusers\tnet latency\tresponse/event\tevents\tmessages")
+	fmt.Fprintln(w, "architecture\tusers\tnet latency\tresponse/event\tevents\tmessages\tround trips")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%v\t%v\t%d\t%d\n",
-			r.Architecture, r.Users, r.Latency, r.PerEvent.Round(time.Microsecond), r.Events, r.Messages)
+		fmt.Fprintf(w, "%s\t%d\t%v\t%v\t%d\t%d\t%d\n",
+			r.Architecture, r.Users, r.Latency, r.PerEvent.Round(time.Microsecond), r.Events, r.Messages, r.RoundTrips)
 	}
 	return w.Flush()
 }

@@ -230,11 +230,19 @@ func (d *DB) Run(q Query) (Result, error) {
 		projIdx[i] = ci
 	}
 
-	// Planner: use a hash index for the first indexed equality predicate.
-	candidates := t.candidateRows(q.Where)
+	// Planner: use a hash index for the first indexed equality predicate,
+	// else scan the rows in place.
+	bucket, indexed := t.indexBucket(q.Where)
+	n := len(t.rows)
+	if indexed {
+		n = len(bucket)
+	}
 	res := Result{Columns: selectCols}
-	for _, rowNum := range candidates {
-		row := t.rows[rowNum]
+	for i := 0; i < n; i++ {
+		row := t.rows[i]
+		if indexed {
+			row = t.rows[bucket[i]]
+		}
 		res.Scanned++
 		if !t.matches(row, q.Where) {
 			continue
@@ -251,21 +259,19 @@ func (d *DB) Run(q Query) (Result, error) {
 	return res, nil
 }
 
-// candidateRows picks the scan set: all rows, or an index bucket.
-func (t *table) candidateRows(where []Predicate) []int {
+// indexBucket returns the row numbers the hash index of the first indexed
+// equality predicate holds for its value, and false when no predicate is
+// indexed: then every row is a candidate.
+func (t *table) indexBucket(where []Predicate) ([]int, bool) {
 	for _, p := range where {
 		if p.Op != OpEq {
 			continue
 		}
 		if idx, ok := t.indexes[p.Column]; ok {
-			return idx[p.Value]
+			return idx[p.Value], true
 		}
 	}
-	all := make([]int, len(t.rows))
-	for i := range all {
-		all[i] = i
-	}
-	return all
+	return nil, false
 }
 
 func (t *table) matches(row []string, where []Predicate) bool {

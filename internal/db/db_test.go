@@ -3,6 +3,7 @@ package db
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -195,6 +196,47 @@ func TestDeterministicOrder(t *testing.T) {
 		if !reflect.DeepEqual(first.Rows, again.Rows) {
 			t.Fatal("row order not deterministic")
 		}
+	}
+}
+
+// A Limit-ed unindexed Select scans the table in place: it allocates as often
+// on a table of 100 000 rows as on one of 1 000, and no more bytes, so what
+// it costs does not grow with rows it never reaches.
+func TestLimitedScanAllocsFlat(t *testing.T) {
+	const runs = 20
+	measure := func(rows int) (allocs float64, bytes uint64) {
+		d := New()
+		if err := d.CreateTable("t", []Column{{Name: "k", Kind: KindString}}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			if err := d.Insert("t", "k"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		q := Query{Table: "t", Where: []Predicate{{"k", OpEq, "k"}}, Limit: 3}
+		run := func() {
+			if res, err := d.Run(q); err != nil || len(res.Rows) != 3 {
+				t.Fatalf("%v, %v", res, err)
+			}
+		}
+		allocs = testing.AllocsPerRun(runs, run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	smallAllocs, smallBytes := measure(1_000)
+	largeAllocs, largeBytes := measure(100_000)
+	if smallAllocs != largeAllocs {
+		t.Fatalf("a Select limited to 3 rows allocates %v times on 1 000 rows and %v on 100 000", smallAllocs, largeAllocs)
+	}
+	// The slack covers what the runtime itself allocates between the reads.
+	if largeBytes > smallBytes+1024 {
+		t.Fatalf("a Select limited to 3 rows allocates %d bytes on 1 000 rows and %d on 100 000", smallBytes, largeBytes)
 	}
 }
 

@@ -141,6 +141,51 @@ type Options struct {
 	SegmentBytes int64
 	// Metrics receives the server.log.* counters. Nil disables measurement.
 	Metrics obs.Sink
+	// FS is what the log writes through; nil is the real file system. Reads
+	// go to os directly, so they see whatever the writes got onto the disk.
+	FS FS
+}
+
+// FS is the mutating half of a file system: every change the log makes to
+// its directory goes through one. internal/faultdisk injects disk faults
+// through it.
+type FS interface {
+	OpenFile(name string, flag int, perm os.FileMode) (File, error)
+	Rename(oldpath, newpath string) error
+	Remove(name string) error
+	// SyncDir fsyncs a directory, making the renames and removes in it
+	// durable.
+	SyncDir(dir string) error
+}
+
+// File is an open file of an FS; *os.File is one. It is an alias of an
+// unnamed interface, so an FS can be written without importing this package.
+type File = interface {
+	io.WriteCloser
+	Sync() error
+	Truncate(size int64) error
+}
+
+// osFS is the real file system.
+type osFS struct{}
+
+func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := os.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error             { return os.Remove(name) }
+
+func (osFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
 }
 
 // Record is one logged server transition.
@@ -154,10 +199,6 @@ type Record struct {
 	// Env is the transition payload in wire form.
 	Env wire.Envelope
 }
-
-// ErrCrashed is returned by appends after an armed crash point fired: the
-// in-test stand-in for the process image dying mid-write.
-var ErrCrashed = errors.New("eventlog: crash point fired")
 
 // ErrClosed is returned by appends on a closed log.
 var ErrClosed = errors.New("eventlog: closed")
@@ -195,6 +236,7 @@ const maxIdleFill = 1 << 20
 type Log struct {
 	opts Options
 	dir  string
+	fs   FS
 
 	kick chan struct{} // one slot: the fill buffer holds records to write
 	quit chan struct{}
@@ -204,9 +246,9 @@ type Log struct {
 	// buffer and the record counts. It also serves snapBegin.
 	mu     sync.Mutex
 	closed bool
-	// failed is the first write, fsync or rotation error, or ErrCrashed. A
-	// failed write may leave a torn record that replay stops at, so nothing
-	// written behind it would replay: every later append is refused with it.
+	// failed is the first write, fsync or rotation error. A failed write
+	// may leave a torn record that replay stops at, so nothing written
+	// behind it would replay: every later append is refused with it.
 	failed error
 	fill   []byte // framed records appended since the last drain
 	spare  []byte // the buffer the last drain wrote, reused as the next fill
@@ -225,29 +267,13 @@ type Log struct {
 	snapMu sync.Mutex
 
 	// Writer-goroutine state.
-	file    *os.File
+	file    File
 	segBase int64 // byte offset of the current segment's first record
 	segSize int64 // bytes written into the current segment
 	dirty   bool  // bytes written since the last fsync
-
-	// Crash-point fault injection (tests): at the armed I/O boundary —
-	// writes and syncs counted from 1 — the operation is abandoned with only
-	// crashPartial bytes reaching the file, and every later append fails
-	// with ErrCrashed.
-	crashMu      sync.Mutex
-	crashAt      int
-	crashPartial int
-	crashOps     int
-	crashed      bool
-	// Snapshot-path fault injection: a separate boundary counter over
-	// snapshot/compaction I/O (SnapCrashPoint) so the append sweep's
-	// numbering stays deterministic; firing sets the shared crashed flag.
-	snapCrashAt      int
-	snapCrashPartial int
-	snapCrashOps     int
-	snapCrashFired   bool
-	snapGate         <-chan struct{}
-	writeGate        <-chan struct{}
+	// syncErr is a failed interval or closing fsync, which Close reports:
+	// the records it covered were acknowledged before it failed.
+	syncErr error
 
 	mAppends    *obs.Counter // server.log.appends: records appended
 	mWrites     *obs.Counter // server.log.writes: group-commit writes that reached the file
@@ -274,6 +300,9 @@ func Open(opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 64 << 20
 	}
+	if opts.FS == nil {
+		opts.FS = osFS{}
+	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("eventlog: %w", err)
 	}
@@ -281,6 +310,7 @@ func Open(opts Options) (*Log, error) {
 	l := &Log{
 		opts:        opts,
 		dir:         opts.Dir,
+		fs:          opts.FS,
 		kick:        make(chan struct{}, 1),
 		quit:        make(chan struct{}),
 		mAppends:    metrics.Counter("server.log.appends"),
@@ -336,7 +366,7 @@ func segPath(dir string, base int64) string {
 // compacted past its snapshot coverage is refused rather than silently
 // replayed with a hole.
 func (l *Log) recover() error {
-	if err := removeSnapTmp(l.dir); err != nil {
+	if err := l.removeSnapTmp(); err != nil {
 		return err
 	}
 	snaps, _, err := snapshotInfos(l.dir)
@@ -369,31 +399,27 @@ func (l *Log) recover() error {
 	// only ever appends to the last segment, so refuse rather than silently
 	// dropping acknowledged records.
 	last := bases[len(bases)-1]
-	path := segPath(l.dir, last)
 	var valid int64
+	var clean bool
 	for _, base := range bases {
-		var clean bool
 		if valid, clean, err = readSegment(segPath(l.dir, base), 0, nil); err != nil {
 			return err
 		}
-		if clean {
-			continue
-		}
-		if base != last {
+		if !clean && base != last {
 			return fmt.Errorf("eventlog: segment %016x corrupt at offset %d (not the tail segment)", base, valid)
 		}
-		if err := os.Truncate(path, valid); err != nil {
+	}
+	if err := l.openSegment(last); err != nil {
+		return err
+	}
+	l.segSize = valid
+	if !clean {
+		if err := l.file.Truncate(valid); err != nil {
+			l.file.Close()
 			return fmt.Errorf("eventlog: truncate torn tail: %w", err)
 		}
 		l.mTruncated.Inc()
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("eventlog: %w", err)
-	}
-	l.file = f
-	l.segBase = last
-	l.segSize = valid
 	return nil
 }
 
@@ -444,7 +470,7 @@ func readSegment(path string, start int64, fn func(payload []byte) error) (pos i
 }
 
 func (l *Log) openSegment(base int64) error {
-	f, err := os.OpenFile(segPath(l.dir, base), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := l.fs.OpenFile(segPath(l.dir, base), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("eventlog: %w", err)
 	}
@@ -623,22 +649,36 @@ func (l *Log) writer() {
 		case <-l.kick:
 			l.drain()
 		case <-tick:
-			if l.dirty && !l.isCrashed() {
-				if err := l.sync(); err == nil {
-					l.dirty = false
-				}
-			}
+			l.syncDirty()
 		case <-l.quit:
 			// Close refuses appends before it signals quit, so this drain
 			// takes the last of them.
 			l.drain()
-			if l.dirty && !l.isCrashed() && l.opts.Sync != SyncNone {
-				if l.sync() == nil {
-					l.dirty = false
-				}
+			if l.opts.Sync != SyncNone {
+				l.syncDirty()
 			}
 			return
 		}
+	}
+}
+
+// syncDirty is the interval and closing fsync. A failed one fails the log
+// closed and is never retried: a retried fsync can report success after the
+// kernel dropped the dirty pages the failed one covered. Its records were
+// acknowledged when they were written, so they cannot be refused; Close
+// reports the failure instead.
+func (l *Log) syncDirty() {
+	if !l.dirty {
+		return
+	}
+	l.dirty = false
+	if err := l.sync(); err != nil {
+		l.syncErr = err
+		l.mu.Lock()
+		if l.failed == nil {
+			l.failed = err
+		}
+		l.mu.Unlock()
 	}
 }
 
@@ -678,9 +718,6 @@ func (l *Log) drain() {
 // is never retried, since a failed one may have dropped the dirty pages it
 // reported on. Only a failing truncate leaves the records behind.
 func (l *Log) commit(buf []byte, recs int) error {
-	if l.isCrashed() {
-		return ErrCrashed
-	}
 	if l.segSize > 0 && l.segSize+int64(len(buf)) > l.opts.SegmentBytes {
 		if err := l.rotate(); err != nil {
 			return err
@@ -727,97 +764,19 @@ func (l *Log) rotate() error {
 	return l.openSegment(l.segBase + l.segSize)
 }
 
-// write is one counted I/O boundary: an armed crash point abandons it with
-// only the configured partial byte count reaching the file.
 func (l *Log) write(buf []byte) error {
-	if gate := l.heldWrites(); gate != nil {
-		select {
-		case <-gate:
-		case <-l.quit:
-		}
-	}
-	if partial, fire := l.crashBoundary(); fire {
-		if partial > len(buf) {
-			partial = len(buf)
-		}
-		if partial > 0 {
-			l.file.Write(buf[:partial])
-		}
-		return ErrCrashed
-	}
 	if _, err := l.file.Write(buf); err != nil {
 		return fmt.Errorf("eventlog: write: %w", err)
 	}
 	return nil
 }
 
-// sync is the other counted I/O boundary.
 func (l *Log) sync() error {
-	if _, fire := l.crashBoundary(); fire {
-		return ErrCrashed
-	}
 	if err := l.file.Sync(); err != nil {
 		return fmt.Errorf("eventlog: fsync: %w", err)
 	}
 	l.mFsyncs.Inc()
 	return nil
-}
-
-// CrashPoint arms the fault hook: the op-th I/O boundary (writes and syncs,
-// counted together from 1) is abandoned mid-flight — a write puts only
-// partial bytes in the file, a sync does nothing — and every later append
-// fails with ErrCrashed. Test-only.
-func (l *Log) CrashPoint(op, partial int) {
-	l.crashMu.Lock()
-	l.crashAt = op
-	l.crashPartial = partial
-	l.crashOps = 0
-	l.crashed = false
-	l.crashMu.Unlock()
-}
-
-// WriteGate arms the write-hold hook: every segment write waits until ch is
-// closed (or the log closes) before it reaches the file, as a write stalled
-// on a slow disk would, while appends keep accumulating in the fill buffer.
-// A nil ch disarms it. Test-only.
-func (l *Log) WriteGate(ch <-chan struct{}) {
-	l.crashMu.Lock()
-	l.writeGate = ch
-	l.crashMu.Unlock()
-}
-
-func (l *Log) heldWrites() <-chan struct{} {
-	l.crashMu.Lock()
-	defer l.crashMu.Unlock()
-	return l.writeGate
-}
-
-// CrashFired reports whether the armed crash point was reached.
-func (l *Log) CrashFired() bool {
-	l.crashMu.Lock()
-	defer l.crashMu.Unlock()
-	return l.crashed
-}
-
-func (l *Log) isCrashed() bool {
-	l.crashMu.Lock()
-	defer l.crashMu.Unlock()
-	return l.crashed
-}
-
-// crashBoundary counts one I/O op and reports whether the crash fires here.
-func (l *Log) crashBoundary() (partial int, fire bool) {
-	l.crashMu.Lock()
-	defer l.crashMu.Unlock()
-	if l.crashAt <= 0 {
-		return 0, false
-	}
-	l.crashOps++
-	if l.crashOps == l.crashAt {
-		l.crashed = true
-		return l.crashPartial, true
-	}
-	return 0, false
 }
 
 // ReplayCounter returns server.log.replayed, for a reader that replays the
@@ -867,7 +826,8 @@ func ReplayDirFrom(dir string, from int64, fn func(Record) error) (int64, error)
 }
 
 // Close flushes, syncs (unless SyncNone) and closes the log. Pending appends
-// are answered before the writer exits.
+// are answered before the writer exits. It returns a failed interval or
+// closing fsync, which no append was refused for.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -881,10 +841,7 @@ func (l *Log) Close() error {
 	// An in-flight snapshot writer observes quit and abandons (removing its
 	// temp file); wait so no .snap.tmp outlives the handle.
 	l.snapWG.Wait()
-	if l.file != nil {
-		return l.file.Close()
-	}
-	return nil
+	return errors.Join(l.syncErr, l.file.Close())
 }
 
 // FsckReport summarizes a scan of a log directory.

@@ -8,12 +8,14 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"cosoft/internal/attr"
 	"cosoft/internal/couple"
+	"cosoft/internal/faultdisk"
 	"cosoft/internal/obs"
 	"cosoft/internal/wire"
 )
@@ -282,19 +284,20 @@ func TestSyncPolicyFsyncCounts(t *testing.T) {
 	}
 }
 
-// Crash points at every write/sync boundary: the failed append errors with
-// ErrCrashed, later appends fail too, and reopening the dir recovers exactly
-// the records whose durability boundary completed.
+// A failed write or fsync at every boundary: the failed append errors, later
+// appends fail too, and reopening the dir recovers exactly the records whose
+// durability boundary completed.
 func TestCrashPoints(t *testing.T) {
 	want := sampleRecords()
 	for op := 1; ; op++ {
 		for _, partial := range []int{0, 3, recHeader + 1} {
 			dir := t.TempDir()
-			l, err := Open(Options{Dir: dir, Sync: SyncAlways})
+			disk := &faultdisk.Disk{}
+			l, err := Open(Options{Dir: dir, Sync: SyncAlways, FS: disk})
 			if err != nil {
 				t.Fatal(err)
 			}
-			l.CrashPoint(op, partial)
+			disk.Arm(faultdisk.Fault{Class: faultdisk.Segment, At: op, Partial: partial})
 			appended := 0
 			for _, r := range want {
 				if err := l.Append(r); err != nil {
@@ -302,7 +305,7 @@ func TestCrashPoints(t *testing.T) {
 				}
 				appended++
 			}
-			fired := l.CrashFired()
+			fired := disk.Fired()
 			l.Close()
 			if !fired {
 				if appended != len(want) {
@@ -311,6 +314,7 @@ func TestCrashPoints(t *testing.T) {
 				if op <= 1 {
 					t.Fatal("crash point 1 did not fire")
 				}
+				t.Logf("swept %d boundaries", op-1)
 				return // swept past the last boundary
 			}
 			got := replayAll(t, dir)
@@ -659,7 +663,8 @@ func TestAppendEventOrder(t *testing.T) {
 // refused at once, with the failure.
 func TestAppendEventRefusals(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Sync: SyncAlways})
+	disk := &faultdisk.Disk{}
+	l, err := Open(Options{Dir: dir, Sync: SyncAlways, FS: disk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,8 +673,7 @@ func TestAppendEventRefusals(t *testing.T) {
 	se := wire.NewSharedExec(1, "changed", nil, src)
 	defer se.Release()
 
-	gate := make(chan struct{})
-	l.WriteGate(gate)
+	hold := disk.Hold(faultdisk.Segment, faultdisk.OpWrite)
 	for i := 0; i < 3; i++ {
 		if err := l.AppendEvent(src, se); err != nil {
 			t.Fatal(err)
@@ -684,7 +688,7 @@ func TestAppendEventRefusals(t *testing.T) {
 		t.Fatalf("Append returned %v through a held write", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	close(gate)
+	hold.Release()
 	if err := <-appended; err != nil {
 		t.Fatal(err)
 	}
@@ -692,18 +696,18 @@ func TestAppendEventRefusals(t *testing.T) {
 		t.Fatalf("%d records landed once the write was let go, want 4", n)
 	}
 
-	l.CrashPoint(1, 0)
+	disk.Arm(faultdisk.Fault{Class: faultdisk.Segment, At: 1})
 	if err := l.AppendEvent(src, se); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(sampleRecords()[0]); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("append through the failed write: %v, want ErrCrashed", err)
+	if err := l.Append(sampleRecords()[0]); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("append through the failed write: %v, want EIO", err)
 	}
-	if err := l.AppendEvent(src, se); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("event append after the failure: %v, want ErrCrashed", err)
+	if err := l.AppendEvent(src, se); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("event append after the failure: %v, want EIO", err)
 	}
-	if err := l.Append(sampleRecords()[0]); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("append after the failure: %v, want ErrCrashed", err)
+	if err := l.Append(sampleRecords()[0]); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("append after the failure: %v, want EIO", err)
 	}
 	if n := len(replayAll(t, dir)); n != 4 {
 		t.Fatalf("%d records replay after the failed write, want the 4 before it", n)
@@ -813,4 +817,53 @@ func TestOversizedRecordRefused(t *testing.T) {
 		t.Fatalf("reopen truncated %d torn tails, want 0", got)
 	}
 	checkRecords(t, replayAll(t, dir), []Record{before, after})
+}
+
+// A failed interval fsync fails the log closed. It is never retried: a
+// retried fsync can report success after the kernel dropped the pages the
+// failed one covered. The next append is refused with it, and Close reports
+// it, since the records it covered were acknowledged before it failed.
+func TestIntervalFsyncFailure(t *testing.T) {
+	disk := &faultdisk.Disk{}
+	l, err := Open(Options{Dir: t.TempDir(), Sync: SyncInterval, SyncEvery: time.Millisecond, FS: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold := disk.Hold(faultdisk.Segment, faultdisk.OpSync)
+	mustAppend(t, l, sampleRecords()[0])
+	<-hold.Reached()
+	disk.Arm(faultdisk.Fault{Class: faultdisk.Segment, At: 1})
+	hold.Release()
+	if err := l.Append(sampleRecords()[1]); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("append after the failed fsync: %v, want EIO", err)
+	}
+	if err := l.Close(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Close after the failed fsync: %v, want EIO", err)
+	}
+}
+
+// The one residual window: when a drain's fsync fails and the truncate that
+// would cut it back fails too, its record stays in the segment, so a restart
+// replays a record whose append was refused. The log still fails closed, and
+// the refusal names both failures.
+func TestFailedTruncateKeepsDrain(t *testing.T) {
+	dir := t.TempDir()
+	disk := &faultdisk.Disk{}
+	l, err := Open(Options{Dir: dir, Sync: SyncAlways, FS: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := sampleRecords()
+	mustAppend(t, l, recs[0])
+	// The next record's write is operation 1 and its fsync operation 2: a
+	// crash there fails the truncate behind it as well.
+	disk.Arm(faultdisk.Fault{Class: faultdisk.Segment, At: 2, Crash: true})
+	if err := l.Append(recs[1]); !errors.Is(err, faultdisk.ErrCrashed) || !strings.Contains(err.Error(), "truncate") {
+		t.Fatalf("append through the failed fsync: %v, want the fsync's and the truncate's failure", err)
+	}
+	if err := l.Append(recs[2]); !errors.Is(err, faultdisk.ErrCrashed) {
+		t.Fatalf("append after the failure: %v, want it refused", err)
+	}
+	l.Close()
+	checkRecords(t, replayAll(t, dir), recs[:2])
 }

@@ -76,68 +76,29 @@ func (l *Log) WriteSnapshot(offset int64, payload []byte) error {
 	buf := encodeSnapshotFile(offset, payload)
 	final := snapPath(l.dir, offset)
 	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := l.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("eventlog: snapshot: %w", err)
 	}
-	// Crash boundary: the temp write.
-	if partial, fire := l.snapBoundary(); fire {
-		if partial > len(buf) {
-			partial = len(buf)
-		}
-		if partial > 0 {
-			f.Write(buf[:partial])
-		}
-		f.Close()
-		return ErrCrashed
+	_, err = f.Write(buf)
+	if err == nil {
+		err = f.Sync()
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("eventlog: snapshot write: %w", err)
-	}
-	// Crash boundary: the temp fsync.
-	if _, fire := l.snapBoundary(); fire {
-		f.Close()
-		return ErrCrashed
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("eventlog: snapshot fsync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	if err = errors.Join(err, f.Close()); err != nil {
+		l.fs.Remove(tmp)
 		return fmt.Errorf("eventlog: snapshot: %w", err)
 	}
-	// Test hook: hold here, fully written but not yet promoted, until
-	// released — or abandon if the log is closing under us.
-	if gate := l.gate(); gate != nil {
-		select {
-		case <-gate:
-		case <-l.quit:
-			os.Remove(tmp)
-			return ErrClosed
-		}
-	}
+	// A Close that came while the temp file was written abandons it.
 	if l.quitting() {
-		os.Remove(tmp)
+		l.fs.Remove(tmp)
 		return ErrClosed
 	}
-	// Crash boundary: the rename that promotes the snapshot.
-	if _, fire := l.snapBoundary(); fire {
-		return ErrCrashed // un-promoted temp file; Open sweeps it
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
+	if err := l.fs.Rename(tmp, final); err != nil {
+		l.fs.Remove(tmp)
 		return fmt.Errorf("eventlog: snapshot rename: %w", err)
 	}
-	// Crash boundary: the directory fsync that makes the rename durable.
-	if _, fire := l.snapBoundary(); fire {
-		return ErrCrashed
-	}
-	if err := syncDir(l.dir); err != nil {
-		return err
+	if err := l.fs.SyncDir(l.dir); err != nil {
+		return fmt.Errorf("eventlog: dir fsync: %w", err)
 	}
 	l.mSnapshots.Inc()
 	l.mSnapBytes.Add(uint64(len(payload)))
@@ -174,11 +135,7 @@ func (l *Log) Compact() (int, error) {
 		if l.quitting() {
 			return ErrClosed
 		}
-		// Crash boundary: one unlink.
-		if _, fire := l.snapBoundary(); fire {
-			return ErrCrashed
-		}
-		if err := os.Remove(path); err != nil {
+		if err := l.fs.Remove(path); err != nil {
 			return fmt.Errorf("eventlog: compact: %w", err)
 		}
 		return nil
@@ -212,12 +169,8 @@ func (l *Log) Compact() (int, error) {
 		}
 		removed++
 	}
-	// Crash boundary: the directory fsync sealing the deletions.
-	if _, fire := l.snapBoundary(); fire {
-		return removed, ErrCrashed
-	}
-	if err := syncDir(l.dir); err != nil {
-		return removed, err
+	if err := l.fs.SyncDir(l.dir); err != nil {
+		return removed, fmt.Errorf("eventlog: dir fsync: %w", err)
 	}
 	l.mCompacted.Add(uint64(removed))
 	return removed, nil
@@ -292,32 +245,17 @@ func snapshotInfos(dir string) (valid []SnapshotRef, bad []int64, err error) {
 
 // removeSnapTmp sweeps half-written snapshot temp files left by a crash.
 // They were never promoted by rename, so they hold nothing durable.
-func removeSnapTmp(dir string) error {
-	entries, err := os.ReadDir(dir)
+func (l *Log) removeSnapTmp() error {
+	entries, err := os.ReadDir(l.dir)
 	if err != nil {
 		return fmt.Errorf("eventlog: %w", err)
 	}
 	for _, e := range entries {
 		if !e.IsDir() && strings.HasSuffix(e.Name(), snapSuffix+".tmp") {
-			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+			if err := l.fs.Remove(filepath.Join(l.dir, e.Name())); err != nil {
 				return fmt.Errorf("eventlog: %w", err)
 			}
 		}
-	}
-	return nil
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("eventlog: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("eventlog: dir fsync: %w", err)
 	}
 	return nil
 }
@@ -341,60 +279,4 @@ func (l *Log) quitting() bool {
 	default:
 		return false
 	}
-}
-
-// SnapCrashPoint arms the snapshot-path fault hook: the op-th snapshot or
-// compaction I/O boundary — temp write, temp fsync, rename, unlink, and dir
-// fsync, counted together from 1 — is abandoned mid-flight (a write leaves
-// only partial bytes), and every later append fails with ErrCrashed, the
-// in-test stand-in for the whole process dying there. Counted separately
-// from the append-path CrashPoint so both sweeps stay deterministic.
-// Test-only.
-func (l *Log) SnapCrashPoint(op, partial int) {
-	l.crashMu.Lock()
-	l.snapCrashAt = op
-	l.snapCrashPartial = partial
-	l.snapCrashOps = 0
-	l.snapCrashFired = false
-	l.crashMu.Unlock()
-}
-
-// SnapCrashFired reports whether the armed snapshot crash point was reached.
-func (l *Log) SnapCrashFired() bool {
-	l.crashMu.Lock()
-	defer l.crashMu.Unlock()
-	return l.snapCrashFired
-}
-
-// SnapshotGate installs a test hook: WriteSnapshot blocks just before its
-// rename until ch is closed (or the log closes, which abandons the
-// snapshot). Models a slow in-flight snapshot writer.
-func (l *Log) SnapshotGate(ch <-chan struct{}) {
-	l.crashMu.Lock()
-	l.snapGate = ch
-	l.crashMu.Unlock()
-}
-
-func (l *Log) gate() <-chan struct{} {
-	l.crashMu.Lock()
-	defer l.crashMu.Unlock()
-	return l.snapGate
-}
-
-// snapBoundary counts one snapshot-path I/O op and reports whether the
-// armed snapshot crash fires here. Firing sets the shared crashed flag — a
-// real crash kills the appender too.
-func (l *Log) snapBoundary() (partial int, fire bool) {
-	l.crashMu.Lock()
-	defer l.crashMu.Unlock()
-	if l.snapCrashAt <= 0 {
-		return 0, false
-	}
-	l.snapCrashOps++
-	if l.snapCrashOps == l.snapCrashAt {
-		l.crashed = true
-		l.snapCrashFired = true
-		return l.snapCrashPartial, true
-	}
-	return 0, false
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cosoft/internal/faultdisk"
 	"cosoft/internal/obs"
 )
 
@@ -247,7 +248,8 @@ func TestSnapshotCrashPointSweep(t *testing.T) {
 			partial = 3
 		}
 		dir := t.TempDir()
-		l, err := Open(Options{Dir: dir, Sync: SyncAlways, SegmentBytes: 128})
+		disk := &faultdisk.Disk{}
+		l, err := Open(Options{Dir: dir, Sync: SyncAlways, SegmentBytes: 128, FS: disk})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,18 +265,19 @@ func TestSnapshotCrashPointSweep(t *testing.T) {
 			mustAppend(t, l, sampleRecords()...)
 		}
 		off := durableEnd(t, dir)
-		l.SnapCrashPoint(op, partial)
+		disk.Arm(faultdisk.Fault{Class: faultdisk.Dir, At: op, Partial: partial, Crash: true})
 		snapErr := l.WriteSnapshot(off, []byte("new"))
 		var compErr error
 		if snapErr == nil {
 			_, compErr = l.Compact()
 		}
-		fired := l.SnapCrashFired()
+		fired := disk.Fired()
 		if !fired {
 			if snapErr != nil || compErr != nil {
 				t.Fatalf("op %d: unexpected errors without crash: snap=%v compact=%v", op, snapErr, compErr)
 			}
 			l.Close()
+			t.Logf("swept %d boundaries", op-1)
 			break
 		}
 		l.Close()
@@ -334,7 +337,8 @@ func TestSnapshotCrashPointSweep(t *testing.T) {
 // valid snapshot is still the one a reopen selects.
 func TestCloseAbandonsInFlightSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, Sync: SyncAlways})
+	disk := &faultdisk.Disk{}
+	l, err := Open(Options{Dir: dir, Sync: SyncAlways, FS: disk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,24 +350,17 @@ func TestCloseAbandonsInFlightSnapshot(t *testing.T) {
 	mustAppend(t, l, sampleRecords()...)
 	off2 := durableEnd(t, dir)
 
-	gate := make(chan struct{})
-	l.SnapshotGate(gate)
+	// Hold the writer at its temp file's close (the file fully written)
+	// until Close has signalled quit.
+	hold := disk.Hold(faultdisk.Dir, faultdisk.OpClose)
 	writeDone := make(chan error, 1)
 	go func() { writeDone <- l.WriteSnapshot(off2, []byte("in-flight")) }()
-	// Wait until the writer is parked at the gate (temp file fully written).
+	<-hold.Reached()
 	tmp := snapPath(dir, off2) + ".tmp"
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, err := os.Stat(tmp); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("snapshot writer never reached the gate")
-		}
-		time.Sleep(time.Millisecond)
-	}
 	closeDone := make(chan error, 1)
 	go func() { closeDone <- l.Close() }()
+	<-l.quit
+	hold.Release()
 	select {
 	case err := <-closeDone:
 		if err != nil {

@@ -24,6 +24,11 @@ type ArchLatencyRow struct {
 	PerEvent     time.Duration // mean time until the actor sees the effect
 	Events       int
 	Messages     int64 // frames (COSOFT) or logical messages (baselines)
+	// RoundTrips counts the interactions that waited on a remote party, as
+	// the system counted them: every event the single instance ran
+	// (multiplex), every semantic action (UI-replicated), every event the
+	// server granted (COSOFT).
+	RoundTrips int64
 }
 
 // ArchParams configures the architecture comparison sweep.
@@ -143,6 +148,7 @@ func measureMultiplex(users int, lat time.Duration, events int, sharedFraction f
 		PerEvent:     total / time.Duration(users*events),
 		Events:       users * events,
 		Messages:     in + out,
+		RoundTrips:   in,
 	}, nil
 }
 
@@ -204,6 +210,7 @@ func measureUIRepl(users int, lat time.Duration, events int, sharedFraction floa
 		PerEvent:     total / time.Duration(users*events),
 		Events:       users * events,
 		Messages:     sem + updates,
+		RoundTrips:   sem,
 	}, nil
 }
 
@@ -212,7 +219,7 @@ func measureUIRepl(users int, lat time.Duration, events int, sharedFraction floa
 // DispatchChecked round trip measures the floor-control cost.
 func measureCosoft(users int, lat time.Duration, events int, sharedFraction float64) (row ArchLatencyRow, err error) {
 	err = testbed.Run(func(tb testbed.TB) {
-		_, bed, cl := newBed(tb, users, archSpec, lat, server.Options{}, client.Options{})
+		srv, bed, cl := newBed(tb, users, archSpec, lat, server.Options{}, client.Options{})
 		bed.Star("/app/field", cl...)
 		baseline, _ := bed.Traffic()
 		var wg sync.WaitGroup
@@ -245,6 +252,7 @@ func measureCosoft(users int, lat time.Duration, events int, sharedFraction floa
 			total += w
 		}
 		frames, _ := bed.Traffic()
+		st := srv.Stats()
 		row = ArchLatencyRow{
 			Architecture: "cosoft",
 			Users:        users,
@@ -252,6 +260,7 @@ func measureCosoft(users int, lat time.Duration, events int, sharedFraction floa
 			PerEvent:     total / time.Duration(users*events),
 			Events:       users * events,
 			Messages:     frames - baseline,
+			RoundTrips:   int64(st.Events - st.LockFailures),
 		}
 	})
 	return row, err

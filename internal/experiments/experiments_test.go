@@ -8,6 +8,19 @@ import (
 // The experiment harnesses run with miniature parameters here; the shapes
 // they must exhibit are asserted where deterministic.
 
+// timeReps is how many times a shape test runs an experiment whose claim is
+// about time: the fastest run stands for each row, so a run that a GC pause
+// or the scheduler slowed does not decide the claim. Where the harness
+// counts what the time measures, that count is the primary assertion.
+const timeReps = 3
+
+// fastest keeps the smaller of *d and x, taking x when *d is unset.
+func fastest(d *time.Duration, x time.Duration) {
+	if *d == 0 || x < *d {
+		*d = x
+	}
+}
+
 func TestTable1Shapes(t *testing.T) {
 	rows, err := Table1()
 	if err != nil {
@@ -56,86 +69,121 @@ func TestTable1Shapes(t *testing.T) {
 }
 
 func TestArchComparisonShapes(t *testing.T) {
-	rows, err := ArchComparison(ArchParams{
-		Users:          []int{2, 4},
-		Latencies:      []time.Duration{500 * time.Microsecond},
-		EventsPerUser:  4,
-		SharedFraction: 0.25,
-	})
-	if err != nil {
-		t.Fatal(err)
+	type key struct {
+		arch  string
+		users int
 	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// Multiplex serializes: per-event latency grows with the population.
-	perEvent := map[string]map[int]time.Duration{}
-	for _, r := range rows {
-		if perEvent[r.Architecture] == nil {
-			perEvent[r.Architecture] = map[int]time.Duration{}
+	perEvent := map[key]time.Duration{}
+	for rep := 0; rep < timeReps; rep++ {
+		rows, err := ArchComparison(ArchParams{
+			Users:          []int{2, 4},
+			Latencies:      []time.Duration{500 * time.Microsecond},
+			EventsPerUser:  4,
+			SharedFraction: 0.25,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		perEvent[r.Architecture][r.Users] = r.PerEvent
-		if r.Events == 0 || r.Messages == 0 {
-			t.Errorf("%s/%d: empty measurement %+v", r.Architecture, r.Users, r)
+		if len(rows) != 6 {
+			t.Fatalf("rows = %d", len(rows))
+		}
+		row := map[key]ArchLatencyRow{}
+		for _, r := range rows {
+			k := key{r.Architecture, r.Users}
+			row[k] = r
+			d := perEvent[k]
+			fastest(&d, r.PerEvent)
+			perEvent[k] = d
+			if r.Events == 0 || r.Messages == 0 {
+				t.Errorf("%s/%d: empty measurement %+v", r.Architecture, r.Users, r)
+			}
+		}
+		// Multiplex serializes, and its single instance draws every
+		// interaction on every display: its messages per interaction grow
+		// with the population.
+		mux2, mux4 := row[key{"multiplex", 2}], row[key{"multiplex", 4}]
+		if mux4.Messages*int64(mux2.Events) <= mux2.Messages*int64(mux4.Events) {
+			t.Errorf("multiplex messages per event must grow with population: %d/%d at 4 users vs %d/%d at 2",
+				mux4.Messages, mux4.Events, mux2.Messages, mux2.Events)
+		}
+		// Under the mixed workload only coupling's shared interactions
+		// wait on the server; every multiplex one waits on the instance.
+		for _, users := range []int{2, 4} {
+			cos, mux := row[key{"cosoft", users}], row[key{"multiplex", users}]
+			if cos.RoundTrips >= mux.RoundTrips {
+				t.Errorf("cosoft (%d round trips) must wait less often than multiplex (%d) at %d users",
+					cos.RoundTrips, mux.RoundTrips, users)
+			}
 		}
 	}
-	if perEvent["multiplex"][4] <= perEvent["multiplex"][2] {
+	// The same two claims in time, each the fastest of timeReps runs:
+	// multiplex per-event latency grows with the population.
+	if perEvent[key{"multiplex", 4}] <= perEvent[key{"multiplex", 2}] {
 		t.Errorf("multiplex must degrade with population: %v vs %v",
-			perEvent["multiplex"][4], perEvent["multiplex"][2])
+			perEvent[key{"multiplex", 4}], perEvent[key{"multiplex", 2}])
 	}
 	// Under the mixed workload, coupling wins on response time: private
 	// interactions are local, only shared ones pay the server round trip.
 	for _, users := range []int{2, 4} {
-		if perEvent["cosoft"][users] >= perEvent["multiplex"][users] {
+		if perEvent[key{"cosoft", users}] >= perEvent[key{"multiplex", users}] {
 			t.Errorf("cosoft (%v) must beat multiplex (%v) at %d users",
-				perEvent["cosoft"][users], perEvent["multiplex"][users], users)
+				perEvent[key{"cosoft", users}], perEvent[key{"multiplex", users}], users)
 		}
 	}
 }
 
 func TestStateVsActionShapes(t *testing.T) {
-	rows, err := StateVsAction([]int{1, 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, large := rows[0], rows[1]
-	// Replay cost grows with the missed-action count; state copy is flat
-	// (same single transfer regardless of history length).
-	if large.ReplayMsgs <= small.ReplayMsgs {
-		t.Errorf("replay messages must grow: %d vs %d", large.ReplayMsgs, small.ReplayMsgs)
-	}
-	if large.StateCopyMsgs != small.StateCopyMsgs {
-		t.Errorf("state copy messages must be flat: %d vs %d",
-			large.StateCopyMsgs, small.StateCopyMsgs)
-	}
-	// Compaction collapses the changed-value history to one event.
-	if large.CompactEvents != 1 {
-		t.Errorf("compacted events = %d, want 1", large.CompactEvents)
+	var copyTime, replayTime time.Duration
+	for rep := 0; rep < timeReps; rep++ {
+		rows, err := StateVsAction([]int{1, 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		small, large := rows[0], rows[1]
+		// Replay cost grows with the missed-action count; state copy is flat
+		// (same single transfer regardless of history length).
+		if large.ReplayMsgs <= small.ReplayMsgs {
+			t.Errorf("replay messages must grow: %d vs %d", large.ReplayMsgs, small.ReplayMsgs)
+		}
+		if large.StateCopyMsgs != small.StateCopyMsgs {
+			t.Errorf("state copy messages must be flat: %d vs %d",
+				large.StateCopyMsgs, small.StateCopyMsgs)
+		}
+		// Compaction collapses the changed-value history to one event.
+		if large.CompactEvents != 1 {
+			t.Errorf("compacted events = %d, want 1", large.CompactEvents)
+		}
+		fastest(&copyTime, large.StateCopyTime)
+		fastest(&replayTime, large.ReplayTime)
 	}
 	// At 32 missed actions the crossover has long happened.
-	if large.StateCopyTime >= large.ReplayTime {
-		t.Errorf("state copy (%v) must beat replay (%v) at 32 actions",
-			large.StateCopyTime, large.ReplayTime)
+	if copyTime >= replayTime {
+		t.Errorf("state copy (%v) must beat replay (%v) at 32 actions", copyTime, replayTime)
 	}
 }
 
 func TestFloorControlShapes(t *testing.T) {
-	rows, err := FloorControl(256, []int{1, 64})
-	if err != nil {
-		t.Fatal(err)
+	var fineTime, coarseTime time.Duration
+	for rep := 0; rep < timeReps; rep++ {
+		rows, err := FloorControl(256, []int{1, 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fine, coarse := rows[0], rows[1]
+		if fine.Events != 256 || coarse.Events != 4 {
+			t.Fatalf("event counts = %d, %d", fine.Events, coarse.Events)
+		}
+		// Fine-grained events pay far more messages and more total time for
+		// the same text volume.
+		if fine.Messages <= coarse.Messages*8 {
+			t.Errorf("fine-grained must cost many more messages: %d vs %d",
+				fine.Messages, coarse.Messages)
+		}
+		fastest(&fineTime, fine.TotalTime)
+		fastest(&coarseTime, coarse.TotalTime)
 	}
-	fine, coarse := rows[0], rows[1]
-	if fine.Events != 256 || coarse.Events != 4 {
-		t.Fatalf("event counts = %d, %d", fine.Events, coarse.Events)
-	}
-	// Fine-grained events pay far more messages and more total time for
-	// the same text volume.
-	if fine.Messages <= coarse.Messages*8 {
-		t.Errorf("fine-grained must cost many more messages: %d vs %d",
-			fine.Messages, coarse.Messages)
-	}
-	if fine.TotalTime <= coarse.TotalTime {
-		t.Errorf("fine-grained must be slower: %v vs %v", fine.TotalTime, coarse.TotalTime)
+	if fineTime <= coarseTime {
+		t.Errorf("fine-grained must be slower: %v vs %v", fineTime, coarseTime)
 	}
 }
 

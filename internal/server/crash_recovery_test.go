@@ -1,9 +1,10 @@
 package server
 
 // Crash-point recovery harness: a scripted session runs against a durable
-// server whose event log is armed to "crash" — abandon an I/O operation
-// mid-flight and fail every later append — at one exact write or fsync
-// boundary. The script stops at the first operation the dead log refuses.
+// server whose event log writes through a fault disk armed to fail one exact
+// write or fsync — abandoned, or torn part way — after which the log fails
+// closed by itself. The script stops at the first operation the dead log
+// refuses.
 // The log directory is then reopened and replayed into a fresh server, whose
 // databases must equal those of a shadow server driven live with exactly the
 // operations the log managed to make durable, and those of the crashed
@@ -32,18 +33,21 @@ import (
 	"cosoft/internal/attr"
 	coclient "cosoft/internal/client"
 	"cosoft/internal/eventlog"
+	"cosoft/internal/faultdisk"
 	"cosoft/internal/perm"
 	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 )
 
-// crashScript is one run of the scripted session: a server on a test bed and
-// the clients the ops have dialed so far, by name.
+// crashScript is one run of the scripted session: a server on a test bed,
+// the disk its log writes through (nil: one that never fails) and the
+// clients the ops have dialed so far, by name.
 type crashScript struct {
-	t   *testing.T
-	srv *Server
-	bed *testbed.Bed
-	cl  map[string]*coclient.Client
+	t    *testing.T
+	srv  *Server
+	bed  *testbed.Bed
+	disk *faultdisk.Disk
+	cl   map[string]*coclient.Client
 }
 
 // crashOp is one scripted operation. It returns the server's refusal, if any;
@@ -84,7 +88,7 @@ func (r *crashScript) run(ops []crashOp) int {
 	r.t.Helper()
 	for i, op := range ops {
 		if err := op(r); err != nil {
-			if r.srv.elog == nil || !r.srv.elog.CrashFired() || !strings.Contains(err.Error(), "event log append failed") {
+			if r.disk == nil || !r.disk.Fired() || !strings.Contains(err.Error(), "event log append failed") {
 				r.t.Fatalf("op %d: %v", i, err)
 			}
 			return i
@@ -225,17 +229,19 @@ func TestCrashPointRecovery(t *testing.T) {
 			partial = 5
 		}
 		dir := t.TempDir()
-		elog, err := eventlog.Open(eventlog.Options{Dir: dir, Sync: eventlog.SyncAlways})
+		disk := &faultdisk.Disk{}
+		elog, err := eventlog.Open(eventlog.Options{Dir: dir, Sync: eventlog.SyncAlways, FS: disk})
 		if err != nil {
 			t.Fatal(err)
 		}
-		elog.CrashPoint(op, partial)
+		disk.Arm(faultdisk.Fault{Class: faultdisk.Segment, At: op, Partial: partial})
 
 		rig := newCrashScript(t, Options{EventLog: elog})
+		rig.disk = disk
 		acked := rig.run(ops)
 		live := liveDigest(rig.srv)
 		rig.shutdown()
-		fired := elog.CrashFired()
+		fired := disk.Fired()
 		if err := elog.Close(); err != nil && !fired {
 			t.Fatalf("boundary %d: close: %v", op, err)
 		}

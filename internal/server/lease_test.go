@@ -3,63 +3,60 @@ package server
 // Tests of an event's log record as an audit entry written behind the event:
 // a held write holds up no event, a server closed under a held write leaves
 // no shared body behind, a failed ID lease refuses the event, and no event ID
-// is issued twice across a crash that loses the records of acked events. The
-// log's write-hold hook stands in for a slow disk, its crash point for a
-// dying one.
+// is issued twice across a crash that loses the records of acked events. A
+// fault disk under the log stands in for a slow disk, by holding its writes,
+// and for a dying one, by failing them.
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"cosoft/internal/attr"
 	"cosoft/internal/couple"
 	"cosoft/internal/eventlog"
+	"cosoft/internal/faultdisk"
 	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
 )
 
 // logRig is a logged server on a bed of raw peers, with the log's writes
-// held while hold's gate is shut.
+// held between hold and release.
 type logRig struct {
 	t    *testing.T
 	srv  *Server
 	bed  *testbed.Bed
 	elog *eventlog.Log
-	gate chan struct{}
-	open func()
+	disk *faultdisk.Disk
+	held *faultdisk.Hold
 }
 
 func newLogRig(t *testing.T, opts Options) *logRig {
 	t.Helper()
-	elog, err := eventlog.Open(eventlog.Options{Dir: t.TempDir(), Sync: eventlog.SyncInterval})
+	disk := &faultdisk.Disk{}
+	elog, err := eventlog.Open(eventlog.Options{Dir: t.TempDir(), Sync: eventlog.SyncInterval, FS: disk})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Registered before the bed, so the server closes before its log does.
 	t.Cleanup(func() { elog.Close() })
 	opts.EventLog = elog
-	r := &logRig{t: t, srv: New(opts), elog: elog}
+	r := &logRig{t: t, srv: New(opts), elog: elog, disk: disk}
 	r.bed = testbed.New(t, r.srv, testbed.Options{})
 	// Registered after the bed, so a held write is let go before teardown
 	// judges the server.
 	t.Cleanup(func() {
-		if r.open != nil {
-			r.open()
+		if r.held != nil {
+			r.held.Release()
 		}
 	})
 	return r
 }
 
-// hold shuts the gate on the log's writes; release opens it.
-func (r *logRig) hold() {
-	r.gate = make(chan struct{})
-	r.open = sync.OnceFunc(func() { close(r.gate) })
-	r.elog.WriteGate(r.gate)
-}
+// hold holds the log's segment writes; release lets them go.
+func (r *logRig) hold() { r.held = r.disk.Hold(faultdisk.Segment, faultdisk.OpWrite) }
 
-func (r *logRig) release() { r.open() }
+func (r *logRig) release() { r.held.Release() }
 
 // peer registers a raw peer declaring path.
 func (r *logRig) peer(user, path string) *testbed.Peer {
@@ -194,7 +191,7 @@ func TestFailedLeaseRefusesEvent(t *testing.T) {
 	r := newLogRig(t, Options{Shards: 1})
 	a1, a2 := r.peer("a1", "/a"), r.peer("a2", "/a")
 	r.group("/a", a1, a2)
-	r.elog.CrashPoint(1, 0)
+	r.disk.Arm(faultdisk.Fault{Class: faultdisk.Segment, At: 1})
 
 	res := a1.Call(wire.Event{Path: "/a", Name: widget.EventChanged, Args: []attr.Value{attr.String("unleased")}}).Msg.(wire.EventResult)
 	if res.OK || res.Reason != "event log append failed" {
@@ -227,9 +224,10 @@ func TestFailedLeaseRefusesEvent(t *testing.T) {
 // lease, not the lost records, carries the floor.
 func TestEventIDNeverReissued(t *testing.T) {
 	dir := t.TempDir()
+	disk := &faultdisk.Disk{}
 	start := func() (*Server, *testbed.Bed, *eventlog.Log) {
 		t.Helper()
-		elog, err := eventlog.Open(eventlog.Options{Dir: dir, Sync: eventlog.SyncAlways})
+		elog, err := eventlog.Open(eventlog.Options{Dir: dir, Sync: eventlog.SyncAlways, FS: disk})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,14 +250,13 @@ func TestEventIDNeverReissued(t *testing.T) {
 	origin, member := pair(bed)
 	var before []uint64
 	before = append(before, fire(t, origin, member, "/x", "leased"))
-	gate := make(chan struct{})
-	elog.WriteGate(gate)
+	held := disk.Hold(faultdisk.Segment, faultdisk.OpWrite)
 	for i := 0; i < 4; i++ {
 		before = append(before, fire(t, origin, member, "/x", fmt.Sprint("held", i)))
 	}
-	elog.CrashPoint(1, 5)
-	close(gate)
-	testbed.Wait(t, "the held write to tear", elog.CrashFired)
+	disk.Arm(faultdisk.Fault{Class: faultdisk.Segment, At: 1, Partial: 5})
+	held.Release()
+	testbed.Wait(t, "the held write to tear", disk.Fired)
 	bed.Close()
 	if err := elog.Close(); err != nil {
 		t.Fatal(err)

@@ -5,12 +5,16 @@ package server
 // fold of the log whatever the log refuses.
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"cosoft/internal/attr"
 	"cosoft/internal/couple"
 	"cosoft/internal/eventlog"
+	"cosoft/internal/faultdisk"
 	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
@@ -23,6 +27,7 @@ type refusalBed struct {
 	t       *testing.T
 	srv     *Server
 	elog    *eventlog.Log
+	disk    *faultdisk.Disk
 	bed     *testbed.Bed
 	a, b, c *testbed.Peer
 	tok     string
@@ -30,15 +35,15 @@ type refusalBed struct {
 
 func newRefusalBed(t *testing.T) *refusalBed {
 	t.Helper()
-	elog, err := eventlog.Open(eventlog.Options{Dir: t.TempDir(), Sync: eventlog.SyncAlways})
+	disk := &faultdisk.Disk{}
+	elog, err := eventlog.Open(eventlog.Options{Dir: t.TempDir(), Sync: eventlog.SyncAlways, FS: disk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Registered before the bed, so the server closes before its log does;
-	// a log whose crash point fired reports it again on Close.
+	// Registered before the bed, so the server closes before its log does.
 	t.Cleanup(func() { elog.Close() })
 	srv := New(Options{Shards: HarnessShards, EventLog: elog})
-	f := &refusalBed{t: t, srv: srv, elog: elog, bed: testbed.New(t, srv, testbed.Options{})}
+	f := &refusalBed{t: t, srv: srv, elog: elog, disk: disk, bed: testbed.New(t, srv, testbed.Options{})}
 	join := func(user string) *testbed.Peer {
 		p := f.bed.Raw(wire.Register{AppType: "app", Host: "raw", User: user})
 		for _, path := range []string{"/x", "/y"} {
@@ -59,7 +64,8 @@ func newRefusalBed(t *testing.T) *refusalBed {
 	f.b.ServeState(text("two"))
 	testbed.Next[wire.OK](f.b)
 	// Every append so far was a blocking one, so the log is idle: the next
-	// I/O boundary is the next request's write.
+	// segment operation is the next request's write, and its fsync the one
+	// after.
 	return f
 }
 
@@ -91,21 +97,21 @@ func (f *refusalBed) gone(p *testbed.Peer) {
 	})
 }
 
-// TestControlPlaneAppendRefused arms the log to fail at the write of one
-// control-plane request's record, once abandoning it and once tearing it,
-// for every kind of request that writes one. The request must be refused, the
-// live state must still be the fold of the log, and the next control-plane
-// request and the next event must be refused too: the log fails closed. A
-// departure has no one to refuse: its connection goes, and the instance stays
-// registered, linked and resumable, as a restart would find it.
-func TestControlPlaneAppendRefused(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		// before runs before the crash point is armed.
-		before func(f *refusalBed)
-		// request sends the request whose append fails and checks its answer.
-		request func(f *refusalBed)
-	}{
+// refusalCase is one request whose record the disk fails.
+type refusalCase struct {
+	name string
+	// before runs before the fault is armed.
+	before func(f *refusalBed)
+	// request sends the request whose append fails and checks its answer.
+	request func(f *refusalBed)
+}
+
+// controlPlaneCases has one case for every kind of control-plane request
+// that writes a record. A departure has no one to refuse: its connection
+// goes, and the instance stays registered, linked and resumable, as a
+// restart would find it.
+func controlPlaneCases() []refusalCase {
+	return []refusalCase{
 		{name: "register", request: func(f *refusalBed) {
 			f.refused("register", f.bed.Raw(wire.Register{AppType: "app", Host: "raw", User: "u4"}).Hello.Msg)
 		}},
@@ -163,7 +169,16 @@ func TestControlPlaneAppendRefused(t *testing.T) {
 				}
 			})
 		}},
-	} {
+	}
+}
+
+// TestControlPlaneAppendRefused arms the disk to fail the write of one
+// control-plane request's record, once abandoning it and once tearing it,
+// for every kind of request that writes one. The request must be refused, the
+// live state must still be the fold of the log, and the next control-plane
+// request and the next event must be refused too: the log fails closed.
+func TestControlPlaneAppendRefused(t *testing.T) {
+	for _, tc := range controlPlaneCases() {
 		for _, mode := range []struct {
 			name    string
 			partial int
@@ -173,7 +188,7 @@ func TestControlPlaneAppendRefused(t *testing.T) {
 				if tc.before != nil {
 					tc.before(f)
 				}
-				f.elog.CrashPoint(1, mode.partial)
+				f.disk.Arm(faultdisk.Fault{Class: faultdisk.Segment, At: 1, Partial: mode.partial})
 				tc.request(f)
 				if n := f.srv.Stats().LogAppendErrors; n != 1 {
 					t.Fatalf("%d appends refused, want the request's one", n)
@@ -216,4 +231,63 @@ func TestSelfCoupleRefused(t *testing.T) {
 	if n := count(); n != before+1 {
 		t.Fatalf("the log gained %d records for a refused self couple and a grant, want 1", n-before)
 	}
+}
+
+// TestDiskFullRefused fills the disk under the record of every control-plane
+// request, and under the ID lease of an event, once as a write that tears
+// part way and once as an fsync that reports ENOSPC with the whole record in
+// the file. The request or event is refused, nothing of its record stays in
+// the log, the live state is the fold of the log, and the next request is
+// refused: the log has failed closed.
+func TestDiskFullRefused(t *testing.T) {
+	lease := refusalCase{name: "lease", request: func(f *refusalBed) {
+		f.c.Send(wire.Event{Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("v")}})
+		if res := testbed.Next[wire.EventResult](f.c); res != eventUnlogged {
+			f.t.Fatalf("the event: %+v, want %+v", res, eventUnlogged)
+		}
+	}}
+	for _, tc := range append(controlPlaneCases(), lease) {
+		for _, at := range []struct {
+			name        string
+			op, partial int
+		}{{"write", 1, 5}, {"fsync", 2, 0}} {
+			t.Run(tc.name+"/"+at.name, func(t *testing.T) {
+				f := newRefusalBed(t)
+				if tc.before != nil {
+					tc.before(f)
+				}
+				size := f.segmentBytes()
+				f.disk.Arm(faultdisk.Fault{Class: faultdisk.Segment, At: at.op, Err: syscall.ENOSPC, Partial: at.partial})
+				tc.request(f)
+				if n := f.srv.Stats().LogAppendErrors; n != 1 || !f.disk.Fired() {
+					t.Fatalf("%d appends refused (disk full injected: %v), want the request's one", n, f.disk.Fired())
+				}
+				if got := f.segmentBytes(); got != size {
+					t.Fatalf("the log holds %d bytes after the refusal, %d before it", got, size)
+				}
+				if d := f.srv.FoldDivergence(); d != "" {
+					t.Fatalf("after the refused %s: %s", tc.name, d)
+				}
+				f.refused("the next request", f.c.Call(wire.GrantPerm{User: "u1", State: "*", Right: 1}).Msg)
+			})
+		}
+	}
+}
+
+// segmentBytes is the size of the log's segment files.
+func (f *refusalBed) segmentBytes() int64 {
+	f.t.Helper()
+	segs, err := filepath.Glob(filepath.Join(f.elog.Dir(), "*.seg"))
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	var n int64
+	for _, seg := range segs {
+		st, err := os.Stat(seg)
+		if err != nil {
+			f.t.Fatal(err)
+		}
+		n += st.Size()
+	}
+	return n
 }

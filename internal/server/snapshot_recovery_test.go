@@ -21,15 +21,19 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"testing/quick"
 
 	"cosoft/internal/attr"
 	"cosoft/internal/couple"
 	"cosoft/internal/eventlog"
+	"cosoft/internal/faultdisk"
 	"cosoft/internal/obs"
 	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
@@ -234,17 +238,18 @@ func TestSnapshotCrashPointRecovery(t *testing.T) {
 		dir := t.TempDir()
 		// Small segments so the post-snapshot compaction has several
 		// segment-delete boundaries to die at.
-		elog, err := eventlog.Open(eventlog.Options{Dir: dir, Sync: eventlog.SyncAlways, SegmentBytes: 256})
+		disk := &faultdisk.Disk{}
+		elog, err := eventlog.Open(eventlog.Options{Dir: dir, Sync: eventlog.SyncAlways, SegmentBytes: 256, FS: disk})
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		rig := newCrashScript(t, Options{EventLog: elog})
 		rig.run(ops)
-		elog.SnapCrashPoint(op, partial)
+		disk.Arm(faultdisk.Fault{Class: faultdisk.Dir, At: op, Partial: partial, Crash: true})
 		snapErr := rig.srv.Snapshot()
 		rig.shutdown()
-		fired := elog.SnapCrashFired()
+		fired := disk.Fired()
 		if err := elog.Close(); err != nil && !fired {
 			t.Fatalf("boundary %d: close: %v", op, err)
 		}
@@ -281,6 +286,63 @@ func TestSnapshotCrashPointRecovery(t *testing.T) {
 				op-1, rep.Snapshots, rep.Segments)
 			return
 		}
+	}
+}
+
+// TestSnapshotDiskFull: a disk that fills under a snapshot's temp write costs
+// that snapshot and nothing else. The temp file is removed, the previous
+// snapshot is still the one a reopen selects, the log keeps serving appends,
+// and once space returns the next snapshot succeeds.
+func TestSnapshotDiskFull(t *testing.T) {
+	ops := crashOps()
+	dir := t.TempDir()
+	disk := &faultdisk.Disk{}
+	elog, err := eventlog.Open(eventlog.Options{Dir: dir, Sync: eventlog.SyncAlways, FS: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer elog.Close()
+	rig := newCrashScript(t, Options{EventLog: elog})
+	defer rig.shutdown()
+	newest := func() int64 {
+		t.Helper()
+		snaps, err := eventlog.Snapshots(dir)
+		if err != nil || len(snaps) == 0 {
+			t.Fatalf("snapshots: %v, %v", snaps, err)
+		}
+		return snaps[0].Offset
+	}
+	half := len(ops) / 2
+	if n := rig.run(ops[:half]); n != half {
+		t.Fatalf("%d of %d ops acked", n, half)
+	}
+	if err := rig.srv.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	prev := newest()
+
+	rig.run(ops[half : half+1])
+	disk.Arm(faultdisk.Fault{Class: faultdisk.Dir, At: 1, Err: syscall.ENOSPC, Partial: 5})
+	if err := rig.srv.Snapshot(); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("snapshot on a full disk: %v, want ENOSPC", err)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.snap.tmp")); len(tmps) != 0 {
+		t.Fatalf("the failed snapshot left %v", tmps)
+	}
+	if got := newest(); got != prev {
+		t.Fatalf("a reopen would start from the snapshot at %d, want the previous one at %d", got, prev)
+	}
+	if n := rig.run(ops[half+1:]); n != len(ops)-half-1 {
+		t.Fatalf("after the failed snapshot %d of %d ops acked", n, len(ops)-half-1)
+	}
+	if err := rig.srv.Snapshot(); err != nil {
+		t.Fatalf("snapshot once space returned: %v", err)
+	}
+	if got := newest(); got <= prev {
+		t.Fatalf("newest snapshot at %d after the retry, want past %d", got, prev)
+	}
+	if d := rig.srv.FoldDivergence(); d != "" {
+		t.Fatal(d)
 	}
 }
 
