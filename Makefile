@@ -28,10 +28,12 @@ fmt:
 # lock table, the client runtime, the wire Conn (RPC callers, Pongs and acks
 # write one Conn side by side, under the lock that also keeps its write error
 # and its unsent tail; on the server a lock holder's attempts and the outbox
-# writer's blocking writes hand one Conn back and forth) and the test bed
-# every suite runs on are the packages with real goroutine interleavings.
+# writer's blocking writes hand one Conn back and forth), the test bed every
+# suite runs on and the manual clock (Advance fires tickers and timers while
+# the goroutines under test arm and stop them) are the packages with real
+# goroutine interleavings.
 race:
-	$(GO) test -race ./internal/server/... ./internal/lock/... ./internal/client/... ./internal/wire/... ./internal/testbed/...
+	$(GO) test -race ./internal/server/... ./internal/lock/... ./internal/client/... ./internal/wire/... ./internal/testbed/... ./internal/clock/...
 
 # Cross-checks the metric names registered in code against the README's
 # metric table, so the documented observability surface cannot drift.

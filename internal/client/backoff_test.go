@@ -13,11 +13,9 @@ import (
 // clients retrying at the same attempt number must spread across it.
 func TestBackoffDispersion(t *testing.T) {
 	const clients = 50
-	r := ReconnectOptions{BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}
-
 	for _, attempt := range []int{1, 3, 6, 10} {
-		ceil := r.maxDelay()
-		if d := r.baseDelay() << (attempt - 1); d < ceil {
+		ceil := maxDelay
+		if d := baseDelay << (attempt - 1); d < ceil {
 			ceil = d
 		}
 		delays := make([]time.Duration, clients)
@@ -26,7 +24,7 @@ func TestBackoffDispersion(t *testing.T) {
 		for i := range delays {
 			// Each client gets its own PRNG, as each real client process does.
 			rng := rand.New(rand.NewPCG(uint64(attempt)*1000+uint64(i)+1, uint64(i)+7))
-			d := r.backoffDelay(rng, attempt)
+			d := backoffDelay(rng, attempt)
 			if d < 0 || d > ceil {
 				t.Fatalf("attempt %d: delay %v outside [0, %v]", attempt, d, ceil)
 			}
@@ -54,22 +52,23 @@ func TestBackoffDispersion(t *testing.T) {
 	}
 }
 
-// The backoff window must grow exponentially from BaseDelay and saturate at
-// MaxDelay, and unseeded clients must not share a jitter stream.
+// The backoff window must grow exponentially from baseDelay and saturate at
+// maxDelay, and clients must not share a jitter stream.
 func TestBackoffWindowAndSeeding(t *testing.T) {
-	r := ReconnectOptions{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond}
 	for attempt, want := range map[int]time.Duration{
-		1:   10 * time.Millisecond,
-		2:   20 * time.Millisecond,
-		3:   40 * time.Millisecond,
-		4:   80 * time.Millisecond,
-		5:   80 * time.Millisecond, // capped
-		100: 80 * time.Millisecond, // shift guard: no overflow at silly attempts
+		1:   50 * time.Millisecond,
+		2:   100 * time.Millisecond,
+		3:   200 * time.Millisecond,
+		4:   400 * time.Millisecond,
+		5:   800 * time.Millisecond,
+		6:   1600 * time.Millisecond,
+		7:   2 * time.Second, // capped
+		100: 2 * time.Second, // shift guard: no overflow at silly attempts
 	} {
 		hi := time.Duration(0)
 		rng := rand.New(rand.NewPCG(1, 2))
 		for i := 0; i < 2000; i++ {
-			if d := r.backoffDelay(rng, attempt); d > hi {
+			if d := backoffDelay(rng, attempt); d > hi {
 				hi = d
 			}
 		}
@@ -81,18 +80,10 @@ func TestBackoffWindowAndSeeding(t *testing.T) {
 		}
 	}
 
-	// Unseeded: two clients must draw from different streams.
-	unseeded := ReconnectOptions{}
-	a1, b1 := unseeded.jitterSeeds()
-	a2, b2 := unseeded.jitterSeeds()
+	// Two clients must draw from different streams.
+	a1, b1 := jitterSeeds()
+	a2, b2 := jitterSeeds()
 	if a1 == a2 && b1 == b2 {
-		t.Fatal("unseeded clients share a jitter stream")
-	}
-	// Seeded: deterministic.
-	seeded := ReconnectOptions{Seed: 42}
-	a1, b1 = seeded.jitterSeeds()
-	a2, b2 = seeded.jitterSeeds()
-	if a1 != a2 || b1 != b2 {
-		t.Fatal("seeded jitter is not reproducible")
+		t.Fatal("two clients share a jitter stream")
 	}
 }

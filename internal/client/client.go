@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"cosoft/internal/clock"
 	"cosoft/internal/compat"
 	"cosoft/internal/couple"
 	"cosoft/internal/obs"
@@ -97,6 +98,10 @@ type Options struct {
 	// Logger receives structured logs keyed by instance and trace IDs. Nil
 	// disables structured logging.
 	Logger *slog.Logger
+	// Clock is what the RPC timeout, the resume watchdog and the reconnect
+	// backoff read. Nil is the wall clock. It is a test seam: a test
+	// advances a clock.Manual past a timeout instead of waiting it out.
+	Clock clock.Clock
 }
 
 // Client connects one application instance to the coupling server.
@@ -147,6 +152,7 @@ func New(conn net.Conn, opts Options) (*Client, error) {
 	if opts.RPCTimeout == 0 {
 		opts.RPCTimeout = 30 * time.Second
 	}
+	opts.Clock = clock.Or(opts.Clock)
 	metrics := obs.Or(opts.Metrics)
 	c := &Client{
 		opts:     opts,
@@ -207,7 +213,8 @@ func New(conn net.Conn, opts Options) (*Client, error) {
 	c.wg.Add(3)
 	go c.supervise()
 	go c.dispatchLoop()
-	go c.sweepWaiters()
+	// Armed here, so a test's clock has the sweep's ticker once New returns.
+	go c.sweepWaiters(opts.Clock.NewTicker(max(opts.RPCTimeout/4, 1)))
 
 	if opts.Reconnect != nil {
 		// Mint the resumable session token up front so it is in hand before
@@ -358,7 +365,7 @@ type waiter struct {
 
 // newWaiter is a waiter on reply that times out after the RPC timeout.
 func (c *Client) newWaiter(reply chan wire.Envelope) waiter {
-	return waiter{reply: reply, deadline: time.Now().Add(c.opts.RPCTimeout)}
+	return waiter{reply: reply, deadline: c.opts.Clock.Now().Add(c.opts.RPCTimeout)}
 }
 
 // maxFreeSlots bounds the free list: calls beyond this many at once get a
@@ -403,15 +410,14 @@ func (c *Client) withdraw(seq uint64, reply chan wire.Envelope) {
 	c.putSlot(reply)
 }
 
-// sweepWaiters times out overdue requests until the client closes. It runs
+// sweepWaiters times out overdue requests until the client closes. t ticks
 // every quarter RPC timeout, so a request times out at most that much late.
-func (c *Client) sweepWaiters() {
+func (c *Client) sweepWaiters(t clock.Ticker) {
 	defer c.wg.Done()
-	t := time.NewTicker(max(c.opts.RPCTimeout/4, 1))
 	defer t.Stop()
 	for {
 		select {
-		case now := <-t.C:
+		case now := <-t.C():
 			c.expireWaiters(now)
 		case <-c.done:
 			return

@@ -15,21 +15,6 @@ import (
 type ReconnectOptions struct {
 	// Dial establishes a replacement connection to the server. Required.
 	Dial func() (net.Conn, error)
-	// MaxAttempts bounds consecutive failed attempts before the client
-	// gives up for good (0 = 8). A refused resume (unknown session token)
-	// is permanent and stops immediately.
-	MaxAttempts int
-	// BaseDelay scales the backoff (0 = 50ms). Retry k sleeps a uniform
-	// random span in [0, min(MaxDelay, BaseDelay<<(k-1))] — full jitter, so
-	// a mass reconnect after a server restart spreads its retries across
-	// the whole window instead of thundering in phase. MaxDelay caps the
-	// window (0 = 2s).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Seed drives the jitter PRNG so tests replay deterministically. Zero
-	// seeds from entropy: clients must NOT share a jitter stream, or a
-	// mass restart re-synchronizes every retry wave.
-	Seed uint64
 	// OnResync, if set, is called after each successful reconnect once
 	// re-declaration, re-coupling and the post-resume state pull have
 	// finished, with the first error encountered (nil on a clean resync).
@@ -41,52 +26,38 @@ type permanentError struct{ msg string }
 
 func (e *permanentError) Error() string { return e.msg }
 
-func (r *ReconnectOptions) maxAttempts() int {
-	if r.MaxAttempts > 0 {
-		return r.MaxAttempts
-	}
-	return 8
-}
+// The reconnect schedule: at most maxAttempts consecutive failed attempts
+// before the client gives up for good (a refused resume, an unknown session
+// token, is permanent and stops at once), and retry k waits a uniform random
+// span in [0, min(maxDelay, baseDelay<<(k-1))].
+const (
+	maxAttempts = 8
+	baseDelay   = 50 * time.Millisecond
+	maxDelay    = 2 * time.Second
+)
 
-func (r *ReconnectOptions) baseDelay() time.Duration {
-	if r.BaseDelay > 0 {
-		return r.BaseDelay
-	}
-	return 50 * time.Millisecond
-}
-
-func (r *ReconnectOptions) maxDelay() time.Duration {
-	if r.MaxDelay > 0 {
-		return r.MaxDelay
-	}
-	return 2 * time.Second
-}
-
-// backoffDelay returns the sleep before retry attempt (1-based): a uniform
+// backoffDelay returns the wait before retry attempt (1-based): a uniform
 // draw from [0, min(maxDelay, baseDelay·2^(attempt-1))]. Full jitter — the
 // entire window is random, not a fixed delay plus a sliver of jitter — so
 // concurrent clients that started retrying at the same instant (a server
 // restart disconnects everyone at once) decorrelate immediately instead of
 // arriving in synchronized waves.
-func (r *ReconnectOptions) backoffDelay(rng *rand.Rand, attempt int) time.Duration {
-	ceil := r.maxDelay()
+func backoffDelay(rng *rand.Rand, attempt int) time.Duration {
+	ceil := maxDelay
 	// Guard the shift: past ~62 doublings the window is the cap regardless.
 	if shift := attempt - 1; shift < 62 {
-		if d := r.baseDelay() << shift; d < ceil {
+		if d := baseDelay << shift; d < ceil {
 			ceil = d
 		}
 	}
 	return time.Duration(rng.Int64N(int64(ceil) + 1))
 }
 
-// jitterSeeds returns the PRNG seed pair for the backoff jitter. The
-// configured seed keeps tests deterministic; by default every client draws
-// fresh entropy, because reconnecting clients sharing one PRNG stream —
-// which is what a zero-value PCG seed amounts to — retry in lockstep.
-func (r *ReconnectOptions) jitterSeeds() (uint64, uint64) {
-	if r.Seed != 0 {
-		return r.Seed, r.Seed ^ 0x9e3779b97f4a7c15
-	}
+// jitterSeeds returns a fresh PRNG seed pair for a client's backoff jitter:
+// reconnecting clients sharing one PRNG stream — which is what a zero-value
+// PCG seed amounts to — would retry in lockstep, and a mass restart would
+// re-synchronize every retry wave.
+func jitterSeeds() (uint64, uint64) {
 	return rand.Uint64(), rand.Uint64()
 }
 
@@ -95,13 +66,16 @@ func (r *ReconnectOptions) jitterSeeds() (uint64, uint64) {
 // flushed ahead of the handshake reply. It runs on the supervise goroutine.
 func (c *Client) redial() (*wire.Conn, []wire.Record, error) {
 	r := c.opts.Reconnect
-	rng := rand.New(rand.NewPCG(r.jitterSeeds()))
+	rng := rand.New(rand.NewPCG(jitterSeeds()))
 	var lastErr error
-	for attempt := 0; attempt < r.maxAttempts(); attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
+			wake := make(chan struct{})
+			t := c.opts.Clock.AfterFunc(backoffDelay(rng, attempt), func() { close(wake) })
 			select {
-			case <-time.After(r.backoffDelay(rng, attempt)):
+			case <-wake:
 			case <-c.done:
+				t.Stop()
 				return nil, nil, ErrClosed
 			}
 		}
@@ -120,7 +94,7 @@ func (c *Client) redial() (*wire.Conn, []wire.Record, error) {
 		lastErr = err
 	}
 	return nil, nil, fmt.Errorf("client: reconnect gave up after %d attempts: %w",
-		r.maxAttempts(), lastErr)
+		maxAttempts, lastErr)
 }
 
 // resume performs the Resume handshake on a fresh connection, reclaiming
@@ -148,7 +122,7 @@ func (c *Client) resume(raw net.Conn) (*wire.Conn, []wire.Record, error) {
 		return nil, nil, err
 	}
 	var timedOut, closing atomic.Bool
-	timer := time.AfterFunc(c.opts.RPCTimeout, func() {
+	timer := c.opts.Clock.AfterFunc(c.opts.RPCTimeout, func() {
 		timedOut.Store(true)
 		conn.Close()
 	})

@@ -91,7 +91,7 @@ func TestResumeReplyPackedWithGroupTraffic(t *testing.T) {
 	c, err := New(first, Options{
 		Registry: reg, RPCTimeout: 5 * time.Second,
 		OnRemoteEvent: func(*widget.Event) { applied.Add(1) },
-		Reconnect:     &ReconnectOptions{Dial: dial, Seed: 1, OnResync: func(err error) { resynced <- err }},
+		Reconnect:     &ReconnectOptions{Dial: dial, OnResync: func(err error) { resynced <- err }},
 	})
 	if err != nil {
 		t.Fatal(err)

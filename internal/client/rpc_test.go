@@ -4,21 +4,24 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"cosoft/internal/clock"
 	"cosoft/internal/race"
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
 )
 
-// fakeServer registers a client with a stand-in server over an in-memory
-// pipe. The stand-in answers Register and Deregister itself and hands every
-// other request to answer, on its read goroutine. It returns the client and
-// the server's end of the pipe, whose Close is a connection loss.
-func fakeServer(t *testing.T, timeout time.Duration, answer func(srv *wire.Conn, req wire.Envelope)) (*Client, net.Conn) {
+// fakeServer registers a client made with opts (a fresh registry is filled
+// in) with a stand-in server over an in-memory pipe. The stand-in answers
+// Register and Deregister itself and hands every other request to answer, on
+// its read goroutine. It returns the client and the server's end of the pipe,
+// whose Close is a connection loss.
+func fakeServer(t *testing.T, opts Options, answer func(srv *wire.Conn, req wire.Envelope)) (*Client, net.Conn) {
 	t.Helper()
 	a, b := net.Pipe()
 	srv := wire.NewConn(b)
@@ -41,7 +44,8 @@ func fakeServer(t *testing.T, timeout time.Duration, answer func(srv *wire.Conn,
 			answer(srv, req)
 		}
 	}()
-	c, err := New(a, Options{Registry: widget.NewRegistry(), RPCTimeout: timeout})
+	opts.Registry = widget.NewRegistry()
+	c, err := New(a, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,24 +82,54 @@ func (c *Client) checkFreeSlots() error {
 
 // TestRPCSlotTimeoutRace answers thousands of calls with a delay spread
 // around the RPC timeout, so replies keep landing just as their calls give
-// up. A reply the read loop routed to a call that then timed out must be
-// drained before the slot is reused: every answered call returns its own
-// reply, with the RefSeq of its own request.
+// up, and late ones land while the next call waits. A reply the read loop
+// routed to a call that then timed out must be drained before the slot is
+// reused: every answered call returns its own reply, with the RefSeq of its
+// own request. The replies are timers on a clock.Manual, so a reply and the
+// sweep that gives up on its call fall due in the same step and race.
 func TestRPCSlotTimeoutRace(t *testing.T) {
 	const (
-		timeout = time.Millisecond
+		timeout = time.Second
 		calls   = 2000
 	)
+	clk := clock.NewManual()
 	var seqs sync.Map // nonce → Seq of the request that carried it
-	c, _ := fakeServer(t, timeout, func(srv *wire.Conn, req wire.Envelope) {
+	armed := make(chan struct{}, 1)
+	c, _ := fakeServer(t, Options{RPCTimeout: timeout, Clock: clk}, func(srv *wire.Conn, req wire.Envelope) {
 		nonce := req.Msg.(wire.Ping).Nonce
 		seqs.Store(nonce, req.Seq)
 		delay := time.Duration(nonce*7919%1000) * 2 * timeout / 1000 // [0, 2×timeout)
-		time.AfterFunc(delay, func() { echo(srv, req) })
+		clk.AfterFunc(delay, func() { echo(srv, req) })
+		armed <- struct{}{}
 	})
+	type result struct {
+		env wire.Envelope
+		err error
+	}
 	answered := 0
 	for i := uint64(1); i <= calls; i++ {
-		env, err := c.call(wire.Ping{Nonce: i})
+		done := make(chan result, 1)
+		go func() {
+			env, err := c.call(wire.Ping{Nonce: i})
+			done <- result{env, err}
+		}()
+		<-armed // the reply's timer is set
+		// Time moves a sweep period per step until the call returns.
+		var r result
+	wait:
+		for start := time.Now(); ; {
+			select {
+			case r = <-done:
+				break wait
+			default:
+			}
+			if time.Since(start) > 10*time.Second {
+				t.Fatalf("call %d never returned: neither its reply nor its timeout came", i)
+			}
+			clk.Advance(timeout / 4)
+			runtime.Gosched()
+		}
+		env, err := r.env, r.err
 		if errors.Is(err, ErrTimeout) {
 			continue
 		}
@@ -127,7 +161,7 @@ func TestRPCSlotsDropClosedChannels(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Pings with a nonce are never answered.
-			c, conn := fakeServer(t, 5*time.Second, func(srv *wire.Conn, req wire.Envelope) {
+			c, conn := fakeServer(t, Options{RPCTimeout: 5 * time.Second}, func(srv *wire.Conn, req wire.Envelope) {
 				if req.Msg.(wire.Ping).Nonce == 0 {
 					echo(srv, req)
 				}
@@ -252,7 +286,7 @@ func TestRequestCutInItsWriteReportsDisconnected(t *testing.T) {
 // out of order: each caller gets its own reply. Run it under -race.
 func TestRPCSlotsConcurrentCallers(t *testing.T) {
 	const callers, calls = 8, 200
-	c, _ := fakeServer(t, 5*time.Second, func(srv *wire.Conn, req wire.Envelope) {
+	c, _ := fakeServer(t, Options{RPCTimeout: 5 * time.Second}, func(srv *wire.Conn, req wire.Envelope) {
 		nonce := req.Msg.(wire.Ping).Nonce
 		time.AfterFunc(time.Duration(nonce%7)*10*time.Microsecond, func() { echo(srv, req) })
 	})
@@ -288,7 +322,7 @@ func TestCallAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts include the race detector's own; `make allocs` runs this without -race")
 	}
-	c, _ := fakeServer(t, 5*time.Second, func(srv *wire.Conn, req wire.Envelope) {
+	c, _ := fakeServer(t, Options{RPCTimeout: 5 * time.Second}, func(srv *wire.Conn, req wire.Envelope) {
 		_ = srv.Write(wire.Envelope{RefSeq: req.Seq, Msg: wire.OK{}})
 	})
 	if got := testing.AllocsPerRun(200, func() {

@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"cosoft/internal/clock"
 	"cosoft/internal/couple"
 	"cosoft/internal/obs"
 	"cosoft/internal/wire"
@@ -93,8 +94,8 @@ const (
 type Sync int
 
 const (
-	// SyncInterval fsyncs on a timer (Options.SyncEvery); an append returns
-	// once its bytes are written.
+	// SyncInterval fsyncs every syncEvery; an append returns once its bytes
+	// are written.
 	SyncInterval Sync = iota
 	// SyncAlways fsyncs before every Append returns: a control-plane record
 	// or an ID lease is on stable storage before anything it covers is
@@ -134,8 +135,6 @@ type Options struct {
 	Dir string
 	// Sync is the durability policy.
 	Sync Sync
-	// SyncEvery is the SyncInterval fsync period (0 = 100ms).
-	SyncEvery time.Duration
 	// SegmentBytes rotates to a fresh segment once the current one exceeds
 	// this size (0 = 64 MiB).
 	SegmentBytes int64
@@ -144,7 +143,13 @@ type Options struct {
 	// FS is what the log writes through; nil is the real file system. Reads
 	// go to os directly, so they see whatever the writes got onto the disk.
 	FS FS
+	// Clock drives the SyncInterval fsync ticker; nil is the wall clock. It
+	// is a test seam: a test advances a clock.Manual instead of waiting.
+	Clock clock.Clock
 }
+
+// syncEvery is the SyncInterval fsync period.
+const syncEvery = 100 * time.Millisecond
 
 // FS is the mutating half of a file system: every change the log makes to
 // its directory goes through one. internal/faultdisk injects disk faults
@@ -294,9 +299,6 @@ func Open(opts Options) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("eventlog: Options.Dir is required")
 	}
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = 100 * time.Millisecond
-	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 64 << 20
 	}
@@ -328,8 +330,14 @@ func Open(opts Options) (*Log, error) {
 	if err := l.recover(); err != nil {
 		return nil, err
 	}
+	// The ticker is armed before the writer starts, so a test's clock has it
+	// once Open returns.
+	var tick clock.Ticker
+	if opts.Sync == SyncInterval {
+		tick = clock.Or(opts.Clock).NewTicker(syncEvery)
+	}
 	l.wg.Add(1)
-	go l.writer()
+	go l.writer(tick)
 	return l, nil
 }
 
@@ -634,15 +642,14 @@ func (l *Log) queue() uint64 {
 	return l.appended
 }
 
-// writer is the single goroutine touching the segment files.
-func (l *Log) writer() {
+// writer is the single goroutine touching the segment files. Under
+// SyncInterval ticker paces its fsyncs; otherwise it is nil.
+func (l *Log) writer(ticker clock.Ticker) {
 	defer l.wg.Done()
-	var ticker *time.Ticker
 	var tick <-chan time.Time
-	if l.opts.Sync == SyncInterval {
-		ticker = time.NewTicker(l.opts.SyncEvery)
+	if ticker != nil {
 		defer ticker.Stop()
-		tick = ticker.C
+		tick = ticker.C()
 	}
 	for {
 		select {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"cosoft/internal/attr"
+	"cosoft/internal/clock"
 	"cosoft/internal/couple"
 	"cosoft/internal/faultdisk"
 	"cosoft/internal/obs"
@@ -247,9 +248,10 @@ func TestSyncPolicyFsyncCounts(t *testing.T) {
 	l.Close()
 
 	// interval: appends return without fsync; the ticker (or close) flushes.
+	// The clock never advances, so only close does.
 	reg = obs.NewRegistry()
 	dir = t.TempDir()
-	l, err = Open(Options{Dir: dir, Sync: SyncInterval, SyncEvery: time.Hour, Metrics: reg})
+	l, err = Open(Options{Dir: dir, Sync: SyncInterval, Clock: clock.NewManual(), Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -825,12 +827,14 @@ func TestOversizedRecordRefused(t *testing.T) {
 // it, since the records it covered were acknowledged before it failed.
 func TestIntervalFsyncFailure(t *testing.T) {
 	disk := &faultdisk.Disk{}
-	l, err := Open(Options{Dir: t.TempDir(), Sync: SyncInterval, SyncEvery: time.Millisecond, FS: disk})
+	clk := clock.NewManual()
+	l, err := Open(Options{Dir: t.TempDir(), Sync: SyncInterval, Clock: clk, FS: disk})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hold := disk.Hold(faultdisk.Segment, faultdisk.OpSync)
 	mustAppend(t, l, sampleRecords()[0])
+	clk.Advance(syncEvery)
 	<-hold.Reached()
 	disk.Arm(faultdisk.Fault{Class: faultdisk.Segment, At: 1})
 	hold.Release()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cosoft/internal/client"
+	"cosoft/internal/clock"
 	"cosoft/internal/faultnet"
 	"cosoft/internal/server"
 	"cosoft/internal/testbed"
@@ -85,9 +86,12 @@ func TestChaosBatchedDupDelayPreservesEventOrder(t *testing.T) {
 // not disturb the coalesced acknowledgements of her batch-mates: the event
 // resolves, the group unlocks, and a follow-up event converges everywhere.
 func TestChaosBatchStragglerDoesNotPoisonCoalescedAcks(t *testing.T) {
+	const deadline = 300 * time.Millisecond
+	clk := clock.NewManual()
 	srv, bed := newBed(t, server.Options{
 		BatchLimit:    8,
-		EventDeadline: 300 * time.Millisecond,
+		EventDeadline: deadline,
+		Clock:         clk,
 	})
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: `textfield note value=""`})
 	bspec := `textfield x value=""
@@ -127,7 +131,7 @@ textfield y value=""`
 	testbed.Wait(t, "bob's acks arrive coalesced", func() bool {
 		return srv.Stats().AcksCoalesced >= 2
 	})
-	testbed.Wait(t, "deadline drops the straggler", func() bool {
+	testbed.AdvanceUntil(t, clk, deadline/4, "deadline drops the straggler", func() bool {
 		st := srv.Stats()
 		return st.EventTimeouts >= 1 && st.PendingEvents == 0
 	})

@@ -7,6 +7,7 @@ import (
 
 	"cosoft/internal/attr"
 	"cosoft/internal/client"
+	"cosoft/internal/clock"
 	"cosoft/internal/couple"
 	"cosoft/internal/faultnet"
 	"cosoft/internal/server"
@@ -18,7 +19,8 @@ import (
 // Chaos tests drive the fault-tolerance layer with injected network
 // failures. They are named TestChaos* so CI can soak them repeatedly
 // (go test -race -run Chaos -count=3). All assertions are on convergence
-// (state, counters), never on elapsed wall time.
+// (state, counters), never on elapsed wall time; the deadline, liveness and
+// eviction scenarios move time on a clock.Manual.
 
 func dispatch(t *testing.T, c *client.Client, path, value string) {
 	t.Helper()
@@ -41,7 +43,9 @@ func disabled(t *testing.T, c *client.Client, path string) bool {
 // the wait set, unlock the group and re-enable the survivors — and after
 // the member recovers, coupling must work again.
 func TestChaosHungMemberMidEvent(t *testing.T) {
-	srv, bed := newBed(t, server.Options{EventDeadline: 150 * time.Millisecond})
+	const deadline = 150 * time.Millisecond
+	clk := clock.NewManual()
+	srv, bed := newBed(t, server.Options{EventDeadline: deadline, Clock: clk})
 	spec := `textfield note value=""`
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: spec})
 	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec})
@@ -63,7 +67,7 @@ func TestChaosHungMemberMidEvent(t *testing.T) {
 	testbed.Wait(t, "value at B", func() bool {
 		return attrOf(t, b, "/note", widget.AttrValue).AsString() == "v1"
 	})
-	testbed.Wait(t, "event deadline resolves the wedged event", func() bool {
+	testbed.AdvanceUntil(t, clk, deadline/4, "event deadline resolves the wedged event", func() bool {
 		st := srv.Stats()
 		return st.EventTimeouts >= 1 && st.PendingEvents == 0
 	})
@@ -143,10 +147,8 @@ func TestChaosMidEventDisconnectUnwedgesGroup(t *testing.T) {
 // longer than the grace period, the server must evict it instead of
 // buffering forever.
 func TestChaosSlowClientEvicted(t *testing.T) {
-	srv, bed := newBed(t, server.Options{
-		OutboxLimit: 8,
-		OutboxGrace: 60 * time.Millisecond,
-	})
+	clk := clock.NewManual()
+	srv, bed := newBed(t, server.Options{OutboxLimit: 8, Clock: clk})
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: `textfield note value=""`})
 	fc := bed.Fault(bed.Dial(testbed.Member{AppType: "viewer", User: "bob", Spec: `textfield note value=""`, Fault: &faultnet.Schedule{}}))
 
@@ -157,7 +159,7 @@ func TestChaosSlowClientEvicted(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		mustOK(t, a.SendCommand("noop", nil))
 	}
-	testbed.Wait(t, "slow client evicted", func() bool {
+	testbed.AdvanceUntil(t, clk, 250*time.Millisecond, "slow client evicted", func() bool {
 		st := srv.Stats()
 		return st.Evictions >= 1 && st.Instances == 1
 	})
@@ -168,7 +170,9 @@ func TestChaosSlowClientEvicted(t *testing.T) {
 // declare it dead, release its locks, resolve the pending event and notify
 // the survivors of the lost coupling.
 func TestChaosPartitionedMemberDeclaredDead(t *testing.T) {
-	srv, bed := newBed(t, server.Options{Heartbeat: 20 * time.Millisecond})
+	const heartbeat = 20 * time.Millisecond
+	clk := clock.NewManual()
+	srv, bed := newBed(t, server.Options{Heartbeat: heartbeat, Clock: clk})
 	spec := `textfield note value=""`
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: spec})
 	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec, Fault: &faultnet.Schedule{}})
@@ -182,9 +186,14 @@ func TestChaosPartitionedMemberDeclaredDead(t *testing.T) {
 	fc.Blackhole()
 
 	// The Exec to the partitioned member dies on the wire; only the liveness
-	// timeout can resolve the event.
+	// timeout can resolve the event. Time moves a heartbeat at a time, and
+	// alice makes a round trip at each, so only the partitioned member falls
+	// silent.
 	dispatch(t, a, "/note", "v1")
-	testbed.Wait(t, "partitioned member declared dead", func() bool {
+	testbed.AdvanceUntil(t, clk, heartbeat, "partitioned member declared dead", func() bool {
+		if _, err := a.Instances(); err != nil {
+			t.Fatalf("alice's round trip: %v", err)
+		}
 		st := srv.Stats()
 		return st.LivenessTimeouts >= 1 && st.Instances == 1 && st.PendingEvents == 0
 	})
@@ -210,8 +219,6 @@ func TestChaosReconnectResync(t *testing.T) {
 	var resyncs atomic.Int32
 	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec, Fault: &faultnet.Schedule{},
 		Reconnect: &client.ReconnectOptions{
-			BaseDelay: 5 * time.Millisecond,
-			Seed:      7,
 			OnResync: func(err error) {
 				if err == nil {
 					resyncs.Add(1)

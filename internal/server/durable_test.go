@@ -102,7 +102,7 @@ func (d *durable) restart() {
 func (d *durable) dial(appType, user, spec string) *client.Client {
 	d.t.Helper()
 	return d.bed.Dial(testbed.Member{AppType: appType, User: user, Spec: spec,
-		Reconnect: &client.ReconnectOptions{MaxAttempts: 50, BaseDelay: 2 * time.Millisecond, MaxDelay: 50 * time.Millisecond}})
+		Reconnect: &client.ReconnectOptions{}})
 }
 
 // mint has p mint a session token.

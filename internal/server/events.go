@@ -162,7 +162,7 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 	pe := sh.newPending(len(p.insts))
 	pe.source, pe.plan, pe.owner, pe.start, pe.tc = source, p, owner, start, actx
 	if d := s.opts.EventDeadline; d > 0 {
-		pe.expires = time.Now().Add(d)
+		pe.expires = s.opts.Clock.Now().Add(d)
 	}
 	sh.pending[eventID] = pe
 	s.broadcast(sh, pe, ev.body)
@@ -250,7 +250,7 @@ var (
 // every event pending there whose deadline has passed times out, wherever it
 // was born.
 func (s *Server) expireEvents() {
-	now := time.Now()
+	now := s.opts.Clock.Now()
 	for _, sh := range s.shards {
 		sh.lock()
 		for id, pe := range sh.pending {
@@ -315,6 +315,8 @@ func (s *Server) ackClock() time.Time {
 	if s.mMember == nil {
 		return time.Time{}
 	}
+	// Wall time, not Options.Clock: it is compared against pe.start, which
+	// the obs histogram's Start read off the wall clock.
 	return time.Now()
 }
 
@@ -347,7 +349,7 @@ func (s *Server) ackExec(sh *shard, a execAck) {
 	if e := cl.health; e != nil && !pe.start.IsZero() {
 		now := a.now
 		if now.IsZero() {
-			now = time.Now()
+			now = time.Now() // wall time, like pe.start (see ackClock)
 		}
 		lat := int64(now.Sub(pe.start))
 		e.Hist().Observe(lat)

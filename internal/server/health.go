@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"time"
 
 	"cosoft/internal/couple"
 	"cosoft/internal/lock"
@@ -109,7 +108,7 @@ type HealthReport struct {
 // lock in turn.
 func (s *Server) Health() HealthReport {
 	rep := HealthReport{
-		UptimeNS:          int64(time.Since(s.started)),
+		UptimeNS:          int64(s.opts.Clock.Now().Sub(s.started)),
 		MemberAttribution: s.mMember != nil,
 	}
 

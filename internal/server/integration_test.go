@@ -26,14 +26,15 @@ import (
 // of its own whose segments are small enough and whose snapshot cadence tight
 // enough that the scenarios run over a log that rotates, snapshots and
 // compacts underneath them — on a test bed whose teardown also judges live =
-// fold(log).
+// fold(log). A test that sets opts.Clock drives time itself: the server, its
+// event log and every client the bed dials share that clock.
 func newBed(t *testing.T, opts server.Options) (*server.Server, *testbed.Bed) {
 	t.Helper()
 	if opts.Shards == 0 {
 		opts.Shards = server.HarnessShards
 	}
 	if opts.EventLog == nil {
-		elog, err := eventlog.Open(eventlog.Options{Dir: t.TempDir(), SegmentBytes: 4096, Metrics: opts.Metrics})
+		elog, err := eventlog.Open(eventlog.Options{Dir: t.TempDir(), SegmentBytes: 4096, Metrics: opts.Metrics, Clock: opts.Clock})
 		if err != nil {
 			t.Fatalf("open event log: %v", err)
 		}
@@ -47,7 +48,7 @@ func newBed(t *testing.T, opts server.Options) (*server.Server, *testbed.Bed) {
 		}
 	}
 	srv := server.New(opts)
-	return srv, testbed.New(t, srv, testbed.Options{Check: foldCheck})
+	return srv, testbed.New(t, srv, testbed.Options{Check: foldCheck, Clock: opts.Clock})
 }
 
 // foldCheck is the suite's teardown invariant next to the floor lock, live =

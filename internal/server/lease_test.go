@@ -34,7 +34,7 @@ type logRig struct {
 func newLogRig(t *testing.T, opts Options) *logRig {
 	t.Helper()
 	disk := &faultdisk.Disk{}
-	elog, err := eventlog.Open(eventlog.Options{Dir: t.TempDir(), Sync: eventlog.SyncInterval, FS: disk})
+	elog, err := eventlog.Open(eventlog.Options{Dir: t.TempDir(), Sync: eventlog.SyncInterval, FS: disk, Clock: opts.Clock})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cosoft/internal/attr"
+	"cosoft/internal/clock"
 	"cosoft/internal/couple"
 	"cosoft/internal/obs"
 	"cosoft/internal/testbed"
@@ -32,7 +33,7 @@ func outboxPair(t *testing.T, limit, batchLimit int) (*outbox, *wire.Conn) {
 	})
 	c, peer := wire.NewConn(rawA), wire.NewConn(rawB)
 	reg := obs.NewRegistry()
-	o = newOutbox(c, reg.Gauge("depth"), limit, batchLimit, reg.Histogram("batch"), nil)
+	o = newOutbox(c, clock.Real{}, reg.Gauge("depth"), limit, batchLimit, reg.Histogram("batch"), nil)
 	return o, peer
 }
 

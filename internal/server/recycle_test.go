@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cosoft/internal/clock"
 	"cosoft/internal/couple"
 	"cosoft/internal/testbed"
 	"cosoft/internal/wire"
@@ -20,8 +21,11 @@ import (
 // pending event, no wait set, no deadline of its own and no stray lock
 // behind.
 func TestRecycledPendingEventCarriesNothingOver(t *testing.T) {
-	const deadline = time.Second // far beyond an acknowledged event's round trip
-	r := newLogRig(t, Options{Shards: 1, EventDeadline: deadline})
+	// The deadline is reached only by advancing the clock, which the test
+	// does once, for the event no member acknowledges.
+	const deadline = time.Second
+	clk := clock.NewManual()
+	r := newLogRig(t, Options{Shards: 1, EventDeadline: deadline, Clock: clk})
 	peers := func(prefix, path string, n int) []*testbed.Peer {
 		ps := make([]*testbed.Peer, n)
 		for i := range ps {
@@ -108,6 +112,7 @@ func TestRecycledPendingEventCarriesNothingOver(t *testing.T) {
 	// The member never acks: the deadline resolves the event.
 	send(two, "/two")
 	timeouts++
+	clk.Advance(deadline + deadline/4)
 	settle(two[1:])
 	byAcks(nine, "/nine")
 

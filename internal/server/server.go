@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cosoft/internal/clock"
 	"cosoft/internal/compat"
 	"cosoft/internal/couple"
 	"cosoft/internal/eventlog"
@@ -74,13 +75,10 @@ type Options struct {
 	// deadlines.
 	EventDeadline time.Duration
 	// OutboxLimit is the per-client outbox high-water mark: a client whose
-	// backlog stays above it for OutboxGrace is evicted (counter
+	// backlog stays above it for a second (outboxGrace) is evicted (counter
 	// server.evictions) instead of stalling group broadcasts. Zero keeps
 	// outboxes unbounded.
 	OutboxLimit int
-	// OutboxGrace is how long a backlog may exceed OutboxLimit before the
-	// client is evicted. Zero selects one second.
-	OutboxGrace time.Duration
 	// BatchLimit caps how many queued envelopes one outbox flush may pack
 	// into a single wire.Batch frame (histogram server.batch_size); every
 	// connection reads packed frames. 0 selects 32; values above
@@ -123,6 +121,11 @@ type Options struct {
 	// Logger receives structured logs keyed by instance and trace IDs. Nil
 	// disables structured logging.
 	Logger *slog.Logger
+	// Clock is what every deadline, ticker and timer of the server reads:
+	// the event deadline, liveness, outbox grace, the sweeper, the snapshot
+	// cadence and Close's grace. Nil is the wall clock. It is a test seam: a
+	// test advances a clock.Manual past a deadline instead of waiting it out.
+	Clock clock.Clock
 }
 
 // Server is the central coupling server.
@@ -221,6 +224,11 @@ type Server struct {
 // defaultBatchLimit is the Batch-frame packing cap a zero Options.BatchLimit
 // selects.
 const defaultBatchLimit = 32
+
+// outboxGrace is how long a backlog may stay over Options.OutboxLimit before
+// its client is evicted, and how long Close lets the writers write what is
+// queued.
+const outboxGrace = time.Second
 
 // Indices into the server.member family's counter schema.
 const (
@@ -325,7 +333,7 @@ type client struct {
 }
 
 // touch refreshes the liveness clock of the connection.
-func (c *client) touch() { c.lastSeen.Store(time.Now().UnixNano()) }
+func (c *client) touch(now time.Time) { c.lastSeen.Store(now.UnixNano()) }
 
 // New returns a started server. Call Close to stop it.
 func New(opts Options) *Server {
@@ -349,13 +357,15 @@ func New(opts Options) *Server {
 	if s.elog != nil {
 		s.snap = &snapshotter{s: s}
 	}
+	// Tickers are armed before their goroutines start, so a test's clock has
+	// them once New returns.
 	if period := s.sweepPeriod(); period > 0 {
 		s.wg.Add(1)
-		go s.sweeper(period)
+		go s.sweeper(opts.Clock.NewTicker(period))
 	}
 	if s.snap != nil && (opts.SnapshotInterval > 0 || opts.SnapshotBytes > 0) {
 		s.wg.Add(1)
-		go s.snapshotLoop()
+		go s.snapshotLoop(opts.Clock.NewTicker(s.snapshotPeriod()))
 	}
 	return s
 }
@@ -374,6 +384,7 @@ func (opts Options) withDefaults() Options {
 	if opts.BatchLimit == 0 {
 		opts.BatchLimit = defaultBatchLimit
 	}
+	opts.Clock = clock.Or(opts.Clock)
 	return opts
 }
 
@@ -429,7 +440,7 @@ func newServer(opts Options, st *state) *Server {
 		mLogAppendErrs: metrics.Counter("server.log.append_errors"),
 		mLinkNotices:   metrics.Counter("server.link_notices"),
 
-		started: time.Now(),
+		started: opts.Clock.Now(),
 	}
 	s.mMember = metrics.Family("server.member", obs.FamilySchema{
 		Counters: []string{"acks", "last_acks", "timeouts", "pushbacks"},
@@ -502,7 +513,7 @@ func (s *Server) Close() {
 			c.out.shut()
 		}
 		expired := make(chan struct{})
-		grace := time.AfterFunc(s.outboxGrace(), func() { close(expired) })
+		grace := s.opts.Clock.AfterFunc(outboxGrace, func() { close(expired) })
 		for _, c := range s.clients {
 			select {
 			case <-c.out.done:
@@ -593,7 +604,7 @@ func (s *Server) handleConn(c *wire.Conn) {
 		conn: c,
 		name: c.RemoteAddr().String(),
 	}
-	cl.out = newOutbox(c, s.mOutboxDepth, s.opts.OutboxLimit, s.opts.BatchLimit, s.mBatchSize, s.outboxRecorder(cl))
+	cl.out = newOutbox(c, s.opts.Clock, s.mOutboxDepth, s.opts.OutboxLimit, s.opts.BatchLimit, s.mBatchSize, s.outboxRecorder(cl))
 	var joinErr string
 	switch m := env.Msg.(type) {
 	case wire.Register:
@@ -612,7 +623,7 @@ func (s *Server) handleConn(c *wire.Conn) {
 
 	var rec wire.Record
 	for c.Next(&rec) == nil {
-		cl.touch()
+		cl.touch(s.opts.Clock.Now())
 		if !s.dispatch(cl, &rec) {
 			break
 		}
@@ -695,7 +706,7 @@ func (s *Server) admit(cl *client, env wire.Envelope) {
 	s.cmu.Unlock()
 	s.mClients.Add(1)
 	cl.name = string(cl.id)
-	cl.touch()
+	cl.touch(s.opts.Clock.Now())
 	s.recordFlight(cl, "recv", env)
 	s.gmu.out.send(cl, wire.Envelope{RefSeq: env.Seq, Msg: wire.Registered{ID: cl.id}})
 }
@@ -780,6 +791,8 @@ type outbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond // wakes the writer; it is the only waiter
 	conn *wire.Conn
+	// clock dates overSince.
+	clock clock.Clock
 	// queue collects records while a flush writes the previous backlog out
 	// of the other backing array; the two swap on every drain (spare is the
 	// idle one), so steady traffic enqueues into memory it already owns. A
@@ -810,11 +823,11 @@ type outbox struct {
 	overSince time.Time
 }
 
-func newOutbox(c *wire.Conn, depth *obs.Gauge, limit, batchLimit int, batchSize *obs.Histogram, onSend func(wire.Envelope)) *outbox {
+func newOutbox(c *wire.Conn, clk clock.Clock, depth *obs.Gauge, limit, batchLimit int, batchSize *obs.Histogram, onSend func(wire.Envelope)) *outbox {
 	if batchLimit > wire.MaxBatch {
 		batchLimit = wire.MaxBatch
 	}
-	o := &outbox{conn: c, done: make(chan struct{}), depth: depth, limit: limit,
+	o := &outbox{conn: c, clock: clk, done: make(chan struct{}), depth: depth, limit: limit,
 		batchLimit: batchLimit, batchSize: batchSize, onSend: onSend}
 	o.cond = sync.NewCond(&o.mu)
 	go o.writer()
@@ -1016,7 +1029,7 @@ func (o *outbox) enqueue(rec wire.Outgoing) {
 		o.queue = append(o.queue, rec)
 		o.depth.Add(1)
 		if o.limit > 0 && o.inflight+len(o.queue) > o.limit && o.overSince.IsZero() {
-			o.overSince = time.Now()
+			o.overSince = o.clock.Now()
 		}
 	}
 	o.mu.Unlock()
@@ -1060,7 +1073,7 @@ func (s *Server) sweepPeriod() time.Duration {
 		period = s.opts.Heartbeat
 	}
 	if s.opts.OutboxLimit > 0 {
-		period = min(period, s.outboxGrace()/2)
+		period = min(period, outboxGrace/2)
 	}
 	if s.opts.EventDeadline > 0 {
 		period = min(period, s.opts.EventDeadline/4)
@@ -1071,24 +1084,15 @@ func (s *Server) sweepPeriod() time.Duration {
 	return max(period, time.Millisecond)
 }
 
-// outboxGrace returns how long a backlog may stay over OutboxLimit.
-func (s *Server) outboxGrace() time.Duration {
-	if s.opts.OutboxGrace > 0 {
-		return s.opts.OutboxGrace
-	}
-	return time.Second
-}
-
 // sweeper is the server's one clock for deadlines. Every period it runs the
 // expiry pass over every shard when event deadlines are on, and the
 // liveness/backpressure sweep under gmu, until the server closes.
-func (s *Server) sweeper(period time.Duration) {
+func (s *Server) sweeper(t clock.Ticker) {
 	defer s.wg.Done()
-	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
 		select {
-		case <-t.C:
+		case <-t.C():
 			if s.opts.EventDeadline > 0 {
 				s.expireEvents()
 			}
@@ -1102,7 +1106,7 @@ func (s *Server) sweeper(period time.Duration) {
 }
 
 // sweep takes gmu and evicts clients whose backlog has exceeded OutboxLimit
-// for longer than OutboxGrace, declares silent clients dead after the
+// for longer than outboxGrace, declares silent clients dead after the
 // liveness timeout, and pings the survivors — once per period, so at least
 // once per heartbeat. Killing the connection lets the normal handleConn
 // teardown release locks and resolve pending events, so both failure paths
@@ -1114,7 +1118,7 @@ func (s *Server) sweep() bool {
 	if s.closing {
 		return false
 	}
-	now := time.Now()
+	now := s.opts.Clock.Now()
 	// Snapshot under the read lock, then release it: dropClient re-takes
 	// the write lock.
 	s.cmu.RLock()
@@ -1125,7 +1129,7 @@ func (s *Server) sweep() bool {
 	s.cmu.RUnlock()
 	for _, cl := range snapshot {
 		if s.opts.OutboxLimit > 0 {
-			if since := cl.out.overLimitSince(); !since.IsZero() && now.Sub(since) > s.outboxGrace() {
+			if since := cl.out.overLimitSince(); !since.IsZero() && now.Sub(since) > outboxGrace {
 				s.mEvictions.Inc()
 				s.slog.Warn("client evicted: outbox over limit",
 					"inst", string(cl.id), "limit", s.opts.OutboxLimit,

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cosoft/internal/attr"
+	"cosoft/internal/clock"
 	"cosoft/internal/couple"
 	"cosoft/internal/server"
 	"cosoft/internal/testbed"
@@ -110,7 +111,9 @@ func TestSessionTokenLifecycle(t *testing.T) {
 // event_timeout_wait histogram and never pollute the round-trip histogram
 // with deadline-sized outliers.
 func TestEventTimeoutHistogram(t *testing.T) {
-	srv, bed := newBed(t, server.Options{EventDeadline: 40 * time.Millisecond})
+	const deadline = 40 * time.Millisecond
+	clk := clock.NewManual()
+	srv, bed := newBed(t, server.Options{EventDeadline: deadline, Clock: clk})
 	origin := bed.Raw(wire.Register{AppType: "app", User: "alice"})
 	member := bed.Raw(wire.Register{AppType: "app", User: "bob"}) // never acks its Execs
 	origin.MustOK(wire.Declare{Path: "/x", Class: "textfield"})
@@ -124,7 +127,7 @@ func TestEventTimeoutHistogram(t *testing.T) {
 	if r, ok := res.Msg.(wire.EventResult); !ok || !r.OK {
 		t.Fatalf("event not accepted: %v", res.Msg)
 	}
-	testbed.Wait(t, "event deadline to fire", func() bool {
+	testbed.AdvanceUntil(t, clk, deadline/4, "event deadline to fire", func() bool {
 		return srv.Stats().EventTimeouts >= 1
 	})
 	st := srv.Stats()

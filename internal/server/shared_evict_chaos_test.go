@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"cosoft/internal/clock"
 	"cosoft/internal/faultnet"
 	"cosoft/internal/server"
 	"cosoft/internal/testbed"
@@ -17,10 +18,11 @@ import (
 // wire.LiveSharedBodies above zero forever, a double release panics the
 // writer — and -race audits the release ordering against the lock holders.
 func TestChaosEvictionMidBroadcastReleasesSharedBody(t *testing.T) {
+	clk := clock.NewManual()
 	srv, bed := newBed(t, server.Options{
 		OutboxLimit:   8,
-		OutboxGrace:   60 * time.Millisecond,
-		EventDeadline: 200 * time.Millisecond,
+		EventDeadline: 3 * time.Second, // past the 1 s grace: the eviction comes first
+		Clock:         clk,
 	})
 	spec := `textfield note value=""`
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: spec})
@@ -42,7 +44,7 @@ func TestChaosEvictionMidBroadcastReleasesSharedBody(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		mustOK(t, a.SendCommand("noop", nil))
 	}
-	testbed.Wait(t, "slow member evicted mid-broadcast", func() bool {
+	testbed.AdvanceUntil(t, clk, 250*time.Millisecond, "slow member evicted mid-broadcast", func() bool {
 		st := srv.Stats()
 		return st.Evictions >= 1 && st.Instances == 1 && st.PendingEvents == 0
 	})

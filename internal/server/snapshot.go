@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"cosoft/internal/clock"
 	"cosoft/internal/eventlog"
 )
 
@@ -89,19 +90,22 @@ func (sn *snapshotter) once(force bool) error {
 	return err
 }
 
-// snapshotLoop drives the periodic snapshot/compaction cycle.
-func (s *Server) snapshotLoop() {
-	defer s.wg.Done()
-	period := s.opts.SnapshotInterval
-	if period <= 0 {
-		// Byte-cadence only: poll the log size briefly.
-		period = 100 * time.Millisecond
+// snapshotPeriod is the snapshot loop's cadence: SnapshotInterval, or with
+// only SnapshotBytes set a brief poll of the log size.
+func (s *Server) snapshotPeriod() time.Duration {
+	if s.opts.SnapshotInterval > 0 {
+		return s.opts.SnapshotInterval
 	}
-	t := time.NewTicker(period)
+	return 100 * time.Millisecond
+}
+
+// snapshotLoop drives the periodic snapshot/compaction cycle, every tick of t.
+func (s *Server) snapshotLoop(t clock.Ticker) {
+	defer s.wg.Done()
 	defer t.Stop()
 	for {
 		select {
-		case <-t.C:
+		case <-t.C():
 			err := s.snap.once(false)
 			if err != nil && !errors.Is(err, eventlog.ErrClosed) {
 				s.slog.Warn("snapshot cycle failed", "err", err)

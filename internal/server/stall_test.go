@@ -11,6 +11,7 @@ import (
 
 	"cosoft/internal/attr"
 	"cosoft/internal/client"
+	"cosoft/internal/clock"
 	"cosoft/internal/obs"
 	"cosoft/internal/server"
 	"cosoft/internal/testbed"
@@ -44,9 +45,11 @@ func (c *stallConn) Close() error {
 
 // stallBed is one shard serving two coupling groups over loopback TCP:
 // group A, an origin and a member whose client stops reading on stall(), and
-// group B, an origin and a member that keep working.
+// group B, an origin and a member that keep working. The server's deadlines
+// run on clk; the clients keep the wall clock.
 type stallBed struct {
 	srv        *server.Server
+	clk        *clock.Manual
 	reg        *obs.Registry
 	a, stalled *client.Client
 	b, peer    *client.Client
@@ -56,8 +59,8 @@ type stallBed struct {
 func newStallBed(t *testing.T, opts server.Options) *stallBed {
 	t.Helper()
 	opts.Shards = 1
-	sb := &stallBed{reg: obs.NewRegistry()}
-	opts.Metrics = sb.reg
+	sb := &stallBed{clk: clock.NewManual(), reg: obs.NewRegistry()}
+	opts.Metrics, opts.Clock = sb.reg, sb.clk
 	sb.srv = server.New(opts)
 	bed := testbed.New(t, sb.srv, testbed.Options{TCP: true})
 	spec := `textfield note value=""`
@@ -88,7 +91,8 @@ func newStallBed(t *testing.T, opts server.Options) *stallBed {
 // stall stops the stalled member reading and has group A's origin dispatch
 // 1 MiB events, so the member's socket fills, until the returned stop is
 // called; stop returns once the dispatcher has. Denials are expected: the
-// group stays locked until an event's deadline expires.
+// group stays locked until an event's deadline expires, which takes the test
+// advancing the clock.
 func (sb *stallBed) stall(t *testing.T) (stop func()) {
 	close(sb.conn.stall)
 	quit, done := make(chan struct{}), make(chan struct{})
@@ -155,18 +159,17 @@ func (sb *stallBed) promptB(t *testing.T, value string) {
 // backlog then builds behind the member's writer until OutboxLimit and its
 // grace evict the member, and every shared body it held is given back.
 func TestStalledMemberCannotDelayItsShard(t *testing.T) {
-	const limit = 8
+	const limit, deadline = 8, 20 * time.Millisecond
 	sb := newStallBed(t, server.Options{
-		EventDeadline: 20 * time.Millisecond,
+		EventDeadline: deadline,
 		OutboxLimit:   limit,
-		OutboxGrace:   200 * time.Millisecond,
 	})
 	sb.promptB(t, "before")
 	stop := sb.stall(t)
 
 	n := 0
 	next := func() string { n++; return strconv.Itoa(n) }
-	testbed.Wait(t, "the stalled member's socket to push back", func() bool {
+	testbed.AdvanceUntil(t, sb.clk, deadline, "the stalled member's socket to push back", func() bool {
 		sb.promptB(t, next())
 		return sb.pushbacks() > 0
 	})
@@ -179,7 +182,7 @@ func TestStalledMemberCannotDelayItsShard(t *testing.T) {
 	if !seen {
 		t.Error("/debug/groups shows no push-back against the stalled member")
 	}
-	testbed.Wait(t, "the stalled member evicted", func() bool {
+	testbed.AdvanceUntil(t, sb.clk, 5*deadline, "the stalled member evicted", func() bool {
 		sb.promptB(t, next())
 		return sb.reg.Snapshot().Counters["server.evictions"] == 1
 	})
@@ -195,21 +198,22 @@ func TestStalledMemberCannotDelayItsShard(t *testing.T) {
 
 // TestCloseReturnsWhileAMemberPushesBack: Server.Close returns while the
 // stalled member's writer is blocked on its tail and the shard is still
-// attempting writes; the member's connection closing is what fails the
-// blocked write.
+// attempting writes; the member's connection closing, once Close's grace
+// has run out, is what fails the blocked write.
 func TestCloseReturnsWhileAMemberPushesBack(t *testing.T) {
-	sb := newStallBed(t, server.Options{
-		EventDeadline: 20 * time.Millisecond,
-		OutboxGrace:   100 * time.Millisecond,
-	})
+	const deadline = 20 * time.Millisecond
+	sb := newStallBed(t, server.Options{EventDeadline: deadline})
 	stop := sb.stall(t)
-	testbed.Wait(t, "the stalled member's socket to push back", func() bool { return sb.pushbacks() > 0 })
+	testbed.AdvanceUntil(t, sb.clk, deadline, "the stalled member's socket to push back", func() bool { return sb.pushbacks() > 0 })
 	stop()
+	armed := sb.clk.Armed()
 	closed := make(chan struct{})
 	go func() {
 		sb.srv.Close()
 		close(closed)
 	}()
+	sb.clk.BlockUntil(armed + 1) // Close's grace timer
+	sb.clk.Advance(time.Second)
 	select {
 	case <-closed:
 	case <-time.After(10 * time.Second):

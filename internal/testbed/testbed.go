@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"cosoft/internal/client"
+	"cosoft/internal/clock"
 	"cosoft/internal/couple"
 	"cosoft/internal/faultnet"
 	"cosoft/internal/netsim"
@@ -48,6 +49,10 @@ type Options struct {
 	// Check is judged at teardown after Server.CheckInvariants, on the server
 	// the bed is serving then.
 	Check func(Server) error
+	// Clock is handed to every client the bed dials that sets none of its
+	// own; nil leaves them on the wall clock. A test that drives time with a
+	// clock.Manual gives the same one to its server and event log.
+	Clock clock.Clock
 }
 
 // Member describes one instance to dial.
@@ -191,6 +196,9 @@ func (b *Bed) Dial(m Member) *client.Client {
 	}
 	if opts.RPCTimeout == 0 {
 		opts.RPCTimeout = 5 * time.Second
+	}
+	if opts.Clock == nil {
+		opts.Clock = b.opts.Clock
 	}
 	if opts.Registry == nil {
 		opts.Registry = widget.NewRegistry()
@@ -384,6 +392,20 @@ func Wait(tb TB, what string, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// AdvanceUntil is Wait on a clock.Manual: every poll that finds cond false
+// moves clk forward by step, so the goroutines under test get a poll's worth
+// of real time to act at each instant before the next.
+func AdvanceUntil(tb TB, clk *clock.Manual, step time.Duration, what string, cond func() bool) {
+	tb.Helper()
+	Wait(tb, what, func() bool {
+		if cond() {
+			return true
+		}
+		clk.Advance(step)
+		return false
+	})
 }
 
 // Peer speaks the wire protocol directly, to create conditions a real client
