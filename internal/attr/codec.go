@@ -3,7 +3,6 @@ package attr
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -52,113 +51,18 @@ func AppendValue(buf []byte, v Value) []byte {
 // DecodeValue decodes one value from buf, returning the value and the
 // remaining bytes.
 func DecodeValue(buf []byte) (Value, []byte, error) {
-	if len(buf) == 0 {
-		return Value{}, nil, fmt.Errorf("%w: empty buffer", ErrCorrupt)
-	}
-	kind := Kind(buf[0])
-	buf = buf[1:]
-	switch kind {
-	case KindInvalid:
-		return Value{}, buf, nil
-	case KindInt, KindBool:
-		n, rest, err := decodeVarint(buf)
-		if err != nil {
-			return Value{}, nil, err
-		}
-		if kind == KindBool && n != 0 {
-			n = 1
-		}
-		return Value{kind: kind, num: n}, rest, nil
-	case KindFloat:
-		if len(buf) < 8 {
-			return Value{}, nil, fmt.Errorf("%w: short float", ErrCorrupt)
-		}
-		f := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		return Value{kind: KindFloat, flt: f}, buf[8:], nil
-	case KindString, KindColor:
-		s, rest, err := decodeString(buf)
-		if err != nil {
-			return Value{}, nil, err
-		}
-		return Value{kind: kind, str: s}, rest, nil
-	case KindStringList:
-		n, rest, err := decodeCount(buf, maxListLen)
-		if err != nil {
-			return Value{}, nil, err
-		}
-		list := make([]string, n)
-		for i := range list {
-			list[i], rest, err = decodeString(rest)
-			if err != nil {
-				return Value{}, nil, err
-			}
-		}
-		return Value{kind: KindStringList, list: list}, rest, nil
-	case KindPointList:
-		n, rest, err := decodeCount(buf, maxListLen)
-		if err != nil {
-			return Value{}, nil, err
-		}
-		points := make([]Point, n)
-		for i := range points {
-			var x, y int64
-			x, rest, err = decodeVarint(rest)
-			if err != nil {
-				return Value{}, nil, err
-			}
-			y, rest, err = decodeVarint(rest)
-			if err != nil {
-				return Value{}, nil, err
-			}
-			points[i] = Point{X: int32(x), Y: int32(y)}
-		}
-		return Value{kind: KindPointList, points: points}, rest, nil
-	default:
-		return Value{}, nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, kind)
-	}
+	r := NewReader(buf)
+	v := r.value(true)
+	return v, r.Rest(), r.Err()
 }
 
 // SkipValue walks one encoded value without decoding it, returning the bytes
 // after it. It accepts exactly the input DecodeValue accepts, consumes the
 // same bytes, and allocates nothing unless it rejects.
 func SkipValue(buf []byte) ([]byte, error) {
-	if len(buf) == 0 {
-		return nil, fmt.Errorf("%w: empty buffer", ErrCorrupt)
-	}
-	kind := Kind(buf[0])
-	buf = buf[1:]
-	var n int
-	var err error
-	switch kind {
-	case KindInvalid:
-	case KindInt, KindBool:
-		_, buf, err = decodeVarint(buf)
-	case KindFloat:
-		if len(buf) < 8 {
-			return nil, fmt.Errorf("%w: short float", ErrCorrupt)
-		}
-		buf = buf[8:]
-	case KindString, KindColor:
-		_, buf, err = cutString(buf)
-	case KindStringList:
-		n, buf, err = decodeCount(buf, maxListLen)
-		for ; n > 0 && err == nil; n-- {
-			_, buf, err = cutString(buf)
-		}
-	case KindPointList:
-		n, buf, err = decodeCount(buf, maxListLen)
-		for ; n > 0 && err == nil; n-- {
-			if _, buf, err = decodeVarint(buf); err == nil {
-				_, buf, err = decodeVarint(buf)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, kind)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return buf, nil
+	r := NewReader(buf)
+	r.value(false)
+	return r.Rest(), r.Err()
 }
 
 // AppendValues appends a value list: its length, then each value.
@@ -173,31 +77,18 @@ func AppendValues(buf []byte, vals []Value) []byte {
 // DecodeValues decodes a value list AppendValues wrote, returning the values
 // and the remaining bytes.
 func DecodeValues(buf []byte) ([]Value, []byte, error) {
-	n, rest, err := decodeCount(buf, MaxValues)
-	if err != nil {
-		return nil, nil, err
-	}
-	vals := make([]Value, n)
-	for i := range vals {
-		if vals[i], rest, err = DecodeValue(rest); err != nil {
-			return nil, nil, err
-		}
-	}
-	return vals, rest, nil
+	r := NewReader(buf)
+	vals := r.Values()
+	return vals, r.Rest(), r.Err()
 }
 
 // SkipValues is SkipValue for a value list: it accepts exactly what
 // DecodeValues accepts, consumes the same bytes, and allocates nothing unless
 // it rejects.
 func SkipValues(buf []byte) ([]byte, error) {
-	n, rest, err := decodeCount(buf, MaxValues)
-	for ; n > 0 && err == nil; n-- {
-		rest, err = SkipValue(rest)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return rest, nil
+	r := NewReader(buf)
+	r.SkipValues()
+	return r.Rest(), r.Err()
 }
 
 // AppendSet appends the binary encoding of an attribute set. Entries are
@@ -214,64 +105,12 @@ func AppendSet(buf []byte, s Set) []byte {
 // DecodeSet decodes an attribute set from buf, returning the set and the
 // remaining bytes.
 func DecodeSet(buf []byte) (Set, []byte, error) {
-	n, rest, err := decodeCount(buf, maxListLen)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := make(Set, n)
-	for i := 0; i < n; i++ {
-		var name string
-		name, rest, err = decodeString(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		var v Value
-		v, rest, err = DecodeValue(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		s[name] = v
-	}
-	return s, rest, nil
+	r := NewReader(buf)
+	s := r.Set()
+	return s, r.Rest(), r.Err()
 }
 
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
-}
-
-func decodeString(buf []byte) (string, []byte, error) {
-	s, rest, err := cutString(buf)
-	return string(s), rest, err
-}
-
-// cutString splits one length-prefixed string off buf without copying it.
-func cutString(buf []byte) ([]byte, []byte, error) {
-	n, rest, err := decodeCount(buf, maxStringLen)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(rest) < n {
-		return nil, nil, fmt.Errorf("%w: short string (%d < %d)", ErrCorrupt, len(rest), n)
-	}
-	return rest[:n], rest[n:], nil
-}
-
-func decodeVarint(buf []byte) (int64, []byte, error) {
-	v, n := binary.Varint(buf)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: bad varint", ErrCorrupt)
-	}
-	return v, buf[n:], nil
-}
-
-func decodeCount(buf []byte, limit int) (int, []byte, error) {
-	v, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: bad uvarint", ErrCorrupt)
-	}
-	if v > uint64(limit) {
-		return 0, nil, fmt.Errorf("%w: count %d exceeds limit %d", ErrCorrupt, v, limit)
-	}
-	return int(v), buf[n:], nil
 }

@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"cosoft/internal/attr"
 	"cosoft/internal/clock"
 	"cosoft/internal/couple"
 	"cosoft/internal/obs"
@@ -535,28 +536,13 @@ func seal(buf []byte, start int) []byte {
 
 // decodeRecord parses one payload (after length+CRC validation).
 func decodeRecord(payload []byte) (Record, error) {
-	if len(payload) < 1 {
-		return Record{}, errors.New("eventlog: empty payload")
-	}
-	r := Record{Kind: Kind(payload[0])}
-	rest := payload[1:]
-	take := func() (string, error) {
-		n, sz := binary.Uvarint(rest)
-		if sz <= 0 || uint64(len(rest)-sz) < n {
-			return "", errors.New("eventlog: bad string length")
-		}
-		s := string(rest[sz : sz+int(n)])
-		rest = rest[sz+int(n):]
-		return s, nil
+	rd := attr.NewReader(payload)
+	r := Record{Kind: Kind(rd.Byte()), Origin: rd.String(), Group: rd.String()}
+	if err := rd.Err(); err != nil {
+		return Record{}, fmt.Errorf("eventlog: %w", err)
 	}
 	var err error
-	if r.Origin, err = take(); err != nil {
-		return Record{}, err
-	}
-	if r.Group, err = take(); err != nil {
-		return Record{}, err
-	}
-	if r.Env, err = wire.DecodeEnvelope(rest); err != nil {
+	if r.Env, err = wire.DecodeEnvelope(rd.Rest()); err != nil {
 		return Record{}, fmt.Errorf("eventlog: envelope: %w", err)
 	}
 	return r, nil

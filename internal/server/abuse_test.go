@@ -1,6 +1,10 @@
 package server_test
 
 import (
+	"encoding/binary"
+	"errors"
+	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -171,5 +175,49 @@ func TestRegistrationAfterServerClosed(t *testing.T) {
 		Registry: reg, RPCTimeout: 500 * time.Millisecond,
 	}); err == nil {
 		t.Fatal("registration against a closed server must fail")
+	}
+}
+
+// copyToCountBomb is a 23-byte CopyTo frame whose tree state claims 1<<20
+// attributes and carries none.
+func copyToCountBomb() []byte {
+	body := binary.LittleEndian.AppendUint16(nil, uint16(wire.TCopyTo))
+	body = append(body, 1, 0)                          // seq, refSeq
+	body = append(body, 2, '/', 'a')                   // FromPath
+	body = append(body, 3, 'i', '-', '1', 2, '/', 'b') // To
+	body = append(body, 0, 0)                          // Class, Name
+	body = binary.AppendUvarint(body, 1<<20)           // attribute count
+	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+// A connection whose first frame is a count bomb is dropped unregistered,
+// and refusing it costs the server about what the frame does, not the
+// 224 MiB the count claims; the next client registers and couples as usual.
+func TestCountBombFirstFrameDropped(t *testing.T) {
+	srv, bed := newBed(t, server.Options{})
+	conn := bed.Conn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := conn.Write(copyToCountBomb()); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("the server kept the connection open: read %d bytes, %v", n, err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Errorf("refusing the 23-byte frame allocated %d bytes", n)
+	}
+	if n := srv.Stats().Instances; n != 0 {
+		t.Fatalf("%d instances registered, want none", n)
+	}
+	a := bed.Dial(testbed.Member{AppType: "app", User: "u1", Spec: `textfield x`})
+	b := bed.Dial(testbed.Member{AppType: "app", User: "u2", Spec: `textfield x`})
+	mustOK(t, a.Declare("/x"))
+	mustOK(t, b.Declare("/x"))
+	mustOK(t, a.Couple("/x", b.Ref("/x")))
+	if st := srv.Stats(); st.Instances != 2 || st.Links != 1 {
+		t.Fatalf("after the bomb: %d instances, %d links; want 2 and 1", st.Instances, st.Links)
 	}
 }

@@ -35,9 +35,11 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"sort"
 	"time"
 
+	"cosoft/internal/attr"
 	"cosoft/internal/couple"
 	"cosoft/internal/eventlog"
 	"cosoft/internal/hist"
@@ -388,102 +390,39 @@ func appendSnapStack(b []byte, snaps []hist.Snapshot) []byte {
 	return b
 }
 
-// stateReader decodes a snapshot payload with sticky error handling.
-type stateReader struct {
-	b   []byte
-	err error
-}
+// stateReader decodes a snapshot payload through an attr.Reader.
+type stateReader struct{ attr.Reader }
 
-func (r *stateReader) fail(why string) {
-	if r.err == nil {
-		r.err = errors.New("server: snapshot: " + why)
-	}
-}
-
-func (r *stateReader) uv() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail("bad uvarint")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *stateReader) vi() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail("bad varint")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// bytes reads one length-prefixed field, aliasing the payload.
-func (r *stateReader) bytes() []byte {
-	n := r.uv()
-	if r.err != nil {
-		return nil
-	}
-	if uint64(len(r.b)) < n {
-		r.fail("field overruns payload")
-		return nil
-	}
-	p := r.b[:n]
-	r.b = r.b[n:]
-	return p
-}
-
-func (r *stateReader) str() string { return string(r.bytes()) }
+// maxSection bounds no section of a snapshot by a number of its own: each is
+// bounded only by the bytes left.
+const maxSection = math.MaxInt
 
 func (r *stateReader) ref() couple.ObjectRef {
-	inst := r.str()
-	path := r.str()
+	inst := r.String()
+	path := r.String()
 	return couple.ObjectRef{Instance: couple.InstanceID(inst), Path: path}
-}
-
-// count bounds a length prefix by the bytes actually remaining — every
-// element takes at least one — so a corrupt length can't make decode
-// allocate past the payload's own size.
-func (r *stateReader) count() int {
-	n := r.uv()
-	if r.err == nil && n > uint64(len(r.b)) {
-		r.fail("count overruns payload")
-		return 0
-	}
-	return int(n)
 }
 
 // refuse fails the decode when a database rejects what the payload holds.
 func (r *stateReader) refuse(what string, err error) {
 	if err != nil {
-		r.fail(what + ": " + err.Error())
+		r.Fail(what + ": " + err.Error())
 	}
 }
 
 func (r *stateReader) stack(ref couple.ObjectRef) []hist.Snapshot {
-	n := r.count()
-	if r.err != nil || n == 0 {
+	n := r.Count(maxSection, 1)
+	if n == 0 {
 		return nil
 	}
 	snaps := make([]hist.Snapshot, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		origin := r.str()
-		at := r.vi()
-		st, rest, err := widget.DecodeTreeState(r.bytes())
-		if err != nil {
-			r.fail("tree state: " + err.Error())
-			return nil
-		}
-		if len(rest) != 0 {
-			r.fail("tree state has trailing bytes")
+	for i := 0; i < n && r.Err() == nil; i++ {
+		origin := r.String()
+		at := r.Varint()
+		tr := attr.NewReader(r.Bytes())
+		st := widget.ReadTreeState(&tr)
+		if err := tr.Done(); err != nil {
+			r.Fail("tree state: " + err.Error())
 			return nil
 		}
 		sn := hist.Snapshot{Ref: ref, State: st, Origin: couple.InstanceID(origin)}
@@ -511,54 +450,54 @@ func decodeState(payload []byte, histDepth int) (*state, error) {
 	if version != 2 && version != stateVersion {
 		return nil, fmt.Errorf("server: snapshot: unknown state version %d", version)
 	}
-	r := &stateReader{b: payload[1:]}
+	r := &stateReader{attr.NewReader(payload[1:])}
 	st := newState(histDepth, nil)
 	if version == 2 {
 		// Shard i of n allocated the IDs i+1, i+1+n, …: its sequence q says
 		// the largest it logged was (q-1)·n + i + 1.
-		n := r.count()
-		if r.err == nil && n < 1 {
-			r.fail("implausible shard count")
+		n := r.Count(maxSection, 1)
+		if n < 1 {
+			r.Fail("implausible shard count")
 		}
-		st.reg.SetSeq(r.uv())
-		for i := 0; i < n && r.err == nil; i++ {
-			if q := r.uv(); q > 0 {
+		st.reg.SetSeq(r.Uvarint())
+		for i := 0; i < n && r.Err() == nil; i++ {
+			if q := r.Uvarint(); q > 0 {
 				st.floor = max(st.floor, (q-1)*uint64(n)+uint64(i)+1)
 			}
 		}
 	} else {
-		st.reg.SetSeq(r.uv())
-		st.floor = r.uv()
+		st.reg.SetSeq(r.Uvarint())
+		st.floor = r.Uvarint()
 	}
-	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
-		in := registry.Record{ID: couple.InstanceID(r.str()), AppType: r.str(), Host: r.str(), User: r.str()}
-		if r.err == nil {
+	for i, n := 0, r.Count(maxSection, 1); i < n && r.Err() == nil; i++ {
+		in := registry.Record{ID: couple.InstanceID(r.String()), AppType: r.String(), Host: r.String(), User: r.String()}
+		if r.Err() == nil {
 			r.refuse("registration", st.reg.Register(in))
 			st.reg.RestoreSeq(in.ID)
 		}
-		for j, m := 0, r.count(); j < m && r.err == nil; j++ {
-			path, class := r.str(), r.str()
-			if r.err == nil {
+		for j, m := 0, r.Count(maxSection, 1); j < m && r.Err() == nil; j++ {
+			path, class := r.String(), r.String()
+			if r.Err() == nil {
 				r.refuse("declaration", st.reg.DeclareObject(in.ID, path, class))
 			}
 		}
 	}
-	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
-		l := couple.Link{From: r.ref(), To: r.ref(), Creator: couple.InstanceID(r.str())}
-		if r.err == nil {
+	for i, n := 0, r.Count(maxSection, 1); i < n && r.Err() == nil; i++ {
+		l := couple.Link{From: r.ref(), To: r.ref(), Creator: couple.InstanceID(r.String())}
+		if r.Err() == nil {
 			r.refuse("couple link", st.graph.AddLink(l))
 		}
 	}
-	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
-		rule := perm.Rule{User: r.str(), State: r.str(), Right: perm.Right(r.uv())}
-		if r.err == nil {
+	for i, n := 0, r.Count(maxSection, 1); i < n && r.Err() == nil; i++ {
+		rule := perm.Rule{User: r.String(), State: r.String(), Right: perm.Right(r.Uvarint())}
+		if r.Err() == nil {
 			st.perms.Grant(rule)
 		}
 	}
-	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
-		tok := r.str()
-		rec := sessionRec{id: couple.InstanceID(r.str()), appType: r.str(), host: r.str(), user: r.str()}
-		if r.err != nil {
+	for i, n := 0, r.Count(maxSection, 1); i < n && r.Err() == nil; i++ {
+		tok := r.String()
+		rec := sessionRec{id: couple.InstanceID(r.String()), appType: r.String(), host: r.String(), user: r.String()}
+		if r.Err() != nil {
 			break
 		}
 		if old, ok := st.sessionTok[rec.id]; ok {
@@ -568,23 +507,20 @@ func decodeState(payload []byte, histDepth int) (*state, error) {
 		st.sessionTok[rec.id] = tok
 	}
 	if version == 2 {
-		for i, n := 0, r.count(); i < n && r.err == nil; i++ {
+		for i, n := 0, r.Count(maxSection, 1); i < n && r.Err() == nil; i++ {
 			r.ref()
-			r.uv()
+			r.Uvarint()
 		}
 	}
-	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
+	for i, n := 0, r.Count(maxSection, 1); i < n && r.Err() == nil; i++ {
 		ref := r.ref()
 		undo, redo := r.stack(ref), r.stack(ref)
-		if r.err == nil {
+		if r.Err() == nil {
 			st.history.Restore(ref, undo, redo)
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.b) != 0 {
-		return nil, errors.New("server: snapshot: trailing bytes")
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("server: snapshot: %w", err)
 	}
 	return st, nil
 }

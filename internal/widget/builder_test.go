@@ -1,6 +1,7 @@
 package widget
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -198,6 +199,41 @@ func TestTreeStateCodec(t *testing.T) {
 	}
 	if _, _, err := DecodeTreeState(nil); err == nil {
 		t.Error("nil decode must fail")
+	}
+}
+
+// chain is a tree of levels nested forms, one per level.
+func chain(levels int) TreeState {
+	ts := TreeState{Class: "form", Name: "f"}
+	for i := 1; i < levels; i++ {
+		ts = TreeState{Class: "form", Name: "f", Children: []TreeState{ts}}
+	}
+	return ts
+}
+
+// A tree maxTreeDepth levels deep decodes; one level more is refused as
+// corrupt, so nesting read from outside cannot recurse without bound.
+func TestTreeDepthLimit(t *testing.T) {
+	deepest := chain(maxTreeDepth)
+	got, _, err := DecodeTreeState(AppendTreeState(nil, deepest))
+	if err != nil || !got.Equal(deepest) {
+		t.Fatalf("the deepest legitimate tree: %v", err)
+	}
+	if _, _, err := DecodeTreeState(AppendTreeState(nil, chain(maxTreeDepth+1))); !errors.Is(err, attr.ErrCorrupt) {
+		t.Fatalf("a tree one level past the limit: %v, want a corrupt-encoding error", err)
+	}
+}
+
+// A node may list maxTreeChildren children; one more is refused as corrupt
+// even when the bytes to carry it are there.
+func TestTreeChildrenLimit(t *testing.T) {
+	widest := TreeState{Class: "form", Name: "f", Children: make([]TreeState, maxTreeChildren)}
+	if _, _, err := DecodeTreeState(AppendTreeState(nil, widest)); err != nil {
+		t.Fatalf("the widest legitimate node: %v", err)
+	}
+	widest.Children = append(widest.Children, TreeState{})
+	if _, _, err := DecodeTreeState(AppendTreeState(nil, widest)); !errors.Is(err, attr.ErrCorrupt) {
+		t.Fatalf("a node one child past the limit: %v, want a corrupt-encoding error", err)
 	}
 }
 

@@ -99,7 +99,13 @@ func (ts TreeState) write(b *strings.Builder, depth int) {
 	}
 }
 
-const maxTreeChildren = 1 << 16
+// Decoding limits: a node lists at most maxTreeChildren children, and a tree
+// nests at most maxTreeDepth levels, the root being the first; a tree any
+// program of this module builds is a few levels deep.
+const (
+	maxTreeChildren = 1 << 16
+	maxTreeDepth    = 256
+)
 
 // AppendTreeState appends the binary encoding of a tree state.
 func AppendTreeState(buf []byte, ts TreeState) []byte {
@@ -116,45 +122,30 @@ func AppendTreeState(buf []byte, ts TreeState) []byte {
 // DecodeTreeState decodes a tree state, returning it and the remaining
 // bytes.
 func DecodeTreeState(buf []byte) (TreeState, []byte, error) {
-	var ts TreeState
-	var err error
-	ts.Class, buf, err = decodeString(buf)
-	if err != nil {
-		return ts, nil, err
+	r := attr.NewReader(buf)
+	ts := ReadTreeState(&r)
+	return ts, r.Rest(), r.Err()
+}
+
+// ReadTreeState reads a tree state AppendTreeState wrote through r.
+func ReadTreeState(r *attr.Reader) TreeState { return readTree(r, 1) }
+
+func readTree(r *attr.Reader, depth int) TreeState {
+	if depth > maxTreeDepth {
+		r.Fail(fmt.Sprintf("tree deeper than %d levels", maxTreeDepth))
+		return TreeState{}
 	}
-	ts.Name, buf, err = decodeString(buf)
-	if err != nil {
-		return ts, nil, err
+	ts := TreeState{Class: r.String(), Name: r.String(), Attrs: r.Set()}
+	for n := r.Count(maxTreeChildren, 1); n > 0 && r.Err() == nil; n-- {
+		ts.Children = append(ts.Children, readTree(r, depth+1))
 	}
-	ts.Attrs, buf, err = attr.DecodeSet(buf)
-	if err != nil {
-		return ts, nil, err
+	if r.Err() != nil {
+		return TreeState{}
 	}
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || n > maxTreeChildren {
-		return ts, nil, fmt.Errorf("%w: bad child count", attr.ErrCorrupt)
-	}
-	buf = buf[sz:]
-	for i := uint64(0); i < n; i++ {
-		var c TreeState
-		c, buf, err = DecodeTreeState(buf)
-		if err != nil {
-			return ts, nil, err
-		}
-		ts.Children = append(ts.Children, c)
-	}
-	return ts, buf, nil
+	return ts
 }
 
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
-}
-
-func decodeString(buf []byte) (string, []byte, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || n > 1<<24 || uint64(len(buf)-sz) < n {
-		return "", nil, fmt.Errorf("%w: bad string", attr.ErrCorrupt)
-	}
-	return string(buf[sz : sz+int(n)]), buf[sz+int(n):], nil
 }

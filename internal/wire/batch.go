@@ -1,10 +1,10 @@
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 
+	"cosoft/internal/attr"
 	"cosoft/internal/obs"
 )
 
@@ -71,26 +71,21 @@ func (m BatchAck) encode(buf []byte) []byte {
 // referencing a record decoded before the fault, and the relay bodies of the
 // Events among those released.
 func decodeRun(run []Record, body []byte, idents *internTable, notices *noticeMemo) ([]Record, error) {
-	d := decoder{buf: body, idents: idents, notices: notices}
-	n := d.uvarint()
-	switch {
-	case d.err != nil:
-	case n == 0:
-		d.fail("empty batch")
-	case n > MaxBatch || n > uint64(len(d.buf)/minBatchRecord):
-		// A record is at least five bytes (type, seq, refSeq, body length), so
-		// a count the remaining bytes cannot hold is not worth an allocation.
-		d.fail("batch count")
-	default:
-		run = slices.Grow(run, int(n))
-		for i := uint64(0); i < n; i++ {
-			run = append(run, Record{})
-			if !d.innerRecord(&run[i]) {
-				break
-			}
-		}
+	d := decoder{Reader: attr.NewReader(body), idents: idents, notices: notices}
+	n := d.Count(MaxBatch, minBatchRecord)
+	if n == 0 {
+		d.Fail("empty batch")
 	}
-	if err := d.done(); err != nil {
+	run = slices.Grow(run, n)
+	var err error
+	for i := 0; i < n && err == nil; i++ {
+		run = append(run, Record{})
+		err = d.innerRecord(&run[i])
+	}
+	if err == nil {
+		err = d.Done()
+	}
+	if err != nil {
 		for i := range run {
 			run[i].Release()
 		}
@@ -107,60 +102,34 @@ const minBatchRecord = 5
 // innerRecord decodes one Batch record into rec, which must be zero. The
 // record body is decoded out of a view into the enclosing frame; the record
 // keeps none of it.
-func (d *decoder) innerRecord(rec *Record) bool {
+func (d *decoder) innerRecord(rec *Record) error {
 	t := d.header(&rec.Envelope)
-	body := d.view("bytes")
-	if d.err != nil {
-		return false
-	}
+	body := d.Bytes()
 	// A nested Batch is refused by decodeRecord, which knows no such
 	// message; a BatchAck it would decode.
 	if t == TBatchAck {
-		d.fail("nested batch ack")
-		return false
+		d.Fail("nested batch ack")
 	}
-	if err := decodeRecord(rec, t, body, d.idents, d.notices); err != nil {
-		d.err = err
-		return false
+	if err := d.Err(); err != nil {
+		return err
 	}
-	return true
+	return decodeRecord(rec, t, body, d.idents, d.notices)
 }
 
 func decodeBatchAck(d *decoder) BatchAck {
 	var m BatchAck
-	n := d.uvarint()
-	if d.err != nil {
-		return m
-	}
+	n := d.Count(MaxBatch, 1)
 	if n == 0 {
-		d.fail("empty batch ack")
-		return m
+		d.Fail("empty batch ack")
 	}
-	if n > MaxBatch {
-		d.fail("batch ack count")
-		return m
-	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for ; n > 0 && d.Err() == nil; n-- {
 		m.Acks = append(m.Acks, BatchAckEntry{
-			EventID: d.uvarint(),
+			EventID: d.Uvarint(),
 			Trace: obs.TraceContext{
-				Trace: obs.TraceID(d.uvarint()),
-				Span:  obs.SpanID(d.uvarint()),
+				Trace: obs.TraceID(d.Uvarint()),
+				Span:  obs.SpanID(d.Uvarint()),
 			},
 		})
 	}
 	return m
-}
-
-func (d *decoder) u16() uint16 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 2 {
-		d.fail("u16")
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.buf)
-	d.buf = d.buf[2:]
-	return v
 }

@@ -1,5 +1,7 @@
 package wire
 
+import "cosoft/internal/attr"
+
 // AppendEnvelope appends one envelope in the Batch inner-record layout
 // ([u16 type(|traceFlag)][uvarint seq][uvarint refSeq][trace?][uvarint
 // bodyLen][body]). It is the standalone form of that framing, used wherever a
@@ -15,13 +17,13 @@ func AppendEnvelope(buf []byte, env Envelope) []byte {
 // must contain exactly one record; trailing bytes are an error, exactly as
 // frame decoding rejects them.
 func DecodeEnvelope(buf []byte) (Envelope, error) {
-	d := &decoder{buf: buf}
+	d := &decoder{Reader: attr.NewReader(buf)}
 	var rec Record
-	if !d.innerRecord(&rec) {
-		return Envelope{}, d.err
+	if err := d.innerRecord(&rec); err != nil {
+		return Envelope{}, err
 	}
 	defer rec.Release()
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return Envelope{}, err
 	}
 	return rec.Box(), nil

@@ -43,6 +43,11 @@ func FuzzDecodeMessage(f *testing.F) {
 	for _, body := range malformedBatchBodies() {
 		f.Add(uint16(TBatch), body)
 	}
+	// Hostile bodies (limits_test.go): counts the bytes cannot carry, and a
+	// tree one level past the depth limit.
+	f.Add(uint16(TCopyTo), copyToBody(setBombTree()))
+	f.Add(uint16(TSetLocks), binary.AppendUvarint(nil, 65535))
+	f.Add(uint16(TCopyTo), append(copyToBody(chainTree(treeDepthPast)), 0))
 	f.Fuzz(func(t *testing.T, rawType uint16, body []byte) {
 		buf := append([]byte(nil), body...)
 		idents, notices := &internTable{}, &noticeMemo{}

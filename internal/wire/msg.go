@@ -560,12 +560,12 @@ func decodeRecord(rec *Record, t Type, body []byte, idents *internTable, notices
 		rec.Msg = m
 		return nil
 	}
-	d := &decoder{buf: body, idents: idents, notices: notices}
+	d := &decoder{Reader: attr.NewReader(body), idents: idents, notices: notices}
 	var m Message
 	var payload []byte // an Event's Name and Args, once checked
 	switch t {
 	case TRegister:
-		m = Register{AppType: d.string(), Host: d.string(), User: d.string()}
+		m = Register{AppType: d.String(), Host: d.String(), User: d.String()}
 	case TRegistered:
 		m = Registered{ID: d.instanceID()}
 	case TDeregister:
@@ -584,16 +584,16 @@ func decodeRecord(rec *Record, t Type, body []byte, idents *internTable, notices
 		m = LinkRemoved{Link: d.link()}
 	case TEvent:
 		rec.Event.Path = d.ident()
-		payload = d.buf
+		payload = d.Rest()
 		rec.Event.Name = d.ident()
-		d.skipValues()
+		d.SkipValues()
 	case TExec:
-		rec.Exec = Exec{EventID: d.uvarint(), TargetPath: d.ident(), Name: d.ident(),
-			Args: d.values(), Origin: d.objectRef()}
+		rec.Exec = Exec{EventID: d.Uvarint(), TargetPath: d.ident(), Name: d.ident(),
+			Args: d.Values(), Origin: d.objectRef()}
 	case TExecAck:
-		rec.ExecAck = ExecAck{EventID: d.uvarint()}
+		rec.ExecAck = ExecAck{EventID: d.Uvarint()}
 	case TEventResult:
-		m = EventResult{OK: d.bool(), Reason: d.string()}
+		m = EventResult{OK: d.bool(), Reason: d.String()}
 	case TSetLocks:
 		m = SetLocks{Paths: d.identList(), Locked: d.bool()}
 	case TCopyTo:
@@ -607,24 +607,19 @@ func decodeRecord(rec *Record, t Type, body []byte, idents *internTable, notices
 		m = ApplyState{Path: d.ident(), State: d.treeState(),
 			Origin: d.instanceID(), Destructive: d.bool()}
 	case TStateRequest:
-		m = StateRequest{RequestID: d.uvarint(), Path: d.ident(), RelevantOnly: d.bool(), Shallow: d.bool()}
+		m = StateRequest{RequestID: d.Uvarint(), Path: d.ident(), RelevantOnly: d.bool(), Shallow: d.bool()}
 	case TStateReply:
-		m = StateReply{RequestID: d.uvarint(), OK: d.bool(), Reason: d.string(),
+		m = StateReply{RequestID: d.Uvarint(), OK: d.bool(), Reason: d.String(),
 			State: d.treeState()}
 	case TCommand:
-		cmd := Command{Name: d.string()}
-		n := d.uvarint()
-		if n > 1<<16 {
-			d.fail("target count")
-		} else {
-			for i := uint64(0); i < n && d.err == nil; i++ {
-				cmd.Targets = append(cmd.Targets, d.instanceID())
-			}
+		cmd := Command{Name: d.String()}
+		for n := d.Count(maxIdents, 1); n > 0 && d.Err() == nil; n-- {
+			cmd.Targets = append(cmd.Targets, d.instanceID())
 		}
 		cmd.Payload = d.bytes()
 		m = cmd
 	case TCommandDeliver:
-		m = CommandDeliver{Name: d.string(), From: d.instanceID(), Payload: d.bytes()}
+		m = CommandDeliver{Name: d.String(), From: d.instanceID(), Payload: d.bytes()}
 	case TUndo:
 		m = Undo{Path: d.ident()}
 	case TRedo:
@@ -633,50 +628,40 @@ func decodeRecord(rec *Record, t Type, body []byte, idents *internTable, notices
 		m = ListInstances{}
 	case TInstanceList:
 		list := InstanceList{}
-		n := d.uvarint()
-		if n > 1<<16 {
-			d.fail("instance count")
-		} else {
-			for i := uint64(0); i < n && d.err == nil; i++ {
-				info := InstanceInfo{ID: d.instanceID(), AppType: d.string(),
-					Host: d.string(), User: d.string()}
-				k := d.uvarint()
-				if k > 1<<16 {
-					d.fail("object count")
-					break
-				}
-				for j := uint64(0); j < k && d.err == nil; j++ {
-					info.Objects = append(info.Objects,
-						DeclaredObject{Path: d.ident(), Class: d.ident()})
-				}
-				list.Instances = append(list.Instances, info)
+		for n := d.Count(maxIdents, 1); n > 0 && d.Err() == nil; n-- {
+			info := InstanceInfo{ID: d.instanceID(), AppType: d.String(),
+				Host: d.String(), User: d.String()}
+			for k := d.Count(maxIdents, 1); k > 0 && d.Err() == nil; k-- {
+				info.Objects = append(info.Objects,
+					DeclaredObject{Path: d.ident(), Class: d.ident()})
 			}
+			list.Instances = append(list.Instances, info)
 		}
 		m = list
 	case TGrantPerm:
-		m = GrantPerm{User: d.string(), State: d.string(), Right: d.byte()}
+		m = GrantPerm{User: d.String(), State: d.String(), Right: d.Byte()}
 	case TRevokePerm:
-		m = RevokePerm{User: d.string(), State: d.string(), Right: d.byte()}
+		m = RevokePerm{User: d.String(), State: d.String(), Right: d.Byte()}
 	case TFetchState:
 		m = FetchState{Ref: d.objectRef(), RelevantOnly: d.bool()}
 	case TPing:
-		m = Ping{Nonce: d.uvarint()}
+		m = Ping{Nonce: d.Uvarint()}
 	case TPong:
-		m = Pong{Nonce: d.uvarint()}
+		m = Pong{Nonce: d.Uvarint()}
 	case TSessionToken:
-		m = SessionToken{Token: d.string()}
+		m = SessionToken{Token: d.String()}
 	case TResume:
-		m = Resume{Token: d.string()}
+		m = Resume{Token: d.String()}
 	case TBatchAck:
 		m = decodeBatchAck(d)
 	case TOK:
 		m = OK{}
 	case TErr:
-		m = Err{Text: d.string()}
+		m = Err{Text: d.String()}
 	default:
 		return fmt.Errorf("wire: unknown message type %d", t)
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return fmt.Errorf("%s: %w", t, err)
 	}
 	if t == TEvent {
@@ -689,28 +674,4 @@ func decodeRecord(rec *Record, t Type, body []byte, idents *internTable, notices
 	return nil
 }
 
-func (d *decoder) byte() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) == 0 {
-		d.fail("byte")
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
-func (d *decoder) treeState() widget.TreeState {
-	if d.err != nil {
-		return widget.TreeState{}
-	}
-	ts, rest, err := widget.DecodeTreeState(d.buf)
-	if err != nil {
-		d.err = err
-		return widget.TreeState{}
-	}
-	d.buf = rest
-	return ts
-}
+func (d *decoder) treeState() widget.TreeState { return widget.ReadTreeState(&d.Reader) }

@@ -136,16 +136,16 @@ func (se *SharedExec) Stamp(eventID uint64) { se.eventID = eventID }
 // the shared suffix for canonically encoded arguments. Valid only while a
 // reference is held on a sealed body.
 func (se *SharedExec) Exec(targetPath string) Exec {
-	d := decoder{buf: se.body}
-	return Exec{EventID: se.eventID, TargetPath: targetPath, Name: d.string(),
-		Args: d.values(), Origin: d.objectRef()}
+	d := decoder{Reader: attr.NewReader(se.body)}
+	return Exec{EventID: se.eventID, TargetPath: targetPath, Name: d.String(),
+		Args: d.Values(), Origin: d.objectRef()}
 }
 
 // args decodes the event arguments out of the body, past the Name.
 func (se *SharedExec) args() []attr.Value {
-	d := decoder{buf: se.body}
-	d.view("string")
-	return d.values()
+	r := attr.NewReader(se.body)
+	r.Bytes()
+	return r.Values()
 }
 
 // Ref takes one additional reference. Callers must hold a live reference

@@ -108,6 +108,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -116,6 +117,7 @@ import (
 	"sync"
 	"syscall"
 
+	"cosoft/internal/attr"
 	"cosoft/internal/obs"
 )
 
@@ -298,12 +300,12 @@ func appendHeader(buf []byte, t Type, env *Envelope) []byte {
 // and trace context and returns the message type. It reads every header
 // there is: a frame's, and each record's in a Batch.
 func (d *decoder) header(env *Envelope) Type {
-	raw := d.u16()
-	env.Seq, env.RefSeq = d.uvarint(), d.uvarint()
+	raw := uint16(d.Byte()) | uint16(d.Byte())<<8
+	env.Seq, env.RefSeq = d.Uvarint(), d.Uvarint()
 	if raw&traceFlag != 0 {
 		env.Trace = obs.TraceContext{
-			Trace: obs.TraceID(d.uvarint()),
-			Span:  obs.SpanID(d.uvarint()),
+			Trace: obs.TraceID(d.Uvarint()),
+			Span:  obs.SpanID(d.Uvarint()),
 		}
 	}
 	return Type(raw &^ traceFlag)
@@ -584,19 +586,25 @@ func (c *Conn) WriteBatch(recs []Outgoing) error {
 	return c.send(buf, len(buf)-4-copied)
 }
 
-// frameBuf returns the n-byte buffer the next frame body is read into: the
-// retained one when it is large enough, a grown one (doubling, so a stream of
-// slowly lengthening frames settles after a few) when the frame still fits
-// under the retention cap, and a one-off allocation for anything larger.
-func (c *Conn) frameBuf(n int) []byte {
-	if n <= cap(c.rbuf) {
-		return c.rbuf[:n]
-	}
+// readBody reads the n-byte body of the next frame: into the retained buffer
+// when it is large enough, a grown one (doubling, so a stream of slowly
+// lengthening frames settles after a few) when the frame still fits under the
+// retention cap, and anything larger into a one-off buffer that grows with
+// the bytes that arrive, so a length prefix alone costs no more than the
+// bytes behind it.
+func (c *Conn) readBody(n int) ([]byte, error) {
 	if n > maxConnScratch {
-		return make([]byte, n)
+		var b bytes.Buffer
+		if _, err := io.CopyN(&b, c.r, int64(n)); err != nil {
+			return nil, err
+		}
+		return b.Bytes(), nil
 	}
-	c.rbuf = make([]byte, max(n, min(2*cap(c.rbuf), maxConnScratch), minFrameBuf))
-	return c.rbuf[:n]
+	if n > cap(c.rbuf) {
+		c.rbuf = make([]byte, max(n, min(2*cap(c.rbuf), maxConnScratch), minFrameBuf))
+	}
+	_, err := io.ReadFull(c.r, c.rbuf[:n])
+	return c.rbuf[:n], err
 }
 
 // Next reads and decodes one record into rec, overwriting every field of it:
@@ -621,20 +629,20 @@ func (c *Conn) Next(rec *Record) error {
 	if n > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	body := c.frameBuf(int(n))
-	if _, err := io.ReadFull(c.r, body); err != nil {
+	body, err := c.readBody(int(n))
+	if err != nil {
 		return fmt.Errorf("wire: read frame body: %w", err)
 	}
-	d := decoder{buf: body}
+	d := decoder{Reader: attr.NewReader(body)}
 	t := d.header(&rec.Envelope)
-	if d.err != nil {
+	if err := d.Err(); err != nil {
 		*rec = Record{}
-		return d.err
+		return err
 	}
 	if t == TBatch {
 		// The outer envelope of a packed frame carries nothing of its own:
 		// every record has its own correlation numbers and trace context.
-		run, err := decodeRun(c.run, d.buf, &c.idents, &c.notices)
+		run, err := decodeRun(c.run, d.Rest(), &c.idents, &c.notices)
 		c.run = run
 		if err != nil {
 			*rec = Record{}
@@ -643,7 +651,7 @@ func (c *Conn) Next(rec *Record) error {
 		c.nextRecord(rec)
 		return nil
 	}
-	if err := decodeRecord(rec, t, d.buf, &c.idents, &c.notices); err != nil {
+	if err := decodeRecord(rec, t, d.Rest(), &c.idents, &c.notices); err != nil {
 		*rec = Record{}
 		return err
 	}
