@@ -21,9 +21,8 @@
 // Usage:
 //
 //	cosoftd [-listen :7817] [-metrics-addr :9090] [-history 32]
-//	        [-ordered-locking] [-shards N] [-heartbeat 5s] [-event-deadline 10s]
-//	        [-outbox-limit 1024] [-batch-limit 32] [-trace-buffer 4096]
-//	        [-flight-depth 64] [-log-level info] [-v]
+//	        [-ordered-locking] [-shards N] [-batch-limit 32]
+//	        [-trace-buffer 4096] [-flight-depth 64] [-log-level info] [-v]
 //	        [-log-dir /var/lib/cosoft/log] [-log-sync interval]
 //	        [-log-segment-bytes 67108864]
 //	        [-log-snapshot-interval 1m] [-log-snapshot-bytes N]
@@ -67,9 +66,6 @@ func main() {
 	history := flag.Int("history", 0, "per-object historical-state depth (0 = default)")
 	ordered := flag.Bool("ordered-locking", false, "use deterministic-order group locking instead of the paper's sequential algorithm")
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "number of event-state shards, striped by source object; every shard shares one lock table (default GOMAXPROCS)")
-	heartbeat := flag.Duration("heartbeat", 0, "liveness ping interval; silent clients are dropped after 3 intervals (0 = disabled)")
-	eventDeadline := flag.Duration("event-deadline", 0, "max wait for event acknowledgements before the group unlocks without the stragglers; checked every quarter of it, so an event may expire up to a quarter late (0 = disabled)")
-	outboxLimit := flag.Int("outbox-limit", 0, "per-client outbox high-water mark; clients over it for more than a second are evicted (0 = unbounded)")
 	batchLimit := flag.Int("batch-limit", 32, "max envelopes packed into one Batch frame (1 = one envelope per frame)")
 	traceBuffer := flag.Int("trace-buffer", obs.DefaultTraceBuffer, "causal-trace span ring size (0 = tracing disabled)")
 	flightDepth := flag.Int("flight-depth", obs.DefaultFlightDepth, "per-connection flight-recorder depth (0 = disabled)")
@@ -96,9 +92,6 @@ func main() {
 		HistoryDepth:   *history,
 		OrderedLocking: *ordered,
 		Shards:         *shards,
-		Heartbeat:      *heartbeat,
-		EventDeadline:  *eventDeadline,
-		OutboxLimit:    *outboxLimit,
 		BatchLimit:     *batchLimit,
 		Metrics:        metrics,
 	}

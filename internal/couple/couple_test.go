@@ -388,7 +388,8 @@ func checkIndex(t *testing.T, g *Graph, objs []ObjectRef, when string) {
 
 // TestIndexAgreesWithScan runs random mutator sequences — duplicate links
 // from different creators and links in both directions included — and checks
-// the index after every one.
+// the index after every one. Over 0.5 s: it is the only test that holds every
+// reader of the incidence index to a full scan after every kind of mutation.
 func TestIndexAgreesWithScan(t *testing.T) {
 	var objs []ObjectRef
 	for _, inst := range []string{"A", "B", "C"} {

@@ -162,6 +162,10 @@ func TestStateVsActionShapes(t *testing.T) {
 	}
 }
 
+// TestFloorControlShapes holds E4 to its shape: for the same text, one-
+// character events cost many more messages and more time than 64-character
+// ones. Over 0.5 s: it is the only check of the §3.2 granularity claim, and
+// the time comparison needs the 256 fine-grained round trips it makes.
 func TestFloorControlShapes(t *testing.T) {
 	var fineTime, coarseTime time.Duration
 	for rep := 0; rep < timeReps; rep++ {

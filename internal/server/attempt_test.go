@@ -56,7 +56,7 @@ func TestOutboxCloseWaitsOutALoopAttempt(t *testing.T) {
 	defer b.Close()
 	g := &gateConn{Conn: a, entered: make(chan struct{}), release: make(chan struct{})}
 	reg := obs.NewRegistry()
-	o := newOutbox(wire.NewConn(g), clock.Real{}, reg.Gauge("depth"), 0, 8, reg.Histogram("batch"), nil)
+	o := newOutbox(wire.NewConn(g), clock.Real{}, reg.Gauge("depth"), 8, reg.Histogram("batch"), nil)
 	// Park the writer: once it has written a frame and cleared flushing it
 	// holds mu until it waits again, so a reader of flushing under mu that
 	// sees it clear finds the writer waiting.
@@ -131,7 +131,7 @@ func TestOutboxTailWriteFailureReleasesSharedBodies(t *testing.T) {
 	defer b.Close()
 	p := &pushbackConn{Conn: a, entered: make(chan struct{}), release: make(chan struct{})}
 	reg := obs.NewRegistry()
-	o := newOutbox(wire.NewConn(p), clock.Real{}, reg.Gauge("depth"), 0, 8, reg.Histogram("batch"), nil)
+	o := newOutbox(wire.NewConn(p), clock.Real{}, reg.Gauge("depth"), 8, reg.Histogram("batch"), nil)
 	// Park the writer, as in TestOutboxCloseWaitsOutALoopAttempt.
 	o.send(wire.Envelope{Msg: wire.Ping{Nonce: 1}})
 	if _, err := wire.NewConn(b).Read(); err != nil {

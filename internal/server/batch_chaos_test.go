@@ -86,13 +86,8 @@ func TestChaosBatchedDupDelayPreservesEventOrder(t *testing.T) {
 // not disturb the coalesced acknowledgements of her batch-mates: the event
 // resolves, the group unlocks, and a follow-up event converges everywhere.
 func TestChaosBatchStragglerDoesNotPoisonCoalescedAcks(t *testing.T) {
-	const deadline = 300 * time.Millisecond
 	clk := clock.NewManual()
-	srv, bed := newBed(t, server.Options{
-		BatchLimit:    8,
-		EventDeadline: deadline,
-		Clock:         clk,
-	})
+	srv, bed := newBed(t, server.Options{BatchLimit: 8, Clock: clk})
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: `textfield note value=""`})
 	bspec := `textfield x value=""
 textfield y value=""`
@@ -131,7 +126,7 @@ textfield y value=""`
 	testbed.Wait(t, "bob's acks arrive coalesced", func() bool {
 		return srv.Stats().AcksCoalesced >= 2
 	})
-	testbed.AdvanceUntil(t, clk, deadline/4, "deadline drops the straggler", func() bool {
+	testbed.AdvanceUntil(t, clk, sweepStep, "deadline drops the straggler", func() bool {
 		st := srv.Stats()
 		return st.EventTimeouts >= 1 && st.PendingEvents == 0
 	})

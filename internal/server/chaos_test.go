@@ -22,6 +22,12 @@ import (
 // (state, counters), never on elapsed wall time; the deadline, liveness and
 // eviction scenarios move time on a clock.Manual.
 
+// sweepStep is how far a test moves its clock.Manual per poll while it waits
+// for a sweep to judge a deadline: half a sweep period, so a sweep that runs
+// a few polls late still times an event out long before its silent member's
+// liveness runs out.
+const sweepStep = server.SweepPeriod / 2
+
 func dispatch(t *testing.T, c *client.Client, path, value string) {
 	t.Helper()
 	mustOK(t, c.Registry().Dispatch(&widget.Event{
@@ -43,9 +49,8 @@ func disabled(t *testing.T, c *client.Client, path string) bool {
 // the wait set, unlock the group and re-enable the survivors — and after
 // the member recovers, coupling must work again.
 func TestChaosHungMemberMidEvent(t *testing.T) {
-	const deadline = 150 * time.Millisecond
 	clk := clock.NewManual()
-	srv, bed := newBed(t, server.Options{EventDeadline: deadline, Clock: clk})
+	srv, bed := newBed(t, server.Options{Clock: clk})
 	spec := `textfield note value=""`
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: spec})
 	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec})
@@ -67,7 +72,7 @@ func TestChaosHungMemberMidEvent(t *testing.T) {
 	testbed.Wait(t, "value at B", func() bool {
 		return attrOf(t, b, "/note", widget.AttrValue).AsString() == "v1"
 	})
-	testbed.AdvanceUntil(t, clk, deadline/4, "event deadline resolves the wedged event", func() bool {
+	testbed.AdvanceUntil(t, clk, sweepStep, "event deadline resolves the wedged event", func() bool {
 		st := srv.Stats()
 		return st.EventTimeouts >= 1 && st.PendingEvents == 0
 	})
@@ -85,7 +90,7 @@ func TestChaosHungMemberMidEvent(t *testing.T) {
 }
 
 // TestChaosMidEventDisconnectUnwedgesGroup kills a member that received an
-// Exec and never acknowledged it (no event deadline configured): the
+// Exec and never acknowledged it, long before the event deadline: the
 // disconnect alone must resolve the pending event, release the group lock,
 // re-enable the surviving members and leak nothing.
 func TestChaosMidEventDisconnectUnwedgesGroup(t *testing.T) {
@@ -143,12 +148,12 @@ func TestChaosMidEventDisconnectUnwedgesGroup(t *testing.T) {
 }
 
 // TestChaosSlowClientEvicted stops a client's connection from draining and
-// floods it: once its outbox backlog stays over the configured limit for
-// longer than the grace period, the server must evict it instead of
-// buffering forever.
+// floods it: once its outbox backlog stays over the outbox limit for longer
+// than the grace period, the server must evict it instead of buffering
+// forever.
 func TestChaosSlowClientEvicted(t *testing.T) {
 	clk := clock.NewManual()
-	srv, bed := newBed(t, server.Options{OutboxLimit: 8, Clock: clk})
+	srv, bed := newBed(t, server.Options{Clock: clk})
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: `textfield note value=""`})
 	fc := bed.Fault(bed.Dial(testbed.Member{AppType: "viewer", User: "bob", Spec: `textfield note value=""`, Fault: &faultnet.Schedule{}}))
 
@@ -156,23 +161,30 @@ func TestChaosSlowClientEvicted(t *testing.T) {
 
 	// Commands broadcast without group locking, so the flood is not
 	// serialized by event acknowledgements.
-	for i := 0; i < 30; i++ {
-		mustOK(t, a.SendCommand("noop", nil))
-	}
-	testbed.AdvanceUntil(t, clk, 250*time.Millisecond, "slow client evicted", func() bool {
+	flood(t, a)
+	testbed.AdvanceUntil(t, clk, sweepStep, "slow client evicted", func() bool {
 		st := srv.Stats()
 		return st.Evictions >= 1 && st.Instances == 1
 	})
 }
 
+// flood has c broadcast one command more than the outbox limit holds: a
+// backlog past the limit at a member that does not drain, built without the
+// group floor.
+func flood(t *testing.T, c *client.Client) {
+	t.Helper()
+	for i := 0; i <= server.OutboxLimit; i++ {
+		mustOK(t, c.SendCommand("noop", nil))
+	}
+}
+
 // TestChaosPartitionedMemberDeclaredDead black-holes a member (its packets
-// die silently in both directions) mid-event: the liveness sweep must
-// declare it dead, release its locks, resolve the pending event and notify
-// the survivors of the lost coupling.
+// die silently in both directions) mid-event: the event deadline must
+// resolve the event, then the liveness sweep declare the member dead,
+// release what it held and notify the survivors of the lost coupling.
 func TestChaosPartitionedMemberDeclaredDead(t *testing.T) {
-	const heartbeat = 20 * time.Millisecond
 	clk := clock.NewManual()
-	srv, bed := newBed(t, server.Options{Heartbeat: heartbeat, Clock: clk})
+	srv, bed := newBed(t, server.Options{Clock: clk})
 	spec := `textfield note value=""`
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: spec})
 	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec, Fault: &faultnet.Schedule{}})
@@ -185,18 +197,22 @@ func TestChaosPartitionedMemberDeclaredDead(t *testing.T) {
 
 	fc.Blackhole()
 
-	// The Exec to the partitioned member dies on the wire; only the liveness
-	// timeout can resolve the event. Time moves a heartbeat at a time, and
-	// alice makes a round trip at each, so only the partitioned member falls
-	// silent.
+	// The Exec to the partitioned member dies on the wire, and so do the
+	// pings. Time moves half a sweep period at a time, and alice makes a
+	// round trip at each, so only the partitioned member falls silent: its
+	// event times out first, and it is declared dead five seconds later.
 	dispatch(t, a, "/note", "v1")
-	testbed.AdvanceUntil(t, clk, heartbeat, "partitioned member declared dead", func() bool {
+	testbed.AdvanceUntil(t, clk, sweepStep, "partitioned member declared dead", func() bool {
 		if _, err := a.Instances(); err != nil {
 			t.Fatalf("alice's round trip: %v", err)
 		}
 		st := srv.Stats()
 		return st.LivenessTimeouts >= 1 && st.Instances == 1 && st.PendingEvents == 0
 	})
+	if st := srv.Stats(); st.EventTimeouts != 1 || st.LivenessTimeouts != 1 {
+		t.Errorf("%d event timeouts and %d liveness timeouts, want the event's deadline and then one drop",
+			st.EventTimeouts, st.LivenessTimeouts)
+	}
 	testbed.Wait(t, "survivor decoupled", func() bool { return !a.Coupled("/note") })
 	testbed.Wait(t, "survivor re-enabled", func() bool { return !disabled(t, a, "/note") })
 

@@ -33,8 +33,8 @@ type pendingEvent struct {
 	// unlock spans recorded when the round trip completes (zero when the
 	// event was not traced).
 	tc obs.TraceContext
-	// expires is when the event deadline passes (zero when deadlines are
-	// disabled); the sweep's expiry pass times the event out after it.
+	// expires is when the event deadline passes; the sweep's expiry pass
+	// times the event out after it.
 	expires time.Time
 }
 
@@ -161,9 +161,7 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 	sh.seq++
 	pe := sh.newPending(len(p.insts))
 	pe.source, pe.plan, pe.owner, pe.start, pe.tc = source, p, owner, start, actx
-	if d := s.opts.EventDeadline; d > 0 {
-		pe.expires = s.opts.Clock.Now().Add(d)
-	}
+	pe.expires = s.opts.Clock.Now().Add(eventDeadline)
 	sh.pending[eventID] = pe
 	s.broadcast(sh, pe, ev.body)
 	sh.out.send(cl, wire.Envelope{
@@ -254,7 +252,7 @@ func (s *Server) expireEvents() {
 	for _, sh := range s.shards {
 		sh.lock()
 		for id, pe := range sh.pending {
-			if !pe.expires.IsZero() && now.After(pe.expires) {
+			if now.After(pe.expires) {
 				s.timeoutEvent(sh, id, pe)
 			}
 		}

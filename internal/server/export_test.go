@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"time"
 
 	"cosoft/internal/couple"
 )
@@ -13,6 +14,15 @@ import (
 // ask for one: the product topology, pinned so cross-shard coverage does not
 // depend on the runner's core count.
 const HarnessShards = 4
+
+// The server's defenses, for tests that move a clock.Manual past them.
+const (
+	Heartbeat     time.Duration = heartbeat
+	EventDeadline time.Duration = eventDeadline
+	OutboxLimit                 = outboxLimit
+	OutboxGrace   time.Duration = outboxGrace
+	SweepPeriod   time.Duration = sweepPeriod
+)
 
 // withLock runs fn under sh's lock, as a read goroutine runs an event: what
 // fn sends is flushed before the lock is released.

@@ -88,7 +88,9 @@ func (s *Server) pendingAtOnce() int {
 // at most one of them at a time, every member must see its object's
 // SetLocks strictly alternate lock/unlock — an unlock's notices are queued
 // before its floor is released, so the next event's lock notice lands
-// behind them — and every member must see the same Exec order.
+// behind them — and every member must see the same Exec order. Over 0.5 s: it
+// is the only test that races one group's events on every shard's lock at
+// once, so it alone catches a floor the one lock table fails to hold.
 func TestFloorHoldsAcrossShards(t *testing.T) {
 	const passive = 32 // members that never fire: a longer notice loop
 	const grants = 20  // granted events per source

@@ -30,7 +30,7 @@ type MemberHealth struct {
 	// waited on. Timeouts counts events that hit their deadline while still
 	// waiting on this member. Pushbacks counts the shards' writes the
 	// member's socket did not take whole — a member falling behind shows
-	// here before OutboxLimit evicts it.
+	// here before the outbox limit evicts it.
 	Acks      uint64 `json:"acks"`
 	LastAcks  uint64 `json:"last_acks"`
 	Timeouts  uint64 `json:"timeouts"`

@@ -123,9 +123,8 @@ func TestHealthStragglerAttribution(t *testing.T) {
 // TestHealthTimeoutAttribution wedges one member entirely so the event
 // deadline fires, and asserts the timeout is charged to that member.
 func TestHealthTimeoutAttribution(t *testing.T) {
-	const deadline = 30 * time.Millisecond
 	clk := clock.NewManual()
-	srv, bed := newBed(t, server.Options{EventDeadline: deadline, Clock: clk})
+	srv, bed := newBed(t, server.Options{Clock: clk})
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: `textfield note value=""`})
 	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: `textfield note value=""`, Fault: &faultnet.Schedule{}})
 	fc := bed.Fault(b)
@@ -139,7 +138,7 @@ func TestHealthTimeoutAttribution(t *testing.T) {
 	mustOK(t, a.Registry().Dispatch(&widget.Event{
 		Path: "/note", Name: widget.EventChanged, Args: []attr.Value{attr.String("v")},
 	}))
-	testbed.AdvanceUntil(t, clk, deadline/4, "deadline resolution", func() bool { return srv.Stats().EventTimeouts == 1 })
+	testbed.AdvanceUntil(t, clk, sweepStep, "deadline resolution", func() bool { return srv.Stats().EventTimeouts == 1 })
 
 	rep := srv.Health()
 	if len(rep.Groups) != 1 {

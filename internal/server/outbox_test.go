@@ -20,7 +20,7 @@ import (
 // returns the peer-side conn to read frames from. The cleanup closes the pipe
 // before it waits for the outbox writer, which a failed test may have left
 // blocked writing frames nobody reads.
-func outboxPair(t *testing.T, limit, batchLimit int) (*outbox, *wire.Conn) {
+func outboxPair(t *testing.T, batchLimit int) (*outbox, *wire.Conn) {
 	t.Helper()
 	rawA, rawB := net.Pipe()
 	var o *outbox
@@ -33,7 +33,7 @@ func outboxPair(t *testing.T, limit, batchLimit int) (*outbox, *wire.Conn) {
 	})
 	c, peer := wire.NewConn(rawA), wire.NewConn(rawB)
 	reg := obs.NewRegistry()
-	o = newOutbox(c, clock.Real{}, reg.Gauge("depth"), limit, batchLimit, reg.Histogram("batch"), nil)
+	o = newOutbox(c, clock.Real{}, reg.Gauge("depth"), batchLimit, reg.Histogram("batch"), nil)
 	return o, peer
 }
 
@@ -70,7 +70,7 @@ func waitDrained(t *testing.T, o *outbox, inflight int) {
 // wakeup, which means one packed frame, not N.
 func TestOutboxBlockedWriterDrainsBacklogAsOneFlush(t *testing.T) {
 	const queued = 5
-	o, peer := outboxPair(t, 0, 8)
+	o, peer := outboxPair(t, 8)
 
 	// First envelope: the writer takes it and blocks in Write (net.Pipe has
 	// no buffer), leaving the queue empty.
@@ -104,7 +104,7 @@ func TestOutboxBlockedWriterDrainsBacklogAsOneFlush(t *testing.T) {
 // limit is split into consecutive Batch frames of at most limit records.
 func TestOutboxBatchLimitSplitsLongRuns(t *testing.T) {
 	const limit, queued = 3, 7
-	o, peer := outboxPair(t, 0, limit)
+	o, peer := outboxPair(t, limit)
 
 	o.send(wire.Envelope{Msg: wire.Exec{EventID: 300}})
 	waitDrained(t, o, 1)
@@ -139,7 +139,7 @@ func TestOutboxBatchLimitSplitsLongRuns(t *testing.T) {
 // wire.MaxFrame must still reach the peer — split down to singles if need
 // be — instead of being treated as a broken connection.
 func TestOutboxOversizedBatchFallsBackToSingles(t *testing.T) {
-	o, peer := outboxPair(t, 0, 8)
+	o, peer := outboxPair(t, 8)
 
 	// Each envelope fits comfortably in a frame of its own; packed together
 	// their one Batch body would overflow MaxFrame.
@@ -184,28 +184,28 @@ func TestOutboxOversizedBatchFallsBackToSingles(t *testing.T) {
 func TestOutboxFlushClearsOverSinceMidFlush(t *testing.T) {
 	// Packing off, so every record of the follow-up flush is a chunk of
 	// its own.
-	o, peer := outboxPair(t, 2, 1)
+	o, peer := outboxPair(t, 1)
 
-	o.send(wire.Envelope{Msg: wire.Exec{EventID: 500}})
+	o.send(wire.Envelope{Msg: wire.Exec{EventID: 1}})
 	waitDrained(t, o, 1)
-	for i := uint64(1); i <= 3; i++ {
-		o.send(wire.Envelope{Msg: wire.Exec{EventID: 500 + i}})
+	for i := uint64(2); i <= outboxLimit+2; i++ {
+		o.send(wire.Envelope{Msg: wire.Exec{EventID: i}})
 	}
 	if o.overLimitSince().IsZero() {
 		t.Fatal("backlog over the limit but overSince not set")
 	}
 
 	// Drain the blocked single plus the first chunk of the follow-up flush:
-	// the remaining backlog (two in flight) is then back at the limit, so
-	// the stopwatch must clear while that flush is still blocked on its
-	// next chunk.
+	// the remaining backlog (outboxLimit in flight) is then back at the
+	// limit, so the stopwatch must clear while that flush is still blocked
+	// on its next chunk.
 	for i := 0; i < 2; i++ {
 		if _, err := peer.Read(); err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
 	}
 	testbed.Wait(t, "overSince cleared while the flush is still draining", func() bool { return o.overLimitSince().IsZero() })
-	for i := 0; i < 2; i++ {
+	for i := 0; i < outboxLimit; i++ {
 		if _, err := peer.Read(); err != nil {
 			t.Fatalf("tail read %d: %v", i, err)
 		}
@@ -219,7 +219,7 @@ func TestOutboxFlushClearsOverSinceMidFlush(t *testing.T) {
 // shared body released.
 func TestOutboxDrainLeavesNoReferences(t *testing.T) {
 	const rounds, perRound = 6, 5
-	o, peer := outboxPair(t, 0, 8)
+	o, peer := outboxPair(t, 8)
 	received := make(chan int)
 	go func() {
 		defer close(received)

@@ -13,7 +13,9 @@ import (
 // departures runs against the graph, with events (plan lookups) between the
 // steps so the cache is always warm when the graph moves, the cached plan of
 // every object lists exactly graph.CO of that object, and splits it by
-// instance without losing or inventing a member.
+// instance without losing or inventing a member. Over 0.5 s: it is the only
+// test that removes links, objects and instances under a warm plan cache, so
+// it alone catches a removal that leaves a stale cached plan behind.
 func TestPropCachedPlanMatchesGraph(t *testing.T) {
 	var universe []couple.ObjectRef
 	for _, inst := range []couple.InstanceID{"a", "b", "c", "d"} {

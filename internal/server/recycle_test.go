@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"cosoft/internal/clock"
 	"cosoft/internal/couple"
@@ -23,9 +22,8 @@ import (
 func TestRecycledPendingEventCarriesNothingOver(t *testing.T) {
 	// The deadline is reached only by advancing the clock, which the test
 	// does once, for the event no member acknowledges.
-	const deadline = time.Second
 	clk := clock.NewManual()
-	r := newLogRig(t, Options{Shards: 1, EventDeadline: deadline, Clock: clk})
+	r := newLogRig(t, Options{Shards: 1, Clock: clk})
 	peers := func(prefix, path string, n int) []*testbed.Peer {
 		ps := make([]*testbed.Peer, n)
 		for i := range ps {
@@ -112,7 +110,7 @@ func TestRecycledPendingEventCarriesNothingOver(t *testing.T) {
 	// The member never acks: the deadline resolves the event.
 	send(two, "/two")
 	timeouts++
-	clk.Advance(deadline + deadline/4)
+	clk.Advance(eventDeadline + sweepPeriod)
 	settle(two[1:])
 	byAcks(nine, "/nine")
 

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -61,24 +60,6 @@ type Options struct {
 	// lock table (see shard.go). 0 selects runtime.GOMAXPROCS(0); 1 is the
 	// same topology with a single shard.
 	Shards int
-	// Heartbeat is the liveness probe interval: the server pings every
-	// connection this often and declares an instance dead after three
-	// intervals of silence (its locks are released and its pending events
-	// resolved, so coupling groups never wedge on a vanished peer). Zero
-	// disables liveness tracking.
-	Heartbeat time.Duration
-	// EventDeadline bounds how long a broadcast event may wait for Exec
-	// acknowledgements. On expiry the remaining waiters are dropped from
-	// the wait set and the group unlocks (counter server.event_timeouts,
-	// span server.event_timeout). The sweeper checks deadlines every quarter
-	// of it, so an event expires at most that much late. Zero disables event
-	// deadlines.
-	EventDeadline time.Duration
-	// OutboxLimit is the per-client outbox high-water mark: a client whose
-	// backlog stays above it for a second (outboxGrace) is evicted (counter
-	// server.evictions) instead of stalling group broadcasts. Zero keeps
-	// outboxes unbounded.
-	OutboxLimit int
 	// BatchLimit caps how many queued envelopes one outbox flush may pack
 	// into a single wire.Batch frame (histogram server.batch_size); every
 	// connection reads packed frames. 0 selects 32; values above
@@ -122,9 +103,10 @@ type Options struct {
 	// disables structured logging.
 	Logger *slog.Logger
 	// Clock is what every deadline, ticker and timer of the server reads:
-	// the event deadline, liveness, outbox grace, the sweeper, the snapshot
-	// cadence and Close's grace. Nil is the wall clock. It is a test seam: a
-	// test advances a clock.Manual past a deadline instead of waiting it out.
+	// the event deadline, liveness, the outbox grace, the sweeper, the
+	// snapshot cadence and Close's grace. Nil is the wall clock. It is a test
+	// seam: a test advances a clock.Manual past a deadline instead of waiting
+	// it out.
 	Clock clock.Clock
 }
 
@@ -161,10 +143,10 @@ type Server struct {
 	wg   sync.WaitGroup
 
 	// gmu serializes the global state: its holder owns st, pendingFetch,
-	// nextFetchID, nextPing and closing, and is the only writer of clients.
-	// The lock order is global → shard → leaf: a gmu holder may take shard
-	// locks (a departure's cleanup, Stats), and no shard-lock holder ever
-	// takes gmu.
+	// nextFetchID, nextPing, swept and closing, and is the only writer of
+	// clients. The lock order is global → shard → leaf: a gmu holder may
+	// take shard locks (a departure's cleanup, Stats), and no shard-lock
+	// holder ever takes gmu.
 	gmu serial
 
 	// clients is written only under gmu but read by shard-lock holders and
@@ -175,6 +157,9 @@ type Server struct {
 	pendingFetch map[uint64]*fetch
 	nextFetchID  uint64
 	nextPing     uint64
+	// swept is the sweep's list of the clients it judges, reused from sweep
+	// to sweep so a sweep allocates nothing.
+	swept []*client
 	// closing is set when Close begins tearing down connections: from then
 	// on a gmu holder serves nothing more, and the drops Close provokes are a
 	// server shutdown, not client departures, so they must not be logged as
@@ -225,10 +210,29 @@ type Server struct {
 // selects.
 const defaultBatchLimit = 32
 
-// outboxGrace is how long a backlog may stay over Options.OutboxLimit before
-// its client is evicted, and how long Close lets the writers write what is
-// queued.
-const outboxGrace = time.Second
+// The server's defenses against a member that stops taking part (DESIGN §7)
+// are always on, and the sweeper checks all three every sweepPeriod.
+const (
+	// heartbeat is how long a connection may send nothing before the sweep
+	// pings it; one silent for three heartbeats is declared dead, and its
+	// departure releases its locks and resolves its pending events.
+	heartbeat = 5 * time.Second
+	// eventDeadline bounds how long a granted event waits for its members'
+	// ExecAcks: past it the stragglers leave the wait set and the group
+	// unlocks. It is shorter than three heartbeats, so the event of a member
+	// that fell silent times out before the member is dropped.
+	eventDeadline = 10 * time.Second
+	// outboxLimit is the backlog, in envelopes, a client's outbox may hold
+	// for outboxGrace before the client is evicted.
+	outboxLimit = 1024
+	// outboxGrace is how long a backlog may stay over outboxLimit before its
+	// client is evicted, and how long Close lets the writers write what is
+	// queued.
+	outboxGrace = time.Second
+	// sweepPeriod is how often the sweeper runs, so each deadline above is
+	// judged at most this late.
+	sweepPeriod = outboxGrace / 2
+)
 
 // Indices into the server.member family's counter schema.
 const (
@@ -272,8 +276,8 @@ type Stats struct {
 	// EventTimeouts counts events resolved by the event deadline instead of
 	// a full acknowledgement set.
 	EventTimeouts uint64
-	// Evictions counts clients dropped because their outbox stayed over
-	// OutboxLimit for longer than OutboxGrace.
+	// Evictions counts clients dropped because their outbox stayed over the
+	// outbox limit for longer than the outbox grace.
 	Evictions uint64
 	// LivenessTimeouts counts clients declared dead by the heartbeat
 	// deadline.
@@ -327,8 +331,8 @@ type client struct {
 	// address until registration assigns the instance ID.
 	name string
 	// lastSeen is when the last message arrived on this connection, as
-	// UnixNano. It drives the liveness deadline; atomic because the
-	// connection read goroutine writes it and the sweeper reads it.
+	// UnixNano. It drives the ping and the liveness deadline; atomic because
+	// the connection read goroutine writes it and the sweeper reads it.
 	lastSeen atomic.Int64
 }
 
@@ -359,10 +363,8 @@ func New(opts Options) *Server {
 	}
 	// Tickers are armed before their goroutines start, so a test's clock has
 	// them once New returns.
-	if period := s.sweepPeriod(); period > 0 {
-		s.wg.Add(1)
-		go s.sweeper(opts.Clock.NewTicker(period))
-	}
+	s.wg.Add(1)
+	go s.sweeper(opts.Clock.NewTicker(sweepPeriod))
 	if s.snap != nil && (opts.SnapshotInterval > 0 || opts.SnapshotBytes > 0) {
 		s.wg.Add(1)
 		go s.snapshotLoop(opts.Clock.NewTicker(s.snapshotPeriod()))
@@ -604,7 +606,7 @@ func (s *Server) handleConn(c *wire.Conn) {
 		conn: c,
 		name: c.RemoteAddr().String(),
 	}
-	cl.out = newOutbox(c, s.opts.Clock, s.mOutboxDepth, s.opts.OutboxLimit, s.opts.BatchLimit, s.mBatchSize, s.outboxRecorder(cl))
+	cl.out = newOutbox(c, s.opts.Clock, s.mOutboxDepth, s.opts.BatchLimit, s.mBatchSize, s.outboxRecorder(cl))
 	var joinErr string
 	switch m := env.Msg.(type) {
 	case wire.Register:
@@ -783,10 +785,9 @@ func flightNote(m wire.Message) string {
 // an attempt could not hand the kernel a writer goroutine drains, and it is
 // the only code that ever blocks on the socket. One flush has the Conn at a
 // time (flushing). The queue never blocks the sender — the server is the
-// ordering authority and must never stall on a slow client — but when a
-// limit is configured the outbox remembers how long the backlog has stayed
-// above it so the sweeper can evict the client instead of buffering without
-// bound.
+// ordering authority and must never stall on a slow client — but the outbox
+// remembers how long the backlog has stayed above outboxLimit so the sweeper
+// can evict the client instead of buffering without bound.
 type outbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond // wakes the writer; it is the only waiter
@@ -811,23 +812,22 @@ type outbox struct {
 	done     chan struct{}
 	depth    *obs.Gauge          // shared across outboxes: total server backlog
 	onSend   func(wire.Envelope) // flight-recorder hook; nil when disabled
-	limit    int                 // high-water mark; 0 = unbounded
 	// inflight counts envelopes a flush took but has not yet written;
 	// inflight+len(queue) is the true backlog the eviction limit measures.
 	inflight int
 	// batchLimit caps envelopes per packed Batch frame; <=1 disables packing.
 	batchLimit int
 	batchSize  *obs.Histogram // envelopes per packed frame (server.batch_size)
-	// overSince is when the backlog last rose above limit; zero while at or
-	// under the mark.
+	// overSince is when the backlog last rose above outboxLimit; zero while
+	// at or under the mark.
 	overSince time.Time
 }
 
-func newOutbox(c *wire.Conn, clk clock.Clock, depth *obs.Gauge, limit, batchLimit int, batchSize *obs.Histogram, onSend func(wire.Envelope)) *outbox {
+func newOutbox(c *wire.Conn, clk clock.Clock, depth *obs.Gauge, batchLimit int, batchSize *obs.Histogram, onSend func(wire.Envelope)) *outbox {
 	if batchLimit > wire.MaxBatch {
 		batchLimit = wire.MaxBatch
 	}
-	o := &outbox{conn: c, clock: clk, done: make(chan struct{}), depth: depth, limit: limit,
+	o := &outbox{conn: c, clock: clk, done: make(chan struct{}), depth: depth,
 		batchLimit: batchLimit, batchSize: batchSize, onSend: onSend}
 	o.cond = sync.NewCond(&o.mu)
 	go o.writer()
@@ -902,7 +902,7 @@ func (o *outbox) settle(take []wire.Outgoing, err error) bool {
 		o.spare = take[:0]
 	}
 	o.inflight = 0
-	if o.limit > 0 && len(o.queue) <= o.limit {
+	if len(o.queue) <= outboxLimit {
 		o.overSince = time.Time{}
 	}
 	return true
@@ -987,7 +987,7 @@ func (o *outbox) flush(c *wire.Conn, recs []wire.Outgoing) error {
 		o.depth.Add(-int64(n))
 		o.mu.Lock()
 		o.inflight -= n
-		if o.limit > 0 && o.inflight+len(o.queue) <= o.limit {
+		if o.inflight+len(o.queue) <= outboxLimit {
 			// The true backlog (in-flight plus re-queued) is back under the
 			// eviction mark; clear the stopwatch per chunk so a long flush of
 			// a draining peer is not mistaken for a stuck one.
@@ -1028,7 +1028,7 @@ func (o *outbox) enqueue(rec wire.Outgoing) {
 		}
 		o.queue = append(o.queue, rec)
 		o.depth.Add(1)
-		if o.limit > 0 && o.inflight+len(o.queue) > o.limit && o.overSince.IsZero() {
+		if o.inflight+len(o.queue) > outboxLimit && o.overSince.IsZero() {
 			o.overSince = o.clock.Now()
 		}
 	}
@@ -1040,8 +1040,8 @@ func (o *outbox) enqueue(rec wire.Outgoing) {
 	}
 }
 
-// overLimitSince reports when the backlog rose above the configured limit,
-// or a zero time if it is currently at or under it (or unbounded).
+// overLimitSince reports when the backlog rose above outboxLimit, or a zero
+// time if it is currently at or under it.
 func (o *outbox) overLimitSince() time.Time {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -1064,38 +1064,16 @@ func (o *outbox) shut() {
 	o.mu.Unlock()
 }
 
-// sweepPeriod returns how often the sweeper should run, or zero when no
-// deadline is configured: the heartbeat, half the outbox grace or a quarter
-// of the event deadline, whichever is shortest, and never under 1 ms.
-func (s *Server) sweepPeriod() time.Duration {
-	period := time.Duration(math.MaxInt64)
-	if s.opts.Heartbeat > 0 {
-		period = s.opts.Heartbeat
-	}
-	if s.opts.OutboxLimit > 0 {
-		period = min(period, outboxGrace/2)
-	}
-	if s.opts.EventDeadline > 0 {
-		period = min(period, s.opts.EventDeadline/4)
-	}
-	if period == math.MaxInt64 {
-		return 0
-	}
-	return max(period, time.Millisecond)
-}
-
-// sweeper is the server's one clock for deadlines. Every period it runs the
-// expiry pass over every shard when event deadlines are on, and the
-// liveness/backpressure sweep under gmu, until the server closes.
+// sweeper is the server's one clock for deadlines. Every sweepPeriod it runs
+// the expiry pass over every shard, then the liveness and backpressure sweep
+// under gmu, until the server closes.
 func (s *Server) sweeper(t clock.Ticker) {
 	defer s.wg.Done()
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C():
-			if s.opts.EventDeadline > 0 {
-				s.expireEvents()
-			}
+			s.expireEvents()
 			if !s.sweep() {
 				return
 			}
@@ -1105,13 +1083,13 @@ func (s *Server) sweeper(t clock.Ticker) {
 	}
 }
 
-// sweep takes gmu and evicts clients whose backlog has exceeded OutboxLimit
-// for longer than outboxGrace, declares silent clients dead after the
-// liveness timeout, and pings the survivors — once per period, so at least
-// once per heartbeat. Killing the connection lets the normal handleConn
-// teardown release locks and resolve pending events, so both failure paths
-// share one cleanup. It reports false, and does nothing, once the server is
-// closing.
+// sweep takes gmu and evicts clients whose backlog has exceeded outboxLimit
+// for longer than outboxGrace, declares clients silent for three heartbeats
+// dead, and pings the survivors that have sent nothing for a heartbeat: any
+// frame proves its peer alive, so a busy connection is never pinged. Killing
+// the connection lets the normal handleConn teardown release locks and
+// resolve pending events, so both failure paths share one cleanup. It
+// reports false, and does nothing, once the server is closing.
 func (s *Server) sweep() bool {
 	s.gmu.lock()
 	defer s.gmu.unlock()
@@ -1119,39 +1097,37 @@ func (s *Server) sweep() bool {
 		return false
 	}
 	now := s.opts.Clock.Now()
-	// Snapshot under the read lock, then release it: dropClient re-takes
-	// the write lock.
+	// Copy under the read lock, then release it: dropClient re-takes the
+	// write lock.
 	s.cmu.RLock()
-	snapshot := make([]*client, 0, len(s.clients))
 	for _, cl := range s.clients {
-		snapshot = append(snapshot, cl)
+		s.swept = append(s.swept, cl)
 	}
 	s.cmu.RUnlock()
-	for _, cl := range snapshot {
-		if s.opts.OutboxLimit > 0 {
-			if since := cl.out.overLimitSince(); !since.IsZero() && now.Sub(since) > outboxGrace {
-				s.mEvictions.Inc()
-				s.slog.Warn("client evicted: outbox over limit",
-					"inst", string(cl.id), "limit", s.opts.OutboxLimit,
-					"over_for", now.Sub(since).String())
-				s.dropClient(cl, "evicted: outbox over limit")
-				cl.conn.Close()
-				continue
-			}
+	for _, cl := range s.swept {
+		if since := cl.out.overLimitSince(); !since.IsZero() && now.Sub(since) > outboxGrace {
+			s.mEvictions.Inc()
+			s.slog.Warn("client evicted: outbox over limit",
+				"inst", string(cl.id), "limit", outboxLimit,
+				"over_for", now.Sub(since).String())
+			s.dropClient(cl, "evicted: outbox over limit")
+			cl.conn.Close()
+			continue
 		}
-		if s.opts.Heartbeat > 0 {
-			if silent := now.Sub(time.Unix(0, cl.lastSeen.Load())); silent > 3*s.opts.Heartbeat {
-				s.mLivenessTOs.Inc()
-				s.slog.Warn("client declared dead: liveness timeout",
-					"inst", string(cl.id), "silent_for", silent.String())
-				s.dropClient(cl, "liveness timeout")
-				cl.conn.Close()
-				continue
-			}
+		switch silent := now.Sub(time.Unix(0, cl.lastSeen.Load())); {
+		case silent > 3*heartbeat:
+			s.mLivenessTOs.Inc()
+			s.slog.Warn("client declared dead: liveness timeout",
+				"inst", string(cl.id), "silent_for", silent.String())
+			s.dropClient(cl, "liveness timeout")
+			cl.conn.Close()
+		case silent >= heartbeat:
 			s.nextPing++
 			s.gmu.out.send(cl, wire.Envelope{Msg: wire.Ping{Nonce: s.nextPing}})
 		}
 	}
+	clear(s.swept)
+	s.swept = s.swept[:0]
 	return true
 }
 

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"cosoft/internal/attr"
 	"cosoft/internal/clock"
@@ -111,9 +110,8 @@ func TestSessionTokenLifecycle(t *testing.T) {
 // event_timeout_wait histogram and never pollute the round-trip histogram
 // with deadline-sized outliers.
 func TestEventTimeoutHistogram(t *testing.T) {
-	const deadline = 40 * time.Millisecond
 	clk := clock.NewManual()
-	srv, bed := newBed(t, server.Options{EventDeadline: deadline, Clock: clk})
+	srv, bed := newBed(t, server.Options{Clock: clk})
 	origin := bed.Raw(wire.Register{AppType: "app", User: "alice"})
 	member := bed.Raw(wire.Register{AppType: "app", User: "bob"}) // never acks its Execs
 	origin.MustOK(wire.Declare{Path: "/x", Class: "textfield"})
@@ -127,7 +125,7 @@ func TestEventTimeoutHistogram(t *testing.T) {
 	if r, ok := res.Msg.(wire.EventResult); !ok || !r.OK {
 		t.Fatalf("event not accepted: %v", res.Msg)
 	}
-	testbed.AdvanceUntil(t, clk, deadline/4, "event deadline to fire", func() bool {
+	testbed.AdvanceUntil(t, clk, sweepStep, "event deadline to fire", func() bool {
 		return srv.Stats().EventTimeouts >= 1
 	})
 	st := srv.Stats()

@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"testing"
-	"time"
 
 	"cosoft/internal/clock"
 	"cosoft/internal/faultnet"
@@ -19,11 +18,8 @@ import (
 // writer — and -race audits the release ordering against the lock holders.
 func TestChaosEvictionMidBroadcastReleasesSharedBody(t *testing.T) {
 	clk := clock.NewManual()
-	srv, bed := newBed(t, server.Options{
-		OutboxLimit:   8,
-		EventDeadline: 3 * time.Second, // past the 1 s grace: the eviction comes first
-		Clock:         clk,
-	})
+	// The event deadline is past the outbox grace: the eviction comes first.
+	srv, bed := newBed(t, server.Options{Clock: clk})
 	spec := `textfield note value=""`
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: spec})
 	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec, Fault: &faultnet.Schedule{}})
@@ -41,10 +37,8 @@ func TestChaosEvictionMidBroadcastReleasesSharedBody(t *testing.T) {
 	dispatch(t, a, "/note", "v1")
 	// Commands broadcast without group locking, so the flood drives bob's
 	// backlog over the limit while the shared body is still queued.
-	for i := 0; i < 30; i++ {
-		mustOK(t, a.SendCommand("noop", nil))
-	}
-	testbed.AdvanceUntil(t, clk, 250*time.Millisecond, "slow member evicted mid-broadcast", func() bool {
+	flood(t, a)
+	testbed.AdvanceUntil(t, clk, sweepStep, "slow member evicted mid-broadcast", func() bool {
 		st := srv.Stats()
 		return st.Evictions >= 1 && st.Instances == 1 && st.PendingEvents == 0
 	})

@@ -89,35 +89,14 @@ func newStallBed(t *testing.T, opts server.Options) *stallBed {
 }
 
 // stall stops the stalled member reading and has group A's origin dispatch
-// 1 MiB events, so the member's socket fills, until the returned stop is
-// called; stop returns once the dispatcher has. Denials are expected: the
-// group stays locked until an event's deadline expires, which takes the test
-// advancing the clock.
-func (sb *stallBed) stall(t *testing.T) (stop func()) {
+// one 8 MiB event, more than a loopback socket's buffers take, so the
+// shard's write of its Exec fills the member's socket. The event holds group
+// A's floor until its deadline, which the tests never reach.
+func (sb *stallBed) stall(t *testing.T) {
+	t.Helper()
 	close(sb.conn.stall)
-	quit, done := make(chan struct{}), make(chan struct{})
-	big := []attr.Value{attr.String(strings.Repeat("x", 1<<20))}
-	go func() {
-		defer close(done)
-		for {
-			err := sb.a.DispatchChecked(&widget.Event{Path: "/note", Name: widget.EventChanged, Args: big})
-			select {
-			case <-quit:
-				return
-			default:
-			}
-			if errors.Is(err, client.ErrRejected) {
-				time.Sleep(time.Millisecond)
-			} else if err != nil {
-				t.Errorf("group A's origin: %v", err)
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	stop = func() { once.Do(func() { close(quit); <-done }) }
-	t.Cleanup(stop)
-	return stop
+	big := []attr.Value{attr.String(strings.Repeat("x", 8<<20))}
+	mustOK(t, sb.a.DispatchChecked(&widget.Event{Path: "/note", Name: widget.EventChanged, Args: big}))
 }
 
 // pushbacks reads the stalled member's server.member.pushbacks off the
@@ -155,21 +134,18 @@ func (sb *stallBed) promptB(t *testing.T, value string) {
 // TestStalledMemberCannotDelayItsShard: a member that stops reading fills its
 // socket with its group's events. The shard's write to it must not wait
 // for the socket — group B, served by the same shard, keeps resolving its
-// events promptly — and the push-back shows against the member. Group A's
-// backlog then builds behind the member's writer until OutboxLimit and its
-// grace evict the member, and every shared body it held is given back.
+// events promptly — and the push-back shows against the member. Commands,
+// which take no floor, then build the member's backlog behind its writer
+// past the outbox limit until the grace runs out and the member is evicted,
+// and every shared body it held is given back.
 func TestStalledMemberCannotDelayItsShard(t *testing.T) {
-	const limit, deadline = 8, 20 * time.Millisecond
-	sb := newStallBed(t, server.Options{
-		EventDeadline: deadline,
-		OutboxLimit:   limit,
-	})
+	sb := newStallBed(t, server.Options{})
 	sb.promptB(t, "before")
-	stop := sb.stall(t)
+	sb.stall(t)
 
 	n := 0
 	next := func() string { n++; return strconv.Itoa(n) }
-	testbed.AdvanceUntil(t, sb.clk, deadline, "the stalled member's socket to push back", func() bool {
+	testbed.Wait(t, "the stalled member's socket to push back", func() bool {
 		sb.promptB(t, next())
 		return sb.pushbacks() > 0
 	})
@@ -182,14 +158,16 @@ func TestStalledMemberCannotDelayItsShard(t *testing.T) {
 	if !seen {
 		t.Error("/debug/groups shows no push-back against the stalled member")
 	}
-	testbed.AdvanceUntil(t, sb.clk, 5*deadline, "the stalled member evicted", func() bool {
+	for i := 0; i <= server.OutboxLimit; i++ {
+		mustOK(t, sb.b.SendCommand("noop", nil, sb.stalled.ID()))
+	}
+	testbed.AdvanceUntil(t, sb.clk, sweepStep, "the stalled member evicted", func() bool {
 		sb.promptB(t, next())
 		return sb.reg.Snapshot().Counters["server.evictions"] == 1
 	})
-	if hw := sb.reg.Snapshot().Gauges["server.outbox_depth"].HighWater; hw <= limit {
-		t.Errorf("outbox backlog peaked at %d records, want it to build past the limit %d", hw, limit)
+	if hw := sb.reg.Snapshot().Gauges["server.outbox_depth"].HighWater; hw <= server.OutboxLimit {
+		t.Errorf("outbox backlog peaked at %d records, want it to build past the limit %d", hw, server.OutboxLimit)
 	}
-	stop()
 	testbed.Wait(t, "every event resolved and every shared body given back", func() bool {
 		return sb.srv.Stats().PendingEvents == 0 && wire.LiveSharedBodies() == 0
 	})
@@ -197,15 +175,14 @@ func TestStalledMemberCannotDelayItsShard(t *testing.T) {
 }
 
 // TestCloseReturnsWhileAMemberPushesBack: Server.Close returns while the
-// stalled member's writer is blocked on its tail and the shard is still
-// attempting writes; the member's connection closing, once Close's grace
-// has run out, is what fails the blocked write.
+// stalled member's writer is blocked on its tail; the member's connection
+// closing, once Close's grace has run out, is what fails the blocked write.
 func TestCloseReturnsWhileAMemberPushesBack(t *testing.T) {
-	const deadline = 20 * time.Millisecond
-	sb := newStallBed(t, server.Options{EventDeadline: deadline})
-	stop := sb.stall(t)
-	testbed.AdvanceUntil(t, sb.clk, deadline, "the stalled member's socket to push back", func() bool { return sb.pushbacks() > 0 })
-	stop()
+	sb := newStallBed(t, server.Options{})
+	sb.stall(t)
+	testbed.Wait(t, "the stalled member's socket to push back", func() bool { return sb.pushbacks() > 0 })
+	// What is armed now includes the sweeper's ticker, which stays armed
+	// until Close has closed the connections.
 	armed := sb.clk.Armed()
 	closed := make(chan struct{})
 	go func() {

@@ -409,7 +409,9 @@ func AdvanceUntil(tb TB, clk *clock.Manual, step time.Duration, what string, con
 }
 
 // Peer speaks the wire protocol directly, to create conditions a real client
-// never would: withheld acks, spoofed replies, malformed traffic.
+// never would: withheld acks, spoofed replies, malformed traffic. Like a
+// client, it answers the server's liveness pings, so a peer that withholds
+// its acks stays registered.
 type Peer struct {
 	// ID is the instance the first frame registered or resumed ("" when the
 	// server refused it); Hello is the server's answer to that frame.
@@ -480,13 +482,18 @@ func (b *Bed) Raw(hello wire.Message) *Peer {
 	return p
 }
 
-// read routes replies to their Call and everything else to Events.
+// read answers the server's liveness pings, as a client's read loop does,
+// and routes replies to their Call and everything else to Events.
 func (p *Peer) read() {
 	defer close(p.events)
 	for {
 		env, err := p.conn.Read()
 		if err != nil {
 			return
+		}
+		if ping, ok := env.Msg.(wire.Ping); ok {
+			_ = p.conn.Write(wire.Envelope{Msg: wire.Pong{Nonce: ping.Nonce}})
+			continue
 		}
 		if env.RefSeq != 0 {
 			p.mu.Lock()
