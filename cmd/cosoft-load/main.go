@@ -9,15 +9,12 @@
 // emitted row includes the server's own metrics (event RTT histogram,
 // server.bytes_encoded, body-pool hit rates) and whole-process B/event and
 // allocs/event. With -addr it drives an external server instead and reports
-// only client-observed numbers. A faultnet profile (in-process only)
-// degrades every server-side connection to measure under loss, duplication
-// and delay.
+// only client-observed numbers.
 //
 // Usage:
 //
 //	cosoft-load [-groups 2] [-group-size 64] [-duration 5s] [-events 0]
 //	            [-rate 0] [-payload 24] [-batch-limit 32] [-shards 0]
-//	            [-faultnet "dup=0.01,delay=1ms,jitter=1ms"]
 //	            [-addr host:port] [-v]
 //
 // The summary row reports per-group-aggregated p50/p99 dispatch RTT (origin
@@ -33,7 +30,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -41,7 +37,6 @@ import (
 	"cosoft/internal/attr"
 	"cosoft/internal/client"
 	"cosoft/internal/experiments"
-	"cosoft/internal/faultnet"
 	"cosoft/internal/server"
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
@@ -58,7 +53,6 @@ func main() {
 		payload    = flag.Int("payload", 24, "event payload size in bytes")
 		batchLimit = flag.Int("batch-limit", 32, "in-process server batch limit: envelopes packed into one frame (1 = one per frame)")
 		shards     = flag.Int("shards", 0, "in-process server shard count: event-state shards, striped by source object (0 = GOMAXPROCS, what cosoftd runs)")
-		faultSpec  = flag.String("faultnet", "", `faultnet profile for in-process server conns, e.g. "drop=0.01,dup=0.01,dropnth=0,delay=1ms,jitter=1ms,seed=1"`)
 		verbose    = flag.Bool("v", false, "log per-group progress")
 	)
 	flag.Parse()
@@ -69,8 +63,7 @@ func main() {
 	if err := run(config{
 		addr: *addr, groups: *groups, groupSize: *groupSize,
 		duration: *duration, events: *events, rate: *rate, payload: *payload,
-		batchLimit: *batchLimit, shards: *shards,
-		faultSpec: *faultSpec, verbose: *verbose,
+		batchLimit: *batchLimit, shards: *shards, verbose: *verbose,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "cosoft-load: %v\n", err)
 		os.Exit(1)
@@ -87,7 +80,6 @@ type config struct {
 	payload    int
 	batchLimit int
 	shards     int
-	faultSpec  string
 	verbose    bool
 }
 
@@ -102,14 +94,9 @@ type groupResult struct {
 func run(cfg config) error {
 	var (
 		srv  *server.Server
-		wg   sync.WaitGroup
 		dial func() (net.Conn, error)
 	)
 	if cfg.addr == "" {
-		sched, err := parseFaultSpec(cfg.faultSpec)
-		if err != nil {
-			return err
-		}
 		srv = server.New(server.Options{
 			BatchLimit: cfg.batchLimit,
 			Shards:     cfg.shards,
@@ -118,31 +105,13 @@ func run(cfg config) error {
 		if err != nil {
 			return err
 		}
-		defer lis.Close()
-		// Accept by hand rather than via srv.Serve so every server-side
-		// connection can be wrapped in the fault injector.
-		go func() {
-			for {
-				conn, err := lis.Accept()
-				if err != nil {
-					return
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					srv.HandleConn(wire.NewConn(faultnet.Wrap(conn, sched)))
-				}()
-			}
-		}()
+		go srv.Serve(lis)
 		dial = func() (net.Conn, error) { return net.Dial("tcp", lis.Addr().String()) }
 		defer func() {
+			lis.Close()
 			srv.Close()
-			wg.Wait()
 		}()
 	} else {
-		if cfg.faultSpec != "" {
-			return fmt.Errorf("-faultnet requires the in-process server (drop -addr)")
-		}
 		dial = func() (net.Conn, error) { return net.Dial("tcp", cfg.addr) }
 	}
 
@@ -300,41 +269,4 @@ func run(cfg config) error {
 			stats.BodyPoolHits, stats.BodyPoolMisses)
 	}
 	return nil
-}
-
-// parseFaultSpec parses the -faultnet profile: comma-separated key=value
-// pairs matching faultnet.Schedule fields (drop, dup, dropnth, delay,
-// jitter, seed). Empty means no injected faults.
-func parseFaultSpec(s string) (faultnet.Schedule, error) {
-	var sched faultnet.Schedule
-	if s == "" {
-		return sched, nil
-	}
-	for _, kv := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return sched, fmt.Errorf("faultnet: want key=value, got %q", kv)
-		}
-		var err error
-		switch k {
-		case "drop":
-			sched.DropProb, err = strconv.ParseFloat(v, 64)
-		case "dup":
-			sched.DupProb, err = strconv.ParseFloat(v, 64)
-		case "dropnth":
-			sched.DropEveryNth, err = strconv.Atoi(v)
-		case "delay":
-			sched.Delay, err = time.ParseDuration(v)
-		case "jitter":
-			sched.Jitter, err = time.ParseDuration(v)
-		case "seed":
-			sched.Seed, err = strconv.ParseUint(v, 10, 64)
-		default:
-			return sched, fmt.Errorf("faultnet: unknown key %q (want drop, dup, dropnth, delay, jitter or seed)", k)
-		}
-		if err != nil {
-			return sched, fmt.Errorf("faultnet: bad %s: %w", k, err)
-		}
-	}
-	return sched, nil
 }

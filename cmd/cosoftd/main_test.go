@@ -12,7 +12,7 @@ import (
 
 	"cosoft/internal/attr"
 	"cosoft/internal/client"
-	"cosoft/internal/faultnet"
+	"cosoft/internal/netsim"
 	"cosoft/internal/obs"
 	"cosoft/internal/server"
 	"cosoft/internal/testbed"
@@ -208,9 +208,9 @@ func TestParseLogLevel(t *testing.T) {
 }
 
 // TestDebugGroupsEndToEnd drives a live 3-member coupling group with one
-// faultnet-delayed member through a real server, then checks that
-// /debug/groups attributes that member as the straggler and that
-// /metrics?format=prom exposes the per-member family as labeled series.
+// delayed member through a real server, then checks that /debug/groups
+// attributes that member as the straggler and that /metrics?format=prom
+// exposes the per-member family as labeled series.
 func TestDebugGroupsEndToEnd(t *testing.T) {
 	metrics := obs.NewRegistry()
 	srv := server.New(server.Options{Metrics: metrics})
@@ -220,12 +220,12 @@ func TestDebugGroupsEndToEnd(t *testing.T) {
 
 	// Carol's link is degraded at the server's end, so the Execs toward her
 	// are delayed and her measured ack latency inflates.
-	member := func(user string, sched *faultnet.Schedule) *client.Client {
+	member := func(user string, sched netsim.Schedule) *client.Client {
 		return bed.Dial(testbed.Member{AppType: "editor", User: user, Spec: `textfield note value=""`, Fault: sched})
 	}
-	a := member("alice", nil)
-	b := member("bob", nil)
-	c := member("carol", &faultnet.Schedule{Delay: 20 * time.Millisecond})
+	a := member("alice", netsim.Schedule{})
+	b := member("bob", netsim.Schedule{})
+	c := member("carol", netsim.Schedule{Delay: 20 * time.Millisecond})
 
 	for _, cl := range []*client.Client{a, b, c} {
 		if err := cl.Declare("/note"); err != nil {

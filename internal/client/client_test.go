@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cosoft/internal/attr"
+	"cosoft/internal/clock"
 	"cosoft/internal/netsim"
 	"cosoft/internal/server"
 	"cosoft/internal/widget"
@@ -31,7 +32,7 @@ func dial(t *testing.T, spec string) (*Client, *server.Server) {
 		srv.Close()
 		wg.Wait()
 	})
-	link := netsim.NewLink(0)
+	link := netsim.NewLink(0, nil, netsim.Schedule{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -53,7 +54,7 @@ func dial(t *testing.T, spec string) (*Client, *server.Server) {
 }
 
 func TestNewRequiresRegistry(t *testing.T) {
-	link := netsim.NewLink(0)
+	link := netsim.NewLink(0, nil, netsim.Schedule{})
 	defer link.Close()
 	if _, err := New(link.A, Options{}); err == nil {
 		t.Fatal("nil registry must fail")
@@ -61,7 +62,7 @@ func TestNewRequiresRegistry(t *testing.T) {
 }
 
 func TestNewHandshakeFailure(t *testing.T) {
-	link := netsim.NewLink(0)
+	link := netsim.NewLink(0, nil, netsim.Schedule{})
 	defer link.Close()
 	// The "server" side refuses with Err.
 	go func() {
@@ -79,7 +80,7 @@ func TestNewHandshakeFailure(t *testing.T) {
 }
 
 func TestNewHandshakeUnexpectedReply(t *testing.T) {
-	link := netsim.NewLink(0)
+	link := netsim.NewLink(0, nil, netsim.Schedule{})
 	defer link.Close()
 	go func() {
 		conn := wire.NewConn(link.B)
@@ -274,10 +275,13 @@ func TestSemanticsStoreError(t *testing.T) {
 	}
 }
 
+// TestRPCTimeout: a peer that registers us but then never answers makes a
+// call time out once the clock has passed the RPC timeout.
 func TestRPCTimeout(t *testing.T) {
-	// A peer that registers us but then never answers makes calls time out.
-	link := netsim.NewLink(0)
-	defer link.Close()
+	const timeout = 50 * time.Millisecond
+	clk := clock.NewManual()
+	link := netsim.NewLink(0, nil, netsim.Schedule{})
+	asked := make(chan struct{}, 1)
 	go func() {
 		conn := wire.NewConn(link.B)
 		env, err := conn.Read()
@@ -289,17 +293,30 @@ func TestRPCTimeout(t *testing.T) {
 			if _, err := conn.Read(); err != nil {
 				return
 			}
+			asked <- struct{}{}
 		}
 	}()
 	reg := widget.NewRegistry()
 	widget.MustBuild(reg, "/", `textfield x`)
-	c, err := New(link.A, Options{Registry: reg, RPCTimeout: 50 * time.Millisecond})
+	c, err := New(link.A, Options{Registry: reg, RPCTimeout: timeout, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if err := c.Declare("/x"); !errors.Is(err, ErrTimeout) {
-		t.Errorf("err = %v", err)
+	// Cleanups run last first: the link closes before Close, whose
+	// Deregister then waits for no answer.
+	t.Cleanup(c.Close)
+	t.Cleanup(link.Close)
+	done := make(chan error, 1)
+	go func() { done <- c.Declare("/x") }()
+	<-asked // the call is waiting, its deadline set
+	clk.Advance(2 * timeout)
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrTimeout) {
+			t.Errorf("err = %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the call outlived its timeout on the clock")
 	}
 }
 
@@ -314,7 +331,7 @@ func TestCloseQuietShutdown(t *testing.T) {
 		srv.Close()
 		wg.Wait()
 	}()
-	link := netsim.NewLink(0)
+	link := netsim.NewLink(0, nil, netsim.Schedule{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

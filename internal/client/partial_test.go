@@ -23,7 +23,7 @@ func twoClients(t *testing.T, specA, specB string) (*Client, *Client) {
 		wg.Wait()
 	})
 	mk := func(spec string) *Client {
-		link := netsim.NewLink(0)
+		link := netsim.NewLink(0, nil, netsim.Schedule{})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -241,7 +241,7 @@ func TestMarkOriginCongruence(t *testing.T) {
 		wg.Wait()
 	})
 	mk := func(mark bool) *Client {
-		link := netsim.NewLink(0)
+		link := netsim.NewLink(0, nil, netsim.Schedule{})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -68,6 +68,8 @@ func TestTable1Shapes(t *testing.T) {
 	}
 }
 
+// TestArchComparisonShapes is over 0.5 s, E2's injected latency timed
+// timeReps times: it alone holds Figures 1–3's claims in counts and in time.
 func TestArchComparisonShapes(t *testing.T) {
 	type key struct {
 		arch  string

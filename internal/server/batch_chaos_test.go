@@ -7,7 +7,7 @@ import (
 
 	"cosoft/internal/client"
 	"cosoft/internal/clock"
-	"cosoft/internal/faultnet"
+	"cosoft/internal/netsim"
 	"cosoft/internal/server"
 	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
@@ -24,10 +24,10 @@ import (
 // possibly more than once, since duplicated Execs re-apply), and the group
 // must converge unlocked after every round.
 func TestChaosBatchedDupDelayPreservesEventOrder(t *testing.T) {
-	sched := faultnet.Schedule{Seed: 23, DupProb: 1, Delay: time.Millisecond, Jitter: 2 * time.Millisecond}
+	sched := netsim.Schedule{Seed: 23, DupProb: 1, Delay: time.Millisecond, Jitter: 2 * time.Millisecond}
 	srv, bed := newBed(t, server.Options{BatchLimit: 8})
 	spec := `textfield note value=""`
-	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: spec, Fault: &sched})
+	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: spec, Fault: sched})
 
 	var mu sync.Mutex
 	var applied []string
@@ -38,7 +38,7 @@ func TestChaosBatchedDupDelayPreservesEventOrder(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec, Fault: &sched, Options: bopts})
+	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec, Fault: sched, Options: bopts})
 
 	mustOK(t, a.Declare("/note"))
 	mustOK(t, b.Declare("/note"))
@@ -91,9 +91,9 @@ func TestChaosBatchStragglerDoesNotPoisonCoalescedAcks(t *testing.T) {
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: `textfield note value=""`})
 	bspec := `textfield x value=""
 textfield y value=""`
-	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: bspec, Fault: &faultnet.Schedule{}})
+	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: bspec})
 	bFault := bed.Fault(b)
-	c := bed.Dial(testbed.Member{AppType: "editor", User: "carol", Spec: `textfield note value=""`, Fault: &faultnet.Schedule{}})
+	c := bed.Dial(testbed.Member{AppType: "editor", User: "carol", Spec: `textfield note value=""`})
 	cFault := bed.Fault(c)
 
 	mustOK(t, a.Declare("/note"))

@@ -27,6 +27,8 @@ import (
 	"cosoft/internal/widget"
 )
 
+// TestChaosCompactSoak is over 0.5 s, its traffic: it alone restarts the
+// server under load while snapshots and compaction run.
 func TestChaosCompactSoak(t *testing.T) {
 	const restarts = 4
 	// The metrics registry is shared across every incarnation, so the

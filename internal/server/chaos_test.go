@@ -9,7 +9,7 @@ import (
 	"cosoft/internal/client"
 	"cosoft/internal/clock"
 	"cosoft/internal/couple"
-	"cosoft/internal/faultnet"
+	"cosoft/internal/netsim"
 	"cosoft/internal/server"
 	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
@@ -54,7 +54,7 @@ func TestChaosHungMemberMidEvent(t *testing.T) {
 	spec := `textfield note value=""`
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: spec})
 	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec})
-	c := bed.Dial(testbed.Member{AppType: "editor", User: "carol", Spec: spec, Fault: &faultnet.Schedule{}})
+	c := bed.Dial(testbed.Member{AppType: "editor", User: "carol", Spec: spec})
 	fc := bed.Fault(c)
 
 	mustOK(t, a.Declare("/note"))
@@ -155,7 +155,7 @@ func TestChaosSlowClientEvicted(t *testing.T) {
 	clk := clock.NewManual()
 	srv, bed := newBed(t, server.Options{Clock: clk})
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: `textfield note value=""`})
-	fc := bed.Fault(bed.Dial(testbed.Member{AppType: "viewer", User: "bob", Spec: `textfield note value=""`, Fault: &faultnet.Schedule{}}))
+	fc := bed.Fault(bed.Dial(testbed.Member{AppType: "viewer", User: "bob", Spec: `textfield note value=""`}))
 
 	fc.Hang() // bob's receive window closes for good
 
@@ -187,7 +187,7 @@ func TestChaosPartitionedMemberDeclaredDead(t *testing.T) {
 	srv, bed := newBed(t, server.Options{Clock: clk})
 	spec := `textfield note value=""`
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: spec})
-	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec, Fault: &faultnet.Schedule{}})
+	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec})
 	fc := bed.Fault(b)
 
 	mustOK(t, a.Declare("/note"))
@@ -233,7 +233,7 @@ func TestChaosReconnectResync(t *testing.T) {
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: spec})
 
 	var resyncs atomic.Int32
-	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec, Fault: &faultnet.Schedule{},
+	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec,
 		Reconnect: &client.ReconnectOptions{
 			OnResync: func(err error) {
 				if err == nil {
@@ -287,11 +287,11 @@ func TestChaosReconnectResync(t *testing.T) {
 // twice on both members: duplicated Execs, EventResults, SetLocks and link
 // notifications must leave the group consistent and fully unlocked.
 func TestChaosDuplicatedFramesConverge(t *testing.T) {
-	dup := faultnet.Schedule{Seed: 11, DupProb: 1}
+	dup := netsim.Schedule{Seed: 11, DupProb: 1}
 	srv, bed := newBed(t, server.Options{})
 	spec := `textfield note value=""`
-	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: spec, Fault: &dup})
-	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec, Fault: &dup})
+	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: spec, Fault: dup})
+	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec, Fault: dup})
 
 	mustOK(t, a.Declare("/note"))
 	mustOK(t, b.Declare("/note"))

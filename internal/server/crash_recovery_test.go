@@ -216,7 +216,8 @@ func crashOps() []crashOp {
 // exactly the durable op prefix — and to equal the crashed server's, so what
 // was acknowledged is what was durable, at fsync boundaries too: a drain
 // whose fsync failed is cut back off the segment, so a restart never finds
-// an op the server refused.
+// an op the server refused. Over 0.5 s: it alone crashes the log at every
+// boundary of a session that writes every record kind.
 func TestCrashPointRecovery(t *testing.T) {
 	ops := crashOps()
 	for op := 1; ; op++ {

@@ -7,7 +7,6 @@ import (
 	"cosoft/internal/attr"
 	"cosoft/internal/clock"
 	"cosoft/internal/couple"
-	"cosoft/internal/faultnet"
 	"cosoft/internal/server"
 	"cosoft/internal/testbed"
 	"cosoft/internal/widget"
@@ -187,7 +186,7 @@ func TestDefensesOnByDefault(t *testing.T) {
 		clk := clock.NewManual()
 		srv, bed := newBed(t, server.Options{Clock: clk})
 		a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: spec})
-		b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec, Fault: &faultnet.Schedule{}})
+		b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec})
 		fc := bed.Fault(b)
 		mustOK(t, a.Declare("/note"))
 		mustOK(t, b.Declare("/note"))

@@ -212,7 +212,8 @@ func TestSessionTokenLifecycleAcrossRestart(t *testing.T) {
 // resume; afterwards every client must still be functional under its
 // original ID, no event ID may be issued twice — a raw member of the group,
 // resumed by the test after every restart, records each Exec ID it is sent —
-// and every event acknowledged to any client must be in the log.
+// and every event acknowledged to any client must be in the log. Over 0.5 s,
+// its traffic: it alone restarts the server while members dispatch at once.
 func TestChaosRestartSoak(t *testing.T) {
 	const restarts = 4
 	d := newDurable(t, server.Options{})

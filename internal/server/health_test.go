@@ -6,7 +6,7 @@ import (
 
 	"cosoft/internal/attr"
 	"cosoft/internal/clock"
-	"cosoft/internal/faultnet"
+	"cosoft/internal/netsim"
 	"cosoft/internal/obs"
 	"cosoft/internal/server"
 	"cosoft/internal/testbed"
@@ -14,16 +14,16 @@ import (
 )
 
 // TestHealthStragglerAttribution drives a 3-member coupling group with one
-// member's link degraded by faultnet and asserts the health plane names that
-// member as the critical path: highest ack-latency EWMA (and therefore the
-// group's reported straggler) and the most last-acker credits.
+// member's link delayed at the server's end and asserts the health plane
+// names that member as the critical path: highest ack-latency EWMA (and
+// therefore the group's reported straggler) and the most last-acker credits.
 func TestHealthStragglerAttribution(t *testing.T) {
 	srv, bed := newBed(t, server.Options{})
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: `textfield note value=""`})
 	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: `textfield note value=""`})
 	// Every Exec the server sends toward C is held back 25ms, so C's acks
 	// arrive a full delay after A's and B's.
-	c := bed.Dial(testbed.Member{AppType: "editor", User: "carol", Spec: `textfield note value=""`, Fault: &faultnet.Schedule{Delay: 25 * time.Millisecond}})
+	c := bed.Dial(testbed.Member{AppType: "editor", User: "carol", Spec: `textfield note value=""`, Fault: netsim.Schedule{Delay: 25 * time.Millisecond}})
 
 	mustOK(t, a.Declare("/note"))
 	mustOK(t, b.Declare("/note"))
@@ -126,7 +126,7 @@ func TestHealthTimeoutAttribution(t *testing.T) {
 	clk := clock.NewManual()
 	srv, bed := newBed(t, server.Options{Clock: clk})
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: `textfield note value=""`})
-	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: `textfield note value=""`, Fault: &faultnet.Schedule{}})
+	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: `textfield note value=""`})
 	fc := bed.Fault(b)
 
 	mustOK(t, a.Declare("/note"))

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cosoft/internal/clock"
-	"cosoft/internal/faultnet"
 	"cosoft/internal/server"
 	"cosoft/internal/testbed"
 	"cosoft/internal/wire"
@@ -22,7 +21,7 @@ func TestChaosEvictionMidBroadcastReleasesSharedBody(t *testing.T) {
 	srv, bed := newBed(t, server.Options{Clock: clk})
 	spec := `textfield note value=""`
 	a := bed.Dial(testbed.Member{AppType: "editor", User: "alice", Spec: spec})
-	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec, Fault: &faultnet.Schedule{}})
+	b := bed.Dial(testbed.Member{AppType: "editor", User: "bob", Spec: spec})
 	fc := bed.Fault(b)
 
 	mustOK(t, a.Declare("/note"))

@@ -228,6 +228,7 @@ func encodeV2(st *state, n int) []byte {
 // acked before the cycle starts, so whatever boundary dies, the reopened
 // directory must never be corrupt and must replay to the full script's
 // state: a crashed snapshot may lose the replay shortcut, never a record.
+// Over 0.5 s in tier-1: it alone crashes inside a snapshot and compaction.
 func TestSnapshotCrashPointRecovery(t *testing.T) {
 	ops := crashOps()
 	for op := 1; ; op++ {

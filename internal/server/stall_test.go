@@ -2,16 +2,14 @@ package server_test
 
 import (
 	"errors"
-	"net"
 	"strconv"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"cosoft/internal/attr"
 	"cosoft/internal/client"
 	"cosoft/internal/clock"
+	"cosoft/internal/netsim"
 	"cosoft/internal/obs"
 	"cosoft/internal/server"
 	"cosoft/internal/testbed"
@@ -19,41 +17,17 @@ import (
 	"cosoft/internal/wire"
 )
 
-// stallConn is a member's end of its connection that stops reading once
-// stall is closed, until the connection is closed.
-type stallConn struct {
-	net.Conn
-	stall  chan struct{}
-	closed chan struct{}
-	once   sync.Once
-}
-
-func (c *stallConn) Read(p []byte) (int, error) {
-	select {
-	case <-c.stall:
-		<-c.closed
-		return 0, net.ErrClosed
-	default:
-		return c.Conn.Read(p)
-	}
-}
-
-func (c *stallConn) Close() error {
-	c.once.Do(func() { close(c.closed) })
-	return c.Conn.Close()
-}
-
-// stallBed is one shard serving two coupling groups over loopback TCP:
-// group A, an origin and a member whose client stops reading on stall(), and
-// group B, an origin and a member that keep working. The server's deadlines
-// run on clk; the clients keep the wall clock.
+// stallBed is one shard serving two coupling groups over in-process links:
+// group A, an origin and a member whose link hangs on stall(), and group B,
+// an origin and a member that keep working. The server's deadlines run on
+// clk; the clients keep the wall clock.
 type stallBed struct {
 	srv        *server.Server
 	clk        *clock.Manual
 	reg        *obs.Registry
 	a, stalled *client.Client
 	b, peer    *client.Client
-	conn       *stallConn
+	link       *netsim.Conn // the server's end of the stalled member's link
 }
 
 func newStallBed(t *testing.T, opts server.Options) *stallBed {
@@ -62,41 +36,31 @@ func newStallBed(t *testing.T, opts server.Options) *stallBed {
 	sb := &stallBed{clk: clock.NewManual(), reg: obs.NewRegistry()}
 	opts.Metrics, opts.Clock = sb.reg, sb.clk
 	sb.srv = server.New(opts)
-	bed := testbed.New(t, sb.srv, testbed.Options{TCP: true})
+	bed := testbed.New(t, sb.srv, testbed.Options{})
 	spec := `textfield note value=""`
-	dial := func(user string, wrap func(net.Conn) net.Conn) *client.Client {
-		c := bed.Dial(testbed.Member{AppType: "editor", User: user, Spec: spec, Wrap: wrap})
+	dial := func(user string) *client.Client {
+		c := bed.Dial(testbed.Member{AppType: "editor", User: user, Spec: spec})
 		mustOK(t, c.Declare("/note"))
 		return c
 	}
-	sb.a = dial("a", nil)
-	sb.stalled = dial("stalled", func(c net.Conn) net.Conn {
-		sb.conn = &stallConn{Conn: c, stall: make(chan struct{}), closed: make(chan struct{})}
-		return sb.conn
-	})
-	sb.b = dial("b", nil)
-	sb.peer = dial("peer", nil)
+	sb.a, sb.stalled, sb.b, sb.peer = dial("a"), dial("stalled"), dial("b"), dial("peer")
+	sb.link = bed.Fault(sb.stalled)
 	mustOK(t, sb.a.Couple("/note", sb.stalled.Ref("/note")))
 	mustOK(t, sb.b.Couple("/note", sb.peer.Ref("/note")))
 	testbed.Wait(t, "both groups mirrored", func() bool {
 		return sb.stalled.Coupled("/note") && sb.peer.Coupled("/note")
 	})
-	// Closing the stalled end first ends its client's read loop, so the
-	// client's own Close does not wait out an RPC timeout for a reply it
-	// would never read.
-	t.Cleanup(func() { sb.conn.Close() })
 	return sb
 }
 
-// stall stops the stalled member reading and has group A's origin dispatch
-// one 8 MiB event, more than a loopback socket's buffers take, so the
-// shard's write of its Exec fills the member's socket. The event holds group
-// A's floor until its deadline, which the tests never reach.
+// stall hangs the stalled member's link, whose receive window closes, and has
+// group A's origin dispatch one event, so the shard's attempt to write its
+// Exec takes nothing. The event holds group A's floor until its deadline,
+// which the tests never reach.
 func (sb *stallBed) stall(t *testing.T) {
 	t.Helper()
-	close(sb.conn.stall)
-	big := []attr.Value{attr.String(strings.Repeat("x", 8<<20))}
-	mustOK(t, sb.a.DispatchChecked(&widget.Event{Path: "/note", Name: widget.EventChanged, Args: big}))
+	sb.link.Hang()
+	mustOK(t, sb.a.DispatchChecked(&widget.Event{Path: "/note", Name: widget.EventChanged, Args: []attr.Value{attr.String("stalled")}}))
 }
 
 // pushbacks reads the stalled member's server.member.pushbacks off the
@@ -131,13 +95,13 @@ func (sb *stallBed) promptB(t *testing.T, value string) {
 	}
 }
 
-// TestStalledMemberCannotDelayItsShard: a member that stops reading fills its
-// socket with its group's events. The shard's write to it must not wait
-// for the socket — group B, served by the same shard, keeps resolving its
-// events promptly — and the push-back shows against the member. Commands,
-// which take no floor, then build the member's backlog behind its writer
-// past the outbox limit until the grace runs out and the member is evicted,
-// and every shared body it held is given back.
+// TestStalledMemberCannotDelayItsShard: a member whose link hangs stops taking
+// its group's events. The shard's write to it must not wait for the link —
+// group B, served by the same shard, keeps resolving its events promptly —
+// and the push-back shows against the member. Commands, which take no floor,
+// then build the member's backlog behind its writer past the outbox limit
+// until the grace runs out and the member is evicted, and every shared body
+// it held is given back.
 func TestStalledMemberCannotDelayItsShard(t *testing.T) {
 	sb := newStallBed(t, server.Options{})
 	sb.promptB(t, "before")
@@ -145,7 +109,7 @@ func TestStalledMemberCannotDelayItsShard(t *testing.T) {
 
 	n := 0
 	next := func() string { n++; return strconv.Itoa(n) }
-	testbed.Wait(t, "the stalled member's socket to push back", func() bool {
+	testbed.Wait(t, "the stalled member's link to push back", func() bool {
 		sb.promptB(t, next())
 		return sb.pushbacks() > 0
 	})
@@ -180,7 +144,7 @@ func TestStalledMemberCannotDelayItsShard(t *testing.T) {
 func TestCloseReturnsWhileAMemberPushesBack(t *testing.T) {
 	sb := newStallBed(t, server.Options{})
 	sb.stall(t)
-	testbed.Wait(t, "the stalled member's socket to push back", func() bool { return sb.pushbacks() > 0 })
+	testbed.Wait(t, "the stalled member's link to push back", func() bool { return sb.pushbacks() > 0 })
 	// What is armed now includes the sweeper's ticker, which stays armed
 	// until Close has closed the connections.
 	armed := sb.clk.Armed()

@@ -19,7 +19,6 @@ import (
 	"cosoft/internal/client"
 	"cosoft/internal/clock"
 	"cosoft/internal/couple"
-	"cosoft/internal/faultnet"
 	"cosoft/internal/netsim"
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
@@ -44,14 +43,15 @@ type Server interface {
 type Options struct {
 	// TCP connects over loopback TCP instead of in-process links.
 	TCP bool
-	// Latency is the one-way latency of every in-process link.
+	// Latency is the one-way latency of every in-process link, on Clock.
 	Latency time.Duration
 	// Check is judged at teardown after Server.CheckInvariants, on the server
 	// the bed is serving then.
 	Check func(Server) error
-	// Clock is handed to every client the bed dials that sets none of its
-	// own; nil leaves them on the wall clock. A test that drives time with a
-	// clock.Manual gives the same one to its server and event log.
+	// Clock is the time of every in-process link, and is handed to every
+	// client the bed dials that sets none of its own; nil leaves them on the
+	// wall clock. A test that drives time with a clock.Manual gives the same
+	// one to its server and event log.
 	Clock clock.Clock
 }
 
@@ -61,23 +61,21 @@ type Member struct {
 	// Spec is built at "/" into a fresh widget registry, unless
 	// Options.Registry is set.
 	Spec string
-	// Fault wraps the server's end of every connection of the member.
-	Fault *faultnet.Schedule
+	// Fault is the schedule the server's end of every connection of the
+	// member writes under. It needs an in-process link.
+	Fault netsim.Schedule
 	// Reconnect lets the client ride through lost connections; the bed
 	// fills in Dial, so a redial reaches the server the bed serves then.
 	Reconnect *client.ReconnectOptions
-	// Wrap wraps the client's end of the first connection.
-	Wrap func(net.Conn) net.Conn
 	// Options carries the rest of the client options.
 	Options client.Options
 }
 
 // member is the bed's side of a dialed client.
 type member struct {
-	fault   *faultnet.Schedule
-	end     net.Conn       // the server's end of the current connection
-	fc      *faultnet.Conn // end, when it is fault-wrapped
-	hold    chan struct{}  // non-nil while Cut holds redials
+	fault   netsim.Schedule
+	end     net.Conn      // the server's end of the current connection
+	hold    chan struct{} // non-nil while Cut holds redials
 	resyncs atomic.Int32
 }
 
@@ -93,7 +91,6 @@ type Bed struct {
 	closing bool
 	links   []*netsim.Link
 	ends    []net.Conn // the client ends of every connection
-	faults  []*faultnet.Conn
 	clients []*client.Client
 	members map[*client.Client]*member
 	peers   []*Peer
@@ -123,7 +120,7 @@ func New(tb TB, srv Server, opts Options) *Bed {
 // connect opens one connection to the current server and serves its end on a
 // HandleConn goroutine; with no server (Retarget(nil)) the end is closed, the
 // refused dial a reconnecting client retries through.
-func (b *Bed) connect(sched *faultnet.Schedule) (cli, end net.Conn, fc *faultnet.Conn, err error) {
+func (b *Bed) connect(sched netsim.Schedule) (cli, end net.Conn, err error) {
 	if b.lis != nil {
 		b.tcp.Lock()
 		cli, err = net.Dial("tcp", b.lis.Addr().String())
@@ -132,30 +129,23 @@ func (b *Bed) connect(sched *faultnet.Schedule) (cli, end net.Conn, fc *faultnet
 		}
 		b.tcp.Unlock()
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	} else {
-		l := netsim.NewLink(b.opts.Latency)
+		l := netsim.NewLink(b.opts.Latency, b.opts.Clock, sched)
 		cli, end = l.A, l.B
 		b.mu.Lock()
 		b.links = append(b.links, l)
 		b.mu.Unlock()
-	}
-	if sched != nil {
-		fc = faultnet.Wrap(end, *sched)
-		end = fc.NetConn()
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closing {
 		cli.Close()
 		end.Close()
-		return nil, nil, nil, errClosed
+		return nil, nil, errClosed
 	}
 	b.ends = append(b.ends, cli)
-	if fc != nil {
-		b.faults = append(b.faults, fc)
-	}
 	if srv := b.srv; srv == nil {
 		end.Close()
 	} else {
@@ -165,7 +155,7 @@ func (b *Bed) connect(sched *faultnet.Schedule) (cli, end net.Conn, fc *faultnet
 			srv.HandleConn(wire.NewConn(end))
 		}()
 	}
-	return cli, end, fc, nil
+	return cli, end, nil
 }
 
 // attach connects a member and records the server's end of its connection.
@@ -176,12 +166,12 @@ func (b *Bed) attach(mem *member) (net.Conn, error) {
 	if hold != nil {
 		<-hold
 	}
-	cli, end, fc, err := b.connect(mem.fault)
+	cli, end, err := b.connect(mem.fault)
 	if err != nil {
 		return nil, err
 	}
 	b.mu.Lock()
-	mem.end, mem.fc = end, fc
+	mem.end = end
 	b.mu.Unlock()
 	return cli, nil
 }
@@ -199,6 +189,9 @@ func (b *Bed) Dial(m Member) *client.Client {
 	}
 	if opts.Clock == nil {
 		opts.Clock = b.opts.Clock
+	}
+	if b.lis != nil && m.Fault != (netsim.Schedule{}) {
+		b.tb.Fatalf("testbed: dial %s: a fault schedule needs an in-process link", m.User)
 	}
 	if opts.Registry == nil {
 		opts.Registry = widget.NewRegistry()
@@ -224,9 +217,6 @@ func (b *Bed) Dial(m Member) *client.Client {
 	if err != nil {
 		b.tb.Fatalf("testbed: dial %s: %v", m.User, err)
 	}
-	if m.Wrap != nil {
-		conn = m.Wrap(conn)
-	}
 	c, err := client.New(conn, opts)
 	if err != nil {
 		b.tb.Fatalf("testbed: dial %s: %v", m.User, err)
@@ -242,19 +232,25 @@ func (b *Bed) Dial(m Member) *client.Client {
 // bed closes its end at teardown.
 func (b *Bed) Conn() net.Conn {
 	b.tb.Helper()
-	cli, _, _, err := b.connect(nil)
+	cli, _, err := b.connect(netsim.Schedule{})
 	if err != nil {
 		b.tb.Fatalf("testbed: conn: %v", err)
 	}
 	return cli
 }
 
-// Fault returns the fault injector on the server's end of c's current
-// connection (nil unless c was dialed with Member.Fault).
-func (b *Bed) Fault(c *client.Client) *faultnet.Conn {
+// Fault returns the server's end of c's current in-process connection, whose
+// Hang, Blackhole, Restore and Close inject faults. On a TCP bed it fails the
+// test.
+func (b *Bed) Fault(c *client.Client) *netsim.Conn {
+	b.tb.Helper()
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.members[c].fc
+	end, ok := b.members[c].end.(*netsim.Conn)
+	b.mu.Unlock()
+	if !ok {
+		b.tb.Fatalf("testbed: %s has no in-process link to fault", c.ID())
+	}
+	return end
 }
 
 // Star declares path on every member, couples member 0's object to each of the
@@ -328,10 +324,11 @@ func (b *Bed) Traffic() (frames, bytes int64) {
 
 // Close tears the bed down, once, in a fixed order: the invariants are judged
 // at quiescence while every member is still registered (unless the test has
-// already failed), then the fault injectors are closed, so a wedged link
-// cannot stall an orderly Deregister, then the clients, raw peers and bare
-// connections, then the server, and last the HandleConn goroutines are
-// joined. Tests call it themselves only to tear down mid-test.
+// already failed), then every in-process link is restored, so a hung or
+// black-holed link cannot stall an orderly Deregister, then the clients, raw
+// peers and bare connections are closed, then the server, and last the
+// HandleConn goroutines are joined. Tests call it themselves only to tear
+// down mid-test.
 func (b *Bed) Close() { b.once.Do(b.teardown) }
 
 func (b *Bed) teardown() {
@@ -355,10 +352,10 @@ func (b *Bed) teardown() {
 func (b *Bed) shutdown() {
 	b.mu.Lock()
 	b.closing = true
-	srv, faults, clients, peers, ends := b.srv, b.faults, b.clients, b.peers, b.ends
+	srv, links, clients, peers, ends := b.srv, b.links, b.clients, b.peers, b.ends
 	b.mu.Unlock()
-	for _, fc := range faults {
-		fc.Close()
+	for _, l := range links {
+		l.B.Restore()
 	}
 	for _, c := range clients {
 		c.Close()
@@ -436,7 +433,7 @@ type Peer struct {
 // or whatever a test needs the handshake to refuse — and waits for the answer.
 func (b *Bed) Raw(hello wire.Message) *Peer {
 	b.tb.Helper()
-	cli, _, _, err := b.connect(nil)
+	cli, _, err := b.connect(netsim.Schedule{})
 	if err != nil {
 		b.tb.Fatalf("testbed: raw peer: %v", err)
 	}

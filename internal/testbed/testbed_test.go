@@ -11,7 +11,6 @@ import (
 
 	"cosoft/internal/client"
 	"cosoft/internal/couple"
-	"cosoft/internal/faultnet"
 	"cosoft/internal/server"
 	"cosoft/internal/testbed"
 	"cosoft/internal/wire"
@@ -32,7 +31,8 @@ func (c *counting) HandleConn(conn *wire.Conn) {
 }
 
 // The invariant hook runs exactly once, while every member is still
-// registered — so before any client Close, which deregisters.
+// registered — so before any client Close, which deregisters — and a hung
+// link does not stall the teardown.
 func TestCheckRunsOnceBeforeAnyClientClose(t *testing.T) {
 	srv := server.New(server.Options{})
 	var runs, registered int
@@ -42,7 +42,7 @@ func TestCheckRunsOnceBeforeAnyClientClose(t *testing.T) {
 		return nil
 	}})
 	bed.Dial(testbed.Member{AppType: "app", User: "a", Spec: `textfield x`})
-	bed.Dial(testbed.Member{AppType: "app", User: "b", Fault: &faultnet.Schedule{}})
+	bed.Fault(bed.Dial(testbed.Member{AppType: "app", User: "b"})).Hang()
 	bed.Raw(wire.Register{AppType: "raw", User: "c"})
 	bed.Close()
 	bed.Close()
@@ -51,17 +51,20 @@ func TestCheckRunsOnceBeforeAnyClientClose(t *testing.T) {
 	}
 }
 
-// After teardown no HandleConn goroutine is left — not for clients, faulty
-// links, raw peers, a refused handshake or a bare connection that never spoke.
+// After teardown no HandleConn goroutine is left — not for clients, a hung
+// in-process link, raw peers, a refused handshake or a bare connection that
+// never spoke.
 func TestTeardownJoinsEveryHandleConn(t *testing.T) {
 	for _, tcp := range []bool{false, true} {
 		t.Run(fmt.Sprintf("tcp=%v", tcp), func(t *testing.T) {
 			srv := &counting{Server: server.New(server.Options{})}
 			bed := testbed.New(t, srv, testbed.Options{TCP: tcp})
 			a := bed.Dial(testbed.Member{AppType: "app", User: "a", Spec: `textfield x`})
-			b := bed.Dial(testbed.Member{AppType: "app", User: "b", Spec: `textfield x`, Fault: &faultnet.Schedule{}})
+			b := bed.Dial(testbed.Member{AppType: "app", User: "b", Spec: `textfield x`})
 			bed.Star("/x", a, b)
-			bed.Fault(b).Hang()
+			if !tcp {
+				bed.Fault(b).Hang()
+			}
 			bed.Raw(wire.Register{AppType: "raw", User: "c"})
 			if p := bed.Raw(wire.Declare{Path: "/x", Class: "textfield"}); p.ID != "" {
 				t.Errorf("a Declare as first frame registered %s", p.ID)

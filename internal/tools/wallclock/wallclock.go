@@ -1,6 +1,6 @@
 // Package wallclock keeps the wall clock out of the packages whose deadlines,
-// tickers and timers run on an injected clock.Clock: the server, the client
-// and the event log. Its test parses their non-test files and fails on any
+// tickers and timers run on an injected clock.Clock: the server, the client,
+// the event log and the in-process network. Its test parses their non-test files and fails on any
 // reference to a time function that reads or waits on the wall clock, except
 // at the allowlisted measurement sites, which are compared against a start
 // time the obs package read off the wall clock.

@@ -8,8 +8,8 @@ import (
 )
 
 // guarded are the packages whose deadlines, tickers and timers run on
-// clock.Clock.
-var guarded = []string{"internal/server", "internal/client", "internal/eventlog"}
+// clock.Clock, and the in-process network whose packets fall due on one.
+var guarded = []string{"internal/server", "internal/client", "internal/eventlog", "internal/netsim"}
 
 // allowed are the measurement sites that stay on the wall clock: each is
 // compared against an obs start time (pe.start, from the server.event_rtt_ns

@@ -202,21 +202,7 @@ func TestAttemptAllocBudget(t *testing.T) {
 	defer se.Release()
 	one := Outgoing{Env: Envelope{Seq: 1}, Shared: se, Target: "/hub"}
 	run := []Outgoing{{Env: Envelope{Msg: SetLocks{Paths: []string{"/hub"}, Locked: true}}}, one}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	dialed, err := net.Dial("tcp", lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dialed.Close()
-	accepted, err := lis.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer accepted.Close()
+	dialed, accepted := tcpPair(t)
 	go func() {
 		buf := make([]byte, 64<<10)
 		for {
@@ -246,6 +232,91 @@ func TestAttemptAllocBudget(t *testing.T) {
 			}
 		}); got != 0 {
 			t.Errorf("%s: an attempted WriteOutgoing and WriteBatch allocate %.2f times, want 0", tc.name, got)
+		}
+	}
+}
+
+// tcpPair returns the two ends of a loopback TCP connection, closed when the
+// test ends.
+func tcpPair(t *testing.T) (dialed, accepted *net.TCPConn) {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	d, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	a, err := lis.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	return d.(*net.TCPConn), a.(*net.TCPConn)
+}
+
+// TestSocketAttemptsGoShortAndKeepTheStream: attempts on a loopback socket
+// whose reader does not read go short with a nil error once its buffers
+// fill — a full socket's EAGAIN is push-back, not a failure — and once the
+// reader drains, the stream decodes to exactly the frames that were written,
+// the tail a blocking Flush wrote included.
+func TestSocketAttemptsGoShortAndKeepTheStream(t *testing.T) {
+	dialed, accepted := tcpPair(t)
+	// Small buffers fill after a few dozen frames instead of megabytes.
+	if err := dialed.SetWriteBuffer(4 << 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := accepted.SetReadBuffer(4 << 10); err != nil {
+		t.Fatal(err)
+	}
+	c := NewConn(dialed)
+	payload := bytes.Repeat([]byte("p"), 1<<10)
+	const most = 1 << 14 // 16 MiB of frames: far past any loopback buffer
+	sent := uint64(0)
+	for short := false; !short; {
+		if sent == most {
+			t.Fatalf("%d attempted frames never filled the socket", sent)
+		}
+		sent++
+		if !c.BeginAttempt() {
+			t.Fatal("a socket cannot attempt")
+		}
+		if err := c.Write(Envelope{Seq: sent, Msg: Command{Name: "fill", Payload: payload}}); err != nil {
+			t.Fatalf("attempt %d: %v", sent, err)
+		}
+		short = c.EndAttempt()
+	}
+	t.Logf("the socket pushed back at frame %d", sent)
+	got := make(chan []uint64, 1)
+	go func() {
+		r := NewConn(accepted)
+		var seqs []uint64
+		for {
+			env, err := r.Read()
+			if err != nil {
+				got <- seqs
+				return
+			}
+			if cmd, ok := env.Msg.(Command); !ok || !bytes.Equal(cmd.Payload, payload) {
+				t.Errorf("frame %d decoded to %+v", env.Seq, env.Msg)
+			}
+			seqs = append(seqs, env.Seq)
+		}
+	}()
+	if err := c.Flush(); err != nil {
+		t.Fatalf("flushing the tail: %v", err)
+	}
+	dialed.Close()
+	seqs := <-got
+	if uint64(len(seqs)) != sent {
+		t.Fatalf("read %d frames, wrote %d", len(seqs), sent)
+	}
+	for i, seq := range seqs {
+		if seq != uint64(i+1) {
+			t.Fatalf("frame %d carries seq %d", i+1, seq)
 		}
 	}
 }

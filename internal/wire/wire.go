@@ -44,7 +44,7 @@
 // Every write call — Write, WriteAcks, WriteOutgoing, WriteBatch — assembles
 // its frames whole in the Conn's scratch buffer and hands them to the
 // transport in one Write, so a transport that acts on each Write as a unit
-// (faultnet drops and duplicates per Write) only ever sees whole frames. A
+// (a netsim link duplicates per Write) only ever sees whole frames. A
 // shared-body Exec is its header and the member's head followed by the
 // broadcast's tail, copied in but not encoded again (see shared.go). The
 // first error of a transport Write sticks: every later write call returns it
@@ -53,13 +53,15 @@
 //
 // Between BeginAttempt and EndAttempt every write call is an attempt instead:
 // it assembles its frames the same way but hands them to the transport in at
-// most one non-blocking write — the transport's TryWrite, or a write on its
-// file descriptor when it is a syscall.Conn — and keeps whatever the transport
-// did not take as the Conn's tail. The next blocking write call, or Flush,
-// writes the tail first, in one Write of its own, so the bytes on the wire are
-// the ones blocking calls would have written, in the same order. While a tail
-// is pending an attempt queues its frames behind it without touching the
-// transport. An attempt's error sticks like any other.
+// most one non-blocking write — the transport's TryWrite (a netsim link takes
+// a write whole, or nothing while it hangs), or a write on its file
+// descriptor when it is a syscall.Conn (a socket takes what its buffer has
+// room for) — and keeps whatever the transport did not take as the Conn's
+// tail. The next blocking write call, or Flush, writes the tail first, in one
+// Write of its own, so the bytes on the wire are the ones blocking calls would
+// have written, in the same order. While a tail is pending an attempt queues
+// its frames behind it without touching the transport. An attempt's error
+// sticks like any other.
 //
 // # Records
 //

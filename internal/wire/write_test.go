@@ -104,7 +104,7 @@ func (w *tryLog) TryWrite(p []byte) (int, error) {
 
 // TestEachWriteCallIsOneTransportWrite pins the write contract: every write
 // call reaches the transport as exactly one Write holding whole frames, so a
-// transport that drops or duplicates whole Writes (faultnet) never splits a
+// transport that duplicates whole Writes (a netsim link) never splits a
 // frame. An attempted call is one attempt instead, and a tail it leaves is
 // one more Write, which ends where the call's frames end.
 func TestEachWriteCallIsOneTransportWrite(t *testing.T) {
