@@ -35,8 +35,8 @@
 // writes periodic state snapshots beside the log and compacts the segments
 // they cover, so restart replay starts at the newest snapshot and disk
 // stays bounded. cosoftd -log-fsck <dir> scans a log directory offline,
-// reports segment, record and snapshot counts, and exits nonzero on CRC
-// damage.
+// reports segment, record and snapshot counts, and exits 1 on a directory
+// start-up would refuse.
 package main
 
 import (
@@ -197,10 +197,11 @@ func main() {
 }
 
 // runFsck scans a durable event-log directory without opening it for
-// append, reporting what a recovery replay would see. Exit codes: 0 clean
-// (a torn tail is clean — it is the expected crash signature and open would
-// truncate it), 1 corruption before the tail (acknowledged records are
-// unreadable), 2 usage or I/O error.
+// append and reports eventlog.Fsck's judgement, the one start-up acts on.
+// Exit codes: 0 clean (a torn tail is clean — it is the expected crash
+// signature and start-up truncates it), 1 corruption — acknowledged records
+// are unreadable, and start-up refuses the directory and exits 1 too — 2
+// usage or I/O error.
 func runFsck(dir string) int {
 	if dir == "" {
 		fmt.Fprintln(os.Stderr, "cosoftd: -log-fsck needs a log directory (-log-dir or positional)")

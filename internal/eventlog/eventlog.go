@@ -23,11 +23,14 @@
 //
 // The envelope bytes reuse the wire batch inner-record layout
 // (wire.AppendEnvelope), so the log has no serialization format of its own.
-// Open scans all segments and truncates the tail at the first bad CRC — a
-// torn final write from a crash is discarded, everything before it replays.
+// Open, Fsck and replay read a directory through one listing and one walk,
+// and Open acts on Fsck's judgement: it refuses a corrupt directory and
+// truncates only a torn tail, the one shape a crash leaves.
 package eventlog
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -36,6 +39,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -293,9 +297,11 @@ type Log struct {
 	mReplaySnap *obs.Counter // server.log.replay_from_snapshot: opens that found a valid snapshot
 }
 
-// Open opens (creating if needed) the log directory, recovers the tail —
-// truncating the last segment at the first record whose length or CRC does
-// not check out — and starts the writer goroutine.
+// Open opens (creating if needed) the log directory and starts the writer
+// goroutine. It judges the directory as Fsck does and acts on the verdict: a
+// directory Fsck calls corrupt is refused with Fsck's Detail, and a torn tail
+// — the one shape a crash leaves — is truncated off the last segment, which
+// appends then continue.
 func Open(opts Options) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("eventlog: Options.Dir is required")
@@ -342,88 +348,86 @@ func Open(opts Options) (*Log, error) {
 	return l, nil
 }
 
-// segments lists the segment base offsets present in dir, sorted.
-func segments(dir string) ([]int64, error) {
+// listing is one read of a log directory, by file name: every reader of a
+// directory — Open, Fsck, ReplayDirFrom, Compact, Snapshots — works from one.
+type listing struct {
+	segs  []int64  // segment base offsets, ascending
+	snaps []int64  // snapshot file offsets, newest first; read by snapshots
+	tmps  []string // snapshot temp files a crash left, never promoted by rename
+}
+
+func list(dir string) (listing, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("eventlog: %w", err)
+		return listing{}, fmt.Errorf("eventlog: %w", err)
 	}
-	var bases []int64
+	var ls listing
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || filepath.Ext(name) != segSuffix {
+		if e.IsDir() {
 			continue
 		}
-		var base int64
-		if _, err := fmt.Sscanf(name, "%016x"+segSuffix, &base); err != nil {
-			continue
+		if off, ok := offsetOf(name, segSuffix); ok {
+			ls.segs = append(ls.segs, off)
+		} else if off, ok := offsetOf(name, snapSuffix); ok {
+			ls.snaps = append(ls.snaps, off)
+		} else if strings.HasSuffix(name, snapSuffix+".tmp") {
+			ls.tmps = append(ls.tmps, name)
 		}
-		bases = append(bases, base)
 	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-	return bases, nil
+	sort.Slice(ls.segs, func(i, j int) bool { return ls.segs[i] < ls.segs[j] })
+	sort.Slice(ls.snaps, func(i, j int) bool { return ls.snaps[i] > ls.snaps[j] })
+	return ls, nil
+}
+
+// offsetOf parses a file name of the form %016x<suffix>.
+func offsetOf(name, suffix string) (int64, bool) {
+	var off int64
+	if filepath.Ext(name) != suffix {
+		return 0, false
+	}
+	_, err := fmt.Sscanf(name, "%016x"+suffix, &off)
+	return off, err == nil
 }
 
 func segPath(dir string, base int64) string {
 	return filepath.Join(dir, fmt.Sprintf("%016x%s", base, segSuffix))
 }
 
-// recover scans the existing segments, truncates a torn tail in the last
-// one, and opens the last segment (or a fresh first segment) for append.
-// Snapshot-aware: half-written snapshot temp files are swept, a snap-only
-// directory resumes appending at the snapshot's offset, and a directory
-// compacted past its snapshot coverage is refused rather than silently
-// replayed with a hole.
+// recover sweeps the snapshot temp files a crash left, judges the directory
+// (judge), refuses it if corrupt, truncates a torn tail, and opens the last
+// segment for append — or, with no segments, a fresh one at the newest
+// snapshot's offset, so segment names stay global byte offsets.
 func (l *Log) recover() error {
-	if err := l.removeSnapTmp(); err != nil {
-		return err
-	}
-	snaps, _, err := snapshotInfos(l.dir)
+	ls, err := list(l.dir)
 	if err != nil {
 		return err
 	}
-	snapOff := int64(-1)
-	if len(snaps) > 0 {
-		snapOff = snaps[0].Offset
+	for _, name := range ls.tmps {
+		if err := l.fs.Remove(filepath.Join(l.dir, name)); err != nil {
+			return fmt.Errorf("eventlog: %w", err)
+		}
+	}
+	rep, end, err := judge(l.dir, ls)
+	if err != nil {
+		return err
+	}
+	if rep.Corrupt {
+		return fmt.Errorf("eventlog: %s is corrupt: %s", l.dir, rep.Detail)
+	}
+	if rep.Snapshots > 0 {
 		l.mReplaySnap.Inc()
 	}
-	bases, err := segments(l.dir)
-	if err != nil {
+	base := end
+	if n := len(ls.segs); n > 0 {
+		base = ls.segs[n-1]
+	}
+	if err := l.openSegment(base); err != nil {
 		return err
 	}
-	if len(bases) == 0 {
-		base := int64(0)
-		if snapOff >= 0 {
-			// Snap-only directory (everything below the snapshot compacted
-			// away): appends resume at the covered offset so segment names
-			// stay global byte offsets.
-			base = snapOff
-		}
-		return l.openSegment(base)
-	}
-	if bases[0] > 0 && snapOff < bases[0] {
-		return fmt.Errorf("eventlog: segments begin at offset %d with no snapshot covering the compacted prefix", bases[0])
-	}
-	// Damage in a non-final segment is corruption, not a torn tail: the log
-	// only ever appends to the last segment, so refuse rather than silently
-	// dropping acknowledged records.
-	last := bases[len(bases)-1]
-	var valid int64
-	var clean bool
-	for _, base := range bases {
-		if valid, clean, err = readSegment(segPath(l.dir, base), 0, nil); err != nil {
-			return err
-		}
-		if !clean && base != last {
-			return fmt.Errorf("eventlog: segment %016x corrupt at offset %d (not the tail segment)", base, valid)
-		}
-	}
-	if err := l.openSegment(last); err != nil {
-		return err
-	}
-	l.segSize = valid
-	if !clean {
-		if err := l.file.Truncate(valid); err != nil {
+	l.segSize = end - base
+	if rep.TornTail {
+		if err := l.file.Truncate(l.segSize); err != nil {
 			l.file.Close()
 			return fmt.Errorf("eventlog: truncate torn tail: %w", err)
 		}
@@ -432,41 +436,48 @@ func (l *Log) recover() error {
 	return nil
 }
 
-// readSegment walks one segment's records from start bytes in, handing every
-// payload whose length and CRC check out to fn (nil: walk only). It returns
-// the offset just past the last such record and whether the walk ended
-// exactly at end of file: clean false means a torn or damaged record begins
-// at pos, and nothing behind it is read. An error from fn stops the walk at
-// the record it refused. The payload is only valid until fn returns.
+// readSegment walks one segment's records from start bytes in, through a
+// buffer (walk). The payload is only valid until fn returns.
 func readSegment(path string, start int64, fn func(payload []byte) error) (pos int64, clean bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return start, false, fmt.Errorf("eventlog: %w", err)
 	}
 	defer f.Close()
-	if _, err := f.Seek(start, io.SeekStart); err != nil {
+	st, err := f.Stat()
+	if err != nil {
 		return start, false, fmt.Errorf("eventlog: %w", err)
 	}
-	pos = start
+	n := st.Size() - start
+	return walk(bufio.NewReaderSize(io.NewSectionReader(f, start, n), int(min(n, 64<<10))), start, st.Size(), fn)
+}
+
+// walk reads the records r holds from byte pos of a segment size bytes long,
+// handing every payload whose length and CRC check out to fn (nil: walk
+// only). It returns the offset just past the last such record and whether the
+// walk ended exactly at size: clean false means a torn or damaged record
+// begins at pos, and nothing behind it is read. No length read from the file
+// sizes a buffer past the bytes left in it. An error from fn stops the walk at
+// the record it refused.
+func walk(r io.Reader, pos, size int64, fn func(payload []byte) error) (int64, bool, error) {
 	var hdr [recHeader]byte
-	buf := make([]byte, 0, 4096)
-	for {
-		if n, err := io.ReadFull(f, hdr[:]); err != nil {
-			return pos, n == 0, nil // end of file, or a torn header
+	var buf []byte
+	for pos < size {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return pos, false, readErr(err)
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > maxPayload {
+		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+		if n == 0 || n > maxPayload || n > size-pos-recHeader {
 			return pos, false, nil
 		}
-		if cap(buf) < int(n) {
+		if int64(cap(buf)) < n {
 			buf = make([]byte, n)
 		}
 		buf = buf[:n]
-		if _, err := io.ReadFull(f, buf); err != nil {
-			return pos, false, nil
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return pos, false, readErr(err)
 		}
-		if crc32.Checksum(buf, crcTable) != crc {
+		if crc32.Checksum(buf, crcTable) != binary.LittleEndian.Uint32(hdr[4:8]) {
 			return pos, false, nil
 		}
 		if fn != nil {
@@ -474,8 +485,18 @@ func readSegment(path string, start int64, fn func(payload []byte) error) (pos i
 				return pos, false, err
 			}
 		}
-		pos += recHeader + int64(n)
+		pos += recHeader + n
 	}
+	return pos, true, nil
+}
+
+// readErr is a failed read's error; a file that ended early — cut back under
+// a live reader — is a torn record, not an error.
+func readErr(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil
+	}
+	return fmt.Errorf("eventlog: %w", err)
 }
 
 func (l *Log) openSegment(base int64) error {
@@ -488,9 +509,6 @@ func (l *Log) openSegment(base int64) error {
 	l.segSize = 0
 	return nil
 }
-
-// encodeRecord frames one record for disk.
-func encodeRecord(r Record) []byte { return appendRecord(nil, r) }
 
 // appendRecord frames r onto buf.
 func appendRecord(buf []byte, r Record) []byte {
@@ -787,21 +805,22 @@ func ReplayDir(dir string, fn func(Record) error) error {
 // any metrics sink, and returns the offset just past the last record fn
 // accepted. Segments wholly below from are skipped — with a snapshot at
 // from, restart replay reads only post-snapshot bytes. Replay stops at the
-// first torn or damaged record: everything behind it is unreadable, and a
-// later segment is never resynced into. A record that passed its CRC but
-// does not decode is an error, as is one fn refuses.
+// first torn or damaged record and never resyncs behind it. In the last
+// segment that stop is clean: on a live directory it may be a record still
+// being written. Damage in any earlier segment is an error, as is a record
+// that passed its CRC but does not decode, or one fn refuses.
 func ReplayDirFrom(dir string, from int64, fn func(Record) error) (int64, error) {
-	bases, err := segments(dir)
+	ls, err := list(dir)
 	if err != nil {
 		return from, err
 	}
-	pos := from
-	for i, base := range bases {
-		if i+1 < len(bases) && bases[i+1] <= pos {
+	pos, last := from, len(ls.segs)-1
+	for i, base := range ls.segs {
+		if i < last && ls.segs[i+1] <= pos {
 			continue
 		}
 		if base > pos {
-			return pos, fmt.Errorf("eventlog: replay offset %d precedes first available byte %d (compacted past it)", pos, base)
+			return pos, fmt.Errorf("eventlog: replay offset %d precedes segment %016x (compacted past it, or a gap in the chain)", pos, base)
 		}
 		next, clean, err := readSegment(segPath(dir, base), pos-base, func(payload []byte) error {
 			rec, err := decodeRecord(payload)
@@ -811,8 +830,11 @@ func ReplayDirFrom(dir string, from int64, fn func(Record) error) (int64, error)
 			return fn(rec)
 		})
 		pos = base + next
-		if err != nil || !clean {
+		if err != nil {
 			return pos, err
+		}
+		if !clean && i < last {
+			return pos, errors.New("eventlog: " + damageBeforeTail(base, next))
 		}
 	}
 	return pos, nil
@@ -851,127 +873,134 @@ type FsckReport struct {
 	// restart replay begins — or -1 when no snapshot exists.
 	SnapshotOffset int64
 	// TornTail is set when the final segment ends in an incomplete or
-	// CRC-damaged record with nothing but garbage behind it — the expected
-	// signature of a crash mid-write.
+	// CRC-damaged record with nothing intact behind it — the signature of a
+	// crash mid-write, which Open truncates.
 	TornTail bool
-	// Corrupt is set when damage appears before the final segment's tail,
-	// or when intact records resync after a break in the final segment
-	// (a crash tears at most one trailing record; damage with valid
-	// records behind it is interior corruption) — either way,
-	// acknowledged records are unreadable.
+	// Corrupt is set when acknowledged records are unreadable: a compacted
+	// prefix no valid snapshot covers, a gap in the segment chain, damage in
+	// any segment but the last, or damage in the last segment with intact
+	// records behind it that read cleanly to end of file. Open refuses such a
+	// directory.
 	Corrupt bool
 	// Detail describes the first damage found.
 	Detail string
 }
 
-// Fsck scans a log directory without modifying it, counting segments, valid
-// records and snapshots, classifying any CRC damage, and validating the
-// snapshot chain: segments must be contiguous, and a directory whose
-// segments start past offset zero (compaction ran) must hold a valid
-// snapshot covering the deleted prefix. A directory with only a snapshot
-// and no segments is clean; a torn snapshot is clean as long as replay can
-// still reach the acked state (an older snapshot or a full segment chain).
+// Fsck scans a log directory without modifying it and reports what Open
+// would decide (judge): Open refuses exactly the directories Fsck calls
+// Corrupt, and truncates exactly the tail Fsck calls TornTail.
 func Fsck(dir string) (FsckReport, error) {
-	rep := FsckReport{SnapshotOffset: -1}
-	validSnaps, badSnaps, err := snapshotInfos(dir)
+	ls, err := list(dir)
 	if err != nil {
-		return rep, err
+		return FsckReport{SnapshotOffset: -1}, err
 	}
-	rep.Snapshots = len(validSnaps)
-	rep.BadSnapshots = len(badSnaps)
-	if len(validSnaps) > 0 {
-		rep.SnapshotOffset = validSnaps[0].Offset
+	rep, _, err := judge(dir, ls)
+	return rep, err
+}
+
+// judge is the one judgement over a listed directory, behind both Fsck's
+// report and Open's decision. It counts segments, intact records and
+// snapshots, and returns with the report the offset just past the last
+// intact record (with no segments, the newest snapshot's offset, or zero).
+// Corruption is, first found first reported: a directory whose segments
+// begin past offset zero (compaction ran) with no valid snapshot covering the
+// deleted prefix; a segment that does not begin where the one before it ends;
+// damage in any segment but the last; and damage in the last segment behind
+// which resync finds intact records that read cleanly to end of file. Damage
+// in the last segment with nothing intact behind it is a torn tail. A torn
+// snapshot is not corruption as long as replay can still reach the acked
+// state (an older snapshot or a full segment chain).
+func judge(dir string, ls listing) (rep FsckReport, end int64, err error) {
+	valid, bad := ls.snapshots(dir)
+	rep = FsckReport{Segments: len(ls.segs), Snapshots: len(valid), BadSnapshots: len(bad), SnapshotOffset: -1}
+	if len(valid) > 0 {
+		rep.SnapshotOffset = valid[0].Offset
+		end = rep.SnapshotOffset
 	}
-	bases, err := segments(dir)
-	if err != nil {
-		return rep, err
-	}
-	rep.Segments = len(bases)
-	if len(bases) == 0 {
-		if len(validSnaps) == 0 && len(badSnaps) > 0 {
-			rep.Corrupt = true
-			rep.Detail = fmt.Sprintf("%d snapshot file(s) unreadable with no segments to replay", len(badSnaps))
-		}
-		return rep, nil
-	}
-	if bases[0] > 0 && (len(validSnaps) == 0 || validSnaps[0].Offset < bases[0]) {
+	corrupt := func(format string, args ...any) (FsckReport, int64, error) {
 		rep.Corrupt = true
-		rep.Detail = fmt.Sprintf("segments begin at offset %d with no snapshot covering the compacted prefix", bases[0])
-		return rep, nil
+		rep.Detail = fmt.Sprintf(format, args...)
+		return rep, end, nil
 	}
-	prevEnd := bases[0]
-	for i, base := range bases {
-		if base != prevEnd {
-			rep.Corrupt = true
-			rep.Detail = fmt.Sprintf("segment %016x does not begin where the previous segment ends (offset %d) — gap in the chain", base, prevEnd)
-			return rep, nil
+	if len(ls.segs) == 0 {
+		if len(valid) == 0 && len(bad) > 0 {
+			return corrupt("%d snapshot file(s) unreadable with no segments to replay", len(bad))
+		}
+		return rep, end, nil
+	}
+	if first := ls.segs[0]; first > 0 && rep.SnapshotOffset < first {
+		return corrupt("segments begin at offset %d with no snapshot covering the compacted prefix", first)
+	}
+	end = ls.segs[0]
+	last := len(ls.segs) - 1
+	for i, base := range ls.segs {
+		if base != end {
+			return corrupt("segment %016x does not begin where the previous segment ends (offset %d) — gap in the chain", base, end)
 		}
 		path := segPath(dir, base)
-		valid, clean, err := readSegment(path, 0, func([]byte) error {
+		n, clean, err := readSegment(path, 0, func([]byte) error {
 			rep.Records++
 			return nil
 		})
 		if err != nil {
-			return rep, err
+			return rep, end, err
 		}
-		prevEnd = base + valid
-		rep.Bytes += valid
+		end = base + n
+		rep.Bytes += n
 		if clean {
 			continue
 		}
-		if i < len(bases)-1 {
-			rep.Corrupt = true
-			rep.Detail = fmt.Sprintf("segment %016x: damage at offset %d before the tail segment", base, valid)
-			return rep, nil
+		if i < last {
+			return corrupt("%s", damageBeforeTail(base, n))
 		}
-		sync, trailing, err := resyncOffset(path, valid)
+		at, trailing, err := resync(path, n)
 		if err != nil {
-			return rep, err
+			return rep, end, err
 		}
-		if sync >= 0 {
-			rep.Corrupt = true
-			rep.Detail = fmt.Sprintf("segment %016x: damage at offset %d with intact records resuming at %d — interior corruption, not a crash tear", base, valid, sync)
-			return rep, nil
+		if at >= 0 {
+			return corrupt("segment %016x: damage at offset %d with intact records from %d to end of file — interior corruption, not a crash tear", base, n, at)
 		}
 		rep.TornTail = true
-		rep.Detail = fmt.Sprintf("segment %016x: torn tail at offset %d (%d trailing bytes)", base, valid, trailing)
+		rep.Detail = fmt.Sprintf("segment %016x: torn tail at offset %d (%d trailing bytes)", base, n, trailing)
 	}
-	if len(badSnaps) > 0 && rep.Detail == "" {
-		rep.Detail = fmt.Sprintf("%d snapshot file(s) unreadable (replay falls back to an older snapshot or offset zero)", len(badSnaps))
+	if len(bad) > 0 && rep.Detail == "" {
+		rep.Detail = fmt.Sprintf("%d snapshot file(s) unreadable (replay falls back to an older snapshot or offset zero)", len(bad))
 	}
-	return rep, nil
+	return rep, end, nil
 }
 
-// resyncOffset scans the damaged region of a segment — everything from the
-// break at from to end of file — for an offset where a well-formed record
-// (sane length, matching CRC) begins, returning -1 when none exists, and the
-// size of the region. A crash mid-write tears at most the one record being
-// appended, so any record that parses behind the break proves the damage is
-// interior corruption rather than a torn tail.
-func resyncOffset(path string, from int64) (sync, trailing int64, err error) {
+// damageBeforeTail is the Detail of damage at off in segment base, which is
+// not the last.
+func damageBeforeTail(base, off int64) string {
+	return fmt.Sprintf("segment %016x: damage at offset %d before the tail segment", base, off)
+}
+
+// resync looks behind the break at from in the last segment for interior
+// corruption: the first offset past it where a record begins and every record
+// from there reads cleanly to end of file, or -1 when there is none, and the
+// number of bytes from the break to end of file. A crash tears at most the
+// one record being appended, with nothing intact behind it. A frame that a
+// torn payload happens to carry is followed by the rest of that payload, not
+// by records to end of file, so it is no resync.
+func resync(path string, from int64) (at, trailing int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return -1, 0, fmt.Errorf("eventlog: %w", err)
 	}
 	defer f.Close()
-	st, err := f.Stat()
+	region, err := io.ReadAll(io.NewSectionReader(f, from, 1<<62))
 	if err != nil {
-		return -1, 0, fmt.Errorf("eventlog: %w", err)
-	}
-	region := make([]byte, st.Size()-from)
-	if _, err := f.ReadAt(region, from); err != nil {
 		return -1, 0, fmt.Errorf("eventlog: %w", err)
 	}
 	// The break itself is the torn record; a resync at offset zero would be
 	// the valid prefix again, so start one byte in.
-	for off := int64(1); off+recHeader <= int64(len(region)); off++ {
-		n := int64(binary.LittleEndian.Uint32(region[off : off+4]))
-		if n == 0 || n > maxPayload || off+recHeader+n > int64(len(region)) {
+	for off := 1; off+recHeader <= len(region); off++ {
+		if n := binary.LittleEndian.Uint32(region[off:]); n == 0 || int(n) > len(region)-off-recHeader {
 			continue
 		}
-		crc := binary.LittleEndian.Uint32(region[off+4 : off+8])
-		if crc32.Checksum(region[off+recHeader:off+recHeader+n], crcTable) == crc {
-			return from + off, int64(len(region)), nil
+		rest := region[off:]
+		if _, clean, _ := walk(bytes.NewReader(rest), 0, int64(len(rest)), nil); clean {
+			return from + int64(off), int64(len(region)), nil
 		}
 	}
 	return -1, int64(len(region)), nil

@@ -52,6 +52,12 @@ func replayAll(t *testing.T, dir string) []Record {
 	return got
 }
 
+// segments lists the segment base offsets in dir, ascending.
+func segments(dir string) ([]int64, error) {
+	ls, err := list(dir)
+	return ls.segs, err
+}
+
 func checkRecords(t *testing.T, got, want []Record) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -485,7 +491,8 @@ func TestConcurrentAppend(t *testing.T) {
 // ReplayDir is ReplayDirFrom offset zero: on a clean directory, on one whose
 // tail segment ends in a torn record, and on one damaged in the middle of an
 // earlier segment, both visit the same records and stop at the same byte —
-// the first damage, with no resync into a later segment.
+// the first damage, with no resync into a later segment. Damage before the
+// tail segment is an error; a torn tail is a clean stop.
 func TestReplayDirIsReplayDirFromZero(t *testing.T) {
 	recs := append(sampleRecords(), sampleRecords()...)
 	size := func(rs []Record) (n int64) {
@@ -495,11 +502,12 @@ func TestReplayDirIsReplayDirFromZero(t *testing.T) {
 		return n
 	}
 	for _, tc := range []struct {
-		name   string
-		damage func(t *testing.T, dir string, bases []int64)
-		want   int // records both readers visit
+		name    string
+		damage  func(t *testing.T, dir string, bases []int64)
+		want    int  // records both readers visit
+		wantErr bool // both readers report the damage
 	}{
-		{"clean", func(*testing.T, string, []int64) {}, len(recs)},
+		{"clean", func(*testing.T, string, []int64) {}, len(recs), false},
 		{"torn tail", func(t *testing.T, dir string, bases []int64) {
 			f, err := os.OpenFile(segPath(dir, bases[len(bases)-1]), os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
@@ -509,7 +517,7 @@ func TestReplayDirIsReplayDirFromZero(t *testing.T) {
 			if _, err := f.Write(encodeRecord(recs[0])[:recHeader+3]); err != nil {
 				t.Fatal(err)
 			}
-		}, len(recs)},
+		}, len(recs), false},
 		{"mid-segment damage", func(t *testing.T, dir string, bases []int64) {
 			// Flip a payload byte of the second record of the first segment:
 			// the rest of that segment and every later one go unread.
@@ -522,7 +530,7 @@ func TestReplayDirIsReplayDirFromZero(t *testing.T) {
 			if err := os.WriteFile(path, buf, 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}, 1},
+		}, 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -542,14 +550,19 @@ func TestReplayDirIsReplayDirFromZero(t *testing.T) {
 			}
 			tc.damage(t, dir, bases)
 
-			viaDir := replayAll(t, dir)
-			var viaFrom []Record
+			var viaDir, viaFrom []Record
+			dirErr := ReplayDir(dir, func(r Record) error {
+				viaDir = append(viaDir, r)
+				return nil
+			})
 			end, err := ReplayDirFrom(dir, 0, func(r Record) error {
 				viaFrom = append(viaFrom, r)
 				return nil
 			})
-			if err != nil {
-				t.Fatal(err)
+			for _, err := range []error{dirErr, err} {
+				if (err != nil) != tc.wantErr {
+					t.Fatalf("replay error %v, want one: %v", err, tc.wantErr)
+				}
 			}
 			checkRecords(t, viaDir, recs[:tc.want])
 			checkRecords(t, viaFrom, recs[:tc.want])
@@ -871,3 +884,6 @@ func TestFailedTruncateKeepsDrain(t *testing.T) {
 	l.Close()
 	checkRecords(t, replayAll(t, dir), recs[:2])
 }
+
+// encodeRecord frames one record for disk.
+func encodeRecord(r Record) []byte { return appendRecord(nil, r) }

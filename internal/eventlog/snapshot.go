@@ -23,8 +23,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 )
 
 const (
@@ -55,7 +53,8 @@ func (l *Log) Dir() string { return l.dir }
 // snapshot appears by rename and goes by unlink, so a concurrent reader sees
 // each file whole or not at all.
 func Snapshots(dir string) ([]SnapshotRef, error) {
-	valid, _, err := snapshotInfos(dir)
+	ls, err := list(dir)
+	valid, _ := ls.snapshots(dir)
 	return valid, err
 }
 
@@ -119,10 +118,11 @@ func (l *Log) Compact() (int, error) {
 	l.snapMu.Lock()
 	defer l.snapMu.Unlock()
 
-	valid, bad, err := snapshotInfos(l.dir)
+	ls, err := list(l.dir)
 	if err != nil {
 		return 0, err
 	}
+	valid, bad := ls.snapshots(l.dir)
 	if len(valid) == 0 {
 		return 0, nil
 	}
@@ -152,19 +152,15 @@ func (l *Log) Compact() (int, error) {
 			}
 		}
 	}
-	bases, err := segments(l.dir)
-	if err != nil {
-		return 0, err
-	}
 	removed := 0
-	for i := 0; i < len(bases)-1; i++ {
+	for i := 0; i < len(ls.segs)-1; i++ {
 		// A segment's end is the next segment's base (bases are cumulative
 		// byte offsets); delete only when every byte predates the oldest
 		// retained snapshot.
-		if bases[i+1] > retain {
+		if ls.segs[i+1] > retain {
 			break
 		}
-		if err := del(segPath(l.dir, bases[i])); err != nil {
+		if err := del(segPath(l.dir, ls.segs[i])); err != nil {
 			return removed, err
 		}
 		removed++
@@ -215,49 +211,18 @@ func readSnapshotFile(path string) (SnapshotRef, error) {
 	return SnapshotRef{Offset: offset, Payload: payload}, nil
 }
 
-// snapshotInfos scans dir for snapshot files, returning the valid ones
-// newest-first (with payloads) and the offsets of unreadable ones.
-func snapshotInfos(dir string) (valid []SnapshotRef, bad []int64, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("eventlog: %w", err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || filepath.Ext(name) != snapSuffix {
-			continue
-		}
-		var off int64
-		if _, err := fmt.Sscanf(name, "%016x"+snapSuffix, &off); err != nil {
-			continue
-		}
-		ref, rerr := readSnapshotFile(filepath.Join(dir, name))
-		if rerr != nil || ref.Offset != off {
+// snapshots reads and checks every snapshot file listed, returning the
+// valid ones newest first (with payloads) and the offsets of unreadable ones.
+func (ls listing) snapshots(dir string) (valid []SnapshotRef, bad []int64) {
+	for _, off := range ls.snaps {
+		ref, err := readSnapshotFile(snapPath(dir, off))
+		if err != nil || ref.Offset != off {
 			bad = append(bad, off)
 			continue
 		}
 		valid = append(valid, ref)
 	}
-	sort.Slice(valid, func(i, j int) bool { return valid[i].Offset > valid[j].Offset })
-	sort.Slice(bad, func(i, j int) bool { return bad[i] < bad[j] })
-	return valid, bad, nil
-}
-
-// removeSnapTmp sweeps half-written snapshot temp files left by a crash.
-// They were never promoted by rename, so they hold nothing durable.
-func (l *Log) removeSnapTmp() error {
-	entries, err := os.ReadDir(l.dir)
-	if err != nil {
-		return fmt.Errorf("eventlog: %w", err)
-	}
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), snapSuffix+".tmp") {
-			if err := l.fs.Remove(filepath.Join(l.dir, e.Name())); err != nil {
-				return fmt.Errorf("eventlog: %w", err)
-			}
-		}
-	}
-	return nil
+	return valid, bad
 }
 
 // snapBegin registers an in-flight snapshot/compaction op so Close can wait

@@ -221,7 +221,7 @@ func measureCosoft(users int, lat time.Duration, events int, sharedFraction floa
 	err = testbed.Run(func(tb testbed.TB) {
 		srv, bed, cl := newBed(tb, users, archSpec, lat, server.Options{}, client.Options{})
 		bed.Star("/app/field", cl...)
-		baseline, _ := bed.Traffic()
+		baseline, _ := quiescentTraffic(tb, srv, bed)
 		var wg sync.WaitGroup
 		waits := make([]time.Duration, users)
 		errs := make(chan error, users)
@@ -251,7 +251,7 @@ func measureCosoft(users int, lat time.Duration, events int, sharedFraction floa
 		for _, w := range waits {
 			total += w
 		}
-		frames, _ := bed.Traffic()
+		frames, _ := quiescentTraffic(tb, srv, bed)
 		st := srv.Stats()
 		row = ArchLatencyRow{
 			Architecture: "cosoft",

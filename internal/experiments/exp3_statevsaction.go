@@ -80,9 +80,9 @@ func StateVsAction(missed []int) ([]StateVsActionRow, error) {
 // and waits until B holds the final value.
 func runReplayStrategy(log *replay.Log, final string) (took time.Duration, msgs int64, err error) {
 	err = testbed.Run(func(tb testbed.TB) {
-		_, bed, cl := newBed(tb, 2, fieldSpec, 0, server.Options{}, client.Options{})
+		srv, bed, cl := newBed(tb, 2, fieldSpec, 0, server.Options{}, client.Options{})
 		bed.Star("/field", cl...)
-		before, _ := bed.Traffic()
+		before, _ := quiescentTraffic(tb, srv, bed)
 		start := time.Now()
 		_, err := log.Replay(func(e *widget.Event) error {
 			_, err := DispatchRetry(cl[0], e)
@@ -91,7 +91,7 @@ func runReplayStrategy(log *replay.Log, final string) (took time.Duration, msgs 
 		must(tb, err)
 		waitValue(tb, "/field", widget.AttrValue, final, cl...)
 		took = time.Since(start)
-		msgs, _ = bed.Traffic()
+		msgs, _ = quiescentTraffic(tb, srv, bed)
 		msgs -= before
 	})
 	return took, msgs, err
@@ -101,18 +101,18 @@ func runReplayStrategy(log *replay.Log, final string) (took time.Duration, msgs 
 // state, then performs one CopyTo.
 func runStateCopyStrategy(final string) (took time.Duration, msgs int64, err error) {
 	err = testbed.Run(func(tb testbed.TB) {
-		_, bed, cl := newBed(tb, 2, fieldSpec, 0, server.Options{}, client.Options{})
+		srv, bed, cl := newBed(tb, 2, fieldSpec, 0, server.Options{}, client.Options{})
 		declare(tb, "/field", cl)
 		a, b := cl[0], cl[1]
 		w, err := a.Registry().Lookup("/field")
 		must(tb, err)
 		w.SetAttr(widget.AttrValue, attr.String(final))
-		before, _ := bed.Traffic()
+		before, _ := quiescentTraffic(tb, srv, bed)
 		start := time.Now()
 		must(tb, a.CopyTo("/field", b.Ref("/field"), false))
 		waitValue(tb, "/field", widget.AttrValue, final, b)
 		took = time.Since(start)
-		msgs, _ = bed.Traffic()
+		msgs, _ = quiescentTraffic(tb, srv, bed)
 		msgs -= before
 	})
 	return took, msgs, err

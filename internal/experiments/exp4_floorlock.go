@@ -68,13 +68,13 @@ func FloorControl(textLen int, granularities []int) ([]FloorLockRow, error) {
 
 func runEditing(payload string, chars int, coupled bool) (took time.Duration, msgs int64, events, rejections int, err error) {
 	err = testbed.Run(func(tb testbed.TB) {
-		_, bed, cl := newBed(tb, 2, `textarea doc text=""`, 0, server.Options{}, client.Options{})
+		srv, bed, cl := newBed(tb, 2, `textarea doc text=""`, 0, server.Options{}, client.Options{})
 		if coupled {
 			bed.Star("/doc", cl...)
 		} else {
 			declare(tb, "/doc", cl)
 		}
-		before, _ := bed.Traffic()
+		before, _ := quiescentTraffic(tb, srv, bed)
 		start := time.Now()
 		for pos := 0; pos < len(payload); pos += chars {
 			end := pos + chars
@@ -93,7 +93,7 @@ func runEditing(payload string, chars int, coupled bool) (took time.Duration, ms
 			waitValue(tb, "/doc", widget.AttrText, payload, cl...)
 		}
 		took = time.Since(start)
-		msgs, _ = bed.Traffic()
+		msgs, _ = quiescentTraffic(tb, srv, bed)
 		msgs -= before
 	})
 	return took, msgs, events, rejections, err

@@ -54,14 +54,14 @@ func IndirectCoupling(points []int) ([]IndirectRow, error) {
 // the full m-point rendering.
 func runDirectCoupling(m int) (took time.Duration, bytes int64, err error) {
 	err = testbed.Run(func(tb testbed.TB) {
-		_, bed, cl := newBed(tb, 2, `canvas display width=640 height=400`, 0,
+		srv, bed, cl := newBed(tb, 2, `canvas display width=640 height=400`, 0,
 			server.Options{}, client.Options{})
 		bed.Star("/display", cl...)
 		stroke := make([]attr.Point, m)
 		for i := range stroke {
 			stroke[i] = attr.Point{X: int32(i), Y: int32(i % 400)}
 		}
-		_, before := bed.Traffic()
+		_, before := quiescentTraffic(tb, srv, bed)
 		start := time.Now()
 		must(tb, cl[0].DispatchChecked(&widget.Event{
 			Path: "/display", Name: widget.EventDraw,
@@ -69,7 +69,7 @@ func runDirectCoupling(m int) (took time.Duration, bytes int64, err error) {
 		}))
 		waitStrokes(tb, cl[1], "/display", m)
 		took = time.Since(start)
-		_, bytes = bed.Traffic()
+		_, bytes = quiescentTraffic(tb, srv, bed)
 		bytes -= before
 	})
 	return took, bytes, err
@@ -91,7 +91,7 @@ func runIndirectCoupling(m int) (took time.Duration, bytes int64, err error) {
   textfield term value="x"
   canvas display width=640 height=400`
 	err = testbed.Run(func(tb testbed.TB) {
-		_, bed, cl := newBed(tb, 2, spec, 0, server.Options{}, client.Options{})
+		srv, bed, cl := newBed(tb, 2, spec, 0, server.Options{}, client.Options{})
 		// Wire local regeneration in both environments, at the requested
 		// resolution.
 		for _, cli := range cl {
@@ -103,7 +103,7 @@ func runIndirectCoupling(m int) (took time.Duration, bytes int64, err error) {
 			}))
 		}
 		bed.Star("/env/term", cl...)
-		_, before := bed.Traffic()
+		_, before := quiescentTraffic(tb, srv, bed)
 		start := time.Now()
 		must(tb, cl[0].DispatchChecked(&widget.Event{
 			Path: "/env/term", Name: widget.EventChanged,
@@ -111,7 +111,7 @@ func runIndirectCoupling(m int) (took time.Duration, bytes int64, err error) {
 		}))
 		waitStrokes(tb, cl[1], "/env/display", m)
 		took = time.Since(start)
-		_, bytes = bed.Traffic()
+		_, bytes = quiescentTraffic(tb, srv, bed)
 		bytes -= before
 	})
 	return took, bytes, err

@@ -62,6 +62,18 @@ func waitValue(tb testbed.TB, path, attrName, want string, cl ...*client.Client)
 	})
 }
 
+// quiescentTraffic returns the bed's frame and byte counts once srv is
+// quiescent: no event awaits an ack and no envelope is queued, so every
+// ExecAck, result and unlock notice of the traffic so far is on the wire and
+// counted. Pending events are read first: an event's unlock notices are
+// queued before it stops counting as pending.
+func quiescentTraffic(tb testbed.TB, srv *server.Server, bed *testbed.Bed) (frames, bytes int64) {
+	testbed.Wait(tb, "a quiescent server", func() bool {
+		return srv.Stats().PendingEvents == 0 && srv.Stats().OutboxDepth == 0
+	})
+	return bed.Traffic()
+}
+
 // must ends the run with err.
 func must(tb testbed.TB, err error) {
 	if err != nil {

@@ -349,6 +349,8 @@ func New(opts Options) *Server {
 		// recovery needs no locking discipline.
 		off, n, err := st.restore(opts.EventLog.Dir(), opts.EventLog.ReplayCounter())
 		if err != nil {
+			// Open refused every directory Fsck calls corrupt, so this is
+			// the residual: a record that passes its CRC but does not decode.
 			st.log.Warn("event log replay stopped early", "records", n, "offset", off, "err", err)
 		}
 		if off > 0 {

@@ -39,8 +39,10 @@ type snapshotter struct {
 // once runs one snapshot cycle: fold the log's new durable records into the
 // replica, write a snapshot at the folded offset if the cadence (or force)
 // says so, then compact. Reading stops cleanly at a torn or in-flight
-// record — the next cycle resumes there. Fold reads go to the directory, not
-// through the log handle, so they never count in server.log.replayed.
+// record at the end of the log — the next cycle resumes there. Damage before
+// the last segment fails the cycle, which then writes and deletes nothing.
+// Fold reads go to the directory, not through the log handle, so they never
+// count in server.log.replayed.
 func (sn *snapshotter) once(force bool) error {
 	sn.mu.Lock()
 	defer sn.mu.Unlock()

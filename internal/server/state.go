@@ -252,11 +252,11 @@ func (st *state) apply(rec eventlog.Record) error {
 // decodes (falling back to older ones, finally to offset zero), then every
 // record behind it. It is the one place that knows how persisted state comes
 // back, and it only reads. A record apply refuses is skipped with a warning;
-// the first torn or damaged record ends the tail (see
+// a torn record at the end of the log ends the tail (see
 // eventlog.ReplayDirFrom). It returns the offset the state now stands at and
 // the records it replayed, each counted in replayed; err reports a directory
-// that could not be read or a record that could not be decoded, and leaves
-// the state at off.
+// that could not be read, damage before its last segment, or a record that
+// could not be decoded, and leaves the state at off.
 func (st *state) restore(dir string, replayed *obs.Counter) (off int64, n int, err error) {
 	snaps, err := eventlog.Snapshots(dir)
 	if err != nil {
