@@ -1,6 +1,6 @@
 # Development targets. `make verify` is the PR gate: vet plus race-checked
 # tests over the packages whose correctness rests on the server's
-# serialization invariants (the global lock and the shard locks).
+# serialization invariants (the global lock and the event lock).
 
 GO ?= go
 
@@ -23,8 +23,9 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # Race-check the coupling core: the server (read goroutines run events and
-# acks under their shard's lock and control-plane messages under the global
-# lock, and every shard takes a group's floor in the one lock table), the
+# acks under the event lock and control-plane messages under the global
+# lock, take a group's floor in the one lock table, and flush what they sent
+# once they let the lock go), the
 # lock table, the client runtime, the wire Conn (RPC callers, Pongs and acks
 # write one Conn side by side, under the lock that also keeps its write error
 # and its unsent tail; on the server a lock holder's attempts and the outbox
@@ -42,7 +43,7 @@ lint-metrics:
 
 # The allocation budgets of the event path: per-frame gates on wire.Conn, the
 # broadcast's shared Exec and the relay of an Event's payload (Next, Seal and
-# Release allocate nothing), a shard's attempted write (none either), a
+# Release allocate nothing), a lock holder's attempted write (none either), a
 # group's floor lock (lock.TryLockGroup plus UnlockGroup), the remote
 # re-execution of an event (widget Deliver), a steady-state client RPC round
 # trip and ack flush, and the end-to-end budget per member-event over
@@ -56,10 +57,10 @@ verify: fmt vet lint-metrics race allocs
 
 # Soak the fault-injection tests: hung, partitioned, evicted, resumed and
 # duplicated connections, repeated under the race detector. Every harness
-# server is the product configuration (four shards, batching on, an event
+# server is the product configuration (one event lock, batching on, an event
 # log that snapshots and compacts underneath, the clients cosoft.Dial ships),
-# so one pass covers a departure's cleanup on every shard, the packed fan-out
-# path and append-before-ack.
+# so one pass covers a departure's cleanup of pending events, the packed
+# fan-out path and append-before-ack.
 chaos:
 	$(GO) test -race -run Chaos -count=3 ./...
 

@@ -14,7 +14,7 @@
 // Usage:
 //
 //	cosoft-load [-groups 2] [-group-size 64] [-duration 5s] [-events 0]
-//	            [-rate 0] [-payload 24] [-batch-limit 32] [-shards 0]
+//	            [-rate 0] [-payload 24] [-batch-limit 32]
 //	            [-addr host:port] [-v]
 //
 // The summary row reports per-group-aggregated p50/p99 dispatch RTT (origin
@@ -52,7 +52,6 @@ func main() {
 		rate       = flag.Float64("rate", 0, "target events/sec per group (0 = as fast as floor control allows)")
 		payload    = flag.Int("payload", 24, "event payload size in bytes")
 		batchLimit = flag.Int("batch-limit", 32, "in-process server batch limit: envelopes packed into one frame (1 = one per frame)")
-		shards     = flag.Int("shards", 0, "in-process server shard count: event-state shards, striped by source object (0 = GOMAXPROCS, what cosoftd runs)")
 		verbose    = flag.Bool("v", false, "log per-group progress")
 	)
 	flag.Parse()
@@ -63,7 +62,7 @@ func main() {
 	if err := run(config{
 		addr: *addr, groups: *groups, groupSize: *groupSize,
 		duration: *duration, events: *events, rate: *rate, payload: *payload,
-		batchLimit: *batchLimit, shards: *shards, verbose: *verbose,
+		batchLimit: *batchLimit, verbose: *verbose,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "cosoft-load: %v\n", err)
 		os.Exit(1)
@@ -79,7 +78,6 @@ type config struct {
 	rate       float64
 	payload    int
 	batchLimit int
-	shards     int
 	verbose    bool
 }
 
@@ -99,7 +97,6 @@ func run(cfg config) error {
 	if cfg.addr == "" {
 		srv = server.New(server.Options{
 			BatchLimit: cfg.batchLimit,
-			Shards:     cfg.shards,
 		})
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

@@ -21,7 +21,7 @@
 // Usage:
 //
 //	cosoftd [-listen :7817] [-metrics-addr :9090] [-history 32]
-//	        [-ordered-locking] [-shards N] [-batch-limit 32]
+//	        [-ordered-locking] [-batch-limit 32]
 //	        [-trace-buffer 4096] [-flight-depth 64] [-log-level info] [-v]
 //	        [-log-dir /var/lib/cosoft/log] [-log-sync interval]
 //	        [-log-segment-bytes 67108864]
@@ -50,7 +50,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -65,7 +64,6 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "HTTP address for the metrics/trace/pprof endpoints (empty = disabled)")
 	history := flag.Int("history", 0, "per-object historical-state depth (0 = default)")
 	ordered := flag.Bool("ordered-locking", false, "use deterministic-order group locking instead of the paper's sequential algorithm")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "number of event-state shards, striped by source object; every shard shares one lock table (default GOMAXPROCS)")
 	batchLimit := flag.Int("batch-limit", 32, "max envelopes packed into one Batch frame (1 = one envelope per frame)")
 	traceBuffer := flag.Int("trace-buffer", obs.DefaultTraceBuffer, "causal-trace span ring size (0 = tracing disabled)")
 	flightDepth := flag.Int("flight-depth", obs.DefaultFlightDepth, "per-connection flight-recorder depth (0 = disabled)")
@@ -91,7 +89,6 @@ func main() {
 	opts := server.Options{
 		HistoryDepth:   *history,
 		OrderedLocking: *ordered,
-		Shards:         *shards,
 		BatchLimit:     *batchLimit,
 		Metrics:        metrics,
 	}

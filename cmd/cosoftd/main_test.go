@@ -289,7 +289,7 @@ func TestDebugGroupsEndToEnd(t *testing.T) {
 		`cosoft_server_member_ack_ewma_ns{member="` + string(c.ID()) + `"}`,
 		`cosoft_server_member_ack_ns_bucket{member="` + string(c.ID()) + `",le="+Inf"} 3`,
 		"cosoft_server_global_busy_ns",
-		"cosoft_server_shard_0_queue_depth",
+		"cosoft_server_event_lock_queue_depth",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("prom output missing %q", want)

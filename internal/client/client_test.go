@@ -17,10 +17,9 @@ import (
 )
 
 // testServerOptions is the default option set for every test server in this
-// package: the product configuration, with the shard count pinned so
-// cross-shard coverage does not depend on the runner's core count.
+// package: the product configuration.
 func testServerOptions() server.Options {
-	return server.Options{Shards: 4}
+	return server.Options{}
 }
 
 // dial spins a private server and connects one client to it.

@@ -105,8 +105,8 @@ func (c *Client) redial() (*wire.Conn, []wire.Record, error) {
 // The resumed instance is already a member of its coupling groups, so the
 // server can start flushing group traffic the moment it admits the session:
 // the Registered reply may arrive packed in a Batch with notifications or
-// replayed events, or even after them when a shard's broadcast wins the race
-// with the admission: shard-lock holders see the instance connected a moment
+// replayed events, or even after them when a broadcast wins the race with
+// the admission: event-lock holders see the instance connected a moment
 // before the reply is queued. Every record read before the reply
 // is stashed and returned for the read loop to route once the resume is
 // accepted, and records packed after it stay in the Conn for the read loop —

@@ -4,7 +4,7 @@
 // replay (commutative event sourcing over the §3.2 event stream).
 //
 // Records are group-interleaved: each carries the coupling-group key it
-// mutates, so one log serializes all shards' appends while replay can still
+// mutates, so one log serializes all appends while replay can still
 // attribute every record to its group. An append never does I/O: the
 // appender encodes its record straight into the log's fill buffer, framing,
 // length and CRC included, and one writer goroutine swaps that buffer out on
@@ -12,7 +12,7 @@
 // flight goes out as a single write (+ a single fsync under `always`) and
 // every appender group-commits. Append blocks until its record reaches its
 // durability level (written for `interval`/`none`, written and fsynced for
-// `always`); AppendEvent, a shard's audit record of an event, never
+// `always`); AppendEvent, the server's audit record of an event, never
 // waits and hears nothing back beyond an immediate refusal.
 //
 // On-disk framing, repeated per record inside segments named by base offset
@@ -89,7 +89,7 @@ const (
 	KindRedo
 	// KindPerm: an access-permission grant or revoke.
 	KindPerm
-	// KindLease: a shard leased event IDs up to a ceiling; no ID at or below
+	// KindLease: the server leased event IDs up to a ceiling; no ID at or below
 	// it may be issued after a restart. The envelope is an Exec whose
 	// EventID is the ceiling.
 	KindLease
@@ -235,7 +235,7 @@ const maxIdleFill = 1 << 20
 // goroutine; all file I/O happens on the writer goroutine.
 //
 // Backpressure: the fill buffer has no byte cap, and no appender ever waits
-// for room in it. Its backlog is bounded by the callers instead. A shard
+// for room in it. Its backlog is bounded by the callers instead. The server
 // appends event records only for IDs under a lease it took with the blocking
 // Append, one lease per block of IDs, so behind a stalled write its event
 // records never outnumber one block: its next lease waits for the write.
@@ -396,8 +396,11 @@ func segPath(dir string, base int64) string {
 
 // recover sweeps the snapshot temp files a crash left, judges the directory
 // (judge), refuses it if corrupt, truncates a torn tail, and opens the last
-// segment for append — or, with no segments, a fresh one at the newest
-// snapshot's offset, so segment names stay global byte offsets.
+// segment for append. It never appends below the newest valid snapshot,
+// where replay starts: with no segments, or with segments that end short of
+// the snapshot (their tail was lost after the snapshot was written), it opens
+// a fresh segment at the snapshot's offset, so segment names stay global
+// byte offsets, and judge accepts the gap the snapshot covers.
 func (l *Log) recover() error {
 	ls, err := list(l.dir)
 	if err != nil {
@@ -432,6 +435,12 @@ func (l *Log) recover() error {
 			return fmt.Errorf("eventlog: truncate torn tail: %w", err)
 		}
 		l.mTruncated.Inc()
+	}
+	if rep.SnapshotOffset > end {
+		if err := l.file.Close(); err != nil {
+			return fmt.Errorf("eventlog: %w", err)
+		}
+		return l.openSegment(rep.SnapshotOffset)
 	}
 	return nil
 }
@@ -877,7 +886,8 @@ type FsckReport struct {
 	// crash mid-write, which Open truncates.
 	TornTail bool
 	// Corrupt is set when acknowledged records are unreadable: a compacted
-	// prefix no valid snapshot covers, a gap in the segment chain, damage in
+	// prefix no valid snapshot covers, a gap in the segment chain that the
+	// newest valid snapshot does not cover, damage in
 	// any segment but the last, or damage in the last segment with intact
 	// records behind it that read cleanly to end of file. Open refuses such a
 	// directory.
@@ -904,8 +914,10 @@ func Fsck(dir string) (FsckReport, error) {
 // intact record (with no segments, the newest snapshot's offset, or zero).
 // Corruption is, first found first reported: a directory whose segments
 // begin past offset zero (compaction ran) with no valid snapshot covering the
-// deleted prefix; a segment that does not begin where the one before it ends;
-// damage in any segment but the last; and damage in the last segment behind
+// deleted prefix; a segment that does not begin where the one before it ends,
+// unless the newest valid snapshot lies at or past its start, so replay never
+// reads the gap (Open leaves one when the segments ended short of that
+// snapshot); damage in any segment but the last; and damage in the last segment behind
 // which resync finds intact records that read cleanly to end of file. Damage
 // in the last segment with nothing intact behind it is a torn tail. A torn
 // snapshot is not corruption as long as replay can still reach the acked
@@ -934,7 +946,7 @@ func judge(dir string, ls listing) (rep FsckReport, end int64, err error) {
 	end = ls.segs[0]
 	last := len(ls.segs) - 1
 	for i, base := range ls.segs {
-		if base != end {
+		if base != end && (base < end || rep.SnapshotOffset < base) {
 			return corrupt("segment %016x does not begin where the previous segment ends (offset %d) — gap in the chain", base, end)
 		}
 		path := segPath(dir, base)

@@ -101,7 +101,8 @@ func removeSegments(t *testing.T, dir string, which func(i, n int) bool) {
 // snapshot tests build: it succeeds exactly when Fsck reports no corruption,
 // a refusal carries Fsck's Detail and leaves every file byte for byte as it
 // was, and a directory Open accepted passes Fsck clean afterwards (a torn
-// tail truncated, nothing else touched).
+// tail truncated, a fresh segment opened at a snapshot past the segments'
+// end, nothing else touched).
 func TestOpenActsOnFsck(t *testing.T) {
 	const (
 		clean = iota
@@ -120,31 +121,33 @@ func TestOpenActsOnFsck(t *testing.T) {
 		build  func(t *testing.T) string
 		want   int
 		detail string // in Fsck's Detail
+		// then, if set, runs on the log Open returned, before it is closed.
+		then func(t *testing.T, l *Log)
 	}{
 		{"clean", func(t *testing.T) string {
 			dir, _ := buildLog(t, 128, 3)
 			return dir
-		}, clean, ""},
+		}, clean, "", nil},
 		{"torn tail", func(t *testing.T) string {
 			dir, _ := buildLog(t, 0, 1)
 			appendBytes(t, lastSeg(t, dir), encodeRecord(sampleRecords()[0])[:recHeader+3])
 			return dir
-		}, torn, "torn tail"},
+		}, torn, "torn tail", nil},
 		{"gap", func(t *testing.T) string {
 			dir, _ := buildLog(t, 128, 6)
 			removeSegments(t, dir, func(i, n int) bool { return i == 1 })
 			return dir
-		}, corrupt, "gap in the chain"},
+		}, corrupt, "gap in the chain", nil},
 		{"uncovered prefix", func(t *testing.T) string {
 			dir, _ := buildLog(t, 128, 6)
 			removeSegments(t, dir, func(i, n int) bool { return i == 0 })
 			return dir
-		}, corrupt, "no snapshot covering the compacted prefix"},
+		}, corrupt, "no snapshot covering the compacted prefix", nil},
 		{"damage before the tail", func(t *testing.T) string {
 			dir, _ := buildLog(t, 128, 6)
 			flipByte(t, segPath(dir, 0), recHeader)
 			return dir
-		}, corrupt, "before the tail segment"},
+		}, corrupt, "before the tail segment", nil},
 		{"interior damage in the last segment", func(t *testing.T) string {
 			// One segment of the four sample records; the third is damaged
 			// and the fourth, fsynced and acknowledged, lies intact behind it.
@@ -152,12 +155,12 @@ func TestOpenActsOnFsck(t *testing.T) {
 			recs := sampleRecords()
 			flipByte(t, segPath(dir, 0), int64(len(encodeRecord(recs[0]))+len(encodeRecord(recs[1]))+recHeader))
 			return dir
-		}, corrupt, "interior corruption"},
+		}, corrupt, "interior corruption", nil},
 		{"snap-only", func(t *testing.T) string {
 			dir, _ := buildLog(t, 128, 2, 2)
 			removeSegments(t, dir, func(int, int) bool { return true })
 			return dir
-		}, clean, ""},
+		}, clean, "", nil},
 		{"torn snapshot", func(t *testing.T) string {
 			dir, snaps := buildLog(t, 128, 3, 1, 2)
 			path := snapPath(dir, snaps[1])
@@ -169,7 +172,7 @@ func TestOpenActsOnFsck(t *testing.T) {
 				t.Fatal(err)
 			}
 			return dir
-		}, clean, "snapshot file(s) unreadable"},
+		}, clean, "snapshot file(s) unreadable", nil},
 		{"torn snapshot and no segments", func(t *testing.T) string {
 			dir, snaps := buildLog(t, 128, 2, 2)
 			removeSegments(t, dir, func(int, int) bool { return true })
@@ -177,7 +180,42 @@ func TestOpenActsOnFsck(t *testing.T) {
 				t.Fatal(err)
 			}
 			return dir
-		}, corrupt, "no segments to replay"},
+		}, corrupt, "no segments to replay", nil},
+		{"snapshot past the segments", func(t *testing.T) string {
+			// The snapshot at the end of two rounds survived a power loss
+			// that took the segment bytes behind the first round.
+			dir, snaps := buildLog(t, 0, 2, 2)
+			if err := os.Truncate(segPath(dir, 0), snaps[0]/2); err != nil {
+				t.Fatal(err)
+			}
+			return dir
+		}, clean, "", func(t *testing.T, l *Log) {
+			// Appends after the reopen land where replay from the snapshot
+			// reads them, and a restart replays every one.
+			mustAppend(t, l, sampleRecords()...)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			l2, err := Open(Options{Dir: l.Dir(), Sync: SyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l2.Close()
+			snaps, err := Snapshots(l.Dir())
+			if err != nil || len(snaps) != 1 {
+				t.Fatalf("Snapshots = %v, %v", snaps, err)
+			}
+			var got []Record
+			if _, err := ReplayDirFrom(l.Dir(), snaps[0].Offset, func(r Record) error {
+				got = append(got, r)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(sampleRecords()) {
+				t.Fatalf("the restart replays %d of the %d records appended after the reopen", len(got), len(sampleRecords()))
+			}
+		}},
 		{"torn record carrying a frame", func(t *testing.T) string {
 			// The last record was torn in its payload, just behind a string
 			// argument that happens to hold a well-formed framed record.
@@ -196,7 +234,7 @@ func TestOpenActsOnFsck(t *testing.T) {
 			}
 			appendBytes(t, lastSeg(t, dir), outer[:at+len(inner)+4])
 			return dir
-		}, torn, "torn tail"},
+		}, torn, "torn tail", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := tc.build(t)
@@ -240,6 +278,9 @@ func TestOpenActsOnFsck(t *testing.T) {
 			}
 			if err != nil {
 				t.Fatalf("Open refused a directory Fsck passes (%+v): %v", rep, err)
+			}
+			if tc.then != nil {
+				tc.then(t, l)
 			}
 			if err := l.Close(); err != nil {
 				t.Fatal(err)

@@ -304,7 +304,7 @@ func checkHistograms(t testing.TB, samples []promSample, typed map[string]string
 func fullRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("server.events").Add(42)
-	r.Counter("server.shard.0.busy_ns").Add(123456789)
+	r.Counter("server.event_lock.busy_ns").Add(123456789)
 	r.Gauge("server.outbox_depth").Set(7)
 	h := r.Histogram("server.event_rtt_ns")
 	for _, v := range []int64{0, 1, 3, 900, 1000, 1100, 1_000_000} {

@@ -33,7 +33,7 @@ func TestGroupsCommandPrintsStragglerAndLoops(t *testing.T) {
 		MemberAttribution: true,
 		Loops: []server.LoopHealth{
 			{Name: "global", BusyNS: 250_000_000, Utilization: 0.1, QueueDepth: 1, QueueHighWater: 4},
-			{Name: "shard.0", Events: 7, PendingEvents: 1},
+			{Name: "event_lock", Events: 7, PendingEvents: 1},
 		},
 		Groups: []server.GroupHealth{{
 			Refs:          []string{"inst-a:/note", "inst-b:/note", "inst-c:/note"},
@@ -56,7 +56,7 @@ func TestGroupsCommandPrintsStragglerAndLoops(t *testing.T) {
 	for _, want := range []string{
 		"uptime 2.5s, member attribution on",
 		"loop global: 10.0% busy, queue 1 (high water 4)",
-		"loop shard.0: 0.0% busy, queue 0 (high water 0), events 7 (1 pending)",
+		"loop event_lock: 0.0% busy, queue 0 (high water 0), events 7 (1 pending)",
 		"group [inst-a:/note inst-b:/note inst-c:/note]",
 		"locked by inst-a, 1 pending events",
 		"straggler: inst-c",

@@ -41,8 +41,8 @@ const eventPathAllocBudget = 5.0
 // unlogged run's. It measured between −0.08 and +0.09 over fifteen runs when
 // the budget was set (15.0 before an event's record was encoded into the
 // log's recycled fill buffer), and between −0.04 and +0.10 over ten runs
-// once an event stopped waiting for its record and a shard leased its IDs
-// once per 65 536 of its events. The record is meant to cost nothing, so the
+// once an event stopped waiting for its record and the server leased its IDs
+// once per 65 536 events. The record is meant to cost nothing, so the
 // ceiling sits halfway to one allocation: a channel, a record buffer or a
 // boxed Exec back on the append path is over it, the noise of the difference
 // is not.
@@ -104,7 +104,7 @@ func eventPathAllocs(t *testing.T, elog *eventlog.Log) float64 {
 		events = 300
 		path   = "/hub"
 	)
-	bed := testbed.New(t, server.New(server.Options{Shards: 2, EventLog: elog}), testbed.Options{TCP: true})
+	bed := testbed.New(t, server.New(server.Options{EventLog: elog}), testbed.Options{TCP: true})
 	defer bed.Close()
 	dial := func(user string) *client.Client {
 		c := bed.Dial(testbed.Member{AppType: "bench", User: user, Spec: `textfield hub value=""`, Options: client.Options{Host: "h"}})

@@ -47,7 +47,7 @@ func (g *gateConn) TryWrite(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestOutboxCloseWaitsOutALoopAttempt: an outbox closed while a shard's
+// TestOutboxCloseWaitsOutALoopAttempt: an outbox closed while a lock holder's
 // attempt has its Conn closes once the attempt ends. The writer must not
 // take the Conn meanwhile, and the attempt's end must wake it to exit, or
 // close — and with it Server.Close — waits forever.

@@ -14,9 +14,8 @@ package server
 //
 // The record⇄operation correspondence the harness relies on: every scripted
 // operation appends exactly one log record (the clients do not enable
-// Reconnect, so no token records interleave), except that the first event on
-// a shard first appends its shard's ID lease, which is not an operation (see
-// durableOps). Records reach the file in operation order: a control-plane
+// Reconnect, so no token records interleave), except that the first event
+// first appends the ID lease, which is not an operation (see durableOps). Records reach the file in operation order: a control-plane
 // record is durable before its acknowledgement, and an event's record is
 // queued before the event is acked, ahead of the next operation's. A crash at
 // a write or an fsync boundary loses that drain's records: the log cuts a
@@ -56,9 +55,6 @@ type crashOp func(r *crashScript) error
 
 func newCrashScript(t *testing.T, opts Options) *crashScript {
 	t.Helper()
-	if opts.Shards == 0 {
-		opts.Shards = HarnessShards
-	}
 	srv := New(opts)
 	return &crashScript{t: t, srv: srv, bed: testbed.New(t, srv, testbed.Options{}), cl: make(map[string]*coclient.Client)}
 }
@@ -311,8 +307,8 @@ func durableOps(t *testing.T, dir string) (ops, leases int) {
 }
 
 // shadowDigest drives a fresh server through ops and returns its live digest.
-// The shadow logs to a directory of its own, so its shards lease event IDs at
-// the events the scripted run leased them at.
+// The shadow logs to a directory of its own, so it leases event IDs at the
+// events the scripted run leased them at.
 func shadowDigest(t *testing.T, opts Options, ops []crashOp) string {
 	t.Helper()
 	elog, err := eventlog.Open(eventlog.Options{Dir: t.TempDir(), Sync: eventlog.SyncNone})

@@ -44,9 +44,6 @@ func newDurable(t *testing.T, opts server.Options) *durable {
 // metrics sink, sync policy) that every incarnation reuses.
 func newDurableLog(t *testing.T, opts server.Options, logOpts eventlog.Options) *durable {
 	t.Helper()
-	if opts.Shards == 0 {
-		opts.Shards = server.HarnessShards
-	}
 	d := &durable{t: t, dir: t.TempDir(), opts: opts, logOpts: logOpts}
 	// Registered before the bed: the last log closes after the bed has
 	// closed the last server.

@@ -39,26 +39,26 @@ type pendingEvent struct {
 }
 
 const (
-	// maxFreePending bounds a shard's free list of resolved events. A shard
-	// has at most one event pending per group it serves, so a few dozen cover
-	// the groups that dispatch at once.
+	// maxFreePending bounds the free list of resolved events. At most one
+	// event is pending per group, so a few dozen cover the groups that
+	// dispatch at once.
 	maxFreePending = 64
 	// maxFreeWaitSet is the largest wait set, in instances, a recycled event
 	// keeps, so one huge group does not pin its wait set.
 	maxFreeWaitSet = 1024
 )
 
-// newPending takes an event off sh's free list, or makes one, with a wait set
+// newPending takes an event off the free list, or makes one, with a wait set
 // of n instances. Every field is zero and every count in the wait set too:
 // recycle zeroes an event when it takes it back.
-func (sh *shard) newPending(n int) *pendingEvent {
-	k := len(sh.free)
+func (e *eventLock) newPending(n int) *pendingEvent {
+	k := len(e.free)
 	if k == 0 {
 		return &pendingEvent{waiting: make([]int, n)}
 	}
-	pe := sh.free[k-1]
-	sh.free[k-1] = nil
-	sh.free = sh.free[:k-1]
+	pe := e.free[k-1]
+	e.free[k-1] = nil
+	e.free = e.free[:k-1]
 	if cap(pe.waiting) < n {
 		pe.waiting = make([]int, n)
 	} else {
@@ -71,43 +71,42 @@ func (sh *shard) newPending(n int) *pendingEvent {
 // more, and zeroes it for newPending. Only the wait set's array survives,
 // cleared: every count beyond its length already is zero, since each event
 // writes only within its own wait set.
-func (sh *shard) recycle(pe *pendingEvent) {
-	if len(sh.free) == maxFreePending || cap(pe.waiting) > maxFreeWaitSet {
+func (e *eventLock) recycle(pe *pendingEvent) {
+	if len(e.free) == maxFreePending || cap(pe.waiting) > maxFreeWaitSet {
 		return
 	}
 	clear(pe.waiting)
 	*pe = pendingEvent{waiting: pe.waiting[:0]}
-	sh.free = append(sh.free, pe)
+	e.free = append(e.free, pe)
 }
 
 // handleEvent implements the multiple-execution algorithm of §3.2. The
 // originating client has already applied the event's built-in feedback
 // locally; the server locks CO(o), broadcasts Exec to every coupled member,
 // and tells the origin whether to keep or undo its feedback. It runs under
-// sh's lock, sh being the shard the source ref hashes to (see dispatch).
+// the event lock (see dispatch).
 //
-// ev.tc is the trace context the Event envelope carried (the origin's
+// req.tc is the trace context the Event envelope carried (the origin's
 // "client.event_send" span); every hop recorded here descends from it.
-// ev.body, the origin's payload sealed with the source ref, becomes the
+// req.body, the origin's payload sealed with the source ref, becomes the
 // broadcast's shared body if the event is granted; every other outcome
 // releases it.
-func (s *Server) handleEvent(sh *shard, ev eventReq) {
-	cl, seq, m, tc := ev.cl, ev.seq, &ev.m, ev.tc
+func (s *Server) handleEvent(req eventReq) {
+	cl, seq, m, tc := req.cl, req.seq, &req.m, req.tc
 	source := couple.ObjectRef{Instance: cl.id, Path: m.Path}
 	s.mEvents.Inc()
-	sh.mEvents.Inc()
 	start := s.mEventRTT.Start()
 	arrival := s.tr.StartSpan(tc, "server.event_arrival", "server")
 	if arrival.Active() {
 		arrival.SetNote(m.Path + " " + m.Name)
 	}
 	actx := arrival.Context()
-	p := s.planFor(sh, source)
+	p := s.planFor(source)
 	if p == nil {
 		// Uncoupled object: nothing to synchronize; the local feedback
 		// stands.
-		ev.body.Release()
-		sh.out.send(cl, wire.Envelope{
+		req.body.Release()
+		s.ev.out.send(cl, wire.Envelope{
 			RefSeq: seq,
 			Trace:  s.tr.Point(actx, "server.event_result", "server", "ok uncoupled"),
 			Msg:    eventAccepted,
@@ -116,19 +115,17 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 		return
 	}
 
-	// Event IDs interleave across shards: shard i allocates i+1, i+1+N,
-	// i+1+2N, … so IDs stay globally unique and the birth shard is
-	// recoverable as (id-1) mod N. The sequence counts granted events only: a
-	// denied event's ID is never sent or logged, and the next event reuses it.
-	eventID := sh.seq*uint64(len(s.shards)) + uint64(sh.idx) + 1
+	// The sequence counts granted events only: a denied event's ID is never
+	// sent or logged, and the next event reuses it.
+	eventID := s.ev.seq + 1
 	owner := lock.Owner{Instance: cl.id, Seq: eventID}
 	ok, _ := s.lockGroup(actx, p.members, owner)
 	if !ok {
 		// Lock failed: the origin must undo the event's syntactic feedback.
-		ev.body.Release()
+		req.body.Release()
 		s.slog.Debug("event denied: group locked",
 			"inst", string(cl.id), "path", m.Path, "event", m.Name, "trace", tc.Trace)
-		sh.out.send(cl, wire.Envelope{
+		s.ev.out.send(cl, wire.Envelope{
 			RefSeq: seq,
 			Trace:  s.tr.Point(actx, "server.event_result", "server", "denied: group locked"),
 			Msg:    eventDenied,
@@ -143,14 +140,14 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 	// the log record and every member's frame copy in. A log that refuses the
 	// event's lease or record refuses the event: it unlocks, the origin undoes
 	// its feedback, no member hears of it, and its ID stays unused.
-	ev.body.Stamp(eventID)
-	if err := s.logEvent(sh, eventID, source, ev.body); err != nil {
-		ev.body.Release()
+	req.body.Stamp(eventID)
+	if err := s.logEvent(eventID, source, req.body); err != nil {
+		req.body.Release()
 		s.locks.UnlockGroup(p.members, owner)
 		s.mLogAppendErrs.Inc()
 		s.slog.Warn("event refused: log append failed",
 			"event_id", eventID, "inst", string(cl.id), "path", m.Path, "err", err, "trace", tc.Trace)
-		sh.out.send(cl, wire.Envelope{
+		s.ev.out.send(cl, wire.Envelope{
 			RefSeq: seq,
 			Trace:  s.tr.Point(actx, "server.event_result", "server", "refused: log append failed"),
 			Msg:    eventUnlogged,
@@ -158,13 +155,13 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 		arrival.EndNote("log append failed")
 		return
 	}
-	sh.seq++
-	pe := sh.newPending(len(p.insts))
+	s.ev.seq = eventID
+	pe := s.ev.newPending(len(p.insts))
 	pe.source, pe.plan, pe.owner, pe.start, pe.tc = source, p, owner, start, actx
 	pe.expires = s.opts.Clock.Now().Add(eventDeadline)
-	sh.pending[eventID] = pe
-	s.broadcast(sh, pe, ev.body)
-	sh.out.send(cl, wire.Envelope{
+	s.ev.pending[eventID] = pe
+	s.broadcast(pe, req.body)
+	s.ev.out.send(cl, wire.Envelope{
 		RefSeq: seq,
 		Trace:  s.tr.Point(actx, "server.event_result", "server", "ok"),
 		Msg:    eventAccepted,
@@ -172,33 +169,32 @@ func (s *Server) handleEvent(sh *shard, ev eventReq) {
 	arrival.End()
 	if pe.left == 0 {
 		// All members belonged to disconnected instances.
-		s.finishEvent(sh, eventID, pe, false)
+		s.finishEvent(eventID, pe, false)
 	}
 }
 
-// leaseBlock is how many of its own event IDs a shard leases at once, so it
-// waits on the log once per leaseBlock of its events.
+// leaseBlock is how many event IDs one lease covers, so the event lock waits
+// on the log once per leaseBlock events.
 const leaseBlock = 1 << 16
 
 // logEvent makes sure event id can never be issued again and queues its
-// record. An ID at or above the shard's ceiling first takes a lease: a
-// KindLease record naming a ceiling leaseBlock of the shard's IDs further on,
-// appended with the blocking Append, so it is durable per the sync policy
-// before the ID goes out. A restart starts every shard above the highest
-// ceiling it replays, whatever became of the event records behind it. The
-// event's own record is an audit entry: AppendEvent queues it, and only an
-// immediate refusal (the log is closed or failed) comes back. Without a log
-// there is nothing to do.
-func (s *Server) logEvent(sh *shard, id uint64, src couple.ObjectRef, se *wire.SharedExec) error {
+// record. An ID at or above the ceiling first takes a lease: a KindLease
+// record naming a ceiling leaseBlock IDs further on, appended with the
+// blocking Append, so it is durable per the sync policy before the ID goes
+// out. A restart starts above the highest ceiling it replays, whatever
+// became of the event records behind it. The event's own record is an audit
+// entry: AppendEvent queues it, and only an immediate refusal (the log is
+// closed or failed) comes back. Without a log there is nothing to do.
+func (s *Server) logEvent(id uint64, src couple.ObjectRef, se *wire.SharedExec) error {
 	if s.elog == nil {
 		return nil
 	}
-	if id >= sh.ceiling {
-		ceiling := id + leaseBlock*uint64(len(s.shards))
+	if id >= s.ev.ceiling {
+		ceiling := id + leaseBlock
 		if err := s.elog.Append(eventlog.Record{Kind: eventlog.KindLease, Env: wire.Envelope{Msg: wire.Exec{EventID: ceiling}}}); err != nil {
 			return err
 		}
-		sh.ceiling = ceiling
+		s.ev.ceiling = ceiling
 	}
 	return s.elog.AppendEvent(src, se)
 }
@@ -209,9 +205,9 @@ func (s *Server) logEvent(sh *shard, id uint64, src couple.ObjectRef, se *wire.S
 // copies it in at flush, so the broadcast costs O(1) body encodes regardless
 // of fan-out. It fills the event's wait set and gives up the caller's
 // reference to se.
-func (s *Server) broadcast(sh *shard, pe *pendingEvent, se *wire.SharedExec) {
+func (s *Server) broadcast(pe *pendingEvent, se *wire.SharedExec) {
 	p, actx := pe.plan, pe.tc
-	s.notifyLocks(sh, p, actx, true)
+	s.notifyLocks(p, actx, true)
 	s.mBytesEncoded.Add(uint64(se.TailLen()))
 	fanout := 0
 	for i := range p.insts {
@@ -225,7 +221,7 @@ func (s *Server) broadcast(sh *shard, pe *pendingEvent, se *wire.SharedExec) {
 			if actx.Valid() {
 				execTC = s.tr.Point(actx, "server.exec_send", "server", string(pi.id)+" "+path)
 			}
-			sh.out.sendShared(target, wire.Envelope{Trace: execTC}, path, se)
+			s.ev.out.sendShared(target, wire.Envelope{Trace: execTC}, path, se)
 		}
 		pe.waiting[i] = len(pi.paths)
 		pe.left++
@@ -244,26 +240,23 @@ var (
 	eventUnlogged wire.Message = wire.EventResult{OK: false, Reason: "event log append failed"}
 )
 
-// expireEvents is the sweep's expiry pass: under each shard's lock in turn,
-// every event pending there whose deadline has passed times out, wherever it
-// was born.
+// expireEvents is the sweep's expiry pass: under the event lock, every
+// pending event whose deadline has passed times out.
 func (s *Server) expireEvents() {
 	now := s.opts.Clock.Now()
-	for _, sh := range s.shards {
-		sh.lock()
-		for id, pe := range sh.pending {
-			if now.After(pe.expires) {
-				s.timeoutEvent(sh, id, pe)
-			}
+	s.ev.lock()
+	for id, pe := range s.ev.pending {
+		if now.After(pe.expires) {
+			s.timeoutEvent(id, pe)
 		}
-		sh.unlock()
 	}
+	s.ev.unlock()
 }
 
 // timeoutEvent resolves an event whose deadline expired before every member
 // acknowledged: the stragglers are dropped from the wait set and the group
 // unlocks, so one hung member cannot wedge the whole coupling group.
-func (s *Server) timeoutEvent(sh *shard, id uint64, pe *pendingEvent) {
+func (s *Server) timeoutEvent(id uint64, pe *pendingEvent) {
 	stragglers := make([]string, 0, pe.left)
 	for _, inst := range pe.awaited() { // in plan order: sorted by instance ID
 		stragglers = append(stragglers, string(inst))
@@ -277,7 +270,7 @@ func (s *Server) timeoutEvent(sh *shard, id uint64, pe *pendingEvent) {
 	s.slog.Warn("event deadline expired",
 		"event_id", id, "origin", string(pe.source.Instance), "path", pe.source.Path,
 		"stragglers", strings.Join(stragglers, " "), "trace", pe.tc.Trace)
-	s.finishEvent(sh, id, pe, true)
+	s.finishEvent(id, pe, true)
 }
 
 // awaited lists the instances the event still waits on, in plan order
@@ -320,11 +313,10 @@ func (s *Server) ackClock() time.Time {
 
 // ackExec is the ack-resolution core: decrement the acking instance's
 // outstanding count for the event and unlock the group when the wait set
-// empties. It runs under sh's lock, sh being the event's birth shard. The
-// hit path allocates nothing: the request arrived by value and nothing here
-// captures it.
-func (s *Server) ackExec(sh *shard, a execAck) {
-	pe, ok := sh.pending[a.eventID]
+// empties. It runs under the event lock. The hit path allocates nothing: the
+// request arrived by value and nothing here captures it.
+func (s *Server) ackExec(a execAck) {
+	pe, ok := s.ev.pending[a.eventID]
 	if !ok {
 		return // stale ack: the event already resolved by a deadline or disconnect
 	}
@@ -358,24 +350,23 @@ func (s *Server) ackExec(sh *shard, a execAck) {
 		}
 	}
 	if pe.left == 0 {
-		s.finishEvent(sh, a.eventID, pe, false)
+		s.finishEvent(a.eventID, pe, false)
 	}
 }
 
-func (s *Server) finishEvent(sh *shard, id uint64, pe *pendingEvent, timedOut bool) {
-	delete(sh.pending, id)
-	s.unlockEvent(sh, pe, timedOut)
-	sh.recycle(pe)
+func (s *Server) finishEvent(id uint64, pe *pendingEvent, timedOut bool) {
+	delete(s.ev.pending, id)
+	s.unlockEvent(pe, timedOut)
+	s.ev.recycle(pe)
 }
 
 // unlockEvent re-enables the event's group at its members, then releases its
-// floor. The order matters across shards: once UnlockGroup returns, an event
-// of the same group may be granted on another shard and queue its lock
-// notices and Execs, and they must land behind these unlock notices on every
-// member's outbox.
-func (s *Server) unlockEvent(sh *shard, pe *pendingEvent, timedOut bool) {
+// floor. The next event of the group is granted after UnlockGroup returns,
+// under the same event lock, so its lock notices and Execs land behind these
+// unlock notices on every member's outbox.
+func (s *Server) unlockEvent(pe *pendingEvent, timedOut bool) {
 	s.tr.Point(pe.tc, "server.unlock", "server", "")
-	s.notifyLocks(sh, pe.plan, pe.tc, false)
+	s.notifyLocks(pe.plan, pe.tc, false)
 	s.locks.UnlockGroup(pe.plan.members, pe.owner)
 	// Deadline-resolved events waited the full deadline by construction;
 	// folding them into the round-trip histogram would inject an outlier

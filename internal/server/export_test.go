@@ -10,11 +10,6 @@ import (
 // Test-only views of the lock table and the couple graph for the external
 // server_test package.
 
-// HarnessShards is the shard count of every test server whose test does not
-// ask for one: the product topology, pinned so cross-shard coverage does not
-// depend on the runner's core count.
-const HarnessShards = 4
-
 // The server's defenses, for tests that move a clock.Manual past them.
 const (
 	Heartbeat     time.Duration = heartbeat
@@ -24,16 +19,16 @@ const (
 	SweepPeriod   time.Duration = sweepPeriod
 )
 
-// withLock runs fn under sh's lock, as a read goroutine runs an event: what
-// fn sends is flushed before the lock is released.
-func (sh *shard) withLock(fn func()) {
-	sh.lock()
-	defer sh.unlock()
+// withEvents runs fn under the event lock, as a read goroutine runs an
+// event: what fn sends is flushed once the lock is released.
+func (s *Server) withEvents(fn func()) {
+	s.ev.lock()
+	defer s.ev.unlock()
 	fn()
 }
 
 // withGlobal runs fn under gmu, as a read goroutine runs a control-plane
-// message: what fn sends is flushed before the lock is released. Once the
+// message: what fn sends is flushed once the lock is released. Once the
 // server is closing it runs nothing.
 func (s *Server) withGlobal(fn func()) {
 	s.gmu.lock()

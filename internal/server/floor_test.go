@@ -28,8 +28,8 @@ type floorMember struct {
 	// first).
 	locked bool
 	window uint64
-	// sample has the pump count the events pending anywhere before it acks
-	// an Exec, under every shard's lock: the Exec's event is one of them.
+	// sample has the pump count the pending events before it acks an Exec,
+	// under the event lock: the Exec's event is one of them.
 	sample bool
 }
 
@@ -48,7 +48,7 @@ func (m *floorMember) pump() {
 		case wire.Exec:
 			var granted int
 			if m.sample {
-				granted = m.srv.pendingAtOnce()
+				granted = m.srv.pendingCount()
 			}
 			m.mu.Lock()
 			switch {
@@ -68,50 +68,30 @@ func (m *floorMember) pump() {
 	}
 }
 
-// pendingAtOnce counts the events pending on every shard at one instant: it
-// holds all the shard locks, in index order, as CheckInvariants does.
-func (s *Server) pendingAtOnce() int {
-	for _, sh := range s.shards {
-		sh.lock()
-	}
-	n := 0
-	for _, sh := range s.shards {
-		n += len(sh.pending)
-		sh.unlock()
-	}
-	return n
-}
-
-// One coupling group whose sources hash to every shard: each source fires
-// events as fast as its verdicts come back, so events of the group race
-// each other on different shard locks. The one lock table must still grant
-// at most one of them at a time, every member must see its object's
-// SetLocks strictly alternate lock/unlock — an unlock's notices are queued
-// before its floor is released, so the next event's lock notice lands
-// behind them — and every member must see the same Exec order. Over 0.5 s: it
-// is the only test that races one group's events on every shard's lock at
-// once, so it alone catches a floor the one lock table fails to hold.
-func TestFloorHoldsAcrossShards(t *testing.T) {
+// One coupling group with four origins: each fires events as fast as its
+// verdicts come back, so events of the group race each other for the event
+// lock and the floor, and their holders flush side by side once they let
+// the lock go. The one lock table must still grant at most one of them at a
+// time, every member must see its object's SetLocks strictly alternate
+// lock/unlock — an unlock's notices are queued before its floor is released,
+// so the next event's lock notice lands behind them — and every member must
+// see the same Exec order. Over 0.5 s: it is the only test that races one
+// group's events from several origins at once, so it alone catches a floor
+// the one lock table fails to hold, or a flush that overtakes another.
+func TestFloorHoldsAcrossOrigins(t *testing.T) {
+	const origins = 4
 	const passive = 32 // members that never fire: a longer notice loop
 	const grants = 20  // granted events per source
-	srv := New(Options{Shards: HarnessShards})
+	srv := New(Options{})
 	bed := testbed.New(t, srv, testbed.Options{})
 	join := func(user string) *floorMember {
 		m := &floorMember{p: bed.Raw(wire.Register{AppType: "app", User: user}), srv: srv}
 		m.p.MustOK(wire.Declare{Path: "/x", Class: "textfield"})
 		return m
 	}
-	// One source per shard.
-	sources := make([]*floorMember, HarnessShards)
-	for i, found := 0, 0; found < HarnessShards; i++ {
-		if i == 64 {
-			t.Fatalf("64 candidates covered only %d of %d shards", found, HarnessShards)
-		}
-		m := join(fmt.Sprintf("src%d", i))
-		if idx := srv.shardForRef(m.ref()).idx; sources[idx] == nil {
-			sources[idx] = m
-			found++
-		}
+	sources := make([]*floorMember, origins)
+	for i := range sources {
+		sources[i] = join(fmt.Sprintf("src%d", i))
 	}
 	members := slices.Clone(sources)
 	for i := 0; i < passive; i++ {
@@ -164,7 +144,7 @@ func TestFloorHoldsAcrossShards(t *testing.T) {
 				return false
 			}
 		}
-		return srv.pendingAtOnce() == 0
+		return srv.pendingCount() == 0
 	})
 
 	observer.mu.Lock()

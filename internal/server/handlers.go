@@ -15,8 +15,8 @@ import (
 )
 
 // handle dispatches one control-plane message from a registered client. Its
-// caller holds gmu; dispatch runs Event, ExecAck and BatchAck under their
-// shard's lock and drops Pong, so they never reach it. A connection whose
+// caller holds gmu; dispatch runs Event, ExecAck and BatchAck under the
+// event lock and drops Pong, so they never reach it. A connection whose
 // instance has left (deregistered, or dropped with requests still in flight)
 // is refused: nothing it asks for can be validated against its registration.
 func (s *Server) handle(cl *client, env wire.Envelope) {
@@ -424,19 +424,17 @@ func (s *Server) dropClient(cl *client, reason string) error {
 		}
 	}
 
-	// Resolve group-scoped state on every shard, under each one's lock in
-	// turn: events the instance originated are finished, and events awaiting
-	// its ack are acked by absence. A lock is released only by finishing its
-	// event, so that releases every lock the instance's events held.
-	for _, sh := range s.shards {
-		sh.lock()
-		for id, pe := range sh.pending {
-			if pe.source.Instance == cl.id || pe.dropWaiter(cl.id) {
-				s.finishEvent(sh, id, pe, false)
-			}
+	// Resolve group-scoped state under the event lock: events the instance
+	// originated are finished, and events awaiting its ack are acked by
+	// absence. A lock is released only by finishing its event, so that
+	// releases every lock the instance's events held.
+	s.ev.lock()
+	for id, pe := range s.ev.pending {
+		if pe.source.Instance == cl.id || pe.dropWaiter(cl.id) {
+			s.finishEvent(id, pe, false)
 		}
-		sh.unlock()
 	}
+	s.ev.unlock()
 	// Resolve pending state fetches involving the instance.
 	for id, f := range s.pendingFetch {
 		if f.target == cl.id {

@@ -1,6 +1,6 @@
 // The group health plane: a structured, JSON-ready report of per-group
 // topology and per-member event health, built from the couple graph, the
-// lock table, the shards' pending maps and the server.member metric family.
+// lock table, the pending events and the server.member metric family.
 // cosoftd serves it at /debug/groups and cosoft-repl renders it as the
 // `groups` command — the evidence surface for "which member is the chronic
 // critical path?", the question the §3.2 floor lock makes matter: every
@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"cosoft/internal/couple"
 	"cosoft/internal/lock"
@@ -28,7 +27,7 @@ type MemberHealth struct {
 	// Acks counts ExecAcks received from the member; LastAcks counts the
 	// events where this member acked last — the member the group's unlock
 	// waited on. Timeouts counts events that hit their deadline while still
-	// waiting on this member. Pushbacks counts the shards' writes the
+	// waiting on this member. Pushbacks counts the lock holders' writes the
 	// member's socket did not take whole — a member falling behind shows
 	// here before the outbox limit evicts it.
 	Acks      uint64 `json:"acks"`
@@ -67,10 +66,9 @@ type GroupHealth struct {
 }
 
 // LoopHealth is the utilization of one serialization point: the global lock
-// (gmu) or a shard's lock. The name stays from when the global one was a
-// goroutine.
+// (gmu) or the event lock. The name stays from when each was a goroutine.
 type LoopHealth struct {
-	// Name is "global" or "shard.<i>".
+	// Name is "global" or "event_lock".
 	Name string `json:"name"`
 	// BusyNS is the cumulative time the lock was held; Utilization is BusyNS
 	// over the server's uptime.
@@ -80,11 +78,11 @@ type LoopHealth struct {
 	// QueueHighWater the most ever seen waiting.
 	QueueDepth     int64 `json:"queue_depth"`
 	QueueHighWater int64 `json:"queue_high_water"`
-	// Events counts events processed by this shard (0 for "global": event
-	// work runs on, and is counted by, the shards).
+	// Events counts events processed under the lock (0 for "global": event
+	// work runs under, and is counted by, the event lock).
 	Events uint64 `json:"events"`
-	// PendingEvents counts this shard's events still awaiting acks (always
-	// 0 for "global": pending state lives on shards).
+	// PendingEvents counts events still awaiting acks (always 0 for
+	// "global": pending state lives under the event lock).
 	PendingEvents int `json:"pending_events"`
 }
 
@@ -96,7 +94,7 @@ type HealthReport struct {
 	// (it is unless the server runs under obs.Disabled); when false every
 	// member's stats read zero by construction.
 	MemberAttribution bool `json:"member_attribution"`
-	// Loops lists the global lock first, then each shard's.
+	// Loops lists the global lock first, then the event lock.
 	Loops []LoopHealth `json:"loops"`
 	// Groups lists every coupling group (two or more members).
 	Groups []GroupHealth `json:"groups"`
@@ -104,53 +102,43 @@ type HealthReport struct {
 
 // Health assembles the group health report. Callable from any goroutine: the
 // graph, lock table, client map and metric handles are all individually
-// synchronized, and per-shard pending counts are gathered under each shard's
-// lock in turn.
+// synchronized, and the pending events are read under the event lock.
 func (s *Server) Health() HealthReport {
 	rep := HealthReport{
 		UptimeNS:          int64(s.opts.Clock.Now().Sub(s.started)),
 		MemberAttribution: s.mMember != nil,
 	}
 
-	// Per-shard pending snapshot: event counts and awaited instances keyed by
-	// source ref, taken under each shard's lock.
+	// Pending snapshot: event counts and awaited instances keyed by source
+	// ref, taken under the event lock.
 	type srcPending struct {
 		events  int
 		waiting []couple.InstanceID
 	}
 	pendingBySrc := make(map[couple.ObjectRef]srcPending)
-	pendingByShard := make([]int, len(s.shards))
-	for _, sh := range s.shards {
-		sh.lock()
-		for _, pe := range sh.pending {
-			sp := pendingBySrc[pe.source]
-			sp.events++
-			sp.waiting = append(sp.waiting, pe.awaited()...)
-			pendingBySrc[pe.source] = sp
-		}
-		pendingByShard[sh.idx] = len(sh.pending)
-		sh.unlock()
+	s.ev.lock()
+	for _, pe := range s.ev.pending {
+		sp := pendingBySrc[pe.source]
+		sp.events++
+		sp.waiting = append(sp.waiting, pe.awaited()...)
+		pendingBySrc[pe.source] = sp
 	}
+	pending := len(s.ev.pending)
+	s.ev.unlock()
 
 	uptime := float64(rep.UptimeNS)
-	rep.Loops = append(rep.Loops, LoopHealth{
-		Name:           "global",
-		BusyNS:         s.gmu.mBusy.Value(),
-		Utilization:    utilization(s.gmu.mBusy.Value(), uptime),
-		QueueDepth:     s.gmu.mDepth.Value(),
-		QueueHighWater: s.gmu.mDepth.HighWater(),
-	})
-	for _, sh := range s.shards {
-		rep.Loops = append(rep.Loops, LoopHealth{
-			Name:           "shard." + strconv.Itoa(sh.idx),
-			BusyNS:         sh.mBusy.Value(),
-			Utilization:    utilization(sh.mBusy.Value(), uptime),
-			QueueDepth:     sh.mDepth.Value(),
-			QueueHighWater: sh.mDepth.HighWater(),
-			Events:         sh.mEvents.Value(),
-			PendingEvents:  pendingByShard[sh.idx],
-		})
+	loop := func(name string, l *serial) LoopHealth {
+		return LoopHealth{
+			Name:           name,
+			BusyNS:         l.mBusy.Value(),
+			Utilization:    utilization(l.mBusy.Value(), uptime),
+			QueueDepth:     l.mDepth.Value(),
+			QueueHighWater: l.mDepth.HighWater(),
+		}
 	}
+	events := loop("event_lock", &s.ev.serial)
+	events.Events, events.PendingEvents = s.mEvents.Value(), pending
+	rep.Loops = append(rep.Loops, loop("global", &s.gmu), events)
 
 	for _, refs := range s.st.graph.Groups() {
 		var g GroupHealth
@@ -167,7 +155,7 @@ func (s *Server) Health() HealthReport {
 			}
 			if g.LockHolder == "" {
 				// The lock table carries its own mutex, so holders can be
-				// read from here without taking a shard's lock.
+				// read from here without taking the event lock.
 				if owner, held := s.locks.HeldBy(ref); held {
 					g.LockHolder = string(owner.Instance)
 				}
@@ -213,46 +201,33 @@ func (s *Server) memberHealth(id couple.InstanceID) MemberHealth {
 	return mh
 }
 
-// CheckInvariants judges the shards under all their locks, taken in index
-// order:
-//   - every lock entry is owned by an event pending on its birth shard — a
-//     lock without a live pending event behind it would deny its group
-//     forever;
-//   - no event on a shard's free list is pending anywhere, or the next event
-//     granted there would overwrite it;
-//   - no shard's plan cache is newer than the couple graph.
+// CheckInvariants judges the event state under the event lock:
+//   - every lock entry is owned by a pending event — a lock without a live
+//     pending event behind it would deny its group forever;
+//   - no event on the free list is pending, or the next event granted would
+//     overwrite it;
+//   - the plan cache is no newer than the couple graph.
 //
 // Every test bed calls it at teardown.
 func (s *Server) CheckInvariants() error {
-	for _, sh := range s.shards {
-		sh.lock()
-	}
-	defer func() {
-		for _, sh := range s.shards {
-			sh.unlock()
-		}
-	}()
+	s.ev.lock()
+	defer s.ev.unlock()
 	var errs []error
 	s.locks.Each(func(ref couple.ObjectRef, owner lock.Owner) {
-		if pe, ok := s.birthShard(owner.Seq).pending[owner.Seq]; !ok || pe.owner != owner {
+		if pe, ok := s.ev.pending[owner.Seq]; !ok || pe.owner != owner {
 			errs = append(errs, fmt.Errorf("%v locked by event %d of %s, which is not pending", ref, owner.Seq, owner.Instance))
 		}
 	})
-	gen := s.st.graph.Generation()
-	pending := make(map[*pendingEvent]uint64) // event → its ID
-	for _, sh := range s.shards {
-		if sh.planGen > gen {
-			errs = append(errs, fmt.Errorf("shard %d: plans of graph generation %d, past the graph's %d", sh.idx, sh.planGen, gen))
-		}
-		for id, pe := range sh.pending {
-			pending[pe] = id
-		}
+	if gen := s.st.graph.Generation(); s.ev.planGen > gen {
+		errs = append(errs, fmt.Errorf("plans of graph generation %d, past the graph's %d", s.ev.planGen, gen))
 	}
-	for _, sh := range s.shards {
-		for _, pe := range sh.free {
-			if id, ok := pending[pe]; ok {
-				errs = append(errs, fmt.Errorf("shard %d: event %d is on the free list and still pending", sh.idx, id))
-			}
+	pending := make(map[*pendingEvent]uint64, len(s.ev.pending)) // event → its ID
+	for id, pe := range s.ev.pending {
+		pending[pe] = id
+	}
+	for _, pe := range s.ev.free {
+		if id, ok := pending[pe]; ok {
+			errs = append(errs, fmt.Errorf("event %d is on the free list and still pending", id))
 		}
 	}
 	return errors.Join(errs...)

@@ -96,8 +96,8 @@ func TestHealthStragglerAttribution(t *testing.T) {
 	}
 
 	// Lock accounting: the global lock (registration, coupling) and the
-	// shard locks (events, acks) must each have accumulated busy time.
-	if len(rep.Loops) < 2 || rep.Loops[0].Name != "global" {
+	// event lock (events, acks) must each have accumulated busy time.
+	if len(rep.Loops) != 2 || rep.Loops[0].Name != "global" || rep.Loops[1].Name != "event_lock" {
 		t.Fatalf("loops = %+v", rep.Loops)
 	}
 	gl := rep.Loops[0]
@@ -107,16 +107,10 @@ func TestHealthStragglerAttribution(t *testing.T) {
 	if gl.Utilization < 0 || gl.Utilization > 1 {
 		t.Errorf("global utilization = %g", gl.Utilization)
 	}
-	var shardEvents, shardBusy uint64
-	for _, lp := range rep.Loops[1:] {
-		shardEvents += lp.Events
-		shardBusy += lp.BusyNS
-	}
-	if shardEvents != events {
-		t.Errorf("shard events = %d, want %d", shardEvents, events)
-	}
-	if shardBusy == 0 {
-		t.Error("shards busy_ns = 0 after traffic")
+	if el := rep.Loops[1]; el.Events != events {
+		t.Errorf("event lock events = %d, want %d", el.Events, events)
+	} else if el.BusyNS == 0 {
+		t.Error("event lock busy_ns = 0 after traffic")
 	}
 }
 

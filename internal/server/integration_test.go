@@ -22,7 +22,7 @@ import (
 )
 
 // newBed returns the server every test in the suite runs — the product
-// configuration with durability on: N shards, batching, and an event log
+// configuration with durability on: one event lock, batching, and an event log
 // of its own whose segments are small enough and whose snapshot cadence tight
 // enough that the scenarios run over a log that rotates, snapshots and
 // compacts underneath them — on a test bed whose teardown also judges live =
@@ -30,9 +30,6 @@ import (
 // event log and every client the bed dials share that clock.
 func newBed(t *testing.T, opts server.Options) (*server.Server, *testbed.Bed) {
 	t.Helper()
-	if opts.Shards == 0 {
-		opts.Shards = server.HarnessShards
-	}
 	if opts.EventLog == nil {
 		elog, err := eventlog.Open(eventlog.Options{Dir: t.TempDir(), SegmentBytes: 4096, Metrics: opts.Metrics, Clock: opts.Clock})
 		if err != nil {

@@ -137,11 +137,11 @@ func nextUnlock(t *testing.T, p *testbed.Peer) {
 	}
 }
 
-// With the log's writes held after the shard's first lease, events of two
-// groups on one shard are granted, broadcast, acknowledged and unlocked
-// as if there were no log, and their records land once the write is let go.
-func TestHeldWriteDoesNotBlockShard(t *testing.T) {
-	r := newLogRig(t, Options{Shards: 1})
+// With the log's writes held after the first lease, events of two groups
+// are granted, broadcast, acknowledged and unlocked as if there were no log,
+// and their records land once the write is let go.
+func TestHeldWriteDoesNotBlockEvents(t *testing.T) {
+	r := newLogRig(t, Options{})
 	a1, a2 := r.peer("a1", "/a"), r.peer("a2", "/a")
 	b1, b2 := r.peer("b1", "/b"), r.peer("b2", "/b")
 	r.group("/a", a1, a2)
@@ -173,7 +173,7 @@ func TestHeldWriteDoesNotBlockShard(t *testing.T) {
 // referenced: an event's record is encoded into the log's fill buffer, not
 // kept by reference.
 func TestCloseUnderHeldWriteReleasesBodies(t *testing.T) {
-	r := newLogRig(t, Options{Shards: 1})
+	r := newLogRig(t, Options{})
 	a1, a2 := r.peer("a1", "/a"), r.peer("a2", "/a")
 	r.group("/a", a1, a2)
 	fire(t, a1, a2, "/a", "leased")
@@ -186,9 +186,9 @@ func TestCloseUnderHeldWriteReleasesBodies(t *testing.T) {
 
 // A lease the log cannot write refuses the event it was for: the origin is
 // told so, the group unlocks, no member hears of the event, the failure is
-// counted, and the shard's sequence stays where it was.
+// counted, and the event sequence stays where it was.
 func TestFailedLeaseRefusesEvent(t *testing.T) {
-	r := newLogRig(t, Options{Shards: 1})
+	r := newLogRig(t, Options{})
 	a1, a2 := r.peer("a1", "/a"), r.peer("a2", "/a")
 	r.group("/a", a1, a2)
 	r.disk.Arm(faultdisk.Fault{Class: faultdisk.Segment, At: 1})
@@ -207,11 +207,10 @@ func TestFailedLeaseRefusesEvent(t *testing.T) {
 	if st.ExecsSent != 0 {
 		t.Fatalf("%d Execs sent for the refused event", st.ExecsSent)
 	}
-	sh := r.srv.shards[0]
 	var got [2]uint64
-	sh.withLock(func() { got = [2]uint64{sh.seq, sh.ceiling} })
+	r.srv.withEvents(func() { got = [2]uint64{r.srv.ev.seq, r.srv.ev.ceiling} })
 	if got != [2]uint64{0, 0} {
-		t.Fatalf("shard sequence and ceiling %v after the refused lease, want [0 0]", got)
+		t.Fatalf("event sequence and ceiling %v after the refused lease, want [0 0]", got)
 	}
 	quiet(t, a2, "the member")
 }
@@ -220,8 +219,8 @@ func TestFailedLeaseRefusesEvent(t *testing.T) {
 // the log's write is held, so their records wait in the fill buffer; the
 // held write then tears, taking every one of those records with it, and the
 // directory is reopened under a new server. Every Exec ID a member sees
-// after the restart exceeds every one seen before it: the shard's durable
-// lease, not the lost records, carries the floor.
+// after the restart exceeds every one seen before it: the durable lease, not
+// the lost records, carries the floor.
 func TestEventIDNeverReissued(t *testing.T) {
 	dir := t.TempDir()
 	disk := &faultdisk.Disk{}
@@ -231,7 +230,7 @@ func TestEventIDNeverReissued(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := New(Options{EventLog: elog, Shards: HarnessShards})
+		srv := New(Options{EventLog: elog})
 		return srv, testbed.New(t, srv, testbed.Options{}), elog
 	}
 	// pair registers an origin and a raw member recording every Exec ID

@@ -1,9 +1,7 @@
 package server_test
 
 import (
-	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
 	"cosoft/internal/attr"
@@ -134,161 +132,6 @@ func TestEventTimeoutHistogram(t *testing.T) {
 	}
 	if st.EventRTT.Count != 0 {
 		t.Errorf("EventRTT.Count = %d, want 0 (timeout must not feed the RTT histogram)", st.EventRTT.Count)
-	}
-}
-
-// participant is one raw client in the routing-equivalence trace, with an
-// ack pump that records the Exec names it re-executed, in arrival order.
-type participant struct {
-	rc  *testbed.Peer
-	mu  sync.Mutex
-	got []string
-}
-
-func newParticipant(bed *testbed.Bed, user string) *participant {
-	p := &participant{rc: bed.Raw(wire.Register{AppType: "app", User: user})}
-	p.rc.MustOK(wire.Declare{Path: "/x", Class: "textfield"})
-	go func() {
-		for env := range p.rc.Events {
-			if ex, ok := env.Msg.(wire.Exec); ok {
-				p.mu.Lock()
-				p.got = append(p.got, ex.Name)
-				p.mu.Unlock()
-				p.rc.Send(wire.ExecAck{EventID: ex.EventID})
-			}
-		}
-	}()
-	return p
-}
-
-func (p *participant) count() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.got)
-}
-
-func (p *participant) sequence() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]string(nil), p.got...)
-}
-
-func (p *participant) ref() couple.ObjectRef {
-	return couple.ObjectRef{Instance: p.rc.ID, Path: "/x"}
-}
-
-// sendEvent dispatches one named event, retrying while the group lock is
-// held by a still-unacknowledged predecessor.
-func (p *participant) sendEvent(t *testing.T, name string) {
-	t.Helper()
-	testbed.Wait(t, "event "+name+" accepted", func() bool {
-		env := p.rc.Call(wire.Event{Path: "/x", Name: name})
-		res, ok := env.Msg.(wire.EventResult)
-		if !ok {
-			t.Fatalf("event %s: unexpected reply %s", name, env.Msg.MsgType())
-		}
-		return res.OK
-	})
-}
-
-// runShardTrace drives the same multi-group trace against a server with the
-// given shard count and returns every participant's per-member Exec order:
-// 8 two-instance groups run 4 events each concurrently, pairs of groups are
-// then merged (into groups whose members hash to different shards when
-// sharded), and each merged group runs 4 more events across the new
-// four-member group.
-func runShardTrace(t *testing.T, shards int) (map[string][]string, server.Stats) {
-	const groups = 8
-	const eventsPerPhase = 4
-	srv, bed := newBed(t, server.Options{Shards: shards})
-	origins := make([]*participant, groups)
-	members := make([]*participant, groups)
-	for g := 0; g < groups; g++ {
-		origins[g] = newParticipant(bed, fmt.Sprintf("origin%d", g))
-		members[g] = newParticipant(bed, fmt.Sprintf("member%d", g))
-	}
-	for g := 0; g < groups; g++ {
-		origins[g].rc.MustOK(wire.Couple{From: origins[g].ref(), To: members[g].ref()})
-	}
-
-	// Phase 1: every group streams events concurrently with the others.
-	var wg sync.WaitGroup
-	for g := 0; g < groups; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for e := 0; e < eventsPerPhase; e++ {
-				origins[g].sendEvent(t, fmt.Sprintf("g%d.e%d", g, e))
-			}
-		}()
-	}
-	wg.Wait()
-	for g := 0; g < groups; g++ {
-		g := g
-		testbed.Wait(t, fmt.Sprintf("phase-1 execs at member%d", g), func() bool {
-			return members[g].count() >= eventsPerPhase
-		})
-	}
-
-	// Merge phase: pair up the groups.
-	for g := 0; g < groups; g += 2 {
-		origins[g].rc.MustOK(wire.Couple{From: origins[g].ref(), To: origins[g+1].ref()})
-	}
-
-	// Phase 2: the left origin of each merged group streams events that now
-	// fan out to all three other participants.
-	for g := 0; g < groups; g += 2 {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for e := 0; e < eventsPerPhase; e++ {
-				origins[g].sendEvent(t, fmt.Sprintf("m%d.e%d", g, e))
-			}
-		}()
-	}
-	wg.Wait()
-
-	sequences := make(map[string][]string)
-	collect := func(name string, p *participant, want int) {
-		testbed.Wait(t, fmt.Sprintf("%d execs at %s", want, name), func() bool {
-			return p.count() >= want
-		})
-		sequences[name] = p.sequence()
-	}
-	for g := 0; g < groups; g++ {
-		memberWant := eventsPerPhase * 2 // own group's phase 1 + merged phase 2
-		collect(fmt.Sprintf("member%d", g), members[g], memberWant)
-		originWant := 0
-		if g%2 == 1 {
-			originWant = eventsPerPhase // hears the left origin's phase 2
-		}
-		collect(fmt.Sprintf("origin%d", g), origins[g], originWant)
-	}
-	// The last Exec being delivered does not mean its acks have landed back
-	// at the server yet; wait for quiescence so the caller's PendingEvents
-	// assertion is not racing the tail of the ack stream.
-	testbed.Wait(t, "all events resolved", func() bool {
-		return srv.Stats().PendingEvents == 0
-	})
-	return sequences, srv.Stats()
-}
-
-// TestShardRoutingEquivalence is the shard-routing property test: the same
-// trace on a single-shard server and a 4-shard server must yield identical
-// per-member Exec orderings.
-func TestShardRoutingEquivalence(t *testing.T) {
-	seq1, _ := runShardTrace(t, 1)
-	seq4, st4 := runShardTrace(t, 4)
-	if !reflect.DeepEqual(seq1, seq4) {
-		t.Errorf("per-member Exec orderings diverge between -shards=1 and -shards=4:\n1: %v\n4: %v", seq1, seq4)
-	}
-	if st4.Shards != 4 {
-		t.Errorf("Stats.Shards = %d, want 4", st4.Shards)
-	}
-	if st4.PendingEvents != 0 {
-		t.Errorf("PendingEvents = %d at quiescence, want 0", st4.PendingEvents)
 	}
 }
 

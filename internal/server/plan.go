@@ -55,7 +55,7 @@ func newPlan(members []couple.ObjectRef) *plan {
 	return p
 }
 
-// planFor returns the broadcast plan of source, from sh's cache when the
+// planFor returns the broadcast plan of source, from the cache when the
 // couple graph has not changed since it was derived. Any change to the graph
 // flushes the whole cache: which groups a new link or a departure touched is
 // not worth working out for something that rare. The generation is read
@@ -63,12 +63,12 @@ func newPlan(members []couple.ObjectRef) *plan {
 // filed under the older generation — flushed by the next event, never
 // trusted past it. Uncoupled sources are not cached, which bounds the cache
 // by the number of coupled objects rather than by what clients send.
-func (s *Server) planFor(sh *shard, source couple.ObjectRef) *plan {
-	if gen := s.st.graph.Generation(); gen != sh.planGen {
-		clear(sh.plans)
-		sh.planGen = gen
+func (s *Server) planFor(source couple.ObjectRef) *plan {
+	if gen := s.st.graph.Generation(); gen != s.ev.planGen {
+		clear(s.ev.plans)
+		s.ev.planGen = gen
 	}
-	if p, ok := sh.plans[source]; ok {
+	if p, ok := s.ev.plans[source]; ok {
 		return p
 	}
 	members := s.st.graph.CO(source)
@@ -76,7 +76,7 @@ func (s *Server) planFor(sh *shard, source couple.ObjectRef) *plan {
 		return nil
 	}
 	p := newPlan(members)
-	sh.plans[source] = p
+	s.ev.plans[source] = p
 	return p
 }
 
@@ -84,7 +84,7 @@ func (s *Server) planFor(sh *shard, source couple.ObjectRef) *plan {
 // notice, carrying the event's trace context so members can attribute the
 // disable/enable to the event. Clients are looked up per call: an instance
 // that disconnected since the plan was derived is simply skipped.
-func (s *Server) notifyLocks(sh *shard, p *plan, tc obs.TraceContext, locked bool) {
+func (s *Server) notifyLocks(p *plan, tc obs.TraceContext, locked bool) {
 	for i := range p.insts {
 		pi := &p.insts[i]
 		if c, ok := s.clientOf(pi.id); ok {
@@ -92,7 +92,7 @@ func (s *Server) notifyLocks(sh *shard, p *plan, tc obs.TraceContext, locked boo
 			if locked {
 				msg = pi.lock
 			}
-			sh.out.send(c, wire.Envelope{Trace: tc, Msg: msg})
+			s.ev.out.send(c, wire.Envelope{Trace: tc, Msg: msg})
 		}
 	}
 }

@@ -25,8 +25,7 @@ func TestPropCachedPlanMatchesGraph(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := newServer(Options{Shards: 1}.withDefaults(), newState(0, nil)) // built, never started: only the graph and one shard cache are used
-		sh := s.shards[0]
+		s := newServer(Options{}.withDefaults(), newState(0, nil)) // built, never started: only the graph and the plan cache are used
 		pick := func() couple.ObjectRef { return universe[r.Intn(len(universe))] }
 		for step := 0; step < 60; step++ {
 			switch r.Intn(8) {
@@ -42,7 +41,7 @@ func TestPropCachedPlanMatchesGraph(t *testing.T) {
 			}
 			for _, o := range universe {
 				want := s.st.graph.CO(o)
-				p := s.planFor(sh, o)
+				p := s.planFor(o)
 				if p == nil {
 					if len(want) != 0 {
 						t.Logf("seed %d step %d: no plan for %s, CO = %v", seed, step, o, want)

@@ -9,14 +9,14 @@
 // run too — change the live state. So a transition is live only if its
 // record is in the log, whatever the log refuses. A gmu holder appends, so a
 // record is in the log before its acknowledgement and before any request
-// that depends on it can reach a shard; a connection's later records wait
-// behind the append (under the always policy, behind its fsync). And no
-// event ID is issued twice: a shard grants IDs only below a ceiling it has
+// that depends on it can reach the event lock; a connection's later records
+// wait behind the append (under the always policy, behind its fsync). And no
+// event ID is issued twice: the server grants IDs only below a ceiling it has
 // leased with a durable KindLease record (see logEvent), and a restart
-// starts every shard above the highest ceiling it replays.
+// starts above the highest ceiling it replays.
 //
 // An event's own record is an audit entry written behind the event: the
-// shard's lock holder queues it and broadcasts at once, so event records land
+// event lock's holder queues it and broadcasts at once, so event records land
 // among other goroutines' records in whatever order the appends happen to
 // take, and a crash may lose the records of events already acked. Neither can matter:
 // apply of an event record only raises the event-ID floor to the max, which
@@ -40,7 +40,7 @@ import (
 
 // commit performs a validated control-plane transition, which is exactly its
 // log record: the log makes it durable, then the state applies it. Its caller
-// holds gmu and no shard lock, and queues its notices and acknowledgement
+// holds gmu and not the event lock, and queues its notices and acknowledgement
 // only once commit returns nil. A record the log refuses is counted
 // (server.log.append_errors), changes nothing, and is the client's answer.
 // Without a log commit is apply.

@@ -12,8 +12,8 @@ import (
 	"cosoft/internal/wire"
 )
 
-// A shard recycles its resolved events, wait sets and all. On one shard,
-// events alternate between a nine-member group and a two-member group, so
+// The event lock recycles its resolved events, wait sets and all. Events
+// alternate between a nine-member group and a two-member group, so
 // each takes the event the other just gave back — resolved by acks, by a
 // member's disconnect and by a deadline. Every event must wait on exactly
 // its own members, unlock them once it resolves and not before, and leave no
@@ -23,7 +23,7 @@ func TestRecycledPendingEventCarriesNothingOver(t *testing.T) {
 	// The deadline is reached only by advancing the clock, which the test
 	// does once, for the event no member acknowledges.
 	clk := clock.NewManual()
-	r := newLogRig(t, Options{Shards: 1, Clock: clk})
+	r := newLogRig(t, Options{Clock: clk})
 	peers := func(prefix, path string, n int) []*testbed.Peer {
 		ps := make([]*testbed.Peer, n)
 		for i := range ps {

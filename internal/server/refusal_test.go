@@ -42,7 +42,7 @@ func newRefusalBed(t *testing.T) *refusalBed {
 	}
 	// Registered before the bed, so the server closes before its log does.
 	t.Cleanup(func() { elog.Close() })
-	srv := New(Options{Shards: HarnessShards, EventLog: elog})
+	srv := New(Options{EventLog: elog})
 	f := &refusalBed{t: t, srv: srv, elog: elog, disk: disk, bed: testbed.New(t, srv, testbed.Options{})}
 	join := func(user string) *testbed.Peer {
 		p := f.bed.Raw(wire.Register{AppType: "app", Host: "raw", User: user})

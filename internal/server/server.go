@@ -10,10 +10,10 @@
 // read goroutine that decoded a control-plane message, a handshake, a
 // connection's teardown, the sweeper, Stats and Close. No goroutine serves
 // it. What an event touches besides the floor (pending events, event IDs)
-// is striped across shards, each behind its own lock (see shard.go); the
-// floor is one lock table shared by all of them, so event ordering within a
-// coupling group is the order its events take its floor — the
-// serialization guarantee the floor-control design relies on. Every record a
+// sits behind one event lock (see eventlock.go), and the floor is one lock
+// table, so event ordering within a coupling group is the order its events
+// take its floor — the serialization guarantee the floor-control design
+// relies on. Every record a
 // connection sends runs on its read goroutine before the next is read, so a
 // connection's messages take effect in the order it sent them.
 package server
@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,11 +53,11 @@ type Options struct {
 	// OrderedLocking selects the deterministic-order group-locking variant
 	// instead of the paper's sequential algorithm (ablation switch).
 	OrderedLocking bool
-	// Shards is the number of event-state shards. The pending-event wait
-	// sets and event IDs are striped across them by source object, each
-	// behind its own lock, so events run on different cores up to the one
-	// lock table (see shard.go). 0 selects runtime.GOMAXPROCS(0); 1 is the
-	// same topology with a single shard.
+	// Shards does nothing: the event state sits behind one event lock.
+	//
+	// Deprecated: kept only for the benchmark module, which sets it at
+	// bench/topo.go:162 and prints it at bench/fingerprint.go:23; delete it
+	// together with those lines.
 	Shards int
 	// BatchLimit caps how many queued envelopes one outbox flush may pack
 	// into a single wire.Batch frame (histogram server.batch_size); every
@@ -120,10 +119,10 @@ type Server struct {
 	st *state
 
 	// locks is the lock table, the floor of every coupling group; it carries
-	// its own mutex and every shard shares it. shards own the rest of what an
-	// event touches (pending events, event IDs), each behind its own lock.
-	locks  *lock.Table
-	shards []*shard
+	// its own mutex. ev guards the rest of what an event touches (pending
+	// events, event IDs, plans).
+	locks *lock.Table
+	ev    eventLock
 
 	tr     *obs.Tracer
 	flight *obs.FlightRecorder
@@ -131,7 +130,7 @@ type Server struct {
 
 	// elog is the durable event log (nil when durability is off). A gmu
 	// holder's appends block until the record reaches the configured
-	// durability, so an acked transition is replayable. A shard's lock
+	// durability, so an acked transition is replayable. The event lock's
 	// holder blocks on it only to lease event IDs; an event's own record is
 	// queued behind the event and never waited for (see logEvent).
 	elog *eventlog.Log
@@ -144,12 +143,12 @@ type Server struct {
 
 	// gmu serializes the global state: its holder owns st, pendingFetch,
 	// nextFetchID, nextPing, swept and closing, and is the only writer of
-	// clients. The lock order is global → shard → leaf: a gmu holder may
-	// take shard locks (a departure's cleanup, Stats), and no shard-lock
-	// holder ever takes gmu.
+	// clients. The lock order is global → event lock → leaf: a gmu holder
+	// may take the event lock (a departure's cleanup, Stats), and no
+	// event-lock holder ever takes gmu.
 	gmu serial
 
-	// clients is written only under gmu but read by shard-lock holders and
+	// clients is written only under gmu but read by event-lock holders and
 	// connection read goroutines, so it sits behind a read-mostly lock.
 	cmu     sync.RWMutex
 	clients map[couple.InstanceID]*client
@@ -189,7 +188,6 @@ type Server struct {
 	mBytesEncoded  *obs.Counter   // server.bytes_encoded: bytes serialized on the send path
 	mPoolHits      *obs.Counter   // wire.body_pool_hits: shared-body buffers reused from the pool
 	mPoolMisses    *obs.Counter   // wire.body_pool_misses: shared-body buffers freshly allocated
-	mShards        *obs.Gauge     // server.shards: configured shard count
 	mEventTOWait   *obs.Histogram // server.event_timeout_wait_ns: wait span of deadline-resolved events
 	mHistEvict     *obs.Counter   // server.hist_evictions: oldest undo snapshots dropped by the depth bound
 	mLogAppendErrs *obs.Counter   // server.log.append_errors: event-log appends that failed, each refusing its event or request
@@ -306,8 +304,6 @@ type Stats struct {
 	// EventRTT so a single straggler cannot inject a deadline-sized p99
 	// outlier into the round-trip numbers.
 	EventTimeoutWait obs.Summary
-	// Shards is the configured shard count.
-	Shards int64
 	// LogAppendErrors counts durable-log appends that failed. Each refused
 	// what needed it: a failed ID lease or event record its event, a failed
 	// control-plane record its request, which changed nothing.
@@ -382,9 +378,6 @@ func (opts Options) withDefaults() Options {
 	if opts.Correspondences == nil {
 		opts.Correspondences = compat.NewCorrespondences()
 	}
-	if opts.Shards < 1 {
-		opts.Shards = runtime.GOMAXPROCS(0)
-	}
 	if opts.BatchLimit == 0 {
 		opts.BatchLimit = defaultBatchLimit
 	}
@@ -392,9 +385,8 @@ func (opts Options) withDefaults() Options {
 	return opts
 }
 
-// newServer builds a stopped server around st, logging where st does: shards,
-// placement and metric handles only — no goroutines. opts has its defaults
-// resolved.
+// newServer builds a stopped server around st, logging where st does: locks
+// and metric handles only — no goroutines. opts has its defaults resolved.
 func newServer(opts Options, st *state) *Server {
 	metrics := opts.Metrics
 	if metrics == nil {
@@ -418,6 +410,16 @@ func newServer(opts Options, st *state) *Server {
 			mBusy:  metrics.Counter("server.global.busy_ns"),
 			mDepth: metrics.Gauge("server.global.queue_depth"),
 		},
+		// Event IDs run on from the restored floor, above every logged one.
+		ev: eventLock{
+			serial: serial{
+				mBusy:  metrics.Counter("server.event_lock.busy_ns"),
+				mDepth: metrics.Gauge("server.event_lock.queue_depth"),
+			},
+			seq:     st.floor,
+			pending: make(map[uint64]*pendingEvent),
+			plans:   make(map[couple.ObjectRef]*plan),
+		},
 
 		mEvents:        metrics.Counter("server.events"),
 		mExecsSent:     metrics.Counter("server.execs_sent"),
@@ -438,7 +440,6 @@ func newServer(opts Options, st *state) *Server {
 		mBytesEncoded:  metrics.Counter("server.bytes_encoded"),
 		mPoolHits:      metrics.Counter("wire.body_pool_hits"),
 		mPoolMisses:    metrics.Counter("wire.body_pool_misses"),
-		mShards:        metrics.Gauge("server.shards"),
 		mEventTOWait:   metrics.Histogram("server.event_timeout_wait_ns"),
 		mHistEvict:     metrics.Counter("server.hist_evictions"),
 		mLogAppendErrs: metrics.Counter("server.log.append_errors"),
@@ -455,25 +456,6 @@ func newServer(opts Options, st *state) *Server {
 	st.history.Instrument(s.mHistEvict)
 	s.locks.Instrument(s.mLockAttempts, s.mLockFails, s.mLockUndone)
 	s.locks.TraceWith(opts.Tracer)
-	// Every shard allocates past the restored floor: shard i's first ID is
-	// base·N + i + 1, above every logged one.
-	n := uint64(opts.Shards)
-	base := (st.floor + n - 1) / n
-	for i := 0; i < opts.Shards; i++ {
-		sh := &shard{
-			serial: serial{
-				mBusy:  metrics.Counter(fmt.Sprintf("server.shard.%d.busy_ns", i)),
-				mDepth: metrics.Gauge(fmt.Sprintf("server.shard.%d.queue_depth", i)),
-			},
-			idx:     i,
-			seq:     base,
-			pending: make(map[uint64]*pendingEvent),
-			plans:   make(map[couple.ObjectRef]*plan),
-			mEvents: metrics.Counter(fmt.Sprintf("server.shard.%d.events", i)),
-		}
-		s.shards = append(s.shards, sh)
-	}
-	s.mShards.Set(int64(len(s.shards)))
 	return s
 }
 
@@ -566,22 +548,16 @@ func (s *Server) Stats() Stats {
 		BodyPoolMisses:   s.mPoolMisses.Value(),
 		PendingEvents:    s.pendingCount(),
 		EventTimeoutWait: s.mEventTOWait.Summary(),
-		Shards:           s.mShards.Value(),
 		LogAppendErrors:  s.mLogAppendErrs.Value(),
 		LinkNotices:      s.mLinkNotices.Value(),
 	}
 }
 
-// pendingCount sums still-pending events across shards, under each shard's
-// lock in turn.
+// pendingCount counts the still-pending events under the event lock.
 func (s *Server) pendingCount() int {
-	total := 0
-	for _, sh := range s.shards {
-		sh.lock()
-		total += len(sh.pending)
-		sh.unlock()
-	}
-	return total
+	s.ev.lock()
+	defer s.ev.unlock()
+	return len(s.ev.pending)
 }
 
 // clientOf returns the connected client of an instance. Callable from any
@@ -702,7 +678,7 @@ func (s *Server) admitResume(cl *client, env wire.Envelope, m wire.Resume) strin
 // admit installs a freshly identified client and acknowledges the
 // handshake. Its caller holds gmu.
 func (s *Server) admit(cl *client, env wire.Envelope) {
-	// Resolve the member's health entry once; shard-lock holders then attribute
+	// Resolve the member's health entry once; event-lock holders then attribute
 	// acks through the cached pointer without touching the family lock.
 	cl.health = s.mMember.Get(string(cl.id))
 	s.cmu.Lock()
@@ -782,7 +758,8 @@ func flightNote(m wire.Message) string {
 }
 
 // outbox decouples the server from connection back-pressure. A lock holder
-// queues what it sends and then flushes the outbox itself, with one attempt
+// queues what it sends and, once it has let the lock go, flushes the outbox
+// itself, with one attempt
 // (see attempt): a non-blocking write that never stalls the lock. Whatever
 // an attempt could not hand the kernel a writer goroutine drains, and it is
 // the only code that ever blocks on the socket. One flush has the Conn at a
@@ -1067,7 +1044,7 @@ func (o *outbox) shut() {
 }
 
 // sweeper is the server's one clock for deadlines. Every sweepPeriod it runs
-// the expiry pass over every shard, then the liveness and backpressure sweep
+// the expiry pass under the event lock, then the liveness and backpressure sweep
 // under gmu, until the server closes.
 func (s *Server) sweeper(t clock.Ticker) {
 	defer s.wg.Done()

@@ -75,7 +75,7 @@ func relayRig(t *testing.T, opts Options) (srv *Server, a, b, u *testbed.Peer) {
 // it: a denied event (its group is locked by an event still waiting for its
 // ack) and an event on an uncoupled object.
 func TestDeniedAndUncoupledEventsReleaseRelay(t *testing.T) {
-	_, a, b, u := relayRig(t, Options{Shards: 1})
+	_, a, b, u := relayRig(t, Options{})
 	dispatch(a, "/a", "one")
 	exec := testbed.Next[wire.Exec](b) // and not acknowledged yet
 	if res := testbed.Next[wire.EventResult](a); !res.OK {
@@ -118,7 +118,7 @@ func TestReadAndRecordedEventsReleaseRelay(t *testing.T) {
 	}
 
 	flight := obs.NewFlightRecorder(0)
-	_, a, b, _ := relayRig(t, Options{Shards: 1, Flight: flight})
+	_, a, b, _ := relayRig(t, Options{Flight: flight})
 	dispatch(a, "/a", "recorded")
 	exec := testbed.Next[wire.Exec](b)
 	b.Send(wire.ExecAck{EventID: exec.EventID})

@@ -7,7 +7,7 @@
 // state, restored from the log directory exactly as a restarting server
 // would and advanced only by applying the records appended since. A snapshot
 // at offset N is therefore *defined* as fold(records[0:N)), and the live
-// shards never block on snapshot work.
+// locks never block on snapshot work.
 package server
 
 import (

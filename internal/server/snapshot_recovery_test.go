@@ -12,11 +12,11 @@ package server
 //     requiring the replayed digest to ALWAYS equal the full-script shadow
 //     (snapshots sit beside the log; crashing one may only lose the
 //     shortcut, never an acked record);
-//   - a restart-equivalence check, at one and four shards, that a
-//     post-snapshot restart replays zero log records yet lands on the same
-//     digest as a live server driven with the whole script;
-//   - a restart under another shard count, from a snapshot and from the log
-//     alone, whose placement and event IDs are derived at start-up.
+//   - a restart-equivalence check that a post-snapshot restart replays zero
+//     log records yet lands on the same digest as a live server driven with
+//     the whole script;
+//   - a restart of a directory a striped server wrote, from a snapshot and
+//     from the log alone, whose event IDs run on past every leased ceiling.
 
 import (
 	"bytes"
@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -347,21 +348,23 @@ func TestSnapshotDiskFull(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestartEquivalence restarts a snapshotted server, at one and
-// four shards, and requires the replay to start from the snapshot —
-// zero log records read — while landing on exactly the digest of a live
-// server driven with the whole script.
+// TestSnapshotRestartEquivalence restarts a snapshotted server and requires
+// the replay to start from the snapshot — zero log records read — while
+// landing on exactly the digest of a live server driven with the whole
+// script. The second generation has the restarted server snapshot the state
+// it restored and restarts once more, so a snapshot written from a snapshot
+// restores the same state too.
 func TestSnapshotRestartEquivalence(t *testing.T) {
 	ops := crashOps()
-	for _, shards := range []int{1, 4} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+	want := shadowDigest(t, Options{}, ops)
+	for _, generations := range []int{1, 2} {
+		t.Run(fmt.Sprintf("generations-%d", generations), func(t *testing.T) {
 			dir := t.TempDir()
 			elog, err := eventlog.Open(eventlog.Options{Dir: dir, Sync: eventlog.SyncAlways})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rig := newCrashScript(t, Options{EventLog: elog, Shards: shards})
+			rig := newCrashScript(t, Options{EventLog: elog})
 			rig.run(ops)
 			if err := rig.srv.Snapshot(); err != nil {
 				t.Fatal(err)
@@ -371,29 +374,34 @@ func TestSnapshotRestartEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			reg := obs.NewRegistry()
-			elog2, err := eventlog.Open(eventlog.Options{Dir: dir, Sync: eventlog.SyncAlways, Metrics: reg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			recovered := newCrashScript(t, Options{EventLog: elog2, Shards: shards})
-			got := liveDigest(recovered.srv)
-			recovered.shutdown()
-			if err := elog2.Close(); err != nil {
-				t.Fatal(err)
-			}
+			for g := 1; g <= generations; g++ {
+				reg := obs.NewRegistry()
+				elog, err := eventlog.Open(eventlog.Options{Dir: dir, Sync: eventlog.SyncAlways, Metrics: reg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				recovered := newCrashScript(t, Options{EventLog: elog})
+				got := liveDigest(recovered.srv)
+				if g < generations {
+					if err := recovered.srv.Snapshot(); err != nil {
+						t.Fatalf("generation %d: snapshot of the restored state: %v", g, err)
+					}
+				}
+				recovered.shutdown()
+				if err := elog.Close(); err != nil {
+					t.Fatal(err)
+				}
 
-			counters := reg.Snapshot().Counters
-			if n := counters["server.log.replay_from_snapshot"]; n < 1 {
-				t.Fatalf("restart did not replay from the snapshot (replay_from_snapshot=%d)", n)
-			}
-			if n := counters["server.log.replayed"]; n != 0 {
-				t.Fatalf("snapshot restart replayed %d log records; want 0 (snapshot covers the whole log)", n)
-			}
-
-			want := shadowDigest(t, Options{Shards: shards}, ops)
-			if got != want {
-				t.Fatalf("snapshot restart diverged:\nreplayed state:\n%s\nshadow state:\n%s", got, want)
+				counters := reg.Snapshot().Counters
+				if n := counters["server.log.replay_from_snapshot"]; n < 1 {
+					t.Fatalf("generation %d: restart did not replay from the snapshot (replay_from_snapshot=%d)", g, n)
+				}
+				if n := counters["server.log.replayed"]; n != 0 {
+					t.Fatalf("generation %d: snapshot restart replayed %d log records; want 0 (snapshot covers the whole log)", g, n)
+				}
+				if got != want {
+					t.Fatalf("generation %d: snapshot restart diverged:\nreplayed state:\n%s\nshadow state:\n%s", g, got, want)
+				}
 			}
 		})
 	}
@@ -453,32 +461,38 @@ func TestSnapshotV1PayloadRefused(t *testing.T) {
 	}
 }
 
-// TestRestartUnderAnotherShardCount restarts a directory a three-shard server
-// wrote under one and under four shards, once from a snapshot and once
-// from the log alone. Placement and the event-ID floor are derived at
-// start-up, so every group comes back on one shard, the first event gets an
-// ID above every logged one, an undone copy can still be redone, and the
-// restarted server is the fold of its log.
-func TestRestartUnderAnotherShardCount(t *testing.T) {
-	for _, shards := range []int{1, 4} {
+// TestRestartOfAStripedDirectory restarts a directory that a server of one,
+// three or four event-state stripes wrote, once from a snapshot and once
+// from the log alone. Such a server leased event IDs per stripe, each lease
+// naming a ceiling leaseBlock·N IDs past an interleaved ID of its stripe, and
+// its leases landed in whatever order the stripes took them. The restart
+// must bring every group back, issue every new Exec ID above every leased
+// ceiling, consecutively from the highest, still redo an undone copy, and be
+// the fold of its log.
+func TestRestartOfAStripedDirectory(t *testing.T) {
+	for _, stripes := range []uint64{1, 3, 4} {
 		for _, snapshot := range []bool{true, false} {
-			shards, snapshot := shards, snapshot
-			t.Run(fmt.Sprintf("shards-%d/snapshot-%v", shards, snapshot), func(t *testing.T) {
-				testRestartUnder(t, shards, snapshot)
+			t.Run(fmt.Sprintf("stripes-%d/snapshot-%v", stripes, snapshot), func(t *testing.T) {
+				testRestartOfStripes(t, stripes, snapshot)
 			})
 		}
 	}
 }
 
-func testRestartUnder(t *testing.T, shards int, snapshot bool) {
+func testRestartOfStripes(t *testing.T, stripes uint64, snapshot bool) {
 	dir := t.TempDir()
-	start := func(shards int, metrics obs.Sink) (*Server, *testbed.Bed, *eventlog.Log) {
+	open := func(metrics obs.Sink) *eventlog.Log {
 		t.Helper()
 		elog, err := eventlog.Open(eventlog.Options{Dir: dir, Metrics: metrics})
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := New(Options{EventLog: elog, Shards: shards})
+		return elog
+	}
+	start := func(metrics obs.Sink) (*Server, *testbed.Bed, *eventlog.Log) {
+		t.Helper()
+		elog := open(metrics)
+		srv := New(Options{EventLog: elog})
 		return srv, testbed.New(t, srv, testbed.Options{}), elog
 	}
 	// stop judges the server and closes it before its peers, as
@@ -522,7 +536,7 @@ func testRestartUnder(t *testing.T, shards int, snapshot bool) {
 		return id
 	}
 
-	srv, bed, elog := start(3, nil)
+	srv, bed, elog := start(nil)
 	peers := make([]*testbed.Peer, 5)
 	for i := range peers {
 		peers[i] = bed.Raw(wire.Register{AppType: "app", Host: "h", User: fmt.Sprintf("u%d", i)})
@@ -547,35 +561,48 @@ func testRestartUnder(t *testing.T, shards int, snapshot bool) {
 		t.Fatalf("undo applied %q at b", v)
 	}
 	testbed.Next[wire.OK](b)
-
-	var logged uint64
-	for i := 0; i < 3; i++ {
-		logged = max(logged, fire(srv, a, b, c), fire(srv, d, e))
-	}
-	// The run ends on a denial: b's event meets c still locked by a's, so
-	// its ID is neither sent nor logged.
-	a.Send(wire.Event{Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("w")}})
-	held := testbed.Next[wire.Exec](c)
-	b.Send(wire.ExecAck{EventID: testbed.Next[wire.Exec](b).EventID})
-	if res := b.Call(wire.Event{Path: "/x", Name: widget.EventChanged}).Msg.(wire.EventResult); res.OK {
-		t.Fatal("b's event was granted while c was locked")
-	}
-	c.Send(wire.ExecAck{EventID: held.EventID})
-	testbed.Next[wire.EventResult](a)
-	logged = max(logged, held.EventID)
+	fire(srv, a, b, c)
+	fire(srv, d, e)
 	tokens := make([]string, len(peers))
 	for i, p := range peers {
 		tokens[i] = p.Call(wire.SessionToken{}).Msg.(wire.SessionToken).Token
 	}
-	if snapshot {
-		if err := srv.Snapshot(); err != nil {
+	stop(srv, bed, elog)
+
+	// The stripes' leases: stripe i of N, whose IDs are seq·N + i + 1, leased
+	// at its ID i+1 and then at i+1+N·leaseBlock, each time leaseBlock·N
+	// further on. Every stripe took its first lease; stripes 1 and 0 (stripe
+	// 0 alone, with one stripe) then took a second, stripe 1 first, so with
+	// more than one stripe the highest ceiling is not the last.
+	var ceilings []uint64
+	for i := uint64(0); i < stripes; i++ {
+		ceilings = append(ceilings, i+1+stripes*leaseBlock)
+	}
+	for i := min(1, stripes-1) + 1; i > 0; i-- {
+		ceilings = append(ceilings, i+2*stripes*leaseBlock)
+	}
+	elog = open(nil)
+	for _, ceiling := range ceilings {
+		if err := elog.Append(eventlog.Record{Kind: eventlog.KindLease, Env: wire.Envelope{Msg: wire.Exec{EventID: ceiling}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	stop(srv, bed, elog)
+	if snapshot {
+		fold := newState(0, nil)
+		end, _, err := fold.restore(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := elog.WriteSnapshot(end, fold.encode()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := elog.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	reg := obs.NewRegistry()
-	srv, bed, elog = start(shards, reg)
+	srv, bed, elog = start(reg)
 	if n := reg.Snapshot().Counters["server.log.replay_from_snapshot"]; (n > 0) != snapshot {
 		t.Fatalf("replay_from_snapshot=%d with snapshot=%v", n, snapshot)
 	}
@@ -591,11 +618,12 @@ func testRestartUnder(t *testing.T, shards int, snapshot bool) {
 			t.Fatalf("%s is coupled to %d objects after the restart, want %d", g[0].ID, n, len(g)-1)
 		}
 	}
-	if id := fire(srv, d, e); id <= logged {
-		t.Fatalf("first event after the restart got ID %d; the log holds %d", id, logged)
-	}
-	if id := fire(srv, a, b, c); id <= logged {
-		t.Fatalf("event after the restart got ID %d; the log holds %d", id, logged)
+	floor := slices.Max(ceilings)
+	for i, id := range []uint64{fire(srv, d, e), fire(srv, a, b, c), fire(srv, d, e)} {
+		if want := floor + uint64(i) + 1; id != want {
+			t.Fatalf("event %d after the restart got ID %d, want %d: the IDs run on from the highest leased ceiling %d (leases %v)",
+				i, id, want, floor, ceilings)
+		}
 	}
 
 	b.Send(wire.Redo{Path: "/x"})

@@ -17,7 +17,7 @@ import (
 	"cosoft/internal/wire"
 )
 
-// stallBed is one shard serving two coupling groups over in-process links:
+// stallBed is one server serving two coupling groups over in-process links:
 // group A, an origin and a member whose link hangs on stall(), and group B,
 // an origin and a member that keep working. The server's deadlines run on
 // clk; the clients keep the wall clock.
@@ -32,7 +32,6 @@ type stallBed struct {
 
 func newStallBed(t *testing.T, opts server.Options) *stallBed {
 	t.Helper()
-	opts.Shards = 1
 	sb := &stallBed{clk: clock.NewManual(), reg: obs.NewRegistry()}
 	opts.Metrics, opts.Clock = sb.reg, sb.clk
 	sb.srv = server.New(opts)
@@ -54,8 +53,8 @@ func newStallBed(t *testing.T, opts server.Options) *stallBed {
 }
 
 // stall hangs the stalled member's link, whose receive window closes, and has
-// group A's origin dispatch one event, so the shard's attempt to write its
-// Exec takes nothing. The event holds group A's floor until its deadline,
+// group A's origin dispatch one event, so the lock holder's attempt to write
+// its Exec takes nothing. The event holds group A's floor until its deadline,
 // which the tests never reach.
 func (sb *stallBed) stall(t *testing.T) {
 	t.Helper()
@@ -95,14 +94,14 @@ func (sb *stallBed) promptB(t *testing.T, value string) {
 	}
 }
 
-// TestStalledMemberCannotDelayItsShard: a member whose link hangs stops taking
-// its group's events. The shard's write to it must not wait for the link —
-// group B, served by the same shard, keeps resolving its events promptly —
-// and the push-back shows against the member. Commands, which take no floor,
+// TestStalledMemberCannotDelayTheEventLock: a member whose link hangs stops
+// taking its group's events. The write to it must not wait for the link —
+// group B, served under the same event lock, keeps resolving its events
+// promptly — and the push-back shows against the member. Commands, which take no floor,
 // then build the member's backlog behind its writer past the outbox limit
 // until the grace runs out and the member is evicted, and every shared body
 // it held is given back.
-func TestStalledMemberCannotDelayItsShard(t *testing.T) {
+func TestStalledMemberCannotDelayTheEventLock(t *testing.T) {
 	sb := newStallBed(t, server.Options{})
 	sb.promptB(t, "before")
 	sb.stall(t)

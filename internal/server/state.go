@@ -21,8 +21,8 @@
 // its waiters died with the crashed process — holding its lock after recovery
 // would wedge the group waiting for acknowledgements no one will send. Locks
 // are transient floor control; the log persists the decisions, not the floor.
-// The per-shard event-ID sequences are outside too: they belong to the
-// Server, which derives them at start-up from the floor. Connections,
+// The event-ID sequence is outside too: it belongs to the Server, which
+// starts it at the floor. Connections,
 // outboxes and the metrics stay with the Server around it: nothing here starts a goroutine, touches a socket or registers a metric.
 //
 // Ownership is the caller's: on a live server the state is mutated only
@@ -67,8 +67,8 @@ type state struct {
 	sessionTok map[couple.InstanceID]string
 	history    *hist.DB
 	// floor is the largest event ID or lease ceiling the log holds. Only the
-	// fold advances it: a live server's shards allocate their IDs past the
-	// floor it restored.
+	// fold advances it: a live server allocates its IDs past the floor it
+	// restored.
 	floor uint64
 }
 

@@ -89,18 +89,16 @@ func (st *state) digestWith(floor uint64) string {
 	return b.String()
 }
 
-// liveDigest is digest for a running server, read under gmu and, for each
-// shard's lease, that shard's lock. Its floor is the one the log restored,
-// raised to the ceiling of every lease a shard took since, as the fold raises
-// it: every ID a shard grants lies below its ceiling. It returns "" once the
-// server is closed.
+// liveDigest is digest for a running server, read under gmu and, for the
+// lease, the event lock. Its floor is the one the log restored, raised to the
+// ceiling of the lease taken since, as the fold raises it: every ID the
+// server grants lies below its ceiling. It returns "" once the server is
+// closed.
 func liveDigest(s *Server) string {
 	var out string
 	s.withGlobal(func() {
 		floor := s.st.floor
-		for _, sh := range s.shards {
-			sh.withLock(func() { floor = max(floor, sh.ceiling) })
-		}
+		s.withEvents(func() { floor = max(floor, s.ev.ceiling) })
 		out = s.st.digestWith(floor)
 	})
 	return out
@@ -269,8 +267,8 @@ func FuzzDecodeState(f *testing.F) {
 // live server through the wire into logging one or two kinds, and hands the
 // record the step stands for — written out here, not read back from any log —
 // to a fresh state's apply. The two must agree after every step, and between
-// them the steps cover every kind there is. The server logs, so that its
-// shards lease event IDs.
+// them the steps cover every kind there is. The server logs, so that it
+// leases event IDs.
 func TestEveryKindHasOneMutationSite(t *testing.T) {
 	elog, err := eventlog.Open(eventlog.Options{Dir: t.TempDir(), Sync: eventlog.SyncNone})
 	if err != nil {
@@ -278,7 +276,7 @@ func TestEveryKindHasOneMutationSite(t *testing.T) {
 	}
 	// Registered before the bed, so the server closes before its log does.
 	t.Cleanup(func() { elog.Close() })
-	srv := New(Options{Shards: HarnessShards, EventLog: elog})
+	srv := New(Options{EventLog: elog})
 	bed := testbed.New(t, srv, testbed.Options{})
 	fresh := newState(0, nil)
 	seen := make(map[eventlog.Kind]bool)
@@ -327,8 +325,7 @@ func TestEveryKindHasOneMutationSite(t *testing.T) {
 	a, b, c := join("u1"), join("u2"), join("u3")
 	x := func(id couple.InstanceID) couple.ObjectRef { return couple.ObjectRef{Instance: id, Path: "/x"} }
 
-	// Couple: twice, so a group of one joins a group of two — across shards,
-	// for at least one of the pairs, with four of them.
+	// Couple: twice, so a group of one joins a group of two.
 	for _, m := range []wire.Couple{{From: x(a), To: x(b)}, {From: x(c), To: x(a)}} {
 		creator := m.From.Instance
 		peers[creator].MustOK(m)
@@ -345,8 +342,8 @@ func TestEveryKindHasOneMutationSite(t *testing.T) {
 	if res := testbed.Next[wire.EventResult](peers[a]); !res.OK {
 		t.Fatalf("event denied: %s", res.Reason)
 	}
-	// The shard's first event takes its lease first.
-	lease := wire.Exec{EventID: exec.EventID + leaseBlock*HarnessShards}
+	// The first event takes its lease first.
+	lease := wire.Exec{EventID: exec.EventID + leaseBlock}
 	step("event", rec(eventlog.KindLease, "", lease), rec(eventlog.KindEvent, a, exec))
 
 	// Hist: a pushes its state onto b's object, whose old state is backed up.

@@ -191,7 +191,7 @@ type takeAll struct{ *sinkConn }
 
 func (takeAll) TryWrite(p []byte) (int, error) { return len(p), nil }
 
-// TestAttemptAllocBudget gates a shard's write path: an attempted
+// TestAttemptAllocBudget gates a lock holder's write path: an attempted
 // WriteOutgoing or WriteBatch of shared Execs allocates nothing, through a
 // transport's TryWrite or a socket's file descriptor alike.
 func TestAttemptAllocBudget(t *testing.T) {

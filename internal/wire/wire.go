@@ -103,8 +103,8 @@
 // The one thing a Record owns outside itself is an Event's relay body, which
 // comes from a process-wide pool (LiveSharedBodies counts the ones out). The
 // caller of Next owns it from the moment Next returns and must pass it on or
-// give it back: the server hands it to the event's shard, which broadcasts it
-// or releases it; any other reader calls Record.Release. Box leaves it with
+// give it back: the server broadcasts it under its event lock or releases
+// it; any other reader calls Record.Release. Box leaves it with
 // the record; Read and DecodeEnvelope release it before they return.
 package wire
 
