@@ -81,9 +81,9 @@ type Options struct {
 	Metrics obs.Sink
 	// Reconnect enables automatic reconnection: when the connection drops,
 	// the client redials with exponential backoff, resumes its session (same
-	// instance ID), re-declares its objects, re-creates its couple links and
-	// pulls the current state of every coupled object. Nil disables
-	// reconnection: a dropped connection permanently fails the client.
+	// instance ID), re-declares its objects, re-creates its couple links if
+	// the server had dropped it, and pulls the current state of every coupled
+	// object. Nil disables reconnection: a dropped connection is final.
 	Reconnect *ReconnectOptions
 	// Tracer records causal spans for this instance's hops: event sends and
 	// remote re-executions; their frames carry the trace context, and the
@@ -98,7 +98,7 @@ type Options struct {
 	// Logger receives structured logs keyed by instance and trace IDs. Nil
 	// disables structured logging.
 	Logger *slog.Logger
-	// Clock is what the RPC timeout, the resume watchdog and the reconnect
+	// Clock is what the RPC timeout, the handshake watchdog and the reconnect
 	// backoff read. Nil is the wall clock. It is a test seam: a test
 	// advances a clock.Manual past a timeout instead of waiting it out.
 	Clock clock.Clock
@@ -156,7 +156,6 @@ func New(conn net.Conn, opts Options) (*Client, error) {
 	metrics := obs.Or(opts.Metrics)
 	c := &Client{
 		opts:     opts,
-		conn:     wire.NewConn(conn),
 		reg:      opts.Registry,
 		checker:  compat.NewChecker(opts.Registry.Classes(), opts.Correspondences),
 		waiters:  make(map[uint64]waiter),
@@ -172,28 +171,12 @@ func New(conn net.Conn, opts Options) (*Client, error) {
 		tr:       opts.Tracer,
 		slog:     obs.LoggerOr(opts.Logger).With("component", "client"),
 	}
-	// Handshake: Register must be answered by Registered before the loops
-	// start.
-	if err := c.conn.Write(wire.Envelope{Seq: 1, Msg: wire.Register{
-		AppType: opts.AppType, Host: opts.Host, User: opts.User,
-	}}); err != nil {
-		return nil, fmt.Errorf("client: register: %w", err)
-	}
-	env, err := c.conn.Read()
+	wc, reply, pre, err := c.handshake(conn, wire.Register{AppType: opts.AppType, Host: opts.Host, User: opts.User})
 	if err != nil {
-		return nil, fmt.Errorf("client: register reply: %w", err)
+		return nil, err
 	}
-	switch m := env.Msg.(type) {
-	case wire.Registered:
-		c.id = m.ID
-	case wire.Err:
-		return nil, fmt.Errorf("client: registration refused: %s", m.Text)
-	default:
-		return nil, fmt.Errorf("client: unexpected registration reply %s", env.Msg.MsgType())
-	}
-	c.mu.Lock()
-	c.nextSeq = 1
-	c.mu.Unlock()
+	c.conn, c.id, c.nextSeq = wc, reply.ID, 1
+	c.route(wc, pre)
 	c.slog = c.slog.With("inst", string(c.id))
 	c.slog.Debug("registered", "user", opts.User, "host", opts.Host)
 
@@ -219,32 +202,20 @@ func New(conn net.Conn, opts Options) (*Client, error) {
 	if opts.Reconnect != nil {
 		// Mint the resumable session token up front so it is in hand before
 		// any disconnect. Only reconnect-enabled clients pay the extra RPC.
-		tok, err := c.sessionToken()
-		if err != nil {
+		env, err := c.call(wire.SessionToken{})
+		m, ok := env.Msg.(wire.SessionToken)
+		if !ok {
 			c.Close()
+			if err == nil {
+				err = fmt.Errorf("reply %v", env.Msg)
+			}
 			return nil, fmt.Errorf("client: session token: %w", err)
 		}
 		c.mu.Lock()
-		c.token = tok
+		c.token = m.Token
 		c.mu.Unlock()
 	}
 	return c, nil
-}
-
-// sessionToken asks the server for a resumable session token.
-func (c *Client) sessionToken() (string, error) {
-	env, err := c.call(wire.SessionToken{})
-	if err != nil {
-		return "", err
-	}
-	switch m := env.Msg.(type) {
-	case wire.SessionToken:
-		return m.Token, nil
-	case wire.Err:
-		return "", errors.New(m.Text)
-	default:
-		return "", fmt.Errorf("client: unexpected reply %s", env.Msg.MsgType())
-	}
 }
 
 // ID returns the server-assigned application instance identifier.
@@ -505,31 +476,23 @@ func (c *Client) supervise() {
 			return
 		}
 		c.slog.Warn("connection lost, reconnecting")
-		c.forgetFarLinks()
-		next, pre, err := c.redial()
+		next, reply, pre, err := c.redial()
 		if err != nil {
 			c.slog.Error("reconnect failed", "error", err.Error())
 			return
 		}
+		// The resume spent the token; the reply carries the next one.
 		c.mu.Lock()
-		c.conn = next
+		c.conn, c.token = next, reply.Token
 		c.mu.Unlock()
 		conn = next
-		// Traffic the server flushed ahead of the handshake reply (stashed by
-		// resume) is routed before the read loop takes over, preserving the
-		// server's send order; records packed after the reply are still in
-		// the Conn. A routing failure means the fresh connection already
-		// died; the read loop below notices immediately and redials.
-		for i := range pre {
-			if !c.handleIncoming(conn, &pre[i]) {
-				break
-			}
-		}
+		c.route(conn, pre)
+		c.level(reply.Kept, pre)
 		// Resync runs concurrently with the resumed read loop: its RPCs need
 		// the loop to route replies. Safe to Add here: supervise itself holds
 		// the WaitGroup above zero.
 		c.wg.Add(1)
-		go c.resync()
+		go c.resync(reply.Kept)
 	}
 }
 
@@ -631,19 +594,6 @@ func (c *Client) pruneMirror(o couple.ObjectRef) {
 	_, links := c.links.GroupLinks(o)
 	for _, l := range links {
 		c.links.RemoveLink(l.From, l.To)
-	}
-}
-
-// forgetFarLinks drops, at a connection loss, the mirrored links that do not
-// touch this instance. Nothing reports what becomes of them while it is
-// gone, and it needs none of them to come back: resync re-creates the links
-// that do touch it, and each of those Couples is answered with the far side
-// of the group as it is then.
-func (c *Client) forgetFarLinks() {
-	for _, l := range c.links.Links() {
-		if l.From.Instance != c.id && l.To.Instance != c.id {
-			c.links.RemoveLink(l.From, l.To)
-		}
 	}
 }
 

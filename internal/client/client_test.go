@@ -2,7 +2,9 @@ package client
 
 import (
 	"errors"
+	"io"
 	"log/slog"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -91,6 +93,36 @@ func TestNewHandshakeUnexpectedReply(t *testing.T) {
 	}()
 	if _, err := New(link.A, Options{Registry: widget.NewRegistry()}); err == nil {
 		t.Fatal("unexpected reply must fail")
+	}
+}
+
+// TestNewHandshakeBounded: against a server that takes the Register and never
+// answers, New gives up with ErrTimeout once the clock has passed the RPC
+// timeout.
+func TestNewHandshakeBounded(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	clk := clock.NewManual()
+	a, b := net.Pipe()
+	defer b.Close()
+	go io.Copy(io.Discard, b) //nolint:errcheck
+	done := make(chan error, 1)
+	go func() {
+		_, err := New(a, Options{Registry: widget.NewRegistry(), RPCTimeout: timeout, Clock: clk})
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); clk.Armed() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("New set no deadline on its handshake")
+		}
+	}
+	clk.Advance(2 * timeout)
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrTimeout) {
+			t.Errorf("err = %v, want ErrTimeout", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("New outlived its handshake timeout on the clock")
 	}
 }
 

@@ -2,12 +2,14 @@ package client
 
 import (
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"net"
 	"sort"
 	"sync/atomic"
 	"time"
 
+	"cosoft/internal/couple"
 	"cosoft/internal/wire"
 )
 
@@ -15,9 +17,10 @@ import (
 type ReconnectOptions struct {
 	// Dial establishes a replacement connection to the server. Required.
 	Dial func() (net.Conn, error)
-	// OnResync, if set, is called after each successful reconnect once
-	// re-declaration, re-coupling and the post-resume state pull have
-	// finished, with the first error encountered (nil on a clean resync).
+	// OnResync, if set, is called after each successful reconnect once the
+	// re-declaration, the re-coupling (only when the server had dropped the
+	// instance) and the state pull have finished, with the first error
+	// encountered (nil on a clean resync).
 	OnResync func(err error)
 }
 
@@ -62,9 +65,9 @@ func jitterSeeds() (uint64, uint64) {
 }
 
 // redial dials and resumes the session with full-jitter exponential
-// backoff, returning the fresh connection plus any records the server
-// flushed ahead of the handshake reply. It runs on the supervise goroutine.
-func (c *Client) redial() (*wire.Conn, []wire.Record, error) {
+// backoff, returning the fresh connection, the server's reply and the records
+// it sent ahead of the reply. It runs on the supervise goroutine.
+func (c *Client) redial() (*wire.Conn, wire.Registered, []wire.Record, error) {
 	r := c.opts.Reconnect
 	rng := rand.New(rand.NewPCG(jitterSeeds()))
 	var lastErr error
@@ -76,7 +79,7 @@ func (c *Client) redial() (*wire.Conn, []wire.Record, error) {
 			case <-wake:
 			case <-c.done:
 				t.Stop()
-				return nil, nil, ErrClosed
+				return nil, wire.Registered{}, nil, ErrClosed
 			}
 		}
 		raw, err := r.Dial()
@@ -84,56 +87,51 @@ func (c *Client) redial() (*wire.Conn, []wire.Record, error) {
 			lastErr = err
 			continue
 		}
-		conn, pre, err := c.resume(raw)
+		c.mu.Lock()
+		tok := c.token
+		c.mu.Unlock()
+		conn, reg, pre, err := c.handshake(raw, wire.Resume{Token: tok})
 		if err == nil {
-			return conn, pre, nil
+			return conn, reg, pre, nil
 		}
 		if pe, ok := err.(*permanentError); ok {
-			return nil, nil, pe
+			return nil, wire.Registered{}, nil, pe
 		}
 		lastErr = err
 	}
-	return nil, nil, fmt.Errorf("client: reconnect gave up after %d attempts: %w",
+	return nil, wire.Registered{}, nil, fmt.Errorf("client: reconnect gave up after %d attempts: %w",
 		maxAttempts, lastErr)
 }
 
-// resume performs the Resume handshake on a fresh connection, reclaiming
-// the client's instance ID. The reply wait cannot rely on connection
-// deadlines (in-process transports lack them), so a watchdog closes the
-// connection to abandon a stalled handshake.
-//
-// The resumed instance is already a member of its coupling groups, so the
-// server can start flushing group traffic the moment it admits the session:
-// the Registered reply may arrive packed in a Batch with notifications or
-// replayed events, or even after them when a broadcast wins the race with
-// the admission: event-lock holders see the instance connected a moment
-// before the reply is queued. Every record read before the reply
-// is stashed and returned for the read loop to route once the resume is
-// accepted, and records packed after it stay in the Conn for the read loop —
-// abandoning the connection here would orphan a session whose single-use
-// token the admission already consumed, permanently stranding the client.
-func (c *Client) resume(raw net.Conn) (*wire.Conn, []wire.Record, error) {
+// handshake sends hello (a Register, or a Resume presenting the token) as
+// raw's first frame and reads until the server answers it, or a watchdog on
+// the client's clock closes raw after the RPC timeout or at Close. An Err
+// answer is a refusal, and so is a resume answered with another instance's
+// ID. The answer may come among group traffic: the records before it are
+// returned for the read loop to route first; those after it stay in the Conn.
+func (c *Client) handshake(raw net.Conn, hello wire.Message) (*wire.Conn, wire.Registered, []wire.Record, error) {
 	conn := wire.NewConn(raw)
-	c.mu.Lock()
-	tok := c.token
-	c.mu.Unlock()
-	if err := conn.Write(wire.Envelope{Seq: 1, Msg: wire.Resume{Token: tok}}); err != nil {
+	kind := hello.MsgType()
+	fail := func(err error) (*wire.Conn, wire.Registered, []wire.Record, error) {
 		conn.Close()
-		return nil, nil, err
+		return nil, wire.Registered{}, nil, err
 	}
-	var timedOut, closing atomic.Bool
-	timer := c.opts.Clock.AfterFunc(c.opts.RPCTimeout, func() {
-		timedOut.Store(true)
+	if err := conn.Write(wire.Envelope{Seq: 1, Msg: hello}); err != nil {
+		return fail(fmt.Errorf("client: %s: %w", kind, err))
+	}
+	var cause atomic.Pointer[error] // why the watchdog closed conn
+	abandon := func(err error) {
+		cause.CompareAndSwap(nil, &err)
 		conn.Close()
-	})
+	}
+	timer := c.opts.Clock.AfterFunc(c.opts.RPCTimeout, func() { abandon(fmt.Errorf("%w: %s handshake", ErrTimeout, kind)) })
 	defer timer.Stop()
 	watchDone := make(chan struct{})
 	defer close(watchDone)
 	go func() {
 		select {
 		case <-c.done:
-			closing.Store(true)
-			conn.Close()
+			abandon(ErrClosed)
 		case <-watchDone:
 		}
 	}()
@@ -141,41 +139,66 @@ func (c *Client) resume(raw net.Conn) (*wire.Conn, []wire.Record, error) {
 	for {
 		var rec wire.Record
 		if err := conn.Next(&rec); err != nil {
-			conn.Close()
-			if closing.Load() {
-				return nil, nil, ErrClosed
+			if why := cause.Load(); why != nil {
+				err = *why
 			}
-			if timedOut.Load() {
-				return nil, nil, fmt.Errorf("%w: resume handshake", ErrTimeout)
-			}
-			return nil, nil, err
+			return fail(err)
+		}
+		if rec.RefSeq != 1 {
+			pre = append(pre, rec)
+			continue
 		}
 		switch m := rec.Msg.(type) {
 		case wire.Registered:
-			if m.ID != c.id {
-				conn.Close()
-				return nil, nil, &permanentError{fmt.Sprintf(
-					"client: resume returned foreign ID %s (have %s)", m.ID, c.id)}
+			if c.id != "" && m.ID != c.id {
+				return fail(&permanentError{fmt.Sprintf(
+					"client: resume returned foreign ID %s (have %s)", m.ID, c.id)})
 			}
-			return conn, pre, nil
+			return conn, m, pre, nil
 		case wire.Err:
-			conn.Close()
-			return nil, nil, &permanentError{"client: resume refused: " + m.Text}
+			return fail(&permanentError{fmt.Sprintf("client: %s refused: %s", kind, m.Text)})
 		default:
-			pre = append(pre, rec)
+			return fail(&permanentError{fmt.Sprintf("client: unexpected %s reply %s", kind, rec.Type)})
 		}
 	}
 }
 
-// resync restores the server's view of this instance after a resume: the
-// disconnect cost the server every declaration and couple link of the old
-// incarnation, while the local mirror kept the links that touch this instance
-// (forgetFarLinks dropped the rest). Declarations are replayed, those links
-// are re-created — each Couple brings back the far side of its group as the
-// server has it now — and every re-coupled object pulls a peer's current
-// state via the CopyFrom path, so local state converges with whatever the
-// group did while this client was gone.
-func (c *Client) resync() {
+// route routes the records that arrived ahead of a handshake's reply, in
+// order. A failure means the connection died; the read loop notices at once.
+func (c *Client) route(conn *wire.Conn, pre []wire.Record) {
+	for i := range pre {
+		if !c.handleIncoming(conn, &pre[i]) {
+			return
+		}
+	}
+}
+
+// level makes the mirror what the resume reply says, once the records ahead
+// of it are routed. On a kept resume it is exactly the links sent ahead of
+// the reply (added before the rest is pruned, so a coupled object never reads
+// as uncoupled); on a dropped one, the links that touch this instance, which
+// resync re-creates, each Couple answered with the far side of its group.
+func (c *Client) level(kept bool, pre []wire.Record) {
+	sent := make(map[couple.Link]bool) // by endpoints: RemoveLink ignores the creator
+	for i := range pre {
+		if m, ok := pre[i].Msg.(wire.LinkAdded); ok {
+			sent[couple.Link{From: m.Link.From, To: m.Link.To}] = true
+		}
+	}
+	for _, l := range c.links.Links() {
+		if kept && !sent[couple.Link{From: l.From, To: l.To}] || !kept && l.From.Instance != c.id && l.To.Instance != c.id {
+			c.links.RemoveLink(l.From, l.To)
+		}
+	}
+}
+
+// resync restores the server's view of this instance after a resume.
+// Declarations are the instance's own and are replayed on both paths (on a
+// kept resume a no-op unless a crash lost one). Links are shared: a kept
+// resume leaves them to the log, a dropped one re-creates those that touch
+// this instance. Every coupled object then pulls a peer's state (CopyFrom),
+// so it converges with whatever the group did while this client was gone.
+func (c *Client) resync(kept bool) {
 	defer c.wg.Done()
 	var firstErr error
 	fail := func(err error) {
@@ -184,25 +207,13 @@ func (c *Client) resync() {
 		}
 	}
 
-	// The resume consumed the session token (tokens are single-use at the
-	// server), so mint a replacement first: a subsequent disconnect must
-	// still be resumable.
-	if tok, err := c.sessionToken(); err != nil {
-		fail(fmt.Errorf("re-mint session token: %w", err))
-	} else {
-		c.mu.Lock()
-		c.token = tok
-		c.mu.Unlock()
-	}
-
 	c.mu.Lock()
-	paths := make([]string, 0, len(c.declared))
-	classes := make(map[string]string, len(c.declared))
-	for p, class := range c.declared {
-		paths = append(paths, p)
-		classes[p] = class
-	}
+	classes := maps.Clone(c.declared)
 	c.mu.Unlock()
+	paths := make([]string, 0, len(classes))
+	for p := range classes {
+		paths = append(paths, p)
+	}
 	sort.Strings(paths)
 	for _, p := range paths {
 		if err := c.callOK(wire.Declare{Path: p, Class: classes[p]}); err != nil {
@@ -210,7 +221,7 @@ func (c *Client) resync() {
 		}
 	}
 	for _, l := range c.links.Links() {
-		if l.From.Instance != c.id && l.To.Instance != c.id {
+		if kept || l.From.Instance != c.id && l.To.Instance != c.id {
 			continue
 		}
 		if err := c.callOK(wire.Couple{From: l.From, To: l.To}); err != nil {
@@ -232,7 +243,7 @@ func (c *Client) resync() {
 	if firstErr != nil {
 		c.slog.Warn("resync incomplete", "error", firstErr.Error())
 	} else {
-		c.slog.Info("resynchronized after reconnect", "objects", len(paths))
+		c.slog.Info("resynchronized after reconnect", "objects", len(paths), "kept", kept)
 	}
 	if h := c.opts.Reconnect.OnResync; h != nil {
 		c.guard("resync callback", "", 0, func() { h(firstErr) })

@@ -6,6 +6,8 @@ package server_test
 // traffic.
 
 import (
+	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -163,9 +165,65 @@ func TestRestartResumeInvisible(t *testing.T) {
 	}
 }
 
-// TestSessionTokenLifecycleAcrossRestart covers satellite S3: a pre-crash
-// token is honored exactly once after replay, a resumed session can re-mint,
-// and a token dropped by Deregister before the crash is rejected after it.
+// TestRestartLeavesTheCouplingAsItWas restarts a durable server under a star
+// of an anchor and 32 members. Every member resumes as kept: the server sends
+// it its group's links ahead of the reply, and nobody re-couples, so the
+// relation keeps its 32 links, the log gains no Couple and no Declare, the
+// link notices are one per member and link, and every mirror is level with
+// the server.
+func TestRestartLeavesTheCouplingAsItWas(t *testing.T) {
+	const members = 32
+	d := newDurable(t, server.Options{})
+	var resynced atomic.Int32
+	cs := make([]*client.Client, members+1)
+	for i := range cs {
+		cs[i] = d.bed.Dial(testbed.Member{AppType: "app", User: fmt.Sprintf("u%d", i), Spec: `textfield x value=""`,
+			Reconnect: &client.ReconnectOptions{OnResync: func(error) { resynced.Add(1) }}})
+	}
+	d.bed.Star("/x", cs...)
+	// records counts the log's Couple and Declare records; the log syncs every
+	// append, so the live directory is complete.
+	records := func() (couples, declares int) {
+		t.Helper()
+		if err := eventlog.ReplayDir(d.dir, func(rec eventlog.Record) error {
+			switch rec.Kind {
+			case eventlog.KindCouple:
+				couples++
+			case eventlog.KindDeclare:
+				declares++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return couples, declares
+	}
+	couples, declares := records()
+
+	d.restart()
+	testbed.Wait(t, "every member resynced", func() bool { return resynced.Load() == members+1 })
+	_, want := d.srv.GroupLinks(cs[0].Ref("/x"))
+	for _, c := range cs {
+		if got := c.Links(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s mirrors %d links, the server's group has %d", c.ID(), len(got), len(want))
+		}
+	}
+	st := d.srv.Stats()
+	if st.Links != members {
+		t.Errorf("the restart left %d links, want %d", st.Links, members)
+	}
+	if limit := uint64((members + 1) * members); st.LinkNotices > limit {
+		t.Errorf("the restart sent %d link notices, want at most %d", st.LinkNotices, limit)
+	}
+	if c, dcl := records(); c != couples || dcl != declares {
+		t.Errorf("the restart added %d Couple and %d Declare records, want none", c-couples, dcl-declares)
+	}
+}
+
+// TestSessionTokenLifecycleAcrossRestart: a pre-crash token is honored
+// exactly once after replay, the token the resume reply carries survives the
+// next crash, and a token dropped by Deregister before the crash is rejected
+// after it.
 func TestSessionTokenLifecycleAcrossRestart(t *testing.T) {
 	d := newDurable(t, server.Options{})
 
@@ -196,8 +254,11 @@ func TestSessionTokenLifecycleAcrossRestart(t *testing.T) {
 		t.Fatalf("deregistered token resumed as %q after restart", got)
 	}
 
-	// The resumed session re-mints and the new token survives the next crash.
-	tok2 := mint(t, r1)
+	// The resume reply carries the next token, and it survives the next crash.
+	tok2 := r1.Hello.Msg.(wire.Registered).Token
+	if tok2 == "" || tok2 == tok {
+		t.Fatalf("the resume reply carries token %q, want a fresh one", tok2)
+	}
 	d.restart()
 	if got := resumed(t, d.bed.Raw(wire.Resume{Token: tok2})); got != id {
 		t.Fatalf("resume with re-minted token: got %q, want %q", got, id)

@@ -26,7 +26,12 @@ func (s *Server) handle(cl *client, env wire.Envelope) {
 	}
 	switch m := env.Msg.(type) {
 	case wire.Declare:
-		s.reply(cl, env.Seq, s.commit(s.record(eventlog.KindDeclare, cl, m)))
+		// A declaration the registry holds changes nothing and is not logged.
+		var err error
+		if class, ok := s.st.reg.ObjectClass(couple.ObjectRef{Instance: cl.id, Path: m.Path}); !ok || class != m.Class {
+			err = s.commit(s.record(eventlog.KindDeclare, cl, m))
+		}
+		s.reply(cl, env.Seq, err)
 	case wire.Retract:
 		s.handleRetract(cl, env.Seq, m)
 	case wire.Deregister:
@@ -68,7 +73,13 @@ func (s *Server) handle(cl *client, env wire.Envelope) {
 		// Client-initiated probe: answer so it can measure liveness too.
 		s.gmu.out.send(cl, wire.Envelope{RefSeq: env.Seq, Msg: wire.Pong{Nonce: m.Nonce}})
 	case wire.SessionToken:
-		s.handleSessionToken(cl, env.Seq)
+		// A reconnecting client presents the token in a Resume handshake to
+		// reclaim the same instance ID.
+		if tok, err := s.mintSession(cl); err != nil {
+			s.reply(cl, env.Seq, err)
+		} else {
+			s.gmu.out.send(cl, wire.Envelope{RefSeq: env.Seq, Msg: wire.SessionToken{Token: tok}})
+		}
 	default:
 		s.reply(cl, env.Seq, fmt.Errorf("server: unexpected message %s", env.Msg.MsgType()))
 	}
@@ -142,33 +153,22 @@ func (s *Server) handleRetract(cl *client, seq uint64, m wire.Retract) {
 // either endpoint (§3.3 "allow a third application instance to couple
 // objects in remote instances").
 //
-// Every instance mirrors the links of the groups its own objects are in, so
-// a merge is replicated as a delta (DESIGN §16): an instance on one side of
-// the new link already holds that side and is sent the other side plus the
-// link itself — "objects already connected to o2 are added to the list of
-// targets, and objects already connected to o1 are added to the source"
-// (§3.2) — and an instance on both sides lacks only the link. AddLink is
-// idempotent and commutative at the mirrors, so a complete mirror plus what
-// the merge added is again complete.
+// Every instance mirrors the links of the groups its own objects are in, so a
+// merge is replicated as a delta (DESIGN §16): an instance on one side of the
+// new link is sent the other side and the link — "objects already connected
+// to o2 are added to the list of targets, and objects already connected to o1
+// are added to the source" (§3.2) — and one on both sides only the link.
 func (s *Server) handleCouple(cl *client, seq uint64, m wire.Couple) {
 	l := couple.Link{From: m.From, To: m.To, Creator: cl.id}
 	if err := s.checkCouple(cl, l); err != nil {
 		s.reply(cl, seq, err)
 		return
 	}
-	// The two groups as they are before the link merges them: what their
-	// instances' mirrors hold.
-	gFrom, linksFrom := s.st.graph.GroupLinks(l.From)
-	// A member that couples two endpoints some link already joins is
-	// resynchronizing after a server restart — it re-creates every link it
-	// knows, as itself — and is re-sent the group as it stands, which brings
-	// its mirror level with whatever it missed.
-	refresh := owns(gFrom, cl.id) && slices.ContainsFunc(linksFrom, func(gl couple.Link) bool {
-		return gl.From == l.From && gl.To == l.To || gl.From == l.To && gl.To == l.From
-	})
-	// A Couple whose exact link exists changes nothing and nobody else is
-	// told.
+	// A Couple whose exact link exists changes nothing and nobody is told.
 	if !s.st.graph.Has(l) {
+		// The two groups as they are before the link merges them: what their
+		// instances' mirrors hold.
+		gFrom, linksFrom := s.st.graph.GroupLinks(l.From)
 		gTo, linksTo := s.st.graph.GroupLinks(l.To)
 		if err := s.commit(s.groupRecord(eventlog.KindCouple, cl, l.From, m)); err != nil {
 			s.reply(cl, seq, err)
@@ -189,9 +189,6 @@ func (s *Server) handleCouple(cl *client, seq uint64, m wire.Couple) {
 		s.notifyLinks(fromOnly, linksTo, true)
 		s.notifyLinks(toOnly, linksFrom, true)
 		s.notifyLinks(all, []couple.Link{l}, true)
-	}
-	if refresh {
-		s.notifyLinks([]couple.InstanceID{cl.id}, linksFrom, true)
 	}
 	// Every notice is queued before the OK: on the caller's connection a
 	// Couple call observes its own link in the mirror, and the other members'
@@ -286,6 +283,22 @@ func (s *Server) notifyLinks(instances []couple.InstanceID, links []couple.Link,
 	s.mLinkNotices.Add(uint64(len(clients) * len(links)))
 }
 
+// instanceGroups calls fn once for every group that has an object of id,
+// with its members and links as GroupLinks returns them.
+func (s *Server) instanceGroups(id couple.InstanceID, fn func(members []couple.ObjectRef, links []couple.Link)) {
+	covered := make(map[couple.Link]bool)
+	for _, l := range s.st.graph.InstanceLinks(id) {
+		if covered[l] {
+			continue
+		}
+		members, links := s.st.graph.GroupLinks(l.From)
+		for _, gl := range links {
+			covered[gl] = true
+		}
+		fn(members, links)
+	}
+}
+
 // instancesOf returns the distinct instances owning a member of any of the
 // groups, sorted.
 func instancesOf(groups ...[]couple.ObjectRef) []couple.InstanceID {
@@ -356,23 +369,15 @@ func (s *Server) handleListInstances(cl *client, seq uint64) {
 	s.gmu.out.send(cl, wire.Envelope{RefSeq: seq, Msg: list})
 }
 
-// handleSessionToken mints a resumable session token bound to cl's
-// registration record and sends it back. A reconnecting client presents the
-// token in a Resume handshake to reclaim the same instance ID.
-func (s *Server) handleSessionToken(cl *client, seq uint64) {
+// mintSession mints cl's next session token, replacing the previous one. It
+// is logged before the client holds it, so replay honors any token a client
+// can present after a restart.
+func (s *Server) mintSession(cl *client) (string, error) {
 	tok, err := mintToken()
 	if err != nil {
-		s.reply(cl, seq, err)
-		return
+		return "", err
 	}
-	// The token is durable before the client holds it: a token the client
-	// could present after a server restart is always one replay can honor.
-	msg := wire.SessionToken{Token: tok}
-	if err := s.commit(s.record(eventlog.KindToken, cl, msg)); err != nil {
-		s.reply(cl, seq, err)
-		return
-	}
-	s.gmu.out.send(cl, wire.Envelope{RefSeq: seq, Msg: msg})
+	return tok, s.commit(s.record(eventlog.KindToken, cl, wire.SessionToken{Token: tok}))
 }
 
 // dropClient removes a disconnected or deregistering instance: its departure
@@ -400,23 +405,17 @@ func (s *Server) dropClient(cl *client, reason string) error {
 	// the members connected to a peer only through the departed instance sit
 	// in separate components (the chain A–B–C where B leaves), and each would
 	// miss the removal of the other's link and keep it mirrored — the same
-	// ordering bug handleRetract fixed. A group is walked once.
+	// ordering bug handleRetract fixed.
 	var notices []func()
-	covered := make(map[couple.Link]bool)
-	for _, l := range s.st.graph.InstanceLinks(cl.id) {
-		if covered[l] {
-			continue
-		}
-		members, links := s.st.graph.GroupLinks(l.From)
+	s.instanceGroups(cl.id, func(members []couple.ObjectRef, links []couple.Link) {
 		removed := links[:0]
 		for _, gl := range links {
 			if gl.From.Instance == cl.id || gl.To.Instance == cl.id {
 				removed = append(removed, gl)
-				covered[gl] = true
 			}
 		}
 		notices = append(notices, func() { s.notifyLinks(instancesOf(members), removed, false) })
-	}
+	})
 	err := s.commit(s.record(eventlog.KindDisconnect, cl, wire.Err{Text: reason}))
 	if err == nil {
 		for _, notify := range notices {

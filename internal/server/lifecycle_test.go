@@ -1,14 +1,19 @@
 package server_test
 
 import (
+	"io"
+	"net"
 	"reflect"
 	"testing"
+	"time"
 
 	"cosoft/internal/attr"
+	"cosoft/internal/client"
 	"cosoft/internal/clock"
 	"cosoft/internal/couple"
 	"cosoft/internal/server"
 	"cosoft/internal/testbed"
+	"cosoft/internal/widget"
 	"cosoft/internal/wire"
 )
 
@@ -173,5 +178,69 @@ func TestMigratedMemberLeavesNoStrandedLock(t *testing.T) {
 	testbed.Wait(t, "all events resolved", func() bool { return srv.Stats().PendingEvents == 0 })
 	if n := srv.LocksHeld(); n != 0 {
 		t.Errorf("%d lock entries left with nothing pending", n)
+	}
+}
+
+// TestCloseWithSilentConnection: Close returns although a connection Serve
+// accepted never sent its first frame.
+func TestCloseWithSilentConnection(t *testing.T) {
+	srv := server.New(server.Options{})
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go srv.Serve(lis) //nolint:errcheck
+	silent, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// Serve accepts in order, so once a later connection is answered the
+	// silent one is being served.
+	conn, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.New(conn, client.Options{Registry: widget.NewRegistry(), RPCTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close is still waiting on a connection that never sent a frame")
+	}
+}
+
+// TestSilentFirstFrameClosed: a connection that sends no first frame is
+// closed once it has been silent for three heartbeats, the rule the sweep
+// applies to admitted clients.
+func TestSilentFirstFrameClosed(t *testing.T) {
+	clk := clock.NewManual()
+	_, bed := newBed(t, server.Options{Clock: clk})
+	start := clk.Now()
+	conn := bed.Conn()
+	closed := make(chan struct{})
+	go func() {
+		io.Copy(io.Discard, conn) //nolint:errcheck
+		close(closed)
+	}()
+	testbed.AdvanceUntil(t, clk, sweepStep, "the silent connection closed", func() bool {
+		select {
+		case <-closed:
+			return true
+		default:
+			return false
+		}
+	})
+	if silent := clk.Now().Sub(start); silent < 3*server.Heartbeat {
+		t.Errorf("closed after %v of silence, want at least three heartbeats (%v)", silent, 3*server.Heartbeat)
 	}
 }

@@ -515,9 +515,8 @@ func drain(rc *testbed.Peer) (added, removed []couple.Link) {
 // TestCoupleDeltaCases walks one merge through every case of the delta rule
 // on raw connections, where each notice can be counted: an instance on one
 // side is sent the other side and the link, an instance on both sides only
-// the link, a link inside one group goes to the group once, a duplicate
-// changes nothing, tells nobody else and re-sends the caller its group, and so
-// does a member's second link between two endpoints. On the caller's
+// the link, a link inside one group goes to the group once, and a duplicate
+// changes nothing and tells nobody, the caller included. On the caller's
 // connection the notices precede the OK.
 func TestCoupleDeltaCases(t *testing.T) {
 	srv, bed := newBed(t, server.Options{})
@@ -561,34 +560,32 @@ func TestCoupleDeltaCases(t *testing.T) {
 
 	links, logged := srv.Stats().Links, srv.Stats().LinkNotices
 	y.MustOK(wire.Couple{From: c, To: d})
-	told("y couples c–d again", y, map[*testbed.Peer][]couple.Link{y: {ac, bd, cd}})
-	if st := srv.Stats(); st.Links != links || st.LinkNotices != logged+3 {
-		t.Errorf("a duplicate Couple left %d links and %d notices, want %d and %d", st.Links, st.LinkNotices, links, logged+3)
+	told("y couples c–d again", y, nil)
+	if st := srv.Stats(); st.Links != links || st.LinkNotices != logged {
+		t.Errorf("a duplicate Couple left %d links and %d notices, want %d and %d", st.Links, st.LinkNotices, links, logged)
 	}
 	teacher.MustOK(wire.Couple{From: b, To: d})
 	told("the teacher couples b–d again", teacher, nil)
 
-	// Same endpoints, another creator — what a member that did not create the
-	// link sends when it resynchronizes: a new link that joins nothing, which
-	// the group hears once, and the caller is re-sent the group as well.
+	// Same endpoints, another creator: a new link that joins nothing, which
+	// the group hears once.
 	cdz := couple.Link{From: c, To: d, Creator: z.ID}
 	z.MustOK(wire.Couple{From: c, To: d})
-	told("z couples c–d as well", z, map[*testbed.Peer][]couple.Link{x: {cdz}, y: {cdz}, z: {cdz, ac, bd, cd}})
-	// Either direction names the pair.
+	told("z couples c–d as well", z, map[*testbed.Peer][]couple.Link{x: {cdz}, y: {cdz}, z: {cdz}})
+	// The reverse direction is one more such link.
 	dcy := couple.Link{From: d, To: c, Creator: y.ID}
 	y.MustOK(wire.Couple{From: d, To: c})
-	told("y couples d–c", y, map[*testbed.Peer][]couple.Link{x: {dcy}, z: {dcy}, y: {dcy, ac, bd, cd, cdz}})
-	// A link that closes a cycle joins nothing either, but no link joined its
-	// endpoints before: nobody is resynchronizing, the group hears it once.
+	told("y couples d–c", y, map[*testbed.Peer][]couple.Link{x: {dcy}, y: {dcy}, z: {dcy}})
+	// So does a link that closes a cycle.
 	ab := couple.Link{From: a, To: b, Creator: x.ID}
 	x.MustOK(wire.Couple{From: a, To: b})
 	told("x couples a–b", x, map[*testbed.Peer][]couple.Link{x: {ab}, y: {ab}, z: {ab}})
 }
 
 // TestDuplicateCoupleLogsOnce restarts a durable server under two coupled
-// clients three times. Each resync re-sends every link its client mirrors;
-// the first adds the member's own copy of the link (same endpoints, it as the
-// creator), every later one is a duplicate and must leave the log alone.
+// clients three times, after a duplicate Couple. Neither the duplicate nor
+// the restarts touch the relation or the log: the server kept both clients,
+// so neither re-creates the link, and b never adds a copy of its own.
 func TestDuplicateCoupleLogsOnce(t *testing.T) {
 	d := newDurable(t, server.Options{})
 	a := d.dial("editor", "alice", `textfield note value=""`)
@@ -597,16 +594,14 @@ func TestDuplicateCoupleLogsOnce(t *testing.T) {
 	mustOK(t, b.Declare("/note"))
 	mustOK(t, a.Couple("/note", b.Ref("/note")))
 	mustOK(t, a.Couple("/note", b.Ref("/note")))
-	want := []couple.Link{
-		{From: a.Ref("/note"), To: b.Ref("/note"), Creator: a.ID()},
-		{From: a.Ref("/note"), To: b.Ref("/note"), Creator: b.ID()},
-	}
+	want := []couple.Link{{From: a.Ref("/note"), To: b.Ref("/note"), Creator: a.ID()}}
 	for i := 0; i < 3; i++ {
 		d.restart()
 		for _, c := range []*client.Client{a, b} {
 			c := c
-			testbed.Wait(t, "both creators' links mirrored after the restart", func() bool {
-				return reflect.DeepEqual(c.Links(), want)
+			testbed.Wait(t, "the link mirrored after the restart", func() bool {
+				_, links := d.srv.GroupLinks(c.Ref("/note"))
+				return reflect.DeepEqual(c.Links(), want) && reflect.DeepEqual(links, want)
 			})
 		}
 	}
@@ -625,12 +620,12 @@ func TestDuplicateCoupleLogsOnce(t *testing.T) {
 	}
 }
 
-// TestRestartRefreshesNonCreatorMirror restarts a durable server under a
-// chain b – a – c whose links a and c made. b comes back with only the link
-// that touches it and re-creates it as itself: a second link between two
-// endpoints, which joins nothing, and it is the refresh that brings b the
-// rest of the group — c's link above all, which nobody creates again.
-func TestRestartRefreshesNonCreatorMirror(t *testing.T) {
+// TestRestartLevelsNonCreatorMirror restarts a durable server under a chain
+// b – a – c whose links a and c made. b kept only the link that touches it
+// across the cut, and no client re-creates a link: each is sent its group's
+// links ahead of its resume reply, which brings b c's link, and the server
+// still holds the two links the chain was built with.
+func TestRestartLevelsNonCreatorMirror(t *testing.T) {
 	d := newDurable(t, server.Options{})
 	a := d.dial("editor", "alice", `textfield note value=""`)
 	b := d.dial("editor", "bob", `textfield note value=""`)
@@ -647,7 +642,7 @@ func TestRestartRefreshesNonCreatorMirror(t *testing.T) {
 		cl := cl
 		testbed.Wait(t, "every mirror level with the server after the restart", func() bool {
 			_, links := d.srv.GroupLinks(cl.Ref("/note"))
-			return len(links) == 4 && reflect.DeepEqual(cl.Links(), links)
+			return len(links) == 2 && reflect.DeepEqual(cl.Links(), links)
 		})
 	}
 }

@@ -575,7 +575,7 @@ func (s *Server) clientOf(id couple.InstanceID) (*client, bool) {
 // touches, before the next is read.
 func (s *Server) handleConn(c *wire.Conn) {
 	c.CountEncodedBytes(s.mBytesEncoded)
-	env, err := c.Read()
+	env, err := s.firstFrame(c)
 	if err != nil {
 		c.Close()
 		return
@@ -623,6 +623,23 @@ func (s *Server) handleConn(c *wire.Conn) {
 	c.Close()
 }
 
+// firstFrame reads c's first frame under the sweep's liveness rule (closed
+// after three silent heartbeats), and closes c if Close comes first.
+func (s *Server) firstFrame(c *wire.Conn) (wire.Envelope, error) {
+	silent := s.opts.Clock.AfterFunc(3*heartbeat, func() { c.Close() })
+	defer silent.Stop()
+	read := make(chan struct{})
+	defer close(read)
+	go func() {
+		select {
+		case <-s.quit:
+			c.Close()
+		case <-read:
+		}
+	}()
+	return c.Read()
+}
+
 // admitRegister performs the fresh-registration handshake under gmu,
 // returning an error text for the client ("" on success).
 func (s *Server) admitRegister(cl *client, env wire.Envelope, reg wire.Register) string {
@@ -636,17 +653,19 @@ func (s *Server) admitRegister(cl *client, env wire.Envelope, reg wire.Register)
 	if err := s.commit(eventlog.Record{Kind: eventlog.KindRegister, Origin: string(cl.id), Env: wire.Envelope{Msg: reg}}); err != nil {
 		return "server: registration failed: " + err.Error()
 	}
-	s.admit(cl, env)
+	s.admit(cl, env, wire.Registered{ID: cl.id}, nil)
 	s.slog.Info("instance registered",
 		"inst", string(cl.id), "user", reg.User, "host", reg.Host, "app", reg.AppType)
 	return ""
 }
 
 // admitResume reclaims a session by token under gmu: any still-open previous
-// connection for the instance is superseded (dropped exactly as a disconnect
-// would), and the new connection re-registers under the original instance
-// ID. The client is expected to re-declare its objects, re-create its couple
-// links, and resynchronize state afterwards.
+// connection for the instance is superseded (dropped as a disconnect would),
+// and the new connection re-registers under the original instance ID. The
+// reply carries the next token, minted before it, and says whether the
+// registry still held the instance: a kept one (a restart's ghost) has its
+// declarations and links, and is sent its groups' links ahead of the reply; a
+// dropped one must declare and couple again.
 func (s *Server) admitResume(cl *client, env wire.Envelope, m wire.Resume) string {
 	s.gmu.lock()
 	defer s.gmu.unlock()
@@ -661,6 +680,8 @@ func (s *Server) admitResume(cl *client, env wire.Envelope, m wire.Resume) strin
 		s.dropClient(old, "superseded by resume")
 		old.conn.Close()
 	}
+	_, err := s.st.reg.Lookup(sess.id)
+	reply := wire.Registered{ID: sess.id, Kept: err == nil}
 	// The database half — the token is consumed, and the instance
 	// re-registered unless its record survives as a ghost of the pre-crash
 	// incarnation — is the logged transition itself.
@@ -669,15 +690,23 @@ func (s *Server) admitResume(cl *client, env wire.Envelope, m wire.Resume) strin
 	}
 	cl.id = sess.id
 	cl.user = sess.user
+	// A token the log refused is not sent: the session ends at the next cut.
+	if tok, err := s.mintSession(cl); err == nil {
+		reply.Token = tok
+	}
+	var ahead []couple.Link
+	if reply.Kept {
+		s.instanceGroups(cl.id, func(_ []couple.ObjectRef, links []couple.Link) { ahead = append(ahead, links...) })
+	}
 	s.mResumes.Inc()
-	s.admit(cl, env)
-	s.slog.Info("instance resumed", "inst", string(cl.id), "user", cl.user)
+	s.admit(cl, env, reply, ahead)
+	s.slog.Info("instance resumed", "inst", string(cl.id), "user", cl.user, "kept", reply.Kept)
 	return ""
 }
 
-// admit installs a freshly identified client and acknowledges the
-// handshake. Its caller holds gmu.
-func (s *Server) admit(cl *client, env wire.Envelope) {
+// admit installs a freshly identified client and answers the handshake with
+// reply, after the links it sends ahead. Its caller holds gmu.
+func (s *Server) admit(cl *client, env wire.Envelope, reply wire.Registered, ahead []couple.Link) {
 	// Resolve the member's health entry once; event-lock holders then attribute
 	// acks through the cached pointer without touching the family lock.
 	cl.health = s.mMember.Get(string(cl.id))
@@ -688,7 +717,8 @@ func (s *Server) admit(cl *client, env wire.Envelope) {
 	cl.name = string(cl.id)
 	cl.touch(s.opts.Clock.Now())
 	s.recordFlight(cl, "recv", env)
-	s.gmu.out.send(cl, wire.Envelope{RefSeq: env.Seq, Msg: wire.Registered{ID: cl.id}})
+	s.notifyLinks([]couple.InstanceID{cl.id}, ahead, true)
+	s.gmu.out.send(cl, wire.Envelope{RefSeq: env.Seq, Msg: reply})
 }
 
 // outboxRecorder returns the outbox send hook that feeds the flight

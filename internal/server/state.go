@@ -158,7 +158,7 @@ func (st *state) apply(rec eventlog.Record) error {
 			return errors.New("server: unknown session token")
 		}
 		// Tokens are single-use: consumed here, a stale copy cannot later
-		// hijack the resumed session. The client re-mints after resuming.
+		// hijack the resumed session. The next one is the reply's.
 		delete(st.sessions, m.Token)
 		if st.sessionTok[sess.id] == m.Token {
 			delete(st.sessionTok, sess.id)

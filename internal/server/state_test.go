@@ -368,7 +368,7 @@ func TestEveryKindHasOneMutationSite(t *testing.T) {
 	step("decouple", rec(eventlog.KindDecouple, a, dec))
 
 	// Token, Disconnect, Resume: b mints a token, drops off, and comes back
-	// as itself on a new connection.
+	// as itself on a new connection, whose reply carries the next token.
 	tok := peers[b].Call(wire.SessionToken{}).Msg.(wire.SessionToken)
 	step("token", rec(eventlog.KindToken, b, tok))
 	peers[b].Close()
@@ -377,7 +377,9 @@ func TestEveryKindHasOneMutationSite(t *testing.T) {
 	if id := peers[b].ID; id != b {
 		t.Fatalf("resumed as %s, want %s", id, b)
 	}
-	step("resume", rec(eventlog.KindResume, b, wire.Resume{Token: tok.Token}))
+	next := peers[b].Hello.Msg.(wire.Registered).Token
+	step("resume", rec(eventlog.KindResume, b, wire.Resume{Token: tok.Token}),
+		rec(eventlog.KindToken, b, wire.SessionToken{Token: next}))
 
 	// TokenDrop: a deregistration revokes the token minted since and takes
 	// the instance with it.

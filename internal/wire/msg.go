@@ -104,9 +104,14 @@ type Register struct {
 	User    string
 }
 
-// Registered is the server's reply carrying the allocated instance id.
+// Registered answers the handshake with the instance ID. A Resume's answer
+// also carries the token for the next resume, and Kept: whether the server
+// still held the instance (a restart's ghost, whose group links precede this
+// reply) rather than having dropped it, when the client must couple again.
 type Registered struct {
-	ID couple.InstanceID
+	ID    couple.InstanceID
+	Token string
+	Kept  bool
 }
 
 // Deregister announces orderly instance shutdown.
@@ -331,9 +336,10 @@ type SessionToken struct {
 }
 
 // Resume replaces Register as the first message of a reconnecting client:
-// the token proves ownership of a previous registration, and the server
-// re-registers the connection under the original instance ID (superseding
-// any half-open previous connection).
+// the token proves ownership of a previous registration and is consumed,
+// and the server re-registers the connection under the original instance ID
+// (superseding any half-open previous connection) and answers with a
+// Registered carrying the next token.
 type Resume struct {
 	Token string
 }
@@ -393,7 +399,9 @@ func (m Register) encode(buf []byte) []byte {
 }
 
 func (m Registered) encode(buf []byte) []byte {
-	return appendString(buf, string(m.ID))
+	buf = appendString(buf, string(m.ID))
+	buf = appendString(buf, m.Token)
+	return appendBool(buf, m.Kept)
 }
 
 func (Deregister) encode(buf []byte) []byte { return buf }
@@ -567,7 +575,7 @@ func decodeRecord(rec *Record, t Type, body []byte, idents *internTable, notices
 	case TRegister:
 		m = Register{AppType: d.String(), Host: d.String(), User: d.String()}
 	case TRegistered:
-		m = Registered{ID: d.instanceID()}
+		m = Registered{ID: d.instanceID(), Token: d.String(), Kept: d.bool()}
 	case TDeregister:
 		m = Deregister{}
 	case TDeclare:

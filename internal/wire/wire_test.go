@@ -31,6 +31,7 @@ func allMessages() []Message {
 	return []Message{
 		Register{AppType: "tori", Host: "h", User: "u"},
 		Registered{ID: "tori-1"},
+		Registered{ID: "tori-1", Token: "tok", Kept: true},
 		Deregister{},
 		Declare{Path: "/q", Class: "textfield"},
 		Retract{Path: "/q"},
