@@ -31,7 +31,7 @@ import (
 var (
 	ErrClosed       = errors.New("client: closed")
 	ErrTimeout      = errors.New("client: request timed out")
-	ErrRejected     = errors.New("client: event rejected (group locked)")
+	ErrRejected     = errors.New("client: event rejected")
 	ErrDisconnected = errors.New("client: connection lost")
 )
 
@@ -81,9 +81,12 @@ type Options struct {
 	Metrics obs.Sink
 	// Reconnect enables automatic reconnection: when the connection drops,
 	// the client redials with exponential backoff, resumes its session (same
-	// instance ID), re-declares its objects, re-creates its couple links if
-	// the server had dropped it, and pulls the current state of every coupled
-	// object. Nil disables reconnection: a dropped connection is final.
+	// instance ID) and re-declares its objects. If the server had dropped the
+	// instance, it also re-creates its couple links and pulls the current
+	// state of every coupled object, which takes no local event until its
+	// pull lands; an instance the server kept (a restart's) missed nothing and
+	// pulls nothing. Nil disables reconnection: a dropped connection is
+	// final.
 	Reconnect *ReconnectOptions
 	// Tracer records causal spans for this instance's hops: event sends and
 	// remote re-executions; their frames carry the trace context, and the
@@ -121,7 +124,12 @@ type Client struct {
 	sem      map[string]Semantics
 	declared map[string]string // path → class of every declared object (resync source)
 	token    string            // resumable session token; "" without Reconnect
-	closed   bool
+	// pulls holds, after a dropped resume, each coupled object whose state
+	// pull has not landed yet: DispatchChecked refuses its local events.
+	// resyncs numbers the resumes, so a resync lifts only its own gate.
+	pulls   map[string]bool
+	resyncs uint64
+	closed  bool
 
 	inq *inqueue
 	// frame collects the records of the frame being read that are for the
@@ -484,6 +492,8 @@ func (c *Client) supervise() {
 		// The resume spent the token; the reply carries the next one.
 		c.mu.Lock()
 		c.conn, c.token = next, reply.Token
+		n := c.resyncs + 1
+		c.gatePulls(reply.Kept, n)
 		c.mu.Unlock()
 		conn = next
 		c.route(conn, pre)
@@ -492,7 +502,7 @@ func (c *Client) supervise() {
 		// the loop to route replies. Safe to Add here: supervise itself holds
 		// the WaitGroup above zero.
 		c.wg.Add(1)
-		go c.resync(reply.Kept)
+		go c.resync(reply.Kept, n)
 	}
 }
 

@@ -18,9 +18,11 @@ type ReconnectOptions struct {
 	// Dial establishes a replacement connection to the server. Required.
 	Dial func() (net.Conn, error)
 	// OnResync, if set, is called after each successful reconnect once the
-	// re-declaration, the re-coupling (only when the server had dropped the
-	// instance) and the state pull have finished, with the first error
-	// encountered (nil on a clean resync).
+	// re-declaration has finished and, when the server had dropped the
+	// instance, the re-coupling and the state pull too, with the first error
+	// encountered (nil on a clean resync). A kept resume pulls nothing: the
+	// server held the instance's groups until it came back, so it missed no
+	// event.
 	OnResync func(err error)
 }
 
@@ -192,13 +194,17 @@ func (c *Client) level(kept bool, pre []wire.Record) {
 	}
 }
 
-// resync restores the server's view of this instance after a resume.
+// resync restores the server's view of this instance after resume n.
 // Declarations are the instance's own and are replayed on both paths (on a
-// kept resume a no-op unless a crash lost one). Links are shared: a kept
-// resume leaves them to the log, a dropped one re-creates those that touch
-// this instance. Every coupled object then pulls a peer's state (CopyFrom),
-// so it converges with whatever the group did while this client was gone.
-func (c *Client) resync(kept bool) {
+// kept resume a no-op unless a crash lost one). A kept instance has nothing
+// else to restore: the server kept its links, and held its groups' floors
+// until it resumed, so no event reached them while it was away. A dropped one
+// re-creates the links that touch it, and every coupled object then pulls
+// its state from the first peer that serves it (CopyFrom), so it converges
+// with whatever the group did meanwhile. Until its pull lands the object
+// takes no local event (see gatePulls); a resync that ends with an error
+// lifts the gate.
+func (c *Client) resync(kept bool, n uint64) {
 	defer c.wg.Done()
 	var firstErr error
 	fail := func(err error) {
@@ -220,32 +226,87 @@ func (c *Client) resync(kept bool) {
 			fail(fmt.Errorf("re-declare %s: %w", p, err))
 		}
 	}
-	for _, l := range c.links.Links() {
-		if kept || l.From.Instance != c.id && l.To.Instance != c.id {
-			continue
-		}
-		if err := c.callOK(wire.Couple{From: l.From, To: l.To}); err != nil {
-			fail(fmt.Errorf("re-couple %s -> %s: %w", l.From, l.To, err))
-		}
-	}
-	for _, p := range paths {
-		for _, peer := range c.links.CO(c.Ref(p)) {
-			if peer.Instance == c.id {
+	if !kept {
+		for _, l := range c.links.Links() {
+			if l.From.Instance != c.id && l.To.Instance != c.id {
 				continue
 			}
-			if err := c.callOK(wire.CopyFrom{From: peer, ToPath: p}); err != nil {
+			if err := c.callOK(wire.Couple{From: l.From, To: l.To}); err != nil {
+				fail(fmt.Errorf("re-couple %s -> %s: %w", l.From, l.To, err))
+			}
+		}
+		for _, p := range paths {
+			if err := c.pull(p); err != nil {
 				fail(fmt.Errorf("state pull for %s: %w", p, err))
 			}
-			break
 		}
 	}
 
 	if firstErr != nil {
 		c.slog.Warn("resync incomplete", "error", firstErr.Error())
+		c.mu.Lock()
+		if c.resyncs == n {
+			c.pulls = nil
+		}
+		c.mu.Unlock()
 	} else {
 		c.slog.Info("resynchronized after reconnect", "objects", len(paths), "kept", kept)
 	}
 	if h := c.opts.Reconnect.OnResync; h != nil {
 		c.guard("resync callback", "", 0, func() { h(firstErr) })
 	}
+}
+
+// pull copies onto the local object at path the state of its coupled peers,
+// trying them in order until one serves it, and returns the last failure when
+// none did. An object left with no peer to pull from (one decoupled since the
+// resume) has nothing to wait for, and its gate lifts at once.
+func (c *Client) pull(path string) error {
+	var err error
+	for _, peer := range c.links.CO(c.Ref(path)) {
+		if peer.Instance == c.id {
+			continue
+		}
+		if err = c.callOK(wire.CopyFrom{From: peer, ToPath: path}); err == nil {
+			return nil
+		}
+	}
+	if err == nil {
+		c.landed(path)
+	}
+	return err
+}
+
+// gatePulls starts resume n: after a dropped resume it gates every declared
+// object with a peer of another instance to pull from, and after a kept one
+// it gates nothing. Its caller holds mu.
+func (c *Client) gatePulls(kept bool, n uint64) {
+	c.resyncs, c.pulls = n, make(map[string]bool)
+	if kept {
+		return
+	}
+	for p := range c.declared {
+		for _, peer := range c.links.CO(c.Ref(p)) {
+			if peer.Instance != c.id {
+				c.pulls[p] = true
+				break
+			}
+		}
+	}
+}
+
+// pulling reports whether path still waits for its state pull after a
+// dropped resume.
+func (c *Client) pulling(path string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.pulls[path]
+}
+
+// landed lifts path's gate: the state this instance pulled onto it has been
+// applied on the dispatch loop, or there is none to pull.
+func (c *Client) landed(path string) {
+	c.mu.Lock()
+	delete(c.pulls, path)
+	c.mu.Unlock()
 }

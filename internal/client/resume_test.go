@@ -275,9 +275,9 @@ func TestResumeReplyTokenResumesTheNextCut(t *testing.T) {
 }
 
 // TestKeptResumeLevelsTheMirror: on a kept resume the mirror becomes exactly
-// the links the server sent ahead of its reply, and resync re-couples
-// nothing; on a dropped one it keeps the links that touch the instance, and
-// resync re-creates them.
+// the links the server sent ahead of its reply, and resync re-couples and
+// pulls nothing; on a dropped one it keeps the links that touch the instance,
+// and resync re-creates them and pulls the object's state.
 func TestKeptResumeLevelsTheMirror(t *testing.T) {
 	const id = couple.InstanceID("fake-1")
 	x := couple.ObjectRef{Instance: id, Path: "/x"}
@@ -336,13 +336,21 @@ func TestKeptResumeLevelsTheMirror(t *testing.T) {
 			s.wg.Wait()
 			close(s.requests)
 			var recoupled []wire.Couple
+			var pulled []wire.CopyFrom
 			for m := range s.requests {
-				if cp, ok := m.(wire.Couple); ok {
-					recoupled = append(recoupled, cp)
+				switch m := m.(type) {
+				case wire.Couple:
+					recoupled = append(recoupled, m)
+				case wire.CopyFrom:
+					pulled = append(pulled, m)
 				}
 			}
-			if want := map[bool]int{true: 0, false: 1}[kept]; len(recoupled) != want {
+			want := map[bool]int{true: 0, false: 1}[kept]
+			if len(recoupled) != want {
 				t.Errorf("resync re-coupled %v, want %d Couple", recoupled, want)
+			}
+			if len(pulled) != want {
+				t.Errorf("resync pulled %v, want %d CopyFrom", pulled, want)
 			}
 		})
 	}

@@ -16,6 +16,7 @@ import (
 
 	"cosoft/internal/attr"
 	"cosoft/internal/client"
+	"cosoft/internal/clock"
 	"cosoft/internal/couple"
 	"cosoft/internal/eventlog"
 	"cosoft/internal/server"
@@ -170,20 +171,27 @@ func TestRestartResumeInvisible(t *testing.T) {
 // it its group's links ahead of the reply, and nobody re-couples, so the
 // relation keeps its 32 links, the log gains no Couple and no Declare, the
 // link notices are one per member and link, and every mirror is level with
-// the server.
+// the server. Nor does the restart move any state: every member held the
+// group until it resumed, so none pulls — no copy, no history record — and
+// every resync ends clean.
 func TestRestartLeavesTheCouplingAsItWas(t *testing.T) {
 	const members = 32
 	d := newDurable(t, server.Options{})
-	var resynced atomic.Int32
+	var resynced, failed atomic.Int32
 	cs := make([]*client.Client, members+1)
 	for i := range cs {
 		cs[i] = d.bed.Dial(testbed.Member{AppType: "app", User: fmt.Sprintf("u%d", i), Spec: `textfield x value=""`,
-			Reconnect: &client.ReconnectOptions{OnResync: func(error) { resynced.Add(1) }}})
+			Reconnect: &client.ReconnectOptions{OnResync: func(err error) {
+				if err != nil {
+					failed.Add(1)
+				}
+				resynced.Add(1)
+			}}})
 	}
 	d.bed.Star("/x", cs...)
-	// records counts the log's Couple and Declare records; the log syncs every
-	// append, so the live directory is complete.
-	records := func() (couples, declares int) {
+	// records counts the log's Couple, Declare and Hist records; the log syncs
+	// every append, so the live directory is complete.
+	records := func() (couples, declares, hists int) {
 		t.Helper()
 		if err := eventlog.ReplayDir(d.dir, func(rec eventlog.Record) error {
 			switch rec.Kind {
@@ -191,17 +199,22 @@ func TestRestartLeavesTheCouplingAsItWas(t *testing.T) {
 				couples++
 			case eventlog.KindDeclare:
 				declares++
+			case eventlog.KindHist:
+				hists++
 			}
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return couples, declares
+		return couples, declares, hists
 	}
-	couples, declares := records()
+	couples, declares, _ := records()
 
 	d.restart()
 	testbed.Wait(t, "every member resynced", func() bool { return resynced.Load() == members+1 })
+	if n := failed.Load(); n != 0 {
+		t.Errorf("%d of %d resyncs reported an error, want none", n, members+1)
+	}
 	_, want := d.srv.GroupLinks(cs[0].Ref("/x"))
 	for _, c := range cs {
 		if got := c.Links(); !reflect.DeepEqual(got, want) {
@@ -215,8 +228,11 @@ func TestRestartLeavesTheCouplingAsItWas(t *testing.T) {
 	if limit := uint64((members + 1) * members); st.LinkNotices > limit {
 		t.Errorf("the restart sent %d link notices, want at most %d", st.LinkNotices, limit)
 	}
-	if c, dcl := records(); c != couples || dcl != declares {
-		t.Errorf("the restart added %d Couple and %d Declare records, want none", c-couples, dcl-declares)
+	if c, dcl, h := records(); c != couples || dcl != declares || h != 0 {
+		t.Errorf("the restart added %d Couple, %d Declare and %d Hist records, want none", c-couples, dcl-declares, h)
+	}
+	if st.Copies != 0 {
+		t.Errorf("the restart made %d state copies, want none", st.Copies)
 	}
 }
 
@@ -262,6 +278,65 @@ func TestSessionTokenLifecycleAcrossRestart(t *testing.T) {
 	d.restart()
 	if got := resumed(t, d.bed.Raw(wire.Resume{Token: tok2})); got != id {
 		t.Fatalf("resume with re-minted token: got %q, want %q", got, id)
+	}
+}
+
+// TestRestoredMemberHoldsItsGroups: a restart restores every instance that
+// holds a session token, and each holds the floor of its groups until it
+// resumes or three heartbeats drop it. A and B mint tokens, the server
+// restarts, and only A resumes: A's event is denied while B may still come
+// back with the state it had. Once the window closes B departs as a silent
+// member does — a KindDisconnect record, its link's removal told to A, a
+// liveness timeout — and its late resume finds it dropped.
+func TestRestoredMemberHoldsItsGroups(t *testing.T) {
+	clk := clock.NewManual()
+	d := newDurableLog(t, server.Options{Clock: clk}, eventlog.Options{Sync: eventlog.SyncAlways, Clock: clk})
+	join := func(user string) (*testbed.Peer, string) {
+		p := d.bed.Raw(wire.Register{AppType: "app", User: user})
+		p.MustOK(wire.Declare{Path: "/x", Class: "textfield"})
+		return p, mint(t, p)
+	}
+	a, tokA := join("u1")
+	b, tokB := join("u2")
+	link := couple.Link{From: couple.ObjectRef{Instance: a.ID, Path: "/x"}, To: couple.ObjectRef{Instance: b.ID, Path: "/x"}}
+	a.MustOK(wire.Couple{From: link.From, To: link.To})
+
+	d.restart()
+	a = d.bed.Raw(wire.Resume{Token: tokA})
+	if reg, _ := a.Hello.Msg.(wire.Registered); !reg.Kept {
+		t.Fatalf("A's resume answered %+v, want kept", a.Hello.Msg)
+	}
+	event := wire.Event{Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("v")}}
+	if res, _ := a.Call(event).Msg.(wire.EventResult); res.OK || res.Reason != "a member is resuming" {
+		t.Fatalf("A's event while B may resume: %+v, want it denied because a member is resuming", res)
+	}
+
+	testbed.AdvanceUntil(t, clk, sweepStep, "B declared dead", func() bool { return d.srv.Stats().LivenessTimeouts > 0 })
+	if got := testbed.Next[wire.LinkRemoved](a).Link; got.From != link.From || got.To != link.To {
+		t.Errorf("A was told %v went, want %v", got, link)
+	}
+	if st := d.srv.Stats(); st.LivenessTimeouts != 1 || st.Instances != 1 || st.Links != 0 {
+		t.Errorf("after the window: %d liveness timeouts, %d instances, %d links; want 1, 1, 0",
+			st.LivenessTimeouts, st.Instances, st.Links)
+	}
+	var gone []string // the log syncs every append, so the live directory is complete
+	if err := eventlog.ReplayDir(d.dir, func(rec eventlog.Record) error {
+		if rec.Kind == eventlog.KindDisconnect {
+			gone = append(gone, rec.Origin)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(gone, []string{string(b.ID)}) {
+		t.Errorf("the log holds departures of %v, want only B's (%s)", gone, b.ID)
+	}
+	if res, _ := a.Call(event).Msg.(wire.EventResult); !res.OK {
+		t.Errorf("A's event after B was dropped: %+v, want it accepted", res)
+	}
+	late := d.bed.Raw(wire.Resume{Token: tokB})
+	if reg, ok := late.Hello.Msg.(wire.Registered); !ok || reg.ID != b.ID || reg.Kept {
+		t.Errorf("B's late resume answered %+v, want %s dropped", late.Hello.Msg, b.ID)
 	}
 }
 

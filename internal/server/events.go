@@ -115,6 +115,20 @@ func (s *Server) handleEvent(req eventReq) {
 		return
 	}
 
+	if s.nrestored.Load() > 0 && s.resuming(p) {
+		// A restored member may resume with the state it had: until it does,
+		// or the sweep drops it, it holds the group's floor, so the group
+		// cannot move on without it.
+		req.body.Release()
+		s.ev.out.send(cl, wire.Envelope{
+			RefSeq: seq,
+			Trace:  s.tr.Point(actx, "server.event_result", "server", "denied: a member is resuming"),
+			Msg:    eventResuming,
+		})
+		arrival.EndNote("member resuming")
+		return
+	}
+
 	// The sequence counts granted events only: a denied event's ID is never
 	// sent or logged, and the next event reuses it.
 	eventID := s.ev.seq + 1
@@ -232,11 +246,12 @@ func (s *Server) broadcast(pe *pendingEvent, se *wire.SharedExec) {
 	s.mFanout.Observe(int64(fanout))
 }
 
-// eventAccepted, eventDenied and eventUnlogged are the verdicts an event
-// gets, boxed once.
+// eventAccepted, eventDenied, eventResuming and eventUnlogged are the
+// verdicts an event gets, boxed once.
 var (
 	eventAccepted wire.Message = wire.EventResult{OK: true}
 	eventDenied   wire.Message = wire.EventResult{OK: false, Reason: "group locked"}
+	eventResuming wire.Message = wire.EventResult{OK: false, Reason: "a member is resuming"}
 	eventUnlogged wire.Message = wire.EventResult{OK: false, Reason: "event log append failed"}
 )
 

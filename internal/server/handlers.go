@@ -380,14 +380,10 @@ func (s *Server) mintSession(cl *client) (string, error) {
 	return tok, s.commit(s.record(eventlog.KindToken, cl, wire.SessionToken{Token: tok}))
 }
 
-// dropClient removes a disconnected or deregistering instance: its departure
-// is committed — its couple links go (the automatic decoupling of §3.2), the
-// survivors are told, its record and history go, its session token stays —
-// and its connection's state goes: the client map entry, its pending events
-// and locks, its pending fetches. A departure the log refuses is returned and
-// leaves the instance registered, linked and resumable, as a restart would
-// find it. Its caller holds gmu and has checked the server is not closing:
-// a drop provoked by Close is not a departure.
+// dropClient removes a disconnected or deregistering instance: its
+// connection's entry in the client map goes, and the instance departs. Its
+// caller holds gmu and has checked the server is not closing: a drop provoked
+// by Close is not a departure.
 func (s *Server) dropClient(cl *client, reason string) error {
 	// Identity check, not just key presence: after a Resume takeover the
 	// instance ID maps to the NEW client, and the superseded connection's
@@ -400,23 +396,33 @@ func (s *Server) dropClient(cl *client, reason string) error {
 	delete(s.clients, cl.id)
 	s.cmu.Unlock()
 	s.mClients.Add(-1)
+	return s.depart(cl.id, reason)
+}
 
+// depart commits the departure of an instance that has no connection (any
+// longer): its couple links go (the automatic decoupling of §3.2), the
+// survivors are told, its record and history go, its session token stays —
+// and what waited on it goes: its pending events and locks, its pending
+// fetches. A departure the log refuses is returned and leaves the instance
+// registered, linked and resumable, as a restart would find it. Its caller
+// holds gmu.
+func (s *Server) depart(id couple.InstanceID, reason string) error {
 	// Each affected group is read *before* its links are removed: afterwards
 	// the members connected to a peer only through the departed instance sit
 	// in separate components (the chain A–B–C where B leaves), and each would
 	// miss the removal of the other's link and keep it mirrored — the same
 	// ordering bug handleRetract fixed.
 	var notices []func()
-	s.instanceGroups(cl.id, func(members []couple.ObjectRef, links []couple.Link) {
+	s.instanceGroups(id, func(members []couple.ObjectRef, links []couple.Link) {
 		removed := links[:0]
 		for _, gl := range links {
-			if gl.From.Instance == cl.id || gl.To.Instance == cl.id {
+			if gl.From.Instance == id || gl.To.Instance == id {
 				removed = append(removed, gl)
 			}
 		}
 		notices = append(notices, func() { s.notifyLinks(instancesOf(members), removed, false) })
 	})
-	err := s.commit(s.record(eventlog.KindDisconnect, cl, wire.Err{Text: reason}))
+	err := s.commit(eventlog.Record{Kind: eventlog.KindDisconnect, Origin: string(id), Env: wire.Envelope{Msg: wire.Err{Text: reason}}})
 	if err == nil {
 		for _, notify := range notices {
 			notify()
@@ -428,18 +434,18 @@ func (s *Server) dropClient(cl *client, reason string) error {
 	// absence. A lock is released only by finishing its event, so that
 	// releases every lock the instance's events held.
 	s.ev.lock()
-	for id, pe := range s.ev.pending {
-		if pe.source.Instance == cl.id || pe.dropWaiter(cl.id) {
-			s.finishEvent(id, pe, false)
+	for eid, pe := range s.ev.pending {
+		if pe.source.Instance == id || pe.dropWaiter(id) {
+			s.finishEvent(eid, pe, false)
 		}
 	}
 	s.ev.unlock()
 	// Resolve pending state fetches involving the instance.
-	for id, f := range s.pendingFetch {
-		if f.target == cl.id {
-			s.failFetch(id, f, fmt.Sprintf("instance %s disconnected", cl.id))
-		} else if f.requester == cl.id {
-			delete(s.pendingFetch, id)
+	for fid, f := range s.pendingFetch {
+		if f.target == id {
+			s.failFetch(fid, f, fmt.Sprintf("instance %s disconnected", id))
+		} else if f.requester == id {
+			delete(s.pendingFetch, fid)
 		}
 	}
 	return err

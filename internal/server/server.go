@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -152,6 +153,14 @@ type Server struct {
 	// connection read goroutines, so it sits behind a read-mostly lock.
 	cmu     sync.RWMutex
 	clients map[couple.InstanceID]*client
+	// restored holds the instances the log restored that have neither
+	// resumed nor been dropped, each true when it holds a session token: such
+	// a member may resume with the state it had, so it holds the floor of
+	// every group it has an object in until it does or the sweep drops it.
+	// Like clients it is written under gmu and cmu; nrestored is its size,
+	// which the event path loads instead of taking cmu.
+	restored  map[couple.InstanceID]bool
+	nrestored atomic.Int32
 
 	pendingFetch map[uint64]*fetch
 	nextFetchID  uint64
@@ -355,6 +364,11 @@ func New(opts Options) *Server {
 		}
 	}
 	s := newServer(opts, st)
+	for _, id := range st.reg.Instances() {
+		_, tok := st.sessionTok[id]
+		s.restored[id] = tok
+	}
+	s.nrestored.Store(int32(len(s.restored)))
 	wire.InstrumentBodyPool(s.mPoolHits, s.mPoolMisses)
 	if s.elog != nil {
 		s.snap = &snapshotter{s: s}
@@ -405,6 +419,7 @@ func newServer(opts Options, st *state) *Server {
 		elog:         opts.EventLog,
 		quit:         make(chan struct{}),
 		clients:      make(map[couple.InstanceID]*client),
+		restored:     make(map[couple.InstanceID]bool),
 		pendingFetch: make(map[uint64]*fetch),
 		gmu: serial{
 			mBusy:  metrics.Counter("server.global.busy_ns"),
@@ -663,9 +678,10 @@ func (s *Server) admitRegister(cl *client, env wire.Envelope, reg wire.Register)
 // connection for the instance is superseded (dropped as a disconnect would),
 // and the new connection re-registers under the original instance ID. The
 // reply carries the next token, minted before it, and says whether the
-// registry still held the instance: a kept one (a restart's ghost) has its
-// declarations and links, and is sent its groups' links ahead of the reply; a
-// dropped one must declare and couple again.
+// registry still held the instance: a kept one (restored by a restart, and
+// holding its groups' floors since) has its declarations and links, missed no
+// event, and is sent its groups' links ahead of the reply; a dropped one must
+// declare, couple and pull its state again.
 func (s *Server) admitResume(cl *client, env wire.Envelope, m wire.Resume) string {
 	s.gmu.lock()
 	defer s.gmu.unlock()
@@ -700,6 +716,15 @@ func (s *Server) admitResume(cl *client, env wire.Envelope, m wire.Resume) strin
 	}
 	s.mResumes.Inc()
 	s.admit(cl, env, reply, ahead)
+	// Only now, with the client in clients and its reply queued, does it let
+	// its groups' floors go: an event granted from here on finds it connected
+	// and sends it the Exec behind the reply.
+	if _, ok := s.restored[cl.id]; ok {
+		s.cmu.Lock()
+		delete(s.restored, cl.id)
+		s.cmu.Unlock()
+		s.nrestored.Add(-1)
+	}
 	s.slog.Info("instance resumed", "inst", string(cl.id), "user", cl.user, "kept", reply.Kept)
 	return ""
 }
@@ -1106,6 +1131,7 @@ func (s *Server) sweep() bool {
 		return false
 	}
 	now := s.opts.Clock.Now()
+	s.expireRestored(now)
 	// Copy under the read lock, then release it: dropClient re-takes the
 	// write lock.
 	s.cmu.RLock()
@@ -1138,6 +1164,46 @@ func (s *Server) sweep() bool {
 	clear(s.swept)
 	s.swept = s.swept[:0]
 	return true
+}
+
+// expireRestored is the sweep's pass over the instances the log restored:
+// once three heartbeats have passed since the server started, each one that
+// has not resumed is declared dead as a silent connection is, through the
+// same departure, and then they all let their groups' floors go. A departure
+// the log refuses leaves its instance registered and resumable, as it does
+// for a connection; the log has failed closed then, so it grants no event
+// either. Its caller holds gmu, the only writer of restored.
+func (s *Server) expireRestored(now time.Time) {
+	if s.nrestored.Load() == 0 || now.Sub(s.started) <= 3*heartbeat {
+		return
+	}
+	ids := make([]couple.InstanceID, 0, len(s.restored))
+	for id := range s.restored {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		s.mLivenessTOs.Inc()
+		s.slog.Warn("restored instance declared dead: it did not resume", "inst", string(id))
+		s.depart(id, "liveness timeout")
+	}
+	s.cmu.Lock()
+	clear(s.restored)
+	s.cmu.Unlock()
+	s.nrestored.Store(0)
+}
+
+// resuming reports whether a restored member of p has yet to resume or be
+// dropped, and so holds the group's floor.
+func (s *Server) resuming(p *plan) bool {
+	s.cmu.RLock()
+	defer s.cmu.RUnlock()
+	for i := range p.insts {
+		if s.restored[p.insts[i].id] {
+			return true
+		}
+	}
+	return false
 }
 
 // mintToken returns a fresh random session token.
