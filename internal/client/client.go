@@ -83,10 +83,11 @@ type Options struct {
 	// the client redials with exponential backoff, resumes its session (same
 	// instance ID) and re-declares its objects. If the server had dropped the
 	// instance, it also re-creates its couple links and pulls the current
-	// state of every coupled object, which takes no local event until its
-	// pull lands; an instance the server kept (a restart's) missed nothing and
-	// pulls nothing. Nil disables reconnection: a dropped connection is
-	// final.
+	// state of every coupled object; the pull holds the floor of the
+	// object's group until its state has landed, so the server denies every
+	// event in the group meanwhile, this instance's own included. An instance
+	// the server kept (a restart's) missed nothing and pulls nothing. Nil
+	// disables reconnection: a dropped connection is final.
 	Reconnect *ReconnectOptions
 	// Tracer records causal spans for this instance's hops: event sends and
 	// remote re-executions; their frames carry the trace context, and the
@@ -124,12 +125,7 @@ type Client struct {
 	sem      map[string]Semantics
 	declared map[string]string // path → class of every declared object (resync source)
 	token    string            // resumable session token; "" without Reconnect
-	// pulls holds, after a dropped resume, each coupled object whose state
-	// pull has not landed yet: DispatchChecked refuses its local events.
-	// resyncs numbers the resumes, so a resync lifts only its own gate.
-	pulls   map[string]bool
-	resyncs uint64
-	closed  bool
+	closed   bool
 
 	inq *inqueue
 	// frame collects the records of the frame being read that are for the
@@ -492,8 +488,6 @@ func (c *Client) supervise() {
 		// The resume spent the token; the reply carries the next one.
 		c.mu.Lock()
 		c.conn, c.token = next, reply.Token
-		n := c.resyncs + 1
-		c.gatePulls(reply.Kept, n)
 		c.mu.Unlock()
 		conn = next
 		c.route(conn, pre)
@@ -502,7 +496,7 @@ func (c *Client) supervise() {
 		// the loop to route replies. Safe to Add here: supervise itself holds
 		// the WaitGroup above zero.
 		c.wg.Add(1)
-		go c.resync(reply.Kept, n)
+		go c.resync(reply.Kept)
 	}
 }
 
@@ -611,14 +605,15 @@ func (c *Client) pruneMirror(o couple.ObjectRef) {
 // event re-execution, state application, lock toggling, state requests and
 // command delivery.
 //
-// Every Exec, lone or packed, takes one path: it is applied and its
-// acknowledgement joins the pending run, which is flushed as soon as the
-// queue runs empty or before any other record is dispatched. So the server
-// observes acknowledgements in record order, a packed run of Execs is
-// answered by one BatchAck, and a lone Exec by one ExecAck straight after
-// its apply. Each entry keeps its own apply-span context, so the server's
-// per-event causal chains and its unlock bookkeeping see exactly what single
-// ExecAcks would have delivered.
+// Every Exec, lone or packed, and every ApplyState takes one path: it is
+// applied and its acknowledgement joins the pending run, which is flushed as
+// soon as the queue runs empty or before any other record is dispatched. So
+// the server observes acknowledgements in record order, a packed run of
+// Execs is answered by one BatchAck, and a lone Exec or ApplyState by one
+// ExecAck straight after its apply; the ack is what lets the event's or the
+// transfer's floor go. Each Exec's entry keeps its own apply-span context, so
+// the server's per-event causal chains and its unlock bookkeeping see exactly
+// what single ExecAcks would have delivered.
 func (c *Client) dispatchLoop() {
 	defer c.wg.Done()
 	for {
@@ -626,15 +621,21 @@ func (c *Client) dispatchLoop() {
 		if !ok {
 			return
 		}
-		if rec.Type == wire.TExec {
+		switch rec.Type {
+		case wire.TExec:
 			c.ackRun = append(c.ackRun, c.applyExec(rec.Trace, rec.Exec))
-			if last {
-				c.flushAcks()
-			}
+		case wire.TApplyState:
+			m := rec.Msg.(wire.ApplyState)
+			c.handleApplyState(m)
+			c.ackRun = append(c.ackRun, wire.BatchAckEntry{EventID: m.EventID})
+		default:
+			c.flushAcks()
+			c.dispatchOne(&rec)
 			continue
 		}
-		c.flushAcks()
-		c.dispatchOne(&rec)
+		if last {
+			c.flushAcks()
+		}
 	}
 }
 
@@ -663,8 +664,6 @@ func (c *Client) dispatchOne(rec *wire.Record) {
 				w.SetDisabled(m.Locked)
 			}
 		}
-	case wire.ApplyState:
-		c.handleApplyState(m)
 	case wire.StateRequest:
 		c.handleStateRequest(m)
 	case wire.CommandDeliver:

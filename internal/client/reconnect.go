@@ -19,10 +19,11 @@ type ReconnectOptions struct {
 	Dial func() (net.Conn, error)
 	// OnResync, if set, is called after each successful reconnect once the
 	// re-declaration has finished and, when the server had dropped the
-	// instance, the re-coupling and the state pull too, with the first error
-	// encountered (nil on a clean resync). A kept resume pulls nothing: the
-	// server held the instance's groups until it came back, so it missed no
-	// event.
+	// instance, the re-coupling and the state pulls too, with the first error
+	// encountered (nil on a clean resync). Each pull has landed by then: it
+	// held its group's floor until this instance acknowledged the state. A
+	// kept resume pulls nothing: the server held the instance's groups until
+	// it came back, so neither an event nor a state transfer reached them.
 	OnResync func(err error)
 }
 
@@ -74,15 +75,8 @@ func (c *Client) redial() (*wire.Conn, wire.Registered, []wire.Record, error) {
 	rng := rand.New(rand.NewPCG(jitterSeeds()))
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 {
-			wake := make(chan struct{})
-			t := c.opts.Clock.AfterFunc(backoffDelay(rng, attempt), func() { close(wake) })
-			select {
-			case <-wake:
-			case <-c.done:
-				t.Stop()
-				return nil, wire.Registered{}, nil, ErrClosed
-			}
+		if attempt > 0 && !c.wait(backoffDelay(rng, attempt)) {
+			return nil, wire.Registered{}, nil, ErrClosed
 		}
 		raw, err := r.Dial()
 		if err != nil {
@@ -103,6 +97,19 @@ func (c *Client) redial() (*wire.Conn, wire.Registered, []wire.Record, error) {
 	}
 	return nil, wire.Registered{}, nil, fmt.Errorf("client: reconnect gave up after %d attempts: %w",
 		maxAttempts, lastErr)
+}
+
+// wait sleeps d on the client's clock, reporting false if Close came first.
+func (c *Client) wait(d time.Duration) bool {
+	wake := make(chan struct{})
+	t := c.opts.Clock.AfterFunc(d, func() { close(wake) })
+	select {
+	case <-wake:
+		return true
+	case <-c.done:
+		t.Stop()
+		return false
+	}
 }
 
 // handshake sends hello (a Register, or a Resume presenting the token) as
@@ -194,17 +201,15 @@ func (c *Client) level(kept bool, pre []wire.Record) {
 	}
 }
 
-// resync restores the server's view of this instance after resume n.
+// resync restores the server's view of this instance after a resume.
 // Declarations are the instance's own and are replayed on both paths (on a
 // kept resume a no-op unless a crash lost one). A kept instance has nothing
 // else to restore: the server kept its links, and held its groups' floors
-// until it resumed, so no event reached them while it was away. A dropped one
+// until it resumed, so nothing reached them while it was away. A dropped one
 // re-creates the links that touch it, and every coupled object then pulls
-// its state from the first peer that serves it (CopyFrom), so it converges
-// with whatever the group did meanwhile. Until its pull lands the object
-// takes no local event (see gatePulls); a resync that ends with an error
-// lifts the gate.
-func (c *Client) resync(kept bool, n uint64) {
+// its state from the first peer that serves it (see pull), so it converges
+// with whatever the group did meanwhile.
+func (c *Client) resync(kept bool) {
 	defer c.wg.Done()
 	var firstErr error
 	fail := func(err error) {
@@ -244,11 +249,6 @@ func (c *Client) resync(kept bool, n uint64) {
 
 	if firstErr != nil {
 		c.slog.Warn("resync incomplete", "error", firstErr.Error())
-		c.mu.Lock()
-		if c.resyncs == n {
-			c.pulls = nil
-		}
-		c.mu.Unlock()
 	} else {
 		c.slog.Info("resynchronized after reconnect", "objects", len(paths), "kept", kept)
 	}
@@ -259,54 +259,35 @@ func (c *Client) resync(kept bool, n uint64) {
 
 // pull copies onto the local object at path the state of its coupled peers,
 // trying them in order until one serves it, and returns the last failure when
-// none did. An object left with no peer to pull from (one decoupled since the
-// resume) has nothing to wait for, and its gate lifts at once.
+// none did. The server holds the floor of path's group from the pull's read
+// until this instance has applied the state, so no event of the group lands
+// between. A pull refused that floor (see floorBusy) is tried again on the
+// reconnect schedule; another peer would meet the same floor.
 func (c *Client) pull(path string) error {
+	rng := rand.New(rand.NewPCG(jitterSeeds()))
 	var err error
 	for _, peer := range c.links.CO(c.Ref(path)) {
 		if peer.Instance == c.id {
 			continue
 		}
-		if err = c.callOK(wire.CopyFrom{From: peer, ToPath: path}); err == nil {
-			return nil
+		for attempt := 0; attempt < maxAttempts; attempt++ {
+			if attempt > 0 && !c.wait(backoffDelay(rng, attempt)) {
+				return ErrClosed
+			}
+			if err = c.callOK(wire.CopyFrom{From: peer, ToPath: path}); !floorBusy(err) {
+				break
+			}
 		}
-	}
-	if err == nil {
-		c.landed(path)
+		if err == nil || floorBusy(err) {
+			return err
+		}
 	}
 	return err
 }
 
-// gatePulls starts resume n: after a dropped resume it gates every declared
-// object with a peer of another instance to pull from, and after a kept one
-// it gates nothing. Its caller holds mu.
-func (c *Client) gatePulls(kept bool, n uint64) {
-	c.resyncs, c.pulls = n, make(map[string]bool)
-	if kept {
-		return
-	}
-	for p := range c.declared {
-		for _, peer := range c.links.CO(c.Ref(p)) {
-			if peer.Instance != c.id {
-				c.pulls[p] = true
-				break
-			}
-		}
-	}
-}
-
-// pulling reports whether path still waits for its state pull after a
-// dropped resume.
-func (c *Client) pulling(path string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pulls[path]
-}
-
-// landed lifts path's gate: the state this instance pulled onto it has been
-// applied on the dispatch loop, or there is none to pull.
-func (c *Client) landed(path string) {
-	c.mu.Lock()
-	delete(c.pulls, path)
-	c.mu.Unlock()
+// floorBusy reports whether err is the server refusing a transfer the floor
+// of its group, as it denies an event: another event or transfer holds it,
+// or a restored member that may still resume.
+func floorBusy(err error) bool {
+	return err != nil && (err.Error() == "group locked" || err.Error() == "a member is resuming")
 }

@@ -98,13 +98,10 @@ func (c *Client) handleStateRequest(m wire.StateRequest) {
 }
 
 // handleApplyState lands an incoming UI state on a local object (see
-// landState) and then hands its semantic payloads to their Load hooks. A
-// state this instance copied onto the object — its resync's pull — lifts the
-// object's gate first (see gatePulls).
+// landState) and then hands its semantic payloads to their Load hooks. The
+// dispatch loop acknowledges it afterwards, which lets the transfer's floor
+// go.
 func (c *Client) handleApplyState(m wire.ApplyState) {
-	if m.Origin == c.id {
-		c.landed(m.Path)
-	}
 	state := m.State
 	loads := c.stripSemantics(&state, m.Path, nil)
 	err := c.landState(m.Path, state, m.Destructive)

@@ -81,18 +81,16 @@ func (c *Client) eventRoundTrip(e *widget.Event) (wire.EventResult, error) {
 // immediately so the user sees an instant response; the event is then
 // offered to the server, which locks the coupling group and broadcasts it.
 // If the lock fails, the feedback is undone — "undo syntactic built-in
-// feedback of the event e" — and the error wraps ErrRejected. After a dropped
-// resume the object takes no event until its state pull has landed: such an
-// event is refused before any feedback, with an ErrRejected too. Once accepted,
-// the application callbacks run locally, exactly as the coupled instances
-// will run them when they receive the Exec broadcast.
+// feedback of the event e" — and the error wraps ErrRejected with the
+// server's reason: "group locked" while another event or a state transfer
+// (a copy, an undo, or the pull of a dropped resume) holds the group's
+// floor, "a member is resuming" while a restored member may still come
+// back. Once accepted, the application callbacks run locally, exactly as the
+// coupled instances will run them when they receive the Exec broadcast.
 func (c *Client) DispatchChecked(e *widget.Event) error {
 	if !c.Coupled(e.Path) {
 		_, err := c.reg.Deliver(e)
 		return err
-	}
-	if c.pulling(e.Path) {
-		return fmt.Errorf("%w: resyncing: the state pull of %s has not landed", ErrRejected, e.Path)
 	}
 	undo, err := c.reg.ApplyFeedback(e)
 	if err != nil {

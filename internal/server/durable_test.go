@@ -310,6 +310,18 @@ func TestRestoredMemberHoldsItsGroups(t *testing.T) {
 	if res, _ := a.Call(event).Msg.(wire.EventResult); res.OK || res.Reason != "a member is resuming" {
 		t.Fatalf("A's event while B may resume: %+v, want it denied because a member is resuming", res)
 	}
+	// A state transfer takes the same floor: a copy onto A's coupled /x, and
+	// an undo of it, are refused too, so B cannot resume diverged.
+	copied := widget.TreeState{Class: "textfield", Name: "x", Attrs: attr.Set{widget.AttrValue: attr.String("copied")}}
+	if e, _ := a.Call(wire.CopyTo{FromPath: "/x", To: link.From, State: copied}).Msg.(wire.Err); e.Text != "a member is resuming" {
+		t.Errorf("A's copy onto its coupled /x while B may resume: %q, want it refused because a member is resuming", e.Text)
+	}
+	if e, _ := a.Call(wire.Undo{Path: "/x"}).Msg.(wire.Err); e.Text != "a member is resuming" {
+		t.Errorf("A's undo while B may resume: %q, want it refused because a member is resuming", e.Text)
+	}
+	if n := d.srv.Stats().Copies; n != 0 {
+		t.Errorf("%d state copies during the window, want none", n)
+	}
 
 	testbed.AdvanceUntil(t, clk, sweepStep, "B declared dead", func() bool { return d.srv.Stats().LivenessTimeouts > 0 })
 	if got := testbed.Next[wire.LinkRemoved](a).Link; got.From != link.From || got.To != link.To {
@@ -318,6 +330,9 @@ func TestRestoredMemberHoldsItsGroups(t *testing.T) {
 	if st := d.srv.Stats(); st.LivenessTimeouts != 1 || st.Instances != 1 || st.Links != 0 {
 		t.Errorf("after the window: %d liveness timeouts, %d instances, %d links; want 1, 1, 0",
 			st.LivenessTimeouts, st.Instances, st.Links)
+	}
+	if err := d.srv.CheckInvariants(); err != nil {
+		t.Errorf("after the window: %v", err)
 	}
 	var gone []string // the log syncs every append, so the live directory is complete
 	if err := eventlog.ReplayDir(d.dir, func(rec eventlog.Record) error {

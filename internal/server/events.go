@@ -13,7 +13,9 @@ import (
 
 // pendingEvent tracks one broadcast event until every member instance has
 // acknowledged re-execution, at which point the group is unlocked ("They are
-// unlocked when the processing of this event is completed", §3.2).
+// unlocked when the processing of this event is completed", §3.2). A state
+// transfer is one too, whose one member is its receiver (see xfer.go): acks,
+// departures, the deadline and the unlock resolve both alike.
 type pendingEvent struct {
 	source couple.ObjectRef // its Instance is the event's origin
 	// plan is the broadcast plan the event went out under: CO(o) as locked,
@@ -36,6 +38,8 @@ type pendingEvent struct {
 	// expires is when the event deadline passes; the sweep's expiry pass
 	// times the event out after it.
 	expires time.Time
+	// xfer is set on a state transfer: whom to answer once it resolves.
+	xfer *transfer
 }
 
 const (
@@ -115,20 +119,6 @@ func (s *Server) handleEvent(req eventReq) {
 		return
 	}
 
-	if s.nrestored.Load() > 0 && s.resuming(p) {
-		// A restored member may resume with the state it had: until it does,
-		// or the sweep drops it, it holds the group's floor, so the group
-		// cannot move on without it.
-		req.body.Release()
-		s.ev.out.send(cl, wire.Envelope{
-			RefSeq: seq,
-			Trace:  s.tr.Point(actx, "server.event_result", "server", "denied: a member is resuming"),
-			Msg:    eventResuming,
-		})
-		arrival.EndNote("member resuming")
-		return
-	}
-
 	// The sequence counts granted events only: a denied event's ID is never
 	// sent or logged, and the next event reuses it.
 	eventID := s.ev.seq + 1
@@ -137,12 +127,14 @@ func (s *Server) handleEvent(req eventReq) {
 	if !ok {
 		// Lock failed: the origin must undo the event's syntactic feedback.
 		req.body.Release()
-		s.slog.Debug("event denied: group locked",
+		verdict := s.refusal(p.members)
+		reason := verdict.(wire.EventResult).Reason
+		s.slog.Debug("event denied: "+reason,
 			"inst", string(cl.id), "path", m.Path, "event", m.Name, "trace", tc.Trace)
 		s.ev.out.send(cl, wire.Envelope{
 			RefSeq: seq,
-			Trace:  s.tr.Point(actx, "server.event_result", "server", "denied: group locked"),
-			Msg:    eventDenied,
+			Trace:  s.tr.Point(actx, "server.event_result", "server", "denied: "+reason),
+			Msg:    verdict,
 		})
 		arrival.EndNote("lock denied")
 		return
@@ -191,26 +183,32 @@ func (s *Server) handleEvent(req eventReq) {
 // on the log once per leaseBlock events.
 const leaseBlock = 1 << 16
 
-// logEvent makes sure event id can never be issued again and queues its
-// record. An ID at or above the ceiling first takes a lease: a KindLease
-// record naming a ceiling leaseBlock IDs further on, appended with the
-// blocking Append, so it is durable per the sync policy before the ID goes
-// out. A restart starts above the highest ceiling it replays, whatever
-// became of the event records behind it. The event's own record is an audit
-// entry: AppendEvent queues it, and only an immediate refusal (the log is
-// closed or failed) comes back. Without a log there is nothing to do.
+// logEvent makes sure event id can never be issued again (see lease) and
+// queues its record. The record is an audit entry: AppendEvent queues it,
+// and only an immediate refusal (the log is closed or failed) comes back.
 func (s *Server) logEvent(id uint64, src couple.ObjectRef, se *wire.SharedExec) error {
-	if s.elog == nil {
-		return nil
-	}
-	if id >= s.ev.ceiling {
-		ceiling := id + leaseBlock
-		if err := s.elog.Append(eventlog.Record{Kind: eventlog.KindLease, Env: wire.Envelope{Msg: wire.Exec{EventID: ceiling}}}); err != nil {
-			return err
-		}
-		s.ev.ceiling = ceiling
+	if err := s.lease(id); err != nil || s.elog == nil {
+		return err
 	}
 	return s.elog.AppendEvent(src, se)
+}
+
+// lease makes sure ID id, an event's or a state transfer's, can never be
+// issued again. An ID at or above the ceiling first takes a lease: a
+// KindLease record naming a ceiling leaseBlock IDs further on, appended with
+// the blocking Append, so it is durable per the sync policy before the ID
+// goes out. A restart starts above the highest ceiling it replays, whatever
+// became of the records behind it. Without a log there is nothing to do.
+func (s *Server) lease(id uint64) error {
+	if s.elog == nil || id < s.ev.ceiling {
+		return nil
+	}
+	ceiling := id + leaseBlock
+	if err := s.elog.Append(eventlog.Record{Kind: eventlog.KindLease, Env: wire.Envelope{Msg: wire.Exec{EventID: ceiling}}}); err != nil {
+		return err
+	}
+	s.ev.ceiling = ceiling
+	return nil
 }
 
 // broadcast sends a granted event out for re-execution under the plan its
@@ -254,6 +252,19 @@ var (
 	eventResuming wire.Message = wire.EventResult{OK: false, Reason: "a member is resuming"}
 	eventUnlogged wire.Message = wire.EventResult{OK: false, Reason: "event log append failed"}
 )
+
+// refusal is the verdict of an event or transfer refused the floor of refs,
+// named for who holds it: a restored member that has not resumed (a lock of
+// sequence 0, see restoreOwner), or else another event or transfer. It runs
+// on the cold denial path only, one lookup a member.
+func (s *Server) refusal(refs []couple.ObjectRef) wire.Message {
+	for _, ref := range refs {
+		if o, ok := s.locks.HeldBy(ref); ok && o.Seq == 0 {
+			return eventResuming
+		}
+	}
+	return eventDenied
+}
 
 // expireEvents is the sweep's expiry pass: under the event lock, every
 // pending event whose deadline has passed times out.
@@ -380,6 +391,11 @@ func (s *Server) finishEvent(id uint64, pe *pendingEvent, timedOut bool) {
 // under the same event lock, so its lock notices and Execs land behind these
 // unlock notices on every member's outbox.
 func (s *Server) unlockEvent(pe *pendingEvent, timedOut bool) {
+	if pe.xfer != nil {
+		s.locks.UnlockGroup(pe.plan.members, pe.owner)
+		s.answerTransfer(pe, timedOut)
+		return
+	}
 	s.tr.Point(pe.tc, "server.unlock", "server", "")
 	s.notifyLocks(pe.plan, pe.tc, false)
 	s.locks.UnlockGroup(pe.plan.members, pe.owner)

@@ -402,8 +402,8 @@ func (s *Server) dropClient(cl *client, reason string) error {
 // depart commits the departure of an instance that has no connection (any
 // longer): its couple links go (the automatic decoupling of §3.2), the
 // survivors are told, its record and history go, its session token stays —
-// and what waited on it goes: its pending events and locks, its pending
-// fetches. A departure the log refuses is returned and leaves the instance
+// and what waited on it goes: its pending events, transfers and locks, its
+// restored floor, its pending fetches. A departure the log refuses is returned and leaves the instance
 // registered, linked and resumable, as a restart would find it. Its caller
 // holds gmu.
 func (s *Server) depart(id couple.InstanceID, reason string) error {
@@ -430,9 +430,10 @@ func (s *Server) depart(id couple.InstanceID, reason string) error {
 	}
 
 	// Resolve group-scoped state under the event lock: events the instance
-	// originated are finished, and events awaiting its ack are acked by
-	// absence. A lock is released only by finishing its event, so that
-	// releases every lock the instance's events held.
+	// originated are finished, and events and transfers awaiting its ack are
+	// acked by absence. A lock is released only by finishing its event or
+	// transfer, or its restored instance's resume or departure, so that
+	// releases every lock the instance held.
 	s.ev.lock()
 	for eid, pe := range s.ev.pending {
 		if pe.source.Instance == id || pe.dropWaiter(id) {
@@ -440,12 +441,12 @@ func (s *Server) depart(id couple.InstanceID, reason string) error {
 		}
 	}
 	s.ev.unlock()
-	// Resolve pending state fetches involving the instance.
+	s.releaseRestored(id)
+	// Fail the pending state fetches involving the instance, so a transfer
+	// waiting on one lets its floor go.
 	for fid, f := range s.pendingFetch {
-		if f.target == id {
+		if f.target == id || f.requester == id {
 			s.failFetch(fid, f, fmt.Sprintf("instance %s disconnected", id))
-		} else if f.requester == id {
-			delete(s.pendingFetch, fid)
 		}
 	}
 	return err

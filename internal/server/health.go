@@ -10,6 +10,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"cosoft/internal/couple"
@@ -201,21 +202,35 @@ func (s *Server) memberHealth(id couple.InstanceID) MemberHealth {
 	return mh
 }
 
-// CheckInvariants judges the event state under the event lock:
-//   - every lock entry is owned by a pending event — a lock without a live
-//     pending event behind it would deny its group forever;
+// CheckInvariants judges the event state under gmu and the event lock:
+//   - every lock entry is owned either by a pending event or transfer, or by
+//     a restored instance that has neither resumed nor departed, on an
+//     object it declared — any other lock would deny its group forever;
+//   - no restored floor outlives its window: once the sweep has closed it,
+//     three heartbeats after the start, no restore owner holds an entry;
 //   - no event on the free list is pending, or the next event granted would
 //     overwrite it;
 //   - the plan cache is no newer than the couple graph.
 //
 // Every test bed calls it at teardown.
 func (s *Server) CheckInvariants() error {
+	s.gmu.lock()
+	defer s.gmu.unlock()
 	s.ev.lock()
 	defer s.ev.unlock()
 	var errs []error
 	s.locks.Each(func(ref couple.ObjectRef, owner lock.Owner) {
-		if pe, ok := s.ev.pending[owner.Seq]; !ok || pe.owner != owner {
-			errs = append(errs, fmt.Errorf("%v locked by event %d of %s, which is not pending", ref, owner.Seq, owner.Instance))
+		switch {
+		case owner.Seq == 0 && s.restored == nil:
+			errs = append(errs, fmt.Errorf("%v locked by restored %s past the restore window", ref, owner.Instance))
+		case owner.Seq == 0:
+			if !slices.Contains(s.restored[owner.Instance], ref) {
+				errs = append(errs, fmt.Errorf("%v locked by restored %s, which holds no such floor", ref, owner.Instance))
+			}
+		default:
+			if pe, ok := s.ev.pending[owner.Seq]; !ok || pe.owner != owner {
+				errs = append(errs, fmt.Errorf("%v locked by event %d of %s, which is not pending", ref, owner.Seq, owner.Instance))
+			}
 		}
 	})
 	if gen := s.st.graph.Generation(); s.ev.planGen > gen {

@@ -58,10 +58,12 @@ func newRefusalBed(t *testing.T) *refusalBed {
 	for _, v := range []string{"one", "two"} {
 		f.a.Send(wire.CopyTo{FromPath: "/x", To: f.ref(f.b, "/x"), State: text(v)})
 		f.b.ServeState(text("before " + v))
+		f.b.ApplyState()
 		testbed.Next[wire.OK](f.a)
 	}
 	f.b.Send(wire.Undo{Path: "/x"})
 	f.b.ServeState(text("two"))
+	f.b.ApplyState()
 	testbed.Next[wire.OK](f.b)
 	// Every append so far was a blocking one, so the log is idle: the next
 	// segment operation is the next request's write, and its fsync the one
@@ -240,7 +242,13 @@ func TestSelfCoupleRefused(t *testing.T) {
 // the log, the live state is the fold of the log, and the next request is
 // refused: the log has failed closed.
 func TestDiskFullRefused(t *testing.T) {
-	lease := refusalCase{name: "lease", request: func(f *refusalBed) {
+	lease := refusalCase{name: "lease", before: func(f *refusalBed) {
+		// The bed's copies and undo took the first lease: run the sequence
+		// to the end of its block, so the event takes the next lease.
+		f.srv.ev.lock()
+		f.srv.ev.seq = f.srv.ev.ceiling - 1
+		f.srv.ev.unlock()
+	}, request: func(f *refusalBed) {
 		f.c.Send(wire.Event{Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("v")}})
 		if res := testbed.Next[wire.EventResult](f.c); res != eventUnlogged {
 			f.t.Fatalf("the event: %+v, want %+v", res, eventUnlogged)

@@ -2,10 +2,12 @@ package server_test
 
 // The way back in for a member the server dropped: it resumes as a fresh
 // registration, re-couples and pulls its state from a surviving peer, and
-// takes no local event on an object until that object's pull has landed.
+// the pull holds its group's floor until the state has landed, so the server
+// denies every event of the group meanwhile.
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"cosoft/internal/attr"
@@ -46,10 +48,10 @@ func resyncErr(t *testing.T, ch <-chan error) (err error) {
 
 // TestDroppedResyncGatesDispatch: B falls silent and the liveness sweep drops
 // it; meanwhile its peer P edits; then B resumes as dropped, re-couples and
-// pulls P's state, and P holds the request. While the pull is out B's event
-// is refused on the spot, its feedback never applied, since the pull would
-// overwrite it. Once P serves its state B holds P's value, and B's next event
-// is accepted and reaches P.
+// pulls P's state, and P holds the request. While the pull is out the server
+// denies B's event ("group locked": the pull holds the floor), and B undoes
+// its feedback, since the pull would overwrite it. Once P serves its state B
+// holds P's value, and B's next event is accepted and reaches P.
 func TestDroppedResyncGatesDispatch(t *testing.T) {
 	clk := clock.NewManual()
 	srv, bed := newBed(t, server.Options{Clock: clk})
@@ -70,8 +72,8 @@ func TestDroppedResyncGatesDispatch(t *testing.T) {
 	req := testbed.Next[wire.StateRequest](p) // B's pull, which P holds
 
 	err := edit("mine")
-	if !errors.Is(err, client.ErrRejected) {
-		t.Fatalf("B's event while its pull is out: %v, want it rejected", err)
+	if !errors.Is(err, client.ErrRejected) || !strings.Contains(err.Error(), "group locked") {
+		t.Fatalf("B's event while its pull is out: %v, want the server to deny it: group locked", err)
 	}
 	if got := attrOf(t, b, "/x", widget.AttrValue).AsString(); got != "v1" {
 		t.Errorf("B shows %q after its refused event, want v1 untouched", got)

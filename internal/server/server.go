@@ -154,13 +154,13 @@ type Server struct {
 	cmu     sync.RWMutex
 	clients map[couple.InstanceID]*client
 	// restored holds the instances the log restored that have neither
-	// resumed nor been dropped, each true when it holds a session token: such
-	// a member may resume with the state it had, so it holds the floor of
-	// every group it has an object in until it does or the sweep drops it.
-	// Like clients it is written under gmu and cmu; nrestored is its size,
-	// which the event path loads instead of taking cmu.
-	restored  map[couple.InstanceID]bool
-	nrestored atomic.Int32
+	// resumed nor been dropped, each mapped to the declared objects it holds
+	// the floor of: a member with a session token may resume with the state
+	// it had, so New locks its objects in the lock table under its restore
+	// owner until it resumes or the sweep drops it; one without a token can
+	// never resume, and holds none. The sweep then sets it nil: the restore
+	// window has closed. It is held under gmu.
+	restored map[couple.InstanceID][]couple.ObjectRef
 
 	pendingFetch map[uint64]*fetch
 	nextFetchID  uint64
@@ -186,7 +186,7 @@ type Server struct {
 	mOutboxDepth   *obs.Gauge     // server.outbox_depth: queued envelopes across all outboxes
 	mClients       *obs.Gauge     // server.clients: connected instances
 	mLockAttempts  *obs.Counter   // lock.group_attempts (shared with the lock table)
-	mLockFails     *obs.Counter   // lock.group_failures (shared with the lock table): events denied the group lock
+	mLockFails     *obs.Counter   // lock.group_failures (shared with the lock table): events and transfers denied the group lock
 	mLockUndone    *obs.Counter   // lock.undo_locked (shared with the lock table)
 	mEventTOs      *obs.Counter   // server.event_timeouts: events resolved by deadline
 	mEvictions     *obs.Counter   // server.evictions: clients dropped for backlog
@@ -254,7 +254,8 @@ const (
 type Stats struct {
 	// Events is the number of Event messages processed.
 	Events uint64
-	// LockFailures counts events rejected because the group lock failed
+	// LockFailures counts events and state transfers rejected because the
+	// group lock failed
 	// (lock.group_failures).
 	LockFailures uint64
 	// ExecsSent counts Exec broadcasts.
@@ -365,10 +366,13 @@ func New(opts Options) *Server {
 	}
 	s := newServer(opts, st)
 	for _, id := range st.reg.Instances() {
-		_, tok := st.sessionTok[id]
-		s.restored[id] = tok
+		var held []couple.ObjectRef
+		if _, tok := st.sessionTok[id]; tok {
+			held = s.declaredRefs(id)
+			s.locks.TryLockGroup(held, restoreOwner(id))
+		}
+		s.restored[id] = held
 	}
-	s.nrestored.Store(int32(len(s.restored)))
 	wire.InstrumentBodyPool(s.mPoolHits, s.mPoolMisses)
 	if s.elog != nil {
 		s.snap = &snapshotter{s: s}
@@ -419,7 +423,7 @@ func newServer(opts Options, st *state) *Server {
 		elog:         opts.EventLog,
 		quit:         make(chan struct{}),
 		clients:      make(map[couple.InstanceID]*client),
-		restored:     make(map[couple.InstanceID]bool),
+		restored:     make(map[couple.InstanceID][]couple.ObjectRef),
 		pendingFetch: make(map[uint64]*fetch),
 		gmu: serial{
 			mBusy:  metrics.Counter("server.global.busy_ns"),
@@ -680,8 +684,8 @@ func (s *Server) admitRegister(cl *client, env wire.Envelope, reg wire.Register)
 // reply carries the next token, minted before it, and says whether the
 // registry still held the instance: a kept one (restored by a restart, and
 // holding its groups' floors since) has its declarations and links, missed no
-// event, and is sent its groups' links ahead of the reply; a dropped one must
-// declare, couple and pull its state again.
+// event and no transfer, and is sent its groups' links ahead of the reply; a
+// dropped one must declare, couple and pull its state again.
 func (s *Server) admitResume(cl *client, env wire.Envelope, m wire.Resume) string {
 	s.gmu.lock()
 	defer s.gmu.unlock()
@@ -717,14 +721,9 @@ func (s *Server) admitResume(cl *client, env wire.Envelope, m wire.Resume) strin
 	s.mResumes.Inc()
 	s.admit(cl, env, reply, ahead)
 	// Only now, with the client in clients and its reply queued, does it let
-	// its groups' floors go: an event granted from here on finds it connected
-	// and sends it the Exec behind the reply.
-	if _, ok := s.restored[cl.id]; ok {
-		s.cmu.Lock()
-		delete(s.restored, cl.id)
-		s.cmu.Unlock()
-		s.nrestored.Add(-1)
-	}
+	// its groups' floors go: an event or transfer granted from here on finds
+	// it connected and sends it the Exec or ApplyState behind the reply.
+	s.releaseRestored(cl.id)
 	s.slog.Info("instance resumed", "inst", string(cl.id), "user", cl.user, "kept", reply.Kept)
 	return ""
 }
@@ -1169,12 +1168,12 @@ func (s *Server) sweep() bool {
 // expireRestored is the sweep's pass over the instances the log restored:
 // once three heartbeats have passed since the server started, each one that
 // has not resumed is declared dead as a silent connection is, through the
-// same departure, and then they all let their groups' floors go. A departure
-// the log refuses leaves its instance registered and resumable, as it does
-// for a connection; the log has failed closed then, so it grants no event
-// either. Its caller holds gmu, the only writer of restored.
+// same departure, which lets its floor go, and the window closes. A
+// departure the log refuses leaves its instance registered and resumable, as
+// it does for a connection; the log has failed closed then, so it grants no
+// event either. Its caller holds gmu.
 func (s *Server) expireRestored(now time.Time) {
-	if s.nrestored.Load() == 0 || now.Sub(s.started) <= 3*heartbeat {
+	if s.restored == nil || now.Sub(s.started) <= 3*heartbeat {
 		return
 	}
 	ids := make([]couple.InstanceID, 0, len(s.restored))
@@ -1187,23 +1186,35 @@ func (s *Server) expireRestored(now time.Time) {
 		s.slog.Warn("restored instance declared dead: it did not resume", "inst", string(id))
 		s.depart(id, "liveness timeout")
 	}
-	s.cmu.Lock()
-	clear(s.restored)
-	s.cmu.Unlock()
-	s.nrestored.Store(0)
+	s.restored = nil
 }
 
-// resuming reports whether a restored member of p has yet to resume or be
-// dropped, and so holds the group's floor.
-func (s *Server) resuming(p *plan) bool {
-	s.cmu.RLock()
-	defer s.cmu.RUnlock()
-	for i := range p.insts {
-		if s.restored[p.insts[i].id] {
-			return true
-		}
+// restoreOwner is the lock owner of a restored instance's floor: sequence 0,
+// which no event or transfer gets, since IDs start at 1.
+func restoreOwner(id couple.InstanceID) lock.Owner { return lock.Owner{Instance: id} }
+
+// declaredRefs lists the objects instance id has declared.
+func (s *Server) declaredRefs(id couple.InstanceID) []couple.ObjectRef {
+	rec, err := s.st.reg.Lookup(id)
+	if err != nil {
+		return nil
 	}
-	return false
+	refs := make([]couple.ObjectRef, 0, len(rec.Objects))
+	for path := range rec.Objects {
+		refs = append(refs, couple.ObjectRef{Instance: id, Path: path})
+	}
+	return refs
+}
+
+// releaseRestored lets a restored instance's floor go, once it has resumed
+// or departed. Its caller holds gmu.
+func (s *Server) releaseRestored(id couple.InstanceID) {
+	held, ok := s.restored[id]
+	if !ok {
+		return
+	}
+	delete(s.restored, id)
+	s.locks.UnlockGroup(held, restoreOwner(id))
 }
 
 // mintToken returns a fresh random session token.

@@ -517,7 +517,7 @@ func testRestartOfStripes(t *testing.T, stripes uint64, snapshot bool) {
 	}
 	x := func(p *testbed.Peer) couple.ObjectRef { return couple.ObjectRef{Instance: p.ID, Path: "/x"} }
 	applied := func(p *testbed.Peer) string {
-		return testbed.Next[wire.ApplyState](p).State.Attrs[widget.AttrValue].AsString()
+		return p.ApplyState().State.Attrs[widget.AttrValue].AsString()
 	}
 	// fire has origin dispatch one event, which every member acks, and
 	// returns its ID.
@@ -551,10 +551,10 @@ func testRestartOfStripes(t *testing.T, stripes uint64, snapshot bool) {
 	// stack.
 	a.Send(wire.CopyTo{FromPath: "/x", To: x(b), State: text("copied")})
 	b.ServeState(text("before"))
-	testbed.Next[wire.OK](a)
 	if v := applied(b); v != "copied" {
 		t.Fatalf("copy applied %q at b", v)
 	}
+	testbed.Next[wire.OK](a)
 	b.Send(wire.Undo{Path: "/x"})
 	b.ServeState(text("copied"))
 	if v := applied(b); v != "before" {

@@ -342,6 +342,9 @@ func TestEveryKindHasOneMutationSite(t *testing.T) {
 	if res := testbed.Next[wire.EventResult](peers[a]); !res.OK {
 		t.Fatalf("event denied: %s", res.Reason)
 	}
+	// The copy below needs the group's floor, which the event holds until
+	// both acks are in.
+	testbed.Wait(t, "event resolved", func() bool { return srv.Stats().PendingEvents == 0 })
 	// The first event takes its lease first.
 	lease := wire.Exec{EventID: exec.EventID + leaseBlock}
 	step("event", rec(eventlog.KindLease, "", lease), rec(eventlog.KindEvent, a, exec))
@@ -349,16 +352,19 @@ func TestEveryKindHasOneMutationSite(t *testing.T) {
 	// Hist: a pushes its state onto b's object, whose old state is backed up.
 	peers[a].Send(wire.CopyTo{FromPath: "/x", To: x(b), State: text("pushed")})
 	peers[b].ServeState(text("overwritten"))
+	peers[b].ApplyState()
 	testbed.Next[wire.OK](peers[a])
 	step("copy", rec(eventlog.KindHist, a, wire.CopyTo{To: x(b), State: text("overwritten")}))
 
 	// Undo, Redo: b walks its history; each walk carries b's current state.
 	peers[b].Send(wire.Undo{Path: "/x"})
 	peers[b].ServeState(text("pushed"))
+	peers[b].ApplyState()
 	testbed.Next[wire.OK](peers[b])
 	step("undo", rec(eventlog.KindUndo, b, wire.CopyTo{To: x(b), State: text("pushed")}))
 	peers[b].Send(wire.Redo{Path: "/x"})
 	peers[b].ServeState(text("overwritten"))
+	peers[b].ApplyState()
 	testbed.Next[wire.OK](peers[b])
 	step("redo", rec(eventlog.KindRedo, b, wire.CopyTo{To: x(b), State: text("overwritten")}))
 

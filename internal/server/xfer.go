@@ -1,11 +1,14 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 
 	"cosoft/internal/compat"
 	"cosoft/internal/couple"
 	"cosoft/internal/eventlog"
+	"cosoft/internal/lock"
+	"cosoft/internal/obs"
 	"cosoft/internal/perm"
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
@@ -112,43 +115,163 @@ func (s *Server) validateCopy(cl *client, from, to couple.ObjectRef) (map[string
 	return mapping, nil
 }
 
-// completeCopy backs up the destination's current state into the historical
-// database, then applies the new state at the destination. It implements the
-// tail shared by CopyTo, CopyFrom and RemoteCopy.
-func (s *Server) completeCopy(cl *client, seq uint64, from, to couple.ObjectRef,
-	state widget.TreeState, mapping map[string]string, destructive bool) {
-	if mapping != nil {
-		if len(state.Children) != 0 {
-			s.reply(cl, seq, fmt.Errorf("server: cross-class copy of complex objects is not supported"))
-			return
-		}
-		class, _ := s.st.reg.ObjectClass(to)
-		state = widget.TreeState{Class: class, Name: state.Name, Attrs: compat.TranslateState(state.Attrs, mapping)}
+// transfer is what a state transfer's pending entry carries beyond an
+// event's: the request to answer once it resolves, and why it failed if it
+// failed before its state landed.
+type transfer struct {
+	cl  *client
+	seq uint64
+	err error
+}
+
+// beginTransfer takes the floor of to's group for a state transfer cl asked
+// for in request seq, as an event takes its group's: every member of the
+// group, to included, is locked under a fresh ID from the event sequence,
+// leased like an event's, and the transfer waits on to's instance alone
+// until it acknowledges the ApplyState that lands the state (see
+// landTransfer). A refused floor is answered like a denied event, "group
+// locked" or "a member is resuming", and reports 0. Its caller holds gmu,
+// and once it holds the floor must resolve the transfer on every path.
+func (s *Server) beginTransfer(cl *client, seq uint64, to couple.ObjectRef) uint64 {
+	members := s.st.graph.Group(to)
+	s.ev.lock()
+	defer s.ev.unlock()
+	id := s.ev.seq + 1
+	owner := lock.Owner{Instance: cl.id, Seq: id}
+	if ok, _ := s.lockGroup(obs.TraceContext{}, members, owner); !ok {
+		s.reply(cl, seq, errors.New(s.refusal(members).(wire.EventResult).Reason))
+		return 0
 	}
-	s.requestState(cl, to, false, false,
-		func(old widget.TreeState) {
-			target, ok := s.clientOf(to.Instance)
-			if !ok {
-				s.reply(cl, seq, fmt.Errorf("server: instance %s disconnected", to.Instance))
+	if err := s.lease(id); err != nil {
+		s.locks.UnlockGroup(members, owner)
+		s.mLogAppendErrs.Inc()
+		s.reply(cl, seq, err)
+		return 0
+	}
+	s.ev.seq = id
+	pe := s.ev.newPending(1)
+	pe.source, pe.owner, pe.xfer = to, owner, &transfer{cl: cl, seq: seq}
+	pe.plan = &plan{
+		members: members,
+		insts:   []planInst{{id: to.Instance, paths: []string{to.Path}}},
+		pos:     map[couple.InstanceID]int{to.Instance: 0},
+	}
+	pe.waiting[0], pe.left = 1, 1
+	pe.expires = s.opts.Clock.Now().Add(eventDeadline)
+	s.ev.pending[id] = pe
+	return id
+}
+
+// transferLive reports whether transfer id still holds its floor: it has not
+// timed out, and neither party has left.
+func (s *Server) transferLive(id uint64) bool {
+	s.ev.lock()
+	defer s.ev.unlock()
+	_, ok := s.ev.pending[id]
+	return ok
+}
+
+// landTransfer sends transfer id's state to its receiver, if the transfer
+// still holds its floor; if it has resolved meanwhile, it has been
+// answered. Its caller holds gmu and has committed the transfer's history
+// record.
+func (s *Server) landTransfer(id uint64, m wire.ApplyState, copied bool) {
+	s.ev.lock()
+	defer s.ev.unlock()
+	pe, ok := s.ev.pending[id]
+	if !ok {
+		return
+	}
+	// A departure resolves the transfer under gmu, which the caller holds,
+	// so a pending transfer's receiver is connected.
+	target, _ := s.clientOf(pe.source.Instance)
+	m.EventID = id
+	s.ev.out.send(target, wire.Envelope{Msg: m})
+	if copied {
+		s.mCopies.Inc()
+	}
+}
+
+// failTransfer resolves transfer id before its state landed, answering err.
+// Its caller holds gmu.
+func (s *Server) failTransfer(id uint64, err error) {
+	s.ev.lock()
+	defer s.ev.unlock()
+	if pe, ok := s.ev.pending[id]; ok {
+		pe.xfer.err = err
+		s.finishEvent(id, pe, false)
+	}
+}
+
+// answerTransfer answers the request of a transfer that just let its floor
+// go: OK once its receiver acknowledged the state, the failure otherwise.
+// It runs under the event lock, after the unlock, so a caller's next event
+// finds the floor free.
+func (s *Server) answerTransfer(pe *pendingEvent, timedOut bool) {
+	x, to := pe.xfer, pe.source
+	err := x.err
+	if err == nil && timedOut {
+		err = fmt.Errorf("server: %s did not apply the state within the event deadline", stateID(to))
+	}
+	if _, ok := s.clientOf(to.Instance); err == nil && !ok {
+		err = fmt.Errorf("server: instance %s disconnected", to.Instance)
+	}
+	msg := wire.Message(wire.OK{})
+	if err != nil {
+		msg = wire.Err{Text: err.Error()}
+	}
+	s.ev.out.send(x.cl, wire.Envelope{RefSeq: x.seq, Msg: msg})
+}
+
+// copyState is the one path of every copy: CopyTo is a copy from the
+// caller, CopyFrom one to the caller, RemoteCopy one between any two
+// objects. It validates the copy, takes the floor of the destination's group
+// (see beginTransfer), reads the source's state unless the request carried
+// it, backs up the destination's current state into the historical database
+// and lands the new one.
+func (s *Server) copyState(cl *client, seq uint64, from, to couple.ObjectRef, carried *widget.TreeState, shallow, destructive bool) {
+	mapping, err := s.validateCopy(cl, from, to)
+	if err != nil {
+		s.reply(cl, seq, err)
+		return
+	}
+	id := s.beginTransfer(cl, seq, to)
+	if id == 0 {
+		return
+	}
+	land := func(state widget.TreeState) {
+		if mapping != nil {
+			if len(state.Children) != 0 {
+				s.failTransfer(id, fmt.Errorf("server: cross-class copy of complex objects is not supported"))
 				return
 			}
-			// The logged CopyTo carries the overwritten state: it is the
-			// backup.
-			if err := s.commit(s.record(eventlog.KindHist, cl, wire.CopyTo{To: to, State: old})); err != nil {
-				s.reply(cl, seq, err)
-				return
-			}
-			s.gmu.out.send(target, wire.Envelope{Msg: wire.ApplyState{
-				Path:        to.Path,
-				State:       state,
-				Origin:      cl.id,
-				Destructive: destructive,
-			}})
-			s.mCopies.Inc()
-			s.reply(cl, seq, nil)
-		},
+			class, _ := s.st.reg.ObjectClass(to)
+			state = widget.TreeState{Class: class, Name: state.Name, Attrs: compat.TranslateState(state.Attrs, mapping)}
+		}
+		s.requestState(cl, to, false, false,
+			func(old widget.TreeState) {
+				if !s.transferLive(id) {
+					return
+				}
+				// The logged CopyTo carries the overwritten state: it is the
+				// backup.
+				if err := s.commit(s.record(eventlog.KindHist, cl, wire.CopyTo{To: to, State: old})); err != nil {
+					s.failTransfer(id, err)
+					return
+				}
+				s.landTransfer(id, wire.ApplyState{Path: to.Path, State: state, Origin: cl.id, Destructive: destructive}, true)
+			},
+			func(reason string) {
+				s.failTransfer(id, fmt.Errorf("server: backing up %s: %s", stateID(to), reason))
+			})
+	}
+	if carried != nil {
+		land(*carried)
+		return
+	}
+	s.requestState(cl, from, true, shallow, land,
 		func(reason string) {
-			s.reply(cl, seq, fmt.Errorf("server: backing up %s: %s", stateID(to), reason))
+			s.failTransfer(id, fmt.Errorf("server: fetching %s: %s", stateID(from), reason))
 		})
 }
 
@@ -156,60 +279,39 @@ func (s *Server) completeCopy(cl *client, seq uint64, from, to couple.ObjectRef,
 // captured state onto the destination ("one person lets another person see
 // his or her work", §3.1).
 func (s *Server) handleCopyTo(cl *client, seq uint64, m wire.CopyTo) {
-	from := couple.ObjectRef{Instance: cl.id, Path: m.FromPath}
-	mapping, err := s.validateCopy(cl, from, m.To)
-	if err != nil {
-		s.reply(cl, seq, err)
-		return
-	}
-	s.completeCopy(cl, seq, from, m.To, m.State, mapping, m.Destructive)
+	s.copyState(cl, seq, couple.ObjectRef{Instance: cl.id, Path: m.FromPath}, m.To, &m.State, false, m.Destructive)
 }
 
 // handleCopyFrom implements active synchronization: the requester pulls a
 // remote object's state onto a local object ("monitoring another person's
 // activities", §3.1).
 func (s *Server) handleCopyFrom(cl *client, seq uint64, m wire.CopyFrom) {
-	to := couple.ObjectRef{Instance: cl.id, Path: m.ToPath}
-	mapping, err := s.validateCopy(cl, m.From, to)
-	if err != nil {
-		s.reply(cl, seq, err)
-		return
-	}
-	s.requestState(cl, m.From, true, m.Shallow,
-		func(state widget.TreeState) {
-			s.completeCopy(cl, seq, m.From, to, state, mapping, m.Destructive)
-		},
-		func(reason string) {
-			s.reply(cl, seq, fmt.Errorf("server: fetching %s: %s", stateID(m.From), reason))
-		})
+	s.copyState(cl, seq, m.From, couple.ObjectRef{Instance: cl.id, Path: m.ToPath}, nil, m.Shallow, m.Destructive)
 }
 
 // handleRemoteCopy lets a third instance copy state between two remote
 // objects (the RemoteCopy primitive, §3.1).
 func (s *Server) handleRemoteCopy(cl *client, seq uint64, m wire.RemoteCopy) {
-	mapping, err := s.validateCopy(cl, m.From, m.To)
-	if err != nil {
-		s.reply(cl, seq, err)
-		return
-	}
-	s.requestState(cl, m.From, true, false,
-		func(state widget.TreeState) {
-			s.completeCopy(cl, seq, m.From, m.To, state, mapping, m.Destructive)
-		},
-		func(reason string) {
-			s.reply(cl, seq, fmt.Errorf("server: fetching %s: %s", stateID(m.From), reason))
-		})
+	s.copyState(cl, seq, m.From, m.To, nil, false, m.Destructive)
 }
 
-// handleUndoRedo restores a historical state of the client's own object.
+// handleUndoRedo restores a historical state of the client's own object: a
+// transfer from the history, under the object's floor like a copy.
 func (s *Server) handleUndoRedo(cl *client, seq uint64, path string, undo bool) {
 	ref := couple.ObjectRef{Instance: cl.id, Path: path}
 	if _, err := s.checkDeclared(ref); err != nil {
 		s.reply(cl, seq, err)
 		return
 	}
+	id := s.beginTransfer(cl, seq, ref)
+	if id == 0 {
+		return
+	}
 	s.requestState(cl, ref, false, false,
 		func(current widget.TreeState) {
+			if !s.transferLive(id) {
+				return
+			}
 			// The state to restore is the top of the stack the walk pops,
 			// read as the history stands when the current state arrives.
 			undos, redos := s.st.history.Stacks(ref)
@@ -218,7 +320,7 @@ func (s *Server) handleUndoRedo(cl *client, seq uint64, path string, undo bool) 
 				kind, stack = eventlog.KindUndo, undos
 			}
 			if len(stack) == 0 {
-				s.reply(cl, seq, fmt.Errorf("server: no state to restore for %s", stateID(ref)))
+				s.failTransfer(id, fmt.Errorf("server: no state to restore for %s", stateID(ref)))
 				return
 			}
 			snap := stack[len(stack)-1]
@@ -226,18 +328,12 @@ func (s *Server) handleUndoRedo(cl *client, seq uint64, path string, undo bool) 
 			// the walk pushes on the opposite stack — so replaying the walk
 			// reproduces both stacks.
 			if err := s.commit(s.groupRecord(kind, cl, ref, wire.CopyTo{To: ref, State: current})); err != nil {
-				s.reply(cl, seq, err)
+				s.failTransfer(id, err)
 				return
 			}
-			s.gmu.out.send(cl, wire.Envelope{Msg: wire.ApplyState{
-				Path:        path,
-				State:       snap.State,
-				Origin:      snap.Origin,
-				Destructive: true,
-			}})
-			s.reply(cl, seq, nil)
+			s.landTransfer(id, wire.ApplyState{Path: path, State: snap.State, Origin: snap.Origin, Destructive: true}, false)
 		},
 		func(reason string) {
-			s.reply(cl, seq, fmt.Errorf("server: reading current state of %s: %s", stateID(ref), reason))
+			s.failTransfer(id, fmt.Errorf("server: reading current state of %s: %s", stateID(ref), reason))
 		})
 }

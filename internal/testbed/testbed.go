@@ -590,6 +590,17 @@ func (p *Peer) ServeState(st widget.TreeState) {
 	}
 }
 
+// ApplyState returns the next ApplyState on p's Events and acknowledges it
+// as a client's dispatch loop does, which lets its transfer's floor go.
+func (p *Peer) ApplyState() wire.ApplyState {
+	p.tb.Helper()
+	m := Next[wire.ApplyState](p)
+	if err := p.Send(wire.ExecAck{EventID: m.EventID}); err != nil {
+		p.tb.Fatalf("testbed: state ack: %v", err)
+	}
+	return m
+}
+
 // Close drops the connection, as a peer that vanished would.
 func (p *Peer) Close() {
 	p.closed.Do(func() {

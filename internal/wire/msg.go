@@ -215,12 +215,16 @@ type RemoteCopy struct {
 	Destructive bool
 }
 
-// ApplyState delivers a UI state to be applied to a local object.
+// ApplyState delivers a UI state to be applied to a local object. EventID
+// names the state transfer it lands: the transfer holds the floor of the
+// object's group until the receiver acknowledges that ID as it would an
+// Exec's (an ExecAck, or an entry of a BatchAck).
 type ApplyState struct {
 	Path        string
 	State       widget.TreeState
 	Origin      couple.InstanceID
 	Destructive bool
+	EventID     uint64
 }
 
 // StateRequest asks an instance for the current state of one of its
@@ -476,7 +480,8 @@ func (m ApplyState) encode(buf []byte) []byte {
 	buf = appendString(buf, m.Path)
 	buf = widget.AppendTreeState(buf, m.State)
 	buf = appendString(buf, string(m.Origin))
-	return appendBool(buf, m.Destructive)
+	buf = appendBool(buf, m.Destructive)
+	return appendUvarint(buf, m.EventID)
 }
 
 func (m StateRequest) encode(buf []byte) []byte {
@@ -613,7 +618,7 @@ func decodeRecord(rec *Record, t Type, body []byte, idents *internTable, notices
 		m = RemoteCopy{From: d.objectRef(), To: d.objectRef(), Destructive: d.bool()}
 	case TApplyState:
 		m = ApplyState{Path: d.ident(), State: d.treeState(),
-			Origin: d.instanceID(), Destructive: d.bool()}
+			Origin: d.instanceID(), Destructive: d.bool(), EventID: d.Uvarint()}
 	case TStateRequest:
 		m = StateRequest{RequestID: d.Uvarint(), Path: d.ident(), RelevantOnly: d.bool(), Shallow: d.bool()}
 	case TStateReply:

@@ -89,7 +89,7 @@ func randomMessage(r *rand.Rand) Message {
 	case 8:
 		return CopyFrom{From: ref(), ToPath: str(), Destructive: r.Intn(2) == 0, Shallow: r.Intn(2) == 0}
 	case 9:
-		return ApplyState{Path: str(), State: ts(), Origin: couple.InstanceID(str()), Destructive: r.Intn(2) == 0}
+		return ApplyState{Path: str(), State: ts(), Origin: couple.InstanceID(str()), Destructive: r.Intn(2) == 0, EventID: r.Uint64()}
 	case 10:
 		return StateRequest{RequestID: r.Uint64(), Path: str(), RelevantOnly: r.Intn(2) == 0, Shallow: r.Intn(2) == 0}
 	case 11:

@@ -51,7 +51,7 @@ func allMessages() []Message {
 		CopyTo{FromPath: "/a", To: refB, State: sampleTreeState(), Destructive: true},
 		CopyFrom{From: refA, ToPath: "/b"},
 		RemoteCopy{From: refA, To: refB, Destructive: true},
-		ApplyState{Path: "/b", State: sampleTreeState(), Origin: "i1"},
+		ApplyState{Path: "/b", State: sampleTreeState(), Origin: "i1", EventID: 7},
 		StateRequest{RequestID: 9, Path: "/a"},
 		StateReply{RequestID: 9, OK: true, State: sampleTreeState()},
 		StateReply{RequestID: 10, OK: false, Reason: "gone"},
