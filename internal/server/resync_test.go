@@ -9,6 +9,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"cosoft/internal/attr"
 	"cosoft/internal/client"
@@ -117,4 +118,69 @@ func TestDroppedPullTriesTheNextPeer(t *testing.T) {
 		t.Fatalf("B's resync: %v, want the pull served by p2", err)
 	}
 	testbed.Wait(t, "p2's state at B", func() bool { return attrOf(t, b, "/x", widget.AttrValue).AsString() == "from p2" })
+}
+
+// TestCopyRacesAnEvent: a copy onto B holds the group's floor from its backup
+// read until B acknowledges the state, so A's event in between is denied;
+// once the copy has landed A's event is granted, and its Exec reaches B
+// behind the ApplyState, so every member applies the two in one order.
+func TestCopyRacesAnEvent(t *testing.T) {
+	_, bed := newBed(t, server.Options{})
+	a, ax := rawMember(bed, "a")
+	b, bx := rawMember(bed, "b")
+	c, _ := rawMember(bed, "c")
+	a.MustOK(wire.Couple{From: ax, To: bx})
+	c.Send(wire.CopyTo{FromPath: "/x", To: bx, State: textState("copied")})
+	req := testbed.Next[wire.StateRequest](b) // the copy's backup read, which B holds
+	event := wire.Event{Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("v")}}
+	if res, _ := a.Call(event).Msg.(wire.EventResult); res.OK || res.Reason != "group locked" {
+		t.Fatalf("A's event while the copy is out: %+v, want it denied: group locked", res)
+	}
+	b.Send(wire.StateReply{RequestID: req.RequestID, OK: true, State: textState("before")})
+	if got := b.ApplyState().State.Attrs[widget.AttrValue].AsString(); got != "copied" {
+		t.Fatalf("B was sent %q, want the copy", got)
+	}
+	testbed.Next[wire.OK](c)
+	if res, _ := a.Call(event).Msg.(wire.EventResult); !res.OK {
+		t.Fatalf("A's event after the copy landed: %+v, want it granted", res)
+	}
+	exec := testbed.Next[wire.Exec](b)
+	b.Send(wire.ExecAck{EventID: exec.EventID})
+}
+
+// TestPullRetriesABusyFloor: a dropped member's pull that the group's floor
+// refuses — a peer's event still waits on Q's ack — is tried again on the
+// reconnect backoff and lands once the event has resolved, so the peer's
+// event is in the state pulled, never overwritten by it.
+func TestPullRetriesABusyFloor(t *testing.T) {
+	clk := clock.NewManual()
+	srv, bed := newBed(t, server.Options{Clock: clk})
+	resynced := make(chan error, 1)
+	b := bed.Dial(testbed.Member{AppType: "app", User: "bob", Spec: `textfield x value=""`,
+		Reconnect: &client.ReconnectOptions{OnResync: func(err error) { resynced <- err }}})
+	p, px := rawMember(bed, "p")
+	q, qx := rawMember(bed, "q")
+	mustOK(t, b.Declare("/x"))
+	mustOK(t, b.Couple("/x", px))
+	p.MustOK(wire.Couple{From: px, To: qx})
+	testbed.Wait(t, "B mirrors the group", func() bool { return len(b.CO("/x")) == 2 })
+
+	p.Send(wire.Event{Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("p-edit")}})
+	held := testbed.Next[wire.Exec](q) // Q holds its ack, and so the floor
+	if res := testbed.Next[wire.EventResult](p); !res.OK {
+		t.Fatalf("P's event: %+v, want it granted", res)
+	}
+	failures := srv.Stats().LockFailures
+	bed.Fault(b).Close()
+	testbed.Wait(t, "B's pull refused the floor", func() bool { return srv.Stats().LockFailures > failures })
+	q.Send(wire.ExecAck{EventID: held.EventID})
+	testbed.Wait(t, "P's event resolved", func() bool { return srv.Stats().PendingEvents == 0 })
+	testbed.AdvanceUntil(t, clk, 10*time.Millisecond, "B's pull tried again", func() bool { return srv.Stats().PendingEvents > 0 })
+	p.ServeState(textState("p-edit"))
+	if err := resyncErr(t, resynced); err != nil {
+		t.Fatalf("B's resync: %v, want the retried pull to land", err)
+	}
+	if got := attrOf(t, b, "/x", widget.AttrValue).AsString(); got != "p-edit" {
+		t.Errorf("B holds %q after its pull, want P's %q", got, "p-edit")
+	}
 }
