@@ -189,6 +189,10 @@ func (c *Client) copyToShallow(localPath string, to couple.ObjectRef) error {
 
 // CopyFrom pulls a remote object's relevant state onto a local object —
 // active synchronization ("monitoring another person's activities", §3.1).
+// Like every transfer (CopyTo, RemoteCopy, Undo, Redo) it takes the floor of
+// the destination's group, so the server refuses it, "group locked", while
+// an event or another transfer holds that floor; it returns once the
+// destination has applied the state.
 func (c *Client) CopyFrom(from couple.ObjectRef, localPath string, destructive bool) error {
 	return c.callOK(wire.CopyFrom{From: from, ToPath: localPath, Destructive: destructive})
 }

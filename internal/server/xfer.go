@@ -213,7 +213,8 @@ func (s *Server) answerTransfer(pe *pendingEvent, timedOut bool) {
 	if err == nil && timedOut {
 		err = fmt.Errorf("server: %s did not apply the state within the event deadline", stateID(to))
 	}
-	if _, ok := s.clientOf(to.Instance); err == nil && !ok {
+	if _, ok := s.clientOf(to.Instance); !ok && err == nil {
+		// The receiver left: its departure resolved the transfer.
 		err = fmt.Errorf("server: instance %s disconnected", to.Instance)
 	}
 	msg := wire.Message(wire.OK{})
