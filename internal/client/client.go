@@ -85,7 +85,8 @@ type Options struct {
 	// instance, it also re-creates its couple links and pulls the current
 	// state of every coupled object; the pull holds the floor of the
 	// object's group until its state has landed, so the server denies every
-	// event in the group meanwhile, this instance's own included. An instance
+	// event in the group meanwhile, this instance's own included, and a pull
+	// the floor refuses is tried again until the floor is free. An instance
 	// the server kept (a restart's) missed nothing and pulls nothing. Nil
 	// disables reconnection: a dropped connection is final.
 	Reconnect *ReconnectOptions

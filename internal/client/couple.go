@@ -82,7 +82,7 @@ func (c *Client) CoupleTree(localPath string, to couple.ObjectRef, sync SyncDire
 		remoteSub := couple.ObjectRef{Instance: to.Instance, Path: joinRel(to.Path, p.B)}
 		switch sync {
 		case SyncPull:
-			if err := c.callOK(wire.CopyFrom{From: remoteSub, ToPath: localSub, Shallow: true}); err != nil {
+			if err := c.transfer(wire.CopyFrom{From: remoteSub, ToPath: localSub, Shallow: true}, maxAttempts); err != nil {
 				return 0, fmt.Errorf("client: initial pull of %s: %w", remoteSub, err)
 			}
 		case SyncPush:

@@ -46,7 +46,7 @@ func (c *Client) CoupleTreePartial(localPath string, to couple.ObjectRef, sync S
 		remoteSub := couple.ObjectRef{Instance: to.Instance, Path: joinRel(to.Path, pair[1])}
 		switch sync {
 		case SyncPull:
-			if err := c.callOK(wire.CopyFrom{From: remoteSub, ToPath: localSub, Shallow: true}); err != nil {
+			if err := c.transfer(wire.CopyFrom{From: remoteSub, ToPath: localSub, Shallow: true}, maxAttempts); err != nil {
 				return report, fmt.Errorf("client: initial pull of %s: %w", remoteSub, err)
 			}
 		case SyncPush:

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand/v2"
@@ -261,28 +262,40 @@ func (c *Client) resync(kept bool) {
 // trying them in order until one serves it, and returns the last failure when
 // none did. The server holds the floor of path's group from the pull's read
 // until this instance has applied the state, so no event of the group lands
-// between. A pull refused that floor (see floorBusy) is tried again on the
-// reconnect schedule; another peer would meet the same floor.
+// between. A pull refused that floor is tried again until the floor is free
+// (see transfer), which it is within the event deadline, the restore window
+// or a departure; another peer would meet the same floor.
 func (c *Client) pull(path string) error {
-	rng := rand.New(rand.NewPCG(jitterSeeds()))
 	var err error
 	for _, peer := range c.links.CO(c.Ref(path)) {
 		if peer.Instance == c.id {
 			continue
 		}
-		for attempt := 0; attempt < maxAttempts; attempt++ {
-			if attempt > 0 && !c.wait(backoffDelay(rng, attempt)) {
-				return ErrClosed
-			}
-			if err = c.callOK(wire.CopyFrom{From: peer, ToPath: path}); !floorBusy(err) {
-				break
-			}
-		}
-		if err == nil || floorBusy(err) {
+		if err = c.transfer(wire.CopyFrom{From: peer, ToPath: path}, 0); err == nil || errors.Is(err, ErrClosed) {
 			return err
 		}
 	}
 	return err
+}
+
+// transfer asks the server for the state transfer m (a copy, undo or redo),
+// which it refuses while another event or transfer holds the floor of the
+// destination's group, or a restored member that may still resume (see
+// floorBusy). A refused transfer is tried again on the reconnect backoff, at
+// most attempts times in all, or until the floor is free or Close with
+// attempts 0; the public calls pass maxAttempts, which outlasts the acks of a
+// group's event, and then report the refusal.
+func (c *Client) transfer(m wire.Message, attempts int) error {
+	rng := rand.New(rand.NewPCG(jitterSeeds()))
+	for attempt := 1; ; attempt++ {
+		err := c.callOK(m)
+		if !floorBusy(err) || attempt == attempts {
+			return err
+		}
+		if !c.wait(backoffDelay(rng, attempt)) {
+			return ErrClosed
+		}
+	}
 }
 
 // floorBusy reports whether err is the server refusing a transfer the floor

@@ -174,7 +174,7 @@ func (c *Client) CopyTo(localPath string, to couple.ObjectRef, destructive bool)
 	if err != nil {
 		return err
 	}
-	return c.callOK(wire.CopyTo{FromPath: localPath, To: to, State: ts, Destructive: destructive})
+	return c.transfer(wire.CopyTo{FromPath: localPath, To: to, State: ts, Destructive: destructive}, maxAttempts)
 }
 
 // copyToShallow pushes only the object's own attributes (no children) —
@@ -184,22 +184,23 @@ func (c *Client) copyToShallow(localPath string, to couple.ObjectRef) error {
 	if err != nil {
 		return err
 	}
-	return c.callOK(wire.CopyTo{FromPath: localPath, To: to, State: ts})
+	return c.transfer(wire.CopyTo{FromPath: localPath, To: to, State: ts}, maxAttempts)
 }
 
 // CopyFrom pulls a remote object's relevant state onto a local object —
 // active synchronization ("monitoring another person's activities", §3.1).
 // Like every transfer (CopyTo, RemoteCopy, Undo, Redo) it takes the floor of
-// the destination's group, so the server refuses it, "group locked", while
-// an event or another transfer holds that floor; it returns once the
+// the destination's group, which the server refuses, "group locked", while
+// an event or another transfer holds it; the call tries again on the
+// reconnect backoff, up to its attempt limit, and returns once the
 // destination has applied the state.
 func (c *Client) CopyFrom(from couple.ObjectRef, localPath string, destructive bool) error {
-	return c.callOK(wire.CopyFrom{From: from, ToPath: localPath, Destructive: destructive})
+	return c.transfer(wire.CopyFrom{From: from, ToPath: localPath, Destructive: destructive}, maxAttempts)
 }
 
 // RemoteCopy copies state between two objects of other instances (§3.1).
 func (c *Client) RemoteCopy(from, to couple.ObjectRef, destructive bool) error {
-	return c.callOK(wire.RemoteCopy{From: from, To: to, Destructive: destructive})
+	return c.transfer(wire.RemoteCopy{From: from, To: to, Destructive: destructive}, maxAttempts)
 }
 
 // FetchState reads the current state of any declared object (subject to the
@@ -225,10 +226,10 @@ func (c *Client) FetchState(ref couple.ObjectRef, relevantOnly bool) (widget.Tre
 // Undo restores the most recently overwritten historical state of a local
 // object.
 func (c *Client) Undo(path string) error {
-	return c.callOK(wire.Undo{Path: path})
+	return c.transfer(wire.Undo{Path: path}, maxAttempts)
 }
 
 // Redo re-applies the most recently undone state of a local object.
 func (c *Client) Redo(path string) error {
-	return c.callOK(wire.Redo{Path: path})
+	return c.transfer(wire.Redo{Path: path}, maxAttempts)
 }

@@ -65,20 +65,22 @@ func (t *Table) TraceWith(tr *obs.Tracer) { t.tracer = tr }
 
 // TryLockGroupCtx is TryLockGroup with causal tracing: the acquisition is
 // recorded as a child span of parent. Without a tracer or trace context it
-// is exactly TryLockGroup.
-func (t *Table) TryLockGroupCtx(parent obs.TraceContext, refs []couple.ObjectRef, owner Owner) (bool, int) {
+// is exactly TryLockGroup. On a conflict it returns the owner of the lock
+// that refused it.
+func (t *Table) TryLockGroupCtx(parent obs.TraceContext, refs []couple.ObjectRef, owner Owner) (bool, Owner) {
 	sp := t.tracer.StartSpan(parent, "lock.acquire", string(owner.Instance))
-	ok, attempted := t.TryLockGroup(refs, owner)
+	ok, attempted, holder := t.tryLockGroup(refs, owner)
 	t.endAcquireSpan(sp, ok, attempted, len(refs))
-	return ok, attempted
+	return ok, holder
 }
 
-// TryLockGroupOrderedCtx is TryLockGroupOrdered with causal tracing.
-func (t *Table) TryLockGroupOrderedCtx(parent obs.TraceContext, refs []couple.ObjectRef, owner Owner) (bool, int) {
+// TryLockGroupOrderedCtx is TryLockGroupOrdered with causal tracing, and
+// returns the refusing owner like TryLockGroupCtx.
+func (t *Table) TryLockGroupOrderedCtx(parent obs.TraceContext, refs []couple.ObjectRef, owner Owner) (bool, Owner) {
 	sp := t.tracer.StartSpan(parent, "lock.acquire", string(owner.Instance))
-	ok, attempted := t.TryLockGroupOrdered(refs, owner)
+	ok, attempted, holder := t.tryLockGroup(sortedRefs(refs), owner)
 	t.endAcquireSpan(sp, ok, attempted, len(refs))
-	return ok, attempted
+	return ok, holder
 }
 
 func (t *Table) endAcquireSpan(sp obs.SpanHandle, ok bool, attempted, group int) {
@@ -99,6 +101,13 @@ func (t *Table) endAcquireSpan(sp obs.SpanHandle, ok bool, attempted, group int)
 // before the conflict (useful for instrumentation). A ref the owner already
 // holds stays held and is not counted (re-entrant within one event).
 func (t *Table) TryLockGroup(refs []couple.ObjectRef, owner Owner) (ok bool, attempted int) {
+	ok, attempted, _ = t.tryLockGroup(refs, owner)
+	return ok, attempted
+}
+
+// tryLockGroup is TryLockGroup, which on a conflict also returns the owner
+// of the lock that refused it.
+func (t *Table) tryLockGroup(refs []couple.ObjectRef, owner Owner) (ok bool, attempted int, holder Owner) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.mAttempts.Inc()
@@ -111,7 +120,7 @@ func (t *Table) TryLockGroup(refs []couple.ObjectRef, owner Owner) (ok bool, att
 			t.mFailures.Inc()
 			t.mUndone.Add(uint64(len(acquired)))
 			t.keepUndo(acquired)
-			return false, len(acquired)
+			return false, len(acquired), cur
 		}
 		if _, held := t.held[ref]; !held {
 			t.held[ref] = owner
@@ -119,7 +128,7 @@ func (t *Table) TryLockGroup(refs []couple.ObjectRef, owner Owner) (ok bool, att
 		}
 	}
 	t.keepUndo(acquired)
-	return true, len(acquired)
+	return true, len(acquired), Owner{}
 }
 
 // maxIdleUndo caps the capacity (in refs) of the undo list a table keeps
@@ -143,10 +152,15 @@ func (t *Table) keepUndo(acquired []couple.ObjectRef) {
 // last; the ordered variant exists to quantify the ordering cost and to stay
 // safe if locking were ever performed incrementally.
 func (t *Table) TryLockGroupOrdered(refs []couple.ObjectRef, owner Owner) (ok bool, attempted int) {
+	return t.TryLockGroup(sortedRefs(refs), owner)
+}
+
+// sortedRefs is a copy of refs in the global total order.
+func sortedRefs(refs []couple.ObjectRef) []couple.ObjectRef {
 	sorted := make([]couple.ObjectRef, len(refs))
 	copy(sorted, refs)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-	return t.TryLockGroup(sorted, owner)
+	return sorted
 }
 
 // UnlockGroup releases every ref held by owner in refs, returning the count

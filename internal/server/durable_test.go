@@ -355,6 +355,50 @@ func TestRestoredMemberHoldsItsGroups(t *testing.T) {
 	}
 }
 
+// TestPullOutwaitsARestoredFloor: a dropped member's pull meets a group whose
+// restored member R holds the floor for the whole restore window, and keeps
+// trying until the window closes, however many retries that takes, and then
+// lands. B is dropped while it cannot dial, the server restarts with P and R
+// restored, P resumes and R does not; B resumes dropped, re-couples and pulls,
+// refused "a member is resuming" until the sweep drops R.
+func TestPullOutwaitsARestoredFloor(t *testing.T) {
+	clk := clock.NewManual()
+	d := newDurableLog(t, server.Options{Clock: clk}, eventlog.Options{Sync: eventlog.SyncAlways, Clock: clk})
+	resynced := make(chan error, 1)
+	b := d.bed.Dial(testbed.Member{AppType: "app", User: "bob", Spec: `textfield x value=""`,
+		Reconnect: &client.ReconnectOptions{OnResync: func(err error) { resynced <- err }}})
+	p, px := rawMember(d.bed, "p")
+	r, rx := rawMember(d.bed, "r")
+	tokP := mint(t, p)
+	mint(t, r)
+	mustOK(t, b.Declare("/x"))
+	mustOK(t, b.Couple("/x", px))
+	p.MustOK(wire.Couple{From: px, To: rx})
+	testbed.Wait(t, "B mirrors the group", func() bool { return len(b.CO("/x")) == 2 })
+
+	d.bed.Retarget(nil) // B's redials are refused until the restart
+	d.bed.Fault(b).Blackhole()
+	testbed.AdvanceUntil(t, clk, sweepStep, "B declared dead", func() bool { return d.srv.Stats().LivenessTimeouts > 0 })
+	d.restart()
+	p = d.bed.Raw(wire.Resume{Token: tokP})
+	if reg, _ := p.Hello.Msg.(wire.Registered); !reg.Kept {
+		t.Fatalf("P's resume answered %+v, want kept", p.Hello.Msg)
+	}
+	// Small steps, so B's retries keep pace with the clock: eight attempts
+	// of the reconnect schedule wait 7.2 s at most, half the window.
+	const step = 10 * time.Millisecond
+	testbed.AdvanceUntil(t, clk, step, "B's pull refused", func() bool { return d.srv.Stats().LockFailures > 0 })
+	testbed.AdvanceUntil(t, clk, step, "R dropped at the window's close", func() bool { return d.srv.Stats().LivenessTimeouts > 0 })
+	testbed.AdvanceUntil(t, clk, step, "B's pull tried again", func() bool { return d.srv.Stats().PendingEvents > 0 })
+	p.ServeState(textState("p-edit"))
+	if err := resyncErr(t, resynced); err != nil {
+		t.Fatalf("B's resync: %v, want its pull to land once R's floor went", err)
+	}
+	if got := attrOf(t, b, "/x", widget.AttrValue).AsString(); got != "p-edit" {
+		t.Errorf("B holds %q after its pull, want P's %q", got, "p-edit")
+	}
+}
+
 // TestChaosRestartSoak (make chaos-restart) kills and restarts the server
 // repeatedly under live traffic. Clients ride through on session-token
 // resume; afterwards every client must still be functional under its

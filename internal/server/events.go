@@ -123,11 +123,9 @@ func (s *Server) handleEvent(req eventReq) {
 	// sent or logged, and the next event reuses it.
 	eventID := s.ev.seq + 1
 	owner := lock.Owner{Instance: cl.id, Seq: eventID}
-	ok, _ := s.lockGroup(actx, p.members, owner)
-	if !ok {
+	if verdict := s.lockGroup(actx, p.members, owner); verdict != nil {
 		// Lock failed: the origin must undo the event's syntactic feedback.
 		req.body.Release()
-		verdict := s.refusal(p.members)
 		reason := verdict.(wire.EventResult).Reason
 		s.slog.Debug("event denied: "+reason,
 			"inst", string(cl.id), "path", m.Path, "event", m.Name, "trace", tc.Trace)
@@ -253,26 +251,14 @@ var (
 	eventUnlogged wire.Message = wire.EventResult{OK: false, Reason: "event log append failed"}
 )
 
-// refusal is the verdict of an event or transfer refused the floor of refs,
-// named for who holds it: a restored member that has not resumed (a lock of
-// sequence 0, see restoreOwner), or else another event or transfer. It runs
-// on the cold denial path only, one lookup a member.
-func (s *Server) refusal(refs []couple.ObjectRef) wire.Message {
-	for _, ref := range refs {
-		if o, ok := s.locks.HeldBy(ref); ok && o.Seq == 0 {
-			return eventResuming
-		}
-	}
-	return eventDenied
-}
-
 // expireEvents is the sweep's expiry pass: under the event lock, every
-// pending event whose deadline has passed times out.
+// pending event whose deadline has passed times out, and so does every
+// transfer but one whose history record is being committed (see landTransfer).
 func (s *Server) expireEvents() {
 	now := s.opts.Clock.Now()
 	s.ev.lock()
 	for id, pe := range s.ev.pending {
-		if now.After(pe.expires) {
+		if now.After(pe.expires) && (pe.xfer == nil || !pe.xfer.committing) {
 			s.timeoutEvent(id, pe)
 		}
 	}

@@ -452,11 +452,25 @@ func (s *Server) depart(id couple.InstanceID, reason string) error {
 	return err
 }
 
-// lockGroup applies the configured group-locking variant on the lock table,
-// recording a "lock.acquire" span under tc when tracing.
-func (s *Server) lockGroup(tc obs.TraceContext, refs []couple.ObjectRef, owner lock.Owner) (bool, int) {
+// lockGroup takes the floor of refs for owner with the configured
+// group-locking variant, recording a "lock.acquire" span under tc when
+// tracing. It returns nil once the floor is held, or else the verdict of
+// the refusal, named for the owner of the lock that refused it: a restored
+// member that has not resumed (sequence 0, see restoreOwner) is "a member is
+// resuming", another event or transfer "group locked".
+func (s *Server) lockGroup(tc obs.TraceContext, refs []couple.ObjectRef, owner lock.Owner) wire.Message {
+	var ok bool
+	var holder lock.Owner
 	if s.opts.OrderedLocking {
-		return s.locks.TryLockGroupOrderedCtx(tc, refs, owner)
+		ok, holder = s.locks.TryLockGroupOrderedCtx(tc, refs, owner)
+	} else {
+		ok, holder = s.locks.TryLockGroupCtx(tc, refs, owner)
 	}
-	return s.locks.TryLockGroupCtx(tc, refs, owner)
+	switch {
+	case ok:
+		return nil
+	case holder.Seq == 0:
+		return eventResuming
+	}
+	return eventDenied
 }

@@ -93,6 +93,42 @@ func TestDroppedResyncGatesDispatch(t *testing.T) {
 	}
 }
 
+// TestPeerEventWaitsOutAPull: a peer's event never overwrites a dropped
+// member's pull. B's pull from P is out (P holds the request) when Q, the
+// group's third member, edits: the server denies Q's event, since the pull
+// holds the floor. Once P's state has landed at B, Q's event is granted and
+// reaches B after the state it would otherwise have raced.
+func TestPeerEventWaitsOutAPull(t *testing.T) {
+	clk := clock.NewManual()
+	srv, bed := newBed(t, server.Options{Clock: clk})
+	resynced := make(chan error, 1)
+	b := bed.Dial(testbed.Member{AppType: "app", User: "bob", Spec: `textfield x value=""`,
+		Reconnect: &client.ReconnectOptions{OnResync: func(err error) { resynced <- err }}})
+	p, px := rawMember(bed, "p")
+	q, qx := rawMember(bed, "q")
+	mustOK(t, b.Declare("/x"))
+	mustOK(t, b.Couple("/x", px))
+	p.MustOK(wire.Couple{From: px, To: qx})
+	testbed.Wait(t, "B mirrors the group", func() bool { return len(b.CO("/x")) == 2 })
+
+	bed.Fault(b).Blackhole()
+	testbed.AdvanceUntil(t, clk, sweepStep, "B declared dead", func() bool { return srv.Stats().LivenessTimeouts > 0 })
+	req := testbed.Next[wire.StateRequest](p) // B's pull, which P holds
+	event := wire.Event{Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("q-edit")}}
+	if res, _ := q.Call(event).Msg.(wire.EventResult); res.OK || res.Reason != "group locked" {
+		t.Fatalf("Q's event while B's pull is out: %+v, want it denied: group locked", res)
+	}
+	p.Send(wire.StateReply{RequestID: req.RequestID, OK: true, State: textState("p-edit")})
+	if err := resyncErr(t, resynced); err != nil {
+		t.Fatalf("B's resync: %v", err)
+	}
+	if res, _ := q.Call(event).Msg.(wire.EventResult); !res.OK {
+		t.Fatalf("Q's event after B's pull landed: %+v, want it granted", res)
+	}
+	p.Send(wire.ExecAck{EventID: testbed.Next[wire.Exec](p).EventID})
+	testbed.Wait(t, "Q's edit at B", func() bool { return attrOf(t, b, "/x", widget.AttrValue).AsString() == "q-edit" })
+}
+
 // TestDroppedPullTriesTheNextPeer: a dropped member pulls each coupled
 // object's state from its peers in order and stops at the first that serves
 // it, so a peer that cannot serve does not fail the resync.
@@ -146,6 +182,35 @@ func TestCopyRacesAnEvent(t *testing.T) {
 	}
 	exec := testbed.Next[wire.Exec](b)
 	b.Send(wire.ExecAck{EventID: exec.EventID})
+}
+
+// TestCopyWaitsOutAnEvent: a client's CopyTo right after its own event is
+// refused the floor while the event waits on P's ack, and tries again on the
+// reconnect backoff, so it lands once the event has resolved instead of
+// failing "group locked".
+func TestCopyWaitsOutAnEvent(t *testing.T) {
+	clk := clock.NewManual()
+	srv, bed := newBed(t, server.Options{Clock: clk})
+	a := bed.Dial(testbed.Member{AppType: "app", User: "alice", Spec: `textfield x value=""`})
+	p, px := rawMember(bed, "p")
+	mustOK(t, a.Declare("/x"))
+	mustOK(t, a.Couple("/x", px))
+	mustOK(t, a.DispatchChecked(&widget.Event{Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("v")}}))
+	held := testbed.Next[wire.Exec](p) // P holds its ack, and so the floor
+
+	copied := make(chan error, 1)
+	go func() { copied <- a.CopyTo("/x", px, false) }()
+	testbed.Wait(t, "A's copy refused the floor", func() bool { return srv.Stats().LockFailures > 0 })
+	p.Send(wire.ExecAck{EventID: held.EventID})
+	testbed.Wait(t, "A's event resolved", func() bool { return srv.Stats().PendingEvents == 0 })
+	testbed.AdvanceUntil(t, clk, 10*time.Millisecond, "A's copy tried again", func() bool { return srv.Stats().PendingEvents > 0 })
+	p.ServeState(textState("v"))
+	if got := p.ApplyState().State.Attrs[widget.AttrValue].AsString(); got != "v" {
+		t.Errorf("P was sent %q, want A's state", got)
+	}
+	if err := <-copied; err != nil {
+		t.Fatalf("A's copy: %v, want it to land once the event resolved", err)
+	}
 }
 
 // TestPullRetriesABusyFloor: a dropped member's pull that the group's floor

@@ -188,7 +188,7 @@ type Server struct {
 	mLockAttempts  *obs.Counter   // lock.group_attempts (shared with the lock table)
 	mLockFails     *obs.Counter   // lock.group_failures (shared with the lock table): events and transfers denied the group lock
 	mLockUndone    *obs.Counter   // lock.undo_locked (shared with the lock table)
-	mEventTOs      *obs.Counter   // server.event_timeouts: events resolved by deadline
+	mEventTOs      *obs.Counter   // server.event_timeouts: events and transfers resolved by deadline
 	mEvictions     *obs.Counter   // server.evictions: clients dropped for backlog
 	mLivenessTOs   *obs.Counter   // server.liveness_timeouts: clients declared dead
 	mResumes       *obs.Counter   // server.resumes: sessions reclaimed by token
@@ -245,7 +245,7 @@ const (
 const (
 	memberAcks      = iota // ExecAcks received from the member
 	memberLastAcks         // times the member was the last acker (critical path)
-	memberTimeouts         // events that expired while waiting on the member
+	memberTimeouts         // events and transfers that expired while waiting on the member
 	memberPushbacks        // lock holders' attempts the member's socket did not take whole
 )
 
@@ -277,12 +277,13 @@ type Stats struct {
 	// client outboxes; OutboxHighWater is the largest backlog seen.
 	OutboxDepth     int64
 	OutboxHighWater int64
-	// LockAttempts counts group-lock acquisitions tried; LockUndone counts
-	// locks rolled back by the undo-locking algorithm on contention.
+	// LockAttempts counts group-lock acquisitions tried (by events, state
+	// transfers, and at start each restored floor); LockUndone counts locks
+	// rolled back by the undo-locking algorithm on contention.
 	LockAttempts uint64
 	LockUndone   uint64
-	// EventTimeouts counts events resolved by the event deadline instead of
-	// a full acknowledgement set.
+	// EventTimeouts counts events and state transfers resolved by the event
+	// deadline instead of a full acknowledgement set.
 	EventTimeouts uint64
 	// Evictions counts clients dropped because their outbox stayed over the
 	// outbox limit for longer than the outbox grace.

@@ -116,12 +116,14 @@ func (s *Server) validateCopy(cl *client, from, to couple.ObjectRef) (map[string
 }
 
 // transfer is what a state transfer's pending entry carries beyond an
-// event's: the request to answer once it resolves, and why it failed if it
-// failed before its state landed.
+// event's: the request to answer once it resolves, why it failed if it
+// failed before its state landed, and whether its history record is being
+// written (see landTransfer), which the deadline waits out.
 type transfer struct {
-	cl  *client
-	seq uint64
-	err error
+	cl         *client
+	seq        uint64
+	err        error
+	committing bool
 }
 
 // beginTransfer takes the floor of to's group for a state transfer cl asked
@@ -131,15 +133,15 @@ type transfer struct {
 // until it acknowledges the ApplyState that lands the state (see
 // landTransfer). A refused floor is answered like a denied event, "group
 // locked" or "a member is resuming", and reports 0. Its caller holds gmu,
-// and once it holds the floor must resolve the transfer on every path.
+// and once it holds the floor must land or fail the transfer on every path.
 func (s *Server) beginTransfer(cl *client, seq uint64, to couple.ObjectRef) uint64 {
 	members := s.st.graph.Group(to)
 	s.ev.lock()
 	defer s.ev.unlock()
 	id := s.ev.seq + 1
 	owner := lock.Owner{Instance: cl.id, Seq: id}
-	if ok, _ := s.lockGroup(obs.TraceContext{}, members, owner); !ok {
-		s.reply(cl, seq, errors.New(s.refusal(members).(wire.EventResult).Reason))
+	if verdict := s.lockGroup(obs.TraceContext{}, members, owner); verdict != nil {
+		s.reply(cl, seq, errors.New(verdict.(wire.EventResult).Reason))
 		return 0
 	}
 	if err := s.lease(id); err != nil {
@@ -151,56 +153,54 @@ func (s *Server) beginTransfer(cl *client, seq uint64, to couple.ObjectRef) uint
 	s.ev.seq = id
 	pe := s.ev.newPending(1)
 	pe.source, pe.owner, pe.xfer = to, owner, &transfer{cl: cl, seq: seq}
-	pe.plan = &plan{
-		members: members,
-		insts:   []planInst{{id: to.Instance, paths: []string{to.Path}}},
-		pos:     map[couple.InstanceID]int{to.Instance: 0},
-	}
+	// The receiver's wait set, under the floor of the whole group.
+	pe.plan = newPlan([]couple.ObjectRef{to})
+	pe.plan.members = members
 	pe.waiting[0], pe.left = 1, 1
 	pe.expires = s.opts.Clock.Now().Add(eventDeadline)
 	s.ev.pending[id] = pe
 	return id
 }
 
-// transferLive reports whether transfer id still holds its floor: it has not
-// timed out, and neither party has left.
-func (s *Server) transferLive(id uint64) bool {
+// landTransfer lands or fails transfer id once the states it read are in.
+// If the transfer still holds its floor, step runs: it commits the
+// transfer's history record, which may wait on the log, and the deadline
+// passes the transfer over meanwhile. Then the state step returns is sent to
+// the receiver, or step's error resolves the transfer, so a committed record
+// is always followed by its ApplyState. A transfer resolved before (by the
+// deadline, or a departure) has been answered, and step does not run. Its
+// caller holds gmu, under which departures resolve transfers.
+func (s *Server) landTransfer(id uint64, step func() (wire.ApplyState, error)) {
 	s.ev.lock()
-	defer s.ev.unlock()
-	_, ok := s.ev.pending[id]
-	return ok
-}
-
-// landTransfer sends transfer id's state to its receiver, if the transfer
-// still holds its floor; if it has resolved meanwhile, it has been
-// answered. Its caller holds gmu and has committed the transfer's history
-// record.
-func (s *Server) landTransfer(id uint64, m wire.ApplyState, copied bool) {
-	s.ev.lock()
-	defer s.ev.unlock()
 	pe, ok := s.ev.pending[id]
+	if ok {
+		pe.xfer.committing = true
+	}
+	s.ev.unlock()
 	if !ok {
 		return
 	}
-	// A departure resolves the transfer under gmu, which the caller holds,
-	// so a pending transfer's receiver is connected.
-	target, _ := s.clientOf(pe.source.Instance)
-	m.EventID = id
-	s.ev.out.send(target, wire.Envelope{Msg: m})
-	if copied {
-		s.mCopies.Inc()
-	}
-}
-
-// failTransfer resolves transfer id before its state landed, answering err.
-// Its caller holds gmu.
-func (s *Server) failTransfer(id uint64, err error) {
+	m, err := step()
 	s.ev.lock()
 	defer s.ev.unlock()
-	if pe, ok := s.ev.pending[id]; ok {
+	if cur, ok := s.ev.pending[id]; !ok || cur != pe {
+		return // resolved by an ack sent ahead of the state
+	}
+	pe.xfer.committing = false
+	if err != nil {
 		pe.xfer.err = err
 		s.finishEvent(id, pe, false)
+		return
 	}
+	target, _ := s.clientOf(pe.source.Instance) // connected: see above
+	m.EventID = id
+	s.ev.out.send(target, wire.Envelope{Msg: m})
+}
+
+// failTransfer resolves transfer id with err, before it has anything to
+// commit.
+func (s *Server) failTransfer(id uint64, err error) {
+	s.landTransfer(id, func() (wire.ApplyState, error) { return wire.ApplyState{}, err })
 }
 
 // answerTransfer answers the request of a transfer that just let its floor
@@ -251,16 +251,15 @@ func (s *Server) copyState(cl *client, seq uint64, from, to couple.ObjectRef, ca
 		}
 		s.requestState(cl, to, false, false,
 			func(old widget.TreeState) {
-				if !s.transferLive(id) {
-					return
-				}
-				// The logged CopyTo carries the overwritten state: it is the
-				// backup.
-				if err := s.commit(s.record(eventlog.KindHist, cl, wire.CopyTo{To: to, State: old})); err != nil {
-					s.failTransfer(id, err)
-					return
-				}
-				s.landTransfer(id, wire.ApplyState{Path: to.Path, State: state, Origin: cl.id, Destructive: destructive}, true)
+				s.landTransfer(id, func() (wire.ApplyState, error) {
+					// The logged CopyTo carries the overwritten state: it is
+					// the backup.
+					if err := s.commit(s.record(eventlog.KindHist, cl, wire.CopyTo{To: to, State: old})); err != nil {
+						return wire.ApplyState{}, err
+					}
+					s.mCopies.Inc()
+					return wire.ApplyState{Path: to.Path, State: state, Origin: cl.id, Destructive: destructive}, nil
+				})
 			},
 			func(reason string) {
 				s.failTransfer(id, fmt.Errorf("server: backing up %s: %s", stateID(to), reason))
@@ -310,29 +309,26 @@ func (s *Server) handleUndoRedo(cl *client, seq uint64, path string, undo bool) 
 	}
 	s.requestState(cl, ref, false, false,
 		func(current widget.TreeState) {
-			if !s.transferLive(id) {
-				return
-			}
-			// The state to restore is the top of the stack the walk pops,
-			// read as the history stands when the current state arrives.
-			undos, redos := s.st.history.Stacks(ref)
-			kind, stack := eventlog.KindRedo, redos
-			if undo {
-				kind, stack = eventlog.KindUndo, undos
-			}
-			if len(stack) == 0 {
-				s.failTransfer(id, fmt.Errorf("server: no state to restore for %s", stateID(ref)))
-				return
-			}
-			snap := stack[len(stack)-1]
-			// The logged CopyTo carries the pre-walk current state — the value
-			// the walk pushes on the opposite stack — so replaying the walk
-			// reproduces both stacks.
-			if err := s.commit(s.groupRecord(kind, cl, ref, wire.CopyTo{To: ref, State: current})); err != nil {
-				s.failTransfer(id, err)
-				return
-			}
-			s.landTransfer(id, wire.ApplyState{Path: path, State: snap.State, Origin: snap.Origin, Destructive: true}, false)
+			s.landTransfer(id, func() (wire.ApplyState, error) {
+				// The state to restore is the top of the stack the walk pops,
+				// read as the history stands when the current state arrives.
+				undos, redos := s.st.history.Stacks(ref)
+				kind, stack := eventlog.KindRedo, redos
+				if undo {
+					kind, stack = eventlog.KindUndo, undos
+				}
+				if len(stack) == 0 {
+					return wire.ApplyState{}, fmt.Errorf("server: no state to restore for %s", stateID(ref))
+				}
+				snap := stack[len(stack)-1]
+				// The logged CopyTo carries the pre-walk current state — the
+				// value the walk pushes on the opposite stack — so replaying
+				// the walk reproduces both stacks.
+				if err := s.commit(s.groupRecord(kind, cl, ref, wire.CopyTo{To: ref, State: current})); err != nil {
+					return wire.ApplyState{}, err
+				}
+				return wire.ApplyState{Path: path, State: snap.State, Origin: snap.Origin, Destructive: true}, nil
+			})
 		},
 		func(reason string) {
 			s.failTransfer(id, fmt.Errorf("server: reading current state of %s: %s", stateID(ref), reason))
