@@ -184,6 +184,37 @@ func TestCopyRacesAnEvent(t *testing.T) {
 	b.Send(wire.ExecAck{EventID: exec.EventID})
 }
 
+// TestUndoRacesAnEvent: an undo holds the floor of its object's group from
+// its read of the current state until the object's owner acknowledges the
+// restored one, so B's event in between is denied, and once the undo has
+// landed B's event is granted, its Exec behind the ApplyState at A.
+func TestUndoRacesAnEvent(t *testing.T) {
+	_, bed := newBed(t, server.Options{})
+	a, ax := rawMember(bed, "a")
+	b, bx := rawMember(bed, "b")
+	a.MustOK(wire.Couple{From: ax, To: bx})
+	b.Send(wire.CopyTo{FromPath: "/x", To: ax, State: textState("copied")}) // A's history
+	a.ServeState(textState("before"))
+	a.ApplyState()
+	testbed.Next[wire.OK](b)
+
+	a.Send(wire.Undo{Path: "/x"})
+	req := testbed.Next[wire.StateRequest](a) // the undo's read, which A holds
+	event := wire.Event{Path: "/x", Name: widget.EventChanged, Args: []attr.Value{attr.String("v")}}
+	if res, _ := b.Call(event).Msg.(wire.EventResult); res.OK || res.Reason != "group locked" {
+		t.Fatalf("B's event while the undo is out: %+v, want it denied: group locked", res)
+	}
+	a.Send(wire.StateReply{RequestID: req.RequestID, OK: true, State: textState("copied")})
+	if got := a.ApplyState().State.Attrs[widget.AttrValue].AsString(); got != "before" {
+		t.Fatalf("A was sent %q, want the state the copy overwrote", got)
+	}
+	testbed.Next[wire.OK](a)
+	if res, _ := b.Call(event).Msg.(wire.EventResult); !res.OK {
+		t.Fatalf("B's event after the undo landed: %+v, want it granted", res)
+	}
+	a.Send(wire.ExecAck{EventID: testbed.Next[wire.Exec](a).EventID})
+}
+
 // TestCopyWaitsOutAnEvent: a client's CopyTo right after its own event is
 // refused the floor while the event waits on P's ack, and tries again on the
 // reconnect backoff, so it lands once the event has resolved instead of
