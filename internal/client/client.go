@@ -514,10 +514,11 @@ func (c *Client) readConn(conn *wire.Conn) {
 }
 
 // handleIncoming routes one received record exactly as the read loop does.
-// Records the read loop handles inline (replies, liveness, link mirroring)
-// are routed at once; the others of one frame are queued together once its
-// last record is in, so the dispatch loop finds a packed run of Execs whole
-// and answers it with one coalesced ack. It reports false when the
+// Records the read loop handles inline (replies, liveness, link mirroring,
+// lock state) are routed at once; the others of one frame are queued together
+// once its last record is in, the last marked as the frame's end, so the
+// dispatch loop finds a packed run of Execs whole and answers it with one
+// coalesced ack before it reads the next frame's. It reports false when the
 // connection or the dispatch queue has failed. Only the server relays an
 // Event's payload, so a stray Event's relay body is given back at once.
 func (c *Client) handleIncoming(conn *wire.Conn, rec *wire.Record) bool {
@@ -550,6 +551,17 @@ func (c *Client) dropFrame() {
 // routeLocal handles the message kinds the read loop consumes inline,
 // reporting whether rec was consumed. A non-nil error means the connection
 // failed.
+//
+// Lock state lives here, in connection order: an Exec is its own lock
+// notice, so its target is disabled as the Exec is queued for the dispatch
+// loop, and a SetLocks (the server sends only unlocks) applies at once. A
+// straggler whose event the deadline resolved is thus re-enabled by the
+// unlock that follows its Exec, however late its apply runs. Taking the
+// widget registry's mutex here cannot stall the read loop behind the
+// dispatch loop: no holder keeps that mutex while it waits on the
+// connection, since Dispatch, Destroy and RunCallbacks release it before
+// they run hooks and callbacks, flushNotifications before onAttrChange, and
+// only a class Feedback, which must not block, runs under it.
 func (c *Client) routeLocal(conn *wire.Conn, rec *wire.Record) (bool, error) {
 	if rec.RefSeq != 0 {
 		c.mu.Lock()
@@ -562,6 +574,10 @@ func (c *Client) routeLocal(conn *wire.Conn, rec *wire.Record) (bool, error) {
 			w.reply <- rec.Box()
 		}
 		return true, nil
+	}
+	if rec.Type == wire.TExec {
+		c.setDisabled(rec.Exec.TargetPath, true)
+		return false, nil
 	}
 	switch m := rec.Msg.(type) {
 	case wire.Ping:
@@ -582,8 +598,20 @@ func (c *Client) routeLocal(conn *wire.Conn, rec *wire.Record) (bool, error) {
 		c.pruneMirror(m.Link.From)
 		c.pruneMirror(m.Link.To)
 		return true, nil
+	case wire.SetLocks:
+		for _, path := range m.Paths {
+			c.setDisabled(path, m.Locked)
+		}
+		return true, nil
 	}
 	return false, nil
+}
+
+// setDisabled disables or re-enables the local object at path, if it exists.
+func (c *Client) setDisabled(path string, disabled bool) {
+	if w, err := c.reg.Lookup(path); err == nil {
+		w.SetDisabled(disabled)
+	}
 }
 
 // pruneMirror forgets the mirrored links of o's group once a removal has
@@ -602,23 +630,24 @@ func (c *Client) pruneMirror(o couple.ObjectRef) {
 	}
 }
 
-// dispatchLoop is the instance's UI thread for server-initiated work: remote
-// event re-execution, state application, lock toggling, state requests and
-// command delivery.
+// dispatchLoop is the instance's UI thread for server-initiated work: it runs
+// application code only — remote event re-execution, state application,
+// state requests and command delivery.
 //
 // Every Exec, lone or packed, and every ApplyState takes one path: it is
-// applied and its acknowledgement joins the pending run, which is flushed as
-// soon as the queue runs empty or before any other record is dispatched. So
-// the server observes acknowledgements in record order, a packed run of
-// Execs is answered by one BatchAck, and a lone Exec or ApplyState by one
-// ExecAck straight after its apply; the ack is what lets the event's or the
-// transfer's floor go. Each Exec's entry keeps its own apply-span context, so
-// the server's per-event causal chains and its unlock bookkeeping see exactly
-// what single ExecAcks would have delivered.
+// applied and its acknowledgement joins the pending run, which is flushed at
+// the end of the frame it arrived in, or before any other record is
+// dispatched. So the server observes acknowledgements in record order, a
+// packed run of Execs is answered by one BatchAck, a lone Exec or ApplyState
+// by one ExecAck straight after its apply, and no ack waits for a later
+// frame's apply; the ack is what lets the event's or the transfer's floor
+// go. Each Exec's entry keeps its own apply-span context, so the server's
+// per-event causal chains and its unlock bookkeeping see exactly what single
+// ExecAcks would have delivered.
 func (c *Client) dispatchLoop() {
 	defer c.wg.Done()
 	for {
-		rec, last, ok := c.inq.pop()
+		rec, end, ok := c.inq.pop()
 		if !ok {
 			return
 		}
@@ -634,7 +663,7 @@ func (c *Client) dispatchLoop() {
 			c.dispatchOne(&rec)
 			continue
 		}
-		if last {
+		if end {
 			c.flushAcks()
 		}
 	}
@@ -659,12 +688,6 @@ func (c *Client) flushAcks() {
 // dispatchOne processes a single server-initiated record other than an Exec.
 func (c *Client) dispatchOne(rec *wire.Record) {
 	switch m := rec.Msg.(type) {
-	case wire.SetLocks:
-		for _, path := range m.Paths {
-			if w, err := c.reg.Lookup(path); err == nil {
-				w.SetDisabled(m.Locked)
-			}
-		}
 	case wire.StateRequest:
 		c.handleStateRequest(m)
 	case wire.CommandDeliver:
@@ -718,9 +741,16 @@ type inqueue struct {
 	// array is reused from its start whenever the queue runs empty — which
 	// on the event path is after nearly every pop — so a steady stream
 	// neither reallocates nor keeps consumed records reachable.
-	q      []wire.Record
+	q      []queued
 	head   int
 	closed bool
+}
+
+// queued is one record of the backlog; end marks the last record of the
+// frame it arrived in.
+type queued struct {
+	rec wire.Record
+	end bool
 }
 
 // maxIdleInqueue caps the capacity (in records) an empty inqueue keeps, so
@@ -733,9 +763,9 @@ func newInqueue() *inqueue {
 	return q
 }
 
-// push appends recs as one unit — one lock, one wakeup — so the consumer
-// never finds the queue empty part-way through them; it reports false once
-// the queue is closed.
+// push appends the records of one frame as one unit — one lock, one wakeup,
+// the last marked as the frame's end — so the consumer never finds the queue
+// empty part-way through them; it reports false once the queue is closed.
 func (q *inqueue) push(recs ...wire.Record) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -750,14 +780,16 @@ func (q *inqueue) push(recs ...wire.Record) bool {
 		clear(q.q[n:])
 		q.q, q.head = q.q[:n], 0
 	}
-	q.q = append(q.q, recs...)
+	for i := range recs {
+		q.q = append(q.q, queued{rec: recs[i], end: i == len(recs)-1})
+	}
 	q.cond.Signal()
 	return true
 }
 
-// pop blocks for the next record; last reports that it emptied the queue,
-// and ok is false once the queue is closed and drained.
-func (q *inqueue) pop() (rec wire.Record, last, ok bool) {
+// pop blocks for the next record; end reports that it was the last of its
+// frame, and ok is false once the queue is closed and drained.
+func (q *inqueue) pop() (rec wire.Record, end, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.head == len(q.q) && !q.closed {
@@ -766,17 +798,16 @@ func (q *inqueue) pop() (rec wire.Record, last, ok bool) {
 	if q.head == len(q.q) {
 		return wire.Record{}, false, false
 	}
-	rec = q.q[q.head]
-	q.q[q.head] = wire.Record{}
+	e := q.q[q.head]
+	q.q[q.head] = queued{}
 	q.head++
 	if q.head == len(q.q) {
 		q.q, q.head = q.q[:0], 0
 		if cap(q.q) > maxIdleInqueue {
 			q.q = nil
 		}
-		return rec, true, true
 	}
-	return rec, false, true
+	return e.rec, e.end, true
 }
 
 func (q *inqueue) close() {

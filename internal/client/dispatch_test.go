@@ -7,15 +7,17 @@ import (
 	"time"
 
 	"cosoft/internal/attr"
+	"cosoft/internal/couple"
 	"cosoft/internal/widget"
 	"cosoft/internal/wire"
 )
 
-// TestAckRunFollowsFrames pins the dispatch loop's acknowledgement rule on a
-// batch-aware connection: the Execs of one packed frame are answered by one
-// BatchAck in record order, a lone Exec by one ExecAck, and a pending run is
-// flushed before any other record is dispatched.
-func TestAckRunFollowsFrames(t *testing.T) {
+// ackServer connects a client with a textfield /x to a stand-in server over
+// an in-memory pipe. It returns the client, the server's end, on which the
+// test writes frames to the client, and the acknowledgements the client sends
+// back, one string per frame ("ExecAck 3", "BatchAck [1 2]"), in order.
+func ackServer(t *testing.T, opts Options) (*Client, *wire.Conn, <-chan string) {
+	t.Helper()
 	a, b := net.Pipe()
 	srv := wire.NewConn(b)
 	acks := make(chan string, 8)
@@ -44,48 +46,107 @@ func TestAckRunFollowsFrames(t *testing.T) {
 			}
 		}
 	}()
-	reg := widget.NewRegistry()
-	widget.MustBuild(reg, "/", `textfield x value=""`)
-	c, err := New(a, Options{Registry: reg, RPCTimeout: 5 * time.Second})
+	opts.Registry = widget.NewRegistry()
+	widget.MustBuild(opts.Registry, "/", `textfield x value=""`)
+	opts.RPCTimeout = 5 * time.Second
+	c, err := New(a, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
-	defer c.Close()
+	t.Cleanup(func() {
+		c.Close()
+		b.Close()
+		for extra := range acks {
+			t.Errorf("unexpected %s", extra)
+		}
+	})
+	return c, srv, acks
+}
 
-	exec := func(id uint64) wire.Envelope {
-		return wire.Envelope{Msg: wire.Exec{EventID: id, TargetPath: "/x", Name: widget.EventChanged,
-			Args: []attr.Value{attr.String(fmt.Sprint(id))}}}
+// execOn is an Exec of event id on /x.
+func execOn(id uint64) wire.Envelope {
+	return wire.Envelope{Msg: wire.Exec{EventID: id, TargetPath: "/x", Name: widget.EventChanged,
+		Args: []attr.Value{attr.String(fmt.Sprint(id))}}}
+}
+
+// packed is one Batch frame of envs.
+func packed(envs ...wire.Envelope) wire.Envelope {
+	return wire.Envelope{Msg: wire.Batch{Envelopes: envs}}
+}
+
+// expectAcks reads the next acknowledgement frames and fails unless they are
+// want, in order.
+func expectAcks(t *testing.T, acks <-chan string, after string, want ...string) {
+	t.Helper()
+	for _, w := range want {
+		select {
+		case got := <-acks:
+			if got != w {
+				t.Fatalf("after %s: got %s, want %s", after, got, w)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("after %s: no %s", after, w)
+		}
 	}
-	lock := wire.Envelope{Msg: wire.SetLocks{Paths: []string{"/x"}, Locked: true}}
-	unlock := wire.Envelope{Msg: wire.SetLocks{Paths: []string{"/x"}, Locked: false}}
-	packed := func(envs ...wire.Envelope) wire.Envelope { return wire.Envelope{Msg: wire.Batch{Envelopes: envs}} }
+}
+
+// TestAckRunFollowsFrames pins the dispatch loop's acknowledgement rule on a
+// batch-aware connection: the Execs of one packed frame are answered by one
+// BatchAck in record order, a lone Exec by one ExecAck, and a pending run is
+// flushed before any other record is dispatched. No lock record takes part:
+// an Exec is its own lock notice, consumed by the read loop.
+func TestAckRunFollowsFrames(t *testing.T) {
+	_, srv, acks := ackServer(t, Options{})
+	cmd := wire.Envelope{Msg: wire.CommandDeliver{Name: "unhandled"}}
 	for _, step := range []struct {
 		frame wire.Envelope
 		want  []string
 	}{
-		{packed(lock, exec(1), exec(2)), []string{"BatchAck [1 2]"}},
-		{exec(3), []string{"ExecAck 3"}},
-		{packed(exec(4), unlock, exec(5)), []string{"ExecAck 4", "ExecAck 5"}},
-		{packed(exec(6), exec(7), exec(8)), []string{"BatchAck [6 7 8]"}},
+		{packed(execOn(1), execOn(2)), []string{"BatchAck [1 2]"}},
+		{execOn(3), []string{"ExecAck 3"}},
+		{packed(execOn(4), cmd, execOn(5)), []string{"ExecAck 4", "ExecAck 5"}},
+		{packed(execOn(6), execOn(7), execOn(8)), []string{"BatchAck [6 7 8]"}},
 	} {
 		if err := srv.Write(step.frame); err != nil {
 			t.Fatal(err)
 		}
-		for _, want := range step.want {
-			select {
-			case got := <-acks:
-				if got != want {
-					t.Fatalf("after %s: got %s, want %s", step.frame.Msg.MsgType(), got, want)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatalf("after %s: no %s", step.frame.Msg.MsgType(), want)
-			}
+		expectAcks(t, acks, step.frame.Msg.MsgType().String(), step.want...)
+	}
+}
+
+// TestFramesBoundAckRuns queues two packed frames of Execs behind a command
+// handler that has not returned. Once it does, each frame is answered by its
+// own BatchAck: an ack run ends with the frame its Execs arrived in, so one
+// event's ack never waits for a later frame's apply, even though the queue
+// never ran empty in between.
+func TestFramesBoundAckRuns(t *testing.T) {
+	c, srv, acks := ackServer(t, Options{})
+	release := make(chan struct{})
+	c.OnCommand("block", func(couple.InstanceID, []byte) { <-release })
+	for _, frame := range []wire.Envelope{
+		{Msg: wire.CommandDeliver{Name: "block"}},
+		packed(execOn(1), execOn(2)),
+		packed(execOn(3), execOn(4)),
+	} {
+		if err := srv.Write(frame); err != nil {
+			t.Fatal(err)
 		}
 	}
-	c.Close()
-	b.Close()
-	for extra := range acks {
-		t.Errorf("unexpected %s", extra)
+	deadline := time.Now().Add(5 * time.Second)
+	for c.inq.backlog() != 4 {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("%d records queued behind the handler, want both frames' 4 Execs", c.inq.backlog())
+		}
+		time.Sleep(time.Millisecond)
 	}
+	close(release)
+	expectAcks(t, acks, "the handler returned", "BatchAck [1 2]", "BatchAck [3 4]")
+}
+
+// backlog is the number of records queued and not yet popped.
+func (q *inqueue) backlog() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.q) - q.head
 }

@@ -9,24 +9,26 @@ import (
 
 // TestInqueueDrainLeavesNoReferences: once everything pushed has been popped,
 // no slot of the backing array still references a message, and the next push
-// reuses the array from its start. Only the pop that empties the queue says
-// it was the last.
+// reuses the array from its start. The records are pushed in frames of two,
+// and only the second pop of each says it ended its frame.
 func TestInqueueDrainLeavesNoReferences(t *testing.T) {
 	q := newInqueue()
 	const n = 40
 	firstCap := 0
+	rec := func(i uint64) wire.Record {
+		return wire.Record{Envelope: wire.Envelope{Seq: i, Msg: wire.Pong{Nonce: i}}, Type: wire.TExec,
+			Exec: wire.Exec{EventID: i, Name: "changed"}}
+	}
 	for round := 0; round < 3; round++ {
-		for i := uint64(0); i < n; i++ {
-			rec := wire.Record{Envelope: wire.Envelope{Seq: i, Msg: wire.Pong{Nonce: i}}, Type: wire.TExec,
-				Exec: wire.Exec{EventID: i, Name: "changed"}}
-			if !q.push(rec) {
+		for i := uint64(0); i < n; i += 2 {
+			if !q.push(rec(i), rec(i+1)) {
 				t.Fatal("push on an open queue refused")
 			}
 		}
 		for i := uint64(0); i < n; i++ {
-			rec, last, ok := q.pop()
-			if !ok || rec.Seq != i || rec.Exec.EventID != i || last != (i == n-1) {
-				t.Fatalf("pop %d = %+v, last %v, ok %v", i, rec, last, ok)
+			rec, end, ok := q.pop()
+			if !ok || rec.Seq != i || rec.Exec.EventID != i || end != (i%2 == 1) {
+				t.Fatalf("pop %d = %+v, end %v, ok %v", i, rec, end, ok)
 			}
 		}
 		if q.head != 0 || len(q.q) != 0 {
@@ -69,9 +71,9 @@ func TestInqueueSteadyBacklogStaysBounded(t *testing.T) {
 }
 
 // TestInqueuePushesAFrameAsOneUnit: the records of one frame pushed together
-// are popped in order behind what was queued before them, none but the final
-// one emptying the queue — so the dispatch loop never flushes an ack run
-// part-way through a packed frame.
+// are popped in order behind what was queued before them, and each frame's
+// last record, and only it, ends its frame — so the dispatch loop flushes an
+// ack run at every frame's end and never part-way through a packed frame.
 func TestInqueuePushesAFrameAsOneUnit(t *testing.T) {
 	q := newInqueue()
 	next := uint64(0)
@@ -79,9 +81,9 @@ func TestInqueuePushesAFrameAsOneUnit(t *testing.T) {
 		q.push(seqRecord(3 * round))
 		q.push(seqRecord(3*round+1), seqRecord(3*round+2))
 		for i := 0; i < 3; i++ {
-			rec, last, ok := q.pop()
-			if !ok || rec.Seq != next || last != (i == 2) {
-				t.Fatalf("round %d pop %d = seq %d, last %v, ok %v; want seq %d", round, i, rec.Seq, last, ok, next)
+			rec, end, ok := q.pop()
+			if !ok || rec.Seq != next || end != (i != 1) {
+				t.Fatalf("round %d pop %d = seq %d, end %v, ok %v; want seq %d", round, i, rec.Seq, end, ok, next)
 			}
 			next++
 		}

@@ -669,6 +669,9 @@ func (l *Log) writer(ticker clock.Ticker) {
 		case <-l.kick:
 			l.drain()
 		case <-tick:
+			// Drain first, so the fsync covers every record queued at the
+			// tick and none of them waits behind it unwritten.
+			l.drain()
 			l.syncDirty()
 		case <-l.quit:
 			// Close refuses appends before it signals quit, so this drain

@@ -859,6 +859,59 @@ func TestIntervalFsyncFailure(t *testing.T) {
 	}
 }
 
+// An interval fsync covers every record queued when its tick fires: the
+// writer drains before it fsyncs, so a record queued behind a drain in
+// progress is written before the fsync, not left waiting behind it. Each
+// round holds a drain's write, queues one more record behind it, fires the
+// tick and lets the write go; when the fsync is entered, every record must
+// be written. A writer that took the tick and the queued record's wake-up in
+// whichever order it found them would fail each round half the time.
+func TestIntervalFsyncCoversQueuedRecords(t *testing.T) {
+	reg := obs.NewRegistry()
+	disk := &faultdisk.Disk{}
+	clk := clock.NewManual()
+	l, err := Open(Options{Dir: t.TempDir(), Sync: SyncInterval, Clock: clk, FS: disk, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	src := couple.ObjectRef{Instance: "editor-1", Path: "/field"}
+	se := wire.NewSharedExec(1, "changed", nil, src)
+	defer se.Release()
+	appends := reg.Counter("server.log.appends")
+	reached := func(h *faultdisk.Hold, what string) {
+		t.Helper()
+		select {
+		case <-h.Reached():
+		case <-time.After(5 * time.Second):
+			h.Release()
+			t.Fatalf("no %s reached the disk", what)
+		}
+	}
+	queued := uint64(0)
+	for round := 0; round < 16; round++ {
+		writes := disk.Hold(faultdisk.Segment, faultdisk.OpWrite)
+		for i := 0; i < 2; i++ {
+			if err := l.AppendEvent(src, se); err != nil {
+				t.Fatal(err)
+			}
+			queued++
+			if i == 0 {
+				reached(writes, "drain")
+			}
+		}
+		clk.Advance(syncEvery)
+		fsync := disk.Hold(faultdisk.Segment, faultdisk.OpSync)
+		writes.Release()
+		reached(fsync, "interval fsync")
+		got := appends.Value()
+		fsync.Release()
+		if got != queued {
+			t.Fatalf("round %d: the interval fsync began with %d of the %d queued records written", round, got, queued)
+		}
+	}
+}
+
 // The one residual window: when a drain's fsync fails and the truncate that
 // would cut it back fails too, its record stays in the segment, so a restart
 // replays a record whose append was refused. The log still fails closed, and

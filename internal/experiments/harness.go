@@ -103,7 +103,7 @@ func DispatchRetry(cli *client.Client, ev *widget.Event) (int, error) {
 
 func errorsIsRejected(err error) bool {
 	// Both outcomes mean "the floor is taken, try again": the server denied
-	// the group lock, or the local widget is currently disabled by a
-	// SetLocks from an in-flight event.
+	// the group lock, or the local widget is currently disabled by an
+	// in-flight event's Exec.
 	return errors.Is(err, client.ErrRejected) || errors.Is(err, widget.ErrDisabled)
 }

@@ -38,8 +38,8 @@ type eventLock struct {
 	//
 	// An unlock queues its SetLocks notices before UnlockGroup releases the
 	// group's entries (see unlockEvent), and the next event of the group is
-	// granted only under the same lock, so its lock notices and Execs queue
-	// behind them on every member's outbox.
+	// granted only under the same lock, so its Execs queue behind them on
+	// every member's outbox.
 	serial
 
 	// seq is the last event ID granted; the next event gets seq+1 (see

@@ -210,14 +210,13 @@ func (s *Server) lease(id uint64) error {
 }
 
 // broadcast sends a granted event out for re-execution under the plan its
-// lock was taken with: the locked objects are disabled at their instances,
-// and each member's outbox queues a reference to the shared body se and
-// copies it in at flush, so the broadcast costs O(1) body encodes regardless
-// of fan-out. It fills the event's wait set and gives up the caller's
-// reference to se.
+// lock was taken with: each member's outbox queues a reference to the shared
+// body se and copies it in at flush, so the broadcast costs O(1) body encodes
+// regardless of fan-out. An Exec is its own lock notice: a member disables
+// its target as it reads the Exec, and the unlock notice re-enables it. It
+// fills the event's wait set and gives up the caller's reference to se.
 func (s *Server) broadcast(pe *pendingEvent, se *wire.SharedExec) {
 	p, actx := pe.plan, pe.tc
-	s.notifyLocks(p, actx, true)
 	s.mBytesEncoded.Add(uint64(se.TailLen()))
 	fanout := 0
 	for i := range p.insts {
@@ -374,8 +373,8 @@ func (s *Server) finishEvent(id uint64, pe *pendingEvent, timedOut bool) {
 
 // unlockEvent re-enables the event's group at its members, then releases its
 // floor. The next event of the group is granted after UnlockGroup returns,
-// under the same event lock, so its lock notices and Execs land behind these
-// unlock notices on every member's outbox.
+// under the same event lock, so its Execs land behind these unlock notices on
+// every member's outbox.
 func (s *Server) unlockEvent(pe *pendingEvent, timedOut bool) {
 	if pe.xfer != nil {
 		s.locks.UnlockGroup(pe.plan.members, pe.owner)
@@ -383,7 +382,7 @@ func (s *Server) unlockEvent(pe *pendingEvent, timedOut bool) {
 		return
 	}
 	s.tr.Point(pe.tc, "server.unlock", "server", "")
-	s.notifyLocks(pe.plan, pe.tc, false)
+	s.notifyUnlock(pe.plan, pe.tc)
 	s.locks.UnlockGroup(pe.plan.members, pe.owner)
 	// Deadline-resolved events waited the full deadline by construction;
 	// folding them into the round-trip histogram would inject an outlier

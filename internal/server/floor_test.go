@@ -15,17 +15,16 @@ import (
 
 // floorMember is one raw member of the group under test, with a pump that
 // acknowledges every Exec and checks what the member is told against the
-// floor: its object's SetLocks alternate lock/unlock, every Exec arrives
-// between a lock and its unlock, and one lock window holds one event.
+// floor: an Exec is its object's lock notice, so per object Execs and unlocks
+// strictly alternate, and no SetLocks ever locks.
 type floorMember struct {
 	p    *testbed.Peer
 	srv  *Server
 	mu   sync.Mutex
 	errs []string
 	seq  []wire.Exec // Execs in arrival order
-	// locked is the object's state as the notices left it; window the ID of
-	// the event whose Execs the current lock window carries (0 before the
-	// first).
+	// locked is the object's state as the Execs and unlocks left it; window
+	// the ID of the last Exec's event (0 before the first).
 	locked bool
 	window uint64
 	// sample has the pump count the pending events before it acks an Exec,
@@ -40,10 +39,13 @@ func (m *floorMember) pump() {
 		switch msg := env.Msg.(type) {
 		case wire.SetLocks:
 			m.mu.Lock()
-			if msg.Locked == m.locked {
-				m.errs = append(m.errs, fmt.Sprintf("SetLocks locked=%v twice in a row after event %d", msg.Locked, m.window))
+			switch {
+			case msg.Locked:
+				m.errs = append(m.errs, fmt.Sprintf("a lock notice after event %d", m.window))
+			case !m.locked:
+				m.errs = append(m.errs, fmt.Sprintf("an unlock with no Exec before it after event %d", m.window))
 			}
-			m.locked, m.window = msg.Locked, 0
+			m.locked = false
 			m.mu.Unlock()
 		case wire.Exec:
 			var granted int
@@ -51,16 +53,13 @@ func (m *floorMember) pump() {
 				granted = m.srv.pendingCount()
 			}
 			m.mu.Lock()
-			switch {
-			case !m.locked:
-				m.errs = append(m.errs, fmt.Sprintf("Exec of event %d while unlocked", msg.EventID))
-			case m.window != 0 && m.window != msg.EventID:
-				m.errs = append(m.errs, fmt.Sprintf("Execs of events %d and %d in one lock window", m.window, msg.EventID))
+			if m.locked {
+				m.errs = append(m.errs, fmt.Sprintf("Exec of event %d before event %d's unlock", msg.EventID, m.window))
 			}
 			if granted > 1 {
 				m.errs = append(m.errs, fmt.Sprintf("%d events granted at once at event %d", granted, msg.EventID))
 			}
-			m.window = msg.EventID
+			m.locked, m.window = true, msg.EventID
 			m.seq = append(m.seq, msg)
 			m.mu.Unlock()
 			m.p.Send(wire.ExecAck{EventID: msg.EventID})
@@ -72,10 +71,10 @@ func (m *floorMember) pump() {
 // verdicts come back, so events of the group race each other for the event
 // lock and the floor, and their holders flush side by side once they let
 // the lock go. The one lock table must still grant at most one of them at a
-// time, every member must see its object's SetLocks strictly alternate
-// lock/unlock — an unlock's notices are queued before its floor is released,
-// so the next event's lock notice lands behind them — and every member must
-// see the same Exec order. Over 0.5 s: it is the only test that races one
+// time, every member must see its object's Execs and unlocks strictly
+// alternate — an unlock's notices are queued before its floor is released,
+// so the next event's Exec lands behind them — and every member must see the
+// same Exec order. Over 0.5 s: it is the only test that races one
 // group's events from several origins at once, so it alone catches a floor
 // the one lock table fails to hold, or a flush that overtakes another.
 func TestFloorHoldsAcrossOrigins(t *testing.T) {

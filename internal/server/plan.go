@@ -7,9 +7,9 @@ import (
 )
 
 // plan is everything an event on one source object needs that depends only
-// on the couple graph: whom to lock, whom to notify with which message, and
-// how many acknowledgements each instance owes. Groups change on couple,
-// decouple, retract and disconnect — rare next to events — so a plan is
+// on the couple graph: whom to lock, whom to send which Execs and unlock
+// notice, and how many acknowledgements each instance owes. Groups change on
+// couple, decouple, retract and disconnect — rare next to events — so a plan is
 // derived once per (source, graph generation) and shared, read-only, by
 // every event until the graph moves. A pending event keeps the plan it was
 // broadcast under, so its unlock releases and re-enables exactly what its
@@ -31,9 +31,9 @@ type planInst struct {
 	// paths are the instance's member objects: one Exec goes to each, so
 	// len(paths) is also the number of acknowledgements the instance owes.
 	paths []string
-	// lock and unlock are SetLocks{paths, true} and SetLocks{paths, false},
-	// boxed once here instead of once per event.
-	lock, unlock wire.Message
+	// unlock is SetLocks{paths, false}, boxed once here instead of once per
+	// event. There is no lock notice: each Exec disables its own target.
+	unlock wire.Message
 }
 
 func newPlan(members []couple.ObjectRef) *plan {
@@ -49,7 +49,6 @@ func newPlan(members []couple.ObjectRef) *plan {
 	}
 	for i := range p.insts {
 		pi := &p.insts[i]
-		pi.lock = wire.SetLocks{Paths: pi.paths, Locked: true}
 		pi.unlock = wire.SetLocks{Paths: pi.paths, Locked: false}
 	}
 	return p
@@ -80,19 +79,15 @@ func (s *Server) planFor(source couple.ObjectRef) *plan {
 	return p
 }
 
-// notifyLocks sends each connected instance of the plan its lock or unlock
-// notice, carrying the event's trace context so members can attribute the
-// disable/enable to the event. Clients are looked up per call: an instance
-// that disconnected since the plan was derived is simply skipped.
-func (s *Server) notifyLocks(p *plan, tc obs.TraceContext, locked bool) {
+// notifyUnlock sends each connected instance of the plan its unlock notice,
+// carrying the event's trace context so members can attribute the enable to
+// the event. Clients are looked up per call: an instance that disconnected
+// since the plan was derived is simply skipped.
+func (s *Server) notifyUnlock(p *plan, tc obs.TraceContext) {
 	for i := range p.insts {
 		pi := &p.insts[i]
 		if c, ok := s.clientOf(pi.id); ok {
-			msg := pi.unlock
-			if locked {
-				msg = pi.lock
-			}
-			s.ev.out.send(c, wire.Envelope{Trace: tc, Msg: msg})
+			s.ev.out.send(c, wire.Envelope{Trace: tc, Msg: pi.unlock})
 		}
 	}
 }

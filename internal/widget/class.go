@@ -60,6 +60,9 @@ const (
 // Reporting what to restore instead of returning an undo closure keeps the
 // remote re-execution of an event free of allocations: only the origin,
 // whose feedback a denied lock takes back, builds an undo (ApplyFeedback).
+//
+// It runs under the registry's mutex, so it must not block: a coupling
+// client's read loop takes that mutex to disable and re-enable objects.
 type FeedbackFunc func(w *Widget, e *Event) (name string, old attr.Value, err error)
 
 // Class describes a pre-defined UI object type: its default attributes, the

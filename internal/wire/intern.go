@@ -47,8 +47,8 @@ func (t *internTable) get(b []byte) string {
 	return s
 }
 
-// Whole notices repeat too: every event sends each member the same lock and
-// unlock notice (a SetLocks of its own paths) and its origin the same verdict
+// Whole notices repeat too: every event sends each member the same unlock
+// notice (a SetLocks of its own paths) and its origin the same verdict
 // (an EventResult). A Conn remembers the notices it has decoded, keyed by
 // their type and body bytes, and hands the same value out again when the same
 // body arrives, so a repeated notice costs a byte compare instead of a boxed

@@ -183,7 +183,11 @@ type EventResult struct {
 }
 
 // SetLocks instructs an instance to disable (or re-enable) local objects
-// that participate in a locked coupling group.
+// that participate in a locked coupling group. The server sends only unlocks:
+// an Exec is its own lock notice, and its member disables the Exec's target
+// as it reads it. A client still honours Locked either way. The field stays
+// because the benchmark's raw probe member reads it (bench/probe.go); it can
+// go once the benchmark is rebuilt (ROADMAP item 2).
 type SetLocks struct {
 	Paths  []string
 	Locked bool
